@@ -455,10 +455,16 @@ func (c *Chain) RegisterAsset(a Asset, owner PartyID) error {
 	c.assets[a.ID] = a
 	c.owners[a.ID] = ByParty(owner)
 	n := c.appendLocked(NoteAssetRegistered, "", owner, len(a.ID)+len(a.Description)+8,
-		fmt.Sprintf("asset %s -> %s", a.ID, owner), nil)
+		transferNote(a.ID, string(owner)), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil
+}
+
+// transferNote is the ledger note of an asset changing hands. Notes are
+// covered by the record hash: the layout is "asset %s -> %s" byte for byte.
+func transferNote(asset AssetID, to string) string {
+	return "asset " + string(asset) + " -> " + to
 }
 
 // Asset returns a registered asset.
@@ -510,7 +516,7 @@ func (c *Chain) PublishContract(sender PartyID, contract Contract) error {
 	c.contracts[id] = contract
 	c.owners[assetID] = ByEscrow(id)
 	n := c.appendLocked(NoteContractPublished, id, sender, contract.StorageSize(),
-		fmt.Sprintf("escrow %s", assetID), contract)
+		"escrow "+string(assetID), contract)
 	if f, fated := c.drawFateLocked(id); fated {
 		n.Provisional = c.trackLocked(NoteContractPublished, id, undoEntry{
 			contract:  contract,
@@ -596,7 +602,7 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 		c.owners[assetID] = *res.Transfer
 		c.closed[id] = true
 		nt := c.appendLocked(NoteTransfer, id, sender, 0,
-			fmt.Sprintf("asset %s -> %s", assetID, *res.Transfer), nil)
+			transferNote(assetID, res.Transfer.String()), nil)
 		if fated {
 			nt.Provisional = c.trackLocked(NoteTransfer, id, undoEntry{
 				asset:     assetID,
@@ -629,7 +635,7 @@ func (c *Chain) Transfer(sender PartyID, asset AssetID, to PartyID) error {
 	}
 	c.owners[asset] = ByParty(to)
 	n := c.appendLocked(NoteTransfer, "", sender, transferRecordBytes,
-		fmt.Sprintf("asset %s -> %s", asset, to), nil)
+		transferNote(asset, string(to)), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -261,6 +262,55 @@ func TestLedgerHashChain(t *testing.T) {
 	recs[0].Note = "evil"
 	if !c.VerifyLedger() {
 		t.Error("Records() should return a defensive copy")
+	}
+}
+
+// TestRecordNotesKeepTheFmtLayout pins the notes the chain itself writes
+// to the fmt layouts they were first written with. hashRecord covers the
+// note, so these bytes are part of every persisted ledger hash.
+func TestRecordNotesKeepTheFmtLayout(t *testing.T) {
+	c := newTestChain()
+	mustRegister(t, c, "coin", "alice")
+	mustRegister(t, c, "gem", "alice")
+	fc := &fakeContract{id: "s", party: "alice", asset: "coin", target: ByParty("bob")}
+	if err := c.PublishContract("alice", fc); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Invoke("bob", "s", "take", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Transfer("alice", "gem", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	escrow := &fakeContract{id: "e", party: "carol", asset: "gem", target: ByEscrow("vault")}
+	if err := c.PublishContract("carol", escrow); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Invoke("dave", "e", "take", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("asset %s -> %s", AssetID("coin"), PartyID("alice")),
+		fmt.Sprintf("asset %s -> %s", AssetID("gem"), PartyID("alice")),
+		fmt.Sprintf("escrow %s", AssetID("coin")),
+		"take: taken",
+		fmt.Sprintf("asset %s -> %s", AssetID("coin"), ByParty("bob")),
+		fmt.Sprintf("asset %s -> %s", AssetID("gem"), PartyID("carol")),
+		fmt.Sprintf("escrow %s", AssetID("gem")),
+		"take: taken",
+		fmt.Sprintf("asset %s -> %s", AssetID("gem"), ByEscrow("vault")),
+	}
+	recs := c.Records()
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want %d", len(recs), len(want))
+	}
+	for i, r := range recs {
+		if r.Note != want[i] {
+			t.Errorf("record %d note %q, fmt layout %q", i, r.Note, want[i])
+		}
+	}
+	if want[4] != "asset coin -> party:bob" || want[8] != "asset gem -> escrow:vault" {
+		t.Errorf("fmt layouts drifted: %q, %q", want[4], want[8])
 	}
 }
 

@@ -254,20 +254,16 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		log = &trace.Log{}
 	}
 	r := &runner{
-		setup:    setup,
-		spec:     spec,
-		sched:    scheduler,
-		sync:     cfg.SyncDeliveries,
-		stripe:   cfg.StripeKey,
-		log:      log,
-		timers:   make(map[int64]sched.Timer),
-		resolved: make(map[int]bool),
-		resClaim: make(map[int]bool),
-		pubTicks: make(map[int]vtime.Ticks),
-		resTicks: make(map[int]vtime.Ticks),
-		done:     make(chan struct{}),
-		cids:     make(map[chain.ContractID]int, spec.D.NumArcs()),
-		onPhase:  cfg.OnPhase,
+		setup:   setup,
+		spec:    spec,
+		sched:   scheduler,
+		sync:    cfg.SyncDeliveries,
+		stripe:  cfg.StripeKey,
+		log:     log,
+		arcs:    make([]arcState, spec.D.NumArcs()),
+		done:    make(chan struct{}),
+		cids:    make(map[chain.ContractID]int, spec.D.NumArcs()),
+		onPhase: cfg.OnPhase,
 	}
 	if ks, ok := scheduler.(sched.KeyedScheduler); ok && r.stripe != 0 {
 		r.keyed = ks
@@ -395,7 +391,7 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		// without ever blocking on another mailbox — a full buffer is
 		// backpressure, not deadlock. An oversized channel here dominated
 		// per-run allocations (~8 KiB × parties × runs).
-		p.mailbox = make(chan func(), 16)
+		p.mailbox = make(chan *delivery, 16)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -411,10 +407,11 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		// runs). Only the broadcast chain still needs the firehose: its
 		// data records carry a tag, not a contract ID, and onNote filters
 		// them by spec tag.
+		onNote := r.onNote // one method value for every route
 		for id := 0; id < spec.D.NumArcs(); id++ {
-			r.reg.SubscribeContract(spec.Assets[id].Chain, subKey, spec.ContractID(id), r.onNote)
+			r.reg.SubscribeContract(spec.Assets[id].Chain, subKey, spec.ContractID(id), onNote)
 		}
-		r.reg.Chain(core.BroadcastChain).Subscribe(subKey, r.onNote)
+		r.reg.Chain(core.BroadcastChain).Subscribe(subKey, onNote)
 	} else {
 		r.reg.SetObserverAll(r.onNote)
 	}
@@ -422,8 +419,7 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// Start everyone at T−Δ (leaders deploy ahead; see core.Runner).
 	initAt := spec.Start.Add(-vtime.Duration(spec.Delta))
 	for _, p := range r.parties {
-		p := p
-		r.deliverAt(initAt, p, false, func() { p.behavior.Init(p.env()) })
+		r.schedule(&delivery{p: p, at: initAt, kind: deliverInit})
 	}
 	horizonCh := make(chan struct{})
 	rn := &Running{
@@ -435,7 +431,7 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		subKey:    subKey,
 		shared:    shared,
 	}
-	r.schedule(horizon, func() { rn.fireHorizon(); close(horizonCh) })
+	r.schedule(&delivery{at: horizon, fn: func() { rn.fireHorizon(); close(horizonCh) }})
 	release()
 
 	return rn, nil
@@ -479,8 +475,8 @@ func (rn *Running) Wait() *Result {
 	drain:
 		for {
 			select {
-			case fn := <-p.mailbox:
-				fn() // ctx guard skips the body; the deferred settle runs
+			case d := <-p.mailbox:
+				d.runPosted() // ctx guard skips the body; the hold settles
 			default:
 				break drain
 			}
@@ -543,7 +539,7 @@ type runner struct {
 	// seenEvents dedupes behavior deliveries a reorg re-apply would
 	// repeat (OnContract, OnUnlock, OnRedeem, OnSettled). Guarded by mu;
 	// nil unless reorgAware.
-	seenEvents map[string]bool
+	seenEvents map[eventKey]bool
 	// onRevert is Config.OnRevert.
 	onRevert func(RevertEvent)
 
@@ -556,79 +552,238 @@ type runner struct {
 
 	parties []*party
 
-	// timers tracks this run's outstanding scheduler timers so teardown
-	// can cancel them in one sweep instead of leaking them (or, worse,
-	// leaving dead events in a long-lived shared scheduler). fnWG counts
-	// timer callbacks past the stop check, so teardown can wait for their
-	// mailbox sends to finish before the parties stop draining.
+	// live lists this run's outstanding deliveries (linked through the
+	// records themselves) so teardown can cancel their timers in one sweep
+	// instead of leaking them (or, worse, leaving dead events in a
+	// long-lived shared scheduler). fnWG counts timer callbacks past the
+	// stop check, so teardown can wait for their mailbox sends to finish
+	// before the parties stop draining.
 	timersMu sync.Mutex
-	timers   map[int64]sched.Timer
-	timerSeq int64
+	live     *delivery
 	stopped  bool
 	fnWG     sync.WaitGroup
 
-	mu       sync.Mutex
-	resolved map[int]bool
-	resClaim map[int]bool
-	// pubTicks and resTicks bound each arc's escrow span: first publish
-	// tick and first resolution tick (first-write wins — a reorg
-	// re-publish does not restart the lock interval the owner already
-	// paid for).
-	pubTicks map[int]vtime.Ticks
-	resTicks map[int]vtime.Ticks
+	mu sync.Mutex
+	// arcs is the per-arc run state, by arc ID; resolved counts its
+	// resolved entries.
+	arcs     []arcState
+	resolved int
 	// lastResolve is the tick of the most recent arc resolution.
 	lastResolve vtime.Ticks
 	done        chan struct{}
-	doneSent    bool
 }
 
-// schedule arms fn at virtual tick t, tracked for teardown cancellation.
-// The callback re-checks the stopped flag under the timer lock, so after
+// arcState is what the run tracks per arc. pubTick and resTick bound the
+// arc's escrow span: first publish tick and first resolution tick
+// (first-write wins — a reorg re-publish does not restart the lock
+// interval the owner already paid for).
+type arcState struct {
+	published, resolved, claimed bool
+	pubTick, resTick             vtime.Ticks
+}
+
+// deliveryKind selects the behavior callback a delivery makes.
+type deliveryKind uint8
+
+const (
+	deliverFunc      deliveryKind = iota // fn(): behavior alarms, run-level events
+	deliverInit                          // Init
+	deliverContract                      // OnContract(arc, contract)
+	deliverUnlock                        // OnUnlock(arc, lock, key)
+	deliverRedeem                        // OnRedeem(arc, key.Secret)
+	deliverSettled                       // OnSettled(arc, claimed)
+	deliverBroadcast                     // OnBroadcast(lock, key)
+)
+
+// delivery is one scheduled event of a run: what to hand to which party
+// at which tick, and — while it is outstanding — its scheduler timer and
+// its place in the run's live list. One record replaces a closure per
+// layer; the record is the only per-delivery state.
+type delivery struct {
+	// p is the receiving party; nil marks a run-level event (the horizon),
+	// whose fn runs ungated on the scheduler.
+	p  *party
+	at vtime.Ticks
+	// alarm deliveries bypass the abandon gate: refund alarms keep running
+	// for abandoned parties, as in the simulator runtime.
+	alarm bool
+	kind  deliveryKind
+	// src names the chain a delivery was sourced from, so the observed lag
+	// also feeds that chain's probe; empty for alarms and inits.
+	src       string
+	arc, lock int
+	claimed   bool
+	key       hashkey.Hashkey
+	contract  chain.Contract
+	fn        func()
+
+	timer      sched.Timer
+	prev, next *delivery
+
+	// Mailbox mode only: the scheduler hold taken at fire time and the
+	// SyncDeliveries completion signal.
+	settle func()
+	done   chan struct{}
+}
+
+// eventKey identifies a behavior delivery for the reorg re-delivery
+// dedupe.
+type eventKey struct {
+	kind      deliveryKind
+	arc, lock int
+	claimed   bool
+}
+
+// schedule arms d at its tick, tracked for teardown cancellation. The
+// callback re-checks the stopped flag under the timer lock, so after
 // stopTimers returns no new callback body can start (fnWG covers the ones
 // already past the check).
-func (r *runner) schedule(t vtime.Ticks, fn func()) {
+func (r *runner) schedule(d *delivery) {
 	r.timersMu.Lock()
+	defer r.timersMu.Unlock()
 	if r.stopped {
-		r.timersMu.Unlock()
 		return
 	}
-	id := r.timerSeq
-	r.timerSeq++
-	inner := func() {
-		r.timersMu.Lock()
-		if r.stopped {
-			r.timersMu.Unlock()
-			return
-		}
-		r.fnWG.Add(1)
-		delete(r.timers, id)
-		r.timersMu.Unlock()
-		defer r.fnWG.Done()
-		fn()
-	}
-	var tm sched.Timer
+	fire := func() { r.fire(d) }
 	if r.keyed != nil {
-		tm = r.keyed.AtKeyed(t, r.stripe, inner)
+		d.timer = r.keyed.AtKeyed(d.at, r.stripe, fire)
 	} else {
-		tm = r.sched.At(t, inner)
+		d.timer = r.sched.At(d.at, fire)
 	}
-	r.timers[id] = tm
-	r.timersMu.Unlock()
+	d.next = r.live
+	if r.live != nil {
+		r.live.prev = d
+	}
+	r.live = d
 }
 
 // stopTimers cancels every outstanding timer and blocks new ones.
 func (r *runner) stopTimers() {
 	r.timersMu.Lock()
 	r.stopped = true
-	timers := make([]sched.Timer, 0, len(r.timers))
-	for _, tm := range r.timers {
-		timers = append(timers, tm)
-	}
-	r.timers = map[int64]sched.Timer{}
+	live := r.live
+	r.live = nil
 	r.timersMu.Unlock()
-	for _, tm := range timers {
-		tm.Stop()
+	for d := live; d != nil; d = d.next {
+		d.timer.Stop()
 	}
+}
+
+// fire is d's scheduler callback: it takes d off the live list and hands
+// it to its party. In inline mode the scheduler dispatch IS the party
+// execution — the dispatcher (or this stripe's worker) already holds the
+// clock for the duration of the callback, and same-stripe serialization
+// keeps the behavior single-threaded: no hold, no handoff, no wait.
+// Otherwise the delivery goes through the party's mailbox, and from fire
+// time until the mailbox runs (or drops) it the delivery holds the
+// scheduler, so virtual time cannot jump past a deadline while the action
+// racing that deadline sits in a mailbox.
+func (r *runner) fire(d *delivery) {
+	r.timersMu.Lock()
+	if r.stopped {
+		r.timersMu.Unlock()
+		return
+	}
+	r.fnWG.Add(1)
+	if d.prev != nil {
+		d.prev.next = d.next
+	} else {
+		r.live = d.next
+	}
+	if d.next != nil {
+		d.next.prev = d.prev
+	}
+	d.prev, d.next = nil, nil
+	r.timersMu.Unlock()
+	defer r.fnWG.Done()
+
+	switch {
+	case d.p == nil:
+		d.fn()
+	case r.inline:
+		r.run(d)
+	default:
+		r.post(d)
+	}
+}
+
+// post hands d to its party's mailbox under a scheduler hold.
+func (r *runner) post(d *delivery) {
+	d.settle = r.sched.Hold()
+	// Under SyncDeliveries the scheduler callback additionally waits for
+	// the party to execute the delivery: on a serialized virtual scheduler
+	// this means exactly one party action runs at a time, in (tick,
+	// schedule-order) order — the property deterministic replay rests on.
+	// The party goroutine never blocks on the scheduler, so the wait cannot
+	// deadlock; teardown closes done via the mailbox drain if the party
+	// already exited.
+	if r.sync {
+		d.done = make(chan struct{})
+	}
+	select {
+	case d.p.mailbox <- d:
+		if d.done != nil {
+			select {
+			case <-d.done:
+			case <-r.ctx.Done():
+				// The party may have exited without draining; the teardown
+				// drain will run the delivery and settle the hold.
+			}
+		}
+	case <-r.ctx.Done():
+		d.settle()
+	}
+}
+
+// runPosted executes a mailbox delivery on the party goroutine (or the
+// teardown drain) and settles what post took.
+func (d *delivery) runPosted() {
+	defer d.settle()
+	if d.done != nil {
+		defer close(d.done)
+	}
+	d.p.runner.run(d)
+}
+
+// run makes d's behavior callback on its party's thread of control.
+func (r *runner) run(d *delivery) {
+	if r.ctx.Err() != nil {
+		return // teardown: settle without executing
+	}
+	p := d.p
+	if !d.alarm && p.abandoned {
+		return
+	}
+	r.observeLag(d.src, d.at)
+	switch d.kind {
+	case deliverFunc:
+		d.fn()
+	case deliverInit:
+		p.behavior.Init(p.env())
+	case deliverContract:
+		p.behavior.OnContract(p.env(), d.arc, d.contract)
+	case deliverUnlock:
+		p.behavior.OnUnlock(p.env(), d.arc, d.lock, d.key)
+	case deliverRedeem:
+		p.behavior.OnRedeem(p.env(), d.arc, d.key.Secret)
+	case deliverSettled:
+		p.behavior.OnSettled(p.env(), d.arc, d.claimed)
+	case deliverBroadcast:
+		p.behavior.OnBroadcast(p.env(), d.lock, d.key)
+	}
+}
+
+// deliverTo schedules p's own copy of d.
+func (r *runner) deliverTo(p *party, d delivery) {
+	d.p = p
+	r.schedule(&d)
+}
+
+// deliverIncident schedules d for each endpoint of d.arc.
+func (r *runner) deliverIncident(d delivery) {
+	arc := r.spec.D.Arc(d.arc)
+	r.deliverTo(r.parties[arc.Head], d)
+	r.deliverTo(r.parties[arc.Tail], d)
 }
 
 // observeLag feeds one delivery's observed lag past its scheduled tick
@@ -650,102 +805,31 @@ func (r *runner) observeLag(src string, t vtime.Ticks) {
 	}
 }
 
-// deliverAt schedules fn for execution on p's mailbox at virtual tick t.
-// From fire time until the mailbox runs (or drops) it, the delivery holds
-// the scheduler, so virtual time cannot jump past a deadline while the
-// action racing that deadline sits in a mailbox. Alarms bypass the
-// abandon gate: refund alarms keep running for abandoned parties, as in
-// the simulator runtime.
-func (r *runner) deliverAt(t vtime.Ticks, p *party, alarm bool, fn func()) {
-	r.deliverFrom(t, p, alarm, "", fn)
-}
-
-// deliverFrom is deliverAt for deliveries sourced from a chain event:
-// src names the chain, so the observed lag also feeds its probe.
-func (r *runner) deliverFrom(t vtime.Ticks, p *party, alarm bool, src string, fn func()) {
-	if r.inline {
-		// Inline mode: the scheduler dispatch IS the party execution — the
-		// dispatcher (or this stripe's worker) already holds the clock for
-		// the duration of the callback, and same-stripe serialization keeps
-		// the behavior single-threaded. No hold, no handoff, no wait.
-		r.schedule(t, func() {
-			if r.ctx.Err() != nil {
-				return
-			}
-			if !alarm && p.abandoned {
-				return
-			}
-			r.observeLag(src, t)
-			fn()
-		})
-		return
-	}
-	r.schedule(t, func() {
-		settle := r.sched.Hold()
-		// Under SyncDeliveries the scheduler callback additionally waits
-		// for the party to execute the delivery: on a serialized virtual
-		// scheduler this means exactly one party action runs at a time,
-		// in (tick, schedule-order) order — the property deterministic
-		// replay rests on. The party goroutine never blocks on the
-		// scheduler, so the wait cannot deadlock; teardown closes done
-		// via the mailbox drain if the party already exited.
-		var done chan struct{}
-		if r.sync {
-			done = make(chan struct{})
-		}
-		wrapped := func() {
-			defer settle()
-			if done != nil {
-				defer close(done)
-			}
-			if r.ctx.Err() != nil {
-				return // teardown drain: settle without executing
-			}
-			if !alarm && p.abandoned {
-				return
-			}
-			r.observeLag(src, t)
-			fn()
-		}
-		select {
-		case p.mailbox <- wrapped:
-			if done != nil {
-				select {
-				case <-done:
-				case <-r.ctx.Done():
-					// The party may have exited without draining; the
-					// teardown drain will run wrapped and settle the hold.
-				}
-			}
-		case <-r.ctx.Done():
-			settle()
-		}
-	})
-}
-
 // notePublished records an arc's first contract-publication tick — the
 // open of its escrow span. Safe from any goroutine.
 func (r *runner) notePublished(arcID int, at vtime.Ticks) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.pubTicks[arcID]; !ok {
-		r.pubTicks[arcID] = at
+	if a := &r.arcs[arcID]; !a.published {
+		a.published, a.pubTick = true, at
 	}
 }
 
 func (r *runner) setResolved(arcID int, claimed bool) {
+	now := r.sched.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.resolved[arcID] = true
-	r.resClaim[arcID] = claimed
-	if _, ok := r.resTicks[arcID]; !ok {
-		r.resTicks[arcID] = r.sched.Now()
-	}
-	if now := r.sched.Now(); now > r.lastResolve {
+	a := &r.arcs[arcID]
+	a.claimed = claimed
+	if now > r.lastResolve {
 		r.lastResolve = now
 	}
-	if !r.doneSent && len(r.resolved) == r.spec.D.NumArcs() {
-		r.doneSent = true
+	if a.resolved {
+		return
+	}
+	a.resolved, a.resTick = true, now
+	r.resolved++
+	if r.resolved == len(r.arcs) {
 		close(r.done)
 	}
 }
@@ -772,7 +856,7 @@ func (r *runner) notePhase(phase string) {
 func (r *runner) getResolved(arcID int) (bool, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.resolved[arcID], r.resClaim[arcID]
+	return r.arcs[arcID].resolved, r.arcs[arcID].claimed
 }
 
 // deliveryDelay returns the cached delivery margin for events sourced
@@ -790,14 +874,14 @@ func (r *runner) deliveryDelay(name string) vtime.Duration {
 // already delivered. Always false (and allocation-free) when no involved
 // chain can reorg: re-deliveries only exist when a revert re-applies
 // records, so ideal-chain runs never pay for the map.
-func (r *runner) dupEvent(key string) bool {
+func (r *runner) dupEvent(key eventKey) bool {
 	if !r.reorgAware {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.seenEvents == nil {
-		r.seenEvents = make(map[string]bool)
+		r.seenEvents = make(map[eventKey]bool)
 	}
 	if r.seenEvents[key] {
 		return true
@@ -824,15 +908,8 @@ func (r *runner) dupEvent(key string) bool {
 // transfer finalizes, and a revert re-applies records through the normal
 // paths (with re-deliveries deduped, since behaviors already acted).
 func (r *runner) onNote(n chain.Notification) {
-	delta := r.deliveryDelay(n.Chain)
-	deliverIncident := func(arcID int, fn func(core.Behavior, core.Env)) {
-		arc := r.spec.D.Arc(arcID)
-		at := n.At.Add(delta)
-		for _, v := range []digraph.Vertex{arc.Head, arc.Tail} {
-			p := r.parties[v]
-			r.deliverFrom(at, p, false, n.Chain, func() { fn(p.behavior, p.env()) })
-		}
-	}
+	// d is the delivery this note becomes, filled in per kind below.
+	d := delivery{at: n.At.Add(r.deliveryDelay(n.Chain)), src: n.Chain}
 	switch n.Kind {
 	case chain.NoteContractPublished:
 		c, ok := n.Event.(chain.Contract)
@@ -845,10 +922,11 @@ func (r *runner) onNote(n chain.Notification) {
 		}
 		r.notePublished(arcID, n.At)
 		r.notePhase("escrow")
-		if r.dupEvent(fmt.Sprintf("c:%d", arcID)) {
+		d.kind, d.arc, d.contract = deliverContract, arcID, c
+		if r.dupEvent(eventKey{kind: d.kind, arc: arcID}) {
 			return // reorg re-publish: parties already saw this contract
 		}
-		deliverIncident(arcID, func(b core.Behavior, e core.Env) { b.OnContract(e, arcID, c) })
+		r.deliverIncident(d)
 	case chain.NoteInvocation:
 		if _, mine := r.cids[n.Contract]; !mine {
 			return
@@ -856,20 +934,18 @@ func (r *runner) onNote(n chain.Notification) {
 		switch ev := n.Event.(type) {
 		case htlc.UnlockedEvent:
 			r.notePhase("reveal")
-			if r.dupEvent(fmt.Sprintf("u:%d:%d", ev.ArcID, ev.LockIndex)) {
+			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, ev.LockIndex, ev.Key
+			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: d.lock}) {
 				return
 			}
-			deliverIncident(ev.ArcID, func(b core.Behavior, e core.Env) {
-				b.OnUnlock(e, ev.ArcID, ev.LockIndex, ev.Key)
-			})
+			r.deliverIncident(d)
 		case htlc.RedeemedEvent:
 			r.notePhase("reveal")
-			if r.dupEvent(fmt.Sprintf("r:%d", ev.ArcID)) {
+			d.kind, d.arc, d.key.Secret = deliverRedeem, ev.ArcID, ev.Secret
+			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
 				return
 			}
-			deliverIncident(ev.ArcID, func(b core.Behavior, e core.Env) {
-				b.OnRedeem(e, ev.ArcID, ev.Secret)
-			})
+			r.deliverIncident(d)
 		}
 	case chain.NoteTransfer:
 		arcID, mine := r.cids[n.Contract]
@@ -884,8 +960,9 @@ func (r *runner) onNote(n chain.Notification) {
 		counter := r.spec.PartyOf(r.spec.D.Arc(arcID).Tail)
 		owner, _ := ch.OwnerOf(c.AssetID())
 		claimed := owner == chain.ByParty(counter)
-		if !r.dupEvent(fmt.Sprintf("s:%d:%t", arcID, claimed)) {
-			deliverIncident(arcID, func(b core.Behavior, e core.Env) { b.OnSettled(e, arcID, claimed) })
+		d.kind, d.arc, d.claimed = deliverSettled, arcID, claimed
+		if !r.dupEvent(eventKey{kind: d.kind, arc: arcID, claimed: claimed}) {
+			r.deliverIncident(d)
 		}
 		if n.Provisional {
 			return // resolution waits for the transfer to finalize
@@ -927,10 +1004,9 @@ func (r *runner) onNote(n chain.Notification) {
 			return // another swap's secret on the shared broadcast chain
 		}
 		r.notePhase("reveal")
-		at := n.At.Add(delta)
+		d.kind, d.lock, d.key = deliverBroadcast, msg.LockIndex, msg.Key
 		for _, p := range r.parties {
-			p := p
-			r.deliverFrom(at, p, false, n.Chain, func() { p.behavior.OnBroadcast(p.env(), msg.LockIndex, msg.Key) })
+			r.deliverTo(p, d)
 		}
 	}
 }
@@ -953,16 +1029,15 @@ func (r *runner) buildResult() *Result {
 	}
 	r.mu.Lock()
 	settleTick := r.lastResolve
-	allResolved := len(r.resolved) == spec.D.NumArcs()
-	escrows := make([]EscrowSpan, 0, len(r.pubTicks))
-	for id := 0; id < spec.D.NumArcs(); id++ {
-		from, ok := r.pubTicks[id]
-		if !ok {
+	allResolved := r.resolved == len(r.arcs)
+	escrows := make([]EscrowSpan, 0, len(r.arcs))
+	for id, a := range r.arcs {
+		if !a.published {
 			continue // never published: nothing was locked
 		}
-		span := EscrowSpan{ArcID: id, From: from, To: r.horizonTick}
-		if to, ok := r.resTicks[id]; ok {
-			span.To, span.Resolved = to, true
+		span := EscrowSpan{ArcID: id, From: a.pubTick, To: r.horizonTick}
+		if a.resolved {
+			span.To, span.Resolved = a.resTick, true
 		}
 		if span.To < span.From {
 			span.To = span.From
@@ -989,7 +1064,7 @@ type party struct {
 	runner    *runner
 	vertex    digraph.Vertex
 	behavior  core.Behavior
-	mailbox   chan func()
+	mailbox   chan *delivery
 	envc      concEnv
 	abandoned bool // touched only on the party goroutine / stripe
 }
@@ -999,8 +1074,8 @@ func (p *party) loop(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case fn := <-p.mailbox:
-			fn()
+		case d := <-p.mailbox:
+			d.runPosted()
 		}
 	}
 }
@@ -1129,7 +1204,7 @@ func (e *concEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {
 }
 
 func (e *concEnv) At(t vtime.Ticks, fn func()) {
-	e.p.runner.deliverAt(t, e.p, true, fn)
+	e.p.runner.schedule(&delivery{p: e.p, at: t, alarm: true, fn: fn})
 }
 
 func (e *concEnv) Abandon(reason string) {

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -63,15 +63,19 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 		byParty[o.Party] = o
 		ids = append(ids, o.Party)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
-	d := digraph.New()
+	names := make([]string, len(ids))
 	vertexOf := make(map[chain.PartyID]digraph.Vertex, len(ids))
-	for _, id := range ids {
-		vertexOf[id] = d.AddVertex(string(id))
+	arcs := 0
+	for v, id := range ids {
+		names[v] = string(id)
+		vertexOf[id] = digraph.Vertex(v)
+		arcs += len(byParty[id].Give)
 	}
-	var assets []ArcAsset
-	for _, id := range ids {
+	pairs := make([]digraph.Arc, 0, arcs)
+	assets := make([]ArcAsset, 0, arcs)
+	for v, id := range ids {
 		for _, tr := range byParty[id].Give {
 			if tr.To == id {
 				return nil, fmt.Errorf("%w: %s -> %s", ErrSelfTransfer, id, tr.To)
@@ -80,11 +84,13 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: %s -> %s", ErrUnknownParty, id, tr.To)
 			}
-			if _, err := d.AddArc(vertexOf[id], to); err != nil {
-				return nil, fmt.Errorf("core: clearing: %w", err)
-			}
+			pairs = append(pairs, digraph.Arc{Head: digraph.Vertex(v), Tail: to})
 			assets = append(assets, ArcAsset{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
 		}
+	}
+	d, err := digraph.Build(names, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("core: clearing: %w", err)
 	}
 	cfg.Parties = ids
 	cfg.Assets = assets

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -37,12 +38,34 @@ type Batch struct {
 // (duplicate party, empty offer, self-transfer) are reported instead of
 // silently shunted to the residual.
 func PartitionOffers(offers []Offer) (*Batch, error) {
-	byParty := make(map[chain.PartyID]Offer, len(offers))
-	for _, o := range offers {
+	return new(Partitioner).Partition(offers)
+}
+
+// Partitioner is PartitionOffers with its working memory kept from one
+// call to the next: a clearing engine partitions its book every round,
+// and most rounds find a handful of offers that cannot clear yet. The
+// zero value is ready to use; a Partitioner is not safe for concurrent
+// use. Returned batches never alias the working memory.
+type Partitioner struct {
+	indexOf  map[chain.PartyID]int // party -> index into offers
+	order    []int                 // offer indexes in party-ID order
+	active   []bool                // by offer index
+	vertexOf []digraph.Vertex      // by offer index, this iteration's graph
+	names    []string
+	pairs    []digraph.Arc
+}
+
+// Partition is PartitionOffers on p's working memory.
+func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
+	if p.indexOf == nil {
+		p.indexOf = make(map[chain.PartyID]int, len(offers))
+	}
+	clear(p.indexOf)
+	for i, o := range offers {
 		if len(o.Give) == 0 {
 			return nil, fmt.Errorf("%w: party %s", ErrEmptyOffer, o.Party)
 		}
-		if _, dup := byParty[o.Party]; dup {
+		if _, dup := p.indexOf[o.Party]; dup {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateOffer, o.Party)
 		}
 		for _, tr := range o.Give {
@@ -50,78 +73,98 @@ func PartitionOffers(offers []Offer) (*Batch, error) {
 				return nil, fmt.Errorf("%w: %s -> %s", ErrSelfTransfer, o.Party, tr.To)
 			}
 		}
-		byParty[o.Party] = o
+		p.indexOf[o.Party] = i
 	}
+	order := slices.Grow(p.order[:0], len(offers))
+	active := slices.Grow(p.active[:0], len(offers))
+	vertexOf := slices.Grow(p.vertexOf[:0], len(offers))[:len(offers)]
+	for i := range offers {
+		order = append(order, i)
+		active = append(active, true)
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offers[a].Party, offers[b].Party) })
+	p.order, p.active, p.vertexOf = order, active, vertexOf
 
 	// Active set shrinks monotonically until every remaining offer is
 	// fully internal to its component.
-	active := make(map[chain.PartyID]bool, len(byParty))
-	for p := range byParty {
-		active[p] = true
-	}
 	for {
-		removed := false
-		ids := sortedParties(active)
-		vertexOf := make(map[chain.PartyID]digraph.Vertex, len(ids))
-		d := digraph.New()
-		for _, id := range ids {
-			vertexOf[id] = d.AddVertex(string(id))
+		names, pairs := p.names[:0], p.pairs[:0]
+		for _, i := range order {
+			if active[i] {
+				vertexOf[i] = digraph.Vertex(len(names))
+				names = append(names, string(offers[i].Party))
+			}
 		}
-		for _, id := range ids {
-			for _, tr := range byParty[id].Give {
-				if to, ok := vertexOf[tr.To]; ok {
-					d.MustAddArc(vertexOf[id], to)
+		for _, i := range order {
+			if !active[i] {
+				continue
+			}
+			for _, tr := range offers[i].Give {
+				if j, ok := p.indexOf[tr.To]; ok && active[j] {
+					pairs = append(pairs, digraph.Arc{Head: vertexOf[i], Tail: vertexOf[j]})
 				}
 			}
 		}
-		compOf := make(map[chain.PartyID]int, len(ids))
-		for ci, comp := range d.SCCs() {
-			for _, v := range comp {
-				compOf[chain.PartyID(d.Name(v))] = ci
-			}
+		p.names, p.pairs = names, pairs
+		d, err := digraph.Build(names, pairs)
+		if err != nil {
+			return nil, fmt.Errorf("core: partition: %w", err)
 		}
+		comp, count := d.SCCIndex()
 		// Drop any active offer with a recipient outside its component
 		// (including recipients that never submitted an offer).
-		for _, id := range ids {
-			for _, tr := range byParty[id].Give {
-				if !active[tr.To] || compOf[tr.To] != compOf[id] {
-					delete(active, id)
+		removed := false
+		for _, i := range order {
+			if !active[i] {
+				continue
+			}
+			for _, tr := range offers[i].Give {
+				if j, ok := p.indexOf[tr.To]; !ok || !active[j] || comp[vertexOf[j]] != comp[vertexOf[i]] {
+					active[i] = false
 					removed = true
 					break
 				}
 			}
 		}
-		if !removed {
-			// Fixpoint: group the survivors by component.
-			grouped := make(map[int][]Offer)
-			for _, id := range ids {
-				grouped[compOf[id]] = append(grouped[compOf[id]], byParty[id])
-			}
-			b := &Batch{}
-			for _, g := range grouped {
-				if len(g) < 2 {
-					// A singleton component at fixpoint means a party whose
-					// only transfers point at itself-sized components; it
-					// cannot form a swap.
-					b.Residual = append(b.Residual, g...)
-					continue
-				}
-				sort.Slice(g, func(i, j int) bool { return g[i].Party < g[j].Party })
-				b.Groups = append(b.Groups, g)
-			}
-			for _, o := range offers {
-				if !active[o.Party] {
-					b.Residual = append(b.Residual, o)
-				}
-			}
-			sort.Slice(b.Groups, func(i, j int) bool {
-				return b.Groups[i][0].Party < b.Groups[j][0].Party
-			})
-			sort.Slice(b.Residual, func(i, j int) bool {
-				return b.Residual[i].Party < b.Residual[j].Party
-			})
-			return b, nil
+		if removed {
+			continue
 		}
+
+		// Fixpoint: group the survivors by component. Walking them in party
+		// order leaves every group sorted by party and the groups sorted by
+		// their smallest party; the residual comes out sorted the same way.
+		size := make([]int, count)
+		survivors := 0
+		for _, i := range order {
+			if active[i] {
+				size[comp[vertexOf[i]]]++
+				survivors++
+			}
+		}
+		b := &Batch{}
+		backing := make([]Offer, survivors)
+		groupOf := make([]int, count) // component -> 1 + its index in b.Groups
+		for _, i := range order {
+			c := -1
+			if active[i] {
+				c = comp[vertexOf[i]]
+			}
+			if c < 0 || size[c] < 2 {
+				// Inactive, or a singleton component at fixpoint: a party
+				// whose only transfers point at itself-sized components
+				// cannot form a swap.
+				b.Residual = append(b.Residual, offers[i])
+				continue
+			}
+			if groupOf[c] == 0 {
+				b.Groups = append(b.Groups, backing[:0:size[c]])
+				backing = backing[size[c]:]
+				groupOf[c] = len(b.Groups)
+			}
+			g := &b.Groups[groupOf[c]-1]
+			*g = append(*g, offers[i])
+		}
+		return b, nil
 	}
 }
 
@@ -151,13 +194,4 @@ func ClearBatch(offers []Offer, base Config) ([]*Setup, []Offer, error) {
 		setups = append(setups, setup)
 	}
 	return setups, b.Residual, nil
-}
-
-func sortedParties(set map[chain.PartyID]bool) []chain.PartyID {
-	out := make([]chain.PartyID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

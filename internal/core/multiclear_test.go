@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -77,6 +78,59 @@ func TestPartitionCascadingRemoval(t *testing.T) {
 	}
 	if len(b.Residual) != 3 {
 		t.Fatalf("want 3 residual, got %d", len(b.Residual))
+	}
+}
+
+// TestPartitionerReuseMatchesFresh drives one Partitioner through batches
+// of different shapes and sizes — the way a clearing engine does, round
+// after round — and requires every answer to equal a fresh
+// PartitionOffers: nothing may leak from one call's working memory into
+// the next call's result, or into a batch already returned.
+func TestPartitionerReuseMatchesFresh(t *testing.T) {
+	cascade := append(ring("x", "y"),
+		Offer{Party: "a", Give: []ProposedTransfer{give("b", "c1", "s1")}},
+		Offer{Party: "b", Give: []ProposedTransfer{give("c", "c2", "s2")}},
+		Offer{Party: "c", Give: []ProposedTransfer{give("nobody", "c3", "s3")}},
+	)
+	clique := []Offer{
+		{Party: "k0", Give: []ProposedTransfer{give("k1", "c", "a01"), give("k2", "c", "a02")}},
+		{Party: "k1", Give: []ProposedTransfer{give("k0", "c", "a10"), give("k2", "c", "a12")}},
+		{Party: "k2", Give: []ProposedTransfer{give("k0", "c", "a20"), give("k1", "c", "a21")}},
+	}
+	rounds := [][]Offer{
+		append(ring("m", "n", "o"), ring("q", "p")...),
+		cascade,
+		ring("solo", "absent")[:1],
+		append(append(ring("z", "v", "u", "w"), clique...), cascade...),
+		clique,
+		nil,
+	}
+	var p Partitioner
+	var kept []*Batch
+	for i, offers := range rounds {
+		got, err := p.Partition(offers)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		want, err := PartitionOffers(offers)
+		if err != nil {
+			t.Fatalf("round %d (fresh): %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: reused partitioner gave\n%+v\nfresh gave\n%+v", i, got, want)
+		}
+		kept = append(kept, got, want)
+	}
+	for i := 0; i < len(kept); i += 2 {
+		if !reflect.DeepEqual(kept[i], kept[i+1]) {
+			t.Fatalf("round %d's batch changed after later rounds ran", i/2)
+		}
+	}
+	if _, err := p.Partition([]Offer{{Party: "a"}}); !errors.Is(err, ErrEmptyOffer) {
+		t.Fatalf("want ErrEmptyOffer, got %v", err)
+	}
+	if b, err := p.Partition(clique); err != nil || len(b.Groups) != 1 || len(b.Groups[0]) != 3 {
+		t.Fatalf("partitioner unusable after an error: %+v, %v", b, err)
 	}
 }
 

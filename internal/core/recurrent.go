@@ -49,14 +49,18 @@ func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader,
 			gap = 2 * DefaultDelta
 		}
 		start := clock.Add(gap + vtime.Duration(DefaultDelta))
-		setup, err := NewSetup(d, Config{Start: start, Rand: rnd})
+		// Per-round assets need distinct IDs across rounds.
+		assets := make([]ArcAsset, d.NumArcs())
+		for id := range assets {
+			assets[id] = ArcAsset{
+				Chain:  fmt.Sprintf("chain-a%d-r%d", id, r),
+				Asset:  chain.AssetID(fmt.Sprintf("asset-a%d-r%d", id, r)),
+				Amount: 1,
+			}
+		}
+		setup, err := NewSetup(d, Config{Start: start, Rand: rnd, Assets: assets})
 		if err != nil {
 			return nil, fmt.Errorf("core: recurrent round %d: %w", r, err)
-		}
-		// Per-round assets need distinct IDs across rounds.
-		for id := range setup.Spec.Assets {
-			setup.Spec.Assets[id].Asset = chain.AssetID(fmt.Sprintf("%s-r%d", setup.Spec.Assets[id].Asset, r))
-			setup.Spec.Assets[id].Chain = fmt.Sprintf("%s-r%d", setup.Spec.Assets[id].Chain, r)
 		}
 		out, err := NewRunner(setup, Options{Seed: seed + int64(r)}).Run()
 		if err != nil {

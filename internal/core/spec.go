@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -73,7 +74,9 @@ type Spec struct {
 	Kind Kind
 	// Tag namespaces the spec's contract IDs so many swaps can coexist on
 	// shared chains (the clearing engine runs one swap per tag). Empty for
-	// standalone runs, preserving the historical arcN@chain IDs.
+	// standalone runs, preserving the historical arcN@chain IDs. Tag and
+	// Assets are frozen once NewSetup returns: the contract-ID table is
+	// compiled from them.
 	Tag     string
 	D       *digraph.Digraph
 	Leaders []digraph.Vertex // sorted, one hashlock each
@@ -120,6 +123,9 @@ type Spec struct {
 	arcTimelocks [][]vtime.Ticks
 	// maxTimelock caches MaxTimelock (0 = unset).
 	maxTimelock vtime.Ticks
+	// contractIDs is the per-arc contract-ID table NewSetup compiles from
+	// Tag and Assets.
+	contractIDs []chain.ContractID
 }
 
 // Validation errors.
@@ -257,13 +263,29 @@ func (s *Spec) VertexOf(p chain.PartyID) (digraph.Vertex, bool) {
 	return 0, false
 }
 
-// ContractID returns the canonical contract identifier for an arc,
-// namespaced by the spec's tag when one is set.
+// ContractID returns the canonical contract identifier for an arc —
+// "arcN@chain", namespaced "tag/arcN@chain" when the spec has a tag —
+// from the table NewSetup compiled.
 func (s *Spec) ContractID(arcID int) chain.ContractID {
+	return s.contractIDs[arcID]
+}
+
+func (s *Spec) formatContractID(arcID int) chain.ContractID {
+	arc, on := strconv.Itoa(arcID), s.Assets[arcID].Chain
 	if s.Tag != "" {
-		return chain.ContractID(fmt.Sprintf("%s/arc%d@%s", s.Tag, arcID, s.Assets[arcID].Chain))
+		return chain.ContractID(s.Tag + "/arc" + arc + "@" + on)
 	}
-	return chain.ContractID(fmt.Sprintf("arc%d@%s", arcID, s.Assets[arcID].Chain))
+	return chain.ContractID("arc" + arc + "@" + on)
+}
+
+// compileContractIDs fills the contract-ID table. NewSetup runs it once
+// the spec is finished, before parties share it.
+func (s *Spec) compileContractIDs() {
+	ids := make([]chain.ContractID, len(s.Assets))
+	for arcID := range ids {
+		ids[arcID] = s.formatContractID(arcID)
+	}
+	s.contractIDs = ids
 }
 
 // BroadcastChain is the name of the shared chain used by the market
@@ -276,9 +298,10 @@ const BroadcastChain = "broadcast"
 // runtime shares one Spec across parties), and so the per-contract hot
 // path (ContractParams, refund alarms, deadline checks) never recomputes
 // longest paths. Idempotent. The cached vectors also derive from D,
-// Leaders, Delta, and DiamBound: a precomputed Spec treats those fields
-// as frozen, and the one sanctioned post-hoc mutation — rebasing Start —
-// must go through SetStart, which invalidates exactly these caches.
+// Leaders, Delta, and DiamBound (and NewSetup's contract-ID table from
+// Tag and Assets): a precomputed Spec treats those fields as frozen, and
+// the one sanctioned post-hoc mutation — rebasing Start — must go through
+// SetStart, which invalidates exactly the Start-derived caches.
 func (s *Spec) Precompute() {
 	s.precomputePaths()
 	s.tlMu.Lock()
@@ -648,5 +671,6 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 	// Paths only: the Start-derived timelock caches fill lazily (or in the
 	// runtime's Precompute), because the engine rebases Start after setup.
 	spec.precomputePaths()
+	spec.compileContractIDs()
 	return &Setup{Spec: spec, Signers: signers, Secrets: secrets}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -151,6 +152,49 @@ func TestContractParamsConsistency(t *testing.T) {
 		if p.ID != spec.ContractID(id) {
 			t.Errorf("arc %d contract ID mismatch", id)
 		}
+	}
+}
+
+// TestContractIDTableMatchesLegacyFormat pins the compiled arc table to
+// the identifiers fmt used to build per call — they are ledger keys and
+// WAL content — for untagged, tagged and multi-chain specs.
+func TestContractIDTableMatchesLegacyFormat(t *testing.T) {
+	legacy := func(s *Spec, arcID int) chain.ContractID {
+		if s.Tag != "" {
+			return chain.ContractID(fmt.Sprintf("%s/arc%d@%s", s.Tag, arcID, s.Assets[arcID].Chain))
+		}
+		return chain.ContractID(fmt.Sprintf("arc%d@%s", arcID, s.Assets[arcID].Chain))
+	}
+	shared := make([]ArcAsset, 12)
+	for id := range shared {
+		shared[id] = ArcAsset{
+			Chain:  []string{"btc", "eth", "sol"}[id%3],
+			Asset:  chain.AssetID(fmt.Sprintf("coin-%d", id)),
+			Amount: 1,
+		}
+	}
+	for _, tt := range []struct {
+		name string
+		d    *digraph.Digraph
+		cfg  Config
+	}{
+		{"untagged", graphgen.ThreeWay(), Config{}},
+		{"tagged", graphgen.ThreeWay(), Config{Tag: "swap-000042"}},
+		{"tagged multi-chain", graphgen.Clique(4), Config{Tag: "swap-001234", Assets: shared}},
+		{"untagged multi-chain", graphgen.Clique(4), Config{Assets: shared}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			spec := newTestSetup(t, tt.d, tt.cfg).Spec
+			for id := 0; id < spec.D.NumArcs(); id++ {
+				want := legacy(spec, id)
+				if got := spec.ContractID(id); got != want {
+					t.Errorf("arc %d: table says %q, legacy format %q", id, got, want)
+				}
+				if got := spec.ContractParams(id).ID; got != want {
+					t.Errorf("arc %d: contract params carry %q, want %q", id, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -12,9 +12,10 @@
 package digraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -64,14 +65,48 @@ func FromArcs(n int, pairs ...[2]int) *Digraph {
 	return d
 }
 
+// Build returns the digraph over the given vertex names (a default name is
+// chosen for each empty one) with one arc per pair, IDs in pair order —
+// what AddVertex and AddArc would build, in a constant number of
+// allocations: every adjacency list is cut to its exact degree from one
+// backing array. The result can still grow through AddVertex and AddArc.
+func Build(names []string, pairs []Arc) (*Digraph, error) {
+	n := len(names)
+	d := &Digraph{
+		names: make([]string, n),
+		arcs:  make([]Arc, len(pairs)),
+	}
+	for v, name := range names {
+		d.names[v] = nameOr(name, Vertex(v))
+	}
+	// degree[v] and degree[n+v] count v's leaving and entering arcs.
+	degree := make([]int, 2*n)
+	for id, a := range pairs {
+		if err := d.checkArc(a.Head, a.Tail); err != nil {
+			return nil, err
+		}
+		d.arcs[id] = Arc{ID: id, Head: a.Head, Tail: a.Tail}
+		degree[a.Head]++
+		degree[n+int(a.Tail)]++
+	}
+	lists := make([][]int, 2*n)
+	backing := make([]int, 2*len(pairs))
+	for i, deg := range degree {
+		lists[i], backing = backing[:0:deg], backing[deg:]
+	}
+	d.out, d.in = lists[:n:n], lists[n:]
+	for id, a := range d.arcs {
+		d.out[a.Head] = append(d.out[a.Head], id)
+		d.in[a.Tail] = append(d.in[a.Tail], id)
+	}
+	return d, nil
+}
+
 // AddVertex adds a vertex with the given display name (a default name is
 // chosen when empty) and returns its index.
 func (d *Digraph) AddVertex(name string) Vertex {
 	v := Vertex(len(d.names))
-	if name == "" {
-		name = "v" + strconv.Itoa(int(v))
-	}
-	d.names = append(d.names, name)
+	d.names = append(d.names, nameOr(name, v))
 	d.out = append(d.out, nil)
 	d.in = append(d.in, nil)
 	return v
@@ -80,11 +115,8 @@ func (d *Digraph) AddVertex(name string) Vertex {
 // AddArc adds an arc from head to tail and returns its ID. Parallel arcs
 // are allowed; self-loops are not (a party does not transfer to itself).
 func (d *Digraph) AddArc(head, tail Vertex) (int, error) {
-	if !d.valid(head) || !d.valid(tail) {
-		return 0, fmt.Errorf("%w: arc (%d, %d) with %d vertexes", ErrVertexRange, head, tail, len(d.names))
-	}
-	if head == tail {
-		return 0, fmt.Errorf("%w: vertex %d", ErrSelfLoop, head)
+	if err := d.checkArc(head, tail); err != nil {
+		return 0, err
 	}
 	id := len(d.arcs)
 	d.arcs = append(d.arcs, Arc{ID: id, Head: head, Tail: tail})
@@ -100,6 +132,25 @@ func (d *Digraph) MustAddArc(head, tail Vertex) int {
 		panic(err)
 	}
 	return id
+}
+
+// nameOr returns name, or v's default display name when it is empty.
+func nameOr(name string, v Vertex) string {
+	if name == "" {
+		return "v" + strconv.Itoa(int(v))
+	}
+	return name
+}
+
+// checkArc rejects arcs with an end outside the vertex set and self-loops.
+func (d *Digraph) checkArc(head, tail Vertex) error {
+	if !d.valid(head) || !d.valid(tail) {
+		return fmt.Errorf("%w: arc (%d, %d) with %d vertexes", ErrVertexRange, head, tail, len(d.names))
+	}
+	if head == tail {
+		return fmt.Errorf("%w: vertex %d", ErrSelfLoop, head)
+	}
+	return nil
 }
 
 func (d *Digraph) valid(v Vertex) bool { return v >= 0 && int(v) < len(d.names) }
@@ -239,24 +290,35 @@ func (d *Digraph) WithoutVertices(deleted map[Vertex]bool) *Digraph {
 // StructuralEqual reports whether two digraphs have the same vertex count
 // and the same multiset of (head, tail) arcs, ignoring names and arc IDs.
 func StructuralEqual(a, b *Digraph) bool {
+	if a == b {
+		return true
+	}
 	if a.NumVertices() != b.NumVertices() || a.NumArcs() != b.NumArcs() {
 		return false
 	}
-	key := func(d *Digraph) []string {
-		ks := make([]string, 0, d.NumArcs())
-		for _, arc := range d.arcs {
-			ks = append(ks, strconv.Itoa(int(arc.Head))+">"+strconv.Itoa(int(arc.Tail)))
-		}
-		sort.Strings(ks)
-		return ks
-	}
-	ka, kb := key(a), key(b)
+	ka, kb := a.sortedPairs(), b.sortedPairs()
 	for i := range ka {
 		if ka[i] != kb[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// sortedPairs returns the (head, tail) pair of every arc, sorted, with a
+// parallel arc appearing once per copy.
+func (d *Digraph) sortedPairs() [][2]Vertex {
+	ps := make([][2]Vertex, len(d.arcs))
+	for i, a := range d.arcs {
+		ps[i] = [2]Vertex{a.Head, a.Tail}
+	}
+	slices.SortFunc(ps, func(x, y [2]Vertex) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x[1], y[1])
+	})
+	return ps
 }
 
 // String renders the digraph compactly, e.g. "D(3 vertexes: A->B B->C C->A)".

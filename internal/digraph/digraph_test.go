@@ -3,6 +3,7 @@ package digraph
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -185,6 +186,81 @@ func TestStructuralEqual(t *testing.T) {
 	}
 	if StructuralEqual(a, FromArcs(4, [2]int{0, 1}, [2]int{1, 2})) {
 		t.Error("different vertex counts should not be equal")
+	}
+	if !StructuralEqual(a, a) {
+		t.Error("a digraph equals itself")
+	}
+}
+
+// TestStructuralEqualParallelArcs: arcs are a multiset — a doubled arc is
+// not the same as two different arcs, however the copies are ordered.
+func TestStructuralEqualParallelArcs(t *testing.T) {
+	doubled := FromArcs(3, [2]int{0, 1}, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0})
+	reordered := FromArcs(3, [2]int{2, 0}, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 1})
+	other := FromArcs(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{1, 2}, [2]int{2, 0})
+	simple := FromArcs(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{1, 0})
+	if !StructuralEqual(doubled, reordered) {
+		t.Error("the same multiset in another order should be equal")
+	}
+	if StructuralEqual(doubled, other) {
+		t.Error("doubling a different arc should not be equal")
+	}
+	if StructuralEqual(doubled, simple) {
+		t.Error("a parallel arc is not a reverse arc")
+	}
+}
+
+// TestBuildMatchesIncrementalConstruction: Build is AddVertex + AddArc in
+// one step — same names, arc IDs, adjacency order and errors — and the
+// result can keep growing.
+func TestBuildMatchesIncrementalConstruction(t *testing.T) {
+	names := []string{"A", "", "C", "D"}
+	pairs := []Arc{{Head: 0, Tail: 1}, {Head: 2, Tail: 1}, {Head: 0, Tail: 1}, {Head: 1, Tail: 0}, {Head: 0, Tail: 2}}
+	want := New()
+	for _, n := range names {
+		want.AddVertex(n)
+	}
+	for _, a := range pairs {
+		want.MustAddArc(a.Head, a.Tail)
+	}
+	got, err := Build(names, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		if got.NumVertices() != want.NumVertices() || got.NumArcs() != want.NumArcs() {
+			t.Fatalf("built %v, want %v", got, want)
+		}
+		for id := 0; id < want.NumArcs(); id++ {
+			if got.Arc(id) != want.Arc(id) {
+				t.Errorf("arc %d = %+v, want %+v", id, got.Arc(id), want.Arc(id))
+			}
+		}
+		for _, v := range want.Vertices() {
+			if got.Name(v) != want.Name(v) {
+				t.Errorf("name %d = %q, want %q", v, got.Name(v), want.Name(v))
+			}
+			if !reflect.DeepEqual(got.Out(v), want.Out(v)) || !reflect.DeepEqual(got.In(v), want.In(v)) {
+				t.Errorf("vertex %d adjacency out %v in %v, want out %v in %v",
+					v, got.Out(v), got.In(v), want.Out(v), want.In(v))
+			}
+		}
+	}
+	check()
+	// Growing one vertex's list must not spill into its neighbour's.
+	for _, d := range []*Digraph{got, want} {
+		d.MustAddArc(d.AddVertex("E"), 0)
+		d.MustAddArc(0, 3)
+		d.MustAddArc(3, 1)
+	}
+	check()
+
+	if _, err := Build(names, []Arc{{Head: 0, Tail: 4}}); !errors.Is(err, ErrVertexRange) {
+		t.Errorf("out-of-range arc: err = %v, want ErrVertexRange", err)
+	}
+	if _, err := Build(names, []Arc{{Head: 2, Tail: 2}}); !errors.Is(err, ErrSelfLoop) {
+		t.Errorf("self-loop: err = %v, want ErrSelfLoop", err)
 	}
 }
 

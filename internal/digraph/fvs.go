@@ -15,30 +15,92 @@ package digraph
 // IsFeedbackVertexSet reports whether deleting the given vertexes leaves
 // the digraph acyclic.
 func (d *Digraph) IsFeedbackVertexSet(set []Vertex) bool {
-	deleted := make(map[Vertex]bool, len(set))
 	for _, v := range set {
 		if !d.valid(v) {
 			return false
 		}
-		deleted[v] = true
 	}
-	return d.WithoutVertices(deleted).IsAcyclic()
+	return d.newFVSScratch().isFVS(d, set)
+}
+
+// fvsScratch is the working memory of one feedback-vertex-set test,
+// reusable across tests on the same digraph: a deletion mask plus the
+// in-degree and worklist arrays of Kahn's algorithm.
+type fvsScratch struct {
+	deleted []bool
+	indeg   []int
+	ready   []Vertex
+}
+
+func (d *Digraph) newFVSScratch() *fvsScratch {
+	n := d.NumVertices()
+	return &fvsScratch{
+		deleted: make([]bool, n),
+		indeg:   make([]int, n),
+		ready:   make([]Vertex, 0, n),
+	}
+}
+
+// isFVS reports whether d minus the (valid) vertexes of set is acyclic:
+// Kahn's algorithm over the arcs with neither end masked, no subdigraph
+// built. The mask is clear on entry and on return.
+func (s *fvsScratch) isFVS(d *Digraph, set []Vertex) bool {
+	for _, v := range set {
+		s.deleted[v] = true
+	}
+	clear(s.indeg)
+	for _, a := range d.arcs {
+		if !s.deleted[a.Head] && !s.deleted[a.Tail] {
+			s.indeg[a.Tail]++
+		}
+	}
+	ready, left := s.ready[:0], 0
+	for v, del := range s.deleted {
+		if del {
+			continue
+		}
+		left++
+		if s.indeg[v] == 0 {
+			ready = append(ready, Vertex(v))
+		}
+	}
+	for len(ready) > 0 {
+		v := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		left--
+		for _, id := range d.out[v] {
+			w := d.arcs[id].Tail
+			if s.deleted[w] {
+				continue
+			}
+			if s.indeg[w]--; s.indeg[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	for _, v := range set {
+		s.deleted[v] = false
+	}
+	return left == 0
 }
 
 // cycleVertices returns the sorted vertexes that lie on at least one cycle:
 // exactly the vertexes of non-trivial strongly connected components. Only
 // these are candidates for a minimum FVS.
 func (d *Digraph) cycleVertices() []Vertex {
-	var out []Vertex
-	for _, comp := range d.SCCs() {
-		if len(comp) > 1 {
-			out = append(out, comp...)
-			continue
-		}
-		// A singleton component is on a cycle only via a self-loop, which
-		// this package forbids, so it never qualifies.
+	comp, count := d.SCCIndex()
+	size := make([]int, count)
+	for _, c := range comp {
+		size[c]++
 	}
-	sortVertices(out)
+	// A singleton component is on a cycle only via a self-loop, which this
+	// package forbids, so it never qualifies.
+	var out []Vertex
+	for v, c := range comp {
+		if size[c] > 1 {
+			out = append(out, Vertex(v))
+		}
+	}
 	return out
 }
 
@@ -48,22 +110,28 @@ func (d *Digraph) cycleVertices() []Vertex {
 // Cost is exponential in the candidate count; it is intended for the small
 // digraphs of real swaps and for grading the heuristic.
 func (d *Digraph) ExactMinFVS() []Vertex {
-	if d.IsAcyclic() {
-		return []Vertex{}
+	return d.exactMinFVS(d.cycleVertices())
+}
+
+// exactMinFVS is ExactMinFVS given the digraph's cycle vertexes.
+func (d *Digraph) exactMinFVS(cands []Vertex) []Vertex {
+	if len(cands) == 0 {
+		return []Vertex{} // acyclic
 	}
-	cands := d.cycleVertices()
+	scratch := d.newFVSScratch()
+	idxBuf := make([]int, len(cands))
+	setBuf := make([]Vertex, len(cands))
 	// Enumerate subsets of cands by increasing size.
 	for k := 1; k <= len(cands); k++ {
-		idx := make([]int, k)
+		idx, set := idxBuf[:k], setBuf[:k:k]
 		for i := range idx {
 			idx[i] = i
 		}
 		for {
-			set := make([]Vertex, k)
 			for i, j := range idx {
 				set[i] = cands[j]
 			}
-			if d.IsFeedbackVertexSet(set) {
+			if scratch.isFVS(d, set) {
 				return set
 			}
 			// Advance the combination.
@@ -128,8 +196,8 @@ func (d *Digraph) GreedyFVS() []Vertex {
 // most MaxExactVertices vertexes on cycles, greedy otherwise. The second
 // result reports whether the set is provably minimum.
 func (d *Digraph) MinFVS() ([]Vertex, bool) {
-	if len(d.cycleVertices()) <= MaxExactVertices {
-		return d.ExactMinFVS(), true
+	if cands := d.cycleVertices(); len(cands) <= MaxExactVertices {
+		return d.exactMinFVS(cands), true
 	}
 	return d.GreedyFVS(), false
 }

@@ -130,3 +130,32 @@ func TestFVSAlsoWorksOnTranspose(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFVSTestMatchesSubdigraphDefinition checks the mask-based test, with
+// its scratch reused across calls, against the definition: delete the
+// vertexes, ask whether what is left is acyclic.
+func TestFVSTestMatchesSubdigraphDefinition(t *testing.T) {
+	f := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		d := randomDigraph(rnd, 7, 0.3)
+		scratch := d.newFVSScratch()
+		for trial := 0; trial < 20; trial++ {
+			var set []Vertex
+			deleted := make(map[Vertex]bool)
+			for v := 0; v < d.NumVertices(); v++ {
+				if rnd.Intn(3) == 0 {
+					set = append(set, Vertex(v))
+					deleted[Vertex(v)] = true
+				}
+			}
+			want := d.WithoutVertices(deleted).IsAcyclic()
+			if scratch.isFVS(d, set) != want || d.IsFeedbackVertexSet(set) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}

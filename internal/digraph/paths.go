@@ -1,6 +1,6 @@
 package digraph
 
-import "fmt"
+import "strconv"
 
 // Path is a sequence of vertexes connected by arcs, following the paper's
 // definition: the vertexes of a simple path are distinct. The length of a
@@ -51,14 +51,15 @@ func (p Path) Clone() Path {
 
 // String renders the path as "A>B>C" using vertex indexes.
 func (p Path) String() string {
-	s := ""
+	var scratch [32]byte
+	buf := scratch[:0]
 	for i, v := range p {
 		if i > 0 {
-			s += ">"
+			buf = append(buf, '>')
 		}
-		s += fmt.Sprintf("%d", int(v))
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return s
+	return string(buf)
 }
 
 // IsPath reports whether p is a valid simple path in d: non-empty, all

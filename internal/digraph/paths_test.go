@@ -20,6 +20,24 @@ func TestPathBasics(t *testing.T) {
 	}
 }
 
+// TestPathString pins the rendering ledger notes embed: vertex indexes
+// joined by '>', exactly what fmt's %d per vertex produced.
+func TestPathString(t *testing.T) {
+	for _, tt := range []struct {
+		p    Path
+		want string
+	}{
+		{Path{}, ""},
+		{Path{3}, "3"},
+		{Path{2, 0, 1}, "2>0>1"},
+		{Path{10, 123456, 7, 0, 99, 12, 11, 13, 14, 15, 16, 17}, "10>123456>7>0>99>12>11>13>14>15>16>17"},
+	} {
+		if got := tt.p.String(); got != tt.want {
+			t.Errorf("%v.String() = %q, want %q", []Vertex(tt.p), got, tt.want)
+		}
+	}
+}
+
 func TestPathPrepend(t *testing.T) {
 	p := Path{1, 2}
 	q := p.Prepend(0)

@@ -5,30 +5,51 @@ package digraph
 // topological order of the condensation (a component appears before the
 // components it can reach); vertexes within a component are sorted.
 func (d *Digraph) SCCs() [][]Vertex {
+	comp, k := d.SCCIndex()
+	// Cut every component to its exact size from one backing array; filling
+	// in vertex order leaves each one sorted.
+	size := make([]int, k)
+	for _, c := range comp {
+		size[c]++
+	}
+	comps := make([][]Vertex, k)
+	backing := make([]Vertex, len(comp))
+	for c, n := range size {
+		comps[c], backing = backing[:0:n], backing[n:]
+	}
+	for v, c := range comp {
+		comps[c] = append(comps[c], Vertex(v))
+	}
+	return comps
+}
+
+// SCCIndex returns, for every vertex, the index of its strongly connected
+// component in SCCs order, and the number of components.
+func (d *Digraph) SCCIndex() (comp []int, count int) {
 	n := d.NumVertices()
 	const unvisited = -1
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
+	comp = make([]int, n)
 	for i := range index {
 		index[i] = unvisited
 	}
-	var (
-		stack   []Vertex
-		comps   [][]Vertex
-		counter int
-	)
-
 	// Iterative DFS frames: vertex plus position in its out-arc list.
 	type frame struct {
 		v   Vertex
 		arc int
 	}
+	var (
+		stack   = make([]Vertex, 0, n)
+		frames  = make([]frame, 0, n)
+		counter int
+	)
 	for start := 0; start < n; start++ {
 		if index[start] != unvisited {
 			continue
 		}
-		frames := []frame{{v: Vertex(start)}}
+		frames = append(frames[:0], frame{v: Vertex(start)})
 		index[start] = counter
 		low[start] = counter
 		counter++
@@ -62,22 +83,20 @@ func (d *Digraph) SCCs() [][]Vertex {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []Vertex
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, w)
+					comp[w] = count
 					if w == v {
 						break
 					}
 				}
-				sortVertices(comp)
-				comps = append(comps, comp)
+				count++
 			}
 		}
 	}
-	return comps
+	return comp, count
 }
 
 // StronglyConnected reports whether every vertex is reachable from every
@@ -86,7 +105,8 @@ func (d *Digraph) StronglyConnected() bool {
 	if d.NumVertices() <= 1 {
 		return true
 	}
-	return len(d.SCCs()) == 1
+	_, count := d.SCCIndex()
+	return count == 1
 }
 
 // ReachableFrom returns the set of vertexes reachable from start (including

@@ -140,3 +140,27 @@ func TestSCCCoversAllVertices(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSCCIndexAgreesWithSCCs: comp[v] is the position of v's component in
+// SCCs order, and every component comes out sorted.
+func TestSCCIndexAgreesWithSCCs(t *testing.T) {
+	f := func(seed int64) bool {
+		d := randomDigraph(rand.New(rand.NewSource(seed)), 9, 0.25)
+		comp, count := d.SCCIndex()
+		comps := d.SCCs()
+		if count != len(comps) || len(comp) != d.NumVertices() {
+			return false
+		}
+		for i, c := range comps {
+			for j, v := range c {
+				if comp[v] != i || (j > 0 && c[j-1] >= v) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,0 +1,120 @@
+package engine
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/core"
+)
+
+// Per-swap allocation ceilings: the 372 and 1475 heap objects measured on
+// the deterministic scheduler (go1.24 linux/amd64, identical run to run)
+// plus 10 %. A change that pushes a swap's heap objects past its ceiling
+// fails tier-1 here, not only in benchmark/.
+const (
+	ring3AllocCeiling   = 410
+	clique4AllocCeiling = 1620
+)
+
+// cliqueOffers builds clique c of four-party complete digraphs over
+// identity group `group`: every party gives a distinct asset to each of
+// the other three (12 arcs, 3 leaders).
+func cliqueOffers(c, group int) []core.Offer {
+	const size = 4
+	offers := make([]core.Offer, size)
+	for i := range offers {
+		o := core.Offer{Party: chain.PartyID(fmt.Sprintf("k%d-p%d", group, i))}
+		for j := 0; j < size; j++ {
+			if j == i {
+				continue
+			}
+			o.Give = append(o.Give, core.ProposedTransfer{
+				To:     chain.PartyID(fmt.Sprintf("k%d-p%d", group, j)),
+				Chain:  loadChains[(c+i+j)%len(loadChains)],
+				Asset:  chain.AssetID(fmt.Sprintf("kasset-%d-%d-%d", c, i, j)),
+				Amount: uint64(1 + c%89),
+			})
+		}
+		offers[i] = o
+	}
+	return offers
+}
+
+// allocsPerSwap books every offer before the first clearing round of a
+// fresh deterministic engine, drains it, and returns heap objects
+// allocated per finished swap over submit → drain.
+func allocsPerSwap(t *testing.T, offers []core.Offer, wantSwaps int) float64 {
+	t.Helper()
+	e := New(Config{
+		Deterministic: true,
+		Tick:          time.Millisecond,
+		Delta:         20,
+		ClearInterval: time.Millisecond,
+		Workers:       8,
+		Seed:          1,
+	})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	release := e.Scheduler().Hold()
+	for _, o := range offers {
+		if _, err := e.Submit(o); err != nil {
+			release()
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	release()
+	drainAndStop(t, e)
+	runtime.ReadMemStats(&after)
+	if err := e.VerifyConservation(); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Report()
+	if rep.SwapsFinished != wantSwaps || rep.SwapsFailed != 0 || rep.Outcomes["Deal"] != len(offers) {
+		t.Fatalf("finished %d swaps (%d failed), outcomes %v; want %d swaps, all Deal",
+			rep.SwapsFinished, rep.SwapsFailed, rep.Outcomes, wantSwaps)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(wantSwaps)
+}
+
+// TestAllocationBudget pins the heap objects one conforming swap costs,
+// end to end through clearing, conc, sched, chain and hashkey.
+func TestAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths being counted")
+	}
+	const swaps, pool = 96, 32
+	var rings, cliques []core.Offer
+	for s := 0; s < swaps; s++ {
+		for i := 0; i < 3; i++ {
+			rings = append(rings, LoadOffer(s, i, 3, s%pool))
+		}
+		cliques = append(cliques, cliqueOffers(s, s%pool)...)
+	}
+	for _, tc := range []struct {
+		name    string
+		offers  []core.Offer
+		ceiling float64
+	}{
+		{"ring-3", rings, ring3AllocCeiling},
+		{"clique-4", cliques, clique4AllocCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocsPerSwap(t, tc.offers, swaps) // warm the runtime's own pools
+			got := allocsPerSwap(t, tc.offers, swaps)
+			t.Logf("%.0f allocs/swap (ceiling %.0f)", got, tc.ceiling)
+			if got > tc.ceiling {
+				t.Errorf("%.0f allocs/swap exceeds the pinned ceiling %.0f", got, tc.ceiling)
+			}
+		})
+	}
+	// Hand the wall-clock tests that run next a collected heap: a
+	// background cycle over this test's garbage would eat into their Δ.
+	runtime.GC()
+}

@@ -420,10 +420,15 @@ type Engine struct {
 	// quadratic over a big book.
 	liveRuns atomic.Int64
 
-	mu      sync.Mutex
-	state   engineState
-	orders  map[OrderID]*order
-	pending []*order
+	mu     sync.Mutex
+	state  engineState
+	orders map[OrderID]*order
+	// pending is the book in FIFO order. A dispatching round compacts it
+	// once, at its end, so until then it may still list orders that have
+	// left StatusPending: readers filter by status, and the book's depth
+	// is pendingN, never len(pending).
+	pending  []*order
+	pendingN int
 	// pendingBy counts the pending book per offering party — the fair-
 	// shedding surface (PendingOf/PendingParties): one flooding identity
 	// pool can no longer exhaust a global MaxPending budget for everyone.
@@ -457,6 +462,14 @@ type Engine struct {
 	rng         *rand.Rand
 	clearRounds int
 	drainStall  int
+	// round is clearRound's working memory, kept from one round to the
+	// next and confined to the clearing tick like rng.
+	round struct {
+		byParty     map[chain.PartyID]*order
+		batch       []*order
+		offers      []core.Offer
+		partitioner core.Partitioner
+	}
 	// roundTicks records the tick of every active round in deterministic
 	// mode (confined to the clearing goroutine, read after Stop): the
 	// sharded engine merges per-shard tick SETS, not counts, so the
@@ -562,6 +575,7 @@ func New(cfg Config) *Engine {
 		drainCh:    make(chan struct{}, 1),
 		clearEvery: cfg.ClearEvery,
 	}
+	e.round.byParty = make(map[chain.PartyID]*order)
 	if e.probe == nil {
 		e.probe = sched.NewLatencyProbe()
 	}
@@ -973,8 +987,7 @@ func (e *Engine) bookOrder(offer core.Offer, id OrderID, tick vtime.Ticks, wall 
 		submittedTick: tick,
 	}
 	e.orders[o.id] = o
-	e.pending = append(e.pending, o)
-	e.pendingBy[offer.Party]++
+	e.addPendingLocked(o)
 	e.bookSeq.Add(1)
 	e.agg.AddSubmitted(1)
 	e.logEvent(Event{
@@ -1029,9 +1042,17 @@ func (e *Engine) NoteShedFrom(party chain.PartyID, n int) {
 	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n, Party: string(party)})
 }
 
-// decPendingLocked balances pendingBy when an order leaves
+// addPendingLocked books a StatusPending order. Call with e.mu held.
+func (e *Engine) addPendingLocked(o *order) {
+	e.pending = append(e.pending, o)
+	e.pendingBy[o.offer.Party]++
+	e.pendingN++
+}
+
+// decPendingLocked balances pendingBy and pendingN when an order leaves
 // StatusPending. Call with e.mu held.
 func (e *Engine) decPendingLocked(party chain.PartyID) {
+	e.pendingN--
 	if n := e.pendingBy[party]; n > 1 {
 		e.pendingBy[party] = n - 1
 	} else {
@@ -1286,30 +1307,30 @@ func (e *Engine) clearRound() bool {
 			limit = w
 		}
 	}
-	seen := make(map[chain.PartyID]bool)
-	var batch []*order
+	byParty := e.round.byParty
+	clear(byParty)
+	batch, offers := e.round.batch[:0], e.round.offers[:0]
 	for _, o := range e.pending {
-		if len(batch) >= limit {
+		// Every party with a pending order is in the batch once byParty has
+		// caught up with pendingBy: the rest of the book — however deep — can
+		// only repeat them.
+		if len(batch) >= limit || len(byParty) == len(e.pendingBy) {
 			break
 		}
-		if seen[o.offer.Party] {
+		if _, seen := byParty[o.offer.Party]; seen {
 			continue
 		}
-		seen[o.offer.Party] = true
+		byParty[o.offer.Party] = o
 		batch = append(batch, o)
+		offers = append(offers, o.offer)
 	}
 	e.mu.Unlock()
+	e.round.batch, e.round.offers = batch, offers
 	if len(batch) < 2 {
 		return false
 	}
 
-	offers := make([]core.Offer, len(batch))
-	byParty := make(map[chain.PartyID]*order, len(batch))
-	for i, o := range batch {
-		offers[i] = o.offer
-		byParty[o.offer.Party] = o
-	}
-	b, err := core.PartitionOffers(offers)
+	b, err := e.round.partitioner.Partition(offers)
 	if err != nil {
 		// Cannot happen for submit-validated offers; reject defensively
 		// rather than spinning on a poisoned batch.
@@ -1332,6 +1353,13 @@ func (e *Engine) clearRound() bool {
 		if e.clearGroup(g, byParty) {
 			dispatched = true
 		}
+	}
+	if dispatched {
+		// One pass for the whole round instead of one per group: readers
+		// of the book in between go by order status and pendingN.
+		e.mu.Lock()
+		e.compactPendingLocked()
+		e.mu.Unlock()
 	}
 	return dispatched
 }
@@ -1499,7 +1527,6 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		e.decPendingLocked(ord.offer.Party)
 		j.orders = append(j.orders, ord)
 	}
-	e.compactPendingLocked()
 	e.inflight++
 	e.mu.Unlock()
 	e.agg.AddCleared(len(j.orders))
@@ -1827,8 +1854,8 @@ func (e *Engine) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		e.mu.Lock()
-		idle := (len(e.pending) == 0 || e.killed) && e.inflight == 0
-		stuck := !idle && len(e.pending) > 0 && e.inflight == 0
+		idle := (e.pendingN == 0 || e.killed) && e.inflight == 0
+		stuck := !idle && e.pendingN > 0 && e.inflight == 0
 		e.mu.Unlock()
 		if idle {
 			return nil
@@ -1935,7 +1962,7 @@ func (e *Engine) ClearRoundTicks() []vtime.Ticks { return e.roundTicks }
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pending)
+	return e.pendingN
 }
 
 // InFlight returns the number of cleared swaps queued or executing.

@@ -197,6 +197,48 @@ func TestEngineManyConcurrentSwaps(t *testing.T) {
 	}
 }
 
+// TestEngineDeepBookFewParties books many rings over a handful of
+// identities before the first clearing round, so every round's scan meets
+// all of its parties long before the end of the book. Each party's orders
+// must still clear strictly in booking order, and all of them must settle.
+func TestEngineDeepBookFewParties(t *testing.T) {
+	cfg := testConfig()
+	cfg.Deterministic = true
+	e := New(cfg)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const rings, pool = 60, 4
+	release := e.Scheduler().Hold()
+	for r := 0; r < rings; r++ {
+		for i := 0; i < 3; i++ {
+			if _, err := e.Submit(LoadOffer(r, i, 3, r%pool)); err != nil {
+				release()
+				t.Fatal(err)
+			}
+		}
+	}
+	release()
+	drainAndStop(t, e)
+	if err := e.VerifyConservation(); err != nil {
+		t.Fatal(err)
+	}
+	lastSwap := make(map[string]string) // swap tags are zero-padded dispatch sequence numbers
+	for _, o := range e.Orders() {
+		if o.Status != StatusSettled || o.Class != outcome.Deal {
+			t.Fatalf("order %d (%s): %s/%s", o.ID, o.Party, o.Status, o.Class)
+		}
+		if o.Swap <= lastSwap[o.Party] {
+			t.Fatalf("order %d of %s cleared into %s, not after its earlier order's %s",
+				o.ID, o.Party, o.Swap, lastSwap[o.Party])
+		}
+		lastSwap[o.Party] = o.Swap
+	}
+	if rep := e.Report(); rep.SwapsFinished != rings {
+		t.Fatalf("finished %d swaps, want %d", rep.SwapsFinished, rings)
+	}
+}
+
 func TestEngineDoubleSpendPrevented(t *testing.T) {
 	e := New(testConfig())
 	if err := e.Start(); err != nil {

@@ -113,8 +113,7 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 		}
 		e.orders[o.id] = o
 		if o.status == StatusPending {
-			e.pending = append(e.pending, o)
-			e.pendingBy[o.offer.Party]++
+			e.addPendingLocked(o)
 		}
 	}
 	e.nextOrder = OrderID(st.NextOrder)

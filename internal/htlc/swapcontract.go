@@ -8,6 +8,7 @@ package htlc
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -297,7 +298,9 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	key := args.Key.Clone()
 	s.keys[i] = key
 	return chain.Result{
-		Note:  fmt.Sprintf("hashlock %d opened, path %v", i, args.Key.Path),
+		// Notes are covered by the ledger's record hash: these spell the
+		// historical fmt layouts byte for byte.
+		Note:  "hashlock " + strconv.Itoa(i) + " opened, path " + args.Key.Path.String(),
 		Event: UnlockedEvent{ArcID: s.p.ArcID, LockIndex: i, Key: key},
 	}, nil
 }
@@ -324,7 +327,7 @@ func (s *Swap) invokeClaim(call chain.Call) (chain.Result, error) {
 	to := chain.ByParty(s.p.Counter)
 	return chain.Result{
 		Transfer: &to,
-		Note:     fmt.Sprintf("arc %d claimed by %s", s.p.ArcID, s.p.Counter),
+		Note:     "arc " + strconv.Itoa(s.p.ArcID) + " claimed by " + string(s.p.Counter),
 	}, nil
 }
 
@@ -341,6 +344,6 @@ func (s *Swap) invokeRefund(call chain.Call) (chain.Result, error) {
 	to := chain.ByParty(s.p.Party)
 	return chain.Result{
 		Transfer: &to,
-		Note:     fmt.Sprintf("arc %d refunded to %s", s.p.ArcID, s.p.Party),
+		Note:     "arc " + strconv.Itoa(s.p.ArcID) + " refunded to " + string(s.p.Party),
 	}, nil
 }

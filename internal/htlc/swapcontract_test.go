@@ -2,6 +2,7 @@ package htlc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -427,5 +428,39 @@ func TestMultiLockContract(t *testing.T) {
 	}
 	if !s2.Refundable(deadline(2).Add(1)) {
 		t.Error("lock 1 still closed past its deadline: contract should be refundable")
+	}
+}
+
+// TestResultNotesKeepTheFmtLayout pins the ledger notes a Swap's methods
+// return to the fmt layouts they were first written with: the hosting
+// chain hashes the note into its record chain, so one changed byte forks
+// every ledger ever persisted.
+func TestResultNotesKeepTheFmtLayout(t *testing.T) {
+	b := newBench(t)
+	key := b.bobKey()
+
+	s, _ := NewSwap(b.arc0Params())
+	res, err := s.Invoke(call(MethodUnlock, "bob", 110, UnlockArgs{LockIndex: 0, Key: key}))
+	if err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	if want := fmt.Sprintf("hashlock %d opened, path %v", 0, key.Path); res.Note != want || want != "hashlock 0 opened, path 1>2>0" {
+		t.Errorf("unlock note %q, fmt layout %q", res.Note, want)
+	}
+	res, err = s.Invoke(call(MethodClaim, "bob", 111, nil))
+	if err != nil {
+		t.Fatalf("claim: %v", err)
+	}
+	if want := fmt.Sprintf("arc %d claimed by %s", 0, chain.PartyID("bob")); res.Note != want {
+		t.Errorf("claim note %q, fmt layout %q", res.Note, want)
+	}
+
+	s, _ = NewSwap(b.arc0Params())
+	res, err = s.Invoke(call(MethodRefund, "alice", 141, nil))
+	if err != nil {
+		t.Fatalf("refund: %v", err)
+	}
+	if want := fmt.Sprintf("arc %d refunded to %s", 0, chain.PartyID("alice")); res.Note != want {
+		t.Errorf("refund note %q, fmt layout %q", res.Note, want)
 	}
 }

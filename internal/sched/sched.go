@@ -156,7 +156,12 @@ const (
 	veStopped
 )
 
+// vevent is one queued callback and, at the same time, the Timer handed
+// back for it: Stop flips the event's own state under its scheduler's
+// lock. An event is never reused after it leaves the queue, so a handle
+// kept past firing can only ever see its own fired event.
 type vevent struct {
+	v  *Virtual
 	at vtime.Ticks
 	// prio orders events within a tick: all prio-0 events of a tick run
 	// before any prio-1 (tail) event. The clearing engine schedules its
@@ -339,10 +344,21 @@ func (v *Virtual) schedule(t vtime.Ticks, prio int8, key uint64, fn func()) Time
 		t = v.now
 	}
 	v.seq++
-	e := &vevent{at: t, prio: prio, seq: v.seq, key: key, fn: fn}
+	e := &vevent{v: v, at: t, prio: prio, seq: v.seq, key: key, fn: fn}
 	heap.Push(&v.queue, e)
 	v.cond.Broadcast()
-	return &virtualTimer{v: v, e: e}
+	return e
+}
+
+// Stop implements Timer.
+func (e *vevent) Stop() bool {
+	e.v.mu.Lock()
+	defer e.v.mu.Unlock()
+	if e.state != vePending {
+		return false
+	}
+	e.state = veStopped
+	return true
 }
 
 // SerializedDispatch implements SerialDispatcher: serialized and
@@ -526,21 +542,6 @@ func (v *Virtual) releaseN(n int) {
 	v.holds -= n
 	v.cond.Broadcast()
 	v.mu.Unlock()
-}
-
-type virtualTimer struct {
-	v *Virtual
-	e *vevent
-}
-
-func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	if t.e.state != vePending {
-		return false
-	}
-	t.e.state = veStopped
-	return true
 }
 
 // stoppedTimer is returned for events scheduled after Close.

@@ -108,6 +108,66 @@ func TestVirtualTimerCancellation(t *testing.T) {
 	}
 }
 
+// TestVirtualTimerIsItsEvent pins Stop on the handle At returns — the
+// queued event itself: true only when it kept the callback from running;
+// false after firing, on a second Stop, from inside the event's own
+// callback, and for a handle kept long past its event; and a cancelled
+// event leaves Pending at once.
+func TestVirtualTimerIsItsEvent(t *testing.T) {
+	v := NewVirtual()
+	defer v.Close()
+	c := newCollect()
+
+	release := v.Hold()
+	stopped := v.At(5, c.mark(1))
+	kept := v.AtKeyed(5, 7, c.mark(2))
+	v.AtTail(5, c.mark(3))
+	var self Timer
+	inside := make(chan bool, 1)
+	self = v.At(6, func() {
+		inside <- self.Stop()
+		c.mark(4)()
+	})
+	if got := v.Pending(); got != 4 {
+		t.Fatalf("Pending = %d, want 4", got)
+	}
+	if !stopped.Stop() {
+		t.Fatal("Stop before firing must report true")
+	}
+	if got := v.Pending(); got != 3 {
+		t.Fatalf("Pending after Stop = %d, want 3", got)
+	}
+	if stopped.Stop() {
+		t.Fatal("second Stop must report false")
+	}
+	release()
+
+	if got := c.waitN(t, 3); len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("ran %v, want [2 3 4]: a stopped callback must never run", got)
+	}
+	if <-inside {
+		t.Fatal("Stop from inside the event's own callback must report false")
+	}
+	if kept.Stop() || kept.Stop() || self.Stop() {
+		t.Fatal("Stop after firing must report false, however often")
+	}
+	// A stale handle is inert: later events, same tick and key included,
+	// are none of its business.
+	later := v.AtKeyed(5, 7, c.mark(5))
+	if kept.Stop() || stopped.Stop() {
+		t.Fatal("a stale handle must not report a cancellation")
+	}
+	if got := c.waitN(t, 4); got[3] != 5 {
+		t.Fatalf("ran %v: a stale Stop cancelled someone else's event", got)
+	}
+	if later.Stop() {
+		t.Fatal("Stop after firing must report false")
+	}
+	if got := v.Pending(); got != 0 {
+		t.Fatalf("Pending at rest = %d, want 0", got)
+	}
+}
+
 // TestVirtualHoldPinsTime: while a hold is out, due events do not run.
 func TestVirtualHoldPinsTime(t *testing.T) {
 	v := NewVirtual()
