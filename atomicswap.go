@@ -20,7 +20,7 @@
 //	d := atomicswap.ThreeWay()
 //	setup, err := atomicswap.NewSetup(d, atomicswap.Config{})
 //	if err != nil { ... }
-//	res, err := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 1}).Run()
+//	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
 //	if err != nil { ... }
 //	fmt.Println(res.Report.AllDeal()) // true
 package atomicswap

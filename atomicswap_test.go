@@ -14,7 +14,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 1}).Run()
+	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFacadeMarketClearing(t *testing.T) {
 			t.Errorf("VerifyPlan(%s): %v", o.Party, err)
 		}
 	}
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 2}).Run()
+	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFacadeAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 3})
+	r := atomicswap.NewRunner(setup, atomicswap.Options{})
 	r.SetBehavior(1, atomicswap.HaltAt(atomicswap.NewConforming(), 0))
 	res, err := r.Run()
 	if err != nil {
@@ -70,7 +70,7 @@ func TestFacadeAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 4})
+	r := atomicswap.NewRunner(setup, atomicswap.Options{})
 	r.SetBehavior(1, atomicswap.WithholdPublications())
 	res, err := r.Run()
 	if err != nil {
@@ -87,7 +87,7 @@ func TestFacadeBondSettlement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 6})
+	r := atomicswap.NewRunner(setup, atomicswap.Options{})
 	r.SetBehavior(1, atomicswap.WithholdPublications())
 	res, err := r.Run()
 	if err != nil {

@@ -39,7 +39,7 @@ func benchRun(b *testing.B, d *digraph.Digraph, cfg core.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := core.NewRunner(setup, core.Options{Seed: int64(i)})
+		r := core.NewRunner(setup, core.Options{})
 		setupNS += time.Since(t0)
 		b.StartTimer()
 		t1 := time.Now()
@@ -109,7 +109,7 @@ func BenchmarkAdversarialRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := core.NewRunner(setup, core.Options{Seed: int64(i)})
+		r := core.NewRunner(setup, core.Options{})
 		for v, bhv := range adversary.Coalition(adversary.CoalitionConfig{
 			Setup: setup, Members: []digraph.Vertex{0, 2}, Seed: int64(i), DropProb: 0.3, HaltProb: 0.3,
 		}) {
@@ -140,7 +140,7 @@ func BenchmarkRecurrent(b *testing.B) {
 	d := graphgen.ThreeWay()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunRecurrent(d, 5, true, rand.New(rand.NewSource(int64(i))), int64(i)); err != nil {
+		if _, err := core.RunRecurrent(d, 5, true, rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("vtime-swaps-%d", workers), func(b *testing.B) {
 			runMode(b, workers, 4*workers,
-				func(cfg *engine.Config) { cfg.Virtual = true },
+				func(cfg *engine.Config) { cfg.Parallel = true },
 				engine.WithPartyPool(workers))
 		})
 	}
@@ -241,7 +241,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := engineCfg(8, i)
-			cfg.Virtual = true
+			cfg.Parallel = true
 			rep, err := loadgen.RunOpenLoad(cfg, loadgen.Config{
 				Offers:    96,
 				Rate:      4000,

@@ -12,7 +12,6 @@
 //	swapbench -scenario all [-scenario-seed N] [-scenario-parallel] [-scenario-shards N]
 //	swapbench -recovery-json
 //	swapbench -reorg-json
-//	swapbench -parallel-json [-parallel-repeat N] [-parallel-rings N]
 //	swapbench -shard-json [-shard-repeat N] [-shard-rings N]
 //
 // With -scenario it runs seed-replayable adversarial scenarios (open-
@@ -30,8 +29,9 @@
 // With -engine-json it instead sweeps the clearing engine at 1, 8, and 64
 // concurrent swaps and emits one JSON object per line (the BENCH
 // trajectory format), skipping the experiment tables. -vtime runs the
-// sweep on the virtual-time scheduler (CPU-bound, fast, deterministic
-// timing); -adaptive-delta enables the observed-latency Δ controller.
+// sweep on virtual time (engine.Config.Parallel: striped over the workers,
+// CPU-bound, fast, deterministic timing); -adaptive-delta enables the
+// observed-latency Δ controller.
 // Adding -arrival-rate switches the sweep from closed-loop (whole book
 // submitted up front) to open-loop: offers arrive from the -profile
 // arrival process (constant, poisson, burst[:n], ramp[:from:to]) at the
@@ -40,15 +40,13 @@
 // as BENCH_03.json: a virtual-time rate sweep (latency percentiles vs
 // offered load) plus the fixed-Δ vs adaptive-Δ pair at equal offered
 // load on the real scheduler. With -bench-json it emits the full older
-// trajectory point: the engine sweep in all three time modes plus the
+// trajectory point: the engine sweep on real and virtual time plus the
 // hot-path micro-benchmarks (hashkey verification cached/uncached,
 // keyring vs fresh-keygen setup) — the format committed as BENCH_NN.json
 // files. With -reorg-json it emits the BENCH_06 chain-realism sweep:
 // confirmation depth crossed with reorg rate on a fixed scenario load,
 // reporting what each point costs in clearing rounds, settle latency,
-// and reverted records. With -parallel-json it emits the BENCH_04 dispatch-mode sweep
-// (worker ladder × serial-det/parallel-det/concurrent with a
-// batch-verify ablation), and with -shard-json the BENCH_05 sharded
+// and reverted records. With -shard-json it emits the BENCH_05 sharded
 // sweep (shard-count ladder × cross-shard traffic ratio on the
 // striped-parallel dispatcher).
 package main
@@ -72,7 +70,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/expt"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
-	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -99,7 +96,7 @@ func engineSweep(virtual, adaptive bool) error {
 			ClearInterval: time.Millisecond,
 			MaxBatch:      4096,
 			Seed:          int64(workers),
-			Virtual:       virtual,
+			Parallel:      virtual,
 			AdaptiveDelta: adaptive,
 		}
 		rings, ringSize := 2*workers, 3
@@ -188,7 +185,7 @@ func openLoopSweep(rate float64, p loadgen.Process, virtual, adaptive bool) erro
 			ClearInterval: time.Millisecond,
 			MaxBatch:      4096,
 			Seed:          int64(workers),
-			Virtual:       virtual,
+			Parallel:      virtual,
 			AdaptiveDelta: adaptive,
 		}
 		lcfg := loadgen.Config{
@@ -220,7 +217,7 @@ func openLoopTrajectory() error {
 			ClearInterval: time.Millisecond,
 			MaxBatch:      4096,
 			Seed:          seed,
-			Virtual:       true,
+			Parallel:      true,
 		}
 	}
 	// Latency vs offered load, Poisson arrivals on virtual time.
@@ -353,7 +350,7 @@ func recoveryJSON() error {
 	if err := st.Close(); err != nil {
 		return err
 	}
-	e, rec10k, err := durable.Recover(engine.Config{Workers: 2, Virtual: true},
+	e, rec10k, err := durable.Recover(engine.Config{Workers: 2, Deterministic: true},
 		durable.RecoverOptions{Dir: dir})
 	if err != nil {
 		return err
@@ -481,83 +478,6 @@ func reorgSweep() error {
 	return nil
 }
 
-// benchJSON emits the full trajectory point: micro-benchmarks plus the
-// engine sweep in all three time modes, one JSON object per line.
-// parallelSweep is the BENCH_04 measurement: a worker ladder crossed with
-// the three scheduler modes — serial-det (Deterministic: serialized
-// virtual dispatch), parallel-det (striped parallel dispatch with the
-// per-tick barrier, digest-identical to serial-det), and concurrent (the
-// free-running virtual scheduler, BENCH_02's mode) — on the vtime load
-// shape: 3-party rings over a worker-sized party pool. Each point also
-// carries a batch-verify-off ablation at the top worker count, and the
-// ladder ends with the BENCH_02-comparable point (32 rings at 8 workers,
-// concurrent) so the trajectory stays honest. Every point reports the
-// best of `repeat` runs: throughput points measure capability, and on a
-// shared box the max is the least noisy estimator of it.
-//
-// Each ladder point's JSON carries "concurrency" (the worker count) and
-// "rings" (the point's TOTAL ring load, -parallel-rings × workers).
-func parallelSweep(repeat, ringsPerWorker int) error {
-	if repeat < 1 {
-		repeat = 1
-	}
-	type mode struct {
-		name string
-		mut  func(cfg *engine.Config)
-	}
-	modes := []mode{
-		{"serial-det", func(cfg *engine.Config) { cfg.Deterministic = true }},
-		{"parallel-det", func(cfg *engine.Config) { cfg.Parallel = true }},
-		{"concurrent", func(cfg *engine.Config) { cfg.Virtual = true }},
-	}
-	run := func(name string, workers, rings int, batch bool, mut func(cfg *engine.Config)) error {
-		var best *metrics.Throughput
-		for r := 0; r < repeat; r++ {
-			cfg := engine.Config{
-				Workers:            workers,
-				Tick:               time.Millisecond,
-				Delta:              vtime.Duration(20),
-				ClearInterval:      time.Millisecond,
-				MaxBatch:           4096,
-				Seed:               int64(workers + r),
-				DisableBatchVerify: !batch,
-			}
-			mut(&cfg)
-			rep, err := engine.RunLoad(cfg, rings, 3, engine.WithPartyPool(workers))
-			if err != nil {
-				return fmt.Errorf("parallel sweep %s at %d workers: %w", name, workers, err)
-			}
-			if rep.SwapsFinished != rings || rep.SwapsFailed != 0 {
-				return fmt.Errorf("parallel sweep %s at %d workers: %d/%d swaps finished, %d failed",
-					name, workers, rep.SwapsFinished, rings, rep.SwapsFailed)
-			}
-			if best == nil || rep.SwapsPerSec > best.SwapsPerSec {
-				best = &rep
-			}
-		}
-		fmt.Printf("{\"bench\":\"engine_parallel\",\"mode\":%q,\"concurrency\":%d,\"rings\":%d,\"batch_verify\":%v,\"report\":%s}\n",
-			name, workers, rings, batch, best.JSON())
-		return nil
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, m := range modes {
-			if err := run(m.name, workers, ringsPerWorker*workers, true, m.mut); err != nil {
-				return err
-			}
-		}
-	}
-	// Ablation: batch verification off at the top of the ladder.
-	for _, m := range modes {
-		if err := run(m.name+"/no-batch-verify", 8, ringsPerWorker*8, false, m.mut); err != nil {
-			return err
-		}
-	}
-	// BENCH_02-comparable point: exactly the engine_throughput_vtime shape
-	// (4 rings per worker, concurrent mode, worker-sized pool).
-	return run("bench02-comparable", 8, 32, true,
-		func(cfg *engine.Config) { cfg.Virtual = true })
-}
-
 // shardSweep is the BENCH_05 measurement: the sharded clearing engine
 // across a shard-count ladder (1/2/4/8) crossed with cross-shard traffic
 // ratios (0/10/50%), on striped-parallel deterministic dispatch — the
@@ -569,7 +489,9 @@ func parallelSweep(repeat, ringsPerWorker int) error {
 // the same single-book baseline the speedups are measured against.
 // Every run drives loadgen.Drive's full contract — drain, conservation
 // audit over every shard ledger, zero failed swaps — and each point
-// reports the best of `repeat` runs, same estimator as -parallel-json.
+// reports the best of `repeat` runs: throughput points measure
+// capability, and on a shared box the max is the least noisy estimator
+// of it.
 func shardSweep(repeat, rings int) error {
 	if repeat < 1 {
 		repeat = 1
@@ -700,6 +622,9 @@ func econSweep() error {
 	return nil
 }
 
+// benchJSON emits the full older trajectory point: micro-benchmarks plus
+// the engine sweep on real and virtual time and the adaptive-Δ pair, one
+// JSON object per line.
 func benchJSON() error {
 	for _, hops := range []int{0, 4, 12} {
 		if err := hashkeyMicro(hops); err != nil {
@@ -719,9 +644,9 @@ func benchJSON() error {
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
 	engineJSON := flag.Bool("engine-json", false, "emit engine throughput sweep as JSON and exit")
-	fullBenchJSON := flag.Bool("bench-json", false, "emit micro-benchmarks plus engine sweeps (all time modes) as JSON and exit")
+	fullBenchJSON := flag.Bool("bench-json", false, "emit micro-benchmarks plus engine sweeps (real and virtual time) as JSON and exit")
 	openLoopJSON := flag.Bool("openloop-json", false, "emit the open-loop trajectory point (latency vs offered load, fixed vs adaptive Δ) as JSON and exit")
-	vtimeFlag := flag.Bool("vtime", false, "run the -engine-json sweep on the virtual-time scheduler")
+	vtimeFlag := flag.Bool("vtime", false, "run the -engine-json sweep on virtual time (striped over the workers)")
 	adaptiveFlag := flag.Bool("adaptive-delta", false, "enable the observed-latency adaptive-Δ controller in the -engine-json sweep")
 	arrivalRate := flag.Float64("arrival-rate", 0, "open-loop intake: average offered load in offers/sec (0 = closed-loop, book pre-loaded)")
 	profileFlag := flag.String("profile", "poisson", "arrival process for -arrival-rate: constant, poisson, burst[:n], ramp[:from:to]")
@@ -731,9 +656,6 @@ func main() {
 	scenarioShards := flag.Int("scenario-shards", 0, "run -scenario on a sharded engine with this many shards (0 = the scenario's own shard count; digests of shard-local scenarios must stay byte-identical to 1-shard runs — CI diffs them)")
 	recoveryFlag := flag.Bool("recovery-json", false, "emit the crash-recovery point (engine-crash@tick digest + 10k-event WAL recovery timing) as JSON and exit")
 	reorgJSON := flag.Bool("reorg-json", false, "emit the BENCH_06 chain-realism sweep (confirmation depth 2/4/8 × reorg rate 0/10/25% + instant baseline) as JSON and exit")
-	parallelJSON := flag.Bool("parallel-json", false, "emit the BENCH_04 dispatch-mode sweep (worker ladder × serial-det/parallel-det/concurrent, batch-verify ablation) as JSON and exit")
-	parallelRepeat := flag.Int("parallel-repeat", 3, "runs per -parallel-json point (best-of)")
-	parallelRings := flag.Int("parallel-rings", 16, "rings per worker at each -parallel-json ladder point (the JSON \"rings\" field is this × \"concurrency\")")
 	shardJSON := flag.Bool("shard-json", false, "emit the BENCH_05 sharded sweep (1/2/4/8 shards × cross-shard ratio 0/10/50%, striped-parallel dispatch) as JSON and exit")
 	shardRepeat := flag.Int("shard-repeat", 3, "runs per -shard-json point (best-of)")
 	shardRings := flag.Int("shard-rings", 192, "total rings at every -shard-json point (fixed across shard counts: strong scaling)")
@@ -750,14 +672,6 @@ func main() {
 
 	if *shardJSON {
 		if err := shardSweep(*shardRepeat, *shardRings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parallelJSON {
-		if err := parallelSweep(*parallelRepeat, *parallelRings); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

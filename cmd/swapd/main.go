@@ -187,11 +187,11 @@ func main() {
 		conflicts = flag.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
 		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
 		delta     = flag.Int("delta", 30, "per-swap delta in ticks")
-		vtimeMode = flag.Bool("vtime", false, "run on the virtual-time scheduler (ticks advance as callbacks drain; CPU-bound)")
+		vtimeMode = flag.Bool("vtime", false, "run on virtual time, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable; -clear-ahead is ignored)")
 		adaptive  = flag.Bool("adaptive-delta", false, "adapt delta each clearing round from observed delivery latency")
 		minDelta  = flag.Int("min-delta", 0, "adaptive delta floor in ticks (0 = engine default)")
 		maxDelta  = flag.Int("max-delta", 0, "adaptive delta cap in ticks (0 = engine default)")
-		clrAhead  = flag.Int("clear-ahead", 0, "max swaps cleared ahead of execution (0 = unlimited; adaptive-delta defaults it to workers)")
+		clrAhead  = flag.Int("clear-ahead", 0, "max swaps cleared ahead of execution on the real-time scheduler (0 = unlimited; adaptive-delta defaults it to workers)")
 		seed      = flag.Int64("seed", 1, "load-generation seed")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "drain deadline")
@@ -237,7 +237,7 @@ func main() {
 		Delta:         vtime.Duration(*delta),
 		AdversaryRate: *adversary,
 		Seed:          *seed,
-		Virtual:       *vtimeMode,
+		Parallel:      *vtimeMode,
 		AdaptiveDelta: *adaptive,
 		MinDelta:      vtime.Duration(*minDelta),
 		MaxDelta:      vtime.Duration(*maxDelta),

@@ -11,7 +11,7 @@
 //	-kind      general | single-leader | uniform-timeout (default "general")
 //	-adversary none | halt:V:TICK | silent:V | withhold:V | lastmoment:V |
 //	           noclaim:V | eager:V (V = vertex index)
-//	-seed      scheduler seed
+//	-seed      key-generation seed
 //	-delta     Δ in ticks
 //	-broadcast enable the Section 4.5 broadcast optimization
 package main
@@ -33,7 +33,7 @@ func main() {
 		scenario   = flag.String("scenario", "threeway", "swap digraph scenario")
 		kindName   = flag.String("kind", "general", "protocol variant")
 		adv        = flag.String("adversary", "none", "deviation to inject")
-		seed       = flag.Int64("seed", 1, "scheduler and key seed")
+		seed       = flag.Int64("seed", 1, "key-generation seed")
 		delta      = flag.Int64("delta", 10, "Δ in ticks")
 		broadcast  = flag.Bool("broadcast", false, "enable the broadcast optimization")
 		doAudit    = flag.Bool("audit", false, "run ledger fault attribution after the swap")
@@ -68,7 +68,7 @@ func run(scenario, kindName, adv string, seed, delta int64, broadcast, doAudit, 
 	if concurrent {
 		return runConcurrent(scenario, setup, adv)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{Seed: seed})
+	r := atomicswap.NewRunner(setup, atomicswap.Options{})
 	if err := applyAdversary(r, setup, adv); err != nil {
 		return err
 	}

@@ -119,7 +119,7 @@ func main() {
 			Delta:         30,
 			ClearInterval: time.Millisecond,
 			Seed:          2019,
-			Virtual:       true,
+			Parallel:      true,
 		},
 		atomicswap.OpenLoadConfig{
 			Offers:    600,

@@ -42,7 +42,7 @@ func main() {
 			(timeout-spec.Start)/atomicswap.Ticks(spec.Delta))
 	}
 
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 31}).Run()
+	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 		}
 	}
 
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{Seed: 7}).Run()
+	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

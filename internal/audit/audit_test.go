@@ -16,7 +16,7 @@ func setupRun(t *testing.T, d *digraph.Digraph, rig func(*core.Setup, *core.Runn
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRunner(setup, core.Options{Seed: 6})
+	r := core.NewRunner(setup, core.Options{})
 	if rig != nil {
 		rig(setup, r)
 	}
@@ -138,7 +138,7 @@ func TestAuditSkipsHTLCVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewRunner(setup, core.Options{Seed: 7}).Run()
+	res, err := core.NewRunner(setup, core.Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
-	"github.com/go-atomicswap/atomicswap/internal/sim"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/trace"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -44,8 +44,11 @@ func Sequential(d *digraph.Digraph, assets []core.ArcAsset, parties []chain.Part
 		return nil, fmt.Errorf("baseline: %d assets for %d arcs, %d parties for %d vertexes",
 			len(assets), d.NumArcs(), len(parties), d.NumVertices())
 	}
-	sched := sim.New(1)
-	reg := chain.NewRegistry(sched)
+	sc := sched.NewVirtual(1)
+	defer sc.Close() // the error path; RunUntil stops it on the other
+	// Every transfer is queued from this goroutine before any may run.
+	release := sc.Hold()
+	reg := chain.NewRegistry(sc)
 	log := &trace.Log{}
 	for id := 0; id < d.NumArcs(); id++ {
 		aa := assets[id]
@@ -63,10 +66,10 @@ func Sequential(d *digraph.Digraph, assets []core.ArcAsset, parties []chain.Part
 	for i, id := range order {
 		i, id := i, id
 		arc := d.Arc(id)
-		sched.At(vtime.Ticks(vtime.Scale(i+1, delta)), func() {
+		sc.At(vtime.Ticks(vtime.Scale(i+1, delta)), func() {
 			if defectors[arc.Head] {
 				log.Append(trace.Event{
-					At: sched.Now(), Kind: trace.KindDeviation,
+					At: sc.Now(), Kind: trace.KindDeviation,
 					Party: string(parties[arc.Head]), Arc: id, Lock: -1,
 					Detail: "defects: keeps the asset",
 				})
@@ -77,7 +80,7 @@ func Sequential(d *digraph.Digraph, assets []core.ArcAsset, parties []chain.Part
 			for _, prev := range order[:i] {
 				if d.Arc(prev).Tail == arc.Head && !triggered[prev] {
 					log.Append(trace.Event{
-						At: sched.Now(), Kind: trace.KindAbandoned,
+						At: sc.Now(), Kind: trace.KindAbandoned,
 						Party: string(parties[arc.Head]), Arc: id, Lock: -1,
 						Detail: "upstream payment missing; not paying",
 					})
@@ -87,19 +90,22 @@ func Sequential(d *digraph.Digraph, assets []core.ArcAsset, parties []chain.Part
 			aa := assets[id]
 			if err := reg.Chain(aa.Chain).Transfer(parties[arc.Head], aa.Asset, parties[arc.Tail]); err != nil {
 				log.Append(trace.Event{
-					At: sched.Now(), Kind: trace.KindUnlockFailed,
+					At: sc.Now(), Kind: trace.KindUnlockFailed,
 					Party: string(parties[arc.Head]), Arc: id, Lock: -1, Detail: err.Error(),
 				})
 				return
 			}
 			triggered[id] = true
 			log.Append(trace.Event{
-				At: sched.Now(), Kind: trace.KindClaimed,
+				At: sc.Now(), Kind: trace.KindClaimed,
 				Party: string(parties[arc.Tail]), Arc: id, Lock: -1, Detail: "plain transfer",
 			})
 		})
 	}
-	end := sched.Run()
+	// The last attempt is at tick n·Δ and nothing cascades past it.
+	end := vtime.Ticks(vtime.Scale(len(order), delta))
+	release()
+	sc.RunUntil(end)
 	return &SequentialResult{
 		Triggered: triggered,
 		Report:    outcome.NewReport(d, triggered),

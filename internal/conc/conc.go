@@ -1,20 +1,24 @@
-// Package conc runs the swap protocol concurrently: each party is its own
-// goroutine, the mock chains are shared thread-safe state, and virtual
-// ticks come from a pluggable sched.Scheduler. The party logic is the same
-// core.Behavior implementation the deterministic simulator drives — the
-// point of this runtime is demonstrating that the protocol engine is
-// runtime-agnostic and race-free.
+// Package conc runs the swap protocol over shared, thread-safe mock chains
+// with virtual ticks from a pluggable sched.Scheduler — many runs at once
+// over one registry, which is what the clearing engine needs. The party
+// logic is the same core.Behavior implementation the reference runner in
+// core drives — the point of this runtime is demonstrating that the
+// protocol engine is runtime-agnostic and race-free.
 //
-// Two scheduler shapes matter:
+// How deliveries reach a party follows from the scheduler the run is
+// handed; there is no option for it:
 //
-//   - sched.Real (the default): ticks map onto wall-clock time. Runs are
-//     not tick-deterministic (real scheduling jitter exists below the Δ
+//   - sched.Real (the default): ticks map onto wall-clock time and timer
+//     callbacks arrive on arbitrary goroutines, so each party is its own
+//     mailbox goroutine and every delivery is handed to it. Runs are not
+//     tick-deterministic (real scheduling jitter exists below the Δ
 //     scale), so tests assert outcomes rather than traces. Pick a tick
 //     duration comfortably above scheduler noise.
-//   - sched.Virtual: ticks advance as fast as callbacks drain, making a
-//     run CPU-bound instead of wall-clock-bound. Deliveries execute at
-//     exactly their scheduled tick; only same-tick cross-party ordering
-//     remains racy.
+//   - *sched.Virtual: the scheduler already runs a stripe's events one at
+//     a time in scheduling order, so a delivery simply executes inside its
+//     scheduler event, on the dispatcher (or the run's stripe worker), at
+//     exactly its scheduled tick. No party goroutines exist, and a run is
+//     a pure function of what was scheduled.
 package conc
 
 import (
@@ -55,8 +59,9 @@ type Config struct {
 	// Scheduler, when set, is a shared time source so concurrent runs
 	// agree on virtual time: sched.NewReal for wall-clock execution (what
 	// a standalone run builds by default from Tick), sched.NewVirtual for
-	// event-driven time that advances as fast as callbacks drain. The
-	// spec's Start must be in the scheduler's future (or use StartOffset).
+	// event-driven time that advances as fast as callbacks drain. Its type
+	// also decides the delivery shape (see the package comment). The spec's
+	// Start must be in the scheduler's future (or use StartOffset).
 	Scheduler sched.Scheduler
 	// StartOffset, when positive, pins spec.Start to the scheduler's
 	// current tick plus the offset, atomically with run setup. Under
@@ -78,26 +83,9 @@ type Config struct {
 	// shared cache, which is the desired behavior for engine-owned
 	// setups (one per cleared swap).
 	Cache *hashkey.VerifyCache
-	// SyncDeliveries makes every delivery synchronous with the scheduler:
-	// the scheduled callback blocks until the party has actually executed
-	// the delivered event. On a serialized virtual scheduler
-	// (sched.NewVirtual) this removes the last concurrency from the run —
-	// party actions execute one at a time, in (tick, schedule-order)
-	// order — which is what makes an engine run seed-replayable. Pointless
-	// (and a throughput hazard) on real or concurrent-virtual schedulers.
-	//
-	// When the scheduler additionally reports serialized dispatch
-	// (sched.SerialDispatcher), SyncDeliveries switches the run to inline
-	// delivery execution: party callbacks run directly on the scheduler
-	// dispatch (or stripe worker) goroutine instead of round-tripping
-	// through per-party mailbox goroutines. Semantically identical —
-	// the mailbox path under SyncDeliveries already blocked the scheduler
-	// until the party ran the callback — but without the channel handoffs,
-	// goroutine stacks, and hold bookkeeping per delivery.
-	SyncDeliveries bool
-	// StripeKey, when nonzero on a sched.KeyedScheduler, tags every
-	// scheduler event of this run with the key. Under striped-parallel
-	// dispatch (sched.NewVirtualParallel) the run's events then serialize
+	// StripeKey, when nonzero on a *sched.Virtual, tags every scheduler
+	// event of this run with the key. Under striped dispatch
+	// (sched.NewVirtual with workers > 1) the run's events then serialize
 	// among themselves in schedule order while distinct runs — distinct
 	// swaps, in the engine — execute concurrently. Zero joins the shared
 	// unkeyed stripe.
@@ -193,12 +181,12 @@ type Result struct {
 }
 
 // Running is a prepared, in-flight concurrent run: the assets are
-// verified, every party goroutine is live, and the protocol is playing
-// out on the scheduler. Call Wait exactly once to block until the run
-// finishes and collect the result. The Prepare/Wait split exists for the
-// clearing engine's deterministic mode, where run setup must happen at a
-// pinned virtual tick (inside the clearing callback, under the
-// scheduler hold) while the blocking wait stays on an executor worker.
+// verified, every party is live, and the protocol is playing out on the
+// scheduler. Call Wait exactly once to block until the run finishes and
+// collect the result. The Prepare/Wait split exists for the clearing
+// engine on virtual time, where run setup must happen at a pinned tick
+// (inside the clearing callback, under the scheduler hold) while the
+// blocking wait stays on an executor worker.
 type Running struct {
 	r         *runner
 	cfg       Config
@@ -221,7 +209,7 @@ func (rn *Running) fireHorizon() {
 	rn.horizonOnce.Do(rn.cfg.OnHorizon)
 }
 
-// Run executes the setup with every party on its own goroutine. Behaviors
+// Run executes the setup to its horizon and reports the result. Behaviors
 // defaults to the conforming implementation per vertex; entries override.
 func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Result, error) {
 	rn, err := Prepare(setup, behaviors, cfg)
@@ -232,10 +220,11 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 }
 
 // Prepare sets a concurrent run up — registers or verifies assets,
-// spawns the party goroutines, schedules the protocol start — and
-// returns without waiting for it. Setup runs atomically under a
-// scheduler hold, so under virtual time the protocol start is pinned
-// relative to the scheduler's tick at the moment Prepare was called.
+// spawns the party goroutines a real-time scheduler needs, schedules the
+// protocol start — and returns without waiting for it. Setup runs
+// atomically under a scheduler hold, so under virtual time the protocol
+// start is pinned relative to the scheduler's tick at the moment Prepare
+// was called.
 func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Running, error) {
 	if cfg.ExtraDelta <= 0 {
 		cfg.ExtraDelta = 2
@@ -257,7 +246,6 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		setup:   setup,
 		spec:    spec,
 		sched:   scheduler,
-		sync:    cfg.SyncDeliveries,
 		stripe:  cfg.StripeKey,
 		log:     log,
 		arcs:    make([]arcState, spec.D.NumArcs()),
@@ -265,15 +253,9 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		cids:    make(map[chain.ContractID]int, spec.D.NumArcs()),
 		onPhase: cfg.OnPhase,
 	}
-	if ks, ok := scheduler.(sched.KeyedScheduler); ok && r.stripe != 0 {
-		r.keyed = ks
-	}
-	// Inline deliveries: with synchronous deliveries on a scheduler that
-	// serializes same-stripe dispatch, the mailbox goroutines buy nothing —
-	// run party callbacks directly on the dispatching goroutine.
-	if sd, ok := scheduler.(sched.SerialDispatcher); ok && cfg.SyncDeliveries && sd.SerializedDispatch() {
-		r.inline = true
-	}
+	// A virtual scheduler serializes each stripe's events itself: party
+	// callbacks run directly inside them, and no mailbox goroutine exists.
+	r.virtual, _ = scheduler.(*sched.Virtual)
 
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
@@ -359,10 +341,10 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	ctx, cancel := context.WithCancel(context.Background())
 	r.ctx = ctx
 
-	// One mailbox goroutine per party; all behavior callbacks and alarms
-	// run there, so behaviors stay single-threaded. Inline mode skips the
-	// goroutines entirely: the scheduler's same-stripe serialization is
-	// the single-threading guarantee instead.
+	// On a real-time scheduler, one mailbox goroutine per party: all
+	// behavior callbacks and alarms run there, so behaviors stay
+	// single-threaded. On a virtual one the scheduler's same-stripe
+	// serialization is that guarantee instead.
 	n := spec.D.NumVertices()
 	r.parties = make([]*party, n)
 	wg := new(sync.WaitGroup)
@@ -382,15 +364,14 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		}
 		p.envc.p = p
 		r.parties[v] = p
-		if r.inline {
+		if r.virtual != nil {
 			continue
 		}
-		// A small buffer suffices: deliveries are produced only by scheduler
-		// dispatch goroutines (each holding the clock while its send is in
-		// flight, with a ctx-cancel escape hatch), and the party loop drains
-		// without ever blocking on another mailbox — a full buffer is
-		// backpressure, not deadlock. An oversized channel here dominated
-		// per-run allocations (~8 KiB × parties × runs).
+		// A small buffer suffices: deliveries are produced only by timer
+		// callbacks (each with a ctx-cancel escape hatch on its send), and
+		// the party loop drains without ever blocking on another mailbox —
+		// a full buffer is backpressure, not deadlock. An oversized channel
+		// here dominated per-run allocations (~8 KiB × parties × runs).
 		p.mailbox = make(chan *delivery, 16)
 		wg.Add(1)
 		go func() {
@@ -458,30 +439,16 @@ func (rn *Running) Wait() *Result {
 	} else {
 		<-rn.horizonCh
 	}
-	// Teardown order matters, especially on a shared virtual scheduler:
-	// (1) stop timers so no new callbacks start, (2) wait out callbacks
-	// already past the stop check (their mailbox sends complete while the
-	// parties still drain), (3) cancel and join the parties, (4) settle
-	// any deliveries stranded in mailboxes — their scheduler holds must
-	// be released or a shared virtual clock would stall forever.
+	// Teardown order matters: (1) stop timers so no new callbacks start,
+	// (2) wait out callbacks already past the stop check (their mailbox
+	// sends complete while the parties still drain), (3) cancel and join
+	// the parties. A delivery stranded in a mailbox after that holds
+	// nothing — wall time cannot be held — and is simply dropped, exactly
+	// as run's ctx guard would have dropped it.
 	r.stopTimers()
 	r.fnWG.Wait()
 	rn.cancel()
 	rn.partyWG.Wait()
-	for _, p := range r.parties {
-		if p.mailbox == nil {
-			continue // inline mode: deliveries never queue
-		}
-	drain:
-		for {
-			select {
-			case d := <-p.mailbox:
-				d.runPosted() // ctx guard skips the body; the hold settles
-			default:
-				break drain
-			}
-		}
-	}
 	if rn.shared {
 		for id := 0; id < r.spec.D.NumArcs(); id++ {
 			r.reg.UnsubscribeContract(r.spec.Assets[id].Chain, rn.subKey, r.spec.ContractID(id))
@@ -502,20 +469,15 @@ type runner struct {
 	setup *core.Setup
 	spec  *core.Spec
 	sched sched.Scheduler
-	// keyed is non-nil when the scheduler supports stripe keys and the run
-	// has one: every event the run schedules then carries stripe.
-	keyed  sched.KeyedScheduler
-	stripe uint64
-	reg    *chain.Registry
-	probe  chain.DeliveryProbe
-	log    *trace.Log
-	ctx    context.Context
-	// sync makes deliveries block the scheduler callback until the party
-	// executed them (Config.SyncDeliveries).
-	sync bool
-	// inline runs deliveries directly on the scheduler dispatch goroutine
-	// (see Config.SyncDeliveries); parties then have no mailbox goroutine.
-	inline bool
+	// virtual is sched when it is a *sched.Virtual, else nil: deliveries
+	// then execute inside their scheduler event and parties have no
+	// mailbox goroutine. Every event the run schedules carries stripe.
+	virtual *sched.Virtual
+	stripe  uint64
+	reg     *chain.Registry
+	probe   chain.DeliveryProbe
+	log     *trace.Log
+	ctx     context.Context
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
 	// some arc never resolves.
 	horizonTick vtime.Ticks
@@ -619,11 +581,6 @@ type delivery struct {
 
 	timer      sched.Timer
 	prev, next *delivery
-
-	// Mailbox mode only: the scheduler hold taken at fire time and the
-	// SyncDeliveries completion signal.
-	settle func()
-	done   chan struct{}
 }
 
 // eventKey identifies a behavior delivery for the reorg re-delivery
@@ -645,8 +602,8 @@ func (r *runner) schedule(d *delivery) {
 		return
 	}
 	fire := func() { r.fire(d) }
-	if r.keyed != nil {
-		d.timer = r.keyed.AtKeyed(d.at, r.stripe, fire)
+	if r.virtual != nil {
+		d.timer = r.virtual.AtKeyed(d.at, r.stripe, fire)
 	} else {
 		d.timer = r.sched.At(d.at, fire)
 	}
@@ -670,14 +627,11 @@ func (r *runner) stopTimers() {
 }
 
 // fire is d's scheduler callback: it takes d off the live list and hands
-// it to its party. In inline mode the scheduler dispatch IS the party
+// it to its party. On a virtual scheduler the event IS the party's
 // execution — the dispatcher (or this stripe's worker) already holds the
 // clock for the duration of the callback, and same-stripe serialization
-// keeps the behavior single-threaded: no hold, no handoff, no wait.
-// Otherwise the delivery goes through the party's mailbox, and from fire
-// time until the mailbox runs (or drops) it the delivery holds the
-// scheduler, so virtual time cannot jump past a deadline while the action
-// racing that deadline sits in a mailbox.
+// keeps the behavior single-threaded: no handoff, no wait. On a real-time
+// one the delivery goes to the party's mailbox goroutine.
 func (r *runner) fire(d *delivery) {
 	r.timersMu.Lock()
 	if r.stopped {
@@ -700,55 +654,20 @@ func (r *runner) fire(d *delivery) {
 	switch {
 	case d.p == nil:
 		d.fn()
-	case r.inline:
+	case r.virtual != nil:
 		r.run(d)
 	default:
-		r.post(d)
-	}
-}
-
-// post hands d to its party's mailbox under a scheduler hold.
-func (r *runner) post(d *delivery) {
-	d.settle = r.sched.Hold()
-	// Under SyncDeliveries the scheduler callback additionally waits for
-	// the party to execute the delivery: on a serialized virtual scheduler
-	// this means exactly one party action runs at a time, in (tick,
-	// schedule-order) order — the property deterministic replay rests on.
-	// The party goroutine never blocks on the scheduler, so the wait cannot
-	// deadlock; teardown closes done via the mailbox drain if the party
-	// already exited.
-	if r.sync {
-		d.done = make(chan struct{})
-	}
-	select {
-	case d.p.mailbox <- d:
-		if d.done != nil {
-			select {
-			case <-d.done:
-			case <-r.ctx.Done():
-				// The party may have exited without draining; the teardown
-				// drain will run the delivery and settle the hold.
-			}
+		select {
+		case d.p.mailbox <- d:
+		case <-r.ctx.Done():
 		}
-	case <-r.ctx.Done():
-		d.settle()
 	}
-}
-
-// runPosted executes a mailbox delivery on the party goroutine (or the
-// teardown drain) and settles what post took.
-func (d *delivery) runPosted() {
-	defer d.settle()
-	if d.done != nil {
-		defer close(d.done)
-	}
-	d.p.runner.run(d)
 }
 
 // run makes d's behavior callback on its party's thread of control.
 func (r *runner) run(d *delivery) {
 	if r.ctx.Err() != nil {
-		return // teardown: settle without executing
+		return // teardown
 	}
 	p := d.p
 	if !d.alarm && p.abandoned {
@@ -1058,8 +977,9 @@ func (r *runner) buildResult() *Result {
 	}
 }
 
-// party is one goroutine-backed participant (mailbox nil in inline mode,
-// where the scheduler's same-stripe serialization replaces the goroutine).
+// party is one participant: goroutine-backed on a real-time scheduler,
+// mailbox nil on a virtual one, where the scheduler's same-stripe
+// serialization replaces the goroutine.
 type party struct {
 	runner    *runner
 	vertex    digraph.Vertex
@@ -1075,7 +995,7 @@ func (p *party) loop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case d := <-p.mailbox:
-			d.runPosted()
+			p.runner.run(d)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package conc
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +85,23 @@ func TestConcurrentBroadcast(t *testing.T) {
 	}
 }
 
+// partyGoroutines reports how many goroutines started by Prepare — the
+// party mailbox loops — are alive, polling for up to two seconds for the
+// count to reach want: a goroutine Wait has joined may still be a few
+// instructions from gone.
+func partyGoroutines(want int) int {
+	n := -1
+	for i := 0; i < 2000 && n != want; i++ {
+		if i > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n = strings.Count(string(buf), "created by github.com/go-atomicswap/atomicswap/internal/conc.Prepare")
+	}
+	return n
+}
+
 // traceKinds collapses a log to the set of event kinds it contains.
 func traceKinds(l *trace.Log) map[trace.Kind]int {
 	kinds := make(map[trace.Kind]int)
@@ -96,19 +115,35 @@ func traceKinds(l *trace.Log) map[trace.Kind]int {
 // real-time and the virtual-time scheduler: outcomes must be identical
 // per vertex and the runs must produce the same kinds of trace events
 // (counts included — every publish/unlock/claim happens in both worlds).
+// The delivery shape is the one thing that differs, and it follows the
+// scheduler: the virtual run starts no goroutine of its own — deliveries
+// execute inside its scheduler events — and leaves none behind.
 func TestVirtualRealEquivalence(t *testing.T) {
-	run := func(cfg Config) *Result {
+	prepare := func(cfg Config) *Running {
 		setup := concSetup(t, graphgen.ThreeWay(), core.Config{Rand: rand.New(rand.NewSource(9))})
-		res, err := Run(setup, nil, cfg)
+		rn, err := Prepare(setup, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rn
 	}
-	real := run(Config{Tick: tick})
-	v := sched.NewVirtual()
+	v := sched.NewVirtual(1)
 	defer v.Close()
-	virtual := run(Config{Scheduler: v})
+	release := v.Hold() // the run cannot start, let alone finish, yet
+	rn := prepare(Config{Scheduler: v})
+	if n := partyGoroutines(0); n != 0 {
+		t.Errorf("Prepare on a virtual scheduler started %d party goroutines, want 0", n)
+	}
+	release()
+	virtual := rn.Wait()
+	rn = prepare(Config{Tick: tick})
+	if n := partyGoroutines(3); n != 3 {
+		t.Errorf("Prepare on a real-time scheduler started %d party goroutines, want 3", n)
+	}
+	real := rn.Wait()
+	if n := partyGoroutines(0); n != 0 {
+		t.Errorf("the runs left %d party goroutines behind, want 0", n)
+	}
 
 	if !real.Report.AllDeal() || !virtual.Report.AllDeal() {
 		t.Logf("real:\n%s\nvirtual:\n%s", real.Log.Render(), virtual.Log.Render())
@@ -137,7 +172,7 @@ func TestVirtualRealEquivalence(t *testing.T) {
 // huge Δ — hours of wall time in real mode — completes in the time the
 // callbacks take to run.
 func TestVirtualTimeIsCPUBound(t *testing.T) {
-	v := sched.NewVirtual()
+	v := sched.NewVirtual(1)
 	defer v.Close()
 	setup := concSetup(t, graphgen.Cycle(4), core.Config{Delta: 100_000})
 	start := time.Now()

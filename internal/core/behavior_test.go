@@ -86,7 +86,7 @@ func TestNopBehaviorIsInert(t *testing.T) {
 	// NopBehavior as every party: nothing ever happens, the runner
 	// terminates at its horizon with all assets untouched.
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{Seed: 1})
+	r := NewRunner(setup, Options{})
 	for _, v := range setup.Spec.D.Vertices() {
 		r.SetBehavior(v, NopBehavior{})
 	}
@@ -202,8 +202,8 @@ func TestUnlockTrafficIsArcTimesLeaders(t *testing.T) {
 
 func TestRunnerAccessors(t *testing.T) {
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{Seed: 1})
-	if r.Log() == nil || r.Scheduler() == nil || r.Registry() == nil {
+	r := NewRunner(setup, Options{})
+	if r.Log() == nil || r.Registry() == nil {
 		t.Fatal("accessors should be non-nil")
 	}
 	res, err := r.Run()
@@ -221,7 +221,7 @@ func TestRunnerAccessors(t *testing.T) {
 func TestHorizonOverride(t *testing.T) {
 	// A tiny horizon cuts the run short: nothing beyond it executes.
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{Seed: 1, Horizon: 95})
+	r := NewRunner(setup, Options{Horizon: 95})
 	res, err := r.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestNewSetupReusesKeyring(t *testing.T) {
 		}
 	}
 	// The persistent identities must actually run the protocol.
-	res, err := NewRunner(s2, Options{Seed: 3}).Run()
+	res, err := NewRunner(s2, Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestClearThreeWay(t *testing.T) {
 		t.Errorf("party order = %v", spec.Parties)
 	}
 	// The cleared swap actually runs to Deal.
-	res, err := NewRunner(setup, Options{Seed: 3}).Run()
+	res, err := NewRunner(setup, Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestClearBarterRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Clear: %v", err)
 	}
-	res, err := NewRunner(setup, Options{Seed: 5}).Run()
+	res, err := NewRunner(setup, Options{}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

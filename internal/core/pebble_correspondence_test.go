@@ -24,7 +24,7 @@ func TestPhaseOneEqualsLazyPebbleGame(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := NewRunner(setup, Options{Seed: seed}).Run()
+		res, err := NewRunner(setup, Options{}).Run()
 		if err != nil || !res.Report.AllDeal() {
 			return false
 		}
@@ -66,7 +66,7 @@ func TestPhaseTwoBoundedByEagerGame(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := NewRunner(setup, Options{Seed: seed}).Run()
+		res, err := NewRunner(setup, Options{}).Run()
 		if err != nil || !res.Report.AllDeal() {
 			return false
 		}

@@ -35,7 +35,7 @@ type RecurrentResult struct {
 // When piggyback is true, next-round hashlocks ride in the previous
 // round's Phase Two, so rounds chain with no setup gap; otherwise each
 // round pays a 2Δ clearing gap first.
-func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader, seed int64) (*RecurrentResult, error) {
+func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader) (*RecurrentResult, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("%w: rounds %d", ErrSpecShape, rounds)
 	}
@@ -62,7 +62,7 @@ func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader,
 		if err != nil {
 			return nil, fmt.Errorf("core: recurrent round %d: %w", r, err)
 		}
-		out, err := NewRunner(setup, Options{Seed: seed + int64(r)}).Run()
+		out, err := NewRunner(setup, Options{}).Run()
 		if err != nil {
 			return nil, fmt.Errorf("core: recurrent round %d: %w", r, err)
 		}

@@ -28,7 +28,7 @@ func (mutePublisher) Init(e Env) {
 
 func TestRefundsAfterMuteLeader(t *testing.T) {
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{Seed: 1})
+	r := NewRunner(setup, Options{})
 	r.SetBehavior(0, mutePublisher{})
 	res, err := r.Run()
 	if err != nil {
@@ -74,7 +74,7 @@ func (wrongParamsPublisher) Init(e Env) {
 
 func TestCounterpartyAbandonsOnWrongLock(t *testing.T) {
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{Seed: 1})
+	r := NewRunner(setup, Options{})
 	r.SetBehavior(0, wrongParamsPublisher{})
 	res, err := r.Run()
 	if err != nil {
@@ -108,7 +108,7 @@ func (doubleAbandoner) Init(e Env) {
 
 func TestAbandonIsIdempotent(t *testing.T) {
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{Seed: 1})
+	r := NewRunner(setup, Options{})
 	r.SetBehavior(1, doubleAbandoner{})
 	res, err := r.Run()
 	if err != nil {

@@ -9,15 +9,13 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/htlc"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
-	"github.com/go-atomicswap/atomicswap/internal/sim"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/trace"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
 // Options configures a protocol run.
 type Options struct {
-	// Seed drives the deterministic scheduler.
-	Seed int64
 	// Horizon overrides the quiescence deadline (0 = spec.Horizon()).
 	Horizon vtime.Ticks
 }
@@ -56,12 +54,16 @@ type Result struct {
 
 // Runner executes one swap under the discrete-event model: actions land
 // on chains instantly; every observer (party) is notified exactly Δ later,
-// the paper's worst-case publish-and-detect latency.
+// the paper's worst-case publish-and-detect latency. It runs on a serial
+// sched.Virtual of its own, so the whole run is one thread of control in
+// (tick, scheduling) order and a pure function of the setup. NewRunner
+// starts that scheduler's dispatcher and Run stops it: run every Runner
+// you build.
 type Runner struct {
 	setup     *Setup
 	spec      *Spec
 	opts      Options
-	sched     *sim.Scheduler
+	sched     *sched.Virtual
 	reg       *chain.Registry
 	log       *trace.Log
 	counters  metrics.Counters
@@ -84,7 +86,7 @@ func NewRunner(setup *Setup, opts Options) *Runner {
 		setup:     setup,
 		spec:      setup.Spec,
 		opts:      opts,
-		sched:     sim.New(opts.Seed),
+		sched:     sched.NewVirtual(1),
 		log:       &trace.Log{},
 		behaviors: make([]Behavior, n),
 		envs:      make([]*partyEnv, n),
@@ -115,10 +117,6 @@ func (r *Runner) SetBehavior(v digraph.Vertex, b Behavior) {
 // Log exposes the live trace log (also available on the Result).
 func (r *Runner) Log() *trace.Log { return r.log }
 
-// Scheduler exposes the underlying scheduler, for tests that need to
-// inject events.
-func (r *Runner) Scheduler() *sim.Scheduler { return r.sched }
-
 // Registry exposes the chain registry.
 func (r *Runner) Registry() *chain.Registry { return r.reg }
 
@@ -130,6 +128,12 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	r.ran = true
 	spec := r.spec
+	// Stops the dispatcher on the error path, hold or no hold; RunUntil
+	// already has on the other.
+	defer r.sched.Close()
+	// Set-up happens on this goroutine: hold the clock so no party starts
+	// before every party's start is queued.
+	release := r.sched.Hold()
 
 	// Mint every arc's asset, owned by the arc's head party.
 	for id := 0; id < spec.D.NumArcs(); id++ {
@@ -165,6 +169,7 @@ func (r *Runner) Run() (*Result, error) {
 	if horizon == 0 {
 		horizon = spec.Horizon()
 	}
+	release()
 	r.sched.RunUntil(horizon)
 
 	return r.buildResult(), nil
@@ -227,7 +232,7 @@ func (r *Runner) onNote(n chain.Notification) {
 		}
 		for v := range r.behaviors {
 			v := v
-			r.sched.After(delta, func() {
+			r.sched.At(r.sched.Now().Add(delta), func() {
 				if r.abandoned[v] {
 					return
 				}
@@ -241,9 +246,10 @@ func (r *Runner) onNote(n chain.Notification) {
 // parties of an arc, after the detection latency.
 func (r *Runner) notifyIncident(arcID int, after vtime.Duration, fn func(Behavior, Env)) {
 	arc := r.spec.D.Arc(arcID)
+	at := r.sched.Now().Add(after)
 	for _, v := range []digraph.Vertex{arc.Head, arc.Tail} {
 		v := v
-		r.sched.After(after, func() {
+		r.sched.At(at, func() {
 			if r.abandoned[v] {
 				return
 			}

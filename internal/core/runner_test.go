@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
@@ -28,7 +33,7 @@ func newTestSetup(t *testing.T, d *digraph.Digraph, cfg Config) *Setup {
 // run executes a fresh conforming run and returns the result.
 func run(t *testing.T, setup *Setup) *Result {
 	t.Helper()
-	res, err := NewRunner(setup, Options{Seed: 7}).Run()
+	res, err := NewRunner(setup, Options{}).Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -186,6 +191,43 @@ func TestRunnerSingleUse(t *testing.T) {
 	}
 	if _, err := r.Run(); err == nil {
 		t.Error("second Run should fail")
+	}
+}
+
+// TestRunnerStopsItsScheduler: the runner's dispatcher goroutine is gone
+// when Run returns — after a full run, and on the asset-registration
+// error path, which returns before any event was queued.
+func TestRunnerStopsItsScheduler(t *testing.T) {
+	// Run returns once the dispatcher has signalled its exit, a few
+	// instructions before the goroutine is gone: give it a moment.
+	dispatchers := func() int {
+		n := 0
+		for i := 0; i < 2000; i++ {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			if n = strings.Count(string(buf), "sched.(*Virtual).loop("); n == 0 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	run(t, newTestSetup(t, graphgen.ThreeWay(), Config{}))
+	if n := dispatchers(); n != 0 {
+		t.Fatalf("a finished run left %d dispatcher goroutines behind", n)
+	}
+
+	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
+	r := NewRunner(setup, Options{})
+	aa := setup.Spec.Assets[0]
+	if err := r.Registry().Chain(aa.Chain).RegisterAsset(chain.Asset{ID: aa.Asset, Amount: aa.Amount}, "squatter"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); !errors.Is(err, chain.ErrDuplicateAsset) {
+		t.Fatalf("Run over a pre-registered asset: err = %v, want ErrDuplicateAsset", err)
+	}
+	if n := dispatchers(); n != 0 {
+		t.Fatalf("a failed run left %d dispatcher goroutines behind", n)
 	}
 }
 

@@ -271,12 +271,12 @@ func TestSetupWithExplicitAssets(t *testing.T) {
 func TestRecurrentSwaps(t *testing.T) {
 	d := graphgen.ThreeWay()
 	rnd := rand.New(rand.NewSource(9))
-	with, err := RunRecurrent(d, 3, true, rnd, 1)
+	with, err := RunRecurrent(d, 3, true, rnd)
 	if err != nil {
 		t.Fatalf("RunRecurrent(piggyback): %v", err)
 	}
 	rnd2 := rand.New(rand.NewSource(9))
-	without, err := RunRecurrent(d, 3, false, rnd2, 1)
+	without, err := RunRecurrent(d, 3, false, rnd2)
 	if err != nil {
 		t.Fatalf("RunRecurrent(no piggyback): %v", err)
 	}
@@ -289,7 +289,7 @@ func TestRecurrentSwaps(t *testing.T) {
 		t.Errorf("piggybacked rounds (%d ticks) should beat re-clearing (%d ticks)",
 			with.TotalTicks, without.TotalTicks)
 	}
-	if _, err := RunRecurrent(d, 0, true, rnd, 1); err == nil {
+	if _, err := RunRecurrent(d, 0, true, rnd); err == nil {
 		t.Error("zero rounds should error")
 	}
 }

@@ -71,7 +71,7 @@ func TestWaitsForDetectsTheorem412Deadlock(t *testing.T) {
 
 	// Run the protocol: the runner's final published set still shows the
 	// same permanent deadlock.
-	r := NewRunner(setup, Options{Seed: 3})
+	r := NewRunner(setup, Options{})
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWaitsForDetectsTheorem412Deadlock(t *testing.T) {
 
 func TestWaitsForCleanAfterConformingRun(t *testing.T) {
 	setup := newTestSetup(t, graphgen.TwoLeaderTriangle(), Config{})
-	r := NewRunner(setup, Options{Seed: 4})
+	r := NewRunner(setup, Options{})
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 		Workers:       2,
 		Seed:          7,
 		AdversaryRate: 0.15,
-		Virtual:       true,
+		Deterministic: true,
 		Store:         store,
 		// The live-run gate would cap in-flight at 16×Workers=32; this
 		// test's whole point is a crash with ≥50 swaps mid-air.
@@ -81,7 +81,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 		t.Fatalf("Stop(A): %v", err)
 	}
 
-	cfgB := engine.Config{Workers: 8, Seed: 7, Virtual: true}
+	cfgB := engine.Config{Workers: 8, Seed: 7, Deterministic: true}
 	b, rec, err := Recover(cfgB, RecoverOptions{Dir: dir, Attach: true, SnapshotEvery: 256})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -136,7 +136,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 	// and engine B then ran to quiescence, so recovering the directory
 	// once more must find nothing left in flight to resume or refund —
 	// crashes do not compound.
-	c, rec2, err := Recover(engine.Config{Workers: 2, Seed: 7, Virtual: true}, RecoverOptions{Dir: dir})
+	c, rec2, err := Recover(engine.Config{Workers: 2, Seed: 7, Deterministic: true}, RecoverOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("second Recover: %v", err)
 	}
@@ -390,7 +390,7 @@ func TestRecovery10kEventsUnderSecond(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 10_000, Options{})
 
-	e, rec, err := Recover(engine.Config{Workers: 2, Virtual: true}, RecoverOptions{Dir: dir})
+	e, rec, err := Recover(engine.Config{Workers: 2, Deterministic: true}, RecoverOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}

@@ -80,7 +80,8 @@ type Config struct {
 	// MaxBatch caps the offers considered per clearing round.
 	MaxBatch int
 	// Tick is the wall duration of one virtual tick on the shared
-	// real-time scheduler. Ignored under Virtual.
+	// real-time scheduler. Under virtual time it only converts rates and
+	// ClearInterval to ticks.
 	Tick time.Duration
 	// Delta is the per-swap Δ in ticks (the fixed value, and the adaptive
 	// mode's starting point).
@@ -99,21 +100,12 @@ type Config struct {
 	Behaviors BehaviorFactory
 	// Seed drives per-swap key generation and adversary selection.
 	Seed int64
-	// QueueDepth is the executor job-queue capacity (default 1024).
-	QueueDepth int
 
-	// Virtual switches the engine onto a shared virtual-time scheduler:
-	// ticks advance as fast as callbacks drain, so swaps stop waiting out
-	// Δ-scaled deadlines in wall time and throughput becomes CPU-bound.
-	// Outcomes are unchanged — the protocol sees the same tick arithmetic.
-	// A virtual engine owns the scheduler's dispatcher goroutine; call
-	// Stop (valid even if Start was never called) to release it.
-	Virtual bool
 	// AdaptiveDelta lets the engine retune Δ each clearing round from the
 	// latencies the delivery probe actually observes, within
 	// [MinDelta, MaxDelta]. Already-cleared swaps keep the Δ they were
 	// built with; only new rounds see the updated value. Pointless (but
-	// harmless) under Virtual, where observed lag is ~0.
+	// harmless) under virtual time, where observed lag is ~0.
 	AdaptiveDelta bool
 	// MinDelta floors the adaptive Δ (default 4 ticks — the smallest Δ
 	// whose quarter-Δ jitter margin is still a whole tick).
@@ -121,28 +113,30 @@ type Config struct {
 	// MaxDelta caps the adaptive Δ (default 4×Delta), bounding how far a
 	// loaded box backs off.
 	MaxDelta vtime.Duration
-	// Deterministic runs the engine in seed-replayable mode: virtual time
-	// on a serialized scheduler (same-tick events in schedule order, not
-	// in parallel), swap setup pinned inside the clearing tick, and
-	// synchronous deliveries, so the same seed and the same (serially
-	// submitted) offer stream produce the identical run — intake ticks,
-	// clearing rounds, Δ trajectory, and settle order. Implies Virtual.
-	// Trades multicore throughput for replayability: this is the scenario
-	// harness's mode, not the production shape. Submissions must come
-	// from scheduler callbacks (loadgen arrivals) or a single goroutine;
-	// racing Submit calls reintroduce the nondeterminism this removes.
+	// Deterministic runs the engine on virtual time — a serial
+	// sched.Virtual whose ticks advance as fast as callbacks drain, so
+	// swaps stop waiting out Δ-scaled deadlines in wall time, throughput
+	// becomes CPU-bound, and the protocol sees the same tick arithmetic.
+	// Virtual time is also what makes a run seed-replayable: same-tick
+	// events run in schedule order, swap setup is pinned inside the
+	// clearing tick, and deliveries execute inside their scheduler events,
+	// so the same seed and the same (serially submitted) offer stream
+	// produce the identical run — intake ticks, clearing rounds, Δ
+	// trajectory, and settle order. Submissions must come from scheduler
+	// callbacks (loadgen arrivals) or a single goroutine; racing Submit
+	// calls are safe but reintroduce the nondeterminism this removes. A
+	// virtual engine owns the scheduler's dispatcher goroutine; call Stop
+	// (valid even if Start was never called) to release it. Neither this
+	// nor Parallel is consulted when Scheduler is injected: the engine's
+	// mode is the type of scheduler it runs on.
 	Deterministic bool
-	// Parallel upgrades Deterministic mode to striped-parallel dispatch
-	// (implies Deterministic): same-tick events are partitioned by swap
-	// onto a Workers-sized pool with a per-tick barrier, so each swap
-	// still sees the serialized schedule — digests stay byte-identical to
-	// plain Deterministic runs — while independent swaps use every core.
-	// See DESIGN.md §10 for the determinism argument.
+	// Parallel is Deterministic on a striped sched.Virtual: same-tick
+	// events are partitioned by swap onto a Workers-sized pool with a
+	// per-tick barrier, so each swap still sees the serial schedule —
+	// digests stay byte-identical to plain Deterministic runs — while
+	// independent swaps use every core. See DESIGN.md §10 for the
+	// determinism argument.
 	Parallel bool
-	// DisableBatchVerify keeps cold hashkey-chain verifications strictly
-	// serial instead of fanning links across the worker pool — the
-	// benchmark ablation knob. Off (batching enabled) by default.
-	DisableBatchVerify bool
 	// Store, when set, receives a write-ahead Event for every durable
 	// state transition: identities, mints, bookings, clearings,
 	// reservations, phase transitions, settles, rejections, sheds. nil
@@ -150,9 +144,11 @@ type Config struct {
 	// tier-1 test configuration. See internal/durable for the
 	// disk-backed implementation and Recover for the way back.
 	Store Store
-	// MaxClearAhead, when positive, stops clearing rounds from running
-	// more than this many swaps ahead of execution: a round dispatches no
-	// new swap while that many are queued or in flight. Backpressure
+	// MaxClearAhead, when positive, stops real-time clearing rounds from
+	// running more than this many swaps ahead of execution: a round
+	// dispatches no new swap while that many are queued or in flight.
+	// Virtual time ignores it (see MaxLive): the in-flight count moves at
+	// wall speed, which a replayable run must not read. Backpressure
 	// keeps a deep book from being cleared all at once — which matters
 	// under AdaptiveDelta, where a swap's Δ is fixed at clear time and
 	// clearing the whole book up front would pin every swap to the
@@ -187,7 +183,8 @@ type Config struct {
 	// historical single-engine shape.
 
 	// Scheduler, when set, is the shared time source the engine runs on
-	// instead of creating its own.
+	// instead of creating its own (NewScheduler): a *sched.Virtual puts the
+	// engine in virtual-time mode, anything else in real-time mode.
 	Scheduler sched.Scheduler
 	// Registry, when set, is the shared chain registry (one reservation
 	// table spanning every shard — cross-shard swaps reserve assets on
@@ -211,7 +208,7 @@ type Config struct {
 
 	// ShardStripe keys this engine's clearing ticks on the shared
 	// virtual scheduler: clearing passes of distinct shards run
-	// concurrently under striped-parallel dispatch while each shard's
+	// concurrently under striped dispatch while each shard's
 	// own pass stays serialized. 0 (the single-engine default) is the
 	// unkeyed serial stripe.
 	ShardStripe uint64
@@ -312,8 +309,8 @@ type job struct {
 	seed        int64
 	// seq is the engine-wide swap ordinal — the run's scheduler stripe key.
 	seq uint64
-	// running is the already-prepared run (Deterministic mode: setup
-	// happened inside the clearing tick); nil means the worker prepares.
+	// running is the already-prepared run (virtual time: setup happened
+	// inside the clearing tick); nil means the worker prepares.
 	running  *conc.Running
 	deviants map[digraph.Vertex]string
 }
@@ -339,8 +336,11 @@ type Engine struct {
 	maxLive int
 	reg     *chain.Registry
 	sched   sched.Scheduler
-	// vsched is sched when running under virtual time (for Close), nil
-	// otherwise.
+	// vsched is sched when it is a *sched.Virtual, nil otherwise — and
+	// with that the engine's one mode predicate: virtual time means
+	// replayable clearing (grid-aligned rounds, setup inside the clearing
+	// tick, live-run gating, parking), real time means worker-side setup
+	// and in-flight backpressure.
 	vsched *sched.Virtual
 	// probe collects observed delivery lag from every run over the shared
 	// registry; adaptive Δ is computed from it.
@@ -384,7 +384,7 @@ type Engine struct {
 	clearMu      sync.Mutex
 	clearTimer   sched.Timer
 	clearStopped bool
-	// clearParked marks a deterministic clearing loop that stopped
+	// clearParked marks a virtual-time clearing loop that stopped
 	// rescheduling itself because the engine went virtually idle (empty
 	// book, empty scheduler queue); Submit re-arms it. Parked rounds are
 	// exactly the rounds the active-round count never included, so digests
@@ -394,7 +394,7 @@ type Engine struct {
 	clearWG     sync.WaitGroup
 	clearEvery  vtime.Duration
 
-	// bookSeq counts orders ever booked. The deterministic clearing loop
+	// bookSeq counts orders ever booked. The virtual-time clearing loop
 	// uses it to close the park race on a STUCK book (non-empty but
 	// nothing dispatchable and nothing live — e.g. partial rings left by
 	// shedding): the usual Pending()>0 re-check cannot tell a new arrival
@@ -407,13 +407,13 @@ type Engine struct {
 	// (buying per-swap robustness while the book drains) instead of
 	// tightening into the overload. Incremented from NoteShed (arrival
 	// callbacks), consumed by adaptDelta (clearing tick) — both
-	// schedule-pure in deterministic mode.
+	// schedule-pure under virtual time.
 	shedPulse atomic.Int64
 
 	// liveRuns counts virtually-live swap runs: incremented when a swap is
 	// dispatched, decremented by the run's OnHorizon hook — which fires
-	// inside a scheduler event, so under deterministic dispatch the count
-	// read by a clearing tick is a pure function of the virtual schedule
+	// inside a scheduler event, so under virtual time the count read by a
+	// clearing tick is a pure function of the virtual schedule
 	// (unlike inflight, whose decrement is wall-speed worker bookkeeping).
 	// Clearing rounds gate dispatch on it: an unbounded pile of live runs
 	// makes the shared chains' per-record observer fanout O(live runs) —
@@ -470,16 +470,16 @@ type Engine struct {
 		offers      []core.Offer
 		partitioner core.Partitioner
 	}
-	// roundTicks records the tick of every active round in deterministic
-	// mode (confined to the clearing goroutine, read after Stop): the
+	// roundTicks records the tick of every active round under virtual
+	// time (confined to the clearing goroutine, read after Stop): the
 	// sharded engine merges per-shard tick SETS, not counts, so the
 	// merged round count of a 4-shard run equals the 1-shard run's.
 	roundTicks []vtime.Ticks
 	// activeRounds is the count of clearing rounds that had live work
 	// (non-empty book, scheduled events, or a dispatch). Unlike
 	// clearRounds — which keeps ticking at wall speed while Drain polls —
-	// it is a pure function of the virtual schedule in deterministic
-	// mode, so digests and budget assertions are built from it. Confined
+	// it is a pure function of the schedule under virtual time, so
+	// digests and budget assertions are built from it. Confined
 	// to the clearing goroutine like clearRounds.
 	activeRounds int
 }
@@ -504,26 +504,21 @@ func New(cfg Config) *Engine {
 	if cfg.Kind == 0 {
 		cfg.Kind = core.KindGeneral
 	}
-	if cfg.Parallel {
-		cfg.Deterministic = true
+	// The scheduler comes first: its type is the engine's mode.
+	sc, ownSched := cfg.Scheduler, false
+	if sc == nil {
+		sc, ownSched = NewScheduler(cfg), true
 	}
-	if cfg.Deterministic {
-		cfg.Virtual = true
+	vsched, _ := sc.(*sched.Virtual)
+	queueDepth := realJobQueue
+	if vsched != nil {
 		// Backpressure reads the in-flight count, which is decremented by
 		// worker bookkeeping at wall speed — a nondeterministic input.
-		// Deterministic runs clear everything the book offers and lean on
-		// a deep job queue instead (jobs advance via the scheduler whether
-		// or not a worker has picked them up, so depth is cheap). The
-		// floor is not negotiable: the clearing tick enqueues jobs from a
-		// scheduler callback that holds the serialized clock, so a send
-		// blocking on a small queue would deadlock the dispatcher.
+		// Virtual-time runs clear everything the live-run gate admits and
+		// lean on a deep job queue instead (jobs advance via the scheduler
+		// whether or not a worker has picked them up, so depth is cheap).
 		cfg.MaxClearAhead = 0
-		if cfg.QueueDepth < 1<<16 {
-			cfg.QueueDepth = 1 << 16
-		}
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
+		queueDepth = virtualJobQueue
 	}
 	if cfg.ClearEvery <= 0 {
 		cfg.ClearEvery = vtime.Duration(cfg.ClearInterval / cfg.Tick)
@@ -540,19 +535,12 @@ func New(cfg Config) *Engine {
 	if cfg.MaxDelta < cfg.MinDelta {
 		cfg.MaxDelta = cfg.MinDelta
 	}
-	if cfg.AdaptiveDelta && cfg.MaxClearAhead <= 0 && !cfg.Deterministic {
+	if cfg.AdaptiveDelta && cfg.MaxClearAhead <= 0 && vsched == nil {
 		// Adaptive Δ without backpressure is self-defeating: an up-front
 		// book would clear entirely at the initial Δ before the probe has
-		// a single window of evidence. (Deterministic mode forgoes
-		// backpressure entirely — see above.)
+		// a single window of evidence. (Virtual time forgoes backpressure
+		// entirely — see above.)
 		cfg.MaxClearAhead = cfg.Workers
-	}
-	if cfg.Virtual && (cfg.MaxClearAhead <= 0 || cfg.MaxClearAhead > cfg.QueueDepth) && !cfg.Deterministic {
-		// The clearing tick runs as a scheduler callback, which under
-		// virtual time holds the clock. If it blocked on a full job queue
-		// the swaps that would free the queue could never advance; capping
-		// clear-ahead at the queue depth makes the send non-blocking.
-		cfg.MaxClearAhead = cfg.QueueDepth
 	}
 	if cfg.MaxLive <= 0 {
 		cfg.MaxLive = 16 * cfg.Workers
@@ -562,13 +550,16 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:        cfg,
+		sched:      sc,
+		vsched:     vsched,
+		ownSched:   ownSched,
 		maxLive:    cfg.MaxLive,
 		probe:      cfg.Probe,
 		agg:        metrics.NewAggregate(),
 		keyring:    cfg.Keyring,
 		vcache:     cfg.Cache,
 		tracer:     cfg.Tracer,
-		jobs:       make(chan *job, cfg.QueueDepth),
+		jobs:       make(chan *job, queueDepth),
 		orders:     make(map[OrderID]*order),
 		pendingBy:  make(map[chain.PartyID]int),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
@@ -587,47 +578,16 @@ func New(cfg Config) *Engine {
 	}
 	if e.vcache == nil {
 		e.vcache = hashkey.NewVerifyCache(0)
-		if !cfg.DisableBatchVerify {
-			// Cold chain walks may fan links across the pool — capped at the
-			// machine's parallelism, where extra fan-out is pure overhead.
-			// An injected cache is deliberately left alone: its owner sizes
-			// the batch pool once for ALL engines sharing it, so N shards
-			// never stack N default-sized pools on one box.
-			bw := cfg.Workers
-			if n := runtime.GOMAXPROCS(0); bw > n {
-				bw = n
-			}
-			e.vcache.SetBatchWorkers(bw)
+		// Cold chain walks may fan links across the pool — capped at the
+		// machine's parallelism, where extra fan-out is pure overhead.
+		// An injected cache is deliberately left alone: its owner sizes
+		// the batch pool once for ALL engines sharing it, so N shards
+		// never stack N default-sized pools on one box.
+		bw := cfg.Workers
+		if n := runtime.GOMAXPROCS(0); bw > n {
+			bw = n
 		}
-	}
-	if cfg.Scheduler != nil {
-		e.sched = cfg.Scheduler
-		if v, ok := cfg.Scheduler.(*sched.Virtual); ok {
-			e.vsched = v
-		}
-	} else {
-		e.ownSched = true
-		switch {
-		case cfg.Parallel:
-			// Striped-parallel dispatch: per-swap stripes on a worker pool
-			// with a per-tick barrier — replayable AND multicore.
-			e.vsched = sched.NewVirtualParallel(cfg.Workers)
-			e.sched = e.vsched
-		case cfg.Deterministic:
-			// Serialized dispatch: same-tick events run in schedule order on
-			// one dispatcher goroutine — the replayable mode.
-			e.vsched = sched.NewVirtual()
-			e.sched = e.vsched
-		case cfg.Virtual:
-			// Concurrent dispatch: same-tick callbacks (contract verification
-			// above all) spread across cores, matching the real scheduler's
-			// concurrency instead of serializing the whole engine on one
-			// dispatcher goroutine.
-			e.vsched = sched.NewVirtualConcurrent()
-			e.sched = e.vsched
-		default:
-			e.sched = sched.NewReal(cfg.Tick)
-		}
+		e.vcache.SetBatchWorkers(bw)
 	}
 	if cfg.Registry != nil {
 		// Shared registry: the owner wires the delivery probe (fanning it
@@ -658,6 +618,31 @@ func New(cfg Config) *Engine {
 		})
 	}
 	return e
+}
+
+// The executor job-queue capacity. The virtual-time floor is not
+// negotiable: the clearing tick enqueues jobs from a scheduler callback
+// that holds the clock, so a send blocking on a small queue would
+// deadlock the dispatcher.
+const (
+	realJobQueue    = 1024
+	virtualJobQueue = 1 << 16
+)
+
+// NewScheduler builds the scheduler cfg asks for: a serial sched.Virtual
+// under Deterministic, one striped over Workers under Parallel, else a
+// sched.Real at Tick. New calls it when no Scheduler is injected; the
+// sharded engine calls it once for all its inner engines. Virtual
+// schedulers run a dispatcher goroutine — Close them.
+func NewScheduler(cfg Config) sched.Scheduler {
+	switch {
+	case cfg.Parallel:
+		return sched.NewVirtual(cfg.Workers)
+	case cfg.Deterministic:
+		return sched.NewVirtual(1)
+	default:
+		return sched.NewReal(cfg.Tick)
+	}
 }
 
 // Registry exposes the shared chain registry (for invariant checks).
@@ -1092,7 +1077,7 @@ func (e *Engine) clearAt(t vtime.Ticks, fn func()) sched.Timer {
 	return e.sched.At(t, fn)
 }
 
-// nextClearTick is the tick the next clearing round runs at. Deterministic
+// nextClearTick is the tick the next clearing round runs at. Virtual-time
 // engines align rounds to the ClearEvery grid (the next multiple strictly
 // after now) rather than now+ClearEvery: a loop re-armed mid-phase after
 // parking would otherwise drift off-grid, and the sharded determinism
@@ -1100,7 +1085,7 @@ func (e *Engine) clearAt(t vtime.Ticks, fn func()) sched.Timer {
 // on the same tick grid.
 func (e *Engine) nextClearTick() vtime.Ticks {
 	now := e.sched.Now()
-	if !e.cfg.Deterministic {
+	if e.vsched == nil {
 		return now.Add(e.clearEvery)
 	}
 	every := int64(e.clearEvery)
@@ -1156,7 +1141,7 @@ func (e *Engine) stopClearing() {
 // clearTick is one round of the batch clearing service: it partitions
 // the pending book into executable swaps. While draining it also detects
 // a stalled book (offers that can never match) and rejects it. The return
-// value says whether to keep the loop armed: a deterministic engine with
+// value says whether to keep the loop armed: a virtual-time engine with
 // nothing virtually live parks instead (Submit re-arms; see clearParked).
 func (e *Engine) clearTick() bool {
 	e.clearRounds++
@@ -1175,54 +1160,24 @@ func (e *Engine) clearTick() bool {
 	// racy across concurrently-running shard stripes). The in-flight
 	// count (decremented by worker bookkeeping at wall speed)
 	// deliberately plays no part.
-	live := !e.cfg.Deterministic || e.Pending() > 0 || e.liveRuns.Load() > 0
-	if live {
-		e.activeRounds++
-		if e.cfg.Deterministic {
-			e.roundTicks = append(e.roundTicks, e.sched.Now())
-		}
-	} else if e.cfg.Deterministic {
-		e.clearMu.Lock()
-		e.clearParked = true
-		e.clearMu.Unlock()
-		// Re-check under the parked flag: an order booked between the gate
-		// read and the park would otherwise wait forever (its ensureClearing
-		// saw the loop still armed).
-		if e.Pending() > 0 || e.liveRuns.Load() > 0 {
-			e.ensureClearing()
-		}
-		e.notifyDrain()
-		return false
-	}
-	if !e.cfg.Deterministic && e.vsched != nil {
-		// A free-running virtual clock turns any round with nothing to
-		// dispatch into a spin: with no swap events between now and the next
-		// clearing tick, the loop burns one empty round per tick at CPU
-		// speed — millions per wall second on this box — starving the
-		// wall-speed worker bookkeeping (and Drain) it is waiting on. That
-		// happens when the book is empty, and equally when the live-run gate
-		// is saturated (dispatch blocked until horizons fire). Park instead;
-		// intake (ensureClearing on Submit) and the gate (OnHorizon) both
-		// re-arm. A reservation-conflicted group stays in the book with the
-		// gate open, so retry rounds are never parked away.
-		empty := e.Pending() == 0
-		gated := !empty && e.liveRuns.Load() >= int64(e.maxLive)
-		if empty || gated {
+	if e.vsched != nil {
+		if e.Pending() == 0 && e.liveRuns.Load() == 0 {
 			e.clearMu.Lock()
 			e.clearParked = true
 			e.clearMu.Unlock()
-			// Re-check under the parked flag: an order booked (or a horizon
-			// fired) between the gate read and the park would otherwise have
-			// seen the loop still armed and not re-armed it.
-			if (empty && e.Pending() > 0) ||
-				(gated && e.liveRuns.Load() < int64(e.maxLive)) {
+			// Re-check under the parked flag: an order booked between the
+			// gate read and the park would otherwise wait forever (its
+			// ensureClearing saw the loop still armed).
+			if e.Pending() > 0 || e.liveRuns.Load() > 0 {
 				e.ensureClearing()
 			}
 			e.notifyDrain()
 			return false
 		}
+		e.roundTicks = append(e.roundTicks, e.sched.Now())
 	}
-	if e.cfg.AdaptiveDelta && live {
+	e.activeRounds++
+	if e.cfg.AdaptiveDelta {
 		e.adaptDelta()
 	}
 	seq := e.bookSeq.Load()
@@ -1243,7 +1198,7 @@ func (e *Engine) clearTick() bool {
 		e.rejectPending("unmatched: no counterparties before drain")
 		e.drainStall = 0
 	}
-	if e.cfg.Deterministic && !dispatched && e.liveRuns.Load() == 0 && e.Pending() > 0 {
+	if e.vsched != nil && !dispatched && e.liveRuns.Load() == 0 && e.Pending() > 0 {
 		// Stuck book: offers that cannot form a swap (partial rings left
 		// by shedding) with nothing virtually live. Nothing about the next
 		// round can differ until a new order books, so spinning would only
@@ -1273,8 +1228,8 @@ func (e *Engine) clearRound() bool {
 	// gate is saturated there is no point partitioning the book at all —
 	// on a deep book that scan (and its graph partition) is the dominant
 	// per-round cost, and a gated round can dispatch nothing anyway. The
-	// gate count is schedule-pure (see liveRuns), so deterministic engines
-	// replay this short-circuit identically.
+	// gate count is schedule-pure (see liveRuns), so replays take this
+	// short-circuit identically.
 	capSwaps := -1 // unbounded
 	if e.vsched != nil {
 		capSwaps = e.maxLive - int(e.liveRuns.Load())
@@ -1344,9 +1299,8 @@ func (e *Engine) clearRound() bool {
 		}
 		if e.vsched != nil && e.liveRuns.Load() >= int64(e.maxLive) {
 			// Virtual-time backpressure: the count of virtually-live runs
-			// is schedule-pure (see liveRuns), so deterministic engines can
-			// gate on it where wall-speed in-flight counts would break
-			// replay. Keeping live runs bounded also keeps the shared
+			// is schedule-pure (see liveRuns), so it is safe to gate on
+			// where wall-speed in-flight counts would break replay. Keeping live runs bounded also keeps the shared
 			// chains' per-record observer fanout O(workers), not O(book).
 			break
 		}
@@ -1500,9 +1454,9 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		seed:        seed,
 		seq:         seq,
 	}
-	if e.cfg.Deterministic {
-		// Swap setup happens inside the clearing tick, on the serialized
-		// scheduler's dispatcher: the protocol start is pinned relative to
+	if e.vsched != nil {
+		// Swap setup happens inside the clearing tick, on the scheduler's
+		// dispatcher (or this shard's stripe): the protocol start is pinned relative to
 		// this round's tick, so the whole run is a pure function of the
 		// arrival schedule and the seed. The worker only waits for the
 		// result and settles the books.
@@ -1516,8 +1470,8 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		j.running = rn
 	}
 	// Counted live from dispatch until the run's horizon event fires (see
-	// liveRuns). The non-deterministic path prepares in the worker; a
-	// Prepare failure there un-counts the run itself (runSwap).
+	// liveRuns). The real-time path prepares in the worker; a Prepare
+	// failure there un-counts the run itself (runSwap).
 	e.liveRuns.Add(1)
 	e.mu.Lock()
 	for _, o := range g {
@@ -1589,27 +1543,18 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 		Scheduler:   e.sched,
 		StartOffset: vtime.Scale(2, spec.Delta) + stagger,
 		Registry:    e.reg,
-		// Early exit trims the horizon wait. Deterministic runs play to
+		// Early exit trims the horizon wait. Virtual-time runs play to
 		// the horizon instead: early teardown cancels trailing deliveries
 		// at wall speed, and whether a given delivery fired or was
 		// cancelled would differ across replays.
-		EarlyExit:      !e.cfg.Deterministic,
-		Cache:          e.vcache,
-		SyncDeliveries: e.cfg.Deterministic,
-		// Per-swap stripes let the striped-parallel scheduler run this
-		// swap serialized against itself but concurrent with the others;
-		// the shared ring replaces per-run trace logs.
+		EarlyExit: e.vsched == nil,
+		Cache:     e.vcache,
+		// Per-swap stripes let a striped scheduler run this swap
+		// serialized against itself but concurrent with the others; the
+		// shared ring replaces per-run trace logs.
 		StripeKey: stripe,
 		Log:       e.tracer,
-		OnHorizon: func() {
-			e.liveRuns.Add(-1)
-			// A saturated gate parks the non-deterministic clearing loop;
-			// the horizon that opened the gate re-arms it. No-op when the
-			// loop is armed (or deterministic: its ticks stay scheduled).
-			if e.Pending() > 0 {
-				e.ensureClearing()
-			}
-		},
+		OnHorizon: func() { e.liveRuns.Add(-1) },
 	}
 	if e.cfg.Store != nil {
 		// Phase transitions go to the WAL: recovery's resume-vs-refund
@@ -1646,8 +1591,8 @@ func (e *Engine) runSwap(j *job) {
 	var res *conc.Result
 	var err error
 	if j.running != nil {
-		// Deterministic mode: the run was prepared inside the clearing
-		// tick; the protocol is already playing out on the scheduler.
+		// Virtual time: the run was prepared inside the clearing tick;
+		// the protocol is already playing out on the scheduler.
 		res = j.running.Wait()
 	} else {
 		// The start time is pinned only inside conc.Run, when a worker
@@ -1861,7 +1806,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 			return nil
 		}
 		if stuck && e.liveRuns.Load() == 0 {
-			// A deterministic clearing loop parks on a stuck book (see
+			// A virtual-time clearing loop parks on a stuck book (see
 			// clearTick) instead of spinning drainStall up; the remaining
 			// offers have no counterparties coming, so reject them here.
 			// The parked virtual clock is frozen at the schedule's last
@@ -1946,13 +1891,13 @@ func (e *Engine) SetRecoveryStats(rs metrics.RecoveryStats) { e.agg.SetRecovery(
 
 // ClearRounds reports how many clearing rounds had live work to look at
 // (see the activeRounds field doc: trailing empty rounds while Drain
-// polls are excluded, so the count replays identically in deterministic
-// mode). Call only after Stop — the count is confined to the clearing
+// polls are excluded, so the count replays identically under virtual
+// time). Call only after Stop — the count is confined to the clearing
 // goroutine while the engine runs.
 func (e *Engine) ClearRounds() int { return e.activeRounds }
 
 // ClearRoundTicks returns the tick of every active clearing round
-// (recorded in deterministic mode only; nil otherwise). Like ClearRounds,
+// (recorded under virtual time only; nil otherwise). Like ClearRounds,
 // call only after Stop. The sharded engine merges per-shard tick SETS so
 // a round where k shards all had work counts once, exactly as the same
 // work would in a 1-shard run.

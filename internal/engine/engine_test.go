@@ -461,7 +461,7 @@ func TestEngineAdversarialTrafficRefundsSafely(t *testing.T) {
 // CPU time even with a Δ that would mean minutes of wall-clock waiting.
 func TestEngineVirtualTimeMode(t *testing.T) {
 	cfg := testConfig()
-	cfg.Virtual = true
+	cfg.Parallel = true
 	cfg.Delta = 5000 // ≥ 75s per swap at the real-mode tick; irrelevant here
 	e := New(cfg)
 	if err := e.Start(); err != nil {
@@ -513,7 +513,7 @@ func TestEngineVirtualTimeMode(t *testing.T) {
 // must all settle (Stop would hang otherwise).
 func TestEngineDrainRaceVirtualTime(t *testing.T) {
 	cfg := testConfig()
-	cfg.Virtual = true
+	cfg.Parallel = true
 	e := New(cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -654,7 +654,7 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 // order must still reach a terminal state with conservation intact.
 func TestEngineAdversarialConcurrentSubmit(t *testing.T) {
 	cfg := testConfig()
-	cfg.Virtual = true
+	cfg.Parallel = true
 	cfg.AdversaryRate = 0.5
 	e := New(cfg)
 	if err := e.Start(); err != nil {
@@ -716,7 +716,7 @@ func TestEngineAdversarialConcurrentSubmit(t *testing.T) {
 // releases it even when Start was never called.
 func TestEngineVirtualStopWithoutStart(t *testing.T) {
 	cfg := testConfig()
-	cfg.Virtual = true
+	cfg.Parallel = true
 	e := New(cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -787,7 +787,7 @@ func TestEngineDeterministicReplay(t *testing.T) {
 // still leave every conforming party acceptable.
 func TestEngineBehaviorFactory(t *testing.T) {
 	cfg := testConfig()
-	cfg.Virtual = true
+	cfg.Parallel = true
 	cfg.Behaviors = func(setup *core.Setup, seed int64) SwapBehaviors {
 		spec := setup.Spec
 		lv := spec.Leaders[0]

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/engine"
-	"github.com/go-atomicswap/atomicswap/internal/sim"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -18,7 +18,7 @@ func vtimeConfig(workers int) engine.Config {
 		Tick:          time.Millisecond,
 		Delta:         20,
 		Seed:          42,
-		Virtual:       true,
+		Parallel:      true,
 	}
 }
 
@@ -81,17 +81,20 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestScheduleDeterministicOnSim replays the same schedule on two
-// deterministic sim.Schedulers: the fire order and fire ticks must match
+// TestScheduleDeterministicOnVirtual replays the same schedule on two
+// serial virtual schedulers: the fire order and fire ticks must match
 // event for event.
-func TestScheduleDeterministicOnSim(t *testing.T) {
+func TestScheduleDeterministicOnVirtual(t *testing.T) {
 	replay := func(seed int64) []vtime.Ticks {
-		s := sim.New(seed)
+		s := sched.NewVirtual(1)
 		var fired []vtime.Ticks
-		for _, at := range Schedule(Poisson{}, 150, 500, time.Millisecond, seed) {
+		schedule := Schedule(Poisson{}, 150, 500, time.Millisecond, seed)
+		release := s.Hold()
+		for _, at := range schedule {
 			s.At(at, func() { fired = append(fired, s.Now()) })
 		}
-		s.Run()
+		release()
+		s.RunUntil(schedule[len(schedule)-1])
 		return fired
 	}
 	a, b := replay(3), replay(3)

@@ -419,9 +419,6 @@ func (sc Scenario) engineConfig() engine.Config {
 		Parallel:      sc.Parallel,
 		Behaviors:     sc.factory(),
 		Commitment:    sc.commitment(),
-		// Deterministic mode forgoes clear-ahead backpressure, so the job
-		// queue must hold every swap the book can produce.
-		QueueDepth: sc.Offers + 64,
 	}
 	if sc.Shards > 0 {
 		// Neutralize the virtual live-run gate: each engine's gate reads

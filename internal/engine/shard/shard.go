@@ -157,12 +157,6 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 			base.ClearEvery = 1
 		}
 	}
-	if base.Parallel {
-		base.Deterministic = true
-	}
-	if base.Deterministic {
-		base.Virtual = true
-	}
 	if cfg.EscalateAfter <= 0 {
 		cfg.EscalateAfter = 4 * base.ClearEvery
 	}
@@ -179,19 +173,8 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	// by construction: swap runs stripe on their canonical sequence,
 	// shard clearing on 1..N at level 1, the sweep on N+2 at level 2,
 	// coordinator clearing on N+1 at level 3.
-	switch {
-	case base.Parallel:
-		s.vsched = sched.NewVirtualParallel(base.Workers)
-		s.sch = s.vsched
-	case base.Deterministic:
-		s.vsched = sched.NewVirtual()
-		s.sch = s.vsched
-	case base.Virtual:
-		s.vsched = sched.NewVirtualConcurrent()
-		s.sch = s.vsched
-	default:
-		s.sch = sched.NewReal(base.Tick)
-	}
+	s.sch = engine.NewScheduler(base)
+	s.vsched, _ = s.sch.(*sched.Virtual)
 
 	s.reg = chain.NewRegistry(s.sch)
 	if base.Commitment.Enabled() {
@@ -208,16 +191,14 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	}
 	s.keyring = core.NewKeyring(rand.New(rand.NewSource(base.Seed + 2)))
 	s.vcache = hashkey.NewVerifyCache(0)
-	if !base.DisableBatchVerify {
-		// Size the shared batch-verify pool ONCE from the machine's total
-		// budget. Each inner engine sees an injected cache and leaves the
-		// sizing alone — N shards never stack N default pools on one box.
-		bw := base.Workers
-		if n := runtime.GOMAXPROCS(0); bw > n {
-			bw = n
-		}
-		s.vcache.SetBatchWorkers(bw)
+	// Size the shared batch-verify pool ONCE from the machine's total
+	// budget. Each inner engine sees an injected cache and leaves the
+	// sizing alone — N shards never stack N default pools on one box.
+	bw := base.Workers
+	if n := runtime.GOMAXPROCS(0); bw > n {
+		bw = n
 	}
+	s.vcache.SetBatchWorkers(bw)
 	s.tracer = trace.NewLog(trace.DefaultCap)
 
 	// Partition a recovered order book by home shard before the engines
@@ -490,12 +471,12 @@ func (s *ShardedEngine) sweepAt(t vtime.Ticks, fn func()) sched.Timer {
 }
 
 // nextSweepTick aligns the sweep to the same ClearEvery grid the
-// deterministic clearing loops run on: at any grid tick the ladder is
+// virtual-time clearing loops run on: at any grid tick the ladder is
 // shard clearing → sweep → coordinator clearing, whatever the shard
 // count — the alignment the digest-equality contract needs.
 func (s *ShardedEngine) nextSweepTick() vtime.Ticks {
 	now := s.sch.Now()
-	if s.vsched == nil || !s.cfg.Engine.Deterministic {
+	if s.vsched == nil {
 		return now.Add(s.clearEvery)
 	}
 	every := int64(s.clearEvery)
@@ -665,13 +646,13 @@ func (s *ShardedEngine) Report() metrics.Throughput {
 // is representative).
 func (s *ShardedEngine) CurrentDelta() vtime.Duration { return s.coord.CurrentDelta() }
 
-// ClearRounds reports the merged active-round count. Deterministic runs
+// ClearRounds reports the merged active-round count. Virtual-time runs
 // merge per-engine round tick SETS — a tick where k engines all had live
 // work counts once, exactly as the same work would in a 1-shard run —
-// so the count is comparable across shard counts. Non-deterministic
-// runs report the plain sum. Call only after Stop.
+// so the count is comparable across shard counts. Real-time runs report
+// the plain sum. Call only after Stop.
 func (s *ShardedEngine) ClearRounds() int {
-	if s.cfg.Engine.Deterministic || s.cfg.Engine.Parallel {
+	if s.vsched != nil {
 		ticks := make(map[vtime.Ticks]bool)
 		for _, e := range s.engines {
 			for _, t := range e.ClearRoundTicks() {

@@ -188,14 +188,6 @@ func TestShardSharedCacheBatchWorkers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	s.Stop(ctx)
-
-	off := detConfig(4, 14)
-	off.Engine.DisableBatchVerify = true
-	s2 := New(off)
-	if got := s2.vcache.BatchWorkers(); got != 1 {
-		t.Fatalf("DisableBatchVerify: batch workers = %d, want 1", got)
-	}
-	s2.Stop(ctx)
 }
 
 // TestShardSignsPerSwap pins the ed25519 signing floor across the

@@ -48,7 +48,7 @@ func conformingRun(d *digraph.Digraph, cfg core.Config, seed int64) (*core.Setup
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.NewRunner(setup, core.Options{Seed: seed}).Run()
+	res, err := core.NewRunner(setup, core.Options{}).Run()
 	return setup, res, err
 }
 
@@ -235,7 +235,7 @@ func E5AdversarialMatrix() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.name, err)
 		}
-		r := core.NewRunner(setup, core.Options{Seed: 6})
+		r := core.NewRunner(setup, core.Options{})
 		sc.apply(setup, r)
 		res, err := r.Run()
 		if err != nil {
@@ -274,7 +274,7 @@ func E6NonStronglyConnected() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.NewRunner(setup, core.Options{Seed: 8}).Run()
+	res, err := core.NewRunner(setup, core.Options{}).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func E7LeadersNotFVS() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := core.NewRunner(setup, core.Options{Seed: 9})
+	runner := core.NewRunner(setup, core.Options{})
 	res, err := runner.Run()
 	if err != nil {
 		return nil, err
@@ -366,7 +366,7 @@ func E8SingleLeaderStaircase() (*Table, error) {
 			d.Name(arc.Tail), dist[arc.Tail],
 			vtime.InDelta(setup.Spec.HTLCTimeout(id).Sub(setup.Spec.Start), setup.Spec.Delta))
 	}
-	res, err := core.NewRunner(setup, core.Options{Seed: 10}).Run()
+	res, err := core.NewRunner(setup, core.Options{}).Run()
 	if err != nil {
 		return nil, err
 	}

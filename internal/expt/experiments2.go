@@ -113,7 +113,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{Seed: 14})
+		r := core.NewRunner(setup, core.Options{})
 		r.SetBehavior(2, adversary.LastMomentRedeemer())
 		res, err := r.Run()
 		if err != nil {
@@ -131,7 +131,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{Seed: 15})
+		r := core.NewRunner(setup, core.Options{})
 		r.SetBehavior(2, adversary.LastMomentRedeemer())
 		res, err := r.Run()
 		if err != nil {
@@ -148,7 +148,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{Seed: 16})
+		r := core.NewRunner(setup, core.Options{})
 		r.SetBehavior(2, adversary.LastMomentUnlocker())
 		res, err := r.Run()
 		if err != nil {
@@ -188,7 +188,7 @@ func E12GriefingLockup() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{Seed: int64(17 + haltDelta)})
+		r := core.NewRunner(setup, core.Options{})
 		haltAt := setup.Spec.Start.Add(vtime.Scale(haltDelta, setup.Spec.Delta)).Add(5)
 		r.SetBehavior(2, adversary.HaltAt(core.NewConforming(), haltAt))
 		res, err := r.Run()
@@ -220,7 +220,7 @@ func E13RecurrentSwaps() (*Table, error) {
 	d := graphgen.ThreeWay()
 	const rounds = 5
 	for _, piggy := range []bool{true, false} {
-		res, err := core.RunRecurrent(d, rounds, piggy, rand.New(rand.NewSource(18)), 18)
+		res, err := core.RunRecurrent(d, rounds, piggy, rand.New(rand.NewSource(18)))
 		if err != nil {
 			return nil, err
 		}

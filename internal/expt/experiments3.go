@@ -69,7 +69,7 @@ func E17FaultAttribution() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{Seed: 30})
+		r := core.NewRunner(setup, core.Options{})
 		sc.rig(setup, r)
 		res, err := r.Run()
 		if err != nil {

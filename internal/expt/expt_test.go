@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,36 @@ func TestAllExperimentsRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTablesGolden pins every experiment table, byte for byte, to the
+// `go run ./cmd/swapbench` output kept in testdata/tables.golden: the
+// tables are a pure function of the exact-Δ reference runtime's event
+// order, so any reordering in the scheduler underneath core.Runner shows
+// up here.
+func TestTablesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range All() {
+		tbl, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		got.WriteString(tbl.Render())
+		got.WriteByte('\n')
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("tables diverge from testdata/tables.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("tables diverge from testdata/tables.golden: %d lines, want %d", len(gl), len(wl))
 	}
 }
 

@@ -1,34 +1,34 @@
-// Package sched is the unified pluggable time layer of the swap system.
+// Package sched is the time layer of the swap system.
 //
-// The paper's protocol is specified entirely in Δ-scaled virtual time; the
-// repo historically realized that model twice — the discrete-event heap in
-// internal/sim and the WallClock + time.AfterFunc machinery in internal/conc
-// — with incompatible APIs. This package extracts the one abstraction both
-// need: a Scheduler that tells the current virtual tick and runs callbacks
-// at future ticks, with cancellable timers and no sleeping.
+// The paper's protocol is specified entirely in Δ-scaled virtual time: one
+// parameter, every deadline an integer multiple of it. This package is the
+// one realization of that tick: a Scheduler tells the current virtual tick
+// and runs callbacks at future ticks, with cancellable timers and no
+// sleeping. Every runtime — the exact-Δ reference runner in core, the
+// party runtime in conc, the clearing engine — is written against it.
 //
-// Three implementations exist:
+// Two implementations exist, and every layer above derives its behaviour
+// from which one it was handed:
 //
-//   - sim.Scheduler: the single-threaded deterministic event loop the
-//     simulator and core.Runner drive (it implements sched.Scheduler).
 //   - Real: virtual ticks mapped onto wall-clock time (tick = a configured
-//     wall duration), timers backed by time.AfterFunc. This is the
-//     production shape of the concurrent runtime.
-//   - Virtual: a concurrent event-driven scheduler whose clock advances as
-//     fast as callbacks drain — goroutine-backed runtimes become CPU-bound
-//     instead of wall-clock-bound, so thousand-swap engine loads clear in
-//     milliseconds. It dispatches in one of three modes: serialized
-//     (NewVirtual — same-tick events in schedule order, fully
-//     deterministic), concurrent (NewVirtualConcurrent — one goroutine per
-//     same-tick event, racy ordering), or striped-parallel
-//     (NewVirtualParallel — same-tick events partitioned by caller-supplied
-//     stripe key onto a worker pool with a per-tick barrier, so
-//     deterministic runs use every core).
+//     wall duration), timers backed by time.AfterFunc, callbacks on
+//     whatever goroutine the runtime picks. Nothing is serialized and time
+//     cannot be held, so runtimes on it budget jitter margins and keep
+//     their own single-threading (conc's party mailboxes). The production
+//     shape.
+//   - Virtual: an event loop whose clock jumps from event to event as
+//     fast as callbacks drain, so a run is CPU-bound instead of
+//     wall-clock-bound and — same-tick events running in scheduling order
+//     — a pure function of what was scheduled. NewVirtual(1) runs every
+//     event on the one dispatcher goroutine; NewVirtual(n) partitions each
+//     (tick, level) batch by caller-supplied stripe key onto n workers
+//     with a barrier before the clock moves, so each stripe sees exactly
+//     the serial schedule while independent stripes use every core.
 //
-// The Hold mechanism is what makes Virtual safe under real concurrency:
-// any in-flight work (a delivery sitting in a party mailbox, a runtime
-// mid-setup) holds the clock still, so virtual time never jumps past a
-// deadline while the action that should beat the deadline is still queued.
+// The Hold mechanism is what makes Virtual safe to drive from outside the
+// loop: work in flight on another goroutine (a runtime mid-setup, a load
+// generator booking arrivals) holds the clock still, so virtual time never
+// jumps past a deadline while the action that should beat it is pending.
 package sched
 
 import (
@@ -49,8 +49,7 @@ type Timer interface {
 }
 
 // Scheduler is the pluggable time source and timer service shared by every
-// runtime. Implementations are safe for concurrent use unless documented
-// otherwise (sim.Scheduler is single-threaded by design).
+// runtime. Both implementations are safe for concurrent use.
 type Scheduler interface {
 	vtime.Clock
 
@@ -65,30 +64,6 @@ type Scheduler interface {
 	// function must be called exactly once; it is idempotent. Real
 	// schedulers (where time advances on its own) return a no-op.
 	Hold() func()
-}
-
-// KeyedScheduler is implemented by schedulers that can partition same-tick
-// events by a caller-supplied stripe key. Events sharing a key execute
-// serialized in scheduling order; events with different keys may execute
-// concurrently (NewVirtualParallel) or are simply interleaved in schedule
-// order (every other mode). Key 0 means "unkeyed" and forms its own serial
-// stripe.
-type KeyedScheduler interface {
-	Scheduler
-	// AtKeyed is At with a stripe key.
-	AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer
-}
-
-// SerialDispatcher is implemented by schedulers whose dispatch preserves a
-// serialization guarantee strong enough for inline delivery execution:
-// events sharing a stripe key (or everything, for a fully serialized
-// scheduler) never run concurrently, and scheduling order within a stripe
-// is execution order. The conc runtime uses it to decide whether
-// synchronous deliveries may bypass party mailboxes.
-type SerialDispatcher interface {
-	// SerializedDispatch reports whether same-stripe events are serialized
-	// in scheduling order.
-	SerializedDispatch() bool
 }
 
 // ---------------------------------------------------------------------------
@@ -147,7 +122,7 @@ type realTimer struct{ t *time.Timer }
 func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
 // ---------------------------------------------------------------------------
-// Virtual: event-driven scheduler for concurrent runtimes.
+// Virtual: event-driven scheduler.
 
 // vevent states.
 const (
@@ -201,12 +176,11 @@ func (h *veventHeap) Pop() any {
 // only when nothing holds it: a dispatcher goroutine pops the earliest
 // event once every outstanding hold is released, jumps the clock to it,
 // and runs the callback (itself counted as a hold, so cascades triggered
-// by a callback all land before time moves again). Same-tick events run
-// in scheduling order, serialized on the dispatcher — unless built with
-// NewVirtualConcurrent, which trades that determinism for multicore
-// throughput.
+// by a callback all land before time moves again). Events are ordered by
+// (tick, level, scheduling order); scheduling in the past means now; a
+// stopped event is discarded when popped, without advancing time.
 //
-// Create with NewVirtual and Close when done to stop the dispatcher.
+// Create with NewVirtual and Close (or RunUntil) to stop the dispatcher.
 type Virtual struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -215,13 +189,10 @@ type Virtual struct {
 	queue  veventHeap
 	holds  int
 	closed bool
-	// concurrent dispatches all events of one tick in parallel instead of
-	// in scheduling order.
-	concurrent bool
-	// workers > 0 selects striped-parallel dispatch: each (tick, prio)
-	// batch is partitioned by stripe key onto the worker pool, serialized
-	// in scheduling order within each stripe, with a barrier before the
-	// clock moves on.
+	// workers > 1 selects striped dispatch: each (tick, level) batch is
+	// partitioned by stripe key onto the worker pool, serialized in
+	// scheduling order within each stripe, with a barrier before the clock
+	// moves on.
 	workers int
 	workCh  chan []*vevent
 	workWG  sync.WaitGroup
@@ -229,49 +200,30 @@ type Virtual struct {
 }
 
 // NewVirtual returns a running virtual-time scheduler starting at tick 0.
-// Same-tick events run serialized in scheduling order (deterministic,
-// like sim.Scheduler).
-func NewVirtual() *Virtual {
+//
+// With workers <= 1 it is serial: the dispatcher pops one event at a time
+// and runs it itself, so same-tick events run in scheduling order and an
+// event still queued behind the running one can be stopped by it.
+//
+// With workers > 1 it is striped: the dispatcher pops a whole (tick,
+// level) batch, partitions it by stripe key (see AtKeyed) and hands each
+// stripe to one of `workers` goroutines. Events sharing a stripe run in
+// scheduling order on one worker; distinct stripes run concurrently. The
+// batch's holds are the barrier before the clock advances, so per-stripe
+// state machines observe exactly the serial schedule while independent
+// stripes — independent swaps, in the engine — use every core. The batch
+// is claimed when popped: Stop on any of its events reports false and the
+// event runs, even if a same-tick sibling is the one calling Stop.
+func NewVirtual(workers int) *Virtual {
 	v := &Virtual{done: make(chan struct{})}
 	v.cond = sync.NewCond(&v.mu)
-	go v.loop()
-	return v
-}
-
-// NewVirtualConcurrent returns a virtual scheduler that runs all events
-// of one tick concurrently, each on its own goroutine, and advances only
-// when the whole tick (and everything it holds) has drained. Same-tick
-// ordering becomes racy — exactly as racy as the real-time scheduler —
-// in exchange for spreading callback work (contract crypto above all)
-// across cores. This is the clearing engine's virtual mode.
-func NewVirtualConcurrent() *Virtual {
-	v := &Virtual{concurrent: true, done: make(chan struct{})}
-	v.cond = sync.NewCond(&v.mu)
-	go v.loop()
-	return v
-}
-
-// NewVirtualParallel returns a virtual scheduler that partitions each
-// (tick, priority) batch of events by stripe key (see AtKeyed) onto a pool
-// of `workers` goroutines. Events sharing a stripe run serialized in
-// scheduling order on one worker; distinct stripes run concurrently. The
-// dispatcher barriers on the whole batch (holds) before the clock advances,
-// so per-stripe state machines observe exactly the serialized schedule
-// while independent stripes — independent swaps, in the engine — use every
-// core. With workers <= 1 this degenerates to NewVirtual.
-func NewVirtualParallel(workers int) *Virtual {
-	if workers <= 1 {
-		return NewVirtual()
-	}
-	v := &Virtual{
-		workers: workers,
-		workCh:  make(chan []*vevent, workers*4),
-		done:    make(chan struct{}),
-	}
-	v.cond = sync.NewCond(&v.mu)
-	v.workWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go v.worker()
+	if workers > 1 {
+		v.workers = workers
+		v.workCh = make(chan []*vevent, workers*4)
+		v.workWG.Add(workers)
+		for i := 0; i < workers; i++ {
+			go v.worker()
+		}
 	}
 	go v.loop()
 	return v
@@ -301,11 +253,11 @@ func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
 	return v.schedule(t, 0, 0, fn)
 }
 
-// AtKeyed implements KeyedScheduler: fn joins the stripe identified by key
-// at tick t. Under NewVirtualParallel same-stripe events are serialized in
-// scheduling order and distinct stripes run concurrently; under the other
-// modes the key is recorded but dispatch is unchanged. Key 0 is the shared
-// unkeyed stripe.
+// AtKeyed is At with a stripe key: fn joins the stripe identified by key
+// at tick t. Same-stripe events are serialized in scheduling order;
+// distinct stripes run concurrently under striped dispatch and are simply
+// interleaved in scheduling order under serial dispatch. Key 0 (what At
+// uses) is the shared unkeyed stripe.
 func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 	return v.schedule(t, 0, key, fn)
 }
@@ -313,7 +265,8 @@ func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 // AtTail schedules fn at tail priority: it runs only after every normal
 // event of tick t (including cascades scheduled for t while the tick is
 // draining) has run. The clearing engine uses it so its per-tick clearing
-// pass observes the same fully-drained queue in every dispatch mode.
+// pass observes the same fully-drained queue under serial and striped
+// dispatch.
 func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
 	return v.schedule(t, 1, 0, fn)
 }
@@ -322,7 +275,7 @@ func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
 // Levels extend AtTail into a ladder: all events of level k at tick t run
 // (and fully drain, cascades included) before any event of level k+1, and
 // within one level distinct stripe keys may run concurrently under
-// striped-parallel dispatch. The sharded engine uses the ladder to order
+// striped dispatch. The sharded engine uses the ladder to order
 // one tick's phases — protocol events (level 0, via At/AtKeyed), per-shard
 // clearing (level 1, keyed by shard), the cross-shard escalation sweep
 // (level 2), and coordinator clearing (level 3) — with a determinism
@@ -361,11 +314,6 @@ func (e *vevent) Stop() bool {
 	return true
 }
 
-// SerializedDispatch implements SerialDispatcher: serialized and
-// striped-parallel modes both guarantee same-stripe events never run
-// concurrently and execute in scheduling order; concurrent mode does not.
-func (v *Virtual) SerializedDispatch() bool { return !v.concurrent }
-
 // Hold implements Scheduler: time stands still until the returned release
 // is called. Safe to call from callbacks and from external goroutines.
 func (v *Virtual) Hold() func() {
@@ -396,13 +344,25 @@ func (v *Virtual) Pending() int {
 	return n
 }
 
-// Close stops the dispatcher; queued events never run. Idempotent.
+// RunUntil runs every event due at or before tick t — cascades onto t
+// included, whatever their level — then stops the dispatcher as Close
+// does: the clock rests at t and later events never run. It returns once
+// the dispatcher has exited, so everything the callbacks wrote is visible
+// to the caller. This is how a single-threaded simulation is driven: set
+// up under Hold, release, RunUntil(horizon).
+func (v *Virtual) RunUntil(t vtime.Ticks) {
+	v.schedule(t, math.MaxInt8, 0, func() {
+		v.mu.Lock()
+		v.closed = true
+		v.mu.Unlock()
+	})
+	<-v.done
+}
+
+// Close stops the dispatcher and waits for it to exit; queued events
+// never run. Idempotent.
 func (v *Virtual) Close() {
 	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return
-	}
 	v.closed = true
 	v.cond.Broadcast()
 	v.mu.Unlock()
@@ -428,54 +388,22 @@ func (v *Virtual) loop() {
 			v.dispatchStriped()
 			continue
 		}
-		if !v.concurrent {
-			e := heap.Pop(&v.queue).(*vevent)
-			if e.state != vePending {
-				v.mu.Unlock() // cancelled: discard without advancing time
-				continue
-			}
-			e.state = veFired
-			if e.at > v.now {
-				v.now = e.at
-			}
-			// The running callback holds the clock: everything it schedules
-			// at the current tick (or enqueues behind a Hold of its own)
-			// settles before time advances again.
-			v.holds++
-			v.mu.Unlock()
-			e.fn()
-			v.release()
+		e := heap.Pop(&v.queue).(*vevent)
+		if e.state != vePending {
+			v.mu.Unlock() // cancelled: discard without advancing time
 			continue
 		}
-		// Concurrent mode: drain the whole head tick in one parallel
-		// batch. Cascades that land back on this tick are picked up by
-		// the next loop round (now never regresses, so they run before
-		// any later tick).
-		t := v.queue[0].at
-		var batch []*vevent
-		for len(v.queue) > 0 && v.queue[0].at == t {
-			e := heap.Pop(&v.queue).(*vevent)
-			if e.state != vePending {
-				continue
-			}
-			e.state = veFired
-			batch = append(batch, e)
+		e.state = veFired
+		if e.at > v.now {
+			v.now = e.at
 		}
-		if len(batch) == 0 {
-			v.mu.Unlock()
-			continue
-		}
-		if t > v.now {
-			v.now = t
-		}
-		v.holds += len(batch)
+		// The running callback holds the clock: everything it schedules
+		// at the current tick (or enqueues behind a Hold of its own)
+		// settles before time advances again.
+		v.holds++
 		v.mu.Unlock()
-		for _, e := range batch {
-			go func(fn func()) {
-				fn()
-				v.release()
-			}(e.fn)
-		}
+		e.fn()
+		v.release()
 	}
 }
 
@@ -518,7 +446,7 @@ func (v *Virtual) dispatchStriped() {
 		stripes[e.key] = append(stripes[e.key], e)
 	}
 	if len(order) == 1 {
-		// One stripe: run inline on the dispatcher, same as serial mode.
+		// One stripe: run inline on the dispatcher, as serial dispatch does.
 		for _, e := range batch {
 			e.fn()
 		}

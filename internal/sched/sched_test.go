@@ -48,10 +48,10 @@ func (c *collect) waitN(t *testing.T, n int) []int {
 	}
 }
 
-// TestVirtualDeterministicSameTickOrder pins the tie-break contract shared
-// with sim.Scheduler: events at identical ticks run in scheduling order.
+// TestVirtualDeterministicSameTickOrder pins the tie-break contract:
+// events at identical ticks run in scheduling order.
 func TestVirtualDeterministicSameTickOrder(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	c := newCollect()
 
@@ -78,7 +78,7 @@ func TestVirtualDeterministicSameTickOrder(t *testing.T) {
 // TestVirtualTimerCancellation: a stopped timer never runs and does not
 // advance the clock; stopping a fired timer reports false.
 func TestVirtualTimerCancellation(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	c := newCollect()
 
@@ -114,7 +114,7 @@ func TestVirtualTimerCancellation(t *testing.T) {
 // callback, and for a handle kept long past its event; and a cancelled
 // event leaves Pending at once.
 func TestVirtualTimerIsItsEvent(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	c := newCollect()
 
@@ -170,7 +170,7 @@ func TestVirtualTimerIsItsEvent(t *testing.T) {
 
 // TestVirtualHoldPinsTime: while a hold is out, due events do not run.
 func TestVirtualHoldPinsTime(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	c := newCollect()
 
@@ -197,7 +197,7 @@ func TestVirtualHoldPinsTime(t *testing.T) {
 // TestVirtualCascadeBeforeAdvance: a callback scheduling at its own tick
 // runs before later-tick events.
 func TestVirtualCascadeBeforeAdvance(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	c := newCollect()
 
@@ -221,7 +221,7 @@ func TestVirtualCascadeBeforeAdvance(t *testing.T) {
 // TestVirtualCloseDropsEvents: Close stops the dispatcher; queued and
 // post-Close events never run.
 func TestVirtualCloseDropsEvents(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	c := newCollect()
 	release := v.Hold()
 	v.At(1, c.mark(1))
@@ -242,7 +242,7 @@ func TestVirtualCloseDropsEvents(t *testing.T) {
 // TestVirtualConcurrentSchedulers hammers At/Stop/Hold from many
 // goroutines; run under -race this is the thread-safety proof.
 func TestVirtualConcurrentSchedulers(t *testing.T) {
-	v := NewVirtual()
+	v := NewVirtual(1)
 	defer v.Close()
 	var ran sync.WaitGroup
 	var wg sync.WaitGroup
@@ -271,6 +271,174 @@ func TestVirtualConcurrentSchedulers(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("scheduled events did not drain")
+	}
+}
+
+// TestVirtualRunUntil pins the single-threaded simulation driver: events
+// run in (tick, scheduling) order up to and including the horizon, the
+// clock rests on the horizon, and later events never run.
+func TestVirtualRunUntil(t *testing.T) {
+	t.Run("time order and horizon", func(t *testing.T) {
+		v := NewVirtual(1)
+		var ran []vtime.Ticks
+		release := v.Hold()
+		for _, at := range []vtime.Ticks{20, 5, 15, 10} {
+			at := at
+			v.At(at, func() { ran = append(ran, v.Now()) })
+		}
+		release()
+		v.RunUntil(12)
+		if len(ran) != 2 || ran[0] != 5 || ran[1] != 10 {
+			t.Fatalf("ran at %v, want [5 10]", ran)
+		}
+		if now := v.Now(); now != 12 {
+			t.Fatalf("clock at %d, want the horizon 12", now)
+		}
+		if v.Pending() != 2 {
+			t.Fatalf("pending = %d, want the two later events still queued", v.Pending())
+		}
+		v.Close() // idempotent after RunUntil
+		if len(ran) != 2 {
+			t.Fatalf("events past the horizon ran: %v", ran)
+		}
+	})
+	t.Run("idle clock advances to the horizon", func(t *testing.T) {
+		v := NewVirtual(1)
+		v.RunUntil(100)
+		if now := v.Now(); now != 100 {
+			t.Fatalf("idle RunUntil left the clock at %d, want 100", now)
+		}
+	})
+	t.Run("past means now, after what is already queued", func(t *testing.T) {
+		v := NewVirtual(1)
+		var order []int
+		var firedAt vtime.Ticks = -1
+		release := v.Hold()
+		v.At(10, func() {
+			v.At(3, func() { firedAt = v.Now(); order = append(order, 2) }) // in the past
+			order = append(order, 0)
+		})
+		v.At(10, func() { order = append(order, 1) })
+		release()
+		v.RunUntil(10)
+		if firedAt != 10 {
+			t.Fatalf("past event fired at %d, want clamp to 10", firedAt)
+		}
+		if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+			t.Fatalf("order %v, want [0 1 2]", order)
+		}
+	})
+	t.Run("cascades", func(t *testing.T) {
+		// Events scheduling events: a chain of N one-tick hops lands at
+		// tick N, the horizon tick's own cascade included.
+		v := NewVirtual(1)
+		const hops = 50
+		count := 0
+		var hop func()
+		hop = func() {
+			count++
+			if count < hops {
+				v.At(v.Now()+1, hop)
+			}
+		}
+		v.At(1, hop)
+		v.RunUntil(hops)
+		if count != hops {
+			t.Fatalf("count = %d, want %d", count, hops)
+		}
+	})
+	t.Run("cancelled head does not pull the clock", func(t *testing.T) {
+		v := NewVirtual(1)
+		ran := 0
+		release := v.Hold()
+		tm := v.At(5, func() { ran++ })
+		v.At(50, func() { ran++ })
+		tm.Stop()
+		release()
+		v.RunUntil(10)
+		if ran != 0 {
+			t.Fatalf("%d events ran, want none", ran)
+		}
+		if now := v.Now(); now != 10 {
+			t.Fatalf("clock at %d, want 10", now)
+		}
+	})
+}
+
+// TestVirtualSerialStripedSameSchedule runs one keyed schedule — several
+// ticks, levels and stripes, with same-tick cascades — on NewVirtual(1)
+// and NewVirtual(4): every stripe must see the identical sequence. It also
+// pins the one place the two differ, a same-tick Stop across stripes:
+// serial dispatch pops one event at a time, so the sibling is still
+// queued and cancellable; striped dispatch claims the whole (tick, level)
+// batch when it pops it, so Stop reports false and the sibling runs.
+func TestVirtualSerialStripedSameSchedule(t *testing.T) {
+	type stopResult struct{ stopped, siblingRan bool }
+	run := func(workers int) (map[uint64][]int, stopResult) {
+		v := NewVirtual(workers)
+		var mu sync.Mutex
+		logs := make(map[uint64][]int)
+		mark := func(key uint64, id int) {
+			mu.Lock()
+			logs[key] = append(logs[key], id)
+			mu.Unlock()
+		}
+		var res stopResult
+		release := v.Hold()
+		id := 0
+		for _, at := range []vtime.Ticks{3, 1, 2} {
+			for rep := 0; rep < 3; rep++ {
+				for key := uint64(0); key < 4; key++ {
+					at, key, n := at, key, id
+					id++
+					v.AtKeyed(at, key, func() {
+						mark(key, n)
+						// Same-tick cascade into the event's own stripe.
+						v.AtKeyed(at, key, func() { mark(key, 1000+n) })
+					})
+					v.AtTailN(at, 2, key, func() { mark(key, 2000+n) })
+				}
+				v.AtTail(at, func() { mark(0, 3000+int(at)) })
+			}
+		}
+		var sibling Timer
+		v.AtKeyed(9, 1, func() {
+			stopped := sibling.Stop()
+			mu.Lock()
+			res.stopped = stopped
+			mu.Unlock()
+		})
+		sibling = v.AtKeyed(9, 2, func() {
+			mu.Lock()
+			res.siblingRan = true
+			mu.Unlock()
+		})
+		release()
+		v.RunUntil(9)
+		return logs, res
+	}
+
+	serial, serialStop := run(1)
+	striped, stripedStop := run(4)
+	if len(serial) != 4 || len(striped) != 4 {
+		t.Fatalf("stripes seen: serial %d, striped %d, want 4", len(serial), len(striped))
+	}
+	for key, want := range serial {
+		got := striped[key]
+		if len(got) != len(want) {
+			t.Fatalf("stripe %d: striped ran %d events, serial %d", key, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stripe %d diverges at %d: striped %v, serial %v", key, i, got, want)
+			}
+		}
+	}
+	if !serialStop.stopped || serialStop.siblingRan {
+		t.Fatalf("serial: same-tick Stop = %v, sibling ran = %v; want cancelled", serialStop.stopped, serialStop.siblingRan)
+	}
+	if stripedStop.stopped || !stripedStop.siblingRan {
+		t.Fatalf("striped: same-tick Stop = %v, sibling ran = %v; want claimed batch to run", stripedStop.stopped, stripedStop.siblingRan)
 	}
 }
 
