@@ -10,7 +10,6 @@
 //	swapbench -openloop-json
 //	swapbench -bench-json
 //	swapbench -scenario all [-scenario-seed N] [-scenario-parallel] [-scenario-shards N]
-//	swapbench -recovery-json
 //	swapbench -reorg-json
 //	swapbench -shard-json [-shard-repeat N] [-shard-rings N]
 //
@@ -19,12 +18,6 @@
 // engine) and emits one replay-stable digest JSON line per scenario:
 // the same invocation always prints the same bytes, so CI can diff two
 // runs to prove determinism. See internal/engine/scenario.
-//
-// With -recovery-json it emits the crash-recovery point CI archives:
-// the engine-crash@tick scenario digest (kill mid-run, recover from the
-// WAL, finish on the recovered engine) with its resume/refund split and
-// measured recovery cost, plus a synthetic 10k-event log recovery that
-// must finish inside the one-second smoke bound.
 //
 // With -engine-json it instead sweeps the clearing engine at 1, 8, and 64
 // concurrent swaps and emits one JSON object per line (the BENCH
@@ -52,7 +45,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -62,7 +54,6 @@ import (
 	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
-	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/engine/scenario"
@@ -70,7 +61,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/expt"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
-	"github.com/go-atomicswap/atomicswap/internal/outcome"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -299,67 +289,6 @@ func runScenarios(name string, seedOffset int64, parallel bool, shards int) erro
 	}
 	if violations > 0 {
 		return fmt.Errorf("scenarios reported %d safety violations", violations)
-	}
-	return nil
-}
-
-// recoveryJSON emits the crash-recovery point CI archives as
-// recovery-metrics.json: the engine-crash@tick scenario digest (replay-
-// stable bytes) with its resume/refund split and measured recovery
-// cost, plus a synthetic 10k-event WAL recovery that must finish inside
-// the one-second smoke bound.
-func recoveryJSON() error {
-	sc, err := scenario.ByName("engine-crash@tick", 0)
-	if err != nil {
-		return err
-	}
-	res, err := scenario.Run(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("{\"bench\":\"scenario\",\"hash\":%q,\"digest\":%s}\n",
-		res.Digest.Hash(), res.Digest.JSON())
-	rec := res.Recovery
-	fmt.Printf("{\"bench\":\"crash_recovery\",\"scenario\":%q,\"crash_tick\":%d,"+
-		"\"events_replayed\":%d,\"orders_resumed\":%d,\"orders_refunded\":%d,\"recover_wall_ms\":%.3f}\n",
-		sc.Name, sc.CrashTick, rec.Events, rec.Resumed, rec.Refunded, rec.WallMs)
-	if n := len(res.Violations); n > 0 {
-		return fmt.Errorf("crash scenario reported %d safety violations", n)
-	}
-
-	// Synthetic scale point: a 10k-event log (5k booked+settled orders)
-	// recovered cold.
-	dir, err := os.MkdirTemp("", "swapbench-recovery-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	st, err := durable.Open(durable.Options{Dir: dir})
-	if err != nil {
-		return err
-	}
-	const events = 10_000
-	for i := 1; i <= events/2; i++ {
-		id := engine.OrderID(i)
-		st.Append(engine.Event{Kind: engine.EvBooked, Tick: vtime.Ticks(i), Order: id})
-		st.Append(engine.Event{
-			Kind: engine.EvSettled, Tick: vtime.Ticks(i + 1),
-			Order: id, Swap: "swap-000001", Class: int(outcome.Deal),
-		})
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
-	e, rec10k, err := durable.Recover(engine.Config{Workers: 2, Deterministic: true},
-		durable.RecoverOptions{Dir: dir})
-	if err != nil {
-		return err
-	}
-	defer e.Stop(context.Background())
-	fmt.Printf("{\"bench\":\"recovery_10k\",\"events_replayed\":%d,\"recover_wall_ms\":%.3f}\n",
-		rec10k.Events, rec10k.WallMs)
-	if rec10k.WallMs >= 1000 {
-		return fmt.Errorf("10k-event recovery took %.1fms, smoke bound is 1000ms", rec10k.WallMs)
 	}
 	return nil
 }
@@ -654,7 +583,6 @@ func main() {
 	scenarioSeed := flag.Int64("scenario-seed", 0, "seed offset applied to every -scenario run (same offset ⇒ byte-identical output)")
 	scenarioParallel := flag.Bool("scenario-parallel", false, "run -scenario on the striped-parallel dispatcher (digests must stay byte-identical; CI diffs serial vs parallel output)")
 	scenarioShards := flag.Int("scenario-shards", 0, "run -scenario on a sharded engine with this many shards (0 = the scenario's own shard count; digests of shard-local scenarios must stay byte-identical to 1-shard runs — CI diffs them)")
-	recoveryFlag := flag.Bool("recovery-json", false, "emit the crash-recovery point (engine-crash@tick digest + 10k-event WAL recovery timing) as JSON and exit")
 	reorgJSON := flag.Bool("reorg-json", false, "emit the BENCH_06 chain-realism sweep (confirmation depth 2/4/8 × reorg rate 0/10/25% + instant baseline) as JSON and exit")
 	shardJSON := flag.Bool("shard-json", false, "emit the BENCH_05 sharded sweep (1/2/4/8 shards × cross-shard ratio 0/10/50%, striped-parallel dispatch) as JSON and exit")
 	shardRepeat := flag.Int("shard-repeat", 3, "runs per -shard-json point (best-of)")
@@ -680,14 +608,6 @@ func main() {
 
 	if *reorgJSON {
 		if err := reorgSweep(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *recoveryFlag {
-		if err := recoveryJSON(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,0 +1,165 @@
+package durable
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/go-atomicswap/atomicswap/internal/engine"
+	"github.com/go-atomicswap/atomicswap/internal/vtime"
+)
+
+// TestAppendAllocs pins the write path at zero: once the frame buffer
+// has grown, encoding an event, framing it and writing it to the segment
+// allocates nothing, whatever the kind. What Append allocates beyond
+// that is the fold's (a new order, swap or asset entering its maps) and
+// the tail's amortized growth, measured here on a fresh key per run.
+func TestAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths being counted")
+	}
+	s, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+
+	events := append(swapEvents(5), engine.Event{Kind: engine.EvKilled, Tick: 99})
+	seen := make(map[engine.EventKind]bool)
+	for i := range events {
+		ev := &events[i]
+		if seen[ev.Kind] {
+			continue
+		}
+		seen[ev.Kind] = true
+		if err := s.writeFrame(ev); err != nil { // grow the buffer
+			t.Fatalf("writeFrame(%s): %v", ev.Kind, err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.writeFrame(ev); err != nil {
+				t.Fatalf("writeFrame(%s): %v", ev.Kind, err)
+			}
+		}); n != 0 {
+			t.Errorf("encode + frame + write of a %q event allocates %.0f objects, want 0", ev.Kind, n)
+		}
+	}
+	if len(seen) != 13 {
+		t.Errorf("measured %d event kinds, want all 13", len(seen))
+	}
+
+	// The whole Append, every run a key the fold has not seen: the
+	// entry the fold inserts, plus what it copies out of the event.
+	for _, tc := range []struct {
+		name string
+		ev   func(n int) engine.Event
+		want float64
+	}{
+		{"booked, new order", func(n int) engine.Event {
+			return engine.Event{Kind: engine.EvBooked, Tick: 1, Order: engine.OrderID(1_000_000 + n), Offer: events[2].Offer}
+		}, 1},
+		{"cleared, new swap", func(n int) engine.Event {
+			return engine.Event{Kind: engine.EvCleared, Tick: 2, Swap: swapTags[n], Orders: events[10].Orders}
+		}, 2},
+		{"phase, known swap", func(int) engine.Event {
+			return engine.Event{Kind: engine.EvPhase, Tick: 3, Swap: swapTags[0], Phase: "escrow", Deadline: 120}
+		}, 0},
+		{"settled, known order", func(int) engine.Event {
+			return engine.Event{Kind: engine.EvSettled, Tick: 9, Order: 1_000_000, Swap: swapTags[0], Class: 1}
+		}, 0},
+	} {
+		n := 0 // AllocsPerRun calls once to warm up, then runs times
+		got := testing.AllocsPerRun(len(swapTags)-1, func() {
+			s.Append(tc.ev(n))
+			n++
+		})
+		if got != tc.want {
+			t.Errorf("Append(%s) allocates %.0f objects, want %.0f (the fold's own)", tc.name, got, tc.want)
+		}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("store latched %v", err)
+	}
+}
+
+// swapTags are pre-built so the fresh-key runs above allocate no tag.
+var swapTags = func() []string {
+	tags := make([]string, 201)
+	for i := range tags {
+		tags[i] = fmt.Sprintf("swap-9%05d", i)
+	}
+	return tags
+}()
+
+// durableRing3AllocCeiling is the 436 heap objects (±1 run to run) one
+// ring-3 swap costs end to end over a real Store — 19 appends, a snapshot
+// every 512; go1.24 linux/amd64, deterministic scheduler — plus 10 %:
+// internal/engine's TestAllocationBudget with the WAL in the path.
+const durableRing3AllocCeiling = 478
+
+// ring3AllocsPerSwap books `swaps` three-party rings on a fresh
+// deterministic engine over a store in a fresh directory, drains it, and
+// returns heap objects allocated per finished swap over submit → drain.
+func ring3AllocsPerSwap(t *testing.T, swaps int) float64 {
+	t.Helper()
+	store, err := Open(Options{Dir: t.TempDir(), SnapshotEvery: 512})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer store.Close()
+	e := engine.New(engine.Config{
+		Deterministic: true,
+		Tick:          time.Millisecond,
+		Delta:         vtime.Duration(20),
+		ClearInterval: time.Millisecond,
+		Workers:       8,
+		Seed:          1,
+		Store:         store,
+	})
+	if err := e.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	release := e.Scheduler().Hold()
+	for s := 0; s < swaps; s++ {
+		for i := 0; i < 3; i++ {
+			if _, err := e.Submit(engine.LoadOffer(s, i, 3, s%32)); err != nil {
+				release()
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+	}
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Stop(ctx); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := store.Err(); err != nil {
+		t.Fatalf("store latched %v", err)
+	}
+	if rep := e.Report(); rep.SwapsFinished != swaps || rep.SwapsFailed != 0 {
+		t.Fatalf("finished %d swaps (%d failed), want %d", rep.SwapsFinished, rep.SwapsFailed, swaps)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(swaps)
+}
+
+// TestDurableAllocationBudget pins the heap objects one conforming
+// ring-3 swap costs when every transition goes through the WAL.
+func TestDurableAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths being counted")
+	}
+	const swaps = 96
+	ring3AllocsPerSwap(t, swaps) // warm the runtime's own pools
+	got := ring3AllocsPerSwap(t, swaps)
+	t.Logf("%.0f allocs/swap (ceiling %d)", got, durableRing3AllocCeiling)
+	if got > durableRing3AllocCeiling {
+		t.Errorf("%.0f allocs/swap exceeds the pinned ceiling %d", got, durableRing3AllocCeiling)
+	}
+	runtime.GC()
+}

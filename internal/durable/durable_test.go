@@ -2,9 +2,12 @@ package durable
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -175,6 +178,31 @@ func writeEvents(s *Store, events int) {
 	}
 }
 
+// tearTail appends a torn frame — a plausible header promising more
+// bytes than exist — to dir's last segment and returns that segment's
+// path and its size before the garbage.
+func tearTail(t *testing.T, dir string) (string, int64) {
+	t.Helper()
+	names, err := segmentNames(dir)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("segmentNames: %v (%d segments)", err, len(names))
+	}
+	last := filepath.Join(dir, names[len(names)-1])
+	whole, err := os.Stat(last)
+	if err != nil {
+		t.Fatalf("stat last segment: %v", err)
+	}
+	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatalf("open last segment: %v", err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatalf("append garbage: %v", err)
+	}
+	return last, whole.Size()
+}
+
 // TestTornTailDropped: garbage after the last full frame of the final
 // segment — the signature of an append cut short by a crash — is
 // silently dropped; everything before it survives.
@@ -182,20 +210,7 @@ func TestTornTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 20, Options{})
 
-	names, err := segmentNames(dir)
-	if err != nil || len(names) == 0 {
-		t.Fatalf("segmentNames: %v (%d segments)", err, len(names))
-	}
-	last := filepath.Join(dir, names[len(names)-1])
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatalf("open last segment: %v", err)
-	}
-	// A torn frame: a plausible header promising more bytes than exist.
-	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
-		t.Fatalf("append garbage: %v", err)
-	}
-	f.Close()
+	tearTail(t, dir)
 
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -441,5 +456,192 @@ func TestResolveRefundRules(t *testing.T) {
 	}
 	if rs.NextSwap != 4 {
 		t.Errorf("NextSwap = %d, want 4", rs.NextSwap)
+	}
+}
+
+// TestTornTailSurvivesReopen: a torn final frame is cut off by the Open
+// that finds it, so the segment it sat in can stop being final without
+// turning into "torn frame in non-final segment" on the next Open. Three
+// open/close rounds, the same fold every time.
+func TestTornTailSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, 20, Options{})
+
+	torn, whole := tearTail(t, dir)
+
+	var first *State
+	for round := 1; round <= 3; round++ {
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open #%d after a torn tail: %v", round, err)
+		}
+		st, err := s.ResolvedState(0)
+		if err != nil {
+			t.Fatalf("ResolvedState #%d: %v", round, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", round, err)
+		}
+		if first == nil {
+			first = st
+			if len(st.Orders) != 10 || st.Events != 20 {
+				t.Fatalf("torn tail: folded %d orders from %d events, want 10 from 20", len(st.Orders), st.Events)
+			}
+		} else if !reflect.DeepEqual(st, first) {
+			t.Errorf("Open #%d folds to %s, first Open folded to %s", round, mustJSON(t, st), mustJSON(t, first))
+		}
+		if fi, err := os.Stat(torn); err != nil {
+			t.Errorf("after Open #%d: %v", round, err)
+		} else if fi.Size() != whole {
+			t.Errorf("after Open #%d the torn segment is %d bytes, want it cut back to %d", round, fi.Size(), whole)
+		}
+	}
+}
+
+// TestResolvedStateCutAcrossSnapshot: with a cut, the fold restarts from
+// the snapshot file. A cut at or after the snapshot's max tick folds the
+// snapshot plus the tail events at or before the cut — the same as
+// folding every event at or before the cut — and a cut before it errors.
+func TestResolvedStateCutAcrossSnapshot(t *testing.T) {
+	var events []engine.Event
+	for n := 0; n < 6; n++ {
+		events = append(events, swapEvents(n)...)
+	}
+	const snapAt = 70 // events folded into the snapshot; the rest stay in the tail
+	snapTick := vtime.Ticks(0)
+	for _, ev := range events[:snapAt] {
+		snapTick = max(snapTick, ev.Tick)
+	}
+	last := events[len(events)-1].Tick
+
+	foldUpTo := func(cut vtime.Ticks) *State {
+		st := NewState()
+		for _, ev := range events {
+			if ev.Tick <= cut {
+				st.Apply(ev)
+			}
+		}
+		return st
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for _, cut := range []vtime.Ticks{snapTick, snapTick + 3, last - 1, last, last + 100} {
+			got, err := s.ResolvedState(cut)
+			if err != nil {
+				t.Fatalf("%s: ResolvedState(%d): %v", when, cut, err)
+			}
+			if want := foldUpTo(cut); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: ResolvedState(%d) =\n%s\nwant the fold of every event at or before the cut\n%s",
+					when, cut, mustJSON(t, got), mustJSON(t, want))
+			}
+		}
+		for _, cut := range []vtime.Ticks{1, snapTick - 1} {
+			if _, err := s.ResolvedState(cut); err == nil {
+				t.Errorf("%s: ResolvedState(%d) succeeded over a snapshot at tick %d, want an error", when, cut, snapTick)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i, ev := range events {
+		if i == snapAt {
+			if err := s.Snapshot(); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+		}
+		s.Append(ev)
+	}
+	check(s, "writing store")
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	check(r, "reopened store")
+}
+
+// references collects the address of every map, pointer target and
+// slice backing array reachable from v.
+func references(v reflect.Value, into map[uintptr]string, path string) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			into[v.Pointer()] = path
+			references(v.Elem(), into, path)
+		}
+	case reflect.Map:
+		if !v.IsNil() {
+			into[v.Pointer()] = path
+			for it := v.MapRange(); it.Next(); {
+				references(it.Value(), into, fmt.Sprintf("%s[%v]", path, it.Key()))
+			}
+		}
+	case reflect.Slice:
+		if v.Cap() > 0 {
+			into[v.Pointer()] = path
+		}
+		for i := 0; i < v.Len(); i++ {
+			references(v.Index(i), into, fmt.Sprintf("%s[%d]", path, i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			references(v.Field(i), into, path+"."+v.Type().Field(i).Name)
+		}
+	}
+}
+
+// TestStateCloneDeep: Clone is what the JSON round trip it replaced
+// produced — deep-equal to it on a populated fold — and shares no map,
+// slice or pointer with its source.
+func TestStateCloneDeep(t *testing.T) {
+	src := fixtureFold()
+	before := mustJSON(t, src)
+	clone := src.Clone()
+
+	viaJSON := NewState()
+	if err := json.Unmarshal([]byte(before), viaJSON); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if !reflect.DeepEqual(clone, viaJSON) {
+		t.Errorf("Clone =\n%s\nJSON round trip =\n%s", mustJSON(t, clone), mustJSON(t, viaJSON))
+	}
+
+	srcRefs, cloneRefs := map[uintptr]string{}, map[uintptr]string{}
+	references(reflect.ValueOf(src), srcRefs, "State")
+	references(reflect.ValueOf(clone), cloneRefs, "State")
+	if len(cloneRefs) != len(srcRefs) {
+		t.Errorf("clone reaches %d maps/slices/pointers, source %d", len(cloneRefs), len(srcRefs))
+	}
+	for addr, path := range cloneRefs {
+		if shared, ok := srcRefs[addr]; ok {
+			t.Errorf("clone's %s shares memory with the source's %s", path, shared)
+		}
+	}
+
+	// Folding on into the clone leaves the source as it was.
+	for _, ev := range swapEvents(fixtureSwaps) {
+		clone.Apply(ev)
+	}
+	for _, o := range clone.Orders {
+		if len(o.Offer.Give) > 0 {
+			o.Offer.Give[0].Amount++
+		}
+	}
+	for _, seed := range clone.Identities {
+		seed[0] ^= 0xff
+	}
+	if after := mustJSON(t, src); after != before {
+		t.Errorf("mutating the clone changed the source:\n%s\nwas\n%s", after, before)
+	}
+	if empty := NewState().Clone(); !reflect.DeepEqual(empty, NewState()) {
+		t.Errorf("clone of an empty fold = %+v, want empty non-nil maps", empty)
 	}
 }

@@ -25,10 +25,13 @@ type snapshot struct {
 	State   *State `json:"state"`
 }
 
-// writeSnapshot atomically replaces the snapshot file: the framed
-// envelope goes to a temp file, is fsynced, and renamed into place. A
-// crash anywhere in between leaves either the old snapshot or the new
-// one, never a half-written hybrid — and the frame checksum catches the
+// writeSnapshot atomically and durably replaces the snapshot file: the
+// framed envelope goes to a temp file, is fsynced, and renamed into
+// place, and then the directory is fsynced so the rename itself is on
+// disk — the caller deletes the log this snapshot covers next, and a
+// power cut must not keep those unlinks while losing the rename. A crash
+// anywhere in between leaves either the old snapshot or the new one,
+// never a half-written hybrid — and the frame checksum catches the
 // rename-raced remainder case.
 func writeSnapshot(dir string, st *State) error {
 	payload, err := json.Marshal(snapshot{Version: snapshotVersion, State: st})
@@ -51,7 +54,21 @@ func writeSnapshot(dir string, st *State) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, snapshotFile))
+	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the renames and creations of its
+// entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // readSnapshot loads the snapshot file if present. A missing file means

@@ -12,6 +12,8 @@
 package durable
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,6 +116,41 @@ func NewState() *State {
 		Orders:     make(map[engine.OrderID]*OrderState),
 		Swaps:      make(map[string]*SwapState),
 	}
+}
+
+// Clone returns a deep copy of the fold that shares no map, slice or
+// pointer with s, equal to what a snapshot round trip of s would read
+// back. A field added to State or to a type it holds by reference is
+// copied here too (the clone test compares against the JSON round trip).
+func (s *State) Clone() *State {
+	out := &State{
+		Identities: make(map[string][]byte, len(s.Identities)),
+		Assets:     make(map[string]*AssetState, len(s.Assets)),
+		Orders:     make(map[engine.OrderID]*OrderState, len(s.Orders)),
+		Swaps:      make(map[string]*SwapState, len(s.Swaps)),
+		Shed:       s.Shed,
+		Reverts:    s.Reverts,
+		MaxTick:    s.MaxTick,
+		Events:     s.Events,
+	}
+	for p, seed := range s.Identities {
+		out.Identities[p] = bytes.Clone(seed)
+	}
+	for k, a := range s.Assets {
+		c := *a
+		out.Assets[k] = &c
+	}
+	for id, o := range s.Orders {
+		c := *o
+		c.Offer.Give = slices.Clone(o.Offer.Give)
+		out.Orders[id] = &c
+	}
+	for tag, sw := range s.Swaps {
+		c := *sw
+		c.Orders = slices.Clone(sw.Orders)
+		out.Swaps[tag] = &c
+	}
+	return out
 }
 
 // statusRank orders the order lifecycle; apply never moves backwards.

@@ -43,14 +43,17 @@ type Store struct {
 	segIdx  int      // its index (wal-%08d.seg)
 	segSize int      // bytes written to it
 
-	// base is the fold as of the last snapshot (empty fold if none);
-	// tail is every event appended since. live = base ⊕ tail, kept
-	// current on each append. ResolvedState re-folds base ⊕ filter(tail)
-	// when a cut tick applies.
-	base    *State
+	// live is the fold of everything appended so far; tail is every
+	// event appended since the last snapshot, so live = snapshot file ⊕
+	// tail. The fold as of the snapshot is not kept in memory: the one
+	// reader that needs it (ResolvedState with a cut) re-reads the file.
 	tail    []engine.Event
 	live    *State
 	hasData bool
+
+	// buf is the frame under construction, reused across appends: the
+	// reserved header, then the payload appendEvent encodes in place.
+	buf []byte
 
 	sinceSnap int
 	err       error
@@ -59,8 +62,9 @@ type Store struct {
 
 // Open opens (or initializes) a store directory: the snapshot is loaded
 // if present, every segment is parsed — torn tail tolerated only at the
-// very end — and the fold is rebuilt. The returned store is ready to be
-// handed to an engine as Config.Store, or resolved for recovery.
+// very end, and truncated away there — and the fold is rebuilt. The
+// returned store is ready to be handed to an engine as Config.Store, or
+// resolved for recovery.
 func Open(opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
@@ -70,23 +74,24 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{opts: opts}
 
-	base, err := readSnapshot(opts.Dir)
+	live, err := readSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if base != nil {
+	if live != nil {
 		s.hasData = true
 	} else {
-		base = NewState()
+		live = NewState()
 	}
-	s.base = base
+	s.live = live
 
 	names, err := segmentNames(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
-		data, err := os.ReadFile(filepath.Join(opts.Dir, name))
+		path := filepath.Join(opts.Dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
@@ -94,25 +99,31 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
+		good := len(walMagic)
 		for _, payload := range frames {
 			var ev engine.Event
 			if err := json.Unmarshal(payload, &ev); err != nil {
 				return nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, name, err)
 			}
 			s.tail = append(s.tail, ev)
+			s.live.Apply(ev)
+			good += frameHeader + len(payload)
 		}
 		if len(frames) > 0 {
 			s.hasData = true
 		}
-	}
-	s.live = cloneState(s.base)
-	for _, ev := range s.tail {
-		s.live.Apply(ev)
+		// Bytes left over after the last good frame are a torn tail, which
+		// parseSegment lets through on the final segment only. Cut them off
+		// here, while the segment is still final: the next segment opens
+		// after it, and a torn frame in a non-final segment is corruption.
+		if good < len(data) {
+			if err := truncateSegment(path, int64(good)); err != nil {
+				return nil, fmt.Errorf("durable: dropping torn tail of %s: %w", name, err)
+			}
+		}
 	}
 
-	// Resume appending to a fresh segment after the existing ones: a
-	// possibly-torn tail segment is never appended to, so its torn frame
-	// stays final (where it is legal) forever.
+	// Resume appending to a fresh segment after the existing ones.
 	next := 0
 	if n := len(names); n > 0 {
 		last, _ := segmentIndex(names[n-1])
@@ -154,6 +165,22 @@ func (s *Store) openSegment(idx int) error {
 	return nil
 }
 
+// writeFrame encodes ev behind a reserved frame header in the store's
+// buffer, seals the frame, and hands it to the segment in one Write — one
+// write(2) per event, so an acknowledged append is in the page cache and
+// survives a kill -9. Caller holds s.mu.
+func (s *Store) writeFrame(ev *engine.Event) error {
+	buf := append(s.buf[:0], make([]byte, frameHeader)...)
+	buf = appendEvent(buf, ev)
+	sealFrame(buf)
+	s.buf = buf
+	if _, err := s.seg.Write(buf); err != nil {
+		return err
+	}
+	s.segSize += len(buf)
+	return nil
+}
+
 // Append implements engine.Store: frame the event, write it, rotate the
 // segment if full, and fold it into the live state. After Close (the
 // crash model's "power is off") or a latched error it is a no-op.
@@ -163,17 +190,10 @@ func (s *Store) Append(ev engine.Event) {
 	if s.closed || s.err != nil {
 		return
 	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		s.err = fmt.Errorf("durable: encoding event: %w", err)
-		return
-	}
-	frame := appendFrame(nil, payload)
-	if _, err := s.seg.Write(frame); err != nil {
+	if err := s.writeFrame(&ev); err != nil {
 		s.err = err
 		return
 	}
-	s.segSize += len(frame)
 	s.tail = append(s.tail, ev)
 	s.live.Apply(ev)
 	s.hasData = true
@@ -206,11 +226,15 @@ func (s *Store) Snapshot() error {
 }
 
 // snapshotLocked persists the live fold as the new snapshot, deletes
-// every sealed segment, and starts a fresh one. Caller holds s.mu.
+// every sealed segment, and starts a fresh one. writeSnapshot returns
+// only once the new file is durable under its final name, so the log it
+// replaces is never unlinked ahead of it. Caller holds s.mu.
 func (s *Store) snapshotLocked() error {
 	if err := writeSnapshot(s.opts.Dir, s.live); err != nil {
 		return err
 	}
+	s.tail = nil
+	s.sinceSnap = 0
 	names, err := segmentNames(s.opts.Dir)
 	if err != nil {
 		return err
@@ -220,30 +244,36 @@ func (s *Store) snapshotLocked() error {
 			return err
 		}
 	}
-	if err := s.openSegment(s.segIdx + 1); err != nil {
-		return err
-	}
-	s.base = cloneState(s.live)
-	s.tail = nil
-	s.sinceSnap = 0
-	return nil
+	return s.openSegment(s.segIdx + 1)
 }
 
 // ResolvedState returns an independent fold of the log, filtered to
-// events stamped at or before cut when cut > 0. With a cut, the base
-// fold must be snapshot-free history (the crash-scenario mode — see
+// events stamped at or before cut when cut > 0. With a cut, the fold
+// restarts from the snapshot file (the store keeps no in-memory copy of
+// it) and must find snapshot-free history (the crash-scenario mode — see
 // Options.SnapshotEvery); a snapshot may already bake in post-cut
 // events, which is unrecoverable, so that combination errors.
 func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cut <= 0 {
-		return cloneState(s.live), nil
+		return s.live.Clone(), nil
 	}
-	if s.base.Events > 0 && s.base.MaxTick > cut {
-		return nil, fmt.Errorf("durable: cut tick %d predates snapshot (max tick %d): cut replay needs a snapshot-free log", cut, s.base.MaxTick)
+	if s.err != nil {
+		// A failed write or snapshot leaves the directory in a state the
+		// tail may no longer complement.
+		return nil, s.err
 	}
-	st := cloneState(s.base)
+	st, err := readSnapshot(s.opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	if st == nil {
+		st = NewState()
+	}
+	if st.Events > 0 && st.MaxTick > cut {
+		return nil, fmt.Errorf("durable: cut tick %d predates snapshot (max tick %d): cut replay needs a snapshot-free log", cut, st.MaxTick)
+	}
 	for _, ev := range s.tail {
 		if ev.Tick <= cut {
 			st.Apply(ev)
@@ -267,7 +297,7 @@ func (s *Store) AttachResolved(st *State) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.live = cloneState(st)
+	s.live = st.Clone()
 	return s.snapshotLocked()
 }
 
@@ -301,31 +331,25 @@ func (s *Store) Close() error {
 	return s.err
 }
 
-// cloneState deep-copies a fold via its JSON form — the same round-trip
-// a snapshot would take, so a clone can never diverge from what a
-// restart would read back.
-func cloneState(st *State) *State {
-	data, err := json.Marshal(st)
+// truncateSegment cuts a segment file down to size and makes the cut
+// durable before Open goes on to create the segment after it.
+func truncateSegment(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
-		panic(fmt.Sprintf("durable: state not serializable: %v", err))
+		return err
 	}
-	out := NewState()
-	if err := json.Unmarshal(data, out); err != nil {
-		panic(fmt.Sprintf("durable: state round-trip: %v", err))
+	if err := f.Truncate(size); err != nil {
+		f.Close()
+		return err
 	}
-	if out.Identities == nil {
-		out.Identities = make(map[string][]byte)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
-	if out.Assets == nil {
-		out.Assets = make(map[string]*AssetState)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	if out.Orders == nil {
-		out.Orders = make(map[engine.OrderID]*OrderState)
-	}
-	if out.Swaps == nil {
-		out.Swaps = make(map[string]*SwapState)
-	}
-	return out
+	return syncDir(filepath.Dir(path))
 }
 
 // segmentNames lists the directory's segment files in index order.

@@ -33,11 +33,19 @@ var ErrCorrupt = errors.New("durable: corrupt log")
 
 // appendFrame appends one framed payload to buf and returns the result.
 func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = append(buf, payload...)
+	sealFrame(buf[start:])
+	return buf
+}
+
+// sealFrame fills in the header of a frame built in place: frameHeader
+// reserved bytes followed by the payload.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // errTorn is the internal marker for a frame that ends mid-write: a
