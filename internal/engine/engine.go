@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -423,18 +424,12 @@ type Engine struct {
 	mu     sync.Mutex
 	state  engineState
 	orders map[OrderID]*order
-	// pending is the book in FIFO order. A dispatching round compacts it
-	// once, at its end, so until then it may still list orders that have
-	// left StatusPending: readers filter by status, and the book's depth
-	// is pendingN, never len(pending).
-	pending  []*order
-	pendingN int
-	// pendingBy counts the pending book per offering party — the fair-
-	// shedding surface (PendingOf/PendingParties): one flooding identity
-	// pool can no longer exhaust a global MaxPending budget for everyone.
-	// Maintained wherever orders enter or leave StatusPending; entries
-	// are deleted at zero so PendingParties counts live parties only.
-	pendingBy map[chain.PartyID]int
+	// book holds exactly the StatusPending orders: an order is added when
+	// it is booked and removed the moment it is dispatched, rejected or
+	// escalated. Its per-party counts are the fair-shedding surface
+	// (PendingOf/PendingParties): one flooding identity pool cannot exhaust
+	// a global MaxPending budget for everyone.
+	book      book
 	nextOrder OrderID
 	nextSwap  uint64
 	inflight  int // cleared jobs queued or executing
@@ -561,7 +556,7 @@ func New(cfg Config) *Engine {
 		tracer:     cfg.Tracer,
 		jobs:       make(chan *job, queueDepth),
 		orders:     make(map[OrderID]*order),
-		pendingBy:  make(map[chain.PartyID]int),
+		book:       newBook(),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		drainCh:    make(chan struct{}, 1),
 		clearEvery: cfg.ClearEvery,
@@ -893,23 +888,16 @@ func (e *Engine) TakeEscalatable(cutoff vtime.Ticks) []Routed {
 		return nil
 	}
 	var out []Routed
-	kept := e.pending[:0]
-	for _, o := range e.pending {
-		if o.status == StatusPending && !o.submittedTick.After(cutoff) {
-			out = append(out, Routed{
-				ID:            o.id,
-				Offer:         o.offer,
-				SubmittedTick: o.submittedTick,
-				SubmittedAt:   o.submittedAt,
-			})
-			delete(e.orders, o.id)
-			e.decPendingLocked(o.offer.Party)
-			continue
-		}
-		kept = append(kept, o)
-	}
-	e.pending = kept
-	empty := len(e.pending) == 0
+	e.book.takeThrough(cutoff, func(o *order) {
+		out = append(out, Routed{
+			ID:            o.id,
+			Offer:         o.offer,
+			SubmittedTick: o.submittedTick,
+			SubmittedAt:   o.submittedAt,
+		})
+		delete(e.orders, o.id)
+	})
+	empty := e.book.len() == 0
 	e.mu.Unlock()
 	if len(out) > 0 {
 		e.agg.AddSubmitted(-len(out))
@@ -972,7 +960,7 @@ func (e *Engine) bookOrder(offer core.Offer, id OrderID, tick vtime.Ticks, wall 
 		submittedTick: tick,
 	}
 	e.orders[o.id] = o
-	e.addPendingLocked(o)
+	e.book.add(o)
 	e.bookSeq.Add(1)
 	e.agg.AddSubmitted(1)
 	e.logEvent(Event{
@@ -1027,36 +1015,18 @@ func (e *Engine) NoteShedFrom(party chain.PartyID, n int) {
 	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n, Party: string(party)})
 }
 
-// addPendingLocked books a StatusPending order. Call with e.mu held.
-func (e *Engine) addPendingLocked(o *order) {
-	e.pending = append(e.pending, o)
-	e.pendingBy[o.offer.Party]++
-	e.pendingN++
-}
-
-// decPendingLocked balances pendingBy and pendingN when an order leaves
-// StatusPending. Call with e.mu held.
-func (e *Engine) decPendingLocked(party chain.PartyID) {
-	e.pendingN--
-	if n := e.pendingBy[party]; n > 1 {
-		e.pendingBy[party] = n - 1
-	} else {
-		delete(e.pendingBy, party)
-	}
-}
-
 // PendingOf reports how many of the named party's orders are pending.
 func (e *Engine) PendingOf(party chain.PartyID) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.pendingBy[party]
+	return e.book.of(party)
 }
 
 // PendingParties reports how many distinct parties have pending orders.
 func (e *Engine) PendingParties() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pendingBy)
+	return e.book.partyCount()
 }
 
 // scheduleClear arms the next clearing tick on the shared scheduler.
@@ -1184,7 +1154,7 @@ func (e *Engine) clearTick() bool {
 	dispatched := e.clearRound()
 	e.mu.Lock()
 	stalled := e.state == stateDraining && !dispatched &&
-		e.inflight == 0 && len(e.pending) > 0
+		e.inflight == 0 && e.book.len() > 0
 	e.mu.Unlock()
 	if stalled {
 		e.drainStall++
@@ -1225,11 +1195,10 @@ func (e *Engine) clearTick() bool {
 // dispatched to the executor pool.
 func (e *Engine) clearRound() bool {
 	// Dispatch capacity this round, in swaps. When the virtual live-run
-	// gate is saturated there is no point partitioning the book at all —
-	// on a deep book that scan (and its graph partition) is the dominant
-	// per-round cost, and a gated round can dispatch nothing anyway. The
-	// gate count is schedule-pure (see liveRuns), so replays take this
-	// short-circuit identically.
+	// gate is saturated there is no point partitioning a batch at all: a
+	// gated round can dispatch nothing anyway. The gate count is
+	// schedule-pure (see liveRuns), so replays take this short-circuit
+	// identically.
 	capSwaps := -1 // unbounded
 	if e.vsched != nil {
 		capSwaps = e.maxLive - int(e.liveRuns.Load())
@@ -1241,18 +1210,18 @@ func (e *Engine) clearRound() bool {
 	// One offer per party per round: a party's later orders wait for its
 	// earlier ones, which also serializes conflicting same-asset offers.
 	e.mu.Lock()
-	if len(e.pending) < 2 {
-		// Nothing can match; skip the per-round map allocation — most
-		// rounds of a loaded virtual run find the book momentarily empty.
+	if e.book.len() < 2 {
+		// Nothing can match — most rounds of a loaded virtual run find the
+		// book momentarily empty.
 		e.mu.Unlock()
 		return false
 	}
 	limit := e.cfg.MaxBatch
 	if capSwaps > 0 {
-		// Scan only what this round can plausibly dispatch: groups are
+		// Take only what this round can plausibly dispatch: groups are
 		// small (a handful of offers each), so 8 offers per free slot —
 		// floored so thin capacity still sees enough of the book to form
-		// matches — keeps partitioning O(capacity), not O(book). Offers
+		// matches — keeps partitioning O(capacity), not O(parties). Offers
 		// beyond the window just wait; the book is FIFO, so nothing is
 		// starved, and later rounds see whatever this one left behind.
 		if w := 8 * capSwaps; w < limit {
@@ -1262,24 +1231,15 @@ func (e *Engine) clearRound() bool {
 			limit = w
 		}
 	}
+	batch := e.book.batch(e.round.batch[:0], limit)
+	e.mu.Unlock()
 	byParty := e.round.byParty
 	clear(byParty)
-	batch, offers := e.round.batch[:0], e.round.offers[:0]
-	for _, o := range e.pending {
-		// Every party with a pending order is in the batch once byParty has
-		// caught up with pendingBy: the rest of the book — however deep — can
-		// only repeat them.
-		if len(batch) >= limit || len(byParty) == len(e.pendingBy) {
-			break
-		}
-		if _, seen := byParty[o.offer.Party]; seen {
-			continue
-		}
+	offers := e.round.offers[:0]
+	for _, o := range batch {
 		byParty[o.offer.Party] = o
-		batch = append(batch, o)
 		offers = append(offers, o.offer)
 	}
-	e.mu.Unlock()
 	e.round.batch, e.round.offers = batch, offers
 	if len(batch) < 2 {
 		return false
@@ -1308,14 +1268,18 @@ func (e *Engine) clearRound() bool {
 			dispatched = true
 		}
 	}
-	if dispatched {
-		// One pass for the whole round instead of one per group: readers
-		// of the book in between go by order status and pendingN.
-		e.mu.Lock()
-		e.compactPendingLocked()
-		e.mu.Unlock()
-	}
 	return dispatched
+}
+
+// swapTag names the swap with sequence number seq exactly as fmt's
+// "swap-%06d" would: zero-padded to six digits, longer past them.
+func swapTag(seq uint64) string {
+	var buf [len("swap-") + 20]byte
+	b := append(buf[:0], "swap-"...)
+	for w := uint64(100000); w > seq && w > 1; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, seq, 10))
 }
 
 // clearGroup reserves a matched group's assets, clears it into a swap
@@ -1340,7 +1304,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		seq = e.nextSwap
 		e.mu.Unlock()
 	}
-	swapID := fmt.Sprintf("swap-%06d", seq)
+	swapID := swapTag(seq)
 	seed := e.cfg.Seed + int64(seq)
 	// The rng draw needs no lock: clearGroup only ever runs on the
 	// clearing goroutine, to which e.rng is confined (see the field doc).
@@ -1478,7 +1442,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		ord := byParty[o.Party]
 		ord.status = StatusExecuting
 		ord.swap = swapID
-		e.decPendingLocked(ord.offer.Party)
+		e.book.remove(ord)
 		j.orders = append(j.orders, ord)
 	}
 	e.inflight++
@@ -1698,7 +1662,7 @@ func (e *Engine) runSwap(j *job) {
 // rejectPending rejects every still-pending order.
 func (e *Engine) rejectPending(reason string) {
 	e.mu.Lock()
-	batch := append([]*order(nil), e.pending...)
+	batch := e.book.all()
 	e.mu.Unlock()
 	e.rejectOrders(batch, reason)
 }
@@ -1715,12 +1679,11 @@ func (e *Engine) rejectOrders(batch []*order, reason string) {
 		}
 		o.status = StatusRejected
 		o.reason = reason
-		e.decPendingLocked(o.offer.Party)
+		e.book.remove(o)
 		n++
 		e.logEvent(Event{Kind: EvRejected, Tick: now, Order: o.id, Reason: reason})
 	}
-	e.compactPendingLocked()
-	empty := len(e.pending) == 0
+	empty := e.book.len() == 0
 	e.mu.Unlock()
 	if n > 0 {
 		e.agg.AddRejected(n)
@@ -1736,18 +1699,6 @@ func (e *Engine) notifyDrain() {
 	case e.drainCh <- struct{}{}:
 	default:
 	}
-}
-
-// compactPendingLocked drops every non-pending order from the book. The
-// caller holds e.mu.
-func (e *Engine) compactPendingLocked() {
-	kept := e.pending[:0]
-	for _, o := range e.pending {
-		if o.status == StatusPending {
-			kept = append(kept, o)
-		}
-	}
-	e.pending = kept
 }
 
 // Kill stops the engine abruptly — the crash-model shutdown the durable
@@ -1799,8 +1750,8 @@ func (e *Engine) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		e.mu.Lock()
-		idle := (e.pendingN == 0 || e.killed) && e.inflight == 0
-		stuck := !idle && e.pendingN > 0 && e.inflight == 0
+		idle := (e.book.len() == 0 || e.killed) && e.inflight == 0
+		stuck := !idle && e.book.len() > 0 && e.inflight == 0
 		e.mu.Unlock()
 		if idle {
 			return nil
@@ -1907,7 +1858,7 @@ func (e *Engine) ClearRoundTicks() []vtime.Ticks { return e.roundTicks }
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.pendingN
+	return e.book.len()
 }
 
 // InFlight returns the number of cleared swaps queued or executing.

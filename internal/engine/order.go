@@ -67,6 +67,13 @@ type order struct {
 	// settled; 0 for orders restored from a WAL, whose spans died with
 	// the crashed process.
 	lockCost uint64
+
+	// The order's place in the pending book (book.go); zero once it has
+	// left. pos is its booking position, next/prev the whole-book FIFO,
+	// pnext/pprev its party's chain.
+	pos          uint64
+	next, prev   *order
+	pnext, pprev *order
 }
 
 // OrderSnapshot is the caller-visible copy of an order's state.

@@ -113,7 +113,7 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 		}
 		e.orders[o.id] = o
 		if o.status == StatusPending {
-			e.addPendingLocked(o)
+			e.book.add(o)
 		}
 	}
 	e.nextOrder = OrderID(st.NextOrder)
