@@ -168,6 +168,10 @@ func NewConforming() Behavior { return core.NewConforming() }
 // protocol variants.
 func NewConformingHTLC() Behavior { return core.NewConformingHTLC() }
 
+// ConformingFor returns the conforming behavior for the protocol variant
+// the spec runs.
+func ConformingFor(spec *Spec) Behavior { return core.ConformingFor(spec) }
+
 // Graph generators for the paper's figures and standard families.
 var (
 	// ThreeWay is Figure 1: Alice -> Bob -> Carol -> Alice.

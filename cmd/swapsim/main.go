@@ -202,12 +202,6 @@ func applyAdversary(r *atomicswap.Runner, setup *atomicswap.Setup, spec string) 
 		return fmt.Errorf("adversary vertex %d out of range", vertex)
 	}
 	v := atomicswap.Vertex(vertex)
-	conforming := func() atomicswap.Behavior {
-		if setup.Spec.Kind == atomicswap.KindGeneral {
-			return atomicswap.NewConforming()
-		}
-		return atomicswap.NewConformingHTLC()
-	}
 	switch name {
 	case "halt":
 		tick := int64(setup.Spec.Start)
@@ -218,7 +212,7 @@ func applyAdversary(r *atomicswap.Runner, setup *atomicswap.Setup, spec string) 
 			}
 			tick = t
 		}
-		r.SetBehavior(v, atomicswap.HaltAt(conforming(), vtime.Ticks(tick)))
+		r.SetBehavior(v, atomicswap.HaltAt(atomicswap.ConformingFor(setup.Spec), vtime.Ticks(tick)))
 	case "silent":
 		idx, ok := setup.Spec.LeaderIndex(v)
 		if !ok {

@@ -1,6 +1,7 @@
 // Single-leader swaps (Section 4.6, Figure 6 left): when one vertex
 // breaks every cycle, hashkeys and signatures are unnecessary — classic
-// HTLCs with the timeout staircase (diam + D(v, leader) + 1)·Δ suffice.
+// HTLCs on a timeout staircase suffice: an arc stays redeemable through
+// (diam + D(v, leader))·Δ, the single-leader row of the hashkey ladder.
 // This example runs a "flower" of three barter cycles sharing one broker.
 package main
 
@@ -36,10 +37,11 @@ func main() {
 
 	fmt.Println("timeout staircase (each arc outlives its successor by ≥ Δ):")
 	for _, arc := range d.Arcs() {
-		timeout := spec.HTLCTimeout(arc.ID)
-		fmt.Printf("  %-10s times out at T+%dΔ\n",
+		// The HTLC's timeout is exclusive: the last tick a redeem lands.
+		last := spec.HTLCTimeout(arc.ID) - 1
+		fmt.Printf("  %-10s redeemable through T+%dΔ\n",
 			fmt.Sprintf("%s->%s", d.Name(arc.Head), d.Name(arc.Tail)),
-			(timeout-spec.Start)/atomicswap.Ticks(spec.Delta))
+			(last-spec.Start)/atomicswap.Ticks(spec.Delta))
 	}
 
 	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()

@@ -27,7 +27,9 @@ import (
 
 // Filter selectively suppresses or delays a party's chain actions. A nil
 // predicate means "never". Dropped actions report success to the inner
-// behavior — the deviator's protocol engine believes it acted.
+// behavior — the deviator's protocol engine believes it acted. Unlock (and
+// Claim) exist only on Swap contracts and Redeem only on classic HTLCs, so
+// a deviation that should hold under either protocol sets both twins.
 type Filter struct {
 	DropPublish   func(arcID int) bool
 	DropUnlock    func(arcID, lockIdx int) bool
@@ -108,6 +110,20 @@ func (e *filteredEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {
 		return
 	}
 	e.Env.Broadcast(lockIdx, key)
+}
+
+// Conforming is the conforming protocol of whichever variant the swap it
+// joins runs: core.ConformingFor, resolved at Init — the first callback a
+// behavior receives — when the spec is in hand. Every named strategy
+// deviates from it, so one strategy is the same deviation on Swap contracts
+// and on the single-leader variant's classic HTLCs.
+func Conforming() core.Behavior { return &conforming{} }
+
+type conforming struct{ core.Behavior }
+
+func (c *conforming) Init(e core.Env) {
+	c.Behavior = core.ConformingFor(e.Spec())
+	c.Behavior.Init(e)
 }
 
 // Filtered wraps a behavior so all its actions pass through the filter.

@@ -28,7 +28,7 @@ func Punishment(members []digraph.Vertex) map[digraph.Vertex]core.Behavior {
 	}
 	out := make(map[digraph.Vertex]core.Behavior, len(members))
 	for _, v := range members {
-		out[v] = Filtered(core.NewConforming(), f)
+		out[v] = Filtered(Conforming(), f)
 	}
 	return out
 }

@@ -31,7 +31,9 @@ type CoalitionConfig struct {
 //
 //   - members share the coalition's leader secrets off-chain immediately
 //     and try to unlock their entering arcs as early as possible, using
-//     signature paths composed entirely of coalition vertexes;
+//     signature paths composed entirely of coalition vertexes (under the
+//     single-leader variant the bare secret needs no path: every member
+//     redeems with it the moment an entering contract exists);
 //   - each member independently withholds random action categories;
 //   - members may crash at random ticks.
 //
@@ -46,10 +48,9 @@ func Coalition(cfg CoalitionConfig) map[digraph.Vertex]core.Behavior {
 	}
 	out := make(map[digraph.Vertex]core.Behavior, len(members))
 	for _, v := range members {
-		early := earlyKeys(cfg.Setup, v, inCoalition)
 		var b core.Behavior = &coalitionMember{
-			inner: core.NewConforming(),
-			early: early,
+			Behavior: Conforming(),
+			early:    earlyKeys(cfg.Setup, v, inCoalition),
 		}
 		b = Filtered(b, randomFilter(rng, cfg.DropProb))
 		if rng.Float64() < cfg.HaltProb {
@@ -66,12 +67,17 @@ func Coalition(cfg CoalitionConfig) map[digraph.Vertex]core.Behavior {
 
 // earlyKeys builds, for every coalition leader reachable from v through
 // coalition-only vertexes, the hashkey v can present without any honest
-// party's help.
+// party's help. On classic HTLCs the token is the bare secret, which any
+// member can present: the key then carries only its Secret.
 func earlyKeys(setup *core.Setup, v digraph.Vertex, inCoalition map[digraph.Vertex]bool) map[int]hashkey.Hashkey {
 	spec := setup.Spec
 	keys := make(map[int]hashkey.Hashkey)
 	for i, leader := range spec.Leaders {
 		if !inCoalition[leader] {
+			continue
+		}
+		if spec.Kind != core.KindGeneral {
+			keys[i] = hashkey.Hashkey{Secret: setup.Secrets[i]}
 			continue
 		}
 		path := coalitionPath(spec.D, v, leader, inCoalition)
@@ -129,7 +135,7 @@ func coalitionPath(d *digraph.Digraph, v, target digraph.Vertex, allowed map[dig
 // coalitionMember plays the conforming protocol but additionally presents
 // shared secrets on its entering arcs as soon as their contracts exist.
 type coalitionMember struct {
-	inner *core.Conforming
+	core.Behavior
 	early map[int]hashkey.Hashkey
 	sent  map[[2]int]bool
 }
@@ -146,6 +152,7 @@ func (m *coalitionMember) tryEarlyUnlocks(e core.Env) {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
+	general := e.Spec().Kind == core.KindGeneral
 	for _, arc := range e.Spec().D.In(e.Vertex()) {
 		if _, published := e.Contract(arc); !published {
 			continue
@@ -154,7 +161,13 @@ func (m *coalitionMember) tryEarlyUnlocks(e core.Env) {
 			if m.sent[[2]int{arc, i}] {
 				continue
 			}
-			if e.Unlock(arc, i, m.early[i]) == nil {
+			var err error
+			if general {
+				err = e.Unlock(arc, i, m.early[i])
+			} else {
+				err = e.Redeem(arc, m.early[i].Secret)
+			}
+			if err == nil {
 				e.Note(trace.KindDeviation, arc, i, "coalition early unlock")
 				m.sent[[2]int{arc, i}] = true
 			}
@@ -163,29 +176,13 @@ func (m *coalitionMember) tryEarlyUnlocks(e core.Env) {
 }
 
 func (m *coalitionMember) Init(e core.Env) {
-	m.inner.Init(e)
+	m.Behavior.Init(e)
 	m.tryEarlyUnlocks(e)
 }
 
 func (m *coalitionMember) OnContract(e core.Env, arcID int, c chain.Contract) {
-	m.inner.OnContract(e, arcID, c)
+	m.Behavior.OnContract(e, arcID, c)
 	m.tryEarlyUnlocks(e)
-}
-
-func (m *coalitionMember) OnUnlock(e core.Env, arcID, lockIdx int, key hashkey.Hashkey) {
-	m.inner.OnUnlock(e, arcID, lockIdx, key)
-}
-
-func (m *coalitionMember) OnRedeem(e core.Env, arcID int, secret hashkey.Secret) {
-	m.inner.OnRedeem(e, arcID, secret)
-}
-
-func (m *coalitionMember) OnBroadcast(e core.Env, lockIdx int, key hashkey.Hashkey) {
-	m.inner.OnBroadcast(e, lockIdx, key)
-}
-
-func (m *coalitionMember) OnSettled(e core.Env, arcID int, claimed bool) {
-	m.inner.OnSettled(e, arcID, claimed)
 }
 
 // randomFilter draws independent per-arc withholding decisions.
@@ -203,6 +200,7 @@ func randomFilter(rng *rand.Rand, p float64) Filter {
 	return Filter{
 		DropPublish:   func(arc int) bool { return decide(pubSeed, arc, 0) },
 		DropUnlock:    func(arc, lock int) bool { return decide(unlockSeed, arc, lock) },
+		DropRedeem:    func(arc int) bool { return decide(unlockSeed, arc, 0) },
 		DropClaim:     func(arc int) bool { return decide(claimSeed, arc, 0) },
 		DropRefund:    func(arc int) bool { return decide(refundSeed, arc, 0) },
 		DropBroadcast: func(lock int) bool { return decide(unlockSeed, lock, 1) },

@@ -11,11 +11,14 @@ import (
 // Named strategies covering every deviation the paper discusses.
 
 // SilentLeader conforms through Phase One but never releases its own
-// secret (no unlocks of its own lock, no broadcast). Everyone refunds;
-// only lockup time is lost — the griefing DoS of Section 5.
+// secret (no unlocks of its own lock, no broadcast; under the single-leader
+// variant no redeem — there the leader's redeem is the only reveal).
+// Everyone refunds; only lockup time is lost — the griefing DoS of
+// Section 5.
 func SilentLeader(lockIdx int) core.Behavior {
-	return Filtered(core.NewConforming(), Filter{
+	return Filtered(Conforming(), Filter{
 		DropUnlock:    func(_, l int) bool { return l == lockIdx },
+		DropRedeem:    func(int) bool { return true },
 		DropBroadcast: func(l int) bool { return l == lockIdx },
 	})
 }
@@ -28,7 +31,7 @@ func WithholdPublications(arcs ...int) core.Behavior {
 	for _, a := range arcs {
 		set[a] = true
 	}
-	return Filtered(core.NewConforming(), Filter{
+	return Filtered(Conforming(), Filter{
 		DropPublish: func(arc int) bool { return len(set) == 0 || set[arc] },
 	})
 }
@@ -36,9 +39,13 @@ func WithholdPublications(arcs ...int) core.Behavior {
 // NoClaim never claims its entering arcs: the contracts stay fully
 // unlocked bearer rights. Demonstrates that a lazy counterparty harms
 // only itself (and that "triggered" must mean claimable, not claimed).
+// A classic HTLC has no unlocked-but-unclaimed state — its redeem is the
+// claim — so there the lazy party never redeems: its entering escrow
+// refunds upstream, and it is still the only one worse off.
 func NoClaim() core.Behavior {
-	return Filtered(core.NewConforming(), Filter{
-		DropClaim: func(int) bool { return true },
+	return Filtered(Conforming(), Filter{
+		DropClaim:  func(int) bool { return true },
+		DropRedeem: func(int) bool { return true },
 	})
 }
 
@@ -47,37 +54,13 @@ func NoClaim() core.Behavior {
 // Against uniform timeouts this is the Section 1 attack that strands the
 // upstream party; against the Section 4.6 staircase it is harmless.
 func LastMomentRedeemer() core.Behavior {
-	inner := core.NewConformingHTLC()
-	return &lastMoment{inner: inner}
-}
-
-type lastMoment struct {
-	inner core.Behavior
-}
-
-func (l *lastMoment) wrap(e core.Env) core.Env {
-	return &filteredEnv{Env: e, f: Filter{
-		DelayRedeem: func(arcID int) (vtime.Ticks, bool) {
-			return e.Spec().HTLCTimeout(arcID).Add(-1), true
-		},
+	return &wrapped{inner: core.NewConformingHTLC(), wrap: func(e core.Env) core.Env {
+		return &filteredEnv{Env: e, f: Filter{
+			DelayRedeem: func(arcID int) (vtime.Ticks, bool) {
+				return e.Spec().HTLCTimeout(arcID).Add(-1), true
+			},
+		}}
 	}}
-}
-
-func (l *lastMoment) Init(e core.Env) { l.inner.Init(l.wrap(e)) }
-func (l *lastMoment) OnContract(e core.Env, arcID int, c chain.Contract) {
-	l.inner.OnContract(l.wrap(e), arcID, c)
-}
-func (l *lastMoment) OnUnlock(e core.Env, arcID, lockIdx int, key hashkey.Hashkey) {
-	l.inner.OnUnlock(l.wrap(e), arcID, lockIdx, key)
-}
-func (l *lastMoment) OnRedeem(e core.Env, arcID int, secret hashkey.Secret) {
-	l.inner.OnRedeem(l.wrap(e), arcID, secret)
-}
-func (l *lastMoment) OnBroadcast(e core.Env, lockIdx int, key hashkey.Hashkey) {
-	l.inner.OnBroadcast(l.wrap(e), lockIdx, key)
-}
-func (l *lastMoment) OnSettled(e core.Env, arcID int, claimed bool) {
-	l.inner.OnSettled(l.wrap(e), arcID, claimed)
 }
 
 // LastMomentUnlocker is the hashkey-protocol analogue: every unlock is
@@ -111,38 +94,21 @@ func (e *lastUnlockEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
 // upstream learns the secret early; only the revealer can end up worse
 // off.
 func PrematureRevealer() core.Behavior {
-	return &premature{inner: core.NewConforming()}
+	return &premature{Conforming()}
 }
 
-type premature struct {
-	inner core.Behavior
-}
-
-func (p *premature) Init(e core.Env) { p.inner.Init(e) }
+type premature struct{ core.Behavior }
 
 func (p *premature) OnContract(e core.Env, arcID int, c chain.Contract) {
-	if secret, idx, ok := e.Secret(); ok {
-		arc := e.Spec().D.Arc(arcID)
-		if arc.Tail == e.Vertex() {
-			key := hashkey.New(secret, e.Signer())
-			e.Note(trace.KindDeviation, arcID, idx, "premature secret reveal")
-			_ = e.Unlock(arcID, idx, key)
+	if secret, idx, ok := e.Secret(); ok && e.Spec().D.Arc(arcID).Tail == e.Vertex() {
+		e.Note(trace.KindDeviation, arcID, idx, "premature secret reveal")
+		if e.Spec().Kind == core.KindGeneral {
+			_ = e.Unlock(arcID, idx, hashkey.New(secret, e.Signer()))
+		} else {
+			_ = e.Redeem(arcID, secret)
 		}
 	}
-	p.inner.OnContract(e, arcID, c)
-}
-
-func (p *premature) OnUnlock(e core.Env, arcID, lockIdx int, key hashkey.Hashkey) {
-	p.inner.OnUnlock(e, arcID, lockIdx, key)
-}
-func (p *premature) OnRedeem(e core.Env, arcID int, secret hashkey.Secret) {
-	p.inner.OnRedeem(e, arcID, secret)
-}
-func (p *premature) OnBroadcast(e core.Env, lockIdx int, key hashkey.Hashkey) {
-	p.inner.OnBroadcast(e, lockIdx, key)
-}
-func (p *premature) OnSettled(e core.Env, arcID int, claimed bool) {
-	p.inner.OnSettled(e, arcID, claimed)
+	p.Behavior.OnContract(e, arcID, c)
 }
 
 // EagerPublisher violates Lemma 4.11: it publishes contracts on its
@@ -150,15 +116,13 @@ func (p *premature) OnSettled(e core.Env, arcID int, claimed bool) {
 // with a withholding coalition this leaves it Underwater — the experiment
 // that shows why Phase One's ordering is load-bearing.
 func EagerPublisher() core.Behavior {
-	return &eager{inner: core.NewConforming()}
+	return &eager{Conforming()}
 }
 
-type eager struct {
-	inner core.Behavior
-}
+type eager struct{ core.Behavior }
 
 func (g *eager) Init(e core.Env) {
-	g.inner.Init(e)
+	g.Behavior.Init(e)
 	for _, arc := range e.Spec().D.Out(e.Vertex()) {
 		if _, published := e.Contract(arc); !published {
 			e.Note(trace.KindDeviation, arc, -1, "publishing before entering arcs are covered")
@@ -167,51 +131,15 @@ func (g *eager) Init(e core.Env) {
 	}
 }
 
-func (g *eager) OnContract(e core.Env, arcID int, c chain.Contract) {
-	g.inner.OnContract(e, arcID, c)
-}
-func (g *eager) OnUnlock(e core.Env, arcID, lockIdx int, key hashkey.Hashkey) {
-	g.inner.OnUnlock(e, arcID, lockIdx, key)
-}
-func (g *eager) OnRedeem(e core.Env, arcID int, secret hashkey.Secret) {
-	g.inner.OnRedeem(e, arcID, secret)
-}
-func (g *eager) OnBroadcast(e core.Env, lockIdx int, key hashkey.Hashkey) {
-	g.inner.OnBroadcast(e, lockIdx, key)
-}
-func (g *eager) OnSettled(e core.Env, arcID int, claimed bool) {
-	g.inner.OnSettled(e, arcID, claimed)
-}
-
 // CorruptPublisher publishes deliberately wrong contracts on its leaving
-// arcs: the asset is right but a timelock is inflated by one Δ, so a
-// verifying counterparty must reject the contract and abandon (Phase
-// One's "verifies that contract is a correct swap contract" check).
+// arcs: the asset is right but a timelock (the classic HTLC's timeout) is
+// inflated by one Δ, so a verifying counterparty must reject the contract
+// and abandon (Phase One's "verifies that contract is a correct swap
+// contract" check).
 func CorruptPublisher() core.Behavior {
-	return &corrupt{inner: core.NewConforming()}
-}
-
-type corrupt struct {
-	inner core.Behavior
-}
-
-func (c *corrupt) wrap(e core.Env) core.Env { return &corruptEnv{Env: e} }
-
-func (c *corrupt) Init(e core.Env) { c.inner.Init(c.wrap(e)) }
-func (c *corrupt) OnContract(e core.Env, arcID int, ct chain.Contract) {
-	c.inner.OnContract(c.wrap(e), arcID, ct)
-}
-func (c *corrupt) OnUnlock(e core.Env, arcID, lockIdx int, key hashkey.Hashkey) {
-	c.inner.OnUnlock(c.wrap(e), arcID, lockIdx, key)
-}
-func (c *corrupt) OnRedeem(e core.Env, arcID int, secret hashkey.Secret) {
-	c.inner.OnRedeem(c.wrap(e), arcID, secret)
-}
-func (c *corrupt) OnBroadcast(e core.Env, lockIdx int, key hashkey.Hashkey) {
-	c.inner.OnBroadcast(c.wrap(e), lockIdx, key)
-}
-func (c *corrupt) OnSettled(e core.Env, arcID int, claimed bool) {
-	c.inner.OnSettled(c.wrap(e), arcID, claimed)
+	return &wrapped{inner: Conforming(), wrap: func(e core.Env) core.Env {
+		return &corruptEnv{Env: e}
+	}}
 }
 
 type corruptEnv struct {
@@ -219,7 +147,14 @@ type corruptEnv struct {
 }
 
 func (e *corruptEnv) Publish(arcID int) error {
-	p := e.Spec().ContractParams(arcID)
+	spec := e.Spec()
+	if spec.Kind != core.KindGeneral {
+		p := spec.HTLCParams(arcID)
+		p.Timeout = p.Timeout.Add(spec.Delta)
+		e.Note(trace.KindDeviation, arcID, -1, "publishing a corrupted contract (inflated timeout)")
+		return e.Env.PublishHTLCParams(p)
+	}
+	p := spec.ContractParams(arcID)
 	p.Timelocks[len(p.Timelocks)-1] = p.Timelocks[len(p.Timelocks)-1].Add(vtime.Duration(p.Delta))
 	e.Note(trace.KindDeviation, arcID, -1, "publishing a corrupted contract (inflated timelock)")
 	return e.Env.PublishSwapParams(p)

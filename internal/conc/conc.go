@@ -351,11 +351,7 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	for v := 0; v < n; v++ {
 		b := behaviors[digraph.Vertex(v)]
 		if b == nil {
-			if spec.Kind == core.KindGeneral {
-				b = core.NewConforming()
-			} else {
-				b = core.NewConformingHTLC()
-			}
+			b = core.ConformingFor(spec)
 		}
 		p := &party{
 			runner:   r,
@@ -1046,15 +1042,7 @@ func (e *concEnv) Publish(arcID int) error {
 	if spec.Kind == core.KindGeneral {
 		return e.PublishSwapParams(spec.ContractParams(arcID))
 	}
-	h, err := htlc.NewHTLC(spec.HTLCParams(arcID))
-	if err != nil {
-		return err
-	}
-	if err := e.chainOf(arcID).PublishContract(e.Party(), h); err != nil {
-		return err
-	}
-	e.Note(trace.KindContractPublished, arcID, -1, "")
-	return nil
+	return e.PublishHTLCParams(spec.HTLCParams(arcID))
 }
 
 func (e *concEnv) PublishSwapParams(p htlc.SwapParams) error {
@@ -1062,10 +1050,22 @@ func (e *concEnv) PublishSwapParams(p htlc.SwapParams) error {
 	if err != nil {
 		return err
 	}
-	if err := e.chainOf(p.ArcID).PublishContract(e.Party(), sw); err != nil {
+	return e.publishContract(p.ArcID, sw)
+}
+
+func (e *concEnv) PublishHTLCParams(p htlc.HTLCParams) error {
+	h, err := htlc.NewHTLC(p)
+	if err != nil {
 		return err
 	}
-	e.Note(trace.KindContractPublished, p.ArcID, -1, "")
+	return e.publishContract(p.ArcID, h)
+}
+
+func (e *concEnv) publishContract(arcID int, c chain.Contract) error {
+	if err := e.chainOf(arcID).PublishContract(e.Party(), c); err != nil {
+		return err
+	}
+	e.Note(trace.KindContractPublished, arcID, -1, "")
 	return nil
 }
 

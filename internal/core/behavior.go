@@ -41,6 +41,8 @@ type Env interface {
 	// PublishSwapParams publishes a Swap contract with explicit,
 	// possibly non-canonical parameters (deviation hook).
 	PublishSwapParams(p htlc.SwapParams) error
+	// PublishHTLCParams is PublishSwapParams for a classic HTLC.
+	PublishHTLCParams(p htlc.HTLCParams) error
 	// Unlock presents a hashkey for one hashlock of an arc's Swap contract.
 	Unlock(arcID, lockIdx int, key hashkey.Hashkey) error
 	// Redeem presents the secret to an arc's classic HTLC.
@@ -137,6 +139,15 @@ type Conforming struct {
 	claimed map[int]bool
 }
 
+// ConformingFor returns a fresh conforming behavior for the protocol the
+// spec runs: Conforming on Swap contracts, ConformingHTLC on classic HTLCs.
+func ConformingFor(spec *Spec) Behavior {
+	if spec.Kind == KindGeneral {
+		return NewConforming()
+	}
+	return NewConformingHTLC()
+}
+
 // NewConforming returns a fresh conforming behavior.
 func NewConforming() *Conforming {
 	return &Conforming{
@@ -172,22 +183,24 @@ func scheduleRefundAlarms(e Env, leaving []int) {
 	spec := e.Spec()
 	for _, arc := range leaving {
 		arc := arc
-		ticks := make(map[vtime.Ticks]bool)
-		switch spec.Kind {
-		case KindGeneral:
+		switch {
+		case spec.Kind != KindGeneral:
+			e.At(spec.HTLCTimeout(arc), func() { tryRefund(e, arc) })
+		case len(spec.Leaders) == 1:
+			e.At(spec.timelocksShared(arc)[0].Add(1), func() { tryRefund(e, arc) })
+		default:
+			ticks := make(map[vtime.Ticks]bool)
 			for _, tl := range spec.Timelocks(arc) {
 				ticks[tl.Add(1)] = true
 			}
-		default:
-			ticks[spec.HTLCTimeout(arc)] = true
-		}
-		sorted := make([]vtime.Ticks, 0, len(ticks))
-		for t := range ticks {
-			sorted = append(sorted, t)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, t := range sorted {
-			e.At(t, func() { tryRefund(e, arc) })
+			sorted := make([]vtime.Ticks, 0, len(ticks))
+			for t := range ticks {
+				sorted = append(sorted, t)
+			}
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			for _, t := range sorted {
+				e.At(t, func() { tryRefund(e, arc) })
+			}
 		}
 	}
 }

@@ -97,11 +97,7 @@ func NewRunner(setup *Setup, opts Options) *Runner {
 	}
 	r.reg = chain.NewRegistry(r.sched)
 	for v := 0; v < n; v++ {
-		if setup.Spec.Kind == KindGeneral {
-			r.behaviors[v] = NewConforming()
-		} else {
-			r.behaviors[v] = NewConformingHTLC()
-		}
+		r.behaviors[v] = ConformingFor(setup.Spec)
 		r.envs[v] = &partyEnv{r: r, v: digraph.Vertex(v)}
 	}
 	return r
@@ -360,11 +356,15 @@ func (e *partyEnv) Publish(arcID int) error {
 	if e.r.spec.Kind == KindGeneral {
 		return e.PublishSwapParams(e.r.spec.ContractParams(arcID))
 	}
-	h, err := htlc.NewHTLC(e.r.spec.HTLCParams(arcID))
+	return e.PublishHTLCParams(e.r.spec.HTLCParams(arcID))
+}
+
+func (e *partyEnv) PublishHTLCParams(p htlc.HTLCParams) error {
+	h, err := htlc.NewHTLC(p)
 	if err != nil {
 		return err
 	}
-	return e.publishContract(arcID, h)
+	return e.publishContract(p.ArcID, h)
 }
 
 func (e *partyEnv) PublishSwapParams(p htlc.SwapParams) error {

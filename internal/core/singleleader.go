@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/htlc"
@@ -21,29 +19,29 @@ import (
 type ConformingHTLC struct {
 	entering  []int
 	leaving   []int
-	seen      map[int]bool
+	arcs      []htlcArc // by arc ID
 	published bool
 	revealed  bool
 	secret    hashkey.Secret
 	haveSec   bool
-	redeemed  map[int]bool
+}
+
+// htlcArc is what the behavior tracks per entering arc.
+type htlcArc struct {
+	seen, redeemed bool
 }
 
 // NewConformingHTLC returns a fresh conforming single-leader behavior.
-func NewConformingHTLC() *ConformingHTLC {
-	return &ConformingHTLC{
-		seen:     make(map[int]bool),
-		redeemed: make(map[int]bool),
-	}
-}
+func NewConformingHTLC() *ConformingHTLC { return &ConformingHTLC{} }
 
 // Init implements Behavior.
 func (b *ConformingHTLC) Init(e Env) {
 	spec := e.Spec()
+	// Adjacency lists ascend by arc ID, which is the order every loop
+	// below acts in.
 	b.entering = spec.D.In(e.Vertex())
 	b.leaving = spec.D.Out(e.Vertex())
-	sort.Ints(b.entering)
-	sort.Ints(b.leaving)
+	b.arcs = make([]htlcArc, spec.D.NumArcs())
 
 	scheduleRefundAlarms(e, b.leaving)
 
@@ -72,7 +70,7 @@ func (b *ConformingHTLC) publishLeaving(e Env) {
 
 func (b *ConformingHTLC) allEnteringSeen() bool {
 	for _, arc := range b.entering {
-		if !b.seen[arc] {
+		if !b.arcs[arc].seen {
 			return false
 		}
 	}
@@ -92,11 +90,11 @@ func (b *ConformingHTLC) maybeReveal(e Env) {
 
 func (b *ConformingHTLC) redeemEntering(e Env) {
 	for _, arc := range b.entering {
-		if b.redeemed[arc] {
+		if b.arcs[arc].redeemed {
 			continue
 		}
 		if settled, _ := e.Resolved(arc); settled {
-			b.redeemed[arc] = true
+			b.arcs[arc].redeemed = true
 			continue
 		}
 		if _, published := e.Contract(arc); !published {
@@ -106,7 +104,7 @@ func (b *ConformingHTLC) redeemEntering(e Env) {
 		if err := e.Redeem(arc, b.secret); err != nil {
 			e.Note(trace.KindUnlockFailed, arc, -1, err.Error())
 		} else {
-			b.redeemed[arc] = true
+			b.arcs[arc].redeemed = true
 		}
 	}
 }
@@ -114,8 +112,8 @@ func (b *ConformingHTLC) redeemEntering(e Env) {
 // OnContract implements Behavior: verify entering contracts against the
 // plan, advance Phase One.
 func (b *ConformingHTLC) OnContract(e Env, arcID int, c chain.Contract) {
-	if !containsInt(b.entering, arcID) {
-		return
+	if e.Spec().D.Arc(arcID).Tail != e.Vertex() {
+		return // our own leaving-arc publications need no verification
 	}
 	h, ok := c.(*htlc.HTLC)
 	if !ok || h.Params() != e.Spec().HTLCParams(arcID) {
@@ -123,7 +121,7 @@ func (b *ConformingHTLC) OnContract(e Env, arcID int, c chain.Contract) {
 		e.Abandon("incorrect contract on entering arc")
 		return
 	}
-	b.seen[arcID] = true
+	b.arcs[arcID].seen = true
 	if b.allEnteringSeen() {
 		if !b.haveSec {
 			b.publishLeaving(e)
@@ -145,7 +143,7 @@ func (b *ConformingHTLC) OnUnlock(Env, int, int, hashkey.Hashkey) {}
 // OnRedeem implements Behavior: learn the secret from a redeemed leaving
 // arc and redeem the entering arcs with it.
 func (b *ConformingHTLC) OnRedeem(e Env, arcID int, secret hashkey.Secret) {
-	if !containsInt(b.leaving, arcID) {
+	if e.Spec().D.Arc(arcID).Head != e.Vertex() {
 		return
 	}
 	if !secret.Matches(e.Spec().Locks[0]) {
@@ -162,7 +160,7 @@ func (b *ConformingHTLC) OnBroadcast(Env, int, hashkey.Hashkey) {}
 
 // OnSettled implements Behavior.
 func (b *ConformingHTLC) OnSettled(e Env, arcID int, claimed bool) {
-	if claimed && containsInt(b.entering, arcID) {
-		b.redeemed[arcID] = true
+	if claimed && e.Spec().D.Arc(arcID).Tail == e.Vertex() {
+		b.arcs[arcID].redeemed = true
 	}
 }

@@ -32,20 +32,27 @@ const (
 	// vectors opened by path-signed hashkeys on Swap contracts.
 	KindGeneral Kind = iota + 1
 	// KindSingleLeader is the Section 4.6 special case: one leader,
-	// classic HTLCs with the timeout staircase
-	// (diam(D) + D(v, leader) + 1)·Δ. No signatures needed.
+	// classic HTLCs on the timeout staircase — the |L| = 1 row of the
+	// general protocol's timelock ladder (see HTLCTimeout). No hashkeys,
+	// no signatures.
 	KindSingleLeader
 	// KindUniformTimeout is the deliberately broken baseline from the
 	// Section 1 discussion: classic HTLCs whose timeouts are all equal,
 	// vulnerable to the last-moment-reveal attack. It exists so the
 	// experiments can demonstrate why the staircase matters.
 	KindUniformTimeout
+	// KindByLeaders is a request to NewSetup, never a Spec's kind: run the
+	// cheapest protocol the leader set admits — KindSingleLeader when one
+	// vertex is a feedback vertex set (Lemma 4.13), KindGeneral otherwise.
+	// The clearing engine asks for it per cleared component.
+	KindByLeaders
 )
 
 var kindNames = map[Kind]string{
 	KindGeneral:        "general",
 	KindSingleLeader:   "single-leader",
 	KindUniformTimeout: "uniform-timeout",
+	KindByLeaders:      "by-leaders",
 }
 
 // String names the protocol variant.
@@ -114,6 +121,13 @@ type Spec struct {
 
 	// longestFrom caches longest-simple-path lengths per start vertex.
 	longestFrom map[digraph.Vertex][]int
+	// toLeader, set when a single leader is a feedback vertex set, holds
+	// every vertex's longest path to it: the follower subdigraph is then
+	// acyclic, so the values are exact at any size and longestFrom (exact
+	// only up to digraph.MaxExactVertices) is not needed. The staircase of
+	// classic HTLCs depends on that — a flat over-approximation is safe
+	// for hashkeys but is the uniform-timeout mistake for bare secrets.
+	toLeader []int
 	// tlMu guards the lazily filled Start-derived caches below, so a Spec
 	// whose timelocks were never warmed (e.g. an engine swap before its
 	// Start is pinned) can fill them safely from any goroutine.
@@ -317,6 +331,12 @@ func (s *Spec) Precompute() {
 // runtime's Precompute), so an engine that rebases Start when a worker
 // picks the swap up never pays for throwaway timelock vectors.
 func (s *Spec) precomputePaths() {
+	if len(s.Leaders) == 1 {
+		if dist, ok := s.D.LongestPathsToSink(s.Leaders[0]); ok {
+			s.toLeader = dist
+			return
+		}
+	}
 	for _, v := range s.D.Vertices() {
 		s.longestPathsFrom(v)
 	}
@@ -351,8 +371,12 @@ func (s *Spec) longestPathsFrom(v digraph.Vertex) []int {
 // i, clamped to the diameter bound (and to the bound when inexact or
 // unreachable — a safe over-approximation).
 func (s *Spec) maxPathTo(v digraph.Vertex, i int) int {
-	best := s.longestPathsFrom(v)
-	p := best[s.Leaders[i]]
+	var p int
+	if s.toLeader != nil {
+		p = s.toLeader[v]
+	} else {
+		p = s.longestPathsFrom(v)[s.Leaders[i]]
+	}
 	if p < 0 || p > s.DiamBound {
 		return s.DiamBound
 	}
@@ -414,27 +438,32 @@ func (s *Spec) computeTimelocks(arcID int) []vtime.Ticks {
 }
 
 // HTLCTimeout returns the single absolute timeout for an arc's classic
-// HTLC under the single-leader or uniform-timeout variants.
+// HTLC under the single-leader or uniform-timeout variants: redeem
+// strictly before it, refund at or after.
+//
+// Single-leader timeouts are the |L| = 1 row of the timelock ladder, read
+// from the same table the Swap contracts use: the arc is redeemable while
+// now ≤ Timelocks(arc)[0] = Start + (DiamBound + maxpath(tail, leader))·Δ,
+// so the exclusive timeout is one tick later. That is one Δ short of
+// Figure 6's printed (diam(D) + D(v, leader) + 1)·Δ: deadlines here are
+// inclusive and a party acts in the tick it observes (see
+// htlc.SwapParams.Timelocks), which already provides the slack the +1 buys
+// in the paper's model. Lemma 4.13's two conditions hold on it — every
+// follower's entering timeouts are at least Δ past its leaving ones, and
+// the leader's entering arcs stay open until Start + DiamBound·Δ.
 func (s *Spec) HTLCTimeout(arcID int) vtime.Ticks {
-	switch s.Kind {
-	case KindSingleLeader:
-		// (diam(D) + D(v, leader) + 1)·Δ, Lemma 4.13's staircase. The
-		// follower subdigraph is acyclic (leader is an FVS), so the exact
-		// polynomial computation applies at any scale.
-		leader := s.Leaders[0]
-		tail := s.D.Arc(arcID).Tail
-		dist, ok := s.D.LongestPathsToSink(leader)
-		d := s.DiamBound
-		if ok && dist[tail] >= 0 && dist[tail] <= s.DiamBound {
-			d = dist[tail]
-		}
-		return s.Start.Add(vtime.Scale(s.DiamBound+d+1, s.ladderDelta()))
-	default:
-		// Uniform: every arc expires together — the Section 1 mistake. The
-		// value is generous enough for all-conforming runs to finish, so
-		// only the last-moment-reveal attack exposes the flaw.
-		return s.Start.Add(vtime.Scale(2*s.DiamBound+1, s.ladderDelta()))
+	if s.Kind == KindSingleLeader {
+		return s.timelocksShared(arcID)[0].Add(1)
 	}
+	return s.uniformTimeout()
+}
+
+// uniformTimeout is the uniform-timeout baseline's one deadline: every arc
+// expires together — the Section 1 mistake. The value is generous enough
+// for all-conforming runs to finish, so only the last-moment-reveal attack
+// exposes the flaw.
+func (s *Spec) uniformTimeout() vtime.Ticks {
+	return s.Start.Add(vtime.Scale(2*s.DiamBound+1, s.ladderDelta()))
 }
 
 // ContractParams returns the canonical Swap-contract parameters for an
@@ -498,20 +527,17 @@ func (s *Spec) MaxTimelock() vtime.Ticks {
 	return max
 }
 
-// computeMaxTimelock derives the bound from the filled arcTimelocks cache.
-// Caller holds tlMu with fillTimelocksLocked already run.
+// computeMaxTimelock derives the bound from the filled arcTimelocks cache —
+// the same for the general and single-leader variants, which share the
+// ladder. Caller holds tlMu with fillTimelocksLocked already run.
 func (s *Spec) computeMaxTimelock() vtime.Ticks {
+	if s.Kind == KindUniformTimeout {
+		return s.uniformTimeout()
+	}
 	max := s.Start
-	for id := 0; id < s.D.NumArcs(); id++ {
-		switch s.Kind {
-		case KindGeneral:
-			for _, tl := range s.arcTimelocks[id] {
-				if tl.After(max) {
-					max = tl
-				}
-			}
-		default:
-			if tl := s.HTLCTimeout(id); tl.After(max) {
+	for _, tls := range s.arcTimelocks {
+		for _, tl := range tls {
+			if tl.After(max) {
 				max = tl
 			}
 		}
@@ -539,7 +565,7 @@ type Setup struct {
 // minimum-FVS leaders, Δ = DefaultDelta, start at Δ, vertex names as party
 // IDs, one chain and one asset per arc.
 type Config struct {
-	Kind        Kind             // default KindGeneral
+	Kind        Kind             // default KindGeneral; KindByLeaders picks from the leader set
 	Tag         string           // contract-ID namespace for shared chains
 	Leaders     []digraph.Vertex // default: exact-min FVS (greedy when large)
 	Delta       vtime.Duration   // default DefaultDelta
@@ -589,6 +615,12 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 	}
 	leaders = append([]digraph.Vertex(nil), leaders...)
 	sort.Slice(leaders, func(i, j int) bool { return leaders[i] < leaders[j] })
+	if cfg.Kind == KindByLeaders {
+		cfg.Kind = KindGeneral
+		if len(leaders) == 1 {
+			cfg.Kind = KindSingleLeader
+		}
+	}
 
 	parties := cfg.Parties
 	if parties == nil {

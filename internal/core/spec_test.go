@@ -116,13 +116,18 @@ func TestTimelockStaircase(t *testing.T) {
 }
 
 func TestHTLCTimeoutStaircase(t *testing.T) {
-	// Section 4.6: (diam + D(v, leader) + 1)·Δ over the three-cycle:
-	// arc 0 -> (2+2+1)Δ = 150, arc 1 -> (2+1+1)Δ = 140, arc 2 -> (2+0+1)Δ = 130.
+	// Section 4.6 on the shared ladder: an arc is redeemable through
+	// Start + (diam + D(v, leader))·Δ — the general protocol's timelock —
+	// and the (exclusive) HTLC timeout is the tick after, over the
+	// three-cycle: arc 0 -> 140+1, arc 1 -> 130+1, arc 2 -> 120+1.
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Kind: KindSingleLeader, Delta: 10, Start: 100})
-	want := map[int]vtime.Ticks{0: 150, 1: 140, 2: 130}
+	want := map[int]vtime.Ticks{0: 141, 1: 131, 2: 121}
 	for arc, w := range want {
 		if got := setup.Spec.HTLCTimeout(arc); got != w {
 			t.Errorf("HTLCTimeout(%d) = %d, want %d", arc, got, w)
+		}
+		if got := setup.Spec.Timelocks(arc)[0]; got != w-1 {
+			t.Errorf("Timelocks(%d)[0] = %d, want HTLCTimeout-1 = %d", arc, got, w-1)
 		}
 	}
 }

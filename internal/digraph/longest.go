@@ -159,31 +159,47 @@ func (d *Digraph) LongestPathsToSink(sink Vertex) ([]int, bool) {
 	if !d.valid(sink) {
 		return nil, false
 	}
-	stripped := New()
-	for _, n := range d.names {
-		stripped.AddVertex(n)
-	}
-	for _, a := range d.arcs {
-		if a.Head == sink {
-			continue
-		}
-		stripped.MustAddArc(a.Head, a.Tail)
-	}
-	order, ok := stripped.TopoSort()
-	if !ok {
-		return nil, false
-	}
+	// Memoized depth-first search over every arc not leaving sink; a vertex
+	// met again while still on the stack closes a cycle that avoids sink.
+	const (
+		unseen = iota
+		onStack
+		done
+	)
 	n := d.NumVertices()
 	dist := make([]int, n)
+	state := make([]uint8, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[sink] = 0
-	// Process in reverse topological order: all successors first.
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		for _, id := range stripped.out[v] {
-			w := stripped.arcs[id].Tail
+	dist[sink], state[sink] = 0, done
+	// stack holds the path under exploration; next[v] is how many of v's
+	// leaving arcs have been followed.
+	stack := make([]Vertex, 0, n)
+	next := make([]int, n)
+	for root := 0; root < n; root++ {
+		if state[root] != unseen {
+			continue
+		}
+		stack = append(stack, Vertex(root))
+		state[root] = onStack
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			if next[v] == len(d.out[v]) {
+				state[v] = done
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			w := d.arcs[d.out[v][next[v]]].Tail
+			switch state[w] {
+			case onStack:
+				return nil, false
+			case unseen:
+				stack = append(stack, w)
+				state[w] = onStack
+				continue // v's arc to w is scored once w is done
+			}
+			next[v]++
 			if dist[w] >= 0 && dist[w]+1 > dist[v] {
 				dist[v] = dist[w] + 1
 			}

@@ -10,13 +10,17 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 )
 
-// Per-swap allocation ceilings: the 372 and 1475 heap objects measured on
-// the deterministic scheduler (go1.24 linux/amd64, identical run to run)
-// plus 10 %. A change that pushes a swap's heap objects past its ceiling
-// fails tier-1 here, not only in benchmark/.
+// Per-swap allocation ceilings, from the heap objects measured on the
+// deterministic scheduler (go1.24 linux/amd64, identical run to run): a
+// three-party ring clears on classic HTLCs at 269 (ceiling +5 %); the same
+// ring forced onto the hashkey protocol costs 362 and a four-party clique
+// 1475 — those two keep the ceilings pinned when they measured 372 and
+// 1475 (+10 %). A change that pushes a swap's heap objects past its
+// ceiling fails tier-1 here, not only in benchmark/.
 const (
-	ring3AllocCeiling   = 410
-	clique4AllocCeiling = 1620
+	ring3AllocCeiling        = 283
+	ring3GeneralAllocCeiling = 410
+	clique4AllocCeiling      = 1620
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over
@@ -43,10 +47,8 @@ func cliqueOffers(c, group int) []core.Offer {
 	return offers
 }
 
-// allocsPerSwap books every offer before the first clearing round of a
-// fresh deterministic engine, drains it, and returns heap objects
-// allocated per finished swap over submit → drain.
-func allocsPerSwap(t *testing.T, offers []core.Offer, wantSwaps int) float64 {
+// startBooking starts a fresh deterministic engine for bookAndDrain.
+func startBooking(t *testing.T, kind core.Kind) *Engine {
 	t.Helper()
 	e := New(Config{
 		Deterministic: true,
@@ -55,13 +57,18 @@ func allocsPerSwap(t *testing.T, offers []core.Offer, wantSwaps int) float64 {
 		ClearInterval: time.Millisecond,
 		Workers:       8,
 		Seed:          1,
+		Kind:          kind,
 	})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	return e
+}
+
+// bookAndDrain books every offer before the engine's first clearing round —
+// so one round clears them all — then drains it and audits the ledgers.
+func bookAndDrain(t *testing.T, e *Engine, offers []core.Offer) {
+	t.Helper()
 	release := e.Scheduler().Hold()
 	for _, o := range offers {
 		if _, err := e.Submit(o); err != nil {
@@ -71,10 +78,21 @@ func allocsPerSwap(t *testing.T, offers []core.Offer, wantSwaps int) float64 {
 	}
 	release()
 	drainAndStop(t, e)
-	runtime.ReadMemStats(&after)
 	if err := e.VerifyConservation(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allocsPerSwap returns heap objects allocated per finished swap over
+// submit → drain of a fresh engine.
+func allocsPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps int) float64 {
+	t.Helper()
+	e := startBooking(t, kind)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bookAndDrain(t, e, offers)
+	runtime.ReadMemStats(&after)
 	rep := e.Report()
 	if rep.SwapsFinished != wantSwaps || rep.SwapsFailed != 0 || rep.Outcomes["Deal"] != len(offers) {
 		t.Fatalf("finished %d swaps (%d failed), outcomes %v; want %d swaps, all Deal",
@@ -99,15 +117,17 @@ func TestAllocationBudget(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
+		kind    core.Kind
 		offers  []core.Offer
 		ceiling float64
 	}{
-		{"ring-3", rings, ring3AllocCeiling},
-		{"clique-4", cliques, clique4AllocCeiling},
+		{"ring-3", 0, rings, ring3AllocCeiling},
+		{"ring-3-general", core.KindGeneral, rings, ring3GeneralAllocCeiling},
+		{"clique-4", 0, cliques, clique4AllocCeiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			allocsPerSwap(t, tc.offers, swaps) // warm the runtime's own pools
-			got := allocsPerSwap(t, tc.offers, swaps)
+			allocsPerSwap(t, tc.kind, tc.offers, swaps) // warm the runtime's own pools
+			got := allocsPerSwap(t, tc.kind, tc.offers, swaps)
 			t.Logf("%.0f allocs/swap (ceiling %.0f)", got, tc.ceiling)
 			if got > tc.ceiling {
 				t.Errorf("%.0f allocs/swap exceeds the pinned ceiling %.0f", got, tc.ceiling)

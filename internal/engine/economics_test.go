@@ -33,8 +33,19 @@ import (
 // in a NoDeal, so both bribery extremes — and the margin — are zero.
 // Any drift in these constants means the schedule, the span capture, or
 // the integral arithmetic changed.
+//
+// The ring is a single-leader component, so by default it runs on classic
+// HTLCs; forced onto the hashkey protocol it must price to the same
+// constants — the two contracts share one timelock ladder, and a silent
+// leader's victims wait out the same deadlines on either.
 func TestGriefingCostFixture(t *testing.T) {
+	t.Run("by-component", func(t *testing.T) { griefingCostFixture(t, 0) })
+	t.Run("forced-general", func(t *testing.T) { griefingCostFixture(t, core.KindGeneral) })
+}
+
+func griefingCostFixture(t *testing.T, kind core.Kind) {
 	cfg := Config{
+		Kind:          kind,
 		Workers:       2,
 		ClearInterval: time.Millisecond,
 		Tick:          time.Millisecond,

@@ -87,7 +87,10 @@ type Config struct {
 	// Delta is the per-swap Δ in ticks (the fixed value, and the adaptive
 	// mode's starting point).
 	Delta vtime.Duration
-	// Kind is the protocol variant each swap runs (default KindGeneral).
+	// Kind forces one protocol variant on every swap. The zero value picks
+	// per cleared component from its leader set: one leader runs the
+	// Section 4.6 hashlock staircase (core.KindSingleLeader — no hashkeys,
+	// no signatures), anything else the hashkey protocol (KindGeneral).
 	Kind core.Kind
 	// AdversaryRate injects a silent leader into this fraction of swaps:
 	// the swap aborts and every conforming party refunds, exercising the
@@ -497,7 +500,7 @@ func New(cfg Config) *Engine {
 		cfg.Delta = core.DefaultDelta
 	}
 	if cfg.Kind == 0 {
-		cfg.Kind = core.KindGeneral
+		cfg.Kind = core.KindByLeaders
 	}
 	// The scheduler comes first: its type is the engine's mode.
 	sc, ownSched := cfg.Scheduler, false
@@ -1641,9 +1644,10 @@ func (e *Engine) runSwap(j *job) {
 		e.notifyDrain()
 	}
 
+	singleLeader := spec.Kind == core.KindSingleLeader
 	if err != nil {
 		e.agg.AddRejected(len(j.orders))
-		e.agg.SwapFinished(true)
+		e.agg.SwapFinished(true, singleLeader)
 		return
 	}
 	if len(j.deviants) > 0 {
@@ -1656,7 +1660,7 @@ func (e *Engine) runSwap(j *job) {
 		e.agg.AddOutcome(o.class.String(), now.Sub(o.submittedAt))
 	}
 	e.agg.AddEconomics(econ)
-	e.agg.SwapFinished(false)
+	e.agg.SwapFinished(false, singleLeader)
 }
 
 // rejectPending rejects every still-pending order.

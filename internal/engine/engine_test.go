@@ -109,9 +109,13 @@ func TestEngineLifecycleSingleSwap(t *testing.T) {
 // first intake only), and the engine-wide verification cache answers
 // extended-hashkey verifications without re-walking chains — re-presented
 // extensions are seeded by their presenter, so contracts see pure hits
-// (zero signature checks), not even the one-signature fast path.
+// (zero signature checks), not even the one-signature fast path. The
+// hashkey protocol is forced: a three-party ring is a single-leader
+// component and by default clears on HTLCs that never touch the cache.
 func TestEngineKeyringAndCacheReuse(t *testing.T) {
-	e := New(testConfig())
+	cfg := testConfig()
+	cfg.Kind = core.KindGeneral
+	e := New(cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 // must actually witness its adversary: coalition deviants present, a
 // nonzero griefing cost on the board, and (for the flood entry) every
 // digest-visible shed landing on the flooders.
-func TestCoalitionSuiteReplays(t *testing.T) {
+func TestCoalitionSuiteReplays(t *testing.T) { forEachProtocol(t, coalitionSuiteReplays) }
+
+func coalitionSuiteReplays(t *testing.T, run runner) {
 	for _, name := range []string{"coalition-cartel", "coalition-punishment", "coalition-flood"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -22,11 +24,11 @@ func TestCoalitionSuiteReplays(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := Run(sc)
+			first, err := run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := Run(sc)
+			second, err := run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +142,15 @@ func TestCoalitionSafetyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run")
 	}
+	forEachProtocol(t, coalitionSafetyMatrix)
+}
+
+func coalitionSafetyMatrix(t *testing.T, run runner) {
 	for _, strategy := range []string{"punishment", "cartel"} {
 		for _, size := range []int{2, 3, 4, 5} {
 			strategy, size := strategy, size
 			t.Run(fmt.Sprintf("%s-k%d", strategy, size), func(t *testing.T) {
-				res, err := Run(Scenario{
+				res, err := run(Scenario{
 					Name:    fmt.Sprintf("matrix-%s-%d", strategy, size),
 					Seed:    7000 + int64(size),
 					Offers:  18,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/durable"
+	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -25,7 +26,7 @@ import (
 // stamped after it. Recover's CutTick filter drops the suffix, making
 // the recovered state a pure function of the schedule no matter how the
 // wall-clock race between Kill and the workers went.
-func runCrash(sc Scenario, process loadgen.Process) (*Result, error) {
+func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result, error) {
 	dir, err := os.MkdirTemp("", "swap-crash-")
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
@@ -38,7 +39,7 @@ func runCrash(sc Scenario, process loadgen.Process) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 
-	a := sc.newEngine(store)
+	a := sc.newEngine(cfg, store)
 	if err := a.Start(); err != nil {
 		return nil, err
 	}
@@ -78,7 +79,7 @@ func runCrash(sc Scenario, process loadgen.Process) (*Result, error) {
 	// the replay cares about state, not continued logging) under the
 	// same engine config, then a normal start-and-drain to finish every
 	// resumed or still-pending order.
-	b, rec, err := sc.recoverEngine(dir, cut)
+	b, rec, err := sc.recoverEngine(cfg, dir, cut)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: recover: %w", sc.Name, err)
 	}

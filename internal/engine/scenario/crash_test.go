@@ -13,16 +13,18 @@ import (
 // the resume/refund split, and the second life's settles) must be
 // byte-identical. This is what lets CI diff engine-crash@tick exactly
 // like every other suite entry.
-func TestCrashScenarioReplays(t *testing.T) {
+func TestCrashScenarioReplays(t *testing.T) { forEachProtocol(t, crashScenarioReplays) }
+
+func crashScenarioReplays(t *testing.T, run runner) {
 	sc, err := ByName("engine-crash@tick", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(sc)
+	a, err := run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc)
+	b, err := run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,10 @@ func TestConformingSafetyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario matrix")
 	}
+	forEachProtocol(t, conformingSafetyMatrix)
+}
+
+func conformingSafetyMatrix(t *testing.T, run runner) {
 	profiles := []string{"constant", "poisson", "burst:6", "ramp:0.5:2"}
 	rates := []float64{0.05, 0.25}
 	// Rotate through strategy pairs so the matrix covers the whole
@@ -34,7 +38,7 @@ func TestConformingSafetyMatrix(t *testing.T) {
 			pair := pairs[pi%len(pairs)]
 			name := fmt.Sprintf("%s/rate=%.2f/%s+%s", profile, rate, pair[0], pair[1])
 			t.Run(name, func(t *testing.T) {
-				res, err := Run(Scenario{
+				res, err := run(Scenario{
 					Name:    name,
 					Seed:    seed,
 					Offers:  30,

@@ -404,9 +404,9 @@ func (sc Scenario) factory() engine.BehaviorFactory {
 	}
 }
 
-// engineConfig is the scenario's engine shape — shared by the normal
-// path and both lives of a crash run, so a recovered engine replays
-// under exactly the knobs the original ran with.
+// engineConfig is the scenario's engine shape — built once per run and
+// shared by the normal path and both lives of a crash run, so a recovered
+// engine replays under exactly the knobs the original ran with.
 func (sc Scenario) engineConfig() engine.Config {
 	cfg := engine.Config{
 		Workers:       sc.Workers,
@@ -442,8 +442,7 @@ func (sc Scenario) execShards() int {
 
 // newEngine builds the scenario's execution engine — sharded when the
 // scenario says so — with the given durable store (nil for in-memory).
-func (sc Scenario) newEngine(store engine.Store) clearing {
-	cfg := sc.engineConfig()
+func (sc Scenario) newEngine(cfg engine.Config, store engine.Store) clearing {
 	cfg.Store = store
 	if n := sc.execShards(); n > 0 {
 		return shard.New(shard.Config{Shards: n, Engine: cfg})
@@ -453,12 +452,12 @@ func (sc Scenario) newEngine(store engine.Store) clearing {
 
 // recoverEngine rebuilds the scenario's engine from a durable store
 // (the second life of a crash run), in the same shape newEngine built.
-func (sc Scenario) recoverEngine(dir string, cut vtime.Ticks) (clearing, *durable.Recovery, error) {
+func (sc Scenario) recoverEngine(cfg engine.Config, dir string, cut vtime.Ticks) (clearing, *durable.Recovery, error) {
 	opts := durable.RecoverOptions{Dir: dir, CutTick: cut}
 	if n := sc.execShards(); n > 0 {
-		return shard.Recover(shard.Config{Shards: n, Engine: sc.engineConfig()}, opts)
+		return shard.Recover(shard.Config{Shards: n, Engine: cfg}, opts)
 	}
-	return durable.Recover(sc.engineConfig(), opts)
+	return durable.Recover(cfg, opts)
 }
 
 // loadConfig is the scenario's open-loop generator shape.
@@ -496,7 +495,13 @@ func (sc Scenario) loadConfig(process loadgen.Process) loadgen.Config {
 // for harness failures (bad scenario, engine refusing to run); safety
 // findings go into Result.Violations and the digest, so callers can
 // diff replays even when the invariant broke.
-func Run(sc Scenario) (*Result, error) {
+func Run(sc Scenario) (*Result, error) { return run(sc, 0) }
+
+// run is Run with the engine's protocol choice pinned: zero leaves it to
+// the engine (per cleared component), core.KindGeneral forces hashkeys on
+// every swap — the tests' fixture for holding both protocols to the same
+// assertions.
+func run(sc Scenario, kind core.Kind) (*Result, error) {
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -505,11 +510,13 @@ func Run(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
+	cfg := sc.engineConfig()
+	cfg.Kind = kind
 	if sc.CrashTick > 0 {
-		return runCrash(sc, process)
+		return runCrash(sc, cfg, process)
 	}
 
-	e := sc.newEngine(nil)
+	e := sc.newEngine(cfg, nil)
 	if err := e.Start(); err != nil {
 		return nil, err
 	}

@@ -134,14 +134,18 @@ func TestSuiteReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite replay")
 	}
+	forEachProtocol(t, suiteReplays)
+}
+
+func suiteReplays(t *testing.T, run runner) {
 	for _, sc := range Suite(0) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			a, err := Run(sc)
+			a, err := run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(sc)
+			b, err := run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,15 +111,19 @@ func TestShardMergedDigestMatchesSingleParallel(t *testing.T) {
 // topology leaked into a fate key — exactly the bug class the
 // interleave-independent fate hash exists to prevent.
 func TestShardReorgDigestMatchesSingle(t *testing.T) {
+	forEachProtocol(t, shardReorgDigestMatchesSingle)
+}
+
+func shardReorgDigestMatchesSingle(t *testing.T, run runner) {
 	sc, err := ByName("reorg-sharded", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(withExecShards(sc, 4))
+	four, err := run(withExecShards(sc, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Run(withExecShards(sc, 1))
+	one, err := run(withExecShards(sc, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

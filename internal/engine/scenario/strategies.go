@@ -19,6 +19,12 @@ import (
 // (e.g. leader-only strategies on a follower), in which case the party
 // stays conforming and is not counted as a deviant.
 //
+// Every strategy deviates from the conforming protocol of whichever
+// variant the cleared component runs (core.ConformingFor): on a
+// single-leader component "unlock" and "claim" below are the classic
+// HTLC's one redeem call (DESIGN.md, "Protocol selection", has the
+// per-deviation mapping).
+//
 //	silent-leader        refuse-to-unlock: completes Phase One, never
 //	                     reveals its secret; everyone refunds.
 //	withhold-publish     premature abort: signs up, never deploys its
@@ -54,16 +60,15 @@ var strategies = map[string]strategyFn{
 		return &crashBehavior{phase: rng.Intn(3)}, true
 	},
 	"stall-past-timelock": func(_ *rand.Rand, spec *core.Spec, _ digraph.Vertex) (core.Behavior, bool) {
-		return adversary.Filtered(core.NewConforming(), adversary.Filter{
-			DelayUnlock: func(arcID, lockIdx int) (vtime.Ticks, bool) {
-				// MaxTimelock is read lazily, at action time, once the
-				// engine has pinned the spec's start: one tick past the
-				// last timelock is strictly after every unlock deadline
-				// yet 4Δ inside the run horizon, so the bounced unlock
-				// lands at a replay-stable tick instead of racing
-				// teardown.
-				return spec.MaxTimelock().Add(1), true
-			},
+		// MaxTimelock is read lazily, at action time, once the engine has
+		// pinned the spec's start: one tick past the last timelock is
+		// strictly after every unlock (or redeem) deadline yet 4Δ inside
+		// the run horizon, so the bounced call lands at a replay-stable
+		// tick instead of racing teardown.
+		past := func() (vtime.Ticks, bool) { return spec.MaxTimelock().Add(1), true }
+		return adversary.Filtered(core.ConformingFor(spec), adversary.Filter{
+			DelayUnlock: func(int, int) (vtime.Ticks, bool) { return past() },
+			DelayRedeem: func(int) (vtime.Ticks, bool) { return past() },
 		}), true
 	},
 	"no-claim": func(*rand.Rand, *core.Spec, digraph.Vertex) (core.Behavior, bool) {
@@ -122,7 +127,7 @@ func (c *crashBehavior) resolve(e core.Env) core.Behavior {
 		at := spec.Start.Add(vtime.Scale(c.phase, spec.Delta))
 		base := c.base
 		if base == nil {
-			base = core.NewConforming()
+			base = core.ConformingFor(spec)
 		}
 		c.inner = adversary.HaltAt(base, at)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 )
@@ -196,9 +197,13 @@ func TestShardSharedCacheBatchWorkers(t *testing.T) {
 // expanded key, and the merged report's signature count comes from that
 // single meter (never summed per engine). A 3-ring general-kind swap
 // needs one plan signature per member; re-running the same parties
-// through more rings must not re-derive or re-count identities.
+// through more rings must not re-derive or re-count identities. Rings are
+// single-leader components, which by default clear on signature-free
+// HTLCs, so the fixture forces the hashkey protocol.
 func TestShardSignsPerSwap(t *testing.T) {
-	s := New(detConfig(2, 15))
+	cfg := detConfig(2, 15)
+	cfg.Engine.Kind = core.KindGeneral
+	s := New(cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +229,10 @@ func TestShardSignsPerSwap(t *testing.T) {
 	}
 	if rep.Signs == 0 || rep.SignsPerSwap <= 0 {
 		t.Fatalf("no signatures metered: %+v", rep)
+	}
+	if rep.SwapsGeneral != 6 || rep.SwapsSingleLeader != 0 {
+		t.Fatalf("protocol split = %d general / %d single-leader, want 6 / 0 across the merged shards",
+			rep.SwapsGeneral, rep.SwapsSingleLeader)
 	}
 	// Signing floor: each of the 18 distinct parties signs its hashkey
 	// chain links, but identity derivation is once-per-party, so the

@@ -121,6 +121,44 @@ func Flower(k, petalLen int) *digraph.Digraph {
 	return d
 }
 
+// LeaderDAG returns a random single-leader digraph on n >= 2 vertexes: the
+// followers 1..n-1 carry a random DAG (arc i -> j for i < j with
+// probability density), the leader 0 feeds every follower no follower
+// feeds, and every follower that feeds no follower feeds the leader — each
+// other leader arc exists with probability density. It is strongly
+// connected and {0} is a feedback vertex set, so it is the general shape
+// of Section 4.6's digraphs (Flower is the petals-only case). The result is
+// deterministic for a given (n, density, seed).
+func LeaderDAG(n int, density float64, seed int64) *digraph.Digraph {
+	if n < 2 {
+		panic(fmt.Sprintf("graphgen.LeaderDAG: need n >= 2, got %d", n))
+	}
+	r := rand.New(rand.NewSource(seed))
+	d := digraph.New()
+	d.AddVertex("L")
+	for i := 1; i < n; i++ {
+		d.AddVertex(fmt.Sprintf("F%d", i))
+	}
+	fed, feeds := make([]bool, n), make([]bool, n)
+	for i := 1; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < density {
+				d.MustAddArc(digraph.Vertex(i), digraph.Vertex(j))
+				feeds[i], fed[j] = true, true
+			}
+		}
+	}
+	for v := 1; v < n; v++ {
+		if !fed[v] || r.Float64() < density {
+			d.MustAddArc(0, digraph.Vertex(v))
+		}
+		if !feeds[v] || r.Float64() < density {
+			d.MustAddArc(digraph.Vertex(v), 0)
+		}
+	}
+	return d
+}
+
 // RandomStronglyConnected returns a random strongly connected digraph on n
 // vertexes: a random Hamiltonian cycle guarantees strong connectivity, and
 // every other ordered pair becomes an arc with probability density. The

@@ -110,6 +110,22 @@ func TestFlower(t *testing.T) {
 	}
 }
 
+func TestLeaderDAG(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		n := 2 + int(seed%9)
+		d := LeaderDAG(n, 0.35, seed)
+		if d.NumVertices() != n || !d.StronglyConnected() {
+			t.Fatalf("seed %d: %d vertexes, strongly connected = %v", seed, d.NumVertices(), d.StronglyConnected())
+		}
+		if !d.IsFeedbackVertexSet([]digraph.Vertex{0}) {
+			t.Fatalf("seed %d: the leader alone is not a feedback vertex set", seed)
+		}
+		if !digraph.StructuralEqual(d, LeaderDAG(n, 0.35, seed)) {
+			t.Fatalf("seed %d: not deterministic", seed)
+		}
+	}
+}
+
 func TestRandomStronglyConnected(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42} {
 		d := RandomStronglyConnected(8, 0.3, seed)

@@ -11,8 +11,8 @@ import (
 
 // HTLCParams configures a classic hashed-timelock contract: one hashlock,
 // one absolute timelock. The single-leader protocol of Section 4.6 uses
-// these with the staircase deadlines (diam(D) + D(v, leader) + 1)·Δ; the
-// baseline protocols use them with their own (possibly broken) deadlines.
+// these with the staircase deadlines (core.Spec.HTLCTimeout); the baseline
+// protocols use them with their own (possibly broken) deadlines.
 type HTLCParams struct {
 	ID      chain.ContractID
 	ArcID   int
@@ -46,8 +46,11 @@ type HTLC struct {
 	redeemed bool
 }
 
-// Compile-time interface check.
-var _ chain.Contract = (*HTLC)(nil)
+// Compile-time interface checks.
+var (
+	_ chain.Contract           = (*HTLC)(nil)
+	_ chain.RevertibleContract = (*HTLC)(nil)
+)
 
 // NewHTLC constructs a classic HTLC.
 func NewHTLC(p HTLCParams) (*HTLC, error) {
@@ -80,6 +83,15 @@ func (h *HTLC) ArcID() int { return h.p.ArcID }
 
 // Redeemed reports whether the secret has been presented.
 func (h *HTLC) Redeemed() bool { return h.redeemed }
+
+// StateSnapshot implements chain.RevertibleContract. The redeemed flag is
+// the contract's whole mutable state: a redeem or refund also closes the
+// contract, but that bit lives on the hosting chain, which unwinds it with
+// the transfer record.
+func (h *HTLC) StateSnapshot() any { return h.redeemed }
+
+// StateRestore implements chain.RevertibleContract.
+func (h *HTLC) StateRestore(snap any) { h.redeemed = snap.(bool) }
 
 // Invoke implements chain.Contract.
 func (h *HTLC) Invoke(call chain.Call) (chain.Result, error) {

@@ -153,3 +153,99 @@ func TestHTLCAccessors(t *testing.T) {
 		t.Error("RedeemArgs wire size")
 	}
 }
+
+// revertRedeem is a scripted commitment model: the contract's second fated
+// record (idx 1, the first redeem) reverts two ticks after it lands;
+// everything else finalizes at depth 4.
+type revertRedeem struct{}
+
+func (revertRedeem) Name() string         { return "revert-redeem" }
+func (revertRedeem) Timing() chain.Timing { return chain.Timing{ConfirmDepth: 4} }
+func (revertRedeem) Fate(_ string, _ chain.ContractID, idx int) chain.Fate {
+	f := chain.Fate{FinalAfter: 4}
+	if idx == 1 {
+		f.RevertAfter = 2
+	}
+	return f
+}
+
+// tickClock is a manually advanced chain clock.
+type tickClock struct{ now vtime.Ticks }
+
+func (c *tickClock) Now() vtime.Ticks { return c.now }
+
+// TestHTLCRevertThenRedeemAgain is the classic HTLC's half of the reorg
+// contract swapcontract_test.go's lifecycle tests cover for Swap: a chain
+// under a commitment model fates an HTLC's records, a reverted redeem rolls
+// the contract back to locked-and-escrowed, and the re-applied redeem (or a
+// fresh one) settles it again.
+func TestHTLCRevertThenRedeemAgain(t *testing.T) {
+	secret, _ := hashkey.NewSecret(rand.New(rand.NewSource(25)))
+	clk := &tickClock{now: 100}
+	ch := chain.New("title", clk)
+	if err := ch.SetCommitmentModel(revertRedeem{}, func(vtime.Ticks) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.RegisterAsset(chain.Asset{ID: "cadillac"}, "carol"); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := NewHTLC(HTLCParams{
+		ID: "t", ArcID: 2, Lock: secret.Lock(), Timeout: 160,
+		Party: "carol", Counter: "alice", Asset: "cadillac",
+	})
+	if err := ch.PublishContract("carol", h); err != nil {
+		t.Fatal(err)
+	}
+	clk.now = 110
+	args := RedeemArgs{Secret: secret}
+	if err := ch.Invoke("alice", "t", MethodRedeem, args, args.WireSize()); err != nil {
+		t.Fatalf("redeem: %v", err)
+	}
+	if !h.Redeemed() || !ch.Closed("t") {
+		t.Fatal("redeem did not settle the contract")
+	}
+	if n := ch.PendingCommitments(); n == 0 {
+		t.Fatal("an HTLC's records were not fated: the contract is not revertible to the chain")
+	}
+
+	// The redeem's revert is due at 112 and takes its transfer with it.
+	clk.now = 112
+	ch.SettleCommitments(clk.now)
+	if h.Redeemed() {
+		t.Error("redeemed flag survived the revert")
+	}
+	if ch.Closed("t") {
+		t.Error("contract still closed after the revert")
+	}
+	if owner, _ := ch.OwnerOf("cadillac"); owner != chain.ByEscrow("t") {
+		t.Errorf("owner after revert = %v, want back in escrow", owner)
+	}
+	reverted := 0
+	for _, r := range ch.Records() {
+		if r.Kind == chain.NoteReverted {
+			reverted++
+		}
+	}
+	if reverted != 2 {
+		t.Errorf("reverted records = %d, want 2 (the redeem and its transfer)", reverted)
+	}
+
+	// The chain re-applies the dropped redeem one tick later; by the time
+	// everything is final the asset is alice's again.
+	for clk.now < 125 {
+		clk.now++
+		ch.SettleCommitments(clk.now)
+	}
+	if n := ch.PendingCommitments(); n != 0 {
+		t.Fatalf("pending commitments after drain = %d, want 0", n)
+	}
+	if !h.Redeemed() || !ch.Closed("t") {
+		t.Error("re-applied redeem did not settle the contract")
+	}
+	if owner, _ := ch.OwnerOf("cadillac"); owner != chain.ByParty("alice") {
+		t.Errorf("owner = %v, want alice", owner)
+	}
+	if !ch.VerifyLedger() {
+		t.Error("hash chain broken after revert")
+	}
+}

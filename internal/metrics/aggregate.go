@@ -24,6 +24,10 @@ type Aggregate struct {
 	swapsStarted  int
 	swapsFinished int
 	swapsFailed   int
+	// swapsSingleLeader and swapsGeneral split swapsFinished by the
+	// protocol the swap ran on.
+	swapsSingleLeader int
+	swapsGeneral      int
 
 	inflight     int
 	peakInflight int
@@ -176,14 +180,21 @@ func (a *Aggregate) SwapStarted() int {
 }
 
 // SwapFinished records one swap leaving execution. failed marks runs that
-// errored outright (not protocol aborts, which are counted per outcome).
-func (a *Aggregate) SwapFinished(failed bool) {
+// errored outright (not protocol aborts, which are counted per outcome);
+// singleLeader says which protocol it ran on — the Section 4.6 hashlock
+// staircase, or the general hashkey protocol.
+func (a *Aggregate) SwapFinished(failed, singleLeader bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inflight--
 	a.swapsFinished++
 	if failed {
 		a.swapsFailed++
+	}
+	if singleLeader {
+		a.swapsSingleLeader++
+	} else {
+		a.swapsGeneral++
 	}
 }
 
@@ -285,6 +296,8 @@ func (a *Aggregate) Merge(other *Aggregate) {
 	a.swapsStarted += other.swapsStarted
 	a.swapsFinished += other.swapsFinished
 	a.swapsFailed += other.swapsFailed
+	a.swapsSingleLeader += other.swapsSingleLeader
+	a.swapsGeneral += other.swapsGeneral
 	a.inflight += other.inflight
 	a.peakInflight += other.peakInflight
 	a.ordersSabotaged += other.ordersSabotaged
@@ -433,6 +446,13 @@ type Throughput struct {
 	SwapsFailed     int            `json:"swaps_failed"`
 	InFlight        int            `json:"in_flight"`
 	PeakConcurrent  int            `json:"peak_concurrent"`
+	// SwapsSingleLeader and SwapsGeneral split SwapsFinished by protocol:
+	// components with one leader clear on classic hashlock HTLCs (no
+	// signatures), the rest on hashkey Swap contracts. Swaps a recovered
+	// engine inherits from its pre-crash life are in neither (the WAL
+	// does not record the protocol).
+	SwapsSingleLeader int `json:"swaps_single_leader"`
+	SwapsGeneral      int `json:"swaps_general"`
 	// OffersSubmittedPerSec is intake rate; OffersClearedPerSec is the
 	// rate at which offers were matched into swaps. They differ whenever
 	// offers are rejected or still pending — reporting both is what makes
@@ -453,10 +473,13 @@ type Throughput struct {
 	Outcomes        map[string]int `json:"outcomes"`
 	ResvConflicts   int            `json:"reservation_conflicts"`
 	// Signs is the total ed25519 signatures produced under keyring
-	// identities; SignsPerSwap normalizes by finished swaps. The protocol
-	// floor is one leader sign per secret plus one wrap per chain
-	// extension, so a drift in this ratio flags a signature-count
-	// regression before it shows up as throughput loss.
+	// identities; SignsPerSwap normalizes by finished swaps — ALL of them,
+	// so it averages over both protocols: a single-leader swap signs
+	// nothing, a general one |V|·|L| times (one leader sign per secret
+	// plus one wrap per chain extension), and a mixed run reads in
+	// between. Divide Signs by SwapsGeneral for the per-protocol figure; a
+	// drift in that ratio flags a signature-count regression before it
+	// shows up as throughput loss.
 	Signs        uint64  `json:"signs,omitempty"`
 	SignsPerSwap float64 `json:"signs_per_swap,omitempty"`
 	// Recovery is present only on engines rebuilt from a durable store.
@@ -496,6 +519,9 @@ func (a *Aggregate) Snapshot() Throughput {
 		Outcomes:        make(map[string]int, len(a.outcomes)),
 		ResvConflicts:   a.reservationConflicts,
 		Signs:           a.signs,
+
+		SwapsSingleLeader: a.swapsSingleLeader,
+		SwapsGeneral:      a.swapsGeneral,
 	}
 	if a.signs > 0 && a.swapsFinished > 0 {
 		t.SignsPerSwap = float64(a.signs) / float64(a.swapsFinished)
@@ -560,8 +586,8 @@ func (t Throughput) String() string {
 		t.OffersSubmitted, t.OffersCleared, t.OffersRejected, t.OffersShed)
 	fmt.Fprintf(&b, "orders: %d settled, %d refunded, %d sabotaged\n",
 		t.OrdersSettled, t.OrdersRefunded, t.OrdersSabotaged)
-	fmt.Fprintf(&b, "swaps:  %d finished (%d failed), peak %d concurrent\n",
-		t.SwapsFinished, t.SwapsFailed, t.PeakConcurrent)
+	fmt.Fprintf(&b, "swaps:  %d finished (%d failed; %d single-leader, %d general), peak %d concurrent\n",
+		t.SwapsFinished, t.SwapsFailed, t.SwapsSingleLeader, t.SwapsGeneral, t.PeakConcurrent)
 	fmt.Fprintf(&b, "rate:   %.1f offers/sec submitted, %.1f offers/sec cleared, %.1f swaps/sec over %.2fs\n",
 		t.OffersSubmittedPerSec, t.OffersClearedPerSec, t.SwapsPerSec, t.ElapsedSec)
 	fmt.Fprintf(&b, "latency: avg %.2fms, p50 %.2fms, p95 %.2fms, p99 %.2fms, max %.2fms\n",

@@ -183,3 +183,36 @@ func TestDeltaTrajectoryThinning(t *testing.T) {
 		t.Errorf("last retained round = %d: thinning dropped the tail of %d decisions", last, n)
 	}
 }
+
+// TestProtocolSplit pins the per-protocol swap counts: they partition
+// SwapsFinished, survive a shard merge, reach the JSON report and the
+// one-line summary, and SignsPerSwap stays the average over both.
+func TestProtocolSplit(t *testing.T) {
+	a, b := NewAggregate(), NewAggregate()
+	for i := 0; i < 3; i++ {
+		a.SwapStarted()
+		a.SwapFinished(false, true)
+	}
+	for i := 0; i < 2; i++ {
+		b.SwapStarted()
+		b.SwapFinished(i == 0, false)
+	}
+	a.Merge(b)
+	a.SetSigns(24) // two clique-4 swaps
+	s := a.Snapshot()
+	if s.SwapsSingleLeader != 3 || s.SwapsGeneral != 2 || s.SwapsFinished != 5 || s.SwapsFailed != 1 {
+		t.Fatalf("split %d single-leader + %d general of %d finished (%d failed), want 3 + 2 of 5 (1)",
+			s.SwapsSingleLeader, s.SwapsGeneral, s.SwapsFinished, s.SwapsFailed)
+	}
+	if s.SignsPerSwap != 24.0/5 {
+		t.Errorf("SignsPerSwap = %v, want 24 signatures over all 5 swaps", s.SignsPerSwap)
+	}
+	for _, want := range []string{`"swaps_single_leader":3`, `"swaps_general":2`} {
+		if !strings.Contains(s.JSON(), want) {
+			t.Errorf("JSON() = %s missing %s", s.JSON(), want)
+		}
+	}
+	if want := "3 single-leader, 2 general"; !strings.Contains(s.String(), want) {
+		t.Errorf("String() = %q missing %q", s.String(), want)
+	}
+}
