@@ -222,7 +222,7 @@ type Chain struct {
 	owners    map[AssetID]Owner
 	contracts map[ContractID]Contract
 	closed    map[ContractID]bool
-	records   []Record
+	ledger    ledger
 	storage   int
 	observers map[string]func(Notification)
 	// obsKeys mirrors the observer map's keys in sorted order, maintained
@@ -235,17 +235,17 @@ type Chain struct {
 	// fanout neither sorts, copies the subscriber map, nor touches c.mu
 	// at all.
 	obsList atomic.Pointer[[]func(Notification)]
-	// routes delivers notifications carrying a contract ID to only the
-	// observers registered for that exact contract — O(1) per record where
+	// routes delivers notifications carrying a contract ID to the one
+	// observer registered for that exact contract — O(1) per record where
 	// the broadcast obsList is O(subscribers). Shared-chain runtimes route
-	// almost everything this way: a contract belongs to exactly one swap,
-	// so fanning its records out to every live swap (each discarding the
-	// note after a map probe) was the dominant shared-registry cost under
-	// load. Guarded by its own RWMutex rather than c.mu or copy-on-write:
-	// emit reads must not contend with ledger writes, and subscription
-	// churn (six route edits per swap) must not copy the table.
+	// everything this way: a contract belongs to exactly one swap, so
+	// fanning its records out to every live swap (each discarding the note
+	// after a map probe) was the dominant shared-registry cost under load.
+	// Guarded by its own RWMutex rather than c.mu or copy-on-write: emit
+	// reads must not contend with ledger writes, and subscription churn
+	// (two route edits per arc) must not copy the table.
 	routesMu sync.RWMutex
-	routes   map[ContractID]map[string]func(Notification)
+	routes   map[ContractID]NoteObserver
 
 	// Commitment-model state (nil/empty on Instant chains — the default
 	// — so the ideal-chain hot path pays one nil check per append).
@@ -380,69 +380,48 @@ func (c *Chain) rebuildObsLocked() {
 	c.obsList.Store(&list)
 }
 
-// SubscribeContract registers fn under key for notifications carrying
-// exactly this contract ID (publication, invocations, the settling
-// transfer). Unlike Subscribe, delivery costs O(1) per record regardless
-// of how many contracts — or other subscribers — share the chain; it is
-// the fanout shape for per-swap runtimes on shared chains, where each
-// contract concerns exactly one of them.
-func (c *Chain) SubscribeContract(key string, id ContractID, fn func(Notification)) {
+// NoteObserver receives the notifications routed to it. A runtime hands
+// the chain a pointer to storage it already owns (its per-arc record), so
+// a route costs no closure and the observer knows which arc it serves.
+type NoteObserver interface {
+	OnNote(n Notification)
+}
+
+// SubscribeContract routes every notification carrying exactly this
+// contract ID (publication, invocations, the settling transfer, reverts)
+// to obs, replacing a previous route for the ID. Unlike Subscribe,
+// delivery costs O(1) per record regardless of how many contracts — or
+// broadcast subscribers — share the chain; it is the fanout shape for
+// per-swap runtimes, where each contract concerns exactly one of them.
+func (c *Chain) SubscribeContract(id ContractID, obs NoteObserver) {
 	c.routesMu.Lock()
 	defer c.routesMu.Unlock()
 	if c.routes == nil {
-		c.routes = make(map[ContractID]map[string]func(Notification))
+		c.routes = make(map[ContractID]NoteObserver)
 	}
-	inner := c.routes[id]
-	if inner == nil {
-		inner = make(map[string]func(Notification), 1)
-		c.routes[id] = inner
-	}
-	inner[key] = fn
+	c.routes[id] = obs
 }
 
-// UnsubscribeContract removes the keyed contract route, if present.
-func (c *Chain) UnsubscribeContract(key string, id ContractID) {
+// UnsubscribeContract removes the contract's route if it still leads to
+// obs (a later subscriber's route is left alone).
+func (c *Chain) UnsubscribeContract(id ContractID, obs NoteObserver) {
 	c.routesMu.Lock()
 	defer c.routesMu.Unlock()
-	inner, ok := c.routes[id]
-	if !ok {
-		return
-	}
-	delete(inner, key)
-	if len(inner) == 0 {
+	if c.routes[id] == obs {
 		delete(c.routes, id)
 	}
 }
 
-// routeTo appends the routed observers for a notification to dst, in
-// key-sorted order when a contract (atypically) has more than one — the
-// same determinism contract rebuildObsLocked keeps for broadcast
-// observers. The callbacks must be invoked after routesMu is released.
-func (c *Chain) routeTo(dst []func(Notification), n Notification) []func(Notification) {
-	if n.Contract == "" {
-		return dst
+// route returns the observer routed for a contract, or nil. The callback
+// must be invoked after routesMu is released: observers may re-enter the
+// chain.
+func (c *Chain) route(id ContractID) NoteObserver {
+	if id == "" {
+		return nil
 	}
 	c.routesMu.RLock()
 	defer c.routesMu.RUnlock()
-	inner := c.routes[n.Contract]
-	switch len(inner) {
-	case 0:
-		return dst
-	case 1:
-		for _, fn := range inner {
-			dst = append(dst, fn)
-		}
-		return dst
-	}
-	keys := make([]string, 0, len(inner))
-	for k := range inner {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = append(dst, inner[k])
-	}
-	return dst
+	return c.routes[id]
 }
 
 // RegisterAsset mints an asset owned by the given party.
@@ -660,19 +639,14 @@ func (c *Chain) PublishData(sender PartyID, note string, payload any, size int) 
 // contends with ledger writes or other emitters.
 func (c *Chain) emit(notes ...Notification) {
 	observers := c.obsList.Load()
-	var routed []func(Notification)
 	for _, n := range notes {
 		if observers != nil {
 			for _, fn := range *observers {
 				fn(n)
 			}
 		}
-		// Routed callbacks are copied out under RLock and invoked after it
-		// is released: observers may re-enter the chain. The slice is
-		// reused across notes in one emit call.
-		routed = c.routeTo(routed[:0], n)
-		for _, fn := range routed {
-			fn(n)
+		if obs := c.route(n.Contract); obs != nil {
+			obs.OnNote(n)
 		}
 	}
 }
@@ -681,11 +655,11 @@ func (c *Chain) emit(notes ...Notification) {
 // emit once the lock is released. The caller must hold c.mu.
 func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size int, note string, event any) Notification {
 	var prev [32]byte
-	if n := len(c.records); n > 0 {
-		prev = c.records[n-1].Hash
+	if last := c.ledger.last(); last != nil {
+		prev = last.Hash
 	}
 	rec := Record{
-		Seq:      len(c.records),
+		Seq:      c.ledger.n,
 		At:       c.clock.Now(),
 		Kind:     kind,
 		Contract: id,
@@ -695,7 +669,7 @@ func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size 
 		PrevHash: prev,
 	}
 	rec.Hash = hashRecord(rec)
-	c.records = append(c.records, rec)
+	c.ledger.append(rec)
 	c.storage += size
 	return Notification{
 		Chain:    c.name,
@@ -737,8 +711,10 @@ func hashRecord(r Record) [32]byte {
 func (c *Chain) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Record, len(c.records))
-	copy(out, c.records)
+	out := make([]Record, 0, c.ledger.n)
+	for _, chunk := range c.ledger.chunks {
+		out = append(out, chunk...)
+	}
 	return out
 }
 
@@ -747,16 +723,56 @@ func (c *Chain) VerifyLedger() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var prev [32]byte
-	for _, r := range c.records {
-		if r.PrevHash != prev {
-			return false
+	for _, chunk := range c.ledger.chunks {
+		for i := range chunk {
+			r := &chunk[i]
+			if r.PrevHash != prev {
+				return false
+			}
+			if hashRecord(*r) != r.Hash {
+				return false
+			}
+			prev = r.Hash
 		}
-		if hashRecord(r) != r.Hash {
-			return false
-		}
-		prev = r.Hash
 	}
 	return true
+}
+
+// ledgerChunk is the number of records one ledger chunk holds.
+const ledgerChunk = 256
+
+// ledger is the append-only record store: full chunks of ledgerChunk
+// records and a last one still filling. One append-grown slice would, past
+// 256 elements, grow by a quarter each time — about five times the final
+// bytes allocated, zeroed, copied and rescanned over a busy chain's life —
+// where a chunk is allocated once and never moves. The first chunk grows
+// by append, so a chain that only ever sees a handful of records (a
+// standalone run's one chain per arc) never pays for a whole chunk.
+type ledger struct {
+	chunks [][]Record
+	n      int
+}
+
+func (l *ledger) append(rec Record) {
+	k := len(l.chunks) - 1
+	switch {
+	case k < 0:
+		l.chunks = append(l.chunks, []Record{rec})
+	case len(l.chunks[k]) == ledgerChunk:
+		l.chunks = append(l.chunks, append(make([]Record, 0, ledgerChunk), rec))
+	default:
+		l.chunks[k] = append(l.chunks[k], rec)
+	}
+	l.n++
+}
+
+// last returns the newest record, or nil for an empty ledger.
+func (l *ledger) last() *Record {
+	if l.n == 0 {
+		return nil
+	}
+	chunk := l.chunks[len(l.chunks)-1]
+	return &chunk[len(chunk)-1]
 }
 
 // StorageBytes returns the total bytes charged to this chain.

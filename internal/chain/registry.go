@@ -32,9 +32,9 @@ type Registry struct {
 		chains map[string]*Chain
 
 		// resMu guards this shard's slice of the reservation table:
-		// "chain\x00asset" -> holder, for chains hashing to this shard.
+		// {chain, asset} -> holder, for chains hashing to this shard.
 		resMu sync.Mutex
-		res   map[string]string
+		res   map[resKey]string
 	}
 
 	// subMu guards registry-wide subscriptions, applied to every chain
@@ -87,7 +87,7 @@ func NewRegistry(clock vtime.Clock) *Registry {
 	}
 	for i := range r.shards {
 		r.shards[i].chains = make(map[string]*Chain)
-		r.shards[i].res = make(map[string]string)
+		r.shards[i].res = make(map[resKey]string)
 	}
 	return r
 }
@@ -211,19 +211,6 @@ func (r *Registry) SubscribeAll(key string, fn func(Notification)) {
 	}
 }
 
-// SubscribeContract registers a contract-keyed route on the named chain
-// (creating the chain if needed): fn sees only records carrying that
-// contract ID. See Chain.SubscribeContract for the fanout contract.
-func (r *Registry) SubscribeContract(chainName, key string, id ContractID, fn func(Notification)) {
-	r.Chain(chainName).SubscribeContract(key, id, fn)
-}
-
-// UnsubscribeContract removes a contract-keyed route installed with
-// SubscribeContract.
-func (r *Registry) UnsubscribeContract(chainName, key string, id ContractID) {
-	r.Chain(chainName).UnsubscribeContract(key, id)
-}
-
 // UnsubscribeAll removes the keyed subscription from every chain and from
 // the future-chain list.
 func (r *Registry) UnsubscribeAll(key string) {
@@ -235,8 +222,10 @@ func (r *Registry) UnsubscribeAll(key string) {
 	}
 }
 
-func resKey(chainName string, asset AssetID) string {
-	return chainName + "\x00" + string(asset)
+// resKey names one asset in the reservation table.
+type resKey struct {
+	chain string
+	asset AssetID
 }
 
 // Reserve marks an asset as committed to one in-flight swap (the holder).
@@ -248,7 +237,7 @@ func resKey(chainName string, asset AssetID) string {
 func (r *Registry) Reserve(chainName string, asset AssetID, owner PartyID, holder string) error {
 	c := r.Chain(chainName)
 	s := &r.shards[shardOf(chainName)]
-	key := resKey(chainName, asset)
+	key := resKey{chainName, asset}
 	// The reservation check comes first and the shard stays locked across
 	// the ownership read: an asset escrowed by an in-flight swap is still
 	// reserved, and must report "reserved" (retry later), not
@@ -271,7 +260,7 @@ func (r *Registry) Reserve(chainName string, asset AssetID, owner PartyID, holde
 // Release drops a reservation if (and only if) holder still holds it.
 func (r *Registry) Release(chainName string, asset AssetID, holder string) {
 	s := &r.shards[shardOf(chainName)]
-	key := resKey(chainName, asset)
+	key := resKey{chainName, asset}
 	s.resMu.Lock()
 	defer s.resMu.Unlock()
 	if s.res[key] == holder {
@@ -284,7 +273,7 @@ func (r *Registry) ReservationHolder(chainName string, asset AssetID) (string, b
 	s := &r.shards[shardOf(chainName)]
 	s.resMu.Lock()
 	defer s.resMu.Unlock()
-	h, ok := s.res[resKey(chainName, asset)]
+	h, ok := s.res[resKey{chainName, asset}]
 	return h, ok
 }
 

@@ -46,7 +46,7 @@ const revertRecordBytes = 8
 func (c *Chain) SetCommitmentModel(m CommitmentModel, onDue func(vtime.Ticks)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.records) > 0 {
+	if c.ledger.n > 0 {
 		return fmt.Errorf("chain %s: commitment model must be set before any record", c.name)
 	}
 	if m == nil {
@@ -134,11 +134,11 @@ func (c *Chain) drawFateLocked(id ContractID) (Fate, bool) {
 	return f, true
 }
 
-// trackLocked registers the just-appended record (the last in
-// c.records) under fate f and returns true — the caller marks its
+// trackLocked registers the just-appended record (the ledger's last)
+// under fate f and returns true — the caller marks its
 // notification Provisional. The caller must hold c.mu.
 func (c *Chain) trackLocked(kind NoteKind, id ContractID, u undoEntry, f Fate) bool {
-	rec := c.records[len(c.records)-1]
+	rec := c.ledger.last()
 	e := commitEntry{seq: rec.Seq, kind: kind, finalAt: rec.At.Add(f.FinalAfter), undo: u}
 	if f.RevertAfter > 0 && f.RevertAfter < f.FinalAfter {
 		e.revertAt = rec.At.Add(f.RevertAfter)

@@ -51,10 +51,10 @@ type Config struct {
 	// ExtraDelta pads the run horizon beyond spec.Horizon(), in Δ (2 if 0).
 	ExtraDelta int
 	// Registry, when set, is a shared chain registry: assets already
-	// registered on it are reused (their ownership is verified), and the
-	// run subscribes to chain events under a unique key instead of
-	// claiming the chains' only observer slot. Many runs may then execute
-	// concurrently over the same chains — the clearing engine's mode.
+	// registered on it are reused (their ownership is verified). A run
+	// hears about its own contracts only (one route per contract), so many
+	// runs may execute concurrently over the same chains — the clearing
+	// engine's mode. Nil gives the run a private registry.
 	Registry *chain.Registry
 	// Scheduler, when set, is a shared time source so concurrent runs
 	// agree on virtual time: sched.NewReal for wall-clock execution (what
@@ -188,25 +188,7 @@ type Result struct {
 // (inside the clearing callback, under the scheduler hold) while the
 // blocking wait stays on an executor worker.
 type Running struct {
-	r         *runner
-	cfg       Config
-	cancel    context.CancelFunc
-	partyWG   *sync.WaitGroup
-	horizonCh chan struct{}
-	subKey    string
-	shared    bool
-	// horizonOnce guards cfg.OnHorizon: normally fired by the horizon
-	// event itself, but an EarlyExit teardown cancels that timer, so Wait
-	// fires it as a fallback.
-	horizonOnce sync.Once
-}
-
-// fireHorizon runs cfg.OnHorizon at most once.
-func (rn *Running) fireHorizon() {
-	if rn.cfg.OnHorizon == nil {
-		return
-	}
-	rn.horizonOnce.Do(rn.cfg.OnHorizon)
+	r runner
 }
 
 // Run executes the setup to its horizon and reports the result. Behaviors
@@ -225,6 +207,12 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 // atomically under a scheduler hold, so under virtual time the protocol
 // start is pinned relative to the scheduler's tick at the moment Prepare
 // was called.
+//
+// The run is laid out from the spec's shape in a constant number of
+// allocations: the runner, its parties by value, one record per arc (chain
+// handle, delivery margin, contract route, escrow span), and — on a
+// virtual scheduler — a slab holding every delivery a conforming run of
+// this shape makes. Nothing is kept from one run to the next.
 func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Running, error) {
 	if cfg.ExtraDelta <= 0 {
 		cfg.ExtraDelta = 2
@@ -242,16 +230,22 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	if log == nil {
 		log = &trace.Log{}
 	}
-	r := &runner{
-		setup:   setup,
-		spec:    spec,
-		sched:   scheduler,
-		stripe:  cfg.StripeKey,
-		log:     log,
-		arcs:    make([]arcState, spec.D.NumArcs()),
-		done:    make(chan struct{}),
-		cids:    make(map[chain.ContractID]int, spec.D.NumArcs()),
-		onPhase: cfg.OnPhase,
+	nArcs := spec.D.NumArcs()
+	rn := &Running{r: runner{
+		setup:     setup,
+		spec:      spec,
+		sched:     scheduler,
+		stripe:    cfg.StripeKey,
+		log:       log,
+		arcs:      make([]arcRun, nArcs),
+		onPhase:   cfg.OnPhase,
+		onRevert:  cfg.OnRevert,
+		onHorizon: cfg.OnHorizon,
+		horizonCh: make(chan struct{}),
+	}}
+	r := &rn.r
+	if cfg.EarlyExit {
+		r.done = make(chan struct{})
 	}
 	// A virtual scheduler serializes each stripe's events itself: party
 	// callbacks run directly inside them, and no mailbox goroutine exists.
@@ -269,29 +263,37 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// The "start" phase is stamped with the tick it is logged at (now,
 	// inside the hold) — not spec.Start, which lies in the future and
 	// would let a pre-crash log record carry a post-crash tick.
-	r.notePhase("start")
+	r.notePhase(phaseStart)
 
-	for id := 0; id < spec.D.NumArcs(); id++ {
-		r.cids[spec.ContractID(id)] = id
-	}
-	shared := cfg.Registry != nil
-	if shared {
+	if cfg.Registry != nil {
 		r.reg = cfg.Registry
 	} else {
 		r.reg = chain.NewRegistry(scheduler)
 	}
 	r.probe = r.reg.DeliveryProbe()
-	for id := 0; id < spec.D.NumArcs(); id++ {
+	// Per arc: resolve the chain once, verify or register the asset, and
+	// cache the chain's delivery margin and probe. The margin comes from
+	// the chain's commitment-model timing; an Instant chain (zero Timing)
+	// reproduces the historical spec.Delta margin bit-for-bit.
+	base := vtime.Duration(spec.Delta)
+	for id := range r.arcs {
 		aa := spec.Assets[id]
 		owner := spec.PartyOf(spec.D.Arc(id).Head)
 		ch := r.reg.Chain(aa.Chain)
-		if a, exists := ch.Asset(aa.Asset); exists {
+		a := &r.arcs[id]
+		a.r, a.id, a.ch = r, id, ch
+		a.delay = ch.Timing().DeliveryDelay(base)
+		a.probe = r.reg.ChainDeliveryProbe(aa.Chain)
+		if ch.CommitmentModelName() != "instant" {
+			r.reorgAware = true
+		}
+		if asset, exists := ch.Asset(aa.Asset); exists {
 			// Shared chains: the asset was minted up front (by the engine's
 			// intake); verify it is what the spec says and who owns it.
 			cur, _ := ch.OwnerOf(aa.Asset)
-			if a.Amount != aa.Amount || cur != chain.ByParty(owner) {
+			if asset.Amount != aa.Amount || cur != chain.ByParty(owner) {
 				return nil, fmt.Errorf("conc: asset %s/%s mismatch: amount %d owner %s",
-					aa.Chain, aa.Asset, a.Amount, cur)
+					aa.Chain, aa.Asset, asset.Amount, cur)
 			}
 			continue
 		}
@@ -301,65 +303,26 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			return nil, fmt.Errorf("conc: registering assets: %w", err)
 		}
 	}
-	if spec.Broadcast {
-		r.reg.Chain(core.BroadcastChain)
-	}
 
-	// Cache each involved chain's delivery margin and per-chain probe.
-	// The margin comes from the chain's commitment-model timing; an
-	// Instant chain (zero Timing) reproduces the historical spec.Delta
-	// margin bit-for-bit, so this block changes nothing for ideal chains.
-	r.onRevert = cfg.OnRevert
-	base := vtime.Duration(spec.Delta)
-	r.delays = make(map[string]vtime.Duration, spec.D.NumArcs()+1)
-	chainNames := make([]string, 0, spec.D.NumArcs()+1)
-	for id := 0; id < spec.D.NumArcs(); id++ {
-		chainNames = append(chainNames, spec.Assets[id].Chain)
-	}
-	if spec.Broadcast {
-		chainNames = append(chainNames, core.BroadcastChain)
-	}
-	for _, name := range chainNames {
-		if _, done := r.delays[name]; done {
-			continue
-		}
-		ch := r.reg.Chain(name)
-		r.delays[name] = ch.Timing().DeliveryDelay(base)
-		if ch.CommitmentModelName() != "instant" {
-			r.reorgAware = true
-		}
-		if p := r.reg.ChainDeliveryProbe(name); p != nil {
-			if r.chainProbes == nil {
-				r.chainProbes = make(map[string]chain.DeliveryProbe, len(chainNames))
-			}
-			r.chainProbes[name] = p
-		}
-	}
-
-	horizon := spec.Horizon().Add(vtime.Scale(cfg.ExtraDelta, spec.Delta))
-	r.horizonTick = horizon
-	ctx, cancel := context.WithCancel(context.Background())
-	r.ctx = ctx
+	r.horizonTick = spec.Horizon().Add(vtime.Scale(cfg.ExtraDelta, spec.Delta))
 
 	// On a real-time scheduler, one mailbox goroutine per party: all
 	// behavior callbacks and alarms run there, so behaviors stay
 	// single-threaded. On a virtual one the scheduler's same-stripe
 	// serialization is that guarantee instead.
-	n := spec.D.NumVertices()
-	r.parties = make([]*party, n)
-	wg := new(sync.WaitGroup)
-	for v := 0; v < n; v++ {
-		b := behaviors[digraph.Vertex(v)]
-		if b == nil {
-			b = core.ConformingFor(spec)
-		}
-		p := &party{
-			runner:   r,
-			vertex:   digraph.Vertex(v),
-			behavior: b,
-		}
+	r.parties = make([]party, spec.D.NumVertices())
+	if r.virtual != nil {
+		r.slab = make([]delivery, 0, eventBudget(spec))
+	} else {
+		r.ctx, r.cancel = context.WithCancel(context.Background())
+	}
+	for v := range r.parties {
+		p := &r.parties[v]
+		p.runner, p.vertex = r, digraph.Vertex(v)
 		p.envc.p = p
-		r.parties[v] = p
+		if p.behavior = behaviors[p.vertex]; p.behavior == nil {
+			p.behavior = core.ConformingFor(spec)
+		}
 		if r.virtual != nil {
 			continue
 		}
@@ -369,55 +332,60 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		// a full buffer is backpressure, not deadlock. An oversized channel
 		// here dominated per-run allocations (~8 KiB × parties × runs).
 		p.mailbox = make(chan *delivery, 16)
-		wg.Add(1)
+		r.partyWG.Add(1)
 		go func() {
-			defer wg.Done()
-			p.loop(ctx)
+			defer r.partyWG.Done()
+			p.loop(r.ctx)
 		}()
 	}
-	subKey := fmt.Sprintf("conc-run-%d", atomic.AddUint64(&runSeq, 1))
-	if shared {
-		// Contract-keyed routes instead of a blanket subscription: every
-		// record about one of this run's contracts reaches onNote in O(1),
-		// and records about other swaps' contracts never do — on a shared
-		// registry the blanket fanout made every ledger write cost O(live
-		// runs). Only the broadcast chain still needs the firehose: its
-		// data records carry a tag, not a contract ID, and onNote filters
-		// them by spec tag.
-		onNote := r.onNote // one method value for every route
-		for id := 0; id < spec.D.NumArcs(); id++ {
-			r.reg.SubscribeContract(spec.Assets[id].Chain, subKey, spec.ContractID(id), onNote)
-		}
-		r.reg.Chain(core.BroadcastChain).Subscribe(subKey, onNote)
-	} else {
-		r.reg.SetObserverAll(r.onNote)
+	// One route per contract instead of a blanket subscription: every
+	// record about one of this run's contracts reaches its arc's record in
+	// O(1), and records about other swaps' contracts never do — on a shared
+	// registry the blanket fanout made every ledger write cost O(live
+	// runs). Only a broadcasting swap listens to the broadcast chain, whose
+	// data records carry a tag, not a contract ID.
+	for id := range r.arcs {
+		r.arcs[id].ch.SubscribeContract(spec.ContractID(id), &r.arcs[id])
+	}
+	if spec.Broadcast {
+		r.bcast = r.reg.Chain(core.BroadcastChain)
+		r.bcastDelay = r.bcast.Timing().DeliveryDelay(base)
+		r.bcastProbe = r.reg.ChainDeliveryProbe(core.BroadcastChain)
+		r.bcastKey = fmt.Sprintf("conc-run-%d", atomic.AddUint64(&runSeq, 1))
+		r.bcast.Subscribe(r.bcastKey, r.onBroadcast)
 	}
 
 	// Start everyone at T−Δ (leaders deploy ahead; see core.Runner).
 	initAt := spec.Start.Add(-vtime.Duration(spec.Delta))
-	for _, p := range r.parties {
-		r.schedule(&delivery{p: p, at: initAt, kind: deliverInit})
-	}
-	horizonCh := make(chan struct{})
-	rn := &Running{
-		r:         r,
-		cfg:       cfg,
-		cancel:    cancel,
-		partyWG:   wg,
-		horizonCh: horizonCh,
-		subKey:    subKey,
-		shared:    shared,
-	}
-	r.schedule(&delivery{at: horizon, fn: func() { rn.fireHorizon(); close(horizonCh) }})
+	r.deliverParties(delivery{at: initAt, kind: deliverInit})
+	r.schedule(delivery{at: r.horizonTick, kind: deliverHorizon})
 	release()
 
 	return rn, nil
 }
 
+// eventBudget is the number of scheduler events a conforming run of spec
+// makes on a virtual scheduler, which sizes the run's delivery slab: the
+// start and the horizon, every refund alarm, and per arc its publication,
+// its reveals (one redeem, or one unlock per hashlock) and its settlement —
+// plus one per leader broadcast. Deviations and reorg re-deliveries can
+// exceed it; those deliveries come from the heap.
+func eventBudget(spec *core.Spec) int {
+	reveals := 1
+	if spec.Kind == core.KindGeneral {
+		reveals = len(spec.Leaders)
+	}
+	n := 2 + spec.RefundAlarms() + spec.D.NumArcs()*(2+reveals)
+	if spec.Broadcast {
+		n += len(spec.Leaders)
+	}
+	return n
+}
+
 // Wait blocks until the prepared run finishes, tears it down, and
 // returns the result. Call it exactly once.
 func (rn *Running) Wait() *Result {
-	r := rn.r
+	r := &rn.r
 	// Let the protocol play out to the horizon — or, with EarlyExit, only
 	// until every arc settles. A settled arc is final, so nothing after
 	// the last transfer can change an outcome: the full-Δ grace sleep the
@@ -427,13 +395,13 @@ func (rn *Running) Wait() *Result {
 	// callers should leave EarlyExit off: cancelling not-yet-fired
 	// trailing deliveries races wall time against the virtual clock,
 	// which perturbs the delivery-probe sample stream across replays.)
-	if rn.cfg.EarlyExit {
+	if r.done != nil {
 		select {
-		case <-rn.horizonCh:
+		case <-r.horizonCh:
 		case <-r.done:
 		}
 	} else {
-		<-rn.horizonCh
+		<-r.horizonCh
 	}
 	// Teardown order matters: (1) stop timers so no new callbacks start,
 	// (2) wait out callbacks already past the stop check (their mailbox
@@ -443,22 +411,24 @@ func (rn *Running) Wait() *Result {
 	// as run's ctx guard would have dropped it.
 	r.stopTimers()
 	r.fnWG.Wait()
-	rn.cancel()
-	rn.partyWG.Wait()
-	if rn.shared {
-		for id := 0; id < r.spec.D.NumArcs(); id++ {
-			r.reg.UnsubscribeContract(r.spec.Assets[id].Chain, rn.subKey, r.spec.ContractID(id))
-		}
-		r.reg.Chain(core.BroadcastChain).Unsubscribe(rn.subKey)
+	if r.cancel != nil {
+		r.cancel()
+		r.partyWG.Wait()
+	}
+	for id := range r.arcs {
+		r.arcs[id].ch.UnsubscribeContract(r.spec.ContractID(id), &r.arcs[id])
+	}
+	if r.bcast != nil {
+		r.bcast.Unsubscribe(r.bcastKey)
 	}
 	// EarlyExit teardown may have cancelled the horizon timer before it
 	// fired; the run is over either way.
-	rn.fireHorizon()
+	r.fireHorizon()
 
 	return r.buildResult()
 }
 
-// runSeq issues unique subscription keys for runs over shared registries.
+// runSeq issues unique broadcast-subscription keys.
 var runSeq uint64
 
 type runner struct {
@@ -473,22 +443,28 @@ type runner struct {
 	reg     *chain.Registry
 	probe   chain.DeliveryProbe
 	log     *trace.Log
+	// ctx, cancel and partyWG belong to the mailbox goroutines of a
+	// real-time run; a virtual run has none and leaves them zero.
 	ctx     context.Context
+	cancel  context.CancelFunc
+	partyWG sync.WaitGroup
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
-	// some arc never resolves.
+	// some arc never resolves. horizonCh closes when the horizon event
+	// fires; horizonOnce guards onHorizon (Config.OnHorizon), normally
+	// fired by that event but by Wait when an EarlyExit teardown cancelled
+	// it first.
 	horizonTick vtime.Ticks
+	horizonCh   chan struct{}
+	horizonOnce sync.Once
+	onHorizon   func()
 
-	// cids maps this swap's contract IDs to arc IDs — the filter that
-	// keeps a run deaf to other swaps sharing the same chains.
-	cids map[chain.ContractID]int
+	// bcast is the broadcast chain of a spec.Broadcast run (nil otherwise),
+	// with its delivery margin, probe and this run's subscription key.
+	bcast      *chain.Chain
+	bcastDelay vtime.Duration
+	bcastProbe chain.DeliveryProbe
+	bcastKey   string
 
-	// delays caches each involved chain's delivery margin, derived at
-	// Prepare from the chain's commitment-model timing (for an Instant
-	// chain this reproduces the historical single-Δ margin exactly).
-	delays map[string]vtime.Duration
-	// chainProbes caches the registry's per-chain delivery probes for the
-	// involved chains; observations feed them alongside the global probe.
-	chainProbes map[string]chain.DeliveryProbe
 	// reorgAware is set when any involved chain can revert or delay
 	// finality; it gates the re-delivery dedupe below and the
 	// finality-gated resolution path. False keeps the historical
@@ -506,78 +482,122 @@ type runner struct {
 	// makes each phase fire at most once.
 	onPhase   func(PhaseEvent)
 	deadline  vtime.Ticks
-	phaseSeen map[string]bool
+	phaseSeen phase
 
-	parties []*party
+	parties []party
 
 	// live lists this run's outstanding deliveries (linked through the
 	// records themselves) so teardown can cancel their timers in one sweep
 	// instead of leaking them (or, worse, leaving dead events in a
 	// long-lived shared scheduler). fnWG counts timer callbacks past the
 	// stop check, so teardown can wait for their mailbox sends to finish
-	// before the parties stop draining.
+	// before the parties stop draining. slab is where a virtual run's
+	// deliveries live: cut in order, never reused, sized by eventBudget.
 	timersMu sync.Mutex
 	live     *delivery
 	stopped  bool
 	fnWG     sync.WaitGroup
+	slab     []delivery
 
 	mu sync.Mutex
-	// arcs is the per-arc run state, by arc ID; resolved counts its
+	// arcs is the per-arc run record, by arc ID; resolved counts its
 	// resolved entries.
-	arcs     []arcState
+	arcs     []arcRun
 	resolved int
 	// lastResolve is the tick of the most recent arc resolution.
 	lastResolve vtime.Ticks
-	done        chan struct{}
+	// done closes when every arc has resolved; only an EarlyExit run has it.
+	done chan struct{}
 }
 
-// arcState is what the run tracks per arc. pubTick and resTick bound the
-// arc's escrow span: first publish tick and first resolution tick
-// (first-write wins — a reorg re-publish does not restart the lock
+// arcRun is what the run keeps per arc: where its contract lives and how
+// notifications from there are timed — resolved once at Prepare, so the
+// hot path never looks a chain up by name — and the arc's escrow span.
+// Its address is the contract's route on the chain (chain.NoteObserver),
+// which is how a notification arrives already knowing its arc. pubTick and
+// resTick bound the escrow span: first publish tick and first resolution
+// tick (first-write wins — a reorg re-publish does not restart the lock
 // interval the owner already paid for).
-type arcState struct {
+type arcRun struct {
+	r  *runner
+	id int
+	ch *chain.Chain
+	// delay is the chain's delivery margin, derived from its commitment-
+	// model timing; probe is the chain's own delivery probe (nil without a
+	// commitment model), fed alongside the global one.
+	delay vtime.Duration
+	probe chain.DeliveryProbe
+
 	published, resolved, claimed bool
 	pubTick, resTick             vtime.Ticks
 }
 
-// deliveryKind selects the behavior callback a delivery makes.
+// OnNote implements chain.NoteObserver.
+func (a *arcRun) OnNote(n chain.Notification) { a.r.onNote(a, n) }
+
+// phase is a set of coarse protocol phases (see Config.OnPhase).
+type phase uint8
+
+const (
+	phaseStart phase = 1 << iota
+	phaseEscrow
+	phaseReveal
+)
+
+func (p phase) String() string {
+	switch p {
+	case phaseStart:
+		return "start"
+	case phaseEscrow:
+		return "escrow"
+	default:
+		return "reveal"
+	}
+}
+
+// deliveryKind selects what a delivery does when it fires.
 type deliveryKind uint8
 
 const (
-	deliverFunc      deliveryKind = iota // fn(): behavior alarms, run-level events
-	deliverInit                          // Init
-	deliverContract                      // OnContract(arc, contract)
-	deliverUnlock                        // OnUnlock(arc, lock, key)
-	deliverRedeem                        // OnRedeem(arc, key.Secret)
-	deliverSettled                       // OnSettled(arc, claimed)
-	deliverBroadcast                     // OnBroadcast(lock, key)
+	deliverAlarm     deliveryKind = iota // fn(): a party's own alarm
+	deliverHorizon                       // the run's end: no party
+	deliverInit                          // Init, every party
+	deliverContract                      // OnContract(arc, contract), both ends of arc
+	deliverUnlock                        // OnUnlock(arc, lock, key), both ends of arc
+	deliverRedeem                        // OnRedeem(arc, key.Secret), both ends of arc
+	deliverSettled                       // OnSettled(arc, claimed), both ends of arc
+	deliverBroadcast                     // OnBroadcast(lock, key), every party
 )
 
-// delivery is one scheduled event of a run: what to hand to which party
+// delivery is one scheduled event of a run: what to hand to which parties
 // at which tick, and — while it is outstanding — its scheduler timer and
 // its place in the run's live list. One record replaces a closure per
-// layer; the record is the only per-delivery state.
+// layer; on a virtual scheduler the record is also the scheduler's own
+// queue entry (ev), so a delivery costs the run no allocation at all.
 type delivery struct {
-	// p is the receiving party; nil marks a run-level event (the horizon),
-	// whose fn runs ungated on the scheduler.
-	p  *party
-	at vtime.Ticks
-	// alarm deliveries bypass the abandon gate: refund alarms keep running
-	// for abandoned parties, as in the simulator runtime.
-	alarm bool
-	kind  deliveryKind
-	// src names the chain a delivery was sourced from, so the observed lag
-	// also feeds that chain's probe; empty for alarms and inits.
-	src       string
+	ev sched.Event
+	r  *runner
+	// p is the one receiving party: set for alarms and for every delivery
+	// of a real-time run, where each party's mailbox gets its own record.
+	// nil addresses the parties the kind names (see deliverParties).
+	p    *party
+	at   vtime.Ticks
+	kind deliveryKind
+	// probe is the probe of the chain the delivery was sourced from, fed
+	// the observed lag besides the global one; nil for alarms and inits.
+	probe     chain.DeliveryProbe
 	arc, lock int
 	claimed   bool
 	key       hashkey.Hashkey
 	contract  chain.Contract
 	fn        func()
 
-	timer      sched.Timer
+	timer      sched.Timer // real-time runs only
 	prev, next *delivery
 }
+
+// Fire implements sched.Handler.
+func (d *delivery) Fire() { d.r.fire(d) }
 
 // eventKey identifies a behavior delivery for the reorg re-delivery
 // dedupe.
@@ -591,23 +611,31 @@ type eventKey struct {
 // callback re-checks the stopped flag under the timer lock, so after
 // stopTimers returns no new callback body can start (fnWG covers the ones
 // already past the check).
-func (r *runner) schedule(d *delivery) {
+func (r *runner) schedule(d delivery) {
 	r.timersMu.Lock()
 	defer r.timersMu.Unlock()
 	if r.stopped {
 		return
 	}
-	fire := func() { r.fire(d) }
-	if r.virtual != nil {
-		d.timer = r.virtual.AtKeyed(d.at, r.stripe, fire)
+	var slot *delivery
+	if n := len(r.slab); n < cap(r.slab) {
+		r.slab = r.slab[:n+1]
+		slot = &r.slab[n]
 	} else {
-		d.timer = r.sched.At(d.at, fire)
+		slot = new(delivery)
 	}
-	d.next = r.live
+	*slot = d
+	slot.r = r
+	if r.virtual != nil {
+		r.virtual.Schedule(&slot.ev, slot.at, r.stripe, slot)
+	} else {
+		slot.timer = r.sched.At(slot.at, slot.Fire)
+	}
+	slot.next = r.live
 	if r.live != nil {
-		r.live.prev = d
+		r.live.prev = slot
 	}
-	r.live = d
+	r.live = slot
 }
 
 // stopTimers cancels every outstanding timer and blocks new ones.
@@ -618,16 +646,27 @@ func (r *runner) stopTimers() {
 	r.live = nil
 	r.timersMu.Unlock()
 	for d := live; d != nil; d = d.next {
-		d.timer.Stop()
+		if r.virtual != nil {
+			d.ev.Stop()
+		} else {
+			d.timer.Stop()
+		}
+	}
+}
+
+// fireHorizon runs Config.OnHorizon at most once.
+func (r *runner) fireHorizon() {
+	if r.onHorizon != nil {
+		r.horizonOnce.Do(r.onHorizon)
 	}
 }
 
 // fire is d's scheduler callback: it takes d off the live list and hands
-// it to its party. On a virtual scheduler the event IS the party's
-// execution — the dispatcher (or this stripe's worker) already holds the
-// clock for the duration of the callback, and same-stripe serialization
-// keeps the behavior single-threaded: no handoff, no wait. On a real-time
-// one the delivery goes to the party's mailbox goroutine.
+// it to its parties. On a virtual scheduler the event IS their execution —
+// the dispatcher (or this stripe's worker) already holds the clock for the
+// duration of the callback, and same-stripe serialization keeps the
+// behaviors single-threaded: no handoff, no wait. On a real-time one the
+// delivery goes to its party's mailbox goroutine.
 func (r *runner) fire(d *delivery) {
 	r.timersMu.Lock()
 	if r.stopped {
@@ -648,30 +687,40 @@ func (r *runner) fire(d *delivery) {
 	defer r.fnWG.Done()
 
 	switch {
-	case d.p == nil:
-		d.fn()
-	case r.virtual != nil:
-		r.run(d)
-	default:
+	case d.kind == deliverHorizon:
+		r.fireHorizon()
+		close(r.horizonCh)
+	case r.virtual == nil:
 		select {
 		case d.p.mailbox <- d:
 		case <-r.ctx.Done():
 		}
+	case d.p != nil:
+		r.run(d, d.p)
+	case d.kind == deliverInit || d.kind == deliverBroadcast:
+		for v := range r.parties {
+			r.run(d, &r.parties[v])
+		}
+	default:
+		arc := r.spec.D.Arc(d.arc)
+		r.run(d, &r.parties[arc.Head])
+		r.run(d, &r.parties[arc.Tail])
 	}
 }
 
-// run makes d's behavior callback on its party's thread of control.
-func (r *runner) run(d *delivery) {
-	if r.ctx.Err() != nil {
+// run makes d's behavior callback for p, on p's thread of control.
+func (r *runner) run(d *delivery, p *party) {
+	if r.ctx != nil && r.ctx.Err() != nil {
 		return // teardown
 	}
-	p := d.p
-	if !d.alarm && p.abandoned {
+	// Alarms bypass the abandon gate: refund alarms keep running for
+	// abandoned parties, as in the simulator runtime.
+	if d.kind != deliverAlarm && p.abandoned {
 		return
 	}
-	r.observeLag(d.src, d.at)
+	r.observeLag(d)
 	switch d.kind {
-	case deliverFunc:
+	case deliverAlarm:
 		d.fn()
 	case deliverInit:
 		p.behavior.Init(p.env())
@@ -688,53 +737,64 @@ func (r *runner) run(d *delivery) {
 	}
 }
 
-// deliverTo schedules p's own copy of d.
-func (r *runner) deliverTo(p *party, d delivery) {
-	d.p = p
-	r.schedule(&d)
-}
-
-// deliverIncident schedules d for each endpoint of d.arc.
-func (r *runner) deliverIncident(d delivery) {
-	arc := r.spec.D.Arc(d.arc)
-	r.deliverTo(r.parties[arc.Head], d)
-	r.deliverTo(r.parties[arc.Tail], d)
+// deliverParties schedules d for the parties its kind names — everyone for
+// an init or a broadcast, else the two ends of d.arc, head first. Those
+// are deliveries that would sit next to each other in the scheduler's
+// order: same tick, same stripe, consecutive scheduling numbers, nothing
+// able to come between them. On a virtual scheduler they are therefore one
+// event that serves the parties in that order, each behind its own abandon
+// gate and lag observation, and every party's callback sequence is what
+// one event per party gave. A real-time run still hands each party's
+// mailbox its own record.
+func (r *runner) deliverParties(d delivery) {
+	switch {
+	case r.virtual != nil:
+		r.schedule(d)
+	case d.kind == deliverInit || d.kind == deliverBroadcast:
+		for v := range r.parties {
+			d.p = &r.parties[v]
+			r.schedule(d)
+		}
+	default:
+		arc := r.spec.D.Arc(d.arc)
+		d.p = &r.parties[arc.Head]
+		r.schedule(d)
+		d.p = &r.parties[arc.Tail]
+		r.schedule(d)
+	}
 }
 
 // observeLag feeds one delivery's observed lag past its scheduled tick
 // to the global probe and, when the delivery was sourced from a chain
 // event, to that chain's probe — so adaptive Δ can see per-chain lag
 // instead of one blended stream.
-func (r *runner) observeLag(src string, t vtime.Ticks) {
-	lag := r.sched.Now().Sub(t)
+func (r *runner) observeLag(d *delivery) {
+	lag := r.sched.Now().Sub(d.at)
 	if lag < 0 {
 		lag = 0
 	}
 	if r.probe != nil {
 		r.probe.Observe(lag)
 	}
-	if src != "" {
-		if p := r.chainProbes[src]; p != nil {
-			p.Observe(lag)
-		}
+	if d.probe != nil {
+		d.probe.Observe(lag)
 	}
 }
 
 // notePublished records an arc's first contract-publication tick — the
 // open of its escrow span. Safe from any goroutine.
-func (r *runner) notePublished(arcID int, at vtime.Ticks) {
+func (r *runner) notePublished(a *arcRun, at vtime.Ticks) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if a := &r.arcs[arcID]; !a.published {
+	if !a.published {
 		a.published, a.pubTick = true, at
 	}
 }
 
-func (r *runner) setResolved(arcID int, claimed bool) {
+func (r *runner) setResolved(a *arcRun, claimed bool) {
 	now := r.sched.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	a := &r.arcs[arcID]
 	a.claimed = claimed
 	if now > r.lastResolve {
 		r.lastResolve = now
@@ -744,45 +804,30 @@ func (r *runner) setResolved(arcID int, claimed bool) {
 	}
 	a.resolved, a.resTick = true, now
 	r.resolved++
-	if r.resolved == len(r.arcs) {
+	if r.resolved == len(r.arcs) && r.done != nil {
 		close(r.done)
 	}
 }
 
 // notePhase reports one coarse phase transition through Config.OnPhase,
 // at most once per run per phase. Safe from any goroutine.
-func (r *runner) notePhase(phase string) {
+func (r *runner) notePhase(p phase) {
 	if r.onPhase == nil {
 		return
 	}
 	r.mu.Lock()
-	if r.phaseSeen == nil {
-		r.phaseSeen = make(map[string]bool, 3)
-	}
-	if r.phaseSeen[phase] {
-		r.mu.Unlock()
-		return
-	}
-	r.phaseSeen[phase] = true
+	seen := r.phaseSeen&p != 0
+	r.phaseSeen |= p
 	r.mu.Unlock()
-	r.onPhase(PhaseEvent{Phase: phase, At: r.sched.Now(), Deadline: r.deadline})
+	if !seen {
+		r.onPhase(PhaseEvent{Phase: p.String(), At: r.sched.Now(), Deadline: r.deadline})
+	}
 }
 
 func (r *runner) getResolved(arcID int) (bool, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.arcs[arcID].resolved, r.arcs[arcID].claimed
-}
-
-// deliveryDelay returns the cached delivery margin for events sourced
-// from the named chain. The fallback (an uncached chain, only possible
-// for notes outside the swap's asset set) is the Instant formula on the
-// spec's base Δ — exactly the historical value.
-func (r *runner) deliveryDelay(name string) vtime.Duration {
-	if d, ok := r.delays[name]; ok {
-		return d
-	}
-	return chain.Timing{}.DeliveryDelay(vtime.Duration(r.spec.Delta))
 }
 
 // dupEvent records a behavior-delivery key and reports whether it was
@@ -805,125 +850,114 @@ func (r *runner) dupEvent(key eventKey) bool {
 	return false
 }
 
-// onNote fans chain notifications out to the incident parties within Δ,
-// mirroring core.Runner.onNote. Unlike the simulator — which realizes the
-// worst case exactly and leans on inclusive deadlines — real scheduling
-// adds jitter on top of the delivery target, so targets sit a quarter-Δ
-// inside the bound (detection strictly within Δ, as the paper's model
-// allows): the protocol's deadline margins then scale with Δ instead of
-// being a fixed tick count, which is what lets a loaded box widen Δ to
-// buy robustness — and, with the delivery probe watching actual lag, lets
-// the engine shrink Δ back when the hardware is keeping up. The margin is
-// per-chain: each chain's commitment-model timing decides it, and an
-// Instant chain reproduces the historical spec.Delta margin exactly.
+// onNote fans one notification about arc a's contract out to the incident
+// parties within Δ, mirroring core.Runner.onNote. Unlike the simulator —
+// which realizes the worst case exactly and leans on inclusive deadlines —
+// real scheduling adds jitter on top of the delivery target, so targets
+// sit a quarter-Δ inside the bound (detection strictly within Δ, as the
+// paper's model allows): the protocol's deadline margins then scale with Δ
+// instead of being a fixed tick count, which is what lets a loaded box
+// widen Δ to buy robustness — and, with the delivery probe watching actual
+// lag, lets the engine shrink Δ back when the hardware is keeping up. The
+// margin is per-chain: each chain's commitment-model timing decides it,
+// and an Instant chain reproduces the historical spec.Delta margin exactly.
 //
 // On chains with delayed finality, parties still act on applied
 // (provisional) events optimistically — that is what keeps the swap
 // moving at chain speed — but an arc only RESOLVES when its closing
 // transfer finalizes, and a revert re-applies records through the normal
 // paths (with re-deliveries deduped, since behaviors already acted).
-func (r *runner) onNote(n chain.Notification) {
+func (r *runner) onNote(a *arcRun, n chain.Notification) {
 	// d is the delivery this note becomes, filled in per kind below.
-	d := delivery{at: n.At.Add(r.deliveryDelay(n.Chain)), src: n.Chain}
+	d := delivery{at: n.At.Add(a.delay), probe: a.probe, arc: a.id}
 	switch n.Kind {
 	case chain.NoteContractPublished:
 		c, ok := n.Event.(chain.Contract)
 		if !ok {
 			return
 		}
-		arcID, mine := r.cids[n.Contract]
-		if !mine {
-			return // another swap's contract on a shared chain
-		}
-		r.notePublished(arcID, n.At)
-		r.notePhase("escrow")
-		d.kind, d.arc, d.contract = deliverContract, arcID, c
-		if r.dupEvent(eventKey{kind: d.kind, arc: arcID}) {
+		r.notePublished(a, n.At)
+		r.notePhase(phaseEscrow)
+		d.kind, d.contract = deliverContract, c
+		if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
 			return // reorg re-publish: parties already saw this contract
 		}
-		r.deliverIncident(d)
+		r.deliverParties(d)
 	case chain.NoteInvocation:
-		if _, mine := r.cids[n.Contract]; !mine {
-			return
-		}
 		switch ev := n.Event.(type) {
 		case htlc.UnlockedEvent:
-			r.notePhase("reveal")
+			r.notePhase(phaseReveal)
 			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, ev.LockIndex, ev.Key
 			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: d.lock}) {
 				return
 			}
-			r.deliverIncident(d)
+			r.deliverParties(d)
 		case htlc.RedeemedEvent:
-			r.notePhase("reveal")
+			r.notePhase(phaseReveal)
 			d.kind, d.arc, d.key.Secret = deliverRedeem, ev.ArcID, ev.Secret
 			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
 				return
 			}
-			r.deliverIncident(d)
+			r.deliverParties(d)
 		}
 	case chain.NoteTransfer:
-		arcID, mine := r.cids[n.Contract]
-		if !mine {
-			return
-		}
-		ch := r.reg.Chain(n.Chain)
-		c, ok := ch.Contract(n.Contract)
+		claimed, ok := r.claimedBy(a, n.Contract)
 		if !ok {
 			return
 		}
-		counter := r.spec.PartyOf(r.spec.D.Arc(arcID).Tail)
-		owner, _ := ch.OwnerOf(c.AssetID())
-		claimed := owner == chain.ByParty(counter)
-		d.kind, d.arc, d.claimed = deliverSettled, arcID, claimed
-		if !r.dupEvent(eventKey{kind: d.kind, arc: arcID, claimed: claimed}) {
-			r.deliverIncident(d)
+		d.kind, d.claimed = deliverSettled, claimed
+		if !r.dupEvent(eventKey{kind: d.kind, arc: d.arc, claimed: claimed}) {
+			r.deliverParties(d)
 		}
 		if n.Provisional {
 			return // resolution waits for the transfer to finalize
 		}
-		r.setResolved(arcID, claimed)
+		r.setResolved(a, claimed)
 	case chain.NoteFinalized:
-		arcID, mine := r.cids[n.Contract]
-		if !mine {
-			return
+		if claimed, ok := r.claimedBy(a, n.Contract); ok {
+			r.setResolved(a, claimed)
 		}
-		ch := r.reg.Chain(n.Chain)
-		c, ok := ch.Contract(n.Contract)
-		if !ok {
-			return
-		}
-		counter := r.spec.PartyOf(r.spec.D.Arc(arcID).Tail)
-		owner, _ := ch.OwnerOf(c.AssetID())
-		r.setResolved(arcID, owner == chain.ByParty(counter))
 	case chain.NoteReverted:
-		arcID, mine := r.cids[n.Contract]
-		if !mine {
-			return
-		}
 		if r.onRevert != nil {
 			r.onRevert(RevertEvent{
-				ArcID:    arcID,
+				ArcID:    a.id,
 				Chain:    n.Chain,
 				Contract: n.Contract,
 				Kind:     n.Reverted,
 				At:       n.At,
 			})
 		}
-	case chain.NoteData:
-		if n.Chain != core.BroadcastChain {
-			return
-		}
-		msg, ok := n.Event.(core.BroadcastMsg)
-		if !ok || msg.Tag != r.spec.Tag {
-			return // another swap's secret on the shared broadcast chain
-		}
-		r.notePhase("reveal")
-		d.kind, d.lock, d.key = deliverBroadcast, msg.LockIndex, msg.Key
-		for _, p := range r.parties {
-			r.deliverTo(p, d)
-		}
 	}
+}
+
+// claimedBy reads off arc a's chain whether the contract's asset now
+// belongs to the arc's counterparty; ok is false if the contract is not
+// (or, mid-reorg, no longer) published.
+func (r *runner) claimedBy(a *arcRun, id chain.ContractID) (claimed, ok bool) {
+	c, ok := a.ch.Contract(id)
+	if !ok {
+		return false, false
+	}
+	counter := r.spec.PartyOf(r.spec.D.Arc(a.id).Tail)
+	owner, _ := a.ch.OwnerOf(c.AssetID())
+	return owner == chain.ByParty(counter), true
+}
+
+// onBroadcast hands a leader's hashkey from the shared broadcast chain to
+// every party of the swap it belongs to.
+func (r *runner) onBroadcast(n chain.Notification) {
+	if n.Kind != chain.NoteData {
+		return
+	}
+	msg, ok := n.Event.(core.BroadcastMsg)
+	if !ok || msg.Tag != r.spec.Tag {
+		return // another swap's secret on the shared broadcast chain
+	}
+	r.notePhase(phaseReveal)
+	r.deliverParties(delivery{
+		at: n.At.Add(r.bcastDelay), probe: r.bcastProbe,
+		kind: deliverBroadcast, lock: msg.LockIndex, key: msg.Key,
+	})
 }
 
 func (r *runner) buildResult() *Result {
@@ -934,7 +968,7 @@ func (r *runner) buildResult() *Result {
 			triggered[id] = claimed
 			continue
 		}
-		c, ok := r.reg.Chain(spec.Assets[id].Chain).Contract(spec.ContractID(id))
+		c, ok := r.arcs[id].ch.Contract(spec.ContractID(id))
 		if !ok {
 			continue
 		}
@@ -946,7 +980,8 @@ func (r *runner) buildResult() *Result {
 	settleTick := r.lastResolve
 	allResolved := r.resolved == len(r.arcs)
 	escrows := make([]EscrowSpan, 0, len(r.arcs))
-	for id, a := range r.arcs {
+	for id := range r.arcs {
+		a := &r.arcs[id]
 		if !a.published {
 			continue // never published: nothing was locked
 		}
@@ -991,7 +1026,7 @@ func (p *party) loop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case d := <-p.mailbox:
-			p.runner.run(d)
+			p.runner.run(d, p)
 		}
 	}
 }
@@ -1025,9 +1060,7 @@ func (e *concEnv) Secret() (hashkey.Secret, int, bool) {
 	return e.p.runner.setup.Secrets[idx], idx, true
 }
 
-func (e *concEnv) chainOf(arcID int) *chain.Chain {
-	return e.p.runner.reg.Chain(e.p.runner.spec.Assets[arcID].Chain)
-}
+func (e *concEnv) chainOf(arcID int) *chain.Chain { return e.p.runner.arcs[arcID].ch }
 
 func (e *concEnv) Contract(arcID int) (chain.Contract, bool) {
 	return e.chainOf(arcID).Contract(e.p.runner.spec.ContractID(arcID))
@@ -1114,17 +1147,18 @@ func (e *concEnv) Refund(arcID int) error {
 }
 
 func (e *concEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {
-	if !e.p.runner.spec.Broadcast {
+	r := e.p.runner
+	if r.bcast == nil {
 		return
 	}
-	e.p.runner.reg.Chain(core.BroadcastChain).PublishData(e.Party(),
+	r.bcast.PublishData(e.Party(),
 		fmt.Sprintf("secret for lock %d", lockIdx),
-		core.BroadcastMsg{Tag: e.p.runner.spec.Tag, LockIndex: lockIdx, Key: key}, key.WireSize())
+		core.BroadcastMsg{Tag: r.spec.Tag, LockIndex: lockIdx, Key: key}, key.WireSize())
 	e.Note(trace.KindBroadcast, -1, lockIdx, "")
 }
 
 func (e *concEnv) At(t vtime.Ticks, fn func()) {
-	e.p.runner.schedule(&delivery{p: e.p, at: t, alarm: true, fn: fn})
+	e.p.runner.schedule(delivery{p: e.p, at: t, kind: deliverAlarm, fn: fn})
 }
 
 func (e *concEnv) Abandon(reason string) {

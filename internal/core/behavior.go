@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -160,10 +160,10 @@ func NewConforming() *Conforming {
 // Init implements Behavior.
 func (b *Conforming) Init(e Env) {
 	spec := e.Spec()
-	b.entering = spec.D.In(e.Vertex())
-	b.leaving = spec.D.Out(e.Vertex())
-	sort.Ints(b.entering)
-	sort.Ints(b.leaving)
+	// Adjacency lists ascend by arc ID, which is the order every loop
+	// below acts in.
+	b.entering = spec.Entering(e.Vertex())
+	b.leaving = spec.Leaving(e.Vertex())
 
 	scheduleRefundAlarms(e, b.leaving)
 
@@ -189,17 +189,10 @@ func scheduleRefundAlarms(e Env, leaving []int) {
 		case len(spec.Leaders) == 1:
 			e.At(spec.timelocksShared(arc)[0].Add(1), func() { tryRefund(e, arc) })
 		default:
-			ticks := make(map[vtime.Ticks]bool)
-			for _, tl := range spec.Timelocks(arc) {
-				ticks[tl.Add(1)] = true
-			}
-			sorted := make([]vtime.Ticks, 0, len(ticks))
-			for t := range ticks {
-				sorted = append(sorted, t)
-			}
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			for _, t := range sorted {
-				e.At(t, func() { tryRefund(e, arc) })
+			deadlines := spec.Timelocks(arc) // a copy: sorted in place
+			slices.Sort(deadlines)
+			for _, tl := range slices.Compact(deadlines) {
+				e.At(tl.Add(1), func() { tryRefund(e, arc) })
 			}
 		}
 	}

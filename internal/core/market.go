@@ -65,11 +65,9 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 	}
 	slices.Sort(ids)
 
-	names := make([]string, len(ids))
 	vertexOf := make(map[chain.PartyID]digraph.Vertex, len(ids))
 	arcs := 0
 	for v, id := range ids {
-		names[v] = string(id)
 		vertexOf[id] = digraph.Vertex(v)
 		arcs += len(byParty[id].Give)
 	}
@@ -88,13 +86,31 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 			assets = append(assets, ArcAsset{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
 		}
 	}
+	shape, err := clearedShape(ids, pairs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Parties = ids
+	cfg.Assets = assets
+	return bindSetup(shape, cfg)
+}
+
+// clearedShape is the shape Clear binds: the cache's when cfg lets the
+// shape decide everything a cache entry holds, else compiled afresh over
+// a digraph named after the parties.
+func clearedShape(ids []chain.PartyID, pairs []digraph.Arc, cfg Config) (*Shape, error) {
+	if cfg.Shapes != nil && cfg.Leaders == nil && cfg.DiamBound == 0 && !cfg.AllowUnsafe {
+		return cfg.Shapes.shape(len(ids), pairs)
+	}
+	names := make([]string, len(ids))
+	for v, id := range ids {
+		names[v] = string(id)
+	}
 	d, err := digraph.Build(names, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("core: clearing: %w", err)
 	}
-	cfg.Parties = ids
-	cfg.Assets = assets
-	return NewSetup(d, cfg)
+	return compileShape(d, cfg.Leaders, cfg.DiamBound)
 }
 
 // VerifyPlan checks a published plan against one party's own offer: every

@@ -51,8 +51,10 @@ type Partitioner struct {
 	order    []int                 // offer indexes in party-ID order
 	active   []bool                // by offer index
 	vertexOf []digraph.Vertex      // by offer index, this iteration's graph
-	names    []string
 	pairs    []digraph.Arc
+	scc      digraph.SCCScratch
+	size     []int // by component: surviving offers
+	groupOf  []int // by component: 1 + its index in the batch's Groups
 }
 
 // Partition is PartitionOffers on p's working memory.
@@ -88,11 +90,11 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 	// Active set shrinks monotonically until every remaining offer is
 	// fully internal to its component.
 	for {
-		names, pairs := p.names[:0], p.pairs[:0]
+		n, pairs := 0, p.pairs[:0]
 		for _, i := range order {
 			if active[i] {
-				vertexOf[i] = digraph.Vertex(len(names))
-				names = append(names, string(offers[i].Party))
+				vertexOf[i] = digraph.Vertex(n)
+				n++
 			}
 		}
 		for _, i := range order {
@@ -105,12 +107,8 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 				}
 			}
 		}
-		p.names, p.pairs = names, pairs
-		d, err := digraph.Build(names, pairs)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		comp, count := d.SCCIndex()
+		p.pairs = pairs
+		comp, count := p.scc.Components(n, pairs)
 		// Drop any active offer with a recipient outside its component
 		// (including recipients that never submitted an offer).
 		removed := false
@@ -133,7 +131,9 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 		// Fixpoint: group the survivors by component. Walking them in party
 		// order leaves every group sorted by party and the groups sorted by
 		// their smallest party; the residual comes out sorted the same way.
-		size := make([]int, count)
+		size := append(p.size[:0], make([]int, count)...)
+		groupOf := append(p.groupOf[:0], make([]int, count)...)
+		p.size, p.groupOf = size, groupOf
 		survivors := 0
 		for _, i := range order {
 			if active[i] {
@@ -143,7 +143,6 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 		}
 		b := &Batch{}
 		backing := make([]Offer, survivors)
-		groupOf := make([]int, count) // component -> 1 + its index in b.Groups
 		for _, i := range order {
 			c := -1
 			if active[i] {

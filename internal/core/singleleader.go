@@ -39,8 +39,8 @@ func (b *ConformingHTLC) Init(e Env) {
 	spec := e.Spec()
 	// Adjacency lists ascend by arc ID, which is the order every loop
 	// below acts in.
-	b.entering = spec.D.In(e.Vertex())
-	b.leaving = spec.D.Out(e.Vertex())
+	b.entering = spec.Entering(e.Vertex())
+	b.leaving = spec.Leaving(e.Vertex())
 	b.arcs = make([]htlcArc, spec.D.NumArcs())
 
 	scheduleRefundAlarms(e, b.leaving)

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -119,15 +119,9 @@ type Spec struct {
 	// across many specs because entries are content-addressed.
 	Cache *hashkey.VerifyCache
 
-	// longestFrom caches longest-simple-path lengths per start vertex.
-	longestFrom map[digraph.Vertex][]int
-	// toLeader, set when a single leader is a feedback vertex set, holds
-	// every vertex's longest path to it: the follower subdigraph is then
-	// acyclic, so the values are exact at any size and longestFrom (exact
-	// only up to digraph.MaxExactVertices) is not needed. The staircase of
-	// classic HTLCs depends on that — a flat over-approximation is safe
-	// for hashkeys but is the uniform-timeout mistake for bare secrets.
-	toLeader []int
+	// shape is the compiled (D, Leaders, DiamBound) part of the plan: the
+	// timelock ladder below is Start plus its steps times Δ.
+	shape *Shape
 	// tlMu guards the lazily filled Start-derived caches below, so a Spec
 	// whose timelocks were never warmed (e.g. an engine swap before its
 	// Start is pinned) can fill them safely from any goroutine.
@@ -135,7 +129,7 @@ type Spec struct {
 	// arcTimelocks caches the per-arc timelock vectors, shared read-only
 	// by every contract of an arc.
 	arcTimelocks [][]vtime.Ticks
-	// maxTimelock caches MaxTimelock (0 = unset).
+	// maxTimelock caches MaxTimelock; set with arcTimelocks.
 	maxTimelock vtime.Ticks
 	// contractIDs is the per-arc contract-ID table NewSetup compiles from
 	// Tag and Assets.
@@ -149,77 +143,13 @@ var (
 	ErrSpecShape            = errors.New("core: malformed spec")
 )
 
-// Validate checks the spec against the protocol's preconditions. With
-// allowUnsafe the game-theoretic preconditions (strong connectivity,
-// leaders forming an FVS) are skipped so the impossibility experiments can
-// run the protocol where the paper proves it cannot work.
+// Validate checks the spec against the protocol's preconditions, from the
+// fields alone. With allowUnsafe the game-theoretic preconditions (strong
+// connectivity, leaders forming an FVS) are skipped so the impossibility
+// experiments can run the protocol where the paper proves it cannot work.
 func (s *Spec) Validate(allowUnsafe bool) error {
-	if s.D == nil || s.D.NumVertices() < 2 || s.D.NumArcs() < 1 {
-		return fmt.Errorf("%w: need at least 2 vertexes and 1 arc", ErrSpecShape)
-	}
-	switch s.Kind {
-	case KindGeneral, KindSingleLeader, KindUniformTimeout:
-	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrSpecShape, int(s.Kind))
-	}
-	if len(s.Leaders) == 0 || len(s.Leaders) != len(s.Locks) {
-		return fmt.Errorf("%w: %d leaders, %d locks", ErrSpecShape, len(s.Leaders), len(s.Locks))
-	}
-	if s.Kind != KindGeneral && len(s.Leaders) != 1 {
-		return fmt.Errorf("%w: %s protocol needs exactly one leader", ErrSpecShape, s.Kind)
-	}
-	seen := make(map[digraph.Vertex]bool, len(s.Leaders))
-	for _, l := range s.Leaders {
-		if int(l) < 0 || int(l) >= s.D.NumVertices() {
-			return fmt.Errorf("%w: leader %d out of range", ErrSpecShape, l)
-		}
-		if seen[l] {
-			return fmt.Errorf("%w: duplicate leader %d", ErrSpecShape, l)
-		}
-		seen[l] = true
-	}
-	if len(s.Parties) != s.D.NumVertices() {
-		return fmt.Errorf("%w: %d party IDs for %d vertexes", ErrSpecShape, len(s.Parties), s.D.NumVertices())
-	}
-	ids := make(map[chain.PartyID]bool, len(s.Parties))
-	for v, p := range s.Parties {
-		if p == "" {
-			return fmt.Errorf("%w: vertex %d has empty party ID", ErrSpecShape, v)
-		}
-		if ids[p] {
-			return fmt.Errorf("%w: duplicate party ID %q", ErrSpecShape, p)
-		}
-		ids[p] = true
-		if _, ok := s.Keys[digraph.Vertex(v)]; !ok {
-			return fmt.Errorf("%w: no public key for vertex %d", ErrSpecShape, v)
-		}
-	}
-	if len(s.Assets) != s.D.NumArcs() {
-		return fmt.Errorf("%w: %d arc assets for %d arcs", ErrSpecShape, len(s.Assets), s.D.NumArcs())
-	}
-	assetSeen := make(map[string]bool, len(s.Assets))
-	for id, aa := range s.Assets {
-		if aa.Chain == "" || aa.Asset == "" {
-			return fmt.Errorf("%w: arc %d has empty chain or asset", ErrSpecShape, id)
-		}
-		key := aa.Chain + "/" + string(aa.Asset)
-		if assetSeen[key] {
-			return fmt.Errorf("%w: asset %s appears on two arcs", ErrSpecShape, key)
-		}
-		assetSeen[key] = true
-	}
-	if s.Delta <= 0 {
-		return fmt.Errorf("%w: delta %d must be positive", ErrSpecShape, s.Delta)
-	}
-	for name, d := range s.ChainDeltas {
-		if d <= 0 {
-			return fmt.Errorf("%w: chain %s delta %d must be positive", ErrSpecShape, name, d)
-		}
-	}
-	if s.Start < vtime.Ticks(s.Delta) {
-		// Leaders deploy ahead of T; the clearing service must announce a
-		// start "at least Δ in the future" (Section 4.2).
-		return fmt.Errorf("%w: start %d must be at least one delta (%d)", ErrSpecShape, s.Start, s.Delta)
+	if err := s.validateBinding(); err != nil {
+		return err
 	}
 	if diam, exact := s.D.Diameter(); s.DiamBound < diam || (!exact && s.DiamBound < s.D.NumVertices()-1) {
 		return fmt.Errorf("%w: diameter bound %d below diameter %d", ErrSpecShape, s.DiamBound, diam)
@@ -236,6 +166,77 @@ func (s *Spec) Validate(allowUnsafe bool) error {
 	return nil
 }
 
+// validateBinding is the half of Validate that no two swaps share: the
+// field shapes, the kind, unique parties with keys, unique assets, Δ and
+// Start. NewSetup runs it on every swap; the graph half it takes from the
+// compiled Shape.
+func (s *Spec) validateBinding() error {
+	if s.D == nil || s.D.NumVertices() < 2 || s.D.NumArcs() < 1 {
+		return fmt.Errorf("%w: need at least 2 vertexes and 1 arc", ErrSpecShape)
+	}
+	switch s.Kind {
+	case KindGeneral, KindSingleLeader, KindUniformTimeout:
+	default:
+		return fmt.Errorf("%w: unknown kind %d", ErrSpecShape, int(s.Kind))
+	}
+	if len(s.Leaders) == 0 || len(s.Leaders) != len(s.Locks) {
+		return fmt.Errorf("%w: %d leaders, %d locks", ErrSpecShape, len(s.Leaders), len(s.Locks))
+	}
+	if s.Kind != KindGeneral && len(s.Leaders) != 1 {
+		return fmt.Errorf("%w: %s protocol needs exactly one leader", ErrSpecShape, s.Kind)
+	}
+	for i, l := range s.Leaders {
+		if int(l) < 0 || int(l) >= s.D.NumVertices() {
+			return fmt.Errorf("%w: leader %d out of range", ErrSpecShape, l)
+		}
+		if slices.Contains(s.Leaders[:i], l) {
+			return fmt.Errorf("%w: duplicate leader %d", ErrSpecShape, l)
+		}
+	}
+	if len(s.Parties) != s.D.NumVertices() {
+		return fmt.Errorf("%w: %d party IDs for %d vertexes", ErrSpecShape, len(s.Parties), s.D.NumVertices())
+	}
+	// Swaps are small: duplicates are found pairwise, with no set built.
+	for v, p := range s.Parties {
+		if p == "" {
+			return fmt.Errorf("%w: vertex %d has empty party ID", ErrSpecShape, v)
+		}
+		if slices.Contains(s.Parties[:v], p) {
+			return fmt.Errorf("%w: duplicate party ID %q", ErrSpecShape, p)
+		}
+		if _, ok := s.Keys[digraph.Vertex(v)]; !ok {
+			return fmt.Errorf("%w: no public key for vertex %d", ErrSpecShape, v)
+		}
+	}
+	if len(s.Assets) != s.D.NumArcs() {
+		return fmt.Errorf("%w: %d arc assets for %d arcs", ErrSpecShape, len(s.Assets), s.D.NumArcs())
+	}
+	for id, aa := range s.Assets {
+		if aa.Chain == "" || aa.Asset == "" {
+			return fmt.Errorf("%w: arc %d has empty chain or asset", ErrSpecShape, id)
+		}
+		for _, other := range s.Assets[:id] {
+			if other.Asset == aa.Asset && other.Chain == aa.Chain {
+				return fmt.Errorf("%w: asset %s/%s appears on two arcs", ErrSpecShape, aa.Chain, aa.Asset)
+			}
+		}
+	}
+	if s.Delta <= 0 {
+		return fmt.Errorf("%w: delta %d must be positive", ErrSpecShape, s.Delta)
+	}
+	for name, d := range s.ChainDeltas {
+		if d <= 0 {
+			return fmt.Errorf("%w: chain %s delta %d must be positive", ErrSpecShape, name, d)
+		}
+	}
+	if s.Start < vtime.Ticks(s.Delta) {
+		// Leaders deploy ahead of T; the clearing service must announce a
+		// start "at least Δ in the future" (Section 4.2).
+		return fmt.Errorf("%w: start %d must be at least one delta (%d)", ErrSpecShape, s.Start, s.Delta)
+	}
+	return nil
+}
+
 // SetStart rebases the protocol start time and invalidates every cached
 // quantity derived from it (per-arc timelocks, the max-timelock bound).
 // The clearing engine pins Start only when a worker picks the swap up, so
@@ -244,7 +245,6 @@ func (s *Spec) SetStart(t vtime.Ticks) {
 	s.Start = t
 	s.tlMu.Lock()
 	s.arcTimelocks = nil
-	s.maxTimelock = 0
 	s.tlMu.Unlock()
 }
 
@@ -306,81 +306,61 @@ func (s *Spec) compileContractIDs() {
 // clearing service and the Phase Two broadcast optimization.
 const BroadcastChain = "broadcast"
 
-// Precompute fills the longest-path cache for every vertex, the per-arc
-// timelock vectors, and the max-timelock bound. NewSetup calls it so a
-// finished Spec is read-only and safe for concurrent use (the goroutine
-// runtime shares one Spec across parties), and so the per-contract hot
-// path (ContractParams, refund alarms, deadline checks) never recomputes
-// longest paths. Idempotent. The cached vectors also derive from D,
-// Leaders, Delta, and DiamBound (and NewSetup's contract-ID table from
-// Tag and Assets): a precomputed Spec treats those fields as frozen, and
+// Precompute fills the per-arc timelock vectors and the max-timelock
+// bound, so the per-contract hot path (ContractParams, refund alarms,
+// deadline checks) never derives them and a Spec shared across goroutines
+// is only read. Idempotent. The vectors derive from the compiled shape
+// (D, Leaders, DiamBound), Delta and Start (and NewSetup's contract-ID
+// table from Tag and Assets): a Spec treats those fields as frozen, and
 // the one sanctioned post-hoc mutation — rebasing Start — must go through
 // SetStart, which invalidates exactly the Start-derived caches.
 func (s *Spec) Precompute() {
-	s.precomputePaths()
 	s.tlMu.Lock()
 	s.fillTimelocksLocked()
-	if s.maxTimelock == 0 {
-		s.maxTimelock = s.computeMaxTimelock()
-	}
 	s.tlMu.Unlock()
 }
 
-// precomputePaths fills the Start-independent longest-path cache. NewSetup
-// stops here: the Start-derived timelock caches fill lazily (or in the
-// runtime's Precompute), so an engine that rebases Start when a worker
-// picks the swap up never pays for throwaway timelock vectors.
-func (s *Spec) precomputePaths() {
-	if len(s.Leaders) == 1 {
-		if dist, ok := s.D.LongestPathsToSink(s.Leaders[0]); ok {
-			s.toLeader = dist
-			return
-		}
-	}
-	for _, v := range s.D.Vertices() {
-		s.longestPathsFrom(v)
-	}
-}
-
-// fillTimelocksLocked populates arcTimelocks if unset. Caller holds tlMu.
+// fillTimelocksLocked populates arcTimelocks and maxTimelock if unset:
+// Start plus the shape's ladder steps times Δ, all arcs cut from one
+// backing array. NewSetup leaves them unset — the engine rebases Start
+// after setup, and the vectors fill here on first use (or in the runtime's
+// Precompute). Caller holds tlMu.
 func (s *Spec) fillTimelocksLocked() {
 	if s.arcTimelocks != nil {
 		return
 	}
+	nl, delta := len(s.Leaders), s.ladderDelta()
 	tls := make([][]vtime.Ticks, s.D.NumArcs())
+	backing := make([]vtime.Ticks, len(s.shape.steps))
+	for i, step := range s.shape.steps {
+		backing[i] = s.Start.Add(vtime.Scale(step, delta))
+	}
 	for id := range tls {
-		tls[id] = s.computeTimelocks(id)
+		tls[id] = backing[id*nl : (id+1)*nl : (id+1)*nl]
 	}
 	s.arcTimelocks = tls
+	s.maxTimelock = s.Start.Add(vtime.Scale(s.shape.maxStep, delta))
+	if s.Kind == KindUniformTimeout {
+		s.maxTimelock = s.uniformTimeout()
+	}
 }
 
-// longestPathsFrom returns (caching) the longest-simple-path lengths from v.
-func (s *Spec) longestPathsFrom(v digraph.Vertex) []int {
-	if s.longestFrom == nil {
-		s.longestFrom = make(map[digraph.Vertex][]int)
-	}
-	if got, ok := s.longestFrom[v]; ok {
-		return got
-	}
-	best, _ := s.D.LongestPathsFrom(v)
-	s.longestFrom[v] = best
-	return best
-}
+// Entering returns the IDs of the arcs entering v, ascending. The slice is
+// shared by every swap of this shape: callers must not modify it.
+func (s *Spec) Entering(v digraph.Vertex) []int { return s.shape.in[v] }
 
-// maxPathTo returns the longest-simple-path length from v to leader index
-// i, clamped to the diameter bound (and to the bound when inexact or
-// unreachable — a safe over-approximation).
-func (s *Spec) maxPathTo(v digraph.Vertex, i int) int {
-	var p int
-	if s.toLeader != nil {
-		p = s.toLeader[v]
-	} else {
-		p = s.longestPathsFrom(v)[s.Leaders[i]]
+// Leaving is Entering for the arcs leaving v.
+func (s *Spec) Leaving(v digraph.Vertex) []int { return s.shape.out[v] }
+
+// RefundAlarms reports how many refund alarms the conforming parties of
+// this swap arm between them: one per arc on classic HTLCs, one per
+// distinct lock deadline of each arc on Swap contracts. A runtime sizes
+// its event storage from it.
+func (s *Spec) RefundAlarms() int {
+	if s.Kind != KindGeneral {
+		return s.D.NumArcs()
 	}
-	if p < 0 || p > s.DiamBound {
-		return s.DiamBound
-	}
-	return p
+	return s.shape.deadlines
 }
 
 // DeltaFor returns the effective Δ for events on the named chain: the
@@ -424,17 +404,6 @@ func (s *Spec) timelocksShared(arcID int) []vtime.Ticks {
 	tl := s.arcTimelocks[arcID]
 	s.tlMu.Unlock()
 	return tl
-}
-
-// computeTimelocks derives one arc's timelock vector from scratch.
-func (s *Spec) computeTimelocks(arcID int) []vtime.Ticks {
-	tail := s.D.Arc(arcID).Tail
-	delta := s.ladderDelta()
-	out := make([]vtime.Ticks, len(s.Leaders))
-	for i := range s.Leaders {
-		out[i] = s.Start.Add(vtime.Scale(s.DiamBound+s.maxPathTo(tail, i), delta))
-	}
-	return out
 }
 
 // HTLCTimeout returns the single absolute timeout for an arc's classic
@@ -515,33 +484,13 @@ func (s *Spec) HTLCParams(arcID int) htlc.HTLCParams {
 
 // MaxTimelock returns the latest deadline any contract of this swap can
 // reach — by when every conforming party's assets are settled or
-// refundable. Computed once per spec (lazily, under tlMu).
+// refundable; the same for the general and single-leader variants, which
+// share the ladder. Computed once per spec (lazily, under tlMu).
 func (s *Spec) MaxTimelock() vtime.Ticks {
 	s.tlMu.Lock()
-	if s.maxTimelock == 0 {
-		s.fillTimelocksLocked()
-		s.maxTimelock = s.computeMaxTimelock()
-	}
+	s.fillTimelocksLocked()
 	max := s.maxTimelock
 	s.tlMu.Unlock()
-	return max
-}
-
-// computeMaxTimelock derives the bound from the filled arcTimelocks cache —
-// the same for the general and single-leader variants, which share the
-// ladder. Caller holds tlMu with fillTimelocksLocked already run.
-func (s *Spec) computeMaxTimelock() vtime.Ticks {
-	if s.Kind == KindUniformTimeout {
-		return s.uniformTimeout()
-	}
-	max := s.Start
-	for _, tls := range s.arcTimelocks {
-		for _, tl := range tls {
-			if tl.After(max) {
-				max = tl
-			}
-		}
-	}
 	return max
 }
 
@@ -588,10 +537,32 @@ type Config struct {
 	// when nil each setup gets its own. A clearing engine passes one cache
 	// for all its swaps (entries are content-addressed, so sharing is safe).
 	Cache *hashkey.VerifyCache
+	// Shapes, when set, lets Clear take the swap's compiled shape from a
+	// cache instead of deriving leaders, diameter and timelock ladder
+	// afresh (see ShapeCache). Explicit Leaders, an explicit DiamBound or
+	// AllowUnsafe compile fresh regardless, and NewSetup — handed a digraph,
+	// not an arc list — always does. A cleared spec's D then carries default
+	// vertex names; its party IDs are Spec.Parties.
+	Shapes *ShapeCache
 }
 
-// NewSetup builds and validates a full swap setup over d.
+// NewSetup builds and validates a full swap setup over d: it compiles d's
+// shape — cfg.Leaders and cfg.DiamBound override what the shape would
+// derive — and binds cfg's parties, assets, randomness, tag, Start and Δ
+// to it.
 func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
+	shape, err := compileShape(d, cfg.Leaders, cfg.DiamBound)
+	if err != nil {
+		return nil, err
+	}
+	return bindSetup(shape, cfg)
+}
+
+// bindSetup lays cfg's binding over a compiled shape. Everything that is
+// per swap happens here: defaults, identities, secrets, the per-binding
+// validation; the shape only answers whether it may be cleared.
+func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
+	d := shape.d
 	if cfg.Kind == 0 {
 		cfg.Kind = KindGeneral
 	}
@@ -604,22 +575,9 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = hashkey.CryptoRand()
 	}
-	leaders := cfg.Leaders
-	if leaders == nil {
-		leaders, _ = d.MinFVS()
-		if len(leaders) == 0 && d.NumVertices() > 0 {
-			// Acyclic graphs fail validation later anyway (not strongly
-			// connected), but keep the shape sane for unsafe runs.
-			leaders = []digraph.Vertex{0}
-		}
-	}
-	leaders = append([]digraph.Vertex(nil), leaders...)
-	sort.Slice(leaders, func(i, j int) bool { return leaders[i] < leaders[j] })
+	leaders := shape.leaders
 	if cfg.Kind == KindByLeaders {
-		cfg.Kind = KindGeneral
-		if len(leaders) == 1 {
-			cfg.Kind = KindSingleLeader
-		}
+		cfg.Kind = shape.kind()
 	}
 
 	parties := cfg.Parties
@@ -639,10 +597,6 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 				Amount: 1,
 			}
 		}
-	}
-	diamBound := cfg.DiamBound
-	if diamBound == 0 {
-		diamBound = d.DiameterBound()
 	}
 
 	signers := make([]*hashkey.Signer, d.NumVertices())
@@ -687,9 +641,10 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 		Assets:    assets,
 		Start:     cfg.Start,
 		Delta:     cfg.Delta,
-		DiamBound: diamBound,
+		DiamBound: shape.diamBound,
 		Broadcast: cfg.Broadcast,
 		Cache:     cache,
+		shape:     shape,
 	}
 	if len(cfg.ChainDeltas) > 0 {
 		spec.ChainDeltas = make(map[string]vtime.Duration, len(cfg.ChainDeltas))
@@ -697,12 +652,17 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 			spec.ChainDeltas[name] = d
 		}
 	}
-	if err := spec.Validate(cfg.AllowUnsafe); err != nil {
+	if err := spec.validateBinding(); err != nil {
 		return nil, err
 	}
-	// Paths only: the Start-derived timelock caches fill lazily (or in the
-	// runtime's Precompute), because the engine rebases Start after setup.
-	spec.precomputePaths()
+	if err := shape.checkDiamBound(spec.DiamBound); err != nil {
+		return nil, err
+	}
+	if !cfg.AllowUnsafe {
+		if err := shape.clearable(); err != nil {
+			return nil, err
+		}
+	}
 	spec.compileContractIDs()
 	return &Setup{Spec: spec, Signers: signers, Secrets: secrets}, nil
 }

@@ -2,6 +2,7 @@ package digraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,5 +163,23 @@ func TestSCCIndexAgreesWithSCCs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestComponentsReusesScratch: one scratch carried across arc lists of
+// shrinking and growing size gives what a fresh SCCIndex gives each time.
+func TestComponentsReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s SCCScratch
+	for i := 0; i < 200; i++ {
+		d := randomDigraph(rng, 12, 0.2)
+		want, wantCount := d.SCCIndex()
+		got, count := s.Components(d.NumVertices(), d.Arcs())
+		if count != wantCount || !slices.Equal(got, want) {
+			t.Fatalf("graph %d (%s): reused scratch gave %v (%d), fresh %v (%d)", i, d, got, count, want, wantCount)
+		}
+	}
+	if comp, count := s.Components(0, nil); len(comp) != 0 || count != 0 {
+		t.Errorf("empty graph: %v, %d", comp, count)
 	}
 }

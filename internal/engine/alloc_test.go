@@ -10,17 +10,18 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 )
 
-// Per-swap allocation ceilings, from the heap objects measured on the
-// deterministic scheduler (go1.24 linux/amd64, identical run to run): a
-// three-party ring clears on classic HTLCs at 269 (ceiling +5 %); the same
-// ring forced onto the hashkey protocol costs 362 and a four-party clique
-// 1475 — those two keep the ceilings pinned when they measured 372 and
-// 1475 (+10 %). A change that pushes a swap's heap objects past its
-// ceiling fails tier-1 here, not only in benchmark/.
+// Per-swap allocation ceilings: the heap objects measured on the
+// deterministic scheduler (go1.24 linux/amd64, identical run to run) plus
+// 5 %. A three-party ring clears on classic HTLCs at 106; the same ring
+// forced onto the hashkey protocol costs 195 and a four-party clique 801.
+// (With every swap deriving its own leaders and ladder, and every delivery
+// its own heap record, scheduler event and closure, they measured 269, 362
+// and 1475.) A change that pushes a swap's heap objects past its ceiling
+// fails tier-1 here, not only in benchmark/.
 const (
-	ring3AllocCeiling        = 283
-	ring3GeneralAllocCeiling = 410
-	clique4AllocCeiling      = 1620
+	ring3AllocCeiling        = 111
+	ring3GeneralAllocCeiling = 204
+	clique4AllocCeiling      = 841
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over

@@ -370,8 +370,12 @@ type Engine struct {
 	// tracer is the engine-wide trace flight recorder: one fixed-size ring
 	// shared by every swap run, so per-swap trace state costs nothing.
 	tracer *trace.Log
+	// shapes compiles each labelled swap digraph once: leaders, diameter
+	// bound and timelock ladder are a function of the shape, and a clearing
+	// service sees the same few shapes over and over (core.ShapeCache).
+	shapes *core.ShapeCache
 
-	jobs     chan *job
+	jobs     jobQueue
 	workerWG sync.WaitGroup
 
 	// drainCh wakes Drain the moment the engine may have gone idle
@@ -508,15 +512,16 @@ func New(cfg Config) *Engine {
 		sc, ownSched = NewScheduler(cfg), true
 	}
 	vsched, _ := sc.(*sched.Virtual)
-	queueDepth := realJobQueue
+	queueLimit := realJobQueue
 	if vsched != nil {
 		// Backpressure reads the in-flight count, which is decremented by
 		// worker bookkeeping at wall speed — a nondeterministic input.
 		// Virtual-time runs clear everything the live-run gate admits and
-		// lean on a deep job queue instead (jobs advance via the scheduler
-		// whether or not a worker has picked them up, so depth is cheap).
+		// lean on an unbounded job queue instead (jobs advance via the
+		// scheduler whether or not a worker has picked them up, so depth
+		// is cheap).
 		cfg.MaxClearAhead = 0
-		queueDepth = virtualJobQueue
+		queueLimit = 0
 	}
 	if cfg.ClearEvery <= 0 {
 		cfg.ClearEvery = vtime.Duration(cfg.ClearInterval / cfg.Tick)
@@ -557,13 +562,14 @@ func New(cfg Config) *Engine {
 		keyring:    cfg.Keyring,
 		vcache:     cfg.Cache,
 		tracer:     cfg.Tracer,
-		jobs:       make(chan *job, queueDepth),
+		shapes:     new(core.ShapeCache),
 		orders:     make(map[OrderID]*order),
 		book:       newBook(),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		drainCh:    make(chan struct{}, 1),
 		clearEvery: cfg.ClearEvery,
 	}
+	e.jobs.init(queueLimit)
 	e.round.byParty = make(map[chain.PartyID]*order)
 	if e.probe == nil {
 		e.probe = sched.NewLatencyProbe()
@@ -618,14 +624,68 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// The executor job-queue capacity. The virtual-time floor is not
-// negotiable: the clearing tick enqueues jobs from a scheduler callback
-// that holds the clock, so a send blocking on a small queue would
-// deadlock the dispatcher.
-const (
-	realJobQueue    = 1024
-	virtualJobQueue = 1 << 16
-)
+// realJobQueue is how many cleared swaps may wait for a real-time worker
+// before the clearing round itself waits. Virtual time has no such bound:
+// its clearing tick enqueues jobs from a scheduler callback that holds the
+// clock, where a blocking push would deadlock the dispatcher.
+const realJobQueue = 1024
+
+// jobQueue is the executor pool's FIFO of cleared swaps. It grows as
+// needed, so an idle engine holds no buffer; with a positive limit push
+// blocks while that many jobs wait (real-time backpressure), with none it
+// never blocks.
+type jobQueue struct {
+	mu       sync.Mutex
+	nonEmpty sync.Cond // a job was pushed, or the queue closed
+	nonFull  sync.Cond // a job was popped
+	jobs     []*job
+	head     int
+	limit    int
+	closed   bool
+}
+
+func (q *jobQueue) init(limit int) {
+	q.limit = limit
+	q.nonEmpty.L, q.nonFull.L = &q.mu, &q.mu
+}
+
+func (q *jobQueue) push(j *job) {
+	q.mu.Lock()
+	for q.limit > 0 && len(q.jobs)-q.head >= q.limit {
+		q.nonFull.Wait()
+	}
+	q.jobs = append(q.jobs, j)
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
+}
+
+// pop blocks for the next job; ok is false once the queue is closed and
+// drained.
+func (q *jobQueue) pop() (j *job, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == len(q.jobs) {
+		if q.closed {
+			return nil, false
+		}
+		q.nonEmpty.Wait()
+	}
+	j = q.jobs[q.head]
+	q.jobs[q.head] = nil
+	q.head++
+	if q.head == len(q.jobs) {
+		q.jobs, q.head = q.jobs[:0], 0
+	}
+	q.nonFull.Signal()
+	return j, true
+}
+
+func (q *jobQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.nonEmpty.Broadcast()
+}
 
 // NewScheduler builds the scheduler cfg asks for: a serial sched.Virtual
 // under Deterministic, one striped over Workers under Parallel, else a
@@ -1407,6 +1467,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		Rand:    newSeededRand(uint64(seed)),
 		Keyring: e.keyring,
 		Cache:   e.vcache,
+		Shapes:  e.shapes,
 	})
 	if err != nil {
 		rejectGroup("clearing: " + err.Error())
@@ -1465,14 +1526,18 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		}
 		e.logEvent(Event{Kind: EvCleared, Tick: now, Swap: swapID, Orders: ids})
 	}
-	e.jobs <- j
+	e.jobs.push(j)
 	return true
 }
 
 // worker executes cleared swaps from the queue until it closes.
 func (e *Engine) worker() {
 	defer e.workerWG.Done()
-	for j := range e.jobs {
+	for {
+		j, ok := e.jobs.pop()
+		if !ok {
+			return
+		}
 		e.runSwap(j)
 	}
 }
@@ -1796,7 +1861,7 @@ func (e *Engine) Stop(ctx context.Context) error {
 	e.state = stateStopped
 	e.mu.Unlock()
 	e.stopClearing()
-	close(e.jobs)
+	e.jobs.close()
 	e.workerWG.Wait()
 	if e.vsched != nil && e.ownSched {
 		// All runs have drained their scheduler holds; stop the virtual

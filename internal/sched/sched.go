@@ -32,9 +32,9 @@
 package sched
 
 import (
-	"container/heap"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -124,18 +124,33 @@ func (rt realTimer) Stop() bool { return rt.t.Stop() }
 // ---------------------------------------------------------------------------
 // Virtual: event-driven scheduler.
 
-// vevent states.
+// Event states.
 const (
-	vePending = iota
-	veFired
-	veStopped
+	evIdle = iota // never scheduled (the zero Event)
+	evPending
+	evFired
+	evStopped
 )
 
-// vevent is one queued callback and, at the same time, the Timer handed
-// back for it: Stop flips the event's own state under its scheduler's
-// lock. An event is never reused after it leaves the queue, so a handle
-// kept past firing can only ever see its own fired event.
-type vevent struct {
+// Handler is what a scheduled Event runs when it fires.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts a plain callback to Handler.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
+// Event is one queued callback and, at the same time, the Timer for it:
+// Stop flips the event's own state under its scheduler's lock. At and its
+// siblings allocate one per call; a runtime that already owns a record per
+// scheduled thing embeds an Event in it and hands it to Schedule, so the
+// record is the queue entry and nothing else is allocated. An event is
+// never reused after it leaves the queue, so a handle kept past firing can
+// only ever see its own fired event. The zero value is an idle event; an
+// Event must not be copied once scheduled.
+type Event struct {
 	v  *Virtual
 	at vtime.Ticks
 	// prio orders events within a tick: all prio-0 events of a tick run
@@ -143,33 +158,71 @@ type vevent struct {
 	// clearing pass at tail priority so it observes the same
 	// whole-tick-drained queue in serialized and parallel modes.
 	prio  int8
+	state uint8
 	seq   int64
 	key   uint64
-	fn    func()
-	state int
+	h     Handler
 }
 
-type veventHeap []*vevent
-
-func (h veventHeap) Len() int { return len(h) }
-func (h veventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether e runs ahead of o: by tick, then level, then
+// scheduling order.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if e.prio != o.prio {
+		return e.prio < o.prio
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h veventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *veventHeap) Push(x any)   { *h = append(*h, x.(*vevent)) }
-func (h *veventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events in (tick, level, scheduling
+// order).
+type eventHeap []*Event
+
+func (h *eventHeap) push(e *Event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() *Event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(e) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = e
+	return top
 }
 
 // Virtual is a thread-safe discrete-event scheduler whose clock advances
@@ -182,11 +235,13 @@ func (h *veventHeap) Pop() any {
 //
 // Create with NewVirtual and Close (or RunUntil) to stop the dispatcher.
 type Virtual struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	now    vtime.Ticks
+	mu   sync.Mutex
+	cond *sync.Cond
+	// now is written under mu (by the dispatcher) and read without it: Now
+	// is on the path of every delivery, ledger append and trace note.
+	now    atomic.Int64
 	seq    int64
-	queue  veventHeap
+	queue  eventHeap
 	holds  int
 	closed bool
 	// workers > 1 selects striped dispatch: each (tick, level) batch is
@@ -194,7 +249,7 @@ type Virtual struct {
 	// scheduling order within each stripe, with a barrier before the clock
 	// moves on.
 	workers int
-	workCh  chan []*vevent
+	workCh  chan []*Event
 	workWG  sync.WaitGroup
 	done    chan struct{}
 }
@@ -219,7 +274,7 @@ func NewVirtual(workers int) *Virtual {
 	v.cond = sync.NewCond(&v.mu)
 	if workers > 1 {
 		v.workers = workers
-		v.workCh = make(chan []*vevent, workers*4)
+		v.workCh = make(chan []*Event, workers*4)
 		v.workWG.Add(workers)
 		for i := 0; i < workers; i++ {
 			go v.worker()
@@ -235,22 +290,18 @@ func (v *Virtual) worker() {
 	defer v.workWG.Done()
 	for stripe := range v.workCh {
 		for _, e := range stripe {
-			e.fn()
+			e.h.Fire()
 		}
 		v.releaseN(len(stripe))
 	}
 }
 
 // Now implements vtime.Clock.
-func (v *Virtual) Now() vtime.Ticks {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() vtime.Ticks { return vtime.Ticks(v.now.Load()) }
 
 // At implements Scheduler. After Close the callback is silently dropped.
 func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
-	return v.schedule(t, 0, 0, fn)
+	return v.schedule(new(Event), t, 0, 0, funcHandler(fn))
 }
 
 // AtKeyed is At with a stripe key: fn joins the stripe identified by key
@@ -259,7 +310,15 @@ func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
 // interleaved in scheduling order under serial dispatch. Key 0 (what At
 // uses) is the shared unkeyed stripe.
 func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
-	return v.schedule(t, 0, key, fn)
+	return v.schedule(new(Event), t, 0, key, funcHandler(fn))
+}
+
+// Schedule is AtKeyed on storage the caller owns: e — idle, and typically
+// a field of the record h points at — becomes the queue entry for h.Fire
+// at tick t on stripe key, so scheduling allocates nothing. e is its own
+// Timer (e.Stop). After Close the event is dropped, stopped.
+func (v *Virtual) Schedule(e *Event, t vtime.Ticks, key uint64, h Handler) {
+	v.schedule(e, t, 0, key, h)
 }
 
 // AtTail schedules fn at tail priority: it runs only after every normal
@@ -268,7 +327,7 @@ func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 // pass observes the same fully-drained queue under serial and striped
 // dispatch.
 func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
-	return v.schedule(t, 1, 0, fn)
+	return v.schedule(new(Event), t, 1, 0, funcHandler(fn))
 }
 
 // AtTailN schedules fn at tail level `level` (≥ 1) with a stripe key.
@@ -284,33 +343,38 @@ func (v *Virtual) AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) Time
 	if level < 1 {
 		level = 1
 	}
-	return v.schedule(t, level, key, fn)
+	return v.schedule(new(Event), t, level, key, funcHandler(fn))
 }
 
-func (v *Virtual) schedule(t vtime.Ticks, prio int8, key uint64, fn func()) Timer {
+func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) *Event {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	e.v = v
 	if v.closed {
-		return stoppedTimer{}
+		e.state = evStopped
+		return e
 	}
-	if t < v.now {
-		t = v.now
+	if now := v.Now(); t < now {
+		t = now
 	}
 	v.seq++
-	e := &vevent{v: v, at: t, prio: prio, seq: v.seq, key: key, fn: fn}
-	heap.Push(&v.queue, e)
+	e.at, e.prio, e.seq, e.key, e.h, e.state = t, prio, v.seq, key, h, evPending
+	v.queue.push(e)
 	v.cond.Broadcast()
 	return e
 }
 
-// Stop implements Timer.
-func (e *vevent) Stop() bool {
-	e.v.mu.Lock()
-	defer e.v.mu.Unlock()
-	if e.state != vePending {
+// Stop implements Timer. An idle event (never scheduled) reports false.
+func (e *Event) Stop() bool {
+	if e.v == nil {
 		return false
 	}
-	e.state = veStopped
+	e.v.mu.Lock()
+	defer e.v.mu.Unlock()
+	if e.state != evPending {
+		return false
+	}
+	e.state = evStopped
 	return true
 }
 
@@ -337,7 +401,7 @@ func (v *Virtual) Pending() int {
 	defer v.mu.Unlock()
 	n := 0
 	for _, e := range v.queue {
-		if e.state == vePending {
+		if e.state == evPending {
 			n++
 		}
 	}
@@ -351,11 +415,11 @@ func (v *Virtual) Pending() int {
 // to the caller. This is how a single-threaded simulation is driven: set
 // up under Hold, release, RunUntil(horizon).
 func (v *Virtual) RunUntil(t vtime.Ticks) {
-	v.schedule(t, math.MaxInt8, 0, func() {
+	v.schedule(new(Event), t, math.MaxInt8, 0, funcHandler(func() {
 		v.mu.Lock()
 		v.closed = true
 		v.mu.Unlock()
-	})
+	}))
 	<-v.done
 }
 
@@ -388,21 +452,21 @@ func (v *Virtual) loop() {
 			v.dispatchStriped()
 			continue
 		}
-		e := heap.Pop(&v.queue).(*vevent)
-		if e.state != vePending {
+		e := v.queue.pop()
+		if e.state != evPending {
 			v.mu.Unlock() // cancelled: discard without advancing time
 			continue
 		}
-		e.state = veFired
-		if e.at > v.now {
-			v.now = e.at
+		e.state = evFired
+		if int64(e.at) > v.now.Load() {
+			v.now.Store(int64(e.at))
 		}
 		// The running callback holds the clock: everything it schedules
 		// at the current tick (or enqueues behind a Hold of its own)
 		// settles before time advances again.
 		v.holds++
 		v.mu.Unlock()
-		e.fn()
+		e.h.Fire()
 		v.release()
 	}
 }
@@ -416,28 +480,28 @@ func (v *Virtual) loop() {
 // batch before any later one.
 func (v *Virtual) dispatchStriped() {
 	t, p := v.queue[0].at, v.queue[0].prio
-	var batch []*vevent
+	var batch []*Event
 	for len(v.queue) > 0 && v.queue[0].at == t && v.queue[0].prio == p {
-		e := heap.Pop(&v.queue).(*vevent)
-		if e.state != vePending {
+		e := v.queue.pop()
+		if e.state != evPending {
 			continue
 		}
-		e.state = veFired
+		e.state = evFired
 		batch = append(batch, e)
 	}
 	if len(batch) == 0 {
 		v.mu.Unlock()
 		return
 	}
-	if t > v.now {
-		v.now = t
+	if int64(t) > v.now.Load() {
+		v.now.Store(int64(t))
 	}
 	v.holds += len(batch)
 	v.mu.Unlock()
 
 	// Partition by stripe key. Batch order is seq order (heap pops), so
 	// each stripe inherits scheduling order.
-	stripes := make(map[uint64][]*vevent, len(batch))
+	stripes := make(map[uint64][]*Event, len(batch))
 	order := make([]uint64, 0, len(batch))
 	for _, e := range batch {
 		if _, ok := stripes[e.key]; !ok {
@@ -448,7 +512,7 @@ func (v *Virtual) dispatchStriped() {
 	if len(order) == 1 {
 		// One stripe: run inline on the dispatcher, as serial dispatch does.
 		for _, e := range batch {
-			e.fn()
+			e.h.Fire()
 		}
 		v.releaseN(len(batch))
 		return
@@ -471,11 +535,6 @@ func (v *Virtual) releaseN(n int) {
 	v.cond.Broadcast()
 	v.mu.Unlock()
 }
-
-// stoppedTimer is returned for events scheduled after Close.
-type stoppedTimer struct{}
-
-func (stoppedTimer) Stop() bool { return false }
 
 // ---------------------------------------------------------------------------
 // LatencyProbe: observed notification-latency estimator for adaptive Δ.

@@ -502,3 +502,155 @@ func TestLatencyProbe(t *testing.T) {
 		t.Fatalf("ewma lost: %f", s2.EWMA)
 	}
 }
+
+// ownedEvent is what a runtime that owns its records looks like to the
+// scheduler: the record embeds the Event and is its own Handler.
+type ownedEvent struct {
+	ev   Event
+	fire func()
+}
+
+func (o *ownedEvent) Fire() { o.fire() }
+
+// TestOwnedEventStop pins Stop on caller-owned events: false on an idle
+// event, true before firing (and the callback never runs), false on a
+// second Stop, after firing, and for an event scheduled after Close.
+func TestOwnedEventStop(t *testing.T) {
+	v := NewVirtual(1)
+	c := newCollect()
+
+	var idle Event
+	if idle.Stop() {
+		t.Error("Stop on a never-scheduled event must report false")
+	}
+
+	release := v.Hold()
+	stopped := &ownedEvent{fire: c.mark(1)}
+	fired := &ownedEvent{fire: c.mark(2)}
+	v.Schedule(&stopped.ev, 5, 0, stopped)
+	v.Schedule(&fired.ev, 5, 0, fired)
+	if got := v.Pending(); got != 2 {
+		t.Fatalf("Pending = %d, want 2", got)
+	}
+	if !stopped.ev.Stop() {
+		t.Error("Stop before firing must report true")
+	}
+	if stopped.ev.Stop() {
+		t.Error("second Stop must report false")
+	}
+	if got := v.Pending(); got != 1 {
+		t.Fatalf("Pending after Stop = %d, want 1", got)
+	}
+	release()
+
+	if got := c.waitN(t, 1); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("fired %v, want [2]", got)
+	}
+	if fired.ev.Stop() {
+		t.Error("Stop after firing must report false")
+	}
+
+	v.Close()
+	late := &ownedEvent{fire: c.mark(3)}
+	v.Schedule(&late.ev, 9, 0, late)
+	if late.ev.Stop() {
+		t.Error("an event scheduled after Close is already dropped: Stop must report false")
+	}
+	if got := v.Pending(); got != 0 {
+		t.Errorf("Pending after Close = %d, want 0", got)
+	}
+}
+
+// TestOwnedEventStoppedSkipsWithoutAdvancing: a stopped owner-storage
+// event is discarded when popped and the clock never visits its tick, on
+// the serial and on the striped dispatcher.
+func TestOwnedEventStoppedSkipsWithoutAdvancing(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		v := NewVirtual(workers)
+		c := newCollect()
+		release := v.Hold()
+		far := &ownedEvent{fire: c.mark(1)}
+		near := &ownedEvent{fire: c.mark(2)}
+		v.Schedule(&far.ev, 50, 3, far)
+		v.Schedule(&near.ev, 10, 3, near)
+		far.ev.Stop()
+		release()
+		if got := c.waitN(t, 1); got[0] != 2 {
+			t.Fatalf("workers=%d: fired %v, want [2]", workers, got)
+		}
+		// RunUntil drains what is left: the stopped event pops and is
+		// dropped on the way, and only the sentinel moves the clock.
+		v.RunUntil(20)
+		if got := c.waitN(t, 1); len(got) != 1 {
+			t.Fatalf("workers=%d: stopped event ran: %v", workers, got)
+		}
+		if now := v.Now(); now != 20 {
+			t.Fatalf("workers=%d: clock at %d, want 20 (never 50)", workers, now)
+		}
+	}
+}
+
+// TestOwnedEventsStripedBatches mixes owner-storage and closure events in
+// one (tick, level) batch on the striped dispatcher: every stripe runs its
+// own events in scheduling order whatever storage they live in, and an
+// owned event scheduled from a callback onto the running tick joins the
+// next batch of the same tick.
+func TestOwnedEventsStripedBatches(t *testing.T) {
+	v := NewVirtual(4)
+	defer v.Close()
+	const stripes, perStripe = 6, 8
+
+	var mu sync.Mutex
+	got := make(map[uint64][]int)
+	var wg sync.WaitGroup
+	note := func(key uint64, i int) func() {
+		return func() {
+			mu.Lock()
+			got[key] = append(got[key], i)
+			mu.Unlock()
+			wg.Done()
+		}
+	}
+	release := v.Hold()
+	owned := make([]ownedEvent, 0, stripes*perStripe)
+	for i := 0; i < perStripe; i++ {
+		for key := uint64(1); key <= stripes; key++ {
+			wg.Add(1)
+			if i%2 == 0 {
+				owned = append(owned, ownedEvent{fire: note(key, i)})
+				o := &owned[len(owned)-1]
+				v.Schedule(&o.ev, 7, key, o)
+			} else {
+				v.AtKeyed(7, key, note(key, i))
+			}
+		}
+	}
+	// A cascade onto the running tick from inside stripe 1.
+	cascade := &ownedEvent{}
+	wg.Add(2)
+	cascade.fire = note(1, perStripe+1)
+	v.AtKeyed(7, 1, func() {
+		v.Schedule(&cascade.ev, 7, 1, cascade)
+		note(1, perStripe)()
+	})
+	release()
+	wg.Wait()
+
+	for key := uint64(1); key <= stripes; key++ {
+		n := perStripe
+		if key == 1 {
+			n += 2
+		}
+		if len(got[key]) != n {
+			t.Fatalf("stripe %d ran %d events, want %d", key, len(got[key]), n)
+		}
+		for i, x := range got[key] {
+			if x != i {
+				t.Fatalf("stripe %d ran out of scheduling order: %v", key, got[key])
+			}
+		}
+	}
+	if now := v.Now(); now != 7 {
+		t.Fatalf("clock at %d, want 7", now)
+	}
+}
