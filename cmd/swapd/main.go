@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	swapd [-offers 3000] [-workers 64] [-ring-min 2] [-ring-max 5]
-//	      [-adversary 0.1] [-conflicts 0.05] [-tick 2ms] [-delta 30]
-//	      [-vtime] [-adaptive-delta] [-min-delta 4] [-max-delta 120]
+//	swapd [-offers 3000] [-workers 64] [-adversary 0.1] [-conflicts 0.05]
+//	      [-tick 2ms] [-delta 30] [-vtime] [-adaptive-delta]
 //	      [-clear-ahead 64] [-seed 1] [-json]
 //	swapd -arrival-rate 2000 [-profile poisson] [-party-pool 64]
 //	      [-max-pending 4096] ...
 //	swapd -shards 4 [-cross-ratio 0.1] ...
-//	swapd -data-dir /tmp/swapd [-snapshot-every 4096] ...
+//	swapd -data-dir /tmp/swapd ...
 //	swapd -confirm-depth 4 [-reorg-rate 0.15] ...
 //
 // With -shards N clearing is partitioned across N asset-sharded engines
@@ -46,8 +45,9 @@
 // given average offers/sec on the engine's scheduler; the report then
 // carries submit-to-settle latency percentiles and, under
 // -adaptive-delta, the Δ trajectory. With -json the report is a single
-// JSON object (the BENCH trajectory format); otherwise a human-readable
-// summary.
+// JSON object; otherwise a human-readable summary. One point of a shard ×
+// cross-ratio or offered-rate ladder is one run:
+// swapd -vtime -shards N -cross-ratio R -arrival-rate X -json.
 package main
 
 import (
@@ -72,6 +72,13 @@ import (
 
 var chainNames = []string{"btc", "eth", "sol", "ada", "dot", "xmr", "ltc", "atom"}
 
+// Generated barter rings have between ringMin and ringMax parties.
+const ringMin, ringMax = 2, 5
+
+// snapshotEvery is how many WAL events a -data-dir run logs between
+// snapshots (each one truncates the log).
+const snapshotEvery = 4096
+
 // clearingEngine is the engine surface swapd drives: the single engine
 // and the asset-sharded engine both satisfy it.
 type clearingEngine interface {
@@ -81,31 +88,10 @@ type clearingEngine interface {
 
 // runOpenLoop streams an open-loop load into the started engine and
 // reports, mirroring the closed-loop tail of main.
-func runOpenLoop(eng clearingEngine, rate float64, profile string,
-	offers, ringMin, ringMax, partyPool, maxPending, shards int,
-	crossRatio float64, seed int64, timeout time.Duration, jsonOut bool,
-	fairShed bool, floodFactor, floodParties int) {
-	proc, err := loadgen.ParseProfile(profile)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runOpenLoop(eng clearingEngine, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	rep, err := loadgen.Drive(ctx, eng, loadgen.Config{
-		Offers:       offers,
-		RingMin:      ringMin,
-		RingMax:      ringMax,
-		Rate:         rate,
-		Process:      proc,
-		PartyPool:    partyPool,
-		MaxPending:   maxPending,
-		Seed:         seed,
-		Shards:       shards,
-		CrossRatio:   crossRatio,
-		FairShed:     fairShed,
-		FloodFactor:  floodFactor,
-		FloodParties: floodParties,
-	})
+	rep, err := loadgen.Drive(ctx, eng, lcfg)
 	if err != nil {
 		log.Fatalf("open-loop run: %v", err)
 	}
@@ -124,16 +110,30 @@ func runOpenLoop(eng clearingEngine, rate float64, profile string,
 	}
 }
 
-// durableEngine builds the -data-dir engine: recover from the
-// directory when it holds state (a restart), otherwise open a fresh
-// store and log into it. Either way the engine keeps appending, so the
-// next kill-and-restart recovers again.
-func durableEngine(cfg engine.Config, dir string, snapEvery int) (*engine.Engine, error) {
-	eng, rec, err := durable.Recover(cfg, durable.RecoverOptions{
-		Dir:           dir,
-		Attach:        true,
-		SnapshotEvery: snapEvery,
-	})
+// newEngine builds the engine cfg describes: sharded when shards > 0.
+func newEngine(cfg engine.Config, shards int) clearingEngine {
+	if shards > 0 {
+		return shard.New(shard.Config{Shards: shards, Engine: cfg})
+	}
+	return engine.New(cfg)
+}
+
+// durableEngine builds the -data-dir engine: recover from the directory
+// when it holds state (a restart), otherwise open a fresh store and log
+// into it. Either way the engine keeps appending, so the next
+// kill-and-restart recovers again. A sharded deployment logs into one WAL,
+// and recovery re-partitions the folded state onto the (possibly
+// different) shard count of this run.
+func durableEngine(cfg engine.Config, shards int, dir string) (clearingEngine, error) {
+	opts := durable.RecoverOptions{Dir: dir, Attach: true, SnapshotEvery: snapshotEvery}
+	var eng clearingEngine
+	var rec *durable.Recovery
+	var err error
+	if shards > 0 {
+		eng, rec, err = shard.Recover(shard.Config{Shards: shards, Engine: cfg}, opts)
+	} else {
+		eng, rec, err = durable.Recover(cfg, opts)
+	}
 	if err == nil {
 		fmt.Fprintf(os.Stderr,
 			"recovered %s: %d events replayed, %d orders resumed, %d refunded, resuming at tick %d (%.1fms)\n",
@@ -143,54 +143,24 @@ func durableEngine(cfg engine.Config, dir string, snapEvery int) (*engine.Engine
 	if !errors.Is(err, durable.ErrNoState) {
 		return nil, err
 	}
-	store, err := durable.Open(durable.Options{Dir: dir, SnapshotEvery: snapEvery})
+	store, err := durable.Open(durable.Options{Dir: dir, SnapshotEvery: snapshotEvery})
 	if err != nil {
 		return nil, err
 	}
 	cfg.Store = store
-	return engine.New(cfg), nil
-}
-
-// durableShardedEngine is durableEngine for -shards: the whole sharded
-// deployment logs into one WAL, and recovery re-partitions the folded
-// state onto the (possibly different) shard count of this run.
-func durableShardedEngine(cfg shard.Config, dir string, snapEvery int) (*shard.ShardedEngine, error) {
-	eng, rec, err := shard.Recover(cfg, durable.RecoverOptions{
-		Dir:           dir,
-		Attach:        true,
-		SnapshotEvery: snapEvery,
-	})
-	if err == nil {
-		fmt.Fprintf(os.Stderr,
-			"recovered %s onto %d shards: %d events replayed, %d orders resumed, %d refunded (%.1fms)\n",
-			dir, cfg.Shards, rec.Events, rec.Resumed, rec.Refunded, rec.WallMs)
-		return eng, nil
-	}
-	if !errors.Is(err, durable.ErrNoState) {
-		return nil, err
-	}
-	store, err := durable.Open(durable.Options{Dir: dir, SnapshotEvery: snapEvery})
-	if err != nil {
-		return nil, err
-	}
-	cfg.Engine.Store = store
-	return shard.New(cfg), nil
+	return newEngine(cfg, shards), nil
 }
 
 func main() {
 	var (
 		offers    = flag.Int("offers", 3000, "approximate number of offers to submit")
 		workers   = flag.Int("workers", 64, "executor pool size (concurrent swaps)")
-		ringMin   = flag.Int("ring-min", 2, "smallest barter-ring size")
-		ringMax   = flag.Int("ring-max", 5, "largest barter-ring size")
 		adversary = flag.Float64("adversary", 0, "fraction of swaps given a silent leader")
 		conflicts = flag.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
 		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
 		delta     = flag.Int("delta", 30, "per-swap delta in ticks")
 		vtimeMode = flag.Bool("vtime", false, "run on virtual time, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable; -clear-ahead is ignored)")
 		adaptive  = flag.Bool("adaptive-delta", false, "adapt delta each clearing round from observed delivery latency")
-		minDelta  = flag.Int("min-delta", 0, "adaptive delta floor in ticks (0 = engine default)")
-		maxDelta  = flag.Int("max-delta", 0, "adaptive delta cap in ticks (0 = engine default)")
 		clrAhead  = flag.Int("clear-ahead", 0, "max swaps cleared ahead of execution on the real-time scheduler (0 = unlimited; adaptive-delta defaults it to workers)")
 		seed      = flag.Int64("seed", 1, "load-generation seed")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
@@ -202,26 +172,21 @@ func main() {
 		maxPending  = flag.Int("max-pending", 0, "open-loop shed threshold on the pending book (0 = default, negative = never shed)")
 		fairShed    = flag.Bool("fair-shed", false, "open-loop: per-party fair shedding — at the -max-pending threshold only parties at or past their share of the book shed (a flooding coalition starves itself, not its victims)")
 		floodFactor = flag.Int("flood-factor", 0, "open-loop: ride this many coalition flood rings (from a small reused identity pool) on every organic ring")
-		floodParty  = flag.Int("flood-parties", 0, "with -flood-factor: flooder identity-pool size in ring groups (0 = 2)")
 
 		shards     = flag.Int("shards", 0, "partition clearing across N asset-sharded engines plus a cross-shard coordinator (0 = single engine)")
 		crossRatio = flag.Float64("cross-ratio", 0, "with -shards and -arrival-rate: fraction of generated rings that span two shards (cross-shard escalation load)")
 
-		dataDir   = flag.String("data-dir", "", "durable state directory: log engine events to a WAL and recover from it on restart")
-		snapEvery = flag.Int("snapshot-every", 4096, "with -data-dir, snapshot and truncate the WAL every N events")
+		dataDir = flag.String("data-dir", "", "durable state directory: log engine events to a WAL (snapshotted and truncated as it grows) and recover from it on restart")
 
 		confirmDepth = flag.Int("confirm-depth", 0, "chain realism: a record is final only this many ticks after it lands (0 = instant finality); the timelock ladder stretches to match")
 		reorgRate    = flag.Float64("reorg-rate", 0, "with -confirm-depth >= 2: seeded per-record probability that an applied record reverts before finalizing")
 	)
 	flag.Parse()
-	if *ringMin < 2 || *ringMax < *ringMin {
-		log.Fatal("need 2 <= ring-min <= ring-max")
-	}
 	if *arrivalRate > 0 && *conflicts > 0 {
 		log.Fatal("-conflicts is a closed-loop feature; drop it or -arrival-rate")
 	}
-	if (*fairShed || *floodFactor > 0 || *floodParty > 0) && *arrivalRate <= 0 {
-		log.Fatal("-fair-shed, -flood-factor, and -flood-parties are open-loop features; add -arrival-rate")
+	if (*fairShed || *floodFactor > 0) && *arrivalRate <= 0 {
+		log.Fatal("-fair-shed and -flood-factor are open-loop features; add -arrival-rate")
 	}
 	if *reorgRate < 0 || *reorgRate > 1 {
 		log.Fatal("-reorg-rate must be in [0, 1]")
@@ -239,8 +204,6 @@ func main() {
 		Seed:          *seed,
 		Parallel:      *vtimeMode,
 		AdaptiveDelta: *adaptive,
-		MinDelta:      vtime.Duration(*minDelta),
-		MaxDelta:      vtime.Duration(*maxDelta),
 		MaxClearAhead: *clrAhead,
 		Commitment: engine.CommitmentConfig{
 			ConfirmDepth: vtime.Duration(*confirmDepth),
@@ -252,28 +215,37 @@ func main() {
 		log.Fatal("-cross-ratio needs -shards > 1 and -arrival-rate")
 	}
 	var eng clearingEngine
-	var err error
-	switch {
-	case *shards > 0 && *dataDir != "":
-		eng, err = durableShardedEngine(shard.Config{Shards: *shards, Engine: cfg}, *dataDir, *snapEvery)
-	case *shards > 0:
-		eng = shard.New(shard.Config{Shards: *shards, Engine: cfg})
-	case *dataDir != "":
-		eng, err = durableEngine(cfg, *dataDir, *snapEvery)
-	default:
-		eng = engine.New(cfg)
-	}
-	if err != nil {
-		log.Fatal(err)
+	if *dataDir == "" {
+		eng = newEngine(cfg, *shards)
+	} else {
+		var err error
+		if eng, err = durableEngine(cfg, *shards, *dataDir); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if err := eng.Start(); err != nil {
 		log.Fatal(err)
 	}
 
 	if *arrivalRate > 0 {
-		runOpenLoop(eng, *arrivalRate, *profile, *offers, *ringMin, *ringMax,
-			*partyPool, *maxPending, *shards, *crossRatio, *seed, *timeout, *jsonOut,
-			*fairShed, *floodFactor, *floodParty)
+		proc, err := loadgen.ParseProfile(*profile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runOpenLoop(eng, loadgen.Config{
+			Offers:      *offers,
+			RingMin:     ringMin,
+			RingMax:     ringMax,
+			Rate:        *arrivalRate,
+			Process:     proc,
+			PartyPool:   *partyPool,
+			MaxPending:  *maxPending,
+			Seed:        *seed,
+			Shards:      *shards,
+			CrossRatio:  *crossRatio,
+			FairShed:    *fairShed,
+			FloodFactor: *floodFactor,
+		}, *timeout, *jsonOut)
 		return
 	}
 
@@ -282,7 +254,7 @@ func main() {
 	var lastRingAsset core.ProposedTransfer
 	var lastRingParty chain.PartyID
 	for ring := 0; submitted < *offers; ring++ {
-		size := *ringMin + rng.Intn(*ringMax-*ringMin+1)
+		size := ringMin + rng.Intn(ringMax-ringMin+1)
 		members := make([]chain.PartyID, size)
 		for i := range members {
 			members[i] = chain.PartyID(fmt.Sprintf("r%d-p%d", ring, i))

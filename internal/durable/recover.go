@@ -65,67 +65,82 @@ type Recovery struct {
 // book (original pending orders plus resumed ones) re-clears on the
 // first rounds.
 func Recover(ecfg engine.Config, opts RecoverOptions) (*engine.Engine, *Recovery, error) {
-	begin := time.Now()
-	st, err := Open(Options{Dir: opts.Dir, SnapshotEvery: opts.SnapshotEvery})
+	var e *engine.Engine
+	rec, err := Resume(opts, ecfg.Delta, func(st engine.Store, rs engine.RecoveredState) (*engine.Engine, error) {
+		ecfg.Store = st
+		var err error
+		e, err = engine.NewRecovered(ecfg, rs)
+		return e, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
+	return e, rec, nil
+}
+
+// Resume is the store side of recovery, written once for every engine
+// shape: open the directory, fold it up to the cut, resolve what was in
+// flight against the timelock budget delta buys, and attach the store or
+// close it. build turns the result into an engine — it receives the store
+// the new engine must keep logging into (nil unless opts.Attach) and the
+// resolved state — and returns the engine whose metrics carry the recovery
+// counters. A build failure closes an attached store.
+func Resume(opts RecoverOptions, delta vtime.Duration,
+	build func(engine.Store, engine.RecoveredState) (*engine.Engine, error)) (*Recovery, error) {
+	begin := time.Now()
+	st, err := Open(Options{Dir: opts.Dir, SnapshotEvery: opts.SnapshotEvery})
+	if err != nil {
+		return nil, err
+	}
 	if !st.HasData() {
 		st.Close()
-		return nil, nil, fmt.Errorf("%w in %s", ErrNoState, opts.Dir)
+		return nil, fmt.Errorf("%w in %s", ErrNoState, opts.Dir)
 	}
 	resolved, err := st.ResolvedState(opts.CutTick)
 	if err != nil {
 		st.Close()
-		return nil, nil, err
+		return nil, err
 	}
 
-	recTick := resolved.MaxTick
-	if opts.CutTick > 0 && opts.CutTick > recTick {
-		recTick = opts.CutTick
+	rec := &Recovery{
+		Events:  resolved.Events,
+		Reverts: resolved.Reverts,
+		Tick:    resolved.MaxTick,
 	}
-	delta := ecfg.Delta
+	if opts.CutTick > rec.Tick {
+		rec.Tick = opts.CutTick
+	}
 	if delta <= 0 {
 		delta = core.DefaultDelta
 	}
-	recState, resumed, refunded := resolved.Resolve(recTick, delta)
+	var recState engine.RecoveredState
+	recState, rec.Resumed, rec.Refunded = resolved.Resolve(rec.Tick, delta)
 
+	// A nil *Store must reach the engine as a nil engine.Store.
+	var logTo engine.Store
 	if opts.Attach {
 		if err := st.AttachResolved(resolved); err != nil {
 			st.Close()
-			return nil, nil, err
+			return nil, err
 		}
-		ecfg.Store = st
-	} else {
-		if err := st.Close(); err != nil {
-			return nil, nil, err
-		}
-		ecfg.Store = nil
+		rec.Store, logTo = st, st
+	} else if err := st.Close(); err != nil {
+		return nil, err
 	}
 
-	e, err := engine.NewRecovered(ecfg, recState)
+	e, err := build(logTo, recState)
 	if err != nil {
 		if opts.Attach {
 			st.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	rec := &Recovery{
-		Events:   resolved.Events,
-		Resumed:  resumed,
-		Refunded: refunded,
-		Reverts:  resolved.Reverts,
-		Tick:     recTick,
-		WallMs:   float64(time.Since(begin)) / float64(time.Millisecond),
-	}
-	if opts.Attach {
-		rec.Store = st
-	}
+	rec.WallMs = float64(time.Since(begin)) / float64(time.Millisecond)
 	e.SetRecoveryStats(metrics.RecoveryStats{
 		Replayed: rec.Events,
 		Resumed:  rec.Resumed,
 		Refunded: rec.Refunded,
 		WallMs:   rec.WallMs,
 	})
-	return e, rec, nil
+	return rec, nil
 }

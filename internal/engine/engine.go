@@ -131,8 +131,8 @@ type Config struct {
 	// calls are safe but reintroduce the nondeterminism this removes. A
 	// virtual engine owns the scheduler's dispatcher goroutine; call Stop
 	// (valid even if Start was never called) to release it. Neither this
-	// nor Parallel is consulted when Scheduler is injected: the engine's
-	// mode is the type of scheduler it runs on.
+	// nor Parallel is consulted by a hosted engine (see Host): its mode is
+	// the type of scheduler it is handed.
 	Deterministic bool
 	// Parallel is Deterministic on a striped sched.Virtual: same-tick
 	// events are partitioned by swap onto a Workers-sized pool with a
@@ -174,71 +174,55 @@ type Config struct {
 	// that seeded probability. See internal/chain and DESIGN.md §12.
 	Commitment CommitmentConfig
 
-	// The fields below are the shard-runtime injection surface, set by
-	// internal/engine/shard when this engine is one shard (or the
-	// coordinator) of a ShardedEngine. A sharded deployment runs N inner
-	// engines over ONE scheduler, chain registry, keyring, verify cache,
-	// and trace ring; each injected field replaces the corresponding
-	// engine-owned resource, and the engine never closes or re-wires a
-	// resource it did not create (Stop leaves an injected scheduler
-	// running, an injected registry keeps its owner's delivery probe, an
-	// injected cache keeps its owner's batch-worker sizing — see
-	// DESIGN.md §11). All-nil keeps the engine fully self-contained: the
-	// historical single-engine shape.
+	// host is set by Hosted: the shared infrastructure of the sharded
+	// deployment this engine is one member of. nil — every Config built
+	// any other way — is the self-contained single engine.
+	host *Host
+}
 
-	// Scheduler, when set, is the shared time source the engine runs on
-	// instead of creating its own (NewScheduler): a *sched.Virtual puts the
-	// engine in virtual-time mode, anything else in real-time mode.
+// Host is what a sharded deployment shares with the engines it hosts, plus
+// the engine's place in it. N shard engines and one coordinator run over
+// ONE scheduler, chain registry, keyring, verify cache and trace ring; a
+// hosted engine uses the host's and never closes or re-wires them (Stop
+// leaves the scheduler running, the registry keeps its owner's delivery
+// probe, the cache keeps its owner's batch-worker sizing — see DESIGN.md
+// §11). Only internal/engine/shard builds one.
+//
+// The rest of a hosted engine's wiring follows from the role. Every hosted
+// engine names its swaps canonically (see clearGroup). The coordinator —
+// the one engine handed ShardOf — clears at tail level 3 rather than 1: the
+// ladder is protocol events (0) → shard clearing (1) → escalation sweep (2)
+// → coordinator clearing (3), with a determinism barrier between levels;
+// and it writes the AC3 prepare record (see clearGroup).
+type Host struct {
+	// Scheduler is the shared time source: a *sched.Virtual puts the engine
+	// in virtual-time mode, anything else in real-time mode.
 	Scheduler sched.Scheduler
-	// Registry, when set, is the shared chain registry (one reservation
-	// table spanning every shard — cross-shard swaps reserve assets on
-	// every involved shard through it).
+	// Registry is the shared chain registry: one reservation table spanning
+	// every shard, so a cross-shard swap reserves assets on all of them.
 	Registry *chain.Registry
-	// Keyring, when set, is the shared party keyring (parties may submit
-	// to any shard; their identity must not depend on which).
+	// Keyring is the shared party keyring (parties may submit to any
+	// shard; their identity must not depend on which).
 	Keyring *core.Keyring
-	// Cache, when set, is the shared hashkey verification cache. The
-	// engine then leaves its batch-worker sizing alone: the owner sizes
-	// the pool once from the machine's total workers, so N shards do not
-	// oversubscribe the box with N independent default pools.
+	// Cache is the shared hashkey verification cache, its batch pool sized
+	// once by the owner from the machine's total workers.
 	Cache *hashkey.VerifyCache
-	// Tracer, when set, is the shared trace flight recorder.
+	// Tracer is the shared trace flight recorder.
 	Tracer *trace.Log
-	// Probe, when set, replaces the engine-created delivery-lag probe
-	// (the shard owner fans registry observations out to per-shard
-	// probes so each shard's adaptive-Δ window consumes only its own
-	// evidence deterministically).
-	Probe *sched.LatencyProbe
+	// Stripe keys this engine's clearing ticks on the shared virtual
+	// scheduler: clearing passes of distinct shards run concurrently under
+	// striped dispatch while each shard's own pass stays serialized.
+	Stripe uint64
+	// ShardOf maps a chain name to its shard. Set on the coordinator only,
+	// whose prepare records say how many shards a swap spans (a hook, not
+	// an import: engine must not depend on shard).
+	ShardOf func(chainName string) int
+}
 
-	// ShardStripe keys this engine's clearing ticks on the shared
-	// virtual scheduler: clearing passes of distinct shards run
-	// concurrently under striped dispatch while each shard's
-	// own pass stays serialized. 0 (the single-engine default) is the
-	// unkeyed serial stripe.
-	ShardStripe uint64
-	// TailPrio is the tail level clearing ticks run at (default 1).
-	// The sharded tick ladder is: protocol events (0) → shard clearing
-	// (1) → escalation sweep (2) → coordinator clearing (3), with a
-	// determinism barrier between levels.
-	TailPrio int8
-	// CanonicalSwapTags derives each swap's tag, seed, and stripe from
-	// the minimum order ID in its cleared group instead of an
-	// engine-local ordinal. With router-assigned global order IDs this
-	// makes swap identity a pure function of WHAT cleared, not which
-	// engine cleared it — the property that lets a 4-shard run and a
-	// 1-shard run of the same scenario produce byte-identical digests.
-	CanonicalSwapTags bool
-	// LogPrepared makes clearGroup append an AC3-style EvPrepared record
-	// after a group's reservations are all held and before the swap is
-	// committed (EvCleared). The coordinator engine sets it: a crash
-	// between the two records folds back to pending orders whose
-	// reservations died with the process — prepare is refunded, the
-	// orders resume and re-clear. See DESIGN.md §11.
-	LogPrepared bool
-	// ShardOfChain, when set with LogPrepared, maps a chain name to its
-	// shard so EvPrepared can record how many shards a cross-shard swap
-	// spans (a hook, not an import: engine must not depend on shard).
-	ShardOfChain func(chainName string) int
+// Hosted returns cfg as the configuration of an engine hosted by h.
+func Hosted(cfg Config, h Host) Config {
+	cfg.host = &h
+	return cfg
 }
 
 // CommitmentConfig parameterizes the commitment model every asset chain
@@ -383,24 +367,14 @@ type Engine struct {
 	// wall-clock poll that used to put a fixed tail on every run.
 	drainCh chan struct{}
 
-	// The clearing loop is a self-rescheduling timer on the shared
-	// scheduler: clearMu guards the live timer and the stop flag, clearWG
-	// tracks a tick callback in flight so Stop can wait it out. Rounds
-	// are strictly sequential (each tick schedules the next only when it
-	// finishes), so everything confined to "the clearing goroutine"
-	// remains confined to one callback at a time.
-	clearMu      sync.Mutex
-	clearTimer   sched.Timer
-	clearStopped bool
-	// clearParked marks a virtual-time clearing loop that stopped
-	// rescheduling itself because the engine went virtually idle (empty
-	// book, empty scheduler queue); Submit re-arms it. Parked rounds are
-	// exactly the rounds the active-round count never included, so digests
-	// are unaffected — but the virtual clock stops free-running, instead
-	// of burning CPU on empty rounds until Drain notices at wall speed.
-	clearParked bool
-	clearWG     sync.WaitGroup
-	clearEvery  vtime.Duration
+	// clearing is the clearing loop: clearTick, once per ClearEvery on the
+	// shared scheduler. A virtual-time loop parks when the engine goes
+	// virtually idle (empty book, nothing live) and Submit wakes it: parked
+	// rounds are exactly the rounds the active-round count never included,
+	// so digests are unaffected — but the virtual clock stops free-running,
+	// instead of burning CPU on empty rounds until Drain notices at wall
+	// speed.
+	clearing *sched.Loop
 
 	// bookSeq counts orders ever booked. The virtual-time clearing loop
 	// uses it to close the park race on a STUCK book (non-empty but
@@ -452,10 +426,6 @@ type Engine struct {
 	// settlement can orphan an escrowed leg by design).
 	recovered bool
 
-	// ownSched marks a scheduler the engine created (and must close on
-	// Stop); an injected one belongs to the shard owner.
-	ownSched bool
-
 	// rng drives adversary selection. It is NOT safe for concurrent use
 	// and is confined to the clearing tick (clearTick → clearRound →
 	// clearGroup, sequential by construction): never touch it from
@@ -486,8 +456,10 @@ type Engine struct {
 	activeRounds int
 }
 
-// New creates an engine with its own shared clock and chain registry.
-func New(cfg Config) *Engine {
+// WithDefaults fills every unset knob with its default — the one place
+// they are defined: New applies it, and the sharded engine reads its own
+// cadence and worker budget from the same resolution.
+func (cfg Config) WithDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
@@ -506,23 +478,6 @@ func New(cfg Config) *Engine {
 	if cfg.Kind == 0 {
 		cfg.Kind = core.KindByLeaders
 	}
-	// The scheduler comes first: its type is the engine's mode.
-	sc, ownSched := cfg.Scheduler, false
-	if sc == nil {
-		sc, ownSched = NewScheduler(cfg), true
-	}
-	vsched, _ := sc.(*sched.Virtual)
-	queueLimit := realJobQueue
-	if vsched != nil {
-		// Backpressure reads the in-flight count, which is decremented by
-		// worker bookkeeping at wall speed — a nondeterministic input.
-		// Virtual-time runs clear everything the live-run gate admits and
-		// lean on an unbounded job queue instead (jobs advance via the
-		// scheduler whether or not a worker has picked them up, so depth
-		// is cheap).
-		cfg.MaxClearAhead = 0
-		queueLimit = 0
-	}
 	if cfg.ClearEvery <= 0 {
 		cfg.ClearEvery = vtime.Duration(cfg.ClearInterval / cfg.Tick)
 		if cfg.ClearEvery < 1 {
@@ -538,66 +493,74 @@ func New(cfg Config) *Engine {
 	if cfg.MaxDelta < cfg.MinDelta {
 		cfg.MaxDelta = cfg.MinDelta
 	}
-	if cfg.AdaptiveDelta && cfg.MaxClearAhead <= 0 && vsched == nil {
+	if cfg.virtual() {
+		// Backpressure reads the in-flight count, which is decremented by
+		// worker bookkeeping at wall speed — a nondeterministic input.
+		// Virtual-time runs clear everything the live-run gate admits and
+		// lean on an unbounded job queue instead (jobs advance via the
+		// scheduler whether or not a worker has picked them up, so depth
+		// is cheap).
+		cfg.MaxClearAhead = 0
+	} else if cfg.AdaptiveDelta && cfg.MaxClearAhead <= 0 {
 		// Adaptive Δ without backpressure is self-defeating: an up-front
 		// book would clear entirely at the initial Δ before the probe has
-		// a single window of evidence. (Virtual time forgoes backpressure
-		// entirely — see above.)
+		// a single window of evidence.
 		cfg.MaxClearAhead = cfg.Workers
 	}
 	if cfg.MaxLive <= 0 {
 		cfg.MaxLive = 16 * cfg.Workers
 	}
-	if cfg.TailPrio < 1 {
-		cfg.TailPrio = 1
+	return cfg
+}
+
+// virtual reports whether the engine runs on virtual time: the type of the
+// host's scheduler, else what NewScheduler will build.
+func (cfg Config) virtual() bool {
+	if cfg.host != nil {
+		_, ok := cfg.host.Scheduler.(*sched.Virtual)
+		return ok
 	}
+	return cfg.Deterministic || cfg.Parallel
+}
+
+// New creates an engine with its own shared clock and chain registry — or,
+// for a Hosted configuration, over its host's.
+func New(cfg Config) *Engine {
+	cfg = cfg.WithDefaults()
 	e := &Engine{
-		cfg:        cfg,
-		sched:      sc,
-		vsched:     vsched,
-		ownSched:   ownSched,
-		maxLive:    cfg.MaxLive,
-		probe:      cfg.Probe,
-		agg:        metrics.NewAggregate(),
-		keyring:    cfg.Keyring,
-		vcache:     cfg.Cache,
-		tracer:     cfg.Tracer,
-		shapes:     new(core.ShapeCache),
-		orders:     make(map[OrderID]*order),
-		book:       newBook(),
-		rng:        rand.New(rand.NewSource(cfg.Seed + 1)),
-		drainCh:    make(chan struct{}, 1),
-		clearEvery: cfg.ClearEvery,
+		cfg:     cfg,
+		maxLive: cfg.MaxLive,
+		probe:   sched.NewLatencyProbe(),
+		agg:     metrics.NewAggregate(),
+		shapes:  new(core.ShapeCache),
+		orders:  make(map[OrderID]*order),
+		book:    newBook(),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		drainCh: make(chan struct{}, 1),
 	}
-	e.jobs.init(queueLimit)
 	e.round.byParty = make(map[chain.PartyID]*order)
-	if e.probe == nil {
-		e.probe = sched.NewLatencyProbe()
-	}
-	if e.keyring == nil {
+	level, stripe := int8(1), uint64(0)
+	if h := cfg.host; h != nil {
+		// The owner wired the registry's delivery probe (fanned out to
+		// every hosted engine's own), sized the cache's batch pool once for
+		// all of them, and hooked identity persistence on the keyring.
+		e.sched, e.reg, e.keyring, e.vcache, e.tracer = h.Scheduler, h.Registry, h.Keyring, h.Cache, h.Tracer
+		stripe = h.Stripe
+		if h.ShardOf != nil {
+			level = 3
+		}
+	} else {
+		e.sched = NewScheduler(cfg)
 		e.keyring = core.NewKeyring(rand.New(rand.NewSource(cfg.Seed + 2)))
-	}
-	if e.tracer == nil {
 		e.tracer = trace.NewLog(trace.DefaultCap)
-	}
-	if e.vcache == nil {
 		e.vcache = hashkey.NewVerifyCache(0)
 		// Cold chain walks may fan links across the pool — capped at the
 		// machine's parallelism, where extra fan-out is pure overhead.
-		// An injected cache is deliberately left alone: its owner sizes
-		// the batch pool once for ALL engines sharing it, so N shards
-		// never stack N default-sized pools on one box.
 		bw := cfg.Workers
 		if n := runtime.GOMAXPROCS(0); bw > n {
 			bw = n
 		}
 		e.vcache.SetBatchWorkers(bw)
-	}
-	if cfg.Registry != nil {
-		// Shared registry: the owner wires the delivery probe (fanning it
-		// out per shard); installing ours here would steal it.
-		e.reg = cfg.Registry
-	} else {
 		e.reg = chain.NewRegistry(e.sched)
 		e.reg.SetDeliveryProbe(e.probe)
 		if cfg.Commitment.Enabled() {
@@ -608,19 +571,31 @@ func New(cfg Config) *Engine {
 			}
 			e.reg.SetChainProbeFactory(e.newChainProbe)
 		}
-	}
-	e.delta.Store(int64(cfg.Delta))
-	if cfg.Store != nil && cfg.Keyring == nil {
-		// Persist identities as they are generated: the ed25519 seed is an
-		// identity's durable form (see core.Keyring.OnCreate). A shared
-		// keyring gets exactly one such hook, wired by its owner.
-		e.keyring.OnCreate(func(p chain.PartyID, seed []byte) {
-			cfg.Store.Append(Event{
-				Kind: EvIdentity, Tick: e.sched.Now(),
-				Party: string(p), Seed: seed,
+		if cfg.Store != nil {
+			// Persist identities as they are generated: the ed25519 seed is
+			// an identity's durable form (see core.Keyring.OnCreate).
+			e.keyring.OnCreate(func(p chain.PartyID, seed []byte) {
+				cfg.Store.Append(Event{
+					Kind: EvIdentity, Tick: e.sched.Now(),
+					Party: string(p), Seed: seed,
+				})
 			})
-		})
+		}
 	}
+	e.vsched, _ = e.sched.(*sched.Virtual)
+	queueLimit := realJobQueue
+	if e.vsched != nil {
+		queueLimit = 0
+	}
+	e.jobs.init(queueLimit)
+	// The clearing loop ticks on the shared scheduler, not on a wall-clock
+	// ticker: under virtual time clearing rounds land at fixed ticks,
+	// interleaved with arrivals and protocol events in schedule order —
+	// and at tail level, so a round runs only after every protocol event
+	// of its tick has fully drained, which gives serialized and
+	// striped-parallel dispatch the identical pre-clearing state.
+	e.clearing = sched.NewLoop(e.sched, cfg.ClearEvery, level, stripe, e.clearTick)
+	e.delta.Store(int64(cfg.Delta))
 	return e
 }
 
@@ -689,8 +664,8 @@ func (q *jobQueue) close() {
 
 // NewScheduler builds the scheduler cfg asks for: a serial sched.Virtual
 // under Deterministic, one striped over Workers under Parallel, else a
-// sched.Real at Tick. New calls it when no Scheduler is injected; the
-// sharded engine calls it once for all its inner engines. Virtual
+// sched.Real at Tick. New calls it for a self-contained engine; the
+// sharded engine calls it once for all the engines it hosts. Virtual
 // schedulers run a dispatcher goroutine — Close them.
 func NewScheduler(cfg Config) sched.Scheduler {
 	switch {
@@ -729,6 +704,12 @@ func (e *Engine) CurrentDelta() vtime.Duration { return vtime.Duration(e.delta.L
 
 // LatencyStats snapshots the delivery-lag probe feeding adaptive Δ.
 func (e *Engine) LatencyStats() sched.LatencySnapshot { return e.probe.Snapshot() }
+
+// Probe exposes the delivery-lag probe. A self-contained engine's registry
+// feeds it directly; a shard owner fans its shared registry's observations
+// out to every hosted engine's probe, so each adaptive-Δ window consumes
+// its own copy of the evidence deterministically.
+func (e *Engine) Probe() *sched.LatencyProbe { return e.probe }
 
 // newChainProbe builds (and remembers) the delivery-lag probe for one
 // chain. Installed as the registry's chain-probe factory when a
@@ -832,7 +813,7 @@ func (e *Engine) Start() error {
 		e.workerWG.Add(1)
 		go e.worker()
 	}
-	e.scheduleClear()
+	e.clearing.Wake()
 	return nil
 }
 
@@ -887,7 +868,7 @@ func (e *Engine) Submit(offer core.Offer) (OrderID, error) {
 	}
 	id, err := e.bookOrder(offer, 0, e.sched.Now(), time.Now())
 	if err == nil {
-		e.ensureClearing()
+		e.clearing.Wake()
 	}
 	return id, err
 }
@@ -931,7 +912,7 @@ func (e *Engine) SubmitRouted(r Routed) error {
 	}
 	_, err := e.bookOrder(r.Offer, r.ID, r.SubmittedTick, r.SubmittedAt)
 	if err == nil {
-		e.ensureClearing()
+		e.clearing.Wake()
 	}
 	return err
 }
@@ -1092,90 +1073,11 @@ func (e *Engine) PendingParties() int {
 	return e.book.partyCount()
 }
 
-// scheduleClear arms the next clearing tick on the shared scheduler.
-// Driving the clearing loop from the scheduler — instead of the
-// wall-clock ticker it used through PR 4 — is what makes virtual-time
-// runs deterministic end to end: clearing rounds land at fixed virtual
-// ticks, interleaved with arrivals and protocol events in schedule
-// order, rather than whenever the host OS ran a ticker goroutine.
-// clearAt schedules fn for tick t at tail priority on virtual schedulers:
-// the clearing pass then runs only after every protocol event of its tick
-// has fully drained, which gives serialized and striped-parallel dispatch
-// the identical pre-clearing queue state — the liveness gate below reads
-// it — and makes the clearing tick the canonical last word of its tick.
-func (e *Engine) clearAt(t vtime.Ticks, fn func()) sched.Timer {
-	if e.vsched != nil {
-		return e.vsched.AtTailN(t, e.cfg.TailPrio, e.cfg.ShardStripe, fn)
-	}
-	return e.sched.At(t, fn)
-}
-
-// nextClearTick is the tick the next clearing round runs at. Virtual-time
-// engines align rounds to the ClearEvery grid (the next multiple strictly
-// after now) rather than now+ClearEvery: a loop re-armed mid-phase after
-// parking would otherwise drift off-grid, and the sharded determinism
-// contract needs every engine's rounds — across any shard count — to land
-// on the same tick grid.
-func (e *Engine) nextClearTick() vtime.Ticks {
-	now := e.sched.Now()
-	if e.vsched == nil {
-		return now.Add(e.clearEvery)
-	}
-	every := int64(e.clearEvery)
-	return vtime.Ticks((int64(now)/every + 1) * every)
-}
-
-func (e *Engine) scheduleClear() {
-	e.clearMu.Lock()
-	defer e.clearMu.Unlock()
-	if e.clearStopped {
-		return
-	}
-	e.clearTimer = e.clearAt(e.nextClearTick(), func() {
-		e.clearMu.Lock()
-		if e.clearStopped {
-			e.clearMu.Unlock()
-			return
-		}
-		e.clearWG.Add(1)
-		e.clearMu.Unlock()
-		defer e.clearWG.Done()
-		if e.clearTick() {
-			e.scheduleClear()
-		}
-	})
-}
-
-// ensureClearing re-arms a parked clearing loop (no-op otherwise). Called
-// after intake books an order, outside the engine lock.
-func (e *Engine) ensureClearing() {
-	e.clearMu.Lock()
-	parked := e.clearParked
-	e.clearParked = false
-	e.clearMu.Unlock()
-	if parked {
-		e.scheduleClear()
-	}
-}
-
-// stopClearing cancels the clearing timer and waits out a tick in
-// flight. After it returns no clearing round can run.
-func (e *Engine) stopClearing() {
-	e.clearMu.Lock()
-	e.clearStopped = true
-	t := e.clearTimer
-	e.clearMu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-	e.clearWG.Wait()
-}
-
 // clearTick is one round of the batch clearing service: it partitions
 // the pending book into executable swaps. While draining it also detects
 // a stalled book (offers that can never match) and rejects it. The return
 // value says whether to keep the loop armed: a virtual-time engine with
-// nothing virtually live parks instead (Submit re-arms; see clearParked).
+// nothing virtually live parks instead (Submit wakes it; see clearing).
 func (e *Engine) clearTick() bool {
 	e.clearRounds++
 	// Virtual liveness: the book is non-empty, or swaps this engine
@@ -1195,14 +1097,12 @@ func (e *Engine) clearTick() bool {
 	// deliberately plays no part.
 	if e.vsched != nil {
 		if e.Pending() == 0 && e.liveRuns.Load() == 0 {
-			e.clearMu.Lock()
-			e.clearParked = true
-			e.clearMu.Unlock()
-			// Re-check under the parked flag: an order booked between the
-			// gate read and the park would otherwise wait forever (its
-			// ensureClearing saw the loop still armed).
+			e.clearing.Park()
+			// Re-check now that the loop is parked: an order booked between
+			// the gate read and the park would otherwise wait forever (its
+			// Wake saw the loop still armed).
 			if e.Pending() > 0 || e.liveRuns.Load() > 0 {
-				e.ensureClearing()
+				e.clearing.Wake()
 			}
 			e.notifyDrain()
 			return false
@@ -1240,13 +1140,11 @@ func (e *Engine) clearTick() bool {
 		// Drain rejects a book still stuck at drain time. liveRuns (not
 		// inflight) keeps the gate schedule-pure: a run past its horizon
 		// can settle orders but never book one.
-		e.clearMu.Lock()
-		e.clearParked = true
-		e.clearMu.Unlock()
+		e.clearing.Park()
 		// Close the park race with a booking sequence check — an arrival
 		// between the pre-dispatch read and the park saw an armed loop.
 		if e.bookSeq.Load() != seq {
-			e.ensureClearing()
+			e.clearing.Wake()
 		}
 		e.notifyDrain()
 		return false
@@ -1350,12 +1248,14 @@ func swapTag(seq uint64) string {
 // must wait (reservation contention) or was rejected.
 func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
 	var seq uint64
-	if e.cfg.CanonicalSwapTags {
+	if e.cfg.host != nil {
 		// Sharded identity: tag, seed, and stripe derive from the minimum
 		// order ID in the group. Router-assigned IDs are globally unique
 		// and arrival-ordered, so the identity is the same whichever
 		// engine (shard, coordinator, or the 1-shard baseline) clears the
-		// group — and distinct concurrent groups never share a stripe.
+		// group — which is what lets a 4-shard run and a 1-shard run of the
+		// same scenario produce byte-identical digests — and distinct
+		// concurrent groups never share a stripe.
 		for _, o := range g {
 			if id := uint64(byParty[o.Party].id); seq == 0 || id < seq {
 				seq = id
@@ -1397,7 +1297,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 			held = append(held, resvKey{chain: tr.Chain, asset: tr.Asset})
 		}
 	}
-	if e.cfg.LogPrepared && e.cfg.Store != nil {
+	if h := e.cfg.host; h != nil && h.ShardOf != nil && e.cfg.Store != nil {
 		// AC3 prepare record: every involved asset is now reserved (the
 		// shared registry's reservation table spans all shards), but the
 		// swap is not yet committed — that is EvCleared, below. A crash
@@ -1408,17 +1308,13 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		for _, o := range g {
 			ids = append(ids, byParty[o.Party].id)
 		}
-		spans := 0
-		if e.cfg.ShardOfChain != nil {
-			seen := make(map[int]bool, len(held))
-			for _, r := range held {
-				seen[e.cfg.ShardOfChain(r.chain)] = true
-			}
-			spans = len(seen)
+		spans := make(map[int]bool, len(held))
+		for _, r := range held {
+			spans[h.ShardOf(r.chain)] = true
 		}
 		e.logEvent(Event{
 			Kind: EvPrepared, Tick: e.sched.Now(),
-			Swap: swapID, Orders: ids, Count: spans,
+			Swap: swapID, Orders: ids, Count: len(spans),
 		})
 	}
 
@@ -1787,13 +1683,7 @@ func (e *Engine) Kill() vtime.Ticks {
 	}
 	e.killed = true
 	e.mu.Unlock()
-	e.clearMu.Lock()
-	e.clearStopped = true
-	t := e.clearTimer
-	e.clearMu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
+	e.clearing.Stop(false)
 	cut := e.sched.Now()
 	e.logEvent(Event{Kind: EvKilled, Tick: cut})
 	e.notifyDrain()
@@ -1832,10 +1722,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 			// The parked virtual clock is frozen at the schedule's last
 			// event, so the rejection tick — and the digest — stays a pure
 			// function of the seed.
-			e.clearMu.Lock()
-			parked := e.clearParked
-			e.clearMu.Unlock()
-			if parked {
+			if e.clearing.Parked() {
 				e.rejectPending("unmatched: no counterparties before drain")
 				continue
 			}
@@ -1860,14 +1747,14 @@ func (e *Engine) Stop(ctx context.Context) error {
 	}
 	e.state = stateStopped
 	e.mu.Unlock()
-	e.stopClearing()
+	e.clearing.Stop(true)
 	e.jobs.close()
 	e.workerWG.Wait()
-	if e.vsched != nil && e.ownSched {
+	if e.vsched != nil && e.cfg.host == nil {
 		// All runs have drained their scheduler holds; stop the virtual
-		// dispatcher so the engine leaves no goroutine behind. An
-		// injected (shared) scheduler is the shard owner's to close,
-		// once, after every engine sharing it has stopped.
+		// dispatcher so the engine leaves no goroutine behind. A host's
+		// scheduler is the host's to close, once, after every engine
+		// sharing it has stopped.
 		e.vsched.Close()
 	}
 	return drainErr

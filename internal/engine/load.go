@@ -1,22 +1,19 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
-	"github.com/go-atomicswap/atomicswap/internal/metrics"
 )
 
-// loadChains is the shared chain set RunLoad spreads its swaps over.
+// loadChains is the shared chain set generated rings are spread over.
 var loadChains = []string{"btc", "eth", "sol", "ada"}
 
 // LoadOffer builds offer i of generated barter ring `ring` (size parties,
-// identity group `group`): the one offer shape both load harnesses —
-// closed-loop RunLoad and the open-loop generator in loadgen — submit,
-// so their measurements describe the same workload.
+// identity group `group`): the one offer shape every load harness — the
+// open-loop generator in loadgen, the benchmark's closed-loop book —
+// submits, so their measurements describe the same workload.
 func LoadOffer(ring, i, size, group int) core.Offer {
 	return LoadOfferOn(ring, i, size, group, loadChains[(ring+i)%len(loadChains)])
 }
@@ -53,60 +50,4 @@ func FloodOffer(ring, i, size, group int) core.Offer {
 	o.Party = chain.PartyID(fmt.Sprintf("%s%d-p%d", FloodPartyPrefix, group, i))
 	o.Give[0].To = chain.PartyID(fmt.Sprintf("%s%d-p%d", FloodPartyPrefix, group, (i+1)%size))
 	return o
-}
-
-// LoadOption tweaks RunLoad's generated traffic.
-type LoadOption func(*loadOpts)
-
-type loadOpts struct {
-	partyPool int
-}
-
-// WithPartyPool makes rings reuse a fixed pool of ring-group identities
-// instead of minting fresh parties per ring: ring r uses group r mod n.
-// Repeat customers are the keyring's whole point (identity cost is paid
-// once, not per swap), and the book's one-offer-per-party-per-round rule
-// then naturally pipelines same-group rings into successive waves.
-func WithPartyPool(n int) LoadOption {
-	return func(o *loadOpts) { o.partyPool = n }
-}
-
-// RunLoad drives one complete load through a fresh engine: rings barter
-// rings of ringSize parties each, submitted up front, then drained to
-// completion. It verifies the conservation invariant before returning the
-// aggregate report. This is the common harness for benchmarks and the
-// swapbench throughput trajectory.
-func RunLoad(cfg Config, rings, ringSize int, opts ...LoadOption) (metrics.Throughput, error) {
-	var o loadOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	e := New(cfg)
-	if err := e.Start(); err != nil {
-		return metrics.Throughput{}, err
-	}
-	for r := 0; r < rings; r++ {
-		group := r
-		if o.partyPool > 0 {
-			group = r % o.partyPool
-		}
-		for i := 0; i < ringSize; i++ {
-			if _, err := e.Submit(LoadOffer(r, i, ringSize, group)); err != nil {
-				return metrics.Throughput{}, fmt.Errorf("engine: load submit: %w", err)
-			}
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	if err := e.Stop(ctx); err != nil {
-		return metrics.Throughput{}, fmt.Errorf("engine: load drain: %w", err)
-	}
-	if err := e.VerifyConservation(); err != nil {
-		return metrics.Throughput{}, err
-	}
-	rep := e.Report()
-	if rep.SwapsFailed > 0 {
-		return rep, fmt.Errorf("engine: load: %d swaps failed outright", rep.SwapsFailed)
-	}
-	return rep, nil
 }

@@ -1,8 +1,8 @@
 // Package loadgen is the open-loop load harness for the clearing engine:
-// instead of pre-loading the book (engine.RunLoad's closed-loop shape),
-// it drives Engine.Submit from a configurable arrival process scheduled
-// on the engine's own time scheduler, so latency can be measured under
-// sustained intake at a controlled offered rate.
+// instead of pre-loading the book (the closed-loop shape), it drives
+// Engine.Submit from a configurable arrival process scheduled on the
+// engine's own time scheduler, so latency can be measured under sustained
+// intake at a controlled offered rate.
 //
 // Open-loop means arrivals are decided by the process alone — a slow
 // engine does not slow the generator down, it just accumulates a deeper

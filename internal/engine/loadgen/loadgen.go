@@ -329,8 +329,7 @@ func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 }
 
 // buildOffers generates whole barter rings (via the shared
-// engine.LoadOffer shape, so open- and closed-loop harnesses measure the
-// same workload) until the offer budget is met, deterministically from
+// engine.LoadOffer shape) until the offer budget is met, deterministically from
 // the seed. ringOf maps each offer back to its ring for ring-granular
 // shedding.
 func buildOffers(cfg Config) (offers []core.Offer, ringOf []int) {
@@ -412,8 +411,8 @@ type Report struct {
 // Drive streams one open-loop load through an already-started engine and
 // finishes it: Run, Stop (drain), conservation check, combined report.
 // This is the shared tail behind RunOpenLoad and swapd's -arrival-rate
-// mode, so the benchmark harness and the CLI can never diverge on the
-// drain/verify/report contract.
+// mode, so tests and the CLI can never diverge on the drain/verify/report
+// contract.
 func Drive(ctx context.Context, e DriveTarget, lcfg Config) (Report, error) {
 	lcfg = lcfg.withDefaults()
 	stats, err := Run(ctx, e, lcfg)
@@ -447,33 +446,11 @@ func Drive(ctx context.Context, e DriveTarget, lcfg Config) (Report, error) {
 	return rep, nil
 }
 
-// RunOpenLoad is the open-loop counterpart of engine.RunLoad: it creates
-// a fresh engine, streams one open-loop load through it via Drive, and
-// returns the combined report. This is the harness swapbench's rate
-// sweep, the open-loop benchmarks, and the examples drive.
+// RunOpenLoad creates a fresh engine, streams one open-loop load through
+// it via Drive, and returns the combined report: the harness behind
+// BenchmarkAdaptiveDelta, the open-loop tests and the examples.
 func RunOpenLoad(ecfg engine.Config, lcfg Config) (Report, error) {
 	e := engine.New(ecfg)
-	if err := e.Start(); err != nil {
-		return Report{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	return Drive(ctx, e, lcfg)
-}
-
-// RunShardedOpenLoad is RunOpenLoad against a sharded engine: fresh
-// ShardedEngine, one open-loop load (generated with the engine's own
-// shard count unless lcfg.Shards already says otherwise), Drive's
-// drain/verify/report tail. The swapbench shard sweep runs on this.
-func RunShardedOpenLoad(scfg shard.Config, lcfg Config) (Report, error) {
-	if lcfg.Shards == 0 {
-		if scfg.Shards > 0 {
-			lcfg.Shards = scfg.Shards
-		} else {
-			lcfg.Shards = 4 // shard.New's default
-		}
-	}
-	e := shard.New(scfg)
 	if err := e.Start(); err != nil {
 		return Report{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -82,17 +83,10 @@ type RecoveredOrder struct {
 func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 	e := New(cfg)
 	e.recovered = true
-	for _, id := range st.Identities {
-		if err := e.keyring.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
-			return nil, err
-		}
+	if err := st.RestoreShared(e.keyring, e.reg, e.sched); err != nil {
+		return nil, err
 	}
 	for _, a := range st.Assets {
-		if err := e.reg.Chain(a.Chain).RegisterAsset(chain.Asset{
-			ID: a.Asset, Amount: a.Amount,
-		}, chain.PartyID(a.Owner)); err != nil {
-			return nil, fmt.Errorf("engine: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
-		}
 		e.minted = append(e.minted, mintRec{chain: a.Chain, asset: a.Asset, amount: a.Amount})
 	}
 
@@ -119,18 +113,39 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 	e.nextOrder = OrderID(st.NextOrder)
 	e.nextSwap = st.NextSwap
 	e.agg.Restore(restoredCounts(st.Orders, st.Shed))
+	return e, nil
+}
 
+// RestoreShared replays the part of a recovered state that lives outside
+// any one engine's books: identities into the keyring, assets re-minted
+// into the registry under their logged owners, and a virtual clock advanced
+// to the recovery tick. NewRecovered applies it to the engine's own three;
+// a sharded rebuild applies it once to the three its engines share, and
+// hands each hosted engine a state with Identities, Assets and Tick zero.
+func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc sched.Scheduler) error {
+	for _, id := range st.Identities {
+		if err := k.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
+			return err
+		}
+	}
+	for _, a := range st.Assets {
+		if err := reg.Chain(a.Chain).RegisterAsset(chain.Asset{
+			ID: a.Asset, Amount: a.Amount,
+		}, chain.PartyID(a.Owner)); err != nil {
+			return fmt.Errorf("engine: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
+		}
+	}
 	// Advance a virtual clock to the recovery tick: schedule a marker at
 	// it and wait for the dispatcher to run it. With nothing else queued
 	// the clock jumps straight there; pre-crash submit ticks stay in the
 	// past, where they belong. A real scheduler's clock is wall-derived
 	// and restarts at zero — tick continuity is a virtual-time property.
-	if e.vsched != nil && st.Tick > 0 {
+	if _, virtual := sc.(*sched.Virtual); virtual && st.Tick > 0 {
 		done := make(chan struct{})
-		e.sched.At(st.Tick, func() { close(done) })
+		sc.At(st.Tick, func() { close(done) })
 		<-done
 	}
-	return e, nil
+	return nil
 }
 
 // restoredCounts rebuilds the aggregate counters a crash wiped, from the

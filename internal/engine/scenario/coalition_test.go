@@ -215,6 +215,37 @@ func TestEmptyCoalitionGriefsNothing(t *testing.T) {
 	}
 }
 
+// TestGridsHoldSafety runs both parameter grids: every point must finish
+// with zero violations — Theorem 4.9 across the whole depth × rate and
+// strategy × size × rate surfaces, not only at the suite's pinned points —
+// and econ-grid's leading empty-coalition entry must report a griefing
+// cost of exactly zero, the baseline every other point is priced against.
+func TestGridsHoldSafety(t *testing.T) {
+	for _, family := range []string{"reorg-grid", "econ-grid"} {
+		grid, err := Family(family, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sc := range grid {
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			if len(res.Violations) != 0 {
+				t.Errorf("%s: violations: %+v", sc.Name, res.Violations)
+			}
+			if family == "econ-grid" && i == 0 {
+				if len(sc.Coalitions) != 0 {
+					t.Fatalf("%s: econ-grid must lead with the empty coalition", sc.Name)
+				}
+				if e := res.Digest.Economics; e == nil || e.GriefingCostTokenTicks != 0 {
+					t.Errorf("%s: empty coalition reported a griefing cost: %+v", sc.Name, e)
+				}
+			}
+		}
+	}
+}
+
 // TestCoalitionValidation rejects malformed coalition entries up front.
 func TestCoalitionValidation(t *testing.T) {
 	base := func(cos ...Coalition) Scenario {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,6 +69,55 @@ func crashScenarioReplays(t *testing.T, run runner) {
 	if terminated != len(a.Digest.Orders) {
 		t.Fatalf("%d of %d orders left unterminated after recovery",
 			len(a.Digest.Orders)-terminated, len(a.Digest.Orders))
+	}
+}
+
+// TestCrashRecoveryCountsRevertsOnEveryShape: a crash digest's reverts —
+// the reorg reverts the first life logged before the kill — must not depend
+// on which engine shape recovered the log. One reorg scenario (confirmation
+// depth 4, 15% seeded reverts) on the shard-local placement, the stream
+// whose sharded digests are comparable at all, is crashed mid-run on one
+// shard and on four, and the two crash digests must agree field for field
+// except for Replayed, which counts one kill record per inner engine (a
+// shard count's worth plus the coordinator). The same knobs on the unsharded
+// engine must report reverts too. shard.Recover used to build its own
+// Recovery and leave Reverts out.
+func TestCrashRecoveryCountsRevertsOnEveryShape(t *testing.T) {
+	// The seed-replay contract holds on one P today (ROADMAP item 1).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sc := Scenario{
+		Name:         "reorg-crash",
+		Seed:         909,
+		Offers:       48,
+		Rate:         2000,
+		Shards:       4,
+		ConfirmDepth: 4,
+		ReorgRate:    0.15,
+		CrashTick:    50,
+	}
+	crash := func(sc Scenario) CrashDigest {
+		t.Helper()
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != 0 {
+			t.Fatalf("violations: %+v", res.Violations)
+		}
+		return *res.Digest.Crash
+	}
+	one, four := crash(withExecShards(sc, 1)), crash(withExecShards(sc, 4))
+	if one.Reverts == 0 {
+		t.Fatalf("sharded recovery reports no pre-crash reverts: %+v", one)
+	}
+	want := one
+	want.Replayed += 4 - 1 // one EvKilled per inner engine: 2 on one shard, 5 on four
+	if four != want {
+		t.Fatalf("crash digests diverge across shard counts:\n1 shard:  %+v\n4 shards: %+v", one, four)
+	}
+	sc.Shards = 0
+	if single := crash(sc); single.Reverts == 0 {
+		t.Fatalf("unsharded recovery reports no pre-crash reverts: %+v", single)
 	}
 }
 

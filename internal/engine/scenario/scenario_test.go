@@ -200,3 +200,25 @@ func TestStrategiesListed(t *testing.T) {
 		}
 	}
 }
+
+// TestFamily: the names swapbench -scenario accepts. "all" stays the
+// thirteen-entry suite, the grids have their fixed shapes, a suite entry
+// resolves to itself, and an unknown name is an error that says what would
+// have been accepted — suite entries and grid names both.
+func TestFamily(t *testing.T) {
+	for name, want := range map[string]int{"all": 13, "reorg-grid": 10, "econ-grid": 19, "griefing-mix": 1} {
+		scs, err := Family(name, 0)
+		if err != nil || len(scs) != want {
+			t.Errorf("Family(%q) = %d scenarios, %v; want %d", name, len(scs), err, want)
+		}
+	}
+	_, err := Family("reorg-gird", 0)
+	if err == nil {
+		t.Fatal("unknown family accepted")
+	}
+	for _, accepted := range []string{"all", "reorg-grid", "econ-grid", "coalition-flood"} {
+		if !strings.Contains(err.Error(), accepted) {
+			t.Errorf("error %q does not list %q", err, accepted)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/go-atomicswap/atomicswap/internal/vtime"
+)
 
 // Suite is the built-in scenario corpus: one entry per workload shape
 // the reproduction must keep witnessing. swapbench -scenario runs it,
@@ -256,5 +260,81 @@ func ByName(name string, seedOffset int64) (Scenario, error) {
 	for _, sc := range Suite(0) {
 		names = append(names, sc.Name)
 	}
-	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (want one of %v)", name, names)
+	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (want all, reorg-grid, econ-grid, or one of %v)", name, names)
+}
+
+// Family resolves a scenario family by name: "all" is the suite,
+// "reorg-grid" and "econ-grid" are the two parameter grids below, and any
+// other name is one suite entry.
+func Family(name string, seedOffset int64) ([]Scenario, error) {
+	switch name {
+	case "all":
+		return Suite(seedOffset), nil
+	case "reorg-grid":
+		return ReorgGrid(seedOffset), nil
+	case "econ-grid":
+		return EconGrid(seedOffset), nil
+	}
+	sc, err := ByName(name, seedOffset)
+	return []Scenario{sc}, err
+}
+
+// ReorgGrid is the chain-realism cost surface: confirmation depth (2/4/8
+// ticks) crossed with reorg rate (0/10/25% per record) on the reorg-depth
+// scenario's load shape, after the instant-finality baseline. Each digest
+// says what realism costs at its point — clear_rounds, last_settle_tick,
+// reverts.
+func ReorgGrid(seedOffset int64) []Scenario {
+	point := func(depth vtime.Duration, rate float64) Scenario {
+		return Scenario{
+			Name:         fmt.Sprintf("reorg-sweep-d%d-r%d", depth, int(100*rate)),
+			Seed:         909 + seedOffset,
+			Offers:       48,
+			Rate:         2000,
+			Profile:      "poisson",
+			ConfirmDepth: depth,
+			ReorgRate:    rate,
+		}
+	}
+	grid := []Scenario{point(0, 0)}
+	for _, depth := range []vtime.Duration{2, 4, 8} {
+		for _, rate := range []float64{0, 0.10, 0.25} {
+			grid = append(grid, point(depth, rate))
+		}
+	}
+	return grid
+}
+
+// EconGrid is the griefing-cost surface: coalition size × formation rate
+// for both in-swap coalition strategies, over 5-party rings (so every size
+// up to 4 leaves at least one conforming victim), after the
+// empty-coalition baseline — all the capital, none of the griefing. Each
+// digest's economics block prices its point in tick-domain integrals: what
+// the coalition cost conforming parties (griefing cost), what it staked
+// itself (deviant lock), and the ratio (griefing factor).
+func EconGrid(seedOffset int64) []Scenario {
+	point := func(strategy string, size int, rate float64) Scenario {
+		sc := Scenario{
+			Name:    fmt.Sprintf("econ-sweep-%s-k%d-r%d", strategy, size, int(100*rate)),
+			Seed:    1414 + seedOffset,
+			Offers:  60,
+			Rate:    2000,
+			Profile: "poisson",
+			RingMin: 5,
+			RingMax: 5,
+		}
+		if rate > 0 {
+			sc.Coalitions = []Coalition{{Strategy: strategy, Rate: rate, Size: size}}
+		}
+		return sc
+	}
+	grid := []Scenario{point("none", 0, 0)}
+	for _, strategy := range []string{"punishment", "cartel"} {
+		for _, size := range []int{2, 3, 4} {
+			for _, rate := range []float64{0.25, 0.5, 1.0} {
+				grid = append(grid, point(strategy, size, rate))
+			}
+		}
+	}
+	return grid
 }

@@ -1,12 +1,8 @@
 package shard
 
 import (
-	"fmt"
-	"time"
-
-	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/durable"
-	"github.com/go-atomicswap/atomicswap/internal/metrics"
+	"github.com/go-atomicswap/atomicswap/internal/engine"
 )
 
 // Recover rebuilds a ShardedEngine from a durable store. The sharded
@@ -29,68 +25,19 @@ import (
 // The returned engine has not been Started; the caller Starts it exactly
 // like a fresh one.
 func Recover(cfg Config, opts durable.RecoverOptions) (*ShardedEngine, *durable.Recovery, error) {
-	begin := time.Now()
-	st, err := durable.Open(durable.Options{Dir: opts.Dir, SnapshotEvery: opts.SnapshotEvery})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !st.HasData() {
-		st.Close()
-		return nil, nil, fmt.Errorf("%w in %s", durable.ErrNoState, opts.Dir)
-	}
-	resolved, err := st.ResolvedState(opts.CutTick)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-
-	recTick := resolved.MaxTick
-	if opts.CutTick > 0 && opts.CutTick > recTick {
-		recTick = opts.CutTick
-	}
-	delta := cfg.Engine.Delta
-	if delta <= 0 {
-		delta = core.DefaultDelta
-	}
-	recState, resumed, refunded := resolved.Resolve(recTick, delta)
-
-	if opts.Attach {
-		if err := st.AttachResolved(resolved); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
+	var s *ShardedEngine
+	rec, err := durable.Resume(opts, cfg.Engine.Delta, func(st engine.Store, rs engine.RecoveredState) (*engine.Engine, error) {
 		cfg.Engine.Store = st
-	} else {
-		if err := st.Close(); err != nil {
-			return nil, nil, err
+		var err error
+		if s, err = NewRecovered(cfg, rs); err != nil {
+			return nil, err
 		}
-		cfg.Engine.Store = nil
-	}
-
-	s, err := NewRecovered(cfg, recState)
+		// Recovery counters ride on shard 0's aggregate; Merge copies them
+		// into the merged report (exactly one engine carries them).
+		return s.shards[0], nil
+	})
 	if err != nil {
-		if opts.Attach {
-			st.Close()
-		}
 		return nil, nil, err
 	}
-	rec := &durable.Recovery{
-		Events:   resolved.Events,
-		Resumed:  resumed,
-		Refunded: refunded,
-		Tick:     recTick,
-		WallMs:   float64(time.Since(begin)) / float64(time.Millisecond),
-	}
-	if opts.Attach {
-		rec.Store = st
-	}
-	// Recovery counters ride on shard 0's aggregate; Merge copies them
-	// into the merged report (exactly one engine carries them).
-	s.shards[0].SetRecoveryStats(metrics.RecoveryStats{
-		Replayed: rec.Events,
-		Resumed:  rec.Resumed,
-		Refunded: rec.Refunded,
-		WallMs:   rec.WallMs,
-	})
 	return s, rec, nil
 }

@@ -35,10 +35,7 @@ type Config struct {
 	EscalateAfter vtime.Duration
 	// Engine is the base configuration every inner engine is built from.
 	// Workers is the TOTAL executor budget, split evenly across the
-	// shards and the coordinator. The injection fields (Scheduler,
-	// Registry, Keyring, Cache, Tracer, Probe, ShardStripe, TailPrio,
-	// CanonicalSwapTags, LogPrepared, ShardOfChain) belong to the
-	// ShardedEngine and must be left unset.
+	// shards and the coordinator.
 	Engine engine.Config
 }
 
@@ -91,22 +88,17 @@ type ShardedEngine struct {
 	// swap tags, seeds, stripes) is independent of which engine books it.
 	nextID atomic.Uint64
 
-	clearEvery vtime.Duration
-	escAfter   vtime.Duration
+	escAfter vtime.Duration
 
 	// startedAt is the deployment's metrics epoch: the merged report is
 	// assembled at report time, so it inherits this instant instead of
 	// measuring a zero-length run.
 	startedAt time.Time
 
-	// The escalation sweep mirrors the engine's clearing loop: a
-	// self-rescheduling timer, a stopped flag, a parked flag re-armed by
-	// intake, and a WaitGroup so Stop can wait out a tick in flight.
-	escMu      sync.Mutex
-	escTimer   sched.Timer
-	escStopped bool
-	escParked  bool
-	escWG      sync.WaitGroup
+	// sweep is the escalation sweep: sweepTick on the clearing cadence, at
+	// level 2 of the ladder. It parks when every shard book is empty and
+	// intake wakes it.
+	sweep *sched.Loop
 
 	mu     sync.Mutex
 	state  shardedState
@@ -116,13 +108,7 @@ type ShardedEngine struct {
 	// recovery-time re-mint audit list (the inner engines' own minted
 	// lists only cover post-recovery intake — see NewRecovered).
 	recovered bool
-	recMinted []recMint
-}
-
-type recMint struct {
-	chain  string
-	asset  chain.AssetID
-	amount uint64
+	recMinted []engine.RecoveredAsset
 }
 
 // New creates a sharded engine. Call Start, Submit from any goroutine,
@@ -139,34 +125,18 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	base := cfg.Engine
-	// Normalize the knobs this package reads before engine.New applies
-	// its own (identical) defaults to each inner copy.
-	if base.Workers <= 0 {
-		base.Workers = 8
-	}
-	if base.Tick <= 0 {
-		base.Tick = time.Millisecond
-	}
-	if base.ClearInterval <= 0 {
-		base.ClearInterval = 2 * time.Millisecond
-	}
-	if base.ClearEvery <= 0 {
-		base.ClearEvery = vtime.Duration(base.ClearInterval / base.Tick)
-		if base.ClearEvery < 1 {
-			base.ClearEvery = 1
-		}
-	}
+	// The knobs this package reads, resolved exactly as each inner engine
+	// will resolve its own copy.
+	base := cfg.Engine.WithDefaults()
 	if cfg.EscalateAfter <= 0 {
 		cfg.EscalateAfter = 4 * base.ClearEvery
 	}
 
 	s := &ShardedEngine{
-		cfg:        cfg,
-		m:          NewMap(cfg.Shards),
-		clearEvery: base.ClearEvery,
-		escAfter:   cfg.EscalateAfter,
-		startedAt:  time.Now(),
+		cfg:       cfg,
+		m:         NewMap(cfg.Shards),
+		escAfter:  cfg.EscalateAfter,
+		startedAt: time.Now(),
 	}
 
 	// One scheduler for everything. The stripe key space is partitioned
@@ -175,6 +145,7 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	// coordinator clearing on N+1 at level 3.
 	s.sch = engine.NewScheduler(base)
 	s.vsched, _ = s.sch.(*sched.Virtual)
+	s.sweep = sched.NewLoop(s.sch, base.ClearEvery, 2, uint64(cfg.Shards+2), s.sweepTick)
 
 	s.reg = chain.NewRegistry(s.sch)
 	if base.Commitment.Enabled() {
@@ -192,8 +163,7 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	s.keyring = core.NewKeyring(rand.New(rand.NewSource(base.Seed + 2)))
 	s.vcache = hashkey.NewVerifyCache(0)
 	// Size the shared batch-verify pool ONCE from the machine's total
-	// budget. Each inner engine sees an injected cache and leaves the
-	// sizing alone — N shards never stack N default pools on one box.
+	// budget — N shards never stack N default pools on one box.
 	bw := base.Workers
 	if n := runtime.GOMAXPROCS(0); bw > n {
 		bw = n
@@ -219,107 +189,72 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		}
 	}
 
-	perW := base.Workers / cfg.Shards
-	if perW < 1 {
-		perW = 1
+	// Engine i of N+1: shards 0..N-1, then the coordinator — which is the
+	// one that knows the chain→shard map.
+	inner := cfg.Engine
+	inner.Workers = base.Workers / cfg.Shards
+	if inner.Workers < 1 {
+		inner.Workers = 1
 	}
-	probes := make([]*sched.LatencyProbe, 0, cfg.Shards+1)
-	newEngine := func(ec engine.Config, part int) (*engine.Engine, error) {
+	probes := make(probeFan, 0, cfg.Shards+1)
+	for i := 0; i <= cfg.Shards; i++ {
+		host := engine.Host{
+			Scheduler: s.sch,
+			Registry:  s.reg,
+			Keyring:   s.keyring,
+			Cache:     s.vcache,
+			Tracer:    s.tracer,
+			Stripe:    uint64(i + 1),
+		}
+		if i == cfg.Shards {
+			host.ShardOf = s.m.Of
+		}
+		ec := engine.Hosted(inner, host)
+		var eng *engine.Engine
 		if rst == nil {
-			return engine.New(ec), nil
+			eng = engine.New(ec)
+		} else {
+			es := engine.RecoveredState{
+				Orders:    parts[i],
+				NextOrder: rst.NextOrder,
+				NextSwap:  rst.NextSwap,
+				// Identities, Assets, and Tick are deliberately zero: the
+				// keyring, registry, and clock are shared, restored once
+				// below.
+			}
+			if i == 0 {
+				es.Shed = rst.Shed
+			}
+			var err error
+			if eng, err = engine.NewRecovered(ec, es); err != nil {
+				return nil, err
+			}
 		}
-		es := engine.RecoveredState{
-			Orders:    parts[part],
-			NextOrder: rst.NextOrder,
-			NextSwap:  rst.NextSwap,
-			// Identities, Assets, and Tick are deliberately zero: the
-			// keyring, registry, and clock are shared, restored once at
-			// the sharded level below.
-		}
-		if part == 0 {
-			es.Shed = rst.Shed
-		}
-		return engine.NewRecovered(ec, es)
+		s.engines = append(s.engines, eng)
+		probes = append(probes, eng.Probe())
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		p := sched.NewLatencyProbe()
-		probes = append(probes, p)
-		ec := base
-		ec.Workers = perW
-		ec.Scheduler = s.sch
-		ec.Registry = s.reg
-		ec.Keyring = s.keyring
-		ec.Cache = s.vcache
-		ec.Tracer = s.tracer
-		ec.Probe = p
-		ec.ShardStripe = uint64(i + 1)
-		ec.TailPrio = 1
-		ec.CanonicalSwapTags = true
-		eng, err := newEngine(ec, i)
-		if err != nil {
-			return nil, err
-		}
-		s.shards = append(s.shards, eng)
-	}
-	cp := sched.NewLatencyProbe()
-	probes = append(probes, cp)
-	cc := base
-	cc.Workers = perW
-	cc.Scheduler = s.sch
-	cc.Registry = s.reg
-	cc.Keyring = s.keyring
-	cc.Cache = s.vcache
-	cc.Tracer = s.tracer
-	cc.Probe = cp
-	cc.ShardStripe = uint64(cfg.Shards + 1)
-	cc.TailPrio = 3
-	cc.CanonicalSwapTags = true
-	cc.LogPrepared = true
-	cc.ShardOfChain = s.m.Of
-	coord, err := newEngine(cc, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	s.coord = coord
-	s.engines = append(append([]*engine.Engine{}, s.shards...), s.coord)
+	s.shards, s.coord = s.engines[:cfg.Shards:cfg.Shards], s.engines[cfg.Shards]
 
 	// The registry reports delivery lag with no notion of which shard's
 	// swap produced it; fan every observation out so each engine's
 	// adaptive-Δ controller sees the machine-wide evidence (a safe upper
 	// bound on its own — Δ adapts to the slowest observed delivery).
-	s.reg.SetDeliveryProbe(probeFan(probes))
+	s.reg.SetDeliveryProbe(probes)
 
 	if rst != nil {
 		s.recovered = true
-		for _, id := range rst.Identities {
-			if err := s.keyring.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
-				return nil, err
-			}
+		// Once, into what the engines share; the per-engine minted audit
+		// lists only see post-recovery intake, so the sharded level keeps
+		// the re-mints and audits them in verifyLedgers.
+		if err := rst.RestoreShared(s.keyring, s.reg, s.sch); err != nil {
+			return nil, err
 		}
-		// Re-mint once into the shared registry; the per-engine minted
-		// audit lists only see post-recovery intake, so the sharded level
-		// keeps its own list and audits it in verifyLedgers.
-		for _, a := range rst.Assets {
-			if err := s.reg.Chain(a.Chain).RegisterAsset(chain.Asset{
-				ID: a.Asset, Amount: a.Amount,
-			}, chain.PartyID(a.Owner)); err != nil {
-				return nil, fmt.Errorf("shard: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
-			}
-			s.recMinted = append(s.recMinted, recMint{chain: a.Chain, asset: a.Asset, amount: a.Amount})
-		}
+		s.recMinted = rst.Assets
 		s.nextID.Store(rst.NextOrder)
-		// Advance the shared virtual clock to the recovery tick, once
-		// (the inner engines were built with Tick 0 and skipped their own
-		// advance).
-		if s.vsched != nil && rst.Tick > 0 {
-			done := make(chan struct{})
-			s.sch.At(rst.Tick, func() { close(done) })
-			<-done
-		}
 	}
 	// Identity persistence is wired AFTER restore: a restored identity is
-	// already in the log. The shared keyring gets exactly one hook; the
-	// inner engines see an injected keyring and wire nothing.
+	// already in the log. The shared keyring gets exactly one hook; hosted
+	// engines wire nothing.
 	if base.Store != nil {
 		st := base.Store
 		s.keyring.OnCreate(func(p chain.PartyID, seed []byte) {
@@ -343,7 +278,7 @@ func NewRecovered(cfg Config, rst engine.RecoveredState) (*ShardedEngine, error)
 }
 
 // probeFan broadcasts one registry delivery observation to every
-// engine's latency probe.
+// engine's own latency probe.
 type probeFan []*sched.LatencyProbe
 
 func (f probeFan) Observe(lag vtime.Duration) {
@@ -390,7 +325,7 @@ func (s *ShardedEngine) Start() error {
 			return err
 		}
 	}
-	s.scheduleSweep()
+	s.sweep.Wake()
 	return nil
 }
 
@@ -425,7 +360,7 @@ func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.ensureSweep()
+	s.sweep.Wake()
 	return id, nil
 }
 
@@ -462,83 +397,15 @@ func (s *ShardedEngine) PendingParties() int {
 	return n
 }
 
-// sweepAt schedules fn at tick t on the escalation level of the ladder.
-func (s *ShardedEngine) sweepAt(t vtime.Ticks, fn func()) sched.Timer {
-	if s.vsched != nil {
-		return s.vsched.AtTailN(t, 2, uint64(s.cfg.Shards+2), fn)
-	}
-	return s.sch.At(t, fn)
-}
-
-// nextSweepTick aligns the sweep to the same ClearEvery grid the
-// virtual-time clearing loops run on: at any grid tick the ladder is
-// shard clearing → sweep → coordinator clearing, whatever the shard
-// count — the alignment the digest-equality contract needs.
-func (s *ShardedEngine) nextSweepTick() vtime.Ticks {
-	now := s.sch.Now()
-	if s.vsched == nil {
-		return now.Add(s.clearEvery)
-	}
-	every := int64(s.clearEvery)
-	return vtime.Ticks((int64(now)/every + 1) * every)
-}
-
-func (s *ShardedEngine) scheduleSweep() {
-	s.escMu.Lock()
-	defer s.escMu.Unlock()
-	if s.escStopped {
-		return
-	}
-	s.escTimer = s.sweepAt(s.nextSweepTick(), func() {
-		s.escMu.Lock()
-		if s.escStopped {
-			s.escMu.Unlock()
-			return
-		}
-		s.escWG.Add(1)
-		s.escMu.Unlock()
-		defer s.escWG.Done()
-		if s.sweepTick() {
-			s.scheduleSweep()
-		}
-	})
-}
-
-// ensureSweep re-arms a parked sweep (no-op otherwise).
-func (s *ShardedEngine) ensureSweep() {
-	s.escMu.Lock()
-	parked := s.escParked
-	s.escParked = false
-	s.escMu.Unlock()
-	if parked {
-		s.scheduleSweep()
-	}
-}
-
-// stopSweep cancels the sweep timer; wait, when set, additionally waits
-// out a tick in flight (Stop waits; Kill — callable from scheduler
-// callbacks — must not).
-func (s *ShardedEngine) stopSweep(wait bool) {
-	s.escMu.Lock()
-	s.escStopped = true
-	t := s.escTimer
-	s.escMu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-	if wait {
-		s.escWG.Wait()
-	}
-}
-
 // sweepTick is one escalation round: withdraw every order that has aged
 // past the cutoff from every shard book and re-book it — same ID, same
 // original submit instants — on the coordinator, in global ID order.
-// Runs at level 2 of the tick ladder: after every shard's clearing pass
-// of the tick (an order a shard can still match locally is matched, not
-// escalated), before the coordinator's. The return value says whether to
-// stay armed: with every shard book empty the sweep parks and intake
-// re-arms it.
+// Runs at level 2 of the tick ladder, on the same ClearEvery grid as the
+// clearing loops: at any grid tick the order is shard clearing (an order a
+// shard can still match locally is matched, not escalated) → sweep →
+// coordinator clearing, whatever the shard count — the alignment the
+// digest-equality contract needs. The return value says whether to stay
+// armed: with every shard book empty the sweep parks and intake wakes it.
 func (s *ShardedEngine) sweepTick() bool {
 	cutoff := s.sch.Now().Add(-s.escAfter)
 	var moved []engine.Routed
@@ -561,14 +428,12 @@ func (s *ShardedEngine) sweepTick() bool {
 		rem += sh.Pending()
 	}
 	if rem == 0 {
-		s.escMu.Lock()
-		s.escParked = true
-		s.escMu.Unlock()
-		// Re-check under the parked flag: an order booked between the
-		// count and the park saw an armed sweep and did not re-arm it.
+		s.sweep.Park()
+		// Re-check now that the sweep is parked: an order booked between
+		// the count and the park saw an armed sweep and did not wake it.
 		for _, sh := range s.shards {
 			if sh.Pending() > 0 {
-				s.ensureSweep()
+				s.sweep.Wake()
 				break
 			}
 		}
@@ -682,7 +547,7 @@ func (s *ShardedEngine) Kill() vtime.Ticks {
 	}
 	s.killed = true
 	s.mu.Unlock()
-	s.stopSweep(false)
+	s.sweep.Stop(false)
 	var cut vtime.Ticks
 	for _, e := range s.engines {
 		cut = e.Kill()
@@ -743,7 +608,7 @@ func (s *ShardedEngine) Stop(ctx context.Context) error {
 	}
 	s.state = shardedStopped
 	s.mu.Unlock()
-	s.stopSweep(true)
+	s.sweep.Stop(true)
 	for _, e := range s.engines {
 		if err := e.Stop(ctx); err != nil && drainErr == nil {
 			drainErr = err
@@ -788,22 +653,22 @@ func (s *ShardedEngine) verifyLedgers(strandCheck bool) error {
 	}
 	quiescent := s.InFlight() == 0
 	for _, m := range s.recMinted {
-		ch := s.reg.Chain(m.chain)
-		a, ok := ch.Asset(m.asset)
+		ch := s.reg.Chain(m.Chain)
+		a, ok := ch.Asset(m.Asset)
 		if !ok {
-			return fmt.Errorf("shard: recovered asset %s/%s vanished", m.chain, m.asset)
+			return fmt.Errorf("shard: recovered asset %s/%s vanished", m.Chain, m.Asset)
 		}
-		if a.Amount != m.amount {
+		if a.Amount != m.Amount {
 			return fmt.Errorf("shard: recovered asset %s/%s amount changed: minted %d, now %d",
-				m.chain, m.asset, m.amount, a.Amount)
+				m.Chain, m.Asset, m.Amount, a.Amount)
 		}
-		owner, ok := ch.OwnerOf(m.asset)
+		owner, ok := ch.OwnerOf(m.Asset)
 		if !ok {
-			return fmt.Errorf("shard: recovered asset %s/%s has no owner", m.chain, m.asset)
+			return fmt.Errorf("shard: recovered asset %s/%s has no owner", m.Chain, m.Asset)
 		}
 		if strandCheck && quiescent && owner.Kind != chain.OwnerParty {
 			return fmt.Errorf("shard: recovered asset %s/%s stranded in escrow (%s)",
-				m.chain, m.asset, owner)
+				m.Chain, m.Asset, owner)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -334,5 +335,63 @@ func TestShardCrashRecovery(t *testing.T) {
 	rep := b.Report()
 	if rep.SwapsFailed > 0 {
 		t.Fatalf("%d swaps failed after recovery", rep.SwapsFailed)
+	}
+}
+
+// exportedFields lists a struct type's exported field names in order.
+func exportedFields(v any) []string {
+	var out []string
+	for t, i := reflect.TypeOf(v), 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// TestConfigSurface pins the option surface: every exported field of
+// engine.Config and of Config is a setting each caller, test and benchmark
+// configuration multiplies by, so adding one is a deliberate act that edits
+// this list. What a sharded deployment shares with its engines is not on
+// it: that travels in engine.Host, which only this package builds.
+func TestConfigSurface(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"engine.Config", exportedFields(engine.Config{}), []string{
+			"Workers", "ClearInterval", "ClearEvery", "MaxBatch", "Tick", "Delta", "Kind",
+			"AdversaryRate", "Behaviors", "Seed", "AdaptiveDelta", "MinDelta", "MaxDelta",
+			"Deterministic", "Parallel", "Store", "MaxClearAhead", "MaxLive", "Commitment",
+		}},
+		{"shard.Config", exportedFields(Config{}), []string{"Shards", "EscalateAfter", "Engine"}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s exported fields changed:\n got %v\nwant %v", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestShardDefaultsMatchEngine: a zero Config and a zero engine.Config
+// resolve to the same worker budget, tick and clearing cadence — the
+// sharded engine reads them from engine.Config.WithDefaults, not from a
+// second copy of the defaults.
+func TestShardDefaultsMatchEngine(t *testing.T) {
+	// Room for the whole budget, so the batch pool's size is the worker
+	// budget and not the machine's clamp on it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(64))
+	want := engine.Config{}.WithDefaults()
+	s := New(Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	defer s.Stop(ctx)
+	if got := s.vcache.BatchWorkers(); got != want.Workers {
+		t.Errorf("total worker budget %d, engine default %d", got, want.Workers)
+	}
+	if got := s.Tick(); got != want.Tick {
+		t.Errorf("tick %v, engine default %v", got, want.Tick)
+	}
+	if got := s.escAfter; got != 4*want.ClearEvery {
+		t.Errorf("escalation after %d ticks, want 4 × the engine's default cadence %d", got, want.ClearEvery)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Fixture is the standard verification micro-benchmark scenario, shared by
-// BenchmarkHashkey and `swapbench -bench-json` so the committed trajectory
-// numbers and the in-repo benchmarks measure the identical workload.
+// BenchmarkHashkey and the benchmark module's hashkey.* probes so both
+// measure the identical workload.
 type Fixture struct {
 	D       *digraph.Digraph
 	Dir     Directory

@@ -1,0 +1,135 @@
+package sched
+
+import (
+	"sync"
+
+	"github.com/go-atomicswap/atomicswap/internal/vtime"
+)
+
+// Loop states.
+const (
+	loopIdle    = iota // created, never woken
+	loopArmed          // a tick is scheduled or running
+	loopParked         // the tick parked it; Wake re-arms
+	loopStopped        // Stop was called; nothing runs again
+)
+
+// Loop is a periodic tick on a Scheduler that can go to sleep: the engine's
+// clearing loop and the sharded escalation sweep are both one. It is a
+// value, not a goroutine — each round is one timer on the scheduler, and a
+// round schedules the next only when it finishes, so rounds are strictly
+// sequential and whatever the tick touches is confined to one callback at a
+// time.
+//
+// On a Virtual scheduler rounds land on the cadence grid (the next multiple
+// of every strictly after now) at a tail level with a stripe key (see
+// AtTailN): a loop re-armed mid-phase after parking does not drift off the
+// grid, so every loop of a cadence — across any number of engines — ticks
+// at the same instants. On any other scheduler the next round is now+every.
+//
+// Parking is what keeps a free-running virtual clock from spinning empty
+// rounds. A tick that finds nothing to do calls Park, re-checks its
+// condition — work that arrived between the first look and the Park saw an
+// armed loop and did not wake it — calls Wake if the re-check found some,
+// and returns false either way.
+type Loop struct {
+	sc    Scheduler
+	v     *Virtual // sc when virtual, nil otherwise
+	every vtime.Duration
+	level int8
+	key   uint64
+	tick  func() bool
+	fire  func() // l.Fire, bound once: arming a round allocates only its timer
+
+	mu    sync.Mutex
+	state uint8
+	timer Timer
+	wg    sync.WaitGroup // a tick in flight, for Stop(true)
+}
+
+// NewLoop returns an idle loop that, once woken, calls tick every `every`
+// ticks of sc for as long as tick returns true. level and key place the
+// rounds on a Virtual scheduler's tail ladder and are ignored elsewhere.
+func NewLoop(sc Scheduler, every vtime.Duration, level int8, key uint64, tick func() bool) *Loop {
+	l := &Loop{sc: sc, every: every, level: level, key: key, tick: tick}
+	l.v, _ = sc.(*Virtual)
+	l.fire = l.Fire
+	return l
+}
+
+// Wake arms an idle or parked loop; on an armed or stopped one it does
+// nothing. Safe from any goroutine, the loop's own tick included.
+func (l *Loop) Wake() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.state == loopIdle || l.state == loopParked {
+		l.state = loopArmed
+		l.arm()
+	}
+}
+
+// Park marks the loop parked. Call it from the tick, which then returns
+// false (see the type comment for the re-check that must follow).
+func (l *Loop) Park() {
+	l.mu.Lock()
+	if l.state == loopArmed {
+		l.state = loopParked
+	}
+	l.mu.Unlock()
+}
+
+// Parked reports whether the loop is parked: no round will run until Wake.
+func (l *Loop) Parked() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state == loopParked
+}
+
+// Stop cancels the pending round for good. With wait it also waits out a
+// tick in flight, so no tick is running when it returns; without, it is
+// callable from scheduler callbacks — the loop's own tick among them.
+func (l *Loop) Stop(wait bool) {
+	l.mu.Lock()
+	l.state = loopStopped
+	t := l.timer
+	l.mu.Unlock()
+	if t != nil {
+		t.Stop()
+	}
+	if wait {
+		l.wg.Wait()
+	}
+}
+
+// arm schedules the next round. Called with l.mu held.
+func (l *Loop) arm() {
+	now := l.sc.Now()
+	if l.v == nil {
+		l.timer = l.sc.At(now.Add(l.every), l.fire)
+		return
+	}
+	every := int64(l.every)
+	next := vtime.Ticks((int64(now)/every + 1) * every)
+	l.timer = l.v.schedule(new(Event), next, l.level, l.key, l)
+}
+
+// Fire runs one round; it is the scheduler's entry point (Handler), not
+// the caller's.
+func (l *Loop) Fire() {
+	l.mu.Lock()
+	if l.state == loopStopped {
+		l.mu.Unlock()
+		return
+	}
+	l.wg.Add(1)
+	l.mu.Unlock()
+	defer l.wg.Done()
+	if !l.tick() {
+		return
+	}
+	l.mu.Lock()
+	if l.state == loopArmed {
+		l.arm()
+	}
+	l.mu.Unlock()
+}
