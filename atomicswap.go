@@ -20,7 +20,7 @@
 //	d := atomicswap.ThreeWay()
 //	setup, err := atomicswap.NewSetup(d, atomicswap.Config{})
 //	if err != nil { ... }
-//	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+//	res, err := atomicswap.NewRunner(setup).Run()
 //	if err != nil { ... }
 //	fmt.Println(res.Report.AllDeal()) // true
 package atomicswap
@@ -66,10 +66,9 @@ type (
 	Setup = core.Setup
 	// Config parameterizes NewSetup.
 	Config = core.Config
-	// Options parameterizes a Runner.
-	Options = core.Options
-	// Runner executes one swap deterministically.
-	Runner = core.Runner
+	// Runner executes one swap deterministically, alone, under the paper's
+	// worst-case timing: every notification exactly Δ after its chain event.
+	Runner = conc.Runner
 	// Result reports outcomes, timing, storage, and communication.
 	Result = core.Result
 	// Kind selects the protocol variant.
@@ -152,7 +151,7 @@ func NewDigraph() *Digraph { return digraph.New() }
 func NewSetup(d *Digraph, cfg Config) (*Setup, error) { return core.NewSetup(d, cfg) }
 
 // NewRunner prepares a deterministic run of the setup.
-func NewRunner(setup *Setup, opts Options) *Runner { return core.NewRunner(setup, opts) }
+func NewRunner(setup *Setup) *Runner { return conc.NewRunner(setup) }
 
 // Clear combines market offers into a validated setup (Section 4.2).
 func Clear(offers []Offer, cfg Config) (*Setup, error) { return core.Clear(offers, cfg) }
@@ -231,7 +230,7 @@ var (
 var Sequential = baseline.Sequential
 
 // RunRecurrent chains multiple swap rounds (Section 5).
-var RunRecurrent = core.RunRecurrent
+var RunRecurrent = conc.RunRecurrent
 
 // Fault attribution (the Section 5 bonds/fault future-work extension):
 // Audit examines the public ledgers of a finished run and names every
@@ -255,8 +254,8 @@ func Settle(spec *Spec, faults []Fault, bond uint64) *Settlement {
 	return audit.Settle(spec, faults, bond)
 }
 
-// Concurrent runtime: the same behaviors on one goroutine per party, mock
-// chains as shared state, and Δ mapped to wall-clock time.
+// The same runtime on a scheduler and chains the caller may share: by
+// default one goroutine per party and Δ mapped to wall-clock time.
 type (
 	// ConcConfig parameterizes a concurrent run.
 	ConcConfig = conc.Config

@@ -1,20 +1,30 @@
 package atomicswap_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	atomicswap "github.com/go-atomicswap/atomicswap"
 )
 
-// TestFacadeQuickstart is the README's quickstart, verbatim.
+// ExampleNewRunner is the README's quickstart, line for line.
+func ExampleNewRunner() {
+	d := atomicswap.ThreeWay() // Alice -> Bob -> Carol -> Alice
+	setup, _ := atomicswap.NewSetup(d, atomicswap.Config{})
+	res, _ := atomicswap.NewRunner(setup).Run()
+	fmt.Println(res.Report.AllDeal())
+	// Output: true
+}
+
+// TestFacadeQuickstart is the quickstart with its errors checked.
 func TestFacadeQuickstart(t *testing.T) {
 	d := atomicswap.ThreeWay()
 	setup, err := atomicswap.NewSetup(d, atomicswap.Config{Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+	res, err := atomicswap.NewRunner(setup).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestFacadeMarketClearing(t *testing.T) {
 			t.Errorf("VerifyPlan(%s): %v", o.Party, err)
 		}
 	}
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+	res, err := atomicswap.NewRunner(setup).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestFacadeAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	r.SetBehavior(1, atomicswap.HaltAt(atomicswap.NewConforming(), 0))
 	res, err := r.Run()
 	if err != nil {
@@ -70,7 +80,7 @@ func TestFacadeAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	r.SetBehavior(1, atomicswap.WithholdPublications())
 	res, err := r.Run()
 	if err != nil {
@@ -87,7 +97,7 @@ func TestFacadeBondSettlement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	r.SetBehavior(1, atomicswap.WithholdPublications())
 	res, err := r.Run()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
 	"github.com/go-atomicswap/atomicswap/internal/baseline"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
@@ -39,7 +40,7 @@ func benchRun(b *testing.B, d *digraph.Digraph, cfg core.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		setupNS += time.Since(t0)
 		b.StartTimer()
 		t1 := time.Now()
@@ -109,7 +110,7 @@ func BenchmarkAdversarialRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		for v, bhv := range adversary.Coalition(adversary.CoalitionConfig{
 			Setup: setup, Members: []digraph.Vertex{0, 2}, Seed: int64(i), DropProb: 0.3, HaltProb: 0.3,
 		}) {
@@ -140,7 +141,7 @@ func BenchmarkRecurrent(b *testing.B) {
 	d := graphgen.ThreeWay()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunRecurrent(d, 5, true, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := conc.RunRecurrent(d, 5, true, rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
-// Command swapsim runs one atomic cross-chain swap scenario under the
-// deterministic simulator and prints the event trace and per-party
-// outcomes.
+// Command swapsim runs one atomic cross-chain swap scenario — under the
+// deterministic simulator, or with -concurrent on goroutine parties and
+// wall-clock Δ — and prints the event trace and per-party outcomes.
 //
 // Usage:
 //
@@ -14,11 +14,14 @@
 //	-seed      key-generation seed
 //	-delta     Δ in ticks
 //	-broadcast enable the Section 4.5 broadcast optimization
+//	-audit     run ledger fault attribution after the swap
+//	-concurrent goroutine parties on wall-clock Δ instead of the simulator
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -40,13 +43,13 @@ func main() {
 		concurrent = flag.Bool("concurrent", false, "run with goroutine parties on wall-clock Δ instead of the simulator")
 	)
 	flag.Parse()
-	if err := run(*scenario, *kindName, *adv, *seed, *delta, *broadcast, *doAudit, *concurrent); err != nil {
+	if err := run(os.Stdout, *scenario, *kindName, *adv, *seed, *delta, *broadcast, *doAudit, *concurrent); err != nil {
 		fmt.Fprintln(os.Stderr, "swapsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scenario, kindName, adv string, seed, delta int64, broadcast, doAudit, concurrent bool) error {
+func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadcast, doAudit, concurrent bool) error {
 	d, err := buildScenario(scenario)
 	if err != nil {
 		return err
@@ -65,59 +68,61 @@ func run(scenario, kindName, adv string, seed, delta int64, broadcast, doAudit, 
 	if err != nil {
 		return err
 	}
-	if concurrent {
-		return runConcurrent(scenario, setup, adv)
-	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
-	if err := applyAdversary(r, setup, adv); err != nil {
-		return err
-	}
-	res, err := r.Run()
+	behaviors, err := parseAdversary(setup, adv)
 	if err != nil {
 		return err
 	}
-
-	fmt.Printf("scenario %s  kind=%s  Δ=%d  start=%d  leaders=%v  diam≤%d\n\n",
-		scenario, setup.Spec.Kind, setup.Spec.Delta, setup.Spec.Start,
-		setup.Spec.Leaders, setup.Spec.DiamBound)
-	fmt.Print(res.Log.Render())
-	fmt.Println()
-	for _, v := range setup.Spec.D.Vertices() {
-		fmt.Printf("%-10s %v\n", setup.Spec.PartyOf(v), res.Report.Of(v))
+	// One runtime either way; the flag picks its scheduler. The Runner is
+	// the paper's model — a private serial scheduler, every notification
+	// exactly Δ after its chain event — and the only one that tallies call
+	// counters; -concurrent puts the same parties on goroutines with Δ on
+	// the wall clock.
+	var res *atomicswap.Result
+	on := ""
+	if concurrent {
+		on = "  (goroutine parties, Δ on the wall clock)"
+		cr, err := atomicswap.RunConcurrent(setup, behaviors, atomicswap.ConcConfig{})
+		if err != nil {
+			return err
+		}
+		res = &atomicswap.Result{
+			Spec: setup.Spec, Triggered: cr.Triggered, Report: cr.Report, Log: cr.Log,
+			StorageBytes: cr.Registry.TotalStorageBytes(), Registry: cr.Registry,
+		}
+	} else {
+		r := atomicswap.NewRunner(setup)
+		for v, b := range behaviors {
+			r.SetBehavior(v, b)
+		}
+		if res, err = r.Run(); err != nil {
+			return err
+		}
 	}
-	fmt.Printf("\nall Deal: %v   storage: %d bytes   %s\n",
-		res.Report.AllDeal(), res.StorageBytes, res.Counters.String())
+
+	fmt.Fprintf(w, "scenario %s  kind=%s  Δ=%d  start=%d  leaders=%v  diam≤%d%s\n\n",
+		scenario, setup.Spec.Kind, setup.Spec.Delta, setup.Spec.Start,
+		setup.Spec.Leaders, setup.Spec.DiamBound, on)
+	fmt.Fprint(w, res.Log.Render())
+	fmt.Fprintln(w)
+	for _, v := range setup.Spec.D.Vertices() {
+		fmt.Fprintf(w, "%-10s %v\n", setup.Spec.PartyOf(v), res.Report.Of(v))
+	}
+	fmt.Fprintf(w, "\nall Deal: %v   storage: %d bytes", res.Report.AllDeal(), res.StorageBytes)
+	if !concurrent {
+		fmt.Fprintf(w, "   %s", res.Counters.String())
+	}
+	fmt.Fprintln(w)
 	if doAudit {
 		faults := atomicswap.Audit(setup.Spec, res)
 		if len(faults) == 0 {
-			fmt.Println("\naudit: no party failed an enabled transition")
+			fmt.Fprintln(w, "\naudit: no party failed an enabled transition")
 		} else {
-			fmt.Println("\naudit — parties at fault (Section 5 bond-slashing candidates):")
+			fmt.Fprintln(w, "\naudit — parties at fault (Section 5 bond-slashing candidates):")
 			for _, f := range faults {
-				fmt.Printf("  %s\n", f)
+				fmt.Fprintf(w, "  %s\n", f)
 			}
 		}
 	}
-	return nil
-}
-
-// runConcurrent executes the scenario on the goroutine runtime (only
-// conforming parties; adversaries are a simulator feature).
-func runConcurrent(scenario string, setup *atomicswap.Setup, adv string) error {
-	if adv != "none" && adv != "" {
-		return fmt.Errorf("-concurrent supports conforming runs only")
-	}
-	res, err := atomicswap.RunConcurrent(setup, nil, atomicswap.ConcConfig{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario %s on the concurrent runtime (1 goroutine per party, Δ on the wall clock)\n\n", scenario)
-	fmt.Print(res.Log.Render())
-	fmt.Println()
-	for _, v := range setup.Spec.D.Vertices() {
-		fmt.Printf("%-10s %v\n", setup.Spec.PartyOf(v), res.Report.Of(v))
-	}
-	fmt.Printf("\nall Deal: %v\n", res.Report.AllDeal())
 	return nil
 }
 
@@ -184,9 +189,11 @@ func parseKind(s string) (atomicswap.Kind, error) {
 	}
 }
 
-func applyAdversary(r *atomicswap.Runner, setup *atomicswap.Setup, spec string) error {
+// parseAdversary resolves -adversary to the one deviating party's behavior
+// (nil for "none").
+func parseAdversary(setup *atomicswap.Setup, spec string) (map[atomicswap.Vertex]atomicswap.Behavior, error) {
 	if spec == "none" || spec == "" {
-		return nil
+		return nil, nil
 	}
 	parts := strings.Split(spec, ":")
 	name := parts[0]
@@ -194,45 +201,46 @@ func applyAdversary(r *atomicswap.Runner, setup *atomicswap.Setup, spec string) 
 	if len(parts) > 1 {
 		v, err := strconv.Atoi(parts[1])
 		if err != nil {
-			return fmt.Errorf("adversary vertex: %w", err)
+			return nil, fmt.Errorf("adversary vertex: %w", err)
 		}
 		vertex = v
 	}
 	if vertex < 0 || vertex >= setup.Spec.D.NumVertices() {
-		return fmt.Errorf("adversary vertex %d out of range", vertex)
+		return nil, fmt.Errorf("adversary vertex %d out of range", vertex)
 	}
 	v := atomicswap.Vertex(vertex)
+	var b atomicswap.Behavior
 	switch name {
 	case "halt":
 		tick := int64(setup.Spec.Start)
 		if len(parts) > 2 {
 			t, err := strconv.ParseInt(parts[2], 10, 64)
 			if err != nil {
-				return fmt.Errorf("halt tick: %w", err)
+				return nil, fmt.Errorf("halt tick: %w", err)
 			}
 			tick = t
 		}
-		r.SetBehavior(v, atomicswap.HaltAt(atomicswap.ConformingFor(setup.Spec), vtime.Ticks(tick)))
+		b = atomicswap.HaltAt(atomicswap.ConformingFor(setup.Spec), vtime.Ticks(tick))
 	case "silent":
 		idx, ok := setup.Spec.LeaderIndex(v)
 		if !ok {
-			return fmt.Errorf("vertex %d is not a leader", vertex)
+			return nil, fmt.Errorf("vertex %d is not a leader", vertex)
 		}
-		r.SetBehavior(v, atomicswap.SilentLeader(idx))
+		b = atomicswap.SilentLeader(idx)
 	case "withhold":
-		r.SetBehavior(v, atomicswap.WithholdPublications())
+		b = atomicswap.WithholdPublications()
 	case "lastmoment":
 		if setup.Spec.Kind == atomicswap.KindGeneral {
-			r.SetBehavior(v, atomicswap.LastMomentUnlocker())
+			b = atomicswap.LastMomentUnlocker()
 		} else {
-			r.SetBehavior(v, atomicswap.LastMomentRedeemer())
+			b = atomicswap.LastMomentRedeemer()
 		}
 	case "noclaim":
-		r.SetBehavior(v, atomicswap.NoClaim())
+		b = atomicswap.NoClaim()
 	case "eager":
-		r.SetBehavior(v, atomicswap.EagerPublisher())
+		b = atomicswap.EagerPublisher()
 	default:
-		return fmt.Errorf("unknown adversary %q", name)
+		return nil, fmt.Errorf("unknown adversary %q", name)
 	}
-	return nil
+	return map[atomicswap.Vertex]atomicswap.Behavior{v: b}, nil
 }

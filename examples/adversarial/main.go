@@ -87,7 +87,7 @@ func runScenario(i int, sc scenario) error {
 	if err != nil {
 		return err
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	sc.attack(setup, r)
 	res, err := r.Run()
 	if err != nil {

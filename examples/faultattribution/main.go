@@ -57,7 +57,7 @@ func runScenario(i int, name string, rig func(*atomicswap.Setup, *atomicswap.Run
 	if err != nil {
 		return err
 	}
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	rig(setup, r)
 	res, err := r.Run()
 	if err != nil {

@@ -53,7 +53,7 @@ func main() {
 		fmt.Printf("%-6s verified the plan against their offer ✓\n", o.Party)
 	}
 
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+	res, err := atomicswap.NewRunner(setup).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("leader(s): %v   Δ=%d ticks   diam(D)=%d   everything settles by T+%dΔ\n\n",
 		spec.Leaders, spec.Delta, spec.DiamBound, 2*spec.DiamBound)
 
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+	res, err := atomicswap.NewRunner(setup).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

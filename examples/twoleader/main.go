@@ -44,7 +44,7 @@ func main() {
 		}
 	}
 
-	res, err := atomicswap.NewRunner(setup, atomicswap.Options{}).Run()
+	res, err := atomicswap.NewRunner(setup).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

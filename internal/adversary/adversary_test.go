@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
@@ -32,7 +33,7 @@ func mustSetup(t *testing.T, d *digraph.Digraph, cfg core.Config) *core.Setup {
 	return setup
 }
 
-func mustRun(t *testing.T, r *core.Runner) *core.Result {
+func mustRun(t *testing.T, r *conc.Runner) *core.Result {
 	t.Helper()
 	res, err := r.Run()
 	if err != nil {
@@ -57,7 +58,7 @@ func TestHaltBeforePhaseOneAllRefund(t *testing.T) {
 	// Bob crashes before the protocol starts: nothing he owes is
 	// published, every deployed contract times out, everyone ends NoDeal.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(1, HaltAt(core.NewConforming(), 0))
 	res := mustRun(t, r)
 
@@ -79,7 +80,7 @@ func TestHaltDuringPhaseTwo(t *testing.T) {
 	// never propagates the secret, so the other contracts refund. Carol —
 	// the crashed party — is the only one Underwater.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	// Alice reveals (unlocks arc 2) at 120; Carol dies at 125, before she
 	// can observe and propagate at 130.
 	r.SetBehavior(2, HaltAt(core.NewConforming(), 125))
@@ -102,7 +103,7 @@ func TestSilentLeaderGriefing(t *testing.T) {
 	// reveals. All assets come back, bounded by the max timelock.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
 	idx, _ := setup.Spec.LeaderIndex(0)
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(0, SilentLeader(idx))
 	res := mustRun(t, r)
 
@@ -128,7 +129,7 @@ func TestSilentLeaderGriefing(t *testing.T) {
 
 func TestWithholdPublicationsIsSafe(t *testing.T) {
 	setup := mustSetup(t, graphgen.TwoLeaderTriangle(), core.Config{})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, WithholdPublications()) // C publishes nothing
 	res := mustRun(t, r)
 	assertConformingSafe(t, res)
@@ -139,7 +140,7 @@ func TestNoClaimStillTriggers(t *testing.T) {
 	// unlocked bearer right: the arc still counts as triggered, everyone
 	// is Deal.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(1, NoClaim())
 	res := mustRun(t, r)
 	assertConformingSafe(t, res)
@@ -159,7 +160,7 @@ func TestIntroLeakExploitsPlainHTLC(t *testing.T) {
 		Kind: core.KindSingleLeader, Delta: 10, Start: 100,
 	})
 	leaked := setup.Secrets[0]
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	// Alice runs the protocol (her deviation is the leak itself, so she
 	// is registered as non-conforming).
 	r.SetBehavior(0, core.NewConformingHTLC())
@@ -197,7 +198,7 @@ func TestLeakedSecretUselessWithoutSignatures(t *testing.T) {
 	leaked := setup.Secrets[0]
 	leader := setup.Spec.Leaders[0]
 	forged := hashkeyNewForTest(leaked, setup, leader)
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	var exploitErr error
 	r.SetBehavior(1, Scripted(core.NewConforming(), Step{
 		At: 105,
@@ -223,7 +224,7 @@ func TestPrematureRevealerHarmlessAmongConformers(t *testing.T) {
 	// (instead of waiting for all of them) cannot hurt anyone when the
 	// rest conform — secrets just move a little earlier.
 	setup := mustSetup(t, graphgen.TwoLeaderTriangle(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(0, PrematureRevealer())
 	res := mustRun(t, r)
 	assertConformingSafe(t, res)
@@ -238,7 +239,7 @@ func TestEagerFollowerPunished(t *testing.T) {
 	// arc is covered. Withholding Alice plus fully conforming Carol
 	// drain him: Bob ends Underwater.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(0, WithholdPublications(0)) // Alice never publishes A->B
 	r.SetBehavior(1, EagerPublisher())
 	res := mustRun(t, r)
@@ -258,7 +259,7 @@ func TestLastMomentUnlockHarmlessInGeneralProtocol(t *testing.T) {
 	// E11, hashkey side: delaying every unlock to its inclusive deadline
 	// still completes the swap — path-dependent deadlines absorb it.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, LastMomentUnlocker())
 	res := mustRun(t, r)
 	assertConformingSafe(t, res)
@@ -275,7 +276,7 @@ func TestUniformTimeoutAttack(t *testing.T) {
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{
 		Kind: core.KindUniformTimeout, Delta: 10, Start: 100,
 	})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, LastMomentRedeemer())
 	res := mustRun(t, r)
 
@@ -291,7 +292,7 @@ func TestStaircaseDefeatsLastMomentAttack(t *testing.T) {
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{
 		Kind: core.KindSingleLeader, Delta: 10, Start: 100,
 	})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, LastMomentRedeemer())
 	res := mustRun(t, r)
 
@@ -309,7 +310,7 @@ func TestNonStronglyConnectedBreaksUniformity(t *testing.T) {
 	// Discount), the Y side is structurally stuck at NoDeal.
 	d := graphgen.NotStronglyConnected(3, 3)
 	setup := mustSetup(t, d, core.Config{AllowUnsafe: true})
-	res := mustRun(t, core.NewRunner(setup, core.Options{}))
+	res := mustRun(t, conc.NewRunner(setup))
 
 	assertConformingSafe(t, res)
 	if res.Report.AllDeal() {
@@ -330,7 +331,7 @@ func TestCorruptContractRejected(t *testing.T) {
 	// timelock disagrees with the plan. Bob must reject it and abandon,
 	// the swap dies cleanly, and nobody ends Underwater.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(0, CorruptPublisher())
 	res := mustRun(t, r)
 
@@ -356,7 +357,7 @@ func TestCorruptContractRejected(t *testing.T) {
 func TestScriptedStep(t *testing.T) {
 	// Scripted steps run at their scheduled times with the party's env.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	var firedAt vtime.Ticks
 	r.SetBehavior(1, Scripted(core.NewConforming(), Step{
 		At: 115,
@@ -405,7 +406,7 @@ func TestTheorem49Fuzz(t *testing.T) {
 		if len(members) == n {
 			members = members[1:]
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		for v, b := range Coalition(CoalitionConfig{
 			Setup:    setup,
 			Members:  members,
@@ -457,7 +458,7 @@ func TestTheorem47Fuzz(t *testing.T) {
 		n := 3 + int(seed%8)
 		d := graphgen.RandomStronglyConnected(n, 0.3, seed)
 		setup := mustSetup(t, d, core.Config{Rand: rand.New(rand.NewSource(seed + 99))})
-		res := mustRun(t, core.NewRunner(setup, core.Options{}))
+		res := mustRun(t, conc.NewRunner(setup))
 		if !res.Report.AllDeal() {
 			t.Fatalf("seed %d: not AllDeal\n%s", seed, res.Log.Render())
 		}
@@ -477,7 +478,7 @@ func TestHaltSweepSingleLeader(t *testing.T) {
 				Kind: core.KindSingleLeader, Delta: 10, Start: 100,
 				Rand: rand.New(rand.NewSource(int64(10*haltDelta + victim))),
 			})
-			r := core.NewRunner(setup, core.Options{})
+			r := conc.NewRunner(setup)
 			haltAt := setup.Spec.Start.Add(vtime.Scale(haltDelta, setup.Spec.Delta))
 			r.SetBehavior(digraph.Vertex(victim), HaltAt(core.NewConformingHTLC(), haltAt))
 			res := mustRun(t, r)
@@ -494,7 +495,7 @@ func TestHaltSweepGeneral(t *testing.T) {
 				Delta: 10, Start: 100,
 				Rand: rand.New(rand.NewSource(int64(10*haltDelta + victim))),
 			})
-			r := core.NewRunner(setup, core.Options{})
+			r := conc.NewRunner(setup)
 			haltAt := setup.Spec.Start.Add(vtime.Scale(haltDelta, setup.Spec.Delta))
 			r.SetBehavior(digraph.Vertex(victim), HaltAt(core.NewConforming(), haltAt))
 			res := mustRun(t, r)

@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
@@ -17,7 +18,7 @@ func TestDropRefundLeavesEscrowStuck(t *testing.T) {
 	// the arc as untriggered.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
 	idx, _ := setup.Spec.LeaderIndex(0)
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(0, Filtered(core.NewConforming(), Filter{
 		DropUnlock:    func(_, l int) bool { return l == idx }, // silent leader...
 		DropBroadcast: func(int) bool { return true },
@@ -42,7 +43,7 @@ func TestDelayedUnlockStillLands(t *testing.T) {
 	// stay valid until T+3Δ, so delaying her unlocks from T+3 ticks to
 	// T+2.5Δ changes nothing.
 	setup := mustSetup(t, graphgen.TwoLeaderTriangle(), core.Config{Delta: 10, Start: 100})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, Filtered(core.NewConforming(), Filter{
 		DelayUnlock: func(int, int) (vtime.Ticks, bool) { return 125, true },
 	}))
@@ -60,7 +61,7 @@ func TestDropRedeemFilter(t *testing.T) {
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{
 		Kind: core.KindSingleLeader, Delta: 10, Start: 100,
 	})
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	r.SetBehavior(2, Filtered(core.NewConformingHTLC(), Filter{
 		DropRedeem: func(int) bool { return true },
 	}))
@@ -76,7 +77,7 @@ func TestHalterSuppressesAlarms(t *testing.T) {
 	// escrow stays locked even after the timelocks.
 	setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
 	idx, _ := setup.Spec.LeaderIndex(0)
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	// The leader goes silent so refunds are the only resolution...
 	r.SetBehavior(0, SilentLeader(idx))
 	// ...and Bob crashes right after publishing (t=100), before any

@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
@@ -56,7 +57,7 @@ func TestStrategiesDeviateOnBothProtocols(t *testing.T) {
 		}{{core.KindGeneral, tc.general}, {core.KindSingleLeader, tc.htlc}} {
 			t.Run(tc.name+"/"+p.kind.String(), func(t *testing.T) {
 				setup := mustSetup(t, graphgen.ThreeWay(), core.Config{Kind: p.kind, Delta: 10, Start: 100})
-				r := core.NewRunner(setup, core.Options{})
+				r := conc.NewRunner(setup)
 				for v, b := range tc.behaviors {
 					r.SetBehavior(v, b)
 				}

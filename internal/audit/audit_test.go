@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 )
 
-func setupRun(t *testing.T, d *digraph.Digraph, rig func(*core.Setup, *core.Runner)) (*core.Setup, *core.Result) {
+func setupRun(t *testing.T, d *digraph.Digraph, rig func(*core.Setup, *conc.Runner)) (*core.Setup, *core.Result) {
 	t.Helper()
 	setup, err := core.NewSetup(d, core.Config{Delta: 10, Start: 100, Rand: rand.New(rand.NewSource(6))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRunner(setup, core.Options{})
+	r := conc.NewRunner(setup)
 	if rig != nil {
 		rig(setup, r)
 	}
@@ -52,7 +53,7 @@ func TestCleanTwoLeaderNoFaults(t *testing.T) {
 }
 
 func TestSilentLeaderBlamed(t *testing.T) {
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *conc.Runner) {
 		idx, _ := s.Spec.LeaderIndex(0)
 		r.SetBehavior(0, adversary.SilentLeader(idx))
 	})
@@ -69,7 +70,7 @@ func TestSilentLeaderBlamed(t *testing.T) {
 }
 
 func TestWithholdingPublisherBlamed(t *testing.T) {
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *conc.Runner) {
 		// Bob (a follower whose entering arc gets covered) never
 		// publishes his leaving contract.
 		r.SetBehavior(1, adversary.WithholdPublications())
@@ -89,7 +90,7 @@ func TestCrashedRelayBlamed(t *testing.T) {
 	// Carol crashes after Alice reveals: the ledgers show the secret on
 	// Carol's leaving arc, a live waiting contract on her entering arc,
 	// and no relay — exactly FaultUnrelayedSecret.
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *conc.Runner) {
 		r.SetBehavior(2, adversary.HaltAt(core.NewConforming(), 125))
 	})
 	faults := Run(setup.Spec, res.Registry)
@@ -106,7 +107,7 @@ func TestCrashedRelayBlamed(t *testing.T) {
 }
 
 func TestCorruptPublisherBlamedVictimExcused(t *testing.T) {
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *conc.Runner) {
 		r.SetBehavior(0, adversary.CorruptPublisher())
 	})
 	faults := Run(setup.Spec, res.Registry)
@@ -123,7 +124,7 @@ func TestCorruptPublisherBlamedVictimExcused(t *testing.T) {
 
 func TestNoClaimNotAFault(t *testing.T) {
 	// Claiming is self-interest, not an obligation the audit enforces.
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(s *core.Setup, r *conc.Runner) {
 		r.SetBehavior(1, adversary.NoClaim())
 	})
 	if faults := Run(setup.Spec, res.Registry); len(faults) != 0 {
@@ -138,7 +139,7 @@ func TestAuditSkipsHTLCVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.NewRunner(setup, core.Options{}).Run()
+	res, err := conc.NewRunner(setup).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

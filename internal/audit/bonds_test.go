@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 )
@@ -23,7 +24,7 @@ func TestSettleCleanRun(t *testing.T) {
 }
 
 func TestSettleSlashesSilentLeader(t *testing.T) {
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *conc.Runner) {
 		idx, _ := st.Spec.LeaderIndex(0)
 		r.SetBehavior(0, adversary.SilentLeader(idx))
 	})
@@ -45,7 +46,7 @@ func TestSettleSlashesSilentLeader(t *testing.T) {
 }
 
 func TestSettleIndivisibleRemainderBurns(t *testing.T) {
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *conc.Runner) {
 		idx, _ := st.Spec.LeaderIndex(0)
 		r.SetBehavior(0, adversary.SilentLeader(idx))
 	})
@@ -61,7 +62,7 @@ func TestSettleIndivisibleRemainderBurns(t *testing.T) {
 
 func TestSettleConservesValue(t *testing.T) {
 	// Total payouts + burned always equals total bonds posted.
-	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *core.Runner) {
+	setup, res := setupRun(t, graphgen.ThreeWay(), func(st *core.Setup, r *conc.Runner) {
 		r.SetBehavior(1, adversary.WithholdPublications())
 	})
 	faults := Run(setup.Spec, res.Registry)

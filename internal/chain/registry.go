@@ -190,15 +190,6 @@ func (r *Registry) TotalStorageBytes() int {
 	return total
 }
 
-// SetObserverAll installs the default observer on every existing chain and
-// remembers nothing: call it after all chains are created, or create
-// chains up front. Concurrent runtimes should use SubscribeAll instead.
-func (r *Registry) SetObserverAll(fn func(Notification)) {
-	for _, c := range r.all() {
-		c.SetObserver(fn)
-	}
-}
-
 // SubscribeAll registers fn under key on every chain, present and future.
 // It is how each per-swap runtime watches shared chains without clobbering
 // the other swaps' observers. UnsubscribeAll(key) removes it everywhere.

@@ -39,19 +39,6 @@ func TestTotalStorageBytes(t *testing.T) {
 	}
 }
 
-func TestSetObserverAll(t *testing.T) {
-	r := NewRegistry(fixedClock(0))
-	r.Chain("a")
-	r.Chain("b")
-	count := 0
-	r.SetObserverAll(func(Notification) { count++ })
-	r.Chain("a").PublishData("x", "", nil, 0)
-	r.Chain("b").PublishData("x", "", nil, 0)
-	if count != 2 {
-		t.Errorf("observer fired %d times, want 2", count)
-	}
-}
-
 func TestVerifyAllLedgers(t *testing.T) {
 	r := NewRegistry(fixedClock(0))
 	r.Chain("a").PublishData("x", "", nil, 0)

@@ -1,9 +1,12 @@
-// Package conc runs the swap protocol over shared, thread-safe mock chains
-// with virtual ticks from a pluggable sched.Scheduler — many runs at once
-// over one registry, which is what the clearing engine needs. The party
-// logic is the same core.Behavior implementation the reference runner in
-// core drives — the point of this runtime is demonstrating that the
-// protocol engine is runtime-agnostic and race-free.
+// Package conc is the one place a swap is executed: it drives
+// core.Behaviors over thread-safe mock chains with virtual ticks from a
+// pluggable sched.Scheduler. Two entry points share it. Prepare/Wait (and
+// Run) put a swap on a scheduler and a registry the caller may share — many
+// runs at once over one set of chains, which is what the clearing engine
+// needs — and time each chain notification a quarter-Δ inside the bound,
+// from the chain's commitment-model Timing. Runner (runner.go) is the
+// paper's model of one swap alone: a private serial scheduler, a private
+// registry, and every notification landing exactly Δ after its chain event.
 //
 // How deliveries reach a party follows from the scheduler the run is
 // handed; there is no option for it:
@@ -48,8 +51,6 @@ type Config struct {
 	// used to build the default real-time scheduler. Ignored when
 	// Scheduler is set.
 	Tick time.Duration
-	// ExtraDelta pads the run horizon beyond spec.Horizon(), in Δ (2 if 0).
-	ExtraDelta int
 	// Registry, when set, is a shared chain registry: assets already
 	// registered on it are reused (their ownership is verified). A run
 	// hears about its own contracts only (one route per contract), so many
@@ -201,6 +202,10 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 	return rn.Wait(), nil
 }
 
+// horizonPad is how far, in Δ, a run's end sits beyond spec.Horizon(): room
+// for scheduling jitter on top of the worst-case protocol length.
+const horizonPad = 2
+
 // Prepare sets a concurrent run up — registers or verifies assets,
 // spawns the party goroutines a real-time scheduler needs, schedules the
 // protocol start — and returns without waiting for it. Setup runs
@@ -214,9 +219,15 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 // virtual scheduler — a slab holding every delivery a conforming run of
 // this shape makes. Nothing is kept from one run to the next.
 func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Running, error) {
-	if cfg.ExtraDelta <= 0 {
-		cfg.ExtraDelta = 2
-	}
+	return prepare(setup, behaviors, cfg, false)
+}
+
+// prepare is Prepare with the delivery rule spelled out. worstCase is the
+// Runner's: a notification lands exactly spec.DeltaFor(chain) after its
+// chain event and the run ends at spec.Horizon() — nothing jitters on a
+// private serial scheduler, so no margin and no padding. Otherwise targets
+// sit inside the bound by the chain's own margin (see onNote).
+func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config, worstCase bool) (*Running, error) {
 	spec := setup.Spec
 	if cfg.Cache != nil {
 		spec.Cache = cfg.Cache
@@ -283,6 +294,9 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		a := &r.arcs[id]
 		a.r, a.id, a.ch = r, id, ch
 		a.delay = ch.Timing().DeliveryDelay(base)
+		if worstCase {
+			a.delay = spec.DeltaFor(aa.Chain)
+		}
 		a.probe = r.reg.ChainDeliveryProbe(aa.Chain)
 		if ch.CommitmentModelName() != "instant" {
 			r.reorgAware = true
@@ -298,13 +312,18 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			continue
 		}
 		if err := ch.RegisterAsset(chain.Asset{
-			ID: aa.Asset, Amount: aa.Amount,
+			ID:          aa.Asset,
+			Description: fmt.Sprintf("asset for arc %d", id),
+			Amount:      aa.Amount,
 		}, owner); err != nil {
 			return nil, fmt.Errorf("conc: registering assets: %w", err)
 		}
 	}
 
-	r.horizonTick = spec.Horizon().Add(vtime.Scale(cfg.ExtraDelta, spec.Delta))
+	r.horizonTick = spec.Horizon()
+	if !worstCase {
+		r.horizonTick = r.horizonTick.Add(vtime.Scale(horizonPad, spec.Delta))
+	}
 
 	// On a real-time scheduler, one mailbox goroutine per party: all
 	// behavior callbacks and alarms run there, so behaviors stay
@@ -350,12 +369,21 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	if spec.Broadcast {
 		r.bcast = r.reg.Chain(core.BroadcastChain)
 		r.bcastDelay = r.bcast.Timing().DeliveryDelay(base)
+		if worstCase {
+			r.bcastDelay = spec.DeltaFor(core.BroadcastChain)
+		}
 		r.bcastProbe = r.reg.ChainDeliveryProbe(core.BroadcastChain)
 		r.bcastKey = fmt.Sprintf("conc-run-%d", atomic.AddUint64(&runSeq, 1))
 		r.bcast.Subscribe(r.bcastKey, r.onBroadcast)
 	}
 
-	// Start everyone at T−Δ (leaders deploy ahead; see core.Runner).
+	// Start every party at T−Δ, in vertex order. The market clearing sets
+	// the start time "at least Δ in the future" precisely so leaders can
+	// publish ahead: their contracts land by T−Δ and are confirmed by
+	// every follower at T, which is what makes the paper's deadline
+	// arithmetic exactly tight under worst-case latency (the leader's
+	// degenerate hashkey expires at T + diam·Δ, the very tick Phase One
+	// completes for it).
 	initAt := spec.Start.Add(-vtime.Duration(spec.Delta))
 	r.deliverParties(delivery{at: initAt, kind: deliverInit})
 	r.schedule(delivery{at: r.horizonTick, kind: deliverHorizon})
@@ -508,6 +536,10 @@ type runner struct {
 	lastResolve vtime.Ticks
 	// done closes when every arc has resolved; only an EarlyExit run has it.
 	done chan struct{}
+
+	// failed counts the calls a chain rejected (nothing stored, so no
+	// ledger remembers them): metrics.Counters.FailedCalls of a Runner.
+	failed atomic.Int64
 }
 
 // arcRun is what the run keeps per arc: where its contract lives and how
@@ -714,7 +746,7 @@ func (r *runner) run(d *delivery, p *party) {
 		return // teardown
 	}
 	// Alarms bypass the abandon gate: refund alarms keep running for
-	// abandoned parties, as in the simulator runtime.
+	// abandoned parties.
 	if d.kind != deliverAlarm && p.abandoned {
 		return
 	}
@@ -851,16 +883,17 @@ func (r *runner) dupEvent(key eventKey) bool {
 }
 
 // onNote fans one notification about arc a's contract out to the incident
-// parties within Δ, mirroring core.Runner.onNote. Unlike the simulator —
-// which realizes the worst case exactly and leans on inclusive deadlines —
-// real scheduling adds jitter on top of the delivery target, so targets
-// sit a quarter-Δ inside the bound (detection strictly within Δ, as the
-// paper's model allows): the protocol's deadline margins then scale with Δ
-// instead of being a fixed tick count, which is what lets a loaded box
-// widen Δ to buy robustness — and, with the delivery probe watching actual
-// lag, lets the engine shrink Δ back when the hardware is keeping up. The
-// margin is per-chain: each chain's commitment-model timing decides it,
-// and an Instant chain reproduces the historical spec.Delta margin exactly.
+// parties within Δ: a.delay after the chain event. A Runner realizes the
+// worst case exactly (a.delay is Δ) and leans on inclusive deadlines.
+// Everywhere else real scheduling adds jitter on top of the delivery
+// target, so targets sit a quarter-Δ inside the bound (detection strictly
+// within Δ, as the paper's model allows): the protocol's deadline margins
+// then scale with Δ instead of being a fixed tick count, which is what lets
+// a loaded box widen Δ to buy robustness — and, with the delivery probe
+// watching actual lag, lets the engine shrink Δ back when the hardware is
+// keeping up. The margin is per-chain: each chain's commitment-model timing
+// decides it, and an Instant chain reproduces the historical spec.Delta
+// margin exactly.
 //
 // On chains with delayed finality, parties still act on applied
 // (provisional) events optimistically — that is what keeps the swap
@@ -1096,54 +1129,50 @@ func (e *concEnv) PublishHTLCParams(p htlc.HTLCParams) error {
 
 func (e *concEnv) publishContract(arcID int, c chain.Contract) error {
 	if err := e.chainOf(arcID).PublishContract(e.Party(), c); err != nil {
+		e.p.runner.failed.Add(1)
 		return err
 	}
 	e.Note(trace.KindContractPublished, arcID, -1, "")
 	return nil
 }
 
+// invoke calls a method of arcID's contract and, when the chain took the
+// call, notes it on the trace.
+func (e *concEnv) invoke(arcID int, method string, args any, size int, kind trace.Kind, lockIdx int, detail string) error {
+	err := e.chainOf(arcID).Invoke(e.Party(), e.p.runner.spec.ContractID(arcID), method, args, size)
+	if err != nil {
+		e.p.runner.failed.Add(1)
+		return err
+	}
+	e.Note(kind, arcID, lockIdx, detail)
+	return nil
+}
+
 func (e *concEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
 	args := htlc.UnlockArgs{LockIndex: lockIdx, Key: key}
-	err := e.chainOf(arcID).Invoke(e.Party(), e.p.runner.spec.ContractID(arcID),
-		htlc.MethodUnlock, args, args.WireSize())
-	if err == nil {
-		e.Note(trace.KindUnlocked, arcID, lockIdx, "")
-	}
-	return err
+	return e.invoke(arcID, htlc.MethodUnlock, args, args.WireSize(), trace.KindUnlocked, lockIdx, "")
 }
 
 func (e *concEnv) Redeem(arcID int, secret hashkey.Secret) error {
 	args := htlc.RedeemArgs{Secret: secret}
-	err := e.chainOf(arcID).Invoke(e.Party(), e.p.runner.spec.ContractID(arcID),
-		htlc.MethodRedeem, args, args.WireSize())
-	if err == nil {
-		e.Note(trace.KindClaimed, arcID, -1, "redeemed")
-	}
-	return err
+	return e.invoke(arcID, htlc.MethodRedeem, args, args.WireSize(), trace.KindClaimed, -1, "redeemed")
 }
 
+// claimCallBytes is the modeled on-chain size of a claim or refund call.
+const claimCallBytes = 16
+
 func (e *concEnv) Claim(arcID int) error {
-	id := e.p.runner.spec.ContractID(arcID)
-	if e.chainOf(arcID).Closed(id) {
+	if e.chainOf(arcID).Closed(e.p.runner.spec.ContractID(arcID)) {
 		return chain.ErrContractClosed
 	}
-	err := e.chainOf(arcID).Invoke(e.Party(), id, htlc.MethodClaim, nil, 16)
-	if err == nil {
-		e.Note(trace.KindClaimed, arcID, -1, "")
-	}
-	return err
+	return e.invoke(arcID, htlc.MethodClaim, nil, claimCallBytes, trace.KindClaimed, -1, "")
 }
 
 func (e *concEnv) Refund(arcID int) error {
-	id := e.p.runner.spec.ContractID(arcID)
-	if e.chainOf(arcID).Closed(id) {
+	if e.chainOf(arcID).Closed(e.p.runner.spec.ContractID(arcID)) {
 		return chain.ErrContractClosed
 	}
-	err := e.chainOf(arcID).Invoke(e.Party(), id, htlc.MethodRefund, nil, 16)
-	if err == nil {
-		e.Note(trace.KindRefunded, arcID, -1, "")
-	}
-	return err
+	return e.invoke(arcID, htlc.MethodRefund, nil, claimCallBytes, trace.KindRefunded, -1, "")
 }
 
 func (e *concEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {

@@ -97,7 +97,7 @@ func partyGoroutines(want int) int {
 		}
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
-		n = strings.Count(string(buf), "created by github.com/go-atomicswap/atomicswap/internal/conc.Prepare")
+		n = strings.Count(string(buf), "created by github.com/go-atomicswap/atomicswap/internal/conc.prepare")
 	}
 	return n
 }

@@ -1,10 +1,11 @@
-package core
+package conc
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/pebble"
 	"github.com/go-atomicswap/atomicswap/internal/trace"
@@ -20,11 +21,11 @@ func TestPhaseOneEqualsLazyPebbleGame(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 3 + int(seed%6+6)%6 // 3..8 vertexes
 		d := graphgen.RandomStronglyConnected(n, 0.3, seed)
-		setup, err := NewSetup(d, Config{Rand: rand.New(rand.NewSource(seed + 5))})
+		setup, err := core.NewSetup(d, core.Config{Rand: rand.New(rand.NewSource(seed + 5))})
 		if err != nil {
 			return false
 		}
-		res, err := NewRunner(setup, Options{}).Run()
+		res, err := NewRunner(setup).Run()
 		if err != nil || !res.Report.AllDeal() {
 			return false
 		}
@@ -62,11 +63,11 @@ func TestPhaseTwoBoundedByEagerGame(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 3 + int(seed%6+6)%6
 		d := graphgen.RandomStronglyConnected(n, 0.3, seed+100)
-		setup, err := NewSetup(d, Config{Rand: rand.New(rand.NewSource(seed + 6))})
+		setup, err := core.NewSetup(d, core.Config{Rand: rand.New(rand.NewSource(seed + 6))})
 		if err != nil {
 			return false
 		}
-		res, err := NewRunner(setup, Options{}).Run()
+		res, err := NewRunner(setup).Run()
 		if err != nil || !res.Report.AllDeal() {
 			return false
 		}

@@ -1,10 +1,11 @@
-package core
+package conc
 
 import (
 	"fmt"
 	"io"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -37,7 +38,7 @@ type RecurrentResult struct {
 // round pays a 2Δ clearing gap first.
 func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader) (*RecurrentResult, error) {
 	if rounds < 1 {
-		return nil, fmt.Errorf("%w: rounds %d", ErrSpecShape, rounds)
+		return nil, fmt.Errorf("%w: rounds %d", core.ErrSpecShape, rounds)
 	}
 	res := &RecurrentResult{Piggyback: piggyback}
 	var clock vtime.Ticks
@@ -46,25 +47,25 @@ func RunRecurrent(d *digraph.Digraph, rounds int, piggyback bool, rnd io.Reader)
 		if !piggyback || r == 0 {
 			// Initial setup (and per-round re-clearing without
 			// piggybacking) costs one publish-and-confirm round trip.
-			gap = 2 * DefaultDelta
+			gap = 2 * core.DefaultDelta
 		}
-		start := clock.Add(gap + vtime.Duration(DefaultDelta))
+		start := clock.Add(gap + vtime.Duration(core.DefaultDelta))
 		// Per-round assets need distinct IDs across rounds.
-		assets := make([]ArcAsset, d.NumArcs())
+		assets := make([]core.ArcAsset, d.NumArcs())
 		for id := range assets {
-			assets[id] = ArcAsset{
+			assets[id] = core.ArcAsset{
 				Chain:  fmt.Sprintf("chain-a%d-r%d", id, r),
 				Asset:  chain.AssetID(fmt.Sprintf("asset-a%d-r%d", id, r)),
 				Amount: 1,
 			}
 		}
-		setup, err := NewSetup(d, Config{Start: start, Rand: rnd, Assets: assets})
+		setup, err := core.NewSetup(d, core.Config{Start: start, Rand: rnd, Assets: assets})
 		if err != nil {
-			return nil, fmt.Errorf("core: recurrent round %d: %w", r, err)
+			return nil, fmt.Errorf("conc: recurrent round %d: %w", r, err)
 		}
-		out, err := NewRunner(setup, Options{}).Run()
+		out, err := NewRunner(setup).Run()
 		if err != nil {
-			return nil, fmt.Errorf("core: recurrent round %d: %w", r, err)
+			return nil, fmt.Errorf("conc: recurrent round %d: %w", r, err)
 		}
 		settled := out.Timing.AllDone
 		if settled == 0 {

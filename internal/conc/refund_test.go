@@ -1,9 +1,10 @@
-package core
+package conc
 
 import (
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
@@ -14,10 +15,10 @@ import (
 // never reveals — a minimal in-package deviation for exercising the
 // refund machinery without importing the adversary package.
 type mutePublisher struct {
-	NopBehavior
+	core.NopBehavior
 }
 
-func (mutePublisher) Init(e Env) {
+func (mutePublisher) Init(e core.Env) {
 	for _, arc := range e.Spec().D.Out(e.Vertex()) {
 		if err := e.Publish(arc); err != nil {
 			e.Abandon("publish failed")
@@ -27,8 +28,8 @@ func (mutePublisher) Init(e Env) {
 }
 
 func TestRefundsAfterMuteLeader(t *testing.T) {
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{})
+	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
+	r := NewRunner(setup)
 	r.SetBehavior(0, mutePublisher{})
 	res, err := r.Run()
 	if err != nil {
@@ -59,10 +60,10 @@ func TestRefundsAfterMuteLeader(t *testing.T) {
 // wrongParamsPublisher publishes a contract with a tampered hashlock so
 // the counterparty's verification must fail.
 type wrongParamsPublisher struct {
-	NopBehavior
+	core.NopBehavior
 }
 
-func (wrongParamsPublisher) Init(e Env) {
+func (wrongParamsPublisher) Init(e core.Env) {
 	for _, arc := range e.Spec().D.Out(e.Vertex()) {
 		p := e.Spec().ContractParams(arc)
 		p.Locks[0] = hashkey.Lock{0xBA, 0xD}
@@ -73,8 +74,8 @@ func (wrongParamsPublisher) Init(e Env) {
 }
 
 func TestCounterpartyAbandonsOnWrongLock(t *testing.T) {
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{})
+	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Delta: 10, Start: 100})
+	r := NewRunner(setup)
 	r.SetBehavior(0, wrongParamsPublisher{})
 	res, err := r.Run()
 	if err != nil {
@@ -99,16 +100,16 @@ func TestCounterpartyAbandonsOnWrongLock(t *testing.T) {
 
 // TestAbandonIsIdempotent double-abandons through the env and checks a
 // single trace event results.
-type doubleAbandoner struct{ NopBehavior }
+type doubleAbandoner struct{ core.NopBehavior }
 
-func (doubleAbandoner) Init(e Env) {
+func (doubleAbandoner) Init(e core.Env) {
 	e.Abandon("first")
 	e.Abandon("second")
 }
 
 func TestAbandonIsIdempotent(t *testing.T) {
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{})
+	setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
+	r := NewRunner(setup)
 	r.SetBehavior(1, doubleAbandoner{})
 	res, err := r.Run()
 	if err != nil {

@@ -66,8 +66,8 @@ type Env interface {
 }
 
 // Behavior is a party's protocol logic, driven by chain observations. The
-// runner delivers events for incident arcs only, Δ after the underlying
-// action. Conforming implements the paper's protocol; the adversary
+// runtime (package conc) delivers events for incident arcs only, within Δ
+// of the underlying action. Conforming implements the paper's protocol; the adversary
 // package builds deviations by wrapping behaviors and environments.
 type Behavior interface {
 	// Init runs at the protocol start time T.

@@ -10,7 +10,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/htlc"
-	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
 func TestSwapParamsMatch(t *testing.T) {
@@ -82,31 +81,6 @@ func TestSwapParamsMatchDirectory(t *testing.T) {
 	}
 }
 
-func TestNopBehaviorIsInert(t *testing.T) {
-	// NopBehavior as every party: nothing ever happens, the runner
-	// terminates at its horizon with all assets untouched.
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{})
-	for _, v := range setup.Spec.D.Vertices() {
-		r.SetBehavior(v, NopBehavior{})
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Triggered) != 0 {
-		t.Errorf("nop parties triggered arcs: %v", res.Triggered)
-	}
-	for id := 0; id < 3; id++ {
-		aa := setup.Spec.Assets[id]
-		owner, _ := res.Registry.Chain(aa.Chain).OwnerOf(aa.Asset)
-		want := setup.Spec.PartyOf(setup.Spec.D.Arc(id).Head)
-		if owner != chain.ByParty(want) {
-			t.Errorf("asset %s moved to %v without any protocol action", aa.Asset, owner)
-		}
-	}
-}
-
 func TestSpecValidateEdgeCases(t *testing.T) {
 	base := func() *Spec {
 		setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
@@ -175,64 +149,5 @@ func TestClearVerifyPlanRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestUnlockTrafficIsArcTimesLeaders pins the communication-complexity
-// shape on conforming runs: exactly |A|·|L| unlock calls.
-func TestUnlockTrafficIsArcTimesLeaders(t *testing.T) {
-	for _, d := range []*digraph.Digraph{
-		graphgen.ThreeWay(),
-		graphgen.TwoLeaderTriangle(),
-		graphgen.Clique(4),
-		graphgen.BidirCycle(5),
-	} {
-		setup := newTestSetup(t, d, Config{})
-		res := run(t, setup)
-		want := d.NumArcs() * len(setup.Spec.Leaders)
-		if res.Counters.UnlockCalls != want {
-			t.Errorf("%v: unlock calls = %d, want |A|·|L| = %d",
-				d, res.Counters.UnlockCalls, want)
-		}
-		if res.Counters.FailedCalls != 0 {
-			t.Errorf("%v: conforming run made %d failed calls", d, res.Counters.FailedCalls)
-		}
-	}
-}
-
-func TestRunnerAccessors(t *testing.T) {
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
-	r := NewRunner(setup, Options{})
-	if r.Log() == nil || r.Registry() == nil {
-		t.Fatal("accessors should be non-nil")
-	}
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Log != r.Log() {
-		t.Error("result log should be the runner log")
-	}
-	if res.Timing.DeployDelta() == "" || res.Timing.TotalDelta() == "" {
-		t.Error("timing should render")
-	}
-}
-
-func TestHorizonOverride(t *testing.T) {
-	// A tiny horizon cuts the run short: nothing beyond it executes.
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Delta: 10, Start: 100})
-	r := NewRunner(setup, Options{Horizon: 95})
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only Alice's deploy (at 90) fits before the horizon.
-	if got := len(res.Log.Events()); got == 0 {
-		t.Error("expected the pre-horizon deploy")
-	}
-	for _, ev := range res.Log.Events() {
-		if ev.At.After(vtime.Ticks(95)) {
-			t.Errorf("event after horizon: %+v", ev)
-		}
 	}
 }

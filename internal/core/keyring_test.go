@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
-	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 )
 
 func TestKeyringGeneratesOncePerParty(t *testing.T) {
@@ -85,43 +84,6 @@ func TestKeyringConcurrentEnsure(t *testing.T) {
 	}
 	if k.Len() != 1 {
 		t.Errorf("Len = %d, want 1", k.Len())
-	}
-}
-
-// TestNewSetupReusesKeyring is the clearing-engine contract: consecutive
-// setups over the same parties perform keygen only once, the directories
-// agree, and runs still complete.
-func TestNewSetupReusesKeyring(t *testing.T) {
-	k := NewKeyring(rand.New(rand.NewSource(9)))
-	d := graphgen.ThreeWay()
-	cfg := Config{Rand: rand.New(rand.NewSource(1)), Keyring: k}
-	s1, err := NewSetup(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Len() != d.NumVertices() {
-		t.Fatalf("keyring holds %d identities, want %d", k.Len(), d.NumVertices())
-	}
-	cfg2 := Config{Rand: rand.New(rand.NewSource(2)), Keyring: k}
-	s2, err := NewSetup(d, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Len() != d.NumVertices() {
-		t.Fatalf("second setup minted identities: %d", k.Len())
-	}
-	for v := range s1.Signers {
-		if !bytes.Equal(s1.Spec.Keys[s1.Signers[v].Vertex()], s2.Spec.Keys[s2.Signers[v].Vertex()]) {
-			t.Errorf("vertex %d: directories disagree across setups", v)
-		}
-	}
-	// The persistent identities must actually run the protocol.
-	res, err := NewRunner(s2, Options{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Report.AllDeal() {
-		t.Fatalf("keyring-backed swap not AllDeal:\n%s", res.Log.Render())
 	}
 }
 

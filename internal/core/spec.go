@@ -3,9 +3,11 @@
 // parties must agree on (the digraph, the leaders and their hashlocks, Δ,
 // the start time, the diameter bound, the per-arc/per-lock timelock
 // vectors); Behaviors are the party state machines (the conforming
-// protocol lives in behavior.go, deviations in the adversary package);
-// the Runner wires parties, mock chains, and the discrete-event scheduler
-// together and reports outcomes, timing, storage, and communication.
+// protocol lives in behavior.go, deviations in the adversary package),
+// written against Env. Nothing here executes a swap: package conc
+// implements Env and wires parties, mock chains and a scheduler together —
+// its Runner for one swap under the paper's worst-case timing, reporting
+// outcomes, timing, storage and communication in a Result.
 package core
 
 import (

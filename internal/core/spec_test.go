@@ -12,6 +12,19 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
+// newTestSetup builds a deterministic setup over d.
+func newTestSetup(t *testing.T, d *digraph.Digraph, cfg Config) *Setup {
+	t.Helper()
+	if cfg.Rand == nil {
+		cfg.Rand = rand.New(rand.NewSource(1))
+	}
+	setup, err := NewSetup(d, cfg)
+	if err != nil {
+		t.Fatalf("NewSetup: %v", err)
+	}
+	return setup
+}
+
 func TestNewSetupDefaults(t *testing.T) {
 	setup := newTestSetup(t, graphgen.ThreeWay(), Config{})
 	spec := setup.Spec
@@ -253,64 +266,5 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() != "kind(9)" {
 		t.Error("unknown kind fallback")
-	}
-}
-
-func TestSetupWithExplicitAssets(t *testing.T) {
-	assets := []ArcAsset{
-		{Chain: "altcoin", Asset: "alt", Amount: 100},
-		{Chain: "bitcoin", Asset: "btc", Amount: 1},
-		{Chain: "titles", Asset: "cadillac", Amount: 1},
-	}
-	setup := newTestSetup(t, graphgen.ThreeWay(), Config{Assets: assets})
-	res := run(t, setup)
-	if !res.Report.AllDeal() {
-		t.Fatal("explicit-asset swap should end AllDeal")
-	}
-	owner, _ := res.Registry.Chain("titles").OwnerOf("cadillac")
-	if owner != chain.ByParty("Alice") {
-		t.Errorf("cadillac owner = %v, want Alice", owner)
-	}
-}
-
-func TestRecurrentSwaps(t *testing.T) {
-	d := graphgen.ThreeWay()
-	rnd := rand.New(rand.NewSource(9))
-	with, err := RunRecurrent(d, 3, true, rnd)
-	if err != nil {
-		t.Fatalf("RunRecurrent(piggyback): %v", err)
-	}
-	rnd2 := rand.New(rand.NewSource(9))
-	without, err := RunRecurrent(d, 3, false, rnd2)
-	if err != nil {
-		t.Fatalf("RunRecurrent(no piggyback): %v", err)
-	}
-	for i, r := range with.Rounds {
-		if !r.AllDeal {
-			t.Errorf("piggyback round %d not AllDeal", i)
-		}
-	}
-	if with.TotalTicks >= without.TotalTicks {
-		t.Errorf("piggybacked rounds (%d ticks) should beat re-clearing (%d ticks)",
-			with.TotalTicks, without.TotalTicks)
-	}
-	if _, err := RunRecurrent(d, 0, true, rnd); err == nil {
-		t.Error("zero rounds should error")
-	}
-}
-
-func TestMultigraphSwap(t *testing.T) {
-	// Section 5: parallel arcs — Alice sends three assets to Bob, Bob one
-	// back. Every arc needs its own contract and all must trigger.
-	setup := newTestSetup(t, graphgen.MultiArcPair(3), Config{})
-	res := run(t, setup)
-	if !res.Report.AllDeal() {
-		t.Log("\n" + res.Log.Render())
-		t.Fatal("multigraph swap should end AllDeal")
-	}
-	for id := 0; id < 4; id++ {
-		if !res.Triggered[id] {
-			t.Errorf("arc %d not triggered", id)
-		}
 	}
 }

@@ -91,20 +91,6 @@ func TestSingleLeaderLadderLemma413(t *testing.T) {
 	}
 }
 
-// TestSingleLeaderShapesAllDeal runs the conforming single-leader protocol
-// over the corpus on the exact-Δ reference runtime — every delivery takes
-// the full Δ, the schedule on which the shared ladder has no slack left —
-// and requires the all-Deal outcome with nothing refunded.
-func TestSingleLeaderShapesAllDeal(t *testing.T) {
-	for name, d := range singleLeaderShapes() {
-		setup := newTestSetup(t, d, Config{Kind: KindByLeaders})
-		res := run(t, setup)
-		if !res.Report.AllDeal() {
-			t.Errorf("%s: conforming single-leader run did not end all-Deal: %v", name, res.Report)
-		}
-	}
-}
-
 // TestKindByLeadersKeepsMultiLeaderGeneral: the request resolves to the
 // hashkey protocol whenever no single vertex is a feedback vertex set, and
 // is never a Spec's own kind.

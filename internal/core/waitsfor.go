@@ -37,15 +37,3 @@ func (s *Spec) WaitsFor(published map[int]bool) *digraph.Digraph {
 func (s *Spec) DeadlockCycle(published map[int]bool) []digraph.Vertex {
 	return s.WaitsFor(published).FindCycle()
 }
-
-// PublishedArcs reads the published-contract set off a finished or
-// in-flight run's registry.
-func (r *Runner) PublishedArcs() map[int]bool {
-	out := make(map[int]bool, r.spec.D.NumArcs())
-	for id := 0; id < r.spec.D.NumArcs(); id++ {
-		if _, ok := r.reg.Chain(r.spec.Assets[id].Chain).Contract(r.spec.ContractID(id)); ok {
-			out[id] = true
-		}
-	}
-	return out
-}

@@ -344,7 +344,8 @@ func (s *State) Resolve(recTick vtime.Ticks, delta vtime.Duration) (engine.Recov
 	for _, k := range keys {
 		a := s.Assets[k]
 		rs.Assets = append(rs.Assets, engine.RecoveredAsset{
-			Chain: a.Chain, Asset: a.Asset, Amount: a.Amount, Owner: a.Owner,
+			Minted: engine.Minted{Chain: a.Chain, Asset: a.Asset, Amount: a.Amount},
+			Owner:  a.Owner,
 		})
 	}
 	ids := make([]engine.OrderID, 0, len(s.Orders))

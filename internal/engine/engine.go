@@ -308,10 +308,12 @@ type resvKey struct {
 	asset chain.AssetID
 }
 
-type mintRec struct {
-	chain  string
-	asset  chain.AssetID
-	amount uint64
+// Minted is one asset put into existence on a chain — at intake, or by a
+// recovery's re-mint: what VerifyMinted audits.
+type Minted struct {
+	Chain  string
+	Asset  chain.AssetID
+	Amount uint64
 }
 
 // Engine is the clearing service. Create with New, call Start, Submit
@@ -414,7 +416,7 @@ type Engine struct {
 	nextOrder OrderID
 	nextSwap  uint64
 	inflight  int // cleared jobs queued or executing
-	minted    []mintRec
+	minted    []Minted
 	// killed marks a crash-model shutdown (Kill): intake and clearing are
 	// dead, but pending orders are deliberately left unresolved — they are
 	// the recovery subsystem's input, not Drain's.
@@ -983,7 +985,7 @@ func (e *Engine) bookOrder(offer core.Offer, id OrderID, tick vtime.Ticks, wall 
 		if err := ch.RegisterAsset(chain.Asset{ID: tr.Asset, Amount: tr.Amount}, offer.Party); err != nil {
 			return 0, fmt.Errorf("engine: minting %s/%s: %w", tr.Chain, tr.Asset, err)
 		}
-		e.minted = append(e.minted, mintRec{chain: tr.Chain, asset: tr.Asset, amount: tr.Amount})
+		e.minted = append(e.minted, Minted{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
 		e.logEvent(Event{
 			Kind: EvMinted, Tick: e.sched.Now(),
 			Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount,
@@ -1845,30 +1847,41 @@ func (e *Engine) Recovered() bool { return e.recovered }
 
 func (e *Engine) verifyLedgers(strandCheck bool) error {
 	e.mu.Lock()
-	minted := append([]mintRec(nil), e.minted...)
+	minted := append([]Minted(nil), e.minted...)
 	quiescent := e.inflight == 0
 	e.mu.Unlock()
+	if err := VerifyMinted(e.reg, minted, strandCheck, quiescent); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	return nil
+}
 
-	if !e.reg.VerifyAllLedgers() {
-		return errors.New("engine: ledger hash chain broken")
+// VerifyMinted is the audit behind VerifyConservation and
+// VerifyLedgerIntegrity, over any set of minted assets on reg — an
+// engine's own, or the ones a sharded recovery re-minted on the registry
+// its engines share: every ledger's hash chain is intact and every asset
+// still exists exactly once with its minted amount and an owner; with
+// strandCheck on a quiescent registry, that owner is a party.
+func VerifyMinted(reg *chain.Registry, minted []Minted, strandCheck, quiescent bool) error {
+	if !reg.VerifyAllLedgers() {
+		return errors.New("ledger hash chain broken")
 	}
 	for _, m := range minted {
-		ch := e.reg.Chain(m.chain)
-		a, ok := ch.Asset(m.asset)
+		ch := reg.Chain(m.Chain)
+		a, ok := ch.Asset(m.Asset)
 		if !ok {
-			return fmt.Errorf("engine: minted asset %s/%s vanished", m.chain, m.asset)
+			return fmt.Errorf("minted asset %s/%s vanished", m.Chain, m.Asset)
 		}
-		if a.Amount != m.amount {
-			return fmt.Errorf("engine: asset %s/%s amount changed: minted %d, now %d",
-				m.chain, m.asset, m.amount, a.Amount)
+		if a.Amount != m.Amount {
+			return fmt.Errorf("asset %s/%s amount changed: minted %d, now %d",
+				m.Chain, m.Asset, m.Amount, a.Amount)
 		}
-		owner, ok := ch.OwnerOf(m.asset)
+		owner, ok := ch.OwnerOf(m.Asset)
 		if !ok {
-			return fmt.Errorf("engine: asset %s/%s has no owner", m.chain, m.asset)
+			return fmt.Errorf("asset %s/%s has no owner", m.Chain, m.Asset)
 		}
 		if strandCheck && quiescent && owner.Kind != chain.OwnerParty {
-			return fmt.Errorf("engine: asset %s/%s stranded in escrow (%s)",
-				m.chain, m.asset, owner)
+			return fmt.Errorf("asset %s/%s stranded in escrow (%s)", m.Chain, m.Asset, owner)
 		}
 	}
 	return nil

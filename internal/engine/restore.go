@@ -50,10 +50,8 @@ type RecoveredIdentity struct {
 // an "escrow:<swap>" pseudo-party for assets stranded in contract escrow
 // by a deviant before the crash.
 type RecoveredAsset struct {
-	Chain  string
-	Asset  chain.AssetID
-	Amount uint64
-	Owner  string
+	Minted
+	Owner string
 }
 
 // RecoveredOrder is one order's recovered terminal (or pending) state.
@@ -87,7 +85,7 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 		return nil, err
 	}
 	for _, a := range st.Assets {
-		e.minted = append(e.minted, mintRec{chain: a.Chain, asset: a.Asset, amount: a.Amount})
+		e.minted = append(e.minted, a.Minted)
 	}
 
 	now := time.Now()

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
@@ -84,7 +85,7 @@ func TestStrategiesApplyOnBothProtocols(t *testing.T) {
 				if !ok {
 					continue
 				}
-				r := core.NewRunner(setup, core.Options{})
+				r := conc.NewRunner(setup)
 				r.SetBehavior(v, b)
 				res, err := r.Run()
 				if err != nil {

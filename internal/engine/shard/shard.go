@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -108,7 +107,7 @@ type ShardedEngine struct {
 	// recovery-time re-mint audit list (the inner engines' own minted
 	// lists only cover post-recovery intake — see NewRecovered).
 	recovered bool
-	recMinted []engine.RecoveredAsset
+	recMinted []engine.Minted
 }
 
 // New creates a sharded engine. Call Start, Submit from any goroutine,
@@ -249,7 +248,9 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		if err := rst.RestoreShared(s.keyring, s.reg, s.sch); err != nil {
 			return nil, err
 		}
-		s.recMinted = rst.Assets
+		for _, a := range rst.Assets {
+			s.recMinted = append(s.recMinted, a.Minted)
+		}
 		s.nextID.Store(rst.NextOrder)
 	}
 	// Identity persistence is wired AFTER restore: a restored identity is
@@ -648,28 +649,8 @@ func (s *ShardedEngine) verifyLedgers(strandCheck bool) error {
 	if len(s.recMinted) == 0 {
 		return nil
 	}
-	if !s.reg.VerifyAllLedgers() {
-		return errors.New("shard: ledger hash chain broken")
-	}
-	quiescent := s.InFlight() == 0
-	for _, m := range s.recMinted {
-		ch := s.reg.Chain(m.Chain)
-		a, ok := ch.Asset(m.Asset)
-		if !ok {
-			return fmt.Errorf("shard: recovered asset %s/%s vanished", m.Chain, m.Asset)
-		}
-		if a.Amount != m.Amount {
-			return fmt.Errorf("shard: recovered asset %s/%s amount changed: minted %d, now %d",
-				m.Chain, m.Asset, m.Amount, a.Amount)
-		}
-		owner, ok := ch.OwnerOf(m.Asset)
-		if !ok {
-			return fmt.Errorf("shard: recovered asset %s/%s has no owner", m.Chain, m.Asset)
-		}
-		if strandCheck && quiescent && owner.Kind != chain.OwnerParty {
-			return fmt.Errorf("shard: recovered asset %s/%s stranded in escrow (%s)",
-				m.Chain, m.Asset, owner)
-		}
+	if err := engine.VerifyMinted(s.reg, s.recMinted, strandCheck, s.InFlight() == 0); err != nil {
+		return fmt.Errorf("shard: recovered: %w", err)
 	}
 	return nil
 }

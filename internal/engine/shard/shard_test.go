@@ -2,15 +2,17 @@ package shard
 
 import (
 	"context"
-	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
+	"github.com/go-atomicswap/atomicswap/internal/htlc"
 )
 
 func detConfig(shards int, seed int64) Config {
@@ -245,19 +247,14 @@ func TestShardSignsPerSwap(t *testing.T) {
 	}
 }
 
-// TestShardCrashRecovery: kill the whole sharded deployment mid-run and
-// rebuild it from the single shared WAL. Recovery folds the log once,
-// re-partitions orders by the same asset→shard map, restores identities
-// into the shared keyring, and the second life drains every resumed or
-// still-pending order with ledgers intact — including orders that had
-// already escalated to the coordinator before the crash (they fold back
-// to their home shards and re-escalate by age).
-func TestShardCrashRecovery(t *testing.T) {
-	dir, err := os.MkdirTemp("", "shard-crash-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
+// crashAndRecover runs the first life of a two-shard deployment over a
+// durable store — six rings, half of them cross-shard so escalation state
+// is live — kills it mid-clearing from a scheduler callback (one
+// well-defined cut tick across all engines), then recovers the WAL onto
+// four shards, runs that second life to quiescence and stops it.
+func crashAndRecover(t *testing.T) (*ShardedEngine, *durable.Recovery) {
+	t.Helper()
+	dir := t.TempDir()
 	store, err := durable.Open(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -272,13 +269,11 @@ func TestShardCrashRecovery(t *testing.T) {
 	pool := s.ShardMap().Pools(2)
 	for ring := 0; ring < 6; ring++ {
 		chains := pool[ring%2]
-		if ring%2 == 0 { // half the rings are cross-shard: they exercise escalation state
+		if ring%2 == 0 {
 			chains = []string{pool[0][0], pool[1][0]}
 		}
 		submitRing(t, s, ring, 3, chains)
 	}
-	// Crash from a scheduler callback so the cut is one well-defined tick
-	// across all engines, mid-clearing rather than at quiescence.
 	cutCh := make(chan struct{})
 	var cut = s.Scheduler().Now()
 	s.Scheduler().At(cut.Add(6), func() {
@@ -306,17 +301,29 @@ func TestShardCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Recovered() {
-		t.Fatal("recovered engine does not report Recovered")
-	}
-	if rec.Events == 0 {
-		t.Fatal("recovery replayed no events")
-	}
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Stop(ctx); err != nil {
 		t.Fatal(err)
+	}
+	return b, rec
+}
+
+// TestShardCrashRecovery: kill the whole sharded deployment mid-run and
+// rebuild it from the single shared WAL. Recovery folds the log once,
+// re-partitions orders by the same asset→shard map, restores identities
+// into the shared keyring, and the second life drains every resumed or
+// still-pending order with ledgers intact — including orders that had
+// already escalated to the coordinator before the crash (they fold back
+// to their home shards and re-escalate by age).
+func TestShardCrashRecovery(t *testing.T) {
+	b, rec := crashAndRecover(t)
+	if !b.Recovered() {
+		t.Fatal("recovered engine does not report Recovered")
+	}
+	if rec.Events == 0 {
+		t.Fatal("recovery replayed no events")
 	}
 	if err := b.VerifyLedgerIntegrity(); err != nil {
 		t.Fatal(err)
@@ -335,6 +342,44 @@ func TestShardCrashRecovery(t *testing.T) {
 	rep := b.Report()
 	if rep.SwapsFailed > 0 {
 		t.Fatalf("%d swaps failed after recovery", rep.SwapsFailed)
+	}
+}
+
+// TestShardAuditCatchesTamperedRecoveredAsset: the assets a recovery
+// re-mints sit on no inner engine's audit list, so the sharded entry point
+// audits them itself, with the engine's own audit (engine.VerifyMinted).
+// Lock one of them into a contract nobody will ever settle: the quiescent
+// conservation audit must name it stranded, and the integrity audit — which
+// allows stranded escrow — must still pass.
+func TestShardAuditCatchesTamperedRecoveredAsset(t *testing.T) {
+	b, _ := crashAndRecover(t)
+	if err := b.VerifyConservation(); err != nil {
+		t.Fatalf("before tampering: %v", err)
+	}
+	if len(b.recMinted) == 0 {
+		t.Fatal("recovery re-minted nothing")
+	}
+	m := b.recMinted[0]
+	ch := b.Registry().Chain(m.Chain)
+	owner, _ := ch.OwnerOf(m.Asset)
+	if owner.Kind != chain.OwnerParty {
+		t.Fatalf("recovered asset %s/%s not party-owned after a clean second life: %v", m.Chain, m.Asset, owner)
+	}
+	trap, err := htlc.NewHTLC(htlc.HTLCParams{
+		ID: "trap", Timeout: 1 << 40, Party: owner.Party, Counter: "nobody", Asset: m.Asset,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.PublishContract(owner.Party, trap); err != nil {
+		t.Fatal(err)
+	}
+	err = b.VerifyConservation()
+	if err == nil || !strings.Contains(err.Error(), "shard: recovered") || !strings.Contains(err.Error(), "stranded in escrow") {
+		t.Fatalf("conservation audit over a trapped recovered asset: %v", err)
+	}
+	if err := b.VerifyLedgerIntegrity(); err != nil {
+		t.Fatalf("integrity audit must allow stranded escrow: %v", err)
 	}
 }
 

@@ -3,11 +3,15 @@ package expt
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
+	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
+	"github.com/go-atomicswap/atomicswap/internal/htlc"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
 	"github.com/go-atomicswap/atomicswap/internal/trace"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -48,7 +52,7 @@ func conformingRun(d *digraph.Digraph, cfg core.Config, seed int64) (*core.Setup
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.NewRunner(setup, core.Options{}).Run()
+	res, err := conc.NewRunner(setup).Run()
 	return setup, res, err
 }
 
@@ -73,12 +77,28 @@ func E1Timeline() (*Table, error) {
 			a := setup.Spec.D.Arc(ev.Arc)
 			arc = fmt.Sprintf("%s->%s", setup.Spec.D.Name(a.Head), setup.Spec.D.Name(a.Tail))
 		}
-		t.AddRow(vtime.InDelta(ev.At.Sub(setup.Spec.Start), setup.Spec.Delta), ev.Kind, ev.Party, arc, ev.Detail)
+		detail := ev.Detail
+		if ev.Kind == trace.KindUnlocked {
+			detail = unlockPath(setup.Spec, res.Registry, ev.Arc, ev.Lock)
+		}
+		t.AddRow(vtime.InDelta(ev.At.Sub(setup.Spec.Start), setup.Spec.Delta), ev.Kind, ev.Party, arc, detail)
 	}
 	t.Notes = append(t.Notes,
 		"deploys run leader->follower (lazy pebble game), unlocks run backwards (eager game on the transpose)",
 		fmt.Sprintf("all parties Deal: %v; paper predicts completion ≤ 2·diam·Δ = 4Δ", res.Report.AllDeal()))
 	return t, nil
+}
+
+// unlockPath reads the hashkey path that opened a lock off the arc's public
+// ledger: the unlock record's note ends in it.
+func unlockPath(spec *core.Spec, reg *chain.Registry, arc, lock int) string {
+	opened := fmt.Sprintf("%s: hashlock %d opened, ", htlc.MethodUnlock, lock)
+	for _, rec := range reg.Chain(spec.Assets[arc].Chain).Records() {
+		if path, ok := strings.CutPrefix(rec.Note, opened); ok && rec.Contract == spec.ContractID(arc) {
+			return path
+		}
+	}
+	return ""
 }
 
 // E2CompletionTime measures Theorem 4.7: all-conforming completion within
@@ -168,27 +188,27 @@ func E5AdversarialMatrix() (*Table, error) {
 		name  string
 		d     *digraph.Digraph
 		kind  core.Kind
-		apply func(*core.Setup, *core.Runner)
+		apply func(*core.Setup, *conc.Runner)
 	}
 	scenarios := []scenario{
 		{
 			name: "halt before start",
 			d:    graphgen.ThreeWay(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(1, adversary.HaltAt(core.NewConforming(), 0))
 			},
 		},
 		{
 			name: "halt mid Phase Two",
 			d:    graphgen.ThreeWay(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(2, adversary.HaltAt(core.NewConforming(), s.Spec.Start.Add(vtime.Scale(2, s.Spec.Delta)).Add(5)))
 			},
 		},
 		{
 			name: "silent leader (griefing)",
 			d:    graphgen.ThreeWay(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				idx, _ := s.Spec.LeaderIndex(0)
 				r.SetBehavior(0, adversary.SilentLeader(idx))
 			},
@@ -196,28 +216,28 @@ func E5AdversarialMatrix() (*Table, error) {
 		{
 			name: "withhold all publications",
 			d:    graphgen.TwoLeaderTriangle(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(2, adversary.WithholdPublications())
 			},
 		},
 		{
 			name: "never claim",
 			d:    graphgen.ThreeWay(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(1, adversary.NoClaim())
 			},
 		},
 		{
 			name: "last-moment unlocks",
 			d:    graphgen.ThreeWay(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(2, adversary.LastMomentUnlocker())
 			},
 		},
 		{
 			name: "two-member coalition, drops+shares",
 			d:    graphgen.TwoLeaderTriangle(),
-			apply: func(s *core.Setup, r *core.Runner) {
+			apply: func(s *core.Setup, r *conc.Runner) {
 				for v, b := range adversary.Coalition(adversary.CoalitionConfig{
 					Setup: s, Members: []digraph.Vertex{0, 2}, Seed: 11, DropProb: 0.5, HaltProb: 0,
 				}) {
@@ -235,7 +255,7 @@ func E5AdversarialMatrix() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.name, err)
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		sc.apply(setup, r)
 		res, err := r.Run()
 		if err != nil {
@@ -274,7 +294,7 @@ func E6NonStronglyConnected() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.NewRunner(setup, core.Options{}).Run()
+	res, err := conc.NewRunner(setup).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +327,7 @@ func E7LeadersNotFVS() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := core.NewRunner(setup, core.Options{})
+	runner := conc.NewRunner(setup)
 	res, err := runner.Run()
 	if err != nil {
 		return nil, err
@@ -371,7 +391,7 @@ func E8SingleLeaderStaircase() (*Table, error) {
 			vtime.InDelta(setup.Spec.HTLCTimeout(id).Add(-1).Sub(setup.Spec.Start), setup.Spec.Delta),
 			vtime.InDelta(vtime.Scale(setup.Spec.DiamBound+dist[arc.Tail]+1, setup.Spec.Delta), setup.Spec.Delta))
 	}
-	res, err := core.NewRunner(setup, core.Options{}).Run()
+	res, err := conc.NewRunner(setup).Run()
 	if err != nil {
 		return nil, err
 	}

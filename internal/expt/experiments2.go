@@ -6,6 +6,7 @@ import (
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
 	"github.com/go-atomicswap/atomicswap/internal/baseline"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
@@ -113,7 +114,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		r.SetBehavior(2, adversary.LastMomentRedeemer())
 		res, err := r.Run()
 		if err != nil {
@@ -131,7 +132,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		r.SetBehavior(2, adversary.LastMomentRedeemer())
 		res, err := r.Run()
 		if err != nil {
@@ -148,7 +149,7 @@ func E11TimeoutAttacks() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		r.SetBehavior(2, adversary.LastMomentUnlocker())
 		res, err := r.Run()
 		if err != nil {
@@ -188,7 +189,7 @@ func E12GriefingLockup() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		haltAt := setup.Spec.Start.Add(vtime.Scale(haltDelta, setup.Spec.Delta)).Add(5)
 		r.SetBehavior(2, adversary.HaltAt(core.NewConforming(), haltAt))
 		res, err := r.Run()
@@ -220,7 +221,7 @@ func E13RecurrentSwaps() (*Table, error) {
 	d := graphgen.ThreeWay()
 	const rounds = 5
 	for _, piggy := range []bool{true, false} {
-		res, err := core.RunRecurrent(d, rounds, piggy, rand.New(rand.NewSource(18)))
+		res, err := conc.RunRecurrent(d, rounds, piggy, rand.New(rand.NewSource(18)))
 		if err != nil {
 			return nil, err
 		}

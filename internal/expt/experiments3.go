@@ -7,6 +7,7 @@ import (
 
 	"github.com/go-atomicswap/atomicswap/internal/adversary"
 	"github.com/go-atomicswap/atomicswap/internal/audit"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
@@ -24,18 +25,18 @@ func E17FaultAttribution() (*Table, error) {
 	type scenario struct {
 		name     string
 		deviator digraph.Vertex
-		rig      func(*core.Setup, *core.Runner)
+		rig      func(*core.Setup, *conc.Runner)
 	}
 	scenarios := []scenario{
 		{
 			name:     "all conforming",
 			deviator: -1,
-			rig:      func(*core.Setup, *core.Runner) {},
+			rig:      func(*core.Setup, *conc.Runner) {},
 		},
 		{
 			name:     "silent leader",
 			deviator: 0,
-			rig: func(s *core.Setup, r *core.Runner) {
+			rig: func(s *core.Setup, r *conc.Runner) {
 				idx, _ := s.Spec.LeaderIndex(0)
 				r.SetBehavior(0, adversary.SilentLeader(idx))
 			},
@@ -43,21 +44,21 @@ func E17FaultAttribution() (*Table, error) {
 		{
 			name:     "withheld publication",
 			deviator: 1,
-			rig: func(s *core.Setup, r *core.Runner) {
+			rig: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(1, adversary.WithholdPublications())
 			},
 		},
 		{
 			name:     "crash during Phase Two",
 			deviator: 2,
-			rig: func(s *core.Setup, r *core.Runner) {
+			rig: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(2, adversary.HaltAt(core.NewConforming(), 125))
 			},
 		},
 		{
 			name:     "corrupt contract",
 			deviator: 0,
-			rig: func(s *core.Setup, r *core.Runner) {
+			rig: func(s *core.Setup, r *conc.Runner) {
 				r.SetBehavior(0, adversary.CorruptPublisher())
 			},
 		},
@@ -69,7 +70,7 @@ func E17FaultAttribution() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.NewRunner(setup, core.Options{})
+		r := conc.NewRunner(setup)
 		sc.rig(setup, r)
 		res, err := r.Run()
 		if err != nil {

@@ -35,9 +35,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // TestTablesGolden pins every experiment table, byte for byte, to the
 // `go run ./cmd/swapbench` output kept in testdata/tables.golden: the
-// tables are a pure function of the exact-Δ reference runtime's event
-// order, so any reordering in the scheduler underneath core.Runner shows
-// up here.
+// tables are a pure function of conc.Runner's event order, so any
+// reordering in the runtime or the scheduler underneath it shows up here.
 func TestTablesGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/tables.golden")
 	if err != nil {

@@ -4,8 +4,8 @@
 // parameter, every deadline an integer multiple of it. This package is the
 // one realization of that tick: a Scheduler tells the current virtual tick
 // and runs callbacks at future ticks, with cancellable timers and no
-// sleeping. Every runtime — the exact-Δ reference runner in core, the
-// party runtime in conc, the clearing engine — is written against it.
+// sleeping. Everything that runs — the swap runtime in conc, on its own for
+// a Runner or shared by the clearing engine — is written against it.
 //
 // Two implementations exist, and every layer above derives its behaviour
 // from which one it was handed:

@@ -75,7 +75,7 @@ func referenceRun(t *testing.T, name string, d *atomicswap.Digraph, kind atomics
 		t.Fatalf("%s: %v", name, err)
 	}
 	spec := setup.Spec
-	r := atomicswap.NewRunner(setup, atomicswap.Options{})
+	r := atomicswap.NewRunner(setup)
 	if rd := referenceDeviations[dev]; rd.b != nil {
 		v := spec.Leaders[0]
 		if !rd.leader {
