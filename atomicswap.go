@@ -255,7 +255,7 @@ func Settle(spec *Spec, faults []Fault, bond uint64) *Settlement {
 }
 
 // The same runtime on a scheduler and chains the caller may share: by
-// default one goroutine per party and Δ mapped to wall-clock time.
+// default a scheduler of its own with Δ mapped to wall-clock time.
 type (
 	// ConcConfig parameterizes a concurrent run.
 	ConcConfig = conc.Config
@@ -263,8 +263,8 @@ type (
 	ConcResult = conc.Result
 )
 
-// RunConcurrent executes the setup with goroutine-backed parties.
-// Behaviors defaults to conforming; entries override per vertex.
+// RunConcurrent executes the setup on cfg's scheduler and chains, many
+// runs at once if they are shared. Behaviors defaults to conforming; entries override per vertex.
 func RunConcurrent(setup *Setup, behaviors map[Vertex]Behavior, cfg ConcConfig) (*ConcResult, error) {
 	return conc.Run(setup, behaviors, cfg)
 }

@@ -151,8 +151,8 @@ func BenchmarkRecurrent(b *testing.B) {
 // harness under benchmark/ cannot make: what a conservatively wide fixed Δ
 // costs in wall-clock settle latency, and how much of it the observed-
 // latency controller gives back. Both sides run the same open-loop Poisson
-// load on the real-time scheduler from a wide production Δ (100 ticks),
-// clearing at most a worker's worth of swaps ahead; the adaptive engine
+// load on the wall-paced scheduler from a wide production Δ (100 ticks),
+// with at most a worker's worth of swaps live; the adaptive engine
 // shrinks Δ toward the delivery latency it actually observes, the fixed one
 // pays the full width on every swap. Wall-clock numbers: run with
 // -benchtime=1x or a small count.
@@ -174,7 +174,7 @@ func BenchmarkAdaptiveDelta(b *testing.B) {
 					ClearInterval: time.Millisecond,
 					MaxBatch:      4096,
 					Seed:          7,
-					MaxClearAhead: 8,
+					MaxLive:       8,
 					AdaptiveDelta: adaptive,
 					MinDelta:      8,
 				}, loadgen.Config{

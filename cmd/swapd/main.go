@@ -7,7 +7,7 @@
 //
 //	swapd [-offers 3000] [-workers 64] [-adversary 0.1] [-conflicts 0.05]
 //	      [-tick 2ms] [-delta 30] [-vtime] [-adaptive-delta]
-//	      [-clear-ahead 64] [-seed 1] [-json]
+//	      [-seed 1] [-json]
 //	swapd -arrival-rate 2000 [-profile poisson] [-party-pool 64]
 //	      [-max-pending 4096] ...
 //	swapd -shards 4 [-cross-ratio 0.1] ...
@@ -159,9 +159,8 @@ func main() {
 		conflicts = flag.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
 		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
 		delta     = flag.Int("delta", 30, "per-swap delta in ticks")
-		vtimeMode = flag.Bool("vtime", false, "run on virtual time, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable; -clear-ahead is ignored)")
+		vtimeMode = flag.Bool("vtime", false, "run on a free clock, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable) instead of one paced by the wall at -tick")
 		adaptive  = flag.Bool("adaptive-delta", false, "adapt delta each clearing round from observed delivery latency")
-		clrAhead  = flag.Int("clear-ahead", 0, "max swaps cleared ahead of execution on the real-time scheduler (0 = unlimited; adaptive-delta defaults it to workers)")
 		seed      = flag.Int64("seed", 1, "load-generation seed")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "drain deadline")
@@ -204,7 +203,6 @@ func main() {
 		Seed:          *seed,
 		Parallel:      *vtimeMode,
 		AdaptiveDelta: *adaptive,
-		MaxClearAhead: *clrAhead,
 		Commitment: engine.CommitmentConfig{
 			ConfirmDepth: vtime.Duration(*confirmDepth),
 			ReorgRate:    *reorgRate,

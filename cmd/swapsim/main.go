@@ -1,6 +1,6 @@
 // Command swapsim runs one atomic cross-chain swap scenario — under the
-// deterministic simulator, or with -concurrent on goroutine parties and
-// wall-clock Δ — and prints the event trace and per-party outcomes.
+// deterministic simulator, or with -concurrent on a clock paced by the
+// wall — and prints the event trace and per-party outcomes.
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 //	-delta     Δ in ticks
 //	-broadcast enable the Section 4.5 broadcast optimization
 //	-audit     run ledger fault attribution after the swap
-//	-concurrent goroutine parties on wall-clock Δ instead of the simulator
+//	-concurrent Δ on the wall clock instead of the simulator
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 		delta      = flag.Int64("delta", 10, "Δ in ticks")
 		broadcast  = flag.Bool("broadcast", false, "enable the broadcast optimization")
 		doAudit    = flag.Bool("audit", false, "run ledger fault attribution after the swap")
-		concurrent = flag.Bool("concurrent", false, "run with goroutine parties on wall-clock Δ instead of the simulator")
+		concurrent = flag.Bool("concurrent", false, "run with Δ on the wall clock instead of the simulator")
 	)
 	flag.Parse()
 	if err := run(os.Stdout, *scenario, *kindName, *adv, *seed, *delta, *broadcast, *doAudit, *concurrent); err != nil {
@@ -75,12 +75,12 @@ func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadca
 	// One runtime either way; the flag picks its scheduler. The Runner is
 	// the paper's model — a private serial scheduler, every notification
 	// exactly Δ after its chain event — and the only one that tallies call
-	// counters; -concurrent puts the same parties on goroutines with Δ on
-	// the wall clock.
+	// counters; -concurrent paces the same run by the wall clock, with the
+	// delivery margins a shared scheduler needs.
 	var res *atomicswap.Result
 	on := ""
 	if concurrent {
-		on = "  (goroutine parties, Δ on the wall clock)"
+		on = "  (Δ on the wall clock)"
 		cr, err := atomicswap.RunConcurrent(setup, behaviors, atomicswap.ConcConfig{})
 		if err != nil {
 			return err

@@ -8,24 +8,18 @@
 // paper's model of one swap alone: a private serial scheduler, a private
 // registry, and every notification landing exactly Δ after its chain event.
 //
-// How deliveries reach a party follows from the scheduler the run is
-// handed; there is no option for it:
-//
-//   - sched.Real (the default): ticks map onto wall-clock time and timer
-//     callbacks arrive on arbitrary goroutines, so each party is its own
-//     mailbox goroutine and every delivery is handed to it. Runs are not
-//     tick-deterministic (real scheduling jitter exists below the Δ
-//     scale), so tests assert outcomes rather than traces. Pick a tick
-//     duration comfortably above scheduler noise.
-//   - *sched.Virtual: the scheduler already runs a stripe's events one at
-//     a time in scheduling order, so a delivery simply executes inside its
-//     scheduler event, on the dispatcher (or the run's stripe worker), at
-//     exactly its scheduled tick. No party goroutines exist, and a run is
-//     a pure function of what was scheduled.
+// There is one delivery shape. A sched.Virtual already runs a stripe's
+// events one at a time in scheduling order, so a delivery simply executes
+// inside its scheduler event, on the dispatcher (or the run's stripe worker),
+// at its scheduled tick: no party goroutines exist, and behaviors stay
+// single-threaded because the run's events share a stripe. On a free clock a
+// run is then a pure function of what was scheduled. On a paced one
+// (sched.NewPaced, what a run builds for itself from Config.Tick) ticks are
+// wall time and an event can run late, so tests assert outcomes rather than
+// traces: pick a tick duration comfortably above scheduler noise.
 package conc
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,9 +41,9 @@ const DefaultTick = sched.DefaultTick
 
 // Config parameterizes a concurrent run.
 type Config struct {
-	// Tick is the wall duration of one virtual tick (DefaultTick if 0),
-	// used to build the default real-time scheduler. Ignored when
-	// Scheduler is set.
+	// Tick is the wall duration of one tick (DefaultTick if 0) of the paced
+	// scheduler a run builds for itself, and closes in Wait, when Scheduler
+	// is nil. Ignored when Scheduler is set.
 	Tick time.Duration
 	// Registry, when set, is a shared chain registry: assets already
 	// registered on it are reused (their ownership is verified). A run
@@ -58,12 +52,12 @@ type Config struct {
 	// engine's mode. Nil gives the run a private registry.
 	Registry *chain.Registry
 	// Scheduler, when set, is a shared time source so concurrent runs
-	// agree on virtual time: sched.NewReal for wall-clock execution (what
+	// agree on virtual time: sched.NewPaced for wall-clock execution (what
 	// a standalone run builds by default from Tick), sched.NewVirtual for
-	// event-driven time that advances as fast as callbacks drain. Its type
-	// also decides the delivery shape (see the package comment). The spec's
-	// Start must be in the scheduler's future (or use StartOffset).
-	Scheduler sched.Scheduler
+	// event-driven time that advances as fast as callbacks drain. The
+	// caller closes it. The spec's Start must be in the scheduler's future
+	// (or use StartOffset).
+	Scheduler *sched.Virtual
 	// StartOffset, when positive, pins spec.Start to the scheduler's
 	// current tick plus the offset, atomically with run setup. Under
 	// virtual time this is the only safe way to pin a start (the clock
@@ -84,9 +78,9 @@ type Config struct {
 	// shared cache, which is the desired behavior for engine-owned
 	// setups (one per cleared swap).
 	Cache *hashkey.VerifyCache
-	// StripeKey, when nonzero on a *sched.Virtual, tags every scheduler
-	// event of this run with the key. Under striped dispatch
-	// (sched.NewVirtual with workers > 1) the run's events then serialize
+	// StripeKey, when nonzero, tags every scheduler event of this run with
+	// the key. Under striped dispatch (a scheduler with workers > 1) the
+	// run's events then serialize
 	// among themselves in schedule order while distinct runs — distinct
 	// swaps, in the engine — execute concurrently. Zero joins the shared
 	// unkeyed stripe.
@@ -207,17 +201,15 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 const horizonPad = 2
 
 // Prepare sets a concurrent run up — registers or verifies assets,
-// spawns the party goroutines a real-time scheduler needs, schedules the
-// protocol start — and returns without waiting for it. Setup runs
+// schedules the protocol start — and returns without waiting for it. Setup runs
 // atomically under a scheduler hold, so under virtual time the protocol
 // start is pinned relative to the scheduler's tick at the moment Prepare
 // was called.
 //
 // The run is laid out from the spec's shape in a constant number of
 // allocations: the runner, its parties by value, one record per arc (chain
-// handle, delivery margin, contract route, escrow span), and — on a
-// virtual scheduler — a slab holding every delivery a conforming run of
-// this shape makes. Nothing is kept from one run to the next.
+// handle, delivery margin, contract route, escrow span), and a slab holding
+// every delivery a conforming run of this shape makes. Nothing is kept from one run to the next.
 func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Running, error) {
 	return prepare(setup, behaviors, cfg, false)
 }
@@ -233,9 +225,9 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		spec.Cache = cfg.Cache
 	}
 
-	scheduler := cfg.Scheduler
+	scheduler, own := cfg.Scheduler, false
 	if scheduler == nil {
-		scheduler = sched.NewReal(cfg.Tick)
+		scheduler, own = sched.NewPaced(1, cfg.Tick), true
 	}
 	log := cfg.Log
 	if log == nil {
@@ -246,6 +238,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		setup:     setup,
 		spec:      spec,
 		sched:     scheduler,
+		ownSched:  own,
 		stripe:    cfg.StripeKey,
 		log:       log,
 		arcs:      make([]arcRun, nArcs),
@@ -258,14 +251,16 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	if cfg.EarlyExit {
 		r.done = make(chan struct{})
 	}
-	// A virtual scheduler serializes each stripe's events itself: party
-	// callbacks run directly inside them, and no mailbox goroutine exists.
-	r.virtual, _ = scheduler.(*sched.Virtual)
-
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
 	release := scheduler.Hold()
 	defer release() // no-op after the explicit release below
+	fail := func(err error) (*Running, error) {
+		if own {
+			scheduler.Close()
+		}
+		return nil, err
+	}
 	if cfg.StartOffset > 0 {
 		spec.SetStart(scheduler.Now().Add(cfg.StartOffset))
 	}
@@ -306,8 +301,8 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			// intake); verify it is what the spec says and who owns it.
 			cur, _ := ch.OwnerOf(aa.Asset)
 			if asset.Amount != aa.Amount || cur != chain.ByParty(owner) {
-				return nil, fmt.Errorf("conc: asset %s/%s mismatch: amount %d owner %s",
-					aa.Chain, aa.Asset, asset.Amount, cur)
+				return fail(fmt.Errorf("conc: asset %s/%s mismatch: amount %d owner %s",
+					aa.Chain, aa.Asset, asset.Amount, cur))
 			}
 			continue
 		}
@@ -316,7 +311,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			Description: fmt.Sprintf("asset for arc %d", id),
 			Amount:      aa.Amount,
 		}, owner); err != nil {
-			return nil, fmt.Errorf("conc: registering assets: %w", err)
+			return fail(fmt.Errorf("conc: registering assets: %w", err))
 		}
 	}
 
@@ -325,16 +320,8 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		r.horizonTick = r.horizonTick.Add(vtime.Scale(horizonPad, spec.Delta))
 	}
 
-	// On a real-time scheduler, one mailbox goroutine per party: all
-	// behavior callbacks and alarms run there, so behaviors stay
-	// single-threaded. On a virtual one the scheduler's same-stripe
-	// serialization is that guarantee instead.
 	r.parties = make([]party, spec.D.NumVertices())
-	if r.virtual != nil {
-		r.slab = make([]delivery, 0, eventBudget(spec))
-	} else {
-		r.ctx, r.cancel = context.WithCancel(context.Background())
-	}
+	r.slab = make([]delivery, 0, eventBudget(spec))
 	for v := range r.parties {
 		p := &r.parties[v]
 		p.runner, p.vertex = r, digraph.Vertex(v)
@@ -342,20 +329,6 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		if p.behavior = behaviors[p.vertex]; p.behavior == nil {
 			p.behavior = core.ConformingFor(spec)
 		}
-		if r.virtual != nil {
-			continue
-		}
-		// A small buffer suffices: deliveries are produced only by timer
-		// callbacks (each with a ctx-cancel escape hatch on its send), and
-		// the party loop drains without ever blocking on another mailbox —
-		// a full buffer is backpressure, not deadlock. An oversized channel
-		// here dominated per-run allocations (~8 KiB × parties × runs).
-		p.mailbox = make(chan *delivery, 16)
-		r.partyWG.Add(1)
-		go func() {
-			defer r.partyWG.Done()
-			p.loop(r.ctx)
-		}()
 	}
 	// One route per contract instead of a blanket subscription: every
 	// record about one of this run's contracts reaches its arc's record in
@@ -385,7 +358,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// degenerate hashkey expires at T + diam·Δ, the very tick Phase One
 	// completes for it).
 	initAt := spec.Start.Add(-vtime.Duration(spec.Delta))
-	r.deliverParties(delivery{at: initAt, kind: deliverInit})
+	r.schedule(delivery{at: initAt, kind: deliverInit})
 	r.schedule(delivery{at: r.horizonTick, kind: deliverHorizon})
 	release()
 
@@ -393,7 +366,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 }
 
 // eventBudget is the number of scheduler events a conforming run of spec
-// makes on a virtual scheduler, which sizes the run's delivery slab: the
+// makes, which sizes the run's delivery slab: the
 // start and the horizon, every refund alarm, and per arc its publication,
 // its reveals (one redeem, or one unlock per hashlock) and its settlement —
 // plus one per leader broadcast. Deviations and reorg re-deliveries can
@@ -431,17 +404,12 @@ func (rn *Running) Wait() *Result {
 	} else {
 		<-r.horizonCh
 	}
-	// Teardown order matters: (1) stop timers so no new callbacks start,
-	// (2) wait out callbacks already past the stop check (their mailbox
-	// sends complete while the parties still drain), (3) cancel and join
-	// the parties. A delivery stranded in a mailbox after that holds
-	// nothing — wall time cannot be held — and is simply dropped, exactly
-	// as run's ctx guard would have dropped it.
+	// Teardown: stop timers so no new callbacks start, then wait out the
+	// callbacks already past the stop check.
 	r.stopTimers()
 	r.fnWG.Wait()
-	if r.cancel != nil {
-		r.cancel()
-		r.partyWG.Wait()
+	if r.ownSched {
+		r.sched.Close()
 	}
 	for id := range r.arcs {
 		r.arcs[id].ch.UnsubscribeContract(r.spec.ContractID(id), &r.arcs[id])
@@ -462,20 +430,15 @@ var runSeq uint64
 type runner struct {
 	setup *core.Setup
 	spec  *core.Spec
-	sched sched.Scheduler
-	// virtual is sched when it is a *sched.Virtual, else nil: deliveries
-	// then execute inside their scheduler event and parties have no
-	// mailbox goroutine. Every event the run schedules carries stripe.
-	virtual *sched.Virtual
-	stripe  uint64
-	reg     *chain.Registry
-	probe   chain.DeliveryProbe
-	log     *trace.Log
-	// ctx, cancel and partyWG belong to the mailbox goroutines of a
-	// real-time run; a virtual run has none and leaves them zero.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	partyWG sync.WaitGroup
+	// sched runs every delivery inside its scheduler event, all of them on
+	// stripe; ownSched marks a scheduler the run built for itself (from
+	// Config.Tick), which Wait closes.
+	sched    *sched.Virtual
+	ownSched bool
+	stripe   uint64
+	reg      *chain.Registry
+	probe    chain.DeliveryProbe
+	log      *trace.Log
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
 	// some arc never resolves. horizonCh closes when the horizon event
 	// fires; horizonOnce guards onHorizon (Config.OnHorizon), normally
@@ -518,9 +481,9 @@ type runner struct {
 	// records themselves) so teardown can cancel their timers in one sweep
 	// instead of leaking them (or, worse, leaving dead events in a
 	// long-lived shared scheduler). fnWG counts timer callbacks past the
-	// stop check, so teardown can wait for their mailbox sends to finish
-	// before the parties stop draining. slab is where a virtual run's
-	// deliveries live: cut in order, never reused, sized by eventBudget.
+	// stop check, so teardown can wait for them to finish. slab is where the
+	// run's deliveries live: cut in order, never reused, sized by
+	// eventBudget.
 	timersMu sync.Mutex
 	live     *delivery
 	stopped  bool
@@ -604,14 +567,13 @@ const (
 // delivery is one scheduled event of a run: what to hand to which parties
 // at which tick, and — while it is outstanding — its scheduler timer and
 // its place in the run's live list. One record replaces a closure per
-// layer; on a virtual scheduler the record is also the scheduler's own
-// queue entry (ev), so a delivery costs the run no allocation at all.
+// layer, and the record is also the scheduler's own queue entry (ev), so a
+// delivery costs the run no allocation at all.
 type delivery struct {
 	ev sched.Event
 	r  *runner
-	// p is the one receiving party: set for alarms and for every delivery
-	// of a real-time run, where each party's mailbox gets its own record.
-	// nil addresses the parties the kind names (see deliverParties).
+	// p is the one receiving party of an alarm; nil addresses the parties
+	// the kind names (see fire).
 	p    *party
 	at   vtime.Ticks
 	kind deliveryKind
@@ -624,7 +586,6 @@ type delivery struct {
 	contract  chain.Contract
 	fn        func()
 
-	timer      sched.Timer // real-time runs only
 	prev, next *delivery
 }
 
@@ -658,11 +619,7 @@ func (r *runner) schedule(d delivery) {
 	}
 	*slot = d
 	slot.r = r
-	if r.virtual != nil {
-		r.virtual.Schedule(&slot.ev, slot.at, r.stripe, slot)
-	} else {
-		slot.timer = r.sched.At(slot.at, slot.Fire)
-	}
+	r.sched.Schedule(&slot.ev, slot.at, r.stripe, slot)
 	slot.next = r.live
 	if r.live != nil {
 		r.live.prev = slot
@@ -678,11 +635,7 @@ func (r *runner) stopTimers() {
 	r.live = nil
 	r.timersMu.Unlock()
 	for d := live; d != nil; d = d.next {
-		if r.virtual != nil {
-			d.ev.Stop()
-		} else {
-			d.timer.Stop()
-		}
+		d.ev.Stop()
 	}
 }
 
@@ -694,11 +647,13 @@ func (r *runner) fireHorizon() {
 }
 
 // fire is d's scheduler callback: it takes d off the live list and hands
-// it to its parties. On a virtual scheduler the event IS their execution —
-// the dispatcher (or this stripe's worker) already holds the clock for the
+// it to the parties its kind names — everyone for an init or a broadcast,
+// else the two ends of d.arc, head first. The event IS their execution: the
+// dispatcher (or this stripe's worker) already holds the clock for the
 // duration of the callback, and same-stripe serialization keeps the
-// behaviors single-threaded: no handoff, no wait. On a real-time one the
-// delivery goes to its party's mailbox goroutine.
+// behaviors single-threaded: no handoff, no wait. One event serves the
+// parties in the order one event per party would have run, each behind its
+// own abandon gate and lag observation.
 func (r *runner) fire(d *delivery) {
 	r.timersMu.Lock()
 	if r.stopped {
@@ -722,11 +677,6 @@ func (r *runner) fire(d *delivery) {
 	case d.kind == deliverHorizon:
 		r.fireHorizon()
 		close(r.horizonCh)
-	case r.virtual == nil:
-		select {
-		case d.p.mailbox <- d:
-		case <-r.ctx.Done():
-		}
 	case d.p != nil:
 		r.run(d, d.p)
 	case d.kind == deliverInit || d.kind == deliverBroadcast:
@@ -740,11 +690,8 @@ func (r *runner) fire(d *delivery) {
 	}
 }
 
-// run makes d's behavior callback for p, on p's thread of control.
+// run makes d's behavior callback for p.
 func (r *runner) run(d *delivery, p *party) {
-	if r.ctx != nil && r.ctx.Err() != nil {
-		return // teardown
-	}
 	// Alarms bypass the abandon gate: refund alarms keep running for
 	// abandoned parties.
 	if d.kind != deliverAlarm && p.abandoned {
@@ -766,33 +713,6 @@ func (r *runner) run(d *delivery, p *party) {
 		p.behavior.OnSettled(p.env(), d.arc, d.claimed)
 	case deliverBroadcast:
 		p.behavior.OnBroadcast(p.env(), d.lock, d.key)
-	}
-}
-
-// deliverParties schedules d for the parties its kind names — everyone for
-// an init or a broadcast, else the two ends of d.arc, head first. Those
-// are deliveries that would sit next to each other in the scheduler's
-// order: same tick, same stripe, consecutive scheduling numbers, nothing
-// able to come between them. On a virtual scheduler they are therefore one
-// event that serves the parties in that order, each behind its own abandon
-// gate and lag observation, and every party's callback sequence is what
-// one event per party gave. A real-time run still hands each party's
-// mailbox its own record.
-func (r *runner) deliverParties(d delivery) {
-	switch {
-	case r.virtual != nil:
-		r.schedule(d)
-	case d.kind == deliverInit || d.kind == deliverBroadcast:
-		for v := range r.parties {
-			d.p = &r.parties[v]
-			r.schedule(d)
-		}
-	default:
-		arc := r.spec.D.Arc(d.arc)
-		d.p = &r.parties[arc.Head]
-		r.schedule(d)
-		d.p = &r.parties[arc.Tail]
-		r.schedule(d)
 	}
 }
 
@@ -915,7 +835,7 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 		if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
 			return // reorg re-publish: parties already saw this contract
 		}
-		r.deliverParties(d)
+		r.schedule(d)
 	case chain.NoteInvocation:
 		switch ev := n.Event.(type) {
 		case htlc.UnlockedEvent:
@@ -924,14 +844,14 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: d.lock}) {
 				return
 			}
-			r.deliverParties(d)
+			r.schedule(d)
 		case htlc.RedeemedEvent:
 			r.notePhase(phaseReveal)
 			d.kind, d.arc, d.key.Secret = deliverRedeem, ev.ArcID, ev.Secret
 			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
 				return
 			}
-			r.deliverParties(d)
+			r.schedule(d)
 		}
 	case chain.NoteTransfer:
 		claimed, ok := r.claimedBy(a, n.Contract)
@@ -940,7 +860,7 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 		}
 		d.kind, d.claimed = deliverSettled, claimed
 		if !r.dupEvent(eventKey{kind: d.kind, arc: d.arc, claimed: claimed}) {
-			r.deliverParties(d)
+			r.schedule(d)
 		}
 		if n.Provisional {
 			return // resolution waits for the transfer to finalize
@@ -987,7 +907,7 @@ func (r *runner) onBroadcast(n chain.Notification) {
 		return // another swap's secret on the shared broadcast chain
 	}
 	r.notePhase(phaseReveal)
-	r.deliverParties(delivery{
+	r.schedule(delivery{
 		at: n.At.Add(r.bcastDelay), probe: r.bcastProbe,
 		kind: deliverBroadcast, lock: msg.LockIndex, key: msg.Key,
 	})
@@ -1041,33 +961,20 @@ func (r *runner) buildResult() *Result {
 	}
 }
 
-// party is one participant: goroutine-backed on a real-time scheduler,
-// mailbox nil on a virtual one, where the scheduler's same-stripe
-// serialization replaces the goroutine.
+// party is one participant. It has no goroutine: the scheduler's
+// same-stripe serialization is its thread of control.
 type party struct {
 	runner    *runner
 	vertex    digraph.Vertex
 	behavior  core.Behavior
-	mailbox   chan *delivery
 	envc      concEnv
-	abandoned bool // touched only on the party goroutine / stripe
-}
-
-func (p *party) loop(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case d := <-p.mailbox:
-			p.runner.run(d, p)
-		}
-	}
+	abandoned bool // touched only on the run's stripe
 }
 
 // env returns the party's cached Env. concEnv is stateless (one back
-// pointer), and every callback of a party is serialized — on its mailbox
-// goroutine or its stripe — so one value per party serves all callbacks
-// without allocating per delivery.
+// pointer), and every callback of a party is serialized on the run's
+// stripe, so one value per party serves all callbacks without allocating
+// per delivery.
 func (p *party) env() core.Env { return &p.envc }
 
 // concEnv implements core.Env against real chains and the shared scheduler.

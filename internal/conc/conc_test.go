@@ -85,21 +85,12 @@ func TestConcurrentBroadcast(t *testing.T) {
 	}
 }
 
-// partyGoroutines reports how many goroutines started by Prepare — the
-// party mailbox loops — are alive, polling for up to two seconds for the
-// count to reach want: a goroutine Wait has joined may still be a few
-// instructions from gone.
-func partyGoroutines(want int) int {
-	n := -1
-	for i := 0; i < 2000 && n != want; i++ {
-		if i > 0 {
-			time.Sleep(time.Millisecond)
-		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		n = strings.Count(string(buf), "created by github.com/go-atomicswap/atomicswap/internal/conc.prepare")
-	}
-	return n
+// partyGoroutines reports how many goroutines started by Prepare are alive:
+// a party has none, on either clock.
+func partyGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by github.com/go-atomicswap/atomicswap/internal/conc.prepare")
 }
 
 // traceKinds collapses a log to the set of event kinds it contains.
@@ -111,59 +102,51 @@ func traceKinds(l *trace.Log) map[trace.Kind]int {
 	return kinds
 }
 
-// TestVirtualRealEquivalence runs the same 3-party swap under the
-// real-time and the virtual-time scheduler: outcomes must be identical
-// per vertex and the runs must produce the same kinds of trace events
-// (counts included — every publish/unlock/claim happens in both worlds).
-// The delivery shape is the one thing that differs, and it follows the
-// scheduler: the virtual run starts no goroutine of its own — deliveries
-// execute inside its scheduler events — and leaves none behind.
-func TestVirtualRealEquivalence(t *testing.T) {
+// TestPacedFreeEquivalence runs the same 3-party swap on a clock paced by
+// the wall and on a free one: outcomes must be identical per vertex and the
+// runs must produce the same kinds of trace events (counts included — every
+// publish/unlock/claim happens in both worlds). The delivery shape is the
+// same too: neither run starts a goroutine of its own — deliveries execute
+// inside scheduler events — and neither leaves one behind.
+func TestPacedFreeEquivalence(t *testing.T) {
 	prepare := func(cfg Config) *Running {
 		setup := concSetup(t, graphgen.ThreeWay(), core.Config{Rand: rand.New(rand.NewSource(9))})
 		rn, err := Prepare(setup, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := partyGoroutines(); n != 0 {
+			t.Errorf("Prepare started %d party goroutines, want 0", n)
+		}
 		return rn
 	}
 	v := sched.NewVirtual(1)
 	defer v.Close()
-	release := v.Hold() // the run cannot start, let alone finish, yet
-	rn := prepare(Config{Scheduler: v})
-	if n := partyGoroutines(0); n != 0 {
-		t.Errorf("Prepare on a virtual scheduler started %d party goroutines, want 0", n)
-	}
-	release()
-	virtual := rn.Wait()
-	rn = prepare(Config{Tick: tick})
-	if n := partyGoroutines(3); n != 3 {
-		t.Errorf("Prepare on a real-time scheduler started %d party goroutines, want 3", n)
-	}
-	real := rn.Wait()
-	if n := partyGoroutines(0); n != 0 {
+	free := prepare(Config{Scheduler: v}).Wait()
+	paced := prepare(Config{Tick: tick}).Wait()
+	if n := partyGoroutines(); n != 0 {
 		t.Errorf("the runs left %d party goroutines behind, want 0", n)
 	}
 
-	if !real.Report.AllDeal() || !virtual.Report.AllDeal() {
-		t.Logf("real:\n%s\nvirtual:\n%s", real.Log.Render(), virtual.Log.Render())
-		t.Fatal("both modes must end AllDeal")
+	if !paced.Report.AllDeal() || !free.Report.AllDeal() {
+		t.Logf("paced:\n%s\nfree:\n%s", paced.Log.Render(), free.Log.Render())
+		t.Fatal("both clocks must end AllDeal")
 	}
 	for _, vx := range []digraph.Vertex{0, 1, 2} {
-		if r, vv := real.Report.Of(vx), virtual.Report.Of(vx); r != vv {
-			t.Errorf("vertex %d: real %v, virtual %v", vx, r, vv)
+		if p, f := paced.Report.Of(vx), free.Report.Of(vx); p != f {
+			t.Errorf("vertex %d: paced %v, free %v", vx, p, f)
 		}
 	}
-	rk, vk := traceKinds(real.Log), traceKinds(virtual.Log)
-	for kind, n := range rk {
-		if vk[kind] != n {
-			t.Errorf("kind %v: real %d events, virtual %d\nreal:\n%s\nvirtual:\n%s",
-				kind, n, vk[kind], real.Log.Render(), virtual.Log.Render())
+	pk, fk := traceKinds(paced.Log), traceKinds(free.Log)
+	for kind, n := range pk {
+		if fk[kind] != n {
+			t.Errorf("kind %v: paced %d events, free %d\npaced:\n%s\nfree:\n%s",
+				kind, n, fk[kind], paced.Log.Render(), free.Log.Render())
 		}
 	}
-	for kind := range vk {
-		if _, ok := rk[kind]; !ok {
-			t.Errorf("kind %v only in virtual run", kind)
+	for kind := range fk {
+		if _, ok := pk[kind]; !ok {
+			t.Errorf("kind %v only in the free run", kind)
 		}
 	}
 }
@@ -198,7 +181,8 @@ func TestEarlyExitSkipsGrace(t *testing.T) {
 		delta    = 40
 		wallTick = 5 * time.Millisecond
 	)
-	s := sched.NewReal(wallTick)
+	s := sched.NewPaced(1, wallTick)
+	defer s.Close()
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Delta: delta})
 	res, err := Run(setup, nil, Config{Scheduler: s, EarlyExit: true})
 	exitTick := s.Now()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -31,12 +32,11 @@ func TestKillRecoverInFlight(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 
-	// Virtual time with a tiny worker pool: one clearing round dispatches
-	// all 120 swaps, so the in-flight count jumps far past 50 while the
-	// two workers have barely started draining the queue — the poll below
-	// catches the threshold immediately instead of racing wall-clock
-	// settles (and the test stays cheap enough not to starve tick-
-	// sensitive tests in concurrently running packages).
+	// A free clock with a tiny worker pool. The whole book goes in under a
+	// hold, so the first clearing round dispatches all 120 swaps, and the
+	// crash is an event of the same schedule, three Δ in — phase one under
+	// way everywhere, no horizon near: the run up to the kill is a function
+	// of the seed, not of how far two workers got.
 	const rings, ringSize = 120, 3
 	cfgA := engine.Config{
 		Workers:       2,
@@ -52,6 +52,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 	if err := a.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
+	release := a.Scheduler().Hold()
 	for r := 0; r < rings; r++ {
 		for i := 0; i < ringSize; i++ {
 			if _, err := a.Submit(engine.LoadOffer(r, i, ringSize, r)); err != nil {
@@ -59,24 +60,25 @@ func TestKillRecoverInFlight(t *testing.T) {
 			}
 		}
 	}
-
-	// Wait for the clearing loop to put at least 50 swaps in flight,
-	// then crash: kill the engine and close the store in the same
-	// breath, so whatever the dying swaps append afterwards never
-	// reaches disk.
-	deadline := time.Now().Add(10 * time.Second)
+	// Crash: kill the engine and close the store in the same breath, so
+	// whatever the dying swaps append afterwards never reaches disk.
 	inflight := 0
-	for time.Now().Before(deadline) {
-		if inflight = a.InFlight(); inflight >= 50 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
+	killed := make(chan struct{})
+	a.Scheduler().At(vtime.Ticks(3*core.DefaultDelta), func() {
+		inflight = a.InFlight()
+		a.Kill()
+		store.Close()
+		close(killed)
+	})
+	release()
+	select {
+	case <-killed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the kill never fired")
 	}
 	if inflight < 50 {
-		t.Fatalf("never reached 50 in-flight swaps (got %d)", inflight)
+		t.Fatalf("the kill found %d swaps in flight, want >= 50", inflight)
 	}
-	a.Kill()
-	store.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

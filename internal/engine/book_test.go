@@ -474,6 +474,52 @@ func TestBookRoundCostIndependentOfDepth(t *testing.T) {
 	runtime.GC()
 }
 
+// TestStuckHeadDoesNotStarveTheBook: what can never match collects at the
+// head of a FIFO book. With more of it than the capacity-limited window
+// holds, a round must look past the window before it calls the book stuck:
+// the rings behind clear, on either clock, and only the remainder is
+// rejected at drain.
+func TestStuckHeadDoesNotStarveTheBook(t *testing.T) {
+	for _, free := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.Deterministic = free
+		cfg.MaxLive = 2 // the window is its 64-offer floor
+		e := New(cfg)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		const partial, rings = 100, 5
+		release := e.sched.Hold()
+		for r := 0; r < partial; r++ {
+			if _, err := e.Submit(LoadOffer(r, 0, 3, r)); err != nil { // a third of a ring
+				t.Fatal(err)
+			}
+		}
+		for r := partial; r < partial+rings; r++ {
+			for i := 0; i < 3; i++ {
+				if _, err := e.Submit(LoadOffer(r, i, 3, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		release()
+		drainAndStop(t, e)
+		settled, rejected := 0, 0
+		for _, o := range e.Orders() {
+			switch o.Status {
+			case StatusSettled:
+				settled++
+			case StatusRejected:
+				rejected++
+			}
+		}
+		if settled != 3*rings || rejected != partial {
+			t.Errorf("free clock %v: %d settled, %d rejected; want the %d ring offers settled and the %d partial ones rejected",
+				free, settled, rejected, 3*rings, partial)
+		}
+	}
+}
+
 // TestBookConcurrentUse reaches the book from everywhere the engine does
 // at once — intake goroutines, the clearing callback (dispatch, and the
 // rejection of orders whose asset an earlier swap spent), an escalation
@@ -498,10 +544,12 @@ func TestBookConcurrentUse(t *testing.T) {
 			escalated.Add(int64(len(e.TakeEscalatable(now - 40))))
 		}
 		if !intakeDone.Load() || e.Pending() > 0 {
-			e.vsched.AtTailN(now+5, 2, 1, sweep)
+			e.sched.AtTailN(now+5, 2, 1, sweep)
 		}
 	}
-	e.vsched.AtTailN(5, 2, 1, sweep)
+	e.sched.AtTailN(5, 2, 1, sweep)
+	// Intake racing a running clock is the test: let go of the birth hold.
+	e.sched.Hold()()
 
 	var readers, intake sync.WaitGroup
 	readers.Add(1)

@@ -9,8 +9,8 @@
 //
 // The pipeline is
 //
-//	Submit → pending book → clearing round → reservation → executor pool
-//	       → conc.Run over shared chains → settle orders → release
+//	Submit → pending book → clearing round → reservation → conc.Prepare
+//	       over shared chains → executor pool waits → settle orders → release
 //
 // Each stage is concurrency-safe: intake can run from any number of
 // goroutines while swaps execute.
@@ -67,7 +67,8 @@ func (s *seededRand) Read(p []byte) (int, error) {
 // Config parameterizes an Engine. The zero value is usable: 8 workers,
 // 2ms clearing interval, 1ms ticks, Δ = core.DefaultDelta.
 type Config struct {
-	// Workers is the executor-pool size: how many swaps run concurrently.
+	// Workers is the executor-pool size, the stripe count of the engine's
+	// own scheduler, and what MaxLive defaults from.
 	Workers int
 	// ClearInterval is the period of the batch clearing loop, in wall
 	// time. It is converted to scheduler ticks (see ClearEvery): the
@@ -80,9 +81,8 @@ type Config struct {
 	ClearEvery vtime.Duration
 	// MaxBatch caps the offers considered per clearing round.
 	MaxBatch int
-	// Tick is the wall duration of one virtual tick on the shared
-	// real-time scheduler. Under virtual time it only converts rates and
-	// ClearInterval to ticks.
+	// Tick is the wall duration of one tick of a paced engine's clock. On a
+	// free clock it only converts rates and ClearInterval to ticks.
 	Tick time.Duration
 	// Delta is the per-swap Δ in ticks (the fixed value, and the adaptive
 	// mode's starting point).
@@ -109,7 +109,7 @@ type Config struct {
 	// latencies the delivery probe actually observes, within
 	// [MinDelta, MaxDelta]. Already-cleared swaps keep the Δ they were
 	// built with; only new rounds see the updated value. Pointless (but
-	// harmless) under virtual time, where observed lag is ~0.
+	// harmless) on a free clock, where observed lag is ~0.
 	AdaptiveDelta bool
 	// MinDelta floors the adaptive Δ (default 4 ticks — the smallest Δ
 	// whose quarter-Δ jitter margin is still a whole tick).
@@ -117,22 +117,25 @@ type Config struct {
 	// MaxDelta caps the adaptive Δ (default 4×Delta), bounding how far a
 	// loaded box backs off.
 	MaxDelta vtime.Duration
-	// Deterministic runs the engine on virtual time — a serial
-	// sched.Virtual whose ticks advance as fast as callbacks drain, so
+	// Deterministic runs the engine on a free clock — a serial
+	// sched.NewVirtual whose ticks advance as fast as callbacks drain, so
 	// swaps stop waiting out Δ-scaled deadlines in wall time, throughput
 	// becomes CPU-bound, and the protocol sees the same tick arithmetic.
-	// Virtual time is also what makes a run seed-replayable: same-tick
+	// A free clock is also what makes a run seed-replayable: the clock is
+	// born held and does not move until the run is installed, same-tick
 	// events run in schedule order, swap setup is pinned inside the
 	// clearing tick, and deliveries execute inside their scheduler events,
 	// so the same seed and the same (serially submitted) offer stream
 	// produce the identical run — intake ticks, clearing rounds, Δ
 	// trajectory, and settle order. Submissions must come from scheduler
-	// callbacks (loadgen arrivals) or a single goroutine; racing Submit
-	// calls are safe but reintroduce the nondeterminism this removes. A
-	// virtual engine owns the scheduler's dispatcher goroutine; call Stop
-	// (valid even if Start was never called) to release it. Neither this
-	// nor Parallel is consulted by a hosted engine (see Host): its mode is
-	// the type of scheduler it is handed.
+	// callbacks (loadgen arrivals), from under a Hold, or from a single
+	// goroutine before Drain; racing Submit calls are safe but reintroduce
+	// the nondeterminism this removes. With neither this nor Parallel the
+	// clock is paced by the wall, one tick per Tick (sched.NewPaced, striped
+	// over Workers). An engine owns its scheduler's dispatcher goroutine;
+	// call Stop (valid even if Start was never called) to release it.
+	// Neither this nor Parallel is consulted by a hosted engine (see Host),
+	// which runs on the scheduler it is handed.
 	Deterministic bool
 	// Parallel is Deterministic on a striped sched.Virtual: same-tick
 	// events are partitioned by swap onto a Workers-sized pool with a
@@ -148,23 +151,17 @@ type Config struct {
 	// tier-1 test configuration. See internal/durable for the
 	// disk-backed implementation and Recover for the way back.
 	Store Store
-	// MaxClearAhead, when positive, stops real-time clearing rounds from
-	// running more than this many swaps ahead of execution: a round
-	// dispatches no new swap while that many are queued or in flight.
-	// Virtual time ignores it (see MaxLive): the in-flight count moves at
-	// wall speed, which a replayable run must not read. Backpressure
-	// keeps a deep book from being cleared all at once — which matters
-	// under AdaptiveDelta, where a swap's Δ is fixed at clear time and
-	// clearing the whole book up front would pin every swap to the
-	// not-yet-adapted value; AdaptiveDelta therefore defaults this to
-	// Workers. Otherwise 0 means unlimited (clear-everything, the
-	// historical behavior).
-	MaxClearAhead int
-	// MaxLive overrides the virtual-time live-run gate (default
-	// 16×Workers, the empirical throughput knee — see DESIGN.md §10).
-	// The gate bounds how many swaps are virtually in flight at once;
-	// tests that need the historical clear-everything burst (e.g. "crash
-	// with ≥N swaps mid-air") set it at least as high as the burst.
+	// MaxLive overrides the live-run gate: how many swaps may be in flight
+	// on the scheduler at once, after which rounds leave the book alone.
+	// The default is read off the clock: 16×Workers on a free one (the
+	// empirical throughput knee — see DESIGN.md §10), Workers on a paced
+	// one, where each live swap occupies a worker for its wall duration.
+	// The gate keeps a deep book from being cleared all at once — which
+	// bounds the shared chains' observer fanout, and matters under
+	// AdaptiveDelta, where a swap's Δ is fixed at clear time and clearing
+	// the whole book up front would pin every swap to the not-yet-adapted
+	// value. Tests that need a clear-everything burst (e.g. "crash with ≥N
+	// swaps mid-air") set it at least as high as the burst.
 	MaxLive int
 	// Commitment selects the chains' commitment model: zero value keeps
 	// every chain Instant (a record is final the tick it lands — the
@@ -195,9 +192,8 @@ type Config struct {
 // → coordinator clearing (3), with a determinism barrier between levels;
 // and it writes the AC3 prepare record (see clearGroup).
 type Host struct {
-	// Scheduler is the shared time source: a *sched.Virtual puts the engine
-	// in virtual-time mode, anything else in real-time mode.
-	Scheduler sched.Scheduler
+	// Scheduler is the shared time source.
+	Scheduler *sched.Virtual
 	// Registry is the shared chain registry: one reservation table spanning
 	// every shard, so a cross-shard swap reserves assets on all of them.
 	Registry *chain.Registry
@@ -289,16 +285,12 @@ type BehaviorFactory func(setup *core.Setup, seed int64) SwapBehaviors
 
 // job is one cleared swap handed to the executor pool.
 type job struct {
-	swapID      string
-	setup       *core.Setup
-	orders      []*order
-	resv        []resvKey
-	adversarial bool
-	seed        int64
-	// seq is the engine-wide swap ordinal — the run's scheduler stripe key.
-	seq uint64
-	// running is the already-prepared run (virtual time: setup happened
-	// inside the clearing tick); nil means the worker prepares.
+	swapID string
+	setup  *core.Setup
+	orders []*order
+	resv   []resvKey
+	// running is the run, prepared inside the clearing tick: the worker
+	// only waits for it.
 	running  *conc.Running
 	deviants map[digraph.Vertex]string
 }
@@ -320,18 +312,16 @@ type Minted struct {
 // offers from any goroutine, and Drain/Stop to wind down.
 type Engine struct {
 	cfg Config
-	// maxLive caps virtually-live runs on virtual schedulers (see
-	// liveRuns): enough concurrency to saturate the stripe pool, bounded
-	// so observer fanout stays flat.
+	// maxLive caps live runs (see liveRuns and Config.MaxLive): enough
+	// concurrency to saturate the stripe pool, bounded so observer fanout
+	// stays flat.
 	maxLive int
 	reg     *chain.Registry
-	sched   sched.Scheduler
-	// vsched is sched when it is a *sched.Virtual, nil otherwise — and
-	// with that the engine's one mode predicate: virtual time means
-	// replayable clearing (grid-aligned rounds, setup inside the clearing
-	// tick, live-run gating, parking), real time means worker-side setup
-	// and in-flight backpressure.
-	vsched *sched.Virtual
+	// sched is the one scheduler everything runs on: grid-aligned clearing
+	// rounds, swap setup inside the clearing tick, live-run gating, parking.
+	// Whether its clock is free or paced (Tick() > 0) decides two things
+	// only: the MaxLive default and EarlyExit (see runConfig).
+	sched *sched.Virtual
 	// probe collects observed delivery lag from every run over the shared
 	// registry; adaptive Δ is computed from it.
 	probe *sched.LatencyProbe
@@ -370,19 +360,18 @@ type Engine struct {
 	drainCh chan struct{}
 
 	// clearing is the clearing loop: clearTick, once per ClearEvery on the
-	// shared scheduler. A virtual-time loop parks when the engine goes
-	// virtually idle (empty book, nothing live) and Submit wakes it: parked
-	// rounds are exactly the rounds the active-round count never included,
-	// so digests are unaffected — but the virtual clock stops free-running,
-	// instead of burning CPU on empty rounds until Drain notices at wall
-	// speed.
+	// shared scheduler. The loop parks when the engine goes idle (empty
+	// book, nothing live) and Submit wakes it: parked rounds are exactly the
+	// rounds the active-round count never included, so digests are
+	// unaffected — but a free clock stops running, instead of burning CPU
+	// on empty rounds until Drain notices at wall speed.
 	clearing *sched.Loop
 
-	// bookSeq counts orders ever booked. The virtual-time clearing loop
-	// uses it to close the park race on a STUCK book (non-empty but
-	// nothing dispatchable and nothing live — e.g. partial rings left by
-	// shedding): the usual Pending()>0 re-check cannot tell a new arrival
-	// from the stuck remainder, a sequence number can.
+	// bookSeq counts orders ever booked. The clearing loop uses it to close
+	// the park race: on a STUCK book (non-empty but nothing dispatchable and
+	// nothing live — e.g. partial rings left by shedding) a Pending()>0
+	// re-check cannot tell a new arrival from the stuck remainder, a
+	// sequence number can.
 	bookSeq atomic.Int64
 
 	// shedPulse accumulates arrivals shed since the adaptive-Δ
@@ -394,11 +383,11 @@ type Engine struct {
 	// schedule-pure under virtual time.
 	shedPulse atomic.Int64
 
-	// liveRuns counts virtually-live swap runs: incremented when a swap is
-	// dispatched, decremented by the run's OnHorizon hook — which fires
-	// inside a scheduler event, so under virtual time the count read by a
-	// clearing tick is a pure function of the virtual schedule
-	// (unlike inflight, whose decrement is wall-speed worker bookkeeping).
+	// liveRuns counts live swap runs: incremented when a swap is
+	// dispatched, decremented by the run's OnHorizon hook — which on a free
+	// clock fires inside a scheduler event, so the count read by a
+	// clearing tick is a pure function of the schedule (unlike inflight,
+	// whose decrement is wall-speed worker bookkeeping).
 	// Clearing rounds gate dispatch on it: an unbounded pile of live runs
 	// makes the shared chains' per-record observer fanout O(live runs) —
 	// quadratic over a big book.
@@ -431,30 +420,31 @@ type Engine struct {
 	// rng drives adversary selection. It is NOT safe for concurrent use
 	// and is confined to the clearing tick (clearTick → clearRound →
 	// clearGroup, sequential by construction): never touch it from
-	// Submit, workers, or any other goroutine. clearRounds and
-	// drainStall are confined the same way.
+	// Submit, workers, or any other goroutine. clearRounds is confined the
+	// same way.
 	rng         *rand.Rand
 	clearRounds int
-	drainStall  int
 	// round is clearRound's working memory, kept from one round to the
-	// next and confined to the clearing tick like rng.
+	// next and confined to the clearing tick like rng. contended says a
+	// group of this round found an asset reserved by a swap in flight.
 	round struct {
 		byParty     map[chain.PartyID]*order
 		batch       []*order
 		offers      []core.Offer
 		partitioner core.Partitioner
+		contended   bool
 	}
-	// roundTicks records the tick of every active round under virtual
-	// time (confined to the clearing goroutine, read after Stop): the
+	// roundTicks records the tick of every active round (confined to the
+	// clearing goroutine, read after Stop): the
 	// sharded engine merges per-shard tick SETS, not counts, so the
 	// merged round count of a 4-shard run equals the 1-shard run's.
 	roundTicks []vtime.Ticks
 	// activeRounds is the count of clearing rounds that had live work
-	// (non-empty book, scheduled events, or a dispatch). Unlike
-	// clearRounds — which keeps ticking at wall speed while Drain polls —
-	// it is a pure function of the schedule under virtual time, so
-	// digests and budget assertions are built from it. Confined
-	// to the clearing goroutine like clearRounds.
+	// (non-empty book, live runs, or a dispatch). Unlike clearRounds —
+	// which also counts the round that found the engine idle and parked —
+	// it is a pure function of the schedule on a free clock, so digests
+	// and budget assertions are built from it. Confined to the clearing
+	// goroutine like clearRounds.
 	activeRounds int
 }
 
@@ -495,34 +485,7 @@ func (cfg Config) WithDefaults() Config {
 	if cfg.MaxDelta < cfg.MinDelta {
 		cfg.MaxDelta = cfg.MinDelta
 	}
-	if cfg.virtual() {
-		// Backpressure reads the in-flight count, which is decremented by
-		// worker bookkeeping at wall speed — a nondeterministic input.
-		// Virtual-time runs clear everything the live-run gate admits and
-		// lean on an unbounded job queue instead (jobs advance via the
-		// scheduler whether or not a worker has picked them up, so depth
-		// is cheap).
-		cfg.MaxClearAhead = 0
-	} else if cfg.AdaptiveDelta && cfg.MaxClearAhead <= 0 {
-		// Adaptive Δ without backpressure is self-defeating: an up-front
-		// book would clear entirely at the initial Δ before the probe has
-		// a single window of evidence.
-		cfg.MaxClearAhead = cfg.Workers
-	}
-	if cfg.MaxLive <= 0 {
-		cfg.MaxLive = 16 * cfg.Workers
-	}
 	return cfg
-}
-
-// virtual reports whether the engine runs on virtual time: the type of the
-// host's scheduler, else what NewScheduler will build.
-func (cfg Config) virtual() bool {
-	if cfg.host != nil {
-		_, ok := cfg.host.Scheduler.(*sched.Virtual)
-		return ok
-	}
-	return cfg.Deterministic || cfg.Parallel
 }
 
 // New creates an engine with its own shared clock and chain registry — or,
@@ -531,7 +494,6 @@ func New(cfg Config) *Engine {
 	cfg = cfg.WithDefaults()
 	e := &Engine{
 		cfg:     cfg,
-		maxLive: cfg.MaxLive,
 		probe:   sched.NewLatencyProbe(),
 		agg:     metrics.NewAggregate(),
 		shapes:  new(core.ShapeCache),
@@ -584,15 +546,18 @@ func New(cfg Config) *Engine {
 			})
 		}
 	}
-	e.vsched, _ = e.sched.(*sched.Virtual)
-	queueLimit := realJobQueue
-	if e.vsched != nil {
-		queueLimit = 0
+	if e.maxLive = cfg.MaxLive; e.maxLive <= 0 {
+		e.maxLive = 16 * cfg.Workers
+		if e.sched.Tick() > 0 {
+			// On the wall a live swap keeps a worker waiting for as long as
+			// it runs: more than Workers live would only queue behind them.
+			e.maxLive = cfg.Workers
+		}
 	}
-	e.jobs.init(queueLimit)
+	e.jobs.init()
 	// The clearing loop ticks on the shared scheduler, not on a wall-clock
-	// ticker: under virtual time clearing rounds land at fixed ticks,
-	// interleaved with arrivals and protocol events in schedule order —
+	// ticker: clearing rounds land at fixed ticks, interleaved with
+	// arrivals and protocol events in schedule order —
 	// and at tail level, so a round runs only after every protocol event
 	// of its tick has fully drained, which gives serialized and
 	// striped-parallel dispatch the identical pre-clearing state.
@@ -601,36 +566,23 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// realJobQueue is how many cleared swaps may wait for a real-time worker
-// before the clearing round itself waits. Virtual time has no such bound:
-// its clearing tick enqueues jobs from a scheduler callback that holds the
-// clock, where a blocking push would deadlock the dispatcher.
-const realJobQueue = 1024
-
 // jobQueue is the executor pool's FIFO of cleared swaps. It grows as
-// needed, so an idle engine holds no buffer; with a positive limit push
-// blocks while that many jobs wait (real-time backpressure), with none it
-// never blocks.
+// needed, so an idle engine holds no buffer, and push never blocks: the
+// clearing tick pushes from a scheduler callback that holds the clock, where
+// waiting for a worker would deadlock the dispatcher. The live-run gate is
+// what bounds it.
 type jobQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // a job was pushed, or the queue closed
-	nonFull  sync.Cond // a job was popped
 	jobs     []*job
 	head     int
-	limit    int
 	closed   bool
 }
 
-func (q *jobQueue) init(limit int) {
-	q.limit = limit
-	q.nonEmpty.L, q.nonFull.L = &q.mu, &q.mu
-}
+func (q *jobQueue) init() { q.nonEmpty.L = &q.mu }
 
 func (q *jobQueue) push(j *job) {
 	q.mu.Lock()
-	for q.limit > 0 && len(q.jobs)-q.head >= q.limit {
-		q.nonFull.Wait()
-	}
 	q.jobs = append(q.jobs, j)
 	q.mu.Unlock()
 	q.nonEmpty.Signal()
@@ -653,7 +605,6 @@ func (q *jobQueue) pop() (j *job, ok bool) {
 	if q.head == len(q.jobs) {
 		q.jobs, q.head = q.jobs[:0], 0
 	}
-	q.nonFull.Signal()
 	return j, true
 }
 
@@ -664,19 +615,19 @@ func (q *jobQueue) close() {
 	q.nonEmpty.Broadcast()
 }
 
-// NewScheduler builds the scheduler cfg asks for: a serial sched.Virtual
-// under Deterministic, one striped over Workers under Parallel, else a
-// sched.Real at Tick. New calls it for a self-contained engine; the
-// sharded engine calls it once for all the engines it hosts. Virtual
-// schedulers run a dispatcher goroutine — Close them.
-func NewScheduler(cfg Config) sched.Scheduler {
+// NewScheduler builds the scheduler cfg asks for: a free serial clock under
+// Deterministic, a free one striped over Workers under Parallel, else one
+// paced by the wall at Tick and striped over Workers. New calls it for a
+// self-contained engine; the sharded engine calls it once for all the
+// engines it hosts. A scheduler runs a dispatcher goroutine — Close it.
+func NewScheduler(cfg Config) *sched.Virtual {
 	switch {
 	case cfg.Parallel:
 		return sched.NewVirtual(cfg.Workers)
 	case cfg.Deterministic:
 		return sched.NewVirtual(1)
 	default:
-		return sched.NewReal(cfg.Tick)
+		return sched.NewPaced(cfg.Workers, cfg.Tick)
 	}
 }
 
@@ -685,7 +636,7 @@ func (e *Engine) Registry() *chain.Registry { return e.reg }
 
 // Scheduler exposes the engine's shared time scheduler, so load
 // generators can drive arrival processes on the same clock the swaps run
-// against (real or virtual).
+// against (free or paced).
 func (e *Engine) Scheduler() sched.Scheduler { return e.sched }
 
 // Tick reports the configured wall duration of one virtual tick (the
@@ -1076,123 +1027,102 @@ func (e *Engine) PendingParties() int {
 }
 
 // clearTick is one round of the batch clearing service: it partitions
-// the pending book into executable swaps. While draining it also detects
-// a stalled book (offers that can never match) and rejects it. The return
-// value says whether to keep the loop armed: a virtual-time engine with
-// nothing virtually live parks instead (Submit wakes it; see clearing).
+// the pending book into executable swaps. The return value says whether to
+// keep the loop armed: an engine with nothing to do parks instead (Submit
+// wakes it; see clearing).
 func (e *Engine) clearTick() bool {
 	e.clearRounds++
-	// Virtual liveness: the book is non-empty, or swaps this engine
-	// dispatched are still virtually live (liveRuns is decremented by the
-	// run's OnHorizon hook, which fires at level 0 of its tick — before
-	// any clearing tick of the same tick reads the count, so the gate is
-	// a pure function of the virtual schedule). Once both are zero the
-	// engine's own run is over in virtual terms — so anything that must
-	// replay identically (Δ adaptations, the active-round count) is gated
-	// on it, and the loop parks rather than spin empty rounds on the
-	// free-running virtual clock until Drain notices at wall speed. The
-	// engine's OWN liveness, not the global queue: on a shared sharded
-	// scheduler the queue holds every other shard's events, and a
-	// per-shard gate must not read cross-shard state (it would also be
-	// racy across concurrently-running shard stripes). The in-flight
-	// count (decremented by worker bookkeeping at wall speed)
-	// deliberately plays no part.
-	if e.vsched != nil {
-		if e.Pending() == 0 && e.liveRuns.Load() == 0 {
-			e.clearing.Park()
-			// Re-check now that the loop is parked: an order booked between
-			// the gate read and the park would otherwise wait forever (its
-			// Wake saw the loop still armed).
-			if e.Pending() > 0 || e.liveRuns.Load() > 0 {
-				e.clearing.Wake()
-			}
-			e.notifyDrain()
-			return false
-		}
-		e.roundTicks = append(e.roundTicks, e.sched.Now())
-	}
-	e.activeRounds++
-	if e.cfg.AdaptiveDelta {
-		e.adaptDelta()
-	}
+	// Liveness: the book is non-empty, or swaps this engine dispatched are
+	// still live (on a free clock liveRuns is decremented by the run's
+	// OnHorizon hook, which fires at level 0 of its tick — before any
+	// clearing tick of the same tick reads the count, so the gate is a pure
+	// function of the schedule). Once both are zero the engine's own run is
+	// over — so anything that must replay identically (Δ adaptations, the
+	// active-round count) is gated on it, and the loop parks rather than
+	// spin empty rounds on a free clock until Drain notices at wall speed.
+	// The engine's OWN liveness, not the global queue: on a shared sharded
+	// scheduler the queue holds every other shard's events, and a per-shard
+	// gate must not read cross-shard state (it would also be racy across
+	// concurrently-running shard stripes). The in-flight count (decremented
+	// by worker bookkeeping at wall speed) deliberately plays no part. The
+	// round works from one read of the count: on a paced clock runs end on
+	// worker goroutines meanwhile, and a round the first read gated must
+	// not be called stuck by a second.
+	live := int(e.liveRuns.Load())
 	seq := e.bookSeq.Load()
-	dispatched := e.clearRound()
-	e.mu.Lock()
-	stalled := e.state == stateDraining && !dispatched &&
-		e.inflight == 0 && e.book.len() > 0
-	e.mu.Unlock()
-	if stalled {
-		e.drainStall++
-	} else {
-		e.drainStall = 0
-	}
-	if e.drainStall >= 3 {
-		// Three quiet rounds with nothing in flight: the remaining
-		// offers have no counterparties coming. Reject them so
-		// Drain can finish.
-		e.rejectPending("unmatched: no counterparties before drain")
-		e.drainStall = 0
-	}
-	if e.vsched != nil && !dispatched && e.liveRuns.Load() == 0 && e.Pending() > 0 {
-		// Stuck book: offers that cannot form a swap (partial rings left
-		// by shedding) with nothing virtually live. Nothing about the next
-		// round can differ until a new order books, so spinning would only
-		// burn wall-dependent rounds into the active-round count — the
-		// digest's determinism hangs on parking here. Submit re-arms;
-		// Drain rejects a book still stuck at drain time. liveRuns (not
-		// inflight) keeps the gate schedule-pure: a run past its horizon
-		// can settle orders but never book one.
-		e.clearing.Park()
-		// Close the park race with a booking sequence check — an arrival
-		// between the pre-dispatch read and the park saw an armed loop.
-		if e.bookSeq.Load() != seq {
-			e.clearing.Wake()
+	if e.Pending() > 0 || live > 0 {
+		e.roundTicks = append(e.roundTicks, e.sched.Now())
+		e.activeRounds++
+		if e.cfg.AdaptiveDelta {
+			e.adaptDelta()
 		}
-		e.notifyDrain()
-		return false
+		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.Pending() == 0 {
+			return true
+		}
+		// Stuck book: offers that cannot form a swap (partial rings left
+		// by shedding) with nothing live. Nothing about the next round can
+		// differ until a new order books, so spinning would only burn
+		// wall-dependent rounds into the active-round count — the digest's
+		// determinism hangs on parking here. Submit re-arms; Drain rejects
+		// a book still stuck at drain time. liveRuns (not inflight) keeps
+		// the gate schedule-pure: a run past its horizon can settle orders
+		// but never book one. A reservation conflict is not stuck: the
+		// holder's worker releases the asset once its run has ended, and
+		// the next round finds it free.
 	}
-	return true
+	e.clearing.Park()
+	// Re-check now that the loop is parked: an order booked since the round
+	// began saw an armed loop, did not wake it, and would wait forever.
+	if e.bookSeq.Load() != seq {
+		e.clearing.Wake()
+	}
+	e.notifyDrain()
+	return false
 }
 
-// clearRound runs one clearing pass and reports whether any swap was
-// dispatched to the executor pool.
-func (e *Engine) clearRound() bool {
-	// Dispatch capacity this round, in swaps. When the virtual live-run
-	// gate is saturated there is no point partitioning a batch at all: a
-	// gated round can dispatch nothing anyway. The gate count is
-	// schedule-pure (see liveRuns), so replays take this short-circuit
-	// identically.
-	capSwaps := -1 // unbounded
-	if e.vsched != nil {
-		capSwaps = e.maxLive - int(e.liveRuns.Load())
-		if capSwaps <= 0 {
-			return false
-		}
+// clearRound runs one clearing pass that may dispatch up to capSwaps swaps
+// — what the live-run gate leaves free — and reports whether it dispatched
+// any to the executor pool. Keeping live runs bounded also keeps the shared
+// chains' per-record observer fanout O(workers), not O(book).
+func (e *Engine) clearRound(capSwaps int) bool {
+	e.round.contended = false
+	// When the gate is saturated there is no point partitioning a batch at
+	// all: a gated round can dispatch nothing anyway.
+	if capSwaps <= 0 {
+		return false
 	}
+	// Take only what this round can plausibly dispatch: groups are small (a
+	// handful of offers each), so 8 offers per free slot — floored so thin
+	// capacity still sees enough of the book to form matches — keeps
+	// partitioning O(capacity), not O(parties). Offers beyond the window
+	// just wait for a later round.
+	limit := min(max(8*capSwaps, 64), e.cfg.MaxBatch)
+	for {
+		dispatched, whole := e.clearWindow(limit, capSwaps)
+		// A window that matched nothing says nothing about the book behind
+		// it: what cannot match — partial rings, offers whose counterparty
+		// was rejected — collects at the head of a FIFO book. Look further
+		// before the round counts as fruitless: clearTick parks a stuck
+		// book on that verdict and Drain rejects it.
+		if dispatched > 0 || e.round.contended || whole || limit >= e.cfg.MaxBatch {
+			return dispatched > 0
+		}
+		limit = min(2*limit, e.cfg.MaxBatch)
+	}
+}
 
+// clearWindow partitions the first limit candidates of the book, dispatches
+// up to capSwaps of the groups found, and reports how many, and whether the
+// window was the whole book.
+func (e *Engine) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 	// One offer per party per round: a party's later orders wait for its
 	// earlier ones, which also serializes conflicting same-asset offers.
 	e.mu.Lock()
 	if e.book.len() < 2 {
-		// Nothing can match — most rounds of a loaded virtual run find the
-		// book momentarily empty.
+		// Nothing can match — most rounds of a loaded free-clock run find
+		// the book momentarily empty.
 		e.mu.Unlock()
-		return false
-	}
-	limit := e.cfg.MaxBatch
-	if capSwaps > 0 {
-		// Take only what this round can plausibly dispatch: groups are
-		// small (a handful of offers each), so 8 offers per free slot —
-		// floored so thin capacity still sees enough of the book to form
-		// matches — keeps partitioning O(capacity), not O(parties). Offers
-		// beyond the window just wait; the book is FIFO, so nothing is
-		// starved, and later rounds see whatever this one left behind.
-		if w := 8 * capSwaps; w < limit {
-			if w < 64 {
-				w = 64
-			}
-			limit = w
-		}
+		return 0, true
 	}
 	batch := e.book.batch(e.round.batch[:0], limit)
 	e.mu.Unlock()
@@ -1204,8 +1134,9 @@ func (e *Engine) clearRound() bool {
 		offers = append(offers, o.offer)
 	}
 	e.round.batch, e.round.offers = batch, offers
+	whole = len(batch) < limit
 	if len(batch) < 2 {
-		return false
+		return 0, whole
 	}
 
 	b, err := e.round.partitioner.Partition(offers)
@@ -1213,25 +1144,17 @@ func (e *Engine) clearRound() bool {
 		// Cannot happen for submit-validated offers; reject defensively
 		// rather than spinning on a poisoned batch.
 		e.rejectOrders(batch, "clearing: "+err.Error())
-		return false
+		return 0, true
 	}
-	dispatched := false
 	for _, g := range b.Groups {
-		if e.cfg.MaxClearAhead > 0 && e.InFlight() >= e.cfg.MaxClearAhead {
-			break // backpressure: leave the rest pending for later rounds
-		}
-		if e.vsched != nil && e.liveRuns.Load() >= int64(e.maxLive) {
-			// Virtual-time backpressure: the count of virtually-live runs
-			// is schedule-pure (see liveRuns), so it is safe to gate on
-			// where wall-speed in-flight counts would break replay. Keeping live runs bounded also keeps the shared
-			// chains' per-record observer fanout O(workers), not O(book).
-			break
+		if dispatched == capSwaps {
+			break // the gate is full: leave the rest pending for later rounds
 		}
 		if e.clearGroup(g, byParty) {
-			dispatched = true
+			dispatched++
 		}
 	}
-	return dispatched
+	return dispatched, whole
 }
 
 // swapTag names the swap with sequence number seq exactly as fmt's
@@ -1289,6 +1212,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 					// Another in-flight swap holds it; the whole group
 					// retries next round.
 					e.agg.AddReservationConflict()
+					e.round.contended = true
 					return false
 				}
 				// The asset was spent or never owned: this offer can never
@@ -1372,32 +1296,27 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		return false
 	}
 
+	// Swap setup happens inside the clearing tick, on the scheduler's
+	// dispatcher (or this shard's stripe): the protocol start is pinned
+	// relative to this round's tick, so on a free clock the whole run is a
+	// pure function of the arrival schedule and the seed, and on a paced
+	// one queueing for a worker cannot eat into the protocol's deadlines.
+	// The worker only waits for the result and settles the books.
+	sb := e.buildBehaviors(setup, seed, adversarial)
+	rn, err := conc.Prepare(setup, sb.Behaviors, e.runConfig(setup.Spec, seed, seq))
+	if err != nil {
+		rejectGroup("execution: " + err.Error())
+		return false
+	}
 	j := &job{
-		swapID:      swapID,
-		setup:       setup,
-		resv:        held,
-		adversarial: adversarial,
-		seed:        seed,
-		seq:         seq,
+		swapID:   swapID,
+		setup:    setup,
+		resv:     held,
+		running:  rn,
+		deviants: sb.Deviants,
 	}
-	if e.vsched != nil {
-		// Swap setup happens inside the clearing tick, on the scheduler's
-		// dispatcher (or this shard's stripe): the protocol start is pinned relative to
-		// this round's tick, so the whole run is a pure function of the
-		// arrival schedule and the seed. The worker only waits for the
-		// result and settles the books.
-		sb := e.buildBehaviors(setup, seed, adversarial)
-		j.deviants = sb.Deviants
-		rn, err := conc.Prepare(setup, sb.Behaviors, e.runConfig(setup.Spec, seed, j.seq))
-		if err != nil {
-			rejectGroup("execution: " + err.Error())
-			return false
-		}
-		j.running = rn
-	}
-	// Counted live from dispatch until the run's horizon event fires (see
-	// liveRuns). The real-time path prepares in the worker; a Prepare
-	// failure there un-counts the run itself (runSwap).
+	// Counted live from dispatch until the run's horizon hook fires (see
+	// liveRuns).
 	e.liveRuns.Add(1)
 	e.mu.Lock()
 	for _, o := range g {
@@ -1473,11 +1392,12 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 		Scheduler:   e.sched,
 		StartOffset: vtime.Scale(2, spec.Delta) + stagger,
 		Registry:    e.reg,
-		// Early exit trims the horizon wait. Virtual-time runs play to
-		// the horizon instead: early teardown cancels trailing deliveries
-		// at wall speed, and whether a given delivery fired or was
-		// cancelled would differ across replays.
-		EarlyExit: e.vsched == nil,
+		// Early exit trims the horizon wait, which on a paced clock is
+		// wall latency. Runs on a free clock play to the horizon instead:
+		// early teardown cancels trailing deliveries at wall speed, and
+		// whether a given delivery fired or was cancelled would differ
+		// across replays.
+		EarlyExit: e.sched.Tick() > 0,
 		Cache:     e.vcache,
 		// Per-swap stripes let a striped scheduler run this swap
 		// serialized against itself but concurrent with the others; the
@@ -1513,40 +1433,16 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 	return cfg
 }
 
-// runSwap executes one swap over the shared registry and settles its
-// orders.
+// runSwap waits out one swap — prepared inside the clearing tick, already
+// playing out on the scheduler — and settles its orders.
 func (e *Engine) runSwap(j *job) {
 	e.agg.SwapStarted()
 	spec := j.setup.Spec
-	var res *conc.Result
-	var err error
-	if j.running != nil {
-		// Virtual time: the run was prepared inside the clearing tick;
-		// the protocol is already playing out on the scheduler.
-		res = j.running.Wait()
-	} else {
-		// The start time is pinned only inside conc.Run, when a worker
-		// actually picks the swap up: queue latency must not eat into the
-		// protocol's deadlines, and under virtual time the clock could
-		// advance between a Now read here and the run's setup (StartOffset
-		// pins it atomically under a scheduler hold).
-		sb := e.buildBehaviors(j.setup, j.seed, j.adversarial)
-		j.deviants = sb.Deviants
-		res, err = conc.Run(j.setup, sb.Behaviors, e.runConfig(spec, j.seed, j.seq))
-		if err != nil {
-			// Prepare failed before the horizon hook could be armed; the
-			// dispatch-time count must come back down here.
-			e.liveRuns.Add(-1)
-		}
-	}
-	// The virtual tick this swap's durable events carry: its settle tick.
-	// Worker bookkeeping runs at wall speed, so the append ORDER of these
-	// events is racy — but their tick stamp is a pure function of the
-	// schedule, which is what crash-replay determinism filters on.
-	doneTick := e.sched.Now()
-	if res != nil {
-		doneTick = res.SettleTick
-	}
+	res := j.running.Wait()
+	// This swap's durable events carry its settle tick. Worker bookkeeping
+	// runs at wall speed, so the append ORDER of these events is racy — but
+	// their tick stamp is a pure function of the schedule, which is what
+	// crash-replay determinism filters on.
 	for _, r := range j.resv {
 		e.reg.Release(r.chain, r.asset, j.swapID)
 		if e.cfg.Store != nil {
@@ -1561,31 +1457,18 @@ func (e *Engine) runSwap(j *job) {
 				ownerParty = string(owner.Party)
 			}
 			e.logEvent(Event{
-				Kind: EvReleased, Tick: doneTick,
+				Kind: EvReleased, Tick: res.SettleTick,
 				Swap: j.swapID, Chain: r.chain, Asset: r.asset,
 				Party: ownerParty,
 			})
 		}
 	}
 
-	var econ metrics.SwapEconomics
-	var locks map[digraph.Vertex]uint64
-	if err == nil && res != nil {
-		econ, locks = swapEconomics(spec, res, j.deviants)
-	}
+	econ, locks := swapEconomics(spec, res, j.deviants)
 
 	now := time.Now()
 	e.mu.Lock()
 	for _, o := range j.orders {
-		if err != nil {
-			o.status = StatusRejected
-			o.reason = "execution: " + err.Error()
-			e.logEvent(Event{
-				Kind: EvRejected, Tick: doneTick,
-				Order: o.id, Reason: o.reason,
-			})
-			continue
-		}
 		o.status = StatusSettled
 		o.settledAt = now
 		o.settledTick = res.SettleTick
@@ -1607,12 +1490,6 @@ func (e *Engine) runSwap(j *job) {
 		e.notifyDrain()
 	}
 
-	singleLeader := spec.Kind == core.KindSingleLeader
-	if err != nil {
-		e.agg.AddRejected(len(j.orders))
-		e.agg.SwapFinished(true, singleLeader)
-		return
-	}
 	if len(j.deviants) > 0 {
 		e.agg.AddSabotaged(len(j.orders))
 		for _, name := range j.deviants {
@@ -1623,7 +1500,7 @@ func (e *Engine) runSwap(j *job) {
 		e.agg.AddOutcome(o.class.String(), now.Sub(o.submittedAt))
 	}
 	e.agg.AddEconomics(econ)
-	e.agg.SwapFinished(false, singleLeader)
+	e.agg.SwapFinished(false, spec.Kind == core.KindSingleLeader)
 }
 
 // rejectPending rejects every still-pending order.
@@ -1703,10 +1580,15 @@ func (e *Engine) Drain(ctx context.Context) error {
 		e.state = stateDraining
 	}
 	e.mu.Unlock()
+	// A free clock is born held and whoever installs a run lets it go (see
+	// sched.NewVirtual). A drain that finds it still held — the book was
+	// filled from outside with no hold, or not at all — is that party; on a
+	// clock already let go this is a hold taken and dropped.
+	e.sched.Hold()()
 	// Event-driven wait: workers, rejections, parking, and Kill all signal
-	// drainCh the instant the engine may have gone idle, so virtual runs
-	// no longer pay a fixed wall-clock poll interval as a shutdown tail.
-	// The coarse ticker is a belt-and-braces fallback only.
+	// drainCh the instant the engine may have gone idle, so runs pay no
+	// fixed wall-clock poll interval as a shutdown tail. The coarse ticker
+	// is a belt-and-braces fallback only.
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -1718,12 +1600,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 			return nil
 		}
 		if stuck && e.liveRuns.Load() == 0 {
-			// A virtual-time clearing loop parks on a stuck book (see
-			// clearTick) instead of spinning drainStall up; the remaining
-			// offers have no counterparties coming, so reject them here.
-			// The parked virtual clock is frozen at the schedule's last
-			// event, so the rejection tick — and the digest — stays a pure
-			// function of the seed.
+			// The clearing loop parks on a stuck book (see clearTick); the
+			// remaining offers have no counterparties coming, so reject
+			// them here. A parked free clock is frozen at the schedule's
+			// last event, so the rejection tick — and the digest — stays a
+			// pure function of the seed.
 			if e.clearing.Parked() {
 				e.rejectPending("unmatched: no counterparties before drain")
 				continue
@@ -1752,12 +1633,12 @@ func (e *Engine) Stop(ctx context.Context) error {
 	e.clearing.Stop(true)
 	e.jobs.close()
 	e.workerWG.Wait()
-	if e.vsched != nil && e.cfg.host == nil {
-		// All runs have drained their scheduler holds; stop the virtual
-		// dispatcher so the engine leaves no goroutine behind. A host's
-		// scheduler is the host's to close, once, after every engine
-		// sharing it has stopped.
-		e.vsched.Close()
+	if e.cfg.host == nil {
+		// All runs have drained their scheduler holds; stop the dispatcher
+		// so the engine leaves no goroutine behind. A host's scheduler is
+		// the host's to close, once, after every engine sharing it has
+		// stopped.
+		e.sched.Close()
 	}
 	return drainErr
 }
@@ -1799,15 +1680,13 @@ func (e *Engine) TakeLatencyWindow() metrics.LatencyWindow { return e.agg.TakeLa
 func (e *Engine) SetRecoveryStats(rs metrics.RecoveryStats) { e.agg.SetRecovery(rs) }
 
 // ClearRounds reports how many clearing rounds had live work to look at
-// (see the activeRounds field doc: trailing empty rounds while Drain
-// polls are excluded, so the count replays identically under virtual
-// time). Call only after Stop — the count is confined to the clearing
+// (see the activeRounds field doc: the round that parks an idle engine is
+// excluded, so the count replays identically on a free clock). Call only after Stop — the count is confined to the clearing
 // goroutine while the engine runs.
 func (e *Engine) ClearRounds() int { return e.activeRounds }
 
-// ClearRoundTicks returns the tick of every active clearing round
-// (recorded under virtual time only; nil otherwise). Like ClearRounds,
-// call only after Stop. The sharded engine merges per-shard tick SETS so
+// ClearRoundTicks returns the tick of every active clearing round. Like
+// ClearRounds, call only after Stop. The sharded engine merges per-shard tick SETS so
 // a round where k shards all had work counts once, exactly as the same
 // work would in a 1-shard run.
 func (e *Engine) ClearRoundTicks() []vtime.Ticks { return e.roundTicks }

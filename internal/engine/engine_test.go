@@ -598,13 +598,21 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The running clearLoop must dispatch adaptations on its own too:
-	// feed a second full window and wait for a trajectory point recorded
-	// by the loop (Round ≥ 1 — the manual decision above was Round 0).
-	// The wait is condition-based with a wide safety bound, not a tuned
-	// wall-clock budget: the loop ticks every ClearInterval (1ms).
+	// The running clearing loop must dispatch adaptations on its own too:
+	// feed a second full window, give the loop work — an idle one is
+	// parked — and wait for a trajectory point recorded by the loop (Round
+	// ≥ 1 — the manual decision above was Round 0). The wait is
+	// condition-based with a wide safety bound, not a tuned wall-clock
+	// budget: the loop ticks every ClearInterval (1ms). The swap cleared
+	// at the shrunken Δ must still complete correctly; its own deliveries
+	// keep feeding the probe, and Δ stays within bounds.
 	for i := 0; i < 64; i++ {
 		probe.Observe(0)
+	}
+	for _, o := range ringOffers("ad", "a", "b", "c") {
+		if _, err := e.Submit(o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	loopAdapted := func() bool {
 		traj := e.Report().DeltaTrajectory
@@ -612,17 +620,10 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	}
 	for deadline := time.Now().Add(60 * time.Second); !loopAdapted(); {
 		if time.Now().After(deadline) {
-			t.Fatalf("clearLoop never dispatched an adaptation: trajectory %+v (probe %+v)",
+			t.Fatalf("the clearing loop never dispatched an adaptation: trajectory %+v (probe %+v)",
 				e.Report().DeltaTrajectory, e.LatencyStats())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	// Swaps cleared at the shrunken Δ still complete correctly; their own
-	// deliveries keep feeding the probe, and Δ stays within bounds.
-	for _, o := range ringOffers("ad", "a", "b", "c") {
-		if _, err := e.Submit(o); err != nil {
-			t.Fatal(err)
-		}
 	}
 	drainAndStop(t, e)
 	if d := e.CurrentDelta(); d < cfg.MinDelta || d > cfg.MaxDelta {

@@ -216,10 +216,10 @@ func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 	sc := e.Scheduler()
 	timers := make([]sched.Timer, len(offers))
 	wg.Add(len(offers))
-	// Hold the clock while the schedule is installed: on a free-running
-	// virtual scheduler, time must not race past early arrival ticks
-	// before the later ones are even queued (a real scheduler's Hold is a
-	// no-op, and past-due timers fire immediately either way).
+	// Hold the dispatcher while the schedule is installed: no arrival runs
+	// before the later ones are even queued. On a free clock this is the
+	// hold that adopts the birth hold (sched.NewVirtual): time has not moved
+	// since the engine was built, whatever was done to it meanwhile.
 	release := sc.Hold()
 	for i := range offers {
 		i, offer, ring := i, offers[i], ringOf[i]

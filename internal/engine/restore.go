@@ -33,8 +33,8 @@ type RecoveredState struct {
 	// logged, so post-recovery swaps never collide with logged tags.
 	NextOrder uint64
 	NextSwap  uint64
-	// Tick is the virtual tick the engine resumes at; a virtual-time
-	// engine's clock is advanced to it before Start.
+	// Tick is the virtual tick the engine resumes at; a free clock is
+	// advanced to it before Start.
 	Tick vtime.Ticks
 	// Shed restores the pre-crash shed counter.
 	Shed int
@@ -71,7 +71,7 @@ type RecoveredOrder struct {
 // restored into the keyring, assets re-minted under their logged owners,
 // orders re-booked (pending ones re-enter the book and will re-clear
 // once Start runs), ID sequences resumed, metrics counters restored, and
-// — under virtual time — the clock advanced to the recovery tick so
+// — on a free clock — the clock advanced to the recovery tick so
 // post-recovery events continue the pre-crash tick line. The caller
 // Starts the engine afterwards, exactly like one built with New.
 //
@@ -116,11 +116,11 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 
 // RestoreShared replays the part of a recovered state that lives outside
 // any one engine's books: identities into the keyring, assets re-minted
-// into the registry under their logged owners, and a virtual clock advanced
-// to the recovery tick. NewRecovered applies it to the engine's own three;
-// a sharded rebuild applies it once to the three its engines share, and
+// into the registry under their logged owners, and the clock set to the
+// recovery tick. NewRecovered applies it to the engine's own three; a
+// sharded rebuild applies it once to the three its engines share, and
 // hands each hosted engine a state with Identities, Assets and Tick zero.
-func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc sched.Scheduler) error {
+func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc *sched.Virtual) error {
 	for _, id := range st.Identities {
 		if err := k.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
 			return err
@@ -133,16 +133,10 @@ func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc 
 			return fmt.Errorf("engine: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
 		}
 	}
-	// Advance a virtual clock to the recovery tick: schedule a marker at
-	// it and wait for the dispatcher to run it. With nothing else queued
-	// the clock jumps straight there; pre-crash submit ticks stay in the
-	// past, where they belong. A real scheduler's clock is wall-derived
-	// and restarts at zero — tick continuity is a virtual-time property.
-	if _, virtual := sc.(*sched.Virtual); virtual && st.Tick > 0 {
-		done := make(chan struct{})
-		sc.At(st.Tick, func() { close(done) })
-		<-done
-	}
+	// Pre-crash submit ticks stay in the past, where they belong. A paced
+	// clock is the wall's and restarts at zero — tick continuity is a
+	// property of a free one (see Advance).
+	sc.Advance(st.Tick)
 	return nil
 }
 

@@ -70,8 +70,7 @@ type ShardedEngine struct {
 	cfg Config
 	m   Map
 
-	sch    sched.Scheduler
-	vsched *sched.Virtual // sch when virtual, nil otherwise
+	sch *sched.Virtual
 
 	reg     *chain.Registry
 	keyring *core.Keyring
@@ -99,6 +98,8 @@ type ShardedEngine struct {
 	// intake wakes it.
 	sweep *sched.Loop
 
+	// mu guards state and killed, and is held by the sweep across a move
+	// (see sweepTick).
 	mu     sync.Mutex
 	state  shardedState
 	killed bool
@@ -143,7 +144,6 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	// shard clearing on 1..N at level 1, the sweep on N+2 at level 2,
 	// coordinator clearing on N+1 at level 3.
 	s.sch = engine.NewScheduler(base)
-	s.vsched, _ = s.sch.(*sched.Virtual)
 	s.sweep = sched.NewLoop(s.sch, base.ClearEvery, 2, uint64(cfg.Shards+2), s.sweepTick)
 
 	s.reg = chain.NewRegistry(s.sch)
@@ -409,6 +409,11 @@ func (s *ShardedEngine) PendingParties() int {
 // armed: with every shard book empty the sweep parks and intake wakes it.
 func (s *ShardedEngine) sweepTick() bool {
 	cutoff := s.sch.Now().Add(-s.escAfter)
+	// An order on the move is in no book. The move happens under s.mu so
+	// that Drain, which samples the shard books from outside the scheduler,
+	// never takes "withdrawn, not yet re-booked" for "drained" and closes
+	// the coordinator's intake under it.
+	s.mu.Lock()
 	var moved []engine.Routed
 	for _, sh := range s.shards {
 		moved = append(moved, sh.TakeEscalatable(cutoff)...)
@@ -424,6 +429,7 @@ func (s *ShardedEngine) sweepTick() bool {
 			break
 		}
 	}
+	s.mu.Unlock()
 	rem := 0
 	for _, sh := range s.shards {
 		rem += sh.Pending()
@@ -512,26 +518,18 @@ func (s *ShardedEngine) Report() metrics.Throughput {
 // is representative).
 func (s *ShardedEngine) CurrentDelta() vtime.Duration { return s.coord.CurrentDelta() }
 
-// ClearRounds reports the merged active-round count. Virtual-time runs
-// merge per-engine round tick SETS — a tick where k engines all had live
-// work counts once, exactly as the same work would in a 1-shard run —
-// so the count is comparable across shard counts. Real-time runs report
-// the plain sum. Call only after Stop.
+// ClearRounds reports the merged active-round count: the per-engine round
+// tick SETS merged — a tick where k engines all had live work counts once,
+// exactly as the same work would in a 1-shard run — so the count is
+// comparable across shard counts. Call only after Stop.
 func (s *ShardedEngine) ClearRounds() int {
-	if s.vsched != nil {
-		ticks := make(map[vtime.Ticks]bool)
-		for _, e := range s.engines {
-			for _, t := range e.ClearRoundTicks() {
-				ticks[t] = true
-			}
-		}
-		return len(ticks)
-	}
-	n := 0
+	ticks := make(map[vtime.Ticks]bool)
 	for _, e := range s.engines {
-		n += e.ClearRounds()
+		for _, t := range e.ClearRoundTicks() {
+			ticks[t] = true
+		}
 	}
-	return n
+	return len(ticks)
 }
 
 // Kill stops the whole sharded engine abruptly — the crash-model
@@ -567,18 +565,22 @@ func (s *ShardedEngine) Drain(ctx context.Context) error {
 	}
 	killed := s.killed
 	s.mu.Unlock()
+	// Let go of a clock still held from birth (see engine.Drain).
+	s.sch.Hold()()
 	if !killed {
 		// Wait out the shard books: local rounds clear what they can,
-		// the sweep moves the rest to the coordinator, and under virtual
-		// time the clock free-runs through both. Coarse poll — every
+		// the sweep moves the rest to the coordinator, and a free clock
+		// runs through both. Coarse poll — every
 		// transition is scheduler-driven, this loop only observes it.
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for {
+			s.mu.Lock() // not in the middle of a sweep's move
 			n := 0
 			for _, sh := range s.shards {
 				n += sh.Pending()
 			}
+			s.mu.Unlock()
 			if n == 0 {
 				break
 			}
@@ -615,9 +617,7 @@ func (s *ShardedEngine) Stop(ctx context.Context) error {
 			drainErr = err
 		}
 	}
-	if s.vsched != nil {
-		s.vsched.Close()
-	}
+	s.sch.Close()
 	return drainErr
 }
 

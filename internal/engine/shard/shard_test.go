@@ -13,6 +13,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/htlc"
+	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
 func detConfig(shards int, seed int64) Config {
@@ -249,8 +250,8 @@ func TestShardSignsPerSwap(t *testing.T) {
 
 // crashAndRecover runs the first life of a two-shard deployment over a
 // durable store — six rings, half of them cross-shard so escalation state
-// is live — kills it mid-clearing from a scheduler callback (one
-// well-defined cut tick across all engines), then recovers the WAL onto
+// is live — kills it mid-run from a scheduler callback (one well-defined
+// cut tick across all engines), then recovers the WAL onto
 // four shards, runs that second life to quiescence and stops it.
 func crashAndRecover(t *testing.T) (*ShardedEngine, *durable.Recovery) {
 	t.Helper()
@@ -266,6 +267,11 @@ func crashAndRecover(t *testing.T) (*ShardedEngine, *durable.Recovery) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The rings and the kill are one schedule, installed under one hold: the
+	// book fills at tick 0, the local rings clear at the first round, the
+	// sweep at tick 8 escalates the cross-shard ones and the coordinator
+	// clears them, and the kill one tick later finds all of it in flight.
+	release := s.Scheduler().Hold()
 	pool := s.ShardMap().Pools(2)
 	for ring := 0; ring < 6; ring++ {
 		chains := pool[ring%2]
@@ -275,11 +281,12 @@ func crashAndRecover(t *testing.T) (*ShardedEngine, *durable.Recovery) {
 		submitRing(t, s, ring, 3, chains)
 	}
 	cutCh := make(chan struct{})
-	var cut = s.Scheduler().Now()
-	s.Scheduler().At(cut.Add(6), func() {
+	var cut vtime.Ticks
+	s.Scheduler().At(vtime.Ticks(s.escAfter+1), func() {
 		cut = s.Kill()
 		close(cutCh)
 	})
+	release()
 	select {
 	case <-cutCh:
 	case <-time.After(time.Minute):
@@ -324,6 +331,9 @@ func TestShardCrashRecovery(t *testing.T) {
 	}
 	if rec.Events == 0 {
 		t.Fatal("recovery replayed no events")
+	}
+	if rec.Resumed == 0 {
+		t.Fatal("the crash caught no swap in flight")
 	}
 	if err := b.VerifyLedgerIntegrity(); err != nil {
 		t.Fatal(err)
@@ -407,7 +417,7 @@ func TestConfigSurface(t *testing.T) {
 		{"engine.Config", exportedFields(engine.Config{}), []string{
 			"Workers", "ClearInterval", "ClearEvery", "MaxBatch", "Tick", "Delta", "Kind",
 			"AdversaryRate", "Behaviors", "Seed", "AdaptiveDelta", "MinDelta", "MaxDelta",
-			"Deterministic", "Parallel", "Store", "MaxClearAhead", "MaxLive", "Commitment",
+			"Deterministic", "Parallel", "Store", "MaxLive", "Commitment",
 		}},
 		{"shard.Config", exportedFields(Config{}), []string{"Shards", "EscalateAfter", "Engine"}},
 	} {

@@ -14,32 +14,30 @@ const (
 	loopStopped        // Stop was called; nothing runs again
 )
 
-// Loop is a periodic tick on a Scheduler that can go to sleep: the engine's
+// Loop is a periodic tick on a Virtual that can go to sleep: the engine's
 // clearing loop and the sharded escalation sweep are both one. It is a
 // value, not a goroutine — each round is one timer on the scheduler, and a
 // round schedules the next only when it finishes, so rounds are strictly
 // sequential and whatever the tick touches is confined to one callback at a
 // time.
 //
-// On a Virtual scheduler rounds land on the cadence grid (the next multiple
-// of every strictly after now) at a tail level with a stripe key (see
-// AtTailN): a loop re-armed mid-phase after parking does not drift off the
-// grid, so every loop of a cadence — across any number of engines — ticks
-// at the same instants. On any other scheduler the next round is now+every.
+// Rounds land on the cadence grid (the next multiple of every strictly
+// after now) at a tail level with a stripe key (see AtTailN): a loop
+// re-armed mid-phase after parking does not drift off the grid, so every
+// loop of a cadence — across any number of engines — ticks at the same
+// instants.
 //
-// Parking is what keeps a free-running virtual clock from spinning empty
-// rounds. A tick that finds nothing to do calls Park, re-checks its
+// Parking is what keeps a free clock from spinning empty rounds, and a
+// paced one from waking for them. A tick that finds nothing to do calls Park, re-checks its
 // condition — work that arrived between the first look and the Park saw an
 // armed loop and did not wake it — calls Wake if the re-check found some,
 // and returns false either way.
 type Loop struct {
-	sc    Scheduler
-	v     *Virtual // sc when virtual, nil otherwise
+	v     *Virtual
 	every vtime.Duration
 	level int8
 	key   uint64
 	tick  func() bool
-	fire  func() // l.Fire, bound once: arming a round allocates only its timer
 
 	mu    sync.Mutex
 	state uint8
@@ -48,13 +46,10 @@ type Loop struct {
 }
 
 // NewLoop returns an idle loop that, once woken, calls tick every `every`
-// ticks of sc for as long as tick returns true. level and key place the
-// rounds on a Virtual scheduler's tail ladder and are ignored elsewhere.
-func NewLoop(sc Scheduler, every vtime.Duration, level int8, key uint64, tick func() bool) *Loop {
-	l := &Loop{sc: sc, every: every, level: level, key: key, tick: tick}
-	l.v, _ = sc.(*Virtual)
-	l.fire = l.Fire
-	return l
+// ticks of v for as long as tick returns true. level and key place the
+// rounds on v's tail ladder.
+func NewLoop(v *Virtual, every vtime.Duration, level int8, key uint64, tick func() bool) *Loop {
+	return &Loop{v: v, every: every, level: level, key: key, tick: tick}
 }
 
 // Wake arms an idle or parked loop; on an armed or stopped one it does
@@ -103,13 +98,8 @@ func (l *Loop) Stop(wait bool) {
 
 // arm schedules the next round. Called with l.mu held.
 func (l *Loop) arm() {
-	now := l.sc.Now()
-	if l.v == nil {
-		l.timer = l.sc.At(now.Add(l.every), l.fire)
-		return
-	}
 	every := int64(l.every)
-	next := vtime.Ticks((int64(now)/every + 1) * every)
+	next := vtime.Ticks((int64(l.v.Now())/every + 1) * every)
 	l.timer = l.v.schedule(new(Event), next, l.level, l.key, l)
 }
 

@@ -8,13 +8,21 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// forEachScheduler runs the test body on the three schedulers a Loop is
-// written against: wall-clock, serial virtual, striped virtual.
-func forEachScheduler(t *testing.T, body func(t *testing.T, sc Scheduler)) {
-	t.Run("real", func(t *testing.T) { body(t, NewReal(time.Microsecond)) })
-	for name, workers := range map[string]int{"virtual-serial": 1, "virtual-striped": 4} {
-		t.Run(name, func(t *testing.T) {
-			v := NewVirtual(workers)
+// forEachScheduler runs the test body on the three clocks a Loop runs on:
+// paced by the wall ("real"), free serial, free striped. A free clock is born held:
+// each body installs what it drives under a Hold, or lets the clock go
+// where racing it is the point.
+func forEachScheduler(t *testing.T, body func(t *testing.T, v *Virtual)) {
+	for _, tc := range []struct {
+		name string
+		make func() *Virtual
+	}{
+		{"real", func() *Virtual { return NewPaced(1, time.Microsecond) }},
+		{"virtual-serial", func() *Virtual { return NewVirtual(1) }},
+		{"virtual-striped", func() *Virtual { return NewVirtual(4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := tc.make()
 			defer v.Close()
 			body(t, v)
 		})
@@ -30,48 +38,49 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// TestLoopGridAlignment: a loop woken mid-phase lands its next round on the
-// cadence grid under virtual time (not wake+every), and a full cadence
-// after the wake on real time.
+// TestLoopGridAlignment: a round lands on the cadence grid — the next
+// multiple of the cadence strictly after the wake — and so does the round of
+// a loop woken mid-phase after parking (not wake+every). On a free clock
+// that is the tick the round sees; on a paced one it runs no earlier.
 func TestLoopGridAlignment(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, sc Scheduler) {
+	forEachScheduler(t, func(t *testing.T, v *Virtual) {
 		const every = 4
+		grid := func(wake vtime.Ticks) vtime.Ticks { return (wake/every + 1) * every }
 		var l *Loop
-		rounds := make(chan vtime.Ticks, 1)
-		l = NewLoop(sc, every, 1, 7, func() bool {
-			now := sc.Now()
+		rounds, woken := make(chan vtime.Ticks, 2), make(chan vtime.Ticks, 1)
+		first := true
+		l = NewLoop(v, every, 1, 7, func() bool {
+			now := v.Now()
+			if first {
+				first = false
+				// Mid-phase: one tick past the next grid tick.
+				v.At(now.Add(every+1), func() {
+					woken <- v.Now()
+					l.Wake()
+				})
+			}
 			l.Park()
 			rounds <- now // the test sees a round only once the loop is parked
 			return false
 		})
-		round := func() vtime.Ticks {
-			t.Helper()
+		release := v.Hold()
+		start := v.Now()
+		l.Wake()
+		release()
+		var got [2]vtime.Ticks
+		for i := range got {
 			select {
-			case at := <-rounds:
-				return at
+			case got[i] = <-rounds:
 			case <-time.After(10 * time.Second):
-				t.Fatal("round never ran")
-				return 0
+				t.Fatalf("round %d never ran", i)
 			}
 		}
-		first := sc.Now()
-		l.Wake()
-		var got [2]vtime.Ticks
-		got[0] = round()
-		// Mid-phase: one tick past the next grid tick.
-		woken := make(chan vtime.Ticks, 1)
-		sc.At(got[0].Add(every+1), func() {
-			woken <- sc.Now()
-			l.Wake()
-		})
-		got[1] = round()
-		wake := <-woken
-		if _, virtual := sc.(*Virtual); virtual {
-			if got != [2]vtime.Ticks{every, 3 * every} {
-				t.Fatalf("rounds at %v, want the grid ticks [%d %d]", got, every, 3*every)
-			}
-		} else if got[0] < first.Add(every) || got[1] < wake.Add(every) {
-			t.Fatalf("rounds at %v ran less than a cadence after their wakes (%d, %d)", got, first, wake)
+		want := [2]vtime.Ticks{grid(start), grid(<-woken)}
+		if v.Tick() == 0 && (got != want || want != [2]vtime.Ticks{every, 3 * every}) {
+			t.Fatalf("rounds at %v, want the grid ticks [%d %d]", got, every, 3*every)
+		}
+		if got[0] < want[0] || got[1] < want[1] {
+			t.Fatalf("rounds at %v ran before their grid ticks %v", got, want)
 		}
 		if !l.Parked() {
 			t.Fatal("loop not parked after its tick parked it")
@@ -88,12 +97,12 @@ func TestLoopGridAlignment(t *testing.T) {
 // whatever state the previous one left it — armed, mid-tick, parking,
 // parked — and must still be consumed.
 func TestLoopParkWakeNeverLosesWakeup(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, sc Scheduler) {
+	forEachScheduler(t, func(t *testing.T, v *Virtual) {
 		const iterations = 10000
 		var work atomic.Int64
 		ack := make(chan struct{}, 1) // the producer has one unit outstanding
 		var l *Loop
-		l = NewLoop(sc, 1, 1, 0, func() bool {
+		l = NewLoop(v, 1, 1, 0, func() bool {
 			if work.Swap(0) > 0 {
 				ack <- struct{}{}
 				return true
@@ -105,6 +114,7 @@ func TestLoopParkWakeNeverLosesWakeup(t *testing.T) {
 			return false
 		})
 		defer l.Stop(true)
+		v.Hold()() // the producer races a running clock: that is the test
 		for i := 0; i < iterations; i++ {
 			work.Add(1)
 			l.Wake()
@@ -120,17 +130,19 @@ func TestLoopParkWakeNeverLosesWakeup(t *testing.T) {
 // TestLoopStopWaitsOutTick: Stop(true) returns only once a tick in flight
 // has finished, and nothing runs after it.
 func TestLoopStopWaitsOutTick(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, sc Scheduler) {
+	forEachScheduler(t, func(t *testing.T, v *Virtual) {
 		entered, release := make(chan struct{}), make(chan struct{})
 		var ticks atomic.Int64
-		l := NewLoop(sc, 1, 1, 0, func() bool {
+		l := NewLoop(v, 1, 1, 0, func() bool {
 			if ticks.Add(1) == 1 {
 				close(entered)
 				<-release
 			}
 			return true
 		})
+		letGo := v.Hold()
 		l.Wake()
+		letGo()
 		await(t, entered, "the first tick")
 		stopped := make(chan struct{})
 		go func() {
@@ -154,23 +166,24 @@ func TestLoopStopWaitsOutTick(t *testing.T) {
 // tick (Kill's shape), ends the loop even though the tick asks to continue,
 // and a later Wake cannot revive it.
 func TestLoopStopFromInsideTick(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, sc Scheduler) {
+	forEachScheduler(t, func(t *testing.T, v *Virtual) {
 		var ticks atomic.Int64
-		ran := make(chan struct{})
+		later := make(chan struct{})
 		var l *Loop
-		l = NewLoop(sc, 2, 1, 0, func() bool {
+		l = NewLoop(v, 2, 1, 0, func() bool {
 			if ticks.Add(1) == 1 {
 				l.Stop(false)
-				close(ran)
+				// A wake that must not revive the loop, and a marker three
+				// cadences on: nothing else has run by then.
+				now := v.Now()
+				v.At(now.Add(1), l.Wake)
+				v.At(now.Add(6), func() { close(later) })
 			}
 			return true
 		})
+		release := v.Hold()
 		l.Wake()
-		await(t, ran, "the tick")
-		l.Wake()
-		// Three cadences later nothing else has run.
-		later := make(chan struct{})
-		sc.At(sc.Now().Add(6), func() { close(later) })
+		release()
 		await(t, later, "the marker")
 		l.Stop(true)
 		if n := ticks.Load(); n != 1 {

@@ -7,28 +7,26 @@
 // sleeping. Everything that runs — the swap runtime in conc, on its own for
 // a Runner or shared by the clearing engine — is written against it.
 //
-// Two implementations exist, and every layer above derives its behaviour
-// from which one it was handed:
+// One implementation exists. Virtual is an event loop: it runs events in
+// (tick, level, scheduling order), a stripe's events one at a time — on the
+// dispatcher alone, or striped by caller-supplied key over n workers with a
+// barrier before the clock moves — and every layer above is written against
+// that one guarantee. What moves the clock is the only thing that varies:
 //
-//   - Real: virtual ticks mapped onto wall-clock time (tick = a configured
-//     wall duration), timers backed by time.AfterFunc, callbacks on
-//     whatever goroutine the runtime picks. Nothing is serialized and time
-//     cannot be held, so runtimes on it budget jitter margins and keep
-//     their own single-threading (conc's party mailboxes). The production
-//     shape.
-//   - Virtual: an event loop whose clock jumps from event to event as
-//     fast as callbacks drain, so a run is CPU-bound instead of
-//     wall-clock-bound and — same-tick events running in scheduling order
-//     — a pure function of what was scheduled. NewVirtual(1) runs every
-//     event on the one dispatcher goroutine; NewVirtual(n) partitions each
-//     (tick, level) batch by caller-supplied stripe key onto n workers
-//     with a barrier before the clock moves, so each stripe sees exactly
-//     the serial schedule while independent stripes use every core.
+//   - Free (NewVirtual): the clock jumps from event to event as fast as
+//     callbacks drain, so a run is CPU-bound instead of wall-clock-bound
+//     and a pure function of what was scheduled. A free clock is born
+//     held: it does not move until whoever set the run up lets go.
+//   - Paced (NewPaced): a tick is a configured wall duration, Now is read
+//     off the wall, and no event runs before its wall due time. An event
+//     that runs late — a loaded box — sees Now past its tick, which is the
+//     lag the LatencyProbe measures. The production shape.
 //
 // The Hold mechanism is what makes Virtual safe to drive from outside the
 // loop: work in flight on another goroutine (a runtime mid-setup, a load
-// generator booking arrivals) holds the clock still, so virtual time never
-// jumps past a deadline while the action that should beat it is pending.
+// generator booking arrivals) holds the dispatcher still, so no event runs
+// — and a free clock never jumps past a deadline — while the action that
+// should beat it is pending.
 package sched
 
 import (
@@ -48,8 +46,9 @@ type Timer interface {
 	Stop() bool
 }
 
-// Scheduler is the pluggable time source and timer service shared by every
-// runtime. Both implementations are safe for concurrent use.
+// Scheduler is the time source and timer service as the layers that only
+// book work on it see it (load generators, the benchmark harness). Virtual
+// is its one implementation, safe for concurrent use.
 type Scheduler interface {
 	vtime.Clock
 
@@ -59,67 +58,14 @@ type Scheduler interface {
 	// not block indefinitely.
 	At(t vtime.Ticks, fn func()) Timer
 
-	// Hold pins virtual time: while any hold is outstanding the clock
-	// does not advance past due timers' ticks. The returned release
-	// function must be called exactly once; it is idempotent. Real
-	// schedulers (where time advances on its own) return a no-op.
+	// Hold pins the dispatcher: while any hold is outstanding no event
+	// runs, so a free clock does not advance. The returned release
+	// function must be called exactly once; it is idempotent.
 	Hold() func()
 }
 
-// ---------------------------------------------------------------------------
-// Real: wall-clock-backed scheduler.
-
-// Real maps virtual ticks onto wall-clock time: one virtual tick per
-// configured wall duration, timers backed by time.AfterFunc. It replaces
-// the former conc.WallClock plus the ad-hoc per-run timer machinery.
-type Real struct {
-	start time.Time
-	tick  time.Duration
-}
-
-// DefaultTick is the default wall duration of one virtual tick.
+// DefaultTick is the default wall duration of one tick of a paced clock.
 const DefaultTick = 2 * time.Millisecond
-
-// NewReal starts a real-time scheduler ticking now, one virtual tick per
-// tick of wall time (DefaultTick if tick <= 0).
-func NewReal(tick time.Duration) *Real {
-	if tick <= 0 {
-		tick = DefaultTick
-	}
-	return &Real{start: time.Now(), tick: tick}
-}
-
-// Now returns the current virtual tick.
-func (r *Real) Now() vtime.Ticks {
-	return vtime.Ticks(time.Since(r.start) / r.tick)
-}
-
-// Tick returns the wall duration of one virtual tick.
-func (r *Real) Tick() time.Duration { return r.tick }
-
-// Until returns the wall duration from now until virtual tick t (negative
-// if t has passed).
-func (r *Real) Until(t vtime.Ticks) time.Duration {
-	return time.Until(r.start.Add(time.Duration(t) * r.tick))
-}
-
-// At implements Scheduler using time.AfterFunc.
-func (r *Real) At(t vtime.Ticks, fn func()) Timer {
-	d := r.Until(t)
-	if d < 0 {
-		d = 0
-	}
-	return realTimer{time.AfterFunc(d, fn)}
-}
-
-// Hold implements Scheduler. Wall time cannot be held; callers relying on
-// holds for correctness must budget jitter margins instead (see the conc
-// runtime's quarter-Δ delivery margin).
-func (r *Real) Hold() func() { return func() {} }
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
 // ---------------------------------------------------------------------------
 // Virtual: event-driven scheduler.
@@ -225,25 +171,31 @@ func (h *eventHeap) pop() *Event {
 	return top
 }
 
-// Virtual is a thread-safe discrete-event scheduler whose clock advances
-// only when nothing holds it: a dispatcher goroutine pops the earliest
-// event once every outstanding hold is released, jumps the clock to it,
-// and runs the callback (itself counted as a hold, so cascades triggered
-// by a callback all land before time moves again). Events are ordered by
-// (tick, level, scheduling order); scheduling in the past means now; a
-// stopped event is discarded when popped, without advancing time.
-//
-// Create with NewVirtual and Close (or RunUntil) to stop the dispatcher.
+// Virtual is a thread-safe discrete-event scheduler: a dispatcher goroutine
+// pops the earliest event once every outstanding hold is released — and, on
+// a paced clock, once the wall has reached the event's tick — moves the
+// clock to it, and runs the callback (itself counted as a hold, so cascades
+// triggered by a callback all land before time moves again). Events are
+// ordered by (tick, level, scheduling order); scheduling in the past means
+// now; a stopped event is discarded when popped, without advancing time.
+// Close (or RunUntil) stops the dispatcher.
 type Virtual struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// now is written under mu (by the dispatcher) and read without it: Now
-	// is on the path of every delivery, ledger append and trace note.
+	// now is the tick of the latest dispatched event, written under mu (by
+	// the dispatcher) and read without it: Now is on the path of every
+	// delivery, ledger append and trace note.
 	now    atomic.Int64
 	seq    int64
 	queue  eventHeap
 	holds  int
+	born   bool // the birth hold of a free clock is not yet adopted
 	closed bool
+	// tick > 0 paces the clock: one tick per this much wall time since
+	// start. alarm ends the dispatcher's sleep until the head event is due.
+	tick  time.Duration
+	start time.Time
+	alarm *time.Timer
 	// workers > 1 selects striped dispatch: each (tick, level) batch is
 	// partitioned by stripe key onto the worker pool, serialized in
 	// scheduling order within each stripe, with a barrier before the clock
@@ -254,7 +206,8 @@ type Virtual struct {
 	done    chan struct{}
 }
 
-// NewVirtual returns a running virtual-time scheduler starting at tick 0.
+// NewVirtual returns a running free scheduler at tick 0: its clock jumps
+// from event to event as fast as callbacks drain.
 //
 // With workers <= 1 it is serial: the dispatcher pops one event at a time
 // and runs it itself, so same-tick events run in scheduling order and an
@@ -269,7 +222,42 @@ type Virtual struct {
 // stripes — independent swaps, in the engine — use every core. The batch
 // is claimed when popped: Stop on any of its events reports false and the
 // event runs, even if a same-tick sibling is the one calling Stop.
+//
+// The clock is born held, so that a run is a function of what was scheduled
+// and not of how far the dispatcher got meanwhile: the first Hold adopts the
+// birth hold instead of adding one, and its release lets the clock go.
+// Whoever sets a run up — a load generator installing arrivals, a runtime
+// preparing a swap — takes that Hold anyway; RunUntil, and a drain that
+// found the clock still held, let go on their own.
 func NewVirtual(workers int) *Virtual {
+	v := newVirtual(workers)
+	v.holds, v.born = 1, true
+	go v.loop()
+	return v
+}
+
+// NewPaced returns a running scheduler whose clock is the wall's: tick 0 is
+// now and each tick lasts `tick` of wall time (DefaultTick if tick <= 0).
+// Dispatch is NewVirtual's, serial or striped by workers, except that no
+// event runs before the wall reaches its tick. A paced clock moves whether
+// or not anything is scheduled, so it is not born held.
+func NewPaced(workers int, tick time.Duration) *Virtual {
+	if tick <= 0 {
+		tick = DefaultTick
+	}
+	v := newVirtual(workers)
+	v.tick, v.start = tick, time.Now()
+	v.alarm = time.AfterFunc(time.Hour, func() {
+		v.mu.Lock()
+		v.cond.Broadcast()
+		v.mu.Unlock()
+	})
+	v.alarm.Stop()
+	go v.loop()
+	return v
+}
+
+func newVirtual(workers int) *Virtual {
 	v := &Virtual{done: make(chan struct{})}
 	v.cond = sync.NewCond(&v.mu)
 	if workers > 1 {
@@ -280,7 +268,6 @@ func NewVirtual(workers int) *Virtual {
 			go v.worker()
 		}
 	}
-	go v.loop()
 	return v
 }
 
@@ -296,8 +283,33 @@ func (v *Virtual) worker() {
 	}
 }
 
-// Now implements vtime.Clock.
-func (v *Virtual) Now() vtime.Ticks { return vtime.Ticks(v.now.Load()) }
+// Now implements vtime.Clock: the tick of the latest dispatched event or,
+// on a paced clock, the wall's tick when that is later — an event running
+// late sees how late. Neither goes backwards, so Now does not.
+func (v *Virtual) Now() vtime.Ticks {
+	now := v.now.Load()
+	if v.tick > 0 {
+		if wall := int64(time.Since(v.start) / v.tick); wall > now {
+			now = wall
+		}
+	}
+	return vtime.Ticks(now)
+}
+
+// Tick returns the wall duration of one tick of a paced clock; zero means
+// the clock is free.
+func (v *Virtual) Tick() time.Duration { return v.tick }
+
+// Advance moves a free clock forward to t, for a run that resumes an
+// earlier one's tick line; events already queued keep their ticks. A paced
+// clock is the wall's and restarts at zero: Advance leaves it alone.
+func (v *Virtual) Advance(t vtime.Ticks) {
+	v.mu.Lock()
+	if v.tick == 0 && int64(t) > v.now.Load() {
+		v.now.Store(int64(t))
+	}
+	v.mu.Unlock()
+}
 
 // At implements Scheduler. After Close the callback is silently dropped.
 func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
@@ -378,21 +390,19 @@ func (e *Event) Stop() bool {
 	return true
 }
 
-// Hold implements Scheduler: time stands still until the returned release
-// is called. Safe to call from callbacks and from external goroutines.
+// Hold implements Scheduler: no event runs until the returned release is
+// called. Safe to call from callbacks and from external goroutines. The
+// first Hold on a free clock adopts its birth hold (see NewVirtual).
 func (v *Virtual) Hold() func() {
 	v.mu.Lock()
-	v.holds++
+	if v.born {
+		v.born = false
+	} else {
+		v.holds++
+	}
 	v.mu.Unlock()
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			v.mu.Lock()
-			v.holds--
-			v.cond.Broadcast()
-			v.mu.Unlock()
-		})
-	}
+	return func() { once.Do(func() { v.releaseN(1) }) }
 }
 
 // Pending reports the number of queued (non-cancelled) events.
@@ -413,13 +423,14 @@ func (v *Virtual) Pending() int {
 // does: the clock rests at t and later events never run. It returns once
 // the dispatcher has exited, so everything the callbacks wrote is visible
 // to the caller. This is how a single-threaded simulation is driven: set
-// up under Hold, release, RunUntil(horizon).
+// up, RunUntil(horizon). A birth hold nobody adopted is let go here.
 func (v *Virtual) RunUntil(t vtime.Ticks) {
 	v.schedule(new(Event), t, math.MaxInt8, 0, funcHandler(func() {
 		v.mu.Lock()
 		v.closed = true
 		v.mu.Unlock()
 	}))
+	v.Hold()()
 	<-v.done
 }
 
@@ -436,11 +447,14 @@ func (v *Virtual) Close() {
 func (v *Virtual) loop() {
 	for {
 		v.mu.Lock()
-		for !v.closed && (v.holds > 0 || len(v.queue) == 0) {
+		for !v.closed && (v.holds > 0 || len(v.queue) == 0 || v.early()) {
 			v.cond.Wait()
 		}
 		if v.closed {
 			v.mu.Unlock()
+			if v.alarm != nil {
+				v.alarm.Stop()
+			}
 			if v.workCh != nil {
 				close(v.workCh)
 				v.workWG.Wait()
@@ -467,8 +481,23 @@ func (v *Virtual) loop() {
 		v.holds++
 		v.mu.Unlock()
 		e.h.Fire()
-		v.release()
+		v.releaseN(1)
 	}
+}
+
+// early reports whether a paced clock has yet to reach the head event's
+// tick, and if so sets the alarm for when it does; an earlier event, a hold
+// or Close wakes the dispatcher sooner. Called with v.mu held, queue non-empty.
+func (v *Virtual) early() bool {
+	if v.tick == 0 {
+		return false
+	}
+	d := time.Until(v.start.Add(time.Duration(v.queue[0].at) * v.tick))
+	if d <= 0 {
+		return false
+	}
+	v.alarm.Reset(d)
+	return true
 }
 
 // dispatchStriped pops the earliest (tick, priority) batch, partitions it
@@ -520,13 +549,6 @@ func (v *Virtual) dispatchStriped() {
 	for _, k := range order {
 		v.workCh <- stripes[k]
 	}
-}
-
-func (v *Virtual) release() {
-	v.mu.Lock()
-	v.holds--
-	v.cond.Broadcast()
-	v.mu.Unlock()
 }
 
 func (v *Virtual) releaseN(n int) {

@@ -442,35 +442,233 @@ func TestVirtualSerialStripedSameSchedule(t *testing.T) {
 	}
 }
 
-func TestRealSchedulerBasics(t *testing.T) {
-	r := NewReal(time.Millisecond)
-	if r.Tick() != time.Millisecond {
-		t.Fatalf("tick %v", r.Tick())
+// TestPacedNoEventBeforeItsWallTime: on a paced clock an event runs no
+// earlier than the wall time of its tick, sees Now at or past its tick, and
+// a tick in the past means now. Tick reports the pace.
+func TestPacedNoEventBeforeItsWallTime(t *testing.T) {
+	const tick = 2 * time.Millisecond
+	begin := time.Now()
+	v := NewPaced(1, tick)
+	defer v.Close()
+	if v.Tick() != tick {
+		t.Fatalf("Tick() = %v, want %v", v.Tick(), tick)
 	}
-	start := r.Now()
-	ch := make(chan vtime.Ticks, 1)
-	r.At(start+3, func() { ch <- r.Now() })
-	select {
-	case at := <-ch:
-		if at < start+2 {
-			t.Fatalf("fired at %d, target %d", at, start+3)
+	type firing struct {
+		at, now vtime.Ticks
+		wall    time.Duration
+	}
+	fired := make(chan firing, 3)
+	for _, at := range []vtime.Ticks{15, 5, 10} {
+		v.At(at, func() { fired <- firing{at, v.Now(), time.Since(begin)} })
+	}
+	for _, want := range []vtime.Ticks{5, 10, 15} {
+		select {
+		case f := <-fired:
+			if f.at != want {
+				t.Fatalf("event for tick %d ran, want tick %d's first", f.at, want)
+			}
+			if f.now < f.at {
+				t.Errorf("event for tick %d saw Now() = %d", f.at, f.now)
+			}
+			if due := time.Duration(f.at) * tick; f.wall < due {
+				t.Errorf("event for tick %d ran %v after the clock started, before its wall time %v", f.at, f.wall, due)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("event for tick %d never ran", want)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("real timer never fired")
 	}
-	// Hold is a documented no-op.
-	r.Hold()()
-	// Past-tick scheduling fires immediately.
-	r.At(0, func() { ch <- r.Now() })
+	late := make(chan vtime.Ticks, 1)
+	v.At(0, func() { late <- v.Now() })
 	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("past-tick timer never fired")
+	case now := <-late:
+		if now < 15 {
+			t.Errorf("past-tick event saw Now() = %d, before an event that already ran", now)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("past-tick event never ran")
 	}
-	// Cancellation before the due time.
-	tm := r.At(r.Now()+1000, func() { t.Error("cancelled real timer ran") })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending real timer must report true")
+}
+
+// TestPacedSleepIsPreemptible: the dispatcher asleep until a far event's
+// wall time wakes for an earlier event scheduled meanwhile, stays put under
+// a Hold, gives a stopped event no turn, and returns from Close.
+func TestPacedSleepIsPreemptible(t *testing.T) {
+	v := NewPaced(1, time.Millisecond)
+	far := v.At(3_600_000, func() { t.Error("the event an hour out ran") })
+	time.Sleep(5 * time.Millisecond) // let the dispatcher go to sleep on it
+	near := make(chan struct{})
+	v.At(v.Now().Add(2), func() { close(near) })
+	await(t, near, "the event scheduled while the dispatcher slept")
+
+	release := v.Hold()
+	held := make(chan struct{})
+	v.At(0, func() { close(held) })
+	select {
+	case <-held:
+		t.Fatal("an event ran under a hold")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	await(t, held, "the held event")
+
+	if !far.Stop() {
+		t.Error("Stop on a pending event must report true")
+	}
+	closed := make(chan struct{})
+	go func() {
+		v.Close()
+		close(closed)
+	}()
+	await(t, closed, "Close during the dispatcher's sleep")
+}
+
+// TestPacedNowNeverGoesBackwards: Now is the later of the dispatched tick
+// and the wall's, read here from inside events and from outside at once.
+func TestPacedNowNeverGoesBackwards(t *testing.T) {
+	v := NewPaced(4, 50*time.Microsecond)
+	defer v.Close()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last vtime.Ticks
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if now := v.Now(); now < last {
+					t.Errorf("Now() went from %d back to %d", last, now)
+					return
+				} else {
+					last = now
+				}
+			}
+		}()
+	}
+	const n = 200
+	done := make(chan struct{})
+	var last vtime.Ticks
+	for i := 1; i <= n; i++ {
+		v.At(vtime.Ticks(i), func() {
+			// Unkeyed events share a stripe: one at a time, in tick order.
+			if now := v.Now(); now < last || now < vtime.Ticks(i) {
+				t.Errorf("event for tick %d saw Now() = %d after %d", i, now, last)
+			} else {
+				last = now
+			}
+			if i == n {
+				close(done)
+			}
+		})
+	}
+	await(t, done, "the last event")
+	close(stop)
+	wg.Wait()
+}
+
+// TestPacedStripeOrder: pacing leaves the order alone — a stripe's events
+// run one at a time in (tick, level, scheduling order), overdue or not,
+// while other stripes run beside them.
+func TestPacedStripeOrder(t *testing.T) {
+	v := NewPaced(4, 100*time.Microsecond)
+	defer v.Close()
+	const stripes, perStripe = 4, 60
+	var mu sync.Mutex
+	got := make(map[uint64][]int)
+	var wg sync.WaitGroup
+	wg.Add(stripes * perStripe)
+	release := v.Hold()
+	for i := 0; i < perStripe; i++ {
+		for k := uint64(1); k <= stripes; k++ {
+			// Three to a tick, and every tick already past for the later
+			// ones by the time the hold lets go.
+			v.AtKeyed(vtime.Ticks(i/3), k, func() {
+				mu.Lock()
+				got[k] = append(got[k], i)
+				mu.Unlock()
+				wg.Done()
+			})
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	release()
+	wg.Wait()
+	for k, seq := range got {
+		for i, x := range seq {
+			if x != i {
+				t.Fatalf("stripe %d ran %v: out of scheduling order at %d", k, seq, i)
+			}
+		}
+	}
+}
+
+// TestVirtualBornHeld: a free clock does not move until whoever sets the
+// run up lets go. The first Hold adopts the birth hold, a second is a hold
+// of its own, and RunUntil lets go of one nobody adopted.
+func TestVirtualBornHeld(t *testing.T) {
+	v := NewVirtual(1)
+	defer v.Close()
+	ran := make(chan vtime.Ticks, 1)
+	v.At(7, func() { ran <- v.Now() })
+	idle := func(why string) {
+		t.Helper()
+		select {
+		case <-ran:
+			t.Fatalf("the event ran %s", why)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if now := v.Now(); now != 0 {
+			t.Fatalf("the clock moved to %d %s", now, why)
+		}
+	}
+	idle("before anyone let the clock go")
+	first, second := v.Hold(), v.Hold()
+	first()
+	idle("with the second hold outstanding")
+	second()
+	select {
+	case at := <-ran:
+		if at != 7 {
+			t.Fatalf("event ran at tick %d, want 7", at)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the event never ran once every hold was released")
+	}
+
+	w := NewVirtual(1)
+	count := 0
+	w.At(3, func() { count++ })
+	w.RunUntil(5)
+	if count != 1 || w.Now() != 5 {
+		t.Fatalf("RunUntil on a clock nobody let go: %d events, clock at %d; want 1 and 5", count, w.Now())
+	}
+}
+
+// TestVirtualAdvance: Advance moves a held free clock forward — never back,
+// and a paced clock not at all — and what is scheduled in the past of the
+// new tick means now.
+func TestVirtualAdvance(t *testing.T) {
+	v := NewVirtual(1)
+	v.Advance(40)
+	v.Advance(30)
+	if now := v.Now(); now != 40 {
+		t.Fatalf("clock at %d after Advance(40), Advance(30)", now)
+	}
+	var at vtime.Ticks
+	v.At(10, func() { at = v.Now() })
+	v.RunUntil(50)
+	if at != 40 {
+		t.Fatalf("event scheduled in the past ran at %d, want 40", at)
+	}
+	p := NewPaced(1, time.Hour)
+	defer p.Close()
+	p.Advance(40)
+	if now := p.Now(); now != 0 {
+		t.Fatalf("Advance moved a paced clock to %d", now)
 	}
 }
 
