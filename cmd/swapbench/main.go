@@ -52,6 +52,10 @@ func runScenarios(name string, seedOffset int64, parallel bool, shards int) erro
 		}
 		fmt.Printf("{\"bench\":\"scenario\",\"hash\":%q,\"digest\":%s}\n",
 			res.Digest.Hash(), res.Digest.JSON())
+		if parallel {
+			// Where the batches ran is the box's business, not the digest's.
+			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Dispatch)
+		}
 		violations += len(res.Violations)
 	}
 	if violations > 0 {

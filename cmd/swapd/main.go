@@ -67,6 +67,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -107,6 +108,15 @@ func runOpenLoop(eng clearingEngine, lcfg loadgen.Config, timeout time.Duration,
 		fmt.Printf("intake: %d offered, %d submitted, %d shed, %d refused, conservation verified\n\n",
 			rep.Load.Offered, rep.Load.Submitted, rep.Load.Shed, rep.Load.Refused)
 		fmt.Println(rep.Throughput)
+		printDispatch(eng)
+	}
+}
+
+// printDispatch closes the report with what a striped scheduler did with
+// its batches: how many it ran alone, how often it sent for help.
+func printDispatch(eng clearingEngine) {
+	if st := eng.Scheduler().(*sched.Virtual).Stats(); st.Batches > 0 {
+		fmt.Println(st)
 	}
 }
 
@@ -308,6 +318,7 @@ func main() {
 	fmt.Printf("load: %d offers submitted (%d refused at intake), %s verified\n\n",
 		submitted, rejected, auditName)
 	fmt.Println(rep)
+	printDispatch(eng)
 	if rep.SwapsFailed > 0 {
 		os.Exit(1)
 	}

@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // withParallel flips the execution knob without touching the schedule
 // identity: everything the digest hashes stays the same.
@@ -51,24 +54,34 @@ func TestParallelSuiteDigestEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite serial-vs-parallel replay")
 	}
-	for _, sc := range Suite(0) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			serial, err := Run(sc)
-			if err != nil {
-				t.Fatal(err)
+	// Workers 2 is one helper at most: the dispatcher runs nearly every
+	// stripe itself, so a callback that waited for another stripe of its
+	// own batch (sched.Scheduler.At forbids it) would hang here.
+	for _, workers := range []int{0, 2} {
+		for _, sc := range Suite(0) {
+			sc := sc
+			name := sc.Name
+			if workers > 0 {
+				sc.Workers = workers
+				name = fmt.Sprintf("%s@workers=%d", name, workers)
 			}
-			parallel, err := Run(withParallel(sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Digest.JSON() != parallel.Digest.JSON() {
-				t.Fatalf("suite scenario %q: serial vs parallel digests diverged:\nserial:   %s\nparallel: %s",
-					sc.Name, serial.Digest.JSON(), parallel.Digest.JSON())
-			}
-			if sc.CrashTick > 0 && parallel.Digest.Crash == nil {
-				t.Fatalf("crash scenario %q recorded no crash digest under parallel dispatch", sc.Name)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				serial, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parallel, err := Run(withParallel(sc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if serial.Digest.JSON() != parallel.Digest.JSON() {
+					t.Fatalf("suite scenario %q: serial vs parallel digests diverged:\nserial:   %s\nparallel: %s",
+						sc.Name, serial.Digest.JSON(), parallel.Digest.JSON())
+				}
+				if sc.CrashTick > 0 && parallel.Digest.Crash == nil {
+					t.Fatalf("crash scenario %q recorded no crash digest under parallel dispatch", sc.Name)
+				}
+			})
+		}
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -197,6 +198,10 @@ type Result struct {
 	Load loadgen.Stats
 	// Violations lists every failed safety check (empty on a good run).
 	Violations []Violation
+	// Dispatch is what the run's scheduler did with its batches (zero on
+	// serial dispatch; of a crash run, the recovered life's). It says where
+	// the work ran, which is the box's business: not in the digest.
+	Dispatch sched.Stats
 	// Recovery reports the kill-and-recover step of a CrashTick run
 	// (nil otherwise). Wall-clock fields are not replay-stable; the
 	// digest carries only its tick/count facts.
@@ -536,6 +541,7 @@ func run(sc Scenario, kind core.Kind) (*Result, error) {
 		Report:     e.Report(),
 		Load:       stats,
 		Violations: checkSafety(orders),
+		Dispatch:   e.Scheduler().(*sched.Virtual).Stats(),
 	}
 
 	// Conservation audit: the full invariant (no stranded escrow) when

@@ -41,8 +41,12 @@ type Loop struct {
 
 	mu    sync.Mutex
 	state uint8
-	timer Timer
-	wg    sync.WaitGroup // a tick in flight, for Stop(true)
+	// rounds holds the queue entries: rounds are strictly sequential, so the
+	// running round arms the other one and none is allocated. cur indexes
+	// the one armed last, which is the only one that can be pending.
+	rounds [2]Event
+	cur    uint8
+	wg     sync.WaitGroup // a tick in flight, for Stop(true)
 }
 
 // NewLoop returns an idle loop that, once woken, calls tick every `every`
@@ -86,11 +90,9 @@ func (l *Loop) Parked() bool {
 func (l *Loop) Stop(wait bool) {
 	l.mu.Lock()
 	l.state = loopStopped
-	t := l.timer
+	cur := &l.rounds[l.cur] // nothing is armed after this: it stays current
 	l.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
+	cur.Stop()
 	if wait {
 		l.wg.Wait()
 	}
@@ -100,7 +102,8 @@ func (l *Loop) Stop(wait bool) {
 func (l *Loop) arm() {
 	every := int64(l.every)
 	next := vtime.Ticks((int64(l.v.Now())/every + 1) * every)
-	l.timer = l.v.schedule(new(Event), next, l.level, l.key, l)
+	l.cur ^= 1
+	l.v.schedule(&l.rounds[l.cur], next, l.level, l.key, l)
 }
 
 // Fire runs one round; it is the scheduler's entry point (Handler), not

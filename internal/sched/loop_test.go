@@ -191,3 +191,33 @@ func TestLoopStopFromInsideTick(t *testing.T) {
 		}
 	})
 }
+
+// TestLoopRoundAllocatesNothing: a running loop alternates between its two
+// own queue entries, so a round — fire, tick, arm the next — allocates
+// nothing on any clock.
+func TestLoopRoundAllocatesNothing(t *testing.T) {
+	forEachScheduler(t, func(t *testing.T, v *Virtual) {
+		// The tick hands the clock to the test: one step is one round.
+		step, done := make(chan struct{}), make(chan struct{})
+		var quit atomic.Bool
+		l := NewLoop(v, 1, 1, 0, func() bool {
+			done <- struct{}{}
+			<-step
+			return !quit.Load()
+		})
+		letGo := v.Hold()
+		l.Wake()
+		letGo()
+		await(t, done, "the first round")
+		allocs := testing.AllocsPerRun(200, func() {
+			step <- struct{}{}
+			<-done
+		})
+		quit.Store(true)
+		step <- struct{}{}
+		l.Stop(true)
+		if allocs != 0 {
+			t.Fatalf("a round of a running loop allocates %.1f objects, want 0", allocs)
+		}
+	})
+}

@@ -9,9 +9,11 @@
 //
 // One implementation exists. Virtual is an event loop: it runs events in
 // (tick, level, scheduling order), a stripe's events one at a time — on the
-// dispatcher alone, or striped by caller-supplied key over n workers with a
-// barrier before the clock moves — and every layer above is written against
-// that one guarantee. What moves the clock is the only thing that varies:
+// dispatcher alone, or striped by caller-supplied key, the dispatcher
+// running stripes and sending for helpers only when a batch outlasts a
+// wake-up, with a barrier before the clock moves — and every layer above is
+// written against that one guarantee. What moves the clock is the only
+// thing that varies:
 //
 //   - Free (NewVirtual): the clock jumps from event to event as fast as
 //     callbacks drain, so a run is CPU-bound instead of wall-clock-bound
@@ -30,7 +32,11 @@
 package sched
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +61,9 @@ type Scheduler interface {
 	// At schedules fn to run at virtual tick t. Scheduling at or before
 	// the current tick runs fn as soon as possible; time never moves
 	// backwards. fn runs on an implementation-chosen goroutine and must
-	// not block indefinitely.
+	// not block indefinitely; in particular it must not wait for another
+	// stripe of its own (tick, level) batch, which may be queued behind
+	// it on the same goroutine.
 	At(t vtime.Ticks, fn func()) Timer
 
 	// Hold pins the dispatcher: while any hold is outstanding no event
@@ -92,10 +100,12 @@ func (f funcHandler) Fire() { f() }
 // Stop flips the event's own state under its scheduler's lock. At and its
 // siblings allocate one per call; a runtime that already owns a record per
 // scheduled thing embeds an Event in it and hands it to Schedule, so the
-// record is the queue entry and nothing else is allocated. An event is
-// never reused after it leaves the queue, so a handle kept past firing can
-// only ever see its own fired event. The zero value is an idle event; an
-// Event must not be copied once scheduled.
+// record is the queue entry and nothing else is allocated. The scheduler
+// never reuses an event that has left the queue, so a handle kept past
+// firing can only ever see its own fired event; an owner may hand one of its
+// own back to Schedule once it has fired (a Loop alternates between two).
+// The zero value is an idle event; an Event must not be copied once
+// scheduled.
 type Event struct {
 	v  *Virtual
 	at vtime.Ticks
@@ -192,18 +202,68 @@ type Virtual struct {
 	born   bool // the birth hold of a free clock is not yet adopted
 	closed bool
 	// tick > 0 paces the clock: one tick per this much wall time since
-	// start. alarm ends the dispatcher's sleep until the head event is due.
+	// start (on any clock, the zero of the time the dispatcher reads to
+	// decide on help). alarm ends the dispatcher's sleep until the head
+	// event is due.
 	tick  time.Duration
 	start time.Time
 	alarm *time.Timer
-	// workers > 1 selects striped dispatch: each (tick, level) batch is
-	// partitioned by stripe key onto the worker pool, serialized in
-	// scheduling order within each stripe, with a barrier before the clock
-	// moves on.
-	workers int
-	workCh  chan []*Event
-	workWG  sync.WaitGroup
-	done    chan struct{}
+	// waiting marks the dispatcher inside cond.Wait. It is cond's one
+	// waiter, so a wake-up is a Signal, and skipped while it is running.
+	waiting bool
+
+	// Striped dispatch (workers > 1: wake is non-nil): each (tick, level)
+	// batch is grouped by stripe key and its stripes are claimed one at a
+	// time — by the dispatcher, and by helpers it wakes once the batch has
+	// outlasted a wake-up — each run in scheduling order, with a barrier
+	// before the clock moves on. batch is the running batch sorted by
+	// stripe, stripe i being batch[starts[i]:starts[i+1]]; both are kept
+	// and reused.
+	batch  []*Event
+	starts []int32
+	// cursor holds the running batch's stripe count in its high half and
+	// the next unclaimed stripe in its low half; a claim is a CAS that adds
+	// one while low < high. Invariant: the cursor reads exhausted (low ==
+	// high) from the claim of a batch's last stripe until the next batch is
+	// wholly built, because the Store that publishes a batch is the last
+	// write of its build and the only one that makes a stripe claimable. So
+	// a claim that succeeds, however late its helper woke, is on the batch
+	// current at that instant, whole; one that fails has read nothing but
+	// the cursor.
+	cursor atomic.Uint64
+	// left counts the running batch's stripes not yet reported done: the
+	// barrier. Whoever brings it to zero releases the batch's one hold.
+	left atomic.Int32
+	// wake parks the helpers: one token rouses one, and carries when it was
+	// sent, so that the helper measures how long help takes to arrive
+	// (arrive, in ns, smoothed) — the one quantity the wake rule reads.
+	wake       chan time.Duration
+	arrive     atomic.Int64
+	helpers    sync.WaitGroup
+	helperHook func() // tests: runs on a roused helper before it claims
+	stats      Stats  // written by the dispatcher, under mu
+	done       chan struct{}
+}
+
+// Stats counts what striped dispatch did, to show where a batch's work ran
+// (all zero on a serial scheduler).
+type Stats struct {
+	Batches, Events, Stripes int64
+	// SoloBatches ran entirely on the dispatcher; Wakes counts helpers
+	// roused and HelpedStripes the stripes they ran.
+	SoloBatches, Wakes, HelpedStripes int64
+}
+
+// Stats returns the striped dispatcher's counters so far.
+func (v *Virtual) Stats() Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("dispatch: %d batches, %d events, %d stripes; %d batches on the dispatcher alone, %d helper wake-ups, %d stripes run by helpers",
+		s.Batches, s.Events, s.Stripes, s.SoloBatches, s.Wakes, s.HelpedStripes)
 }
 
 // NewVirtual returns a running free scheduler at tick 0: its clock jumps
@@ -214,13 +274,19 @@ type Virtual struct {
 // event still queued behind the running one can be stopped by it.
 //
 // With workers > 1 it is striped: the dispatcher pops a whole (tick,
-// level) batch, partitions it by stripe key (see AtKeyed) and hands each
-// stripe to one of `workers` goroutines. Events sharing a stripe run in
-// scheduling order on one worker; distinct stripes run concurrently. The
-// batch's holds are the barrier before the clock advances, so per-stripe
-// state machines observe exactly the serial schedule while independent
-// stripes — independent swaps, in the engine — use every core. The batch
-// is claimed when popped: Stop on any of its events reports false and the
+// level) batch, groups it by stripe key (see AtKeyed) and runs the stripes
+// itself, one claim at a time. Once the batch has run for longer than help
+// takes to arrive — a time the scheduler measures — and stripes are still
+// unclaimed, it rouses a parked helper (there are workers-1 of them, or one
+// a spare core if that is fewer), which claims from the same cursor; so a
+// batch smaller than a wake-up never pays for one, and a long one gets
+// every core. Events sharing a stripe run in scheduling
+// order on whichever goroutine claimed the stripe; distinct stripes may run
+// concurrently. One hold for the batch, released when its last stripe is
+// done, is the barrier before the clock advances, so per-stripe state
+// machines observe exactly the serial schedule while independent stripes —
+// independent swaps, in the engine — can use every core. The batch is
+// claimed when popped: Stop on any of its events reports false and the
 // event runs, even if a same-tick sibling is the one calling Stop.
 //
 // The clock is born held, so that a run is a function of what was scheduled
@@ -230,10 +296,7 @@ type Virtual struct {
 // preparing a swap — takes that Hold anyway; RunUntil, and a drain that
 // found the clock still held, let go on their own.
 func NewVirtual(workers int) *Virtual {
-	v := newVirtual(workers)
-	v.holds, v.born = 1, true
-	go v.loop()
-	return v
+	return newVirtual(workers, spareCores(workers), 0)
 }
 
 // NewPaced returns a running scheduler whose clock is the wall's: tick 0 is
@@ -245,42 +308,37 @@ func NewPaced(workers int, tick time.Duration) *Virtual {
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	v := newVirtual(workers)
-	v.tick, v.start = tick, time.Now()
-	v.alarm = time.AfterFunc(time.Hour, func() {
-		v.mu.Lock()
-		v.cond.Broadcast()
-		v.mu.Unlock()
-	})
-	v.alarm.Stop()
+	return newVirtual(workers, spareCores(workers), tick)
+}
+
+// spareCores is how many helpers a striped scheduler of this many workers
+// keeps: one a core beside the dispatcher's. A helper beyond the core count
+// adds no parallelism, only wake-ups that find no core to land on.
+func spareCores(workers int) int {
+	return max(min(workers, runtime.GOMAXPROCS(0))-1, 0)
+}
+
+// newVirtual starts a scheduler: serial for workers <= 1, else striped with
+// `helpers` parked helpers (with none, the dispatcher still batches, and
+// runs every stripe itself); free and born held for tick 0, else paced.
+func newVirtual(workers, helpers int, tick time.Duration) *Virtual {
+	v := &Virtual{done: make(chan struct{}), tick: tick, start: time.Now()}
+	v.cond = sync.NewCond(&v.mu)
+	if tick == 0 {
+		v.holds, v.born = 1, true
+	} else {
+		v.alarm = time.AfterFunc(time.Hour, func() { v.releaseN(0) }) // wakes the dispatcher
+		v.alarm.Stop()
+	}
+	if workers > 1 {
+		v.wake = make(chan time.Duration, helpers) // a token per helper
+		v.helpers.Add(helpers)
+		for i := 0; i < helpers; i++ {
+			go v.helper()
+		}
+	}
 	go v.loop()
 	return v
-}
-
-func newVirtual(workers int) *Virtual {
-	v := &Virtual{done: make(chan struct{})}
-	v.cond = sync.NewCond(&v.mu)
-	if workers > 1 {
-		v.workers = workers
-		v.workCh = make(chan []*Event, workers*4)
-		v.workWG.Add(workers)
-		for i := 0; i < workers; i++ {
-			go v.worker()
-		}
-	}
-	return v
-}
-
-// worker drains stripes: each stripe's events run in order, then the whole
-// stripe's holds release at once.
-func (v *Virtual) worker() {
-	defer v.workWG.Done()
-	for stripe := range v.workCh {
-		for _, e := range stripe {
-			e.h.Fire()
-		}
-		v.releaseN(len(stripe))
-	}
 }
 
 // Now implements vtime.Clock: the tick of the latest dispatched event or,
@@ -318,9 +376,11 @@ func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
 
 // AtKeyed is At with a stripe key: fn joins the stripe identified by key
 // at tick t. Same-stripe events are serialized in scheduling order;
-// distinct stripes run concurrently under striped dispatch and are simply
-// interleaved in scheduling order under serial dispatch. Key 0 (what At
-// uses) is the shared unkeyed stripe.
+// distinct stripes may run concurrently under striped dispatch — or one
+// after another on the dispatcher, in no particular order, so fn must not
+// wait for another stripe of its batch — and are simply interleaved in
+// scheduling order under serial dispatch. Key 0 (what At uses) is the
+// shared unkeyed stripe.
 func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 	return v.schedule(new(Event), t, 0, key, funcHandler(fn))
 }
@@ -372,7 +432,9 @@ func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Han
 	v.seq++
 	e.at, e.prio, e.seq, e.key, e.h, e.state = t, prio, v.seq, key, h, evPending
 	v.queue.push(e)
-	v.cond.Broadcast()
+	if v.waiting {
+		v.cond.Signal()
+	}
 	return e
 }
 
@@ -439,7 +501,7 @@ func (v *Virtual) RunUntil(t vtime.Ticks) {
 func (v *Virtual) Close() {
 	v.mu.Lock()
 	v.closed = true
-	v.cond.Broadcast()
+	v.cond.Signal()
 	v.mu.Unlock()
 	<-v.done
 }
@@ -448,21 +510,23 @@ func (v *Virtual) loop() {
 	for {
 		v.mu.Lock()
 		for !v.closed && (v.holds > 0 || len(v.queue) == 0 || v.early()) {
+			v.waiting = true
 			v.cond.Wait()
+			v.waiting = false
 		}
 		if v.closed {
 			v.mu.Unlock()
 			if v.alarm != nil {
 				v.alarm.Stop()
 			}
-			if v.workCh != nil {
-				close(v.workCh)
-				v.workWG.Wait()
+			if v.wake != nil {
+				close(v.wake)
+				v.helpers.Wait()
 			}
 			close(v.done)
 			return
 		}
-		if v.workers > 1 {
+		if v.wake != nil {
 			v.dispatchStriped()
 			continue
 		}
@@ -500,24 +564,28 @@ func (v *Virtual) early() bool {
 	return true
 }
 
-// dispatchStriped pops the earliest (tick, priority) batch, partitions it
-// by stripe key preserving scheduling order, and fans the stripes out to
-// the worker pool. Called with v.mu held; returns with it released. The
-// holds taken for the batch form the barrier: the dispatcher cannot pop
-// the next batch (or advance time) until every stripe has drained, and
+// dispatchStriped pops the earliest (tick, priority) batch into v.batch,
+// takes one hold for it, and runs it: inline when it is one stripe, else
+// grouped by stripe and claimed through the cursor. Called with v.mu held;
+// returns with it released. The hold is the barrier: the dispatcher cannot
+// pop the next batch (or advance time) until every stripe has drained, and
 // cascades that land back on the current (tick, priority) join the next
 // batch before any later one.
 func (v *Virtual) dispatchStriped() {
 	t, p := v.queue[0].at, v.queue[0].prio
-	var batch []*Event
+	batch, oneStripe := v.batch[:0], true
 	for len(v.queue) > 0 && v.queue[0].at == t && v.queue[0].prio == p {
 		e := v.queue.pop()
 		if e.state != evPending {
 			continue
 		}
 		e.state = evFired
+		if len(batch) > 0 && e.key != batch[0].key {
+			oneStripe = false
+		}
 		batch = append(batch, e)
 	}
+	v.batch = batch
 	if len(batch) == 0 {
 		v.mu.Unlock()
 		return
@@ -525,36 +593,158 @@ func (v *Virtual) dispatchStriped() {
 	if int64(t) > v.now.Load() {
 		v.now.Store(int64(t))
 	}
-	v.holds += len(batch)
+	v.holds++
 	v.mu.Unlock()
 
-	// Partition by stripe key. Batch order is seq order (heap pops), so
-	// each stripe inherits scheduling order.
-	stripes := make(map[uint64][]*Event, len(batch))
-	order := make([]uint64, 0, len(batch))
-	for _, e := range batch {
-		if _, ok := stripes[e.key]; !ok {
-			order = append(order, e.key)
-		}
-		stripes[e.key] = append(stripes[e.key], e)
-	}
-	if len(order) == 1 {
-		// One stripe: run inline on the dispatcher, as serial dispatch does.
-		for _, e := range batch {
+	stripes, mine, wakes := 1, 1, 0
+	if oneStripe {
+		// Run inline on the dispatcher, as serial dispatch does.
+		for i, e := range batch {
+			batch[i] = nil
 			e.h.Fire()
 		}
-		v.releaseN(len(batch))
-		return
+	} else {
+		// Batch order is scheduling order (heap pops), so sorting by (key,
+		// scheduling order) groups the stripes and keeps each one's order.
+		slices.SortFunc(batch, func(a, b *Event) int {
+			if a.key != b.key {
+				return cmp.Compare(a.key, b.key)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		starts := v.starts[:0]
+		for i, e := range batch {
+			if i == 0 || e.key != batch[i-1].key {
+				starts = append(starts, int32(i))
+			}
+		}
+		stripes = len(starts)
+		v.starts = append(starts, int32(len(batch)))
+		v.left.Store(int32(stripes))
+		v.cursor.Store(uint64(stripes) << 32) // publishes the batch
+		mine, wakes = v.runBatch()
 	}
-	for _, k := range order {
-		v.workCh <- stripes[k]
+
+	v.mu.Lock()
+	v.stats.Batches++
+	v.stats.Events += int64(len(batch))
+	v.stats.Stripes += int64(stripes)
+	v.stats.Wakes += int64(wakes)
+	v.stats.HelpedStripes += int64(stripes - mine)
+	if mine == stripes {
+		v.stats.SoloBatches++
+	}
+	if oneStripe || mine > 0 && v.left.Add(int32(-mine)) == 0 {
+		v.holds-- // the dispatcher is the last one out, and is not waiting
+	}
+	v.mu.Unlock()
+}
+
+// runBatch is the dispatcher's share of a published batch: it claims and
+// runs stripes until none is left unclaimed, and reports how many it ran
+// and how many helpers it roused. It asks for help only once the batch has
+// run — or has last asked — longer ago than help takes to arrive, and only
+// for stripes still unclaimed: help that would arrive after the batch is
+// over is never sent for, and a batch long enough to share is shared after
+// its first few microseconds. It can look up only between stripes, so it
+// then sends for every helper that came due while the stripe ran.
+func (v *Virtual) runBatch() (mine, wakes int) {
+	var ask time.Duration
+	if cap(v.wake) > 0 {
+		ask = time.Since(v.start) + time.Duration(v.arrive.Load())
+	}
+	for v.claim() {
+		mine++
+		// The next unclaimed stripe is the dispatcher's own: help is for
+		// the ones behind it.
+		c := v.cursor.Load()
+		spare := int(uint32(c>>32)-uint32(c)) - 1
+		if spare <= 0 || wakes == cap(v.wake) {
+			continue
+		}
+		now := time.Since(v.start)
+		if now < ask {
+			continue
+		}
+		every := max(time.Duration(v.arrive.Load()), 1)
+		for due := min(1+int((now-ask)/every), spare, cap(v.wake)-wakes); due > 0; due-- {
+			select {
+			case v.wake <- now:
+				wakes++
+			default: // every helper already has a token coming
+			}
+		}
+		ask = now + every
+	}
+	if wakes == 0 && cap(v.wake) > 0 {
+		// An estimate that one slow arrival pushed past every batch would
+		// never be measured again: let it sink until a batch asks.
+		v.arrive.Add(-v.arrive.Load() / 256)
+	}
+	return mine, wakes
+}
+
+// claim takes the next unclaimed stripe of the running batch and runs it,
+// or reports false if there is none (see cursor for why a late caller is
+// safe). Fired events are cleared from the batch as they go, so the kept
+// buffer retains none.
+func (v *Virtual) claim() bool {
+	for {
+		c := v.cursor.Load()
+		i := uint32(c)
+		if i == uint32(c>>32) {
+			return false
+		}
+		if !v.cursor.CompareAndSwap(c, c+1) {
+			continue
+		}
+		for j := v.starts[i]; j < v.starts[i+1]; j++ {
+			e := v.batch[j]
+			v.batch[j] = nil
+			e.h.Fire()
+		}
+		return true
 	}
 }
 
+// helper sleeps until the dispatcher sends for it, then claims stripes
+// until none is left. Stripes it has claimed pin their batch — left cannot
+// reach zero without them — so the ones it counts are all one batch's.
+func (v *Virtual) helper() {
+	defer v.helpers.Done()
+	for {
+		asleep := len(v.wake) == 0 // else the token came while it was still up
+		sent, ok := <-v.wake
+		if !ok {
+			return
+		}
+		if asleep {
+			took := int64(time.Since(v.start) - sent)
+			if a := v.arrive.Load(); a > 0 {
+				took = min(took, 2*a) // one slow arrival measured a busy core
+			}
+			v.arrive.Store(took)
+		}
+		if v.helperHook != nil {
+			v.helperHook()
+		}
+		n := 0
+		for v.claim() {
+			n++
+		}
+		if n > 0 && v.left.Add(int32(-n)) == 0 {
+			v.releaseN(1)
+		}
+	}
+}
+
+// releaseN drops n holds and wakes the dispatcher if it is waiting.
 func (v *Virtual) releaseN(n int) {
 	v.mu.Lock()
 	v.holds -= n
-	v.cond.Broadcast()
+	if v.waiting {
+		v.cond.Signal()
+	}
 	v.mu.Unlock()
 }
 
@@ -570,11 +760,10 @@ func (v *Virtual) releaseN(n int) {
 // It implements chain.DeliveryProbe, so a registry can carry one and every
 // runtime sharing the registry feeds it without extra plumbing.
 type LatencyProbe struct {
-	mu        sync.Mutex
-	ewma      float64
-	samples   uint64
-	windowN   uint64
-	windowMax vtime.Duration
+	ewma      atomic.Uint64 // float64 bits
+	samples   atomic.Uint64
+	windowN   atomic.Uint64
+	windowMax atomic.Int64
 }
 
 // ewmaAlpha weights new observations; ~1/16 smooths per-delivery noise
@@ -586,23 +775,31 @@ func NewLatencyProbe() *LatencyProbe { return &LatencyProbe{} }
 
 // Observe records one delivery lag, in ticks. Negative lags (deliveries
 // that ran early relative to target, possible only under virtual time)
-// count as zero.
+// count as zero. It takes no lock: every stripe's deliveries land here, and
+// on a sharded engine in one probe per shard.
 func (p *LatencyProbe) Observe(lag vtime.Duration) {
 	if lag < 0 {
 		lag = 0
 	}
-	p.mu.Lock()
-	if p.samples == 0 {
-		p.ewma = float64(lag)
-	} else {
-		p.ewma += ewmaAlpha * (float64(lag) - p.ewma)
+	first := p.samples.Add(1) == 1
+	for {
+		old := p.ewma.Load()
+		next := float64(lag)
+		if !first {
+			prev := math.Float64frombits(old)
+			next = prev + ewmaAlpha*(float64(lag)-prev)
+		}
+		if p.ewma.CompareAndSwap(old, math.Float64bits(next)) {
+			break
+		}
 	}
-	p.samples++
-	p.windowN++
-	if lag > p.windowMax {
-		p.windowMax = lag
+	p.windowN.Add(1)
+	for {
+		cur := p.windowMax.Load()
+		if int64(lag) <= cur || p.windowMax.CompareAndSwap(cur, int64(lag)) {
+			break
+		}
 	}
-	p.mu.Unlock()
 }
 
 // LatencySnapshot is a point-in-time view of the probe.
@@ -621,21 +818,24 @@ type LatencySnapshot struct {
 
 // Snapshot returns the current estimate without resetting the window.
 func (p *LatencyProbe) Snapshot() LatencySnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return LatencySnapshot{EWMA: p.ewma, WindowMax: p.windowMax, WindowSamples: p.windowN, Samples: p.samples}
+	return LatencySnapshot{
+		EWMA:          math.Float64frombits(p.ewma.Load()),
+		WindowMax:     vtime.Duration(p.windowMax.Load()),
+		WindowSamples: p.windowN.Load(),
+		Samples:       p.samples.Load(),
+	}
 }
 
 // TakeWindow returns the current snapshot and resets the window (max and
 // sample count), so stale worst cases decay instead of pinning Δ high
 // forever.
 func (p *LatencyProbe) TakeWindow() LatencySnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := LatencySnapshot{EWMA: p.ewma, WindowMax: p.windowMax, WindowSamples: p.windowN, Samples: p.samples}
-	p.windowMax = 0
-	p.windowN = 0
-	return s
+	return LatencySnapshot{
+		EWMA:          math.Float64frombits(p.ewma.Load()),
+		WindowMax:     vtime.Duration(p.windowMax.Swap(0)),
+		WindowSamples: p.windowN.Swap(0),
+		Samples:       p.samples.Load(),
+	}
 }
 
 // EstimateTicks returns a conservative whole-tick latency estimate: the
