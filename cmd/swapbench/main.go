@@ -52,9 +52,13 @@ func runScenarios(name string, seedOffset int64, parallel bool, shards int) erro
 		}
 		fmt.Printf("{\"bench\":\"scenario\",\"hash\":%q,\"digest\":%s}\n",
 			res.Digest.Hash(), res.Digest.JSON())
+		// Where the batches and the signatures ran is the box's business,
+		// not the digest's.
 		if parallel {
-			// Where the batches ran is the box's business, not the digest's.
 			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Dispatch)
+		}
+		if res.Signing.Signs > 0 {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Signing)
 		}
 		violations += len(res.Violations)
 	}

@@ -85,6 +85,7 @@ const snapshotEvery = 4096
 type clearingEngine interface {
 	loadgen.DriveTarget
 	Start() error
+	Keyring() *core.Keyring
 }
 
 // runOpenLoop streams an open-loop load into the started engine and
@@ -112,10 +113,15 @@ func runOpenLoop(eng clearingEngine, lcfg loadgen.Config, timeout time.Duration,
 	}
 }
 
-// printDispatch closes the report with what a striped scheduler did with
-// its batches: how many it ran alone, how often it sent for help.
+// printDispatch closes the report with where the work ran: what a striped
+// scheduler did with its batches (how many it ran alone, how often it sent
+// for help), and how many signatures were presigned on a spare core.
+// Each line is printed only when there is something to report.
 func printDispatch(eng clearingEngine) {
 	if st := eng.Scheduler().(*sched.Virtual).Stats(); st.Batches > 0 {
+		fmt.Println(st)
+	}
+	if st := eng.Keyring().SignStats(); st.Signs > 0 {
 		fmt.Println(st)
 	}
 }

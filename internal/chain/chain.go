@@ -658,22 +658,13 @@ func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size 
 	if last := c.ledger.last(); last != nil {
 		prev = last.Hash
 	}
-	rec := Record{
-		Seq:      c.ledger.n,
-		At:       c.clock.Now(),
-		Kind:     kind,
-		Contract: id,
-		Sender:   sender,
-		Size:     size,
-		Note:     note,
-		PrevHash: prev,
-	}
-	rec.Hash = hashRecord(rec)
-	c.ledger.append(rec)
+	e := entry{At: c.clock.Now(), Kind: kind, Contract: id, Sender: sender, Size: size, Note: note}
+	e.Hash = hashRecord(e.record(c.ledger.n, prev))
+	c.ledger.append(e)
 	c.storage += size
 	return Notification{
 		Chain:    c.name,
-		At:       rec.At,
+		At:       e.At,
 		Kind:     kind,
 		Contract: id,
 		Method:   note,
@@ -712,8 +703,12 @@ func (c *Chain) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Record, 0, c.ledger.n)
+	var prev [32]byte
 	for _, chunk := range c.ledger.chunks {
-		out = append(out, chunk...)
+		for i := range chunk {
+			out = append(out, chunk[i].record(len(out), prev))
+			prev = chunk[i].Hash
+		}
 	}
 	return out
 }
@@ -723,16 +718,15 @@ func (c *Chain) VerifyLedger() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var prev [32]byte
+	seq := 0
 	for _, chunk := range c.ledger.chunks {
 		for i := range chunk {
-			r := &chunk[i]
-			if r.PrevHash != prev {
+			e := &chunk[i]
+			if hashRecord(e.record(seq, prev)) != e.Hash {
 				return false
 			}
-			if hashRecord(*r) != r.Hash {
-				return false
-			}
-			prev = r.Hash
+			prev = e.Hash
+			seq++
 		}
 	}
 	return true
@@ -741,33 +735,55 @@ func (c *Chain) VerifyLedger() bool {
 // ledgerChunk is the number of records one ledger chunk holds.
 const ledgerChunk = 256
 
+// entry is a ledger record as stored. Its Seq is its position and its
+// PrevHash the entry before it's Hash, so neither is kept: 104 bytes where
+// a Record takes 144, and a K4 swap appends 84 of them.
+type entry struct {
+	At       vtime.Ticks
+	Kind     NoteKind
+	Contract ContractID
+	Sender   PartyID
+	Size     int
+	Note     string
+	Hash     [32]byte
+}
+
+// record is the entry as the Record at position seq, after a record
+// whose hash is prev.
+func (e *entry) record(seq int, prev [32]byte) Record {
+	return Record{
+		Seq: seq, At: e.At, Kind: e.Kind, Contract: e.Contract, Sender: e.Sender,
+		Size: e.Size, Note: e.Note, PrevHash: prev, Hash: e.Hash,
+	}
+}
+
 // ledger is the append-only record store: full chunks of ledgerChunk
-// records and a last one still filling. One append-grown slice would, past
+// entries and a last one still filling. One append-grown slice would, past
 // 256 elements, grow by a quarter each time — about five times the final
 // bytes allocated, zeroed, copied and rescanned over a busy chain's life —
 // where a chunk is allocated once and never moves. The first chunk grows
 // by append, so a chain that only ever sees a handful of records (a
 // standalone run's one chain per arc) never pays for a whole chunk.
 type ledger struct {
-	chunks [][]Record
+	chunks [][]entry
 	n      int
 }
 
-func (l *ledger) append(rec Record) {
+func (l *ledger) append(e entry) {
 	k := len(l.chunks) - 1
 	switch {
 	case k < 0:
-		l.chunks = append(l.chunks, []Record{rec})
+		l.chunks = append(l.chunks, []entry{e})
 	case len(l.chunks[k]) == ledgerChunk:
-		l.chunks = append(l.chunks, append(make([]Record, 0, ledgerChunk), rec))
+		l.chunks = append(l.chunks, append(make([]entry, 0, ledgerChunk), e))
 	default:
-		l.chunks[k] = append(l.chunks[k], rec)
+		l.chunks[k] = append(l.chunks[k], e)
 	}
 	l.n++
 }
 
-// last returns the newest record, or nil for an empty ledger.
-func (l *ledger) last() *Record {
+// last returns the newest entry, or nil for an empty ledger.
+func (l *ledger) last() *entry {
 	if l.n == 0 {
 		return nil
 	}

@@ -138,10 +138,10 @@ func (c *Chain) drawFateLocked(id ContractID) (Fate, bool) {
 // under fate f and returns true — the caller marks its
 // notification Provisional. The caller must hold c.mu.
 func (c *Chain) trackLocked(kind NoteKind, id ContractID, u undoEntry, f Fate) bool {
-	rec := c.ledger.last()
-	e := commitEntry{seq: rec.Seq, kind: kind, finalAt: rec.At.Add(f.FinalAfter), undo: u}
+	at := c.ledger.last().At
+	e := commitEntry{seq: c.ledger.n - 1, kind: kind, finalAt: at.Add(f.FinalAfter), undo: u}
 	if f.RevertAfter > 0 && f.RevertAfter < f.FinalAfter {
-		e.revertAt = rec.At.Add(f.RevertAfter)
+		e.revertAt = at.Add(f.RevertAfter)
 	}
 	c.commits[id] = append(c.commits[id], e)
 	c.dueQueue = append(c.dueQueue, e.finalAt)

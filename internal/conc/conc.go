@@ -574,17 +574,15 @@ type delivery struct {
 	r  *runner
 	// p is the one receiving party of an alarm; nil addresses the parties
 	// the kind names (see fire).
-	p    *party
-	at   vtime.Ticks
-	kind deliveryKind
-	// probe is the probe of the chain the delivery was sourced from, fed
-	// the observed lag besides the global one; nil for alarms and inits.
-	probe     chain.DeliveryProbe
-	arc, lock int
-	claimed   bool
-	key       hashkey.Hashkey
-	contract  chain.Contract
-	fn        func()
+	p        *party
+	at       vtime.Ticks
+	kind     deliveryKind
+	claimed  bool
+	lock     int32 // beside kind and claimed: one word for the three
+	arc      int
+	key      hashkey.Hashkey
+	contract chain.Contract
+	fn       func()
 
 	prev, next *delivery
 }
@@ -706,13 +704,13 @@ func (r *runner) run(d *delivery, p *party) {
 	case deliverContract:
 		p.behavior.OnContract(p.env(), d.arc, d.contract)
 	case deliverUnlock:
-		p.behavior.OnUnlock(p.env(), d.arc, d.lock, d.key)
+		p.behavior.OnUnlock(p.env(), d.arc, int(d.lock), d.key)
 	case deliverRedeem:
 		p.behavior.OnRedeem(p.env(), d.arc, d.key.Secret)
 	case deliverSettled:
 		p.behavior.OnSettled(p.env(), d.arc, d.claimed)
 	case deliverBroadcast:
-		p.behavior.OnBroadcast(p.env(), d.lock, d.key)
+		p.behavior.OnBroadcast(p.env(), int(d.lock), d.key)
 	}
 }
 
@@ -728,9 +726,22 @@ func (r *runner) observeLag(d *delivery) {
 	if r.probe != nil {
 		r.probe.Observe(lag)
 	}
-	if d.probe != nil {
-		d.probe.Observe(lag)
+	if p := r.sourceProbe(d); p != nil {
+		p.Observe(lag)
 	}
+}
+
+// sourceProbe is the probe of the chain d was sourced from: the broadcast
+// chain's, or its arc's (a contract's notes are routed to its own arc);
+// nil for alarms, inits and the horizon, which no chain sourced.
+func (r *runner) sourceProbe(d *delivery) chain.DeliveryProbe {
+	switch d.kind {
+	case deliverAlarm, deliverInit, deliverHorizon:
+		return nil
+	case deliverBroadcast:
+		return r.bcastProbe
+	}
+	return r.arcs[d.arc].probe
 }
 
 // notePublished records an arc's first contract-publication tick — the
@@ -822,7 +833,7 @@ func (r *runner) dupEvent(key eventKey) bool {
 // paths (with re-deliveries deduped, since behaviors already acted).
 func (r *runner) onNote(a *arcRun, n chain.Notification) {
 	// d is the delivery this note becomes, filled in per kind below.
-	d := delivery{at: n.At.Add(a.delay), probe: a.probe, arc: a.id}
+	d := delivery{at: n.At.Add(a.delay), arc: a.id}
 	switch n.Kind {
 	case chain.NoteContractPublished:
 		c, ok := n.Event.(chain.Contract)
@@ -840,8 +851,8 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 		switch ev := n.Event.(type) {
 		case htlc.UnlockedEvent:
 			r.notePhase(phaseReveal)
-			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, ev.LockIndex, ev.Key
-			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: d.lock}) {
+			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, int32(ev.LockIndex), ev.Key
+			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: ev.LockIndex}) {
 				return
 			}
 			r.schedule(d)
@@ -908,8 +919,7 @@ func (r *runner) onBroadcast(n chain.Notification) {
 	}
 	r.notePhase(phaseReveal)
 	r.schedule(delivery{
-		at: n.At.Add(r.bcastDelay), probe: r.bcastProbe,
-		kind: deliverBroadcast, lock: msg.LockIndex, key: msg.Key,
+		at: n.At.Add(r.bcastDelay), kind: deliverBroadcast, lock: int32(msg.LockIndex), key: msg.Key,
 	})
 }
 

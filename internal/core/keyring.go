@@ -6,10 +6,8 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
-	"github.com/go-atomicswap/atomicswap/internal/digraph"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 )
 
@@ -21,12 +19,13 @@ import (
 // keyring performs zero keygens for known parties, and the stored signer
 // holds the expanded ed25519 private key, so the seed→keypair derivation
 // happens once per party rather than per sign — rebinding via Signer.At
-// shares the already-derived key material.
+// (or hashkey.Presign) shares the already-derived key material.
 //
 // Every signer the keyring hands out carries a shared sign meter:
 // Signs() reports the total ed25519 signatures produced under keyring
 // identities, which Throughput turns into a signs-per-swap figure so
-// signature-count regressions surface in benchmarks.
+// signature-count regressions surface in benchmarks, and SignStats()
+// splits them by where they ran (presigned ahead or inline).
 //
 // The paper's security argument is indifferent to key lifetime: hashkey
 // verification binds signatures to the public keys in the published
@@ -42,9 +41,9 @@ type Keyring struct {
 	// identities recoverable. Called under the keyring lock; it must not
 	// call back into the keyring.
 	onCreate func(p chain.PartyID, seed []byte)
-	// signs counts every Sign made under a keyring identity (any vertex
+	// meter counts every Sign made under a keyring identity (any vertex
 	// binding; see hashkey.Signer.SetMeter).
-	signs atomic.Uint64
+	meter hashkey.Meter
 }
 
 // NewKeyring creates an empty keyring drawing key material from r
@@ -84,7 +83,7 @@ func (k *Keyring) Ensure(p chain.PartyID) (*hashkey.Signer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: keyring: generating identity for %s: %w", p, err)
 	}
-	s.SetMeter(&k.signs)
+	s.SetMeter(&k.meter)
 	k.keys[p] = s
 	if k.onCreate != nil {
 		k.onCreate(p, seed)
@@ -94,7 +93,11 @@ func (k *Keyring) Ensure(p chain.PartyID) (*hashkey.Signer, error) {
 
 // Signs reports the total number of ed25519 signatures produced by
 // keyring identities since creation.
-func (k *Keyring) Signs() uint64 { return k.signs.Load() }
+func (k *Keyring) Signs() uint64 { return k.meter.Stats().Signs }
+
+// SignStats splits the keyring identities' signatures by where they ran:
+// presigned ahead of need on a spare core, or inline on the caller.
+func (k *Keyring) SignStats() hashkey.SignStats { return k.meter.Stats() }
 
 // OnCreate registers a callback observing every identity generated from
 // here on (party plus ed25519 seed). The durable engine wires this to its
@@ -119,21 +122,9 @@ func (k *Keyring) Restore(p chain.PartyID, seed []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: keyring: restoring identity for %s: %w", p, err)
 	}
-	s.SetMeter(&k.signs)
+	s.SetMeter(&k.meter)
 	k.keys[p] = s
 	return nil
-}
-
-// SignerFor returns the party's persistent identity bound to vertex v,
-// generating the keypair if the party is new. The returned signer shares
-// key material with the canonical one — no allocation-heavy keygen runs
-// for known parties.
-func (k *Keyring) SignerFor(p chain.PartyID, v digraph.Vertex) (*hashkey.Signer, error) {
-	s, err := k.Ensure(p)
-	if err != nil {
-		return nil, err
-	}
-	return s.At(v), nil
 }
 
 // Has reports whether the party already has an identity.

@@ -36,14 +36,11 @@ func TestKeyringGeneratesOncePerParty(t *testing.T) {
 
 func TestKeyringVertexRebinding(t *testing.T) {
 	k := NewKeyring(rand.New(rand.NewSource(6)))
-	s3, err := k.SignerFor("alice", 3)
+	s, err := k.Ensure("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s7, err := k.SignerFor("alice", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3, s7 := s.At(3), s.At(7)
 	if s3.Vertex() != 3 || s7.Vertex() != 7 {
 		t.Errorf("vertexes = %d, %d; want 3, 7", s3.Vertex(), s7.Vertex())
 	}

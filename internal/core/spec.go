@@ -607,8 +607,9 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		var err error
 		if cfg.Keyring != nil {
 			// Persistent identity: keygen only if the party is new to the
-			// keyring, and never from this setup's Rand.
-			s, err = cfg.Keyring.SignerFor(parties[v], digraph.Vertex(v))
+			// keyring, and never from this setup's Rand. It is bound to
+			// its vertex last, once presigning has been decided.
+			s, err = cfg.Keyring.Ensure(parties[v])
 		} else {
 			s, err = hashkey.NewSigner(digraph.Vertex(v), cfg.Rand)
 		}
@@ -628,6 +629,11 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		locks[i] = sec.Lock()
 	}
 
+	// Keyed by index: a keyring identity is bound to its vertex only below.
+	keys := make(hashkey.Directory, len(signers))
+	for v, s := range signers {
+		keys[digraph.Vertex(v)] = s.Public()
+	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = hashkey.NewVerifyCache(0)
@@ -639,7 +645,7 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		Leaders:   leaders,
 		Locks:     locks,
 		Parties:   parties,
-		Keys:      hashkey.NewDirectory(signers...),
+		Keys:      keys,
 		Assets:    assets,
 		Start:     cfg.Start,
 		Delta:     cfg.Delta,
@@ -666,5 +672,19 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		}
 	}
 	spec.compileContractIDs()
+	// Every signature of a multi-leader swap is fixed once its secrets are
+	// drawn, so with a spare core they are computed ahead of need (see
+	// hashkey.Presign). The table hangs off the per-vertex bindings in
+	// Setup.Signers, never off the public Spec: a party reaches only its
+	// own slots.
+	presigned := cfg.Kind == KindGeneral && len(leaders) > 0 &&
+		hashkey.Presign(signers, leaders, secrets, func(v, leader digraph.Vertex) bool {
+			return spec.Broadcast || d.HasArcBetween(v, leader)
+		})
+	if cfg.Keyring != nil && !presigned {
+		for v, s := range signers {
+			signers[v] = s.At(digraph.Vertex(v))
+		}
+	}
 	return &Setup{Spec: spec, Signers: signers, Secrets: secrets}, nil
 }

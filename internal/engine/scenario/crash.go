@@ -97,6 +97,7 @@ func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result,
 		Load:       stats,
 		Violations: checkSafety(orders),
 		Dispatch:   b.Scheduler().(*sched.Virtual).Stats(),
+		Signing:    b.Keyring().SignStats(),
 		Recovery:   rec,
 	}
 

@@ -37,6 +37,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
+	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -51,6 +52,7 @@ type clearing interface {
 	Orders() []engine.OrderSnapshot
 	ClearRounds() int
 	Kill() vtime.Ticks
+	Keyring() *core.Keyring
 }
 
 // Deviation injects one strategy from the taxonomy (see Strategies) at
@@ -202,6 +204,9 @@ type Result struct {
 	// serial dispatch; of a crash run, the recovered life's). It says where
 	// the work ran, which is the box's business: not in the digest.
 	Dispatch sched.Stats
+	// Signing splits the run's signatures by where they ran, presigned on
+	// a spare core or inline — the box's business too: not in the digest.
+	Signing hashkey.SignStats
 	// Recovery reports the kill-and-recover step of a CrashTick run
 	// (nil otherwise). Wall-clock fields are not replay-stable; the
 	// digest carries only its tick/count facts.
@@ -542,6 +547,7 @@ func run(sc Scenario, kind core.Kind) (*Result, error) {
 		Load:       stats,
 		Violations: checkSafety(orders),
 		Dispatch:   e.Scheduler().(*sched.Virtual).Stats(),
+		Signing:    e.Keyring().SignStats(),
 	}
 
 	// Conservation audit: the full invariant (no stranded escrow) when

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 )
@@ -73,7 +72,10 @@ type Signer struct {
 	// meter, when set, counts every Sign call. Views returned by At share
 	// the meter, so a keyring-owned counter sees all signs made under any
 	// vertex binding of the identity.
-	meter *atomic.Uint64
+	meter *Meter
+	// pre, on a binding Presign made, is the swap's presigned table; Sign
+	// consults only this vertex's slots. At never carries it over.
+	pre *presigned
 }
 
 // NewSigner creates a signing identity for the given vertex using
@@ -114,25 +116,32 @@ func (s *Signer) Vertex() digraph.Vertex { return s.vertex }
 // Public returns the public key.
 func (s *Signer) Public() ed25519.PublicKey { return s.pub }
 
-// Sign signs msg.
+// Sign signs msg. On a Presign binding it returns the presigned bytes
+// when msg is one of its vertex's slot messages, and signs inline
+// otherwise; either way the result is ed25519.Sign's.
 func (s *Signer) Sign(msg []byte) []byte {
 	if s.meter != nil {
-		s.meter.Add(1)
+		s.meter.signs.Add(1)
+	}
+	if s.pre != nil {
+		if sig, ok := s.pre.take(s.vertex, msg); ok {
+			return sig
+		}
 	}
 	return ed25519.Sign(s.priv, msg)
 }
 
-// SetMeter installs a counter incremented on every Sign. Signature count
-// is part of the protocol's cost model (each swap needs exactly one
-// leader sign per secret plus one wrap per chain extension), so metering
-// makes signature-count regressions visible in throughput reports.
-func (s *Signer) SetMeter(m *atomic.Uint64) { s.meter = m }
+// SetMeter installs a meter counting every Sign. Signature count is part
+// of the protocol's cost model (each swap needs exactly one leader sign
+// per secret plus one wrap per chain extension), so metering makes
+// signature-count regressions visible in throughput reports.
+func (s *Signer) SetMeter(m *Meter) { s.meter = m }
 
 // At returns a view of the same signing identity bound to a different
 // vertex. Key material (and the sign meter) is shared, not copied: this
 // is how a persistent party identity (one keypair for the party's
 // lifetime) is rebound to whatever vertex the party is assigned in each
-// cleared swap.
+// cleared swap. A presigned table is not: its slots belong to one vertex.
 func (s *Signer) At(vertex digraph.Vertex) *Signer {
 	if s.vertex == vertex {
 		return s
