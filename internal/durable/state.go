@@ -15,8 +15,6 @@ import (
 	"bytes"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
@@ -378,23 +376,5 @@ func (s *State) Resolve(recTick vtime.Ticks, delta vtime.Duration) (engine.Recov
 			rs.NextOrder = uint64(id)
 		}
 	}
-	for tag := range s.Swaps {
-		if n, ok := parseSwapTag(tag); ok && n > rs.NextSwap {
-			rs.NextSwap = n
-		}
-	}
 	return rs, resumed, refunded
-}
-
-// parseSwapTag extracts N from the engine's "swap-%06d" tags.
-func parseSwapTag(tag string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(tag, "swap-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }

@@ -403,7 +403,6 @@ type Engine struct {
 	// a global MaxPending budget for everyone.
 	book      book
 	nextOrder OrderID
-	nextSwap  uint64
 	inflight  int // cleared jobs queued or executing
 	minted    []Minted
 	// killed marks a crash-model shutdown (Kill): intake and clearing are
@@ -439,12 +438,15 @@ type Engine struct {
 	// sharded engine merges per-shard tick SETS, not counts, so the
 	// merged round count of a 4-shard run equals the 1-shard run's.
 	roundTicks []vtime.Ticks
-	// activeRounds is the count of clearing rounds that had live work
-	// (non-empty book, live runs, or a dispatch). Unlike clearRounds —
-	// which also counts the round that found the engine idle and parked —
-	// it is a pure function of the schedule on a free clock, so digests
-	// and budget assertions are built from it. Confined to the clearing
-	// goroutine like clearRounds.
+	// activeRounds is the count of clearing rounds that had live work and
+	// kept the loop armed: a dispatch, live runs, a reservation conflict,
+	// or a book they emptied. Unlike clearRounds it leaves out the round
+	// that parks, whether it found the engine idle or its book stuck — a
+	// stuck order's last look lands wherever the engine holding it goes
+	// quiet, which on a sharded deployment is not where the plain engine
+	// goes quiet. It is a pure function of the schedule on a free clock, so
+	// digests and budget assertions are built from it. Confined to the
+	// clearing goroutine like clearRounds.
 	activeRounds int
 }
 
@@ -1051,19 +1053,20 @@ func (e *Engine) clearTick() bool {
 	live := int(e.liveRuns.Load())
 	seq := e.bookSeq.Load()
 	if e.Pending() > 0 || live > 0 {
-		e.roundTicks = append(e.roundTicks, e.sched.Now())
-		e.activeRounds++
 		if e.cfg.AdaptiveDelta {
 			e.adaptDelta()
 		}
 		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.Pending() == 0 {
+			e.roundTicks = append(e.roundTicks, e.sched.Now())
+			e.activeRounds++
 			return true
 		}
 		// Stuck book: offers that cannot form a swap (partial rings left
 		// by shedding) with nothing live. Nothing about the next round can
 		// differ until a new order books, so spinning would only burn
-		// wall-dependent rounds into the active-round count — the digest's
-		// determinism hangs on parking here. Submit re-arms; Drain rejects
+		// wall-dependent rounds — the digest's determinism hangs on parking
+		// here, and like the idle one, the round that parks is not counted
+		// active. Submit re-arms; Drain rejects
 		// a book still stuck at drain time. liveRuns (not inflight) keeps
 		// the gate schedule-pure: a run past its horizon can settle orders
 		// but never book one. A reservation conflict is not stuck: the
@@ -1172,25 +1175,19 @@ func swapTag(seq uint64) string {
 // setup, and hands it to the executor pool. Returns false if the group
 // must wait (reservation contention) or was rejected.
 func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
+	// One identity rule on every engine: tag, seed, and stripe derive from
+	// the minimum order ID in the group. Order IDs are unique (on a sharded
+	// deployment, router-assigned) and arrival-ordered, so the identity is
+	// the same whichever engine clears the group — plain, shard,
+	// coordinator — which is what lets a 4-shard, a 1-shard and a plain run
+	// of the same scenario produce byte-identical digests; and distinct
+	// concurrent groups never share a stripe. A resumed group re-clears
+	// under the tag it had before the crash (see durable.State.Resolve).
 	var seq uint64
-	if e.cfg.host != nil {
-		// Sharded identity: tag, seed, and stripe derive from the minimum
-		// order ID in the group. Router-assigned IDs are globally unique
-		// and arrival-ordered, so the identity is the same whichever
-		// engine (shard, coordinator, or the 1-shard baseline) clears the
-		// group — which is what lets a 4-shard run and a 1-shard run of the
-		// same scenario produce byte-identical digests — and distinct
-		// concurrent groups never share a stripe.
-		for _, o := range g {
-			if id := uint64(byParty[o.Party].id); seq == 0 || id < seq {
-				seq = id
-			}
+	for _, o := range g {
+		if id := uint64(byParty[o.Party].id); seq == 0 || id < seq {
+			seq = id
 		}
-	} else {
-		e.mu.Lock()
-		e.nextSwap++
-		seq = e.nextSwap
-		e.mu.Unlock()
 	}
 	swapID := swapTag(seq)
 	seed := e.cfg.Seed + int64(seq)
@@ -1387,7 +1384,11 @@ func (e *Engine) buildBehaviors(setup *core.Setup, seed int64, adversarial bool)
 // stagger inside one Δ spreads the event bursts of swaps dispatched in
 // the same wave.
 func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Config {
-	stagger := vtime.Duration(seed % int64(spec.Delta))
+	// The seeds of swaps cleared together step by their group size (a swap
+	// is named by its minimum order ID), and seed mod Δ would use only the
+	// offsets that step reaches — half of them for 4-party groups at Δ = 10.
+	// A golden-ratio multiple spreads any step evenly over [0, Δ).
+	stagger := vtime.Duration((uint64(seed) * 0x9e3779b97f4a7c15 >> 32) * uint64(spec.Delta) >> 32)
 	cfg := conc.Config{
 		Scheduler:   e.sched,
 		StartOffset: vtime.Scale(2, spec.Delta) + stagger,
@@ -1564,7 +1565,10 @@ func (e *Engine) Kill() vtime.Ticks {
 	e.mu.Unlock()
 	e.clearing.Stop(false)
 	cut := e.sched.Now()
-	e.logEvent(Event{Kind: EvKilled, Tick: cut})
+	if e.cfg.host == nil {
+		// One crash, one kill record: a hosted engine's is its deployment's.
+		e.logEvent(Event{Kind: EvKilled, Tick: cut})
+	}
 	e.notifyDrain()
 	return cut
 }
@@ -1680,9 +1684,10 @@ func (e *Engine) TakeLatencyWindow() metrics.LatencyWindow { return e.agg.TakeLa
 func (e *Engine) SetRecoveryStats(rs metrics.RecoveryStats) { e.agg.SetRecovery(rs) }
 
 // ClearRounds reports how many clearing rounds had live work to look at
-// (see the activeRounds field doc: the round that parks an idle engine is
-// excluded, so the count replays identically on a free clock). Call only after Stop — the count is confined to the clearing
-// goroutine while the engine runs.
+// (see the activeRounds field doc: the round that parks an idle or stuck
+// engine is excluded, so the count replays identically on a free clock and
+// whatever the shard count). Call only after Stop — the count is confined
+// to the clearing goroutine while the engine runs.
 func (e *Engine) ClearRounds() int { return e.activeRounds }
 
 // ClearRoundTicks returns the tick of every active clearing round. Like

@@ -227,7 +227,7 @@ func TestEngineDeepBookFewParties(t *testing.T) {
 	if err := e.VerifyConservation(); err != nil {
 		t.Fatal(err)
 	}
-	lastSwap := make(map[string]string) // swap tags are zero-padded dispatch sequence numbers
+	lastSwap := make(map[string]string) // swap tags are zero-padded minimum order IDs
 	for _, o := range e.Orders() {
 		if o.Status != StatusSettled || o.Class != outcome.Deal {
 			t.Fatalf("order %d (%s): %s/%s", o.ID, o.Party, o.Status, o.Class)

@@ -29,10 +29,9 @@ type RecoveredState struct {
 	Assets []RecoveredAsset
 	// Orders is every order the log knows, in ID order.
 	Orders []RecoveredOrder
-	// NextOrder and NextSwap resume the ID sequences past everything
-	// logged, so post-recovery swaps never collide with logged tags.
+	// NextOrder resumes the order ID sequence past everything logged.
+	// Swap tags need no sequence: a swap is named by its minimum order ID.
 	NextOrder uint64
-	NextSwap  uint64
 	// Tick is the virtual tick the engine resumes at; a free clock is
 	// advanced to it before Start.
 	Tick vtime.Ticks
@@ -70,7 +69,7 @@ type RecoveredOrder struct {
 // NewRecovered builds an engine from a recovered state: identities
 // restored into the keyring, assets re-minted under their logged owners,
 // orders re-booked (pending ones re-enter the book and will re-clear
-// once Start runs), ID sequences resumed, metrics counters restored, and
+// once Start runs), the order ID sequence resumed, metrics counters restored, and
 // — on a free clock — the clock advanced to the recovery tick so
 // post-recovery events continue the pre-crash tick line. The caller
 // Starts the engine afterwards, exactly like one built with New.
@@ -109,7 +108,6 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 		}
 	}
 	e.nextOrder = OrderID(st.NextOrder)
-	e.nextSwap = st.NextSwap
 	e.agg.Restore(restoredCounts(st.Orders, st.Shed))
 	return e, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -77,14 +76,11 @@ func crashScenarioReplays(t *testing.T, run runner) {
 // on which engine shape recovered the log. One reorg scenario (confirmation
 // depth 4, 15% seeded reverts) on the shard-local placement, the stream
 // whose sharded digests are comparable at all, is crashed mid-run on one
-// shard and on four, and the two crash digests must agree field for field
-// except for Replayed, which counts one kill record per inner engine (a
-// shard count's worth plus the coordinator). The same knobs on the unsharded
-// engine must report reverts too. shard.Recover used to build its own
-// Recovery and leave Reverts out.
+// shard and on four, and the two crash digests must agree field for field:
+// the deployment logs one kill record, whatever its shard count. The same
+// knobs on the unsharded engine must report reverts too. shard.Recover used
+// to build its own Recovery and leave Reverts out.
 func TestCrashRecoveryCountsRevertsOnEveryShape(t *testing.T) {
-	// The seed-replay contract holds on one P today (ROADMAP item 1).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sc := Scenario{
 		Name:         "reorg-crash",
 		Seed:         909,
@@ -110,9 +106,7 @@ func TestCrashRecoveryCountsRevertsOnEveryShape(t *testing.T) {
 	if one.Reverts == 0 {
 		t.Fatalf("sharded recovery reports no pre-crash reverts: %+v", one)
 	}
-	want := one
-	want.Replayed += 4 - 1 // one EvKilled per inner engine: 2 on one shard, 5 on four
-	if four != want {
+	if four != one {
 		t.Fatalf("crash digests diverge across shard counts:\n1 shard:  %+v\n4 shards: %+v", one, four)
 	}
 	sc.Shards = 0

@@ -53,29 +53,64 @@ func TestShardScenarioReplays(t *testing.T) {
 // BYTE-IDENTICAL to the same scenario folded onto 1 shard — same
 // intake ticks, same clearing rounds, same swap tags, same settle
 // order. If this fails, some shard-count-dependent choice (IDs, swap
-// seeds, clearing grid, escalation age) leaked into the schedule.
+// seeds, clearing grid, escalation age) leaked into the schedule. Both
+// shard-local entries, at eight seeds: seeds 1 and 5 of sharded-local
+// caught a parked shard loop skipping its own grid tick.
 func TestShardMergedDigestMatchesSingle(t *testing.T) {
-	sc, err := ByName("sharded-local", 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"sharded-local", "reorg-sharded"} {
+		for seed := int64(0); seed < 8; seed++ {
+			sc, err := ByName(name, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			four, err := Run(withExecShards(sc, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := Run(withExecShards(sc, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := four.Digest.JSON(), one.Digest.JSON()
+			if a != b {
+				t.Fatalf("%s seed %d: 4-shard vs 1-shard digests diverged:\n4: %s\n1: %s", name, seed, a, b)
+			}
+			if four.Digest.Hash() != one.Digest.Hash() {
+				t.Fatalf("%s seed %d: digest hashes diverged", name, seed)
+			}
+			if four.Digest.SwapsFinished == 0 {
+				t.Fatalf("%s seed %d: degenerate run", name, seed)
+			}
+		}
 	}
-	four, err := Run(withExecShards(sc, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(withExecShards(sc, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := four.Digest.JSON(), one.Digest.JSON()
-	if a != b {
-		t.Fatalf("4-shard vs 1-shard digests diverged:\n4: %s\n1: %s", a, b)
-	}
-	if four.Digest.Hash() != one.Digest.Hash() {
-		t.Fatal("digest hashes diverged")
-	}
-	if four.Digest.SwapsFinished == 0 {
-		t.Fatal("degenerate run")
+}
+
+// TestOneShardMatchesPlain: one identity rule and one clearing grid make a
+// one-shard deployment — a shard engine, the escalation sweep and a
+// coordinator — indistinguishable from the scenario's own engine. Every
+// suite entry at eight seeds digests byte-identically both ways; for all
+// but the natively sharded entries, the own engine is the plain one. The
+// one exclusion is sharded-cross: natively four shards with half its rings
+// spanning two of them, so on one shard those rings are local and clear
+// before the escalation cutoff instead of after it.
+func TestOneShardMatchesPlain(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		for _, sc := range Suite(seed) {
+			if sc.Name == "sharded-cross" {
+				continue
+			}
+			own, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := Run(withExecShards(sc, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := own.Digest.JSON(), one.Digest.JSON(); a != b {
+				t.Fatalf("%s seed %d: own engine vs one shard digests diverged:\nown: %s\n1:   %s", sc.Name, seed, a, b)
+			}
+		}
 	}
 }
 

@@ -216,7 +216,6 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 			es := engine.RecoveredState{
 				Orders:    parts[i],
 				NextOrder: rst.NextOrder,
-				NextSwap:  rst.NextSwap,
 				// Identities, Assets, and Tick are deliberately zero: the
 				// keyring, registry, and clock are shared, restored once
 				// below.
@@ -550,6 +549,11 @@ func (s *ShardedEngine) Kill() vtime.Ticks {
 	var cut vtime.Ticks
 	for _, e := range s.engines {
 		cut = e.Kill()
+	}
+	// One crash, one kill record, whatever the shard count: the hosted
+	// engines leave it to the deployment.
+	if st := s.cfg.Engine.Store; st != nil {
+		st.Append(engine.Event{Kind: engine.EvKilled, Tick: cut})
 	}
 	return cut
 }

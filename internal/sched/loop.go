@@ -21,11 +21,16 @@ const (
 // sequential and whatever the tick touches is confined to one callback at a
 // time.
 //
-// Rounds land on the cadence grid (the next multiple of every strictly
-// after now) at a tail level with a stripe key (see AtTailN): a loop
-// re-armed mid-phase after parking does not drift off the grid, so every
-// loop of a cadence — across any number of engines — ticks at the same
-// instants.
+// Rounds land on the cadence grid at a tail level with a stripe key (see
+// AtTailN): a loop re-armed mid-phase after parking does not drift off the
+// grid, so every loop of a cadence — across any number of engines — ticks
+// at the same instants. A round lands on the first grid tick after the
+// loop's previous round (tick 0 before the first) that is not behind the
+// clock, and on the current tick only while the tick's ladder has not yet
+// reached the loop's level. So a loop woken from below its level at a grid
+// tick runs that tick — as it would have had it never parked — and one
+// woken at or above its level runs the next: a level-1 round never follows
+// level 3 of its own tick.
 //
 // Parking is what keeps a free clock from spinning empty rounds, and a
 // paced one from waking for them. A tick that finds nothing to do calls Park, re-checks its
@@ -46,6 +51,7 @@ type Loop struct {
 	// the one armed last, which is the only one that can be pending.
 	rounds [2]Event
 	cur    uint8
+	armed  vtime.Ticks    // the grid tick of the round armed last
 	wg     sync.WaitGroup // a tick in flight, for Stop(true)
 }
 
@@ -98,10 +104,15 @@ func (l *Loop) Stop(wait bool) {
 	}
 }
 
-// arm schedules the next round. Called with l.mu held.
+// arm schedules the next round (see the type comment for the tick it picks).
+// Called with l.mu held.
 func (l *Loop) arm() {
-	every := int64(l.every)
-	next := vtime.Ticks((int64(l.v.Now())/every + 1) * every)
+	every, now := int64(l.every), l.v.Now()
+	next := vtime.Ticks(max((int64(now)+every-1)/every, int64(l.armed)/every+1) * every)
+	if next == now && l.v.passed(now, l.level) {
+		next = now.Add(l.every)
+	}
+	l.armed = next
 	l.cur ^= 1
 	l.v.schedule(&l.rounds[l.cur], next, l.level, l.key, l)
 }

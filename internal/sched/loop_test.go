@@ -38,14 +38,15 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// TestLoopGridAlignment: a round lands on the cadence grid — the next
-// multiple of the cadence strictly after the wake — and so does the round of
-// a loop woken mid-phase after parking (not wake+every). On a free clock
-// that is the tick the round sees; on a paced one it runs no earlier.
+// TestLoopGridAlignment: a round lands on the cadence grid — the first
+// multiple of the cadence at or after the wake, tick 0 excluded — and so does
+// the round of a loop woken mid-phase after parking (not wake+every). On a
+// free clock that is the tick the round sees; on a paced one it runs no
+// earlier.
 func TestLoopGridAlignment(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, v *Virtual) {
 		const every = 4
-		grid := func(wake vtime.Ticks) vtime.Ticks { return (wake/every + 1) * every }
+		grid := func(wake vtime.Ticks) vtime.Ticks { return max((wake+every-1)/every, 1) * every }
 		var l *Loop
 		rounds, woken := make(chan vtime.Ticks, 2), make(chan vtime.Ticks, 1)
 		first := true
@@ -90,6 +91,52 @@ func TestLoopGridAlignment(t *testing.T) {
 			t.Fatal("a stopped loop reports parked")
 		}
 	})
+}
+
+// TestLoopWakeBelowItsLevelRunsThisTick: a parked loop woken at a grid tick
+// it has not run runs that tick when the wake comes from below its level —
+// the round it would have run had it stayed armed — and the next grid tick
+// when the wake comes from its own level or above, so a round never follows
+// a higher level of its own tick. On both free clocks.
+func TestLoopWakeBelowItsLevelRunsThisTick(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		v := NewVirtual(workers)
+		const every, level = 4, 2
+		rounds := make(chan vtime.Ticks, 4)
+		var l *Loop
+		l = NewLoop(v, every, level, 7, func() bool {
+			l.Park()
+			rounds <- v.Now()
+			return false
+		})
+		wakes := []struct {
+			at   vtime.Ticks
+			from int8
+			want vtime.Ticks
+		}{{8, 0, 8}, {16, level - 1, 16}, {24, level, 28}, {36, level + 1, 40}}
+		release := v.Hold()
+		for _, w := range wakes {
+			if w.from == 0 {
+				v.At(w.at, l.Wake)
+			} else {
+				v.AtTailN(w.at, w.from, 0, l.Wake)
+			}
+		}
+		release()
+		for _, w := range wakes {
+			select {
+			case got := <-rounds:
+				if got != w.want {
+					t.Errorf("workers=%d: woken at level %d of tick %d, the round ran at %d, want %d",
+						workers, w.from, w.at, got, w.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d: no round after the wake at tick %d", workers, w.at)
+			}
+		}
+		l.Stop(true)
+		v.Close()
+	}
 }
 
 // TestLoopParkWakeNeverLosesWakeup drives the park-then-recheck protocol

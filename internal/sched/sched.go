@@ -195,7 +195,10 @@ type Virtual struct {
 	// now is the tick of the latest dispatched event, written under mu (by
 	// the dispatcher) and read without it: Now is on the path of every
 	// delivery, ledger append and trace note.
-	now    atomic.Int64
+	now atomic.Int64
+	// ran is the highest level dispatched at tick now, -1 while none has
+	// been: how far a Loop woken mid-tick is behind the tick's ladder.
+	ran    int8
 	seq    int64
 	queue  eventHeap
 	holds  int
@@ -322,7 +325,7 @@ func spareCores(workers int) int {
 // `helpers` parked helpers (with none, the dispatcher still batches, and
 // runs every stripe itself); free and born held for tick 0, else paced.
 func newVirtual(workers, helpers int, tick time.Duration) *Virtual {
-	v := &Virtual{done: make(chan struct{}), tick: tick, start: time.Now()}
+	v := &Virtual{done: make(chan struct{}), tick: tick, start: time.Now(), ran: -1}
 	v.cond = sync.NewCond(&v.mu)
 	if tick == 0 {
 		v.holds, v.born = 1, true
@@ -365,8 +368,28 @@ func (v *Virtual) Advance(t vtime.Ticks) {
 	v.mu.Lock()
 	if v.tick == 0 && int64(t) > v.now.Load() {
 		v.now.Store(int64(t))
+		v.ran = -1
 	}
 	v.mu.Unlock()
+}
+
+// reach moves the clock to an event of tick t and level prio about to run.
+// Called with v.mu held.
+func (v *Virtual) reach(t vtime.Ticks, prio int8) {
+	if int64(t) > v.now.Load() {
+		v.now.Store(int64(t))
+		v.ran = prio
+	} else {
+		v.ran = max(v.ran, prio)
+	}
+}
+
+// passed reports whether dispatch at tick t has reached level: an event of
+// that level or above has run at t.
+func (v *Virtual) passed(t vtime.Ticks, level int8) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return int64(t) == v.now.Load() && v.ran >= level
 }
 
 // At implements Scheduler. After Close the callback is silently dropped.
@@ -536,9 +559,7 @@ func (v *Virtual) loop() {
 			continue
 		}
 		e.state = evFired
-		if int64(e.at) > v.now.Load() {
-			v.now.Store(int64(e.at))
-		}
+		v.reach(e.at, e.prio)
 		// The running callback holds the clock: everything it schedules
 		// at the current tick (or enqueues behind a Hold of its own)
 		// settles before time advances again.
@@ -590,9 +611,7 @@ func (v *Virtual) dispatchStriped() {
 		v.mu.Unlock()
 		return
 	}
-	if int64(t) > v.now.Load() {
-		v.now.Store(int64(t))
-	}
+	v.reach(t, p)
 	v.holds++
 	v.mu.Unlock()
 
