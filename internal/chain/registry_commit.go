@@ -169,19 +169,6 @@ func (r *Registry) SetChainProbeFactory(f func(name string) DeliveryProbe) {
 	}
 }
 
-// SetChainDeliveryProbe installs (or replaces) the probe for one chain.
-func (r *Registry) SetChainDeliveryProbe(name string, p DeliveryProbe) {
-	if p == nil {
-		return
-	}
-	r.chainProbeMu.Lock()
-	if r.chainProbes == nil {
-		r.chainProbes = make(map[string]DeliveryProbe)
-	}
-	r.chainProbes[name] = p
-	r.chainProbeMu.Unlock()
-}
-
 // ChainDeliveryProbe returns the named chain's probe, or nil. Feeding a
 // per-chain probe is in addition to — never instead of — the global one.
 func (r *Registry) ChainDeliveryProbe(name string) DeliveryProbe {
@@ -189,16 +176,4 @@ func (r *Registry) ChainDeliveryProbe(name string) DeliveryProbe {
 	p := r.chainProbes[name]
 	r.chainProbeMu.RUnlock()
 	return p
-}
-
-// ChainProbeNames returns the sorted names of chains with a probe.
-func (r *Registry) ChainProbeNames() []string {
-	r.chainProbeMu.RLock()
-	names := make([]string, 0, len(r.chainProbes))
-	for name := range r.chainProbes {
-		names = append(names, name)
-	}
-	r.chainProbeMu.RUnlock()
-	sort.Strings(names)
-	return names
 }

@@ -132,10 +132,9 @@ type Config struct {
 	// goroutine before Drain; racing Submit calls are safe but reintroduce
 	// the nondeterminism this removes. With neither this nor Parallel the
 	// clock is paced by the wall, one tick per Tick (sched.NewPaced, striped
-	// over Workers). An engine owns its scheduler's dispatcher goroutine;
-	// call Stop (valid even if Start was never called) to release it.
-	// Neither this nor Parallel is consulted by a hosted engine (see Host),
-	// which runs on the scheduler it is handed.
+	// over Workers). NewHost reads this and Parallel; an engine built by
+	// New owns its host's dispatcher goroutine, and Stop (valid even if
+	// Start was never called) releases it.
 	Deterministic bool
 	// Parallel is Deterministic on a striped sched.Virtual: same-tick
 	// events are partitioned by swap onto a Workers-sized pool with a
@@ -171,22 +170,20 @@ type Config struct {
 	// that seeded probability. See internal/chain and DESIGN.md §12.
 	Commitment CommitmentConfig
 
-	// host is set by Hosted: the shared infrastructure of the sharded
-	// deployment this engine is one member of. nil — every Config built
-	// any other way — is the self-contained single engine.
+	// host is what the engine runs over: set by Hosted, or built by New.
 	host *Host
 }
 
-// Host is what a sharded deployment shares with the engines it hosts, plus
-// the engine's place in it. N shard engines and one coordinator run over
-// ONE scheduler, chain registry, keyring, verify cache and trace ring; a
-// hosted engine uses the host's and never closes or re-wires them (Stop
-// leaves the scheduler running, the registry keeps its owner's delivery
-// probe, the cache keeps its owner's batch-worker sizing — see DESIGN.md
-// §11). Only internal/engine/shard builds one.
+// Host is what the engines of one deployment share, plus an engine's place
+// in it: ONE scheduler, chain registry, keyring, verify cache and trace ring.
+// NewHost builds it, and whoever built it owns it — engine.New for the
+// engine it builds, a sharded deployment for its N shard engines and its
+// coordinator. The owner closes the scheduler, restores a recovered state
+// into the host (RecoveredState.RestoreShared), and logs the deployment's
+// kill, each once; an engine over a host it was handed does none of the
+// three (see DESIGN.md §11).
 //
-// The rest of a hosted engine's wiring follows from the role. Every hosted
-// engine names its swaps canonically (see clearGroup). The coordinator —
+// The rest of an engine's wiring follows from its place. The coordinator —
 // the one engine handed ShardOf — clears at tail level 3 rather than 1: the
 // ladder is protocol events (0) → shard clearing (1) → escalation sweep (2)
 // → coordinator clearing (3), with a determinism barrier between levels;
@@ -213,12 +210,99 @@ type Host struct {
 	// whose prepare records say how many shards a swap spans (a hook, not
 	// an import: engine must not depend on shard).
 	ShardOf func(chainName string) int
+
+	// fan is the registry's delivery probe; every engine built over the
+	// host joins it.
+	fan *probeFan
 }
 
-// Hosted returns cfg as the configuration of an engine hosted by h.
+// NewHost builds a deployment's shared infrastructure from cfg: the
+// scheduler cfg asks for (a free serial clock under Deterministic, a free
+// one striped over Workers under Parallel, else one paced by the wall at
+// Tick and striped over Workers), a chain registry under cfg.Commitment,
+// the keyring (seeded from Seed), the verify cache with its batch pool
+// sized once for the machine, the trace ring, and — with a Store — the
+// hook that logs each new identity. The scheduler runs a dispatcher
+// goroutine: the owner closes it.
+func NewHost(cfg Config) Host {
+	cfg = cfg.WithDefaults()
+	var sc *sched.Virtual
+	switch {
+	case cfg.Parallel:
+		sc = sched.NewVirtual(cfg.Workers)
+	case cfg.Deterministic:
+		sc = sched.NewVirtual(1)
+	default:
+		sc = sched.NewPaced(cfg.Workers, cfg.Tick)
+	}
+	h := Host{
+		Scheduler: sc,
+		Registry:  chain.NewRegistry(sc),
+		Keyring:   core.NewKeyring(rand.New(rand.NewSource(cfg.Seed + 2))),
+		Cache:     hashkey.NewVerifyCache(0),
+		Tracer:    trace.NewLog(trace.DefaultCap),
+		fan:       new(probeFan),
+	}
+	// Cold chain walks may fan links across the pool — capped at the
+	// machine's parallelism, where extra fan-out is pure overhead. Sized
+	// once from the whole budget: N shards never stack N pools.
+	h.Cache.SetBatchWorkers(min(cfg.Workers, runtime.GOMAXPROCS(0)))
+	h.Registry.SetDeliveryProbe(h.fan)
+	if cfg.Commitment.Enabled() {
+		// One model set for the whole deployment, installed before any chain
+		// exists — which is also why this cannot fail.
+		if err := h.Registry.SetCommitmentModels(cfg.Commitment.Model); err != nil {
+			panic(err)
+		}
+		h.Registry.SetChainProbeFactory(h.fan.chainProbe)
+	}
+	if st := cfg.Store; st != nil {
+		// An identity's durable form is its ed25519 seed (see
+		// core.Keyring.OnCreate); a restored one is already in the log.
+		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
+			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
+		})
+	}
+	return h
+}
+
+// Hosted returns cfg as the configuration of an engine over h, which its
+// builder owns.
 func Hosted(cfg Config, h Host) Config {
 	cfg.host = &h
 	return cfg
+}
+
+// probeFan hands each delivery observation on a host's registry to every
+// engine built over the host, so each adaptive-Δ window consumes its own
+// copy of the evidence. Engines join as they are built, before the host
+// runs anything.
+type probeFan struct{ engines []*Engine }
+
+func (f *probeFan) Observe(lag vtime.Duration) {
+	for _, e := range f.engines {
+		e.probe.Observe(lag)
+	}
+}
+
+// chainProbe is the registry's per-chain probe factory: the same fan, into
+// each engine's probe for the chain, so every engine's Δ respects the
+// slowest chain.
+func (f *probeFan) chainProbe(name string) chain.DeliveryProbe {
+	ps := make(latencyFan, len(f.engines))
+	for i, e := range f.engines {
+		ps[i] = e.newChainProbe(name)
+	}
+	return ps
+}
+
+// latencyFan broadcasts one observation to several probes.
+type latencyFan []*sched.LatencyProbe
+
+func (f latencyFan) Observe(lag vtime.Duration) {
+	for _, p := range f {
+		p.Observe(lag)
+	}
 }
 
 // CommitmentConfig parameterizes the commitment model every asset chain
@@ -312,6 +396,9 @@ type Minted struct {
 // offers from any goroutine, and Drain/Stop to wind down.
 type Engine struct {
 	cfg Config
+	// ownsHost marks an engine that built its host (New without Hosted):
+	// it closes the scheduler and logs the kill (see Host).
+	ownsHost bool
 	// maxLive caps live runs (see liveRuns and Config.MaxLive): enough
 	// concurrency to saturate the stripe pool, bounded so observer fanout
 	// stays flat.
@@ -327,9 +414,9 @@ type Engine struct {
 	probe *sched.LatencyProbe
 	// chainProbes holds per-chain delivery-lag probes (commitment-model
 	// runs only): conc feeds each observation to the global probe AND the
-	// source chain's probe, so adaptive Δ can respect the slowest chain
-	// and the report can break lag down per chain. Keyed by chain name;
-	// guarded by chainProbeMu (chain creation may race intake).
+	// source chain's probe, so adaptive Δ can respect the slowest chain.
+	// Keyed by chain name; guarded by chainProbeMu (chain creation may race
+	// intake).
 	chainProbeMu sync.Mutex
 	chainProbes  map[string]*sched.LatencyProbe
 	// delta is the Δ handed to newly cleared swaps — cfg.Delta, or the
@@ -490,63 +577,36 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
-// New creates an engine with its own shared clock and chain registry — or,
-// for a Hosted configuration, over its host's.
+// New creates an engine over a host it builds and owns (NewHost) — or, for
+// a Hosted configuration, over that host.
 func New(cfg Config) *Engine {
 	cfg = cfg.WithDefaults()
-	e := &Engine{
-		cfg:     cfg,
-		probe:   sched.NewLatencyProbe(),
-		agg:     metrics.NewAggregate(),
-		shapes:  new(core.ShapeCache),
-		orders:  make(map[OrderID]*order),
-		book:    newBook(),
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		drainCh: make(chan struct{}, 1),
+	own := cfg.host == nil
+	if own {
+		cfg = Hosted(cfg, NewHost(cfg))
 	}
+	h := cfg.host
+	e := &Engine{
+		cfg:      cfg,
+		ownsHost: own,
+		sched:    h.Scheduler,
+		reg:      h.Registry,
+		keyring:  h.Keyring,
+		vcache:   h.Cache,
+		tracer:   h.Tracer,
+		probe:    sched.NewLatencyProbe(),
+		agg:      metrics.NewAggregate(),
+		shapes:   new(core.ShapeCache),
+		orders:   make(map[OrderID]*order),
+		book:     newBook(),
+		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		drainCh:  make(chan struct{}, 1),
+	}
+	h.fan.engines = append(h.fan.engines, e)
 	e.round.byParty = make(map[chain.PartyID]*order)
-	level, stripe := int8(1), uint64(0)
-	if h := cfg.host; h != nil {
-		// The owner wired the registry's delivery probe (fanned out to
-		// every hosted engine's own), sized the cache's batch pool once for
-		// all of them, and hooked identity persistence on the keyring.
-		e.sched, e.reg, e.keyring, e.vcache, e.tracer = h.Scheduler, h.Registry, h.Keyring, h.Cache, h.Tracer
-		stripe = h.Stripe
-		if h.ShardOf != nil {
-			level = 3
-		}
-	} else {
-		e.sched = NewScheduler(cfg)
-		e.keyring = core.NewKeyring(rand.New(rand.NewSource(cfg.Seed + 2)))
-		e.tracer = trace.NewLog(trace.DefaultCap)
-		e.vcache = hashkey.NewVerifyCache(0)
-		// Cold chain walks may fan links across the pool — capped at the
-		// machine's parallelism, where extra fan-out is pure overhead.
-		bw := cfg.Workers
-		if n := runtime.GOMAXPROCS(0); bw > n {
-			bw = n
-		}
-		e.vcache.SetBatchWorkers(bw)
-		e.reg = chain.NewRegistry(e.sched)
-		e.reg.SetDeliveryProbe(e.probe)
-		if cfg.Commitment.Enabled() {
-			// The registry is brand new (no chains) and every engine
-			// scheduler can pump settlement ticks, so this cannot fail.
-			if err := e.reg.SetCommitmentModels(cfg.Commitment.Model); err != nil {
-				panic(err)
-			}
-			e.reg.SetChainProbeFactory(e.newChainProbe)
-		}
-		if cfg.Store != nil {
-			// Persist identities as they are generated: the ed25519 seed is
-			// an identity's durable form (see core.Keyring.OnCreate).
-			e.keyring.OnCreate(func(p chain.PartyID, seed []byte) {
-				cfg.Store.Append(Event{
-					Kind: EvIdentity, Tick: e.sched.Now(),
-					Party: string(p), Seed: seed,
-				})
-			})
-		}
+	level := int8(1)
+	if h.ShardOf != nil {
+		level = 3
 	}
 	if e.maxLive = cfg.MaxLive; e.maxLive <= 0 {
 		e.maxLive = 16 * cfg.Workers
@@ -563,7 +623,7 @@ func New(cfg Config) *Engine {
 	// and at tail level, so a round runs only after every protocol event
 	// of its tick has fully drained, which gives serialized and
 	// striped-parallel dispatch the identical pre-clearing state.
-	e.clearing = sched.NewLoop(e.sched, cfg.ClearEvery, level, stripe, e.clearTick)
+	e.clearing = sched.NewLoop(e.sched, cfg.ClearEvery, level, h.Stripe, e.clearTick)
 	e.delta.Store(int64(cfg.Delta))
 	return e
 }
@@ -617,22 +677,6 @@ func (q *jobQueue) close() {
 	q.nonEmpty.Broadcast()
 }
 
-// NewScheduler builds the scheduler cfg asks for: a free serial clock under
-// Deterministic, a free one striped over Workers under Parallel, else one
-// paced by the wall at Tick and striped over Workers. New calls it for a
-// self-contained engine; the sharded engine calls it once for all the
-// engines it hosts. A scheduler runs a dispatcher goroutine — Close it.
-func NewScheduler(cfg Config) *sched.Virtual {
-	switch {
-	case cfg.Parallel:
-		return sched.NewVirtual(cfg.Workers)
-	case cfg.Deterministic:
-		return sched.NewVirtual(1)
-	default:
-		return sched.NewPaced(cfg.Workers, cfg.Tick)
-	}
-}
-
 // Registry exposes the shared chain registry (for invariant checks).
 func (e *Engine) Registry() *chain.Registry { return e.reg }
 
@@ -660,18 +704,11 @@ func (e *Engine) CurrentDelta() vtime.Duration { return vtime.Duration(e.delta.L
 // LatencyStats snapshots the delivery-lag probe feeding adaptive Δ.
 func (e *Engine) LatencyStats() sched.LatencySnapshot { return e.probe.Snapshot() }
 
-// Probe exposes the delivery-lag probe. A self-contained engine's registry
-// feeds it directly; a shard owner fans its shared registry's observations
-// out to every hosted engine's probe, so each adaptive-Δ window consumes
-// its own copy of the evidence deterministically.
-func (e *Engine) Probe() *sched.LatencyProbe { return e.probe }
-
 // newChainProbe builds (and remembers) the delivery-lag probe for one
-// chain. Installed as the registry's chain-probe factory when a
-// commitment model is configured: per-chain lag evidence keeps adaptive
-// Δ honest across heterogeneous chains, and the report breaks delivery
-// lag down by chain.
-func (e *Engine) newChainProbe(name string) chain.DeliveryProbe {
+// chain, through the host's chain-probe factory when a commitment model is
+// configured: per-chain lag evidence keeps adaptive Δ honest across
+// heterogeneous chains.
+func (e *Engine) newChainProbe(name string) *sched.LatencyProbe {
 	p := sched.NewLatencyProbe()
 	e.chainProbeMu.Lock()
 	if e.chainProbes == nil {
@@ -680,18 +717,6 @@ func (e *Engine) newChainProbe(name string) chain.DeliveryProbe {
 	e.chainProbes[name] = p
 	e.chainProbeMu.Unlock()
 	return p
-}
-
-// ChainLatencyStats snapshots each per-chain delivery probe. Empty
-// unless a commitment model installed per-chain probes.
-func (e *Engine) ChainLatencyStats() map[string]sched.LatencySnapshot {
-	e.chainProbeMu.Lock()
-	defer e.chainProbeMu.Unlock()
-	out := make(map[string]sched.LatencySnapshot, len(e.chainProbes))
-	for name, p := range e.chainProbes {
-		out[name] = p.Snapshot()
-	}
-	return out
 }
 
 // adaptDelta retunes Δ from observed delivery lag. Deliveries aim a
@@ -1065,13 +1090,12 @@ func (e *Engine) clearTick() bool {
 		// by shedding) with nothing live. Nothing about the next round can
 		// differ until a new order books, so spinning would only burn
 		// wall-dependent rounds — the digest's determinism hangs on parking
-		// here, and like the idle one, the round that parks is not counted
-		// active. Submit re-arms; Drain rejects
-		// a book still stuck at drain time. liveRuns (not inflight) keeps
-		// the gate schedule-pure: a run past its horizon can settle orders
-		// but never book one. A reservation conflict is not stuck: the
-		// holder's worker releases the asset once its run has ended, and
-		// the next round finds it free.
+		// here, and like the idle round, this one is not counted active.
+		// Submit re-arms; Drain rejects a book still stuck at drain time.
+		// liveRuns (not inflight) keeps the gate schedule-pure: a run past
+		// its horizon can settle orders but never book one. A reservation
+		// conflict is not stuck: the holder's worker releases the asset once
+		// its run has ended, and the next round finds it free.
 	}
 	e.clearing.Park()
 	// Re-check now that the loop is parked: an order booked since the round
@@ -1220,7 +1244,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 			held = append(held, resvKey{chain: tr.Chain, asset: tr.Asset})
 		}
 	}
-	if h := e.cfg.host; h != nil && h.ShardOf != nil && e.cfg.Store != nil {
+	if h := e.cfg.host; h.ShardOf != nil && e.cfg.Store != nil {
 		// AC3 prepare record: every involved asset is now reserved (the
 		// shared registry's reservation table spans all shards), but the
 		// swap is not yet committed — that is EvCleared, below. A crash
@@ -1565,8 +1589,8 @@ func (e *Engine) Kill() vtime.Ticks {
 	e.mu.Unlock()
 	e.clearing.Stop(false)
 	cut := e.sched.Now()
-	if e.cfg.host == nil {
-		// One crash, one kill record: a hosted engine's is its deployment's.
+	if e.ownsHost {
+		// One crash, one kill record: the host owner's.
 		e.logEvent(Event{Kind: EvKilled, Tick: cut})
 	}
 	e.notifyDrain()
@@ -1637,11 +1661,11 @@ func (e *Engine) Stop(ctx context.Context) error {
 	e.clearing.Stop(true)
 	e.jobs.close()
 	e.workerWG.Wait()
-	if e.cfg.host == nil {
+	if e.ownsHost {
 		// All runs have drained their scheduler holds; stop the dispatcher
-		// so the engine leaves no goroutine behind. A host's scheduler is
-		// the host's to close, once, after every engine sharing it has
-		// stopped.
+		// so the engine leaves no goroutine behind. A handed host's
+		// scheduler is its owner's to close, once, after every engine over
+		// it has stopped.
 		e.sched.Close()
 	}
 	return drainErr

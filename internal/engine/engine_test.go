@@ -652,6 +652,32 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	}
 }
 
+// TestHostFansChainEvidence: every engine over one host reads the host
+// registry's per-chain delivery evidence, so each applies the slowest-chain
+// rule — a window whose overall lag is zero but whose one chain lags 3 ticks
+// sets Δ from the 3. A sharded deployment used to install per-chain probes
+// that nothing read.
+func TestHostFansChainEvidence(t *testing.T) {
+	cfg := Config{
+		Delta: 15, MaxDelta: 100, AdaptiveDelta: true, Deterministic: true,
+		Commitment: CommitmentConfig{ConfirmDepth: 2},
+	}
+	h := NewHost(cfg)
+	defer h.Scheduler.Close()
+	engines := []*Engine{New(Hosted(cfg, h)), New(Hosted(cfg, h))}
+	h.Registry.Chain("slow")
+	for i := 0; i < adaptMinSamples; i++ {
+		h.Registry.DeliveryProbe().Observe(0)
+	}
+	h.Registry.ChainDeliveryProbe("slow").Observe(3)
+	for i, e := range engines {
+		e.adaptDelta()
+		if got, want := e.CurrentDelta(), vtime.Duration(4*(2*3+1)); got != want {
+			t.Errorf("engine %d: Δ %d after a window whose slowest chain lagged 3 ticks, want %d", i, got, want)
+		}
+	}
+}
+
 // TestEngineAdversarialConcurrentSubmit exercises the clearing path's
 // adversary selection (the goroutine-confined rng draw) while many
 // goroutines hammer Submit: under -race this is the regression test for

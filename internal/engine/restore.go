@@ -8,7 +8,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
-	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -69,10 +68,10 @@ type RecoveredOrder struct {
 // NewRecovered builds an engine from a recovered state: identities
 // restored into the keyring, assets re-minted under their logged owners,
 // orders re-booked (pending ones re-enter the book and will re-clear
-// once Start runs), the order ID sequence resumed, metrics counters restored, and
-// — on a free clock — the clock advanced to the recovery tick so
-// post-recovery events continue the pre-crash tick line. The caller
-// Starts the engine afterwards, exactly like one built with New.
+// once Start runs), the order ID sequence resumed, metrics counters
+// restored, and — on a free clock — the clock advanced to the recovery
+// tick so post-recovery events continue the pre-crash tick line. The
+// caller Starts the engine afterwards, exactly like one built with New.
 //
 // Wall-clock latency history does not survive a crash: restored metrics
 // carry the pre-crash counts and outcome tallies, but the latency
@@ -80,7 +79,7 @@ type RecoveredOrder struct {
 func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 	e := New(cfg)
 	e.recovered = true
-	if err := st.RestoreShared(e.keyring, e.reg, e.sched); err != nil {
+	if err := st.RestoreShared(*e.cfg.host); err != nil {
 		return nil, err
 	}
 	for _, a := range st.Assets {
@@ -113,19 +112,20 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 }
 
 // RestoreShared replays the part of a recovered state that lives outside
-// any one engine's books: identities into the keyring, assets re-minted
-// into the registry under their logged owners, and the clock set to the
-// recovery tick. NewRecovered applies it to the engine's own three; a
-// sharded rebuild applies it once to the three its engines share, and
-// hands each hosted engine a state with Identities, Assets and Tick zero.
-func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc *sched.Virtual) error {
+// any one engine's books into the host: identities into the keyring,
+// assets re-minted into the registry under their logged owners, and the
+// clock set to the recovery tick. It is the host owner's, once:
+// NewRecovered applies it to the host New built, and a sharded rebuild to
+// the host its engines share, handing each of them a state with
+// Identities, Assets and Tick zero.
+func (st RecoveredState) RestoreShared(h Host) error {
 	for _, id := range st.Identities {
-		if err := k.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
+		if err := h.Keyring.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
 			return err
 		}
 	}
 	for _, a := range st.Assets {
-		if err := reg.Chain(a.Chain).RegisterAsset(chain.Asset{
+		if err := h.Registry.Chain(a.Chain).RegisterAsset(chain.Asset{
 			ID: a.Asset, Amount: a.Amount,
 		}, chain.PartyID(a.Owner)); err != nil {
 			return fmt.Errorf("engine: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
@@ -134,7 +134,7 @@ func (st RecoveredState) RestoreShared(k *core.Keyring, reg *chain.Registry, sc 
 	// Pre-crash submit ticks stay in the past, where they belong. A paced
 	// clock is the wall's and restarts at zero — tick continuity is a
 	// property of a free one (see Advance).
-	sc.Advance(st.Tick)
+	h.Scheduler.Advance(st.Tick)
 	return nil
 }
 

@@ -3,8 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +14,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
-	"github.com/go-atomicswap/atomicswap/internal/trace"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -70,12 +67,9 @@ type ShardedEngine struct {
 	cfg Config
 	m   Map
 
-	sch *sched.Virtual
-
-	reg     *chain.Registry
-	keyring *core.Keyring
-	vcache  *hashkey.VerifyCache
-	tracer  *trace.Log
+	// host is what every inner engine runs over; the deployment built it
+	// and owns it (see engine.Host).
+	host engine.Host
 
 	shards  []*engine.Engine
 	coord   *engine.Engine
@@ -139,36 +133,12 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		startedAt: time.Now(),
 	}
 
-	// One scheduler for everything. The stripe key space is partitioned
-	// by construction: swap runs stripe on their canonical sequence,
-	// shard clearing on 1..N at level 1, the sweep on N+2 at level 2,
-	// coordinator clearing on N+1 at level 3.
-	s.sch = engine.NewScheduler(base)
-	s.sweep = sched.NewLoop(s.sch, base.ClearEvery, 2, uint64(cfg.Shards+2), s.sweepTick)
-
-	s.reg = chain.NewRegistry(s.sch)
-	if base.Commitment.Enabled() {
-		// One commitment model set for the whole deployment, installed on
-		// the SHARED registry before any chain exists: every shard's view
-		// of a chain's finality (and its fate stream) is the same object,
-		// which is what makes serial and sharded digests agree.
-		if err := s.reg.SetCommitmentModels(base.Commitment.Model); err != nil {
-			return nil, err
-		}
-		s.reg.SetChainProbeFactory(func(string) chain.DeliveryProbe {
-			return sched.NewLatencyProbe()
-		})
-	}
-	s.keyring = core.NewKeyring(rand.New(rand.NewSource(base.Seed + 2)))
-	s.vcache = hashkey.NewVerifyCache(0)
-	// Size the shared batch-verify pool ONCE from the machine's total
-	// budget — N shards never stack N default pools on one box.
-	bw := base.Workers
-	if n := runtime.GOMAXPROCS(0); bw > n {
-		bw = n
-	}
-	s.vcache.SetBatchWorkers(bw)
-	s.tracer = trace.NewLog(trace.DefaultCap)
+	// One host for everything. The stripe key space of its scheduler is
+	// partitioned by construction: swap runs stripe on their canonical
+	// sequence, shard clearing on 1..N at level 1, the sweep on N+2 at level
+	// 2, coordinator clearing on N+1 at level 3.
+	s.host = engine.NewHost(base)
+	s.sweep = sched.NewLoop(s.host.Scheduler, base.ClearEvery, 2, uint64(cfg.Shards+2), s.sweepTick)
 
 	// Partition a recovered order book by home shard before the engines
 	// exist: terminal orders are history and belong wherever their offer
@@ -195,16 +165,9 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 	if inner.Workers < 1 {
 		inner.Workers = 1
 	}
-	probes := make(probeFan, 0, cfg.Shards+1)
 	for i := 0; i <= cfg.Shards; i++ {
-		host := engine.Host{
-			Scheduler: s.sch,
-			Registry:  s.reg,
-			Keyring:   s.keyring,
-			Cache:     s.vcache,
-			Tracer:    s.tracer,
-			Stripe:    uint64(i + 1),
-		}
+		host := s.host
+		host.Stripe = uint64(i + 1)
 		if i == cfg.Shards {
 			host.ShardOf = s.m.Of
 		}
@@ -216,9 +179,8 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 			es := engine.RecoveredState{
 				Orders:    parts[i],
 				NextOrder: rst.NextOrder,
-				// Identities, Assets, and Tick are deliberately zero: the
-				// keyring, registry, and clock are shared, restored once
-				// below.
+				// Identities, Assets, and Tick are deliberately zero: they
+				// are the host's, restored once below.
 			}
 			if i == 0 {
 				es.Shed = rst.Shed
@@ -229,40 +191,21 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 			}
 		}
 		s.engines = append(s.engines, eng)
-		probes = append(probes, eng.Probe())
 	}
 	s.shards, s.coord = s.engines[:cfg.Shards:cfg.Shards], s.engines[cfg.Shards]
-
-	// The registry reports delivery lag with no notion of which shard's
-	// swap produced it; fan every observation out so each engine's
-	// adaptive-Δ controller sees the machine-wide evidence (a safe upper
-	// bound on its own — Δ adapts to the slowest observed delivery).
-	s.reg.SetDeliveryProbe(probes)
 
 	if rst != nil {
 		s.recovered = true
 		// Once, into what the engines share; the per-engine minted audit
 		// lists only see post-recovery intake, so the sharded level keeps
 		// the re-mints and audits them in verifyLedgers.
-		if err := rst.RestoreShared(s.keyring, s.reg, s.sch); err != nil {
+		if err := rst.RestoreShared(s.host); err != nil {
 			return nil, err
 		}
 		for _, a := range rst.Assets {
 			s.recMinted = append(s.recMinted, a.Minted)
 		}
 		s.nextID.Store(rst.NextOrder)
-	}
-	// Identity persistence is wired AFTER restore: a restored identity is
-	// already in the log. The shared keyring gets exactly one hook; hosted
-	// engines wire nothing.
-	if base.Store != nil {
-		st := base.Store
-		s.keyring.OnCreate(func(p chain.PartyID, seed []byte) {
-			st.Append(engine.Event{
-				Kind: engine.EvIdentity, Tick: s.sch.Now(),
-				Party: string(p), Seed: seed,
-			})
-		})
 	}
 	return s, nil
 }
@@ -277,16 +220,6 @@ func NewRecovered(cfg Config, rst engine.RecoveredState) (*ShardedEngine, error)
 	return build(cfg, &rst)
 }
 
-// probeFan broadcasts one registry delivery observation to every
-// engine's own latency probe.
-type probeFan []*sched.LatencyProbe
-
-func (f probeFan) Observe(lag vtime.Duration) {
-	for _, p := range f {
-		p.Observe(lag)
-	}
-}
-
 // ShardMap exposes the asset→shard partition.
 func (s *ShardedEngine) ShardMap() Map { return s.m }
 
@@ -294,19 +227,19 @@ func (s *ShardedEngine) ShardMap() Map { return s.m }
 func (s *ShardedEngine) Shards() int { return s.cfg.Shards }
 
 // Scheduler exposes the shared time scheduler (for load generators).
-func (s *ShardedEngine) Scheduler() sched.Scheduler { return s.sch }
+func (s *ShardedEngine) Scheduler() sched.Scheduler { return s.host.Scheduler }
 
 // Tick reports the configured wall duration of one virtual tick.
 func (s *ShardedEngine) Tick() time.Duration { return s.shards[0].Tick() }
 
 // Registry exposes the shared chain registry.
-func (s *ShardedEngine) Registry() *chain.Registry { return s.reg }
+func (s *ShardedEngine) Registry() *chain.Registry { return s.host.Registry }
 
 // Keyring exposes the shared party keyring.
-func (s *ShardedEngine) Keyring() *core.Keyring { return s.keyring }
+func (s *ShardedEngine) Keyring() *core.Keyring { return s.host.Keyring }
 
 // VerifyCacheStats snapshots the shared hashkey verification cache.
-func (s *ShardedEngine) VerifyCacheStats() hashkey.CacheStats { return s.vcache.Stats() }
+func (s *ShardedEngine) VerifyCacheStats() hashkey.CacheStats { return s.host.Cache.Stats() }
 
 // Recovered reports whether this engine was rebuilt from a durable log.
 func (s *ShardedEngine) Recovered() bool { return s.recovered }
@@ -354,7 +287,7 @@ func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	err := target.SubmitRouted(engine.Routed{
 		ID:            id,
 		Offer:         offer,
-		SubmittedTick: s.sch.Now(),
+		SubmittedTick: s.host.Scheduler.Now(),
 		SubmittedAt:   time.Now(),
 	})
 	if err != nil {
@@ -407,7 +340,7 @@ func (s *ShardedEngine) PendingParties() int {
 // digest-equality contract needs. The return value says whether to stay
 // armed: with every shard book empty the sweep parks and intake wakes it.
 func (s *ShardedEngine) sweepTick() bool {
-	cutoff := s.sch.Now().Add(-s.escAfter)
+	cutoff := s.host.Scheduler.Now().Add(-s.escAfter)
 	// An order on the move is in no book. The move happens under s.mu so
 	// that Drain, which samples the shard books from outside the scheduler,
 	// never takes "withdrawn, not yet re-booked" for "drained" and closes
@@ -498,12 +431,12 @@ func (s *ShardedEngine) Report() metrics.Throughput {
 	for _, e := range s.engines {
 		e.MergeMetricsInto(agg)
 	}
-	agg.SetSigns(s.keyring.Signs())
+	agg.SetSigns(s.host.Keyring.Signs())
 	if s.cfg.Engine.Commitment.Enabled() {
 		base := s.coord.CurrentDelta()
 		deltas := make(map[string]int)
-		for _, name := range s.reg.ModeledChains() {
-			deltas[name] = int(s.reg.Chain(name).Timing().EffectiveDelta(base))
+		for _, name := range s.host.Registry.ModeledChains() {
+			deltas[name] = int(s.host.Registry.Chain(name).Timing().EffectiveDelta(base))
 		}
 		if len(deltas) > 0 {
 			agg.SetChainDeltas(deltas)
@@ -550,8 +483,8 @@ func (s *ShardedEngine) Kill() vtime.Ticks {
 	for _, e := range s.engines {
 		cut = e.Kill()
 	}
-	// One crash, one kill record, whatever the shard count: the hosted
-	// engines leave it to the deployment.
+	// One crash, one kill record, whatever the shard count: the engines
+	// leave it to the host's owner.
 	if st := s.cfg.Engine.Store; st != nil {
 		st.Append(engine.Event{Kind: engine.EvKilled, Tick: cut})
 	}
@@ -570,7 +503,7 @@ func (s *ShardedEngine) Drain(ctx context.Context) error {
 	killed := s.killed
 	s.mu.Unlock()
 	// Let go of a clock still held from birth (see engine.Drain).
-	s.sch.Hold()()
+	s.host.Scheduler.Hold()()
 	if !killed {
 		// Wait out the shard books: local rounds clear what they can,
 		// the sweep moves the rest to the coordinator, and a free clock
@@ -605,7 +538,7 @@ func (s *ShardedEngine) Drain(ctx context.Context) error {
 
 // Stop gracefully shuts the sharded engine down: drain everything, stop
 // the sweep, stop every inner engine, and close the shared scheduler
-// (once — the inner engines know it is injected and leave it alone).
+// (once — the inner engines were handed the host and leave it alone).
 func (s *ShardedEngine) Stop(ctx context.Context) error {
 	drainErr := s.Drain(ctx)
 	s.mu.Lock()
@@ -621,7 +554,7 @@ func (s *ShardedEngine) Stop(ctx context.Context) error {
 			drainErr = err
 		}
 	}
-	s.sch.Close()
+	s.host.Scheduler.Close()
 	return drainErr
 }
 
@@ -653,7 +586,7 @@ func (s *ShardedEngine) verifyLedgers(strandCheck bool) error {
 	if len(s.recMinted) == 0 {
 		return nil
 	}
-	if err := engine.VerifyMinted(s.reg, s.recMinted, strandCheck, s.InFlight() == 0); err != nil {
+	if err := engine.VerifyMinted(s.host.Registry, s.recMinted, strandCheck, s.InFlight() == 0); err != nil {
 		return fmt.Errorf("shard: recovered: %w", err)
 	}
 	return nil

@@ -187,7 +187,7 @@ func TestShardSharedCacheBatchWorkers(t *testing.T) {
 	if n := runtime.GOMAXPROCS(0); want > n {
 		want = n
 	}
-	if got := s.vcache.BatchWorkers(); got != want {
+	if got := s.host.Cache.BatchWorkers(); got != want {
 		t.Fatalf("shared cache batch workers = %d, want min(total Workers, GOMAXPROCS) = %d", got, want)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -407,8 +407,8 @@ func exportedFields(v any) []string {
 // TestConfigSurface pins the option surface: every exported field of
 // engine.Config and of Config is a setting each caller, test and benchmark
 // configuration multiplies by, so adding one is a deliberate act that edits
-// this list. What a sharded deployment shares with its engines is not on
-// it: that travels in engine.Host, which only this package builds.
+// this list. What a deployment shares with its engines is not on it: that
+// travels in engine.Host, which engine.NewHost builds.
 func TestConfigSurface(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -440,7 +440,7 @@ func TestShardDefaultsMatchEngine(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	defer s.Stop(ctx)
-	if got := s.vcache.BatchWorkers(); got != want.Workers {
+	if got := s.host.Cache.BatchWorkers(); got != want.Workers {
 		t.Errorf("total worker budget %d, engine default %d", got, want.Workers)
 	}
 	if got := s.Tick(); got != want.Tick {
