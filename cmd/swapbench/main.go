@@ -35,8 +35,8 @@ import (
 // deterministically and prints one replay-stable JSON line per run: the canonical digest plus its sha256 fingerprint. Two
 // invocations with the same arguments must emit byte-identical output —
 // the CI replay job diffs exactly that, and diffs a -scenario-parallel
-// run against the serial one too (parallel dispatch is an execution
-// knob, not a schedule knob). A safety violation fails the command.
+// run against a plain one too (dispatch helpers are an execution knob,
+// not a schedule knob). A safety violation fails the command.
 func runScenarios(name string, seedOffset int64, parallel bool, shards int) error {
 	scs, err := scenario.Family(name, seedOffset)
 	if err != nil {
@@ -54,9 +54,7 @@ func runScenarios(name string, seedOffset int64, parallel bool, shards int) erro
 			res.Digest.Hash(), res.Digest.JSON())
 		// Where the batches and the signatures ran is the box's business,
 		// not the digest's.
-		if parallel {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Dispatch)
-		}
+		fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Dispatch)
 		if res.Signing.Signs > 0 {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.Name, res.Signing)
 		}
@@ -104,7 +102,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
 	scenarioFlag := flag.String("scenario", "", "run a deterministic scenario family — 'all' (the built-in suite), 'reorg-grid', 'econ-grid', or one suite entry by name — and emit replay-stable digest JSON")
 	scenarioSeed := flag.Int64("scenario-seed", 0, "seed offset applied to every -scenario run (same offset ⇒ byte-identical output)")
-	scenarioParallel := flag.Bool("scenario-parallel", false, "run -scenario on the striped-parallel dispatcher (digests must stay byte-identical; CI diffs serial vs parallel output)")
+	scenarioParallel := flag.Bool("scenario-parallel", false, "run -scenario with dispatch helpers, one a spare core up to the scenario's workers (digests must stay byte-identical; CI diffs plain vs parallel output)")
 	scenarioShards := flag.Int("scenario-shards", 0, "run -scenario on a sharded engine with this many shards (0 = the scenario's own shard count; digests of shard-local scenarios must stay byte-identical to 1-shard runs — CI diffs them)")
 	flag.Parse()
 

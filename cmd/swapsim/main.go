@@ -73,7 +73,7 @@ func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadca
 		return err
 	}
 	// One runtime either way; the flag picks its scheduler. The Runner is
-	// the paper's model — a private serial scheduler, every notification
+	// the paper's model — a private one-worker scheduler, every notification
 	// exactly Δ after its chain event — and the only one that tallies call
 	// counters; -concurrent paces the same run by the wall clock, with the
 	// delivery margins a shared scheduler needs.

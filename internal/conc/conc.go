@@ -5,12 +5,13 @@
 // runs at once over one set of chains, which is what the clearing engine
 // needs — and time each chain notification a quarter-Δ inside the bound,
 // from the chain's commitment-model Timing. Runner (runner.go) is the
-// paper's model of one swap alone: a private serial scheduler, a private
-// registry, and every notification landing exactly Δ after its chain event.
+// paper's model of one swap alone: a private one-worker scheduler, a
+// private registry, and every notification landing exactly Δ after its
+// chain event.
 //
 // There is one delivery shape. A sched.Virtual already runs a stripe's
 // events one at a time in scheduling order, so a delivery simply executes
-// inside its scheduler event, on the dispatcher (or the run's stripe worker),
+// inside its scheduler event, on the dispatcher (or a dispatch helper),
 // at its scheduled tick: no party goroutines exist, and behaviors stay
 // single-threaded because the run's events share a stripe. On a free clock a
 // run is then a pure function of what was scheduled. On a paced one
@@ -79,11 +80,10 @@ type Config struct {
 	// setups (one per cleared swap).
 	Cache *hashkey.VerifyCache
 	// StripeKey, when nonzero, tags every scheduler event of this run with
-	// the key. Under striped dispatch (a scheduler with workers > 1) the
-	// run's events then serialize
-	// among themselves in schedule order while distinct runs — distinct
-	// swaps, in the engine — execute concurrently. Zero joins the shared
-	// unkeyed stripe.
+	// the key. The run's events then serialize among themselves in
+	// schedule order while distinct runs — distinct swaps, in the engine —
+	// may execute concurrently on a scheduler with helpers (workers > 1).
+	// Zero joins the shared unkeyed stripe.
 	StripeKey uint64
 	// Log, when set, replaces the run's private trace log — the engine
 	// passes one shared flight-recorder ring so per-swap log allocation
@@ -217,7 +217,7 @@ func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 // prepare is Prepare with the delivery rule spelled out. worstCase is the
 // Runner's: a notification lands exactly spec.DeltaFor(chain) after its
 // chain event and the run ends at spec.Horizon() — nothing jitters on a
-// private serial scheduler, so no margin and no padding. Otherwise targets
+// private free one-worker scheduler, so no margin and no padding. Otherwise targets
 // sit inside the bound by the chain's own margin (see onNote).
 func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config, worstCase bool) (*Running, error) {
 	spec := setup.Spec

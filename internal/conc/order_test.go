@@ -146,8 +146,8 @@ func recordRun(t *testing.T, tc orderCase, workers int, shared bool) string {
 // TestEventOrderGolden pins every party's callback sequence — and with it
 // the order of the whole run — against testdata/event_order.golden, which
 // was written by the commit before deliveries became coalesced scheduler
-// events. Serial and striped dispatch, private and shared registries must
-// all reproduce it: one event serving two parties must serve them in the
+// events. One worker or four, private and shared registries must all
+// reproduce it: one event serving two parties must serve them in the
 // order two events did.
 func TestEventOrderGolden(t *testing.T) {
 	path := filepath.Join("testdata", "event_order.golden")
@@ -178,10 +178,10 @@ func TestEventOrderGolden(t *testing.T) {
 			workers int
 			shared  bool
 		}{
-			{"serial", 1, false},
-			{"serial-shared", 1, true},
-			{"striped", 4, false},
-			{"striped-shared", 4, true},
+			{"workers=1", 1, false},
+			{"workers=1-shared", 1, true},
+			{"workers=4", 4, false},
+			{"workers=4-shared", 4, true},
 		} {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
 				got := recordRun(t, tc, mode.workers, mode.shared)

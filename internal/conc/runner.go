@@ -16,9 +16,9 @@ import (
 // Runner executes one swap alone under the paper's model: actions land on
 // chains instantly; every observer (party) is notified exactly Δ later, the
 // worst-case publish-and-detect latency. It is a run of this package on a
-// serial sched.Virtual and a registry of its own, so the whole run is one
-// thread of control in (tick, scheduling) order and a pure function of the
-// setup. NewRunner starts that scheduler's dispatcher and Run stops it: run
+// one-worker sched.Virtual — its dispatcher runs every stripe itself, with
+// no helper — and a registry of its own, so the whole run is one thread of
+// control in (tick, scheduling) order and a pure function of the setup. NewRunner starts that scheduler's dispatcher and Run stops it: run
 // every Runner you build.
 type Runner struct {
 	setup     *core.Setup

@@ -117,8 +117,9 @@ type Config struct {
 	// MaxDelta caps the adaptive Δ (default 4×Delta), bounding how far a
 	// loaded box backs off.
 	MaxDelta vtime.Duration
-	// Deterministic runs the engine on a free clock — a serial
-	// sched.NewVirtual whose ticks advance as fast as callbacks drain, so
+	// Deterministic runs the engine on a free clock — a one-worker
+	// sched.NewVirtual, whose dispatcher runs every stripe itself with no
+	// helper, and whose ticks advance as fast as callbacks drain, so
 	// swaps stop waiting out Δ-scaled deadlines in wall time, throughput
 	// becomes CPU-bound, and the protocol sees the same tick arithmetic.
 	// A free clock is also what makes a run seed-replayable: the clock is
@@ -131,15 +132,16 @@ type Config struct {
 	// callbacks (loadgen arrivals), from under a Hold, or from a single
 	// goroutine before Drain; racing Submit calls are safe but reintroduce
 	// the nondeterminism this removes. With neither this nor Parallel the
-	// clock is paced by the wall, one tick per Tick (sched.NewPaced, striped
-	// over Workers). NewHost reads this and Parallel; an engine built by
+	// clock is paced by the wall, one tick per Tick (sched.NewPaced over
+	// Workers). NewHost reads this and Parallel; an engine built by
 	// New owns its host's dispatcher goroutine, and Stop (valid even if
 	// Start was never called) releases it.
 	Deterministic bool
-	// Parallel is Deterministic on a striped sched.Virtual: same-tick
-	// events are partitioned by swap onto a Workers-sized pool with a
-	// per-tick barrier, so each swap still sees the serial schedule —
-	// digests stay byte-identical to plain Deterministic runs — while
+	// Parallel is Deterministic on a sched.NewVirtual of Workers workers:
+	// the same dispatch path, which stripes each (tick, level) batch by swap
+	// behind a barrier, with min(Workers, GOMAXPROCS) − 1 helpers to share
+	// the stripes — each swap sees the sequence it sees with none, so
+	// digests stay byte-identical to plain Deterministic runs, while
 	// independent swaps use every core. See DESIGN.md §10 for the
 	// determinism argument.
 	Parallel bool
@@ -203,8 +205,8 @@ type Host struct {
 	// Tracer is the shared trace flight recorder.
 	Tracer *trace.Log
 	// Stripe keys this engine's clearing ticks on the shared virtual
-	// scheduler: clearing passes of distinct shards run concurrently under
-	// striped dispatch while each shard's own pass stays serialized.
+	// scheduler: clearing passes of distinct shards may run concurrently on
+	// dispatch helpers while each shard's own pass stays serialized.
 	Stripe uint64
 	// ShardOf maps a chain name to its shard. Set on the coordinator only,
 	// whose prepare records say how many shards a swap spans (a hook, not
@@ -217,9 +219,9 @@ type Host struct {
 }
 
 // NewHost builds a deployment's shared infrastructure from cfg: the
-// scheduler cfg asks for (a free serial clock under Deterministic, a free
-// one striped over Workers under Parallel, else one paced by the wall at
-// Tick and striped over Workers), a chain registry under cfg.Commitment,
+// scheduler cfg asks for (a free one-worker clock under Deterministic, a
+// free one of Workers workers under Parallel, else one of Workers workers
+// paced by the wall at Tick), a chain registry under cfg.Commitment,
 // the keyring (seeded from Seed), the verify cache with its batch pool
 // sized once for the machine, the trace ring, and — with a Store — the
 // hook that logs each new identity. The scheduler runs a dispatcher

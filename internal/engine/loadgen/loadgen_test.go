@@ -82,7 +82,7 @@ func TestScheduleDeterministic(t *testing.T) {
 }
 
 // TestScheduleDeterministicOnVirtual replays the same schedule on two
-// serial virtual schedulers: the fire order and fire ticks must match
+// one-worker virtual schedulers: the fire order and fire ticks must match
 // event for event.
 func TestScheduleDeterministicOnVirtual(t *testing.T) {
 	replay := func(seed int64) []vtime.Ticks {

@@ -14,7 +14,7 @@
 //
 // Replayability is the second half of the contract. A scenario run is a
 // pure function of its seed: the engine runs in Deterministic mode
-// (serialized virtual scheduler, clearing rounds at fixed ticks, swap
+// (a one-worker virtual scheduler, clearing rounds at fixed ticks, swap
 // setup pinned inside the clearing tick, synchronous deliveries), so
 // the same Scenario value produces a byte-identical Digest — intake
 // ticks, clearing rounds, Δ trajectory, settle order, outcome counts —
@@ -95,8 +95,9 @@ type Scenario struct {
 
 	// Workers sizes the engine's executor pool (default 8).
 	Workers int `json:"workers,omitempty"`
-	// Parallel runs the deterministic schedule on the striped-parallel
-	// dispatcher (engine.Config.Parallel) instead of the serialized one.
+	// Parallel runs the deterministic schedule on a dispatcher of Workers
+	// workers (engine.Config.Parallel) instead of one: the same dispatch
+	// path, with min(Workers, GOMAXPROCS) − 1 helpers rather than none.
 	// It is an execution knob, not a schedule knob: the digest must be
 	// byte-identical either way, which is exactly what the determinism
 	// suite asserts — so it is deliberately excluded from the scenario's
@@ -200,9 +201,9 @@ type Result struct {
 	Load loadgen.Stats
 	// Violations lists every failed safety check (empty on a good run).
 	Violations []Violation
-	// Dispatch is what the run's scheduler did with its batches (zero on
-	// serial dispatch; of a crash run, the recovered life's). It says where
-	// the work ran, which is the box's business: not in the digest.
+	// Dispatch is what the run's scheduler did with its batches (of a crash
+	// run, the recovered life's). It says where the work ran, which is the
+	// box's business: not in the digest.
 	Dispatch sched.Stats
 	// Signing splits the run's signatures by where they ran, presigned on
 	// a spare core or inline — the box's business too: not in the digest.

@@ -50,16 +50,17 @@ func hashesFor(d time.Duration) int {
 }
 
 // BenchmarkDispatch is the layer-level cost of moving an event through the
-// scheduler: serial against striped dispatch, over stripes per batch and
-// callback length. One op is one (tick, level) batch of one event a stripe;
-// ns/event and allocs/event are the numbers to read, at -cpu 1 for what
-// striping costs and at -cpu 2 and up for what it buys.
+// scheduler: one worker (no helper) against eight (min(8, GOMAXPROCS) − 1
+// helpers), over stripes per batch and callback length. One op is one
+// (tick, level) batch of one event a stripe; ns/event and allocs/event are
+// the numbers to read, at -cpu 1 for what batching costs and at -cpu 2 and
+// up for what helpers buy.
 func BenchmarkDispatch(b *testing.B) {
 	work := hashesFor(25 * time.Microsecond)
 	for _, mode := range []struct {
 		name    string
 		workers int
-	}{{"serial", 1}, {"striped", 8}} {
+	}{{"workers=1", 1}, {"workers=8", 8}} {
 		for _, stripes := range []int{1, 4, 64} {
 			for _, cb := range []struct {
 				name   string

@@ -9,17 +9,17 @@ import (
 )
 
 // forEachScheduler runs the test body on the three clocks a Loop runs on:
-// paced by the wall ("real"), free serial, free striped. A free clock is born held:
-// each body installs what it drives under a Hold, or lets the clock go
-// where racing it is the point.
+// paced by the wall ("real"), free with one worker, free with four. A free
+// clock is born held: each body installs what it drives under a Hold, or
+// lets the clock go where racing it is the point.
 func forEachScheduler(t *testing.T, body func(t *testing.T, v *Virtual)) {
 	for _, tc := range []struct {
 		name string
 		make func() *Virtual
 	}{
 		{"real", func() *Virtual { return NewPaced(1, time.Microsecond) }},
-		{"virtual-serial", func() *Virtual { return NewVirtual(1) }},
-		{"virtual-striped", func() *Virtual { return NewVirtual(4) }},
+		{"workers=1", func() *Virtual { return NewVirtual(1) }},
+		{"workers=4", func() *Virtual { return NewVirtual(4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := tc.make()

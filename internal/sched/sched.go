@@ -7,13 +7,13 @@
 // sleeping. Everything that runs — the swap runtime in conc, on its own for
 // a Runner or shared by the clearing engine — is written against it.
 //
-// One implementation exists. Virtual is an event loop: it runs events in
-// (tick, level, scheduling order), a stripe's events one at a time — on the
-// dispatcher alone, or striped by caller-supplied key, the dispatcher
-// running stripes and sending for helpers only when a batch outlasts a
-// wake-up, with a barrier before the clock moves — and every layer above is
-// written against that one guarantee. What moves the clock is the only
-// thing that varies:
+// One implementation exists, with one dispatch path. Virtual is an event
+// loop: it pops each (tick, level) batch whole, groups it into stripes by
+// caller-supplied key and runs each stripe's events one at a time in
+// scheduling order — the dispatcher running stripes itself and sending for
+// helpers, if it has any, only when a batch outlasts a wake-up — with a
+// barrier before the clock moves; every layer above is written against that
+// one guarantee. What moves the clock is the only thing that varies:
 //
 //   - Free (NewVirtual): the clock jumps from event to event as fast as
 //     callbacks drain, so a run is CPU-bound instead of wall-clock-bound
@@ -182,10 +182,10 @@ func (h *eventHeap) pop() *Event {
 }
 
 // Virtual is a thread-safe discrete-event scheduler: a dispatcher goroutine
-// pops the earliest event once every outstanding hold is released — and, on
-// a paced clock, once the wall has reached the event's tick — moves the
-// clock to it, and runs the callback (itself counted as a hold, so cascades
-// triggered by a callback all land before time moves again). Events are
+// pops the earliest (tick, level) batch once every outstanding hold is
+// released — and, on a paced clock, once the wall has reached its tick —
+// moves the clock to it, and runs it (itself counted as a hold, so cascades
+// triggered by its callbacks all land before time moves again). Events are
 // ordered by (tick, level, scheduling order); scheduling in the past means
 // now; a stopped event is discarded when popped, without advancing time.
 // Close (or RunUntil) stops the dispatcher.
@@ -215,13 +215,12 @@ type Virtual struct {
 	// waiter, so a wake-up is a Signal, and skipped while it is running.
 	waiting bool
 
-	// Striped dispatch (workers > 1: wake is non-nil): each (tick, level)
-	// batch is grouped by stripe key and its stripes are claimed one at a
-	// time — by the dispatcher, and by helpers it wakes once the batch has
-	// outlasted a wake-up — each run in scheduling order, with a barrier
-	// before the clock moves on. batch is the running batch sorted by
-	// stripe, stripe i being batch[starts[i]:starts[i+1]]; both are kept
-	// and reused.
+	// Dispatch: each (tick, level) batch is grouped by stripe key and its
+	// stripes are claimed one at a time — by the dispatcher, and by helpers
+	// it wakes once the batch has outlasted a wake-up — each run in
+	// scheduling order, with a barrier before the clock moves on. batch is
+	// the running batch sorted by stripe, stripe i being
+	// batch[starts[i]:starts[i+1]]; both are kept and reused.
 	batch  []*Event
 	starts []int32
 	// cursor holds the running batch's stripe count in its high half and
@@ -239,7 +238,8 @@ type Virtual struct {
 	left atomic.Int32
 	// wake parks the helpers: one token rouses one, and carries when it was
 	// sent, so that the helper measures how long help takes to arrive
-	// (arrive, in ns, smoothed) — the one quantity the wake rule reads.
+	// (arrive, in ns, smoothed) — the one quantity the wake rule reads. Its
+	// capacity is the helper count, zero when the dispatcher has no help.
 	wake       chan time.Duration
 	arrive     atomic.Int64
 	helpers    sync.WaitGroup
@@ -248,8 +248,8 @@ type Virtual struct {
 	done       chan struct{}
 }
 
-// Stats counts what striped dispatch did, to show where a batch's work ran
-// (all zero on a serial scheduler).
+// Stats counts what dispatch did, to show where a batch's work ran. Every
+// scheduler counts; one without helpers runs every batch solo.
 type Stats struct {
 	Batches, Events, Stripes int64
 	// SoloBatches ran entirely on the dispatcher; Wakes counts helpers
@@ -257,7 +257,7 @@ type Stats struct {
 	SoloBatches, Wakes, HelpedStripes int64
 }
 
-// Stats returns the striped dispatcher's counters so far.
+// Stats returns the dispatcher's counters so far.
 func (v *Virtual) Stats() Stats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -272,25 +272,22 @@ func (s Stats) String() string {
 // NewVirtual returns a running free scheduler at tick 0: its clock jumps
 // from event to event as fast as callbacks drain.
 //
-// With workers <= 1 it is serial: the dispatcher pops one event at a time
-// and runs it itself, so same-tick events run in scheduling order and an
-// event still queued behind the running one can be stopped by it.
+// The dispatcher pops a whole (tick, level) batch, groups it by stripe key
+// (see AtKeyed) and runs the stripes itself, one claim at a time. It keeps
+// min(workers, GOMAXPROCS) − 1 parked helpers — none for workers <= 1. Once
+// the batch has run for longer than help takes to arrive — a time the
+// scheduler measures — and stripes are still unclaimed, it rouses one,
+// which claims from the same cursor; so a batch smaller than a wake-up
+// never pays for one, and a long one gets every core. Events sharing a
+// stripe run in scheduling order on whichever goroutine claimed the stripe;
+// distinct stripes may run concurrently. One hold for the batch, released
+// when its last stripe is done, is the barrier before the clock advances,
+// so each stripe sees the same sequence whoever runs it while independent
+// stripes — independent swaps, in the engine — can use every core.
 //
-// With workers > 1 it is striped: the dispatcher pops a whole (tick,
-// level) batch, groups it by stripe key (see AtKeyed) and runs the stripes
-// itself, one claim at a time. Once the batch has run for longer than help
-// takes to arrive — a time the scheduler measures — and stripes are still
-// unclaimed, it rouses a parked helper (there are workers-1 of them, or one
-// a spare core if that is fewer), which claims from the same cursor; so a
-// batch smaller than a wake-up never pays for one, and a long one gets
-// every core. Events sharing a stripe run in scheduling
-// order on whichever goroutine claimed the stripe; distinct stripes may run
-// concurrently. One hold for the batch, released when its last stripe is
-// done, is the barrier before the clock advances, so per-stripe state
-// machines observe exactly the serial schedule while independent stripes —
-// independent swaps, in the engine — can use every core. The batch is
-// claimed when popped: Stop on any of its events reports false and the
-// event runs, even if a same-tick sibling is the one calling Stop.
+// Stop has one rule: a batch is claimed when it is popped. Stop on any of
+// its events reports false and the event runs, even if a same-tick sibling
+// is the one calling Stop.
 //
 // The clock is born held, so that a run is a function of what was scheduled
 // and not of how far the dispatcher got meanwhile: the first Hold adopts the
@@ -299,32 +296,32 @@ func (s Stats) String() string {
 // preparing a swap — takes that Hold anyway; RunUntil, and a drain that
 // found the clock still held, let go on their own.
 func NewVirtual(workers int) *Virtual {
-	return newVirtual(workers, spareCores(workers), 0)
+	return newVirtual(spareCores(workers), 0)
 }
 
 // NewPaced returns a running scheduler whose clock is the wall's: tick 0 is
 // now and each tick lasts `tick` of wall time (DefaultTick if tick <= 0).
-// Dispatch is NewVirtual's, serial or striped by workers, except that no
-// event runs before the wall reaches its tick. A paced clock moves whether
-// or not anything is scheduled, so it is not born held.
+// Dispatch is NewVirtual's, helpers and all, except that no event runs
+// before the wall reaches its tick. A paced clock moves whether or not
+// anything is scheduled, so it is not born held.
 func NewPaced(workers int, tick time.Duration) *Virtual {
 	if tick <= 0 {
 		tick = DefaultTick
 	}
-	return newVirtual(workers, spareCores(workers), tick)
+	return newVirtual(spareCores(workers), tick)
 }
 
-// spareCores is how many helpers a striped scheduler of this many workers
-// keeps: one a core beside the dispatcher's. A helper beyond the core count
-// adds no parallelism, only wake-ups that find no core to land on.
+// spareCores is how many helpers a scheduler of this many workers keeps:
+// one a core beside the dispatcher's. A helper beyond the core count adds
+// no parallelism, only wake-ups that find no core to land on.
 func spareCores(workers int) int {
 	return max(min(workers, runtime.GOMAXPROCS(0))-1, 0)
 }
 
-// newVirtual starts a scheduler: serial for workers <= 1, else striped with
-// `helpers` parked helpers (with none, the dispatcher still batches, and
-// runs every stripe itself); free and born held for tick 0, else paced.
-func newVirtual(workers, helpers int, tick time.Duration) *Virtual {
+// newVirtual starts a scheduler with `helpers` parked helpers (with none,
+// the dispatcher runs every stripe itself); free and born held for tick 0,
+// else paced.
+func newVirtual(helpers int, tick time.Duration) *Virtual {
 	v := &Virtual{done: make(chan struct{}), tick: tick, start: time.Now(), ran: -1}
 	v.cond = sync.NewCond(&v.mu)
 	if tick == 0 {
@@ -333,12 +330,10 @@ func newVirtual(workers, helpers int, tick time.Duration) *Virtual {
 		v.alarm = time.AfterFunc(time.Hour, func() { v.releaseN(0) }) // wakes the dispatcher
 		v.alarm.Stop()
 	}
-	if workers > 1 {
-		v.wake = make(chan time.Duration, helpers) // a token per helper
-		v.helpers.Add(helpers)
-		for i := 0; i < helpers; i++ {
-			go v.helper()
-		}
+	v.wake = make(chan time.Duration, helpers) // a token per helper
+	v.helpers.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go v.helper()
 	}
 	go v.loop()
 	return v
@@ -399,11 +394,9 @@ func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
 
 // AtKeyed is At with a stripe key: fn joins the stripe identified by key
 // at tick t. Same-stripe events are serialized in scheduling order;
-// distinct stripes may run concurrently under striped dispatch — or one
-// after another on the dispatcher, in no particular order, so fn must not
-// wait for another stripe of its batch — and are simply interleaved in
-// scheduling order under serial dispatch. Key 0 (what At uses) is the
-// shared unkeyed stripe.
+// distinct stripes may run concurrently on helpers, or one after another on
+// the dispatcher, in no particular order — so fn must not wait for another
+// stripe of its batch. Key 0 (what At uses) is the shared unkeyed stripe.
 func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 	return v.schedule(new(Event), t, 0, key, funcHandler(fn))
 }
@@ -419,8 +412,8 @@ func (v *Virtual) Schedule(e *Event, t vtime.Ticks, key uint64, h Handler) {
 // AtTail schedules fn at tail priority: it runs only after every normal
 // event of tick t (including cascades scheduled for t while the tick is
 // draining) has run. The clearing engine uses it so its per-tick clearing
-// pass observes the same fully-drained queue under serial and striped
-// dispatch.
+// pass observes the same fully-drained queue however many helpers ran the
+// tick.
 func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
 	return v.schedule(new(Event), t, 1, 0, funcHandler(fn))
 }
@@ -428,12 +421,11 @@ func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
 // AtTailN schedules fn at tail level `level` (≥ 1) with a stripe key.
 // Levels extend AtTail into a ladder: all events of level k at tick t run
 // (and fully drain, cascades included) before any event of level k+1, and
-// within one level distinct stripe keys may run concurrently under
-// striped dispatch. The sharded engine uses the ladder to order
-// one tick's phases — protocol events (level 0, via At/AtKeyed), per-shard
-// clearing (level 1, keyed by shard), the cross-shard escalation sweep
-// (level 2), and coordinator clearing (level 3) — with a determinism
-// barrier between each phase.
+// within one level distinct stripe keys may run concurrently on helpers.
+// The sharded engine uses the ladder to order one tick's phases — protocol
+// events (level 0, via At/AtKeyed), per-shard clearing (level 1, keyed by
+// shard), the cross-shard escalation sweep (level 2), and coordinator
+// clearing (level 3) — with a determinism barrier between each phase.
 func (v *Virtual) AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) Timer {
 	if level < 1 {
 		level = 1
@@ -461,7 +453,8 @@ func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Han
 	return e
 }
 
-// Stop implements Timer. An idle event (never scheduled) reports false.
+// Stop implements Timer: it cancels an event still queued. An idle event
+// (never scheduled) and one whose batch has been popped report false.
 func (e *Event) Stop() bool {
 	if e.v == nil {
 		return false
@@ -542,31 +535,12 @@ func (v *Virtual) loop() {
 			if v.alarm != nil {
 				v.alarm.Stop()
 			}
-			if v.wake != nil {
-				close(v.wake)
-				v.helpers.Wait()
-			}
+			close(v.wake)
+			v.helpers.Wait()
 			close(v.done)
 			return
 		}
-		if v.wake != nil {
-			v.dispatchStriped()
-			continue
-		}
-		e := v.queue.pop()
-		if e.state != evPending {
-			v.mu.Unlock() // cancelled: discard without advancing time
-			continue
-		}
-		e.state = evFired
-		v.reach(e.at, e.prio)
-		// The running callback holds the clock: everything it schedules
-		// at the current tick (or enqueues behind a Hold of its own)
-		// settles before time advances again.
-		v.holds++
-		v.mu.Unlock()
-		e.h.Fire()
-		v.releaseN(1)
+		v.dispatch()
 	}
 }
 
@@ -585,14 +559,16 @@ func (v *Virtual) early() bool {
 	return true
 }
 
-// dispatchStriped pops the earliest (tick, priority) batch into v.batch,
+// dispatch pops the earliest (tick, priority) batch into v.batch — the
+// batch is claimed: a Stop on any of its events from now on reports false —
 // takes one hold for it, and runs it: inline when it is one stripe, else
 // grouped by stripe and claimed through the cursor. Called with v.mu held;
 // returns with it released. The hold is the barrier: the dispatcher cannot
 // pop the next batch (or advance time) until every stripe has drained, and
-// cascades that land back on the current (tick, priority) join the next
+// cascades that land back on the current (tick, priority) — what a callback
+// schedules there, or enqueues behind a Hold of its own — join the next
 // batch before any later one.
-func (v *Virtual) dispatchStriped() {
+func (v *Virtual) dispatch() {
 	t, p := v.queue[0].at, v.queue[0].prio
 	batch, oneStripe := v.batch[:0], true
 	for len(v.queue) > 0 && v.queue[0].at == t && v.queue[0].prio == p {
@@ -617,7 +593,7 @@ func (v *Virtual) dispatchStriped() {
 
 	stripes, mine, wakes := 1, 1, 0
 	if oneStripe {
-		// Run inline on the dispatcher, as serial dispatch does.
+		// Nothing to group or share: run it inline on the dispatcher.
 		for i, e := range batch {
 			batch[i] = nil
 			e.h.Fire()

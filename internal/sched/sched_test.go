@@ -365,83 +365,6 @@ func TestVirtualRunUntil(t *testing.T) {
 	})
 }
 
-// TestVirtualSerialStripedSameSchedule runs one keyed schedule — several
-// ticks, levels and stripes, with same-tick cascades — on NewVirtual(1)
-// and NewVirtual(4): every stripe must see the identical sequence. It also
-// pins the one place the two differ, a same-tick Stop across stripes:
-// serial dispatch pops one event at a time, so the sibling is still
-// queued and cancellable; striped dispatch claims the whole (tick, level)
-// batch when it pops it, so Stop reports false and the sibling runs.
-func TestVirtualSerialStripedSameSchedule(t *testing.T) {
-	type stopResult struct{ stopped, siblingRan bool }
-	run := func(workers int) (map[uint64][]int, stopResult) {
-		v := NewVirtual(workers)
-		var mu sync.Mutex
-		logs := make(map[uint64][]int)
-		mark := func(key uint64, id int) {
-			mu.Lock()
-			logs[key] = append(logs[key], id)
-			mu.Unlock()
-		}
-		var res stopResult
-		release := v.Hold()
-		id := 0
-		for _, at := range []vtime.Ticks{3, 1, 2} {
-			for rep := 0; rep < 3; rep++ {
-				for key := uint64(0); key < 4; key++ {
-					at, key, n := at, key, id
-					id++
-					v.AtKeyed(at, key, func() {
-						mark(key, n)
-						// Same-tick cascade into the event's own stripe.
-						v.AtKeyed(at, key, func() { mark(key, 1000+n) })
-					})
-					v.AtTailN(at, 2, key, func() { mark(key, 2000+n) })
-				}
-				v.AtTail(at, func() { mark(0, 3000+int(at)) })
-			}
-		}
-		var sibling Timer
-		v.AtKeyed(9, 1, func() {
-			stopped := sibling.Stop()
-			mu.Lock()
-			res.stopped = stopped
-			mu.Unlock()
-		})
-		sibling = v.AtKeyed(9, 2, func() {
-			mu.Lock()
-			res.siblingRan = true
-			mu.Unlock()
-		})
-		release()
-		v.RunUntil(9)
-		return logs, res
-	}
-
-	serial, serialStop := run(1)
-	striped, stripedStop := run(4)
-	if len(serial) != 4 || len(striped) != 4 {
-		t.Fatalf("stripes seen: serial %d, striped %d, want 4", len(serial), len(striped))
-	}
-	for key, want := range serial {
-		got := striped[key]
-		if len(got) != len(want) {
-			t.Fatalf("stripe %d: striped ran %d events, serial %d", key, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("stripe %d diverges at %d: striped %v, serial %v", key, i, got, want)
-			}
-		}
-	}
-	if !serialStop.stopped || serialStop.siblingRan {
-		t.Fatalf("serial: same-tick Stop = %v, sibling ran = %v; want cancelled", serialStop.stopped, serialStop.siblingRan)
-	}
-	if stripedStop.stopped || !stripedStop.siblingRan {
-		t.Fatalf("striped: same-tick Stop = %v, sibling ran = %v; want claimed batch to run", stripedStop.stopped, stripedStop.siblingRan)
-	}
-}
-
 // TestPacedNoEventBeforeItsWallTime: on a paced clock an event runs no
 // earlier than the wall time of its tick, sees Now at or past its tick, and
 // a tick in the past means now. Tick reports the pace.
@@ -760,8 +683,8 @@ func TestOwnedEventStop(t *testing.T) {
 }
 
 // TestOwnedEventStoppedSkipsWithoutAdvancing: a stopped owner-storage
-// event is discarded when popped and the clock never visits its tick, on
-// the serial and on the striped dispatcher.
+// event is discarded when popped and the clock never visits its tick, one
+// worker or four.
 func TestOwnedEventStoppedSkipsWithoutAdvancing(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		v := NewVirtual(workers)
@@ -789,7 +712,7 @@ func TestOwnedEventStoppedSkipsWithoutAdvancing(t *testing.T) {
 }
 
 // TestOwnedEventsStripedBatches mixes owner-storage and closure events in
-// one (tick, level) batch on the striped dispatcher: every stripe runs its
+// one (tick, level) batch on a four-worker dispatcher: every stripe runs its
 // own events in scheduling order whatever storage they live in, and an
 // owned event scheduled from a callback onto the running tick joins the
 // next batch of the same tick.

@@ -11,10 +11,10 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// stripedWith is a free striped scheduler with exactly this many helpers,
-// whatever the core count: the helper paths run at GOMAXPROCS=1 too, where
+// stripedWith is a free scheduler with exactly this many helpers, whatever
+// the core count: the helper paths run at GOMAXPROCS=1 too, where
 // NewVirtual would keep none.
-func stripedWith(helpers int) *Virtual { return newVirtual(max(helpers+1, 2), helpers, 0) }
+func stripedWith(helpers int) *Virtual { return newVirtual(helpers, 0) }
 
 // barrier checks the batch guarantee from inside callbacks: events carry
 // the rank of their batch — (tick, level, generation), a cascade being one
@@ -48,91 +48,165 @@ func (b *barrier) leave() {
 	b.mu.Unlock()
 }
 
-// randomSchedule is what one seed makes of a scheduler: the order each
-// stripe saw, how the same-batch Stops went, and every broken guarantee.
-type randomSchedule struct {
+// root is one event a schedule books before the run, in booking order.
+type root struct {
+	at    vtime.Ticks
+	level int8
+	key   uint64
+	owned bool // on owner storage rather than a closure
+	depth int  // generations of same-tick cascades onto its own stripe
+	held  bool // takes a Hold and has another goroutine book an event under it
+	stops bool // calls Stop on the next root, booked right behind it into its batch
+}
+
+// randomRoots draws a seeded schedule: several ticks and levels, up to a
+// dozen stripes, mixed closure and owner-storage events, some cascading,
+// some holding the clock, and some stopping the event booked behind them —
+// on their own stripe or on another.
+func randomRoots(seed int64) []root {
+	rng := rand.New(rand.NewSource(seed))
+	const ticks, levels = 5, 3
+	stripes := 1 + rng.Intn(12)
+	draw := func(at vtime.Ticks, level int8) root {
+		return root{at: at, level: level, key: 1 + uint64(rng.Intn(stripes)), owned: rng.Intn(2) == 0}
+	}
+	var roots []root
+	for at := vtime.Ticks(1); at <= ticks; at++ {
+		for level := int8(0); level < levels; level++ {
+			for n := rng.Intn(40); n > 0; n-- {
+				r := draw(at, level)
+				if rng.Intn(3) == 0 {
+					r.depth = 1 + rng.Intn(3)
+				}
+				r.held = rng.Intn(8) == 0
+				r.stops = rng.Intn(10) == 0
+				roots = append(roots, r)
+				if r.stops {
+					roots = append(roots, draw(at, level))
+				}
+			}
+		}
+	}
+	return roots
+}
+
+// fixedRoots is a hand-written schedule: three ticks booked out of order,
+// four stripes (the unkeyed one among them) with a same-tick cascade each,
+// a level-2 event a stripe and an unkeyed level-1 tail, then a lone batch in
+// which stripe 1 stops a sibling on stripe 2.
+func fixedRoots() []root {
+	var roots []root
+	for _, at := range []vtime.Ticks{3, 1, 2} {
+		for rep := 0; rep < 3; rep++ {
+			for key := uint64(0); key < 4; key++ {
+				roots = append(roots, root{at: at, key: key, depth: 1}, root{at: at, level: 2, key: key})
+			}
+			roots = append(roots, root{at: at, level: 1})
+		}
+	}
+	return append(roots, root{at: 9, key: 1, stops: true}, root{at: 9, key: 2})
+}
+
+// stamp is what an event is given at booking: its tick, its level and the
+// booking index. The oracle is that every stripe runs its events in
+// strictly increasing stamp order.
+type stamp struct {
+	at    vtime.Ticks
+	level int8
+	index int
+}
+
+func (s stamp) after(o stamp) bool {
+	if s.at != o.at {
+		return s.at > o.at
+	}
+	if s.level != o.level {
+		return s.level > o.level
+	}
+	return s.index > o.index
+}
+
+// scheduleRun is what one scheduler made of a schedule: the root and cascade
+// IDs each stripe ran, how many ran of how many booked, how the same-batch
+// Stops went, and every broken guarantee.
+type scheduleRun struct {
 	stripes          map[uint64][]int
-	stops, stopped   int
-	ghosts, ghostRan int
+	ran, booked      int
+	stopped          int
 	holds, underHold int
 	errs             []string
 }
 
-// runRandomSchedule books a seeded schedule — several ticks and levels, up
-// to a dozen stripes, mixed closure and owner-storage events — and runs it
-// to the end. Events cascade onto their own stripe at their own tick for a
-// few generations; some take a Hold inside the callback and have another
-// goroutine book an event under it; some call Stop on the next event of
-// their batch, a ghost that logs nothing. Everything an event does was drawn
-// before the run, so two schedulers are given the same schedule.
-func runRandomSchedule(seed int64, v *Virtual) randomSchedule {
-	rng := rand.New(rand.NewSource(seed))
+// runSchedule books roots on v under a hold and runs them to the last
+// root's tick. Events cascade onto their own stripe at their own tick; a
+// held root's Hold outlives its callback, and the event another goroutine
+// books under it still lands on its tick, in the batch after its own —
+// where in its stripe is that goroutine's luck, so it is stamp-checked and
+// counted, not logged. Everything an event does is in its root, so two
+// schedulers given the same roots are given the same schedule.
+func runSchedule(roots []root, v *Virtual) scheduleRun {
 	var (
-		mu  sync.Mutex
-		res = randomSchedule{stripes: make(map[uint64][]int)}
-		bar barrier
+		mu    sync.Mutex
+		res   = scheduleRun{stripes: make(map[uint64][]int)}
+		bar   barrier
+		index int
+		last  = make(map[uint64]stamp)
 	)
-	fail := func(format string, args ...any) {
+	// book stamps fn and schedules it, both under mu, so booking order is
+	// the scheduler's scheduling order.
+	book := func(at vtime.Ticks, level int8, key uint64, owned bool, fn func(stamp)) Timer {
 		mu.Lock()
-		res.errs = append(res.errs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	rank := func(at vtime.Ticks, level int8, gen int) int64 { return (int64(at)*8+int64(level))*8 + int64(gen) }
-	book := func(at vtime.Ticks, level int8, key uint64, fn func()) Timer {
+		defer mu.Unlock()
+		index++
+		s := stamp{at, level, index}
+		run := func() { fn(s) }
 		switch {
-		case level > 0:
-			return v.AtTailN(at, level, key, fn)
-		case rng.Intn(2) == 0:
-			o := &ownedEvent{fire: fn}
-			v.Schedule(&o.ev, at, key, o)
+		case owned:
+			o := &ownedEvent{fire: run}
+			v.schedule(&o.ev, at, level, key, o)
 			return &o.ev
+		case level > 0:
+			return v.AtTailN(at, level, key, run)
 		default:
-			return v.AtKeyed(at, key, fn)
+			return v.AtKeyed(at, key, run)
 		}
 	}
-	// event returns the callback for one logged event and, through it, for
-	// the generations it cascades into. rng is read only while booking the
-	// roots, under the test's hold; cascades are booked from callbacks and
-	// draw nothing.
-	var event func(id int, at vtime.Ticks, level int8, key uint64, gen, depth int, held bool) func()
-	event = func(id int, at vtime.Ticks, level int8, key uint64, gen, depth int, held bool) func() {
-		var child func()
-		if depth > 0 {
-			child = event(id+1_000_000, at, level, key, gen+1, depth-1, false)
+	// enter checks an event against the barrier, the clock and its stripe's
+	// stamp order; the caller leaves the barrier.
+	rank := func(s stamp, gen int) int64 { return (int64(s.at)*8+int64(s.level))*8 + int64(gen) }
+	enter := func(s stamp, key uint64, gen int, what string) {
+		bar.enter(rank(s, gen), what)
+		mu.Lock()
+		defer mu.Unlock()
+		if now := v.Now(); now != s.at {
+			res.errs = append(res.errs, fmt.Sprintf("%s booked for tick %d ran at %d", what, s.at, now))
 		}
-		cascade := func(fn func()) {
-			if level > 0 {
-				v.AtTailN(at, level, key, fn)
-			} else {
-				v.AtKeyed(at, key, fn)
-			}
+		if prev, ok := last[key]; ok && !s.after(prev) {
+			res.errs = append(res.errs, fmt.Sprintf("%s stamped %v ran on stripe %d after %v", what, s, key, prev))
 		}
-		return func() {
-			bar.enter(rank(at, level, gen), fmt.Sprint("event ", id))
+		last[key] = s
+	}
+	var event func(id int, r root, gen int) func(stamp)
+	event = func(id int, r root, gen int) func(stamp) {
+		return func(s stamp) {
+			what := fmt.Sprint("event ", id)
+			enter(s, r.key, gen, what)
 			defer bar.leave()
-			if now := v.Now(); now != at {
-				fail("event %d booked for tick %d ran at %d", id, at, now)
-			}
 			mu.Lock()
-			res.stripes[key] = append(res.stripes[key], id)
+			res.ran++
+			res.stripes[r.key] = append(res.stripes[r.key], id)
 			mu.Unlock()
-			if child != nil {
-				cascade(child)
+			if r.depth > 0 {
+				child := root{at: r.at, level: r.level, key: r.key, depth: r.depth - 1}
+				book(r.at, r.level, r.key, false, event(id+1_000_000, child, gen+1))
 			}
-			if held {
-				// The clock is pinned by a hold that outlives the callback:
-				// what another goroutine books under it still lands on this
-				// tick, in the batch after this one. Where in its stripe is
-				// that goroutine's luck, so it is counted, not logged.
+			if r.held {
 				release := v.Hold()
 				go func() {
 					time.Sleep(20 * time.Microsecond)
-					cascade(func() {
-						bar.enter(rank(at, level, gen+1), fmt.Sprint("booked under the hold of event ", id))
+					book(r.at, r.level, r.key, false, func(s stamp) {
+						enter(s, r.key, gen+1, "booked under the hold of "+what)
 						defer bar.leave()
-						if now := v.Now(); now != at {
-							fail("booked under a hold at tick %d, ran at %d", at, now)
-						}
 						mu.Lock()
 						res.underHold++
 						mu.Unlock()
@@ -144,100 +218,88 @@ func runRandomSchedule(seed int64, v *Virtual) randomSchedule {
 	}
 
 	release := v.Hold()
-	const ticks, levels = 5, 3
-	stripes := uint64(1 + rng.Intn(12))
-	id := 0
-	for at := vtime.Ticks(1); at <= ticks; at++ {
-		for level := int8(0); level < levels; level++ {
-			for n := rng.Intn(40); n > 0; n-- {
-				id++
-				key := 1 + uint64(rng.Intn(int(stripes)))
-				depth, held := 0, false
-				if rng.Intn(3) == 0 {
-					depth = 1 + rng.Intn(3)
+	timers := make([]Timer, len(roots))
+	var horizon vtime.Ticks
+	for i, r := range roots {
+		horizon = max(horizon, r.at)
+		res.booked += 1 + r.depth
+		if r.held {
+			res.holds++
+		}
+		fn := event(i+1, r, 0)
+		if r.stops {
+			inner, victim := fn, &timers[i+1]
+			fn = func(s stamp) {
+				stopped := (*victim).Stop()
+				mu.Lock()
+				if stopped {
+					res.stopped++
 				}
-				if held = rng.Intn(8) == 0; held {
-					res.holds++
-				}
-				if rng.Intn(10) > 0 {
-					book(at, level, key, event(id, at, level, key, 0, depth, held))
-					continue
-				}
-				// A stopper and, booked right behind it into the same batch, the
-				// ghost it stops — on its own stripe or on another.
-				var ghost Timer
-				inner := event(id, at, level, key, 0, depth, held)
-				book(at, level, key, func() {
-					stopped := ghost.Stop()
-					mu.Lock()
-					res.stops++
-					if stopped {
-						res.stopped++
-					}
-					mu.Unlock()
-					inner()
-				})
-				res.ghosts++
-				ghostAt, ghostLevel := at, level
-				ghost = book(at, level, 1+uint64(rng.Intn(int(stripes))), func() {
-					bar.enter(rank(ghostAt, ghostLevel, 0), "ghost")
-					defer bar.leave()
-					mu.Lock()
-					res.ghostRan++
-					mu.Unlock()
-				})
+				mu.Unlock()
+				inner(s)
 			}
 		}
+		timers[i] = book(r.at, r.level, r.key, r.owned, fn)
 	}
 	release()
-	v.RunUntil(ticks)
+	v.RunUntil(horizon)
 	res.errs = append(res.errs, bar.errs...)
 	return res
 }
 
-// TestStripedRandomSchedules runs seeded schedules on the serial dispatcher
-// and on striped ones with no helper, one and seven: every stripe sees the
-// same events in the same order, nothing of a batch starts before the batch
-// before it has wholly returned, a Hold taken inside a callback pins the
-// tick, and a batch is claimed when popped — a same-batch Stop cancels
-// under serial dispatch and reports false under striped, where its victim
-// runs.
+// TestStripedRandomSchedules runs seeded schedules and a fixed one on
+// dispatchers with no helper, one and seven. Each is held to the oracle —
+// every stripe runs its events in strictly increasing (tick, level, booking
+// index) — and to the rest of the batch guarantee: nothing of a batch starts
+// before the batch before it has wholly returned, every booked event runs,
+// a Hold taken inside a callback pins the tick, and the one Stop rule holds
+// (a batch is claimed when popped, so a same-batch Stop reports false and
+// its victim runs). All three must log the same events on every stripe in
+// the same order. Each schedule is its own subtest.
 func TestStripedRandomSchedules(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 3
 	}
+	type input struct {
+		name  string
+		roots []root
+	}
+	inputs := []input{{"fixed", fixedRoots()}}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		want := runRandomSchedule(seed, NewVirtual(1))
-		if len(want.errs) > 0 {
-			t.Fatalf("seed %d, serial: %v", seed, want.errs)
-		}
-		if want.underHold != want.holds {
-			t.Fatalf("seed %d, serial: %d of %d events booked under a callback's hold ran", seed, want.underHold, want.holds)
-		}
-		if want.stopped != want.stops || want.ghostRan != 0 {
-			t.Fatalf("seed %d, serial: %d of %d same-tick Stops cancelled and %d victims ran; want every one cancelled", seed, want.stopped, want.stops, want.ghostRan)
-		}
-		for _, helpers := range []int{0, 1, 7} {
-			got := runRandomSchedule(seed, stripedWith(helpers))
-			if len(got.errs) > 0 {
-				t.Fatalf("seed %d, %d helpers: %v", seed, helpers, got.errs)
-			}
-			if got.underHold != got.holds {
-				t.Fatalf("seed %d, %d helpers: %d of %d events booked under a callback's hold ran", seed, helpers, got.underHold, got.holds)
-			}
-			if got.stopped != 0 || got.ghostRan != got.ghosts {
-				t.Fatalf("seed %d, %d helpers: %d Stops cancelled a claimed batch's event, %d of %d victims ran", seed, helpers, got.stopped, got.ghostRan, got.ghosts)
-			}
-			if len(got.stripes) != len(want.stripes) {
-				t.Fatalf("seed %d, %d helpers: %d stripes ran, serial ran %d", seed, helpers, len(got.stripes), len(want.stripes))
-			}
-			for key, w := range want.stripes {
-				if g := got.stripes[key]; fmt.Sprint(g) != fmt.Sprint(w) {
-					t.Fatalf("seed %d, %d helpers: stripe %d ran %v, serial ran %v", seed, helpers, key, g, w)
+		inputs = append(inputs, input{fmt.Sprint("seed=", seed), randomRoots(seed)})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			var want scheduleRun
+			for _, helpers := range []int{0, 1, 7} {
+				got := runSchedule(in.roots, stripedWith(helpers))
+				if len(got.errs) > 0 {
+					t.Fatalf("%d helpers: %v", helpers, got.errs)
+				}
+				if got.ran != got.booked {
+					t.Fatalf("%d helpers: %d of %d booked events ran", helpers, got.ran, got.booked)
+				}
+				if got.underHold != got.holds {
+					t.Fatalf("%d helpers: %d of %d events booked under a callback's hold ran", helpers, got.underHold, got.holds)
+				}
+				if got.stopped != 0 {
+					t.Fatalf("%d helpers: %d same-batch Stops cancelled a claimed batch's event", helpers, got.stopped)
+				}
+				if helpers == 0 {
+					want = got
+					continue
+				}
+				if len(got.stripes) != len(want.stripes) {
+					t.Fatalf("%d helpers: %d stripes ran, with no helper %d", helpers, len(got.stripes), len(want.stripes))
+				}
+				for key, w := range want.stripes {
+					if g := got.stripes[key]; fmt.Sprint(g) != fmt.Sprint(w) {
+						t.Fatalf("%d helpers: stripe %d ran %v, with no helper %v", helpers, key, g, w)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -503,7 +565,7 @@ func TestStripedStopWithHelpers(t *testing.T) {
 func TestPacedStripesNotBeforeWallTime(t *testing.T) {
 	const tick = 500 * time.Microsecond
 	begin := time.Now()
-	v := newVirtual(4, 3, tick)
+	v := newVirtual(3, tick)
 	defer v.Close()
 	const ticks, stripes = 30, 6
 	var wg sync.WaitGroup
