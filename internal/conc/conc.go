@@ -13,7 +13,9 @@
 // events one at a time in scheduling order, so a delivery simply executes
 // inside its scheduler event, on the dispatcher (or a dispatch helper),
 // at its scheduled tick: no party goroutines exist, and behaviors stay
-// single-threaded because the run's events share a stripe. On a free clock a
+// single-threaded because the run's events share a stripe. The run ends the
+// same way: its horizon delivery tears it down, builds the Result and hands
+// it to Config.OnDone, at the tick the outcome became final. On a free clock a
 // run is then a pure function of what was scheduled. On a paced one
 // (sched.NewPaced, what a run builds for itself from Config.Tick) ticks are
 // wall time and an event can run late, so tests assert outcomes rather than
@@ -65,11 +67,11 @@ type Config struct {
 	// may advance between a caller's Now and Run); the engine uses it for
 	// its 2Δ-plus-stagger start.
 	StartOffset vtime.Duration
-	// EarlyExit stops the run as soon as every arc has settled instead of
-	// sleeping to the worst-case horizon. Outcomes are unaffected (a
-	// settled arc is final); only trailing trace events — the OnSettled
-	// fanout of the last transfers — may be trimmed. No grace period is
-	// paid: teardown is immediate.
+	// EarlyExit ends the run at the tick its last arc resolves instead of
+	// at the worst-case horizon: that resolution schedules the horizon
+	// delivery at the current tick. Outcomes are unaffected (a settled arc
+	// is final); only trailing trace events — the OnSettled fanout of the
+	// last transfers — may be trimmed.
 	EarlyExit bool
 	// Cache, when set, replaces the spec's hashkey verification cache so
 	// many concurrent runs share one (the clearing engine's mode: a
@@ -97,14 +99,12 @@ type Config struct {
 	// callback runs on scheduler or chain-observer goroutines; it must be
 	// cheap and must not call back into the run.
 	OnPhase func(ev PhaseEvent)
-	// OnHorizon, when set, fires exactly once when the run is virtually
-	// over: inside the horizon event on the scheduler (so, under
-	// deterministic dispatch, at a schedule-pure instant), or at teardown
-	// for early-exiting runs whose horizon timer is cancelled. The
-	// clearing engine uses it to count virtually-live runs — the
-	// deterministic analogue of in-flight backpressure. Must be cheap and
-	// must not call back into the run.
-	OnHorizon func()
+	// OnDone, when set, receives the run's result once, inside its horizon
+	// delivery: on the run's stripe, at the tick the outcome became final,
+	// after the run's timers are stopped and its routes dropped. The
+	// clearing engine settles the swap there. It runs on the dispatcher or
+	// a dispatch helper, so it must not wait for another stripe.
+	OnDone func(*Result)
 	// OnRevert, when set, observes commitment-model reverts touching this
 	// run's contracts: a chain reorg rolled one of the swap's records
 	// back. The engine logs these to the WAL and counts them. The callback
@@ -177,11 +177,10 @@ type Result struct {
 
 // Running is a prepared, in-flight concurrent run: the assets are
 // verified, every party is live, and the protocol is playing out on the
-// scheduler. Call Wait exactly once to block until the run finishes and
-// collect the result. The Prepare/Wait split exists for the clearing
-// engine on virtual time, where run setup must happen at a pinned tick
-// (inside the clearing callback, under the scheduler hold) while the
-// blocking wait stays on an executor worker.
+// scheduler. Its horizon delivery builds the result; Wait blocks until then.
+// The Prepare/Wait split exists for the clearing engine, where run setup
+// must happen at a pinned tick (inside the clearing callback, under the
+// scheduler hold) and the result is taken in Config.OnDone, not waited for.
 type Running struct {
 	r runner
 }
@@ -244,13 +243,11 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		arcs:      make([]arcRun, nArcs),
 		onPhase:   cfg.OnPhase,
 		onRevert:  cfg.OnRevert,
-		onHorizon: cfg.OnHorizon,
+		onDone:    cfg.OnDone,
+		earlyExit: cfg.EarlyExit,
 		horizonCh: make(chan struct{}),
 	}}
 	r := &rn.r
-	if cfg.EarlyExit {
-		r.done = make(chan struct{})
-	}
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
 	release := scheduler.Hold()
@@ -383,45 +380,16 @@ func eventBudget(spec *core.Spec) int {
 	return n
 }
 
-// Wait blocks until the prepared run finishes, tears it down, and
-// returns the result. Call it exactly once.
+// Wait blocks until the run's horizon delivery has built its result,
+// closes a scheduler the run built for itself, and returns the result.
+// Call it at most once.
 func (rn *Running) Wait() *Result {
 	r := &rn.r
-	// Let the protocol play out to the horizon — or, with EarlyExit, only
-	// until every arc settles. A settled arc is final, so nothing after
-	// the last transfer can change an outcome: the full-Δ grace sleep the
-	// runtime used to pay here bought only trailing OnSettled trace
-	// events, which EarlyExit documents as trimmable. The horizon timer
-	// is simply never waited on once all arcs resolve. (Deterministic
-	// callers should leave EarlyExit off: cancelling not-yet-fired
-	// trailing deliveries races wall time against the virtual clock,
-	// which perturbs the delivery-probe sample stream across replays.)
-	if r.done != nil {
-		select {
-		case <-r.horizonCh:
-		case <-r.done:
-		}
-	} else {
-		<-r.horizonCh
-	}
-	// Teardown: stop timers so no new callbacks start, then wait out the
-	// callbacks already past the stop check.
-	r.stopTimers()
-	r.fnWG.Wait()
+	<-r.horizonCh
 	if r.ownSched {
 		r.sched.Close()
 	}
-	for id := range r.arcs {
-		r.arcs[id].ch.UnsubscribeContract(r.spec.ContractID(id), &r.arcs[id])
-	}
-	if r.bcast != nil {
-		r.bcast.Unsubscribe(r.bcastKey)
-	}
-	// EarlyExit teardown may have cancelled the horizon timer before it
-	// fired; the run is over either way.
-	r.fireHorizon()
-
-	return r.buildResult()
+	return r.res
 }
 
 // runSeq issues unique broadcast-subscription keys.
@@ -440,14 +408,14 @@ type runner struct {
 	probe    chain.DeliveryProbe
 	log      *trace.Log
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
-	// some arc never resolves. horizonCh closes when the horizon event
-	// fires; horizonOnce guards onHorizon (Config.OnHorizon), normally
-	// fired by that event but by Wait when an EarlyExit teardown cancelled
-	// it first.
+	// some arc never resolves. The horizon delivery (finish) stores res,
+	// hands it to onDone (Config.OnDone) and closes horizonCh for Wait.
+	// earlyExit is Config.EarlyExit.
 	horizonTick vtime.Ticks
 	horizonCh   chan struct{}
-	horizonOnce sync.Once
-	onHorizon   func()
+	res         *Result
+	onDone      func(*Result)
+	earlyExit   bool
 
 	// bcast is the broadcast chain of a spec.Broadcast run (nil otherwise),
 	// with its delivery margin, probe and this run's subscription key.
@@ -480,14 +448,11 @@ type runner struct {
 	// live lists this run's outstanding deliveries (linked through the
 	// records themselves) so teardown can cancel their timers in one sweep
 	// instead of leaking them (or, worse, leaving dead events in a
-	// long-lived shared scheduler). fnWG counts timer callbacks past the
-	// stop check, so teardown can wait for them to finish. slab is where the
-	// run's deliveries live: cut in order, never reused, sized by
-	// eventBudget.
+	// long-lived shared scheduler). slab is where the run's deliveries
+	// live: cut in order, never reused, sized by eventBudget.
 	timersMu sync.Mutex
 	live     *delivery
 	stopped  bool
-	fnWG     sync.WaitGroup
 	slab     []delivery
 
 	mu sync.Mutex
@@ -497,8 +462,6 @@ type runner struct {
 	resolved int
 	// lastResolve is the tick of the most recent arc resolution.
 	lastResolve vtime.Ticks
-	// done closes when every arc has resolved; only an EarlyExit run has it.
-	done chan struct{}
 
 	// failed counts the calls a chain rejected (nothing stored, so no
 	// ledger remembers them): metrics.Counters.FailedCalls of a Runner.
@@ -600,8 +563,7 @@ type eventKey struct {
 
 // schedule arms d at its tick, tracked for teardown cancellation. The
 // callback re-checks the stopped flag under the timer lock, so after
-// stopTimers returns no new callback body can start (fnWG covers the ones
-// already past the check).
+// stopTimers returns no delivery of the run starts.
 func (r *runner) schedule(d delivery) {
 	r.timersMu.Lock()
 	defer r.timersMu.Unlock()
@@ -637,11 +599,23 @@ func (r *runner) stopTimers() {
 	}
 }
 
-// fireHorizon runs Config.OnHorizon at most once.
-func (r *runner) fireHorizon() {
-	if r.onHorizon != nil {
-		r.horizonOnce.Do(r.onHorizon)
+// finish is the horizon delivery: the run is over. It stops the run's
+// timers, drops its contract and broadcast routes, builds the result and
+// hands it to Config.OnDone, then releases Wait. Every other delivery of
+// the run shares its stripe, so none is in flight meanwhile.
+func (r *runner) finish() {
+	r.stopTimers()
+	for id := range r.arcs {
+		r.arcs[id].ch.UnsubscribeContract(r.spec.ContractID(id), &r.arcs[id])
 	}
+	if r.bcast != nil {
+		r.bcast.Unsubscribe(r.bcastKey)
+	}
+	r.res = r.buildResult()
+	if r.onDone != nil {
+		r.onDone(r.res)
+	}
+	close(r.horizonCh)
 }
 
 // fire is d's scheduler callback: it takes d off the live list and hands
@@ -658,7 +632,6 @@ func (r *runner) fire(d *delivery) {
 		r.timersMu.Unlock()
 		return
 	}
-	r.fnWG.Add(1)
 	if d.prev != nil {
 		d.prev.next = d.next
 	} else {
@@ -669,12 +642,10 @@ func (r *runner) fire(d *delivery) {
 	}
 	d.prev, d.next = nil, nil
 	r.timersMu.Unlock()
-	defer r.fnWG.Done()
 
 	switch {
 	case d.kind == deliverHorizon:
-		r.fireHorizon()
-		close(r.horizonCh)
+		r.finish()
 	case d.p != nil:
 		r.run(d, d.p)
 	case d.kind == deliverInit || d.kind == deliverBroadcast:
@@ -767,8 +738,8 @@ func (r *runner) setResolved(a *arcRun, claimed bool) {
 	}
 	a.resolved, a.resTick = true, now
 	r.resolved++
-	if r.resolved == len(r.arcs) && r.done != nil {
-		close(r.done)
+	if r.resolved == len(r.arcs) && r.earlyExit {
+		r.schedule(delivery{at: now, kind: deliverHorizon})
 	}
 }
 

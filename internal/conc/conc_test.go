@@ -175,7 +175,8 @@ func TestVirtualTimeIsCPUBound(t *testing.T) {
 // TestEarlyExitSkipsGrace: once every arc has settled, the teardown is
 // immediate — the run no longer pays the full-Δ grace sleep it used to.
 // The run's own scheduler tells us when it exited; the ledger tells us
-// when the last transfer landed; the gap must be far under one Δ.
+// when the last transfer landed; the gap must be far under one Δ. OnDone
+// receives the result Wait returns.
 func TestEarlyExitSkipsGrace(t *testing.T) {
 	const (
 		delta    = 40
@@ -184,10 +185,14 @@ func TestEarlyExitSkipsGrace(t *testing.T) {
 	s := sched.NewPaced(1, wallTick)
 	defer s.Close()
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Delta: delta})
-	res, err := Run(setup, nil, Config{Scheduler: s, EarlyExit: true})
+	var done *Result
+	res, err := Run(setup, nil, Config{Scheduler: s, EarlyExit: true, OnDone: func(r *Result) { done = r }})
 	exitTick := s.Now()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if done != res {
+		t.Fatalf("OnDone got %p, Wait returned %p", done, res)
 	}
 	if !res.Report.AllDeal() {
 		t.Log("\n" + res.Log.Render())

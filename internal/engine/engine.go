@@ -1,8 +1,8 @@
 // Package engine turns the one-shot swap protocol into a long-running
 // clearing service: a continuous stream of offers flows in, a periodic
 // clearing loop matches them into disjoint swap digraphs (Section 4.2
-// market clearing, batched), and an executor pool runs many swaps
-// concurrently over one shared chain registry. Per-swap asset reservation
+// market clearing, batched), and many swaps run concurrently on one
+// scheduler over one shared chain registry. Per-swap asset reservation
 // guarantees that two in-flight swaps never commit the same asset, and an
 // aggregate metrics layer reports service-level throughput: offers/sec,
 // swaps/sec, end-to-end latency, and per-outcome counts.
@@ -10,7 +10,7 @@
 // The pipeline is
 //
 //	Submit → pending book → clearing round → reservation → conc.Prepare
-//	       over shared chains → executor pool waits → settle orders → release
+//	       over shared chains → horizon delivery: release, settle orders
 //
 // Each stage is concurrency-safe: intake can run from any number of
 // goroutines while swaps execute.
@@ -67,8 +67,9 @@ func (s *seededRand) Read(p []byte) (int, error) {
 // Config parameterizes an Engine. The zero value is usable: 8 workers,
 // 2ms clearing interval, 1ms ticks, Δ = core.DefaultDelta.
 type Config struct {
-	// Workers is the executor-pool size, the stripe count of the engine's
-	// own scheduler, and what MaxLive defaults from.
+	// Workers sizes the dispatch helpers of the engine's own scheduler
+	// (Parallel or paced), the verify cache's batch pool, and the MaxLive
+	// default.
 	Workers int
 	// ClearInterval is the period of the batch clearing loop, in wall
 	// time. It is converted to scheduler ticks (see ClearEvery): the
@@ -156,9 +157,9 @@ type Config struct {
 	// on the scheduler at once, after which rounds leave the book alone.
 	// The default is read off the clock: 16×Workers on a free one (the
 	// empirical throughput knee — see DESIGN.md §10), Workers on a paced
-	// one, where each live swap occupies a worker for its wall duration.
-	// The gate keeps a deep book from being cleared all at once — which
-	// bounds the shared chains' observer fanout, and matters under
+	// one, which swapd's wall-clock load is tuned to. The gate keeps a
+	// deep book from being cleared all at once — which bounds the shared
+	// chains' observer fanout, and matters under
 	// AdaptiveDelta, where a swap's Δ is fixed at clear time and clearing
 	// the whole book up front would pin every swap to the not-yet-adapted
 	// value. Tests that need a clear-everything burst (e.g. "crash with ≥N
@@ -260,7 +261,9 @@ func NewHost(cfg Config) Host {
 	}
 	if st := cfg.Store; st != nil {
 		// An identity's durable form is its ed25519 seed (see
-		// core.Keyring.OnCreate); a restored one is already in the log.
+		// core.Keyring.OnCreate); a restored one is already in the log. Its
+		// tick is wall-stamped intake: Submit creates identities on the
+		// caller's goroutine.
 		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
 			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
 		})
@@ -369,15 +372,12 @@ type SwapBehaviors struct {
 // setup and deterministic per-swap seed. See Config.Behaviors.
 type BehaviorFactory func(setup *core.Setup, seed int64) SwapBehaviors
 
-// job is one cleared swap handed to the executor pool.
+// job is one cleared swap: what its horizon delivery settles (see settle).
 type job struct {
-	swapID string
-	setup  *core.Setup
-	orders []*order
-	resv   []resvKey
-	// running is the run, prepared inside the clearing tick: the worker
-	// only waits for it.
-	running  *conc.Running
+	swapID   string
+	setup    *core.Setup
+	orders   []*order
+	resv     []resvKey
 	deviants map[digraph.Vertex]string
 }
 
@@ -440,12 +440,8 @@ type Engine struct {
 	// service sees the same few shapes over and over (core.ShapeCache).
 	shapes *core.ShapeCache
 
-	jobs     jobQueue
-	workerWG sync.WaitGroup
-
-	// drainCh wakes Drain the moment the engine may have gone idle
-	// (in-flight count reached zero, book emptied, or Kill), replacing the
-	// wall-clock poll that used to put a fixed tail on every run.
+	// drainCh wakes Drain and Stop the moment the engine may have gone
+	// idle (liveRuns reached zero, book emptied, or Kill).
 	drainCh chan struct{}
 
 	// clearing is the clearing loop: clearTick, once per ClearEvery on the
@@ -473,13 +469,13 @@ type Engine struct {
 	shedPulse atomic.Int64
 
 	// liveRuns counts live swap runs: incremented when a swap is
-	// dispatched, decremented by the run's OnHorizon hook — which on a free
-	// clock fires inside a scheduler event, so the count read by a
-	// clearing tick is a pure function of the schedule (unlike inflight,
-	// whose decrement is wall-speed worker bookkeeping).
+	// dispatched, before its orders leave the book, and decremented at the
+	// end of settle, inside the run's horizon delivery — so on a free clock
+	// the count read by a clearing tick is a pure function of the schedule.
 	// Clearing rounds gate dispatch on it: an unbounded pile of live runs
 	// makes the shared chains' per-record observer fanout O(live runs) —
-	// quadratic over a big book.
+	// quadratic over a big book. Drain, Stop, InFlight and the
+	// conservation audit read it too.
 	liveRuns atomic.Int64
 
 	mu     sync.Mutex
@@ -492,7 +488,6 @@ type Engine struct {
 	// a global MaxPending budget for everyone.
 	book      book
 	nextOrder OrderID
-	inflight  int // cleared jobs queued or executing
 	minted    []Minted
 	// killed marks a crash-model shutdown (Kill): intake and clearing are
 	// dead, but pending orders are deliberately left unresolved — they are
@@ -508,8 +503,8 @@ type Engine struct {
 	// rng drives adversary selection. It is NOT safe for concurrent use
 	// and is confined to the clearing tick (clearTick → clearRound →
 	// clearGroup, sequential by construction): never touch it from
-	// Submit, workers, or any other goroutine. clearRounds is confined the
-	// same way.
+	// Submit, a run's deliveries, or any other goroutine. clearRounds is
+	// confined the same way.
 	rng         *rand.Rand
 	clearRounds int
 	// round is clearRound's working memory, kept from one round to the
@@ -613,12 +608,11 @@ func New(cfg Config) *Engine {
 	if e.maxLive = cfg.MaxLive; e.maxLive <= 0 {
 		e.maxLive = 16 * cfg.Workers
 		if e.sched.Tick() > 0 {
-			// On the wall a live swap keeps a worker waiting for as long as
-			// it runs: more than Workers live would only queue behind them.
+			// On the wall, more live swaps mean more deliveries per tick
+			// that can run late; swapd's Δ and tick are tuned to Workers.
 			e.maxLive = cfg.Workers
 		}
 	}
-	e.jobs.init()
 	// The clearing loop ticks on the shared scheduler, not on a wall-clock
 	// ticker: clearing rounds land at fixed ticks, interleaved with
 	// arrivals and protocol events in schedule order —
@@ -628,55 +622,6 @@ func New(cfg Config) *Engine {
 	e.clearing = sched.NewLoop(e.sched, cfg.ClearEvery, level, h.Stripe, e.clearTick)
 	e.delta.Store(int64(cfg.Delta))
 	return e
-}
-
-// jobQueue is the executor pool's FIFO of cleared swaps. It grows as
-// needed, so an idle engine holds no buffer, and push never blocks: the
-// clearing tick pushes from a scheduler callback that holds the clock, where
-// waiting for a worker would deadlock the dispatcher. The live-run gate is
-// what bounds it.
-type jobQueue struct {
-	mu       sync.Mutex
-	nonEmpty sync.Cond // a job was pushed, or the queue closed
-	jobs     []*job
-	head     int
-	closed   bool
-}
-
-func (q *jobQueue) init() { q.nonEmpty.L = &q.mu }
-
-func (q *jobQueue) push(j *job) {
-	q.mu.Lock()
-	q.jobs = append(q.jobs, j)
-	q.mu.Unlock()
-	q.nonEmpty.Signal()
-}
-
-// pop blocks for the next job; ok is false once the queue is closed and
-// drained.
-func (q *jobQueue) pop() (j *job, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.jobs) {
-		if q.closed {
-			return nil, false
-		}
-		q.nonEmpty.Wait()
-	}
-	j = q.jobs[q.head]
-	q.jobs[q.head] = nil
-	q.head++
-	if q.head == len(q.jobs) {
-		q.jobs, q.head = q.jobs[:0], 0
-	}
-	return j, true
-}
-
-func (q *jobQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.nonEmpty.Broadcast()
 }
 
 // Registry exposes the shared chain registry (for invariant checks).
@@ -781,7 +726,8 @@ func (e *Engine) adaptDelta() {
 // jitter, and shrinking Δ on no evidence is exactly the unsafe direction.
 const adaptMinSamples = 32
 
-// Start launches the executor pool and the clearing loop.
+// Start opens intake and arms the clearing loop. It starts no goroutine:
+// everything runs on the scheduler.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	if e.state != stateNew {
@@ -790,11 +736,6 @@ func (e *Engine) Start() error {
 	}
 	e.state = stateRunning
 	e.mu.Unlock()
-
-	for i := 0; i < e.cfg.Workers; i++ {
-		e.workerWG.Add(1)
-		go e.worker()
-	}
 	e.clearing.Wake()
 	return nil
 }
@@ -848,6 +789,9 @@ func (e *Engine) Submit(offer core.Offer) (OrderID, error) {
 	if _, err := e.keyring.Ensure(offer.Party); err != nil {
 		return 0, err
 	}
+	// Wall-stamped intake: Submit runs on the caller's goroutine, so on a
+	// paced clock its tick is the wall's; a free clock's is the tick of the
+	// arrival event or hold the caller submits from.
 	id, err := e.bookOrder(offer, 0, e.sched.Now(), time.Now())
 	if err == nil {
 		e.clearing.Wake()
@@ -966,6 +910,7 @@ func (e *Engine) bookOrder(offer core.Offer, id OrderID, tick vtime.Ticks, wall 
 			return 0, fmt.Errorf("engine: minting %s/%s: %w", tr.Chain, tr.Asset, err)
 		}
 		e.minted = append(e.minted, Minted{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
+		// Wall-stamped intake, like the booking tick Submit passes in.
 		e.logEvent(Event{
 			Kind: EvMinted, Tick: e.sched.Now(),
 			Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount,
@@ -1024,7 +969,8 @@ func (e *Engine) Orders() []OrderSnapshot {
 
 // NoteShed records arrivals dropped before intake (the open-loop
 // generator's bounded-intake backstop), so shedding shows up in the
-// engine's own per-outcome accounting.
+// engine's own per-outcome accounting. Its tick is wall-stamped intake, as
+// Submit's is.
 func (e *Engine) NoteShed(n int) {
 	e.agg.AddShed(n)
 	e.shedPulse.Add(int64(n))
@@ -1034,7 +980,7 @@ func (e *Engine) NoteShed(n int) {
 // NoteShedFrom is NoteShed with party attribution: the shed arrival's
 // offering party rides along in the WAL event, so a recovered run — and
 // any fairness audit over the log — can tell whose traffic the backstop
-// turned away.
+// turned away. Its tick is wall-stamped intake, as Submit's is.
 func (e *Engine) NoteShedFrom(party chain.PartyID, n int) {
 	e.agg.AddShed(n)
 	e.shedPulse.Add(int64(n))
@@ -1062,21 +1008,17 @@ func (e *Engine) PendingParties() int {
 func (e *Engine) clearTick() bool {
 	e.clearRounds++
 	// Liveness: the book is non-empty, or swaps this engine dispatched are
-	// still live (on a free clock liveRuns is decremented by the run's
-	// OnHorizon hook, which fires at level 0 of its tick — before any
-	// clearing tick of the same tick reads the count, so the gate is a pure
-	// function of the schedule). Once both are zero the engine's own run is
+	// still live (liveRuns is decremented when a run settles in its horizon
+	// delivery, at level 0 of its tick — before any clearing tick of the
+	// same tick reads the count, so the gate is a pure function of the
+	// schedule). Once both are zero the engine's own run is
 	// over — so anything that must replay identically (Δ adaptations, the
 	// active-round count) is gated on it, and the loop parks rather than
 	// spin empty rounds on a free clock until Drain notices at wall speed.
 	// The engine's OWN liveness, not the global queue: on a shared sharded
 	// scheduler the queue holds every other shard's events, and a per-shard
 	// gate must not read cross-shard state (it would also be racy across
-	// concurrently-running shard stripes). The in-flight count (decremented
-	// by worker bookkeeping at wall speed) deliberately plays no part. The
-	// round works from one read of the count: on a paced clock runs end on
-	// worker goroutines meanwhile, and a round the first read gated must
-	// not be called stuck by a second.
+	// concurrently-running shard stripes).
 	live := int(e.liveRuns.Load())
 	seq := e.bookSeq.Load()
 	if e.Pending() > 0 || live > 0 {
@@ -1094,10 +1036,8 @@ func (e *Engine) clearTick() bool {
 		// wall-dependent rounds — the digest's determinism hangs on parking
 		// here, and like the idle round, this one is not counted active.
 		// Submit re-arms; Drain rejects a book still stuck at drain time.
-		// liveRuns (not inflight) keeps the gate schedule-pure: a run past
-		// its horizon can settle orders but never book one. A reservation
-		// conflict is not stuck: the holder's worker releases the asset once
-		// its run has ended, and the next round finds it free.
+		// A reservation conflict is not stuck: the holder releases the asset
+		// when its run settles, and the next round finds it free.
 	}
 	e.clearing.Park()
 	// Re-check now that the loop is parked: an order booked since the round
@@ -1111,8 +1051,8 @@ func (e *Engine) clearTick() bool {
 
 // clearRound runs one clearing pass that may dispatch up to capSwaps swaps
 // — what the live-run gate leaves free — and reports whether it dispatched
-// any to the executor pool. Keeping live runs bounded also keeps the shared
-// chains' per-record observer fanout O(workers), not O(book).
+// any. Keeping live runs bounded also keeps the shared chains' per-record
+// observer fanout O(MaxLive), not O(book).
 func (e *Engine) clearRound(capSwaps int) bool {
 	e.round.contended = false
 	// When the gate is saturated there is no point partitioning a batch at
@@ -1198,8 +1138,9 @@ func swapTag(seq uint64) string {
 }
 
 // clearGroup reserves a matched group's assets, clears it into a swap
-// setup, and hands it to the executor pool. Returns false if the group
-// must wait (reservation contention) or was rejected.
+// setup, and starts its run, which settles itself at its horizon (settle).
+// Returns false if the group must wait (reservation contention) or was
+// rejected.
 func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
 	// One identity rule on every engine: tag, seed, and stripe derive from
 	// the minimum order ID in the group. Order IDs are unique (on a sharded
@@ -1210,8 +1151,10 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 	// concurrent groups never share a stripe. A resumed group re-clears
 	// under the tag it had before the crash (see durable.State.Resolve).
 	var seq uint64
-	for _, o := range g {
-		if id := uint64(byParty[o.Party].id); seq == 0 || id < seq {
+	group := make([]*order, len(g))
+	for i, o := range g {
+		group[i] = byParty[o.Party]
+		if id := uint64(group[i].id); seq == 0 || id < seq {
 			seq = id
 		}
 	}
@@ -1253,17 +1196,13 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		// between the two folds back to pending orders; the reservations
 		// die with the process, so the prepare is implicitly refunded and
 		// the orders resume and re-clear after recovery.
-		ids := make([]OrderID, 0, len(g))
-		for _, o := range g {
-			ids = append(ids, byParty[o.Party].id)
-		}
 		spans := make(map[int]bool, len(held))
 		for _, r := range held {
 			spans[h.ShardOf(r.chain)] = true
 		}
 		e.logEvent(Event{
 			Kind: EvPrepared, Tick: e.sched.Now(),
-			Swap: swapID, Orders: ids, Count: len(spans),
+			Swap: swapID, Orders: orderIDs(group), Count: len(spans),
 		})
 	}
 
@@ -1272,10 +1211,6 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 	// member.
 	rejectGroup := func(reason string) {
 		release()
-		group := make([]*order, 0, len(g))
-		for _, o := range g {
-			group = append(group, byParty[o.Party])
-		}
 		e.rejectOrders(group, reason)
 	}
 
@@ -1322,36 +1257,28 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 	// Swap setup happens inside the clearing tick, on the scheduler's
 	// dispatcher (or this shard's stripe): the protocol start is pinned
 	// relative to this round's tick, so on a free clock the whole run is a
-	// pure function of the arrival schedule and the seed, and on a paced
-	// one queueing for a worker cannot eat into the protocol's deadlines.
-	// The worker only waits for the result and settles the books.
+	// pure function of the arrival schedule and the seed. Its horizon
+	// delivery settles the books.
 	sb := e.buildBehaviors(setup, seed, adversarial)
-	rn, err := conc.Prepare(setup, sb.Behaviors, e.runConfig(setup.Spec, seed, seq))
-	if err != nil {
+	j := &job{swapID: swapID, setup: setup, orders: group, resv: held, deviants: sb.Deviants}
+	rcfg := e.runConfig(setup.Spec, seed, seq)
+	rcfg.OnDone = func(res *conc.Result) { e.settle(j, res) }
+	if _, err := conc.Prepare(setup, sb.Behaviors, rcfg); err != nil {
 		rejectGroup("execution: " + err.Error())
 		return false
 	}
-	j := &job{
-		swapID:   swapID,
-		setup:    setup,
-		resv:     held,
-		running:  rn,
-		deviants: sb.Deviants,
-	}
-	// Counted live from dispatch until the run's horizon hook fires (see
-	// liveRuns).
+	// Counted live before its orders leave the book: Drain reads the book
+	// first, so it never finds both empty while this run is live.
 	e.liveRuns.Add(1)
+	e.agg.SwapStarted()
 	e.mu.Lock()
-	for _, o := range g {
-		ord := byParty[o.Party]
-		ord.status = StatusExecuting
-		ord.swap = swapID
-		e.book.remove(ord)
-		j.orders = append(j.orders, ord)
+	for _, o := range group {
+		o.status = StatusExecuting
+		o.swap = swapID
+		e.book.remove(o)
 	}
-	e.inflight++
 	e.mu.Unlock()
-	e.agg.AddCleared(len(j.orders))
+	e.agg.AddCleared(len(group))
 	if e.cfg.Store != nil {
 		now := e.sched.Now()
 		for _, r := range held {
@@ -1360,31 +1287,23 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 				Swap: swapID, Chain: r.chain, Asset: r.asset,
 			})
 		}
-		ids := make([]OrderID, len(j.orders))
-		for i, o := range j.orders {
-			ids[i] = o.id
-		}
-		e.logEvent(Event{Kind: EvCleared, Tick: now, Swap: swapID, Orders: ids})
+		e.logEvent(Event{Kind: EvCleared, Tick: now, Swap: swapID, Orders: orderIDs(group)})
 	}
-	e.jobs.push(j)
 	return true
 }
 
-// worker executes cleared swaps from the queue until it closes.
-func (e *Engine) worker() {
-	defer e.workerWG.Done()
-	for {
-		j, ok := e.jobs.pop()
-		if !ok {
-			return
-		}
-		e.runSwap(j)
+// orderIDs lists the orders' IDs.
+func orderIDs(orders []*order) []OrderID {
+	ids := make([]OrderID, len(orders))
+	for i, o := range orders {
+		ids[i] = o.id
 	}
+	return ids
 }
 
 // buildBehaviors assembles one swap's behavior overrides: the Behaviors
 // factory when configured, else the legacy AdversaryRate silent leader.
-// Deviation tallies happen at settle time (runSwap), not here, so a
+// Deviation tallies happen at settle time (settle), not here, so a
 // swap rejected before it ran never counts its injected deviations.
 func (e *Engine) buildBehaviors(setup *core.Setup, seed int64, adversarial bool) SwapBehaviors {
 	var sb SwapBehaviors
@@ -1421,9 +1340,8 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 		Registry:    e.reg,
 		// Early exit trims the horizon wait, which on a paced clock is
 		// wall latency. Runs on a free clock play to the horizon instead:
-		// early teardown cancels trailing deliveries at wall speed, and
-		// whether a given delivery fired or was cancelled would differ
-		// across replays.
+		// the tick a run ends at gates the live-run count, and the
+		// scenario digests pin that schedule.
 		EarlyExit: e.sched.Tick() > 0,
 		Cache:     e.vcache,
 		// Per-swap stripes let a striped scheduler run this swap
@@ -1431,7 +1349,6 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 		// shared ring replaces per-run trace logs.
 		StripeKey: stripe,
 		Log:       e.tracer,
-		OnHorizon: func() { e.liveRuns.Add(-1) },
 	}
 	if e.cfg.Store != nil {
 		// Phase transitions go to the WAL: recovery's resume-vs-refund
@@ -1460,16 +1377,12 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 	return cfg
 }
 
-// runSwap waits out one swap — prepared inside the clearing tick, already
-// playing out on the scheduler — and settles its orders.
-func (e *Engine) runSwap(j *job) {
-	e.agg.SwapStarted()
+// settle closes one swap's books inside its horizon delivery, on its
+// stripe, at the tick its outcome became final: it releases the
+// reservations, settles the orders, logs both, and counts the run out of
+// liveRuns — last, so a Drain that sees no live run sees settled orders.
+func (e *Engine) settle(j *job, res *conc.Result) {
 	spec := j.setup.Spec
-	res := j.running.Wait()
-	// This swap's durable events carry its settle tick. Worker bookkeeping
-	// runs at wall speed, so the append ORDER of these events is racy — but
-	// their tick stamp is a pure function of the schedule, which is what
-	// crash-replay determinism filters on.
 	for _, r := range j.resv {
 		e.reg.Release(r.chain, r.asset, j.swapID)
 		if e.cfg.Store != nil {
@@ -1510,12 +1423,7 @@ func (e *Engine) runSwap(j *job) {
 			Class: int(o.class), Deviant: o.deviant,
 		})
 	}
-	e.inflight--
-	idle := e.inflight == 0
 	e.mu.Unlock()
-	if idle {
-		e.notifyDrain()
-	}
 
 	if len(j.deviants) > 0 {
 		e.agg.AddSabotaged(len(j.orders))
@@ -1528,9 +1436,14 @@ func (e *Engine) runSwap(j *job) {
 	}
 	e.agg.AddEconomics(econ)
 	e.agg.SwapFinished(false, spec.Kind == core.KindSingleLeader)
+	if e.liveRuns.Add(-1) == 0 {
+		e.notifyDrain()
+	}
 }
 
-// rejectPending rejects every still-pending order.
+// rejectPending rejects every still-pending order. Drain calls it on the
+// caller's goroutine, once the clearing loop has parked: the rejection tick
+// is a parked free clock's last event tick, or on a paced clock the wall's.
 func (e *Engine) rejectPending(reason string) {
 	e.mu.Lock()
 	batch := e.book.all()
@@ -1579,9 +1492,9 @@ func (e *Engine) notifyDrain() {
 // past the cut, so recovery ignores them). It returns the cut tick —
 // the virtual instant of the crash; durable.Recover replays only events
 // stamped at or before it, making the recovered state a pure function
-// of the schedule. Call Stop afterwards to release workers and the
-// scheduler. Safe from any goroutine, including scheduler callbacks
-// (it never waits on a clearing tick in flight).
+// of the schedule. Call Stop afterwards to wait out the live runs and
+// release the scheduler. Safe from any goroutine, including scheduler
+// callbacks (it never waits on a clearing tick in flight).
 func (e *Engine) Kill() vtime.Ticks {
 	e.mu.Lock()
 	if e.state == stateRunning || e.state == stateNew {
@@ -1590,6 +1503,7 @@ func (e *Engine) Kill() vtime.Ticks {
 	e.killed = true
 	e.mu.Unlock()
 	e.clearing.Stop(false)
+	// Wall-stamped like intake: Kill may come from the caller's goroutine.
 	cut := e.sched.Now()
 	if e.ownsHost {
 		// One crash, one kill record: the host owner's.
@@ -1599,8 +1513,8 @@ func (e *Engine) Kill() vtime.Ticks {
 	return cut
 }
 
-// Drain stops intake and waits for the book and the executor pool to
-// empty. Offers that cannot match are rejected after a few quiet rounds.
+// Drain stops intake and waits for the book to empty and every live run to
+// settle. Offers that cannot match are rejected once the book is stuck.
 // After Kill the book is deliberately ignored: pending orders are the
 // recovery subsystem's input, and no clearing round is left to resolve
 // them anyway.
@@ -1615,21 +1529,21 @@ func (e *Engine) Drain(ctx context.Context) error {
 	// filled from outside with no hold, or not at all — is that party; on a
 	// clock already let go this is a hold taken and dropped.
 	e.sched.Hold()()
-	// Event-driven wait: workers, rejections, parking, and Kill all signal
+	// Event-driven wait: settles, rejections, parking, and Kill all signal
 	// drainCh the instant the engine may have gone idle, so runs pay no
 	// fixed wall-clock poll interval as a shutdown tail. The coarse ticker
 	// is a belt-and-braces fallback only.
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 	for {
+		// The book before the live count: see clearGroup.
 		e.mu.Lock()
-		idle := (e.book.len() == 0 || e.killed) && e.inflight == 0
-		stuck := !idle && e.book.len() > 0 && e.inflight == 0
+		booked := e.book.len() > 0 && !e.killed
 		e.mu.Unlock()
-		if idle {
-			return nil
-		}
-		if stuck && e.liveRuns.Load() == 0 {
+		if e.liveRuns.Load() == 0 {
+			if !booked {
+				return nil
+			}
 			// The clearing loop parks on a stuck book (see clearTick); the
 			// remaining offers have no counterparties coming, so reject
 			// them here. A parked free clock is frozen at the schedule's
@@ -1650,7 +1564,8 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Stop gracefully shuts the engine down: drain the book, stop the
-// clearing loop, and wait for every in-flight swap to finish.
+// clearing loop, and wait for every live run to settle — even when ctx
+// ends the drain first.
 func (e *Engine) Stop(ctx context.Context) error {
 	drainErr := e.Drain(ctx)
 	e.mu.Lock()
@@ -1661,11 +1576,13 @@ func (e *Engine) Stop(ctx context.Context) error {
 	e.state = stateStopped
 	e.mu.Unlock()
 	e.clearing.Stop(true)
-	e.jobs.close()
-	e.workerWG.Wait()
+	// The last run to settle signals drainCh (see settle).
+	for e.liveRuns.Load() > 0 {
+		<-e.drainCh
+	}
 	if e.ownsHost {
-		// All runs have drained their scheduler holds; stop the dispatcher
-		// so the engine leaves no goroutine behind. A handed host's
+		// Every run has settled; stop the dispatcher so the engine leaves
+		// no goroutine behind. A handed host's
 		// scheduler is its owner's to close, once, after every engine over
 		// it has stopped.
 		e.sched.Close()
@@ -1729,12 +1646,9 @@ func (e *Engine) Pending() int {
 	return e.book.len()
 }
 
-// InFlight returns the number of cleared swaps queued or executing.
-func (e *Engine) InFlight() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inflight
-}
+// InFlight returns the number of live runs: swaps dispatched and not yet
+// settled.
+func (e *Engine) InFlight() int { return int(e.liveRuns.Load()) }
 
 // VerifyConservation checks the registry invariant that rules out
 // double-spends: every asset the engine ever minted still exists exactly
@@ -1758,8 +1672,8 @@ func (e *Engine) Recovered() bool { return e.recovered }
 func (e *Engine) verifyLedgers(strandCheck bool) error {
 	e.mu.Lock()
 	minted := append([]Minted(nil), e.minted...)
-	quiescent := e.inflight == 0
 	e.mu.Unlock()
+	quiescent := e.liveRuns.Load() == 0
 	if err := VerifyMinted(e.reg, minted, strandCheck, quiescent); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}

@@ -205,9 +205,11 @@ func TestEngineManyConcurrentSwaps(t *testing.T) {
 // identities before the first clearing round, so every round's scan meets
 // all of its parties long before the end of the book. Each party's orders
 // must still clear strictly in booking order, and all of them must settle.
+// Live runs are bounded by MaxLive alone: two Workers do not cap them.
 func TestEngineDeepBookFewParties(t *testing.T) {
 	cfg := testConfig()
 	cfg.Deterministic = true
+	cfg.Workers, cfg.MaxLive = 2, 64
 	e := New(cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -238,8 +240,13 @@ func TestEngineDeepBookFewParties(t *testing.T) {
 		}
 		lastSwap[o.Party] = o.Swap
 	}
-	if rep := e.Report(); rep.SwapsFinished != rings {
+	rep := e.Report()
+	if rep.SwapsFinished != rings {
 		t.Fatalf("finished %d swaps, want %d", rep.SwapsFinished, rings)
+	}
+	if rep.PeakConcurrent <= cfg.Workers {
+		t.Fatalf("peak %d live runs with %d Workers and MaxLive %d, want more than Workers",
+			rep.PeakConcurrent, cfg.Workers, cfg.MaxLive)
 	}
 }
 
@@ -808,6 +815,66 @@ func TestEngineDeterministicReplay(t *testing.T) {
 		if a[i].Status == StatusSettled && a[i].SettledTick <= a[i].SubmittedTick {
 			t.Fatalf("order %d settled tick %d not after submit tick %d",
 				i, a[i].SettledTick, a[i].SubmittedTick)
+		}
+	}
+}
+
+// walRecorder is a Store that keeps every event in append order.
+type walRecorder struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (w *walRecorder) Append(ev Event) {
+	w.mu.Lock()
+	w.evs = append(w.evs, ev)
+	w.mu.Unlock()
+}
+
+// TestWALOrderReplays: two same-seed Deterministic runs append the same WAL
+// events in the same order, not only the same set. A swap releases its
+// reservations and settles its orders inside its own horizon delivery, so
+// those events land at their place in the schedule, between the same
+// reservations of other swaps on every run.
+func TestWALOrderReplays(t *testing.T) {
+	run := func() []string {
+		rec := new(walRecorder)
+		e := New(Config{
+			Deterministic: true,
+			Workers:       8,
+			Tick:          time.Millisecond,
+			Delta:         20,
+			ClearInterval: time.Millisecond,
+			Seed:          1,
+			Store:         rec,
+		})
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		const rings, pool = 300, 32
+		var offers []core.Offer
+		for r := 0; r < rings; r++ {
+			for i := 0; i < 3; i++ {
+				offers = append(offers, LoadOffer(r, i, 3, r%pool))
+			}
+		}
+		bookAndDrain(t, e, offers)
+		if rep := e.Report(); rep.SwapsFinished != rings {
+			t.Fatalf("finished %d swaps, want %d", rep.SwapsFinished, rings)
+		}
+		out := make([]string, len(rec.evs))
+		for i, ev := range rec.evs {
+			out[i] = fmt.Sprintf("%s@%d order=%d swap=%s %s/%s", ev.Kind, ev.Tick, ev.Order, ev.Swap, ev.Chain, ev.Asset)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("runs appended %d and %d events", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("WAL order diverged at event %d of %d:\n  %s\nvs\n  %s", i, len(a), a[i], b[i])
 		}
 	}
 }

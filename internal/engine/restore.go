@@ -141,7 +141,7 @@ func (st RecoveredState) RestoreShared(h Host) error {
 // restoredCounts rebuilds the aggregate counters a crash wiped, from the
 // recovered orders: intake and terminal tallies, outcome classes, and
 // the per-swap deviation accounting (a swap counts as sabotaged for all
-// its orders if any of its parties deviated — same rule runSwap applies
+// its orders if any of its parties deviated — same rule settle applies
 // at settle time).
 func restoredCounts(orders []RecoveredOrder, shed int) metrics.RestoredCounts {
 	rc := metrics.RestoredCounts{

@@ -23,10 +23,9 @@ import (
 // Determinism hinges on the cut semantics: the first engine's in-flight
 // swaps keep playing out after Kill (virtual time keeps running until
 // Stop), and the store stays open through that drain, so the log holds
-// exactly every event stamped at or before the cut plus a raced suffix
+// exactly every event stamped at or before the cut plus a suffix
 // stamped after it. Recover's CutTick filter drops the suffix, making
-// the recovered state a pure function of the schedule no matter how the
-// wall-clock race between Kill and the workers went.
+// the recovered state a pure function of the schedule.
 func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result, error) {
 	dir, err := os.MkdirTemp("", "swap-crash-")
 	if err != nil {

@@ -93,7 +93,8 @@ type Scenario struct {
 	// default, negative disables).
 	MaxPending int `json:"max_pending,omitempty"`
 
-	// Workers sizes the engine's executor pool (default 8).
+	// Workers is the engine's Workers (default 8): the dispatch helpers
+	// under Parallel, and the MaxLive default.
 	Workers int `json:"workers,omitempty"`
 	// Parallel runs the deterministic schedule on a dispatcher of Workers
 	// workers (engine.Config.Parallel) instead of one: the same dispatch

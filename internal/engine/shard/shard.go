@@ -30,8 +30,9 @@ type Config struct {
 	// shard count — the property the 4-vs-1 digest equality rests on.
 	EscalateAfter vtime.Duration
 	// Engine is the base configuration every inner engine is built from.
-	// Workers is the TOTAL executor budget, split evenly across the
-	// shards and the coordinator.
+	// Workers is the TOTAL budget: it sizes the shared scheduler's
+	// helpers and verify-cache pool, and each inner engine — every shard
+	// and the coordinator — takes Workers/Shards for its MaxLive default.
 	Engine engine.Config
 }
 
@@ -390,7 +391,7 @@ func (s *ShardedEngine) Pending() int {
 	return n
 }
 
-// InFlight reports the total cleared swaps queued or executing.
+// InFlight reports the live runs of every inner engine.
 func (s *ShardedEngine) InFlight() int {
 	n := 0
 	for _, e := range s.engines {
@@ -469,8 +470,8 @@ func (s *ShardedEngine) ClearRounds() int {
 // them: the sweep stops, every engine is killed, and the returned cut
 // tick bounds what recovery replays. Call from a scheduler callback (as
 // the crash scenarios do) and the cut is one well-defined tick across
-// all engines. Call Stop afterwards to release workers and the
-// scheduler.
+// all engines. Call Stop afterwards to wait out the live runs and
+// release the scheduler.
 func (s *ShardedEngine) Kill() vtime.Ticks {
 	s.mu.Lock()
 	if s.state == shardedRunning {
@@ -491,8 +492,8 @@ func (s *ShardedEngine) Kill() vtime.Ticks {
 	return cut
 }
 
-// Drain stops intake and waits for every book and every executor pool
-// to empty. Shard books drain first — the sweep escalates anything
+// Drain stops intake and waits for every book to empty and every live
+// run to settle. Shard books drain first — the sweep escalates anything
 // their local rounds cannot match — then the coordinator, whose
 // drain-stall detection rejects the true unmatchables.
 func (s *ShardedEngine) Drain(ctx context.Context) error {

@@ -62,9 +62,8 @@ const (
 // Event is one durable engine state transition. Exactly the fields the
 // kind documents are set; everything else is zero and omitted from JSON.
 // Tick is always the virtual-time stamp of the transition — virtual, not
-// wall, so a deterministic run's event set (filtered by a cut tick) is a
-// pure function of the schedule even though the append order of
-// worker-side events is not.
+// wall, so a deterministic run's event log (filtered by a cut tick) is a
+// pure function of the schedule.
 type Event struct {
 	Kind EventKind   `json:"kind"`
 	Tick vtime.Ticks `json:"tick"`
@@ -98,7 +97,7 @@ type Event struct {
 //
 // Append must be safe for concurrent use, must not block for long, and
 // must never call back into the engine: it runs on the intake, clearing,
-// and worker paths, sometimes with engine locks held. It returns no
+// and settle paths, sometimes with engine locks held. It returns no
 // error — a store that fails should record the failure internally and
 // surface it when closed; the engine has no useful response to a failed
 // append mid-flight.

@@ -444,8 +444,10 @@ type Throughput struct {
 	SwapsStarted    int            `json:"swaps_started"`
 	SwapsFinished   int            `json:"swaps_finished"`
 	SwapsFailed     int            `json:"swaps_failed"`
-	InFlight        int            `json:"in_flight"`
-	PeakConcurrent  int            `json:"peak_concurrent"`
+	// InFlight and PeakConcurrent count live runs, from dispatch to settle:
+	// the engine's live-run gate (MaxLive) bounds them, not Workers.
+	InFlight       int `json:"in_flight"`
+	PeakConcurrent int `json:"peak_concurrent"`
 	// SwapsSingleLeader and SwapsGeneral split SwapsFinished by protocol:
 	// components with one leader clear on classic hashlock HTLCs (no
 	// signatures), the rest on hashkey Swap contracts. Swaps a recovered
