@@ -220,6 +220,58 @@ func TestEarlyExitSkipsGrace(t *testing.T) {
 	}
 }
 
+// TestOnDoneFiresOnce: OnDone runs exactly once, inside the horizon delivery,
+// with the result Wait returns. Without EarlyExit that delivery sits at the
+// padded horizon; with it, the last arc's resolution schedules a second one
+// at its own tick, and the first is stopped with the run's other timers: the
+// run leaves no event queued, and driving the clock past the padded horizon
+// fires nothing more.
+func TestOnDoneFiresOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		earlyExit bool
+	}{{"horizon", false}, {"early-exit", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := sched.NewVirtual(1)
+			defer v.Close()
+			setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
+			var (
+				calls    int
+				done     *Result
+				doneTick vtime.Ticks
+			)
+			res, err := Run(setup, nil, Config{Scheduler: v, EarlyExit: tc.earlyExit, OnDone: func(r *Result) {
+				calls++
+				done, doneTick = r, v.Now()
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done != res {
+				t.Fatalf("OnDone got %p, Wait returned %p", done, res)
+			}
+			if !res.Report.AllDeal() {
+				t.Log("\n" + res.Log.Render())
+				t.Fatal("swap should end AllDeal")
+			}
+			if n := v.Pending(); n != 0 {
+				t.Fatalf("the finished run left %d events queued", n)
+			}
+			padded := setup.Spec.Horizon().Add(vtime.Scale(horizonPad, setup.Spec.Delta))
+			v.RunUntil(padded + 1)
+			if calls != 1 {
+				t.Fatalf("OnDone ran %d times, want 1", calls)
+			}
+			switch {
+			case !tc.earlyExit && doneTick != padded:
+				t.Fatalf("OnDone at tick %d, want the padded horizon %d", doneTick, padded)
+			case tc.earlyExit && doneTick != res.SettleTick:
+				t.Fatalf("OnDone at tick %d, want the last arc's resolution %d", doneTick, res.SettleTick)
+			}
+		})
+	}
+}
+
 func TestConcurrentHaltedPartySafe(t *testing.T) {
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
 	behaviors := map[digraph.Vertex]core.Behavior{
