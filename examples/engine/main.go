@@ -9,7 +9,7 @@
 //
 //	eng := atomicswap.NewEngine(atomicswap.EngineConfig{Workers: 128})
 //	eng.Start()
-//	id, _ := eng.Submit(offer)            // × thousands, any goroutine
+//	id, _ := eng.Submit(offer)            // × thousands, any goroutine; booked on the timeline
 //	eng.Stop(ctx)                         // drain the book, finish swaps
 //	fmt.Println(eng.Report())             // swaps/sec, latency, outcomes
 //

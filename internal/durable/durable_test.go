@@ -519,6 +519,35 @@ func TestCutTickFiltersRacedAppends(t *testing.T) {
 	}
 }
 
+// TestIntakeRejectionKeepsOffer: an order the engine's intake event
+// rejects (its offer contradicts the ledger) was never booked, so its
+// rejection is the only record of it in the log — and it carries the
+// offer, which the fold keeps for the recovered order.
+func TestIntakeRejectionKeepsOffer(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	offer := engine.LoadOffer(3, 1, 3, 0)
+	s.Append(engine.Event{Kind: engine.EvRejected, Tick: 4, Order: 7, Reason: "amounts differ", Offer: &offer})
+	s.Close()
+
+	r, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	st, err := r.ResolvedState(0)
+	if err != nil {
+		t.Fatalf("ResolvedState: %v", err)
+	}
+	o := st.Orders[7]
+	if o == nil || o.Status != "rejected" || o.Reason != "amounts differ" || !reflect.DeepEqual(o.Offer, offer) {
+		t.Fatalf("recovered order 7: %+v, want rejected with its offer %+v", o, offer)
+	}
+}
+
 // TestRecovery10kEventsUnderSecond is the CI smoke bound from the issue:
 // folding a 10k-event log back into a live engine stays under a second.
 func TestRecovery10kEventsUnderSecond(t *testing.T) {

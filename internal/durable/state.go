@@ -264,6 +264,9 @@ func (s *State) Apply(ev engine.Event) {
 		o.SettledTick = ev.Tick
 	case engine.EvRejected:
 		o := s.order(ev.Order)
+		if ev.Offer != nil { // rejected at intake: never booked
+			o.Offer = *ev.Offer
+		}
 		if statusRank(o.Status) < statusRank("rejected") {
 			o.Status = "rejected"
 			o.Reason = ev.Reason

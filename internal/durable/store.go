@@ -30,7 +30,7 @@ type Options struct {
 // Store is the disk-backed engine.Store: an append-only checksummed WAL
 // with segment rotation and snapshot truncation, plus the live fold of
 // everything appended so far. Safe for concurrent Append from the
-// engine's intake goroutines and its scheduler's dispatcher and helpers.
+// scheduler's dispatcher and helpers, where every engine event is logged.
 //
 // Append never returns an error (the engine has no useful response to a
 // failed append mid-flight); the first write failure latches, later

@@ -75,7 +75,7 @@ func (m *sliceBook) scan(limit int) []*order {
 	return batch
 }
 
-// takeEscalatable is TakeEscalatable's walk of the book.
+// takeEscalatable is Escalate's walk of a shard's book.
 func (m *sliceBook) takeEscalatable(cutoff vtime.Ticks) []*order {
 	var out []*order
 	kept := m.pending[:0]
@@ -110,7 +110,7 @@ func newBookPair(t testing.TB, parties int) *bookPair {
 	return p
 }
 
-// submit books one order for the party, as bookOrder and Restore do.
+// submit books one order for the party, as admit and NewRecovered do.
 func (p *bookPair) submit(party int, tick vtime.Ticks) {
 	p.nextID++
 	o := &order{
@@ -147,7 +147,8 @@ func (p *bookPair) reject(batch []*order) {
 	p.model.compact()
 }
 
-// escalate is TakeEscalatable; the orders it returns leave Engine.orders.
+// escalate is Escalate's take from a shard; the orders it returns leave
+// that shard's Engine.orders.
 func (p *bookPair) escalate(cutoff vtime.Ticks) {
 	want := p.model.takeEscalatable(cutoff)
 	var got []*order
@@ -521,27 +522,30 @@ func TestStuckHeadDoesNotStarveTheBook(t *testing.T) {
 }
 
 // TestBookConcurrentUse reaches the book from everywhere the engine does
-// at once — intake goroutines, the clearing callback (dispatch, and the
-// rejection of orders whose asset an earlier swap spent), an escalation
-// sweep at its tail level, and readers of the fair-shedding counts — so
-// that a run under -race shows the engine mutex covers all of it.
+// at once — intake goroutines, the intake and clearing callbacks (dispatch,
+// and the rejection of orders whose asset an earlier swap spent), an
+// escalation sweep at its tail level moving orders to a coordinator, and
+// readers of the fair-shedding counts — so that a run under -race shows
+// the engine mutex covers all of it.
 func TestBookConcurrentUse(t *testing.T) {
 	cfg := testConfig()
 	cfg.Parallel = true
 	cfg.MaxLive = 8 // keep a book behind the rounds
 	e := New(cfg)
+	h := *e.cfg.host
+	h.Stripe, h.ShardOf = 1, func(string) int { return 0 }
+	coord := New(Hosted(cfg, h))
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, ringsEach, pool = 4, 30, 6
 	const submitted = 3 * (submitters*ringsEach + submitters*ringsEach/5)
 	var intakeDone atomic.Bool
-	var escalated atomic.Int64
 	var sweep func()
 	sweep = func() {
 		now := e.sched.Now()
-		if escalated.Load() < 40 { // the free-running clock ages every order: leave most to clear
-			escalated.Add(int64(len(e.TakeEscalatable(now - 40))))
+		if len(coord.Orders()) < 40 { // the free-running clock ages every order: leave most to clear
+			coord.Escalate([]*Engine{e}, now-40)
 		}
 		if !intakeDone.Load() || e.Pending() > 0 {
 			e.sched.AtTailN(now+5, 2, 1, sweep)
@@ -584,14 +588,22 @@ func TestBookConcurrentUse(t *testing.T) {
 	intake.Wait()
 	intakeDone.Store(true)
 	readers.Wait()
+	// The sweep stops once e's book is empty; then the coordinator drains,
+	// and e, which owns the host, stops last.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	drainAndStop(t, coord)
 	drainAndStop(t, e)
 
-	orders := e.Orders()
-	if got := len(orders) + int(escalated.Load()); got != submitted {
-		t.Errorf("%d orders kept + %d escalated, want %d submitted", len(orders), escalated.Load(), submitted)
+	orders, escalated := e.Orders(), coord.Orders()
+	if got := len(orders) + len(escalated); got != submitted {
+		t.Errorf("%d orders kept + %d escalated, want %d submitted", len(orders), len(escalated), submitted)
 	}
 	rejected := 0
-	for _, o := range orders {
+	for _, o := range append(orders, escalated...) {
 		if o.Status != StatusSettled && o.Status != StatusRejected {
 			t.Errorf("order %d not terminal: %s", o.ID, o.Status)
 		}
@@ -599,9 +611,11 @@ func TestBookConcurrentUse(t *testing.T) {
 			rejected++
 		}
 	}
-	t.Logf("%d submitted: %d settled, %d rejected, %d escalated", submitted, len(orders)-rejected, rejected, escalated.Load())
-	if e.Pending() != 0 || e.PendingParties() != 0 || e.book.first != nil || len(e.book.heads) != 0 {
-		t.Errorf("book not empty after drain: %d orders, %d parties", e.Pending(), e.PendingParties())
+	t.Logf("%d submitted: %d settled, %d rejected, %d escalated", submitted, submitted-rejected, rejected, len(escalated))
+	for _, x := range []*Engine{e, coord} {
+		if x.Pending() != 0 || x.PendingParties() != 0 || x.book.first != nil || len(x.book.heads) != 0 {
+			t.Errorf("book not empty after drain: %d orders, %d parties", x.Pending(), x.PendingParties())
+		}
 	}
 	if err := e.VerifyConservation(); err != nil {
 		t.Error(err)

@@ -9,19 +9,22 @@
 //
 // The pipeline is
 //
-//	Submit → pending book → clearing round → reservation → conc.Prepare
-//	       over shared chains → horizon delivery: release, settle orders
+//	Submit → intake event → pending book → clearing round → reservation →
+//	       conc.Prepare over shared chains → horizon delivery: release,
+//	       settle orders
 //
-// Each stage is concurrency-safe: intake can run from any number of
-// goroutines while swaps execute.
+// Submit is safe from any goroutine: it only posts the order, and every
+// later stage runs on the scheduler's timeline (see submit).
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -127,12 +130,12 @@ type Config struct {
 	// born held and does not move until the run is installed, same-tick
 	// events run in schedule order, swap setup is pinned inside the
 	// clearing tick, and deliveries execute inside their scheduler events,
-	// so the same seed and the same (serially submitted) offer stream
-	// produce the identical run — intake ticks, clearing rounds, Δ
-	// trajectory, and settle order. Submissions must come from scheduler
-	// callbacks (loadgen arrivals), from under a Hold, or from a single
-	// goroutine before Drain; racing Submit calls are safe but reintroduce
-	// the nondeterminism this removes. With neither this nor Parallel the
+	// so the same seed and the same offer stream produce the identical run
+	// — intake ticks, clearing rounds, Δ trajectory, and settle order.
+	// Submit is safe from any goroutine, and an order books at the tick of
+	// the intake event that takes it, in posting order: the stream is the
+	// same whenever its posting order is (scheduler callbacks, one
+	// goroutine, or a Hold around the fill). With neither this nor Parallel the
 	// clock is paced by the wall, one tick per Tick (sched.NewPaced over
 	// Workers). NewHost reads this and Parallel; an engine built by
 	// New owns its host's dispatcher goroutine, and Stop (valid even if
@@ -213,6 +216,10 @@ type Host struct {
 	// whose prepare records say how many shards a swap spans (a hook, not
 	// an import: engine must not depend on shard).
 	ShardOf func(chainName string) int
+	// OnBook, when set, runs inside the intake event after it books an
+	// order on this engine: a sharded deployment's shards wake its
+	// escalation sweep with it.
+	OnBook func()
 
 	// fan is the registry's delivery probe; every engine built over the
 	// host joins it.
@@ -261,9 +268,9 @@ func NewHost(cfg Config) Host {
 	}
 	if st := cfg.Store; st != nil {
 		// An identity's durable form is its ed25519 seed (see
-		// core.Keyring.OnCreate); a restored one is already in the log. Its
-		// tick is wall-stamped intake: Submit creates identities on the
-		// caller's goroutine.
+		// core.Keyring.OnCreate); a restored one is already in the log.
+		// Identities are created on the timeline, by the intake event, so
+		// its tick is that event's.
 		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
 			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
 		})
@@ -396,6 +403,12 @@ type Minted struct {
 
 // Engine is the clearing service. Create with New, call Start, Submit
 // offers from any goroutine, and Drain/Stop to wind down.
+//
+// Engine state is written on the scheduler's timeline only: Submit posts
+// an order, and the order's intake event books it at level 0 of the tick
+// (see submit). e.mu guards that state — the order map, the book and the
+// posted counts — against outside readers and against the stripes of one
+// batch that reach it at once (an intake event and a settle).
 type Engine struct {
 	cfg Config
 	// ownsHost marks an engine that built its host (New without Hosted):
@@ -441,23 +454,17 @@ type Engine struct {
 	shapes *core.ShapeCache
 
 	// drainCh wakes Drain and Stop the moment the engine may have gone
-	// idle (liveRuns reached zero, book emptied, or Kill).
+	// idle (an order booked or rejected at intake, liveRuns reached zero,
+	// book emptied, the clearing loop parked, or Kill).
 	drainCh chan struct{}
 
 	// clearing is the clearing loop: clearTick, once per ClearEvery on the
 	// shared scheduler. The loop parks when the engine goes idle (empty
-	// book, nothing live) and Submit wakes it: parked rounds are exactly the
-	// rounds the active-round count never included, so digests are
+	// book, nothing live) and a booking wakes it: parked rounds are exactly
+	// the rounds the active-round count never included, so digests are
 	// unaffected — but a free clock stops running, instead of burning CPU
 	// on empty rounds until Drain notices at wall speed.
 	clearing *sched.Loop
-
-	// bookSeq counts orders ever booked. The clearing loop uses it to close
-	// the park race: on a STUCK book (non-empty but nothing dispatchable and
-	// nothing live — e.g. partial rings left by shedding) a Pending()>0
-	// re-check cannot tell a new arrival from the stuck remainder, a
-	// sequence number can.
-	bookSeq atomic.Int64
 
 	// shedPulse accumulates arrivals shed since the adaptive-Δ
 	// controller last looked: sustained shedding means intake is
@@ -486,7 +493,13 @@ type Engine struct {
 	// escalated. Its per-party counts are the fair-shedding surface
 	// (PendingOf/PendingParties): one flooding identity pool cannot exhaust
 	// a global MaxPending budget for everyone.
-	book      book
+	book book
+	// posted counts the orders posted to intake and not yet booked, and
+	// postedOf splits the count by party: Pending, PendingOf and
+	// PendingParties count them with the book, so a shed decision sees an
+	// order from the moment Submit returns.
+	posted    int
+	postedOf  map[chain.PartyID]int
 	nextOrder OrderID
 	minted    []Minted
 	// killed marks a crash-model shutdown (Kill): intake and clearing are
@@ -596,6 +609,7 @@ func New(cfg Config) *Engine {
 		shapes:   new(core.ShapeCache),
 		orders:   make(map[OrderID]*order),
 		book:     newBook(),
+		postedOf: make(map[chain.PartyID]int),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		drainCh:  make(chan struct{}, 1),
 	}
@@ -766,179 +780,183 @@ func validateOffer(offer core.Offer) error {
 	return nil
 }
 
-// Submit accepts one offer into the pending book, minting any asset the
-// party deposits for the first time. Safe to call from many goroutines.
+// Submit posts one offer for booking and returns its order ID. Safe from
+// any goroutine, and it touches nothing the timeline reads: it validates
+// the offer statically, assigns the ID and records the pending order, and
+// the order's intake event books it (see submit and admit) — minting
+// any asset the party deposits for the first time, or rejecting the order
+// if the ledger says otherwise.
 func (e *Engine) Submit(offer core.Offer) (OrderID, error) {
-	if err := validateOffer(offer); err != nil {
-		return 0, err
-	}
-	// Quick state gate so offers to a stopped engine mint nothing.
-	e.mu.Lock()
-	running := e.state == stateRunning
-	e.mu.Unlock()
-	if !running {
-		return 0, ErrNotRunning
-	}
-	// Persistent identity at first intake: the ed25519 keygen runs here —
-	// after static validation, before the order is booked — once per party
-	// ever, outside the engine lock. Booking the order only afterwards
-	// means the clearing round can never race ahead and pay for keygen
-	// itself. (An offer that still fails the stateful checks below may
-	// leave an identity behind; identities are tiny and reused on the
-	// party's next attempt.)
-	if _, err := e.keyring.Ensure(offer.Party); err != nil {
-		return 0, err
-	}
-	// Wall-stamped intake: Submit runs on the caller's goroutine, so on a
-	// paced clock its tick is the wall's; a free clock's is the tick of the
-	// arrival event or hold the caller submits from.
-	id, err := e.bookOrder(offer, 0, e.sched.Now(), time.Now())
-	if err == nil {
-		e.clearing.Wake()
-	}
-	return id, err
+	return e.submit(0, offer)
 }
 
-// Routed is one order delivered to an inner engine by a sharded router:
-// the router (not the engine) assigned the order ID, and the submission
-// instants are the ORIGINAL ones — an order escalated from a shard to the
-// coordinator keeps the tick it first entered the system at, so its
-// escalation age and digest row are independent of how many hops it took.
-type Routed struct {
-	ID            OrderID
-	Offer         core.Offer
-	SubmittedTick vtime.Ticks
-	SubmittedAt   time.Time
-}
-
-// SubmitRouted books an offer under a router-assigned order ID. Besides
-// the caller-controlled identity it behaves exactly like Submit: the
-// offer is validated, unseen assets are minted (an escalated order's
-// assets already exist and just amount-check), and the clearing loop is
-// re-armed. The engine's own ID sequence jumps past the routed ID, so
-// mixing Submit and SubmitRouted on one engine cannot collide.
-func (e *Engine) SubmitRouted(r Routed) error {
-	if r.ID == 0 {
-		return fmt.Errorf("%w: routed order ID 0", ErrBadOffer)
-	}
-	if err := validateOffer(r.Offer); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	running := e.state == stateRunning
-	e.mu.Unlock()
-	if !running {
-		return ErrNotRunning
-	}
-	if _, err := e.keyring.Ensure(r.Offer.Party); err != nil {
-		return err
-	}
-	if r.SubmittedAt.IsZero() {
-		r.SubmittedAt = time.Now()
-	}
-	_, err := e.bookOrder(r.Offer, r.ID, r.SubmittedTick, r.SubmittedAt)
-	if err == nil {
-		e.clearing.Wake()
-	}
+// SubmitRouted is Submit under a router-assigned order ID (0 draws the
+// engine's own). The engine's own ID sequence jumps past the routed ID, so
+// mixing Submit and SubmitRouted on one engine cannot collide; an ID the
+// engine already holds is refused.
+func (e *Engine) SubmitRouted(id OrderID, offer core.Offer) error {
+	_, err := e.submit(id, offer)
 	return err
 }
 
-// TakeEscalatable withdraws and returns every pending order submitted at
-// or before the cutoff tick, in ID order — the shard half of the
-// escalation protocol. Withdrawn orders leave the book and the order map
-// entirely (the coordinator re-books them under the same ID via
-// SubmitRouted, so the merged order set never shows a duplicate), and
-// the submitted-counter is decremented to balance the re-count at
-// re-booking. Call from the sharded escalation sweep only: it runs at
-// its own tail level, after this engine's clearing pass of the tick.
-func (e *Engine) TakeEscalatable(cutoff vtime.Ticks) []Routed {
-	e.mu.Lock()
-	if e.killed {
-		e.mu.Unlock()
-		return nil
+// submit is Submit and SubmitRouted: the post. id 0 draws the next
+// engine-local ID. The order exists from here on (Orders, Pending), and its
+// own intake event books it (admit) at level 0 of the current tick, on
+// stripe key 0, the one stripe every engine of a host shares: identities
+// are drawn from the keyring's one seeded stream in creation order, so
+// posting order must hold across a sharded deployment's engines. It is
+// scheduled under e.mu, so one engine's posting order is its ID order.
+//
+// Booking only there is what lets the clearing loop and the escalation
+// sweep park without a re-check: no booking lands between a round's look
+// at the book and its Park. A post from inside a level-0 callback books
+// later in the same tick, before any clearing level runs, so every round
+// sees every order posted at or before its tick.
+func (e *Engine) submit(id OrderID, offer core.Offer) (OrderID, error) {
+	if err := validateOffer(offer); err != nil {
+		return 0, err
 	}
-	var out []Routed
-	e.book.takeThrough(cutoff, func(o *order) {
-		out = append(out, Routed{
-			ID:            o.id,
-			Offer:         o.offer,
-			SubmittedTick: o.submittedTick,
-			SubmittedAt:   o.submittedAt,
-		})
-		delete(e.orders, o.id)
-	})
-	empty := e.book.len() == 0
-	e.mu.Unlock()
-	if len(out) > 0 {
-		e.agg.AddSubmitted(-len(out))
-	}
-	if empty {
-		e.notifyDrain()
-	}
-	return out
-}
-
-// bookOrder validates the offer against engine state, mints unseen
-// assets, and books the order, all under the engine lock. id 0 draws the
-// next engine-local ID (plain Submit); a router-assigned id books under
-// that identity and advances the local sequence past it.
-func (e *Engine) bookOrder(offer core.Offer, id OrderID, tick vtime.Ticks, wall time.Time) (OrderID, error) {
+	o := &order{id: id, offer: offer, status: StatusPending, submittedAt: time.Now(), e: e}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state != stateRunning {
 		return 0, ErrNotRunning
 	}
-	if id != 0 {
-		if _, dup := e.orders[id]; dup {
-			return 0, fmt.Errorf("%w: order %d already booked", ErrBadOffer, id)
+	if o.id == 0 {
+		e.nextOrder++
+		o.id = e.nextOrder
+	} else if _, dup := e.orders[o.id]; dup {
+		// The ID keys the order map: a second order under it has no row of
+		// its own to be rejected in.
+		return 0, fmt.Errorf("%w: order %d already booked", ErrBadOffer, o.id)
+	} else if o.id > e.nextOrder {
+		e.nextOrder = o.id
+	}
+	e.orders[o.id] = o
+	e.posted++
+	e.postedOf[o.offer.Party]++
+	e.sched.Schedule(&o.intake, 0, 0, o) // tick 0 is never ahead: the current tick
+	return o.id, nil
+}
+
+// Fire is an order's intake event: the scheduler's entry point (Handler).
+func (o *order) Fire() { o.e.admit(o) }
+
+// admit books one posted order, inside the intake event: it ensures the
+// party's identity (keygen once per party ever, so no clearing round pays
+// for it), mints the assets it deposits for the first time, stamps the
+// booking tick, books the order and wakes the clearing loop. An offer the
+// ledger contradicts is rejected instead, with the reason; an identity or
+// mint it made before the contradiction stays, as both are reused.
+func (e *Engine) admit(o *order) {
+	_, err := e.keyring.Ensure(o.offer.Party)
+	now := e.sched.Now()
+	e.mu.Lock()
+	e.posted--
+	if n := e.postedOf[o.offer.Party] - 1; n > 0 {
+		e.postedOf[o.offer.Party] = n
+	} else {
+		delete(e.postedOf, o.offer.Party)
+	}
+	if err == nil {
+		err = e.deposit(o.offer, now)
+	}
+	if err != nil {
+		o.status, o.reason = StatusRejected, err.Error()
+		e.logEvent(Event{Kind: EvRejected, Tick: now, Order: o.id, Reason: o.reason, Offer: &o.offer})
+	} else {
+		o.submittedTick = now
+		e.book.add(o)
+		e.logEvent(Event{Kind: EvBooked, Tick: now, Order: o.id, Offer: &o.offer})
+	}
+	e.mu.Unlock()
+	e.agg.AddSubmitted(1)
+	if err != nil {
+		e.agg.AddRejected(1)
+	} else {
+		e.clearing.Wake()
+		if f := e.cfg.host.OnBook; f != nil {
+			f()
 		}
 	}
-	// Deposit-on-intake: mint unseen assets under the offering party.
-	// Known assets must match amount; ownership is enforced later, at
-	// reservation time, so an offer whose asset is tied up in an earlier
-	// swap waits instead of failing.
+	e.notifyDrain()
+}
+
+// deposit mints the offer's unseen assets under its party (deposit on
+// intake) and checks known ones against the ledger. Ownership is enforced
+// later, at reservation time, so an offer whose asset is tied up in an
+// earlier swap waits instead of failing. Called with e.mu held.
+func (e *Engine) deposit(offer core.Offer, now vtime.Ticks) error {
 	for _, tr := range offer.Give {
 		ch := e.reg.Chain(tr.Chain)
 		if a, ok := ch.Asset(tr.Asset); ok {
 			if a.Amount != tr.Amount {
-				return 0, fmt.Errorf("%w: %s/%s has amount %d, offer says %d",
+				return fmt.Errorf("%w: %s/%s has amount %d, offer says %d",
 					ErrAssetMismatch, tr.Chain, tr.Asset, a.Amount, tr.Amount)
 			}
 			continue
 		}
 		if err := ch.RegisterAsset(chain.Asset{ID: tr.Asset, Amount: tr.Amount}, offer.Party); err != nil {
-			return 0, fmt.Errorf("engine: minting %s/%s: %w", tr.Chain, tr.Asset, err)
+			return fmt.Errorf("engine: minting %s/%s: %w", tr.Chain, tr.Asset, err)
 		}
 		e.minted = append(e.minted, Minted{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
-		// Wall-stamped intake, like the booking tick Submit passes in.
 		e.logEvent(Event{
-			Kind: EvMinted, Tick: e.sched.Now(),
+			Kind: EvMinted, Tick: now,
 			Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount,
 			Party: string(offer.Party),
 		})
 	}
-	if id == 0 {
-		e.nextOrder++
-		id = e.nextOrder
-	} else if id > e.nextOrder {
-		e.nextOrder = id
+	return nil
+}
+
+// Escalate is the escalation protocol, called on the coordinator by the
+// sharded escalation sweep, on the timeline: it runs at its own tail level,
+// after every shard's clearing pass of the tick and before the
+// coordinator's. It withdraws every order booked on the shards at or
+// before the cutoff tick and books it here, in global ID order, so that the
+// coordinator's book does not depend on the shard count. An order moves
+// whole, with its ID and original submit instants, so its escalation age
+// and digest row do not depend on how many hops it took; it leaves its
+// shard's book and order map before it joins these, so the merged order set
+// never shows it twice; and re-booking an order the deployment accepted is
+// not gated by intake state. It returns how many orders the shard books
+// still hold.
+func (e *Engine) Escalate(shards []*Engine, cutoff vtime.Ticks) (left int) {
+	var moved []*order
+	for _, sh := range shards {
+		n := len(moved)
+		sh.mu.Lock()
+		if !sh.killed {
+			sh.book.takeThrough(cutoff, func(o *order) {
+				moved = append(moved, o)
+				delete(sh.orders, o.id)
+			})
+		}
+		rest := sh.book.len()
+		sh.mu.Unlock()
+		// The submitted counts follow the order, so the merged report
+		// counts it once.
+		sh.agg.AddSubmitted(n - len(moved))
+		if rest == 0 {
+			sh.notifyDrain()
+		}
+		left += rest
 	}
-	o := &order{
-		id:            id,
-		offer:         offer,
-		status:        StatusPending,
-		submittedAt:   wall,
-		submittedTick: tick,
+	if len(moved) == 0 {
+		return left
 	}
-	e.orders[o.id] = o
-	e.book.add(o)
-	e.bookSeq.Add(1)
-	e.agg.AddSubmitted(1)
-	e.logEvent(Event{
-		Kind: EvBooked, Tick: o.submittedTick,
-		Order: o.id, Offer: &o.offer,
-	})
-	return o.id, nil
+	slices.SortFunc(moved, func(a, b *order) int { return cmp.Compare(a.id, b.id) })
+	e.mu.Lock()
+	for _, o := range moved {
+		e.nextOrder = max(e.nextOrder, o.id)
+		e.orders[o.id] = o
+		e.book.add(o)
+		e.logEvent(Event{Kind: EvBooked, Tick: o.submittedTick, Order: o.id, Offer: &o.offer})
+	}
+	e.mu.Unlock()
+	e.agg.AddSubmitted(len(moved))
+	e.clearing.Wake()
+	return left
 }
 
 // Order returns a snapshot of one order's state.
@@ -969,8 +987,8 @@ func (e *Engine) Orders() []OrderSnapshot {
 
 // NoteShed records arrivals dropped before intake (the open-loop
 // generator's bounded-intake backstop), so shedding shows up in the
-// engine's own per-outcome accounting. Its tick is wall-stamped intake, as
-// Submit's is.
+// engine's own per-outcome accounting. Call it from a scheduler callback
+// (the arrival that was shed): its WAL record carries that event's tick.
 func (e *Engine) NoteShed(n int) {
 	e.agg.AddShed(n)
 	e.shedPulse.Add(int64(n))
@@ -980,31 +998,39 @@ func (e *Engine) NoteShed(n int) {
 // NoteShedFrom is NoteShed with party attribution: the shed arrival's
 // offering party rides along in the WAL event, so a recovered run — and
 // any fairness audit over the log — can tell whose traffic the backstop
-// turned away. Its tick is wall-stamped intake, as Submit's is.
+// turned away. Call it from a scheduler callback, as NoteShed.
 func (e *Engine) NoteShedFrom(party chain.PartyID, n int) {
 	e.agg.AddShed(n)
 	e.shedPulse.Add(int64(n))
 	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n, Party: string(party)})
 }
 
-// PendingOf reports how many of the named party's orders are pending.
+// PendingOf reports how many of the named party's orders are pending:
+// booked, or posted and not yet booked.
 func (e *Engine) PendingOf(party chain.PartyID) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.book.of(party)
+	return e.book.of(party) + e.postedOf[party]
 }
 
-// PendingParties reports how many distinct parties have pending orders.
+// PendingParties reports how many distinct parties have pending orders,
+// booked or posted.
 func (e *Engine) PendingParties() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.book.partyCount()
+	n := e.book.partyCount()
+	for p := range e.postedOf {
+		if e.book.of(p) == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // clearTick is one round of the batch clearing service: it partitions
 // the pending book into executable swaps. The return value says whether to
-// keep the loop armed: an engine with nothing to do parks instead (Submit
-// wakes it; see clearing).
+// keep the loop armed: an engine with nothing to do parks instead (a
+// booking wakes it; see clearing).
 func (e *Engine) clearTick() bool {
 	e.clearRounds++
 	// Liveness: the book is non-empty, or swaps this engine dispatched are
@@ -1020,12 +1046,11 @@ func (e *Engine) clearTick() bool {
 	// gate must not read cross-shard state (it would also be racy across
 	// concurrently-running shard stripes).
 	live := int(e.liveRuns.Load())
-	seq := e.bookSeq.Load()
-	if e.Pending() > 0 || live > 0 {
+	if e.booked() > 0 || live > 0 {
 		if e.cfg.AdaptiveDelta {
 			e.adaptDelta()
 		}
-		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.Pending() == 0 {
+		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.booked() == 0 {
 			e.roundTicks = append(e.roundTicks, e.sched.Now())
 			e.activeRounds++
 			return true
@@ -1035,16 +1060,14 @@ func (e *Engine) clearTick() bool {
 		// differ until a new order books, so spinning would only burn
 		// wall-dependent rounds — the digest's determinism hangs on parking
 		// here, and like the idle round, this one is not counted active.
-		// Submit re-arms; Drain rejects a book still stuck at drain time.
+		// A booking re-arms; Drain rejects a book still stuck at drain time.
 		// A reservation conflict is not stuck: the holder releases the asset
 		// when its run settles, and the next round finds it free.
 	}
+	// No re-check after the park: orders book at level 0 of a tick (admit)
+	// or, on the coordinator, at the sweep's level 2 — never during this
+	// round — and the booking wakes the loop after it.
 	e.clearing.Park()
-	// Re-check now that the loop is parked: an order booked since the round
-	// began saw an armed loop, did not wake it, and would wait forever.
-	if e.bookSeq.Load() != seq {
-		e.clearing.Wake()
-	}
 	e.notifyDrain()
 	return false
 }
@@ -1441,21 +1464,15 @@ func (e *Engine) settle(j *job, res *conc.Result) {
 	}
 }
 
-// rejectPending rejects every still-pending order. Drain calls it on the
-// caller's goroutine, once the clearing loop has parked: the rejection tick
-// is a parked free clock's last event tick, or on a paced clock the wall's.
-func (e *Engine) rejectPending(reason string) {
-	e.mu.Lock()
-	batch := e.book.all()
-	e.mu.Unlock()
-	e.rejectOrders(batch, reason)
-}
-
 // rejectOrders marks orders rejected (skipping any that already left the
-// pending state) and removes them from the book.
+// pending state) and removes them from the book. A nil batch is the whole
+// book.
 func (e *Engine) rejectOrders(batch []*order, reason string) {
 	now := e.sched.Now()
 	e.mu.Lock()
+	if batch == nil {
+		batch = e.book.all()
+	}
 	n := 0
 	for _, o := range batch {
 		if o.status != StatusPending {
@@ -1493,8 +1510,8 @@ func (e *Engine) notifyDrain() {
 // the virtual instant of the crash; durable.Recover replays only events
 // stamped at or before it, making the recovered state a pure function
 // of the schedule. Call Stop afterwards to wait out the live runs and
-// release the scheduler. Safe from any goroutine, including scheduler
-// callbacks (it never waits on a clearing tick in flight).
+// release the scheduler. Call it from a scheduler callback, so that the
+// cut is that event's tick (it never waits on a clearing tick in flight).
 func (e *Engine) Kill() vtime.Ticks {
 	e.mu.Lock()
 	if e.state == stateRunning || e.state == stateNew {
@@ -1503,7 +1520,6 @@ func (e *Engine) Kill() vtime.Ticks {
 	e.killed = true
 	e.mu.Unlock()
 	e.clearing.Stop(false)
-	// Wall-stamped like intake: Kill may come from the caller's goroutine.
 	cut := e.sched.Now()
 	if e.ownsHost {
 		// One crash, one kill record: the host owner's.
@@ -1529,36 +1545,40 @@ func (e *Engine) Drain(ctx context.Context) error {
 	// filled from outside with no hold, or not at all — is that party; on a
 	// clock already let go this is a hold taken and dropped.
 	e.sched.Hold()()
-	// Event-driven wait: settles, rejections, parking, and Kill all signal
-	// drainCh the instant the engine may have gone idle, so runs pay no
-	// fixed wall-clock poll interval as a shutdown tail. The coarse ticker
-	// is a belt-and-braces fallback only.
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
+	// Event-driven wait: bookings, settles, rejections, parking, and Kill
+	// all signal drainCh the instant the engine may have gone idle, so runs
+	// pay no wall-clock poll interval as a shutdown tail.
 	for {
-		// The book before the live count: see clearGroup.
+		// The book before the live count: see clearGroup. A posted order is
+		// on its way into the book.
 		e.mu.Lock()
-		booked := e.book.len() > 0 && !e.killed
+		booked, posted := e.book.len() > 0 && !e.killed, e.posted > 0
 		e.mu.Unlock()
+		var wait <-chan struct{} = e.drainCh
 		if e.liveRuns.Load() == 0 {
-			if !booked {
+			if !booked && !posted {
 				return nil
 			}
 			// The clearing loop parks on a stuck book (see clearTick); the
 			// remaining offers have no counterparties coming, so reject
-			// them here. A parked free clock is frozen at the schedule's
-			// last event, so the rejection tick — and the digest — stays a
-			// pure function of the seed.
-			if e.clearing.Parked() {
-				e.rejectPending("unmatched: no counterparties before drain")
-				continue
+			// them, on the timeline, at the current tick. A parked free
+			// clock is frozen at the schedule's last event, so the rejection
+			// tick — and the digest — stays a pure function of the seed.
+			if !posted && !e.clearing.Armed() {
+				done := make(chan struct{})
+				e.sched.AtKeyed(0, e.cfg.host.Stripe, func() {
+					if !e.clearing.Armed() {
+						e.rejectOrders(nil, "unmatched: no counterparties before drain")
+					}
+					close(done)
+				})
+				wait = done
 			}
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-e.drainCh:
-		case <-tick.C:
+		case <-wait:
 		}
 	}
 }
@@ -1639,8 +1659,16 @@ func (e *Engine) ClearRounds() int { return e.activeRounds }
 // work would in a 1-shard run.
 func (e *Engine) ClearRoundTicks() []vtime.Ticks { return e.roundTicks }
 
-// Pending returns the current book depth.
+// Pending returns the number of pending orders: the book's depth plus the
+// orders posted and not yet booked.
 func (e *Engine) Pending() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.book.len() + e.posted
+}
+
+// booked returns the book's depth alone: what a clearing round can see.
+func (e *Engine) booked() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.book.len()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -326,11 +327,14 @@ func TestEngineRejectsBadOffers(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("valid offer refused: %v", err)
 	}
-	// Same asset, different amount: the ledger says 5.
-	if _, err := e.Submit(core.Offer{Party: "a", Give: []core.ProposedTransfer{
+	// Same asset, different amount: the ledger says 5. Only the intake
+	// event reads the ledger, so the post is accepted and the order is
+	// rejected there, with the reason.
+	mismatch, err := e.Submit(core.Offer{Party: "a", Give: []core.ProposedTransfer{
 		{To: "b", Chain: "c", Asset: "s", Amount: 6},
-	}}); !errors.Is(err, ErrAssetMismatch) {
-		t.Fatalf("amount mismatch: %v", err)
+	}})
+	if err != nil {
+		t.Fatalf("amount mismatch refused at the post: %v", err)
 	}
 	// One asset backing two transfers in one offer.
 	if _, err := e.Submit(core.Offer{Party: "d", Give: []core.ProposedTransfer{
@@ -340,6 +344,10 @@ func TestEngineRejectsBadOffers(t *testing.T) {
 		t.Fatalf("duplicate asset in offer: %v", err)
 	}
 	drainAndStop(t, e)
+	if snap, _ := e.Order(mismatch); snap.Status != StatusRejected ||
+		!strings.Contains(snap.Reason, "has amount 5, offer says 6") {
+		t.Fatalf("amount mismatch: %s %q, want rejected naming both amounts", snap.Status, snap.Reason)
+	}
 	if _, err := e.Submit(core.Offer{Party: "x", Give: []core.ProposedTransfer{
 		{To: "y", Chain: "c", Asset: "z", Amount: 1},
 	}}); !errors.Is(err, ErrNotRunning) {

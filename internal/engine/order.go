@@ -5,6 +5,7 @@ import (
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -74,6 +75,12 @@ type order struct {
 	pos          uint64
 	next, prev   *order
 	pnext, pprev *order
+
+	// intake is the event that books the posted order on engine e (see
+	// Engine.submit): the order is its own queue entry, so a post
+	// allocates nothing more.
+	intake sched.Event
+	e      *Engine
 }
 
 // OrderSnapshot is the caller-visible copy of an order's state.

@@ -89,12 +89,13 @@ type ShardedEngine struct {
 	startedAt time.Time
 
 	// sweep is the escalation sweep: sweepTick on the clearing cadence, at
-	// level 2 of the ladder. It parks when every shard book is empty and
-	// intake wakes it.
+	// level 2 of the ladder. It parks when every shard book is empty, and a
+	// shard's intake event wakes it (engine.Host.OnBook). swept hears each
+	// park: it is what Drain waits on.
 	sweep *sched.Loop
+	swept chan struct{}
 
-	// mu guards state and killed, and is held by the sweep across a move
-	// (see sweepTick).
+	// mu guards state and killed.
 	mu     sync.Mutex
 	state  shardedState
 	killed bool
@@ -132,6 +133,7 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		m:         NewMap(cfg.Shards),
 		escAfter:  cfg.EscalateAfter,
 		startedAt: time.Now(),
+		swept:     make(chan struct{}, 1),
 	}
 
 	// One host for everything. The stripe key space of its scheduler is
@@ -171,6 +173,8 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		host.Stripe = uint64(i + 1)
 		if i == cfg.Shards {
 			host.ShardOf = s.m.Of
+		} else {
+			host.OnBook = s.sweep.Wake
 		}
 		ec := engine.Hosted(inner, host)
 		var eng *engine.Engine
@@ -264,10 +268,11 @@ func (s *ShardedEngine) Start() error {
 }
 
 // Submit routes one offer: assign the next global order ID, resolve the
-// home shard from the give-chain map, and book it there — or on the
-// coordinator directly when the offer's own transfers span shards.
-// Safe to call from many goroutines (deterministic runs submit from
-// scheduler callbacks, exactly like the single engine).
+// home shard from the give-chain map, and post it there — or to the
+// coordinator directly when the offer's own transfers span shards. Safe
+// from any goroutine: like engine.Submit it only posts, and the order's
+// intake event books it, in posting order across every engine (they share
+// the intake stripe).
 func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	s.mu.Lock()
 	running := s.state == shardedRunning
@@ -285,16 +290,9 @@ func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	// allocating under a router-wide lock held across booking — would
 	// serialize intake across shards.
 	id := engine.OrderID(s.nextID.Add(1))
-	err := target.SubmitRouted(engine.Routed{
-		ID:            id,
-		Offer:         offer,
-		SubmittedTick: s.host.Scheduler.Now(),
-		SubmittedAt:   time.Now(),
-	})
-	if err != nil {
+	if err := target.SubmitRouted(id, offer); err != nil {
 		return 0, err
 	}
-	s.sweep.Wake()
 	return id, nil
 }
 
@@ -331,58 +329,38 @@ func (s *ShardedEngine) PendingParties() int {
 	return n
 }
 
-// sweepTick is one escalation round: withdraw every order that has aged
-// past the cutoff from every shard book and re-book it — same ID, same
-// original submit instants — on the coordinator, in global ID order.
+// sweepTick is one escalation round: move every order that has aged past
+// the cutoff from the shard books to the coordinator's (engine.Escalate).
 // Runs at level 2 of the tick ladder, on the same ClearEvery grid as the
 // clearing loops: at any grid tick the order is shard clearing (an order a
 // shard can still match locally is matched, not escalated) → sweep →
 // coordinator clearing, whatever the shard count — the alignment the
 // digest-equality contract needs. The return value says whether to stay
-// armed: with every shard book empty the sweep parks and intake wakes it.
+// armed: with every shard book empty the sweep parks, and tells Drain. No
+// re-check is needed: a shard books only in an intake event, at level 0,
+// which wakes the sweep after it.
 func (s *ShardedEngine) sweepTick() bool {
-	cutoff := s.host.Scheduler.Now().Add(-s.escAfter)
-	// An order on the move is in no book. The move happens under s.mu so
-	// that Drain, which samples the shard books from outside the scheduler,
-	// never takes "withdrawn, not yet re-booked" for "drained" and closes
-	// the coordinator's intake under it.
-	s.mu.Lock()
-	var moved []engine.Routed
-	for _, sh := range s.shards {
-		moved = append(moved, sh.TakeEscalatable(cutoff)...)
+	if s.coord.Escalate(s.shards, s.host.Scheduler.Now().Add(-s.escAfter)) > 0 {
+		return true
 	}
-	// Each shard returns its own book in ID order; merge to global ID
-	// order so the coordinator's book order — and therefore its batch
-	// scan — is independent of the shard count.
-	sort.Slice(moved, func(i, j int) bool { return moved[i].ID < moved[j].ID })
-	for _, r := range moved {
-		if err := s.coord.SubmitRouted(r); err != nil {
-			// Only a dying coordinator refuses (Kill raced the sweep); the
-			// order is part of the crash the WAL already covers.
-			break
-		}
+	s.sweep.Park()
+	select {
+	case s.swept <- struct{}{}:
+	default:
 	}
-	s.mu.Unlock()
-	rem := 0
-	for _, sh := range s.shards {
-		rem += sh.Pending()
-	}
-	if rem == 0 {
-		s.sweep.Park()
-		// Re-check now that the sweep is parked: an order booked between
-		// the count and the park saw an armed sweep and did not wake it.
-		for _, sh := range s.shards {
-			if sh.Pending() > 0 {
-				s.sweep.Wake()
-				break
-			}
-		}
-		return false
-	}
-	return true
+	return false
 }
 
-// Pending reports the total book depth across every engine.
+// shardsPending counts the orders pending on the shards, posted or booked.
+func (s *ShardedEngine) shardsPending() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.Pending()
+	}
+	return n
+}
+
+// Pending reports the pending orders across every engine, posted or booked.
 func (s *ShardedEngine) Pending() int {
 	n := 0
 	for _, e := range s.engines {
@@ -506,26 +484,16 @@ func (s *ShardedEngine) Drain(ctx context.Context) error {
 	// Let go of a clock still held from birth (see engine.Drain).
 	s.host.Scheduler.Hold()()
 	if !killed {
-		// Wait out the shard books: local rounds clear what they can,
-		// the sweep moves the rest to the coordinator, and a free clock
-		// runs through both. Coarse poll — every
-		// transition is scheduler-driven, this loop only observes it.
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			s.mu.Lock() // not in the middle of a sweep's move
-			n := 0
-			for _, sh := range s.shards {
-				n += sh.Pending()
-			}
-			s.mu.Unlock()
-			if n == 0 {
-				break
-			}
+		// Wait out the shard books: local rounds clear what they can, the
+		// sweep moves the rest to the coordinator and parks once every shard
+		// book is empty. The count comes before the sweep's state: an order
+		// on the move is in no book, but the sweep is armed until its move
+		// is done, and posted orders count as pending.
+		for s.shardsPending() > 0 || s.sweep.Armed() {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-tick.C:
+			case <-s.swept:
 			}
 		}
 	}

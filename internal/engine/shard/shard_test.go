@@ -2,9 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/htlc"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -448,5 +452,237 @@ func TestShardDefaultsMatchEngine(t *testing.T) {
 	}
 	if got := s.escAfter; got != 4*want.ClearEvery {
 		t.Errorf("escalation after %d ticks, want 4 × the engine's default cadence %d", got, want.ClearEvery)
+	}
+}
+
+// recorder is a Store that keeps every event in append order.
+type recorder struct {
+	mu  sync.Mutex
+	evs []engine.Event
+}
+
+func (r *recorder) Append(ev engine.Event) {
+	r.mu.Lock()
+	r.evs = append(r.evs, ev)
+	r.mu.Unlock()
+}
+
+func (r *recorder) events() []engine.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]engine.Event(nil), r.evs...)
+}
+
+// intakeLine is what the held-clock test compares of an intake event.
+func intakeLine(ev engine.Event) string {
+	switch ev.Kind {
+	case engine.EvIdentity:
+		return fmt.Sprintf("%s@%d %s", ev.Kind, ev.Tick, ev.Party)
+	case engine.EvMinted:
+		return fmt.Sprintf("%s@%d %s/%s", ev.Kind, ev.Tick, ev.Chain, ev.Asset)
+	}
+	return fmt.Sprintf("%s@%d order=%d", ev.Kind, ev.Tick, ev.Order)
+}
+
+// TestHeldClockTakesNoIntake: Submit only posts. On a held free clock an
+// order shows at once (Pending, Orders), but nothing is logged and no chain
+// records anything until the clock lets go; then the intake event books
+// every order at tick 0 in posting order — the party's identity, the
+// assets it mints, the booking — whether one engine takes the offers or
+// four shards and a coordinator do.
+func TestHeldClockTakesNoIntake(t *testing.T) {
+	type target interface {
+		Start() error
+		Submit(core.Offer) (engine.OrderID, error)
+		Pending() int
+		Orders() []engine.OrderSnapshot
+		Registry() *chain.Registry
+		Scheduler() sched.Scheduler
+		Stop(context.Context) error
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(engine.Store) target
+	}{
+		{"plain", func(st engine.Store) target {
+			cfg := detConfig(4, 17).Engine
+			cfg.Store = st
+			return engine.New(cfg)
+		}},
+		{"4 shards", func(st engine.Store) target {
+			cfg := detConfig(4, 17)
+			cfg.Engine.Store = st
+			return New(cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := new(recorder)
+			e := tc.build(rec)
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			pools := NewMap(4).Pools(2)
+			release := e.Scheduler().Hold()
+			var offers []core.Offer
+			var ids []engine.OrderID
+			for ring := 0; ring < 10; ring++ {
+				chains := pools[ring%4]
+				if ring%3 == 0 { // a ring that spans two shards
+					chains = []string{pools[ring%4][0], pools[(ring+1)%4][0]}
+				}
+				for i := 0; i < 3; i++ {
+					o := engine.LoadOfferOn(ring, i, 3, ring%5, chains[i%len(chains)])
+					id, err := e.Submit(o)
+					if err != nil {
+						release()
+						t.Fatal(err)
+					}
+					offers, ids = append(offers, o), append(ids, id)
+				}
+			}
+			held := len(rec.events())
+			for _, name := range e.Registry().Names() {
+				if n := len(e.Registry().Chain(name).Records()); n != 0 {
+					t.Errorf("chain %s holds %d records under the hold", name, n)
+				}
+			}
+			pending, shown := e.Pending(), len(e.Orders())
+			release()
+			if held != 0 {
+				t.Errorf("%d events logged under the hold, want none", held)
+			}
+			if pending != len(offers) || shown != len(offers) {
+				t.Errorf("under the hold: Pending %d, Orders %d, want both %d", pending, shown, len(offers))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := e.Stop(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			var want []string
+			seen := make(map[string]bool)
+			for k, o := range offers {
+				if !seen[string(o.Party)] {
+					seen[string(o.Party)] = true
+					want = append(want, fmt.Sprintf("%s@0 %s", engine.EvIdentity, o.Party))
+				}
+				for _, tr := range o.Give {
+					want = append(want, fmt.Sprintf("%s@0 %s/%s", engine.EvMinted, tr.Chain, tr.Asset))
+				}
+				want = append(want, fmt.Sprintf("%s@0 order=%d", engine.EvBooked, ids[k]))
+			}
+			evs := rec.events()
+			if len(evs) < len(want) {
+				t.Fatalf("%d events logged, want at least the %d of intake", len(evs), len(want))
+			}
+			for i, w := range want {
+				if got := intakeLine(evs[i]); got != w {
+					t.Fatalf("intake event %d: %s, want %s", i, got, w)
+				}
+			}
+		})
+	}
+}
+
+// TestShardRefusesDuplicateRoutedID: an order ID keys its engine's order
+// map, so a routed order under an ID the shard already holds is refused at
+// the post, and the order that holds the ID is untouched.
+func TestShardRefusesDuplicateRoutedID(t *testing.T) {
+	s := New(detConfig(2, 19))
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pool := s.ShardMap().Pools(2)
+	ids := submitRing(t, s, 0, 3, pool[0])
+	home, _ := s.ShardMap().OfOffer(engine.LoadOfferOn(0, 0, 3, 0, pool[0][0]))
+	dup := engine.LoadOfferOn(1, 0, 3, 1, pool[0][0])
+	if err := s.Shard(home).SubmitRouted(ids[0], dup); !errors.Is(err, engine.ErrBadOffer) {
+		t.Fatalf("duplicate routed ID %d: %v, want ErrBadOffer", ids[0], err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	orders := s.Orders()
+	if len(orders) != 3 {
+		t.Fatalf("%d orders, want the ring's 3", len(orders))
+	}
+	for _, o := range orders {
+		if o.Status != engine.StatusSettled || o.Party == string(dup.Party) {
+			t.Fatalf("order %d: %s by %s, want the ring's own, settled", o.ID, o.Status, o.Party)
+		}
+	}
+}
+
+// TestShardDrainRacesEscalation: Drain hears from the sweep, on the
+// timeline, that the shard books are empty, while goroutines still post
+// rings that span shards and the sweep escalates them every tick. Every
+// accepted order must appear in Orders exactly once and end terminal: none
+// is lost on its move from a shard to the coordinator, none is shown twice.
+func TestShardDrainRacesEscalation(t *testing.T) {
+	cfg := detConfig(4, 18)
+	cfg.Engine.Parallel = true
+	cfg.EscalateAfter = 1
+	s := New(cfg)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s.Scheduler().Hold()() // posting while the clock runs is the test
+	pools := s.ShardMap().Pools(2)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		accepted []engine.OrderID
+		under    = make(chan struct{}) // closed once the first rings are posted
+	)
+	const perGoroutine = 50
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < perGoroutine; r++ {
+				ring := perGoroutine*g + r
+				chains := []string{pools[ring%4][0], pools[(ring+1)%4][0]}
+				for i := 0; i < 3; i++ {
+					id, err := s.Submit(engine.LoadOfferOn(ring, i, 3, ring, chains[i%2]))
+					if err != nil {
+						return // intake closed mid-drain: expected
+					}
+					mu.Lock()
+					if accepted = append(accepted, id); len(accepted) == 30 {
+						close(under)
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	<-under
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	shown := make(map[engine.OrderID]int)
+	for _, o := range s.Orders() {
+		shown[o.ID]++
+		if o.Status != engine.StatusSettled && o.Status != engine.StatusRejected {
+			t.Errorf("order %d not terminal: %s", o.ID, o.Status)
+		}
+	}
+	for _, id := range accepted {
+		if shown[id] != 1 {
+			t.Errorf("accepted order %d shows %d times in Orders", id, shown[id])
+		}
+	}
+	if len(shown) != len(accepted) {
+		t.Errorf("Orders shows %d orders, %d were accepted", len(shown), len(accepted))
+	}
+	t.Logf("%d orders accepted, %d of them escalated", len(accepted), len(s.Coordinator().Orders()))
+	if err := s.VerifyConservation(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -33,10 +33,11 @@ const (
 // level 3 of its own tick.
 //
 // Parking is what keeps a free clock from spinning empty rounds, and a
-// paced one from waking for them. A tick that finds nothing to do calls Park, re-checks its
-// condition — work that arrived between the first look and the Park saw an
-// armed loop and did not wake it — calls Wake if the re-check found some,
-// and returns false either way.
+// paced one from waking for them. A tick that finds nothing to do calls Park
+// and returns false; whatever brings work wakes the loop afterwards. The
+// engine needs no re-check between the look and the Park: its work arrives
+// only from events of a lower level (intake books at level 0, the sweep
+// below the coordinator), never while a round is running.
 type Loop struct {
 	v     *Virtual
 	every vtime.Duration
@@ -74,7 +75,7 @@ func (l *Loop) Wake() {
 }
 
 // Park marks the loop parked. Call it from the tick, which then returns
-// false (see the type comment for the re-check that must follow).
+// false.
 func (l *Loop) Park() {
 	l.mu.Lock()
 	if l.state == loopArmed {
@@ -83,11 +84,12 @@ func (l *Loop) Park() {
 	l.mu.Unlock()
 }
 
-// Parked reports whether the loop is parked: no round will run until Wake.
-func (l *Loop) Parked() bool {
+// Armed reports whether a round is pending or running. A loop that is not
+// runs no round until Wake: it is parked, was never woken, or is stopped.
+func (l *Loop) Armed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.state == loopParked
+	return l.state == loopArmed
 }
 
 // Stop cancels the pending round for good. With wait it also waits out a

@@ -83,12 +83,12 @@ func TestLoopGridAlignment(t *testing.T) {
 		if got[0] < want[0] || got[1] < want[1] {
 			t.Fatalf("rounds at %v ran before their grid ticks %v", got, want)
 		}
-		if !l.Parked() {
-			t.Fatal("loop not parked after its tick parked it")
+		if l.Armed() {
+			t.Fatal("loop armed after its tick parked it")
 		}
 		l.Stop(true)
-		if l.Parked() {
-			t.Fatal("a stopped loop reports parked")
+		if l.Armed() {
+			t.Fatal("a stopped loop reports armed")
 		}
 	})
 }
@@ -137,41 +137,6 @@ func TestLoopWakeBelowItsLevelRunsThisTick(t *testing.T) {
 		l.Stop(true)
 		v.Close()
 	}
-}
-
-// TestLoopParkWakeNeverLosesWakeup drives the park-then-recheck protocol
-// from another goroutine: every unit of work is produced with the loop in
-// whatever state the previous one left it — armed, mid-tick, parking,
-// parked — and must still be consumed.
-func TestLoopParkWakeNeverLosesWakeup(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, v *Virtual) {
-		const iterations = 10000
-		var work atomic.Int64
-		ack := make(chan struct{}, 1) // the producer has one unit outstanding
-		var l *Loop
-		l = NewLoop(v, 1, 1, 0, func() bool {
-			if work.Swap(0) > 0 {
-				ack <- struct{}{}
-				return true
-			}
-			l.Park()
-			if work.Load() > 0 {
-				l.Wake()
-			}
-			return false
-		})
-		defer l.Stop(true)
-		v.Hold()() // the producer races a running clock: that is the test
-		for i := 0; i < iterations; i++ {
-			work.Add(1)
-			l.Wake()
-			select {
-			case <-ack:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("unit %d never consumed: wake-up lost (parked=%v)", i, l.Parked())
-			}
-		}
-	})
 }
 
 // TestLoopStopWaitsOutTick: Stop(true) returns only once a tick in flight
