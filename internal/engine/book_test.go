@@ -321,7 +321,7 @@ func runBookOps(t testing.TB, data []byte) {
 			p.reject(batch)
 		case op < 15: // the shard's escalation sweep
 			p.escalate(now - vtime.Ticks(r.next()%8))
-		default: // rejectPending
+		default: // Drain's rejection of a stuck book
 			p.reject(p.book.all())
 		}
 		p.check()

@@ -216,10 +216,12 @@ type Host struct {
 	// whose prepare records say how many shards a swap spans (a hook, not
 	// an import: engine must not depend on shard).
 	ShardOf func(chainName string) int
-	// OnBook, when set, runs inside the intake event after it books an
-	// order on this engine: a sharded deployment's shards wake its
-	// escalation sweep with it.
-	OnBook func()
+	// OnIntake, when set, runs inside the intake event after a posted order
+	// leaves intake on this engine, booked or rejected: a sharded
+	// deployment's shards wake its escalation sweep with it, so the sweep
+	// takes a booked order and a drain waiting on the sweep's park hears a
+	// rejected one.
+	OnIntake func()
 
 	// fan is the registry's delivery probe; every engine built over the
 	// host joins it.
@@ -875,9 +877,9 @@ func (e *Engine) admit(o *order) {
 		e.agg.AddRejected(1)
 	} else {
 		e.clearing.Wake()
-		if f := e.cfg.host.OnBook; f != nil {
-			f()
-		}
+	}
+	if f := e.cfg.host.OnIntake; f != nil {
+		f()
 	}
 	e.notifyDrain()
 }
@@ -1465,14 +1467,10 @@ func (e *Engine) settle(j *job, res *conc.Result) {
 }
 
 // rejectOrders marks orders rejected (skipping any that already left the
-// pending state) and removes them from the book. A nil batch is the whole
-// book.
+// pending state) and removes them from the book.
 func (e *Engine) rejectOrders(batch []*order, reason string) {
 	now := e.sched.Now()
 	e.mu.Lock()
-	if batch == nil {
-		batch = e.book.all()
-	}
 	n := 0
 	for _, o := range batch {
 		if o.status != StatusPending {
@@ -1533,7 +1531,10 @@ func (e *Engine) Kill() vtime.Ticks {
 // settle. Offers that cannot match are rejected once the book is stuck.
 // After Kill the book is deliberately ignored: pending orders are the
 // recovery subsystem's input, and no clearing round is left to resolve
-// them anyway.
+// them anyway. A posted order's intake and the stuck-book rejection are
+// scheduler events, and a closed scheduler runs none: drain every engine
+// over a host before the host's owner closes its scheduler (an engine that
+// owns its host closes it in Stop, after the drain).
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateRunning {
@@ -1568,7 +1569,10 @@ func (e *Engine) Drain(ctx context.Context) error {
 				done := make(chan struct{})
 				e.sched.AtKeyed(0, e.cfg.host.Stripe, func() {
 					if !e.clearing.Armed() {
-						e.rejectOrders(nil, "unmatched: no counterparties before drain")
+						e.mu.Lock()
+						stuck := e.book.all()
+						e.mu.Unlock()
+						e.rejectOrders(stuck, "unmatched: no counterparties before drain")
 					}
 					close(done)
 				})

@@ -90,8 +90,9 @@ type ShardedEngine struct {
 
 	// sweep is the escalation sweep: sweepTick on the clearing cadence, at
 	// level 2 of the ladder. It parks when every shard book is empty, and a
-	// shard's intake event wakes it (engine.Host.OnBook). swept hears each
-	// park: it is what Drain waits on.
+	// shard's intake event wakes it, whether it booked or rejected the order
+	// (engine.Host.OnIntake). swept hears each park: it is what Drain waits
+	// on, so every order that leaves a shard's intake must lead to one.
 	sweep *sched.Loop
 	swept chan struct{}
 
@@ -174,7 +175,7 @@ func build(cfg Config, rst *engine.RecoveredState) (*ShardedEngine, error) {
 		if i == cfg.Shards {
 			host.ShardOf = s.m.Of
 		} else {
-			host.OnBook = s.sweep.Wake
+			host.OnIntake = s.sweep.Wake
 		}
 		ec := engine.Hosted(inner, host)
 		var eng *engine.Engine

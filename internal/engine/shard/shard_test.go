@@ -616,6 +616,50 @@ func TestShardRefusesDuplicateRoutedID(t *testing.T) {
 	}
 }
 
+// TestShardDrainHearsIntakeRejection: Drain counts a posted shard order as
+// pending and waits for the sweep to park, so an order rejected at intake
+// must wake the sweep as a booked one does. The sweep is parked, an offer
+// whose amount contradicts the ledger is posted under a hold, and the
+// deployment stops: the rejection, not the context, must end the drain.
+func TestShardDrainHearsIntakeRejection(t *testing.T) {
+	s := New(detConfig(4, 20))
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	chainName := s.ShardMap().Pools(2)[0][0]
+	if _, err := s.Submit(engine.LoadOfferOn(0, 0, 3, 0, chainName)); err != nil {
+		t.Fatal(err)
+	}
+	s.Scheduler().Hold()()
+	// The lone offer escalates, and the sweep parks on the empty shard books.
+	for s.sweep.Armed() || s.shardsPending() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	release := s.Scheduler().Hold()
+	bad := engine.LoadOfferOn(0, 0, 3, 0, chainName)
+	bad.Give[0].Amount++
+	id, err := s.Submit(bad)
+	if err != nil {
+		release()
+		t.Fatal(err)
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		stopped <- s.Stop(ctx)
+	}()
+	time.Sleep(20 * time.Millisecond) // let Drain count the posted order first
+	release()
+	if err := <-stopped; err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	o, ok := s.Order(id)
+	if !ok || o.Status != engine.StatusRejected || !strings.Contains(o.Reason, "amount") {
+		t.Fatalf("mismatching order %d: %+v, want rejected naming the amounts", id, o)
+	}
+}
+
 // TestShardDrainRacesEscalation: Drain hears from the sweep, on the
 // timeline, that the shard books are empty, while goroutines still post
 // rings that span shards and the sweep escalates them every tick. Every

@@ -279,14 +279,14 @@ func TestVirtualConcurrentSchedulers(t *testing.T) {
 // clock rests on the horizon, and later events never run.
 func TestVirtualRunUntil(t *testing.T) {
 	t.Run("time order and horizon", func(t *testing.T) {
+		// The clock is born held, and RunUntil lets it go only after queuing
+		// the horizon: a release before RunUntil would run the later events.
 		v := NewVirtual(1)
 		var ran []vtime.Ticks
-		release := v.Hold()
 		for _, at := range []vtime.Ticks{20, 5, 15, 10} {
 			at := at
 			v.At(at, func() { ran = append(ran, v.Now()) })
 		}
-		release()
 		v.RunUntil(12)
 		if len(ran) != 2 || ran[0] != 5 || ran[1] != 10 {
 			t.Fatalf("ran at %v, want [5 10]", ran)
@@ -350,11 +350,9 @@ func TestVirtualRunUntil(t *testing.T) {
 	t.Run("cancelled head does not pull the clock", func(t *testing.T) {
 		v := NewVirtual(1)
 		ran := 0
-		release := v.Hold()
 		tm := v.At(5, func() { ran++ })
 		v.At(50, func() { ran++ })
 		tm.Stop()
-		release()
 		v.RunUntil(10)
 		if ran != 0 {
 			t.Fatalf("%d events ran, want none", ran)
