@@ -226,6 +226,9 @@ type Host struct {
 	// fan is the registry's delivery probe; every engine built over the
 	// host joins it.
 	fan *probeFan
+	// intake holds the orders posted to every engine over the host until
+	// its one event admits them.
+	intake *intake
 }
 
 // NewHost builds a deployment's shared infrastructure from cfg: the
@@ -254,6 +257,7 @@ func NewHost(cfg Config) Host {
 		Cache:     hashkey.NewVerifyCache(0),
 		Tracer:    trace.NewLog(trace.DefaultCap),
 		fan:       new(probeFan),
+		intake:    &intake{v: sc},
 	}
 	// Cold chain walks may fan links across the pool — capped at the
 	// machine's parallelism, where extra fan-out is pure overhead. Sized
@@ -802,12 +806,9 @@ func (e *Engine) SubmitRouted(id OrderID, offer core.Offer) error {
 }
 
 // submit is Submit and SubmitRouted: the post. id 0 draws the next
-// engine-local ID. The order exists from here on (Orders, Pending), and its
-// own intake event books it (admit) at level 0 of the current tick, on
-// stripe key 0, the one stripe every engine of a host shares: identities
-// are drawn from the keyring's one seeded stream in creation order, so
-// posting order must hold across a sharded deployment's engines. It is
-// scheduled under e.mu, so one engine's posting order is its ID order.
+// engine-local ID. The order exists from here on (Orders, Pending), and it
+// joins its host's intake, whose one event books it (admit) at level 0 of
+// the current tick, in posting order across every engine of the host.
 //
 // Booking only there is what lets the clearing loop and the escalation
 // sweep park without a re-check: no booking lands between a round's look
@@ -837,12 +838,9 @@ func (e *Engine) submit(id OrderID, offer core.Offer) (OrderID, error) {
 	e.orders[o.id] = o
 	e.posted++
 	e.postedOf[o.offer.Party]++
-	e.sched.Schedule(&o.intake, 0, 0, o) // tick 0 is never ahead: the current tick
+	e.cfg.host.intake.post(o)
 	return o.id, nil
 }
-
-// Fire is an order's intake event: the scheduler's entry point (Handler).
-func (o *order) Fire() { o.e.admit(o) }
 
 // admit books one posted order, inside the intake event: it ensures the
 // party's identity (keygen once per party ever, so no clearing round pays

@@ -5,7 +5,6 @@ import (
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
-	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -76,11 +75,9 @@ type order struct {
 	next, prev   *order
 	pnext, pprev *order
 
-	// intake is the event that books the posted order on engine e (see
-	// Engine.submit): the order is its own queue entry, so a post
-	// allocates nothing more.
-	intake sched.Event
-	e      *Engine
+	// e is the engine the order was posted to: the host's intake event
+	// admits it there (see Engine.submit).
+	e *Engine
 }
 
 // OrderSnapshot is the caller-visible copy of an order's state.
