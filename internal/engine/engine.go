@@ -411,7 +411,7 @@ type Minted struct {
 // offers from any goroutine, and Drain/Stop to wind down.
 //
 // Engine state is written on the scheduler's timeline only: Submit posts
-// an order, and the order's intake event books it at level 0 of the tick
+// an order, and the host's intake event books it at level 0 of the tick
 // (see submit). e.mu guards that state — the order map, the book and the
 // posted counts — against outside readers and against the stripes of one
 // batch that reach it at once (an intake event and a settle).
@@ -760,8 +760,7 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// validateOffer is the static (state-free) intake check shared by Submit
-// and SubmitRouted.
+// validateOffer is SubmitRouted's static (state-free) intake check.
 func validateOffer(offer core.Offer) error {
 	if len(offer.Give) == 0 || offer.Party == "" {
 		return fmt.Errorf("%w: empty offer or party", ErrBadOffer)
@@ -789,33 +788,27 @@ func validateOffer(offer core.Offer) error {
 // Submit posts one offer for booking and returns its order ID. Safe from
 // any goroutine, and it touches nothing the timeline reads: it validates
 // the offer statically, assigns the ID and records the pending order, and
-// the order's intake event books it (see submit and admit) — minting
+// the host's intake event books it (see SubmitRouted and admit) — minting
 // any asset the party deposits for the first time, or rejecting the order
 // if the ledger says otherwise.
 func (e *Engine) Submit(offer core.Offer) (OrderID, error) {
-	return e.submit(0, offer)
+	return e.SubmitRouted(0, offer)
 }
 
 // SubmitRouted is Submit under a router-assigned order ID (0 draws the
-// engine's own). The engine's own ID sequence jumps past the routed ID, so
-// mixing Submit and SubmitRouted on one engine cannot collide; an ID the
-// engine already holds is refused.
-func (e *Engine) SubmitRouted(id OrderID, offer core.Offer) error {
-	_, err := e.submit(id, offer)
-	return err
-}
-
-// submit is Submit and SubmitRouted: the post. id 0 draws the next
-// engine-local ID. The order exists from here on (Orders, Pending), and it
-// joins its host's intake, whose one event books it (admit) at level 0 of
-// the current tick, in posting order across every engine of the host.
+// engine's own), and the one post. The engine's own ID sequence jumps past
+// the routed ID, so mixing Submit and SubmitRouted on one engine cannot
+// collide; an ID the engine already holds is refused. The order exists from
+// here on (Orders, Pending), and it joins its host's intake, whose one event
+// books it (admit) at level 0 of the current tick, in posting order across
+// every engine of the host.
 //
 // Booking only there is what lets the clearing loop and the escalation
 // sweep park without a re-check: no booking lands between a round's look
 // at the book and its Park. A post from inside a level-0 callback books
 // later in the same tick, before any clearing level runs, so every round
 // sees every order posted at or before its tick.
-func (e *Engine) submit(id OrderID, offer core.Offer) (OrderID, error) {
+func (e *Engine) SubmitRouted(id OrderID, offer core.Offer) (OrderID, error) {
 	if err := validateOffer(offer); err != nil {
 		return 0, err
 	}
@@ -842,6 +835,47 @@ func (e *Engine) submit(id OrderID, offer core.Offer) (OrderID, error) {
 	return o.id, nil
 }
 
+// intake is a host's posted orders and the one event that admits them, in
+// posting order across every engine over the host: identities are drawn
+// from the keyring's one seeded stream in creation order, so that order must
+// hold across a sharded deployment's engines. The event runs at level 0 of
+// the tick it was queued in, on stripe key 0. The host owns the event and
+// both lists, as sched.Loop owns its rounds, so a post allocates nothing
+// once the lists have grown.
+type intake struct {
+	v  *sched.Virtual
+	ev sched.Event // queued exactly while posted is non-empty
+
+	mu     sync.Mutex
+	posted []*order
+	run    []*order // the list the event admits; only the event touches it
+}
+
+// post appends o and queues the event if o is the first order since the
+// event last took the list. Called under o's engine mutex, so one engine's
+// posting order is its ID order.
+func (in *intake) post(o *order) {
+	in.mu.Lock()
+	if in.posted = append(in.posted, o); len(in.posted) == 1 {
+		in.v.Schedule(&in.ev, 0, 0, in) // tick 0 is never ahead: the current tick
+	}
+	in.mu.Unlock()
+}
+
+// Fire is the intake event, the scheduler's entry point (Handler): it takes
+// the posted list and admits each order on the engine it was posted to. A
+// post while it runs queues the event again; the dispatcher is done with an
+// event once its Fire has begun, and intake events never overlap.
+func (in *intake) Fire() {
+	in.mu.Lock()
+	in.posted, in.run = in.run[:0], in.posted
+	in.mu.Unlock()
+	for i, o := range in.run {
+		o.e.admit(o)
+		in.run[i] = nil
+	}
+}
+
 // admit books one posted order, inside the intake event: it ensures the
 // party's identity (keygen once per party ever, so no clearing round pays
 // for it), mints the assets it deposits for the first time, stamps the
@@ -864,18 +898,15 @@ func (e *Engine) admit(o *order) {
 	if err != nil {
 		o.status, o.reason = StatusRejected, err.Error()
 		e.logEvent(Event{Kind: EvRejected, Tick: now, Order: o.id, Reason: o.reason, Offer: &o.offer})
+		e.agg.AddRejected(1)
 	} else {
 		o.submittedTick = now
 		e.book.add(o)
 		e.logEvent(Event{Kind: EvBooked, Tick: now, Order: o.id, Offer: &o.offer})
+		e.clearing.Wake()
 	}
 	e.mu.Unlock()
 	e.agg.AddSubmitted(1)
-	if err != nil {
-		e.agg.AddRejected(1)
-	} else {
-		e.clearing.Wake()
-	}
 	if f := e.cfg.host.OnIntake; f != nil {
 		f()
 	}

@@ -273,7 +273,7 @@ func (s *ShardedEngine) Start() error {
 // coordinator directly when the offer's own transfers span shards. Safe
 // from any goroutine: like engine.Submit it only posts, and the order's
 // intake event books it, in posting order across every engine (they share
-// the intake stripe).
+// the host's intake).
 func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	s.mu.Lock()
 	running := s.state == shardedRunning
@@ -290,11 +290,7 @@ func (s *ShardedEngine) Submit(offer core.Offer) (engine.OrderID, error) {
 	// gaps are harmless (nothing assumes density), and the alternative —
 	// allocating under a router-wide lock held across booking — would
 	// serialize intake across shards.
-	id := engine.OrderID(s.nextID.Add(1))
-	if err := target.SubmitRouted(id, offer); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return target.SubmitRouted(engine.OrderID(s.nextID.Add(1)), offer)
 }
 
 // NoteShed records dropped arrivals (on shard 0, whose aggregate the

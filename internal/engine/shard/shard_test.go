@@ -597,7 +597,7 @@ func TestShardRefusesDuplicateRoutedID(t *testing.T) {
 	ids := submitRing(t, s, 0, 3, pool[0])
 	home, _ := s.ShardMap().OfOffer(engine.LoadOfferOn(0, 0, 3, 0, pool[0][0]))
 	dup := engine.LoadOfferOn(1, 0, 3, 1, pool[0][0])
-	if err := s.Shard(home).SubmitRouted(ids[0], dup); !errors.Is(err, engine.ErrBadOffer) {
+	if _, err := s.Shard(home).SubmitRouted(ids[0], dup); !errors.Is(err, engine.ErrBadOffer) {
 		t.Fatalf("duplicate routed ID %d: %v, want ErrBadOffer", ids[0], err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
