@@ -11,11 +11,12 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// TestAppendAllocs pins the write path at zero: once the frame buffer
-// has grown, encoding an event, framing it and writing it to the segment
-// allocates nothing, whatever the kind. What Append allocates beyond
-// that is the fold's (a new order, swap or asset entering its maps) and
-// the tail's amortized growth, measured here on a fresh key per run.
+// TestAppendAllocs pins the write path at zero: once the pending buffer
+// has grown, encoding events, framing them into it and sealing them to
+// the segment in one write allocates nothing, whatever the kind. What
+// Append allocates beyond that is the fold's (a new order, swap or asset
+// entering its maps) and the tail's amortized growth, measured here on a
+// fresh key per run.
 func TestAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the paths being counted")
@@ -34,15 +35,16 @@ func TestAppendAllocs(t *testing.T) {
 			continue
 		}
 		seen[ev.Kind] = true
-		if err := s.writeFrame(ev); err != nil { // grow the buffer
-			t.Fatalf("writeFrame(%s): %v", ev.Kind, err)
-		}
+		// Two frames a seal, as on a tick that appends more than once; the
+		// warm-up run grows the buffer.
 		if n := testing.AllocsPerRun(100, func() {
-			if err := s.writeFrame(ev); err != nil {
-				t.Fatalf("writeFrame(%s): %v", ev.Kind, err)
+			s.frameEvent(ev)
+			s.frameEvent(ev)
+			if err := s.sealLocked(); err != nil {
+				t.Fatalf("seal of %s frames: %v", ev.Kind, err)
 			}
 		}); n != 0 {
-			t.Errorf("encode + frame + write of a %q event allocates %.0f objects, want 0", ev.Kind, n)
+			t.Errorf("encode + frame + seal of %q events allocates %.0f objects, want 0", ev.Kind, n)
 		}
 	}
 	if len(seen) != 13 {
@@ -92,14 +94,15 @@ var swapTags = func() []string {
 	return tags
 }()
 
-// durableRing3AllocCeiling is the 167 heap objects (identical run to run)
+// durableRing3AllocCeiling is the 131 heap objects (identical run to run)
 // one ring-3 swap costs end to end over a real Store — a single-leader
-// component, so classic HTLCs; 19 appends, a snapshot every 512; go1.24
-// linux/amd64, deterministic scheduler — plus 5 %: internal/engine's
-// TestAllocationBudget ring-3 row with the WAL in the path. (Before
-// shapes were compiled once and deliveries cut from a per-run slab the
-// same ring measured 332; on the hashkey protocol, 436.)
-const durableRing3AllocCeiling = 175
+// component, so classic HTLCs; 19 appends sealed once a tick, a snapshot
+// every 512; go1.24 linux/amd64, deterministic scheduler — plus 5 %:
+// internal/engine's TestAllocationBudget ring-3 row with the WAL in the
+// path. (With a reflective snapshot encoder the same ring measured 160;
+// before shapes were compiled once and deliveries cut from a per-run slab,
+// 332; on the hashkey protocol, 436.)
+const durableRing3AllocCeiling = 137
 
 // ring3AllocsPerSwap books `swaps` three-party rings on a fresh
 // deterministic engine over a store in a fresh directory, drains it, and

@@ -44,7 +44,8 @@ var hardStrings = []string{
 // fieldVariants returns non-zero values of typ to put in a field, one
 // per escaping rule, integer extreme, slice length and nil/empty shape.
 // A type it has no rule for fails the test by the field's name: whoever
-// adds such a field adds the rule here and the encoding to appendEvent.
+// adds such a field adds the rule here and the encoding to appendEvent or
+// appendSnapshot.
 func fieldVariants(t *testing.T, field string, typ reflect.Type) []reflect.Value {
 	t.Helper()
 	var out []reflect.Value
@@ -54,6 +55,8 @@ func fieldVariants(t *testing.T, field string, typ reflect.Type) []reflect.Value
 		for _, s := range hardStrings {
 			add(s)
 		}
+	case reflect.Bool:
+		add(true)
 	case reflect.Int, reflect.Int64:
 		for _, n := range []int64{1, -1, 42, math.MaxInt64, math.MinInt64} {
 			add(n)
@@ -91,7 +94,7 @@ func fieldVariants(t *testing.T, field string, typ reflect.Type) []reflect.Value
 				reflect.Append(reflect.MakeSlice(typ, 0, len(elems)), elems...),
 			)
 		default:
-			t.Fatalf("%s: no test values for a slice of %s — add them here and encode the field in appendEvent", field, elem)
+			t.Fatalf("%s: no test values for a slice of %s — add them here and encode the field", field, elem)
 		}
 	case reflect.Struct:
 		// Struct k has every field at its k-th variant; the zero struct
@@ -117,7 +120,7 @@ func fieldVariants(t *testing.T, field string, typ reflect.Type) []reflect.Value
 			out = append(out, p)
 		}
 	default:
-		t.Fatalf("%s: no test values for type %s — add them here and encode the field in appendEvent", field, typ)
+		t.Fatalf("%s: no test values for type %s — add them here and encode the field", field, typ)
 	}
 	return out
 }
@@ -280,4 +283,118 @@ func TestWALPayloadsMatchJSON(t *testing.T) {
 			t.Errorf("run logged no %q event (kinds seen: %v)", k, kinds)
 		}
 	}
+}
+
+// labelled is one test value and the field path a failure names.
+type labelled struct {
+	label string
+	v     reflect.Value
+}
+
+// mapKeys returns the keys a map-typed field is filled with: every
+// hardStrings entry for string keys; for order IDs, numbers whose decimal
+// strings sort apart from their values — "10" before "9", a number before
+// every number it is a decimal prefix of.
+func mapKeys(t *testing.T, field string, typ reflect.Type) []reflect.Value {
+	t.Helper()
+	var out []reflect.Value
+	switch typ.Kind() {
+	case reflect.String:
+		for _, k := range hardStrings {
+			out = append(out, reflect.ValueOf(k).Convert(typ))
+		}
+	case reflect.Uint64:
+		for _, id := range []uint64{9, 10, 1, 100, 99, 2, 20, 0, 1844674407370955161, math.MaxUint64, math.MaxUint64 - 1} {
+			out = append(out, reflect.ValueOf(id).Convert(typ))
+		}
+	default:
+		t.Fatalf("%s: no test keys of type %s — add them here and encode the map", field, typ)
+	}
+	return out
+}
+
+// mapCases returns the values a map-typed State field is tried at: every
+// key over a cycle of element values (nil first), each element value alone
+// under one key, and — for a map of struct pointers — each field of the
+// struct at each of its variants alone, so a failure names the field.
+func mapCases(t *testing.T, field string, typ reflect.Type) []labelled {
+	t.Helper()
+	keys := mapKeys(t, field, typ.Key())
+	elem := typ.Elem()
+	values := append([]reflect.Value{reflect.Zero(elem)}, fieldVariants(t, field+"[]", elem)...)
+	one := func(v reflect.Value) reflect.Value {
+		m := reflect.MakeMap(typ)
+		m.SetMapIndex(keys[0], v)
+		return m
+	}
+	every := reflect.MakeMap(typ)
+	for i, k := range keys {
+		every.SetMapIndex(k, values[i%len(values)])
+	}
+	out := []labelled{{field + ", every key", every}}
+	for _, v := range values {
+		out = append(out, labelled{field + "[]", one(v)})
+	}
+	if elem.Kind() == reflect.Pointer && elem.Elem().Kind() == reflect.Struct {
+		st := elem.Elem()
+		for j := 0; j < st.NumField(); j++ {
+			name := field + "[]." + st.Field(j).Name
+			for _, fv := range fieldVariants(t, name, st.Field(j).Type) {
+				p := reflect.New(st)
+				p.Elem().Field(j).Set(fv)
+				out = append(out, labelled{name, one(p)})
+			}
+		}
+	}
+	return out
+}
+
+// TestAppendSnapshotMatchesJSON is the snapshot encoder's differential
+// test: json.Marshal of the envelope is the specification. Every field of
+// State — and, inside its maps, every field of AssetState, OrderState and
+// SwapState — is tried at each of its variants alone, so a failure names
+// the field; then all of State's fields together, and a real fold.
+func TestAppendSnapshotMatchesJSON(t *testing.T) {
+	var ks keyScratch // shared, as a store reuses it
+	check := func(label string, st *State) {
+		t.Helper()
+		want, err := json.Marshal(snapshot{Version: snapshotVersion, State: st})
+		if err != nil {
+			t.Fatalf("%s: json.Marshal: %v", label, err)
+		}
+		const prefix = "\x00\x00\x00\x00\x00\x00\x00\x00"
+		got := appendSnapshot([]byte(prefix), st, &ks)
+		if string(got[:len(prefix)]) != prefix {
+			t.Errorf("%s: appendSnapshot overwrote the bytes already in the buffer", label)
+		}
+		if got = got[len(prefix):]; !bytes.Equal(got, want) {
+			t.Errorf("%s: appendSnapshot and json.Marshal disagree — is the field encoded in appendSnapshot?\n got %s\nwant %s", label, got, want)
+		}
+	}
+	check("nil State", nil)
+	check("zero State", &State{})
+	check("empty maps", NewState())
+
+	typ := reflect.TypeOf(State{})
+	all := reflect.New(typ)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name := "State." + f.Name
+		var cases []labelled
+		if f.Type.Kind() == reflect.Map {
+			cases = mapCases(t, name, f.Type)
+		} else {
+			for _, v := range fieldVariants(t, name, f.Type) {
+				cases = append(cases, labelled{name, v})
+			}
+		}
+		for _, c := range cases {
+			st := reflect.New(typ)
+			st.Elem().Field(i).Set(c.v)
+			check(c.label, st.Interface().(*State))
+		}
+		all.Elem().Field(i).Set(cases[0].v)
+	}
+	check("all fields set", all.Interface().(*State))
+	check("fixture fold", fixtureFold())
 }

@@ -20,30 +20,27 @@ const snapshotFile = "snapshot.json"
 
 // snapshot is the envelope persisted as the snapshot file's single
 // frame: the folded state plus the schema version that folded it.
+// appendSnapshot writes it; readers decode it with encoding/json.
 type snapshot struct {
 	Version int    `json:"version"`
 	State   *State `json:"state"`
 }
 
-// writeSnapshot atomically and durably replaces the snapshot file: the
-// framed envelope goes to a temp file, is fsynced, and renamed into
-// place, and then the directory is fsynced so the rename itself is on
-// disk — the caller deletes the log this snapshot covers next, and a
-// power cut must not keep those unlinks while losing the rename. A crash
-// anywhere in between leaves either the old snapshot or the new one,
-// never a half-written hybrid — and the frame checksum catches the
-// rename-raced remainder case.
-func writeSnapshot(dir string, st *State) error {
-	payload, err := json.Marshal(snapshot{Version: snapshotVersion, State: st})
-	if err != nil {
-		return fmt.Errorf("durable: encoding snapshot: %w", err)
-	}
+// writeSnapshot atomically and durably replaces the snapshot file with
+// frame, the framed envelope (see appendSnapshot): it goes to a temp
+// file, is fsynced, and renamed into place, and then the directory is
+// fsynced so the rename itself is on disk — the caller deletes the log
+// this snapshot covers next, and a power cut must not keep those unlinks
+// while losing the rename. A crash anywhere in between leaves either the
+// old snapshot or the new one, never a half-written hybrid — and the
+// frame checksum catches the rename-raced remainder case.
+func writeSnapshot(dir string, frame []byte) error {
 	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(appendFrame(nil, payload)); err != nil {
+	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/go-atomicswap/atomicswap/internal/engine"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -32,6 +34,12 @@ type Options struct {
 // everything appended so far. Safe for concurrent Append from the
 // scheduler's dispatcher and helpers, where every engine event is logged.
 //
+// Append frames each event into a pending buffer; a seal writes the buffer
+// to the segment in one write(2). A store bound to a scheduler (SealOn)
+// seals once per tick, after every other level of it; an unbound one seals
+// every append. Rotation and Close seal first, so the segments hold the
+// same bytes either way, and a crash cuts the log at a seal.
+//
 // Append never returns an error (the engine has no useful response to a
 // failed append mid-flight); the first write failure latches, later
 // appends become no-ops, and Err/Close surface it.
@@ -41,7 +49,7 @@ type Store struct {
 
 	seg     *os.File // active segment
 	segIdx  int      // its index (wal-%08d.seg)
-	segSize int      // bytes written to it
+	segSize int      // bytes framed into it, sealed or pending
 
 	// live is the fold of everything appended so far; tail is every
 	// event appended since the last snapshot, so live = snapshot file ⊕
@@ -51,13 +59,44 @@ type Store struct {
 	live    *State
 	hasData bool
 
-	// buf is the frame under construction, reused across appends: the
-	// reserved header, then the payload appendEvent encodes in place.
-	buf []byte
+	// pending is every frame appended since the last seal, each a header
+	// followed by the payload appendEvent encodes in place; its backing
+	// array is reused from seal to seal.
+	pending []byte
+	// seal is the bound scheduler's seal event (nil when unbound), queued
+	// while a seal of pending frames is due.
+	seal   *sealEvent
+	queued bool
+
+	// snap is the snapshot frame under construction and keys the map keys
+	// it sorts, both reused across snapshots.
+	snap []byte
+	keys keyScratch
 
 	sinceSnap int
 	err       error
 	closed    bool
+}
+
+// sealEvent is a bound store's seal: the event the store owns and queues
+// at sched.TopLevel of a tick that appended.
+type sealEvent struct {
+	s  *Store
+	v  *sched.Virtual
+	ev sched.Event
+}
+
+// Fire implements sched.Handler: it writes the pending frames. A store
+// re-bound since this event was queued has a new one; the old one still
+// seals, harmlessly, but leaves the new one's state alone.
+func (se *sealEvent) Fire() {
+	s := se.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seal == se {
+		s.queued = false
+	}
+	s.sealLocked()
 }
 
 // Open opens (or initializes) a store directory: the snapshot is loaded
@@ -143,9 +182,17 @@ func (s *Store) HasData() bool {
 	return s.hasData
 }
 
-// openSegment starts segment idx as the active one. Caller holds s.mu
-// (or is still single-threaded in Open).
+// openSegment closes the active segment, if any, and starts segment idx
+// as the active one. Caller holds s.mu (or is still single-threaded in
+// Open).
 func (s *Store) openSegment(idx int) error {
+	if s.seg != nil {
+		err := s.seg.Close()
+		s.seg = nil
+		if err != nil {
+			return err
+		}
+	}
 	f, err := os.OpenFile(
 		filepath.Join(s.opts.Dir, fmt.Sprintf("wal-%08d.seg", idx)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
@@ -156,60 +203,116 @@ func (s *Store) openSegment(idx int) error {
 		f.Close()
 		return err
 	}
-	if s.seg != nil {
-		s.seg.Close()
-	}
 	s.seg = f
 	s.segIdx = idx
 	s.segSize = len(walMagic)
 	return nil
 }
 
-// writeFrame encodes ev behind a reserved frame header in the store's
-// buffer, seals the frame, and hands it to the segment in one Write — one
-// write(2) per event, so an acknowledged append is in the page cache and
-// survives a kill -9. Caller holds s.mu.
-func (s *Store) writeFrame(ev *engine.Event) error {
-	buf := append(s.buf[:0], make([]byte, frameHeader)...)
-	buf = appendEvent(buf, ev)
-	sealFrame(buf)
-	s.buf = buf
-	if _, err := s.seg.Write(buf); err != nil {
+// rotate seals the full segment, makes it durable and starts the next one.
+// The fsync is what keeps a power cut from leaving this segment short with
+// the next one on disk: Open refuses a torn frame in a non-final segment.
+// Caller holds s.mu.
+func (s *Store) rotate() error {
+	if err := s.sealLocked(); err != nil {
 		return err
 	}
-	s.segSize += len(buf)
-	return nil
+	if err := s.seg.Sync(); err != nil {
+		return err
+	}
+	return s.openSegment(s.segIdx + 1)
 }
 
-// Append implements engine.Store: frame the event, write it, rotate the
-// segment if full, and fold it into the live state. After Close (the
-// crash model's "power is off") or a latched error it is a no-op.
+// frameEvent encodes ev behind a reserved frame header at the end of the
+// pending buffer and fills the header in. Caller holds s.mu.
+func (s *Store) frameEvent(ev *engine.Event) {
+	start := len(s.pending)
+	buf := append(s.pending, make([]byte, frameHeader)...)
+	buf = appendEvent(buf, ev)
+	sealFrame(buf[start:])
+	s.segSize += len(buf) - start
+	s.pending = buf
+}
+
+// sealLocked hands the pending frames to the segment in one write(2): from
+// then on they are in the page cache and survive a kill -9. A failed write
+// drops them, as a failed write has always dropped its frame; the caller
+// latches the error. Caller holds s.mu.
+func (s *Store) sealLocked() error {
+	if len(s.pending) == 0 || s.seg == nil {
+		return nil
+	}
+	_, err := s.seg.Write(s.pending)
+	s.pending = s.pending[:0]
+	return err
+}
+
+// commitLocked makes sure the pending frames get sealed: an unbound store
+// seals them now; a bound one queues its seal for the current tick unless
+// it is queued already. A scheduler that has closed runs no seal, so the
+// store seals now then too. Caller holds s.mu.
+func (s *Store) commitLocked() error {
+	if len(s.pending) == 0 || s.queued {
+		return nil
+	}
+	// Tick 0 is never ahead: the seal lands on the current tick.
+	if se := s.seal; se != nil && se.v.ScheduleTail(&se.ev, 0, sched.TopLevel, 0, se) {
+		s.queued = true
+		return nil
+	}
+	return s.sealLocked()
+}
+
+// latch records err as the store's error unless one is latched already.
+func (s *Store) latch(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// SealOn binds the store's seals to v's timeline: an append leaves its
+// frame pending, and the first append of a tick queues one seal at
+// sched.TopLevel of that tick, after every other level. A nil v unbinds,
+// and every append seals at once again. Frames already pending are sealed
+// now, so none waits on a scheduler the store no longer watches.
+// engine.NewHost binds the store it is configured with.
+func (s *Store) SealOn(v *sched.Virtual) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.latch(s.sealLocked())
+	s.seal, s.queued = nil, false
+	if v != nil {
+		s.seal = &sealEvent{s: s, v: v}
+	}
+}
+
+// Append implements engine.Store: frame the event into the pending buffer,
+// fold it into the live state, rotate the segment if full or snapshot if
+// due, and see the frame sealed (see commitLocked). After Close (the crash
+// model's "power is off") or a latched error it is a no-op.
 func (s *Store) Append(ev engine.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.err != nil {
 		return
 	}
-	if err := s.writeFrame(&ev); err != nil {
-		s.err = err
-		return
-	}
+	s.frameEvent(&ev)
 	s.tail = append(s.tail, ev)
 	s.live.Apply(ev)
 	s.hasData = true
 	s.sinceSnap++
 
 	if s.segSize >= s.opts.SegmentBytes {
-		if err := s.openSegment(s.segIdx + 1); err != nil {
-			s.err = err
+		if s.err = s.rotate(); s.err != nil {
 			return
 		}
 	}
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		if err := s.snapshotLocked(); err != nil {
-			s.err = err
+		if s.err = s.snapshotLocked(); s.err != nil {
+			return
 		}
 	}
+	s.err = s.commitLocked()
 }
 
 // Snapshot forces a snapshot + log truncation now.
@@ -226,14 +329,22 @@ func (s *Store) Snapshot() error {
 }
 
 // snapshotLocked persists the live fold as the new snapshot, deletes
-// every sealed segment, and starts a fresh one. writeSnapshot returns
-// only once the new file is durable under its final name, so the log it
-// replaces is never unlinked ahead of it. Caller holds s.mu.
+// every segment, drops the pending frames (the snapshot covers them) and
+// starts a fresh segment. writeSnapshot returns only once the new file is
+// durable under its final name, so the log it replaces is never unlinked
+// ahead of it. Caller holds s.mu.
 func (s *Store) snapshotLocked() error {
-	if err := writeSnapshot(s.opts.Dir, s.live); err != nil {
-		return err
+	buf := append(s.snap[:0], make([]byte, frameHeader)...)
+	buf = appendSnapshot(buf, s.live, &s.keys)
+	sealFrame(buf)
+	s.snap = buf
+	if err := writeSnapshot(s.opts.Dir, buf); err != nil {
+		// The log keeps the frames the snapshot failed to cover.
+		return errors.Join(err, s.sealLocked())
 	}
-	s.tail = nil
+	clear(s.tail) // release the events' offers and seeds, keep the array
+	s.tail = s.tail[:0]
+	s.pending = s.pending[:0]
 	s.sinceSnap = 0
 	names, err := segmentNames(s.opts.Dir)
 	if err != nil {
@@ -308,10 +419,10 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Close syncs and closes the active segment and latches the store shut:
-// every later Append is silently dropped, which is exactly the crash
-// model (a killed process's unflushed appends never happened). Returns
-// the first append error if one was latched.
+// Close seals, syncs and closes the active segment and latches the store
+// shut: every later Append is silently dropped, which is exactly the
+// crash model (a killed process's unflushed appends never happened).
+// Returns the first append error if one was latched.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -320,12 +431,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	if s.seg != nil {
-		if err := s.seg.Sync(); err != nil && s.err == nil {
-			s.err = err
-		}
-		if err := s.seg.Close(); err != nil && s.err == nil {
-			s.err = err
-		}
+		s.latch(s.sealLocked())
+		s.latch(s.seg.Sync())
+		s.latch(s.seg.Close())
 		s.seg = nil
 	}
 	return s.err

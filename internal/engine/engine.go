@@ -280,6 +280,11 @@ func NewHost(cfg Config) Host {
 		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
 			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
 		})
+		// A store that can batch its writes seals once per tick on the
+		// deployment's timeline (see Store).
+		if b, ok := st.(interface{ SealOn(*sched.Virtual) }); ok {
+			b.SealOn(sc)
+		}
 	}
 	return h
 }

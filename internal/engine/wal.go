@@ -101,6 +101,11 @@ type Event struct {
 // error — a store that fails should record the failure internally and
 // surface it when closed; the engine has no useful response to a failed
 // append mid-flight.
+//
+// Every append runs inside a scheduler event. A store that also has a
+// SealOn(*sched.Virtual) method is handed the deployment's scheduler by
+// NewHost, so that it can batch a tick's appends into one write at
+// sched.TopLevel of that tick (durable.Store does).
 type Store interface {
 	Append(ev Event)
 }

@@ -389,7 +389,7 @@ func (v *Virtual) passed(t vtime.Ticks, level int8) bool {
 
 // At implements Scheduler. After Close the callback is silently dropped.
 func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
-	return v.schedule(new(Event), t, 0, 0, funcHandler(fn))
+	return v.timer(t, 0, 0, fn)
 }
 
 // AtKeyed is At with a stripe key: fn joins the stripe identified by key
@@ -398,7 +398,7 @@ func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
 // the dispatcher, in no particular order — so fn must not wait for another
 // stripe of its batch. Key 0 (what At uses) is the shared unkeyed stripe.
 func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
-	return v.schedule(new(Event), t, 0, key, funcHandler(fn))
+	return v.timer(t, 0, key, fn)
 }
 
 // Schedule is AtKeyed on storage the caller owns: e — idle, and typically
@@ -415,7 +415,7 @@ func (v *Virtual) Schedule(e *Event, t vtime.Ticks, key uint64, h Handler) {
 // pass observes the same fully-drained queue however many helpers ran the
 // tick.
 func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
-	return v.schedule(new(Event), t, 1, 0, funcHandler(fn))
+	return v.timer(t, 1, 0, fn)
 }
 
 // AtTailN schedules fn at tail level `level` (≥ 1) with a stripe key.
@@ -426,20 +426,43 @@ func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
 // events (level 0, via At/AtKeyed), per-shard clearing (level 1, keyed by
 // shard), the cross-shard escalation sweep (level 2), and coordinator
 // clearing (level 3) — with a determinism barrier between each phase.
+// Chain commitment events run at level 4; TopLevel is the last one open.
 func (v *Virtual) AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) Timer {
-	if level < 1 {
-		level = 1
-	}
-	return v.schedule(new(Event), t, level, key, funcHandler(fn))
+	return v.timer(t, max(level, 1), key, fn)
 }
 
-func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) *Event {
+// TopLevel is the highest tail level open to callers: its events run after
+// every other level of their tick and before RunUntil's stop, the one event
+// at math.MaxInt8. They are also the one thing Close still runs: a queued
+// TopLevel event of a tick the clock has reached runs before Close returns.
+// The WAL seals each tick's appends there.
+const TopLevel int8 = math.MaxInt8 - 1
+
+// ScheduleTail is AtTailN on storage the caller owns, as Schedule is
+// AtKeyed: e becomes the queue entry for h.Fire at tail level `level` (≥ 1)
+// of tick t on stripe key, and scheduling allocates nothing. It reports
+// whether e was queued; after Close (or RunUntil's stop) it is dropped,
+// stopped.
+func (v *Virtual) ScheduleTail(e *Event, t vtime.Ticks, level int8, key uint64, h Handler) bool {
+	return v.schedule(e, t, max(level, 1), key, h)
+}
+
+// timer schedules fn on a fresh event and returns the event as its Timer.
+func (v *Virtual) timer(t vtime.Ticks, prio int8, key uint64, fn func()) Timer {
+	e := new(Event)
+	v.schedule(e, t, prio, key, funcHandler(fn))
+	return e
+}
+
+// schedule queues e and reports whether it did: a closed scheduler drops
+// it, stopped.
+func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	e.v = v
 	if v.closed {
 		e.state = evStopped
-		return e
+		return false
 	}
 	if now := v.Now(); t < now {
 		t = now
@@ -450,7 +473,7 @@ func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Han
 	if v.waiting {
 		v.cond.Signal()
 	}
-	return e
+	return true
 }
 
 // Stop implements Timer: it cancels an event still queued. An idle event
@@ -513,7 +536,8 @@ func (v *Virtual) RunUntil(t vtime.Ticks) {
 }
 
 // Close stops the dispatcher and waits for it to exit; queued events
-// never run. Idempotent.
+// never run, but for the TopLevel events of ticks the clock has reached,
+// which the exiting dispatcher runs (see flush). Idempotent.
 func (v *Virtual) Close() {
 	v.mu.Lock()
 	v.closed = true
@@ -537,10 +561,33 @@ func (v *Virtual) loop() {
 			}
 			close(v.wake)
 			v.helpers.Wait()
+			v.flush()
 			close(v.done)
 			return
 		}
 		v.dispatch()
+	}
+}
+
+// flush runs, in scheduling order, the TopLevel events still queued at
+// ticks the clock has reached. A Close that races the dispatcher can land
+// between a tick's levels; flushing finishes what the tick's top level owes
+// (the WAL's seal of the tick's appends) without running anything else of
+// it. Called by the exiting dispatcher once every helper is gone.
+func (v *Virtual) flush() {
+	v.mu.Lock()
+	var due []*Event
+	now := v.Now()
+	for _, e := range v.queue {
+		if e.state == evPending && e.prio == TopLevel && e.at <= now {
+			e.state = evFired
+			due = append(due, e)
+		}
+	}
+	v.mu.Unlock()
+	slices.SortFunc(due, func(a, b *Event) int { return cmp.Compare(a.seq, b.seq) })
+	for _, e := range due {
+		e.h.Fire()
 	}
 }
 
