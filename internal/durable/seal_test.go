@@ -127,6 +127,9 @@ func (w *sealWatcher) Append(ev engine.Event) {
 	w.Store.Append(ev)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.v == nil {
+		return // unbound: the host has closed
+	}
 	if now := w.v.Now(); now != w.last {
 		w.last = now
 		w.v.AtTailN(now, math.MaxInt8, 0, w.observe)
@@ -236,8 +239,9 @@ func TestKillAtEverySeal(t *testing.T) {
 		t.Errorf("observed %d seals, at most %d rotations behind one, %d with a snapshot; want ≥ 10, ≥ 1 and ≥ 1", observed, rotated, snapshotted)
 	}
 
-	// Stop closed the scheduler, which still ran the last tick's seal: the
-	// directory holds everything before the store is closed.
+	// Stop closed the host, which unbound the store and so sealed the last
+	// tick's frames: the directory holds everything before the store is
+	// closed.
 	want, err := store.ResolvedState(0)
 	if err != nil {
 		t.Fatalf("ResolvedState: %v", err)
@@ -286,5 +290,44 @@ func TestRotationLatchesSyncFailure(t *testing.T) {
 	s.Append(events[1])
 	if s.segIdx != idx || s.live.Events != 1 {
 		t.Errorf("after the latched failure: segment %d (was %d), %d events folded; want no rotation and 1 event", s.segIdx, idx, s.live.Events)
+	}
+}
+
+// TestTickSealLatchesWriteFailure: a tick's seal that fails to write
+// latches like every other seal: Err reports it, and later appends are
+// dropped instead of landing after a gap in the log. The failure is
+// injected by closing the active segment under the store.
+func TestTickSealLatchesWriteFailure(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	s.seg.Close()
+	s.mu.Unlock()
+
+	v := sched.NewVirtual(1)
+	s.SealOn(v)
+	events := swapEvents(0)
+	v.At(1, func() {
+		s.Append(events[0])
+		s.Append(events[1])
+		if err := s.Err(); err != nil {
+			t.Errorf("appends before the seal latched %v", err)
+		}
+	})
+	v.AtTailN(1, math.MaxInt8, 0, func() {
+		if s.Err() == nil {
+			t.Error("a tick whose seal failed to write latched no error")
+		}
+	})
+	v.At(2, func() { s.Append(events[2]) })
+	v.RunUntil(3)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live.Events != 2 || len(s.pending) != 0 {
+		t.Errorf("after the failed seal: %d events folded, %d bytes pending; want 2 and 0", s.live.Events, len(s.pending))
 	}
 }

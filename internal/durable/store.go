@@ -86,9 +86,10 @@ type sealEvent struct {
 	ev sched.Event
 }
 
-// Fire implements sched.Handler: it writes the pending frames. A store
-// re-bound since this event was queued has a new one; the old one still
-// seals, harmlessly, but leaves the new one's state alone.
+// Fire implements sched.Handler: it writes the pending frames and
+// latches a failed write, like every other seal. A store re-bound since
+// this event was queued has a new one; the old one still seals,
+// harmlessly, but leaves the new one's state alone.
 func (se *sealEvent) Fire() {
 	s := se.s
 	s.mu.Lock()
@@ -96,7 +97,7 @@ func (se *sealEvent) Fire() {
 	if s.seal == se {
 		s.queued = false
 	}
-	s.sealLocked()
+	s.latch(s.sealLocked())
 }
 
 // Open opens (or initializes) a store directory: the snapshot is loaded

@@ -229,6 +229,9 @@ type Host struct {
 	// intake holds the orders posted to every engine over the host until
 	// its one event admits them.
 	intake *intake
+	// sealer is the configured store when it batches its writes on the
+	// host's timeline (see Store); Close unbinds it.
+	sealer interface{ SealOn(*sched.Virtual) }
 }
 
 // NewHost builds a deployment's shared infrastructure from cfg: the
@@ -284,9 +287,22 @@ func NewHost(cfg Config) Host {
 		// deployment's timeline (see Store).
 		if b, ok := st.(interface{ SealOn(*sched.Virtual) }); ok {
 			b.SealOn(sc)
+			h.sealer = b
 		}
 	}
 	return h
+}
+
+// Close stops the host's scheduler, then unbinds a batching store, which
+// seals what it holds: a Close that lands between a tick's levels leaves
+// that tick's appends pending, its seal never to run. Appends after it
+// are written at once. The owner calls it once, after every engine over
+// the host has stopped.
+func (h *Host) Close() {
+	h.Scheduler.Close()
+	if h.sealer != nil {
+		h.sealer.SealOn(nil)
+	}
 }
 
 // Hosted returns cfg as the configuration of an engine over h, which its
@@ -1640,10 +1656,9 @@ func (e *Engine) Stop(ctx context.Context) error {
 	}
 	if e.ownsHost {
 		// Every run has settled; stop the dispatcher so the engine leaves
-		// no goroutine behind. A handed host's
-		// scheduler is its owner's to close, once, after every engine over
-		// it has stopped.
-		e.sched.Close()
+		// no goroutine behind. A handed host is its owner's to close, once,
+		// after every engine over it has stopped.
+		e.cfg.host.Close()
 	}
 	return drainErr
 }

@@ -678,7 +678,7 @@ func TestHostFansChainEvidence(t *testing.T) {
 		Commitment: CommitmentConfig{ConfirmDepth: 2},
 	}
 	h := NewHost(cfg)
-	defer h.Scheduler.Close()
+	defer h.Close()
 	engines := []*Engine{New(Hosted(cfg, h)), New(Hosted(cfg, h))}
 	h.Registry.Chain("slow")
 	for i := 0; i < adaptMinSamples; i++ {

@@ -503,8 +503,8 @@ func (s *ShardedEngine) Drain(ctx context.Context) error {
 }
 
 // Stop gracefully shuts the sharded engine down: drain everything, stop
-// the sweep, stop every inner engine, and close the shared scheduler
-// (once — the inner engines were handed the host and leave it alone).
+// the sweep, stop every inner engine, and close the shared host (once —
+// the inner engines were handed it and leave it alone).
 func (s *ShardedEngine) Stop(ctx context.Context) error {
 	drainErr := s.Drain(ctx)
 	s.mu.Lock()
@@ -520,7 +520,7 @@ func (s *ShardedEngine) Stop(ctx context.Context) error {
 			drainErr = err
 		}
 	}
-	s.host.Scheduler.Close()
+	s.host.Close()
 	return drainErr
 }
 

@@ -433,9 +433,7 @@ func (v *Virtual) AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) Time
 
 // TopLevel is the highest tail level open to callers: its events run after
 // every other level of their tick and before RunUntil's stop, the one event
-// at math.MaxInt8. They are also the one thing Close still runs: a queued
-// TopLevel event of a tick the clock has reached runs before Close returns.
-// The WAL seals each tick's appends there.
+// at math.MaxInt8. The WAL seals each tick's appends there.
 const TopLevel int8 = math.MaxInt8 - 1
 
 // ScheduleTail is AtTailN on storage the caller owns, as Schedule is
@@ -536,8 +534,7 @@ func (v *Virtual) RunUntil(t vtime.Ticks) {
 }
 
 // Close stops the dispatcher and waits for it to exit; queued events
-// never run, but for the TopLevel events of ticks the clock has reached,
-// which the exiting dispatcher runs (see flush). Idempotent.
+// never run. Idempotent.
 func (v *Virtual) Close() {
 	v.mu.Lock()
 	v.closed = true
@@ -561,33 +558,10 @@ func (v *Virtual) loop() {
 			}
 			close(v.wake)
 			v.helpers.Wait()
-			v.flush()
 			close(v.done)
 			return
 		}
 		v.dispatch()
-	}
-}
-
-// flush runs, in scheduling order, the TopLevel events still queued at
-// ticks the clock has reached. A Close that races the dispatcher can land
-// between a tick's levels; flushing finishes what the tick's top level owes
-// (the WAL's seal of the tick's appends) without running anything else of
-// it. Called by the exiting dispatcher once every helper is gone.
-func (v *Virtual) flush() {
-	v.mu.Lock()
-	var due []*Event
-	now := v.Now()
-	for _, e := range v.queue {
-		if e.state == evPending && e.prio == TopLevel && e.at <= now {
-			e.state = evFired
-			due = append(due, e)
-		}
-	}
-	v.mu.Unlock()
-	slices.SortFunc(due, func(a, b *Event) int { return cmp.Compare(a.seq, b.seq) })
-	for _, e := range due {
-		e.h.Fire()
 	}
 }
 

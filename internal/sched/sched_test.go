@@ -680,45 +680,6 @@ func TestOwnedEventStop(t *testing.T) {
 	}
 }
 
-// TestCloseRunsReachedTopLevel: a Close that lands between a tick's levels
-// still runs the TopLevel events queued through ScheduleTail at ticks the
-// clock has reached, and nothing else; after it, ScheduleTail reports the
-// event dropped.
-func TestCloseRunsReachedTopLevel(t *testing.T) {
-	v := NewVirtual(1)
-	var mu sync.Mutex
-	var got []string
-	note := func(s string) func() {
-		return func() {
-			mu.Lock()
-			got = append(got, s)
-			mu.Unlock()
-		}
-	}
-	top := &ownedEvent{fire: note("top@2")}
-	later := &ownedEvent{fire: note("top@3")}
-	v.At(2, func() {
-		if !v.ScheduleTail(&later.ev, 3, TopLevel, 0, later) || !v.ScheduleTail(&top.ev, 0, TopLevel, 0, top) {
-			t.Error("ScheduleTail on a running scheduler reported the event dropped")
-		}
-		v.AtTailN(2, 5, 0, note("level5@2"))
-		// Close as a racing one lands: before the tick's next level.
-		v.mu.Lock()
-		v.closed = true
-		v.mu.Unlock()
-	})
-	v.Hold()() // adopt and release the birth hold
-	<-v.done
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != "top@2" {
-		t.Errorf("closing mid-tick ran %v, want [top@2]", got)
-	}
-	if v.ScheduleTail(&top.ev, 0, TopLevel, 0, top) {
-		t.Error("ScheduleTail after Close reported the event queued")
-	}
-}
-
 // TestOwnedEventStoppedSkipsWithoutAdvancing: a stopped owner-storage
 // event is discarded when popped and the clock never visits its tick, one
 // worker or four.
