@@ -38,7 +38,8 @@ type Options struct {
 // to the segment in one write(2). A store bound to a scheduler (SealOn)
 // seals once per tick, after every other level of it; an unbound one seals
 // every append. Rotation and Close seal first, so the segments hold the
-// same bytes either way, and a crash cuts the log at a seal.
+// same bytes either way, and a crash cuts the log at a seal: a tick's end,
+// or a rotation or snapshot inside one.
 //
 // Append never returns an error (the engine has no useful response to a
 // failed append mid-flight); the first write failure latches, later

@@ -1011,7 +1011,9 @@ func (e *Engine) Escalate(shards []*Engine, cutoff vtime.Ticks) (left int) {
 	return left
 }
 
-// Order returns a snapshot of one order's state.
+// Order returns a snapshot of one order's state. It reads off the
+// timeline: with a store that seals per tick, the status can be up to one
+// tick ahead of the log (see Store).
 func (e *Engine) Order(id OrderID) (OrderSnapshot, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1024,7 +1026,7 @@ func (e *Engine) Order(id OrderID) (OrderSnapshot, bool) {
 
 // Orders snapshots every order the engine ever accepted, in submission
 // order — the scenario harness's raw material for digests and
-// invariant checks.
+// invariant checks. Like Order, it can run a tick ahead of the log.
 func (e *Engine) Orders() []OrderSnapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1584,7 +1586,9 @@ func (e *Engine) Kill() vtime.Ticks {
 // them anyway. A posted order's intake and the stuck-book rejection are
 // scheduler events, and a closed scheduler runs none: drain every engine
 // over a host before the host's owner closes its scheduler (an engine that
-// owns its host closes it in Stop, after the drain).
+// owns its host closes it in Stop, after the drain). Drain can return
+// before the last tick's frames are written to a store that seals per
+// tick; closing the host writes them (see Store).
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateRunning {
@@ -1639,7 +1643,9 @@ func (e *Engine) Drain(ctx context.Context) error {
 
 // Stop gracefully shuts the engine down: drain the book, stop the
 // clearing loop, and wait for every live run to settle — even when ctx
-// ends the drain first.
+// ends the drain first. An engine that owns its host then closes it, so
+// its store holds every tick on return (Host.Close); a hosted engine
+// leaves that to the host's owner.
 func (e *Engine) Stop(ctx context.Context) error {
 	drainErr := e.Drain(ctx)
 	e.mu.Lock()

@@ -105,7 +105,12 @@ type Event struct {
 // Every append runs inside a scheduler event. A store that also has a
 // SealOn(*sched.Virtual) method is handed the deployment's scheduler by
 // NewHost, so that it can batch a tick's appends into one write at
-// sched.TopLevel of that tick (durable.Store does).
+// sched.TopLevel of that tick (durable.Store does). Such a store's log
+// trails the engine by up to one tick: Order, Orders and Drain read the
+// engine off the timeline and can report a status whose frame is not yet
+// written, which a kill -9 before the seal takes back. Host.Close — run by
+// the Stop of an engine that owns its host, and by ShardedEngine.Stop —
+// unbinds the store, which writes what is pending.
 type Store interface {
 	Append(ev Event)
 }
