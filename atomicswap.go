@@ -299,7 +299,8 @@ const (
 	OrderRejected = engine.StatusRejected
 )
 
-// NewEngine creates a clearing engine (call Start before Submit).
+// NewEngine creates a clearing engine of cfg.Shards shards, one when 0
+// (call Start before Submit).
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // Open-loop load generation: drive an engine from a configurable arrival

@@ -14,9 +14,9 @@
 //	swapd -data-dir /tmp/swapd ...
 //	swapd -confirm-depth 4 [-reorg-rate 0.15] ...
 //
-// With -shards N clearing is partitioned across N asset-sharded engines
-// (each with its own order book, reservations, and clearing loop) plus a
-// two-level coordinator that clears rings spanning shards; with
+// With -shards N clearing is partitioned across N asset shards (each with
+// its own order book and clearing loop) plus a two-level coordinator that
+// clears rings spanning shards; with
 // -arrival-rate the generated rings are placed into per-shard chain
 // pools, and -cross-ratio makes that fraction of rings span two shards.
 // -shards composes with -data-dir: the whole deployment logs into one
@@ -66,7 +66,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
-	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -80,17 +79,9 @@ const ringMin, ringMax = 2, 5
 // snapshots (each one truncates the log).
 const snapshotEvery = 4096
 
-// clearingEngine is the engine surface swapd drives: the single engine
-// and the asset-sharded engine both satisfy it.
-type clearingEngine interface {
-	loadgen.DriveTarget
-	Start() error
-	Keyring() *core.Keyring
-}
-
 // runOpenLoop streams an open-loop load into the started engine and
 // reports, mirroring the closed-loop tail of main.
-func runOpenLoop(eng clearingEngine, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
+func runOpenLoop(eng *engine.Engine, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	rep, err := loadgen.Drive(ctx, eng, lcfg)
@@ -117,7 +108,7 @@ func runOpenLoop(eng clearingEngine, lcfg loadgen.Config, timeout time.Duration,
 // scheduler did with its batches (how many it ran alone, how often it sent
 // for help), and how many signatures were presigned on a spare core.
 // Each line is printed only when there is something to report.
-func printDispatch(eng clearingEngine) {
+func printDispatch(eng *engine.Engine) {
 	if st := eng.Scheduler().(*sched.Virtual).Stats(); st.Batches > 0 {
 		fmt.Println(st)
 	}
@@ -126,30 +117,15 @@ func printDispatch(eng clearingEngine) {
 	}
 }
 
-// newEngine builds the engine cfg describes: sharded when shards > 0.
-func newEngine(cfg engine.Config, shards int) clearingEngine {
-	if shards > 0 {
-		return shard.New(shard.Config{Shards: shards, Engine: cfg})
-	}
-	return engine.New(cfg)
-}
-
 // durableEngine builds the -data-dir engine: recover from the directory
 // when it holds state (a restart), otherwise open a fresh store and log
 // into it. Either way the engine keeps appending, so the next
-// kill-and-restart recovers again. A sharded deployment logs into one WAL,
-// and recovery re-partitions the folded state onto the (possibly
-// different) shard count of this run.
-func durableEngine(cfg engine.Config, shards int, dir string) (clearingEngine, error) {
+// kill-and-restart recovers again. Every shard logs into the one WAL, and
+// recovery re-partitions the folded state onto the (possibly different)
+// shard count of this run.
+func durableEngine(cfg engine.Config, dir string) (*engine.Engine, error) {
 	opts := durable.RecoverOptions{Dir: dir, Attach: true, SnapshotEvery: snapshotEvery}
-	var eng clearingEngine
-	var rec *durable.Recovery
-	var err error
-	if shards > 0 {
-		eng, rec, err = shard.Recover(shard.Config{Shards: shards, Engine: cfg}, opts)
-	} else {
-		eng, rec, err = durable.Recover(cfg, opts)
-	}
+	eng, rec, err := durable.Recover(cfg, opts)
 	if err == nil {
 		fmt.Fprintf(os.Stderr,
 			"recovered %s: %d events replayed, %d orders resumed, %d refunded, resuming at tick %d (%.1fms)\n",
@@ -164,7 +140,7 @@ func durableEngine(cfg engine.Config, shards int, dir string) (clearingEngine, e
 		return nil, err
 	}
 	cfg.Store = store
-	return newEngine(cfg, shards), nil
+	return engine.New(cfg), nil
 }
 
 func main() {
@@ -188,7 +164,7 @@ func main() {
 		fairShed    = flag.Bool("fair-shed", false, "open-loop: per-party fair shedding — at the -max-pending threshold only parties at or past their share of the book shed (a flooding coalition starves itself, not its victims)")
 		floodFactor = flag.Int("flood-factor", 0, "open-loop: ride this many coalition flood rings (from a small reused identity pool) on every organic ring")
 
-		shards     = flag.Int("shards", 0, "partition clearing across N asset-sharded engines plus a cross-shard coordinator (0 = single engine)")
+		shards     = flag.Int("shards", 0, "partition clearing across N asset shards plus a cross-shard coordinator (0 or 1 = one engine, no coordinator)")
 		crossRatio = flag.Float64("cross-ratio", 0, "with -shards and -arrival-rate: fraction of generated rings that span two shards (cross-shard escalation load)")
 
 		dataDir = flag.String("data-dir", "", "durable state directory: log engine events to a WAL (snapshotted and truncated as it grows) and recover from it on restart")
@@ -224,16 +200,17 @@ func main() {
 			ReorgRate:    *reorgRate,
 			Seed:         *seed,
 		},
+		Shards: *shards,
 	}
 	if *crossRatio > 0 && (*shards <= 1 || *arrivalRate <= 0) {
 		log.Fatal("-cross-ratio needs -shards > 1 and -arrival-rate")
 	}
-	var eng clearingEngine
+	var eng *engine.Engine
 	if *dataDir == "" {
-		eng = newEngine(cfg, *shards)
+		eng = engine.New(cfg)
 	} else {
 		var err error
-		if eng, err = durableEngine(cfg, *shards, *dataDir); err != nil {
+		if eng, err = durableEngine(cfg, *dataDir); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -57,49 +57,38 @@ type Recovery struct {
 	Store *Store
 }
 
-// Recover rebuilds an engine from a durable store: read snapshot + tail,
-// fold, resolve every in-flight swap (resume or refund — see
-// State.Resolve for the rule), and hand the result to
-// engine.NewRecovered. The returned engine has not been Started; the
-// caller Starts it exactly like a fresh one, and the recovered pending
-// book (original pending orders plus resumed ones) re-clears on the
-// first rounds.
-func Recover(ecfg engine.Config, opts RecoverOptions) (*engine.Engine, *Recovery, error) {
-	var e *engine.Engine
-	rec, err := Resume(opts, ecfg.Delta, func(st engine.Store, rs engine.RecoveredState) (*engine.Engine, error) {
-		ecfg.Store = st
-		var err error
-		e, err = engine.NewRecovered(ecfg, rs)
-		return e, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, rec, nil
-}
-
-// Resume is the store side of recovery, written once for every engine
-// shape: open the directory, fold it up to the cut, resolve what was in
-// flight against the timelock budget delta buys, and attach the store or
-// close it. build turns the result into an engine — it receives the store
-// the new engine must keep logging into (nil unless opts.Attach) and the
-// resolved state — and returns the engine whose metrics carry the recovery
-// counters. A build failure closes an attached store.
-func Resume(opts RecoverOptions, delta vtime.Duration,
-	build func(engine.Store, engine.RecoveredState) (*engine.Engine, error)) (*Recovery, error) {
+// Recover rebuilds an engine from a durable store, onto cfg.Shards shards
+// whatever count wrote it: open the directory, fold it up to the cut,
+// resolve every in-flight swap against the timelock budget cfg.Delta buys
+// (resume or refund — see State.Resolve for the rule), attach the store or
+// close it, and hand the result to engine.NewRecovered. Every unit of an
+// engine logs into its one store, with shard-independent identities
+// (global order IDs, canonical swap tags), so the log folds once and
+// re-partitions onto any shard count. An order a coordinator had escalated
+// folds back to its booked offer and recovers onto its home shard, and a
+// swap a coordinator had PREPARED (EvPrepared logged, reservations held on
+// every involved shard) but not committed folds to pending orders: the
+// reservations died with the process, so the prepare is refunded and the
+// orders resume. See DESIGN.md §11.
+//
+// The returned engine has not been Started; the caller Starts it exactly
+// like a fresh one, and the recovered pending book (original pending
+// orders plus resumed ones) re-clears on the first rounds. A build failure
+// closes an attached store.
+func Recover(cfg engine.Config, opts RecoverOptions) (*engine.Engine, *Recovery, error) {
 	begin := time.Now()
 	st, err := Open(Options{Dir: opts.Dir, SnapshotEvery: opts.SnapshotEvery})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !st.HasData() {
 		st.Close()
-		return nil, fmt.Errorf("%w in %s", ErrNoState, opts.Dir)
+		return nil, nil, fmt.Errorf("%w in %s", ErrNoState, opts.Dir)
 	}
 	resolved, err := st.ResolvedState(opts.CutTick)
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, nil, err
 	}
 
 	rec := &Recovery{
@@ -110,6 +99,7 @@ func Resume(opts RecoverOptions, delta vtime.Duration,
 	if opts.CutTick > rec.Tick {
 		rec.Tick = opts.CutTick
 	}
+	delta := cfg.Delta
 	if delta <= 0 {
 		delta = core.DefaultDelta
 	}
@@ -117,23 +107,23 @@ func Resume(opts RecoverOptions, delta vtime.Duration,
 	recState, rec.Resumed, rec.Refunded = resolved.Resolve(rec.Tick, delta)
 
 	// A nil *Store must reach the engine as a nil engine.Store.
-	var logTo engine.Store
+	cfg.Store = nil
 	if opts.Attach {
 		if err := st.AttachResolved(resolved); err != nil {
 			st.Close()
-			return nil, err
+			return nil, nil, err
 		}
-		rec.Store, logTo = st, st
+		rec.Store, cfg.Store = st, st
 	} else if err := st.Close(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	e, err := build(logTo, recState)
+	e, err := engine.NewRecovered(cfg, recState)
 	if err != nil {
 		if opts.Attach {
 			st.Close()
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	rec.WallMs = float64(time.Since(begin)) / float64(time.Millisecond)
 	e.SetRecoveryStats(metrics.RecoveryStats{
@@ -142,5 +132,5 @@ func Resume(opts RecoverOptions, delta vtime.Duration,
 		Refunded: rec.Refunded,
 		WallMs:   rec.WallMs,
 	})
-	return rec, nil
+	return e, rec, nil
 }

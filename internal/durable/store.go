@@ -277,7 +277,7 @@ func (s *Store) latch(err error) {
 // sched.TopLevel of that tick, after every other level. A nil v unbinds,
 // and every append seals at once again. Frames already pending are sealed
 // now, so none waits on a scheduler the store no longer watches.
-// engine.NewHost binds the store it is configured with.
+// engine.New binds the store it is configured with.
 func (s *Store) SealOn(v *sched.Virtual) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

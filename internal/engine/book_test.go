@@ -98,7 +98,7 @@ type bookPair struct {
 	book   book
 	model  sliceBook
 	names  []chain.PartyID
-	orders []*order // what Engine.orders would hold: escalated orders are gone
+	orders []*order // what unit.orders would hold: escalated orders are gone
 	nextID OrderID
 }
 
@@ -147,8 +147,8 @@ func (p *bookPair) reject(batch []*order) {
 	p.model.compact()
 }
 
-// escalate is Escalate's take from a shard; the orders it returns leave
-// that shard's Engine.orders.
+// escalate is unit.escalate's take from a shard; the orders it returns
+// leave that shard's order map.
 func (p *bookPair) escalate(cutoff vtime.Ticks) {
 	want := p.model.takeEscalatable(cutoff)
 	var got []*order
@@ -451,9 +451,10 @@ func TestBookRoundCostIndependentOfDepth(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Stop: %v", err)
 			}
-			e.mu.Lock()
-			visits[d] = e.book.visits
-			e.mu.Unlock()
+			u := e.units[0]
+			u.mu.Lock()
+			visits[d] = u.book.visits
+			u.mu.Unlock()
 			rounds[d], swaps[d] = e.ClearRounds(), e.Report().SwapsFinished
 			if limit := uint64(e.cfg.MaxBatch); visits[d] > uint64(rounds[d])*limit {
 				t.Errorf("%d rings: %d visits in %d rounds, limit %d a round", rings, visits[d], rounds[d], limit)
@@ -490,7 +491,7 @@ func TestStuckHeadDoesNotStarveTheBook(t *testing.T) {
 			t.Fatal(err)
 		}
 		const partial, rings = 100, 5
-		release := e.sched.Hold()
+		release := e.Scheduler().Hold()
 		for r := 0; r < partial; r++ {
 			if _, err := e.Submit(LoadOffer(r, 0, 3, r)); err != nil { // a third of a ring
 				t.Fatal(err)
@@ -523,44 +524,31 @@ func TestStuckHeadDoesNotStarveTheBook(t *testing.T) {
 
 // TestBookConcurrentUse reaches the book from everywhere the engine does
 // at once — intake goroutines, the intake and clearing callbacks (dispatch,
-// and the rejection of orders whose asset an earlier swap spent), an
-// escalation sweep at its tail level moving orders to a coordinator, and
-// readers of the fair-shedding counts — so that a run under -race shows
-// the engine mutex covers all of it.
+// and the rejection of orders whose asset an earlier swap spent), the
+// escalation sweep at its tail level moving orders from two shards to the
+// coordinator, and readers of the fair-shedding counts — so that a run
+// under -race shows the unit mutexes cover all of it.
 func TestBookConcurrentUse(t *testing.T) {
 	cfg := testConfig()
 	cfg.Parallel = true
 	cfg.MaxLive = 8 // keep a book behind the rounds
+	cfg.Shards = 2  // rings that span both shards escalate
 	e := New(cfg)
-	h := *e.cfg.host
-	h.Stripe, h.ShardOf = 1, func(string) int { return 0 }
-	coord := New(Hosted(cfg, h))
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, ringsEach, pool = 4, 30, 6
 	const submitted = 3 * (submitters*ringsEach + submitters*ringsEach/5)
 	var intakeDone atomic.Bool
-	var sweep func()
-	sweep = func() {
-		now := e.sched.Now()
-		if len(coord.Orders()) < 40 { // the free-running clock ages every order: leave most to clear
-			coord.Escalate([]*Engine{e}, now-40)
-		}
-		if !intakeDone.Load() || e.Pending() > 0 {
-			e.sched.AtTailN(now+5, 2, 1, sweep)
-		}
-	}
-	e.sched.AtTailN(5, 2, 1, sweep)
 	// Intake racing a running clock is the test: let go of the birth hold.
-	e.sched.Hold()()
+	e.Scheduler().Hold()()
 
 	var readers, intake sync.WaitGroup
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
 		for !intakeDone.Load() {
-			if of, parties := e.PendingOf("r0-p0"), e.PendingParties(); of < 0 || of > submitted || parties > 3*pool {
+			if of, parties := e.PendingOf("r0-p0"), e.PendingParties(); of < 0 || of > submitted || parties > 3*pool*len(e.units) {
 				t.Errorf("PendingOf %d, PendingParties %d", of, parties)
 				return
 			}
@@ -588,22 +576,13 @@ func TestBookConcurrentUse(t *testing.T) {
 	intake.Wait()
 	intakeDone.Store(true)
 	readers.Wait()
-	// The sweep stops once e's book is empty; then the coordinator drains,
-	// and e, which owns the host, stops last.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := e.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	drainAndStop(t, coord)
 	drainAndStop(t, e)
-
-	orders, escalated := e.Orders(), coord.Orders()
-	if got := len(orders) + len(escalated); got != submitted {
-		t.Errorf("%d orders kept + %d escalated, want %d submitted", len(orders), len(escalated), submitted)
+	orders, escalated := e.Orders(), e.Coordinator().snapshots()
+	if len(orders) != submitted {
+		t.Errorf("%d orders, want %d submitted", len(orders), submitted)
 	}
 	rejected := 0
-	for _, o := range append(orders, escalated...) {
+	for _, o := range orders {
 		if o.Status != StatusSettled && o.Status != StatusRejected {
 			t.Errorf("order %d not terminal: %s", o.ID, o.Status)
 		}
@@ -612,9 +591,9 @@ func TestBookConcurrentUse(t *testing.T) {
 		}
 	}
 	t.Logf("%d submitted: %d settled, %d rejected, %d escalated", submitted, submitted-rejected, rejected, len(escalated))
-	for _, x := range []*Engine{e, coord} {
-		if x.Pending() != 0 || x.PendingParties() != 0 || x.book.first != nil || len(x.book.heads) != 0 {
-			t.Errorf("book not empty after drain: %d orders, %d parties", x.Pending(), x.PendingParties())
+	for _, u := range e.units {
+		if u.pending() != 0 || u.pendingParties() != 0 || u.book.first != nil || len(u.book.heads) != 0 {
+			t.Errorf("book not empty after drain: %d orders, %d parties", u.pending(), u.pendingParties())
 		}
 	}
 	if err := e.VerifyConservation(); err != nil {

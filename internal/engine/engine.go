@@ -14,7 +14,10 @@
 //	       settle orders
 //
 // Submit is safe from any goroutine: it only posts the order, and every
-// later stage runs on the scheduler's timeline (see submit).
+// later stage runs on the scheduler's timeline (see Engine.Submit). With
+// Config.Shards > 1 one Engine partitions that pipeline by asset chain
+// across shard units, plus a coordinator unit for what spans shards (see
+// Engine and DESIGN.md §11).
 package engine
 
 import (
@@ -23,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -137,9 +139,8 @@ type Config struct {
 	// same whenever its posting order is (scheduler callbacks, one
 	// goroutine, or a Hold around the fill). With neither this nor Parallel the
 	// clock is paced by the wall, one tick per Tick (sched.NewPaced over
-	// Workers). NewHost reads this and Parallel; an engine built by
-	// New owns its host's dispatcher goroutine, and Stop (valid even if
-	// Start was never called) releases it.
+	// Workers). The engine owns its scheduler's dispatcher goroutine, and
+	// Stop (valid even if Start was never called) releases it.
 	Deterministic bool
 	// Parallel is Deterministic on a sched.NewVirtual of Workers workers:
 	// the same dispatch path, which stripes each (tick, level) batch by swap
@@ -175,173 +176,12 @@ type Config struct {
 	// positive ReorgRate on top makes not-yet-final records revert with
 	// that seeded probability. See internal/chain and DESIGN.md §12.
 	Commitment CommitmentConfig
-
-	// host is what the engine runs over: set by Hosted, or built by New.
-	host *Host
-}
-
-// Host is what the engines of one deployment share, plus an engine's place
-// in it: ONE scheduler, chain registry, keyring, verify cache and trace ring.
-// NewHost builds it, and whoever built it owns it — engine.New for the
-// engine it builds, a sharded deployment for its N shard engines and its
-// coordinator. The owner closes the scheduler, restores a recovered state
-// into the host (RecoveredState.RestoreShared), and logs the deployment's
-// kill, each once; an engine over a host it was handed does none of the
-// three (see DESIGN.md §11).
-//
-// The rest of an engine's wiring follows from its place. The coordinator —
-// the one engine handed ShardOf — clears at tail level 3 rather than 1: the
-// ladder is protocol events (0) → shard clearing (1) → escalation sweep (2)
-// → coordinator clearing (3), with a determinism barrier between levels;
-// and it writes the AC3 prepare record (see clearGroup).
-type Host struct {
-	// Scheduler is the shared time source.
-	Scheduler *sched.Virtual
-	// Registry is the shared chain registry: one reservation table spanning
-	// every shard, so a cross-shard swap reserves assets on all of them.
-	Registry *chain.Registry
-	// Keyring is the shared party keyring (parties may submit to any
-	// shard; their identity must not depend on which).
-	Keyring *core.Keyring
-	// Cache is the shared hashkey verification cache, its batch pool sized
-	// once by the owner from the machine's total workers.
-	Cache *hashkey.VerifyCache
-	// Tracer is the shared trace flight recorder.
-	Tracer *trace.Log
-	// Stripe keys this engine's clearing ticks on the shared virtual
-	// scheduler: clearing passes of distinct shards may run concurrently on
-	// dispatch helpers while each shard's own pass stays serialized.
-	Stripe uint64
-	// ShardOf maps a chain name to its shard. Set on the coordinator only,
-	// whose prepare records say how many shards a swap spans (a hook, not
-	// an import: engine must not depend on shard).
-	ShardOf func(chainName string) int
-	// OnIntake, when set, runs inside the intake event after a posted order
-	// leaves intake on this engine, booked or rejected: a sharded
-	// deployment's shards wake its escalation sweep with it, so the sweep
-	// takes a booked order and a drain waiting on the sweep's park hears a
-	// rejected one.
-	OnIntake func()
-
-	// fan is the registry's delivery probe; every engine built over the
-	// host joins it.
-	fan *probeFan
-	// intake holds the orders posted to every engine over the host until
-	// its one event admits them.
-	intake *intake
-	// sealer is the configured store when it batches its writes on the
-	// host's timeline (see Store); Close unbinds it.
-	sealer interface{ SealOn(*sched.Virtual) }
-}
-
-// NewHost builds a deployment's shared infrastructure from cfg: the
-// scheduler cfg asks for (a free one-worker clock under Deterministic, a
-// free one of Workers workers under Parallel, else one of Workers workers
-// paced by the wall at Tick), a chain registry under cfg.Commitment,
-// the keyring (seeded from Seed), the verify cache with its batch pool
-// sized once for the machine, the trace ring, and — with a Store — the
-// hook that logs each new identity. The scheduler runs a dispatcher
-// goroutine: the owner closes it.
-func NewHost(cfg Config) Host {
-	cfg = cfg.WithDefaults()
-	var sc *sched.Virtual
-	switch {
-	case cfg.Parallel:
-		sc = sched.NewVirtual(cfg.Workers)
-	case cfg.Deterministic:
-		sc = sched.NewVirtual(1)
-	default:
-		sc = sched.NewPaced(cfg.Workers, cfg.Tick)
-	}
-	h := Host{
-		Scheduler: sc,
-		Registry:  chain.NewRegistry(sc),
-		Keyring:   core.NewKeyring(rand.New(rand.NewSource(cfg.Seed + 2))),
-		Cache:     hashkey.NewVerifyCache(0),
-		Tracer:    trace.NewLog(trace.DefaultCap),
-		fan:       new(probeFan),
-		intake:    &intake{v: sc},
-	}
-	// Cold chain walks may fan links across the pool — capped at the
-	// machine's parallelism, where extra fan-out is pure overhead. Sized
-	// once from the whole budget: N shards never stack N pools.
-	h.Cache.SetBatchWorkers(min(cfg.Workers, runtime.GOMAXPROCS(0)))
-	h.Registry.SetDeliveryProbe(h.fan)
-	if cfg.Commitment.Enabled() {
-		// One model set for the whole deployment, installed before any chain
-		// exists — which is also why this cannot fail.
-		if err := h.Registry.SetCommitmentModels(cfg.Commitment.Model); err != nil {
-			panic(err)
-		}
-		h.Registry.SetChainProbeFactory(h.fan.chainProbe)
-	}
-	if st := cfg.Store; st != nil {
-		// An identity's durable form is its ed25519 seed (see
-		// core.Keyring.OnCreate); a restored one is already in the log.
-		// Identities are created on the timeline, by the intake event, so
-		// its tick is that event's.
-		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
-			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
-		})
-		// A store that can batch its writes seals once per tick on the
-		// deployment's timeline (see Store).
-		if b, ok := st.(interface{ SealOn(*sched.Virtual) }); ok {
-			b.SealOn(sc)
-			h.sealer = b
-		}
-	}
-	return h
-}
-
-// Close stops the host's scheduler, then unbinds a batching store, which
-// seals what it holds: a Close that lands between a tick's levels leaves
-// that tick's appends pending, its seal never to run. Appends after it
-// are written at once. The owner calls it once, after every engine over
-// the host has stopped.
-func (h *Host) Close() {
-	h.Scheduler.Close()
-	if h.sealer != nil {
-		h.sealer.SealOn(nil)
-	}
-}
-
-// Hosted returns cfg as the configuration of an engine over h, which its
-// builder owns.
-func Hosted(cfg Config, h Host) Config {
-	cfg.host = &h
-	return cfg
-}
-
-// probeFan hands each delivery observation on a host's registry to every
-// engine built over the host, so each adaptive-Δ window consumes its own
-// copy of the evidence. Engines join as they are built, before the host
-// runs anything.
-type probeFan struct{ engines []*Engine }
-
-func (f *probeFan) Observe(lag vtime.Duration) {
-	for _, e := range f.engines {
-		e.probe.Observe(lag)
-	}
-}
-
-// chainProbe is the registry's per-chain probe factory: the same fan, into
-// each engine's probe for the chain, so every engine's Δ respects the
-// slowest chain.
-func (f *probeFan) chainProbe(name string) chain.DeliveryProbe {
-	ps := make(latencyFan, len(f.engines))
-	for i, e := range f.engines {
-		ps[i] = e.newChainProbe(name)
-	}
-	return ps
-}
-
-// latencyFan broadcasts one observation to several probes.
-type latencyFan []*sched.LatencyProbe
-
-func (f latencyFan) Observe(lag vtime.Duration) {
-	for _, p := range f {
-		p.Observe(lag)
-	}
+	// Shards partitions clearing by asset chain into this many shard units
+	// (0 and 1 both build the plain engine: one unit, no coordinator). With
+	// more than one, a coordinator unit clears what spans shards, and
+	// Workers is the whole budget, which each unit shares for its MaxLive
+	// default. See Engine.
+	Shards int
 }
 
 // CommitmentConfig parameterizes the commitment model every asset chain
@@ -421,26 +261,41 @@ type resvKey struct {
 }
 
 // Minted is one asset put into existence on a chain — at intake, or by a
-// recovery's re-mint: what VerifyMinted audits.
+// recovery's re-mint: what the conservation audit checks.
 type Minted struct {
 	Chain  string
 	Asset  chain.AssetID
 	Amount uint64
 }
 
-// Engine is the clearing service. Create with New, call Start, Submit
-// offers from any goroutine, and Drain/Stop to wind down.
+// unit is one clearing unit of an Engine — a shard, or the coordinator:
+// its order book, its clearing loop on its own stripe, the settle of the
+// swaps it clears and, on the coordinator, the intake of escalated orders.
+// A one-shard Engine is one unit.
 //
-// Engine state is written on the scheduler's timeline only: Submit posts
-// an order, and the host's intake event books it at level 0 of the tick
-// (see submit). e.mu guards that state — the order map, the book and the
+// Unit state is written on the scheduler's timeline only: Submit posts an
+// order, and the host's intake event books it at level 0 of the tick (see
+// Engine.Submit). e.mu guards that state — the order map, the book and the
 // posted counts — against outside readers and against the stripes of one
 // batch that reach it at once (an intake event and a settle).
-type Engine struct {
+type unit struct {
 	cfg Config
-	// ownsHost marks an engine that built its host (New without Hosted):
-	// it closes the scheduler and logs the kill (see Host).
-	ownsHost bool
+	// stripe keys this unit's clearing ticks on the shared scheduler:
+	// clearing passes of distinct shards may run concurrently on dispatch
+	// helpers while each shard's own pass stays serialized. A one-shard
+	// engine clears on stripe 0.
+	stripe uint64
+	// shardOf maps a chain name to its shard. Set on the coordinator only,
+	// which clears at tail level 3 rather than 1 and whose AC3 prepare
+	// records say how many shards a swap spans (see clearGroup).
+	shardOf func(chainName string) int
+	// onIntake, when set, runs inside the intake event after a posted order
+	// leaves intake on this unit, booked or rejected: a shard wakes the
+	// escalation sweep with it, so the sweep takes a booked order and a
+	// drain waiting on the sweep's park hears a rejected one.
+	onIntake func()
+	// intake is the host's.
+	intake *intake
 	// maxLive caps live runs (see liveRuns and Config.MaxLive): enough
 	// concurrency to saturate the stripe pool, bounded so observer fanout
 	// stays flat.
@@ -480,13 +335,13 @@ type Engine struct {
 	// service sees the same few shapes over and over (core.ShapeCache).
 	shapes *core.ShapeCache
 
-	// drainCh wakes Drain and Stop the moment the engine may have gone
+	// drainCh wakes drain and stop the moment the unit may have gone
 	// idle (an order booked or rejected at intake, liveRuns reached zero,
 	// book emptied, the clearing loop parked, or Kill).
 	drainCh chan struct{}
 
 	// clearing is the clearing loop: clearTick, once per ClearEvery on the
-	// shared scheduler. The loop parks when the engine goes idle (empty
+	// shared scheduler. The loop parks when the unit goes idle (empty
 	// book, nothing live) and a booking wakes it: parked rounds are exactly
 	// the rounds the active-round count never included, so digests are
 	// unaffected — but a free clock stops running, instead of burning CPU
@@ -513,7 +368,6 @@ type Engine struct {
 	liveRuns atomic.Int64
 
 	mu     sync.Mutex
-	state  engineState
 	orders map[OrderID]*order
 	// book holds exactly the StatusPending orders: an order is added when
 	// it is booked and removed the moment it is dispatched, rejected or
@@ -534,12 +388,6 @@ type Engine struct {
 	// the recovery subsystem's input, not Drain's.
 	killed bool
 
-	// recovered marks an engine rebuilt by NewRecovered: its history
-	// includes a crash, so audits hold it to ledger integrity rather
-	// than strict no-stranded-escrow conservation (a hard crash mid-
-	// settlement can orphan an escrowed leg by design).
-	recovered bool
-
 	// rng drives adversary selection. It is NOT safe for concurrent use
 	// and is confined to the clearing tick (clearTick → clearRound →
 	// clearGroup, sequential by construction): never touch it from
@@ -557,27 +405,23 @@ type Engine struct {
 		partitioner core.Partitioner
 		contended   bool
 	}
-	// roundTicks records the tick of every active round (confined to the
-	// clearing goroutine, read after Stop): the
-	// sharded engine merges per-shard tick SETS, not counts, so the
-	// merged round count of a 4-shard run equals the 1-shard run's.
+	// roundTicks records the tick of every active clearing round: one that
+	// had live work and kept the loop armed — a dispatch, live runs, a
+	// reservation conflict, or a book it emptied. Unlike clearRounds it
+	// leaves out the round that parks, whether it found the unit idle or its
+	// book stuck — a stuck order's last look lands wherever the unit holding
+	// it goes quiet, which on a sharded engine is not where the plain one
+	// goes quiet. Engine.ClearRounds merges the units' tick sets, a pure
+	// function of the schedule on a free clock, so digests and budget
+	// assertions are built from it. Confined to the clearing goroutine like
+	// clearRounds; read after Stop.
 	roundTicks []vtime.Ticks
-	// activeRounds is the count of clearing rounds that had live work and
-	// kept the loop armed: a dispatch, live runs, a reservation conflict,
-	// or a book they emptied. Unlike clearRounds it leaves out the round
-	// that parks, whether it found the engine idle or its book stuck — a
-	// stuck order's last look lands wherever the engine holding it goes
-	// quiet, which on a sharded deployment is not where the plain engine
-	// goes quiet. It is a pure function of the schedule on a free clock, so
-	// digests and budget assertions are built from it. Confined to the
-	// clearing goroutine like clearRounds.
-	activeRounds int
 }
 
-// WithDefaults fills every unset knob with its default — the one place
-// they are defined: New applies it, and the sharded engine reads its own
-// cadence and worker budget from the same resolution.
-func (cfg Config) WithDefaults() Config {
+// withDefaults fills every unset knob with its default — the one place
+// they are defined: New applies it, and every unit and the host read the
+// same resolution.
+func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
@@ -614,18 +458,16 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
-// New creates an engine over a host it builds and owns (NewHost) — or, for
-// a Hosted configuration, over that host.
-func New(cfg Config) *Engine {
-	cfg = cfg.WithDefaults()
-	own := cfg.host == nil
-	if own {
-		cfg = Hosted(cfg, NewHost(cfg))
-	}
-	h := cfg.host
-	e := &Engine{
+// newUnit builds a unit of e over its host, clearing on stripe, and wires
+// it into the host's probe fan. shardOf is the coordinator's: set, the unit
+// clears at tail level 3 instead of 1.
+func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *unit {
+	h := &e.host
+	u := &unit{
 		cfg:      cfg,
-		ownsHost: own,
+		stripe:   stripe,
+		shardOf:  shardOf,
+		intake:   h.intake,
 		sched:    h.Scheduler,
 		reg:      h.Registry,
 		keyring:  h.Keyring,
@@ -640,18 +482,18 @@ func New(cfg Config) *Engine {
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		drainCh:  make(chan struct{}, 1),
 	}
-	h.fan.engines = append(h.fan.engines, e)
-	e.round.byParty = make(map[chain.PartyID]*order)
+	h.fan.units = append(h.fan.units, u)
+	u.round.byParty = make(map[chain.PartyID]*order)
 	level := int8(1)
-	if h.ShardOf != nil {
+	if shardOf != nil {
 		level = 3
 	}
-	if e.maxLive = cfg.MaxLive; e.maxLive <= 0 {
-		e.maxLive = 16 * cfg.Workers
-		if e.sched.Tick() > 0 {
+	if u.maxLive = cfg.MaxLive; u.maxLive <= 0 {
+		u.maxLive = 16 * cfg.Workers
+		if u.sched.Tick() > 0 {
 			// On the wall, more live swaps mean more deliveries per tick
 			// that can run late; swapd's Δ and tick are tuned to Workers.
-			e.maxLive = cfg.Workers
+			u.maxLive = cfg.Workers
 		}
 	}
 	// The clearing loop ticks on the shared scheduler, not on a wall-clock
@@ -660,43 +502,20 @@ func New(cfg Config) *Engine {
 	// and at tail level, so a round runs only after every protocol event
 	// of its tick has fully drained, which gives serialized and
 	// striped-parallel dispatch the identical pre-clearing state.
-	e.clearing = sched.NewLoop(e.sched, cfg.ClearEvery, level, h.Stripe, e.clearTick)
-	e.delta.Store(int64(cfg.Delta))
-	return e
+	u.clearing = sched.NewLoop(u.sched, cfg.ClearEvery, level, stripe, u.clearTick)
+	u.delta.Store(int64(cfg.Delta))
+	return u
 }
 
-// Registry exposes the shared chain registry (for invariant checks).
-func (e *Engine) Registry() *chain.Registry { return e.reg }
-
-// Scheduler exposes the engine's shared time scheduler, so load
-// generators can drive arrival processes on the same clock the swaps run
-// against (free or paced).
-func (e *Engine) Scheduler() sched.Scheduler { return e.sched }
-
-// Tick reports the configured wall duration of one virtual tick (the
-// rate-to-ticks conversion factor for schedules driven through
-// Scheduler).
-func (e *Engine) Tick() time.Duration { return e.cfg.Tick }
-
-// Keyring exposes the persistent party keyring.
-func (e *Engine) Keyring() *core.Keyring { return e.keyring }
-
-// VerifyCacheStats snapshots the engine-wide hashkey verification cache
-// counters.
-func (e *Engine) VerifyCacheStats() hashkey.CacheStats { return e.vcache.Stats() }
-
-// CurrentDelta reports the Δ newly cleared swaps will be built with:
+// currentDelta reports the Δ newly cleared swaps will be built with:
 // cfg.Delta, or the adaptive controller's current value.
-func (e *Engine) CurrentDelta() vtime.Duration { return vtime.Duration(e.delta.Load()) }
-
-// LatencyStats snapshots the delivery-lag probe feeding adaptive Δ.
-func (e *Engine) LatencyStats() sched.LatencySnapshot { return e.probe.Snapshot() }
+func (e *unit) currentDelta() vtime.Duration { return vtime.Duration(e.delta.Load()) }
 
 // newChainProbe builds (and remembers) the delivery-lag probe for one
 // chain, through the host's chain-probe factory when a commitment model is
 // configured: per-chain lag evidence keeps adaptive Δ honest across
 // heterogeneous chains.
-func (e *Engine) newChainProbe(name string) *sched.LatencyProbe {
+func (e *unit) newChainProbe(name string) *sched.LatencyProbe {
 	p := sched.NewLatencyProbe()
 	e.chainProbeMu.Lock()
 	if e.chainProbes == nil {
@@ -713,7 +532,7 @@ func (e *Engine) newChainProbe(name string) *sched.LatencyProbe {
 // observed worst lag, and we double the lag for headroom before a +1 tick
 // floor. The result is clamped to [MinDelta, MaxDelta] — Δ never drops
 // below what the hardware has actually been seen to need, plus margin.
-func (e *Engine) adaptDelta() {
+func (e *unit) adaptDelta() {
 	// Let the window keep accumulating across clearing rounds until it
 	// holds enough evidence; only then consume and act on it.
 	if e.probe.Snapshot().WindowSamples < adaptMinSamples {
@@ -767,21 +586,7 @@ func (e *Engine) adaptDelta() {
 // jitter, and shrinking Δ on no evidence is exactly the unsafe direction.
 const adaptMinSamples = 32
 
-// Start opens intake and arms the clearing loop. It starts no goroutine:
-// everything runs on the scheduler.
-func (e *Engine) Start() error {
-	e.mu.Lock()
-	if e.state != stateNew {
-		e.mu.Unlock()
-		return fmt.Errorf("engine: already started")
-	}
-	e.state = stateRunning
-	e.mu.Unlock()
-	e.clearing.Wake()
-	return nil
-}
-
-// validateOffer is SubmitRouted's static (state-free) intake check.
+// validateOffer is Submit's static (state-free) intake check.
 func validateOffer(offer core.Offer) error {
 	if len(offer.Give) == 0 || offer.Party == "" {
 		return fmt.Errorf("%w: empty offer or party", ErrBadOffer)
@@ -806,60 +611,23 @@ func validateOffer(offer core.Offer) error {
 	return nil
 }
 
-// Submit posts one offer for booking and returns its order ID. Safe from
-// any goroutine, and it touches nothing the timeline reads: it validates
-// the offer statically, assigns the ID and records the pending order, and
-// the host's intake event books it (see SubmitRouted and admit) — minting
-// any asset the party deposits for the first time, or rejecting the order
-// if the ledger says otherwise.
-func (e *Engine) Submit(offer core.Offer) (OrderID, error) {
-	return e.SubmitRouted(0, offer)
-}
-
-// SubmitRouted is Submit under a router-assigned order ID (0 draws the
-// engine's own), and the one post. The engine's own ID sequence jumps past
-// the routed ID, so mixing Submit and SubmitRouted on one engine cannot
-// collide; an ID the engine already holds is refused. The order exists from
-// here on (Orders, Pending), and it joins its host's intake, whose one event
-// books it (admit) at level 0 of the current tick, in posting order across
-// every engine of the host.
-//
-// Booking only there is what lets the clearing loop and the escalation
-// sweep park without a re-check: no booking lands between a round's look
-// at the book and its Park. A post from inside a level-0 callback books
-// later in the same tick, before any clearing level runs, so every round
-// sees every order posted at or before its tick.
-func (e *Engine) SubmitRouted(id OrderID, offer core.Offer) (OrderID, error) {
-	if err := validateOffer(offer); err != nil {
-		return 0, err
-	}
+// post records a validated offer as pending order id and appends it to the
+// host's intake, whose one event books it (admit).
+func (e *unit) post(id OrderID, offer core.Offer) {
 	o := &order{id: id, offer: offer, status: StatusPending, submittedAt: time.Now(), e: e}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.state != stateRunning {
-		return 0, ErrNotRunning
-	}
-	if o.id == 0 {
-		e.nextOrder++
-		o.id = e.nextOrder
-	} else if _, dup := e.orders[o.id]; dup {
-		// The ID keys the order map: a second order under it has no row of
-		// its own to be rejected in.
-		return 0, fmt.Errorf("%w: order %d already booked", ErrBadOffer, o.id)
-	} else if o.id > e.nextOrder {
-		e.nextOrder = o.id
-	}
-	e.orders[o.id] = o
+	e.nextOrder = id
+	e.orders[id] = o
 	e.posted++
-	e.postedOf[o.offer.Party]++
-	e.cfg.host.intake.post(o)
-	return o.id, nil
+	e.postedOf[offer.Party]++
+	e.intake.post(o)
+	e.mu.Unlock()
 }
 
 // intake is a host's posted orders and the one event that admits them, in
-// posting order across every engine over the host: identities are drawn
-// from the keyring's one seeded stream in creation order, so that order must
-// hold across a sharded deployment's engines. The event runs at level 0 of
+// posting order across every unit: identities are drawn from the keyring's
+// one seeded stream in creation order, so that order must hold across a
+// sharded engine's units. The event runs at level 0 of
 // the tick it was queued in, on stripe key 0. The host owns the event and
 // both lists, as sched.Loop owns its rounds, so a post allocates nothing
 // once the lists have grown.
@@ -873,8 +641,8 @@ type intake struct {
 }
 
 // post appends o and queues the event if o is the first order since the
-// event last took the list. Called under o's engine mutex, so one engine's
-// posting order is its ID order.
+// event last took the list. Engine.Submit posts under its mutex, so
+// posting order is ID order.
 func (in *intake) post(o *order) {
 	in.mu.Lock()
 	if in.posted = append(in.posted, o); len(in.posted) == 1 {
@@ -884,7 +652,7 @@ func (in *intake) post(o *order) {
 }
 
 // Fire is the intake event, the scheduler's entry point (Handler): it takes
-// the posted list and admits each order on the engine it was posted to. A
+// the posted list and admits each order on the unit it was posted to. A
 // post while it runs queues the event again; the dispatcher is done with an
 // event once its Fire has begun, and intake events never overlap.
 func (in *intake) Fire() {
@@ -903,7 +671,7 @@ func (in *intake) Fire() {
 // booking tick, books the order and wakes the clearing loop. An offer the
 // ledger contradicts is rejected instead, with the reason; an identity or
 // mint it made before the contradiction stays, as both are reused.
-func (e *Engine) admit(o *order) {
+func (e *unit) admit(o *order) {
 	_, err := e.keyring.Ensure(o.offer.Party)
 	now := e.sched.Now()
 	e.mu.Lock()
@@ -928,7 +696,7 @@ func (e *Engine) admit(o *order) {
 	}
 	e.mu.Unlock()
 	e.agg.AddSubmitted(1)
-	if f := e.cfg.host.OnIntake; f != nil {
+	if f := e.onIntake; f != nil {
 		f()
 	}
 	e.notifyDrain()
@@ -938,7 +706,7 @@ func (e *Engine) admit(o *order) {
 // intake) and checks known ones against the ledger. Ownership is enforced
 // later, at reservation time, so an offer whose asset is tied up in an
 // earlier swap waits instead of failing. Called with e.mu held.
-func (e *Engine) deposit(offer core.Offer, now vtime.Ticks) error {
+func (e *unit) deposit(offer core.Offer, now vtime.Ticks) error {
 	for _, tr := range offer.Give {
 		ch := e.reg.Chain(tr.Chain)
 		if a, ok := ch.Asset(tr.Asset); ok {
@@ -961,8 +729,8 @@ func (e *Engine) deposit(offer core.Offer, now vtime.Ticks) error {
 	return nil
 }
 
-// Escalate is the escalation protocol, called on the coordinator by the
-// sharded escalation sweep, on the timeline: it runs at its own tail level,
+// escalate is the escalation protocol, called on the coordinator by the
+// escalation sweep, on the timeline: it runs at its own tail level,
 // after every shard's clearing pass of the tick and before the
 // coordinator's. It withdraws every order booked on the shards at or
 // before the cutoff tick and books it here, in global ID order, so that the
@@ -973,7 +741,7 @@ func (e *Engine) deposit(offer core.Offer, now vtime.Ticks) error {
 // never shows it twice; and re-booking an order the deployment accepted is
 // not gated by intake state. It returns how many orders the shard books
 // still hold.
-func (e *Engine) Escalate(shards []*Engine, cutoff vtime.Ticks) (left int) {
+func (e *unit) escalate(shards []*unit, cutoff vtime.Ticks) (left int) {
 	var moved []*order
 	for _, sh := range shards {
 		n := len(moved)
@@ -1011,10 +779,8 @@ func (e *Engine) Escalate(shards []*Engine, cutoff vtime.Ticks) (left int) {
 	return left
 }
 
-// Order returns a snapshot of one order's state. It reads off the
-// timeline: with a store that seals per tick, the status can be up to one
-// tick ahead of the log (see Store).
-func (e *Engine) Order(id OrderID) (OrderSnapshot, bool) {
+// order returns a snapshot of one order's state, if the unit holds it.
+func (e *unit) order(id OrderID) (OrderSnapshot, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	o, ok := e.orders[id]
@@ -1024,10 +790,8 @@ func (e *Engine) Order(id OrderID) (OrderSnapshot, bool) {
 	return o.snapshot(), true
 }
 
-// Orders snapshots every order the engine ever accepted, in submission
-// order — the scenario harness's raw material for digests and
-// invariant checks. Like Order, it can run a tick ahead of the log.
-func (e *Engine) Orders() []OrderSnapshot {
+// snapshots snapshots every order the unit holds, in ID order.
+func (e *unit) snapshots() []OrderSnapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]OrderSnapshot, 0, len(e.orders))
@@ -1039,37 +803,25 @@ func (e *Engine) Orders() []OrderSnapshot {
 	return out
 }
 
-// NoteShed records arrivals dropped before intake (the open-loop
-// generator's bounded-intake backstop), so shedding shows up in the
-// engine's own per-outcome accounting. Call it from a scheduler callback
-// (the arrival that was shed): its WAL record carries that event's tick.
-func (e *Engine) NoteShed(n int) {
-	e.agg.AddShed(n)
-	e.shedPulse.Add(int64(n))
-	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n})
-}
-
-// NoteShedFrom is NoteShed with party attribution: the shed arrival's
-// offering party rides along in the WAL event, so a recovered run — and
-// any fairness audit over the log — can tell whose traffic the backstop
-// turned away. Call it from a scheduler callback, as NoteShed.
-func (e *Engine) NoteShedFrom(party chain.PartyID, n int) {
+// noteShed records n arrivals shed before intake, from party when known
+// (see Engine.NoteShed).
+func (e *unit) noteShed(party chain.PartyID, n int) {
 	e.agg.AddShed(n)
 	e.shedPulse.Add(int64(n))
 	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n, Party: string(party)})
 }
 
-// PendingOf reports how many of the named party's orders are pending:
+// pendingOf reports how many of the named party's orders are pending:
 // booked, or posted and not yet booked.
-func (e *Engine) PendingOf(party chain.PartyID) int {
+func (e *unit) pendingOf(party chain.PartyID) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.book.of(party) + e.postedOf[party]
 }
 
-// PendingParties reports how many distinct parties have pending orders,
+// pendingParties reports how many distinct parties have pending orders,
 // booked or posted.
-func (e *Engine) PendingParties() int {
+func (e *unit) pendingParties() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := e.book.partyCount()
@@ -1083,19 +835,19 @@ func (e *Engine) PendingParties() int {
 
 // clearTick is one round of the batch clearing service: it partitions
 // the pending book into executable swaps. The return value says whether to
-// keep the loop armed: an engine with nothing to do parks instead (a
+// keep the loop armed: a unit with nothing to do parks instead (a
 // booking wakes it; see clearing).
-func (e *Engine) clearTick() bool {
+func (e *unit) clearTick() bool {
 	e.clearRounds++
-	// Liveness: the book is non-empty, or swaps this engine dispatched are
+	// Liveness: the book is non-empty, or swaps this unit dispatched are
 	// still live (liveRuns is decremented when a run settles in its horizon
 	// delivery, at level 0 of its tick — before any clearing tick of the
 	// same tick reads the count, so the gate is a pure function of the
-	// schedule). Once both are zero the engine's own run is
+	// schedule). Once both are zero the unit's own run is
 	// over — so anything that must replay identically (Δ adaptations, the
 	// active-round count) is gated on it, and the loop parks rather than
 	// spin empty rounds on a free clock until Drain notices at wall speed.
-	// The engine's OWN liveness, not the global queue: on a shared sharded
+	// The unit's OWN liveness, not the global queue: on a shared sharded
 	// scheduler the queue holds every other shard's events, and a per-shard
 	// gate must not read cross-shard state (it would also be racy across
 	// concurrently-running shard stripes).
@@ -1106,7 +858,6 @@ func (e *Engine) clearTick() bool {
 		}
 		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.booked() == 0 {
 			e.roundTicks = append(e.roundTicks, e.sched.Now())
-			e.activeRounds++
 			return true
 		}
 		// Stuck book: offers that cannot form a swap (partial rings left
@@ -1130,7 +881,7 @@ func (e *Engine) clearTick() bool {
 // — what the live-run gate leaves free — and reports whether it dispatched
 // any. Keeping live runs bounded also keeps the shared chains' per-record
 // observer fanout O(MaxLive), not O(book).
-func (e *Engine) clearRound(capSwaps int) bool {
+func (e *unit) clearRound(capSwaps int) bool {
 	e.round.contended = false
 	// When the gate is saturated there is no point partitioning a batch at
 	// all: a gated round can dispatch nothing anyway.
@@ -1160,7 +911,7 @@ func (e *Engine) clearRound(capSwaps int) bool {
 // clearWindow partitions the first limit candidates of the book, dispatches
 // up to capSwaps of the groups found, and reports how many, and whether the
 // window was the whole book.
-func (e *Engine) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
+func (e *unit) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 	// One offer per party per round: a party's later orders wait for its
 	// earlier ones, which also serializes conflicting same-asset offers.
 	e.mu.Lock()
@@ -1218,7 +969,7 @@ func swapTag(seq uint64) string {
 // setup, and starts its run, which settles itself at its horizon (settle).
 // Returns false if the group must wait (reservation contention) or was
 // rejected.
-func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
+func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
 	// One identity rule on every engine: tag, seed, and stripe derive from
 	// the minimum order ID in the group. Order IDs are unique (on a sharded
 	// deployment, router-assigned) and arrival-ordered, so the identity is
@@ -1266,7 +1017,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 			held = append(held, resvKey{chain: tr.Chain, asset: tr.Asset})
 		}
 	}
-	if h := e.cfg.host; h.ShardOf != nil && e.cfg.Store != nil {
+	if e.shardOf != nil && e.cfg.Store != nil {
 		// AC3 prepare record: every involved asset is now reserved (the
 		// shared registry's reservation table spans all shards), but the
 		// swap is not yet committed — that is EvCleared, below. A crash
@@ -1275,7 +1026,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		// the orders resume and re-clear after recovery.
 		spans := make(map[int]bool, len(held))
 		for _, r := range held {
-			spans[h.ShardOf(r.chain)] = true
+			spans[e.shardOf(r.chain)] = true
 		}
 		e.logEvent(Event{
 			Kind: EvPrepared, Tick: e.sched.Now(),
@@ -1291,7 +1042,7 @@ func (e *Engine) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bo
 		e.rejectOrders(group, reason)
 	}
 
-	delta := e.CurrentDelta()
+	delta := e.currentDelta()
 	// Under a commitment model each chain's effective Δ includes its
 	// confirmation depth: the timelock ladder must wait out finality,
 	// not just delivery. Only chains whose effective Δ differs from the
@@ -1382,7 +1133,7 @@ func orderIDs(orders []*order) []OrderID {
 // factory when configured, else the legacy AdversaryRate silent leader.
 // Deviation tallies happen at settle time (settle), not here, so a
 // swap rejected before it ran never counts its injected deviations.
-func (e *Engine) buildBehaviors(setup *core.Setup, seed int64, adversarial bool) SwapBehaviors {
+func (e *unit) buildBehaviors(setup *core.Setup, seed int64, adversarial bool) SwapBehaviors {
 	var sb SwapBehaviors
 	spec := setup.Spec
 	switch {
@@ -1405,7 +1156,7 @@ func (e *Engine) buildBehaviors(setup *core.Setup, seed int64, adversarial bool)
 // 2Δ start offset leaves deployment headroom; a deterministic per-swap
 // stagger inside one Δ spreads the event bursts of swaps dispatched in
 // the same wave.
-func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Config {
+func (e *unit) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Config {
 	// The seeds of swaps cleared together step by their group size (a swap
 	// is named by its minimum order ID), and seed mod Δ would use only the
 	// offsets that step reaches — half of them for 4-party groups at Δ = 10.
@@ -1458,7 +1209,7 @@ func (e *Engine) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Conf
 // stripe, at the tick its outcome became final: it releases the
 // reservations, settles the orders, logs both, and counts the run out of
 // liveRuns — last, so a Drain that sees no live run sees settled orders.
-func (e *Engine) settle(j *job, res *conc.Result) {
+func (e *unit) settle(j *job, res *conc.Result) {
 	spec := j.setup.Spec
 	for _, r := range j.resv {
 		e.reg.Release(r.chain, r.asset, j.swapID)
@@ -1520,7 +1271,7 @@ func (e *Engine) settle(j *job, res *conc.Result) {
 
 // rejectOrders marks orders rejected (skipping any that already left the
 // pending state) and removes them from the book.
-func (e *Engine) rejectOrders(batch []*order, reason string) {
+func (e *unit) rejectOrders(batch []*order, reason string) {
 	now := e.sched.Now()
 	e.mu.Lock()
 	n := 0
@@ -1545,63 +1296,32 @@ func (e *Engine) rejectOrders(batch []*order, reason string) {
 }
 
 // notifyDrain wakes a blocked Drain without ever blocking the caller.
-func (e *Engine) notifyDrain() {
+func (e *unit) notifyDrain() {
 	select {
 	case e.drainCh <- struct{}{}:
 	default:
 	}
 }
 
-// Kill stops the engine abruptly — the crash-model shutdown the durable
-// subsystem recovers from. Intake closes and the clearing loop stops,
-// but unlike Stop nothing is drained: pending orders stay pending and
-// in-flight swaps are left to play out (their settle events carry ticks
-// past the cut, so recovery ignores them). It returns the cut tick —
-// the virtual instant of the crash; durable.Recover replays only events
-// stamped at or before it, making the recovered state a pure function
-// of the schedule. Call Stop afterwards to wait out the live runs and
-// release the scheduler. Call it from a scheduler callback, so that the
-// cut is that event's tick (it never waits on a clearing tick in flight).
-func (e *Engine) Kill() vtime.Ticks {
+// kill closes the unit down for a crash (Engine.Kill): its clearing loop
+// stops, and its book is left for recovery.
+func (e *unit) kill() {
 	e.mu.Lock()
-	if e.state == stateRunning || e.state == stateNew {
-		e.state = stateDraining
-	}
 	e.killed = true
 	e.mu.Unlock()
 	e.clearing.Stop(false)
-	cut := e.sched.Now()
-	if e.ownsHost {
-		// One crash, one kill record: the host owner's.
-		e.logEvent(Event{Kind: EvKilled, Tick: cut})
-	}
 	e.notifyDrain()
-	return cut
 }
 
-// Drain stops intake and waits for the book to empty and every live run to
-// settle. Offers that cannot match are rejected once the book is stuck.
-// After Kill the book is deliberately ignored: pending orders are the
-// recovery subsystem's input, and no clearing round is left to resolve
-// them anyway. A posted order's intake and the stuck-book rejection are
-// scheduler events, and a closed scheduler runs none: drain every engine
-// over a host before the host's owner closes its scheduler (an engine that
-// owns its host closes it in Stop, after the drain). Drain can return
-// before the last tick's frames are written to a store that seals per
-// tick; closing the host writes them (see Store).
-func (e *Engine) Drain(ctx context.Context) error {
-	e.mu.Lock()
-	if e.state == stateRunning {
-		e.state = stateDraining
-	}
-	e.mu.Unlock()
-	// A free clock is born held and whoever installs a run lets it go (see
-	// sched.NewVirtual). A drain that finds it still held — the book was
-	// filled from outside with no hold, or not at all — is that party; on a
-	// clock already let go this is a hold taken and dropped.
-	e.sched.Hold()()
-	// Event-driven wait: bookings, settles, rejections, parking, and Kill
-	// all signal drainCh the instant the engine may have gone idle, so runs
+// drain waits for the unit's book to empty and every live run to settle.
+// Offers that cannot match are rejected once the book is stuck. After kill
+// the book is deliberately ignored: pending orders are the recovery
+// subsystem's input, and no clearing round is left to resolve them anyway.
+// A posted order's intake and the stuck-book rejection are scheduler
+// events, which the engine's Stop runs before it closes the scheduler.
+func (e *unit) drain(ctx context.Context) error {
+	// Event-driven wait: bookings, settles, rejections, parking, and kill
+	// all signal drainCh the instant the unit may have gone idle, so runs
 	// pay no wall-clock poll interval as a shutdown tail.
 	for {
 		// The book before the live count: see clearGroup. A posted order is
@@ -1621,7 +1341,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 			// tick — and the digest — stays a pure function of the seed.
 			if !posted && !e.clearing.Armed() {
 				done := make(chan struct{})
-				e.sched.AtKeyed(0, e.cfg.host.Stripe, func() {
+				e.sched.AtKeyed(0, e.stripe, func() {
 					if !e.clearing.Armed() {
 						e.mu.Lock()
 						stuck := e.book.all()
@@ -1641,159 +1361,36 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// Stop gracefully shuts the engine down: drain the book, stop the
-// clearing loop, and wait for every live run to settle — even when ctx
-// ends the drain first. An engine that owns its host then closes it, so
-// its store holds every tick on return (Host.Close); a hosted engine
-// leaves that to the host's owner.
-func (e *Engine) Stop(ctx context.Context) error {
-	drainErr := e.Drain(ctx)
-	e.mu.Lock()
-	if e.state == stateStopped {
-		e.mu.Unlock()
-		return drainErr
-	}
-	e.state = stateStopped
-	e.mu.Unlock()
+// stop stops the clearing loop and waits for every live run to settle.
+func (e *unit) stop() {
 	e.clearing.Stop(true)
 	// The last run to settle signals drainCh (see settle).
 	for e.liveRuns.Load() > 0 {
 		<-e.drainCh
 	}
-	if e.ownsHost {
-		// Every run has settled; stop the dispatcher so the engine leaves
-		// no goroutine behind. A handed host is its owner's to close, once,
-		// after every engine over it has stopped.
-		e.cfg.host.Close()
-	}
-	return drainErr
 }
 
-// Report snapshots the service-level metrics. The signature count comes
-// from the keyring meter at snapshot time; with a shared (sharded)
-// keyring it is the global count — the sharded report overrides it once
-// after merging, so it is never summed across shards.
-func (e *Engine) Report() metrics.Throughput {
-	e.agg.SetSigns(e.keyring.Signs())
-	if e.cfg.Commitment.Enabled() {
-		// Surface each probed chain's effective Δ (chain Δ + confirmation
-		// depth) so heterogeneous-finality runs show their real ladder.
-		base := e.CurrentDelta()
-		deltas := make(map[string]int)
-		for _, name := range e.reg.ModeledChains() {
-			deltas[name] = int(e.reg.Chain(name).Timing().EffectiveDelta(base))
-		}
-		if len(deltas) > 0 {
-			e.agg.SetChainDeltas(deltas)
-		}
+// Report snapshots the unit's own metrics (diagnostics: Engine.Report is
+// the service's). A nil unit — a one-shard engine's Coordinator — reports
+// nothing.
+func (e *unit) Report() metrics.Throughput {
+	if e == nil {
+		return metrics.Throughput{}
 	}
 	return e.agg.Snapshot()
 }
 
-// MergeMetricsInto folds this engine's aggregate metrics into dst — the
-// sharded engine's report assembly. Call in a fixed shard order after
-// the engines have stopped so the merged Δ trajectory is deterministic.
-func (e *Engine) MergeMetricsInto(dst *metrics.Aggregate) { dst.Merge(e.agg) }
-
-// TakeLatencyWindow snapshots and resets the per-interval latency
-// histogram: the percentiles of every order settled since the previous
-// call (or since start). Long runs poll it to see steady-state tails
-// instead of lifetime mush.
-func (e *Engine) TakeLatencyWindow() metrics.LatencyWindow { return e.agg.TakeLatencyWindow() }
-
-// SetRecoveryStats records crash-recovery counters on the engine's
-// metrics (durable.Recover calls it on the engine it rebuilds).
-func (e *Engine) SetRecoveryStats(rs metrics.RecoveryStats) { e.agg.SetRecovery(rs) }
-
-// ClearRounds reports how many clearing rounds had live work to look at
-// (see the activeRounds field doc: the round that parks an idle or stuck
-// engine is excluded, so the count replays identically on a free clock and
-// whatever the shard count). Call only after Stop — the count is confined
-// to the clearing goroutine while the engine runs.
-func (e *Engine) ClearRounds() int { return e.activeRounds }
-
-// ClearRoundTicks returns the tick of every active clearing round. Like
-// ClearRounds, call only after Stop. The sharded engine merges per-shard tick SETS so
-// a round where k shards all had work counts once, exactly as the same
-// work would in a 1-shard run.
-func (e *Engine) ClearRoundTicks() []vtime.Ticks { return e.roundTicks }
-
-// Pending returns the number of pending orders: the book's depth plus the
+// pending returns the number of pending orders: the book's depth plus the
 // orders posted and not yet booked.
-func (e *Engine) Pending() int {
+func (e *unit) pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.book.len() + e.posted
 }
 
 // booked returns the book's depth alone: what a clearing round can see.
-func (e *Engine) booked() int {
+func (e *unit) booked() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.book.len()
-}
-
-// InFlight returns the number of live runs: swaps dispatched and not yet
-// settled.
-func (e *Engine) InFlight() int { return int(e.liveRuns.Load()) }
-
-// VerifyConservation checks the registry invariant that rules out
-// double-spends: every asset the engine ever minted still exists exactly
-// once, with its recorded amount, on its chain, and every ledger's hash
-// chain is intact. When nothing is in flight it additionally requires
-// every asset to be party-owned (no stranded escrow).
-func (e *Engine) VerifyConservation() error { return e.verifyLedgers(true) }
-
-// VerifyLedgerIntegrity is VerifyConservation without the stranded-
-// escrow check: ledgers intact, every minted asset present exactly once
-// with its recorded amount and a well-defined owner. Scenarios with
-// crash-faulted or claim-withholding deviants use it — a crashed party
-// legitimately leaves its escrow unclaimed forever, which is its own
-// loss, not a conservation violation.
-func (e *Engine) VerifyLedgerIntegrity() error { return e.verifyLedgers(false) }
-
-// Recovered reports whether this engine was rebuilt from a durable log
-// (engine.NewRecovered) rather than started fresh.
-func (e *Engine) Recovered() bool { return e.recovered }
-
-func (e *Engine) verifyLedgers(strandCheck bool) error {
-	e.mu.Lock()
-	minted := append([]Minted(nil), e.minted...)
-	e.mu.Unlock()
-	quiescent := e.liveRuns.Load() == 0
-	if err := VerifyMinted(e.reg, minted, strandCheck, quiescent); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	return nil
-}
-
-// VerifyMinted is the audit behind VerifyConservation and
-// VerifyLedgerIntegrity, over any set of minted assets on reg — an
-// engine's own, or the ones a sharded recovery re-minted on the registry
-// its engines share: every ledger's hash chain is intact and every asset
-// still exists exactly once with its minted amount and an owner; with
-// strandCheck on a quiescent registry, that owner is a party.
-func VerifyMinted(reg *chain.Registry, minted []Minted, strandCheck, quiescent bool) error {
-	if !reg.VerifyAllLedgers() {
-		return errors.New("ledger hash chain broken")
-	}
-	for _, m := range minted {
-		ch := reg.Chain(m.Chain)
-		a, ok := ch.Asset(m.Asset)
-		if !ok {
-			return fmt.Errorf("minted asset %s/%s vanished", m.Chain, m.Asset)
-		}
-		if a.Amount != m.Amount {
-			return fmt.Errorf("asset %s/%s amount changed: minted %d, now %d",
-				m.Chain, m.Asset, m.Amount, a.Amount)
-		}
-		owner, ok := ch.OwnerOf(m.Asset)
-		if !ok {
-			return fmt.Errorf("asset %s/%s has no owner", m.Chain, m.Asset)
-		}
-		if strandCheck && quiescent && owner.Kind != chain.OwnerParty {
-			return fmt.Errorf("asset %s/%s stranded in escrow (%s)", m.Chain, m.Asset, owner)
-		}
-	}
-	return nil
 }

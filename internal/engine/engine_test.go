@@ -605,10 +605,10 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		probe.Observe(0)
 	}
-	e.adaptDelta()
+	e.units[0].adaptDelta()
 	if got := e.CurrentDelta(); got != cfg.MinDelta {
 		t.Fatalf("delta %d after a zero-lag window, want floor %d (probe %+v)",
-			got, cfg.MinDelta, e.LatencyStats())
+			got, cfg.MinDelta, e.units[0].probe.Snapshot())
 	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -636,7 +636,7 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	for deadline := time.Now().Add(60 * time.Second); !loopAdapted(); {
 		if time.Now().After(deadline) {
 			t.Fatalf("the clearing loop never dispatched an adaptation: trajectory %+v (probe %+v)",
-				e.Report().DeltaTrajectory, e.LatencyStats())
+				e.Report().DeltaTrajectory, e.units[0].probe.Snapshot())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -667,28 +667,27 @@ func TestEngineAdaptiveDelta(t *testing.T) {
 	}
 }
 
-// TestHostFansChainEvidence: every engine over one host reads the host
+// TestHostFansChainEvidence: every unit of a sharded engine reads the host
 // registry's per-chain delivery evidence, so each applies the slowest-chain
 // rule — a window whose overall lag is zero but whose one chain lags 3 ticks
 // sets Δ from the 3. A sharded deployment used to install per-chain probes
 // that nothing read.
 func TestHostFansChainEvidence(t *testing.T) {
-	cfg := Config{
+	e := New(Config{
 		Delta: 15, MaxDelta: 100, AdaptiveDelta: true, Deterministic: true,
-		Commitment: CommitmentConfig{ConfirmDepth: 2},
-	}
-	h := NewHost(cfg)
-	defer h.Close()
-	engines := []*Engine{New(Hosted(cfg, h)), New(Hosted(cfg, h))}
-	h.Registry.Chain("slow")
+		Commitment: CommitmentConfig{ConfirmDepth: 2}, Shards: 2,
+	})
+	defer drainAndStop(t, e)
+	reg := e.Registry()
+	reg.Chain("slow")
 	for i := 0; i < adaptMinSamples; i++ {
-		h.Registry.DeliveryProbe().Observe(0)
+		reg.DeliveryProbe().Observe(0)
 	}
-	h.Registry.ChainDeliveryProbe("slow").Observe(3)
-	for i, e := range engines {
-		e.adaptDelta()
-		if got, want := e.CurrentDelta(), vtime.Duration(4*(2*3+1)); got != want {
-			t.Errorf("engine %d: Δ %d after a window whose slowest chain lagged 3 ticks, want %d", i, got, want)
+	reg.ChainDeliveryProbe("slow").Observe(3)
+	for i, u := range e.units {
+		u.adaptDelta()
+		if got, want := u.currentDelta(), vtime.Duration(4*(2*3+1)); got != want {
+			t.Errorf("unit %d: Δ %d after a window whose slowest chain lagged 3 ticks, want %d", i, got, want)
 		}
 	}
 }
@@ -827,18 +826,6 @@ func TestEngineDeterministicReplay(t *testing.T) {
 	}
 }
 
-// walRecorder is a Store that keeps every event in append order.
-type walRecorder struct {
-	mu  sync.Mutex
-	evs []Event
-}
-
-func (w *walRecorder) Append(ev Event) {
-	w.mu.Lock()
-	w.evs = append(w.evs, ev)
-	w.mu.Unlock()
-}
-
 // TestWALOrderReplays: two same-seed Deterministic runs append the same WAL
 // events in the same order, not only the same set. A swap releases its
 // reservations and settles its orders inside its own horizon delivery, so
@@ -846,7 +833,7 @@ func (w *walRecorder) Append(ev Event) {
 // reservations of other swaps on every run.
 func TestWALOrderReplays(t *testing.T) {
 	run := func() []string {
-		rec := new(walRecorder)
+		rec := new(recorder)
 		e := New(Config{
 			Deterministic: true,
 			Workers:       8,

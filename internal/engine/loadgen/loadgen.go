@@ -11,16 +11,15 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
-	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// Target is the intake surface a load generator drives: the single
-// engine and the sharded engine both satisfy it, so every arrival
-// process, shed rule, and schedule in this package works unchanged
-// against either.
+// Target is the intake surface a load generator drives: an engine of any
+// shard count satisfies it, and so does a wrapper around one (a
+// benchmark's timing decorator), so every arrival process, shed rule, and
+// schedule in this package works unchanged against either.
 type Target interface {
 	Submit(offer core.Offer) (engine.OrderID, error)
 	Pending() int
@@ -30,7 +29,7 @@ type Target interface {
 }
 
 // PartyAccounting is the optional per-party intake surface fair shedding
-// needs: both engines implement it, but Target keeps the minimal shape
+// needs: engine.Engine implements it, but Target keeps the minimal shape
 // so simpler fakes and future fronts stay valid. When the target lacks
 // it, sheds fall back to the global backstop and unattributed NoteShed.
 type PartyAccounting interface {
@@ -78,7 +77,7 @@ type Config struct {
 	// Seed drives the arrival schedule and ring-size draws.
 	Seed int64
 	// Shards, when >1, switches ring generation to sharded placement:
-	// chains come from per-shard pools (see shard.Map.Pools), ring r is
+	// chains come from per-shard pools (see engine.Map.Pools), ring r is
 	// homed to shard r mod Shards, and a CrossRatio fraction of rings
 	// deliberately mix two pools so their members land in different
 	// shard books — the cross-shard escalation workload. This is the
@@ -344,7 +343,7 @@ func buildOffers(cfg Config) (offers []core.Offer, ringOf []int) {
 	// exists.
 	var pools [][]string
 	if cfg.Shards > 1 {
-		pools = shard.NewMap(cfg.Shards).Pools(4)
+		pools = engine.NewMap(cfg.Shards).Pools(4)
 	}
 	// ring numbers every emitted ring (organic and flood alike) so
 	// ring-granular shedding stays well-defined; organic tracks only the

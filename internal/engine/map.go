@@ -1,15 +1,4 @@
-// Package shard partitions the clearing engine by asset chain: a
-// ShardedEngine runs N full engines — each with its own order book,
-// clearing loop, and scheduler stripe — over ONE shared scheduler, chain
-// registry, keyring, verification cache, and trace ring. A deterministic
-// asset→shard map routes every intake offer to the engine owning its
-// give-chain; offers whose transfers span shards, and shard-local offers
-// that age out unmatched (their counterparties live in other shards'
-// books), escalate to a two-level coordinator engine that assembles the
-// cross-shard ring and drives the swap through the same conc/htlc
-// machinery, with AC3-style prepared/committed bookkeeping in the durable
-// WAL. See DESIGN.md §11.
-package shard
+package engine
 
 import (
 	"fmt"
@@ -57,7 +46,7 @@ func (m Map) Of(chainName string) int {
 
 // OfOffer resolves an offer's home shard — the shard of its first give
 // transfer's chain — and reports whether the offer is intake-cross: its
-// own transfers span more than one shard, so no single shard engine can
+// own transfers span more than one shard, so no single shard unit can
 // even reserve its legs and it routes straight to the coordinator. A
 // single-transfer offer is never intake-cross; when its COUNTERPARTIES
 // live on other shards the ring is cross-shard in a way intake cannot

@@ -1,11 +1,10 @@
-package shard
+package engine
 
 import (
 	"fmt"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
-	"github.com/go-atomicswap/atomicswap/internal/engine"
 )
 
 // TestShardMapRoutesUniquely: every offer resolves to exactly one home
@@ -21,7 +20,7 @@ func TestShardMapRoutesUniquely(t *testing.T) {
 		}
 		for ring := 0; ring < 40; ring++ {
 			for i := 0; i < 3; i++ {
-				off := engine.LoadOfferOn(ring, i, 3, ring, fmt.Sprintf("c%03d", (ring*7+i)%32))
+				off := LoadOfferOn(ring, i, 3, ring, fmt.Sprintf("c%03d", (ring*7+i)%32))
 				home, _ := m.OfOffer(off)
 				if home < 0 || home >= n {
 					t.Fatalf("n=%d: home %d out of range", n, home)
@@ -54,7 +53,7 @@ func TestShardMapCrossDetection(t *testing.T) {
 		chains[i] = fmt.Sprintf("c%03d", i)
 	}
 	mk := func(names ...string) core.Offer {
-		off := engine.LoadOfferOn(0, 0, 3, 0, names[0])
+		off := LoadOfferOn(0, 0, 3, 0, names[0])
 		for _, nm := range names[1:] {
 			tr := off.Give[0]
 			tr.Chain = nm

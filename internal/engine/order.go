@@ -75,9 +75,9 @@ type order struct {
 	next, prev   *order
 	pnext, pprev *order
 
-	// e is the engine the order was posted to: the host's intake event
-	// admits it there (see Engine.submit).
-	e *Engine
+	// e is the unit the order was posted to: the host's intake event
+	// admits it there (see Engine.Submit).
+	e *unit
 }
 
 // OrderSnapshot is the caller-visible copy of an order's state.

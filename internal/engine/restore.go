@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
-	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
@@ -12,7 +10,8 @@ import (
 )
 
 // RecoveredState is the engine-shaped result of replaying a durable
-// write-ahead log: everything NewRecovered needs to resurrect an Engine.
+// write-ahead log: everything NewRecovered needs to resurrect an Engine,
+// onto any shard count.
 // internal/durable builds it — folding the event log is that package's
 // job; turning the fold into a live engine is this one's.
 //
@@ -65,29 +64,13 @@ type RecoveredOrder struct {
 	SettledTick   vtime.Ticks
 }
 
-// NewRecovered builds an engine from a recovered state: identities
-// restored into the keyring, assets re-minted under their logged owners,
-// orders re-booked (pending ones re-enter the book and will re-clear
-// once Start runs), the order ID sequence resumed, metrics counters
-// restored, and — on a free clock — the clock advanced to the recovery
-// tick so post-recovery events continue the pre-crash tick line. The
-// caller Starts the engine afterwards, exactly like one built with New.
-//
-// Wall-clock latency history does not survive a crash: restored metrics
-// carry the pre-crash counts and outcome tallies, but the latency
-// histogram restarts empty (tick-domain digests never depended on it).
-func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
-	e := New(cfg)
-	e.recovered = true
-	if err := st.RestoreShared(*e.cfg.host); err != nil {
-		return nil, err
-	}
-	for _, a := range st.Assets {
-		e.minted = append(e.minted, a.Minted)
-	}
-
+// restore books a unit's share of a recovered state: its orders (pending
+// ones re-enter the book and re-clear once Start runs), its ID sequence
+// resumed at next, and the aggregate counters rebuilt from those orders,
+// with shed on top.
+func (e *unit) restore(orders []RecoveredOrder, next OrderID, shed int) {
 	now := time.Now()
-	for _, ro := range st.Orders {
+	for _, ro := range orders {
 		o := &order{
 			id:            ro.ID,
 			offer:         ro.Offer,
@@ -106,36 +89,8 @@ func NewRecovered(cfg Config, st RecoveredState) (*Engine, error) {
 			e.book.add(o)
 		}
 	}
-	e.nextOrder = OrderID(st.NextOrder)
-	e.agg.Restore(restoredCounts(st.Orders, st.Shed))
-	return e, nil
-}
-
-// RestoreShared replays the part of a recovered state that lives outside
-// any one engine's books into the host: identities into the keyring,
-// assets re-minted into the registry under their logged owners, and the
-// clock set to the recovery tick. It is the host owner's, once:
-// NewRecovered applies it to the host New built, and a sharded rebuild to
-// the host its engines share, handing each of them a state with
-// Identities, Assets and Tick zero.
-func (st RecoveredState) RestoreShared(h Host) error {
-	for _, id := range st.Identities {
-		if err := h.Keyring.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
-			return err
-		}
-	}
-	for _, a := range st.Assets {
-		if err := h.Registry.Chain(a.Chain).RegisterAsset(chain.Asset{
-			ID: a.Asset, Amount: a.Amount,
-		}, chain.PartyID(a.Owner)); err != nil {
-			return fmt.Errorf("engine: recovery re-mint %s/%s: %w", a.Chain, a.Asset, err)
-		}
-	}
-	// Pre-crash submit ticks stay in the past, where they belong. A paced
-	// clock is the wall's and restarts at zero — tick continuity is a
-	// property of a free one (see Advance).
-	h.Scheduler.Advance(st.Tick)
-	return nil
+	e.nextOrder = next
+	e.agg.Restore(restoredCounts(orders, shed))
 }
 
 // restoredCounts rebuilds the aggregate counters a crash wiped, from the

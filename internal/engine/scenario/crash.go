@@ -39,7 +39,9 @@ func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result,
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 
-	a := sc.newEngine(cfg, store)
+	acfg := cfg
+	acfg.Store = store
+	a := engine.New(acfg)
 	if err := a.Start(); err != nil {
 		return nil, err
 	}
@@ -79,7 +81,7 @@ func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result,
 	// the replay cares about state, not continued logging) under the
 	// same engine config, then a normal start-and-drain to finish every
 	// resumed or still-pending order.
-	b, rec, err := sc.recoverEngine(cfg, dir, cut)
+	b, rec, err := durable.Recover(cfg, durable.RecoverOptions{Dir: dir, CutTick: cut})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: recover: %w", sc.Name, err)
 	}

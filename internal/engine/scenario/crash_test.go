@@ -78,8 +78,8 @@ func crashScenarioReplays(t *testing.T, run runner) {
 // whose sharded digests are comparable at all, is crashed mid-run on one
 // shard and on four, and the two crash digests must agree field for field:
 // the deployment logs one kill record, whatever its shard count. The same
-// knobs on the unsharded engine must report reverts too. shard.Recover used
-// to build its own Recovery and leave Reverts out.
+// knobs on the unsharded engine must report reverts too. A separate sharded
+// recovery path once built its own Recovery and left Reverts out.
 func TestCrashRecoveryCountsRevertsOnEveryShape(t *testing.T) {
 	sc := Scenario{
 		Name:         "reorg-crash",

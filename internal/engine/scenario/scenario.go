@@ -36,24 +36,11 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
-	"github.com/go-atomicswap/atomicswap/internal/engine/shard"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/metrics"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
-
-// clearing is the engine surface a scenario run drives: the single
-// engine and the sharded engine both satisfy it, so the normal path and
-// both lives of a crash run are written once.
-type clearing interface {
-	loadgen.DriveTarget
-	Start() error
-	Orders() []engine.OrderSnapshot
-	ClearRounds() int
-	Kill() vtime.Ticks
-	Keyring() *core.Keyring
-}
 
 // Deviation injects one strategy from the taxonomy (see Strategies) at
 // a per-party rate: each party of each cleared swap independently draws
@@ -139,9 +126,9 @@ type Scenario struct {
 	ReorgRate    float64        `json:"reorg_rate,omitempty"`
 
 	// Shards, when positive, runs the scenario sharded: load generation
-	// places rings into per-shard chain pools (shard.Map.Pools) and
-	// execution runs a ShardedEngine of this many shards plus a
-	// cross-shard coordinator. It is part of the scenario's identity —
+	// places rings into per-shard chain pools (engine.Map.Pools) and
+	// execution runs an engine of this many shards (plus a cross-shard
+	// coordinator when more than one). It is part of the scenario's identity —
 	// generation depends on it — but the EXECUTION shard count can be
 	// overridden with ExecShards, and for a CrossRatio-0 stream the
 	// digest must be byte-identical whatever the execution shard count
@@ -431,6 +418,7 @@ func (sc Scenario) engineConfig() engine.Config {
 		Parallel:      sc.Parallel,
 		Behaviors:     sc.factory(),
 		Commitment:    sc.commitment(),
+		Shards:        sc.execShards(),
 	}
 	if sc.Shards > 0 {
 		// Neutralize the virtual live-run gate: each engine's gate reads
@@ -450,26 +438,6 @@ func (sc Scenario) execShards() int {
 		return sc.ExecShards
 	}
 	return sc.Shards
-}
-
-// newEngine builds the scenario's execution engine — sharded when the
-// scenario says so — with the given durable store (nil for in-memory).
-func (sc Scenario) newEngine(cfg engine.Config, store engine.Store) clearing {
-	cfg.Store = store
-	if n := sc.execShards(); n > 0 {
-		return shard.New(shard.Config{Shards: n, Engine: cfg})
-	}
-	return engine.New(cfg)
-}
-
-// recoverEngine rebuilds the scenario's engine from a durable store
-// (the second life of a crash run), in the same shape newEngine built.
-func (sc Scenario) recoverEngine(cfg engine.Config, dir string, cut vtime.Ticks) (clearing, *durable.Recovery, error) {
-	opts := durable.RecoverOptions{Dir: dir, CutTick: cut}
-	if n := sc.execShards(); n > 0 {
-		return shard.Recover(shard.Config{Shards: n, Engine: cfg}, opts)
-	}
-	return durable.Recover(cfg, opts)
 }
 
 // loadConfig is the scenario's open-loop generator shape.
@@ -528,7 +496,7 @@ func run(sc Scenario, kind core.Kind) (*Result, error) {
 		return runCrash(sc, cfg, process)
 	}
 
-	e := sc.newEngine(cfg, nil)
+	e := engine.New(cfg)
 	if err := e.Start(); err != nil {
 		return nil, err
 	}

@@ -85,14 +85,15 @@ func TestShardMergedDigestMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestOneShardMatchesPlain: one identity rule and one clearing grid make a
-// one-shard deployment — a shard engine, the escalation sweep and a
-// coordinator — indistinguishable from the scenario's own engine. Every
-// suite entry at eight seeds digests byte-identically both ways; for all
-// but the natively sharded entries, the own engine is the plain one. The
-// one exclusion is sharded-cross: natively four shards with half its rings
-// spanning two of them, so on one shard those rings are local and clear
-// before the escalation cutoff instead of after it.
+// TestOneShardMatchesPlain: Shards 0 and 1 build the same engine — one
+// unit, no escalation sweep, no coordinator — and one identity rule and one
+// clearing grid make it indistinguishable from the scenario's own engine.
+// Every suite entry at eight seeds digests byte-identically both ways; for
+// all but the natively sharded entries, the own engine is Shards 0, and for
+// those it is four shards. The one exclusion is sharded-cross: natively
+// four shards with half its rings spanning two of them, so on one shard
+// those rings are local and clear before the escalation cutoff instead of
+// after it.
 func TestOneShardMatchesPlain(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, sc := range Suite(seed) {

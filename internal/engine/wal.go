@@ -103,20 +103,19 @@ type Event struct {
 // append mid-flight.
 //
 // Every append runs inside a scheduler event. A store that also has a
-// SealOn(*sched.Virtual) method is handed the deployment's scheduler by
-// NewHost, so that it can batch a tick's appends into one write at
+// SealOn(*sched.Virtual) method is handed the engine's scheduler when the
+// engine is built, so that it can batch a tick's appends into one write at
 // sched.TopLevel of that tick (durable.Store does). Such a store's log
 // trails the engine by up to one tick: Order, Orders and Drain read the
 // engine off the timeline and can report a status whose frame is not yet
-// written, which a kill -9 before the seal takes back. Host.Close — run by
-// the Stop of an engine that owns its host, and by ShardedEngine.Stop —
-// unbinds the store, which writes what is pending.
+// written, which a kill -9 before the seal takes back. Stop closes the
+// scheduler and then unbinds the store, which writes what is pending.
 type Store interface {
 	Append(ev Event)
 }
 
 // logEvent appends ev to the configured store, if any.
-func (e *Engine) logEvent(ev Event) {
+func (e *unit) logEvent(ev Event) {
 	if e.cfg.Store != nil {
 		e.cfg.Store.Append(ev)
 	}

@@ -40,10 +40,6 @@ type Aggregate struct {
 	latencySum   time.Duration
 	latencyMax   time.Duration
 	latencyHist  Histogram
-	// windowHist shadows latencyHist but is consumed (and reset) by
-	// TakeLatencyWindow, giving live dashboards reset-on-read percentiles
-	// over just the interval since the last read instead of since start.
-	windowHist Histogram
 
 	recovery *RecoveryStats
 
@@ -207,39 +203,9 @@ func (a *Aggregate) AddOutcome(class string, latency time.Duration) {
 	a.latencyCount++
 	a.latencySum += latency
 	a.latencyHist.Record(latency)
-	a.windowHist.Record(latency)
 	if latency > a.latencyMax {
 		a.latencyMax = latency
 	}
-}
-
-// LatencyWindow summarizes the settle latencies observed since the last
-// TakeLatencyWindow call: reset-on-read percentiles for live reporting,
-// where the cumulative since-start percentiles would smear a regression
-// across the whole run's history.
-type LatencyWindow struct {
-	Count int     `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-// TakeLatencyWindow reports percentiles over the settles recorded since
-// the previous call, then resets the window. The cumulative histogram
-// behind Snapshot is untouched.
-func (a *Aggregate) TakeLatencyWindow() LatencyWindow {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	w := LatencyWindow{Count: int(a.windowHist.Count())}
-	if w.Count > 0 {
-		w.P50Ms = a.windowHist.Quantile(0.50).Seconds() * 1000
-		w.P95Ms = a.windowHist.Quantile(0.95).Seconds() * 1000
-		w.P99Ms = a.windowHist.Quantile(0.99).Seconds() * 1000
-		w.MaxMs = a.windowHist.Max().Seconds() * 1000
-	}
-	a.windowHist.Reset()
-	return w
 }
 
 // RecoveryStats describes one crash recovery: how much log was replayed,
@@ -277,8 +243,8 @@ func (a *Aggregate) SetSigns(n uint64) {
 }
 
 // Merge folds other's counters, outcome maps, latency histogram, and
-// Δ-trajectory into a. The sharded engine uses it to assemble one
-// service-level report from per-shard aggregates; called once per shard
+// Δ-trajectory into a. A sharded engine uses it to assemble one
+// service-level report from per-unit aggregates; called once per unit
 // in a fixed order after the shards have stopped, so the concatenated
 // trajectory is deterministic. Peak concurrency sums (shards peak
 // independently — the sum is an upper bound on the true joint peak), and
@@ -314,7 +280,6 @@ func (a *Aggregate) Merge(other *Aggregate) {
 		a.latencyMax = other.latencyMax
 	}
 	a.latencyHist.Merge(&other.latencyHist)
-	a.windowHist.Merge(&other.windowHist)
 	if other.recovery != nil && a.recovery == nil {
 		cp := *other.recovery
 		a.recovery = &cp

@@ -93,13 +93,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.count += other.count
 }
 
-// Reset discards every recorded observation, returning the histogram to
-// its empty state. Windowed percentile reporting is Record between
-// reads, Quantile at the read, then Reset.
-func (h *Histogram) Reset() {
-	*h = Histogram{}
-}
-
 // Count reports the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
