@@ -66,7 +66,7 @@ func (e *filteredEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
 	if e.f.DelayUnlock != nil {
 		if at, ok := e.f.DelayUnlock(arcID, lockIdx); ok && at.After(e.Now()) {
 			e.Note(trace.KindDeviation, arcID, lockIdx, "delayed unlock")
-			e.Env.At(at, func() { _ = e.Env.Unlock(arcID, lockIdx, key) })
+			e.Env.At(at, core.AlarmFunc(func() { _ = e.Env.Unlock(arcID, lockIdx, key) }), 0)
 			return nil
 		}
 	}
@@ -81,7 +81,7 @@ func (e *filteredEnv) Redeem(arcID int, secret hashkey.Secret) error {
 	if e.f.DelayRedeem != nil {
 		if at, ok := e.f.DelayRedeem(arcID); ok && at.After(e.Now()) {
 			e.Note(trace.KindDeviation, arcID, -1, "delayed redeem")
-			e.Env.At(at, func() { _ = e.Env.Redeem(arcID, secret) })
+			e.Env.At(at, core.AlarmFunc(func() { _ = e.Env.Redeem(arcID, secret) }), 0)
 			return nil
 		}
 	}
@@ -226,11 +226,11 @@ type haltEnv struct {
 	h *halter
 }
 
-func (e *haltEnv) At(t vtime.Ticks, fn func()) {
-	e.Env.At(t, func() {
+func (e *haltEnv) At(t vtime.Ticks, a core.Alarm, arg int) {
+	e.Env.At(t, core.AlarmFunc(func() {
 		if !e.Now().Before(e.h.at) {
 			return
 		}
-		fn()
-	})
+		a.Ring(arg)
+	}), 0)
 }

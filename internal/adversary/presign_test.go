@@ -41,10 +41,11 @@ func (s *snoop) probe(e core.Env, shown [][]byte) {
 	}
 	for _, m := range msgs {
 		for w := 0; w < spec.D.NumVertices(); w++ {
-			for _, sig := range [][]byte{e.Signer().Sign(m), e.Signer().At(digraph.Vertex(w)).Sign(m)} {
+			rebound := e.Signer().At(digraph.Vertex(w))
+			for _, sig := range [][]byte{e.Signer().Sign(m), rebound.Sign(m)} {
 				*s.tries++
 				for u, pub := range spec.Keys {
-					if u != e.Vertex() && ed25519.Verify(pub, m, sig) {
+					if digraph.Vertex(u) != e.Vertex() && ed25519.Verify(pub, m, sig) {
 						*s.leaks++
 					}
 				}

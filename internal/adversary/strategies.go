@@ -82,7 +82,7 @@ func (e *lastUnlockEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
 	deadline := spec.Start.Add(vtime.Scale(spec.DiamBound+key.PathLen(), spec.Delta))
 	if deadline.After(e.Now()) {
 		e.Note(trace.KindDeviation, arcID, lockIdx, "holding unlock to the deadline")
-		e.Env.At(deadline, func() { _ = e.Env.Unlock(arcID, lockIdx, key) })
+		e.Env.At(deadline, core.AlarmFunc(func() { _ = e.Env.Unlock(arcID, lockIdx, key) }), 0)
 		return nil
 	}
 	return e.Env.Unlock(arcID, lockIdx, key)
@@ -184,7 +184,7 @@ type scripted struct {
 func (s *scripted) Init(e core.Env) {
 	for _, st := range s.steps {
 		st := st
-		e.At(st.At, func() { st.Do(e) })
+		e.At(st.At, core.AlarmFunc(func() { st.Do(e) }), 0)
 	}
 	s.inner.Init(e)
 }

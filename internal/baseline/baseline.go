@@ -26,8 +26,8 @@ import (
 
 // SequentialResult reports a sequential-settlement run.
 type SequentialResult struct {
-	Triggered map[int]bool
-	Report    *outcome.Report
+	Triggered []bool // by arc ID
+	Report    outcome.Report
 	Log       *trace.Log
 	// Duration is the ticks from first to last transfer attempt.
 	Duration vtime.Duration
@@ -57,7 +57,7 @@ func Sequential(d *digraph.Digraph, assets []core.ArcAsset, parties []chain.Part
 			return nil, fmt.Errorf("baseline: %w", err)
 		}
 	}
-	triggered := make(map[int]bool, d.NumArcs())
+	triggered := make([]bool, d.NumArcs())
 	order := make([]int, d.NumArcs())
 	for i := range order {
 		order[i] = i

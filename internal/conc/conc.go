@@ -103,14 +103,22 @@ type Config struct {
 	// delivery: on the run's stripe, at the tick the outcome became final,
 	// after the run's timers are stopped and its routes dropped. The
 	// clearing engine settles the swap there. It runs on the dispatcher or
-	// a dispatch helper, so it must not wait for another stripe.
-	OnDone func(*Result)
+	// a dispatch helper, so it must not wait for another stripe. The
+	// result lives in the run record: read it there, keep nothing of it.
+	OnDone Settler
 	// OnRevert, when set, observes commitment-model reverts touching this
 	// run's contracts: a chain reorg rolled one of the swap's records
 	// back. The engine logs these to the WAL and counts them. The callback
 	// runs on chain-observer goroutines; it must be cheap and must not
 	// call back into the run.
 	OnRevert func(ev RevertEvent)
+}
+
+// Settler takes a finished run's result (Config.OnDone). The clearing
+// engine's per-swap job is its own Settler, so handing it over costs no
+// closure.
+type Settler interface {
+	Settle(*Result)
 }
 
 // RevertEvent is one reorged record of a run's contract (Config.OnRevert).
@@ -159,8 +167,10 @@ type EscrowSpan struct {
 
 // Result reports a finished concurrent run.
 type Result struct {
-	Triggered map[int]bool
-	Report    *outcome.Report
+	// Triggered reports, per arc ID, whether the transfer happened: the
+	// contract was claimed, or is fully unlocked and therefore claimable.
+	Triggered []bool
+	Report    outcome.Report
 	Registry  *chain.Registry
 	Log       *trace.Log
 	// Escrows holds one span per arc whose contract actually published
@@ -181,8 +191,30 @@ type Result struct {
 // The Prepare/Wait split exists for the clearing engine, where run setup
 // must happen at a pinned tick (inside the clearing callback, under the
 // scheduler hold) and the result is taken in Config.OnDone, not waited for.
+//
+// A Running is the run record: one allocation holding the runner, its
+// parties with their conforming behaviors and refund alarms, its arcs and
+// its result, for a swap of up to runVertices parties and runArcs arcs
+// (a larger swap cuts what it outgrows from the heap). Nothing that
+// outlives the swap may point into it — no chain contract, ledger entry or
+// engine record — so it is garbage once the swap settles.
 type Running struct {
 	r runner
+}
+
+// Inline capacities of a run record (see Running).
+const (
+	runVertices = 4
+	runArcs     = 4
+)
+
+// cut returns the first n elements of buf when they fit, else a fresh
+// slice of n.
+func cut[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
 }
 
 // Run executes the setup to its horizon and reports the result. Behaviors
@@ -205,10 +237,11 @@ const horizonPad = 2
 // start is pinned relative to the scheduler's tick at the moment Prepare
 // was called.
 //
-// The run is laid out from the spec's shape in a constant number of
-// allocations: the runner, its parties by value, one record per arc (chain
-// handle, delivery margin, contract route, escrow span), and a slab holding
-// every delivery a conforming run of this shape makes. Nothing is kept from one run to the next.
+// The run is laid out from the spec's shape in two allocations: the run
+// record (see Running) and a slab holding every delivery a conforming run
+// of this shape makes, refund alarms included. Nothing is kept from one
+// run to the next: a delivery is a scheduler event, and a stopped event
+// stays queued until its tick, so no event is ever reused.
 func Prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Config) (*Running, error) {
 	return prepare(setup, behaviors, cfg, false)
 }
@@ -232,7 +265,6 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	if log == nil {
 		log = &trace.Log{}
 	}
-	nArcs := spec.D.NumArcs()
 	rn := &Running{r: runner{
 		setup:     setup,
 		spec:      spec,
@@ -240,26 +272,32 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		ownSched:  own,
 		stripe:    cfg.StripeKey,
 		log:       log,
-		arcs:      make([]arcRun, nArcs),
 		onPhase:   cfg.OnPhase,
 		onRevert:  cfg.OnRevert,
 		onDone:    cfg.OnDone,
 		earlyExit: cfg.EarlyExit,
-		horizonCh: make(chan struct{}),
 	}}
 	r := &rn.r
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
-	release := scheduler.Hold()
-	defer release() // no-op after the explicit release below
-	fail := func(err error) (*Running, error) {
-		if own {
-			scheduler.Close()
-		}
+	scheduler.Acquire()
+	err := r.start(behaviors, cfg.StartOffset, cfg.Registry, worstCase)
+	if err != nil && own {
+		scheduler.Close()
+	}
+	scheduler.Release()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.StartOffset > 0 {
-		spec.SetStart(scheduler.Now().Add(cfg.StartOffset))
+	return rn, nil
+}
+
+// start lays the run out and schedules its start and horizon; prepare
+// holds the clock meanwhile.
+func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset vtime.Duration, reg *chain.Registry, worstCase bool) error {
+	spec := r.spec
+	if startOffset > 0 {
+		spec.SetStart(r.sched.Now().Add(startOffset))
 	}
 	spec.Precompute()
 	r.deadline = spec.MaxTimelock()
@@ -268,10 +306,10 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// would let a pre-crash log record carry a post-crash tick.
 	r.notePhase(phaseStart)
 
-	if cfg.Registry != nil {
-		r.reg = cfg.Registry
+	if reg != nil {
+		r.reg = reg
 	} else {
-		r.reg = chain.NewRegistry(scheduler)
+		r.reg = chain.NewRegistry(r.sched)
 	}
 	r.probe = r.reg.DeliveryProbe()
 	// Per arc: resolve the chain once, verify or register the asset, and
@@ -279,6 +317,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// the chain's commitment-model timing; an Instant chain (zero Timing)
 	// reproduces the historical spec.Delta margin bit-for-bit.
 	base := vtime.Duration(spec.Delta)
+	r.arcs = cut(r.arcBuf[:], spec.D.NumArcs())
 	for id := range r.arcs {
 		aa := spec.Assets[id]
 		owner := spec.PartyOf(spec.D.Arc(id).Head)
@@ -298,8 +337,8 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			// intake); verify it is what the spec says and who owns it.
 			cur, _ := ch.OwnerOf(aa.Asset)
 			if asset.Amount != aa.Amount || cur != chain.ByParty(owner) {
-				return fail(fmt.Errorf("conc: asset %s/%s mismatch: amount %d owner %s",
-					aa.Chain, aa.Asset, asset.Amount, cur))
+				return fmt.Errorf("conc: asset %s/%s mismatch: amount %d owner %s",
+					aa.Chain, aa.Asset, asset.Amount, cur)
 			}
 			continue
 		}
@@ -308,7 +347,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 			Description: fmt.Sprintf("asset for arc %d", id),
 			Amount:      aa.Amount,
 		}, owner); err != nil {
-			return fail(fmt.Errorf("conc: registering assets: %w", err))
+			return fmt.Errorf("conc: registering assets: %w", err)
 		}
 	}
 
@@ -317,14 +356,20 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		r.horizonTick = r.horizonTick.Add(vtime.Scale(horizonPad, spec.Delta))
 	}
 
-	r.parties = make([]party, spec.D.NumVertices())
+	r.parties = cut(r.partyBuf[:], spec.D.NumVertices())
 	r.slab = make([]delivery, 0, eventBudget(spec))
 	for v := range r.parties {
 		p := &r.parties[v]
 		p.runner, p.vertex = r, digraph.Vertex(v)
 		p.envc.p = p
 		if p.behavior = behaviors[p.vertex]; p.behavior == nil {
-			p.behavior = core.ConformingFor(spec)
+			// core.ConformingFor, with the classic-HTLC behavior kept in
+			// the record.
+			if spec.Kind == core.KindGeneral {
+				p.behavior = core.NewConforming()
+			} else {
+				p.behavior = &p.htlc
+			}
 		}
 	}
 	// One route per contract instead of a blanket subscription: every
@@ -357,9 +402,7 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	initAt := spec.Start.Add(-vtime.Duration(spec.Delta))
 	r.schedule(delivery{at: initAt, kind: deliverInit})
 	r.schedule(delivery{at: r.horizonTick, kind: deliverHorizon})
-	release()
-
-	return rn, nil
+	return nil
 }
 
 // eventBudget is the number of scheduler events a conforming run of spec
@@ -382,14 +425,23 @@ func eventBudget(spec *core.Spec) int {
 
 // Wait blocks until the run's horizon delivery has built its result,
 // closes a scheduler the run built for itself, and returns the result.
-// Call it at most once.
+// Call it at most once. The channel it waits on exists only for it: a run
+// nobody waits for (the engine's) never makes one.
 func (rn *Running) Wait() *Result {
 	r := &rn.r
-	<-r.horizonCh
+	r.mu.Lock()
+	if !r.done {
+		ch := make(chan struct{})
+		r.horizonCh = ch
+		r.mu.Unlock()
+		<-ch
+	} else {
+		r.mu.Unlock()
+	}
 	if r.ownSched {
 		r.sched.Close()
 	}
-	return r.res
+	return &r.res
 }
 
 // runSeq issues unique broadcast-subscription keys.
@@ -408,13 +460,14 @@ type runner struct {
 	probe    chain.DeliveryProbe
 	log      *trace.Log
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
-	// some arc never resolves. The horizon delivery (finish) stores res,
-	// hands it to onDone (Config.OnDone) and closes horizonCh for Wait.
-	// earlyExit is Config.EarlyExit.
+	// some arc never resolves. The horizon delivery (finish) builds res,
+	// hands it to onDone (Config.OnDone), and sets done — under mu, closing
+	// horizonCh if Wait made one. earlyExit is Config.EarlyExit.
 	horizonTick vtime.Ticks
 	horizonCh   chan struct{}
-	res         *Result
-	onDone      func(*Result)
+	done        bool
+	res         Result
+	onDone      Settler
 	earlyExit   bool
 
 	// bcast is the broadcast chain of a spec.Broadcast run (nil otherwise),
@@ -443,7 +496,15 @@ type runner struct {
 	deadline  vtime.Ticks
 	phaseSeen phase
 
-	parties []party
+	// parties and arcs (below) are cut from partyBuf and arcBuf, and the
+	// result's tables from triggeredBuf, escrowBuf and classBuf, when the
+	// swap fits in them.
+	parties      []party
+	partyBuf     [runVertices]party
+	arcBuf       [runArcs]arcRun
+	triggeredBuf [runArcs]bool
+	escrowBuf    [runArcs]EscrowSpan
+	classBuf     [runVertices]outcome.Class
 
 	// live lists this run's outstanding deliveries (linked through the
 	// records themselves) so teardown can cancel their timers in one sweep
@@ -517,7 +578,7 @@ func (p phase) String() string {
 type deliveryKind uint8
 
 const (
-	deliverAlarm     deliveryKind = iota // fn(): a party's own alarm
+	deliverAlarm     deliveryKind = iota // alarm.Ring(arc): a party's own alarm
 	deliverHorizon                       // the run's end: no party
 	deliverInit                          // Init, every party
 	deliverContract                      // OnContract(arc, contract), both ends of arc
@@ -545,7 +606,7 @@ type delivery struct {
 	arc      int
 	key      hashkey.Hashkey
 	contract chain.Contract
-	fn       func()
+	alarm    core.Alarm
 
 	prev, next *delivery
 }
@@ -611,11 +672,16 @@ func (r *runner) finish() {
 	if r.bcast != nil {
 		r.bcast.Unsubscribe(r.bcastKey)
 	}
-	r.res = r.buildResult()
+	r.buildResult()
 	if r.onDone != nil {
-		r.onDone(r.res)
+		r.onDone.Settle(&r.res)
 	}
-	close(r.horizonCh)
+	r.mu.Lock()
+	r.done = true
+	if r.horizonCh != nil {
+		close(r.horizonCh)
+	}
+	r.mu.Unlock()
 }
 
 // fire is d's scheduler callback: it takes d off the live list and hands
@@ -669,7 +735,7 @@ func (r *runner) run(d *delivery, p *party) {
 	r.observeLag(d)
 	switch d.kind {
 	case deliverAlarm:
-		d.fn()
+		d.alarm.Ring(d.arc)
 	case deliverInit:
 		p.behavior.Init(p.env())
 	case deliverContract:
@@ -894,10 +960,11 @@ func (r *runner) onBroadcast(n chain.Notification) {
 	})
 }
 
-func (r *runner) buildResult() *Result {
+// buildResult fills res, in the run record.
+func (r *runner) buildResult() {
 	spec := r.spec
-	triggered := make(map[int]bool, spec.D.NumArcs())
-	for id := 0; id < spec.D.NumArcs(); id++ {
+	triggered := cut(r.triggeredBuf[:], len(r.arcs))
+	for id := range triggered {
 		if settled, claimed := r.getResolved(id); settled {
 			triggered[id] = claimed
 			continue
@@ -913,7 +980,7 @@ func (r *runner) buildResult() *Result {
 	r.mu.Lock()
 	settleTick := r.lastResolve
 	allResolved := r.resolved == len(r.arcs)
-	escrows := make([]EscrowSpan, 0, len(r.arcs))
+	escrows := cut(r.escrowBuf[:], len(r.arcs))[:0]
 	for id := range r.arcs {
 		a := &r.arcs[id]
 		if !a.published {
@@ -932,9 +999,11 @@ func (r *runner) buildResult() *Result {
 	if !allResolved {
 		settleTick = r.horizonTick
 	}
-	return &Result{
+	report := outcome.Report(cut(r.classBuf[:], len(r.parties)))
+	report.Fill(spec.D, triggered)
+	r.res = Result{
 		Triggered:  triggered,
-		Report:     outcome.NewReport(spec.D, triggered),
+		Report:     report,
 		Registry:   r.reg,
 		Log:        r.log,
 		Escrows:    escrows,
@@ -945,9 +1014,11 @@ func (r *runner) buildResult() *Result {
 // party is one participant. It has no goroutine: the scheduler's
 // same-stripe serialization is its thread of control.
 type party struct {
-	runner    *runner
-	vertex    digraph.Vertex
-	behavior  core.Behavior
+	runner   *runner
+	vertex   digraph.Vertex
+	behavior core.Behavior
+	// htlc is the party's behavior when it conforms on classic HTLCs.
+	htlc      core.ConformingHTLC
 	envc      concEnv
 	abandoned bool // touched only on the run's stripe
 }
@@ -1074,8 +1145,8 @@ func (e *concEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {
 	e.Note(trace.KindBroadcast, -1, lockIdx, "")
 }
 
-func (e *concEnv) At(t vtime.Ticks, fn func()) {
-	e.p.runner.schedule(delivery{p: e.p, at: t, kind: deliverAlarm, fn: fn})
+func (e *concEnv) At(t vtime.Ticks, a core.Alarm, arg int) {
+	e.p.runner.schedule(delivery{p: e.p, at: t, kind: deliverAlarm, alarm: a, arc: arg})
 }
 
 func (e *concEnv) Abandon(reason string) {

@@ -177,6 +177,11 @@ func TestVirtualTimeIsCPUBound(t *testing.T) {
 // The run's own scheduler tells us when it exited; the ledger tells us
 // when the last transfer landed; the gap must be far under one Δ. OnDone
 // receives the result Wait returns.
+// settleFunc adapts a function to a Settler.
+type settleFunc func(*Result)
+
+func (f settleFunc) Settle(r *Result) { f(r) }
+
 func TestEarlyExitSkipsGrace(t *testing.T) {
 	const (
 		delta    = 40
@@ -186,7 +191,7 @@ func TestEarlyExitSkipsGrace(t *testing.T) {
 	defer s.Close()
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Delta: delta})
 	var done *Result
-	res, err := Run(setup, nil, Config{Scheduler: s, EarlyExit: true, OnDone: func(r *Result) { done = r }})
+	res, err := Run(setup, nil, Config{Scheduler: s, EarlyExit: true, OnDone: settleFunc(func(r *Result) { done = r })})
 	exitTick := s.Now()
 	if err != nil {
 		t.Fatal(err)
@@ -240,10 +245,10 @@ func TestOnDoneFiresOnce(t *testing.T) {
 				done     *Result
 				doneTick vtime.Ticks
 			)
-			res, err := Run(setup, nil, Config{Scheduler: v, EarlyExit: tc.earlyExit, OnDone: func(r *Result) {
+			res, err := Run(setup, nil, Config{Scheduler: v, EarlyExit: tc.earlyExit, OnDone: settleFunc(func(r *Result) {
 				calls++
 				done, doneTick = r, v.Now()
-			}})
+			})})
 			if err != nil {
 				t.Fatal(err)
 			}

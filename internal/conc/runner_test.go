@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -332,7 +333,7 @@ func TestNopBehaviorIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Triggered) != 0 {
+	if slices.Contains(res.Triggered, true) {
 		t.Errorf("nop parties triggered arcs: %v", res.Triggered)
 	}
 	for id := 0; id < 3; id++ {

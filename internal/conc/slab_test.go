@@ -61,7 +61,7 @@ type alarmist struct {
 
 func (a alarmist) Init(e core.Env) {
 	for i := 0; i < 40; i++ {
-		e.At(e.Now().Add(vtime.Duration(1+i%5)), func() { *a.fired++ })
+		e.At(e.Now().Add(vtime.Duration(1+i%5)), core.AlarmFunc(func() { *a.fired++ }), 0)
 	}
 	a.Behavior.Init(e)
 }

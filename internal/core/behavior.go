@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -55,8 +56,8 @@ type Env interface {
 	// (Section 4.5 optimization; no-op unless the spec enables it).
 	Broadcast(lockIdx int, key hashkey.Hashkey)
 
-	// At schedules fn at tick t (the party's own alarm).
-	At(t vtime.Ticks, fn func())
+	// At schedules a.Ring(arg) at tick t (the party's own alarm).
+	At(t vtime.Ticks, a Alarm, arg int)
 	// Abandon halts protocol participation: no further events are
 	// delivered to the behavior. Scheduled alarms still fire, so the
 	// party keeps refunding its own contracts.
@@ -86,6 +87,18 @@ type Behavior interface {
 	// OnSettled fires when an incident arc's contract settles.
 	OnSettled(e Env, arcID int, claimed bool)
 }
+
+// Alarm is a party's scheduled wake-up (Env.At).
+type Alarm interface {
+	// Ring runs at the alarm's tick with the argument it was set with.
+	Ring(arg int)
+}
+
+// AlarmFunc adapts a plain function to an Alarm; it ignores the argument.
+type AlarmFunc func()
+
+// Ring implements Alarm.
+func (f AlarmFunc) Ring(int) { f() }
 
 // NopBehavior ignores every event. Embed it to implement only the events a
 // behavior cares about.
@@ -137,6 +150,7 @@ type Conforming struct {
 	keys map[int]hashkey.Hashkey
 	// claimed tracks entering arcs already claimed.
 	claimed map[int]bool
+	refund  refunder
 }
 
 // ConformingFor returns a fresh conforming behavior for the protocol the
@@ -165,7 +179,7 @@ func (b *Conforming) Init(e Env) {
 	b.entering = spec.Entering(e.Vertex())
 	b.leaving = spec.Leaving(e.Vertex())
 
-	scheduleRefundAlarms(e, b.leaving)
+	scheduleRefundAlarms(e, b.leaving, &b.refund)
 
 	if spec.IsLeader(e.Vertex()) || len(b.entering) == 0 {
 		// Leaders open Phase One. (A follower without entering arcs can
@@ -175,28 +189,37 @@ func (b *Conforming) Init(e Env) {
 	b.maybeStartPhaseTwo(e)
 }
 
-// scheduleRefundAlarms arms one alarm per distinct deadline of each
-// leaving arc, one tick past the inclusive unlock deadline. The alarm
+// scheduleRefundAlarms arms r with one alarm per distinct deadline of
+// each leaving arc, one tick past the inclusive unlock deadline. The alarm
 // refunds when the contract is refundable; alarms run even after the
 // party abandons, because reclaiming its own escrow is pure self-interest.
-func scheduleRefundAlarms(e Env, leaving []int) {
+func scheduleRefundAlarms(e Env, leaving []int, r *refunder) {
+	r.e = e
 	spec := e.Spec()
 	for _, arc := range leaving {
-		arc := arc
 		switch {
 		case spec.Kind != KindGeneral:
-			e.At(spec.HTLCTimeout(arc), func() { tryRefund(e, arc) })
+			e.At(spec.HTLCTimeout(arc), r, arc)
 		case len(spec.Leaders) == 1:
-			e.At(spec.timelocksShared(arc)[0].Add(1), func() { tryRefund(e, arc) })
+			e.At(spec.timelocksShared(arc)[0].Add(1), r, arc)
 		default:
 			deadlines := spec.Timelocks(arc) // a copy: sorted in place
 			slices.Sort(deadlines)
 			for _, tl := range slices.Compact(deadlines) {
-				e.At(tl.Add(1), func() { tryRefund(e, arc) })
+				e.At(tl.Add(1), r, arc)
 			}
 		}
 	}
 }
+
+// refunder is a behavior's refund alarm: Ring(arc) refunds arc. It keeps
+// the Env the behavior was started with, so the refund goes through
+// whatever that environment interposes, and one refunder serves every
+// alarm of its party without an allocation per alarm.
+type refunder struct{ e Env }
+
+// Ring implements Alarm.
+func (r *refunder) Ring(arc int) { tryRefund(r.e, arc) }
 
 // tryRefund refunds arc if its contract exists, is unsettled, and is
 // refundable now.
@@ -446,14 +469,8 @@ func swapParamsMatch(got, want htlc.SwapParams) bool {
 		return false
 	}
 	for v, pk := range want.Directory {
-		gpk, ok := got.Directory[v]
-		if !ok || len(gpk) != len(pk) {
+		if !bytes.Equal(got.Directory[v], pk) {
 			return false
-		}
-		for i := range pk {
-			if gpk[i] != pk[i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -101,7 +101,7 @@ func TestSpecValidateEdgeCases(t *testing.T) {
 		{"party count mismatch", func(s *Spec) { s.Parties = s.Parties[:2] }},
 		{"empty party id", func(s *Spec) { s.Parties[1] = "" }},
 		{"duplicate party ids", func(s *Spec) { s.Parties[1] = s.Parties[0] }},
-		{"missing public key", func(s *Spec) { delete(s.Keys, 1) }},
+		{"missing public key", func(s *Spec) { s.Keys[1] = nil }},
 		{"asset count mismatch", func(s *Spec) { s.Assets = s.Assets[:1] }},
 		{"empty asset", func(s *Spec) { s.Assets[0].Asset = "" }},
 		{"duplicate asset", func(s *Spec) { s.Assets[1] = s.Assets[0] }},

@@ -51,39 +51,44 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 	if cfg.Parties != nil || cfg.Assets != nil {
 		return nil, fmt.Errorf("%w: Clear derives parties and assets from offers", ErrSpecShape)
 	}
-	byParty := make(map[chain.PartyID]Offer, len(offers))
-	ids := make([]chain.PartyID, 0, len(offers))
-	for _, o := range offers {
+	// The parties and arc assets go straight into the plan the swap binds
+	// to; the offers are found by party with a scan, which for the handful
+	// of parties a swap has beats building a map.
+	p := new(plan)
+	ids := cut(p.parties[:], len(offers))
+	arcs := 0
+	for i, o := range offers {
 		if len(o.Give) == 0 {
 			return nil, fmt.Errorf("%w: party %s", ErrEmptyOffer, o.Party)
 		}
-		if _, dup := byParty[o.Party]; dup {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateOffer, o.Party)
-		}
-		byParty[o.Party] = o
-		ids = append(ids, o.Party)
+		ids[i] = o.Party
+		arcs += len(o.Give)
 	}
 	slices.Sort(ids)
-
-	vertexOf := make(map[chain.PartyID]digraph.Vertex, len(ids))
-	arcs := 0
-	for v, id := range ids {
-		vertexOf[id] = digraph.Vertex(v)
-		arcs += len(byParty[id].Give)
+	for v := 1; v < len(ids); v++ {
+		if ids[v] == ids[v-1] {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateOffer, ids[v])
+		}
 	}
-	pairs := make([]digraph.Arc, 0, arcs)
-	assets := make([]ArcAsset, 0, arcs)
+
+	var arcBuf [planArcs]digraph.Arc
+	pairs := arcBuf[:0]
+	if arcs > len(arcBuf) {
+		pairs = make([]digraph.Arc, 0, arcs)
+	}
+	assets := cut(p.assets[:], arcs)
 	for v, id := range ids {
-		for _, tr := range byParty[id].Give {
+		i := slices.IndexFunc(offers, func(o Offer) bool { return o.Party == id })
+		for _, tr := range offers[i].Give {
 			if tr.To == id {
 				return nil, fmt.Errorf("%w: %s -> %s", ErrSelfTransfer, id, tr.To)
 			}
-			to, ok := vertexOf[tr.To]
+			to, ok := slices.BinarySearch(ids, tr.To)
 			if !ok {
 				return nil, fmt.Errorf("%w: %s -> %s", ErrUnknownParty, id, tr.To)
 			}
-			pairs = append(pairs, digraph.Arc{Head: digraph.Vertex(v), Tail: to})
-			assets = append(assets, ArcAsset{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount})
+			assets[len(pairs)] = ArcAsset{Chain: tr.Chain, Asset: tr.Asset, Amount: tr.Amount}
+			pairs = append(pairs, digraph.Arc{Head: digraph.Vertex(v), Tail: digraph.Vertex(to)})
 		}
 	}
 	shape, err := clearedShape(ids, pairs, cfg)
@@ -92,7 +97,7 @@ func Clear(offers []Offer, cfg Config) (*Setup, error) {
 	}
 	cfg.Parties = ids
 	cfg.Assets = assets
-	return bindSetup(shape, cfg)
+	return p.bind(shape, cfg)
 }
 
 // clearedShape is the shape Clear binds: the cache's when cfg lets the

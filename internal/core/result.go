@@ -23,12 +23,12 @@ type BroadcastMsg struct {
 // Result reports a finished conc.Runner run.
 type Result struct {
 	Spec *Spec
-	// Triggered reports, per arc, whether the transfer happened: the
+	// Triggered reports, per arc ID, whether the transfer happened: the
 	// contract was claimed, or is fully unlocked and therefore claimable
 	// (a bearer right — see DESIGN.md).
-	Triggered map[int]bool
+	Triggered []bool
 	// Report classifies every party's payoff.
-	Report *outcome.Report
+	Report outcome.Report
 	// Conforming lists the vertexes that ran the default conforming
 	// behavior (never overridden with SetBehavior).
 	Conforming []digraph.Vertex

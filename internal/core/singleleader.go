@@ -16,14 +16,19 @@ import (
 // those chains); every party that sees one of its leaving arcs redeemed
 // learns the secret and redeems its own entering arcs. Redeeming claims
 // immediately, so there is no separate claim step.
+//
+// The zero value is ready to use, and a swap of up to eight arcs keeps
+// its per-arc state inside the behavior.
 type ConformingHTLC struct {
 	entering  []int
 	leaving   []int
 	arcs      []htlcArc // by arc ID
+	arcBuf    [8]htlcArc
 	published bool
 	revealed  bool
 	secret    hashkey.Secret
 	haveSec   bool
+	refund    refunder
 }
 
 // htlcArc is what the behavior tracks per entering arc.
@@ -41,9 +46,9 @@ func (b *ConformingHTLC) Init(e Env) {
 	// below acts in.
 	b.entering = spec.Entering(e.Vertex())
 	b.leaving = spec.Leaving(e.Vertex())
-	b.arcs = make([]htlcArc, spec.D.NumArcs())
+	b.arcs = cut(b.arcBuf[:], spec.D.NumArcs())
 
-	scheduleRefundAlarms(e, b.leaving)
+	scheduleRefundAlarms(e, b.leaving, &b.refund)
 
 	if sec, _, ok := e.Secret(); ok {
 		b.secret, b.haveSec = sec, true

@@ -11,11 +11,13 @@
 package core
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -128,9 +130,13 @@ type Spec struct {
 	// whose timelocks were never warmed (e.g. an engine swap before its
 	// Start is pinned) can fill them safely from any goroutine.
 	tlMu sync.Mutex
-	// arcTimelocks caches the per-arc timelock vectors, shared read-only
-	// by every contract of an arc.
+	// arcTimelocks holds the per-arc timelock vectors, cut from tlTicks,
+	// shared read-only by every reader of an arc's deadlines; tlFilled
+	// marks them current for Start. Both tables are the plan's, bound
+	// once: a rebased Start refills them in place.
 	arcTimelocks [][]vtime.Ticks
+	tlTicks      []vtime.Ticks
+	tlFilled     bool
 	// maxTimelock caches MaxTimelock; set with arcTimelocks.
 	maxTimelock vtime.Ticks
 	// contractIDs is the per-arc contract-ID table NewSetup compiles from
@@ -206,7 +212,7 @@ func (s *Spec) validateBinding() error {
 		if slices.Contains(s.Parties[:v], p) {
 			return fmt.Errorf("%w: duplicate party ID %q", ErrSpecShape, p)
 		}
-		if _, ok := s.Keys[digraph.Vertex(v)]; !ok {
+		if _, ok := s.Keys.Key(digraph.Vertex(v)); !ok {
 			return fmt.Errorf("%w: no public key for vertex %d", ErrSpecShape, v)
 		}
 	}
@@ -246,7 +252,7 @@ func (s *Spec) validateBinding() error {
 func (s *Spec) SetStart(t vtime.Ticks) {
 	s.Start = t
 	s.tlMu.Lock()
-	s.arcTimelocks = nil
+	s.tlFilled = false
 	s.tlMu.Unlock()
 }
 
@@ -286,20 +292,39 @@ func (s *Spec) ContractID(arcID int) chain.ContractID {
 	return s.contractIDs[arcID]
 }
 
-func (s *Spec) formatContractID(arcID int) chain.ContractID {
-	arc, on := strconv.Itoa(arcID), s.Assets[arcID].Chain
-	if s.Tag != "" {
-		return chain.ContractID(s.Tag + "/arc" + arc + "@" + on)
+// compileContractIDs fills the contract-ID table ids (one entry per arc)
+// and points the spec at it. Every ID is cut from one backing string, so
+// the table costs a swap one allocation whatever its arc count. NewSetup
+// runs it once the spec is finished, before parties share it.
+func (s *Spec) compileContractIDs(ids []chain.ContractID) {
+	var num [20]byte
+	idLen := func(arcID int, on string) int {
+		n := len("arc@") + len(strconv.AppendInt(num[:0], int64(arcID), 10)) + len(on)
+		if s.Tag != "" {
+			n += len(s.Tag) + len("/")
+		}
+		return n
 	}
-	return chain.ContractID("arc" + arc + "@" + on)
-}
-
-// compileContractIDs fills the contract-ID table. NewSetup runs it once
-// the spec is finished, before parties share it.
-func (s *Spec) compileContractIDs() {
-	ids := make([]chain.ContractID, len(s.Assets))
-	for arcID := range ids {
-		ids[arcID] = s.formatContractID(arcID)
+	size := 0
+	for arcID, aa := range s.Assets {
+		size += idLen(arcID, aa.Chain)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for arcID, aa := range s.Assets {
+		if s.Tag != "" {
+			b.WriteString(s.Tag)
+			b.WriteByte('/')
+		}
+		b.WriteString("arc")
+		b.Write(strconv.AppendInt(num[:0], int64(arcID), 10))
+		b.WriteByte('@')
+		b.WriteString(aa.Chain)
+	}
+	all := b.String()
+	for arcID, aa := range s.Assets {
+		n := idLen(arcID, aa.Chain)
+		ids[arcID], all = chain.ContractID(all[:n]), all[n:]
 	}
 	s.contractIDs = ids
 }
@@ -322,25 +347,25 @@ func (s *Spec) Precompute() {
 	s.tlMu.Unlock()
 }
 
-// fillTimelocksLocked populates arcTimelocks and maxTimelock if unset:
-// Start plus the shape's ladder steps times Δ, all arcs cut from one
-// backing array. NewSetup leaves them unset — the engine rebases Start
-// after setup, and the vectors fill here on first use (or in the runtime's
-// Precompute). Caller holds tlMu.
+// fillTimelocksLocked fills arcTimelocks and maxTimelock unless they are
+// current: Start plus the shape's ladder steps times Δ, written into the
+// tables NewSetup bound. NewSetup leaves them unfilled — the engine
+// rebases Start after setup, and the vectors fill here on first use (or in
+// the runtime's Precompute). No reader keeps a vector across a rebase:
+// contracts take copies (Timelocks) or single deadlines. Caller holds
+// tlMu.
 func (s *Spec) fillTimelocksLocked() {
-	if s.arcTimelocks != nil {
+	if s.tlFilled {
 		return
 	}
 	nl, delta := len(s.Leaders), s.ladderDelta()
-	tls := make([][]vtime.Ticks, s.D.NumArcs())
-	backing := make([]vtime.Ticks, len(s.shape.steps))
 	for i, step := range s.shape.steps {
-		backing[i] = s.Start.Add(vtime.Scale(step, delta))
+		s.tlTicks[i] = s.Start.Add(vtime.Scale(step, delta))
 	}
-	for id := range tls {
-		tls[id] = backing[id*nl : (id+1)*nl : (id+1)*nl]
+	for id := range s.arcTimelocks {
+		s.arcTimelocks[id] = s.tlTicks[id*nl : (id+1)*nl : (id+1)*nl]
 	}
-	s.arcTimelocks = tls
+	s.tlFilled = true
 	s.maxTimelock = s.Start.Add(vtime.Scale(s.shape.maxStep, delta))
 	if s.Kind == KindUniformTimeout {
 		s.maxTimelock = s.uniformTimeout()
@@ -557,14 +582,58 @@ func NewSetup(d *digraph.Digraph, cfg Config) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bindSetup(shape, cfg)
+	return new(plan).bind(shape, cfg)
 }
 
-// bindSetup lays cfg's binding over a compiled shape. Everything that is
+// Inline capacities of a plan: a swap of up to planVertices parties,
+// planArcs arcs and planLeaders leaders — the rings a clearing service
+// mostly sees — binds into its plan's own arrays; a larger one cuts the
+// tables it outgrows from the heap.
+const (
+	planVertices = 4
+	planArcs     = 4
+	planLeaders  = 1
+)
+
+// plan is one bound swap laid out in a single allocation: the Setup, its
+// Spec, and the storage of every per-swap table they hold. It lives as
+// long as anything holds the Setup, the Spec, or a slice of its tables,
+// which is why nothing a chain keeps is cut from it: contracts hold their
+// IDs (one string of their own) and, on Swap contracts, the directory
+// (allocated beside the plan).
+type plan struct {
+	setup Setup
+	spec  Spec
+
+	parties [planVertices]chain.PartyID
+	keys    [planVertices]ed25519.PublicKey // classic-HTLC swaps only
+	signers [planVertices]*hashkey.Signer
+	// bound holds the keyring identities rebound to their vertexes, by
+	// value: signers points here when no presigned table took them.
+	bound     [planVertices]hashkey.Signer
+	assets    [planArcs]ArcAsset
+	ids       [planArcs]chain.ContractID
+	timelocks [planArcs][]vtime.Ticks
+	ticks     [planArcs * planLeaders]vtime.Ticks
+	locks     [planLeaders]hashkey.Lock
+	secrets   [planLeaders]hashkey.Secret
+}
+
+// cut returns the first n elements of buf when they fit, else a fresh
+// slice of n.
+func cut[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
+}
+
+// bind lays cfg's binding over a compiled shape, into p. Everything that is
 // per swap happens here: defaults, identities, secrets, the per-binding
 // validation; the shape only answers whether it may be cleared.
-func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
+func (p *plan) bind(shape *Shape, cfg Config) (*Setup, error) {
 	d := shape.d
+	n, m, nl := d.NumVertices(), d.NumArcs(), len(shape.leaders)
 	if cfg.Kind == 0 {
 		cfg.Kind = KindGeneral
 	}
@@ -584,14 +653,14 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 
 	parties := cfg.Parties
 	if parties == nil {
-		parties = make([]chain.PartyID, d.NumVertices())
+		parties = cut(p.parties[:], n)
 		for v := range parties {
 			parties[v] = chain.PartyID(d.Name(digraph.Vertex(v)))
 		}
 	}
 	assets := cfg.Assets
 	if assets == nil {
-		assets = make([]ArcAsset, d.NumArcs())
+		assets = cut(p.assets[:], m)
 		for id := range assets {
 			assets[id] = ArcAsset{
 				Chain:  fmt.Sprintf("chain-a%d", id),
@@ -601,7 +670,7 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		}
 	}
 
-	signers := make([]*hashkey.Signer, d.NumVertices())
+	signers := cut(p.signers[:], n)
 	for v := range signers {
 		var s *hashkey.Signer
 		var err error
@@ -618,42 +687,48 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 		}
 		signers[v] = s
 	}
-	secrets := make([]hashkey.Secret, len(leaders))
-	locks := make([]hashkey.Lock, len(leaders))
-	for i := range leaders {
-		sec, err := hashkey.NewSecret(cfg.Rand)
-		if err != nil {
+	secrets, locks := cut(p.secrets[:], nl), cut(p.locks[:], nl)
+	for i := range secrets {
+		if err := secrets[i].Draw(cfg.Rand); err != nil {
 			return nil, fmt.Errorf("core: setup: %w", err)
 		}
-		secrets[i] = sec
-		locks[i] = sec.Lock()
+		locks[i] = secrets[i].Lock()
 	}
 
 	// Keyed by index: a keyring identity is bound to its vertex only below.
-	keys := make(hashkey.Directory, len(signers))
+	// Every Swap contract keeps the directory, so a hashkey swap's lives
+	// beside the plan, not in it: a chain keeps no plan alive. Classic
+	// HTLCs verify no signature and keep none.
+	keys := hashkey.Directory(cut(p.keys[:], n))
+	if cfg.Kind == KindGeneral {
+		keys = make(hashkey.Directory, n)
+	}
 	for v, s := range signers {
-		keys[digraph.Vertex(v)] = s.Public()
+		keys[v] = s.Public()
 	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = hashkey.NewVerifyCache(0)
 	}
-	spec := &Spec{
-		Kind:      cfg.Kind,
-		Tag:       cfg.Tag,
-		D:         d,
-		Leaders:   leaders,
-		Locks:     locks,
-		Parties:   parties,
-		Keys:      keys,
-		Assets:    assets,
-		Start:     cfg.Start,
-		Delta:     cfg.Delta,
-		DiamBound: shape.diamBound,
-		Broadcast: cfg.Broadcast,
-		Cache:     cache,
-		shape:     shape,
+	p.spec = Spec{
+		Kind:         cfg.Kind,
+		Tag:          cfg.Tag,
+		D:            d,
+		Leaders:      leaders,
+		Locks:        locks,
+		Parties:      parties,
+		Keys:         keys,
+		Assets:       assets,
+		Start:        cfg.Start,
+		Delta:        cfg.Delta,
+		DiamBound:    shape.diamBound,
+		Broadcast:    cfg.Broadcast,
+		Cache:        cache,
+		shape:        shape,
+		arcTimelocks: cut(p.timelocks[:], m),
+		tlTicks:      cut(p.ticks[:], len(shape.steps)),
 	}
+	spec := &p.spec
 	if len(cfg.ChainDeltas) > 0 {
 		spec.ChainDeltas = make(map[string]vtime.Duration, len(cfg.ChainDeltas))
 		for name, d := range cfg.ChainDeltas {
@@ -671,7 +746,7 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 			return nil, err
 		}
 	}
-	spec.compileContractIDs()
+	spec.compileContractIDs(cut(p.ids[:], m))
 	// Every signature of a multi-leader swap is fixed once its secrets are
 	// drawn, so with a spare core they are computed ahead of need (see
 	// hashkey.Presign). The table hangs off the per-vertex bindings in
@@ -682,9 +757,12 @@ func bindSetup(shape *Shape, cfg Config) (*Setup, error) {
 			return spec.Broadcast || d.HasArcBetween(v, leader)
 		})
 	if cfg.Keyring != nil && !presigned {
+		bound := cut(p.bound[:], n)
 		for v, s := range signers {
-			signers[v] = s.At(digraph.Vertex(v))
+			bound[v] = s.At(digraph.Vertex(v))
+			signers[v] = &bound[v]
 		}
 	}
-	return &Setup{Spec: spec, Signers: signers, Secrets: secrets}, nil
+	p.setup = Setup{Spec: spec, Signers: signers, Secrets: secrets}
+	return &p.setup, nil
 }

@@ -94,15 +94,16 @@ var swapTags = func() []string {
 	return tags
 }()
 
-// durableRing3AllocCeiling is the 131 heap objects (identical run to run)
+// durableRing3AllocCeiling is the 80 heap objects (identical run to run)
 // one ring-3 swap costs end to end over a real Store — a single-leader
 // component, so classic HTLCs; 19 appends sealed once a tick, a snapshot
 // every 512; go1.24 linux/amd64, deterministic scheduler — plus 5 %:
 // internal/engine's TestAllocationBudget ring-3 row with the WAL in the
-// path. (With a reflective snapshot encoder the same ring measured 160;
-// before shapes were compiled once and deliveries cut from a per-run slab,
-// 332; on the hashkey protocol, 436.)
-const durableRing3AllocCeiling = 137
+// path. (Before a swap was bound into one plan and run from one record, the
+// same ring measured 131; with a reflective snapshot encoder, 160; before
+// shapes were compiled once and deliveries cut from a per-run slab, 332;
+// on the hashkey protocol, 436.)
+const durableRing3AllocCeiling = 84
 
 // ring3AllocsPerSwap books `swaps` three-party rings on a fresh
 // deterministic engine over a store in a fresh directory, drains it, and

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -641,6 +642,58 @@ func TestTornTailSurvivesReopen(t *testing.T) {
 		} else if fi.Size() != whole {
 			t.Errorf("after Open #%d the torn segment is %d bytes, want it cut back to %d", round, fi.Size(), whole)
 		}
+	}
+}
+
+// TestTornCreateDropped: a crash between a segment's creation and its
+// magic leaves the final segment empty or holding a prefix of the magic.
+// Open drops it and folds what came before, and so does the Open after
+// that; a short file that is not a prefix of the magic still fails.
+func TestTornCreateDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bytes string
+	}{{"empty", ""}, {"magic prefix", "ASW"}, {"not the magic", "XYZ"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedStore(t, dir, 20, Options{})
+			names, err := segmentNames(dir)
+			if err != nil || len(names) == 0 {
+				t.Fatalf("segmentNames: %v (%d segments)", err, len(names))
+			}
+			last, _ := segmentIndex(names[len(names)-1])
+			torn := filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", last+1))
+			if err := os.WriteFile(torn, []byte(tc.bytes), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(walMagic), tc.bytes) {
+				if _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad magic") {
+					t.Fatalf("Open over a %q final segment: got %v, want ErrCorrupt (bad magic)", tc.bytes, err)
+				}
+				return
+			}
+			for round := 1; round <= 2; round++ {
+				s, err := Open(Options{Dir: dir})
+				if err != nil {
+					t.Fatalf("Open #%d over a torn create: %v", round, err)
+				}
+				st, err := s.ResolvedState(0)
+				if err != nil {
+					t.Fatalf("ResolvedState #%d: %v", round, err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", round, err)
+				}
+				if len(st.Orders) != 10 || st.Events != 20 {
+					t.Errorf("Open #%d folded %d orders from %d events, want 10 from 20", round, len(st.Orders), st.Events)
+				}
+				// As if it were absent: the segment Open starts takes the
+				// torn one's place.
+				if data, err := os.ReadFile(torn); err != nil || string(data) != string(walMagic) {
+					t.Errorf("after Open #%d the torn segment's place holds %q (%v), want a fresh segment", round, data, err)
+				}
+			}
+		})
 	}
 }
 

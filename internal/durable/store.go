@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,7 +137,23 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		frames, err := parseSegment(name, data, i == len(names)-1)
+		last := i == len(names)-1
+		if last && len(data) < len(walMagic) && bytes.HasPrefix(walMagic, data) {
+			// A crash between the final segment's creation and its magic
+			// (openSegment runs on every Open, rotation and snapshot) left
+			// it empty or holding a prefix of the magic: a torn create.
+			// Nothing was ever framed in it, so fold as if it were absent,
+			// and make the unlink durable before a segment takes its place.
+			if err := os.Remove(path); err != nil {
+				return nil, fmt.Errorf("durable: dropping torn create %s: %w", name, err)
+			}
+			if err := syncDir(opts.Dir); err != nil {
+				return nil, fmt.Errorf("durable: dropping torn create %s: %w", name, err)
+			}
+			names = names[:i]
+			break
+		}
+		frames, err := parseSegment(name, data, last)
 		if err != nil {
 			return nil, err
 		}

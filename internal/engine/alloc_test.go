@@ -11,17 +11,20 @@ import (
 )
 
 // Per-swap allocation ceilings: the heap objects measured on the
-// deterministic scheduler (go1.24 linux/amd64, identical run to run) plus
-// 5 %. A three-party ring clears on classic HTLCs at 106; the same ring
-// forced onto the hashkey protocol costs 195 and a four-party clique 801.
-// (With every swap deriving its own leaders and ladder, and every delivery
-// its own heap record, scheduler event and closure, they measured 269, 362
-// and 1475.) A change that pushes a swap's heap objects past its ceiling
-// fails tier-1 here, not only in benchmark/.
+// deterministic scheduler (go1.24 linux/amd64, two cores) plus 5 %. A
+// three-party ring clears on classic HTLCs at 48, the same on any core
+// count; the same ring forced onto the hashkey protocol costs 148 and a
+// four-party clique 728, a few more or less with the cores a presign table
+// (DESIGN.md §16) finds. (With per-swap maps, a closure per refund alarm
+// and a signer binding per vertex they measured 99, 188 and 793; with
+// every swap deriving its own leaders and ladder, and every delivery its
+// own heap record, scheduler event and closure, 269, 362 and 1475.) A
+// change that pushes a swap's heap objects past its ceiling fails tier-1
+// here, not only in benchmark/.
 const (
-	ring3AllocCeiling        = 111
-	ring3GeneralAllocCeiling = 204
-	clique4AllocCeiling      = 841
+	ring3AllocCeiling        = 50
+	ring3GeneralAllocCeiling = 155
+	clique4AllocCeiling      = 764
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over

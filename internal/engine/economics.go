@@ -22,37 +22,48 @@ import (
 //     deviant cohort's positive net is what a briber could promise.
 //
 // Everything is tick-domain, so the result is replay-identical and safe
-// to pin in digests. The per-vertex lock map feeds order.lockCost.
-func swapEconomics(spec *core.Spec, res *conc.Result, deviants map[digraph.Vertex]string) (metrics.SwapEconomics, map[digraph.Vertex]uint64) {
-	locks := make(map[digraph.Vertex]uint64, spec.D.NumVertices())
-	for _, span := range res.Escrows {
-		amount := spec.Assets[span.ArcID].Amount
-		locks[spec.D.Arc(span.ArcID).Head] += amount * uint64(span.To-span.From)
-	}
-	nets := make(map[digraph.Vertex]int64, spec.D.NumVertices())
-	for id := 0; id < spec.D.NumArcs(); id++ {
-		if !res.Triggered[id] {
-			continue
-		}
-		arc := spec.D.Arc(id)
-		amount := int64(spec.Assets[id].Amount)
-		nets[arc.Head] -= amount
-		nets[arc.Tail] += amount
-	}
+// to pin in digests. escrowLock is one vertex's lock, which settle also
+// records per order. Swaps are small, so each vertex scans the arcs
+// rather than the run building a map.
+func swapEconomics(spec *core.Spec, res *conc.Result, deviants map[digraph.Vertex]string) metrics.SwapEconomics {
 	se := metrics.SwapEconomics{Deviant: len(deviants) > 0}
 	for v := 0; v < spec.D.NumVertices(); v++ {
 		vx := digraph.Vertex(v)
+		lock, net := escrowLock(spec, res, vx), int64(0)
+		for id, fired := range res.Triggered {
+			if !fired {
+				continue
+			}
+			switch arc := spec.D.Arc(id); vx {
+			case arc.Head:
+				net -= int64(spec.Assets[id].Amount)
+			case arc.Tail:
+				net += int64(spec.Assets[id].Amount)
+			}
+		}
 		if _, dev := deviants[vx]; dev {
-			se.DeviantLock += locks[vx]
-			if n := nets[vx]; n > 0 {
-				se.CoalitionGain += uint64(n)
+			se.DeviantLock += lock
+			if net > 0 {
+				se.CoalitionGain += uint64(net)
 			}
 		} else {
-			se.ConformingLock += locks[vx]
-			if n := nets[vx]; n < 0 {
-				se.ConformingLoss += uint64(-n)
+			se.ConformingLock += lock
+			if net < 0 {
+				se.ConformingLoss += uint64(-net)
 			}
 		}
 	}
-	return se, locks
+	return se
+}
+
+// escrowLock is the capital v's escrows locked in one run: amount ×
+// duration token-ticks over the arcs v deployed.
+func escrowLock(spec *core.Spec, res *conc.Result, v digraph.Vertex) uint64 {
+	var lock uint64
+	for _, span := range res.Escrows {
+		if spec.D.Arc(span.ArcID).Head == v {
+			lock += spec.Assets[span.ArcID].Amount * uint64(span.To-span.From)
+		}
+	}
+	return lock
 }

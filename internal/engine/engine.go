@@ -52,8 +52,6 @@ type seededRand struct {
 	state uint64
 }
 
-func newSeededRand(seed uint64) *seededRand { return &seededRand{state: seed} }
-
 func (s *seededRand) Read(p []byte) (int, error) {
 	for i := 0; i < len(p); i += 8 {
 		s.state += 0x9e3779b97f4a7c15
@@ -246,14 +244,21 @@ type SwapBehaviors struct {
 // setup and deterministic per-swap seed. See Config.Behaviors.
 type BehaviorFactory func(setup *core.Setup, seed int64) SwapBehaviors
 
-// job is one cleared swap: what its horizon delivery settles (see settle).
+// job is one cleared swap: what its horizon delivery settles. It is the
+// run's conc.Settler, so handing it over costs no closure.
 type job struct {
+	e        *unit
 	swapID   string
 	setup    *core.Setup
 	orders   []*order
 	resv     []resvKey
 	deviants map[digraph.Vertex]string
+	// rand seeds the swap's secrets (see clearGroup).
+	rand seededRand
 }
+
+// Settle implements conc.Settler.
+func (j *job) Settle(res *conc.Result) { j.e.settle(j, res) }
 
 type resvKey struct {
 	chain string
@@ -979,12 +984,14 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// concurrent groups never share a stripe. A resumed group re-clears
 	// under the tag it had before the crash (see durable.State.Resolve).
 	var seq uint64
+	gives := 0
 	group := make([]*order, len(g))
 	for i, o := range g {
 		group[i] = byParty[o.Party]
 		if id := uint64(group[i].id); seq == 0 || id < seq {
 			seq = id
 		}
+		gives += len(o.Give)
 	}
 	swapID := swapTag(seq)
 	seed := e.cfg.Seed + int64(seq)
@@ -992,7 +999,7 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// clearing goroutine, to which e.rng is confined (see the field doc).
 	adversarial := e.cfg.AdversaryRate > 0 && e.rng.Float64() < e.cfg.AdversaryRate
 
-	var held []resvKey
+	held := make([]resvKey, 0, gives)
 	release := func() {
 		for _, r := range held {
 			e.reg.Release(r.chain, r.asset, swapID)
@@ -1063,6 +1070,7 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 		}
 	}
 
+	j := &job{e: e, swapID: swapID, orders: group, resv: held, rand: seededRand{state: uint64(seed)}}
 	setup, err := core.Clear(g, core.Config{
 		Kind:        e.cfg.Kind,
 		Tag:         swapID,
@@ -1072,7 +1080,7 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 		// instead of math/rand's O(607) Lehmer state initialization —
 		// a measurable per-swap cost at clearing rates, with the same
 		// determinism guarantee (the stream is a pure function of seed).
-		Rand:    newSeededRand(uint64(seed)),
+		Rand:    &j.rand,
 		Keyring: e.keyring,
 		Cache:   e.vcache,
 		Shapes:  e.shapes,
@@ -1088,9 +1096,9 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// pure function of the arrival schedule and the seed. Its horizon
 	// delivery settles the books.
 	sb := e.buildBehaviors(setup, seed, adversarial)
-	j := &job{swapID: swapID, setup: setup, orders: group, resv: held, deviants: sb.Deviants}
+	j.setup, j.deviants = setup, sb.Deviants
 	rcfg := e.runConfig(setup.Spec, seed, seq)
-	rcfg.OnDone = func(res *conc.Result) { e.settle(j, res) }
+	rcfg.OnDone = j
 	if _, err := conc.Prepare(setup, sb.Behaviors, rcfg); err != nil {
 		rejectGroup("execution: " + err.Error())
 		return false
@@ -1232,7 +1240,7 @@ func (e *unit) settle(j *job, res *conc.Result) {
 		}
 	}
 
-	econ, locks := swapEconomics(spec, res, j.deviants)
+	econ := swapEconomics(spec, res, j.deviants)
 
 	now := time.Now()
 	e.mu.Lock()
@@ -1243,7 +1251,7 @@ func (e *unit) settle(j *job, res *conc.Result) {
 		if v, ok := spec.VertexOf(o.offer.Party); ok {
 			o.class = res.Report.Of(v)
 			o.deviant = j.deviants[v]
-			o.lockCost = locks[v]
+			o.lockCost = escrowLock(spec, res, v)
 		}
 		e.logEvent(Event{
 			Kind: EvSettled, Tick: res.SettleTick,

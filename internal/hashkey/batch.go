@@ -237,7 +237,7 @@ func (b *Batch) Settle(cache *VerifyCache) int {
 func resolvePubs(path digraph.Path, dir Directory) ([]ed25519.PublicKey, error) {
 	pubs := make([]ed25519.PublicKey, len(path))
 	for i, v := range path {
-		pub, ok := dir[v]
+		pub, ok := dir.Key(v)
 		if !ok {
 			return nil, unknownSigner(v)
 		}

@@ -202,7 +202,7 @@ func (h Hashkey) SeedVerified(lock Lock, leader digraph.Vertex, dir Directory, c
 	}
 	pubs := make([]ed25519.PublicKey, len(h.Path))
 	for i, v := range h.Path {
-		pub, ok := dir[v]
+		pub, ok := dir.Key(v)
 		if !ok {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownSigner, v)
 		}
@@ -246,7 +246,7 @@ func (h Hashkey) VerifyCryptoExtended(lock Lock, leader digraph.Vertex, dir Dire
 	}
 	pubs := make([]ed25519.PublicKey, len(h.Path))
 	for i, v := range h.Path {
-		pub, ok := dir[v]
+		pub, ok := dir.Key(v)
 		if !ok {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownSigner, v)
 		}

@@ -2,6 +2,7 @@ package hashkey
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -142,7 +143,7 @@ func TestSeedVerified(t *testing.T) {
 	if err := mine.SeedVerified(lock, 3, dir, cache); !errors.Is(err, ErrWrongLeader) {
 		t.Fatalf("wrong leader seeded: %v", err)
 	}
-	delete(dir, 2)
+	dir[2] = nil
 	if err := mine.SeedVerified(lock, 1, dir, cache); !errors.Is(err, ErrUnknownSigner) {
 		t.Fatalf("unknown signer seeded: %v", err)
 	}
@@ -252,10 +253,7 @@ func TestCacheKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir2 := Directory{}
-	for v, pk := range dir {
-		dir2[v] = pk
-	}
+	dir2 := slices.Clone(dir)
 	dir2[1] = evil.Public()
 	if err := key.VerifyExtended(lock, d, 3, dir2, cache); err == nil {
 		t.Fatal("cache entry leaked across directories: chain accepted under a directory it never verified against")

@@ -40,10 +40,19 @@ type Lock [sha256.Size]byte
 // a seeded reader in deterministic simulations).
 func NewSecret(r io.Reader) (Secret, error) {
 	var s Secret
-	if _, err := io.ReadFull(r, s[:]); err != nil {
-		return Secret{}, fmt.Errorf("hashkey: drawing secret: %w", err)
+	if err := s.Draw(r); err != nil {
+		return Secret{}, err
 	}
 	return s, nil
+}
+
+// Draw fills s from r in place: NewSecret into storage the caller already
+// has.
+func (s *Secret) Draw(r io.Reader) error {
+	if _, err := io.ReadFull(r, s[:]); err != nil {
+		return fmt.Errorf("hashkey: drawing secret: %w", err)
+	}
+	return nil
 }
 
 // Lock returns the hashlock H(s).
@@ -137,29 +146,41 @@ func (s *Signer) Sign(msg []byte) []byte {
 // signature-count regressions visible in throughput reports.
 func (s *Signer) SetMeter(m *Meter) { s.meter = m }
 
-// At returns a view of the same signing identity bound to a different
-// vertex. Key material (and the sign meter) is shared, not copied: this
-// is how a persistent party identity (one keypair for the party's
-// lifetime) is rebound to whatever vertex the party is assigned in each
-// cleared swap. A presigned table is not: its slots belong to one vertex.
-func (s *Signer) At(vertex digraph.Vertex) *Signer {
-	if s.vertex == vertex {
-		return s
-	}
-	return &Signer{vertex: vertex, pub: s.pub, priv: s.priv, meter: s.meter}
+// At returns the same signing identity bound to a different vertex, by
+// value: the caller keeps the binding where it likes (a cleared swap's
+// plan holds one per vertex). Key material (and the sign meter) is shared,
+// not copied: this is how a persistent party identity (one keypair for
+// the party's lifetime) is rebound to whatever vertex the party is
+// assigned in each cleared swap. A presigned table is not: its slots
+// belong to one vertex.
+func (s *Signer) At(vertex digraph.Vertex) Signer {
+	return Signer{vertex: vertex, pub: s.pub, priv: s.priv, meter: s.meter}
 }
 
-// Directory maps vertexes to their public keys; contracts use it to verify
-// signature chains. It is part of the public swap plan.
-type Directory map[digraph.Vertex]ed25519.PublicKey
+// Directory holds the vertexes' public keys, indexed by vertex; contracts
+// use it to verify signature chains. It is part of the public swap plan.
+// A nil entry is a vertex without a key.
+type Directory []ed25519.PublicKey
 
 // NewDirectory builds a directory from signers.
 func NewDirectory(signers ...*Signer) Directory {
-	d := make(Directory, len(signers))
+	n := 0
+	for _, s := range signers {
+		n = max(n, int(s.vertex)+1)
+	}
+	d := make(Directory, n)
 	for _, s := range signers {
 		d[s.vertex] = s.pub
 	}
 	return d
+}
+
+// Key returns v's public key and whether the directory has one.
+func (d Directory) Key(v digraph.Vertex) (ed25519.PublicKey, bool) {
+	if v < 0 || int(v) >= len(d) || d[v] == nil {
+		return nil, false
+	}
+	return d[v], true
 }
 
 // Errors returned by hashkey verification.
@@ -251,7 +272,7 @@ func (h Hashkey) VerifyCrypto(lock Lock, leader digraph.Vertex, dir Directory) e
 	}
 	k := len(h.Path) - 1
 	for i := 0; i <= k; i++ {
-		pub, ok := dir[h.Path[i]]
+		pub, ok := dir.Key(h.Path[i])
 		if !ok {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownSigner, h.Path[i])
 		}

@@ -227,7 +227,7 @@ func TestVerifyRejectsUnknownSigner(t *testing.T) {
 	d, signers, dir := testBench(t)
 	secret, _ := NewSecret(detRand(15))
 	hk := New(secret, signers[0]).Extend(signers[2])
-	delete(dir, 2)
+	dir[2] = nil
 	if err := hk.Verify(secret.Lock(), d, 0, dir); !errors.Is(err, ErrUnknownSigner) {
 		t.Errorf("Verify err = %v, want ErrUnknownSigner", err)
 	}

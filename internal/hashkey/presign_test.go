@@ -102,11 +102,12 @@ func TestPresignOwnSlotsOnly(t *testing.T) {
 	tab, signers, secrets, _ := cliqueTable(t)
 	tab.fill()
 	leaderSig := signers[0].Sign(secrets[0][:])
-	got := signers[3].At(1).Sign(leaderSig)
+	rebound := signers[3].At(1)
+	got := rebound.Sign(leaderSig)
 	if !bytes.Equal(got, ed25519.Sign(signers[3].priv, leaderSig)) {
 		t.Fatal("a rebound binding returned a signature not made with its own key")
 	}
-	if signers[3].At(1).pre != nil {
+	if rebound.pre != nil {
 		t.Fatal("At carried the presigned table to another vertex")
 	}
 }

@@ -3,6 +3,7 @@ package htlc
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
@@ -123,8 +124,10 @@ func (h *HTLC) invokeRedeem(call chain.Call) (chain.Result, error) {
 	to := chain.ByParty(h.p.Counter)
 	return chain.Result{
 		Transfer: &to,
-		Note:     fmt.Sprintf("arc %d redeemed by %s", h.p.ArcID, h.p.Counter),
-		Event:    RedeemedEvent{ArcID: h.p.ArcID, Secret: args.Secret},
+		// Notes are covered by the ledger's record hash: these spell the
+		// historical fmt layouts byte for byte.
+		Note:  "arc " + strconv.Itoa(h.p.ArcID) + " redeemed by " + string(h.p.Counter),
+		Event: RedeemedEvent{ArcID: h.p.ArcID, Secret: args.Secret},
 	}, nil
 }
 
@@ -138,6 +141,6 @@ func (h *HTLC) invokeRefund(call chain.Call) (chain.Result, error) {
 	to := chain.ByParty(h.p.Party)
 	return chain.Result{
 		Transfer: &to,
-		Note:     fmt.Sprintf("arc %d refunded to %s", h.p.ArcID, h.p.Party),
+		Note:     "arc " + strconv.Itoa(h.p.ArcID) + " refunded to " + string(h.p.Party),
 	}, nil
 }

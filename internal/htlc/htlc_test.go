@@ -2,6 +2,7 @@ package htlc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -94,6 +95,29 @@ func TestHTLCRefund(t *testing.T) {
 	}
 	if res.Transfer == nil || *res.Transfer != chain.ByParty("carol") {
 		t.Errorf("transfer = %v, want carol", res.Transfer)
+	}
+}
+
+// TestHTLCNotesKeepTheFmtLayout pins the ledger notes an HTLC's methods
+// return to the fmt layouts they were first written with, as
+// TestResultNotesKeepTheFmtLayout does for a Swap's: the hosting chain
+// hashes the note into its record chain.
+func TestHTLCNotesKeepTheFmtLayout(t *testing.T) {
+	h, secret := newHTLC(t)
+	res, err := h.Invoke(call(MethodRedeem, "alice", 150, RedeemArgs{Secret: secret}))
+	if err != nil {
+		t.Fatalf("redeem: %v", err)
+	}
+	if want := fmt.Sprintf("arc %d redeemed by %s", 3, chain.PartyID("alice")); res.Note != want || want != "arc 3 redeemed by alice" {
+		t.Errorf("redeem note %q, fmt layout %q", res.Note, want)
+	}
+	h, _ = newHTLC(t)
+	res, err = h.Invoke(call(MethodRefund, "carol", 160, nil))
+	if err != nil {
+		t.Fatalf("refund: %v", err)
+	}
+	if want := fmt.Sprintf("arc %d refunded to %s", 3, chain.PartyID("carol")); res.Note != want || want != "arc 3 refunded to carol" {
+		t.Errorf("refund note %q, fmt layout %q", res.Note, want)
 	}
 }
 

@@ -7,6 +7,7 @@ package outcome
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 )
@@ -55,31 +56,30 @@ func (c Class) String() string {
 func (c Class) Acceptable() bool { return c != Underwater }
 
 // Classify determines the payoff class of the coalition given by members
-// (a single vertex for an individual party) on digraph d, where triggered
-// reports per arc ID whether the transfer happened. Arcs internal to the
-// coalition are ignored, mirroring the paper's "replace v with C".
-func Classify(d *digraph.Digraph, triggered map[int]bool, members ...digraph.Vertex) Class {
-	inC := make(map[digraph.Vertex]bool, len(members))
-	for _, v := range members {
-		inC[v] = true
-	}
+// (a single vertex for an individual party) on digraph d, where
+// triggered[id] reports whether the transfer on arc id happened (an arc
+// past the slice's end did not). Arcs internal to the coalition are
+// ignored, mirroring the paper's "replace v with C".
+func Classify(d *digraph.Digraph, triggered []bool, members ...digraph.Vertex) Class {
 	var (
 		enteringTriggered, enteringUntriggered bool
 		leavingTriggered, leavingUntriggered   bool
 	)
-	for _, a := range d.Arcs() {
-		headIn, tailIn := inC[a.Head], inC[a.Tail]
+	for id := range d.NumArcs() {
+		a := d.Arc(id)
+		headIn, tailIn := slices.Contains(members, a.Head), slices.Contains(members, a.Tail)
+		fired := id < len(triggered) && triggered[id]
 		switch {
 		case headIn && tailIn: // internal to the coalition
 			continue
 		case tailIn: // enters the coalition
-			if triggered[a.ID] {
+			if fired {
 				enteringTriggered = true
 			} else {
 				enteringUntriggered = true
 			}
 		case headIn: // leaves the coalition
-			if triggered[a.ID] {
+			if fired {
 				leavingTriggered = true
 			} else {
 				leavingUntriggered = true
@@ -120,27 +120,32 @@ func Prefer(a, b Class) bool {
 	return better[a][b]
 }
 
-// Report summarizes a finished run for every party.
-type Report struct {
-	classes map[digraph.Vertex]Class
-}
+// Report summarizes a finished run for every party: its class, indexed
+// by vertex.
+type Report []Class
 
 // NewReport classifies every vertex of d individually.
-func NewReport(d *digraph.Digraph, triggered map[int]bool) *Report {
-	r := &Report{classes: make(map[digraph.Vertex]Class, d.NumVertices())}
-	for _, v := range d.Vertices() {
-		r.classes[v] = Classify(d, triggered, v)
-	}
+func NewReport(d *digraph.Digraph, triggered []bool) Report {
+	r := make(Report, d.NumVertices())
+	r.Fill(d, triggered)
 	return r
 }
 
+// Fill classifies every vertex of d into r, which holds one entry per
+// vertex: NewReport over storage the caller already has.
+func (r Report) Fill(d *digraph.Digraph, triggered []bool) {
+	for v := range r {
+		r[v] = Classify(d, triggered, digraph.Vertex(v))
+	}
+}
+
 // Of returns the class of a vertex.
-func (r *Report) Of(v digraph.Vertex) Class { return r.classes[v] }
+func (r Report) Of(v digraph.Vertex) Class { return r[v] }
 
 // AllDeal reports whether every party finished with Deal — the
 // all-conforming outcome required by Definition 3.1.
-func (r *Report) AllDeal() bool {
-	for _, c := range r.classes {
+func (r Report) AllDeal() bool {
+	for _, c := range r {
 		if c != Deal {
 			return false
 		}
@@ -150,9 +155,9 @@ func (r *Report) AllDeal() bool {
 
 // NoneUnderwater reports whether the vertexes in the given set all avoided
 // Underwater — the uniformity condition for the conforming parties.
-func (r *Report) NoneUnderwater(conforming []digraph.Vertex) bool {
+func (r Report) NoneUnderwater(conforming []digraph.Vertex) bool {
 	for _, v := range conforming {
-		if r.classes[v] == Underwater {
+		if r[v] == Underwater {
 			return false
 		}
 	}
@@ -160,9 +165,9 @@ func (r *Report) NoneUnderwater(conforming []digraph.Vertex) bool {
 }
 
 // Histogram counts parties per class, for experiment tables.
-func (r *Report) Histogram() map[Class]int {
+func (r Report) Histogram() map[Class]int {
 	h := make(map[Class]int)
-	for _, c := range r.classes {
+	for _, c := range r {
 		h[c]++
 	}
 	return h

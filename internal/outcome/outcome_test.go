@@ -7,13 +7,16 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 )
 
-// trig builds a triggered map for the given arc IDs.
-func trig(ids ...int) map[int]bool {
-	m := make(map[int]bool, len(ids))
+// trig builds a triggered set for the given arc IDs, indexed by arc ID.
+func trig(ids ...int) []bool {
+	var t []bool
 	for _, id := range ids {
-		m[id] = true
+		if id >= len(t) {
+			t = append(t, make([]bool, id+1-len(t))...)
+		}
+		t[id] = true
 	}
-	return m
+	return t
 }
 
 func TestClassifySingleParty(t *testing.T) {
@@ -22,7 +25,7 @@ func TestClassifySingleParty(t *testing.T) {
 	bob := digraph.Vertex(1) // entering: arc 0; leaving: arc 1
 	tests := []struct {
 		name      string
-		triggered map[int]bool
+		triggered []bool
 		want      Class
 	}{
 		{name: "all triggered is Deal", triggered: trig(0, 1, 2), want: Deal},

@@ -34,8 +34,8 @@ func TestClassificationIgnoresInternalArcs(t *testing.T) {
 			inC[v] = true
 		}
 		// Random trigger set.
-		base := make(map[int]bool)
-		flipped := make(map[int]bool)
+		base := make([]bool, d.NumArcs())
+		flipped := make([]bool, d.NumArcs())
 		for _, a := range d.Arcs() {
 			trig := rng.Intn(2) == 0
 			base[a.ID] = trig
@@ -57,7 +57,7 @@ func TestClassificationIgnoresInternalArcs(t *testing.T) {
 func TestEveryTriggerSetClassifies(t *testing.T) {
 	d := graphgen.ThreeWay()
 	for mask := 0; mask < 8; mask++ {
-		triggered := map[int]bool{}
+		triggered := make([]bool, 3)
 		for id := 0; id < 3; id++ {
 			triggered[id] = mask&(1<<id) != 0
 		}

@@ -492,7 +492,17 @@ func (e *Event) Stop() bool {
 // Hold implements Scheduler: no event runs until the returned release is
 // called. Safe to call from callbacks and from external goroutines. The
 // first Hold on a free clock adopts its birth hold (see NewVirtual).
+// Calling the release more than once lets go once.
 func (v *Virtual) Hold() func() {
+	v.Acquire()
+	var once sync.Once
+	return func() { once.Do(v.Release) }
+}
+
+// Acquire is Hold without the release closure: no event runs until a
+// matching Release. A caller that holds and lets go on every path of one
+// function (a swap's setup) pays nothing for the guard Hold builds.
+func (v *Virtual) Acquire() {
 	v.mu.Lock()
 	if v.born {
 		v.born = false
@@ -500,9 +510,10 @@ func (v *Virtual) Hold() func() {
 		v.holds++
 	}
 	v.mu.Unlock()
-	var once sync.Once
-	return func() { once.Do(func() { v.releaseN(1) }) }
 }
+
+// Release lets go of one Acquire. Each Acquire takes exactly one Release.
+func (v *Virtual) Release() { v.releaseN(1) }
 
 // Pending reports the number of queued (non-cancelled) events.
 func (v *Virtual) Pending() int {
