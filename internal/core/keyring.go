@@ -2,24 +2,24 @@ package core
 
 import (
 	"crypto/ed25519"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 )
 
-// Keyring is a persistent store of party signing identities. A long-running
-// clearing service creates each party's ed25519 keypair exactly once — at
-// first intake — and every subsequent swap the party joins reuses it,
-// rebound to whatever vertex the clearing round assigns. This takes key
-// generation entirely off the per-swap clearing path: NewSetup with a
-// keyring performs zero keygens for known parties, and the stored signer
-// holds the expanded ed25519 private key, so the seed→keypair derivation
-// happens once per party rather than per sign — rebinding via Signer.At
-// (or hashkey.Presign) shares the already-derived key material.
+// Keyring holds party signing identities. A party's ed25519 key is a
+// pure function of the keyring's root and the party's name (Derive under
+// DomainIdentity), derived the first time a hashkey swap binds the party
+// and kept, expanded, for every later swap it joins, rebound to whatever
+// vertex the clearing round assigns. So no clearing round pays a keygen
+// for a known party, a party that only ever runs classic HTLCs derives
+// none, and a key depends on nothing else the keyring was asked for: a
+// recovered or resharded engine with the same root re-derives the same
+// keys, and nothing needs to log them.
 //
 // Every signer the keyring hands out carries a shared sign meter:
 // Signs() reports the total ed25519 signatures produced under keyring
@@ -34,60 +34,55 @@ import (
 // identities behave). Keyring is safe for concurrent use.
 type Keyring struct {
 	mu   sync.RWMutex
-	rand io.Reader
+	root int64
+	// err is the failure to read the root, reported by every Ensure.
+	err  error
 	keys map[chain.PartyID]*hashkey.Signer
-	// onCreate, when set, observes every freshly generated identity with
-	// the ed25519 seed it derives from — the durable-store hook that makes
-	// identities recoverable. Called under the keyring lock; it must not
-	// call back into the keyring.
-	onCreate func(p chain.PartyID, seed []byte)
 	// meter counts every Sign made under a keyring identity (any vertex
 	// binding; see hashkey.Signer.SetMeter).
 	meter hashkey.Meter
 }
 
-// NewKeyring creates an empty keyring drawing key material from r
-// (crypto/rand when nil).
+// NewKeyring creates an empty keyring whose root is the first 64 bits of
+// r (crypto/rand when nil).
 func NewKeyring(r io.Reader) *Keyring {
 	if r == nil {
 		r = hashkey.CryptoRand()
 	}
-	return &Keyring{rand: r, keys: make(map[chain.PartyID]*hashkey.Signer)}
+	k := &Keyring{keys: make(map[chain.PartyID]*hashkey.Signer)}
+	var root [8]byte
+	if _, err := io.ReadFull(r, root[:]); err != nil {
+		k.err = fmt.Errorf("core: keyring: drawing root: %w", err)
+	}
+	k.root = int64(binary.LittleEndian.Uint64(root[:]))
+	return k
 }
 
-// Ensure returns the party's canonical signer, generating it on first use.
-// Generation happens under the keyring lock so a party's identity is
-// created exactly once even under concurrent intake.
+// Ensure returns the party's canonical signer, deriving it on first use.
 func (k *Keyring) Ensure(p chain.PartyID) (*hashkey.Signer, error) {
+	if k.err != nil {
+		return nil, k.err
+	}
 	k.mu.RLock()
 	s, ok := k.keys[p]
 	k.mu.RUnlock()
 	if ok {
 		return s, nil
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if s, ok := k.keys[p]; ok {
-		return s, nil
-	}
-	// Draw the ed25519 seed explicitly instead of letting GenerateKey read
-	// it: ed25519.GenerateKey consumes exactly SeedSize bytes, so this
-	// leaves the randomness stream bit-identical to the pre-durability
-	// behavior (deterministic replays are unchanged) while giving the
-	// onCreate hook the persisted form of the identity.
-	seed := make([]byte, ed25519.SeedSize)
-	if _, err := io.ReadFull(k.rand, seed); err != nil {
-		return nil, fmt.Errorf("core: keyring: drawing seed for %s: %w", p, err)
-	}
-	s, err := hashkey.NewSignerFromSeed(0, seed)
+	var seed [ed25519.SeedSize]byte
+	st := Derive(k.root, DomainIdentity, string(p))
+	st.Read(seed[:])
+	s, err := hashkey.NewSignerFromSeed(0, seed[:])
 	if err != nil {
-		return nil, fmt.Errorf("core: keyring: generating identity for %s: %w", p, err)
+		return nil, fmt.Errorf("core: keyring: deriving identity for %s: %w", p, err)
 	}
 	s.SetMeter(&k.meter)
-	k.keys[p] = s
-	if k.onCreate != nil {
-		k.onCreate(p, seed)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if prev, ok := k.keys[p]; ok {
+		return prev, nil // a concurrent Ensure derived the same key first
 	}
+	k.keys[p] = s
 	return s, nil
 }
 
@@ -99,57 +94,9 @@ func (k *Keyring) Signs() uint64 { return k.meter.Stats().Signs }
 // presigned ahead of need on a spare core, or inline on the caller.
 func (k *Keyring) SignStats() hashkey.SignStats { return k.meter.Stats() }
 
-// OnCreate registers a callback observing every identity generated from
-// here on (party plus ed25519 seed). The durable engine wires this to its
-// write-ahead log so identities survive a crash. Restore does not fire
-// it — a restored identity is already logged.
-func (k *Keyring) OnCreate(fn func(p chain.PartyID, seed []byte)) {
-	k.mu.Lock()
-	k.onCreate = fn
-	k.mu.Unlock()
-}
-
-// Restore installs a previously persisted identity from its ed25519 seed.
-// An identity the keyring already holds is left untouched (restore is
-// idempotent); the onCreate hook is not invoked.
-func (k *Keyring) Restore(p chain.PartyID, seed []byte) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, ok := k.keys[p]; ok {
-		return nil
-	}
-	s, err := hashkey.NewSignerFromSeed(0, seed)
-	if err != nil {
-		return fmt.Errorf("core: keyring: restoring identity for %s: %w", p, err)
-	}
-	s.SetMeter(&k.meter)
-	k.keys[p] = s
-	return nil
-}
-
-// Has reports whether the party already has an identity.
-func (k *Keyring) Has(p chain.PartyID) bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	_, ok := k.keys[p]
-	return ok
-}
-
-// Len returns the number of stored identities.
+// Len returns the number of identities derived so far.
 func (k *Keyring) Len() int {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	return len(k.keys)
-}
-
-// Parties returns the sorted party IDs with stored identities.
-func (k *Keyring) Parties() []chain.PartyID {
-	k.mu.RLock()
-	out := make([]chain.PartyID, 0, len(k.keys))
-	for p := range k.keys {
-		out = append(out, p)
-	}
-	k.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

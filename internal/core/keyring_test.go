@@ -84,19 +84,30 @@ func TestKeyringConcurrentEnsure(t *testing.T) {
 	}
 }
 
-// TestKeyringPartiesSorted pins the deterministic enumeration order.
-func TestKeyringPartiesSorted(t *testing.T) {
-	k := NewKeyring(rand.New(rand.NewSource(10)))
-	for _, p := range []chain.PartyID{"zed", "alice", "mid"} {
-		if _, err := k.Ensure(p); err != nil {
+// TestKeyringDerivesByName: a party's key is a function of the keyring's
+// root and the party's name alone — not of which parties were derived
+// before it, nor in what order — and another root gives another key.
+func TestKeyringDerivesByName(t *testing.T) {
+	root := func(b byte) *Keyring { return NewKeyring(bytes.NewReader(bytes.Repeat([]byte{b}, 8))) }
+	pub := func(k *Keyring, p chain.PartyID) string {
+		t.Helper()
+		s, err := k.Ensure(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return string(s.Public())
 	}
-	got := k.Parties()
-	want := []chain.PartyID{"alice", "mid", "zed"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Parties() = %v, want %v", got, want)
-		}
+	a, b := root(1), root(1)
+	for _, p := range []chain.PartyID{"zed", "alice", "mid"} {
+		pub(a, p)
+	}
+	if pub(a, "mid") != pub(b, "mid") || pub(a, "zed") != pub(b, "zed") {
+		t.Error("a key depends on what the keyring derived before it")
+	}
+	if pub(a, "alice") == pub(root(2), "alice") {
+		t.Error("two roots derive the same key")
+	}
+	if _, err := NewKeyring(bytes.NewReader(nil)).Ensure("alice"); err == nil {
+		t.Error("a keyring whose root could not be read derived a key")
 	}
 }

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
@@ -175,9 +174,9 @@ func (s *Spec) Validate(allowUnsafe bool) error {
 }
 
 // validateBinding is the half of Validate that no two swaps share: the
-// field shapes, the kind, unique parties with keys, unique assets, Δ and
-// Start. NewSetup runs it on every swap; the graph half it takes from the
-// compiled Shape.
+// field shapes, the kind, unique parties (with keys, for the kind that
+// verifies signatures), unique assets, Δ and Start. NewSetup runs it on
+// every swap; the graph half it takes from the compiled Shape.
 func (s *Spec) validateBinding() error {
 	if s.D == nil || s.D.NumVertices() < 2 || s.D.NumArcs() < 1 {
 		return fmt.Errorf("%w: need at least 2 vertexes and 1 arc", ErrSpecShape)
@@ -212,7 +211,7 @@ func (s *Spec) validateBinding() error {
 		if slices.Contains(s.Parties[:v], p) {
 			return fmt.Errorf("%w: duplicate party ID %q", ErrSpecShape, p)
 		}
-		if _, ok := s.Keys.Key(digraph.Vertex(v)); !ok {
+		if _, ok := s.Keys.Key(digraph.Vertex(v)); !ok && s.Kind == KindGeneral {
 			return fmt.Errorf("%w: no public key for vertex %d", ErrSpecShape, v)
 		}
 	}
@@ -555,10 +554,11 @@ type Config struct {
 	// ChainDeltas carries per-chain effective-Δ overrides into the spec
 	// (see Spec.ChainDeltas). Leave nil for the single-Δ model.
 	ChainDeltas map[string]vtime.Duration
-	// Keyring, when set, supplies persistent party identities: signers for
-	// known parties are reused (rebound to their vertex) and new parties
-	// get a keypair generated once, in the keyring. When nil every setup
-	// generates fresh identities from Rand, as a one-shot swap would.
+	// Keyring, when set, supplies persistent party identities to a
+	// hashkey swap: a party's key is derived once, the first time it
+	// signs, and rebound to its vertex. When nil a hashkey setup generates
+	// fresh identities from Rand, as a one-shot swap would. Classic-HTLC
+	// swaps sign nothing and take no key either way.
 	Keyring *Keyring
 	// Cache, when set, is shared as the spec's hashkey verification cache;
 	// when nil each setup gets its own. A clearing engine passes one cache
@@ -606,7 +606,6 @@ type plan struct {
 	spec  Spec
 
 	parties [planVertices]chain.PartyID
-	keys    [planVertices]ed25519.PublicKey // classic-HTLC swaps only
 	signers [planVertices]*hashkey.Signer
 	// bound holds the keyring identities rebound to their vertexes, by
 	// value: signers points here when no presigned table took them.
@@ -670,22 +669,33 @@ func (p *plan) bind(shape *Shape, cfg Config) (*Setup, error) {
 		}
 	}
 
-	signers := cut(p.signers[:], n)
-	for v := range signers {
-		var s *hashkey.Signer
-		var err error
-		if cfg.Keyring != nil {
-			// Persistent identity: keygen only if the party is new to the
-			// keyring, and never from this setup's Rand. It is bound to
-			// its vertex last, once presigning has been decided.
-			s, err = cfg.Keyring.Ensure(parties[v])
-		} else {
-			s, err = hashkey.NewSigner(digraph.Vertex(v), cfg.Rand)
+	// Only hashkeys are signed: a classic-HTLC swap has no signers and no
+	// key directory, so its parties derive no key.
+	var signers []*hashkey.Signer
+	var keys hashkey.Directory
+	if cfg.Kind == KindGeneral {
+		signers = cut(p.signers[:], n)
+		// Keyed by index: a keyring identity is bound to its vertex only
+		// below. Every Swap contract keeps the directory, so it lives
+		// beside the plan, not in it: a chain keeps no plan alive.
+		keys = make(hashkey.Directory, n)
+		for v := range signers {
+			var s *hashkey.Signer
+			var err error
+			if cfg.Keyring != nil {
+				// Persistent identity: derived the first time the party
+				// signs, never from this setup's Rand. It is bound to its
+				// vertex last, once presigning has been decided.
+				s, err = cfg.Keyring.Ensure(parties[v])
+			} else {
+				s, err = hashkey.NewSigner(digraph.Vertex(v), cfg.Rand)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: setup: %w", err)
+			}
+			signers[v] = s
+			keys[v] = s.Public()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: setup: %w", err)
-		}
-		signers[v] = s
 	}
 	secrets, locks := cut(p.secrets[:], nl), cut(p.locks[:], nl)
 	for i := range secrets {
@@ -695,17 +705,6 @@ func (p *plan) bind(shape *Shape, cfg Config) (*Setup, error) {
 		locks[i] = secrets[i].Lock()
 	}
 
-	// Keyed by index: a keyring identity is bound to its vertex only below.
-	// Every Swap contract keeps the directory, so a hashkey swap's lives
-	// beside the plan, not in it: a chain keeps no plan alive. Classic
-	// HTLCs verify no signature and keep none.
-	keys := hashkey.Directory(cut(p.keys[:], n))
-	if cfg.Kind == KindGeneral {
-		keys = make(hashkey.Directory, n)
-	}
-	for v, s := range signers {
-		keys[v] = s.Public()
-	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = hashkey.NewVerifyCache(0)

@@ -156,20 +156,6 @@ func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
 		return append(buf, `null}`...)
 	}
 	sep := byte('{')
-	if len(st.Identities) > 0 {
-		buf = appendField(buf, &sep, `"identities":`)
-		for i, p := range sortedKeys(ks, st.Identities) {
-			buf = appendKey(buf, i, p)
-			if seed := st.Identities[p]; seed == nil {
-				buf = append(buf, `null`...)
-			} else {
-				buf = append(buf, '"')
-				buf = base64.StdEncoding.AppendEncode(buf, seed)
-				buf = append(buf, '"')
-			}
-		}
-		buf = append(buf, '}')
-	}
 	if len(st.Assets) > 0 {
 		buf = appendField(buf, &sep, `"assets":`)
 		for i, k := range sortedKeys(ks, st.Assets) {

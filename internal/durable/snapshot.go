@@ -96,9 +96,6 @@ func readSnapshot(dir string) (*State, error) {
 	}
 	// Maps inside a decoded State may be nil when empty; normalize so
 	// Apply can fold into them directly.
-	if snap.State.Identities == nil {
-		snap.State.Identities = make(map[string][]byte)
-	}
 	if snap.State.Assets == nil {
 		snap.State.Assets = make(map[string]*AssetState)
 	}

@@ -12,7 +12,6 @@
 package durable
 
 import (
-	"bytes"
 	"slices"
 	"sort"
 
@@ -36,8 +35,6 @@ import (
 // start < escrow < reveal) and resolves asset-ownership conflicts by
 // (tick, swap) recency — never by file position.
 type State struct {
-	// Identities maps party → ed25519 seed.
-	Identities map[string][]byte `json:"identities,omitempty"`
 	// Assets maps "chain/asset" → minted asset and its current owner.
 	Assets map[string]*AssetState `json:"assets,omitempty"`
 	// Orders maps order ID → recovered order state.
@@ -109,10 +106,9 @@ type SwapState struct {
 // NewState returns an empty fold.
 func NewState() *State {
 	return &State{
-		Identities: make(map[string][]byte),
-		Assets:     make(map[string]*AssetState),
-		Orders:     make(map[engine.OrderID]*OrderState),
-		Swaps:      make(map[string]*SwapState),
+		Assets: make(map[string]*AssetState),
+		Orders: make(map[engine.OrderID]*OrderState),
+		Swaps:  make(map[string]*SwapState),
 	}
 }
 
@@ -122,17 +118,13 @@ func NewState() *State {
 // copied here too (the clone test compares against the JSON round trip).
 func (s *State) Clone() *State {
 	out := &State{
-		Identities: make(map[string][]byte, len(s.Identities)),
-		Assets:     make(map[string]*AssetState, len(s.Assets)),
-		Orders:     make(map[engine.OrderID]*OrderState, len(s.Orders)),
-		Swaps:      make(map[string]*SwapState, len(s.Swaps)),
-		Shed:       s.Shed,
-		Reverts:    s.Reverts,
-		MaxTick:    s.MaxTick,
-		Events:     s.Events,
-	}
-	for p, seed := range s.Identities {
-		out.Identities[p] = bytes.Clone(seed)
+		Assets:  make(map[string]*AssetState, len(s.Assets)),
+		Orders:  make(map[engine.OrderID]*OrderState, len(s.Orders)),
+		Swaps:   make(map[string]*SwapState, len(s.Swaps)),
+		Shed:    s.Shed,
+		Reverts: s.Reverts,
+		MaxTick: s.MaxTick,
+		Events:  s.Events,
 	}
 	for k, a := range s.Assets {
 		c := *a
@@ -195,17 +187,15 @@ func (s *State) swap(tag string) *SwapState {
 	return sw
 }
 
-// Apply folds one event into the state.
+// Apply folds one event into the state. An EvIdentity, which only older
+// builds wrote, counts as an event and changes nothing else: keys are
+// derived, not recovered.
 func (s *State) Apply(ev engine.Event) {
 	s.Events++
 	if ev.Tick > s.MaxTick {
 		s.MaxTick = ev.Tick
 	}
 	switch ev.Kind {
-	case engine.EvIdentity:
-		if _, ok := s.Identities[ev.Party]; !ok {
-			s.Identities[ev.Party] = append([]byte(nil), ev.Seed...)
-		}
 	case engine.EvMinted:
 		key := ev.Chain + "/" + string(ev.Asset)
 		if s.Assets[key] == nil {
@@ -329,14 +319,6 @@ func (s *State) Resolve(recTick vtime.Ticks, delta vtime.Duration) (engine.Recov
 	}
 
 	rs := engine.RecoveredState{Tick: recTick, Shed: s.Shed}
-	for p := range s.Identities {
-		rs.Identities = append(rs.Identities, engine.RecoveredIdentity{
-			Party: p, Seed: s.Identities[p],
-		})
-	}
-	sort.Slice(rs.Identities, func(i, j int) bool {
-		return rs.Identities[i].Party < rs.Identities[j].Party
-	})
 	keys := make([]string, 0, len(s.Assets))
 	for k := range s.Assets {
 		keys = append(keys, k)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -128,10 +127,10 @@ type host struct {
 // scheduler cfg asks for (a free one-worker clock under Deterministic, a
 // free one of Workers workers under Parallel, else one of Workers workers
 // paced by the wall at Tick), a chain registry under cfg.Commitment,
-// the keyring (seeded from Seed), the verify cache with its batch pool
-// sized once for the machine, the trace ring, and — with a Store — the
-// hook that logs each new identity. The scheduler runs a dispatcher
-// goroutine, which close stops.
+// the keyring (its root derived from Seed, so a recovered deployment
+// re-derives every key), the verify cache with its batch pool sized once
+// for the machine, the trace ring, and a batching Store's seal. The
+// scheduler runs a dispatcher goroutine, which close stops.
 func newHost(cfg Config) host {
 	var sc *sched.Virtual
 	switch {
@@ -142,10 +141,11 @@ func newHost(cfg Config) host {
 	default:
 		sc = sched.NewPaced(cfg.Workers, cfg.Tick)
 	}
+	root := core.Derive(cfg.Seed, core.DomainIdentity, "")
 	h := host{
 		Scheduler: sc,
 		Registry:  chain.NewRegistry(sc),
-		Keyring:   core.NewKeyring(rand.New(rand.NewSource(cfg.Seed + 2))),
+		Keyring:   core.NewKeyring(&root),
 		Cache:     hashkey.NewVerifyCache(0),
 		Tracer:    trace.NewLog(trace.DefaultCap),
 		fan:       new(probeFan),
@@ -165,13 +165,6 @@ func newHost(cfg Config) host {
 		h.Registry.SetChainProbeFactory(h.fan.chainProbe)
 	}
 	if st := cfg.Store; st != nil {
-		// An identity's durable form is its ed25519 seed (see
-		// core.Keyring.OnCreate); a restored one is already in the log.
-		// Identities are created on the timeline, by the intake event, so
-		// its tick is that event's.
-		h.Keyring.OnCreate(func(p chain.PartyID, seed []byte) {
-			st.Append(Event{Kind: EvIdentity, Tick: sc.Now(), Party: string(p), Seed: seed})
-		})
 		// A store that can batch its writes seals once per tick on the
 		// deployment's timeline (see Store).
 		if b, ok := st.(interface{ SealOn(*sched.Virtual) }); ok {
@@ -201,12 +194,13 @@ func New(cfg Config) *Engine {
 }
 
 // NewRecovered builds an engine from a recovered state, onto cfg.Shards
-// shards whatever count wrote the log: identities restored into the
-// keyring, assets re-minted under their logged owners, orders re-booked on
-// their home units by the map intake uses (pending ones re-enter the book
-// and re-clear once Start runs), the order ID sequence resumed, metrics
-// counters restored, and — on a free clock — the clock advanced to the
-// recovery tick so post-recovery events continue the pre-crash tick line.
+// shards whatever count wrote the log: assets re-minted under their logged
+// owners, orders re-booked on their home units by the map intake uses
+// (pending ones re-enter the book and re-clear once Start runs), the order
+// ID sequence resumed, metrics counters restored, and — on a free clock —
+// the clock advanced to the recovery tick so post-recovery events continue
+// the pre-crash tick line. Party keys are re-derived from cfg.Seed, so a
+// recovery under the seed the log was written with signs as before.
 // An order escalated to the coordinator before the crash goes back to its
 // home shard; its booking tick is old, so the first sweep re-escalates it.
 // The caller Starts the engine afterwards, exactly like one built with New.
@@ -271,18 +265,13 @@ func (e *Engine) route(offer core.Offer) *unit {
 	return e.shards[home]
 }
 
-// restore replays a recovered state into the host, once — identities into
-// the keyring, assets re-minted into the registry under their logged
-// owners, the clock set to the recovery tick — and its orders onto their
-// home units.
+// restore replays a recovered state into the host, once — assets
+// re-minted into the registry under their logged owners, the clock set to
+// the recovery tick — and its orders onto their home units. Keys need no
+// restoring: the keyring re-derives each from Seed.
 func (e *Engine) restore(st *RecoveredState) error {
 	e.recovered = true
 	h := &e.host
-	for _, id := range st.Identities {
-		if err := h.Keyring.Restore(chain.PartyID(id.Party), id.Seed); err != nil {
-			return err
-		}
-	}
 	for _, a := range st.Assets {
 		if err := h.Registry.Chain(a.Chain).RegisterAsset(chain.Asset{
 			ID: a.Asset, Amount: a.Amount,

@@ -289,10 +289,7 @@ func (r *recorder) events() []Event {
 
 // intakeLine is what the held-clock test compares of an intake event.
 func intakeLine(ev Event) string {
-	switch ev.Kind {
-	case EvIdentity:
-		return fmt.Sprintf("%s@%d %s", ev.Kind, ev.Tick, ev.Party)
-	case EvMinted:
+	if ev.Kind == EvMinted {
 		return fmt.Sprintf("%s@%d %s/%s", ev.Kind, ev.Tick, ev.Chain, ev.Asset)
 	}
 	return fmt.Sprintf("%s@%d order=%d", ev.Kind, ev.Tick, ev.Order)
@@ -301,9 +298,9 @@ func intakeLine(ev Event) string {
 // TestHeldClockTakesNoIntake: Submit only posts. On a held free clock an
 // order shows at once (Pending, Orders), but nothing is logged and no chain
 // records anything until the clock lets go; then the intake event books
-// every order at tick 0 in posting order — the party's identity, the
-// assets it mints, the booking — whether one engine takes the offers or
-// four shards and a coordinator do.
+// every order at tick 0 in posting order — the assets it mints, the
+// booking — whether one engine takes the offers or four shards and a
+// coordinator do. No identity is logged: a key is derived, not stored.
 func TestHeldClockTakesNoIntake(t *testing.T) {
 	type target interface {
 		Start() error
@@ -375,12 +372,7 @@ func TestHeldClockTakesNoIntake(t *testing.T) {
 			}
 
 			var want []string
-			seen := make(map[string]bool)
 			for k, o := range offers {
-				if !seen[string(o.Party)] {
-					seen[string(o.Party)] = true
-					want = append(want, fmt.Sprintf("%s@0 %s", EvIdentity, o.Party))
-				}
 				for _, tr := range o.Give {
 					want = append(want, fmt.Sprintf("%s@0 %s/%s", EvMinted, tr.Chain, tr.Asset))
 				}
@@ -393,6 +385,11 @@ func TestHeldClockTakesNoIntake(t *testing.T) {
 			for i, w := range want {
 				if got := intakeLine(evs[i]); got != w {
 					t.Fatalf("intake event %d: %s, want %s", i, got, w)
+				}
+			}
+			for _, ev := range evs {
+				if ev.Kind == EvIdentity {
+					t.Fatalf("logged %s for %s", ev.Kind, ev.Party)
 				}
 			}
 		})

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"sync"
@@ -43,29 +42,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/trace"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
-
-// seededRand is a splitmix64 byte stream: the deterministic randomness
-// source for per-swap secrets and keys. Unlike rand.NewSource — whose
-// Lehmer generator seeds 607 words up front — construction is O(1), which
-// matters when every cleared swap gets its own stream.
-type seededRand struct {
-	state uint64
-}
-
-func (s *seededRand) Read(p []byte) (int, error) {
-	for i := 0; i < len(p); i += 8 {
-		s.state += 0x9e3779b97f4a7c15
-		z := s.state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		for j := i; j < i+8 && j < len(p); j++ {
-			p[j] = byte(z)
-			z >>= 8
-		}
-	}
-	return len(p), nil
-}
 
 // Config parameterizes an Engine. The zero value is usable: 8 workers,
 // 2ms clearing interval, 1ms ticks, Δ = core.DefaultDelta.
@@ -106,7 +82,9 @@ type Config struct {
 	// from any goroutine, and deterministic replay depends on it): derive
 	// randomness from the seed, never from shared state.
 	Behaviors BehaviorFactory
-	// Seed drives per-swap key generation and adversary selection.
+	// Seed roots every seeded draw: party keys, and each swap's secrets
+	// and adversary draw, derived from (Seed, name) by core.Derive; and
+	// each swap's start stagger, from Seed plus its minimum order ID.
 	Seed int64
 
 	// AdaptiveDelta lets the engine retune Δ each clearing round from the
@@ -253,8 +231,8 @@ type job struct {
 	orders   []*order
 	resv     []resvKey
 	deviants map[digraph.Vertex]string
-	// rand seeds the swap's secrets (see clearGroup).
-	rand seededRand
+	// secrets is the swap's secret stream (see clearGroup).
+	secrets core.Stream
 }
 
 // Settle implements conc.Settler.
@@ -393,15 +371,12 @@ type unit struct {
 	// the recovery subsystem's input, not Drain's.
 	killed bool
 
-	// rng drives adversary selection. It is NOT safe for concurrent use
-	// and is confined to the clearing tick (clearTick → clearRound →
-	// clearGroup, sequential by construction): never touch it from
-	// Submit, a run's deliveries, or any other goroutine. clearRounds is
-	// confined the same way.
-	rng         *rand.Rand
+	// clearRounds is confined to the clearing tick (clearTick →
+	// clearRound → clearGroup, sequential by construction): never touch it
+	// from Submit, a run's deliveries, or any other goroutine.
 	clearRounds int
 	// round is clearRound's working memory, kept from one round to the
-	// next and confined to the clearing tick like rng. contended says a
+	// next and confined to the clearing tick too. contended says a
 	// group of this round found an asset reserved by a swap in flight.
 	round struct {
 		byParty     map[chain.PartyID]*order
@@ -484,7 +459,6 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 		orders:   make(map[OrderID]*order),
 		book:     newBook(),
 		postedOf: make(map[chain.PartyID]int),
-		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		drainCh:  make(chan struct{}, 1),
 	}
 	h.fan.units = append(h.fan.units, u)
@@ -670,14 +644,12 @@ func (in *intake) Fire() {
 	}
 }
 
-// admit books one posted order, inside the intake event: it ensures the
-// party's identity (keygen once per party ever, so no clearing round pays
-// for it), mints the assets it deposits for the first time, stamps the
-// booking tick, books the order and wakes the clearing loop. An offer the
-// ledger contradicts is rejected instead, with the reason; an identity or
-// mint it made before the contradiction stays, as both are reused.
+// admit books one posted order, inside the intake event: it mints the
+// assets it deposits for the first time, stamps the booking tick, books
+// the order and wakes the clearing loop. An offer the ledger contradicts is
+// rejected instead, with the reason; a mint it made before the
+// contradiction stays, as it is reused.
 func (e *unit) admit(o *order) {
-	_, err := e.keyring.Ensure(o.offer.Party)
 	now := e.sched.Now()
 	e.mu.Lock()
 	e.posted--
@@ -686,10 +658,7 @@ func (e *unit) admit(o *order) {
 	} else {
 		delete(e.postedOf, o.offer.Party)
 	}
-	if err == nil {
-		err = e.deposit(o.offer, now)
-	}
-	if err != nil {
+	if err := e.deposit(o.offer, now); err != nil {
 		o.status, o.reason = StatusRejected, err.Error()
 		e.logEvent(Event{Kind: EvRejected, Tick: now, Order: o.id, Reason: o.reason, Offer: &o.offer})
 		e.agg.AddRejected(1)
@@ -995,9 +964,6 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	}
 	swapID := swapTag(seq)
 	seed := e.cfg.Seed + int64(seq)
-	// The rng draw needs no lock: clearGroup only ever runs on the
-	// clearing goroutine, to which e.rng is confined (see the field doc).
-	adversarial := e.cfg.AdversaryRate > 0 && e.rng.Float64() < e.cfg.AdversaryRate
 
 	held := make([]resvKey, 0, gives)
 	release := func() {
@@ -1070,20 +1036,19 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 		}
 	}
 
-	j := &job{e: e, swapID: swapID, orders: group, resv: held, rand: seededRand{state: uint64(seed)}}
+	// Every draw a swap makes is derived from (Seed, tag): it depends on
+	// no other swap, whatever cleared before it or on which unit.
+	j := &job{e: e, swapID: swapID, orders: group, resv: held,
+		secrets: core.Derive(e.cfg.Seed, core.DomainSecrets, swapID)}
 	setup, err := core.Clear(g, core.Config{
 		Kind:        e.cfg.Kind,
 		Tag:         swapID,
 		Delta:       delta,
 		ChainDeltas: chainDeltas,
-		// A splitmix stream seeds per-swap secrets and keys in O(1)
-		// instead of math/rand's O(607) Lehmer state initialization —
-		// a measurable per-swap cost at clearing rates, with the same
-		// determinism guarantee (the stream is a pure function of seed).
-		Rand:    &j.rand,
-		Keyring: e.keyring,
-		Cache:   e.vcache,
-		Shapes:  e.shapes,
+		Rand:        &j.secrets,
+		Keyring:     e.keyring,
+		Cache:       e.vcache,
+		Shapes:      e.shapes,
 	})
 	if err != nil {
 		rejectGroup("clearing: " + err.Error())
@@ -1095,6 +1060,11 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// relative to this round's tick, so on a free clock the whole run is a
 	// pure function of the arrival schedule and the seed. Its horizon
 	// delivery settles the books.
+	adversarial := false
+	if e.cfg.AdversaryRate > 0 {
+		draw := core.Derive(e.cfg.Seed, core.DomainAdversary, swapID)
+		adversarial = draw.Float64() < e.cfg.AdversaryRate
+	}
 	sb := e.buildBehaviors(setup, seed, adversarial)
 	j.setup, j.deviants = setup, sb.Deviants
 	rcfg := e.runConfig(setup.Spec, seed, seq)

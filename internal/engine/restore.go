@@ -21,8 +21,6 @@ import (
 // fresh swaps) or as StatusSettled with Class NoDeal at the recovery
 // tick (refunded).
 type RecoveredState struct {
-	// Identities are the persisted party keypairs, as ed25519 seeds.
-	Identities []RecoveredIdentity
 	// Assets are the minted assets with their last logged owner.
 	Assets []RecoveredAsset
 	// Orders is every order the log knows, in ID order.
@@ -35,12 +33,6 @@ type RecoveredState struct {
 	Tick vtime.Ticks
 	// Shed restores the pre-crash shed counter.
 	Shed int
-}
-
-// RecoveredIdentity is one persisted party keypair.
-type RecoveredIdentity struct {
-	Party string
-	Seed  []byte
 }
 
 // RecoveredAsset is one minted asset and its current owner. Owner may be

@@ -144,7 +144,7 @@ func (sc Scenario) swapCoalitions() []Coalition {
 // crash shim — the halt tick depends on the spec's start, pinned only at
 // run setup, so adversary.Coalition's own eager HaltProb cannot be used
 // here (it would read a zero start and halt everyone at tick ~0).
-func applyCoalition(c Coalition, setup *core.Setup, rng *rand.Rand, seed int64,
+func applyCoalition(c Coalition, setup *core.Setup, rng *rand.Rand,
 	sb *engine.SwapBehaviors, claimed map[digraph.Vertex]bool) {
 
 	n := setup.Spec.D.NumVertices()
@@ -179,7 +179,7 @@ func applyCoalition(c Coalition, setup *core.Setup, rng *rand.Rand, seed int64,
 		behaviors = adversary.Coalition(adversary.CoalitionConfig{
 			Setup:    setup,
 			Members:  members,
-			Seed:     seed ^ 0x7c0a11,
+			Seed:     rng.Int63(),
 			DropProb: drop,
 			HaltProb: 0, // see doc comment: halts are applied lazily below
 		})

@@ -329,10 +329,11 @@ func (sc Scenario) strandingMix() bool {
 }
 
 // factory compiles the deviation mix into the engine's behavior hook: a
-// pure function of (setup, seed) — every draw comes from a rand seeded
-// by the swap's own seed, never from shared state — which is what lets
-// the engine call it on the clearing path and still replay
-// byte-identically.
+// pure function of the setup — every draw comes from the swap's own
+// stream, derived from the scenario seed and the swap's tag, never from
+// shared state — which is what lets the engine call it on the clearing
+// path and still replay byte-identically, and what keeps one swap's draws
+// independent of every other swap's.
 //
 // Coalitions are drawn first and as a GROUP: one uniform draw per swap
 // against the coalition ladder decides whether the whole cohort forms,
@@ -353,9 +354,10 @@ func (sc Scenario) factory() engine.BehaviorFactory {
 	if len(devs) == 0 && len(cos) == 0 && !hasFlood {
 		return nil
 	}
-	return func(setup *core.Setup, seed int64) engine.SwapBehaviors {
-		rng := rand.New(rand.NewSource(seed ^ 0x5ce9a610))
+	return func(setup *core.Setup, _ int64) engine.SwapBehaviors {
 		spec := setup.Spec
+		stream := core.Derive(sc.Seed, core.DomainBehaviors, spec.Tag)
+		rng := rand.New(&stream)
 		var sb engine.SwapBehaviors
 		claimed := make(map[digraph.Vertex]bool)
 		if hasFlood {
@@ -373,7 +375,7 @@ func (sc Scenario) factory() engine.BehaviorFactory {
 				if u >= acc {
 					continue
 				}
-				applyCoalition(c, setup, rng, seed, &sb, claimed)
+				applyCoalition(c, setup, rng, &sb, claimed)
 				break
 			}
 		}

@@ -12,8 +12,10 @@ type EventKind string
 
 // Write-ahead-log event kinds.
 const (
-	// EvIdentity: a party's signing identity was generated; Party and
-	// Seed carry the persisted form.
+	// EvIdentity: a party's signing key, logged as its ed25519 seed (Party,
+	// Seed) by builds whose keys depended on intake order. Nothing writes
+	// it now that a key derives from the engine seed and the party's name;
+	// the fold accepts and ignores it in logs those builds wrote.
 	EvIdentity EventKind = "identity"
 	// EvMinted: an unseen asset was deposited at intake; Chain, Asset,
 	// Amount, Party (the owner).
@@ -69,7 +71,8 @@ type Event struct {
 	Tick vtime.Ticks `json:"tick"`
 
 	Party string `json:"party,omitempty"`
-	Seed  []byte `json:"seed,omitempty"`
+	// Seed is set only on an EvIdentity that an older build wrote.
+	Seed []byte `json:"seed,omitempty"`
 
 	Order  OrderID     `json:"order,omitempty"`
 	Offer  *core.Offer `json:"offer,omitempty"`

@@ -97,11 +97,9 @@ func NewSigner(vertex digraph.Vertex, r io.Reader) (*Signer, error) {
 	return &Signer{vertex: vertex, pub: pub, priv: priv}, nil
 }
 
-// NewSignerFromSeed rebuilds a signing identity from a stored 32-byte
-// ed25519 seed. ed25519.GenerateKey draws exactly SeedSize bytes from its
-// reader and derives the keypair from them, so a signer rebuilt from the
-// seed those bytes became is bit-identical to the one originally
-// generated — the property the durable keyring persistence rests on.
+// NewSignerFromSeed builds the signing identity of a 32-byte ed25519 seed:
+// the same seed always gives the same keypair, which is how a keyring
+// derives a party's key from its name.
 func NewSignerFromSeed(vertex digraph.Vertex, seed []byte) (*Signer, error) {
 	if len(seed) != ed25519.SeedSize {
 		return nil, fmt.Errorf("hashkey: seed for vertex %d is %d bytes, want %d",
@@ -115,8 +113,8 @@ func NewSignerFromSeed(vertex digraph.Vertex, seed []byte) (*Signer, error) {
 	}, nil
 }
 
-// Seed returns the 32-byte ed25519 seed this identity derives from — the
-// persisted form of a signer (see NewSignerFromSeed).
+// Seed returns the 32-byte ed25519 seed this identity derives from (see
+// NewSignerFromSeed).
 func (s *Signer) Seed() []byte { return s.priv.Seed() }
 
 // Vertex returns the vertex this identity signs for.
