@@ -555,8 +555,8 @@ type Config struct {
 	// (see Spec.ChainDeltas). Leave nil for the single-Δ model.
 	ChainDeltas map[string]vtime.Duration
 	// Keyring, when set, supplies persistent party identities to a
-	// hashkey swap: a party's key is derived once, the first time it
-	// signs, and rebound to its vertex. When nil a hashkey setup generates
+	// hashkey swap: a party's key is derived once, the first time such a
+	// swap binds the party, and rebound to its vertex. When nil a hashkey setup generates
 	// fresh identities from Rand, as a one-shot swap would. Classic-HTLC
 	// swaps sign nothing and take no key either way.
 	Keyring *Keyring
