@@ -127,7 +127,7 @@ type Config struct {
 	// determinism argument.
 	Parallel bool
 	// Store, when set, receives a write-ahead Event for every durable
-	// state transition: identities, mints, bookings, clearings,
+	// state transition: mints, bookings, clearings,
 	// reservations, phase transitions, settles, rejections, sheds. nil
 	// keeps the engine fully in-memory — the historical behavior, and the
 	// tier-1 test configuration. See internal/durable for the
@@ -304,8 +304,8 @@ type unit struct {
 	delta atomic.Int64
 	agg   *metrics.Aggregate
 
-	// keyring holds every party's persistent signing identity, created at
-	// first intake — clearing rounds never pay for key generation.
+	// keyring holds every party's persistent signing identity, derived
+	// from Seed and the party's name on its first hashkey swap.
 	keyring *core.Keyring
 	// vcache is the engine-wide hashkey verification cache shared by every
 	// swap's contracts (content-addressed, so cross-swap sharing is safe).
@@ -604,10 +604,10 @@ func (e *unit) post(id OrderID, offer core.Offer) {
 }
 
 // intake is a host's posted orders and the one event that admits them, in
-// posting order across every unit: identities are drawn from the keyring's
-// one seeded stream in creation order, so that order must hold across a
-// sharded engine's units. The event runs at level 0 of
-// the tick it was queued in, on stripe key 0. The host owns the event and
+// posting order across every unit: the units share one chain registry, so
+// which offer of an asset mints it, and which one the ledger then
+// contradicts, must not depend on how a sharded engine's units interleave.
+// The event runs at level 0 of the tick it was queued in, on stripe key 0. The host owns the event and
 // both lists, as sched.Loop owns its rounds, so a post allocates nothing
 // once the lists have grown.
 type intake struct {

@@ -106,8 +106,8 @@ func TestEngineLifecycleSingleSwap(t *testing.T) {
 }
 
 // TestEngineKeyringAndCacheReuse pins the hot-path amortizations: a party
-// submitting repeatedly keeps one identity across all its swaps (keygen at
-// first intake only), and the engine-wide verification cache answers
+// submitting repeatedly keeps one identity across all its swaps (derived on
+// its first hashkey swap only), and the engine-wide verification cache answers
 // extended-hashkey verifications without re-walking chains — re-presented
 // extensions are seeded by their presenter, so contracts see pure hits
 // (zero signature checks), not even the one-signature fast path. The
