@@ -1,6 +1,8 @@
 package hashkey
 
 import (
+	"crypto/ed25519"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"testing"
@@ -289,5 +291,35 @@ func TestCacheRotation(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Entries > 4 {
 		t.Errorf("entries = %d, want bounded by 2 generations × max 2", st.Entries)
+	}
+}
+
+// TestChainDigestGolden pins chainDigest's bytes for a fixed 3-link chain
+// and its 2-link suffix. The digest is the verify cache's key: its
+// length-prefixed layout is what keeps distinct chains from colliding, so
+// a faster encoding must produce these exact bytes.
+func TestChainDigestGolden(t *testing.T) {
+	_, signers, dir := testBench(t)
+	secret, err := NewSecret(detRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Path 1>2>0: Alice leads, Carol wraps, Bob presents.
+	key := New(secret, signers[0]).Extend(signers[2]).Extend(signers[1])
+	pubs := []ed25519.PublicKey{dir[1], dir[2], dir[0]}
+	lock := secret.Lock()
+	for _, tc := range []struct {
+		name string
+		got  [32]byte
+		want string
+	}{
+		{"full", chainDigest(key.Secret, lock, key.Path, key.Sigs, pubs),
+			"98ca8208ff40e165d2417fb1ad4033b4a3fb943459d5040b5d80c922f415bfe1"},
+		{"suffix", chainDigest(key.Secret, lock, key.Path[1:], key.Sigs[1:], pubs[1:]),
+			"03dce942c1bdde7cf5168a5794dc64c3dbcab37cea4a883f98b3eeb0257749ca"},
+	} {
+		if got := hex.EncodeToString(tc.got[:]); got != tc.want {
+			t.Errorf("%s chain digest %s, golden %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -462,5 +463,167 @@ func TestResultNotesKeepTheFmtLayout(t *testing.T) {
 	}
 	if want := fmt.Sprintf("arc %d refunded to %s", 0, chain.PartyID("alice")); res.Note != want {
 		t.Errorf("refund note %q, fmt layout %q", res.Note, want)
+	}
+}
+
+// TestSwapNotesKeepTheFmtLayout pins, byte for byte, the ledger notes a
+// Swap's invocations leave on their hosting chain — the contract's note
+// behind Chain.Invoke's "method: " prefix — for unlocks presenting paths
+// of length 0 to 3, broadcast's virtual length-1 path, a second hashlock,
+// a claim and a refund. The chain hashes every note into its record
+// chain, and neither the suite digests nor the runner golden read note
+// bytes, so this is what catches a changed note.
+func TestSwapNotesKeepTheFmtLayout(t *testing.T) {
+	// The complete digraph on four vertexes, leaders 0 and 2: arc IDs
+	// run 0..11, so the claim and refund notes below print two digits.
+	d := digraph.New()
+	for i := 0; i < 4; i++ {
+		d.AddVertex("")
+	}
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			if u != v {
+				d.MustAddArc(digraph.Vertex(u), digraph.Vertex(v))
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(21))
+	signers := make([]*hashkey.Signer, 4)
+	for i := range signers {
+		s, err := hashkey.NewSigner(digraph.Vertex(i), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signers[i] = s
+	}
+	dir := hashkey.NewDirectory(signers...)
+	s0, _ := hashkey.NewSecret(r)
+	s2, _ := hashkey.NewSecret(r)
+	leaders := []digraph.Vertex{0, 2}
+	secrets := []hashkey.Secret{s0, s2}
+	keyAlong := func(lock int, path ...digraph.Vertex) hashkey.Hashkey {
+		k := hashkey.New(secrets[lock], signers[path[len(path)-1]])
+		for i := len(path) - 2; i >= 0; i-- {
+			k = k.Extend(signers[path[i]])
+		}
+		return k
+	}
+	arcOf := func(head, tail digraph.Vertex) int {
+		for id := 0; id < d.NumArcs(); id++ {
+			if a := d.Arc(id); a.Head == head && a.Tail == tail {
+				return id
+			}
+		}
+		t.Fatalf("no arc %d->%d", head, tail)
+		return -1
+	}
+	var now vtime.Ticks = 105
+	ch := chain.New("notes", vtime.ClockFunc(func() vtime.Ticks { return now }))
+	party := func(v digraph.Vertex) chain.PartyID { return chain.PartyID(fmt.Sprintf("p%d", v)) }
+	publish := func(head, tail digraph.Vertex, broadcast bool) (chain.ContractID, int) {
+		t.Helper()
+		id := arcOf(head, tail)
+		cid := chain.ContractID(fmt.Sprintf("c%d-%v", id, broadcast))
+		asset := chain.AssetID(cid)
+		if err := ch.RegisterAsset(chain.Asset{ID: asset, Amount: 1}, party(head)); err != nil {
+			t.Fatal(err)
+		}
+		sw, err := NewSwap(SwapParams{
+			ID: cid, ArcID: id, Digraph: d,
+			Leaders:   leaders,
+			Locks:     []hashkey.Lock{s0.Lock(), s2.Lock()},
+			Timelocks: []vtime.Ticks{140, 140},
+			Party:     party(head), PartyV: head,
+			Counter: party(tail), CounterV: tail,
+			Asset: asset, Start: 100, Delta: 10, DiamBound: 1,
+			Directory: dir, Broadcast: broadcast,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.PublishContract(party(head), sw); err != nil {
+			t.Fatal(err)
+		}
+		return cid, id
+	}
+	var want []string
+	unlock := func(cid chain.ContractID, tail digraph.Vertex, lock int, key hashkey.Hashkey, literal string) {
+		t.Helper()
+		args := UnlockArgs{LockIndex: lock, Key: key}
+		if err := ch.Invoke(party(tail), cid, MethodUnlock, args, args.WireSize()); err != nil {
+			t.Fatalf("unlock %d along %v: %v", lock, key.Path, err)
+		}
+		if layout := fmt.Sprintf("%s: hashlock %d opened, path %v", MethodUnlock, lock, key.Path); layout != literal {
+			t.Fatalf("fmt layout %q, literal %q", layout, literal)
+		}
+		want = append(want, literal)
+	}
+
+	// Path lengths 0 (the leader's own key) to 3, on lock 0.
+	c, _ := publish(1, 0, false)
+	unlock(c, 0, 0, keyAlong(0, 0), "unlock: hashlock 0 opened, path 0")
+	c, _ = publish(2, 1, false)
+	unlock(c, 1, 0, keyAlong(0, 1, 0), "unlock: hashlock 0 opened, path 1>0")
+	c, _ = publish(0, 1, false)
+	unlock(c, 1, 0, keyAlong(0, 1, 3, 0), "unlock: hashlock 0 opened, path 1>3>0")
+	claimC, claimArc := publish(3, 1, false)
+	unlock(claimC, 1, 0, keyAlong(0, 1, 2, 3, 0), "unlock: hashlock 0 opened, path 1>2>3>0")
+	unlock(claimC, 1, 1, keyAlong(1, 1, 3, 2), "unlock: hashlock 1 opened, path 1>3>2")
+	now = 110
+	if err := ch.Invoke(party(1), claimC, MethodClaim, nil, 0); err != nil {
+		t.Fatalf("claim: %v", err)
+	}
+	want = append(want, fmt.Sprintf("%s: arc %d claimed by %s", MethodClaim, claimArc, party(1)))
+
+	// Broadcast's virtual path (counterparty, leader) on a three-cycle,
+	// where the counterparty has no arc to the leader.
+	cyc := digraph.New()
+	for i := 0; i < 3; i++ {
+		cyc.AddVertex("")
+	}
+	cyc.MustAddArc(0, 1)
+	cyc.MustAddArc(1, 2)
+	cyc.MustAddArc(2, 0)
+	bsw, err := NewSwap(SwapParams{
+		ID: "bcast", ArcID: 0, Digraph: cyc,
+		Leaders: []digraph.Vertex{0}, Locks: []hashkey.Lock{s0.Lock()},
+		Timelocks: []vtime.Ticks{140},
+		Party:     party(0), PartyV: 0, Counter: party(1), CounterV: 1,
+		Asset: "bcast", Start: 100, Delta: 10, DiamBound: 2,
+		Directory: dir[:3], Broadcast: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.RegisterAsset(chain.Asset{ID: "bcast", Amount: 1}, party(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.PublishContract(party(0), bsw); err != nil {
+		t.Fatal(err)
+	}
+	unlock("bcast", 1, 0, keyAlong(0, 1, 0), "unlock: hashlock 0 opened, path 1>0")
+
+	// A refund: lock 1 never opens on this contract.
+	refundC, refundArc := publish(3, 2, false)
+	now = 141
+	if err := ch.Invoke(party(3), refundC, MethodRefund, nil, 0); err != nil {
+		t.Fatalf("refund: %v", err)
+	}
+	want = append(want, fmt.Sprintf("%s: arc %d refunded to %s", MethodRefund, refundArc, party(3)))
+	if w := want[len(want)-3:]; w[0] != "claim: arc 10 claimed by p1" || w[2] != "refund: arc 11 refunded to p3" {
+		t.Fatalf("fmt layouts drifted: %q", w)
+	}
+
+	var got []string
+	for _, rec := range ch.Records() {
+		if rec.Kind == chain.NoteInvocation {
+			got = append(got, rec.Note)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("invocation notes\n got %q\nwant %q", got, want)
+	}
+	if !ch.VerifyLedger() {
+		t.Error("ledger does not verify")
 	}
 }
