@@ -79,7 +79,9 @@ type Asset struct {
 }
 
 // Call is a contract invocation as the hosting chain presents it to the
-// contract: the chain, not the caller, supplies the timestamp.
+// contract: the chain, not the caller, supplies the timestamp. Args may
+// point into a buffer the caller reuses once Invoke returns (see
+// ReusedArgs): a contract copies whatever it keeps.
 type Call struct {
 	Method   string
 	Sender   PartyID
@@ -98,6 +100,16 @@ type Result struct {
 	// Event is an opaque payload delivered to observers (for example the
 	// hashkey that unlocked a hashlock, which is how secrets propagate).
 	Event any
+}
+
+// ReusedArgs is implemented by call arguments that point into a buffer
+// the caller reuses once Invoke returns. A chain that keeps a call to
+// re-apply it after a revert keeps Own's value instead, so its undo log
+// never sees the buffer again.
+type ReusedArgs interface {
+	// Own returns the arguments as a value that shares nothing the
+	// caller reuses.
+	Own() any
 }
 
 // Contract is code hosted on a chain. Implementations must be
@@ -170,10 +182,13 @@ type Notification struct {
 	At       vtime.Ticks
 	Kind     NoteKind
 	Contract ContractID
-	Method   string
-	Sender   PartyID
-	Event    any
-	Note     string
+	// Method is the invoked method of a NoteInvocation, empty otherwise.
+	Method string
+	Sender PartyID
+	Event  any
+	// Note is the record's note; on a NoteInvocation, the contract's,
+	// which the ledger records as "method: note".
+	Note string
 	// Provisional marks a record that is applied but not yet final under
 	// the chain's commitment model: it may still be reverted. Instant
 	// chains never set it, so the zero value preserves the ideal-chain
@@ -434,7 +449,7 @@ func (c *Chain) RegisterAsset(a Asset, owner PartyID) error {
 	c.assets[a.ID] = a
 	c.owners[a.ID] = ByParty(owner)
 	n := c.appendLocked(NoteAssetRegistered, "", owner, len(a.ID)+len(a.Description)+8,
-		transferNote(a.ID, string(owner)), nil)
+		"", transferNote(a.ID, string(owner)), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil
@@ -495,7 +510,7 @@ func (c *Chain) PublishContract(sender PartyID, contract Contract) error {
 	c.contracts[id] = contract
 	c.owners[assetID] = ByEscrow(id)
 	n := c.appendLocked(NoteContractPublished, id, sender, contract.StorageSize(),
-		"escrow "+string(assetID), contract)
+		"", "escrow "+string(assetID), contract)
 	if f, fated := c.drawFateLocked(id); fated {
 		n.Provisional = c.trackLocked(NoteContractPublished, id, undoEntry{
 			contract:  contract,
@@ -564,8 +579,11 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 	// Stack-backed buffer: an invocation produces at most two
 	// notifications, so the fanout allocates nothing per call.
 	var notesBuf [2]Notification
-	ni := c.appendLocked(NoteInvocation, id, sender, argsSize, method+": "+res.Note, res.Event)
+	ni := c.appendLocked(NoteInvocation, id, sender, argsSize, method, res.Note, res.Event)
 	if fated {
+		if ra, ok := args.(ReusedArgs); ok {
+			args = ra.Own()
+		}
 		ni.Provisional = c.trackLocked(NoteInvocation, id, undoEntry{
 			snapshot: snap,
 			sender:   sender,
@@ -581,7 +599,7 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 		c.owners[assetID] = *res.Transfer
 		c.closed[id] = true
 		nt := c.appendLocked(NoteTransfer, id, sender, 0,
-			transferNote(assetID, res.Transfer.String()), nil)
+			"", transferNote(assetID, res.Transfer.String()), nil)
 		if fated {
 			nt.Provisional = c.trackLocked(NoteTransfer, id, undoEntry{
 				asset:     assetID,
@@ -614,7 +632,7 @@ func (c *Chain) Transfer(sender PartyID, asset AssetID, to PartyID) error {
 	}
 	c.owners[asset] = ByParty(to)
 	n := c.appendLocked(NoteTransfer, "", sender, transferRecordBytes,
-		transferNote(asset, string(to)), nil)
+		"", transferNote(asset, string(to)), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil
@@ -627,7 +645,7 @@ const transferRecordBytes = 16
 // plan or a broadcast secret.
 func (c *Chain) PublishData(sender PartyID, note string, payload any, size int) {
 	c.mu.Lock()
-	n := c.appendLocked(NoteData, "", sender, size, note, payload)
+	n := c.appendLocked(NoteData, "", sender, size, "", note, payload)
 	c.mu.Unlock()
 	c.emit(n)
 }
@@ -653,13 +671,17 @@ func (c *Chain) emit(notes ...Notification) {
 
 // appendLocked adds a hash-chained record and returns the notification to
 // emit once the lock is released. The caller must hold c.mu.
-func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size int, note string, event any) Notification {
+// appendLocked appends one record and returns its notification. An
+// invocation's method is kept beside its note, not joined to it: the
+// record's note is "method: note" wherever it is read or hashed, without
+// a string built per call.
+func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size int, method, note string, event any) Notification {
 	var prev [32]byte
 	if last := c.ledger.last(); last != nil {
 		prev = last.Hash
 	}
-	e := entry{At: c.clock.Now(), Kind: kind, Contract: id, Sender: sender, Size: size, Note: note}
-	e.Hash = hashRecord(e.record(c.ledger.n, prev))
+	e := entry{At: c.clock.Now(), Kind: kind, Contract: id, Sender: sender, Size: size, Method: method, Note: note}
+	e.Hash = e.hash(c.ledger.n, prev)
 	c.ledger.append(e)
 	c.storage += size
 	return Notification{
@@ -667,34 +689,40 @@ func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size 
 		At:       e.At,
 		Kind:     kind,
 		Contract: id,
-		Method:   note,
+		Method:   method,
 		Sender:   sender,
 		Event:    event,
 		Note:     note,
 	}
 }
 
-func hashRecord(r Record) [32]byte {
-	// Hand-rolled encoding of the byte stream
-	//   prevHash || "%d|%d|%d|%s|%s|%d|%s" (Seq, At, Kind, Contract, Sender, Size, Note)
-	// — it must stay byte-identical to that fmt layout or every persisted
-	// ledger hash breaks. One buffer + Sum256 keeps this off the allocator
-	// and fmt's reflection path; it runs once per ledger record.
+// hash is the record hash of e at position seq after a record whose hash
+// is prev: a hand-rolled encoding of the byte stream
+//
+//	prevHash || "%d|%d|%d|%s|%s|%d|%s" (Seq, At, Kind, Contract, Sender, Size, Note)
+//
+// — it must stay byte-identical to that fmt layout or every persisted
+// ledger hash breaks. One buffer + Sum256 keeps this off the allocator
+// and fmt's reflection path; it runs once per ledger record.
+func (e *entry) hash(seq int, prev [32]byte) [32]byte {
 	var scratch [192]byte
-	buf := append(scratch[:0], r.PrevHash[:]...)
-	buf = strconv.AppendInt(buf, int64(r.Seq), 10)
+	buf := append(scratch[:0], prev[:]...)
+	buf = strconv.AppendInt(buf, int64(seq), 10)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(r.At), 10)
+	buf = strconv.AppendInt(buf, int64(e.At), 10)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(int(r.Kind)), 10)
+	buf = strconv.AppendInt(buf, int64(int(e.Kind)), 10)
 	buf = append(buf, '|')
-	buf = append(buf, r.Contract...)
+	buf = append(buf, e.Contract...)
 	buf = append(buf, '|')
-	buf = append(buf, r.Sender...)
+	buf = append(buf, e.Sender...)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(r.Size), 10)
+	buf = strconv.AppendInt(buf, int64(e.Size), 10)
 	buf = append(buf, '|')
-	buf = append(buf, r.Note...)
+	if e.Method != "" {
+		buf = append(append(buf, e.Method...), ": "...)
+	}
+	buf = append(buf, e.Note...)
 	return sha256.Sum256(buf)
 }
 
@@ -722,7 +750,7 @@ func (c *Chain) VerifyLedger() bool {
 	for _, chunk := range c.ledger.chunks {
 		for i := range chunk {
 			e := &chunk[i]
-			if hashRecord(e.record(seq, prev)) != e.Hash {
+			if e.hash(seq, prev) != e.Hash {
 				return false
 			}
 			prev = e.Hash
@@ -736,14 +764,16 @@ func (c *Chain) VerifyLedger() bool {
 const ledgerChunk = 256
 
 // entry is a ledger record as stored. Its Seq is its position and its
-// PrevHash the entry before it's Hash, so neither is kept: 104 bytes where
-// a Record takes 144, and a K4 swap appends 84 of them.
+// PrevHash the entry before it's Hash, so neither is kept, and an
+// invocation's note is kept as its method and the contract's note: 120
+// bytes where a Record takes 144, and a K4 swap appends 84 of them.
 type entry struct {
 	At       vtime.Ticks
 	Kind     NoteKind
 	Contract ContractID
 	Sender   PartyID
 	Size     int
+	Method   string
 	Note     string
 	Hash     [32]byte
 }
@@ -751,9 +781,13 @@ type entry struct {
 // record is the entry as the Record at position seq, after a record
 // whose hash is prev.
 func (e *entry) record(seq int, prev [32]byte) Record {
+	note := e.Note
+	if e.Method != "" {
+		note = e.Method + ": " + e.Note
+	}
 	return Record{
 		Seq: seq, At: e.At, Kind: e.Kind, Contract: e.Contract, Sender: e.Sender,
-		Size: e.Size, Note: e.Note, PrevHash: prev, Hash: e.Hash,
+		Size: e.Size, Note: note, PrevHash: prev, Hash: e.Hash,
 	}
 }
 

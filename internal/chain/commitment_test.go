@@ -303,3 +303,72 @@ func TestFatePurity(t *testing.T) {
 		}
 	}
 }
+
+// reusedArgs is a call argument in a buffer its caller reuses once Invoke
+// returns.
+type reusedArgs struct{ v int }
+
+func (a *reusedArgs) Own() any { return *a }
+
+// argsRecorder is a revContract that records the arguments of its calls.
+type argsRecorder struct {
+	revContract
+	args []any
+}
+
+func (r *argsRecorder) Invoke(call Call) (Result, error) {
+	r.args = append(r.args, call.Args)
+	return r.revContract.Invoke(call)
+}
+
+// revertFirstCall reverts a contract's first invocation two ticks after it
+// applies; every other record is final at once.
+type revertFirstCall struct{}
+
+func (revertFirstCall) Name() string   { return "revert-first-call" }
+func (revertFirstCall) Timing() Timing { return Timing{ConfirmDepth: 4} }
+func (revertFirstCall) Fate(_ string, _ ContractID, idx int) Fate {
+	if idx == 1 {
+		return Fate{FinalAfter: 4, RevertAfter: 2}
+	}
+	return Fate{}
+}
+
+// TestUndoLogOwnsReusedArgs pins the rule that lets a caller reuse its
+// argument buffer: a fated invocation's undo log keeps ReusedArgs.Own's
+// value, so the call a revert re-applies carries the arguments it was
+// made with, whatever the caller has written into its buffer since.
+func TestUndoLogOwnsReusedArgs(t *testing.T) {
+	clk := &movClock{}
+	c := New("btc", clk)
+	if err := c.SetCommitmentModel(revertFirstCall{}, func(vtime.Ticks) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterAsset(Asset{ID: "coin", Amount: 1}, "p"); err != nil {
+		t.Fatal(err)
+	}
+	rc := &argsRecorder{revContract: revContract{fakeContract: fakeContract{
+		id: "rc", party: "p", asset: "coin", size: 32, target: ByParty("taker"),
+	}}}
+	if err := c.PublishContract("p", rc); err != nil {
+		t.Fatal(err)
+	}
+	buf := &reusedArgs{v: 1}
+	if err := c.Invoke("p", "rc", "bump", buf, 8); err != nil {
+		t.Fatal(err)
+	}
+	buf.v = 99 // the caller's next call
+	for clk.now < 4 {
+		clk.now++
+		c.SettleCommitments(clk.now)
+	}
+	if len(rc.args) != 2 || rc.args[0] != any(buf) {
+		t.Fatalf("contract saw %v, want the call and its re-application", rc.args)
+	}
+	if got, ok := rc.args[1].(reusedArgs); !ok || got.v != 1 {
+		t.Errorf("re-applied call carried %#v, want the owned reusedArgs{v: 1}", rc.args[1])
+	}
+	if rc.count != 1 {
+		t.Errorf("bump count %d after revert and re-apply, want 1", rc.count)
+	}
+}

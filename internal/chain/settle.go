@@ -233,7 +233,7 @@ func (c *Chain) settleLocked(now vtime.Ticks) []Notification {
 			for i := range suffix {
 				e := suffix[i]
 				n := c.appendLocked(NoteReverted, id, e.undo.sender, revertRecordBytes,
-					fmt.Sprintf("revert %s seq %d", e.kind, e.seq), nil)
+					"", fmt.Sprintf("revert %s seq %d", e.kind, e.seq), nil)
 				n.Reverted = e.kind
 				notes = append(notes, n)
 				switch e.kind {

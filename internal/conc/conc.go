@@ -202,6 +202,14 @@ type Running struct {
 	r runner
 }
 
+// generalRecord is the run record of a swap on Swap contracts: its
+// parties' conforming behaviors sit beside the Running, in the same
+// allocation, so a ring's record does not carry them.
+type generalRecord struct {
+	Running
+	general [runVertices]core.Conforming
+}
+
 // Inline capacities of a run record (see Running).
 const (
 	runVertices = 4
@@ -265,7 +273,15 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	if log == nil {
 		log = &trace.Log{}
 	}
-	rn := &Running{r: runner{
+	var rn *Running
+	var general []core.Conforming
+	if spec.Kind == core.KindGeneral {
+		rec := new(generalRecord)
+		rn, general = &rec.Running, rec.general[:]
+	} else {
+		rn = new(Running)
+	}
+	rn.r = runner{
 		setup:     setup,
 		spec:      spec,
 		sched:     scheduler,
@@ -276,7 +292,8 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		onRevert:  cfg.OnRevert,
 		onDone:    cfg.OnDone,
 		earlyExit: cfg.EarlyExit,
-	}}
+		general:   general,
+	}
 	r := &rn.r
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
@@ -357,16 +374,18 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 	}
 
 	r.parties = cut(r.partyBuf[:], spec.D.NumVertices())
+	if spec.Kind == core.KindGeneral {
+		r.general = cut(r.general, len(r.parties))
+	}
 	r.slab = make([]delivery, 0, eventBudget(spec))
 	for v := range r.parties {
 		p := &r.parties[v]
 		p.runner, p.vertex = r, digraph.Vertex(v)
 		p.envc.p = p
 		if p.behavior = behaviors[p.vertex]; p.behavior == nil {
-			// core.ConformingFor, with the classic-HTLC behavior kept in
-			// the record.
+			// core.ConformingFor, with the behavior kept in the record.
 			if spec.Kind == core.KindGeneral {
-				p.behavior = core.NewConforming()
+				p.behavior = &r.general[v]
 			} else {
 				p.behavior = &p.htlc
 			}
@@ -499,8 +518,11 @@ type runner struct {
 	// parties and arcs (below) are cut from partyBuf and arcBuf, and the
 	// result's tables from triggeredBuf, escrowBuf and classBuf, when the
 	// swap fits in them.
-	parties      []party
-	partyBuf     [runVertices]party
+	parties  []party
+	partyBuf [runVertices]party
+	// general holds the parties' behaviors on Swap contracts, by vertex:
+	// a generalRecord's, or the heap's past runVertices parties.
+	general      []core.Conforming
 	arcBuf       [runArcs]arcRun
 	triggeredBuf [runArcs]bool
 	escrowBuf    [runArcs]EscrowSpan
@@ -527,6 +549,11 @@ type runner struct {
 	// failed counts the calls a chain rejected (nothing stored, so no
 	// ledger remembers them): metrics.Counters.FailedCalls of a Runner.
 	failed atomic.Int64
+
+	// unlock is the argument buffer of the run's unlock calls, which its
+	// stripe serializes, reused from call to call: a chain keeps only its
+	// Own copy (see chain.ReusedArgs), so nothing retained points here.
+	unlock htlc.UnlockArgs
 }
 
 // arcRun is what the run keeps per arc: where its contract lives and how
@@ -886,7 +913,7 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 		r.schedule(d)
 	case chain.NoteInvocation:
 		switch ev := n.Event.(type) {
-		case htlc.UnlockedEvent:
+		case *htlc.UnlockedEvent:
 			r.notePhase(phaseReveal)
 			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, int32(ev.LockIndex), ev.Key
 			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: ev.LockIndex}) {
@@ -1065,7 +1092,11 @@ func (e *concEnv) Resolved(arcID int) (bool, bool) {
 func (e *concEnv) Publish(arcID int) error {
 	spec := e.p.runner.spec
 	if spec.Kind == core.KindGeneral {
-		return e.PublishSwapParams(spec.ContractParams(arcID))
+		sw, err := spec.NewSwap(arcID)
+		if err != nil {
+			return err
+		}
+		return e.publishContract(arcID, sw)
 	}
 	return e.PublishHTLCParams(spec.HTLCParams(arcID))
 }
@@ -1108,7 +1139,8 @@ func (e *concEnv) invoke(arcID int, method string, args any, size int, kind trac
 }
 
 func (e *concEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
-	args := htlc.UnlockArgs{LockIndex: lockIdx, Key: key}
+	args := &e.p.runner.unlock
+	*args = htlc.UnlockArgs{LockIndex: lockIdx, Key: key}
 	return e.invoke(arcID, htlc.MethodUnlock, args, args.WireSize(), trace.KindUnlocked, lockIdx, "")
 }
 

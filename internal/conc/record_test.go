@@ -17,7 +17,8 @@ import (
 
 // ringBench is what a clearing engine shares across swaps: one free
 // clock, one registry, one trace ring and warm caches — the keyring, the
-// shape cache and the verification cache.
+// shape cache and the verification cache. kind is the protocol its rings
+// clear on.
 type ringBench struct {
 	sc      *sched.Virtual
 	reg     *chain.Registry
@@ -25,15 +26,17 @@ type ringBench struct {
 	keyring *core.Keyring
 	shapes  *core.ShapeCache
 	cache   *hashkey.VerifyCache
+	kind    core.Kind
 	swaps   int
 }
 
-func newRingBench() *ringBench {
+func newRingBench(kind core.Kind) *ringBench {
 	sc := sched.NewVirtual(1)
 	return &ringBench{
 		sc: sc, reg: chain.NewRegistry(sc), log: &trace.Log{},
 		keyring: core.NewKeyring(rand.New(rand.NewSource(1))),
 		shapes:  new(core.ShapeCache), cache: hashkey.NewVerifyCache(0),
+		kind: kind,
 	}
 }
 
@@ -62,7 +65,7 @@ func (b *ringBench) run(t *testing.T) (*Running, ringCost) {
 		}
 	}
 	cfg := core.Config{
-		Kind: core.KindByLeaders, Tag: fmt.Sprintf("swap-%d", b.swaps), Delta: 20, Start: b.sc.Now().Add(40),
+		Kind: b.kind, Tag: fmt.Sprintf("swap-%d", b.swaps), Delta: 20, Start: b.sc.Now().Add(40),
 		Rand: rand.New(rand.NewSource(int64(b.swaps))), Keyring: b.keyring, Cache: b.cache, Shapes: b.shapes,
 	}
 	var before, cleared, prepping, prepared, probe, settledAt runtime.MemStats
@@ -110,7 +113,7 @@ func TestRingSwapBookkeepingObjects(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on the paths being counted")
 	}
-	b := newRingBench()
+	b := newRingBench(core.KindByLeaders)
 	defer b.sc.Close()
 	b.run(t) // warm the keyring, the shape cache and the chains' route maps
 	_, got := b.run(t)
@@ -123,16 +126,22 @@ func TestRingSwapBookkeepingObjects(t *testing.T) {
 // TestSettledRunRecordIsCollected pins the run record's one rule: nothing
 // that outlives the swap — a chain contract or ledger entry, a route, the
 // scheduler, the shared trace ring — points into it, so once the swap has
-// settled and its Running is dropped, the record is garbage.
+// settled and its Running is dropped, the record is garbage. On Swap
+// contracts that covers the record's unlock-argument buffer and its
+// parties' hashkeys too.
 func TestSettledRunRecordIsCollected(t *testing.T) {
-	b := newRingBench()
-	defer b.sc.Close()
-	rn, _ := b.run(t)
-	record := weak.Make(rn)
-	rn = nil
-	runtime.GC()
-	if record.Value() != nil {
-		t.Error("a settled swap's run record is still reachable after a collection")
+	for _, kind := range []core.Kind{core.KindByLeaders, core.KindGeneral} {
+		t.Run(kind.String(), func(t *testing.T) {
+			b := newRingBench(kind)
+			defer b.sc.Close()
+			rn, _ := b.run(t)
+			record := weak.Make(rn)
+			rn = nil
+			runtime.GC()
+			if record.Value() != nil {
+				t.Error("a settled swap's run record is still reachable after a collection")
+			}
+			runtime.KeepAlive(b)
+		})
 	}
-	runtime.KeepAlive(b)
 }

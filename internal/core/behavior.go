@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -137,20 +136,30 @@ func (NopBehavior) OnSettled(Env, int, bool) {}
 // signature and presents it on all its entering arcs. A party claims an
 // entering arc as soon as every hashlock on it is open, and refunds its
 // leaving arcs when a lock is dead.
+//
+// The zero value is ready to use, and a swap of up to four parties keeps
+// its per-arc and per-lock state inside the behavior.
 type Conforming struct {
 	entering []int
 	leaving  []int
-	seen     map[int]bool
+	arcs     []generalArc // by arc ID
+	arcBuf   [12]generalArc
+	// keys holds, per hashlock index, the extended hashkey this party
+	// presents on its entering arcs; a non-nil path means the lock was
+	// handled.
+	keys   []hashkey.Hashkey
+	keyBuf [3]hashkey.Hashkey
 	// published tracks Phase One completion for this party's leaving arcs.
 	published bool
 	// revealed tracks the leader's Phase Two start.
 	revealed bool
-	// keys holds, per hashlock index, the extended hashkey this party
-	// presents on its entering arcs. Presence means the lock was handled.
-	keys map[int]hashkey.Hashkey
-	// claimed tracks entering arcs already claimed.
-	claimed map[int]bool
-	refund  refunder
+	refund   refunder
+}
+
+// generalArc is what Conforming tracks per entering arc: a verified
+// contract seen on it, and the arc claimed.
+type generalArc struct {
+	seen, claimed bool
 }
 
 // ConformingFor returns a fresh conforming behavior for the protocol the
@@ -163,13 +172,7 @@ func ConformingFor(spec *Spec) Behavior {
 }
 
 // NewConforming returns a fresh conforming behavior.
-func NewConforming() *Conforming {
-	return &Conforming{
-		seen:    make(map[int]bool),
-		keys:    make(map[int]hashkey.Hashkey),
-		claimed: make(map[int]bool),
-	}
-}
+func NewConforming() *Conforming { return &Conforming{} }
 
 // Init implements Behavior.
 func (b *Conforming) Init(e Env) {
@@ -178,6 +181,8 @@ func (b *Conforming) Init(e Env) {
 	// below acts in.
 	b.entering = spec.Entering(e.Vertex())
 	b.leaving = spec.Leaving(e.Vertex())
+	b.arcs = cut(b.arcBuf[:], spec.D.NumArcs())
+	b.keys = cut(b.keyBuf[:], len(spec.Locks))
 
 	scheduleRefundAlarms(e, b.leaving, &b.refund)
 
@@ -203,7 +208,9 @@ func scheduleRefundAlarms(e Env, leaving []int, r *refunder) {
 		case len(spec.Leaders) == 1:
 			e.At(spec.timelocksShared(arc)[0].Add(1), r, arc)
 		default:
-			deadlines := spec.Timelocks(arc) // a copy: sorted in place
+			// A copy, sorted in place; a swap's few leaders fit the stack.
+			var buf [8]vtime.Ticks
+			deadlines := append(buf[:0], spec.timelocksShared(arc)...)
 			slices.Sort(deadlines)
 			for _, tl := range slices.Compact(deadlines) {
 				e.At(tl.Add(1), r, arc)
@@ -290,7 +297,7 @@ func (b *Conforming) maybeStartPhaseTwo(e Env) {
 
 func (b *Conforming) allEnteringSeen() bool {
 	for _, arc := range b.entering {
-		if !b.seen[arc] {
+		if !b.arcs[arc].seen {
 			return false
 		}
 	}
@@ -304,12 +311,16 @@ func (b *Conforming) OnContract(e Env, arcID int, c chain.Contract) {
 		return // our own leaving-arc publications need no verification
 	}
 	sw, ok := c.(*htlc.Swap)
-	if !ok || !swapParamsMatch(sw.Params(), e.Spec().ContractParams(arcID)) {
+	if ok {
+		want := e.Spec().contractParams(arcID)
+		ok = sw.Matches(&want)
+	}
+	if !ok {
 		e.Note(trace.KindContractRejected, arcID, -1, "contract does not match the swap plan")
 		e.Abandon("incorrect contract on entering arc")
 		return
 	}
-	b.seen[arcID] = true
+	b.arcs[arcID].seen = true
 	if b.allEnteringSeen() {
 		if !e.Spec().IsLeader(e.Vertex()) {
 			b.publishLeaving(e)
@@ -324,10 +335,11 @@ func (b *Conforming) OnContract(e Env, arcID int, c chain.Contract) {
 
 // presentKeys unlocks every known hashlock on one entering arc's contract.
 func (b *Conforming) presentKeys(e Env, arcID int, sw *htlc.Swap) {
-	open := sw.Unlocked()
-	for i := 0; i < len(e.Spec().Locks); i++ {
-		key, ok := b.keys[i]
-		if !ok || open[i] {
+	for i, key := range b.keys {
+		if key.Path == nil {
+			continue
+		}
+		if _, open := sw.UnlockTime(i); open {
 			continue
 		}
 		if err := e.Unlock(arcID, i, key); err != nil {
@@ -350,7 +362,7 @@ func (b *Conforming) OnUnlock(e Env, arcID, lockIdx int, key hashkey.Hashkey) {
 // carries a contract. Arcs whose contracts are still propagating are
 // covered by the retry in OnContract.
 func (b *Conforming) learnKey(e Env, lockIdx int, key hashkey.Hashkey) {
-	if _, done := b.keys[lockIdx]; done {
+	if b.keys[lockIdx].Path != nil {
 		return
 	}
 	if key.Path.Contains(e.Vertex()) {
@@ -389,7 +401,7 @@ func (b *Conforming) OnBroadcast(e Env, lockIdx int, key hashkey.Hashkey) {
 	if !spec.Broadcast || lockIdx < 0 || lockIdx >= len(spec.Locks) {
 		return
 	}
-	if _, done := b.keys[lockIdx]; done {
+	if b.keys[lockIdx].Path != nil {
 		return
 	}
 	if key.Leader() == e.Vertex() {
@@ -406,7 +418,7 @@ func (b *Conforming) OnBroadcast(e Env, lockIdx int, key hashkey.Hashkey) {
 // OnSettled implements Behavior.
 func (b *Conforming) OnSettled(e Env, arcID int, claimed bool) {
 	if claimed {
-		b.claimed[arcID] = true
+		b.arcs[arcID].claimed = true
 	}
 }
 
@@ -415,7 +427,7 @@ func (b *Conforming) OnSettled(e Env, arcID int, claimed bool) {
 // after every action that might have completed a contract.
 func (b *Conforming) claimWhereComplete(e Env) {
 	for _, arc := range b.entering {
-		if b.claimed[arc] {
+		if b.arcs[arc].claimed {
 			continue
 		}
 		c, ok := e.Contract(arc)
@@ -427,53 +439,13 @@ func (b *Conforming) claimWhereComplete(e Env) {
 			continue
 		}
 		if settled, _ := e.Resolved(arc); settled {
-			b.claimed[arc] = true
+			b.arcs[arc].claimed = true
 			continue
 		}
 		if err := e.Claim(arc); err == nil {
-			b.claimed[arc] = true
+			b.arcs[arc].claimed = true
 		}
 	}
-}
-
-// swapParamsMatch compares a published contract's parameters with the
-// canonical ones derived from the spec.
-func swapParamsMatch(got, want htlc.SwapParams) bool {
-	if got.ID != want.ID || got.ArcID != want.ArcID ||
-		got.Party != want.Party || got.PartyV != want.PartyV ||
-		got.Counter != want.Counter || got.CounterV != want.CounterV ||
-		got.Asset != want.Asset || got.Start != want.Start ||
-		got.Delta != want.Delta || got.DiamBound != want.DiamBound ||
-		got.Broadcast != want.Broadcast {
-		return false
-	}
-	if len(got.Leaders) != len(want.Leaders) || len(got.Locks) != len(want.Locks) ||
-		len(got.Timelocks) != len(want.Timelocks) {
-		return false
-	}
-	for i := range got.Leaders {
-		if got.Leaders[i] != want.Leaders[i] || got.Locks[i] != want.Locks[i] ||
-			got.Timelocks[i] != want.Timelocks[i] {
-			return false
-		}
-	}
-	if got.Digraph == nil || !digraph.StructuralEqual(got.Digraph, want.Digraph) {
-		return false
-	}
-	for i := 0; i < want.Digraph.NumArcs(); i++ {
-		if got.Digraph.Arc(i) != want.Digraph.Arc(i) {
-			return false
-		}
-	}
-	if len(got.Directory) != len(want.Directory) {
-		return false
-	}
-	for v, pk := range want.Directory {
-		if !bytes.Equal(got.Directory[v], pk) {
-			return false
-		}
-	}
-	return true
 }
 
 func containsInt(xs []int, x int) bool {

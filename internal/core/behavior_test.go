@@ -16,7 +16,7 @@ func TestSwapParamsMatch(t *testing.T) {
 	setup := newTestSetup(t, graphgen.TwoLeaderTriangle(), Config{Delta: 10, Start: 100})
 	canonical := setup.Spec.ContractParams(0)
 
-	if !swapParamsMatch(canonical, setup.Spec.ContractParams(0)) {
+	if again := setup.Spec.ContractParams(0); !canonical.Equal(&again) {
 		t.Fatal("canonical params should match themselves")
 	}
 	mutations := []struct {
@@ -47,7 +47,7 @@ func TestSwapParamsMatch(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			p := setup.Spec.ContractParams(0)
 			tt.mutate(&p)
-			if swapParamsMatch(p, canonical) {
+			if p.Equal(&canonical) {
 				t.Errorf("mutation %q should not match", tt.name)
 			}
 		})
@@ -61,7 +61,7 @@ func TestSwapParamsMatchDirectory(t *testing.T) {
 	// Missing key.
 	p := setup.Spec.ContractParams(0)
 	p.Directory = hashkey.Directory{}
-	if swapParamsMatch(p, canonical) {
+	if p.Equal(&canonical) {
 		t.Error("empty directory should not match")
 	}
 	// Substituted key.
@@ -76,7 +76,7 @@ func TestSwapParamsMatchDirectory(t *testing.T) {
 	}
 	dir[0] = other.Public()
 	p2.Directory = dir
-	if swapParamsMatch(p2, canonical) {
+	if p2.Equal(&canonical) {
 		t.Error("substituted public key should not match")
 	}
 }

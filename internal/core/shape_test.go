@@ -96,7 +96,7 @@ func assertSameSetup(t *testing.T, name string, got, want *Spec) {
 			continue
 		}
 		gp, wp := got.ContractParams(id), want.ContractParams(id)
-		if !swapParamsMatch(gp, wp) || !reflect.DeepEqual(gp.Directory, wp.Directory) {
+		if !gp.Equal(&wp) || !reflect.DeepEqual(gp.Directory, wp.Directory) {
 			t.Fatalf("%s: arc %d contract params differ", name, id)
 		}
 	}

@@ -462,19 +462,33 @@ func (s *Spec) uniformTimeout() vtime.Ticks {
 }
 
 // ContractParams returns the canonical Swap-contract parameters for an
-// arc. Followers verify published contracts against these (Phase One's
-// "verifies that contract is a correct swap contract").
+// arc, with vectors of their own: a deviation hook may mutate what it
+// publishes, which must never reach the spec.
 func (s *Spec) ContractParams(arcID int) htlc.SwapParams {
+	p := s.contractParams(arcID)
+	p.Leaders = slices.Clone(p.Leaders)
+	p.Locks = slices.Clone(p.Locks)
+	p.Timelocks = slices.Clone(p.Timelocks)
+	return p
+}
+
+// NewSwap builds the canonical Swap contract for an arc. The contract
+// copies the vectors it keeps, so it is built from the plan's own.
+func (s *Spec) NewSwap(arcID int) (*htlc.Swap, error) {
+	return htlc.NewSwap(s.contractParams(arcID))
+}
+
+// contractParams is ContractParams sharing the plan's vectors, which its
+// callers only read.
+func (s *Spec) contractParams(arcID int) htlc.SwapParams {
 	arc := s.D.Arc(arcID)
 	return htlc.SwapParams{
-		ID:      s.ContractID(arcID),
-		ArcID:   arcID,
-		Digraph: s.D,
-		Leaders: append([]digraph.Vertex(nil), s.Leaders...),
-		Locks:   append([]hashkey.Lock(nil), s.Locks...),
-		// Copied from the precomputed vector, not shared: deviation hooks
-		// may mutate published params, which must never reach the spec.
-		Timelocks: s.Timelocks(arcID),
+		ID:        s.ContractID(arcID),
+		ArcID:     arcID,
+		Digraph:   s.D,
+		Leaders:   s.Leaders,
+		Locks:     s.Locks,
+		Timelocks: s.timelocksShared(arcID),
 		Party:     s.Parties[arc.Head],
 		PartyV:    arc.Head,
 		Counter:   s.Parties[arc.Tail],

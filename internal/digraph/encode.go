@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Binary encoding of the digraph structure.
@@ -31,9 +32,19 @@ func (d *Digraph) Encode() []byte {
 	return buf
 }
 
-// EncodedSize returns len(Encode()) without allocating the full buffer
-// (beyond a small accumulator).
-func (d *Digraph) EncodedSize() int { return len(d.Encode()) }
+// EncodedSize returns len(Encode()) without encoding: every Swap contract
+// charges it to its chain.
+func (d *Digraph) EncodedSize() int {
+	n := uvarintLen(d.NumVertices()) + uvarintLen(d.NumArcs())
+	for _, a := range d.arcs {
+		n += uvarintLen(int(a.Head)) + uvarintLen(int(a.Tail))
+	}
+	return n
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, uint64(x))): one byte per
+// seven bits.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // Decode reconstructs a digraph from Encode output. Vertex names are the
 // defaults ("v0", "v1", ...).

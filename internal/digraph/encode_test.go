@@ -33,9 +33,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodedSize(t *testing.T) {
-	d := cycle3()
-	if d.EncodedSize() != len(d.Encode()) {
-		t.Error("EncodedSize must equal len(Encode())")
+	// A 300-cycle's vertex IDs and counts take one or two varint bytes.
+	ring := make([][2]int, 300)
+	for i := range ring {
+		ring[i] = [2]int{i, (i + 1) % len(ring)}
+	}
+	for _, d := range []*Digraph{cycle3(), FromArcs(len(ring), ring...)} {
+		if d.EncodedSize() != len(d.Encode()) {
+			t.Errorf("EncodedSize %d, len(Encode()) %d", d.EncodedSize(), len(d.Encode()))
+		}
 	}
 	// Size grows linearly-ish with arcs: the O(|A|) per-contract storage
 	// that drives Theorem 4.10.

@@ -52,14 +52,18 @@ func (p Path) Clone() Path {
 // String renders the path as "A>B>C" using vertex indexes.
 func (p Path) String() string {
 	var scratch [32]byte
-	buf := scratch[:0]
+	return string(p.Append(scratch[:0]))
+}
+
+// Append appends the path's String form to buf.
+func (p Path) Append(buf []byte) []byte {
 	for i, v := range p {
 		if i > 0 {
 			buf = append(buf, '>')
 		}
 		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // IsPath reports whether p is a valid simple path in d: non-empty, all

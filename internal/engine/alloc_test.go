@@ -12,19 +12,23 @@ import (
 
 // Per-swap allocation ceilings: the heap objects measured on the
 // deterministic scheduler (go1.24 linux/amd64, two cores) plus 5 %. A
-// three-party ring clears on classic HTLCs at 48, the same on any core
-// count; the same ring forced onto the hashkey protocol costs 148 and a
-// four-party clique 728, a few more or less with the cores a presign table
-// (DESIGN.md §16) finds. (With per-swap maps, a closure per refund alarm
-// and a signer binding per vertex they measured 99, 188 and 793; with
-// every swap deriving its own leaders and ladder, and every delivery its
-// own heap record, scheduler event and closure, 269, 362 and 1475.) A
-// change that pushes a swap's heap objects past its ceiling fails tier-1
-// here, not only in benchmark/.
+// three-party ring clears on classic HTLCs at 41 (its ceiling is the 48
+// it measured before a ledger stopped joining a method to its note per
+// call), the same on any core count; the same ring forced onto the hashkey
+// protocol costs 56 and a four-party clique 216, one or two more or less
+// with the cores a presign table (DESIGN.md §16) finds. (With both
+// contracts' parameters copied per verification, a three-allocation
+// hashkey clone and a boxed argument, event and note join per unlock, and
+// a heap key list per verified chain, the hashkey rows measured 148 and
+// 727; with per-swap maps, a closure per refund alarm and a signer binding
+// per vertex, 99, 188 and 793; with every swap deriving its own leaders
+// and ladder, and every delivery its own heap record, scheduler event and
+// closure, 269, 362 and 1475.) A change that pushes a swap's heap objects
+// past its ceiling fails tier-1 here, not only in benchmark/.
 const (
 	ring3AllocCeiling        = 50
-	ring3GeneralAllocCeiling = 155
-	clique4AllocCeiling      = 764
+	ring3GeneralAllocCeiling = 59
+	clique4AllocCeiling      = 227
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over

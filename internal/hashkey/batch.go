@@ -162,7 +162,7 @@ func (b *Batch) Settle(cache *VerifyCache) int {
 			failures++
 			continue
 		}
-		pubs, err := resolvePubs(h.Path, b.dir)
+		pubs, err := resolvePubs(nil, h.Path, b.dir)
 		if err != nil {
 			it.Err = err
 			failures++
@@ -233,15 +233,16 @@ func (b *Batch) Settle(cache *VerifyCache) int {
 	return failures
 }
 
-// resolvePubs maps every path vertex to its directory key.
-func resolvePubs(path digraph.Path, dir Directory) ([]ed25519.PublicKey, error) {
-	pubs := make([]ed25519.PublicKey, len(path))
-	for i, v := range path {
+// resolvePubs appends every path vertex's directory key to buf: a
+// caller's stack array keeps a short path's keys off the heap.
+func resolvePubs(buf []ed25519.PublicKey, path digraph.Path, dir Directory) ([]ed25519.PublicKey, error) {
+	pubs := buf
+	for _, v := range path {
 		pub, ok := dir.Key(v)
 		if !ok {
 			return nil, unknownSigner(v)
 		}
-		pubs[i] = pub
+		pubs = append(pubs, pub)
 	}
 	return pubs, nil
 }

@@ -157,26 +157,28 @@ func (c *VerifyCache) rotateLocked() {
 // chainDigest computes the content address of a (secret, path, sigs)
 // chain bound to lock and to the public keys actually used to verify each
 // link. All fields are either fixed-size or length-prefixed, so distinct
-// inputs cannot collide by concatenation ambiguity.
+// inputs cannot collide by concatenation ambiguity. The encoding is
+// written into one buffer and hashed by one sha256.Sum256; a chain of up
+// to shortChain links with standard-size keys and signatures fits the
+// stack buffer, a longer one grows it on the heap.
 func chainDigest(secret Secret, lock Lock, path digraph.Path, sigs [][]byte, pubs []ed25519.PublicKey) [32]byte {
-	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(path)))
-	h.Write(b[:])
-	h.Write(secret[:])
-	h.Write(lock[:])
+	var scratch [8 + SecretSize + sha256.Size + shortChain*(4+ed25519.PublicKeySize+4+SigSize)]byte
+	buf := binary.LittleEndian.AppendUint64(scratch[:0], uint64(len(path)))
+	buf = append(buf, secret[:]...)
+	buf = append(buf, lock[:]...)
 	for i, v := range path {
-		binary.LittleEndian.PutUint32(b[:4], uint32(v))
-		h.Write(b[:4])
-		h.Write(pubs[i])
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(sigs[i])))
-		h.Write(b[:4])
-		h.Write(sigs[i])
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		buf = append(buf, pubs[i]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sigs[i])))
+		buf = append(buf, sigs[i]...)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
 }
+
+// shortChain is the longest chain whose verification bookkeeping (its
+// path's keys, its digest's encoding) stays on the stack and whose Clone
+// takes one allocation: a valid chain of any swap of up to eight parties.
+const shortChain = 8
 
 // SeedVerified records h in the cache as a valid chain for lock under the
 // directory's keys, without checking any signature. The caller asserts
@@ -200,13 +202,10 @@ func (h Hashkey) SeedVerified(lock Lock, leader digraph.Vertex, dir Directory, c
 	if err := h.checkStructure(lock, leader); err != nil {
 		return err
 	}
-	pubs := make([]ed25519.PublicKey, len(h.Path))
-	for i, v := range h.Path {
-		pub, ok := dir.Key(v)
-		if !ok {
-			return fmt.Errorf("%w: vertex %d", ErrUnknownSigner, v)
-		}
-		pubs[i] = pub
+	var pubBuf [shortChain]ed25519.PublicKey
+	pubs, err := resolvePubs(pubBuf[:0], h.Path, dir)
+	if err != nil {
+		return err
 	}
 	cache.add(chainDigest(h.Secret, lock, h.Path, h.Sigs, pubs))
 	return nil
@@ -244,13 +243,10 @@ func (h Hashkey) VerifyCryptoExtended(lock Lock, leader digraph.Vertex, dir Dire
 	if err := h.checkStructure(lock, leader); err != nil {
 		return err
 	}
-	pubs := make([]ed25519.PublicKey, len(h.Path))
-	for i, v := range h.Path {
-		pub, ok := dir.Key(v)
-		if !ok {
-			return fmt.Errorf("%w: vertex %d", ErrUnknownSigner, v)
-		}
-		pubs[i] = pub
+	var pubBuf [shortChain]ed25519.PublicKey
+	pubs, err := resolvePubs(pubBuf[:0], h.Path, dir)
+	if err != nil {
+		return err
 	}
 
 	full := chainDigest(h.Secret, lock, h.Path, h.Sigs, pubs)
@@ -271,12 +267,17 @@ func (h Hashkey) VerifyCryptoExtended(lock Lock, leader digraph.Vertex, dir Dire
 			return nil
 		}
 	}
-
-	// Slow path: verify the whole chain — batch-style across the worker
-	// pool when the cache has one (all links are independent ed25519
-	// checks) — then seed the cache with every suffix: a valid chain's
-	// suffixes are themselves valid chains ending at the same leader.
 	cache.noteMiss()
+	return h.walkAndSeed(lock, pubs, full, cache)
+}
+
+// walkAndSeed is VerifyCryptoExtended's slow path: verify the whole chain —
+// batch-style across the worker pool when the cache has one (all links are
+// independent ed25519 checks) — then seed the cache with full and every
+// suffix: a valid chain's suffixes are themselves valid chains ending at
+// the same leader. Its receiver is its own copy, which the pending links
+// point into, so only a miss moves a hashkey to the heap.
+func (h Hashkey) walkAndSeed(lock Lock, pubs []ed25519.PublicKey, full [32]byte, cache *VerifyCache) error {
 	k := len(h.Path) - 1
 	links := chainLinks(&h, pubs, 0, k+1)
 	if !verifyLinks(links, cache.BatchWorkers()) {

@@ -307,21 +307,52 @@ func (h Hashkey) checkStructure(lock Lock, leader digraph.Vertex) error {
 }
 
 // Clone returns a deep copy, so contracts can retain hashkeys without
-// aliasing caller-owned buffers. All signatures share one pre-sized
-// backing buffer: a clone costs three allocations regardless of chain
-// length instead of one per link.
+// aliasing caller-owned buffers. The path, the signature headers and the
+// signature bytes share one allocation, of one of three sizes, when the
+// chain is short (at most shortChain links of standard-size signatures,
+// as every valid chain of a swap of up to eight parties is); a longer
+// chain takes three.
 func (h Hashkey) Clone() Hashkey {
-	sigs := make([][]byte, len(h.Sigs))
 	total := 0
 	for _, s := range h.Sigs {
 		total += len(s)
 	}
-	buf := make([]byte, 0, total)
+	np, ns := len(h.Path), len(h.Sigs)
+	switch n := max(np, ns, (total+SigSize-1)/SigSize); {
+	case n <= 2:
+		st := new(struct {
+			path  [2]digraph.Vertex
+			sigs  [2][]byte
+			bytes [2 * SigSize]byte
+		})
+		return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0])
+	case n <= 4:
+		st := new(struct {
+			path  [4]digraph.Vertex
+			sigs  [4][]byte
+			bytes [4 * SigSize]byte
+		})
+		return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0])
+	case n <= shortChain:
+		st := new(struct {
+			path  [shortChain]digraph.Vertex
+			sigs  [shortChain][]byte
+			bytes [shortChain * SigSize]byte
+		})
+		return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0])
+	}
+	return h.cloneInto(make(digraph.Path, np), make([][]byte, ns), make([]byte, 0, total))
+}
+
+// cloneInto copies h's path into path and its signatures into buf, each
+// capped at its own length, headed by sigs.
+func (h *Hashkey) cloneInto(path digraph.Path, sigs [][]byte, buf []byte) Hashkey {
+	copy(path, h.Path)
 	for i, s := range h.Sigs {
 		buf = append(buf, s...)
 		sigs[i] = buf[len(buf)-len(s) : len(buf) : len(buf)]
 	}
-	return Hashkey{Secret: h.Secret, Path: h.Path.Clone(), Sigs: sigs}
+	return Hashkey{Secret: h.Secret, Path: path, Sigs: sigs}
 }
 
 // CryptoRand returns the process-wide cryptographic randomness source.

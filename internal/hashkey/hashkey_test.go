@@ -13,7 +13,7 @@ import (
 func detRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // testBench builds the Figure-1 three-cycle with one signer per vertex.
-func testBench(t *testing.T) (*digraph.Digraph, []*Signer, Directory) {
+func testBench(t testing.TB) (*digraph.Digraph, []*Signer, Directory) {
 	t.Helper()
 	d := digraph.New()
 	a := d.AddVertex("Alice")

@@ -6,8 +6,11 @@
 package htlc
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -81,7 +84,8 @@ type SwapParams struct {
 }
 
 // UnlockArgs is the payload of an unlock call: which hashlock, opened by
-// which hashkey.
+// which hashkey. A Swap takes it by value or by pointer; a caller that
+// passes a pointer may reuse what it points at once the call returns.
 type UnlockArgs struct {
 	LockIndex int
 	Key       hashkey.Hashkey
@@ -90,9 +94,15 @@ type UnlockArgs struct {
 // WireSize returns the bytes this call occupies on-chain.
 func (a UnlockArgs) WireSize() int { return 4 + a.Key.WireSize() }
 
-// UnlockedEvent is emitted to chain observers when a hashlock opens; it is
-// how secrets propagate in Phase Two — the hashkey is public on the ledger
-// and the next party extends it.
+// Own implements chain.ReusedArgs: the value a chain keeps to re-apply
+// the call, sharing the caller's hashkey (which is never written) but not
+// the buffer the pointer names.
+func (a *UnlockArgs) Own() any { return *a }
+
+// UnlockedEvent is emitted to chain observers, by pointer, when a hashlock
+// opens; it is how secrets propagate in Phase Two — the hashkey is public
+// on the ledger and the next party extends it. An emitted event is never
+// written again.
 type UnlockedEvent struct {
 	ArcID     int
 	LockIndex int
@@ -101,11 +111,47 @@ type UnlockedEvent struct {
 
 // Swap is the paper's swap contract (Figures 4 and 5). It implements
 // chain.Contract; all state transitions flow through Invoke.
+//
+// A contract owns its per-lock vectors: NewSwap copies the plan's leaders,
+// hashlocks and timelocks (the digraph and the key directory, which no one
+// writes, are shared). For up to inlineLocks hashlocks those copies, the
+// unlock state and the events sit inside the contract's one allocation.
 type Swap struct {
-	p          SwapParams
-	unlocked   []bool
-	unlockedAt []vtime.Ticks     // chain time each lock opened (public state)
-	keys       []hashkey.Hashkey // the hashkey that opened each lock
+	p      SwapParams
+	locks  []lockState // by hashlock index
+	inline struct {
+		leaders   [inlineLocks]digraph.Vertex
+		locks     [inlineLocks]hashkey.Lock
+		timelocks [inlineLocks]vtime.Ticks
+		state     [inlineLocks]lockState
+		// events[i] is the event lock i's first opening emits; an
+		// opening after a revert emits a fresh one, so no emitted event
+		// ever changes.
+		events [inlineLocks]UnlockedEvent
+	}
+}
+
+// inlineLocks is how many hashlocks a contract holds inline: the leaders
+// of any swap of up to four parties (the complete digraph on four
+// vertexes needs three).
+const inlineLocks = 3
+
+// lockState is one hashlock's public unlock state — the contract's whole
+// mutable state, which a commitment-model snapshot captures. The lock is
+// open when ev, the event its opening emitted, is set; ev.Key is the
+// hashkey that opened it.
+type lockState struct {
+	at vtime.Ticks // chain time the lock opened
+	ev *UnlockedEvent
+}
+
+// cut returns the first n elements of buf when they fit, else a fresh
+// slice of n.
+func cut[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
 }
 
 // Compile-time interface checks.
@@ -131,12 +177,16 @@ func NewSwap(p SwapParams) (*Swap, error) {
 		return nil, fmt.Errorf("htlc: arc %d runs %d->%d, contract names %d->%d",
 			p.ArcID, arc.Head, arc.Tail, p.PartyV, p.CounterV)
 	}
-	return &Swap{
-		p:          p,
-		unlocked:   make([]bool, len(p.Locks)),
-		unlockedAt: make([]vtime.Ticks, len(p.Locks)),
-		keys:       make([]hashkey.Hashkey, len(p.Locks)),
-	}, nil
+	s := &Swap{p: p}
+	n := len(p.Locks)
+	s.p.Leaders = cut(s.inline.leaders[:], n)
+	s.p.Locks = cut(s.inline.locks[:], n)
+	s.p.Timelocks = cut(s.inline.timelocks[:], n)
+	copy(s.p.Leaders, p.Leaders)
+	copy(s.p.Locks, p.Locks)
+	copy(s.p.Timelocks, p.Timelocks)
+	s.locks = cut(s.inline.state[:], n)
+	return s, nil
 }
 
 // ContractID implements chain.Contract.
@@ -158,12 +208,12 @@ func (s *Swap) StorageSize() int {
 	n += len(s.p.Locks) * len(hashkey.Lock{})
 	n += 8 * len(s.p.Timelocks)
 	n += len(s.p.Directory) * (4 + 32) // vertex id + public key
-	n += 8 + 8 + 4 + len(s.unlocked)   // start, delta, diam bound, unlocked flags
+	n += 8 + 8 + 4 + len(s.locks)      // start, delta, diam bound, unlocked flags
 	return n
 }
 
-// Params returns a copy of the contract's public parameters; parties read
-// them to verify a published contract against the swap plan.
+// Params returns a copy of the contract's public parameters. Matches
+// compares them in place.
 func (s *Swap) Params() SwapParams {
 	p := s.p
 	p.Leaders = append([]digraph.Vertex(nil), s.p.Leaders...)
@@ -172,47 +222,74 @@ func (s *Swap) Params() SwapParams {
 	return p
 }
 
+// Matches reports whether the contract was built from want, comparing in
+// place (see SwapParams.Equal); a party checks a published contract
+// against the swap plan with it.
+func (s *Swap) Matches(want *SwapParams) bool { return s.p.Equal(want) }
+
+// Equal reports whether p and q describe the same contract: every field
+// but the node-local Cache, the digraphs by structure and arc order, the
+// directories by key bytes.
+func (p *SwapParams) Equal(q *SwapParams) bool {
+	if p.ID != q.ID || p.ArcID != q.ArcID ||
+		p.Party != q.Party || p.PartyV != q.PartyV ||
+		p.Counter != q.Counter || p.CounterV != q.CounterV ||
+		p.Asset != q.Asset || p.Start != q.Start ||
+		p.Delta != q.Delta || p.DiamBound != q.DiamBound ||
+		p.Broadcast != q.Broadcast {
+		return false
+	}
+	if !slices.Equal(p.Leaders, q.Leaders) || !slices.Equal(p.Locks, q.Locks) ||
+		!slices.Equal(p.Timelocks, q.Timelocks) {
+		return false
+	}
+	if p.Digraph == nil || q.Digraph == nil {
+		return p.Digraph == q.Digraph
+	}
+	if !digraph.StructuralEqual(p.Digraph, q.Digraph) {
+		return false
+	}
+	for i := 0; i < q.Digraph.NumArcs(); i++ {
+		if p.Digraph.Arc(i) != q.Digraph.Arc(i) {
+			return false
+		}
+	}
+	return slices.EqualFunc(p.Directory, q.Directory, func(a, b ed25519.PublicKey) bool {
+		return bytes.Equal(a, b)
+	})
+}
+
 // ArcID returns the swap-digraph arc this contract settles.
 func (s *Swap) ArcID() int { return s.p.ArcID }
 
-// swapSnapshot is a Swap's mutable state — exactly the per-lock unlock
-// columns; everything in SwapParams is immutable after construction.
-type swapSnapshot struct {
-	unlocked   []bool
-	unlockedAt []vtime.Ticks
-	keys       []hashkey.Hashkey
-}
-
 // StateSnapshot implements chain.RevertibleContract: the hosting chain
-// captures the unlock columns before applying an invocation, so a
+// captures the unlock columns — everything in SwapParams is immutable
+// after construction — before applying an invocation, so a
 // commitment-model reorg can roll the invocation back. Called under the
 // chain lock, like Invoke.
 func (s *Swap) StateSnapshot() any {
-	return swapSnapshot{
-		unlocked:   append([]bool(nil), s.unlocked...),
-		unlockedAt: append([]vtime.Ticks(nil), s.unlockedAt...),
-		keys:       append([]hashkey.Hashkey(nil), s.keys...),
-	}
+	return append([]lockState(nil), s.locks...)
 }
 
 // StateRestore implements chain.RevertibleContract.
 func (s *Swap) StateRestore(snap any) {
-	ss := snap.(swapSnapshot)
-	s.unlocked = append([]bool(nil), ss.unlocked...)
-	s.unlockedAt = append([]vtime.Ticks(nil), ss.unlockedAt...)
-	s.keys = append([]hashkey.Hashkey(nil), ss.keys...)
+	copy(s.locks, snap.([]lockState))
 }
 
 // Unlocked returns a copy of the per-lock unlocked flags.
 func (s *Swap) Unlocked() []bool {
-	return append([]bool(nil), s.unlocked...)
+	out := make([]bool, len(s.locks))
+	for i := range s.locks {
+		out[i] = s.locks[i].ev != nil
+	}
+	return out
 }
 
 // AllUnlocked reports whether every hashlock is open (the contract is
 // claimable — "triggered" in the paper's terms).
 func (s *Swap) AllUnlocked() bool {
-	for _, u := range s.unlocked {
-		if !u {
+	for i := range s.locks {
+		if s.locks[i].ev == nil {
 			return false
 		}
 	}
@@ -221,21 +298,21 @@ func (s *Swap) AllUnlocked() bool {
 
 // UnlockKey returns the hashkey that opened lock i, valid only when
 // Unlocked()[i].
-func (s *Swap) UnlockKey(i int) hashkey.Hashkey { return s.keys[i].Clone() }
+func (s *Swap) UnlockKey(i int) hashkey.Hashkey { return s.locks[i].ev.Key.Clone() }
 
 // UnlockTime returns the chain time lock i opened and whether it has.
 func (s *Swap) UnlockTime(i int) (vtime.Ticks, bool) {
-	if i < 0 || i >= len(s.unlocked) || !s.unlocked[i] {
+	if i < 0 || i >= len(s.locks) || s.locks[i].ev == nil {
 		return 0, false
 	}
-	return s.unlockedAt[i], true
+	return s.locks[i].at, true
 }
 
 // Refundable reports whether some hashlock is still locked strictly past
 // its (inclusive) deadline, i.e. can never be opened again.
 func (s *Swap) Refundable(now vtime.Ticks) bool {
-	for i, u := range s.unlocked {
-		if !u && now.After(s.p.Timelocks[i]) {
+	for i := range s.locks {
+		if s.locks[i].ev == nil && now.After(s.p.Timelocks[i]) {
 			return true
 		}
 	}
@@ -263,15 +340,21 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	if call.Sender != s.p.Counter {
 		return chain.Result{}, fmt.Errorf("%w: sender %s", ErrNotCounterparty, call.Sender)
 	}
-	args, ok := call.Args.(UnlockArgs)
-	if !ok {
+	var args *UnlockArgs
+	switch a := call.Args.(type) {
+	case *UnlockArgs:
+		args = a
+	case UnlockArgs:
+		args = &a
+	}
+	if args == nil {
 		return chain.Result{}, fmt.Errorf("%w: unlock wants UnlockArgs", ErrBadArgs)
 	}
 	i := args.LockIndex
 	if i < 0 || i >= len(s.p.Locks) {
 		return chain.Result{}, fmt.Errorf("%w: %d of %d", ErrLockIndex, i, len(s.p.Locks))
 	}
-	if s.unlocked[i] {
+	if s.locks[i].ev != nil {
 		return chain.Result{}, fmt.Errorf("%w: index %d", ErrAlreadyUnlocked, i)
 	}
 	// Hashkey deadline: now ≤ start + (diam(D) + |p|)·Δ (inclusive; see
@@ -291,18 +374,22 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	if err := args.Key.VerifyCryptoExtended(s.p.Locks[i], s.p.Leaders[i], s.p.Directory, s.p.Cache); err != nil {
 		return chain.Result{}, fmt.Errorf("htlc: unlock %d: %w", i, err)
 	}
-	s.unlocked[i] = true
-	s.unlockedAt[i] = call.Now
-	// One defensive clone, shared by the stored key and the event: both are
-	// read-only from here (re-presentations Clone again before extending).
-	key := args.Key.Clone()
-	s.keys[i] = key
-	return chain.Result{
-		// Notes are covered by the ledger's record hash: these spell the
-		// historical fmt layouts byte for byte.
-		Note:  "hashlock " + strconv.Itoa(i) + " opened, path " + args.Key.Path.String(),
-		Event: UnlockedEvent{ArcID: s.p.ArcID, LockIndex: i, Key: key},
-	}, nil
+	// One defensive clone, kept in the event: read-only from here
+	// (re-presentations extend into new buffers).
+	var ev *UnlockedEvent
+	if i < inlineLocks && s.inline.events[i].Key.Path == nil {
+		ev = &s.inline.events[i]
+	} else {
+		ev = new(UnlockedEvent) // reopened after a revert, or not inline
+	}
+	*ev = UnlockedEvent{ArcID: s.p.ArcID, LockIndex: i, Key: args.Key.Clone()}
+	s.locks[i] = lockState{at: call.Now, ev: ev}
+	// Notes are covered by the ledger's record hash: this spells the
+	// historical fmt layout byte for byte.
+	var note [64]byte
+	b := strconv.AppendInt(append(note[:0], "hashlock "...), int64(i), 10)
+	b = ev.Key.Path.Append(append(b, " opened, path "...))
+	return chain.Result{Note: string(b), Event: ev}, nil
 }
 
 // pathOK accepts simple paths of the swap digraph and, when the broadcast

@@ -126,9 +126,9 @@ func TestUnlockHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unlock: %v", err)
 	}
-	ev, ok := res.Event.(UnlockedEvent)
+	ev, ok := res.Event.(*UnlockedEvent)
 	if !ok || ev.ArcID != 0 || ev.LockIndex != 0 {
-		t.Errorf("event = %+v, want UnlockedEvent{arc 0, lock 0}", res.Event)
+		t.Errorf("event = %+v, want &UnlockedEvent{arc 0, lock 0}", res.Event)
 	}
 	if !s.AllUnlocked() {
 		t.Error("single lock should be fully unlocked")
@@ -625,5 +625,39 @@ func TestSwapNotesKeepTheFmtLayout(t *testing.T) {
 	}
 	if !ch.VerifyLedger() {
 		t.Error("ledger does not verify")
+	}
+}
+
+// TestSwapOwnsWhatItKeeps pins that a contract aliases no buffer its
+// caller owns: NewSwap copies the per-lock vectors, and an unlock —
+// argument passed by pointer, as a runtime reusing its buffer does —
+// keeps a copy of the hashkey, so the caller may overwrite both.
+func TestSwapOwnsWhatItKeeps(t *testing.T) {
+	b := newBench(t)
+	p := b.arc0Params()
+	want := b.arc0Params()
+	s, err := NewSwap(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Leaders[0], p.Locks[0], p.Timelocks[0] = 2, hashkey.Lock{7}, 1
+	if !s.Matches(&want) {
+		t.Error("writing the caller's vectors changed the contract")
+	}
+
+	args := &UnlockArgs{Key: b.bobKey()}
+	path := args.Key.Path.String()
+	if _, err := s.Invoke(call(MethodUnlock, "bob", 110, args)); err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	args.Key.Path[0] = 2
+	args.Key.Sigs[0][0] ^= 0xff
+	*args = UnlockArgs{LockIndex: 1}
+	kept := s.UnlockKey(0)
+	if kept.Path.String() != path {
+		t.Errorf("kept path %v, presented %s", kept.Path, path)
+	}
+	if err := kept.Verify(b.lock, b.d, 0, b.dir); err != nil {
+		t.Errorf("kept hashkey no longer verifies: %v", err)
 	}
 }
