@@ -670,8 +670,7 @@ func (c *Chain) emit(notes ...Notification) {
 }
 
 // appendLocked adds a hash-chained record and returns the notification to
-// emit once the lock is released. The caller must hold c.mu.
-// appendLocked appends one record and returns its notification. An
+// emit once the lock is released. The caller must hold c.mu. An
 // invocation's method is kept beside its note, not joined to it: the
 // record's note is "method: note" wherever it is read or hashed, without
 // a string built per call.

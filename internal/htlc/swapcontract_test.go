@@ -661,3 +661,60 @@ func TestSwapOwnsWhatItKeeps(t *testing.T) {
 		t.Errorf("kept hashkey no longer verifies: %v", err)
 	}
 }
+
+// TestSwapRevertThenUnlockAgain is the Swap's half of
+// TestHTLCRevertThenRedeemAgain, through an unlock passed by pointer as a
+// runtime reusing its argument buffer passes it: the revert closes the
+// lock, the chain re-applies the call with the arguments it was made
+// with, and the reopening emits a fresh event, leaving the first one as
+// it was emitted.
+func TestSwapRevertThenUnlockAgain(t *testing.T) {
+	b := newBench(t)
+	clk := &tickClock{now: 105}
+	ch := chain.New("altcoin", clk)
+	if err := ch.SetCommitmentModel(revertRedeem{}, func(vtime.Ticks) {}); err != nil {
+		t.Fatal(err)
+	}
+	var events []*UnlockedEvent
+	ch.SetObserver(func(n chain.Notification) {
+		if ev, ok := n.Event.(*UnlockedEvent); ok {
+			events = append(events, ev)
+		}
+	})
+	if err := ch.RegisterAsset(chain.Asset{ID: "altcoin", Amount: 1}, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := NewSwap(b.arc0Params())
+	if err := ch.PublishContract("alice", s); err != nil {
+		t.Fatal(err)
+	}
+	clk.now = 110
+	args := &UnlockArgs{Key: b.bobKey()}
+	if err := ch.Invoke("bob", "arc0@altcoin", MethodUnlock, args, args.WireSize()); err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	*args = UnlockArgs{LockIndex: 5} // the buffer's next use
+
+	clk.now = 112 // the unlock's revert
+	ch.SettleCommitments(clk.now)
+	if _, open := s.UnlockTime(0); open {
+		t.Fatal("lock 0 still open after its unlock reverted")
+	}
+	clk.now = 113 // the re-applied unlock
+	ch.SettleCommitments(clk.now)
+	at, open := s.UnlockTime(0)
+	if !open || at != 113 {
+		t.Fatalf("lock 0 open=%v at %d after the re-apply, want open at 113", open, at)
+	}
+	if len(events) != 2 || events[0] == events[1] {
+		t.Fatalf("events %v, want two distinct", events)
+	}
+	for i, ev := range events {
+		if ev.ArcID != 0 || ev.LockIndex != 0 || ev.Key.Path.String() != "1>2>0" {
+			t.Errorf("event %d reads %+v after the reopening", i, *ev)
+		}
+	}
+	if !ch.VerifyLedger() {
+		t.Error("ledger does not verify")
+	}
+}
