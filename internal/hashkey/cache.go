@@ -177,8 +177,9 @@ func chainDigest(secret Secret, lock Lock, path digraph.Path, sigs [][]byte, pub
 
 // shortChain is the longest chain whose verification bookkeeping (its
 // path's keys, its digest's encoding) stays on the stack and whose Clone
-// takes one allocation: a valid chain of any swap of up to eight parties.
-const shortChain = 8
+// takes one allocation: a valid chain of any swap of up to sixteen
+// parties.
+const shortChain = 16
 
 // SeedVerified records h in the cache as a valid chain for lock under the
 // directory's keys, without checking any signature. The caller asserts

@@ -310,7 +310,7 @@ func (h Hashkey) checkStructure(lock Lock, leader digraph.Vertex) error {
 // aliasing caller-owned buffers. The path, the signature headers and the
 // signature bytes share one allocation, of one of three sizes, when the
 // chain is short (at most shortChain links of standard-size signatures,
-// as every valid chain of a swap of up to eight parties is); a longer
+// as every valid chain of a swap of up to sixteen parties is); a longer
 // chain takes three.
 func (h Hashkey) Clone() Hashkey {
 	total := 0
