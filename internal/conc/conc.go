@@ -274,27 +274,19 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		log = &trace.Log{}
 	}
 	var rn *Running
-	var general []core.Conforming
 	if spec.Kind == core.KindGeneral {
 		rec := new(generalRecord)
-		rn, general = &rec.Running, rec.general[:]
+		rec.r.general = rec.general[:]
+		rn = &rec.Running
 	} else {
 		rn = new(Running)
 	}
-	rn.r = runner{
-		setup:     setup,
-		spec:      spec,
-		sched:     scheduler,
-		ownSched:  own,
-		stripe:    cfg.StripeKey,
-		log:       log,
-		onPhase:   cfg.OnPhase,
-		onRevert:  cfg.OnRevert,
-		onDone:    cfg.OnDone,
-		earlyExit: cfg.EarlyExit,
-		general:   general,
-	}
 	r := &rn.r
+	// Field by field, not a runner literal: the record is already on the
+	// heap, and a literal would be built beside it and copied in.
+	r.setup, r.spec, r.log = setup, spec, log
+	r.sched, r.ownSched, r.stripe = scheduler, own, cfg.StripeKey
+	r.onPhase, r.onRevert, r.onDone, r.earlyExit = cfg.OnPhase, cfg.OnRevert, cfg.OnDone, cfg.EarlyExit
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
 	scheduler.Acquire()
