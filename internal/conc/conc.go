@@ -513,7 +513,7 @@ type runner struct {
 	parties  []party
 	partyBuf [runVertices]party
 	// general holds the parties' behaviors on Swap contracts, by vertex:
-	// a generalRecord's, or the heap's past runVertices parties.
+	// cut from a generalRecord, or from the heap past runVertices parties.
 	general      []core.Conforming
 	arcBuf       [runArcs]arcRun
 	triggeredBuf [runArcs]bool
