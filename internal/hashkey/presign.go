@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
 )
@@ -53,9 +54,14 @@ func (s SignStats) String() string {
 }
 
 // Slot states. A slot moves free → claimed → ready exactly once: whoever
-// claims it computes it, and everyone else waits for ready. The claimant
-// is running (a filler has a core of its own, see backlog), so the wait
-// is one signature long at most, shorter than parking and waking would be.
+// claims it computes it, and everyone else waits for ready. A filler has
+// a core the dispatcher is not using (see backlog), so its wait is about
+// one signature long, shorter than parking and waking would be. But that
+// core is Go's, not the machine's: when the host takes it away, the wait
+// lasts as long as the filler is off it. So a party waits for a filler
+// for at most fillerPatience and then signs inline; only the filler
+// waits without bound, for a leader's slot a party claimed, because its
+// wraps sign that signature.
 const (
 	slotFree uint32 = iota
 	slotClaimed
@@ -191,36 +197,56 @@ func newPresigned(signers []*Signer, leaders []digraph.Vertex, secrets []Secret,
 func (t *presigned) fill() {
 	n := len(t.signers)
 	for i, l := range t.leaders {
-		t.compute(&t.slots[i*n+int(l)], l, t.secrets[i][:], true)
+		sl := &t.slots[i*n+int(l)]
+		if !t.claim(sl, l, t.secrets[i][:], true) {
+			for sl.state.Load() != slotReady {
+				runtime.Gosched()
+			}
+		}
 	}
 	for i, l := range t.leaders {
 		msg := t.slots[i*n+int(l)].sig[:]
 		for v := 0; v < n; v++ {
 			if sl := &t.slots[i*n+v]; sl.wanted && digraph.Vertex(v) != l {
-				t.compute(sl, digraph.Vertex(v), msg, true)
+				t.claim(sl, digraph.Vertex(v), msg, true)
 			}
 		}
 	}
 }
 
-// compute makes sure the slot holds v's signature over msg: it signs when
-// it claims the slot, and otherwise waits for whoever did.
-func (t *presigned) compute(sl *slot, v digraph.Vertex, msg []byte, ahead bool) {
-	if sl.state.CompareAndSwap(slotFree, slotClaimed) {
-		if t.hook != nil {
-			t.hook(ahead)
-		}
-		copy(sl.sig[:], ed25519.Sign(t.signers[v].priv, msg))
-		sl.ahead = ahead
-		if ahead && t.meter != nil {
-			t.meter.filled.Add(1)
-		}
-		sl.state.Store(slotReady)
-		return
+// claim computes v's signature over msg into the slot when the slot is
+// free, and reports whether it did.
+func (t *presigned) claim(sl *slot, v digraph.Vertex, msg []byte, ahead bool) bool {
+	if !sl.state.CompareAndSwap(slotFree, slotClaimed) {
+		return false
 	}
-	for sl.state.Load() != slotReady {
-		runtime.Gosched()
+	if t.hook != nil {
+		t.hook(ahead)
 	}
+	copy(sl.sig[:], ed25519.Sign(t.signers[v].priv, msg))
+	sl.ahead = ahead
+	if ahead && t.meter != nil {
+		t.meter.filled.Add(1)
+	}
+	sl.state.Store(slotReady)
+	return true
+}
+
+// fillerPatience bounds how long a party waits for a slot the filler is
+// computing: a few signatures on any current core, and short of the
+// milliseconds a wait lasts once the host takes the filler's core away.
+// A variable only so a test can lengthen it.
+var fillerPatience = 200 * time.Microsecond
+
+// awaitFiller waits for the filler to finish sl, for at most
+// fillerPatience, and reports whether it did.
+func awaitFiller(sl *slot) bool {
+	for start := time.Now(); sl.state.Load() != slotReady; runtime.Gosched() {
+		if time.Since(start) > fillerPatience {
+			return false
+		}
+	}
+	return true
 }
 
 // take answers v's Sign(msg) from the table when msg is the message of
@@ -246,7 +272,9 @@ func (t *presigned) take(v digraph.Vertex, msg []byte) ([]byte, bool) {
 		if !bytes.Equal(msg, want) {
 			continue
 		}
-		t.compute(sl, v, want, false)
+		if !t.claim(sl, v, want, false) && !awaitFiller(sl) {
+			return nil, false // the filler is off its core: sign inline
+		}
 		if sl.ahead && t.meter != nil {
 			t.meter.presigned.Add(1)
 			if sl.taken.CompareAndSwap(false, true) {

@@ -139,9 +139,12 @@ func TestPresignMeterCountsOncePerSign(t *testing.T) {
 
 // TestPresignClaimRace forces both orders of a claim race on one slot,
 // the presign goroutine against the party taking it, and checks the slot
-// is computed once, by whoever claimed it, and waited for by the other.
+// is computed once, by whoever claimed it, and waited for by the other:
+// by the taker for at most fillerPatience, after which it signs inline.
 func TestPresignClaimRace(t *testing.T) {
 	t.Run("filler first", func(t *testing.T) {
+		defer func(p time.Duration) { fillerPatience = p }(fillerPatience)
+		fillerPatience = time.Minute // outlasts the sleep below
 		tab, signers, secrets, m := cliqueTable(t)
 		claimed, gate := make(chan struct{}), make(chan struct{})
 		var claims sync.Map // slot claims by who made them
@@ -170,6 +173,39 @@ func TestPresignClaimRace(t *testing.T) {
 		}
 		if st := m.Stats(); st != (SignStats{Signs: 1, Presigned: 1, Wasted: 11}) {
 			t.Fatalf("stats %+v, want one presigned take of twelve filled slots", st)
+		}
+	})
+	t.Run("filler stalled", func(t *testing.T) {
+		tab, signers, secrets, m := cliqueTable(t)
+		claimed, gate := make(chan struct{}), make(chan struct{})
+		var claims sync.Map // slot claims by who made them
+		tab.hook = func(ahead bool) {
+			n, _ := claims.LoadOrStore(ahead, new(int))
+			*n.(*int)++
+			if ahead && *n.(*int) == 1 {
+				close(claimed) // the filler holds slot (0, 0), unfinished
+				<-gate
+			}
+		}
+		done := make(chan struct{})
+		go func() { tab.fill(); close(done) }()
+		<-claimed
+		// The filler stays parked mid-slot until the taker is back, as a
+		// filler whose thread the host took off its core would.
+		sig := signers[0].Sign(secrets[0][:])
+		close(gate)
+		<-done
+		if !bytes.Equal(sig, ed25519.Sign(signers[0].priv, secrets[0][:])) {
+			t.Fatal("the inline signature is not ed25519.Sign's")
+		}
+		if _, ok := claims.Load(false); ok {
+			t.Fatal("the taker claimed a slot the filler had claimed")
+		}
+		if !bytes.Equal(tab.slots[0].sig[:], sig) {
+			t.Fatal("the filler's slot holds a different signature")
+		}
+		if st := m.Stats(); st != (SignStats{Signs: 1, Inline: 1, Wasted: 12}) {
+			t.Fatalf("stats %+v, want one inline sign beside twelve filled slots", st)
 		}
 	})
 	t.Run("taker first", func(t *testing.T) {
