@@ -92,10 +92,12 @@ type Call struct {
 
 // Result is what a successful contract invocation tells the chain to do.
 type Result struct {
-	// Transfer, when set, moves the escrowed asset to this owner and
-	// closes the contract.
-	Transfer *Owner
-	// Note is recorded on the ledger and shown in traces.
+	// Transfer, when its Kind is set, moves the escrowed asset to this
+	// owner and closes the contract; the zero Owner moves nothing.
+	Transfer Owner
+	// Note is recorded on the ledger and shown in traces. The ledger keeps
+	// the string itself, so a contract may hand out one it owns and never
+	// writes again.
 	Note string
 	// Event is an opaque payload delivered to observers (for example the
 	// hashkey that unlocked a hashlock, which is how secrets propagate).
@@ -186,8 +188,10 @@ type Notification struct {
 	Method string
 	Sender PartyID
 	Event  any
-	// Note is the record's note; on a NoteInvocation, the contract's,
-	// which the ledger records as "method: note".
+	// Note is the note of a NoteInvocation (the contract's, which the
+	// ledger records as "method: note") or of a data or revert record.
+	// Records the chain spells from their parts — a mint, an escrow, a
+	// transfer — carry none: Records reads them.
 	Note string
 	// Provisional marks a record that is applied but not yet final under
 	// the chain's commitment model: it may still be reverted. Instant
@@ -449,16 +453,10 @@ func (c *Chain) RegisterAsset(a Asset, owner PartyID) error {
 	c.assets[a.ID] = a
 	c.owners[a.ID] = ByParty(owner)
 	n := c.appendLocked(NoteAssetRegistered, "", owner, len(a.ID)+len(a.Description)+8,
-		"", transferNote(a.ID, string(owner)), nil)
+		noteAsset, string(a.ID), string(owner), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil
-}
-
-// transferNote is the ledger note of an asset changing hands. Notes are
-// covered by the record hash: the layout is "asset %s -> %s" byte for byte.
-func transferNote(asset AssetID, to string) string {
-	return "asset " + string(asset) + " -> " + to
 }
 
 // Asset returns a registered asset.
@@ -510,7 +508,7 @@ func (c *Chain) PublishContract(sender PartyID, contract Contract) error {
 	c.contracts[id] = contract
 	c.owners[assetID] = ByEscrow(id)
 	n := c.appendLocked(NoteContractPublished, id, sender, contract.StorageSize(),
-		"", "escrow "+string(assetID), contract)
+		noteEscrow, string(assetID), "", contract)
 	if f, fated := c.drawFateLocked(id); fated {
 		n.Provisional = c.trackLocked(NoteContractPublished, id, undoEntry{
 			contract:  contract,
@@ -579,7 +577,7 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 	// Stack-backed buffer: an invocation produces at most two
 	// notifications, so the fanout allocates nothing per call.
 	var notesBuf [2]Notification
-	ni := c.appendLocked(NoteInvocation, id, sender, argsSize, method, res.Note, res.Event)
+	ni := c.appendLocked(NoteInvocation, id, sender, argsSize, noteMethod, res.Note, method, res.Event)
 	if fated {
 		if ra, ok := args.(ReusedArgs); ok {
 			args = ra.Own()
@@ -593,13 +591,13 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 		}, fate)
 	}
 	notes := append(notesBuf[:0], ni)
-	if res.Transfer != nil {
+	if res.Transfer.Kind != 0 {
 		assetID := contract.AssetID()
 		prevOwner := c.owners[assetID]
-		c.owners[assetID] = *res.Transfer
+		c.owners[assetID] = res.Transfer
 		c.closed[id] = true
-		nt := c.appendLocked(NoteTransfer, id, sender, 0,
-			"", transferNote(assetID, res.Transfer.String()), nil)
+		form, to := ownerNote(res.Transfer)
+		nt := c.appendLocked(NoteTransfer, id, sender, 0, form, string(assetID), to, nil)
 		if fated {
 			nt.Provisional = c.trackLocked(NoteTransfer, id, undoEntry{
 				asset:     assetID,
@@ -632,7 +630,7 @@ func (c *Chain) Transfer(sender PartyID, asset AssetID, to PartyID) error {
 	}
 	c.owners[asset] = ByParty(to)
 	n := c.appendLocked(NoteTransfer, "", sender, transferRecordBytes,
-		"", transferNote(asset, string(to)), nil)
+		noteAsset, string(asset), string(to), nil)
 	c.mu.Unlock()
 	c.emit(n)
 	return nil
@@ -645,7 +643,7 @@ const transferRecordBytes = 16
 // plan or a broadcast secret.
 func (c *Chain) PublishData(sender PartyID, note string, payload any, size int) {
 	c.mu.Lock()
-	n := c.appendLocked(NoteData, "", sender, size, "", note, payload)
+	n := c.appendLocked(NoteData, "", sender, size, notePlain, note, "", payload)
 	c.mu.Unlock()
 	c.emit(n)
 }
@@ -670,29 +668,82 @@ func (c *Chain) emit(notes ...Notification) {
 }
 
 // appendLocked adds a hash-chained record and returns the notification to
-// emit once the lock is released. The caller must hold c.mu. An
-// invocation's method is kept beside its note, not joined to it: the
-// record's note is "method: note" wherever it is read or hashed, without
-// a string built per call.
-func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size int, method, note string, event any) Notification {
+// emit once the lock is released. The caller must hold c.mu. The record's
+// note is given as its form and parts (see noteForm), strings that already
+// exist — an invocation's method beside the contract's note, a transfer's
+// asset and recipient — so no string is built per record: the note is
+// spelled from the parts wherever it is read or hashed.
+func (c *Chain) appendLocked(kind NoteKind, id ContractID, sender PartyID, size int, form noteForm, note, part string, event any) Notification {
 	var prev [32]byte
 	if last := c.ledger.last(); last != nil {
 		prev = last.Hash
 	}
-	e := entry{At: c.clock.Now(), Kind: kind, Contract: id, Sender: sender, Size: size, Method: method, Note: note}
+	e := entry{At: c.clock.Now(), Contract: id, Sender: sender, note: note, part: part,
+		Size: int32(size), Kind: uint8(kind), form: form}
 	e.Hash = e.hash(c.ledger.n, prev)
 	c.ledger.append(e)
 	c.storage += size
-	return Notification{
+	n := Notification{
 		Chain:    c.name,
 		At:       e.At,
 		Kind:     kind,
 		Contract: id,
-		Method:   method,
 		Sender:   sender,
 		Event:    event,
-		Note:     note,
 	}
+	switch form {
+	case noteMethod:
+		n.Method, n.Note = part, note
+	case notePlain:
+		n.Note = note
+	}
+	return n
+}
+
+// noteForm says how an entry spells its note from its two parts, note and
+// part. The layouts are the fmt ones the ledger was first written with,
+// byte for byte: the record hash covers them.
+type noteForm uint8
+
+const (
+	notePlain       noteForm = iota // note
+	noteMethod                      // part ": " note — an invocation
+	noteAsset                       // "asset " note " -> " part — a mint or a plain transfer
+	noteAssetParty                  // "asset " note " -> party:" part — a claim or refund
+	noteAssetEscrow                 // "asset " note " -> escrow:" part
+	noteEscrow                      // "escrow " note — a publication
+)
+
+// ownerNote is the form and part of a transfer to o: with the asset as
+// note, "asset %s -> %s" over o.String().
+func ownerNote(o Owner) (noteForm, string) {
+	switch o.Kind {
+	case OwnerParty:
+		return noteAssetParty, string(o.Party)
+	case OwnerEscrow:
+		return noteAssetEscrow, string(o.Contract)
+	}
+	return noteAsset, o.String()
+}
+
+// appendNote appends e's note, spelled from its parts, to buf.
+func (e *entry) appendNote(buf []byte) []byte {
+	switch e.form {
+	case noteMethod:
+		buf = append(append(buf, e.part...), ": "...)
+	case noteAsset, noteAssetParty, noteAssetEscrow:
+		buf = append(append(append(buf, "asset "...), e.note...), " -> "...)
+		switch e.form {
+		case noteAssetParty:
+			buf = append(buf, "party:"...)
+		case noteAssetEscrow:
+			buf = append(buf, "escrow:"...)
+		}
+		return append(buf, e.part...)
+	case noteEscrow:
+		buf = append(buf, "escrow "...)
+	}
+	return append(buf, e.note...)
 }
 
 // hash is the record hash of e at position seq after a record whose hash
@@ -710,7 +761,7 @@ func (e *entry) hash(seq int, prev [32]byte) [32]byte {
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(e.At), 10)
 	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(int(e.Kind)), 10)
+	buf = strconv.AppendInt(buf, int64(e.Kind), 10)
 	buf = append(buf, '|')
 	buf = append(buf, e.Contract...)
 	buf = append(buf, '|')
@@ -718,10 +769,7 @@ func (e *entry) hash(seq int, prev [32]byte) [32]byte {
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(e.Size), 10)
 	buf = append(buf, '|')
-	if e.Method != "" {
-		buf = append(append(buf, e.Method...), ": "...)
-	}
-	buf = append(buf, e.Note...)
+	buf = e.appendNote(buf)
 	return sha256.Sum256(buf)
 }
 
@@ -763,30 +811,31 @@ func (c *Chain) VerifyLedger() bool {
 const ledgerChunk = 256
 
 // entry is a ledger record as stored. Its Seq is its position and its
-// PrevHash the entry before it's Hash, so neither is kept, and an
-// invocation's note is kept as its method and the contract's note: 120
-// bytes where a Record takes 144, and a K4 swap appends 84 of them.
+// PrevHash the entry before it's Hash, so neither is kept, and its note is
+// kept as a form and two parts (see noteForm): 112 bytes where a Record
+// takes 144, and a K4 swap appends 84 of them.
 type entry struct {
 	At       vtime.Ticks
-	Kind     NoteKind
 	Contract ContractID
 	Sender   PartyID
-	Size     int
-	Method   string
-	Note     string
+	note     string
+	part     string
+	Size     int32
+	Kind     uint8 // a NoteKind
+	form     noteForm
 	Hash     [32]byte
 }
 
 // record is the entry as the Record at position seq, after a record
 // whose hash is prev.
 func (e *entry) record(seq int, prev [32]byte) Record {
-	note := e.Note
-	if e.Method != "" {
-		note = e.Method + ": " + e.Note
+	note := e.note
+	if e.form != notePlain {
+		note = string(e.appendNote(nil))
 	}
 	return Record{
-		Seq: seq, At: e.At, Kind: e.Kind, Contract: e.Contract, Sender: e.Sender,
-		Size: e.Size, Note: note, PrevHash: prev, Hash: e.Hash,
+		Seq: seq, At: e.At, Kind: NoteKind(e.Kind), Contract: e.Contract, Sender: e.Sender,
+		Size: int(e.Size), Note: note, PrevHash: prev, Hash: e.Hash,
 	}
 }
 

@@ -31,8 +31,7 @@ func (f *fakeContract) Invoke(call Call) (Result, error) {
 	f.calls = append(f.calls, call)
 	switch call.Method {
 	case "take":
-		t := f.target
-		return Result{Transfer: &t, Note: "taken", Event: call.Args}, nil
+		return Result{Transfer: f.target, Note: "taken", Event: call.Args}, nil
 	case "noop":
 		return Result{Note: "noop"}, nil
 	default:

@@ -28,8 +28,7 @@ func (r *revContract) Invoke(call Call) (Result, error) {
 		return Result{Note: fmt.Sprintf("bump=%d", r.count)}, nil
 	case "take":
 		r.count++
-		tgt := r.target
-		return Result{Transfer: &tgt, Note: "taken"}, nil
+		return Result{Transfer: r.target, Note: "taken"}, nil
 	}
 	return Result{}, errFake
 }

@@ -66,7 +66,7 @@ func TestLedgerChunkBoundaries(t *testing.T) {
 func TestLedgerVerifyCatchesTamperingAcrossChunks(t *testing.T) {
 	for _, at := range []int{3, ledgerChunk - 1, ledgerChunk, ledgerChunk + 5} {
 		c := fillLedger(ledgerChunk + 9)
-		c.ledger.chunks[at/ledgerChunk][at%ledgerChunk].Note = "evil"
+		c.ledger.chunks[at/ledgerChunk][at%ledgerChunk].note = "evil"
 		if c.VerifyLedger() {
 			t.Errorf("tampered record %d went unnoticed", at)
 		}
@@ -196,5 +196,51 @@ func TestContractRoutes(t *testing.T) {
 	c.UnsubscribeContract("s", &mine)
 	if len(c.routes) != 0 {
 		t.Errorf("%d routes left after unsubscribing all", len(c.routes))
+	}
+}
+
+// TestMintAndPublishAllocateNothing: on a warm chain a mint and a
+// publication allocate no heap object. Their ledger notes, "asset X -> Y"
+// and "escrow X", are kept as the strings they are spelled from and
+// spelled only where they are hashed or read.
+func TestMintAndPublishAllocateNothing(t *testing.T) {
+	c := newTestChain()
+	const warm, runs = 600, 100
+	n := warm + runs + 1
+	assets := make([]AssetID, n)
+	contracts := make([]*fakeContract, n)
+	for i := range assets {
+		assets[i] = AssetID(fmt.Sprintf("coin-%d", i))
+		contracts[i] = &fakeContract{id: ContractID(fmt.Sprintf("c-%d", i)), party: "alice",
+			asset: assets[i], size: 40, target: ByParty("bob")}
+	}
+	mint := func(i int) {
+		if err := c.RegisterAsset(Asset{ID: assets[i], Amount: 1}, "alice"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish := func(i int) {
+		if err := c.PublishContract("alice", contracts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		mint(i)
+		publish(i)
+	}
+	next := warm
+	if got := testing.AllocsPerRun(runs, func() { mint(next); next++ }); got != 0 {
+		t.Errorf("a mint on a warm chain allocated %.0f objects", got)
+	}
+	next = warm
+	if got := testing.AllocsPerRun(runs, func() { publish(next); next++ }); got != 0 {
+		t.Errorf("a publication on a warm chain allocated %.0f objects", got)
+	}
+	recs := c.Records()
+	if got, want := recs[len(recs)-1].Note, "escrow "+string(assets[n-1]); got != want {
+		t.Errorf("last note %q, want %q", got, want)
+	}
+	if !c.VerifyLedger() {
+		t.Error("ledger does not verify")
 	}
 }

@@ -370,6 +370,14 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 		r.general = cut(r.general, len(r.parties))
 	}
 	r.slab = make([]delivery, 0, eventBudget(spec))
+	r.alarms = cut(r.alarmBuf[:], spec.RefundAlarms())[:0]
+	if spec.Kind == core.KindGeneral {
+		keys := spec.D.NumArcs() * len(spec.Leaders)
+		if spec.Broadcast {
+			keys += len(spec.Leaders)
+		}
+		r.keys = make([]hashkey.Hashkey, 0, keys)
+	}
 	for v := range r.parties {
 		p := &r.parties[v]
 		p.runner, p.vertex = r, digraph.Vertex(v)
@@ -542,10 +550,27 @@ type runner struct {
 	// ledger remembers them): metrics.Counters.FailedCalls of a Runner.
 	failed atomic.Int64
 
-	// unlock is the argument buffer of the run's unlock calls, which its
-	// stripe serializes, reused from call to call: a chain keeps only its
-	// Own copy (see chain.ReusedArgs), so nothing retained points here.
+	// unlock and redeem are the argument buffers of the run's unlock and
+	// redeem calls, which its stripe serializes, reused from call to call:
+	// a chain keeps only their Own copy (see chain.ReusedArgs), so nothing
+	// retained points here.
 	unlock htlc.UnlockArgs
+	redeem htlc.RedeemArgs
+
+	// alarms and keys are the payload tables of the deliveries that carry
+	// more than an arc and a lock (see delivery), appended as they are
+	// scheduled and never rewritten: alarms is cut from alarmBuf when the
+	// spec's refund alarms fit it, and keys — the hashkeys unlocks and
+	// broadcasts hand over — exists only on Swap contracts.
+	alarms   []alarmEntry
+	alarmBuf [runArcs]alarmEntry
+	keys     []hashkey.Hashkey
+}
+
+// alarmEntry is one Env.At: the alarm and the argument it rings with.
+type alarmEntry struct {
+	a   core.Alarm
+	arg int
 }
 
 // arcRun is what the run keeps per arc: where its contract lives and how
@@ -568,6 +593,14 @@ type arcRun struct {
 
 	published, resolved, claimed bool
 	pubTick, resTick             vtime.Ticks
+
+	// contract and redeemed are the payloads of the contract and redeem
+	// deliveries this arc's route scheduled: the published contract, and
+	// the event its redeem emitted (which the contract owns and never
+	// writes again). Each is written once, before its delivery is
+	// scheduled — a reorg's re-publish or re-redeem is deduped first.
+	contract chain.Contract
+	redeemed *htlc.RedeemedEvent
 }
 
 // OnNote implements chain.NoteObserver.
@@ -612,22 +645,23 @@ const (
 // its place in the run's live list. One record replaces a closure per
 // layer, and the record is also the scheduler's own queue entry (ev), so a
 // delivery costs the run no allocation at all.
+//
+// A delivery carries its kind, tick, arc and lock; what else it hands
+// over sits in a table of the run record, found by slot: a contract or a
+// redeem's event by the arc whose route heard it (runner.arcs), a hashkey
+// in runner.keys, an alarm in runner.alarms. No kind's payload sits in
+// every delivery, so a ring's slab is half the bytes
+// (TestDeliveryFitsItsBudget).
 type delivery struct {
-	ev sched.Event
-	r  *runner
-	// p is the one receiving party of an alarm; nil addresses the parties
-	// the kind names (see fire).
-	p        *party
-	at       vtime.Ticks
-	kind     deliveryKind
-	claimed  bool
-	lock     int32 // beside kind and claimed: one word for the three
-	arc      int
-	key      hashkey.Hashkey
-	contract chain.Contract
-	alarm    core.Alarm
-
+	ev         sched.Event
+	r          *runner
 	prev, next *delivery
+	at         vtime.Ticks
+	arc        int32
+	lock       int32
+	slot       int32
+	kind       deliveryKind
+	claimed    bool
 }
 
 // Fire implements sched.Handler.
@@ -728,17 +762,21 @@ func (r *runner) fire(d *delivery) {
 	d.prev, d.next = nil, nil
 	r.timersMu.Unlock()
 
-	switch {
-	case d.kind == deliverHorizon:
+	switch d.kind {
+	case deliverHorizon:
 		r.finish()
-	case d.p != nil:
-		r.run(d, d.p)
-	case d.kind == deliverInit || d.kind == deliverBroadcast:
+	case deliverAlarm:
+		// Alarms bypass the abandon gate: refund alarms keep running for
+		// abandoned parties.
+		r.observeLag(d)
+		al := r.alarms[d.slot]
+		al.a.Ring(al.arg)
+	case deliverInit, deliverBroadcast:
 		for v := range r.parties {
 			r.run(d, &r.parties[v])
 		}
 	default:
-		arc := r.spec.D.Arc(d.arc)
+		arc := r.spec.D.Arc(int(d.arc))
 		r.run(d, &r.parties[arc.Head])
 		r.run(d, &r.parties[arc.Tail])
 	}
@@ -746,27 +784,24 @@ func (r *runner) fire(d *delivery) {
 
 // run makes d's behavior callback for p.
 func (r *runner) run(d *delivery, p *party) {
-	// Alarms bypass the abandon gate: refund alarms keep running for
-	// abandoned parties.
-	if d.kind != deliverAlarm && p.abandoned {
+	if p.abandoned {
 		return
 	}
 	r.observeLag(d)
+	arc := int(d.arc)
 	switch d.kind {
-	case deliverAlarm:
-		d.alarm.Ring(d.arc)
 	case deliverInit:
 		p.behavior.Init(p.env())
 	case deliverContract:
-		p.behavior.OnContract(p.env(), d.arc, d.contract)
+		p.behavior.OnContract(p.env(), arc, r.arcs[arc].contract)
 	case deliverUnlock:
-		p.behavior.OnUnlock(p.env(), d.arc, int(d.lock), d.key)
+		p.behavior.OnUnlock(p.env(), arc, int(d.lock), r.keys[d.slot])
 	case deliverRedeem:
-		p.behavior.OnRedeem(p.env(), d.arc, d.key.Secret)
+		p.behavior.OnRedeem(p.env(), arc, r.arcs[d.slot].redeemed.Secret)
 	case deliverSettled:
-		p.behavior.OnSettled(p.env(), d.arc, d.claimed)
+		p.behavior.OnSettled(p.env(), arc, d.claimed)
 	case deliverBroadcast:
-		p.behavior.OnBroadcast(p.env(), int(d.lock), d.key)
+		p.behavior.OnBroadcast(p.env(), int(d.lock), r.keys[d.slot])
 	}
 }
 
@@ -889,7 +924,7 @@ func (r *runner) dupEvent(key eventKey) bool {
 // paths (with re-deliveries deduped, since behaviors already acted).
 func (r *runner) onNote(a *arcRun, n chain.Notification) {
 	// d is the delivery this note becomes, filled in per kind below.
-	d := delivery{at: n.At.Add(a.delay), arc: a.id}
+	d := delivery{at: n.At.Add(a.delay), arc: int32(a.id)}
 	switch n.Kind {
 	case chain.NoteContractPublished:
 		c, ok := n.Event.(chain.Contract)
@@ -898,26 +933,30 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 		}
 		r.notePublished(a, n.At)
 		r.notePhase(phaseEscrow)
-		d.kind, d.contract = deliverContract, c
-		if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
+		d.kind = deliverContract
+		if r.dupEvent(eventKey{kind: d.kind, arc: a.id}) {
 			return // reorg re-publish: parties already saw this contract
 		}
+		a.contract = c
 		r.schedule(d)
 	case chain.NoteInvocation:
 		switch ev := n.Event.(type) {
 		case *htlc.UnlockedEvent:
 			r.notePhase(phaseReveal)
-			d.kind, d.arc, d.lock, d.key = deliverUnlock, ev.ArcID, int32(ev.LockIndex), ev.Key
-			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc, lock: ev.LockIndex}) {
+			d.kind, d.arc, d.lock = deliverUnlock, int32(ev.ArcID), int32(ev.LockIndex)
+			if r.dupEvent(eventKey{kind: d.kind, arc: ev.ArcID, lock: ev.LockIndex}) {
 				return
 			}
+			d.slot = int32(len(r.keys))
+			r.keys = append(r.keys, ev.Key)
 			r.schedule(d)
-		case htlc.RedeemedEvent:
+		case *htlc.RedeemedEvent:
 			r.notePhase(phaseReveal)
-			d.kind, d.arc, d.key.Secret = deliverRedeem, ev.ArcID, ev.Secret
-			if r.dupEvent(eventKey{kind: d.kind, arc: d.arc}) {
+			d.kind, d.arc, d.slot = deliverRedeem, int32(ev.ArcID), int32(a.id)
+			if r.dupEvent(eventKey{kind: d.kind, arc: ev.ArcID}) {
 				return
 			}
+			a.redeemed = ev
 			r.schedule(d)
 		}
 	case chain.NoteTransfer:
@@ -926,7 +965,7 @@ func (r *runner) onNote(a *arcRun, n chain.Notification) {
 			return
 		}
 		d.kind, d.claimed = deliverSettled, claimed
-		if !r.dupEvent(eventKey{kind: d.kind, arc: d.arc, claimed: claimed}) {
+		if !r.dupEvent(eventKey{kind: d.kind, arc: a.id, claimed: claimed}) {
 			r.schedule(d)
 		}
 		if n.Provisional {
@@ -974,8 +1013,10 @@ func (r *runner) onBroadcast(n chain.Notification) {
 		return // another swap's secret on the shared broadcast chain
 	}
 	r.notePhase(phaseReveal)
+	slot := int32(len(r.keys))
+	r.keys = append(r.keys, msg.Key)
 	r.schedule(delivery{
-		at: n.At.Add(r.bcastDelay), kind: deliverBroadcast, lock: int32(msg.LockIndex), key: msg.Key,
+		at: n.At.Add(r.bcastDelay), kind: deliverBroadcast, lock: int32(msg.LockIndex), slot: slot,
 	})
 }
 
@@ -1137,7 +1178,8 @@ func (e *concEnv) Unlock(arcID, lockIdx int, key hashkey.Hashkey) error {
 }
 
 func (e *concEnv) Redeem(arcID int, secret hashkey.Secret) error {
-	args := htlc.RedeemArgs{Secret: secret}
+	args := &e.p.runner.redeem
+	*args = htlc.RedeemArgs{Secret: secret}
 	return e.invoke(arcID, htlc.MethodRedeem, args, args.WireSize(), trace.KindClaimed, -1, "redeemed")
 }
 
@@ -1170,7 +1212,10 @@ func (e *concEnv) Broadcast(lockIdx int, key hashkey.Hashkey) {
 }
 
 func (e *concEnv) At(t vtime.Ticks, a core.Alarm, arg int) {
-	e.p.runner.schedule(delivery{p: e.p, at: t, kind: deliverAlarm, alarm: a, arc: arg})
+	r := e.p.runner
+	slot := int32(len(r.alarms))
+	r.alarms = append(r.alarms, alarmEntry{a: a, arg: arg})
+	r.schedule(delivery{at: t, kind: deliverAlarm, slot: slot})
 }
 
 func (e *concEnv) Abandon(reason string) {

@@ -2,6 +2,7 @@ package conc
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -49,6 +50,25 @@ func TestEventBudgetIsExactForConformingRuns(t *testing.T) {
 		if used := len(rn.r.slab); used != budget {
 			t.Errorf("%s: run made %d scheduler events, its slab was sized for %d", tc.name, used, budget)
 		}
+		// The payload tables are sized the same way: every refund alarm,
+		// and on Swap contracts every unlock and broadcast key, fills
+		// them exactly; a ring keeps no key table.
+		if len(rn.r.alarms) != cap(rn.r.alarms) || len(rn.r.keys) != cap(rn.r.keys) {
+			t.Errorf("%s: alarm table %d of %d, key table %d of %d", tc.name,
+				len(rn.r.alarms), cap(rn.r.alarms), len(rn.r.keys), cap(rn.r.keys))
+		}
+		if setup.Spec.Kind != core.KindGeneral && rn.r.keys != nil {
+			t.Errorf("%s: a run on classic HTLCs made a key table", tc.name)
+		}
+	}
+}
+
+// TestDeliveryFitsItsBudget: a delivery carries its kind, tick, arc, lock
+// and a slot in the run's payload tables — no hashkey, contract or alarm
+// of its own — so it fits in half the 224 bytes those would cost it.
+func TestDeliveryFitsItsBudget(t *testing.T) {
+	if size := unsafe.Sizeof(delivery{}); size > 112 {
+		t.Errorf("a delivery is %d bytes, want at most 112", size)
 	}
 }
 

@@ -18,16 +18,18 @@ import (
 // whose counterparties have not shown up yet stay pending for a later
 // round rather than poisoning the batch.
 
-// Batch is one clearing round's result: disjoint groups of offers that
-// each form a strongly connected swap digraph, plus the residual offers
-// that cannot clear yet (their recipients are missing or not mutually
-// reachable).
+// Batch is one clearing round's result, as indexes into the offers the
+// round was given: disjoint groups of offers that each form a strongly
+// connected swap digraph, plus the residual offers that cannot clear yet
+// (their recipients are missing or not mutually reachable). No offer is
+// copied: a caller that keeps its own record per offer finds it by index.
 type Batch struct {
-	// Groups are disjoint clearable offer sets, deterministic order
-	// (sorted by the smallest party ID in the group).
-	Groups [][]Offer
-	// Residual holds offers that no group could absorb this round.
-	Residual []Offer
+	// Groups are disjoint clearable offer sets, each in party order, the
+	// groups sorted by the smallest party ID in them.
+	Groups [][]int
+	// Residual holds the offers no group could absorb this round, in
+	// party order.
+	Residual []int
 }
 
 // PartitionOffers splits a batch of offers into disjoint clearable groups
@@ -37,7 +39,7 @@ type Batch struct {
 // so the partition iterates to a fixpoint. Structural offer errors
 // (duplicate party, empty offer, self-transfer) are reported instead of
 // silently shunted to the residual.
-func PartitionOffers(offers []Offer) (*Batch, error) {
+func PartitionOffers(offers []Offer) (Batch, error) {
 	return new(Partitioner).Partition(offers)
 }
 
@@ -45,7 +47,8 @@ func PartitionOffers(offers []Offer) (*Batch, error) {
 // call to the next: a clearing engine partitions its book every round,
 // and most rounds find a handful of offers that cannot clear yet. The
 // zero value is ready to use; a Partitioner is not safe for concurrent
-// use. Returned batches never alias the working memory.
+// use. A returned batch is its working memory too: it is valid until the
+// next call, which a round that allocates nothing pays for.
 type Partitioner struct {
 	indexOf  map[chain.PartyID]int // party -> index into offers
 	order    []int                 // offer indexes in party-ID order
@@ -55,24 +58,29 @@ type Partitioner struct {
 	scc      digraph.SCCScratch
 	size     []int // by component: surviving offers
 	groupOf  []int // by component: 1 + its index in the batch's Groups
+	// members backs the batch's groups, one span per group; groups and
+	// residual back its two slices.
+	members  []int
+	groups   [][]int
+	residual []int
 }
 
 // Partition is PartitionOffers on p's working memory.
-func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
+func (p *Partitioner) Partition(offers []Offer) (Batch, error) {
 	if p.indexOf == nil {
 		p.indexOf = make(map[chain.PartyID]int, len(offers))
 	}
 	clear(p.indexOf)
 	for i, o := range offers {
 		if len(o.Give) == 0 {
-			return nil, fmt.Errorf("%w: party %s", ErrEmptyOffer, o.Party)
+			return Batch{}, fmt.Errorf("%w: party %s", ErrEmptyOffer, o.Party)
 		}
 		if _, dup := p.indexOf[o.Party]; dup {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateOffer, o.Party)
+			return Batch{}, fmt.Errorf("%w: %s", ErrDuplicateOffer, o.Party)
 		}
 		for _, tr := range o.Give {
 			if tr.To == o.Party {
-				return nil, fmt.Errorf("%w: %s -> %s", ErrSelfTransfer, o.Party, tr.To)
+				return Batch{}, fmt.Errorf("%w: %s -> %s", ErrSelfTransfer, o.Party, tr.To)
 			}
 		}
 		p.indexOf[o.Party] = i
@@ -141,8 +149,9 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 				survivors++
 			}
 		}
-		b := &Batch{}
-		backing := make([]Offer, survivors)
+		members := slices.Grow(p.members[:0], survivors)[:survivors]
+		p.members = members
+		b := Batch{Groups: p.groups[:0], Residual: p.residual[:0]}
 		for _, i := range order {
 			c := -1
 			if active[i] {
@@ -152,17 +161,18 @@ func (p *Partitioner) Partition(offers []Offer) (*Batch, error) {
 				// Inactive, or a singleton component at fixpoint: a party
 				// whose only transfers point at itself-sized components
 				// cannot form a swap.
-				b.Residual = append(b.Residual, offers[i])
+				b.Residual = append(b.Residual, i)
 				continue
 			}
 			if groupOf[c] == 0 {
-				b.Groups = append(b.Groups, backing[:0:size[c]])
-				backing = backing[size[c]:]
+				b.Groups = append(b.Groups, members[:0:size[c]])
+				members = members[size[c]:]
 				groupOf[c] = len(b.Groups)
 			}
 			g := &b.Groups[groupOf[c]-1]
-			*g = append(*g, offers[i])
+			*g = append(*g, i)
 		}
+		p.groups, p.residual = b.Groups, b.Residual
 		return b, nil
 	}
 }
@@ -186,11 +196,24 @@ func ClearBatch(offers []Offer, base Config) ([]*Setup, []Offer, error) {
 		cfg := base
 		cfg.Parties, cfg.Assets, cfg.Leaders = nil, nil, nil
 		cfg.Tag = fmt.Sprintf("%s-%d", prefix, i)
-		setup, err := Clear(g, cfg)
+		setup, err := Clear(pick(offers, g), cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: clearing group %d: %w", i, err)
 		}
 		setups = append(setups, setup)
 	}
-	return setups, b.Residual, nil
+	var residual []Offer
+	if len(b.Residual) > 0 {
+		residual = pick(offers, b.Residual)
+	}
+	return setups, residual, nil
+}
+
+// pick returns the offers at the given indexes, in their order.
+func pick(offers []Offer, at []int) []Offer {
+	out := make([]Offer, len(at))
+	for j, i := range at {
+		out[j] = offers[i]
+	}
+	return out
 }

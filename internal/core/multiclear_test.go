@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
@@ -36,10 +36,10 @@ func TestPartitionDisjointRings(t *testing.T) {
 	if len(b.Residual) != 0 {
 		t.Fatalf("want no residual, got %d", len(b.Residual))
 	}
-	if len(b.Groups[0]) != 3 || b.Groups[0][0].Party != "a" {
+	if len(b.Groups[0]) != 3 || offers[b.Groups[0][0]].Party != "a" {
 		t.Fatalf("group 0 wrong: %+v", b.Groups[0])
 	}
-	if len(b.Groups[1]) != 2 || b.Groups[1][0].Party != "x" {
+	if len(b.Groups[1]) != 2 || offers[b.Groups[1][0]].Party != "x" {
 		t.Fatalf("group 1 wrong: %+v", b.Groups[1])
 	}
 }
@@ -81,32 +81,51 @@ func TestPartitionCascadingRemoval(t *testing.T) {
 	}
 }
 
-// TestPartitionerReuseMatchesFresh drives one Partitioner through batches
-// of different shapes and sizes — the way a clearing engine does, round
-// after round — and requires every answer to equal a fresh
-// PartitionOffers: nothing may leak from one call's working memory into
-// the next call's result, or into a batch already returned.
-func TestPartitionerReuseMatchesFresh(t *testing.T) {
+// samePartition reports whether two batches name the same groups and
+// residual, an empty slice matching a nil one.
+func samePartition(a, b Batch) bool {
+	if len(a.Groups) != len(b.Groups) || !slices.Equal(a.Residual, b.Residual) {
+		return false
+	}
+	for i := range a.Groups {
+		if !slices.Equal(a.Groups[i], b.Groups[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// partitionRounds are batches of different shapes and sizes, in the order
+// a clearing engine might meet them.
+func partitionRounds() (rounds [][]Offer, clique []Offer) {
 	cascade := append(ring("x", "y"),
 		Offer{Party: "a", Give: []ProposedTransfer{give("b", "c1", "s1")}},
 		Offer{Party: "b", Give: []ProposedTransfer{give("c", "c2", "s2")}},
 		Offer{Party: "c", Give: []ProposedTransfer{give("nobody", "c3", "s3")}},
 	)
-	clique := []Offer{
+	clique = []Offer{
 		{Party: "k0", Give: []ProposedTransfer{give("k1", "c", "a01"), give("k2", "c", "a02")}},
 		{Party: "k1", Give: []ProposedTransfer{give("k0", "c", "a10"), give("k2", "c", "a12")}},
 		{Party: "k2", Give: []ProposedTransfer{give("k0", "c", "a20"), give("k1", "c", "a21")}},
 	}
-	rounds := [][]Offer{
+	return [][]Offer{
 		append(ring("m", "n", "o"), ring("q", "p")...),
 		cascade,
 		ring("solo", "absent")[:1],
 		append(append(ring("z", "v", "u", "w"), clique...), cascade...),
 		clique,
 		nil,
-	}
+	}, clique
+}
+
+// TestPartitionerReuseMatchesFresh drives one Partitioner through batches
+// of different shapes and sizes — the way a clearing engine does, round
+// after round — and requires every answer to equal a fresh
+// PartitionOffers: nothing may leak from one call's working memory into
+// the next call's result.
+func TestPartitionerReuseMatchesFresh(t *testing.T) {
+	rounds, clique := partitionRounds()
 	var p Partitioner
-	var kept []*Batch
 	for i, offers := range rounds {
 		got, err := p.Partition(offers)
 		if err != nil {
@@ -116,14 +135,8 @@ func TestPartitionerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d (fresh): %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !samePartition(got, want) {
 			t.Fatalf("round %d: reused partitioner gave\n%+v\nfresh gave\n%+v", i, got, want)
-		}
-		kept = append(kept, got, want)
-	}
-	for i := 0; i < len(kept); i += 2 {
-		if !reflect.DeepEqual(kept[i], kept[i+1]) {
-			t.Fatalf("round %d's batch changed after later rounds ran", i/2)
 		}
 	}
 	if _, err := p.Partition([]Offer{{Party: "a"}}); !errors.Is(err, ErrEmptyOffer) {
@@ -131,6 +144,32 @@ func TestPartitionerReuseMatchesFresh(t *testing.T) {
 	}
 	if b, err := p.Partition(clique); err != nil || len(b.Groups) != 1 || len(b.Groups[0]) != 3 {
 		t.Fatalf("partitioner unusable after an error: %+v, %v", b, err)
+	}
+}
+
+// TestPartitionerAllocatesNothingWhenWarm: once a Partitioner has seen a
+// round of a given size, partitioning one again allocates nothing — the
+// batch is spans of its working memory, and no offer is copied.
+func TestPartitionerAllocatesNothingWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths being counted")
+	}
+	rounds, _ := partitionRounds()
+	var p Partitioner
+	for _, offers := range rounds {
+		if _, err := p.Partition(offers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, offers := range rounds {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := p.Partition(offers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("round %d: a warm partition allocated %.0f objects", i, allocs)
+		}
 	}
 }
 

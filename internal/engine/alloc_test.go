@@ -11,24 +11,30 @@ import (
 )
 
 // Per-swap allocation ceilings: the heap objects measured on the
-// deterministic scheduler (go1.24 linux/amd64, two cores) plus 5 %. A
-// three-party ring clears on classic HTLCs at 41 (its ceiling is the 48
-// it measured before a ledger stopped joining a method to its note per
-// call), the same on any core count; the same ring forced onto the hashkey
-// protocol costs 56 and a four-party clique 216, one or two more or less
-// with the cores a presign table (DESIGN.md §16) finds. (With both
+// deterministic scheduler (go1.24 linux/amd64, two cores) plus 5 %, and
+// for the ring its bytes too. A three-party ring clears on classic HTLCs
+// at 18 objects and 15.1 KB, the same on any core count; the same ring
+// forced onto the hashkey protocol costs 42 and a four-party clique 170,
+// one or two more or less with the cores a presign table (DESIGN.md §16)
+// finds. (With a redeem boxing its argument, transfer and event and
+// joining its note, the ledger joining every mint, escrow and transfer
+// note, a partition copying every offer it grouped, and a delivery
+// carrying every kind's payload in 224 bytes, the rows measured 41
+// objects and 17.0 KB, 56 and 216; with a ledger joining a method to its
+// note per call, 48, 148 and 727 — the hashkey rows also paying for
 // contracts' parameters copied per verification, a three-allocation
 // hashkey clone and a boxed argument, event and note join per unlock, and
-// a heap key list per verified chain, the hashkey rows measured 148 and
-// 727; with per-swap maps, a closure per refund alarm and a signer binding
-// per vertex, 99, 188 and 793; with every swap deriving its own leaders
-// and ladder, and every delivery its own heap record, scheduler event and
-// closure, 269, 362 and 1475.) A change that pushes a swap's heap objects
-// past its ceiling fails tier-1 here, not only in benchmark/.
+// a heap key list per verified chain; with per-swap maps, a closure per
+// refund alarm and a signer binding per vertex, 99, 188 and 793; with
+// every swap deriving its own leaders and ladder, and every delivery its
+// own heap record, scheduler event and closure, 269, 362 and 1475.) A
+// change that pushes a swap's heap objects or a ring's bytes past its
+// ceiling fails tier-1 here, not only in benchmark/.
 const (
-	ring3AllocCeiling        = 50
-	ring3GeneralAllocCeiling = 59
-	clique4AllocCeiling      = 227
+	ring3AllocCeiling        = 19
+	ring3GeneralAllocCeiling = 45
+	clique4AllocCeiling      = 179
+	ring3ByteCeiling         = 15854
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over
@@ -91,9 +97,9 @@ func bookAndDrain(t *testing.T, e *Engine, offers []core.Offer) {
 	}
 }
 
-// allocsPerSwap returns heap objects allocated per finished swap over
-// submit → drain of a fresh engine.
-func allocsPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps int) float64 {
+// allocsPerSwap returns heap objects and bytes allocated per finished
+// swap over submit → drain of a fresh engine.
+func allocsPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps int) (objects, bytes float64) {
 	t.Helper()
 	e := startBooking(t, kind)
 	runtime.GC()
@@ -106,7 +112,8 @@ func allocsPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps 
 		t.Fatalf("finished %d swaps (%d failed), outcomes %v; want %d swaps, all Deal",
 			rep.SwapsFinished, rep.SwapsFailed, rep.Outcomes, wantSwaps)
 	}
-	return float64(after.Mallocs-before.Mallocs) / float64(wantSwaps)
+	return float64(after.Mallocs-before.Mallocs) / float64(wantSwaps),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(wantSwaps)
 }
 
 // TestAllocationBudget pins the heap objects one conforming swap costs,
@@ -128,17 +135,35 @@ func TestAllocationBudget(t *testing.T) {
 		kind    core.Kind
 		offers  []core.Offer
 		ceiling float64
+		// bytes is the byte ceiling, pinned for the ring only.
+		bytes float64
 	}{
-		{"ring-3", 0, rings, ring3AllocCeiling},
-		{"ring-3-general", core.KindGeneral, rings, ring3GeneralAllocCeiling},
-		{"clique-4", 0, cliques, clique4AllocCeiling},
+		{"ring-3", 0, rings, ring3AllocCeiling, ring3ByteCeiling},
+		{"ring-3-general", core.KindGeneral, rings, ring3GeneralAllocCeiling, 0},
+		{"clique-4", 0, cliques, clique4AllocCeiling, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocsPerSwap(t, tc.kind, tc.offers, swaps) // warm the runtime's own pools
-			got := allocsPerSwap(t, tc.kind, tc.offers, swaps)
+			got, bytes := allocsPerSwap(t, tc.kind, tc.offers, swaps)
 			t.Logf("%.0f allocs/swap (ceiling %.0f)", got, tc.ceiling)
 			if got > tc.ceiling {
 				t.Errorf("%.0f allocs/swap exceeds the pinned ceiling %.0f", got, tc.ceiling)
+			}
+			if tc.bytes > 0 {
+				// Bytes also count what the runtime allocates for itself
+				// when the host's timing asks for it — an OS thread started
+				// mid-run (≈ 5 KB), a goroutine's wait record — which the
+				// object count rounds away. Those only ever add: the least
+				// of three runs is the swap's own, reported to a tenth of a
+				// KB so the line is the same at any GOMAXPROCS.
+				for range 2 {
+					_, again := allocsPerSwap(t, tc.kind, tc.offers, swaps)
+					bytes = min(bytes, again)
+				}
+				t.Logf("%.1f KB/swap (ceiling %.1f)", bytes/1000, tc.bytes/1000)
+				if bytes > tc.bytes {
+					t.Errorf("%.0f bytes/swap exceeds the pinned ceiling %.0f", bytes, tc.bytes)
+				}
 			}
 		})
 	}

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,6 +232,29 @@ type job struct {
 	deviants map[digraph.Vertex]string
 	// secrets is the swap's secret stream (see clearGroup).
 	secrets core.Stream
+	// orderBuf and resvBuf back orders and resv for a swap of up to
+	// jobInline parties and arcs, so a ring's job is one allocation.
+	orderBuf [jobInline]*order
+	resvBuf  [jobInline]resvKey
+}
+
+// jobInline is how many orders and reservations a job holds inline.
+const jobInline = 4
+
+// cut returns the first n elements of buf when they fit, else a fresh
+// slice of n.
+func cut[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
+}
+
+// release lets go of the reservations j holds.
+func (j *job) release() {
+	for _, r := range j.resv {
+		j.e.reg.Release(r.chain, r.asset, j.swapID)
+	}
 }
 
 // Settle implements conc.Settler.
@@ -379,9 +401,9 @@ type unit struct {
 	// next and confined to the clearing tick too. contended says a
 	// group of this round found an asset reserved by a swap in flight.
 	round struct {
-		byParty     map[chain.PartyID]*order
 		batch       []*order
 		offers      []core.Offer
+		group       []core.Offer
 		partitioner core.Partitioner
 		contended   bool
 	}
@@ -462,7 +484,6 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 		drainCh:  make(chan struct{}, 1),
 	}
 	h.fan.units = append(h.fan.units, u)
-	u.round.byParty = make(map[chain.PartyID]*order)
 	level := int8(1)
 	if shardOf != nil {
 		level = 3
@@ -897,11 +918,8 @@ func (e *unit) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 	}
 	batch := e.book.batch(e.round.batch[:0], limit)
 	e.mu.Unlock()
-	byParty := e.round.byParty
-	clear(byParty)
 	offers := e.round.offers[:0]
 	for _, o := range batch {
-		byParty[o.offer.Party] = o
 		offers = append(offers, o.offer)
 	}
 	e.round.batch, e.round.offers = batch, offers
@@ -921,7 +939,7 @@ func (e *unit) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 		if dispatched == capSwaps {
 			break // the gate is full: leave the rest pending for later rounds
 		}
-		if e.clearGroup(g, byParty) {
+		if e.clearGroup(g) {
 			dispatched++
 		}
 	}
@@ -929,21 +947,28 @@ func (e *unit) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 }
 
 // swapTag names the swap with sequence number seq exactly as fmt's
-// "swap-%06d" would: zero-padded to six digits, longer past them.
+// "swap-%06d" would: zero-padded to six digits, longer past them. The
+// digits are written back to front into a stack buffer, so the string is
+// the one allocation.
 func swapTag(seq uint64) string {
 	var buf [len("swap-") + 20]byte
-	b := append(buf[:0], "swap-"...)
-	for w := uint64(100000); w > seq && w > 1; w /= 10 {
-		b = append(b, '0')
+	at := len(buf)
+	for digits := 0; digits < 6 || seq > 0; digits++ {
+		at--
+		buf[at] = byte('0' + seq%10)
+		seq /= 10
 	}
-	return string(strconv.AppendUint(b, seq, 10))
+	at -= len("swap-")
+	copy(buf[at:], "swap-")
+	return string(buf[at:])
 }
 
 // clearGroup reserves a matched group's assets, clears it into a swap
 // setup, and starts its run, which settles itself at its horizon (settle).
+// The group is given as indexes into this round's batch and offers.
 // Returns false if the group must wait (reservation contention) or was
 // rejected.
-func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool {
+func (e *unit) clearGroup(members []int) bool {
 	// One identity rule on every engine: tag, seed, and stripe derive from
 	// the minimum order ID in the group. Order IDs are unique (on a sharded
 	// deployment, router-assigned) and arrival-ordered, so the identity is
@@ -952,29 +977,35 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// of the same scenario produce byte-identical digests; and distinct
 	// concurrent groups never share a stripe. A resumed group re-clears
 	// under the tag it had before the crash (see durable.State.Resolve).
+	//
+	// The job is built first: its orders and reservations are cut from its
+	// own buffers, and the group's offers are gathered, for core.Clear,
+	// into the round's buffer, which Clear does not keep.
+	j := &job{e: e}
+	group := cut(j.orderBuf[:], len(members))
+	g := e.round.group[:0]
 	var seq uint64
 	gives := 0
-	group := make([]*order, len(g))
-	for i, o := range g {
-		group[i] = byParty[o.Party]
-		if id := uint64(group[i].id); seq == 0 || id < seq {
+	for k, i := range members {
+		o := e.round.batch[i]
+		group[k] = o
+		g = append(g, o.offer)
+		if id := uint64(o.id); seq == 0 || id < seq {
 			seq = id
 		}
-		gives += len(o.Give)
+		gives += len(o.offer.Give)
 	}
+	e.round.group = g
 	swapID := swapTag(seq)
 	seed := e.cfg.Seed + int64(seq)
+	j.swapID, j.orders = swapID, group
 
-	held := make([]resvKey, 0, gives)
-	release := func() {
-		for _, r := range held {
-			e.reg.Release(r.chain, r.asset, swapID)
-		}
-	}
-	for _, o := range g {
+	held := cut(j.resvBuf[:], gives)[:0]
+	for k, o := range g {
 		for _, tr := range o.Give {
 			if err := e.reg.Reserve(tr.Chain, tr.Asset, o.Party, swapID); err != nil {
-				release()
+				j.resv = held
+				j.release()
 				if errors.Is(err, chain.ErrAssetReserved) {
 					// Another in-flight swap holds it; the whole group
 					// retries next round.
@@ -984,12 +1015,13 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 				}
 				// The asset was spent or never owned: this offer can never
 				// execute. Reject it; the rest of the group rematches.
-				e.rejectOrders([]*order{byParty[o.Party]}, err.Error())
+				e.rejectOrders(group[k:k+1], err.Error())
 				return false
 			}
 			held = append(held, resvKey{chain: tr.Chain, asset: tr.Asset})
 		}
 	}
+	j.resv = held
 	if e.shardOf != nil && e.cfg.Store != nil {
 		// AC3 prepare record: every involved asset is now reserved (the
 		// shared registry's reservation table spans all shards), but the
@@ -1011,7 +1043,7 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 	// structurally but cannot run: drop the reservations, reject every
 	// member.
 	rejectGroup := func(reason string) {
-		release()
+		j.release()
 		e.rejectOrders(group, reason)
 	}
 
@@ -1038,8 +1070,7 @@ func (e *unit) clearGroup(g []core.Offer, byParty map[chain.PartyID]*order) bool
 
 	// Every draw a swap makes is derived from (Seed, tag): it depends on
 	// no other swap, whatever cleared before it or on which unit.
-	j := &job{e: e, swapID: swapID, orders: group, resv: held,
-		secrets: core.Derive(e.cfg.Seed, core.DomainSecrets, swapID)}
+	j.secrets = core.Derive(e.cfg.Seed, core.DomainSecrets, swapID)
 	setup, err := core.Clear(g, core.Config{
 		Kind:        e.cfg.Kind,
 		Tag:         swapID,

@@ -113,9 +113,12 @@ func TestEngineLifecycleSingleSwap(t *testing.T) {
 // (zero signature checks), not even the one-signature fast path. The
 // hashkey protocol is forced: a three-party ring is a single-leader
 // component and by default clears on HTLCs that never touch the cache.
+// The engine runs on the free clock and both rounds are booked under one
+// hold, so the run is a function of its seed, not of the host's timing.
 func TestEngineKeyringAndCacheReuse(t *testing.T) {
 	cfg := testConfig()
 	cfg.Kind = core.KindGeneral
+	cfg.Deterministic = true
 	e := New(cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -124,6 +127,7 @@ func TestEngineKeyringAndCacheReuse(t *testing.T) {
 	// The same three parties trade twice over distinct assets: the book
 	// clears one offer per party per round, and the second swap must reuse
 	// the identities minted for the first.
+	release := e.Scheduler().Hold()
 	for round := 0; round < 2; round++ {
 		for i, p := range parties {
 			next := parties[(i+1)%len(parties)]
@@ -137,10 +141,12 @@ func TestEngineKeyringAndCacheReuse(t *testing.T) {
 				}},
 			})
 			if err != nil {
+				release()
 				t.Fatal(err)
 			}
 		}
 	}
+	release()
 	drainAndStop(t, e)
 
 	if got := e.Keyring().Len(); got != len(parties) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
@@ -24,7 +25,9 @@ type HTLCParams struct {
 	Asset   chain.AssetID
 }
 
-// RedeemArgs is the payload of a redeem call.
+// RedeemArgs is the payload of a redeem call. An HTLC takes it by value
+// or by pointer; a caller that passes a pointer may reuse what it points
+// at once the call returns.
 type RedeemArgs struct {
 	Secret hashkey.Secret
 }
@@ -32,8 +35,13 @@ type RedeemArgs struct {
 // WireSize returns the bytes this call occupies on-chain.
 func (a RedeemArgs) WireSize() int { return hashkey.SecretSize }
 
-// RedeemedEvent is emitted when a classic HTLC is redeemed, revealing the
-// secret to everyone watching the chain.
+// Own implements chain.ReusedArgs: the value a chain keeps to re-apply
+// the call, not the buffer the pointer names.
+func (a *RedeemArgs) Own() any { return *a }
+
+// RedeemedEvent is emitted to chain observers, by pointer, when a classic
+// HTLC is redeemed, revealing the secret to everyone watching the chain.
+// An emitted event is never written again.
 type RedeemedEvent struct {
 	ArcID  int
 	Secret hashkey.Secret
@@ -42,10 +50,25 @@ type RedeemedEvent struct {
 // HTLC is the classic two-method hashed timelock contract: redeem(secret)
 // by the counterparty before the timeout transfers the asset and reveals
 // the secret; refund() by the party at or after the timeout reclaims it.
+//
+// The contract owns what a redeem hands the chain: the event its first
+// redeem emits, and the bytes of the redeem note, which the ledger keeps
+// as a string over them. Both are written once; a redeem after a revert
+// emits a fresh event and the same note.
 type HTLC struct {
 	p        HTLCParams
 	redeemed bool
+	emitted  bool  // ev has been emitted
+	noteLen  uint8 // bytes of note written; 0 until the first redeem
+	ev       RedeemedEvent
+	note     [noteBytes]byte
 }
+
+// noteBytes is the redeem note an HTLC holds inline, "arc N redeemed by
+// X": room for a counterparty name of a dozen bytes, which keeps the
+// contract in the 192-byte size class; a longer note is built on the heap
+// per redeem.
+const noteBytes = 32
 
 // Compile-time interface checks.
 var (
@@ -110,8 +133,14 @@ func (h *HTLC) invokeRedeem(call chain.Call) (chain.Result, error) {
 	if call.Sender != h.p.Counter {
 		return chain.Result{}, fmt.Errorf("%w: sender %s", ErrNotCounterparty, call.Sender)
 	}
-	args, ok := call.Args.(RedeemArgs)
-	if !ok {
+	var args *RedeemArgs
+	switch a := call.Args.(type) {
+	case *RedeemArgs:
+		args = a
+	case RedeemArgs:
+		args = &a
+	}
+	if args == nil {
 		return chain.Result{}, fmt.Errorf("%w: redeem wants RedeemArgs", ErrBadArgs)
 	}
 	if !call.Now.Before(h.p.Timeout) {
@@ -121,14 +150,34 @@ func (h *HTLC) invokeRedeem(call chain.Call) (chain.Result, error) {
 		return chain.Result{}, ErrWrongSecret
 	}
 	h.redeemed = true
-	to := chain.ByParty(h.p.Counter)
+	ev := &h.ev
+	if h.emitted {
+		ev = new(RedeemedEvent) // redeemed again after a revert
+	}
+	h.emitted = true
+	*ev = RedeemedEvent{ArcID: h.p.ArcID, Secret: args.Secret}
 	return chain.Result{
-		Transfer: &to,
-		// Notes are covered by the ledger's record hash: these spell the
-		// historical fmt layouts byte for byte.
-		Note:  "arc " + strconv.Itoa(h.p.ArcID) + " redeemed by " + string(h.p.Counter),
-		Event: RedeemedEvent{ArcID: h.p.ArcID, Secret: args.Secret},
+		Transfer: chain.ByParty(h.p.Counter),
+		Note:     h.redeemNote(),
+		Event:    ev,
 	}, nil
+}
+
+// redeemNote is the redeem's ledger note. Notes are covered by the
+// ledger's record hash: this spells the historical fmt layout byte for
+// byte. It is spelled into the contract's own buffer by the first redeem,
+// and every redeem returns a string over those bytes, which nothing
+// writes again.
+func (h *HTLC) redeemNote() string {
+	if h.noteLen == 0 {
+		b := strconv.AppendInt(append(h.note[:0], "arc "...), int64(h.p.ArcID), 10)
+		b = append(append(b, " redeemed by "...), h.p.Counter...)
+		if len(b) > len(h.note) {
+			return string(b) // outgrew the buffer: b is a heap copy
+		}
+		h.noteLen = uint8(len(b))
+	}
+	return unsafe.String(&h.note[0], int(h.noteLen))
 }
 
 func (h *HTLC) invokeRefund(call chain.Call) (chain.Result, error) {
@@ -138,9 +187,8 @@ func (h *HTLC) invokeRefund(call chain.Call) (chain.Result, error) {
 	if call.Now.Before(h.p.Timeout) {
 		return chain.Result{}, fmt.Errorf("%w: now %d, timeout %d", ErrNotRefundable, call.Now, h.p.Timeout)
 	}
-	to := chain.ByParty(h.p.Party)
 	return chain.Result{
-		Transfer: &to,
+		Transfer: chain.ByParty(h.p.Party),
 		Note:     "arc " + strconv.Itoa(h.p.ArcID) + " refunded to " + string(h.p.Party),
 	}, nil
 }

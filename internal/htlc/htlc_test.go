@@ -44,10 +44,10 @@ func TestRedeemHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("redeem: %v", err)
 	}
-	if res.Transfer == nil || *res.Transfer != chain.ByParty("alice") {
+	if res.Transfer != chain.ByParty("alice") {
 		t.Errorf("transfer = %v, want alice", res.Transfer)
 	}
-	ev, ok := res.Event.(RedeemedEvent)
+	ev, ok := res.Event.(*RedeemedEvent)
 	if !ok || ev.Secret != secret || ev.ArcID != 3 {
 		t.Errorf("event = %+v, want RedeemedEvent with the secret", res.Event)
 	}
@@ -93,7 +93,7 @@ func TestHTLCRefund(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refund at timeout: %v", err)
 	}
-	if res.Transfer == nil || *res.Transfer != chain.ByParty("carol") {
+	if res.Transfer != chain.ByParty("carol") {
 		t.Errorf("transfer = %v, want carol", res.Transfer)
 	}
 }
@@ -110,6 +110,23 @@ func TestHTLCNotesKeepTheFmtLayout(t *testing.T) {
 	}
 	if want := fmt.Sprintf("arc %d redeemed by %s", 3, chain.PartyID("alice")); res.Note != want || want != "arc 3 redeemed by alice" {
 		t.Errorf("redeem note %q, fmt layout %q", res.Note, want)
+	}
+	// A counterparty name past the contract's inline note buffer spells
+	// the same layout from the heap.
+	long := chain.PartyID("a-counterparty-name-longer-than-the-buffer")
+	lh, err := NewHTLC(HTLCParams{ID: "h2", ArcID: 12, Lock: secret.Lock(), Timeout: 160,
+		Party: "carol", Counter: long, Asset: "title"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		res, err = lh.Invoke(call(MethodRedeem, long, 150, &RedeemArgs{Secret: secret}))
+		if err != nil {
+			t.Fatalf("redeem: %v", err)
+		}
+		if want := fmt.Sprintf("arc %d redeemed by %s", 12, long); res.Note != want {
+			t.Errorf("long redeem note %q, fmt layout %q", res.Note, want)
+		}
 	}
 	h, _ = newHTLC(t)
 	res, err = h.Invoke(call(MethodRefund, "carol", 160, nil))
@@ -162,6 +179,52 @@ func TestHTLCOnChainLifecycle(t *testing.T) {
 	}
 }
 
+// TestHTLCRedeemAllocatesNothing: on a warm chain a classic HTLC's
+// redeem through Chain.Invoke allocates no heap object — the argument is
+// a buffer passed by pointer, the transfer travels by value, and the note
+// and the event are the contract's own.
+func TestHTLCRedeemAllocatesNothing(t *testing.T) {
+	secret, _ := hashkey.NewSecret(rand.New(rand.NewSource(26)))
+	ch := chain.New("title", vtime.ClockFunc(func() vtime.Ticks { return 150 }))
+	const warm, runs = 600, 100
+	ids := make([]chain.ContractID, warm+runs+1)
+	for i := range ids {
+		asset := chain.AssetID(fmt.Sprintf("car-%d", i))
+		ids[i] = chain.ContractID(fmt.Sprintf("h-%d", i))
+		if err := ch.RegisterAsset(chain.Asset{ID: asset}, "carol"); err != nil {
+			t.Fatal(err)
+		}
+		h, err := NewHTLC(HTLCParams{ID: ids[i], ArcID: 2, Lock: secret.Lock(), Timeout: 160,
+			Party: "carol", Counter: "alice", Asset: asset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.PublishContract("carol", h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := &RedeemArgs{Secret: secret}
+	redeem := func(i int) {
+		if err := ch.Invoke("alice", ids[i], MethodRedeem, args, args.WireSize()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		redeem(i)
+	}
+	next := warm
+	if got := testing.AllocsPerRun(runs, func() { redeem(next); next++ }); got != 0 {
+		t.Errorf("a warm redeem allocated %.0f objects", got)
+	}
+	recs := ch.Records()
+	if got := recs[len(recs)-2].Note; got != "redeem: arc 2 redeemed by alice" {
+		t.Errorf("redeem record note %q", got)
+	}
+	if !ch.VerifyLedger() {
+		t.Error("ledger does not verify")
+	}
+}
+
 func TestHTLCAccessors(t *testing.T) {
 	h, _ := newHTLC(t)
 	if h.ContractID() != "h1" || h.Party() != "carol" || h.AssetID() != "title" || h.ArcID() != 3 {
@@ -202,7 +265,10 @@ func (c *tickClock) Now() vtime.Ticks { return c.now }
 // contract swapcontract_test.go's lifecycle tests cover for Swap: a chain
 // under a commitment model fates an HTLC's records, a reverted redeem rolls
 // the contract back to locked-and-escrowed, and the re-applied redeem (or a
-// fresh one) settles it again.
+// fresh one) settles it again. The redeem's argument is a buffer the caller
+// overwrites as soon as the call returns, so the re-apply must run on the
+// chain's own copy; and the re-applied redeem emits a fresh event, leaving
+// the first one as it was emitted.
 func TestHTLCRevertThenRedeemAgain(t *testing.T) {
 	secret, _ := hashkey.NewSecret(rand.New(rand.NewSource(25)))
 	clk := &tickClock{now: 100}
@@ -210,6 +276,12 @@ func TestHTLCRevertThenRedeemAgain(t *testing.T) {
 	if err := ch.SetCommitmentModel(revertRedeem{}, func(vtime.Ticks) {}); err != nil {
 		t.Fatal(err)
 	}
+	var events []*RedeemedEvent
+	ch.SetObserver(func(n chain.Notification) {
+		if ev, ok := n.Event.(*RedeemedEvent); ok {
+			events = append(events, ev)
+		}
+	})
 	if err := ch.RegisterAsset(chain.Asset{ID: "cadillac"}, "carol"); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +293,11 @@ func TestHTLCRevertThenRedeemAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.now = 110
-	args := RedeemArgs{Secret: secret}
+	args := &RedeemArgs{Secret: secret}
 	if err := ch.Invoke("alice", "t", MethodRedeem, args, args.WireSize()); err != nil {
 		t.Fatalf("redeem: %v", err)
 	}
+	*args = RedeemArgs{} // the buffer's next use
 	if !h.Redeemed() || !ch.Closed("t") {
 		t.Fatal("redeem did not settle the contract")
 	}
@@ -265,6 +338,14 @@ func TestHTLCRevertThenRedeemAgain(t *testing.T) {
 	}
 	if !h.Redeemed() || !ch.Closed("t") {
 		t.Error("re-applied redeem did not settle the contract")
+	}
+	if len(events) != 2 || events[0] == events[1] {
+		t.Fatalf("events %v, want two distinct", events)
+	}
+	for i, ev := range events {
+		if ev.ArcID != 2 || ev.Secret != secret {
+			t.Errorf("event %d reads %+v after the re-apply", i, *ev)
+		}
 	}
 	if owner, _ := ch.OwnerOf("cadillac"); owner != chain.ByParty("alice") {
 		t.Errorf("owner = %v, want alice", owner)

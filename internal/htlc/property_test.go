@@ -66,10 +66,10 @@ func TestContractStateMachineProperty(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if res.Transfer != nil {
+			if res.Transfer.Kind != 0 {
 				transfers++
 				// Claims go to the counterparty, refunds to the party.
-				dest := *res.Transfer
+				dest := res.Transfer
 				if dest != chain.ByParty("bob") && dest != chain.ByParty("alice") {
 					return false
 				}

@@ -411,9 +411,8 @@ func (s *Swap) invokeClaim(call chain.Call) (chain.Result, error) {
 	if !s.AllUnlocked() {
 		return chain.Result{}, ErrLocksOutstanding
 	}
-	to := chain.ByParty(s.p.Counter)
 	return chain.Result{
-		Transfer: &to,
+		Transfer: chain.ByParty(s.p.Counter),
 		Note:     "arc " + strconv.Itoa(s.p.ArcID) + " claimed by " + string(s.p.Counter),
 	}, nil
 }
@@ -428,9 +427,8 @@ func (s *Swap) invokeRefund(call chain.Call) (chain.Result, error) {
 	if !s.Refundable(call.Now) {
 		return chain.Result{}, ErrNotRefundable
 	}
-	to := chain.ByParty(s.p.Party)
 	return chain.Result{
-		Transfer: &to,
+		Transfer: chain.ByParty(s.p.Party),
 		Note:     "arc " + strconv.Itoa(s.p.ArcID) + " refunded to " + string(s.p.Party),
 	}, nil
 }

@@ -235,7 +235,7 @@ func TestClaim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("claim: %v", err)
 	}
-	if res.Transfer == nil || *res.Transfer != chain.ByParty("bob") {
+	if res.Transfer != chain.ByParty("bob") {
 		t.Errorf("claim transfer = %v, want bob", res.Transfer)
 	}
 	// Claim has no deadline: far-future claim also works on a fresh copy.
@@ -260,7 +260,7 @@ func TestRefund(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refund just past the deadline: %v", err)
 	}
-	if res.Transfer == nil || *res.Transfer != chain.ByParty("alice") {
+	if res.Transfer != chain.ByParty("alice") {
 		t.Errorf("refund transfer = %v, want alice", res.Transfer)
 	}
 }
