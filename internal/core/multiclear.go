@@ -47,8 +47,8 @@ func PartitionOffers(offers []Offer) (Batch, error) {
 // call to the next: a clearing engine partitions its book every round,
 // and most rounds find a handful of offers that cannot clear yet. The
 // zero value is ready to use; a Partitioner is not safe for concurrent
-// use. A returned batch is its working memory too: it is valid until the
-// next call, which a round that allocates nothing pays for.
+// use. A returned batch lives in its working memory, so it is valid only
+// until the next call; that is what lets a warm round allocate nothing.
 type Partitioner struct {
 	indexOf  map[chain.PartyID]int // party -> index into offers
 	order    []int                 // offer indexes in party-ID order
