@@ -5,13 +5,14 @@
 // Usage:
 //
 //	swapbench [-only E5[,E9,...]]
-//	swapbench -scenario all|reorg-grid|econ-grid|<name> [-scenario-seed N] [-scenario-parallel] [-scenario-shards N]
+//	swapbench -scenario all|reorg-grid|econ-grid|<name> [-scenario-seed N]
 //
 // With -scenario it runs seed-replayable adversarial scenarios (open-
 // loop load with injected deviation strategies on the deterministic
 // engine) and emits one replay-stable digest JSON line per scenario:
-// the same invocation always prints the same bytes, so CI can diff two
-// runs to prove determinism. "all" is the built-in suite; reorg-grid
+// the same invocation always prints the same bytes, and at seed offsets
+// 0–7 each line's hash is the one pinned for that entry under
+// internal/engine/scenario/testdata/digests. "all" is the built-in suite; reorg-grid
 // (confirmation depth × reorg rate) and econ-grid (coalition strategy ×
 // size × formation rate) are parameter grids whose digests carry what each
 // point costs. See internal/engine/scenario.
@@ -32,20 +33,17 @@ import (
 )
 
 // runScenarios executes one named scenario family (see scenario.Family)
-// deterministically and prints one replay-stable JSON line per run: the canonical digest plus its sha256 fingerprint. Two
-// invocations with the same arguments must emit byte-identical output —
-// the CI replay job diffs exactly that, and diffs a -scenario-parallel
-// run against a plain one too (dispatch helpers are an execution knob,
-// not a schedule knob). A safety violation fails the command.
-func runScenarios(name string, seedOffset int64, parallel bool, shards int) error {
+// deterministically and prints one replay-stable JSON line per run: the
+// canonical digest plus its sha256 fingerprint. Two invocations with the
+// same arguments emit byte-identical output. A safety violation fails the
+// command.
+func runScenarios(name string, seedOffset int64) error {
 	scs, err := scenario.Family(name, seedOffset)
 	if err != nil {
 		return err
 	}
 	violations := 0
 	for _, sc := range scs {
-		sc.Parallel = parallel
-		sc.ExecShards = shards
 		res, err := scenario.Run(sc)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
@@ -102,12 +100,10 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
 	scenarioFlag := flag.String("scenario", "", "run a deterministic scenario family — 'all' (the built-in suite), 'reorg-grid', 'econ-grid', or one suite entry by name — and emit replay-stable digest JSON")
 	scenarioSeed := flag.Int64("scenario-seed", 0, "seed offset applied to every -scenario run (same offset ⇒ byte-identical output)")
-	scenarioParallel := flag.Bool("scenario-parallel", false, "run -scenario with dispatch helpers, one a spare core up to the scenario's workers (digests must stay byte-identical; CI diffs plain vs parallel output)")
-	scenarioShards := flag.Int("scenario-shards", 0, "run -scenario on a sharded engine with this many shards (0 = the scenario's own shard count; digests of shard-local scenarios must stay byte-identical to 1-shard runs — CI diffs them)")
 	flag.Parse()
 
 	if *scenarioFlag != "" {
-		if err := runScenarios(*scenarioFlag, *scenarioSeed, *scenarioParallel, *scenarioShards); err != nil {
+		if err := runScenarios(*scenarioFlag, *scenarioSeed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

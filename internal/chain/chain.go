@@ -340,14 +340,6 @@ func New(name string, clock vtime.Clock) *Chain {
 // Name returns the chain name.
 func (c *Chain) Name() string { return c.name }
 
-// SetObserver registers the default observer callback, invoked synchronously
-// (at ledger time) for every recorded change. The runner fans out to
-// watching parties with the modeled Δ latency. SetObserver replaces only a
-// previous SetObserver; keyed subscriptions are unaffected.
-func (c *Chain) SetObserver(fn func(Notification)) {
-	c.Subscribe("", fn)
-}
-
 // Subscribe registers (or replaces) an observer under the given key.
 // Many subscribers can watch one chain — this is what lets concurrent
 // swap runtimes share chains, each filtering for its own contracts.

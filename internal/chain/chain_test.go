@@ -198,7 +198,7 @@ func TestInvokeErrorsRevert(t *testing.T) {
 func TestObserverNotifications(t *testing.T) {
 	c := newTestChain()
 	var notes []Notification
-	c.SetObserver(func(n Notification) { notes = append(notes, n) })
+	c.Subscribe("test", func(n Notification) { notes = append(notes, n) })
 	mustRegister(t, c, "coin", "alice")
 	fc := &fakeContract{id: "s", party: "alice", asset: "coin", target: ByParty("bob")}
 	if err := c.PublishContract("alice", fc); err != nil {
@@ -233,7 +233,7 @@ func TestObserverNotifications(t *testing.T) {
 func TestPublishData(t *testing.T) {
 	c := newTestChain()
 	var got []Notification
-	c.SetObserver(func(n Notification) { got = append(got, n) })
+	c.Subscribe("test", func(n Notification) { got = append(got, n) })
 	c.PublishData("market", "plan", []int{1, 2}, 42)
 	if len(got) != 1 || got[0].Kind != NoteData {
 		t.Fatalf("notifications = %+v, want one NoteData", got)

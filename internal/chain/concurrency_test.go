@@ -12,7 +12,7 @@ import (
 func TestConcurrentChainAccess(t *testing.T) {
 	c := newTestChain()
 	var observed sync.Map
-	c.SetObserver(func(n Notification) { observed.Store(n.Note, true) })
+	c.Subscribe("test", func(n Notification) { observed.Store(n.Note, true) })
 
 	const workers = 8
 	var wg sync.WaitGroup

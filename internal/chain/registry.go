@@ -16,8 +16,7 @@ import (
 const regShards = 32
 
 // Registry is the set of chains a swap (or a whole clearing engine) spans.
-// It provides the cross-chain aggregates the experiments measure, fans
-// registry-wide subscriptions out to chains as they are created, and hosts
+// It provides the cross-chain aggregates the experiments measure and hosts
 // the asset-reservation table that keeps concurrent swaps from
 // double-committing the same asset.
 type Registry struct {
@@ -36,11 +35,6 @@ type Registry struct {
 		resMu sync.Mutex
 		res   map[resKey]string
 	}
-
-	// subMu guards registry-wide subscriptions, applied to every chain
-	// including ones created later.
-	subMu sync.Mutex
-	subs  map[string]func(Notification)
 
 	// probe, when set, receives observed event→party delivery latencies
 	// from the runtimes sharing this registry (see DeliveryProbe).
@@ -81,10 +75,7 @@ var (
 
 // NewRegistry creates an empty registry whose chains share the clock.
 func NewRegistry(clock vtime.Clock) *Registry {
-	r := &Registry{
-		clock: clock,
-		subs:  make(map[string]func(Notification)),
-	}
+	r := &Registry{clock: clock}
 	for i := range r.shards {
 		r.shards[i].chains = make(map[string]*Chain)
 		r.shards[i].res = make(map[resKey]string)
@@ -122,8 +113,7 @@ func shardOf(name string) int {
 	return int(h % regShards)
 }
 
-// Chain returns the named chain, creating it on first use. Creation
-// installs every registry-wide subscription on the new chain.
+// Chain returns the named chain, creating it on first use.
 func (r *Registry) Chain(name string) *Chain {
 	s := &r.shards[shardOf(name)]
 	s.mu.RLock()
@@ -136,18 +126,6 @@ func (r *Registry) Chain(name string) *Chain {
 	c, ok = s.chains[name]
 	if !ok {
 		c = New(name, r.clock)
-		// Registry-wide subscriptions are applied before the chain becomes
-		// visible (readers block on the shard lock until we release it), so
-		// no notification can ever be emitted unobserved. A SubscribeAll
-		// racing this creation either lands in r.subs first (we apply it
-		// here) or sees the chain in its own sweep — double application is
-		// an idempotent map write. Nobody acquires a shard lock while
-		// holding subMu, so the s.mu → subMu order here cannot deadlock.
-		r.subMu.Lock()
-		for key, fn := range r.subs {
-			c.Subscribe(key, fn)
-		}
-		r.subMu.Unlock()
 		r.applyCreationHooks(c, name)
 		s.chains[name] = c
 	}
@@ -188,29 +166,6 @@ func (r *Registry) TotalStorageBytes() int {
 		total += c.StorageBytes()
 	}
 	return total
-}
-
-// SubscribeAll registers fn under key on every chain, present and future.
-// It is how each per-swap runtime watches shared chains without clobbering
-// the other swaps' observers. UnsubscribeAll(key) removes it everywhere.
-func (r *Registry) SubscribeAll(key string, fn func(Notification)) {
-	r.subMu.Lock()
-	r.subs[key] = fn
-	r.subMu.Unlock()
-	for _, c := range r.all() {
-		c.Subscribe(key, fn)
-	}
-}
-
-// UnsubscribeAll removes the keyed subscription from every chain and from
-// the future-chain list.
-func (r *Registry) UnsubscribeAll(key string) {
-	r.subMu.Lock()
-	delete(r.subs, key)
-	r.subMu.Unlock()
-	for _, c := range r.all() {
-		c.Unsubscribe(key)
-	}
 }
 
 // resKey names one asset in the reservation table.

@@ -195,43 +195,12 @@ func TestDeliveryProbeInstallAndFeed(t *testing.T) {
 	}
 }
 
-func TestSubscribeAllCoversFutureChains(t *testing.T) {
-	r := NewRegistry(fixedClock(3))
-	var mu sync.Mutex
-	var got []string
-	r.SubscribeAll("watcher", func(n Notification) {
-		mu.Lock()
-		got = append(got, n.Chain+":"+n.Kind.String())
-		mu.Unlock()
-	})
-	// Chain created after the subscription must still notify.
-	if err := r.Chain("later").RegisterAsset(Asset{ID: "x", Amount: 1}, "p"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("want 1 notification, got %d (%v)", n, got)
-	}
-	r.UnsubscribeAll("watcher")
-	if err := r.Chain("later").RegisterAsset(Asset{ID: "y", Amount: 1}, "p"); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	n = len(got)
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("notification after unsubscribe: %v", got)
-	}
-}
-
 func TestMultipleSubscribersCoexist(t *testing.T) {
 	r := NewRegistry(fixedClock(0))
 	c := r.Chain("x")
 	var mu sync.Mutex
 	counts := map[string]int{}
-	for _, key := range []string{"a", "b"} {
+	for _, key := range []string{"a", "b", "c"} {
 		key := key
 		c.Subscribe(key, func(Notification) {
 			mu.Lock()
@@ -239,18 +208,12 @@ func TestMultipleSubscribersCoexist(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	// Legacy SetObserver is a third, independent slot.
-	c.SetObserver(func(Notification) {
-		mu.Lock()
-		counts["legacy"]++
-		mu.Unlock()
-	})
 	if err := c.RegisterAsset(Asset{ID: "x", Amount: 1}, "p"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for _, key := range []string{"a", "b", "legacy"} {
+	for _, key := range []string{"a", "b", "c"} {
 		if counts[key] != 1 {
 			t.Fatalf("subscriber %q saw %d notifications, want 1", key, counts[key])
 		}

@@ -15,8 +15,8 @@ const (
 
 // Map is the deterministic asset→shard partition: a chain's shard is
 // FNV-1a(chain name) mod N. It is a pure function of the name and the
-// shard count — every process (router, coordinator, recovery, CI baseline
-// diff) computes the same placement with no shared state, and remapping
+// shard count — every process (router, coordinator, recovery, a replay on
+// another shard count) computes the same placement with no shared state, and remapping
 // to a different shard count re-folds the same chains onto fewer or more
 // engines without touching ledger contents.
 type Map struct {
@@ -72,7 +72,7 @@ func (m Map) OfOffer(offer core.Offer) (home int, cross bool) {
 // uses them to make ring placement a controlled variable: a ring built
 // entirely from pool s is shard-local under this map, one mixing two
 // pools is cross-shard. The walk is a pure function of (Shards,
-// perShard), so generators, tests, and CI baselines agree on the pools
+// perShard), so generators, tests, and pinned digests agree on the pools
 // without coordination.
 func (m Map) Pools(perShard int) [][]string {
 	if perShard < 1 {

@@ -10,8 +10,9 @@ import (
 // TestShardMapRoutesUniquely: every offer resolves to exactly one home
 // shard, in range, and the resolution is a pure function — the same
 // offer routes identically however many times (and wherever) it is
-// asked. This is the property that lets intake, recovery, and the CI
-// baseline diff all compute placement independently.
+// asked. This is the property that lets intake, recovery, and the
+// one-shard replay of the pinned digests all compute placement
+// independently.
 func TestShardMapRoutesUniquely(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		m := NewMap(n)

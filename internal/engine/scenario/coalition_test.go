@@ -9,8 +9,9 @@ import (
 // TestCoalitionSuiteReplays is the coalition corpus's replay contract:
 // each coalition suite entry, run twice, must produce byte-identical
 // digests — coalition draws, flood interleaving, fair-shed decisions,
-// and the economics integrals are all pure functions of the seed. CI
-// runs this under -race -count=2. Beyond replay stability each entry
+// and the economics integrals are all pure functions of the seed (their
+// pinned digests are checked by TestSuiteDigestsGolden and
+// TestReplayLadder). Beyond replay stability each entry
 // must actually witness its adversary: coalition deviants present, a
 // nonzero griefing cost on the board, and (for the flood entry) every
 // digest-visible shed landing on the flooders.

@@ -11,8 +11,8 @@ import (
 // the engine mid-run, recover from the WAL, finish on the second
 // engine — twice — and the digests (which now cover restored orders,
 // the resume/refund split, and the second life's settles) must be
-// byte-identical. This is what lets CI diff engine-crash@tick exactly
-// like every other suite entry.
+// byte-identical. This is what lets engine-crash@tick be pinned, and
+// checked by TestReplayLadder, like every other suite entry.
 func TestCrashScenarioReplays(t *testing.T) { forEachProtocol(t, crashScenarioReplays) }
 
 func crashScenarioReplays(t *testing.T, run runner) {

@@ -15,8 +15,9 @@ import (
 // Digest is a scenario run's canonical, replay-stable summary. It
 // contains only tick-domain and count-valued facts — nothing derived
 // from wall-clock time — so two runs of the same Scenario marshal to
-// byte-identical JSON. That property is load-bearing: the determinism
-// regression test and the CI replay job literally diff the bytes.
+// byte-identical JSON. That property is load-bearing: the suite's digests
+// are committed under testdata/digests, and TestSuiteDigestsGolden and
+// TestReplayLadder compare the bytes.
 type Digest struct {
 	Scenario string `json:"scenario"`
 	Seed     int64  `json:"seed"`

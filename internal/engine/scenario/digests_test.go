@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -95,11 +96,7 @@ func TestSuiteDigestsGolden(t *testing.T) {
 					}
 					return
 				}
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (run with -update-digests to create it)", err)
-				}
-				want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+				want := readPinned(t, path)
 				for i := range max(len(got), len(want)) {
 					switch {
 					case i >= len(want):
@@ -111,6 +108,95 @@ func TestSuiteDigestsGolden(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// readPinned returns the lines of a digest file.
+func readPinned(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-digests to create it)", err)
+	}
+	return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+}
+
+// TestReplayLadder re-runs the suite in every execution shape a run may
+// take and checks each digest against its line in the committed files: a
+// digest is a function of its seed alone, whatever the core count, the
+// dispatcher or the shard topology. The pinned line is the other run of
+// each comparison, so no shape is compared to a second in-process run.
+//
+// Each GOMAXPROCS rung (1, 2, 4 and 8) runs two kinds of shape:
+//   - parallel: all and all-shards4 at seed offsets 0 and 1 with Parallel
+//     dispatch. At each entry's own Workers (8) that is 0, 1, 3 and 7
+//     dispatch helpers. With one helper the dispatcher runs nearly every
+//     stripe itself, so a callback that waited for another stripe of its
+//     own batch would hang there.
+//   - one-shard: all on one shard at offsets 0–7, which must equal the
+//     entry's own engine. One shard is the plain engine, and for
+//     sharded-local and reorg-sharded (four shards, no cross-shard ring)
+//     one shard equals four. sharded-cross is left out: half its rings
+//     span two shards, so on one shard they are local and clear before
+//     the escalation cutoff instead of after it.
+//
+// Workers is not a rung: it is a schedule input, not an execution knob.
+// An unsharded entry's MaxLive defaults to 16×Workers, so Workers 1 or 2
+// moves coalition-flood (DESIGN.md §8).
+//
+// The test sets GOMAXPROCS, so it must not run in parallel with another.
+func TestReplayLadder(t *testing.T) {
+	all := digestFile("all", 0)
+	for _, procs := range []int{1, 2, 4, 8} {
+		rung := fmt.Sprintf("GOMAXPROCS=%d", procs)
+		t.Run(rung, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			for _, shards := range []int{0, 4} {
+				path := digestFile("all", shards)
+				t.Run("parallel/"+filepath.Base(path), func(t *testing.T) {
+					checkRung(t, rung+" parallel", path, 2, func(sc *Scenario) bool {
+						sc.Parallel = true
+						sc.ExecShards = shards
+						return true
+					})
+				})
+			}
+			t.Run("one-shard/"+filepath.Base(all), func(t *testing.T) {
+				checkRung(t, rung+" one-shard", all, digestOffsets, func(sc *Scenario) bool {
+					sc.ExecShards = 1
+					return sc.Name != "sharded-cross"
+				})
+			})
+		})
+	}
+}
+
+// checkRung runs the suite at seed offsets 0 to offsets−1, each entry in
+// the shape that shape gives it (skipping an entry it returns false for),
+// and checks every digest against its line of path. A mismatch names the
+// rung, the file, the scenario, the offset and the first differing field.
+func checkRung(t *testing.T, rung, path string, offsets int64, shape func(*Scenario) bool) {
+	t.Helper()
+	pinned := readPinned(t, path)
+	for off := range offsets {
+		scs := Suite(off)
+		for i, sc := range scs {
+			if !shape(&sc) {
+				continue
+			}
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatalf("%s: %s offset %d: %v", rung, sc.Name, off, err)
+			}
+			line := int(off)*len(scs) + i
+			if line >= len(pinned) {
+				t.Fatalf("%s: %s: no pinned line for scenario %s offset %d", rung, path, sc.Name, off)
+			}
+			if got := pinDigest(off, res.Digest); got != pinned[line] {
+				t.Fatalf("%s: %s line %d: %s", rung, path, line+1, digestDiff(pinned[line], got))
+			}
 		}
 	}
 }

@@ -132,7 +132,7 @@ type Scenario struct {
 	// generation depends on it — but the EXECUTION shard count can be
 	// overridden with ExecShards, and for a CrossRatio-0 stream the
 	// digest must be byte-identical whatever the execution shard count
-	// (the property CI's sharded replay job diffs).
+	// (the property TestReplayLadder's one-shard rung checks).
 	Shards int `json:"shards,omitempty"`
 	// CrossRatio is the fraction of generated rings that span two shards'
 	// chain pools — the cross-shard escalation workload (0 keeps every

@@ -32,8 +32,10 @@ func mixScenario(seed int64) Scenario {
 // — same intake ticks, same clearing decisions, same Δ trajectory, same
 // settle order. Before the scheduler-driven clearing loop this failed:
 // rounds fired off a wall-clock ticker, so the round at which each ring
-// cleared (and hence every downstream tick) varied run to run. CI runs
-// this under -race too, and `go test -run Determinism -count=2`
+// cleared (and hence every downstream tick) varied run to run. The suite
+// entries are held to the same contract against their pinned digests
+// (TestSuiteDigestsGolden, TestReplayLadder); mixScenario is pinned
+// nowhere, so it is replayed here, and `go test -run Determinism -count=2`
 // additionally replays across process-internal state.
 func TestDeterminism(t *testing.T) {
 	sc := mixScenario(9001)
@@ -128,8 +130,10 @@ func TestAdaptiveDeltaTrajectoryReplay(t *testing.T) {
 }
 
 // TestSuiteReplays runs the shipped corpus end to end: every scenario
-// must replay byte-identically and finish with safety intact. This is
-// the same property the CI smoke job checks via swapbench -scenario.
+// must replay byte-identically and finish with safety intact. The pinned
+// digests hold the engine's own protocol choice to this (TestReplayLadder
+// in every execution shape); the forced-general half is pinned nowhere,
+// so it is replayed here.
 func TestSuiteReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite replay")

@@ -8,7 +8,8 @@ import (
 
 // Suite is the built-in scenario corpus: one entry per workload shape
 // the reproduction must keep witnessing. swapbench -scenario runs it,
-// CI replays it twice and diffs the digests, and future perf PRs
+// its digests are pinned under testdata/digests and replayed in every
+// execution shape by TestReplayLadder, and future perf PRs
 // inherit it as a fixed adversarial regression set. The seed offset
 // shifts every scenario's seed, so one flag re-rolls the whole corpus.
 //
@@ -108,8 +109,8 @@ func Suite(seedOffset int64) []Scenario {
 			// Sharded clearing, zero cross-shard traffic: every ring lives
 			// inside one shard's chain pool, so the run is pure parallel
 			// shard-local clearing — and its digest must be byte-identical
-			// whether executed on 4 shards or folded onto 1 (the CI
-			// baseline diff).
+			// whether executed on 4 shards or folded onto 1
+			// (TestReplayLadder's one-shard rung).
 			Name:           "sharded-local",
 			Seed:           707 + seedOffset,
 			Offers:         48,
@@ -172,7 +173,8 @@ func Suite(seedOffset int64) []Scenario {
 			// shard's chain pool, every chain behind a 4-tick confirmation
 			// depth with seeded reverts. Fates are drawn from canonical
 			// identities, so the digest must be byte-identical whether
-			// executed on 4 shards or folded onto 1 (the CI baseline diff).
+			// executed on 4 shards or folded onto 1 (TestReplayLadder's
+			// one-shard rung).
 			Name:    "reorg-sharded",
 			Seed:    1010 + seedOffset,
 			Offers:  48,

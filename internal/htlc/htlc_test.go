@@ -277,7 +277,7 @@ func TestHTLCRevertThenRedeemAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []*RedeemedEvent
-	ch.SetObserver(func(n chain.Notification) {
+	ch.Subscribe("test", func(n chain.Notification) {
 		if ev, ok := n.Event.(*RedeemedEvent); ok {
 			events = append(events, ev)
 		}

@@ -676,7 +676,7 @@ func TestSwapRevertThenUnlockAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []*UnlockedEvent
-	ch.SetObserver(func(n chain.Notification) {
+	ch.Subscribe("test", func(n chain.Notification) {
 		if ev, ok := n.Event.(*UnlockedEvent); ok {
 			events = append(events, ev)
 		}
