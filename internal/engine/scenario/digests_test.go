@@ -175,29 +175,38 @@ func TestReplayLadder(t *testing.T) {
 
 // checkRung runs the suite at seed offsets 0 to offsets−1, each entry in
 // the shape that shape gives it (skipping an entry it returns false for),
-// and checks every digest against its line of path. A mismatch names the
-// rung, the file, the scenario, the offset and the first differing field.
+// and checks every digest against its line of path. Each entry is its own
+// subtest, so a failing rung lists every scenario that moved; a mismatch
+// names the rung, the file, the scenario, the offset and the first
+// differing field.
 func checkRung(t *testing.T, rung, path string, offsets int64, shape func(*Scenario) bool) {
 	t.Helper()
 	pinned := readPinned(t, path)
+	suites := make([][]Scenario, offsets)
 	for off := range offsets {
-		scs := Suite(off)
-		for i, sc := range scs {
-			if !shape(&sc) {
-				continue
-			}
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("%s: %s offset %d: %v", rung, sc.Name, off, err)
-			}
-			line := int(off)*len(scs) + i
-			if line >= len(pinned) {
-				t.Fatalf("%s: %s: no pinned line for scenario %s offset %d", rung, path, sc.Name, off)
-			}
-			if got := pinDigest(off, res.Digest); got != pinned[line] {
-				t.Fatalf("%s: %s line %d: %s", rung, path, line+1, digestDiff(pinned[line], got))
-			}
+		suites[off] = Suite(off)
+	}
+	for i, entry := range suites[0] {
+		if !shape(&entry) {
+			continue
 		}
+		t.Run(entry.Name, func(t *testing.T) {
+			for off, scs := range suites {
+				sc := scs[i]
+				shape(&sc)
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatalf("%s: %s offset %d: %v", rung, sc.Name, off, err)
+				}
+				line := off*len(scs) + i
+				if line >= len(pinned) {
+					t.Fatalf("%s: %s: no pinned line for scenario %s offset %d", rung, path, sc.Name, off)
+				}
+				if got := pinDigest(int64(off), res.Digest); got != pinned[line] {
+					t.Fatalf("%s: %s line %d: %s", rung, path, line+1, digestDiff(pinned[line], got))
+				}
+			}
+		})
 	}
 }
 
