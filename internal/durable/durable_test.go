@@ -15,6 +15,7 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -476,8 +477,8 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 			len(after.Orders), after.MaxTick, len(before.Orders), before.MaxTick)
 	}
 	for id, o := range before.Orders {
-		got := after.Orders[id]
-		if got == nil || got.Status != o.Status {
+		got, ok := after.Orders[id]
+		if !ok || got.Status != o.Status {
 			t.Errorf("order %d: reopened status %+v, want %+v", id, got, o)
 		}
 	}
@@ -507,7 +508,7 @@ func TestCutTickFiltersRacedAppends(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResolvedState(8): %v", err)
 	}
-	if o := st.Orders[1]; o == nil || o.Status != "cleared" {
+	if o, ok := st.Orders[1]; !ok || o.Status != "cleared" {
 		t.Fatalf("cut replay sees order 1 as %+v, want cleared", st.Orders[1])
 	}
 	// And the cut refuses to run on top of a snapshot that may already
@@ -543,8 +544,8 @@ func TestIntakeRejectionKeepsOffer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResolvedState: %v", err)
 	}
-	o := st.Orders[7]
-	if o == nil || o.Status != "rejected" || o.Reason != "amounts differ" || !reflect.DeepEqual(o.Offer, offer) {
+	o, ok := st.Orders[7]
+	if !ok || o.Status != "rejected" || o.Reason != "amounts differ" || !reflect.DeepEqual(o.Offer, offer) {
 		t.Fatalf("recovered order 7: %+v, want rejected with its offer %+v", o, offer)
 	}
 }
@@ -697,21 +698,26 @@ func TestTornCreateDropped(t *testing.T) {
 	}
 }
 
-// TestResolvedStateCutAcrossSnapshot: with a cut, the fold restarts from
-// the snapshot file. A cut at or after the snapshot's max tick folds the
-// snapshot plus the tail events at or before the cut — the same as
+// TestResolvedStateCutAcrossSnapshot: with a cut, the fold is read back
+// from the directory — the snapshot file, every segment, then the frames
+// still pending. A cut at or after the snapshot's max tick folds the
+// snapshot plus the later events at or before the cut — the same as
 // folding every event at or before the cut — and a cut before it errors.
+// The later events span several segments; the store is queried while
+// writing, reopened, and bound to a scheduler with a tick's frames not
+// yet sealed.
 func TestResolvedStateCutAcrossSnapshot(t *testing.T) {
 	var events []engine.Event
 	for n := 0; n < 6; n++ {
 		events = append(events, swapEvents(n)...)
 	}
-	const snapAt = 70 // events folded into the snapshot; the rest stay in the tail
+	const snapAt = 70 // events folded into the snapshot; the rest are logged after it
 	snapTick := vtime.Ticks(0)
 	for _, ev := range events[:snapAt] {
 		snapTick = max(snapTick, ev.Tick)
 	}
 	last := events[len(events)-1].Tick
+	opts := Options{SegmentBytes: 2048} // the events after the snapshot take several segments
 
 	foldUpTo := func(cut vtime.Ticks) *State {
 		st := NewState()
@@ -727,7 +733,8 @@ func TestResolvedStateCutAcrossSnapshot(t *testing.T) {
 		for _, cut := range []vtime.Ticks{snapTick, snapTick + 3, last - 1, last, last + 100} {
 			got, err := s.ResolvedState(cut)
 			if err != nil {
-				t.Fatalf("%s: ResolvedState(%d): %v", when, cut, err)
+				t.Errorf("%s: ResolvedState(%d): %v", when, cut, err)
+				continue
 			}
 			if want := foldUpTo(cut); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: ResolvedState(%d) =\n%s\nwant the fold of every event at or before the cut\n%s",
@@ -740,31 +747,74 @@ func TestResolvedStateCutAcrossSnapshot(t *testing.T) {
 			}
 		}
 	}
-
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for i, ev := range events {
-		if i == snapAt {
-			if err := s.Snapshot(); err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
+	// open opens a store in a fresh directory and logs the events up to
+	// the snapshot, and the snapshot.
+	open := func() (*Store, string) {
+		t.Helper()
+		o := opts
+		o.Dir = t.TempDir()
+		s, err := Open(o)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
 		}
+		for _, ev := range events[:snapAt] {
+			s.Append(ev)
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return s, o.Dir
+	}
+	segments := func(dir string) int {
+		t.Helper()
+		names, err := segmentNames(dir)
+		if err != nil {
+			t.Fatalf("segmentNames: %v", err)
+		}
+		return len(names)
+	}
+
+	s, dir := open()
+	for _, ev := range events[snapAt:] {
 		s.Append(ev)
+	}
+	if n := segments(dir); n < 3 {
+		t.Fatalf("the events after the snapshot span %d segments, want 3 or more", n)
 	}
 	check(s, "writing store")
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-
-	r, err := Open(Options{Dir: dir})
+	r, err := Open(Options{Dir: dir, SegmentBytes: opts.SegmentBytes})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
 	check(r, "reopened store")
+
+	// Bound, every event after the snapshot appended in one tick: the
+	// rotations seal what they cut off, the rest waits for the tick's seal.
+	b, dir := open()
+	defer b.Close()
+	v := sched.NewVirtual(1)
+	b.SealOn(v)
+	v.At(1, func() {
+		for _, ev := range events[snapAt:] {
+			b.Append(ev)
+		}
+		b.mu.Lock()
+		pending := len(b.pending)
+		b.mu.Unlock()
+		if pending == 0 {
+			t.Errorf("nothing pending before the tick's seal")
+		}
+		if n := segments(dir); n < 3 {
+			t.Errorf("the events after the snapshot span %d segments, want 3 or more", n)
+		}
+		check(b, "bound store, frames pending")
+	})
+	v.RunUntil(2)
+	check(b, "bound store, tick sealed")
 }
 
 // references collects the address of every map, pointer target and

@@ -149,6 +149,14 @@ type keyScratch struct {
 // type it holds goes in here too — the differential test fails by the
 // field's name until it does.
 func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
+	return encodeSnapshot(buf, st, ks, nil)
+}
+
+// encodeSnapshot is appendSnapshot with a spill: when spill is not nil,
+// the buffer is handed to it between two map entries whenever it holds
+// snapChunk bytes or more, and the encoding goes on in the buffer spill
+// returns. What the last spill leaves in the buffer is returned.
+func encodeSnapshot(buf []byte, st *State, ks *keyScratch, spill func([]byte) []byte) []byte {
 	buf = append(buf, `{"version":`...)
 	buf = strconv.AppendInt(buf, snapshotVersion, 10)
 	buf = append(buf, `,"state":`...)
@@ -160,13 +168,13 @@ func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
 		buf = appendField(buf, &sep, `"assets":`)
 		for i, k := range sortedKeys(ks, st.Assets) {
 			buf = appendKey(buf, i, k)
-			buf = appendAsset(buf, st.Assets[k])
+			buf = spillFull(appendAsset(buf, st.Assets[k]), spill)
 		}
 		buf = append(buf, '}')
 	}
 	if len(st.Orders) > 0 {
 		buf = appendField(buf, &sep, `"orders":`)
-		ks.ids = ks.ids[:0]
+		ks.ids = slices.Grow(ks.ids[:0], len(st.Orders))
 		for id := range st.Orders {
 			ks.ids = append(ks.ids, id)
 		}
@@ -179,7 +187,8 @@ func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
 			}
 			buf = strconv.AppendUint(buf, uint64(id), 10)
 			buf = append(buf, `":`...)
-			buf = appendOrder(buf, st.Orders[id])
+			o := st.Orders[id]
+			buf = spillFull(appendOrder(buf, &o), spill)
 		}
 		buf = append(buf, '}')
 	}
@@ -187,7 +196,8 @@ func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
 		buf = appendField(buf, &sep, `"swaps":`)
 		for i, tag := range sortedKeys(ks, st.Swaps) {
 			buf = appendKey(buf, i, tag)
-			buf = appendSwap(buf, st.Swaps[tag])
+			sw := st.Swaps[tag]
+			buf = spillFull(appendSwap(buf, &sw), spill)
 		}
 		buf = append(buf, '}')
 	}
@@ -206,6 +216,14 @@ func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
 	return append(buf, `}}`...)
 }
 
+// spillFull hands buf to spill if there is one and buf holds a chunk.
+func spillFull(buf []byte, spill func([]byte) []byte) []byte {
+	if spill != nil && len(buf) >= snapChunk {
+		return spill(buf)
+	}
+	return buf
+}
+
 // appendField opens an object field: the brace or comma *sep holds, then
 // the quoted name and colon; from then on *sep is a comma.
 func appendField(buf []byte, sep *byte, name string) []byte {
@@ -217,7 +235,7 @@ func appendField(buf []byte, sep *byte, name string) []byte {
 // sortedKeys returns m's keys in ascending byte order, json's map key
 // order, in the scratch slice.
 func sortedKeys[V any](ks *keyScratch, m map[string]V) []string {
-	ks.strs = ks.strs[:0]
+	ks.strs = slices.Grow(ks.strs[:0], len(m))
 	for k := range m {
 		ks.strs = append(ks.strs, k)
 	}
@@ -298,11 +316,8 @@ func appendAsset(buf []byte, a *AssetState) []byte {
 	return append(buf, '}')
 }
 
-// appendOrder encodes one OrderState (null for nil).
+// appendOrder encodes one OrderState.
 func appendOrder(buf []byte, o *OrderState) []byte {
-	if o == nil {
-		return append(buf, `null`...)
-	}
 	buf = append(buf, `{"offer":`...)
 	buf = appendOffer(buf, &o.Offer)
 	buf = append(buf, `,"submitted_tick":`...)
@@ -332,12 +347,8 @@ func appendOrder(buf []byte, o *OrderState) []byte {
 	return append(buf, '}')
 }
 
-// appendSwap encodes one SwapState (null for nil); a nil Orders is null,
-// an empty one [].
+// appendSwap encodes one SwapState; a nil Orders is null, an empty one [].
 func appendSwap(buf []byte, sw *SwapState) []byte {
-	if sw == nil {
-		return append(buf, `null`...)
-	}
 	buf = append(buf, `{"orders":`...)
 	if sw.Orders == nil {
 		buf = append(buf, `null`...)

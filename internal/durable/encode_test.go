@@ -320,9 +320,10 @@ func mapKeys(t *testing.T, field string, typ reflect.Type) []reflect.Value {
 }
 
 // mapCases returns the values a map-typed State field is tried at: every
-// key over a cycle of element values (nil first), each element value alone
-// under one key, and — for a map of struct pointers — each field of the
-// struct at each of its variants alone, so a failure names the field.
+// key over a cycle of element values (the zero value first), each element
+// value alone under one key, and — for a map of structs or struct
+// pointers — each field of the struct at each of its variants alone, so a
+// failure names the field.
 func mapCases(t *testing.T, field string, typ reflect.Type) []labelled {
 	t.Helper()
 	keys := mapKeys(t, field, typ.Key())
@@ -341,13 +342,19 @@ func mapCases(t *testing.T, field string, typ reflect.Type) []labelled {
 	for _, v := range values {
 		out = append(out, labelled{field + "[]", one(v)})
 	}
-	if elem.Kind() == reflect.Pointer && elem.Elem().Kind() == reflect.Struct {
-		st := elem.Elem()
+	st := elem
+	if st.Kind() == reflect.Pointer {
+		st = st.Elem()
+	}
+	if st.Kind() == reflect.Struct {
 		for j := 0; j < st.NumField(); j++ {
 			name := field + "[]." + st.Field(j).Name
 			for _, fv := range fieldVariants(t, name, st.Field(j).Type) {
 				p := reflect.New(st)
 				p.Elem().Field(j).Set(fv)
+				if elem.Kind() == reflect.Struct {
+					p = p.Elem()
+				}
 				out = append(out, labelled{name, one(p)})
 			}
 		}

@@ -1,9 +1,11 @@
 package durable
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -27,20 +29,21 @@ type snapshot struct {
 }
 
 // writeSnapshot atomically and durably replaces the snapshot file with
-// frame, the framed envelope (see appendSnapshot): it goes to a temp
-// file, is fsynced, and renamed into place, and then the directory is
-// fsynced so the rename itself is on disk — the caller deletes the log
-// this snapshot covers next, and a power cut must not keep those unlinks
-// while losing the rename. A crash anywhere in between leaves either the
-// old snapshot or the new one, never a half-written hybrid — and the
-// frame checksum catches the rename-raced remainder case.
-func writeSnapshot(dir string, frame []byte) error {
+// the framed envelope of st, byte for byte sealFrame(appendSnapshot(...)),
+// streamed through w (see snapStream.writeFrame): it goes to a temp file,
+// is fsynced, and renamed into place, and then the directory is fsynced so
+// the rename itself is on disk — the caller deletes the log this snapshot
+// covers next, and a power cut must not keep those unlinks while losing
+// the rename. A crash anywhere in between leaves either the old snapshot
+// or the new one, never a half-written hybrid — and the frame checksum
+// catches the rename-raced remainder case.
+func writeSnapshot(dir string, st *State, w *snapStream) error {
 	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame); err != nil {
+	if err := w.writeFrame(f, st); err != nil {
 		f.Close()
 		return err
 	}
@@ -55,6 +58,65 @@ func writeSnapshot(dir string, frame []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// snapChunk is the streamed snapshot's write size: the encoder hands its
+// buffer to the file once it holds this much, between two entries.
+const snapChunk = 64 << 10
+
+// snapRoom is the buffer's capacity beyond snapChunk, room for the entry
+// that crosses it; a bigger entry grows the buffer, once.
+const snapRoom = 4 << 10
+
+// snapStream writes snapshot frames through one buffer of fixed size, so a
+// snapshot costs the same memory whatever the size of the fold. A store
+// owns one and reuses it, with the map keys it sorts, across snapshots.
+type snapStream struct {
+	buf  []byte
+	keys keyScratch
+
+	// The frame being written: its file, the payload's running checksum
+	// and length, and the first write error.
+	f   *os.File
+	sum uint32
+	n   int
+	err error
+}
+
+// writeFrame writes st's snapshot frame to f, which is empty: a header
+// placeholder, the payload a chunk at a time, each chunk folded into the
+// checksum as it goes out, and then the header itself at offset 0.
+func (w *snapStream) writeFrame(f *os.File, st *State) error {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, snapChunk+snapRoom)
+	}
+	var hdr [frameHeader]byte
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	w.f, w.sum, w.n, w.err = f, 0, 0, nil
+	buf := encodeSnapshot(w.buf[:0], st, &w.keys, w.spill)
+	w.buf = w.spill(buf)
+	w.f = nil
+	if w.err != nil {
+		return w.err
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(w.n))
+	binary.LittleEndian.PutUint32(hdr[4:8], w.sum)
+	_, err := f.WriteAt(hdr[:], 0)
+	return err
+}
+
+// spill writes buf, the next stretch of the payload, and returns it
+// emptied for the encoder to go on with. After a failed write it only
+// empties it.
+func (w *snapStream) spill(buf []byte) []byte {
+	if w.err == nil {
+		w.sum = crc32.Update(w.sum, crc32.IEEETable, buf)
+		w.n += len(buf)
+		_, w.err = w.f.Write(buf)
+	}
+	return buf[:0]
 }
 
 // syncDir fsyncs a directory, making the renames and creations of its
@@ -100,10 +162,10 @@ func readSnapshot(dir string) (*State, error) {
 		snap.State.Assets = make(map[string]*AssetState)
 	}
 	if snap.State.Orders == nil {
-		snap.State.Orders = make(map[engine.OrderID]*OrderState)
+		snap.State.Orders = make(map[engine.OrderID]OrderState)
 	}
 	if snap.State.Swaps == nil {
-		snap.State.Swaps = make(map[string]*SwapState)
+		snap.State.Swaps = make(map[string]SwapState)
 	}
 	return snap.State, nil
 }

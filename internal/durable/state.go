@@ -38,9 +38,9 @@ type State struct {
 	// Assets maps "chain/asset" → minted asset and its current owner.
 	Assets map[string]*AssetState `json:"assets,omitempty"`
 	// Orders maps order ID → recovered order state.
-	Orders map[engine.OrderID]*OrderState `json:"orders,omitempty"`
+	Orders map[engine.OrderID]OrderState `json:"orders,omitempty"`
 	// Swaps maps swap tag → in-flight swap progress.
-	Swaps map[string]*SwapState `json:"swaps,omitempty"`
+	Swaps map[string]SwapState `json:"swaps,omitempty"`
 	// Shed is the cumulative pre-intake shed count.
 	Shed int `json:"shed,omitempty"`
 	// Reverts is the cumulative commitment-model reorg revert count — a
@@ -70,7 +70,10 @@ type AssetState struct {
 	OwnerSwap string      `json:"owner_swap,omitempty"`
 }
 
-// OrderState is one order's folded lifecycle.
+// OrderState is one order's folded lifecycle. State.Orders holds it by
+// value, inside the map's own storage: at 128 bytes it is the largest
+// value a map keeps there, and a field added here makes every new order a
+// heap object again (TestAppendAllocs fails then).
 type OrderState struct {
 	Offer         core.Offer  `json:"offer"`
 	SubmittedTick vtime.Ticks `json:"submitted_tick"`
@@ -107,8 +110,8 @@ type SwapState struct {
 func NewState() *State {
 	return &State{
 		Assets: make(map[string]*AssetState),
-		Orders: make(map[engine.OrderID]*OrderState),
-		Swaps:  make(map[string]*SwapState),
+		Orders: make(map[engine.OrderID]OrderState),
+		Swaps:  make(map[string]SwapState),
 	}
 }
 
@@ -119,8 +122,8 @@ func NewState() *State {
 func (s *State) Clone() *State {
 	out := &State{
 		Assets:  make(map[string]*AssetState, len(s.Assets)),
-		Orders:  make(map[engine.OrderID]*OrderState, len(s.Orders)),
-		Swaps:   make(map[string]*SwapState, len(s.Swaps)),
+		Orders:  make(map[engine.OrderID]OrderState, len(s.Orders)),
+		Swaps:   make(map[string]SwapState, len(s.Swaps)),
 		Shed:    s.Shed,
 		Reverts: s.Reverts,
 		MaxTick: s.MaxTick,
@@ -131,14 +134,12 @@ func (s *State) Clone() *State {
 		out.Assets[k] = &c
 	}
 	for id, o := range s.Orders {
-		c := *o
-		c.Offer.Give = slices.Clone(o.Offer.Give)
-		out.Orders[id] = &c
+		o.Offer.Give = slices.Clone(o.Offer.Give)
+		out.Orders[id] = o
 	}
 	for tag, sw := range s.Swaps {
-		c := *sw
-		c.Orders = slices.Clone(sw.Orders)
-		out.Swaps[tag] = &c
+		sw.Orders = slices.Clone(sw.Orders)
+		out.Swaps[tag] = sw
 	}
 	return out
 }
@@ -169,28 +170,51 @@ func phaseRank(p string) int {
 	}
 }
 
-func (s *State) order(id engine.OrderID) *OrderState {
-	o := s.Orders[id]
-	if o == nil {
-		o = &OrderState{Status: "pending"}
-		s.Orders[id] = o
+// order returns id's entry, or a pending one for an order not yet seen;
+// the caller stores it back.
+func (s *State) order(id engine.OrderID) OrderState {
+	if o, ok := s.Orders[id]; ok {
+		return o
 	}
-	return o
+	return OrderState{Status: "pending"}
 }
 
-func (s *State) swap(tag string) *SwapState {
-	sw := s.Swaps[tag]
-	if sw == nil {
-		sw = &SwapState{}
-		s.Swaps[tag] = sw
+// assetChunk is how many asset records an assetSlab allocates at once.
+const assetChunk = 64
+
+// assetSlab hands out the records of new assets from chunks, so that a
+// store's fold allocates, per new asset, only the "chain/asset" key it is
+// stored under. Orders and swaps are stored by value; an asset is not,
+// because its entry is updated on every release, and updating a value
+// entry stores the key again — a key built on the heap for each release.
+// A record is never freed, as the fold never drops an asset.
+type assetSlab struct {
+	free []AssetState
+}
+
+// next returns a zero record: from the slab, or on its own for a nil one.
+func (p *assetSlab) next() *AssetState {
+	if p == nil {
+		return new(AssetState)
 	}
-	return sw
+	if len(p.free) == 0 {
+		p.free = make([]AssetState, assetChunk)
+	}
+	a := &p.free[0]
+	p.free = p.free[1:]
+	return a
 }
 
 // Apply folds one event into the state. An EvIdentity, which only older
 // builds wrote, counts as an event and changes nothing else: keys are
-// derived, not recovered.
+// derived, not recovered. The fold keeps ev's Orders and Offer.Give
+// slices, not copies of them.
 func (s *State) Apply(ev engine.Event) {
+	s.apply(&ev, nil)
+}
+
+// apply is Apply with the records of new assets cut from slab.
+func (s *State) apply(ev *engine.Event, slab *assetSlab) {
 	s.Events++
 	if ev.Tick > s.MaxTick {
 		s.MaxTick = ev.Tick
@@ -199,10 +223,12 @@ func (s *State) Apply(ev engine.Event) {
 	case engine.EvMinted:
 		key := ev.Chain + "/" + string(ev.Asset)
 		if s.Assets[key] == nil {
-			s.Assets[key] = &AssetState{
+			a := slab.next()
+			*a = AssetState{
 				Chain: ev.Chain, Asset: ev.Asset, Amount: ev.Amount,
 				Owner: ev.Party, OwnerTick: ev.Tick,
 			}
+			s.Assets[key] = a
 		}
 	case engine.EvBooked:
 		o := s.order(ev.Order)
@@ -210,22 +236,28 @@ func (s *State) Apply(ev engine.Event) {
 			o.Offer = *ev.Offer
 		}
 		o.SubmittedTick = ev.Tick
+		s.Orders[ev.Order] = o
 	case engine.EvCleared:
-		sw := s.swap(ev.Swap)
-		sw.Orders = append([]engine.OrderID(nil), ev.Orders...)
+		sw := s.Swaps[ev.Swap]
+		sw.Orders = nil
+		if len(ev.Orders) > 0 {
+			sw.Orders = ev.Orders
+		}
+		s.Swaps[ev.Swap] = sw
 		for _, id := range ev.Orders {
-			o := s.order(id)
-			if statusRank(o.Status) < statusRank("cleared") {
+			if o := s.order(id); statusRank(o.Status) < statusRank("cleared") {
 				o.Status = "cleared"
 				o.Swap = ev.Swap
+				s.Orders[id] = o
 			}
 		}
 	case engine.EvPrepared:
-		sw := s.swap(ev.Swap)
+		sw := s.Swaps[ev.Swap]
 		sw.Prepared = true
 		if ev.Count > sw.Spans {
 			sw.Spans = ev.Count
 		}
+		s.Swaps[ev.Swap] = sw
 	case engine.EvReserved:
 		// Reservations are engine-lifetime state: a recovered engine
 		// rebuilds them when resumed orders re-clear. Nothing to fold.
@@ -238,13 +270,14 @@ func (s *State) Apply(ev engine.Event) {
 			}
 		}
 	case engine.EvPhase:
-		sw := s.swap(ev.Swap)
+		sw := s.Swaps[ev.Swap]
 		if phaseRank(ev.Phase) > phaseRank(sw.Phase) {
 			sw.Phase = ev.Phase
 		}
 		if ev.Deadline > sw.Deadline {
 			sw.Deadline = ev.Deadline
 		}
+		s.Swaps[ev.Swap] = sw
 	case engine.EvSettled:
 		o := s.order(ev.Order)
 		o.Status = "settled"
@@ -252,6 +285,7 @@ func (s *State) Apply(ev engine.Event) {
 		o.Swap = ev.Swap
 		o.Deviant = ev.Deviant
 		o.SettledTick = ev.Tick
+		s.Orders[ev.Order] = o
 	case engine.EvRejected:
 		o := s.order(ev.Order)
 		if ev.Offer != nil { // rejected at intake: never booked
@@ -262,6 +296,7 @@ func (s *State) Apply(ev engine.Event) {
 			o.Reason = ev.Reason
 			o.SettledTick = ev.Tick
 		}
+		s.Orders[ev.Order] = o
 	case engine.EvShed:
 		s.Shed += ev.Count
 	case engine.EvReverted:
@@ -293,12 +328,12 @@ func (s *State) Apply(ev engine.Event) {
 // and re-clear into fresh swaps.
 func (s *State) Resolve(recTick vtime.Ticks, delta vtime.Duration) (engine.RecoveredState, int, int) {
 	resumed, refunded := 0, 0
-	for _, o := range s.Orders {
+	for id, o := range s.Orders {
 		if o.Status != "cleared" {
 			continue
 		}
 		refund := false
-		if sw := s.Swaps[o.Swap]; sw != nil {
+		if sw, ok := s.Swaps[o.Swap]; ok {
 			if phaseRank(sw.Phase) >= phaseRank("reveal") {
 				refund = true
 			} else if sw.Deadline > 0 && sw.Deadline-recTick < vtime.Ticks(2*delta) {
@@ -316,6 +351,7 @@ func (s *State) Resolve(recTick vtime.Ticks, delta vtime.Duration) (engine.Recov
 			o.Deviant = ""
 			resumed++
 		}
+		s.Orders[id] = o
 	}
 
 	rs := engine.RecoveredState{Tick: recTick, Shed: s.Shed}

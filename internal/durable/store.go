@@ -53,12 +53,12 @@ type Store struct {
 	segIdx  int      // its index (wal-%08d.seg)
 	segSize int      // bytes framed into it, sealed or pending
 
-	// live is the fold of everything appended so far; tail is every
-	// event appended since the last snapshot, so live = snapshot file ⊕
-	// tail. The fold as of the snapshot is not kept in memory: the one
-	// reader that needs it (ResolvedState with a cut) re-reads the file.
-	tail    []engine.Event
+	// live is the fold of everything appended so far: the snapshot file
+	// folded with the segments and the pending frames. It is the one copy
+	// kept in memory; the one reader that needs the fold of less than all
+	// of it (ResolvedState with a cut) reads the directory back.
 	live    *State
+	slab    assetSlab // the records of live's new assets
 	hasData bool
 
 	// pending is every frame appended since the last seal, each a header
@@ -70,10 +70,8 @@ type Store struct {
 	seal   *sealEvent
 	queued bool
 
-	// snap is the snapshot frame under construction and keys the map keys
-	// it sorts, both reused across snapshots.
-	snap []byte
-	keys keyScratch
+	// snap writes snapshots through its fixed buffer.
+	snap snapStream
 
 	sinceSnap int
 	err       error
@@ -157,14 +155,13 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		good := len(walMagic)
+		good, where := len(walMagic), "segment "+name
 		for _, payload := range frames {
-			var ev engine.Event
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				return nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, name, err)
+			ev, err := decodeEvent(where, payload)
+			if err != nil {
+				return nil, err
 			}
-			s.tail = append(s.tail, ev)
-			s.live.Apply(ev)
+			s.live.apply(&ev, &s.slab)
 			good += frameHeader + len(payload)
 		}
 		if len(frames) > 0 {
@@ -191,6 +188,16 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decodeEvent decodes one frame payload; where names its place in a
+// corruption error.
+func decodeEvent(where string, payload []byte) (engine.Event, error) {
+	var ev engine.Event
+	if err := json.Unmarshal(payload, &ev); err != nil {
+		return ev, fmt.Errorf("%w: %s: %v", ErrCorrupt, where, err)
+	}
+	return ev, nil
 }
 
 // HasData reports whether the directory held any snapshot or log data
@@ -308,7 +315,8 @@ func (s *Store) SealOn(v *sched.Virtual) {
 // Append implements engine.Store: frame the event into the pending buffer,
 // fold it into the live state, rotate the segment if full or snapshot if
 // due, and see the frame sealed (see commitLocked). After Close (the crash
-// model's "power is off") or a latched error it is a no-op.
+// model's "power is off") or a latched error it is a no-op. The fold keeps
+// ev's slices (see State.Apply): the caller does not change them after.
 func (s *Store) Append(ev engine.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,8 +324,7 @@ func (s *Store) Append(ev engine.Event) {
 		return
 	}
 	s.frameEvent(&ev)
-	s.tail = append(s.tail, ev)
-	s.live.Apply(ev)
+	s.live.apply(&ev, &s.slab)
 	s.hasData = true
 	s.sinceSnap++
 
@@ -334,17 +341,18 @@ func (s *Store) Append(ev engine.Event) {
 	s.err = s.commitLocked()
 }
 
-// Snapshot forces a snapshot + log truncation now.
+// Snapshot forces a snapshot + log truncation now. A failure latches,
+// as it does when an Append snapshots.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: store closed")
 	}
-	if s.err != nil {
-		return s.err
+	if s.err == nil {
+		s.err = s.snapshotLocked()
 	}
-	return s.snapshotLocked()
+	return s.err
 }
 
 // snapshotLocked persists the live fold as the new snapshot, deletes
@@ -353,16 +361,10 @@ func (s *Store) Snapshot() error {
 // durable under its final name, so the log it replaces is never unlinked
 // ahead of it. Caller holds s.mu.
 func (s *Store) snapshotLocked() error {
-	buf := append(s.snap[:0], make([]byte, frameHeader)...)
-	buf = appendSnapshot(buf, s.live, &s.keys)
-	sealFrame(buf)
-	s.snap = buf
-	if err := writeSnapshot(s.opts.Dir, buf); err != nil {
+	if err := writeSnapshot(s.opts.Dir, s.live, &s.snap); err != nil {
 		// The log keeps the frames the snapshot failed to cover.
 		return errors.Join(err, s.sealLocked())
 	}
-	clear(s.tail) // release the events' offers and seeds, keep the array
-	s.tail = s.tail[:0]
 	s.pending = s.pending[:0]
 	s.sinceSnap = 0
 	names, err := segmentNames(s.opts.Dir)
@@ -378,11 +380,12 @@ func (s *Store) snapshotLocked() error {
 }
 
 // ResolvedState returns an independent fold of the log, filtered to
-// events stamped at or before cut when cut > 0. With a cut, the fold
-// restarts from the snapshot file (the store keeps no in-memory copy of
-// it) and must find snapshot-free history (the crash-scenario mode — see
-// Options.SnapshotEvery); a snapshot may already bake in post-cut
-// events, which is unrecoverable, so that combination errors.
+// events stamped at or before cut when cut > 0. With a cut, the fold is
+// read back from the directory — the snapshot file, then every segment,
+// then the frames not yet sealed — since the store keeps no in-memory copy
+// of any of it. It must find snapshot-free history (the crash-scenario
+// mode — see Options.SnapshotEvery); a snapshot may already bake in
+// post-cut events, which is unrecoverable, so that combination errors.
 func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,7 +394,7 @@ func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	}
 	if s.err != nil {
 		// A failed write or snapshot leaves the directory in a state the
-		// tail may no longer complement.
+		// live fold may no longer agree with.
 		return nil, s.err
 	}
 	st, err := readSnapshot(s.opts.Dir)
@@ -404,10 +407,41 @@ func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	if st.Events > 0 && st.MaxTick > cut {
 		return nil, fmt.Errorf("durable: cut tick %d predates snapshot (max tick %d): cut replay needs a snapshot-free log", cut, st.MaxTick)
 	}
-	for _, ev := range s.tail {
-		if ev.Tick <= cut {
-			st.Apply(ev)
+	fold := func(where string, frames [][]byte) error {
+		for _, payload := range frames {
+			ev, err := decodeEvent(where, payload)
+			if err != nil {
+				return err
+			}
+			if ev.Tick <= cut {
+				st.Apply(ev)
+			}
 		}
+		return nil
+	}
+	names, err := segmentNames(s.opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range names {
+		data, err := os.ReadFile(filepath.Join(s.opts.Dir, name))
+		if err != nil {
+			return nil, err
+		}
+		frames, err := parseSegment(name, data, i == len(names)-1)
+		if err != nil {
+			return nil, err
+		}
+		if err := fold("segment "+name, frames); err != nil {
+			return nil, err
+		}
+	}
+	frames, err := parseFrames(s.pending)
+	if err != nil {
+		return nil, fmt.Errorf("durable: pending frames: %w", err)
+	}
+	if err := fold("pending frames", frames); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -428,7 +462,8 @@ func (s *Store) AttachResolved(st *State) error {
 		return s.err
 	}
 	s.live = st.Clone()
-	return s.snapshotLocked()
+	s.err = s.snapshotLocked()
+	return s.err
 }
 
 // Err reports the latched append error, if any.

@@ -1229,9 +1229,11 @@ func (e *unit) settle(j *job, res *conc.Result) {
 			// claim-withholding deviant walked away) is recorded under an
 			// escrow pseudo-party: a restarted engine cannot resurrect
 			// another chain's contract state, only represent the loss.
-			ownerParty := "escrow:" + j.swapID
+			var ownerParty string
 			if owner, ok := e.reg.Chain(r.chain).OwnerOf(r.asset); ok && owner.Kind == chain.OwnerParty {
 				ownerParty = string(owner.Party)
+			} else {
+				ownerParty = "escrow:" + j.swapID
 			}
 			e.logEvent(Event{
 				Kind: EvReleased, Tick: res.SettleTick,
