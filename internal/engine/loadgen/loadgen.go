@@ -167,6 +167,10 @@ type Stats struct {
 // own Drain/Stop, so loads can be layered or followed by more traffic —
 // but must not Stop it while Run is in flight (abort via ctx instead): a
 // closed scheduler drops queued arrivals without firing them.
+//
+// A run allocates a fixed set of slabs, each party's name once, and each
+// offer's asset ID: every arrival is a scheduler event in one slab, fired
+// by one handler.
 func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rate <= 0 {
@@ -175,137 +179,62 @@ func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 	if cfg.Offers <= 0 {
 		return Stats{}, errors.New("loadgen: Offers must be positive")
 	}
-	offers, ringOf := buildOffers(cfg)
-	ticks := Schedule(cfg.Process, len(offers), cfg.Rate, e.Tick(), cfg.Seed)
+	s := buildOffers(cfg)
+	n := len(s.offers)
+	ticks := Schedule(cfg.Process, n, cfg.Rate, e.Tick(), cfg.Seed)
 
 	// Party attribution runs whenever the target supports it; the fair
 	// shed POLICY additionally needs the config knob.
 	acct, _ := e.(PartyAccounting)
-	fair := cfg.FairShed && acct != nil
-
-	var (
-		mu sync.Mutex
-		st Stats
-		wg sync.WaitGroup
-		// shedRings makes shedding ring-granular: once any offer of a
-		// ring is shed, the ring's remaining arrivals are shed too.
-		// Per-offer shedding would strand partial rings in the book —
-		// offers that can never match — so a transient overload could pin
-		// Pending at the threshold and shed everything that follows.
-		// (Concurrent same-tick arrivals can still split a ring right at
-		// the threshold crossing; those stragglers are bounded per
-		// overload episode and rejected at drain.)
-		shedRings = make(map[int]bool)
-		// fired marks arrivals whose fate is accounted, so the cancel
-		// path's sweep and a late-firing callback never double-count.
-		fired = make([]bool, len(offers))
-	)
-	st.Offered = len(offers)
-	st.FirstTick, st.LastTick = ticks[0], ticks[len(offers)-1]
-	st.Parties = make(map[string]PartyStats)
-	party := func(o core.Offer, f func(*PartyStats)) {
-		p := st.Parties[string(o.Party)]
-		f(&p)
-		st.Parties[string(o.Party)] = p
+	in := &intake{
+		e:          e,
+		acct:       acct,
+		fair:       cfg.FairShed && acct != nil,
+		maxPending: cfg.MaxPending,
+		s:          s,
+		rows:       make([]PartyStats, len(s.names)),
+		shedRings:  make([]bool, s.ringOf[n-1]+1),
+		arrivals:   make([]arrival, n),
 	}
-	for _, o := range offers {
-		party(o, func(p *PartyStats) { p.Offered++ })
+	in.st.Offered = n
+	in.st.FirstTick, in.st.LastTick = ticks[0], ticks[n-1]
+	for _, p := range s.partyOf {
+		in.rows[p].Offered++
 	}
 
 	sc := e.Scheduler()
-	timers := make([]sched.Timer, len(offers))
-	wg.Add(len(offers))
+	in.wg.Add(n)
 	// Hold the dispatcher while the schedule is installed: no arrival runs
 	// before the later ones are even queued. On a free clock this is the
 	// hold that adopts the birth hold (sched.NewVirtual): time has not moved
 	// since the engine was built, whatever was done to it meanwhile.
 	release := sc.Hold()
-	for i := range offers {
-		i, offer, ring := i, offers[i], ringOf[i]
-		timers[i] = sc.At(ticks[i], func() {
-			defer wg.Done()
-			mu.Lock()
-			if fired[i] {
-				mu.Unlock() // the cancel sweep already accounted this arrival
-				return
-			}
-			fired[i] = true
-			shed := shedRings[ring]
-			if !shed && cfg.MaxPending > 0 && e.Pending() >= cfg.MaxPending {
-				if fair {
-					// Per-party fair shedding: the book budget apportioned
-					// over the parties currently holding it. A party at or
-					// past its share sheds; one below it (an organic party
-					// facing a flood) is still admitted — up to the hard
-					// 4× backstop that bounds the book absolutely.
-					quota := cfg.MaxPending / acct.PendingParties()
-					if quota < 1 {
-						quota = 1
-					}
-					if acct.PendingOf(offer.Party) >= quota || e.Pending() >= 4*cfg.MaxPending {
-						shedRings[ring] = true
-						shed = true
-					}
-				} else {
-					shedRings[ring] = true
-					shed = true
-				}
-			}
-			if shed {
-				st.Shed++
-				party(offer, func(p *PartyStats) { p.Shed++ })
-				mu.Unlock()
-				// Surface shedding in the engine's own counters, attributed
-				// to the shed party when the target can record it.
-				if acct != nil {
-					acct.NoteShedFrom(offer.Party, 1)
-				} else {
-					e.NoteShed(1)
-				}
-				return
-			}
-			mu.Unlock()
-			if _, err := e.Submit(offer); err != nil {
-				mu.Lock()
-				st.Refused++
-				party(offer, func(p *PartyStats) { p.Refused++ })
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			st.Submitted++
-			party(offer, func(p *PartyStats) { p.Submitted++ })
-			mu.Unlock()
-		})
+	for i := range in.arrivals {
+		a := &in.arrivals[i]
+		a.in, a.i = in, int32(i)
+		sc.Schedule(&a.ev, ticks[i], 0, a)
 	}
 	release()
 
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { in.wg.Wait(); close(done) }()
 	select {
 	case <-done:
-		return st, nil
+		return in.stats(), nil
 	case <-ctx.Done():
-		// Arrivals that will never fire — timers cancelled here, or
-		// dropped by a scheduler closed mid-run — were generated but
-		// never reached the engine; count them as refused, attributed to
-		// their parties, so the books balance (Offered == Submitted +
-		// Shed + Refused, per party as well as in aggregate) even on an
-		// aborted run.
-		refuse := func(i int) {
-			if fired[i] {
-				return
-			}
-			fired[i] = true
-			st.Refused++
-			party(offers[i], func(p *PartyStats) { p.Refused++ })
-		}
-		for i, t := range timers {
-			if t.Stop() {
-				wg.Done()
-				mu.Lock()
-				refuse(i)
-				mu.Unlock()
+		// Arrivals that will never fire — events stopped here, or dropped
+		// by a scheduler closed mid-run — were generated but never
+		// reached the engine; count them as refused, attributed to their
+		// parties, so the books balance (Offered == Submitted + Shed +
+		// Refused, per party as well as in aggregate) even on an aborted
+		// run.
+		for i := range in.arrivals {
+			a := &in.arrivals[i]
+			if a.ev.Stop() {
+				in.wg.Done()
+				in.mu.Lock()
+				in.refuse(a)
+				in.mu.Unlock()
 			}
 		}
 		// Wait out callbacks already in flight — but only briefly: a
@@ -317,24 +246,198 @@ func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 		case <-done:
 		case <-time.After(5 * time.Second):
 		}
-		mu.Lock()
-		for i := range offers {
-			refuse(i)
+		in.mu.Lock()
+		for i := range in.arrivals {
+			in.refuse(&in.arrivals[i])
 		}
-		out := st
-		mu.Unlock()
-		return out, ctx.Err()
+		in.mu.Unlock()
+		return in.stats(), ctx.Err()
 	}
 }
 
-// buildOffers generates whole barter rings (via the shared
-// engine.LoadOffer shape) until the offer budget is met, deterministically from
-// the seed. ringOf maps each offer back to its ring for ring-granular
-// shedding.
-func buildOffers(cfg Config) (offers []core.Offer, ringOf []int) {
+// intake is one Run's shared state: the generated stream, its
+// accounting, and the arrival slab whose events all fire into arrive.
+type intake struct {
+	e          Target
+	acct       PartyAccounting
+	fair       bool
+	maxPending int
+	s          stream
+
+	mu sync.Mutex
+	st Stats // the totals; Parties is built from rows by stats
+	// rows is the per-party accounting, by party number (stream.names).
+	rows []PartyStats
+	// shedRings makes shedding ring-granular: once any offer of a ring
+	// is shed, the ring's remaining arrivals are shed too. Per-offer
+	// shedding would strand partial rings in the book — offers that can
+	// never match — so a transient overload could pin Pending at the
+	// threshold and shed everything that follows. (Concurrent same-tick
+	// arrivals can still split a ring right at the threshold crossing;
+	// those stragglers are bounded per overload episode and rejected at
+	// drain.)
+	shedRings []bool
+
+	wg       sync.WaitGroup
+	arrivals []arrival
+}
+
+// arrival is offer i's scheduler event and its handler.
+type arrival struct {
+	ev sched.Event
+	in *intake
+	i  int32
+	// fired marks an arrival whose fate is accounted (under in.mu), so the
+	// cancel path's sweep and a late-firing callback never double-count.
+	fired bool
+}
+
+// Fire implements sched.Handler.
+func (a *arrival) Fire() { a.in.arrive(a) }
+
+// arrive meets one arrival's fate: shed, refused or submitted.
+func (in *intake) arrive(a *arrival) {
+	defer in.wg.Done()
+	offer, ring, row := in.s.offers[a.i], in.s.ringOf[a.i], &in.rows[in.s.partyOf[a.i]]
+	in.mu.Lock()
+	if a.fired {
+		in.mu.Unlock() // the cancel sweep already accounted this arrival
+		return
+	}
+	a.fired = true
+	shed := in.shedRings[ring]
+	if !shed && in.maxPending > 0 && in.e.Pending() >= in.maxPending {
+		if in.fair {
+			// Per-party fair shedding: the book budget apportioned
+			// over the parties currently holding it. A party at or
+			// past its share sheds; one below it (an organic party
+			// facing a flood) is still admitted — up to the hard
+			// 4× backstop that bounds the book absolutely.
+			quota := max(in.maxPending/in.acct.PendingParties(), 1)
+			if in.acct.PendingOf(offer.Party) >= quota || in.e.Pending() >= 4*in.maxPending {
+				in.shedRings[ring] = true
+				shed = true
+			}
+		} else {
+			in.shedRings[ring] = true
+			shed = true
+		}
+	}
+	if shed {
+		in.st.Shed++
+		row.Shed++
+		in.mu.Unlock()
+		// Surface shedding in the engine's own counters, attributed
+		// to the shed party when the target can record it.
+		if in.acct != nil {
+			in.acct.NoteShedFrom(offer.Party, 1)
+		} else {
+			in.e.NoteShed(1)
+		}
+		return
+	}
+	in.mu.Unlock()
+	_, err := in.e.Submit(offer)
+	in.mu.Lock()
+	if err != nil {
+		in.st.Refused++
+		row.Refused++
+	} else {
+		in.st.Submitted++
+		row.Submitted++
+	}
+	in.mu.Unlock()
+}
+
+// refuse counts an arrival that never reached the engine as refused,
+// unless its fate is already accounted. Callers hold in.mu.
+func (in *intake) refuse(a *arrival) {
+	if a.fired {
+		return
+	}
+	a.fired = true
+	in.st.Refused++
+	in.rows[in.s.partyOf[a.i]].Refused++
+}
+
+// stats is the accounting so far, its Parties map built afresh: the
+// caller owns it, whatever a callback still in flight does to the rows.
+func (in *intake) stats() Stats {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	out := in.st
+	out.Parties = make(map[string]PartyStats, len(in.rows))
+	for p, row := range in.rows {
+		out.Parties[string(in.s.names[p])] = row
+	}
+	return out
+}
+
+// stream is one run's generated input in arrival order: each offer, its
+// ring (for ring-granular shedding) and its offering party, numbered in
+// the run's roster of names.
+type stream struct {
+	offers  []core.Offer
+	ringOf  []int32
+	partyOf []int32
+	// gives is the slab every offer's one-element Give is cut from.
+	gives []core.ProposedTransfer
+	roster
+}
+
+// roster formats each identity a run uses once and numbers it: slot
+// group*width+position of the organic or the flood table holds the
+// party's number + 1, an index into names.
+type roster struct {
+	width          int
+	names          []chain.PartyID
+	organic, flood []int32
+}
+
+func (r *roster) party(flood bool, group, i int) int32 {
+	tab, name := &r.organic, engine.LoadParty
+	if flood {
+		tab, name = &r.flood, engine.FloodParty
+	}
+	k := group*r.width + i
+	if k >= len(*tab) {
+		*tab = append(*tab, make([]int32, k+1-len(*tab))...)
+	}
+	if (*tab)[k] == 0 {
+		r.names = append(r.names, name(group, i))
+		(*tab)[k] = int32(len(r.names))
+	}
+	return (*tab)[k] - 1
+}
+
+// add appends offer i of ring `ring` (size parties, identity group
+// `group` of the organic or the flood pool) on chainName, in the shape
+// engine.LoadOfferOn and engine.FloodOffer build.
+func (s *stream) add(ring, i, size, group int, flood bool, chainName string) {
+	p, to := s.party(flood, group, i), s.party(flood, group, (i+1)%size)
+	s.gives = append(s.gives, core.ProposedTransfer{})
+	give := s.gives[len(s.gives)-1:]
+	s.offers = append(s.offers, engine.LoadOfferInto(give, ring, i, s.names[p], s.names[to], chainName))
+	s.ringOf = append(s.ringOf, int32(ring))
+	s.partyOf = append(s.partyOf, p)
+}
+
+// buildOffers generates whole barter rings (in the shared engine.LoadOffer
+// shape) until the offer budget is met, deterministically from the seed.
+func buildOffers(cfg Config) stream {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1)) // distinct stream from Schedule
-	offers = make([]core.Offer, 0, cfg.Offers+cfg.RingMax)
-	ringOf = make([]int, 0, cfg.Offers+cfg.RingMax)
+	// At most ⌈Offers/RingMin⌉ organic rings, each followed by FloodFactor
+	// flood rings, and the last organic ring may overshoot by RingMax-1:
+	// sized once, no slab is copied as it fills.
+	rings := (cfg.Offers + cfg.RingMin - 1) / cfg.RingMin
+	n := cfg.Offers + cfg.RingMax + rings*cfg.FloodFactor*cfg.RingMax
+	s := stream{
+		offers:  make([]core.Offer, 0, n),
+		ringOf:  make([]int32, 0, n),
+		partyOf: make([]int32, 0, n),
+		gives:   make([]core.ProposedTransfer, 0, n),
+		roster:  roster{width: cfg.RingMax},
+	}
 	// Sharded placement: ring r homes to shard r mod Shards and draws
 	// chains from that shard's pool; a CrossRatio draw instead alternates
 	// the home pool with the next shard's, splitting the ring's members
@@ -362,17 +465,16 @@ func buildOffers(cfg Config) (offers []core.Offer, ringOf []int) {
 			cross = rng.Float64() < cfg.CrossRatio
 		}
 		for i := 0; i < size; i++ {
-			if pools == nil {
-				offers = append(offers, engine.LoadOffer(ring, i, size, group))
-			} else {
+			chainName := engine.LoadChain(ring, i)
+			if pools != nil {
 				home := ring % cfg.Shards
 				pool := pools[home]
 				if cross && i%2 == 1 {
 					pool = pools[(home+1)%cfg.Shards]
 				}
-				offers = append(offers, engine.LoadOfferOn(ring, i, size, group, pool[(ring+i)%len(pool)]))
+				chainName = pool[(ring+i)%len(pool)]
 			}
-			ringOf = append(ringOf, ring)
+			s.add(ring, i, size, group, false, chainName)
 		}
 		organic += size
 		ring++
@@ -384,14 +486,13 @@ func buildOffers(cfg Config) (offers []core.Offer, ringOf []int) {
 			fsize := cfg.RingMin + rng.Intn(cfg.RingMax-cfg.RingMin+1)
 			fgroup := floodRing % cfg.FloodParties
 			for i := 0; i < fsize; i++ {
-				offers = append(offers, engine.FloodOffer(ring, i, fsize, fgroup))
-				ringOf = append(ringOf, ring)
+				s.add(ring, i, fsize, fgroup, true, engine.LoadChain(ring, i))
 			}
 			ring++
 			floodRing++
 		}
 	}
-	return offers, ringOf
+	return s
 }
 
 // Report is an open-loop run's full result: the engine's service-level

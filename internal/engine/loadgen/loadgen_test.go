@@ -2,10 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
@@ -438,7 +440,8 @@ func TestCancelledRunBalancesAccounting(t *testing.T) {
 // collides with the flood pool.
 func TestFloodOffersInterleave(t *testing.T) {
 	cfg := Config{Offers: 30, RingMin: 3, RingMax: 3, FloodFactor: 2, FloodParties: 3, Seed: 11}
-	offers, ringOf := buildOffers(cfg.withDefaults())
+	s := buildOffers(cfg.withDefaults())
+	offers, ringOf := s.offers, s.ringOf
 	if len(offers) != len(ringOf) {
 		t.Fatalf("ring map %d entries for %d offers", len(ringOf), len(offers))
 	}
@@ -470,8 +473,8 @@ func TestFloodOffersInterleave(t *testing.T) {
 	}
 	// FloodFactor 0 must leave the classic stream untouched.
 	cfg.FloodFactor = 0
-	plain, _ := buildOffers(cfg.withDefaults())
-	classic, _ := buildOffers(Config{Offers: 30, RingMin: 3, RingMax: 3, Seed: 11}.withDefaults())
+	plain := buildOffers(cfg.withDefaults()).offers
+	classic := buildOffers(Config{Offers: 30, RingMin: 3, RingMax: 3, Seed: 11}.withDefaults()).offers
 	if len(plain) != len(classic) {
 		t.Fatalf("factor-0 stream length %d, classic %d", len(plain), len(classic))
 	}
@@ -530,5 +533,79 @@ func TestFairShedProtectsOrganicParties(t *testing.T) {
 	}
 	if rep.InFlight != 0 || rep.SwapsFailed != 0 {
 		t.Fatalf("engine did not drain clean: %+v", rep.Throughput)
+	}
+}
+
+// TestOffersMatchLoadShape pins the generated stream to the one offer
+// shape, offer by offer: each offer equals engine.LoadOffer (classic),
+// engine.LoadOfferOn on its ring's home pool — or, at an odd position of
+// a cross ring, the next shard's — (sharded), or engine.FloodOffer (the
+// flood rings between organic ones), field for field, and its Give has
+// no room to grow into its neighbour's.
+func TestOffersMatchLoadShape(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"classic", Config{Offers: 600, RingMin: 3, RingMax: 5, PartyPool: 16, Seed: 4}},
+		{"sharded", Config{Offers: 600, RingMin: 3, RingMax: 3, PartyPool: 16, Shards: 4, CrossRatio: 0.1, Seed: 4}},
+		{"flood", Config{Offers: 600, RingMin: 3, RingMax: 4, PartyPool: 16, FloodFactor: 2, Seed: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg.withDefaults()
+			s := buildOffers(cfg)
+			var pools [][]string
+			if cfg.Shards > 1 {
+				pools = engine.NewMap(cfg.Shards).Pools(4)
+			}
+			// Organic ring r is followed by FloodFactor flood rings.
+			per := 1 + cfg.FloodFactor
+			rings, crosses := 0, 0
+			for start := 0; start < len(s.offers); rings++ {
+				ring := int(s.ringOf[start])
+				size := 1
+				for start+size < len(s.offers) && int(s.ringOf[start+size]) == ring {
+					size++
+				}
+				if size < cfg.RingMin || size > cfg.RingMax {
+					t.Fatalf("ring %d has %d offers, want %d..%d", ring, size, cfg.RingMin, cfg.RingMax)
+				}
+				cross := false
+				if pools != nil {
+					next := pools[(ring+1)%cfg.Shards]
+					cross = s.offers[start+1].Give[0].Chain == next[(ring+1)%len(next)]
+				}
+				if cross {
+					crosses++
+				}
+				for i := 0; i < size; i++ {
+					var want core.Offer
+					switch {
+					case ring%per != 0:
+						floodRing := ring/per*cfg.FloodFactor + ring%per - 1
+						want = engine.FloodOffer(ring, i, size, floodRing%cfg.FloodParties)
+					case pools != nil:
+						pool := pools[ring%cfg.Shards]
+						if cross && i%2 == 1 {
+							pool = pools[(ring+1)%cfg.Shards]
+						}
+						want = engine.LoadOfferOn(ring, i, size, ring%cfg.PartyPool, pool[(ring+i)%len(pool)])
+					default:
+						want = engine.LoadOffer(ring, i, size, ring%cfg.PartyPool)
+					}
+					got := s.offers[start+i]
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("ring %d offer %d:\n got %+v\nwant %+v", ring, i, got, want)
+					}
+					if cap(got.Give) != 1 {
+						t.Fatalf("ring %d offer %d: Give has capacity %d, want 1", ring, i, cap(got.Give))
+					}
+				}
+				start += size
+			}
+			if pools != nil && (crosses == 0 || crosses > rings/4) {
+				t.Errorf("%d of %d rings cross shards at CrossRatio %.2f", crosses, rings, cfg.CrossRatio)
+			}
+		})
 	}
 }

@@ -66,6 +66,11 @@ type Scheduler interface {
 	// it on the same goroutine.
 	At(t vtime.Ticks, fn func()) Timer
 
+	// Schedule is At on storage the caller owns, on stripe key: e (idle,
+	// typically a field of the record h points at) becomes the queue
+	// entry for h.Fire, so booking allocates nothing. e is its own Timer.
+	Schedule(e *Event, t vtime.Ticks, key uint64, h Handler)
+
 	// Hold pins the dispatcher: while any hold is outstanding no event
 	// runs, so a free clock does not advance. The returned release
 	// function must be called exactly once; it is idempotent.
@@ -401,10 +406,11 @@ func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
 	return v.timer(t, 0, key, fn)
 }
 
-// Schedule is AtKeyed on storage the caller owns: e — idle, and typically
-// a field of the record h points at — becomes the queue entry for h.Fire
-// at tick t on stripe key, so scheduling allocates nothing. e is its own
-// Timer (e.Stop). After Close the event is dropped, stopped.
+// Schedule implements Scheduler: AtKeyed on storage the caller owns. e —
+// idle, and typically a field of the record h points at — becomes the
+// queue entry for h.Fire at tick t on stripe key, so scheduling allocates
+// nothing. e is its own Timer (e.Stop). After Close the event is dropped,
+// stopped.
 func (v *Virtual) Schedule(e *Event, t vtime.Ticks, key uint64, h Handler) {
 	v.schedule(e, t, 0, key, h)
 }
