@@ -22,28 +22,41 @@ var updateLedgerGolden = flag.Bool("update-ledger-golden", false,
 
 // ringLedgerCases are the runs TestRingLedgerHashGolden pins: a conforming
 // three-party ring on classic HTLCs, and the same ring with a follower
-// that never redeems, so its entering arc refunds.
+// that never redeems, so its entering arc refunds; then the same pair for
+// a four-party clique on the multi-leader Swap contract, whose unlock
+// notes spell each hashkey's path. (There the follower still opens every
+// hashlock of its entering arcs, so they stay claimable and unclaimed
+// rather than refund.)
 var ringLedgerCases = []struct {
 	name    string
+	graph   func() *digraph.Digraph
 	deviate func(spec *core.Spec) map[digraph.Vertex]core.Behavior
 }{
-	{name: "ring-3"},
-	{name: "ring-3-refund", deviate: func(spec *core.Spec) map[digraph.Vertex]core.Behavior {
-		for v := 0; v < spec.D.NumVertices(); v++ {
-			if !spec.IsLeader(digraph.Vertex(v)) {
-				return map[digraph.Vertex]core.Behavior{digraph.Vertex(v): adversary.NoClaim()}
-			}
+	{name: "ring-3", graph: ring3},
+	{name: "ring-3-refund", graph: ring3, deviate: followerNoClaim},
+	{name: "clique-4", graph: clique4},
+	{name: "clique-4-refund", graph: clique4, deviate: followerNoClaim},
+}
+
+func ring3() *digraph.Digraph   { return graphgen.Cycle(3) }
+func clique4() *digraph.Digraph { return graphgen.Clique(4) }
+
+// followerNoClaim makes the first non-leader never claim.
+func followerNoClaim(spec *core.Spec) map[digraph.Vertex]core.Behavior {
+	for v := 0; v < spec.D.NumVertices(); v++ {
+		if !spec.IsLeader(digraph.Vertex(v)) {
+			return map[digraph.Vertex]core.Behavior{digraph.Vertex(v): adversary.NoClaim()}
 		}
-		return nil
-	}},
+	}
+	return nil
 }
 
 // ringLedger runs one case standalone on a one-worker virtual scheduler
 // and spells every chain's ledger: per record its kind, contract, sender,
 // size and note, then the chain's head hash in hex.
-func ringLedger(t *testing.T, name string, deviate func(*core.Spec) map[digraph.Vertex]core.Behavior) string {
+func ringLedger(t *testing.T, name string, d *digraph.Digraph, deviate func(*core.Spec) map[digraph.Vertex]core.Behavior) string {
 	t.Helper()
-	setup, err := core.NewSetup(graphgen.Cycle(3), core.Config{
+	setup, err := core.NewSetup(d, core.Config{
 		Kind: core.KindByLeaders, Tag: "golden", Rand: rand.New(rand.NewSource(11)),
 	})
 	if err != nil {
@@ -90,7 +103,7 @@ func TestRingLedgerHashGolden(t *testing.T) {
 	if *updateLedgerGolden {
 		var b strings.Builder
 		for _, tc := range ringLedgerCases {
-			b.WriteString(ringLedger(t, tc.name, tc.deviate))
+			b.WriteString(ringLedger(t, tc.name, tc.graph(), tc.deviate))
 		}
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -107,7 +120,7 @@ func TestRingLedgerHashGolden(t *testing.T) {
 	}
 	for _, tc := range ringLedgerCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ringLedger(t, tc.name, tc.deviate); got != want[tc.name] {
+			if got := ringLedger(t, tc.name, tc.graph(), tc.deviate); got != want[tc.name] {
 				t.Errorf("ledger differs from the golden\n--- got\n%s--- want\n%s", got, want[tc.name])
 			}
 		})
