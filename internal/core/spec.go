@@ -141,6 +141,9 @@ type Spec struct {
 	// contractIDs is the per-arc contract-ID table NewSetup compiles from
 	// Tag and Assets.
 	contractIDs []chain.ContractID
+	// unlocks is the storage every Swap contract NewSwap builds keeps its
+	// unlocks in, allocated by the first (under tlMu).
+	unlocks htlc.Unlocks
 }
 
 // Validation errors.
@@ -473,9 +476,17 @@ func (s *Spec) ContractParams(arcID int) htlc.SwapParams {
 }
 
 // NewSwap builds the canonical Swap contract for an arc. The contract
-// copies the vectors it keeps, so it is built from the plan's own.
+// copies the vectors it keeps, so it is built from the plan's own. Every
+// contract of the swap keeps its unlocks in the swap's one Unlocks, which
+// the first contract built allocates.
 func (s *Spec) NewSwap(arcID int) (*htlc.Swap, error) {
-	return htlc.NewSwap(s.contractParams(arcID))
+	s.tlMu.Lock()
+	if s.unlocks == nil {
+		s.unlocks = htlc.NewUnlocks(s.D.NumArcs(), len(s.Leaders))
+	}
+	u := s.unlocks
+	s.tlMu.Unlock()
+	return htlc.NewSwapIn(s.contractParams(arcID), u)
 }
 
 // contractParams is ContractParams sharing the plan's vectors, which its

@@ -127,15 +127,22 @@ func (s *Signer) Public() ed25519.PublicKey { return s.pub }
 // when msg is one of its vertex's slot messages, and signs inline
 // otherwise; either way the result is ed25519.Sign's.
 func (s *Signer) Sign(msg []byte) []byte {
+	sig := make([]byte, SigSize)
+	s.signInto((*[SigSize]byte)(sig), msg)
+	return sig
+}
+
+// signInto is Sign writing into dst, which is all the storage it uses:
+// a presigned slot is copied straight in, and ed25519.Sign's own result
+// does not outlive the copy, so it stays on the stack.
+func (s *Signer) signInto(dst *[SigSize]byte, msg []byte) {
 	if s.meter != nil {
 		s.meter.signs.Add(1)
 	}
-	if s.pre != nil {
-		if sig, ok := s.pre.take(s.vertex, msg); ok {
-			return sig
-		}
+	if s.pre != nil && s.pre.take(dst, s.vertex, msg) {
+		return
 	}
-	return ed25519.Sign(s.priv, msg)
+	copy(dst[:], ed25519.Sign(s.priv, msg))
 }
 
 // SetMeter installs a meter counting every Sign. Signature count is part
@@ -203,27 +210,66 @@ type Hashkey struct {
 
 // New creates a leader's degenerate hashkey: path (leader), the leader's
 // signature over the secret. This is the form leaders present on their own
-// entering arcs at the start of Phase Two.
+// entering arcs at the start of Phase Two. The key takes one allocation.
 func New(secret Secret, leader *Signer) Hashkey {
-	return Hashkey{
-		Secret: secret,
-		Path:   digraph.Path{leader.Vertex()},
-		Sigs:   [][]byte{leader.Sign(secret[:])},
-	}
+	path, sigs, sig := newKey(1, 1)
+	path[0] = leader.Vertex()
+	leader.signInto(sig, secret[:])
+	sigs[0] = sig[:]
+	return Hashkey{Secret: secret, Path: path, Sigs: sigs}
 }
 
 // Extend returns the hashkey re-presented by v: path v + p, signature
 // chain prefixed with v's signature over the current outermost signature.
-// The receiver is unchanged.
+// The receiver is unchanged; the new key shares its signature bytes and,
+// on a chain of up to shortChain links, takes one allocation for its
+// path, its signature headers and v's signature.
 func (h Hashkey) Extend(v *Signer) Hashkey {
-	sigs := make([][]byte, 0, len(h.Sigs)+1)
-	sigs = append(sigs, v.Sign(h.Sigs[0]))
-	sigs = append(sigs, h.Sigs...)
-	return Hashkey{
-		Secret: h.Secret,
-		Path:   h.Path.Prepend(v.Vertex()),
-		Sigs:   sigs,
+	path, sigs, sig := newKey(len(h.Path)+1, len(h.Sigs)+1)
+	path[0] = v.Vertex()
+	copy(path[1:], h.Path)
+	v.signInto(sig, h.Sigs[0])
+	sigs[0] = sig[:]
+	copy(sigs[1:], h.Sigs)
+	return Hashkey{Secret: h.Secret, Path: path, Sigs: sigs}
+}
+
+// newKey returns the storage of a new hashkey of np path vertexes and ns
+// signatures, the first of which the caller signs into sig: one
+// allocation, of one of four sizes, for a chain of up to shortChain
+// links, and three for a longer one.
+func newKey(np, ns int) (digraph.Path, [][]byte, *[SigSize]byte) {
+	switch n := max(np, ns); {
+	case n <= 1:
+		st := new(struct {
+			path [1]digraph.Vertex
+			sigs [1][]byte
+			sig  [SigSize]byte
+		})
+		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
+	case n <= 2:
+		st := new(struct {
+			path [2]digraph.Vertex
+			sigs [2][]byte
+			sig  [SigSize]byte
+		})
+		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
+	case n <= 4:
+		st := new(struct {
+			path [4]digraph.Vertex
+			sigs [4][]byte
+			sig  [SigSize]byte
+		})
+		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
+	case n <= shortChain:
+		st := new(struct {
+			path [shortChain]digraph.Vertex
+			sigs [shortChain][]byte
+			sig  [SigSize]byte
+		})
+		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
 	}
+	return make(digraph.Path, np), make([][]byte, ns), new([SigSize]byte)
 }
 
 // PathLen returns |p|, the number of arcs on the path. The timeout of a
@@ -320,11 +366,7 @@ func (h Hashkey) Clone() Hashkey {
 	np, ns := len(h.Path), len(h.Sigs)
 	switch n := max(np, ns, (total+SigSize-1)/SigSize); {
 	case n <= 2:
-		st := new(struct {
-			path  [2]digraph.Vertex
-			sigs  [2][]byte
-			bytes [2 * SigSize]byte
-		})
+		st := new(ShortKey)
 		return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0])
 	case n <= 4:
 		st := new(struct {
@@ -342,6 +384,35 @@ func (h Hashkey) Clone() Hashkey {
 		return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0])
 	}
 	return h.cloneInto(make(digraph.Path, np), make([][]byte, ns), make([]byte, 0, total))
+}
+
+// ShortKey is storage for a copy of a hashkey of up to two links: its
+// path, its signature headers and its signature bytes. Clone takes one
+// for such a key, and a holder of many keys can keep them in storage of
+// its own (see Hold).
+type ShortKey struct {
+	path  [2]digraph.Vertex
+	sigs  [2][]byte
+	bytes [2 * SigSize]byte
+}
+
+// Hold copies h into st, if st holds no key yet and h fits, and returns
+// the copy: a deep copy, as Clone's. A key that does not fit, or a
+// ShortKey already holding one, leaves st unchanged and reports false. A
+// held key is never written again, so st is used at most once.
+func (st *ShortKey) Hold(h Hashkey) (Hashkey, bool) {
+	np, ns := len(h.Path), len(h.Sigs)
+	if st.sigs[0] != nil || ns == 0 || np > len(st.path) || ns > len(st.sigs) {
+		return Hashkey{}, false
+	}
+	total := 0
+	for _, s := range h.Sigs {
+		total += len(s)
+	}
+	if total > len(st.bytes) {
+		return Hashkey{}, false
+	}
+	return h.cloneInto(st.path[:np:np], st.sigs[:ns:ns], st.bytes[:0]), true
 }
 
 // cloneInto copies h's path into path and its signatures into buf, each

@@ -1,6 +1,8 @@
 package hashkey
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"math/rand"
 	"testing"
@@ -316,5 +318,92 @@ func TestChainPropertyRandomPaths(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewAndExtendTakeOneAllocation pins a hashkey's construction at one
+// heap object, signed inline or answered from a presigned table: the
+// path, the signature headers and the new signature share it, and
+// ed25519.Sign's own result stays on the stack. A chain longer than
+// shortChain takes three.
+func TestNewAndExtendTakeOneAllocation(t *testing.T) {
+	_, signers, dir := testBench(t)
+	secret, _ := NewSecret(detRand(31))
+	base := New(secret, signers[0])
+	for _, tc := range []struct {
+		name string
+		f    func() Hashkey
+	}{
+		{"New", func() Hashkey { return New(secret, signers[0]) }},
+		{"Extend", func() Hashkey { return base.Extend(signers[2]) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = tc.f() }); allocs != 1 {
+			t.Errorf("%s allocates %.1f objects, want 1", tc.name, allocs)
+		}
+		if err := tc.f().VerifyCrypto(secret.Lock(), 0, dir); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+
+	tab, bound, secrets, _ := cliqueTable(t)
+	tab.fill()
+	leader := New(secrets[0], bound[0])
+	if allocs := testing.AllocsPerRun(100, func() { _ = New(secrets[0], bound[0]).Extend(bound[1]) }); allocs != 2 {
+		t.Errorf("a presigned New and Extend allocate %.1f objects, want 2", allocs)
+	}
+	wrap := leader.Extend(bound[1])
+	if !bytes.Equal(leader.Sigs[0], ed25519.Sign(bound[0].priv, secrets[0][:])) ||
+		!bytes.Equal(wrap.Sigs[0], ed25519.Sign(bound[1].priv, leader.Sigs[0])) {
+		t.Error("a presigned key's signatures differ from ed25519.Sign's")
+	}
+
+	long := Hashkey{Secret: secret, Path: make(digraph.Path, shortChain), Sigs: make([][]byte, shortChain)}
+	for i := range long.Sigs {
+		long.Sigs[i] = base.Sigs[0]
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = long.Extend(signers[1]) }); allocs != 3 {
+		t.Errorf("Extend past shortChain allocates %.1f objects, want 3", allocs)
+	}
+	if ext := long.Extend(signers[1]); len(ext.Path) != shortChain+1 || len(ext.Sigs) != shortChain+1 ||
+		cap(ext.Path) != shortChain+1 || cap(ext.Sigs) != shortChain+1 {
+		t.Errorf("Extend past shortChain: path %d/%d, sigs %d/%d", len(ext.Path), cap(ext.Path), len(ext.Sigs), cap(ext.Sigs))
+	}
+	if ext := base.Extend(signers[2]); cap(ext.Path) != 2 || cap(ext.Sigs) != 2 {
+		t.Errorf("Extend's slices have room past their keys: caps %d and %d", cap(ext.Path), cap(ext.Sigs))
+	}
+}
+
+// TestShortKeyHold pins ShortKey.Hold: a deep copy of a key of up to two
+// links, once; a longer key, an empty chain or a second key leave it as
+// it was.
+func TestShortKeyHold(t *testing.T) {
+	d, signers, dir := testBench(t)
+	secret, _ := NewSecret(detRand(33))
+	lock := secret.Lock()
+	two := New(secret, signers[0]).Extend(signers[2])
+	three := two.Extend(signers[1])
+
+	var st ShortKey
+	if _, ok := st.Hold(three); ok {
+		t.Error("held a three-link key")
+	}
+	if _, ok := st.Hold(Hashkey{Secret: secret, Path: digraph.Path{0}}); ok {
+		t.Error("held a key without signatures")
+	}
+	kept, ok := st.Hold(two)
+	if !ok {
+		t.Fatal("refused a two-link key")
+	}
+	two.Path[0] = 1
+	two.Sigs[0][0] ^= 0xff
+	two.Sigs[1][0] ^= 0xff
+	if err := kept.Verify(lock, d, 0, dir); err != nil || kept.Path.String() != "2>0" {
+		t.Errorf("the held key reads %v after its source was written: %v", kept.Path, err)
+	}
+	if _, ok := st.Hold(New(secret, signers[0])); ok {
+		t.Error("held a second key")
+	}
+	if err := kept.Verify(lock, d, 0, dir); err != nil {
+		t.Errorf("a refused key changed the held one: %v", err)
 	}
 }

@@ -249,10 +249,11 @@ func awaitFiller(sl *slot) bool {
 	return true
 }
 
-// take answers v's Sign(msg) from the table when msg is the message of
-// one of v's slots. A wrap's message is known only once the leader's
-// signature is ready; before that nobody honest can hold it.
-func (t *presigned) take(v digraph.Vertex, msg []byte) ([]byte, bool) {
+// take answers v's Sign(msg) from the table, copying the signature into
+// dst, when msg is the message of one of v's slots, and reports whether
+// it did. A wrap's message is known only once the leader's signature is
+// ready; before that nobody honest can hold it.
+func (t *presigned) take(dst *[SigSize]byte, v digraph.Vertex, msg []byte) bool {
 	n := len(t.signers)
 	for i, l := range t.leaders {
 		sl := &t.slots[i*n+int(v)]
@@ -273,7 +274,7 @@ func (t *presigned) take(v digraph.Vertex, msg []byte) ([]byte, bool) {
 			continue
 		}
 		if !t.claim(sl, v, want, false) && !awaitFiller(sl) {
-			return nil, false // the filler is off its core: sign inline
+			return false // the filler is off its core: sign inline
 		}
 		if sl.ahead && t.meter != nil {
 			t.meter.presigned.Add(1)
@@ -281,7 +282,8 @@ func (t *presigned) take(v digraph.Vertex, msg []byte) ([]byte, bool) {
 				t.meter.used.Add(1)
 			}
 		}
-		return bytes.Clone(sl.sig[:]), true
+		*dst = sl.sig
+		return true
 	}
-	return nil, false
+	return false
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -116,9 +117,23 @@ type UnlockedEvent struct {
 // hashlocks and timelocks (the digraph and the key directory, which no one
 // writes, are shared). For up to inlineLocks hashlocks those copies, the
 // unlock state and the events sit inside the contract's one allocation.
+// So does the claim's ledger note, and a contract built by NewSwapIn
+// keeps each lock's opening key and unlock note in its swap's Unlocks.
+//
+// A Swap is 752 bytes, and the runtime heads a pointerful object of more
+// than 512 bytes with an 8-byte type word, so a contract fills the 768-byte
+// size class with 8 bytes to spare. That is why its lock states and
+// records are reached from a pointer and the lock count (see state), not
+// from 24-byte slices.
 type Swap struct {
-	p      SwapParams
-	locks  []lockState // by hashlock index
+	p SwapParams
+	// locks is the first of the contract's len(p.Locks) lock states.
+	locks *lockState
+	// recs is the first of the contract's len(p.Locks) records in its
+	// swap's Unlocks, or nil.
+	recs *unlockRecord
+	// claim holds the claim's note once the first claim spelled it.
+	claim  [24]byte
 	inline struct {
 		leaders   [inlineLocks]digraph.Vertex
 		locks     [inlineLocks]hashkey.Lock
@@ -144,6 +159,26 @@ type lockState struct {
 	at vtime.Ticks // chain time the lock opened
 	ev *UnlockedEvent
 }
+
+// Unlocks is storage for what the Swap contracts of one swap keep of
+// their unlocks: a record per (arc, hashlock), arc-major, each holding
+// the contract's copy of a key of up to two links that opened the lock
+// and the unlock's ledger note. The swap's plan sizes it (NewUnlocks) and
+// builds every contract on it (NewSwapIn), so a swap's unlocks take one
+// allocation where each used to take two. A record is used at most once:
+// a lock reopened after a revert, or opened by a longer key, takes fresh
+// storage, so no emitted event or note ever changes.
+type Unlocks []unlockRecord
+
+// unlockRecord is one lock's record in an Unlocks.
+type unlockRecord struct {
+	key  hashkey.ShortKey
+	note [32]byte
+}
+
+// NewUnlocks returns the Unlocks of a swap of arcs arcs and locks
+// hashlocks.
+func NewUnlocks(arcs, locks int) Unlocks { return make(Unlocks, arcs*locks) }
 
 // cut returns the first n elements of buf when they fit, else a fresh
 // slice of n.
@@ -185,8 +220,21 @@ func NewSwap(p SwapParams) (*Swap, error) {
 	copy(s.p.Leaders, p.Leaders)
 	copy(s.p.Locks, p.Locks)
 	copy(s.p.Timelocks, p.Timelocks)
-	s.locks = cut(s.inline.state[:], n)
+	s.locks = &cut(s.inline.state[:], n)[0]
 	return s, nil
+}
+
+// state returns the contract's lock states, by hashlock index.
+func (s *Swap) state() []lockState { return unsafe.Slice(s.locks, len(s.p.Locks)) }
+
+// NewSwapIn is NewSwap for a contract that keeps its unlocks in u, its
+// swap's Unlocks. An Unlocks sized for another swap is not used.
+func NewSwapIn(p SwapParams, u Unlocks) (*Swap, error) {
+	s, err := NewSwap(p)
+	if err == nil && len(u) == p.Digraph.NumArcs()*len(p.Locks) {
+		s.recs = &u[p.ArcID*len(p.Locks)]
+	}
+	return s, err
 }
 
 // ContractID implements chain.Contract.
@@ -208,7 +256,7 @@ func (s *Swap) StorageSize() int {
 	n += len(s.p.Locks) * len(hashkey.Lock{})
 	n += 8 * len(s.p.Timelocks)
 	n += len(s.p.Directory) * (4 + 32) // vertex id + public key
-	n += 8 + 8 + 4 + len(s.locks)      // start, delta, diam bound, unlocked flags
+	n += 8 + 8 + 4 + len(s.p.Locks)    // start, delta, diam bound, unlocked flags
 	return n
 }
 
@@ -268,19 +316,20 @@ func (s *Swap) ArcID() int { return s.p.ArcID }
 // commitment-model reorg can roll the invocation back. Called under the
 // chain lock, like Invoke.
 func (s *Swap) StateSnapshot() any {
-	return append([]lockState(nil), s.locks...)
+	return append([]lockState(nil), s.state()...)
 }
 
 // StateRestore implements chain.RevertibleContract.
 func (s *Swap) StateRestore(snap any) {
-	copy(s.locks, snap.([]lockState))
+	copy(s.state(), snap.([]lockState))
 }
 
 // Unlocked returns a copy of the per-lock unlocked flags.
 func (s *Swap) Unlocked() []bool {
-	out := make([]bool, len(s.locks))
-	for i := range s.locks {
-		out[i] = s.locks[i].ev != nil
+	locks := s.state()
+	out := make([]bool, len(locks))
+	for i := range locks {
+		out[i] = locks[i].ev != nil
 	}
 	return out
 }
@@ -288,8 +337,8 @@ func (s *Swap) Unlocked() []bool {
 // AllUnlocked reports whether every hashlock is open (the contract is
 // claimable — "triggered" in the paper's terms).
 func (s *Swap) AllUnlocked() bool {
-	for i := range s.locks {
-		if s.locks[i].ev == nil {
+	for _, l := range s.state() {
+		if l.ev == nil {
 			return false
 		}
 	}
@@ -298,21 +347,21 @@ func (s *Swap) AllUnlocked() bool {
 
 // UnlockKey returns the hashkey that opened lock i, valid only when
 // Unlocked()[i].
-func (s *Swap) UnlockKey(i int) hashkey.Hashkey { return s.locks[i].ev.Key.Clone() }
+func (s *Swap) UnlockKey(i int) hashkey.Hashkey { return s.state()[i].ev.Key.Clone() }
 
 // UnlockTime returns the chain time lock i opened and whether it has.
 func (s *Swap) UnlockTime(i int) (vtime.Ticks, bool) {
-	if i < 0 || i >= len(s.locks) || s.locks[i].ev == nil {
+	if i < 0 || i >= len(s.p.Locks) || s.state()[i].ev == nil {
 		return 0, false
 	}
-	return s.locks[i].at, true
+	return s.state()[i].at, true
 }
 
 // Refundable reports whether some hashlock is still locked strictly past
 // its (inclusive) deadline, i.e. can never be opened again.
 func (s *Swap) Refundable(now vtime.Ticks) bool {
-	for i := range s.locks {
-		if s.locks[i].ev == nil && now.After(s.p.Timelocks[i]) {
+	for i, l := range s.state() {
+		if l.ev == nil && now.After(s.p.Timelocks[i]) {
 			return true
 		}
 	}
@@ -354,7 +403,7 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	if i < 0 || i >= len(s.p.Locks) {
 		return chain.Result{}, fmt.Errorf("%w: %d of %d", ErrLockIndex, i, len(s.p.Locks))
 	}
-	if s.locks[i].ev != nil {
+	if s.state()[i].ev != nil {
 		return chain.Result{}, fmt.Errorf("%w: index %d", ErrAlreadyUnlocked, i)
 	}
 	// Hashkey deadline: now ≤ start + (diam(D) + |p|)·Δ (inclusive; see
@@ -374,22 +423,40 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	if err := args.Key.VerifyCryptoExtended(s.p.Locks[i], s.p.Leaders[i], s.p.Directory, s.p.Cache); err != nil {
 		return chain.Result{}, fmt.Errorf("htlc: unlock %d: %w", i, err)
 	}
-	// One defensive clone, kept in the event: read-only from here
-	// (re-presentations extend into new buffers).
+	// One defensive copy, kept in the event: read-only from here
+	// (re-presentations extend into new buffers). It lives in the lock's
+	// record when the contract has an unused one the key fits.
+	var rec *unlockRecord
+	if s.recs != nil {
+		rec = &unsafe.Slice(s.recs, len(s.p.Locks))[i]
+	}
+	key, kept := hashkey.Hashkey{}, false
+	if rec != nil {
+		key, kept = rec.key.Hold(args.Key)
+	}
+	if !kept {
+		key = args.Key.Clone()
+	}
 	var ev *UnlockedEvent
 	if i < inlineLocks && s.inline.events[i].Key.Path == nil {
 		ev = &s.inline.events[i]
 	} else {
 		ev = new(UnlockedEvent) // reopened after a revert, or not inline
 	}
-	*ev = UnlockedEvent{ArcID: s.p.ArcID, LockIndex: i, Key: args.Key.Clone()}
-	s.locks[i] = lockState{at: call.Now, ev: ev}
+	*ev = UnlockedEvent{ArcID: s.p.ArcID, LockIndex: i, Key: key}
+	s.state()[i] = lockState{at: call.Now, ev: ev}
 	// Notes are covered by the ledger's record hash: this spells the
-	// historical fmt layout byte for byte.
-	var note [64]byte
-	b := strconv.AppendInt(append(note[:0], "hashlock "...), int64(i), 10)
+	// historical fmt layout byte for byte, into the record beside the key.
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "hashlock "...), int64(i), 10)
 	b = ev.Key.Path.Append(append(b, " opened, path "...))
-	return chain.Result{Note: string(b), Event: ev}, nil
+	note := ""
+	if kept && len(b) <= len(rec.note) {
+		note = unsafe.String(&rec.note[0], copy(rec.note[:], b))
+	} else {
+		note = string(b)
+	}
+	return chain.Result{Note: note, Event: ev}, nil
 }
 
 // pathOK accepts simple paths of the swap digraph and, when the broadcast
@@ -411,10 +478,24 @@ func (s *Swap) invokeClaim(call chain.Call) (chain.Result, error) {
 	if !s.AllUnlocked() {
 		return chain.Result{}, ErrLocksOutstanding
 	}
-	return chain.Result{
-		Transfer: chain.ByParty(s.p.Counter),
-		Note:     "arc " + strconv.Itoa(s.p.ArcID) + " claimed by " + string(s.p.Counter),
-	}, nil
+	return chain.Result{Transfer: chain.ByParty(s.p.Counter), Note: s.claimNote()}, nil
+}
+
+// claimNote is the claim's ledger note, spelling the historical layout
+// byte for byte. The first claim spells it into the contract's own
+// buffer, and every claim returns a string over those bytes, which
+// nothing writes again; a note that outgrows the buffer is a heap copy.
+func (s *Swap) claimNote() string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "arc "...), int64(s.p.ArcID), 10)
+	b = append(append(b, " claimed by "...), s.p.Counter...)
+	if len(b) > len(s.claim) {
+		return string(b)
+	}
+	if s.claim[0] == 0 {
+		copy(s.claim[:], b)
+	}
+	return unsafe.String(&s.claim[0], len(b))
 }
 
 // invokeRefund is Figure 5 lines 35–41 (with the evident intent of line

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
@@ -713,6 +714,183 @@ func TestSwapRevertThenUnlockAgain(t *testing.T) {
 		if ev.ArcID != 0 || ev.LockIndex != 0 || ev.Key.Path.String() != "1>2>0" {
 			t.Errorf("event %d reads %+v after the reopening", i, *ev)
 		}
+	}
+	if !ch.VerifyLedger() {
+		t.Error("ledger does not verify")
+	}
+}
+
+// arc1Params returns the contract params for arc 1 (Bob -> Carol), whose
+// counterparty Carol reaches the leader Alice in one hop, so every key
+// she can present has two links.
+func (b *bench) arc1Params() SwapParams {
+	p := b.arc0Params()
+	p.ID, p.ArcID = "arc1@bitcoin", 1
+	p.Timelocks = []vtime.Ticks{benchStart.Add(vtime.Scale(benchDiam+1, benchDelta))} // 130
+	p.Party, p.PartyV, p.Counter, p.CounterV = "bob", 1, "carol", 2
+	p.Asset = "bitcoin"
+	return p
+}
+
+// carolKey is Carol's hashkey: leader Alice, extended by Carol — path
+// C>A, |p| = 1.
+func (b *bench) carolKey() hashkey.Hashkey {
+	return hashkey.New(b.secret, b.signers[0]).Extend(b.signers[2])
+}
+
+// TestSwapInKeepsUnlocksInItsRecords pins what a contract built on its
+// swap's Unlocks keeps there: the copy of a two-link opening key, which no
+// write to the caller's buffers reaches, and the unlock's note, spelled as
+// it always was. A record is used once, and a longer key or an Unlocks
+// sized for another swap takes fresh storage.
+func TestSwapInKeepsUnlocksInItsRecords(t *testing.T) {
+	b := newBench(t)
+	u := NewUnlocks(b.d.NumArcs(), 1)
+	s, err := NewSwapIn(b.arc1Params(), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := &UnlockArgs{Key: b.carolKey()}
+	res, err := s.Invoke(call(MethodUnlock, "carol", 110, args))
+	if err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	if want := fmt.Sprintf("hashlock %d opened, path %v", 0, args.Key.Path); res.Note != want {
+		t.Errorf("unlock note %q, fmt layout %q", res.Note, want)
+	}
+	ev := res.Event.(*UnlockedEvent)
+	if !inRecord(ev.Key, &u[1]) {
+		t.Error("the kept key is not in arc 1's record")
+	}
+	args.Key.Path[0] = 1
+	args.Key.Sigs[0][0] ^= 0xff
+	args.Key.Sigs[1][0] ^= 0xff
+	*args = UnlockArgs{LockIndex: 3}
+	kept := s.UnlockKey(0)
+	if kept.Path.String() != "2>0" {
+		t.Errorf("kept path %v, presented 2>0", kept.Path)
+	}
+	if err := kept.Verify(b.lock, b.d, 0, b.dir); err != nil {
+		t.Errorf("kept hashkey no longer verifies: %v", err)
+	}
+	note := res.Note
+	for range 2 {
+		res, err := s.Invoke(call(MethodClaim, "carol", 111, nil))
+		if err != nil {
+			t.Fatalf("claim: %v", err)
+		}
+		if res.Note != "arc 1 claimed by carol" {
+			t.Errorf("claim note %q", res.Note)
+		}
+	}
+	if note != "hashlock 0 opened, path 2>0" {
+		t.Errorf("the unlock note reads %q after the claims", note)
+	}
+
+	// A second contract of the same arc finds the record used.
+	again, _ := NewSwapIn(b.arc1Params(), u)
+	res, err = again.Invoke(call(MethodUnlock, "carol", 110, UnlockArgs{Key: b.carolKey()}))
+	if err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	if inRecord(res.Event.(*UnlockedEvent).Key, &u[1]) {
+		t.Error("a used record was written again")
+	}
+	if ev.Key.Path.String() != "2>0" || ev.Key.Verify(b.lock, b.d, 0, b.dir) != nil {
+		t.Errorf("the first event reads %v after another contract's unlock", ev.Key.Path)
+	}
+
+	// Bob's key has three links: arc 0's record stays unused.
+	s0, _ := NewSwapIn(b.arc0Params(), u)
+	res, err = s0.Invoke(call(MethodUnlock, "bob", 110, UnlockArgs{Key: b.bobKey()}))
+	if err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	if res.Note != "hashlock 0 opened, path 1>2>0" || inRecord(res.Event.(*UnlockedEvent).Key, &u[0]) {
+		t.Errorf("a three-link key noted %q in arc 0's record", res.Note)
+	}
+	if _, held := u[0].key.Hold(b.carolKey()); !held {
+		t.Error("arc 0's record was used by a key it cannot hold")
+	}
+
+	if s, _ := NewSwapIn(b.arc1Params(), NewUnlocks(2, 1)); s.recs != nil {
+		t.Error("a contract took records from an Unlocks sized for another swap")
+	}
+
+	// A claim note that outgrows the contract's buffer is a heap copy.
+	p := b.arc1Params()
+	p.Counter = "carol-of-the-long-name"
+	long, _ := NewSwapIn(p, NewUnlocks(b.d.NumArcs(), 1))
+	if got, want := long.claimNote(), fmt.Sprintf("arc %d claimed by %s", 1, p.Counter); got != want || long.claim[0] != 0 {
+		t.Errorf("claim note %q, fmt layout %q", got, want)
+	}
+}
+
+// inRecord reports whether k's storage is r's.
+func inRecord(k hashkey.Hashkey, r *unlockRecord) bool {
+	start := uintptr(unsafe.Pointer(r))
+	p := uintptr(unsafe.Pointer(&k.Sigs[0][0]))
+	return p >= start && p < start+unsafe.Sizeof(*r)
+}
+
+// TestSwapInRevertThenUnlockAgain is TestSwapRevertThenUnlockAgain for a
+// contract whose key fits its record: the first opening's key and note
+// live in the record, so the reopening after the revert must take fresh
+// storage and leave the first event and note as they were emitted.
+func TestSwapInRevertThenUnlockAgain(t *testing.T) {
+	b := newBench(t)
+	clk := &tickClock{now: 105}
+	ch := chain.New("bitcoin", clk)
+	if err := ch.SetCommitmentModel(revertRedeem{}, func(vtime.Ticks) {}); err != nil {
+		t.Fatal(err)
+	}
+	var events []*UnlockedEvent
+	ch.Subscribe("test", func(n chain.Notification) {
+		if ev, ok := n.Event.(*UnlockedEvent); ok {
+			events = append(events, ev)
+		}
+	})
+	if err := ch.RegisterAsset(chain.Asset{ID: "bitcoin", Amount: 1}, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	u := NewUnlocks(b.d.NumArcs(), 1)
+	s, _ := NewSwapIn(b.arc1Params(), u)
+	if err := ch.PublishContract("bob", s); err != nil {
+		t.Fatal(err)
+	}
+	clk.now = 110
+	args := &UnlockArgs{Key: b.carolKey()}
+	sig := slices.Clone(args.Key.Sigs[0])
+	if err := ch.Invoke("carol", "arc1@bitcoin", MethodUnlock, args, args.WireSize()); err != nil {
+		t.Fatalf("unlock: %v", err)
+	}
+	*args = UnlockArgs{LockIndex: 5}
+	clk.now = 112
+	ch.SettleCommitments(clk.now)
+	clk.now = 113
+	ch.SettleCommitments(clk.now)
+	if at, open := s.UnlockTime(0); !open || at != 113 {
+		t.Fatalf("lock 0 open=%v at %d after the re-apply, want open at 113", open, at)
+	}
+	if len(events) != 2 || events[0] == events[1] {
+		t.Fatalf("events %v, want two distinct", events)
+	}
+	if !inRecord(events[0].Key, &u[1]) || inRecord(events[1].Key, &u[1]) {
+		t.Error("want the first opening in the record and the reopening outside it")
+	}
+	for i, ev := range events {
+		if ev.Key.Path.String() != "2>0" || !slices.Equal(ev.Key.Sigs[0], sig) {
+			t.Errorf("event %d reads %v after the reopening", i, ev.Key.Path)
+		}
+	}
+	var notes []string
+	for _, rec := range ch.Records() {
+		if rec.Kind == chain.NoteInvocation {
+			notes = append(notes, rec.Note)
+		}
+	}
+	if want := []string{"unlock: hashlock 0 opened, path 2>0", "unlock: hashlock 0 opened, path 2>0"}; !slices.Equal(notes, want) {
+		t.Errorf("invocation notes %q, want %q", notes, want)
 	}
 	if !ch.VerifyLedger() {
 		t.Error("ledger does not verify")
