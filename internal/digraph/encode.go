@@ -46,16 +46,24 @@ func (d *Digraph) EncodedSize() int {
 // seven bits.
 func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
-// Decode reconstructs a digraph from Encode output. Vertex names are the
-// defaults ("v0", "v1", ...).
+// MaxDecodedVertices bounds the vertex count Decode accepts. The count is
+// one varint, so without a bound a few bytes could ask for any amount of
+// memory.
+const MaxDecodedVertices = 1 << 16
+
+// Decode reconstructs a digraph from Encode output, and accepts nothing
+// else: every varint minimal, no trailing bytes, at most
+// MaxDecodedVertices vertexes. So a digraph it returns re-encodes to the
+// bytes it was decoded from. Vertex names are the defaults ("v0", "v1",
+// ...).
 func Decode(data []byte) (*Digraph, error) {
-	nv, n := binary.Uvarint(data)
-	if n <= 0 {
+	nv, n := uvarint(data)
+	if n <= 0 || nv > MaxDecodedVertices {
 		return nil, fmt.Errorf("%w: vertex count", ErrEncoding)
 	}
 	data = data[n:]
-	na, n := binary.Uvarint(data)
-	if n <= 0 {
+	na, n := uvarint(data)
+	if n <= 0 || na > uint64(len(data)-n)/2 { // an arc takes two bytes or more
 		return nil, fmt.Errorf("%w: arc count", ErrEncoding)
 	}
 	data = data[n:]
@@ -64,12 +72,12 @@ func Decode(data []byte) (*Digraph, error) {
 		d.AddVertex("")
 	}
 	for i := uint64(0); i < na; i++ {
-		head, hn := binary.Uvarint(data)
+		head, hn := uvarint(data)
 		if hn <= 0 {
 			return nil, fmt.Errorf("%w: arc %d head", ErrEncoding, i)
 		}
 		data = data[hn:]
-		tail, tn := binary.Uvarint(data)
+		tail, tn := uvarint(data)
 		if tn <= 0 {
 			return nil, fmt.Errorf("%w: arc %d tail", ErrEncoding, i)
 		}
@@ -82,4 +90,14 @@ func Decode(data []byte) (*Digraph, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrEncoding, len(data))
 	}
 	return d, nil
+}
+
+// uvarint is binary.Uvarint refusing a padded varint (n = 0), which
+// Encode never writes.
+func uvarint(data []byte) (uint64, int) {
+	x, n := binary.Uvarint(data)
+	if n > 0 && n != uvarintLen(int(x)) {
+		return 0, 0
+	}
+	return x, n
 }

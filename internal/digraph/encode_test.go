@@ -1,6 +1,7 @@
 package digraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -65,6 +66,10 @@ func TestDecodeErrors(t *testing.T) {
 		{name: "self loop arc", data: []byte{2, 1, 0, 0}},
 		{name: "vertex out of range", data: []byte{2, 1, 0, 7}},
 		{name: "trailing bytes", data: append(cycle3().Encode(), 0xFF)},
+		{name: "padded vertex count", data: []byte{0x82, 0x00, 0}},
+		{name: "padded arc end", data: []byte{2, 1, 0x80, 0x00, 1}},
+		{name: "too many vertexes", data: binary.AppendUvarint(nil, MaxDecodedVertices+1)},
+		{name: "more arcs than bytes", data: []byte{2, 3, 0, 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
