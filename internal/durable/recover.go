@@ -85,8 +85,15 @@ func Recover(cfg engine.Config, opts RecoverOptions) (*engine.Engine, *Recovery,
 		st.Close()
 		return nil, nil, fmt.Errorf("%w in %s", ErrNoState, opts.Dir)
 	}
-	resolved, err := st.ResolvedState(opts.CutTick)
-	if err != nil {
+	var resolved *State
+	if opts.CutTick <= 0 && !opts.Attach {
+		// Nothing reads a closed store's fold again, so Resolve may
+		// write it in place of a clone.
+		if err := st.Close(); err != nil {
+			return nil, nil, err
+		}
+		resolved = st.closedState()
+	} else if resolved, err = st.ResolvedState(opts.CutTick); err != nil {
 		st.Close()
 		return nil, nil, err
 	}
@@ -114,8 +121,10 @@ func Recover(cfg engine.Config, opts RecoverOptions) (*engine.Engine, *Recovery,
 			return nil, nil, err
 		}
 		rec.Store, cfg.Store = st, st
-	} else if err := st.Close(); err != nil {
-		return nil, nil, err
+	} else if opts.CutTick > 0 {
+		if err := st.Close(); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	e, err := engine.NewRecovered(cfg, recState)

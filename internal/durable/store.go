@@ -379,6 +379,17 @@ func (s *Store) snapshotLocked() error {
 	return s.openSegment(s.segIdx + 1)
 }
 
+// closedState returns a closed store's fold itself, not a clone: the
+// store never reads or writes it again, so the caller may.
+func (s *Store) closedState() *State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		panic("durable: closedState on an open store")
+	}
+	return s.live
+}
+
 // ResolvedState returns an independent fold of the log, filtered to
 // events stamped at or before cut when cut > 0. With a cut, the fold is
 // read back from the directory — the snapshot file, then every segment,
