@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -607,5 +608,54 @@ func TestOffersMatchLoadShape(t *testing.T) {
 				t.Errorf("%d of %d rings cross shards at CrossRatio %.2f", crosses, rings, cfg.CrossRatio)
 			}
 		})
+	}
+}
+
+// closingTarget is a countingTarget that closes its scheduler from
+// inside its closeAt-th Submit, under the run (against Run's contract),
+// and reports on closed once the close is done.
+type closingTarget struct {
+	countingTarget
+	closeAt int64
+	closed  chan struct{}
+}
+
+func (c *closingTarget) Submit(o core.Offer) (engine.OrderID, error) {
+	if c.submitted.Add(1) == c.closeAt {
+		// The hold keeps the dispatcher from starting another batch, and
+		// Close, which waits for the dispatcher running this Submit,
+		// stops it for good.
+		c.v.Acquire()
+		go func() { c.v.Close(); close(c.closed) }()
+	}
+	return 0, nil
+}
+
+// TestRunCancelAfterSchedulerClose pins Run's abort path when the
+// target's scheduler closes mid-run: the arrivals it never fires are
+// still queued, so the cancel sweep stops them, the wait group reaches
+// zero, and Run returns ctx.Err() at once, not after its 5 s grace, and
+// leaves no goroutine behind.
+func TestRunCancelAfterSchedulerClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tgt := &closingTarget{countingTarget: countingTarget{v: sched.NewVirtual(1)}, closeAt: 100, closed: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { <-tgt.closed; cancel() }()
+	begin := time.Now()
+	st, err := Run(ctx, tgt, Config{Offers: 3000, Rate: 1000, Process: Poisson{}, PartyPool: 64, Seed: 5})
+	if took := time.Since(begin); err != context.Canceled || took > time.Second {
+		t.Fatalf("Run returned %v after %v, want context.Canceled well inside the 5 s grace", err, took)
+	}
+	if st.Submitted != int(tgt.submitted.Load()) || st.Submitted+st.Refused != st.Offered {
+		t.Errorf("stats %+v, target took %d", st, tgt.submitted.Load())
+	}
+	if st.Submitted < 100 || st.Refused == 0 {
+		t.Errorf("stats %+v: want the close to leave arrivals unfired", st)
+	}
+	checkPartyBalance(t, st)
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after Run returned, %d before it", runtime.NumGoroutine(), base)
+		}
 	}
 }
