@@ -38,6 +38,10 @@ type Shape struct {
 	// deadlines counts, over all arcs, the distinct steps of each arc: the
 	// refund alarms a hashkey run arms.
 	deadlines int
+	// shortKeys records that every vertex is a leader or has an arc to
+	// each leader, so every hashkey a conforming party presents has at
+	// most two links, and fits a record of a swap's htlc.Unlocks.
+	shortKeys bool
 }
 
 // compileShape derives d's shape. leaders nil picks a minimum feedback
@@ -100,12 +104,14 @@ func compileShape(d *digraph.Digraph, leaders []digraph.Vertex, diamBound int) (
 	if nl == 1 {
 		toLeader, _ = d.LongestPathsToSink(leaders[0])
 	}
+	s.shortKeys = true
 	for v := 0; v < n; v++ {
 		var from []int
 		if toLeader == nil {
 			from, _ = d.LongestPathsFrom(digraph.Vertex(v))
 		}
 		for i, l := range leaders {
+			s.shortKeys = s.shortKeys && (l == digraph.Vertex(v) || d.HasArcBetween(digraph.Vertex(v), l))
 			p := 0
 			if toLeader != nil {
 				p = toLeader[v]

@@ -125,9 +125,10 @@ type Spec struct {
 	// shape is the compiled (D, Leaders, DiamBound) part of the plan: the
 	// timelock ladder below is Start plus its steps times Δ.
 	shape *Shape
-	// tlMu guards the lazily filled Start-derived caches below, so a Spec
-	// whose timelocks were never warmed (e.g. an engine swap before its
-	// Start is pinned) can fill them safely from any goroutine.
+	// tlMu guards the lazily filled Start-derived caches below, and
+	// unlocks, so a Spec whose timelocks were never warmed (e.g. an engine
+	// swap before its Start is pinned) can fill them safely from any
+	// goroutine.
 	tlMu sync.Mutex
 	// arcTimelocks holds the per-arc timelock vectors, cut from tlTicks,
 	// shared read-only by every reader of an arc's deadlines; tlFilled
@@ -142,7 +143,8 @@ type Spec struct {
 	// Tag and Assets.
 	contractIDs []chain.ContractID
 	// unlocks is the storage every Swap contract NewSwap builds keeps its
-	// unlocks in, allocated by the first (under tlMu).
+	// unlocks in, allocated by the first (under tlMu), or nil when the
+	// shape's keys may not fit it.
 	unlocks htlc.Unlocks
 }
 
@@ -476,12 +478,14 @@ func (s *Spec) ContractParams(arcID int) htlc.SwapParams {
 }
 
 // NewSwap builds the canonical Swap contract for an arc. The contract
-// copies the vectors it keeps, so it is built from the plan's own. Every
+// copies the vectors it keeps, so it is built from the plan's own. When
+// the shape says every conforming key fits an Unlocks record, every
 // contract of the swap keeps its unlocks in the swap's one Unlocks, which
-// the first contract built allocates.
+// the first contract built allocates; otherwise each contract copies
+// its keys on its own.
 func (s *Spec) NewSwap(arcID int) (*htlc.Swap, error) {
 	s.tlMu.Lock()
-	if s.unlocks == nil {
+	if s.unlocks == nil && s.shape.shortKeys {
 		s.unlocks = htlc.NewUnlocks(s.D.NumArcs(), len(s.Leaders))
 	}
 	u := s.unlocks

@@ -173,6 +173,36 @@ func TestContractParamsConsistency(t *testing.T) {
 	}
 }
 
+// TestNewSwapSharesUnlocksWhenKeysAreShort pins when a swap's contracts
+// keep their unlocks in one htlc.Unlocks: on a shape where every vertex
+// is a leader or has an arc to each leader (a complete digraph), every
+// contract NewSwap builds shares it; on one where a conforming key can be
+// longer (a ring's), none allocates it.
+func TestNewSwapSharesUnlocksWhenKeysAreShort(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		d     *digraph.Digraph
+		short bool
+	}{
+		{"clique-4", graphgen.Clique(4), true},
+		{"two-leader-triangle", graphgen.TwoLeaderTriangle(), true},
+		{"ring-3", graphgen.Cycle(3), false},
+	} {
+		spec := newTestSetup(t, tc.d, Config{Kind: KindGeneral}).Spec
+		if spec.shape.shortKeys != tc.short {
+			t.Errorf("%s: shortKeys %v, want %v", tc.name, spec.shape.shortKeys, tc.short)
+		}
+		for id := 0; id < spec.D.NumArcs(); id++ {
+			if _, err := spec.NewSwap(id); err != nil {
+				t.Fatalf("%s: NewSwap(%d): %v", tc.name, id, err)
+			}
+		}
+		if want := tc.short; (spec.unlocks != nil) != want || want && len(spec.unlocks) != spec.D.NumArcs()*len(spec.Leaders) {
+			t.Errorf("%s: unlocks of %d records after NewSwap on every arc", tc.name, len(spec.unlocks))
+		}
+	}
+}
+
 // TestContractIDTableMatchesLegacyFormat pins the compiled arc table to
 // the identifiers fmt used to build per call — they are ledger keys and
 // WAL content — for untagged, tagged and multi-chain specs.

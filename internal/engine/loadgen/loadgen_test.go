@@ -640,7 +640,14 @@ func TestRunCancelAfterSchedulerClose(t *testing.T) {
 	base := runtime.NumGoroutine()
 	tgt := &closingTarget{countingTarget: countingTarget{v: sched.NewVirtual(1)}, closeAt: 100, closed: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { <-tgt.closed; cancel() }()
+	defer cancel()
+	go func() {
+		select {
+		case <-tgt.closed:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 	begin := time.Now()
 	st, err := Run(ctx, tgt, Config{Offers: 3000, Rate: 1000, Process: Poisson{}, PartyPool: 64, Seed: 5})
 	if took := time.Since(begin); err != context.Canceled || took > time.Second {

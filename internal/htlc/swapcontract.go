@@ -164,8 +164,8 @@ type lockState struct {
 // their unlocks: a record per (arc, hashlock), arc-major, each holding
 // the contract's copy of a key of up to two links that opened the lock
 // and the unlock's ledger note. The swap's plan sizes it (NewUnlocks) and
-// builds every contract on it (NewSwapIn), so a swap's unlocks take one
-// allocation where each used to take two. A record is used at most once:
+// builds every contract on it (NewSwapIn), so all of a swap's unlocks
+// share one allocation. A record is used at most once:
 // a lock reopened after a revert, or opened by a longer key, takes fresh
 // storage, so no emitted event or note ever changes.
 type Unlocks []unlockRecord
