@@ -236,8 +236,10 @@ func (h Hashkey) Extend(v *Signer) Hashkey {
 
 // newKey returns the storage of a new hashkey of np path vertexes and ns
 // signatures, the first of which the caller signs into sig: one
-// allocation, of one of four sizes, for a chain of up to shortChain
-// links, and three for a longer one.
+// allocation, of one of five sizes, for a chain of up to shortChain
+// links, and three for a longer one. The sizes follow the chains a swap
+// of up to four parties builds, so none costs more than the three
+// allocations it replaces.
 func newKey(np, ns int) (digraph.Path, [][]byte, *[SigSize]byte) {
 	switch n := max(np, ns); {
 	case n <= 1:
@@ -251,6 +253,13 @@ func newKey(np, ns int) (digraph.Path, [][]byte, *[SigSize]byte) {
 		st := new(struct {
 			path [2]digraph.Vertex
 			sigs [2][]byte
+			sig  [SigSize]byte
+		})
+		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
+	case n <= 3:
+		st := new(struct {
+			path [3]digraph.Vertex
+			sigs [3][]byte
 			sig  [SigSize]byte
 		})
 		return st.path[:np:np], st.sigs[:ns:ns], &st.sig
