@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -894,5 +895,29 @@ func TestSwapInRevertThenUnlockAgain(t *testing.T) {
 	}
 	if !ch.VerifyLedger() {
 		t.Error("ledger does not verify")
+	}
+}
+
+// TestSwapStaysInItsSizeClass pins a contract of up to inlineLocks
+// hashlocks at one object in the 768-byte size class. The runtime heads
+// a pointerful object of more than 512 bytes with an 8-byte type word,
+// so a Swap of more than 760 bytes lands in the 896-byte class: 1.5 KB a
+// four-party clique, which the clique's byte ceiling in
+// TestAllocationBudget is too loose to see.
+func TestSwapStaysInItsSizeClass(t *testing.T) {
+	p := newBench(t).arc0Params()
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = NewSwap(p) }); allocs != 1 {
+		t.Fatalf("NewSwap allocates %.1f objects, want 1", allocs)
+	}
+	const n = 1000
+	keep := make([]*Swap, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i], _ = NewSwap(p)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 768 {
+		t.Errorf("a Swap of %d bytes takes %d bytes of heap, want 768", unsafe.Sizeof(Swap{}), per)
 	}
 }
