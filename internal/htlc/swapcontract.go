@@ -165,9 +165,9 @@ type lockState struct {
 // the contract's copy of a key of up to two links that opened the lock
 // and the unlock's ledger note. The swap's plan sizes it (NewUnlocks) and
 // builds every contract on it (NewSwapIn), so all of a swap's unlocks
-// share one allocation. A record is used at most once:
-// a lock reopened after a revert, or opened by a longer key, takes fresh
-// storage, so no emitted event or note ever changes.
+// share one allocation. A record is used at most once: a lock reopened
+// after a revert, or opened by a longer key, takes fresh storage, so no
+// emitted event or note ever changes.
 type Unlocks []unlockRecord
 
 // unlockRecord is one lock's record in an Unlocks.
@@ -427,11 +427,9 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	// (re-presentations extend into new buffers). It lives in the lock's
 	// record when the contract has an unused one the key fits.
 	var rec *unlockRecord
+	key, kept := hashkey.Hashkey{}, false
 	if s.recs != nil {
 		rec = &unsafe.Slice(s.recs, len(s.p.Locks))[i]
-	}
-	key, kept := hashkey.Hashkey{}, false
-	if rec != nil {
 		key, kept = rec.key.Hold(args.Key)
 	}
 	if !kept {
@@ -450,7 +448,7 @@ func (s *Swap) invokeUnlock(call chain.Call) (chain.Result, error) {
 	var buf [64]byte
 	b := strconv.AppendInt(append(buf[:0], "hashlock "...), int64(i), 10)
 	b = ev.Key.Path.Append(append(b, " opened, path "...))
-	note := ""
+	var note string
 	if kept && len(b) <= len(rec.note) {
 		note = unsafe.String(&rec.note[0], copy(rec.note[:], b))
 	} else {
