@@ -236,11 +236,13 @@ type Chain struct {
 	name  string
 	clock vtime.Clock
 
-	mu        sync.Mutex
-	assets    map[AssetID]Asset
-	owners    map[AssetID]Owner
-	contracts map[ContractID]Contract
-	closed    map[ContractID]bool
+	mu sync.Mutex
+	// assets holds every registered asset with its current owner, and
+	// contracts every published contract with whether it has settled: one
+	// map per kind, so a record is one entry and a change of owner or
+	// state writes it back whole.
+	assets    map[AssetID]assetEntry
+	contracts map[ContractID]contractEntry
 	ledger    ledger
 	storage   int
 	observers map[string]func(Notification)
@@ -288,6 +290,28 @@ type Chain struct {
 	selfPumpAt map[vtime.Ticks]struct{}
 }
 
+// assetEntry is an asset as a chain stores it: the asset and its owner.
+type assetEntry struct {
+	asset Asset
+	owner Owner
+}
+
+// contractEntry is a contract as a chain stores it: the contract, and
+// whether a claim or refund has closed it.
+type contractEntry struct {
+	contract Contract
+	closed   bool
+}
+
+// setOwnerLocked moves a registered asset to owner o. The caller must hold
+// c.mu.
+func (c *Chain) setOwnerLocked(id AssetID, o Owner) {
+	if a, ok := c.assets[id]; ok {
+		a.owner = o
+		c.assets[id] = a
+	}
+}
+
 // commitEntry is one applied-but-not-final record awaiting its fate.
 type commitEntry struct {
 	seq      int
@@ -329,10 +353,8 @@ func New(name string, clock vtime.Clock) *Chain {
 	return &Chain{
 		name:      name,
 		clock:     clock,
-		assets:    make(map[AssetID]Asset),
-		owners:    make(map[AssetID]Owner),
-		contracts: make(map[ContractID]Contract),
-		closed:    make(map[ContractID]bool),
+		assets:    make(map[AssetID]assetEntry),
+		contracts: make(map[ContractID]contractEntry),
 		observers: make(map[string]func(Notification)),
 	}
 }
@@ -442,8 +464,7 @@ func (c *Chain) RegisterAsset(a Asset, owner PartyID) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicateAsset, a.ID)
 	}
-	c.assets[a.ID] = a
-	c.owners[a.ID] = ByParty(owner)
+	c.assets[a.ID] = assetEntry{asset: a, owner: ByParty(owner)}
 	n := c.appendLocked(NoteAssetRegistered, "", owner, len(a.ID)+len(a.Description)+8,
 		noteAsset, string(a.ID), string(owner), nil)
 	c.mu.Unlock()
@@ -456,15 +477,15 @@ func (c *Chain) Asset(id AssetID) (Asset, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.assets[id]
-	return a, ok
+	return a.asset, ok
 }
 
 // OwnerOf returns the current owner of an asset.
 func (c *Chain) OwnerOf(id AssetID) (Owner, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o, ok := c.owners[id]
-	return o, ok
+	a, ok := c.assets[id]
+	return a.owner, ok
 }
 
 // PublishContract publishes a contract: the sender must own the contract's
@@ -478,11 +499,12 @@ func (c *Chain) PublishContract(sender PartyID, contract Contract) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
 	assetID := contract.AssetID()
-	if _, ok := c.assets[assetID]; !ok {
+	a, ok := c.assets[assetID]
+	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrContractAssetGap, assetID)
 	}
-	owner := c.owners[assetID]
+	owner := a.owner
 	if owner.Kind != OwnerParty || owner.Party != sender {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: asset %s owned by %s, publish attempted by %s",
@@ -497,8 +519,9 @@ func (c *Chain) PublishContract(sender PartyID, contract Contract) error {
 		_, rev := contract.(RevertibleContract)
 		c.revertible[id] = rev
 	}
-	c.contracts[id] = contract
-	c.owners[assetID] = ByEscrow(id)
+	c.contracts[id] = contractEntry{contract: contract}
+	a.owner = ByEscrow(id)
+	c.assets[assetID] = a
 	n := c.appendLocked(NoteContractPublished, id, sender, contract.StorageSize(),
 		noteEscrow, string(assetID), "", contract)
 	if f, fated := c.drawFateLocked(id); fated {
@@ -520,26 +543,27 @@ func (c *Chain) Contract(id ContractID) (Contract, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ct, ok := c.contracts[id]
-	return ct, ok
+	return ct.contract, ok
 }
 
 // Closed reports whether a contract has settled (claimed or refunded).
 func (c *Chain) Closed(id ContractID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed[id]
+	return c.contracts[id].closed
 }
 
 // Invoke calls a contract method. Errors from the contract revert the
 // call: nothing is recorded or charged and no notification is sent.
 func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, argsSize int) error {
 	c.mu.Lock()
-	contract, ok := c.contracts[id]
+	ce, ok := c.contracts[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownContract, id)
 	}
-	if c.closed[id] {
+	contract := ce.contract
+	if ce.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrContractClosed, id)
 	}
@@ -585,9 +609,12 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 	notes := append(notesBuf[:0], ni)
 	if res.Transfer.Kind != 0 {
 		assetID := contract.AssetID()
-		prevOwner := c.owners[assetID]
-		c.owners[assetID] = res.Transfer
-		c.closed[id] = true
+		a := c.assets[assetID]
+		prevOwner := a.owner
+		a.owner = res.Transfer
+		c.assets[assetID] = a
+		ce.closed = true
+		c.contracts[id] = ce
 		form, to := ownerNote(res.Transfer)
 		nt := c.appendLocked(NoteTransfer, id, sender, 0, form, string(assetID), to, nil)
 		if fated {
@@ -610,17 +637,19 @@ func (c *Chain) Invoke(sender PartyID, id ContractID, method string, args any, a
 // protocols. Escrowed assets cannot be transferred directly.
 func (c *Chain) Transfer(sender PartyID, asset AssetID, to PartyID) error {
 	c.mu.Lock()
-	if _, ok := c.assets[asset]; !ok {
+	a, ok := c.assets[asset]
+	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownAsset, asset)
 	}
-	owner := c.owners[asset]
+	owner := a.owner
 	if owner.Kind != OwnerParty || owner.Party != sender {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: asset %s owned by %s, transfer attempted by %s",
 			ErrNotOwner, asset, owner, sender)
 	}
-	c.owners[asset] = ByParty(to)
+	a.owner = ByParty(to)
+	c.assets[asset] = a
 	n := c.appendLocked(NoteTransfer, "", sender, transferRecordBytes,
 		noteAsset, string(asset), string(to), nil)
 	c.mu.Unlock()
@@ -877,9 +906,9 @@ func (c *Chain) StorageBytes() int {
 func (c *Chain) Snapshot() map[AssetID]Owner {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[AssetID]Owner, len(c.owners))
-	for k, v := range c.owners {
-		out[k] = v
+	out := make(map[AssetID]Owner, len(c.assets))
+	for k, a := range c.assets {
+		out[k] = a.owner
 	}
 	return out
 }

@@ -286,14 +286,17 @@ func (c *Chain) undoLocked(id ContractID, e commitEntry) {
 	switch e.kind {
 	case NoteContractPublished:
 		delete(c.contracts, id)
-		c.owners[e.undo.asset] = e.undo.prevOwner
+		c.setOwnerLocked(e.undo.asset, e.undo.prevOwner)
 	case NoteInvocation:
-		if rc, ok := c.contracts[id].(RevertibleContract); ok {
+		if rc, ok := c.contracts[id].contract.(RevertibleContract); ok {
 			rc.StateRestore(e.undo.snapshot)
 		}
 	case NoteTransfer:
-		c.owners[e.undo.asset] = e.undo.prevOwner
-		delete(c.closed, id)
+		c.setOwnerLocked(e.undo.asset, e.undo.prevOwner)
+		if ce, ok := c.contracts[id]; ok {
+			ce.closed = false
+			c.contracts[id] = ce
+		}
 	}
 }
 

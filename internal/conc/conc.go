@@ -565,6 +565,23 @@ type runner struct {
 	alarms   []alarmEntry
 	alarmBuf [runArcs]alarmEntry
 	keys     []hashkey.Hashkey
+
+	// htlcs is where the conforming parties' classic HTLCs are built, one
+	// per arc (newHTLC). Chains keep the contracts for good, so it is an
+	// allocation of its own, never cut from the record.
+	htlcs []htlc.HTLC
+}
+
+// newHTLC builds arcID's canonical classic HTLC in the run's htlcs, which
+// the swap's first publish allocates: a chain then keeps one object of the
+// swap's contracts, not one per arc. Publishes are serialized on the run's
+// stripe; a second contract for an arc takes storage of its own
+// (htlc.NewHTLCIn).
+func (r *runner) newHTLC(arcID int) (*htlc.HTLC, error) {
+	if r.htlcs == nil {
+		r.htlcs = make([]htlc.HTLC, len(r.arcs))
+	}
+	return htlc.NewHTLCIn(r.spec.HTLCParams(arcID), &r.htlcs[arcID])
 }
 
 // alarmEntry is one Env.At: the alarm and the argument it rings with.
@@ -1131,7 +1148,11 @@ func (e *concEnv) Publish(arcID int) error {
 		}
 		return e.publishContract(arcID, sw)
 	}
-	return e.PublishHTLCParams(spec.HTLCParams(arcID))
+	h, err := e.p.runner.newHTLC(arcID)
+	if err != nil {
+		return err
+	}
+	return e.publishContract(arcID, h)
 }
 
 func (e *concEnv) PublishSwapParams(p htlc.SwapParams) error {

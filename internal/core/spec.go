@@ -298,8 +298,10 @@ func (s *Spec) ContractID(arcID int) chain.ContractID {
 
 // compileContractIDs fills the contract-ID table ids (one entry per arc)
 // and points the spec at it. Every ID is cut from one backing string, so
-// the table costs a swap one allocation whatever its arc count. NewSetup
-// runs it once the spec is finished, before parties share it.
+// the table costs a swap one allocation whatever its arc count, and the
+// spec's Tag becomes that string's prefix: whatever backed the caller's
+// tag is not kept. NewSetup runs it once the spec is finished, before
+// parties share it.
 func (s *Spec) compileContractIDs(ids []chain.ContractID) {
 	var num [20]byte
 	idLen := func(arcID int, on string) int {
@@ -326,6 +328,9 @@ func (s *Spec) compileContractIDs(ids []chain.ContractID) {
 		b.WriteString(aa.Chain)
 	}
 	all := b.String()
+	if s.Tag != "" {
+		s.Tag = all[:len(s.Tag)]
+	}
 	for arcID, aa := range s.Assets {
 		n := idLen(arcID, aa.Chain)
 		ids[arcID], all = chain.ContractID(all[:n]), all[n:]

@@ -12,11 +12,17 @@ import (
 
 // Per-swap allocation ceilings: the heap objects measured on the
 // deterministic scheduler (go1.24 linux/amd64, two cores) plus 5 %, and
-// for the ring and the clique their bytes too. A three-party ring clears
-// on classic HTLCs at 18 objects and 15.1 KB, the same on any core count;
-// the same ring forced onto the hashkey protocol costs 32–34 objects, and
-// a four-party clique 61–63 and 73.6–74.6 KB, the more the more cores a
-// presign table (DESIGN.md §16) finds. (With every Swap unlock copying
+// for the ring and the clique their bytes and the objects a settled swap
+// leaves live too. A three-party ring clears on classic HTLCs at 11
+// objects and 14.7 KB, the same on any core count, and leaves 3.6 objects
+// behind; the same ring forced onto the hashkey protocol costs 27–29
+// objects, and a four-party clique 54–57 and 71.9–72.7 KB, the more the
+// more cores a presign table (DESIGN.md §16) finds, leaving 21.0.
+// (With every order, HTLC and swap tag a heap object of its own and a
+// chain keeping an asset's owner and a contract's closed flag in maps of
+// their own, the rows measured 18, 34 and 62 objects, the ring 15.1 KB,
+// the clique 73.6–74.6 KB, and a ring left 9.8 objects, a clique 26.2;
+// with every Swap unlock copying
 // its key and spelling its note on the heap, every claim its note, and a
 // hashkey built from three allocations, the hashkey rows measured 42 and
 // 170 objects, the clique 73.8–74.5 KB; with a redeem boxing its
@@ -32,14 +38,16 @@ import (
 // refund alarm and a signer binding per vertex, 99, 188 and 793; with
 // every swap deriving its own leaders and ladder, and every delivery its
 // own heap record, scheduler event and closure, 269, 362 and 1475.) A
-// change that pushes a swap's heap objects or bytes past its ceiling
-// fails tier-1 here, not only in benchmark/.
+// change that pushes a swap's heap objects, bytes or retained objects
+// past its ceiling fails tier-1 here, not only in benchmark/.
 const (
-	ring3AllocCeiling        = 19
-	ring3GeneralAllocCeiling = 36
-	clique4AllocCeiling      = 67
+	ring3AllocCeiling        = 12
+	ring3GeneralAllocCeiling = 31
+	clique4AllocCeiling      = 60
 	ring3ByteCeiling         = 15854
 	clique4ByteCeiling       = 78330
+	ring3RetainedCeiling     = 3.75
+	clique4RetainedCeiling   = 22.0
 )
 
 // cliqueOffers builds clique c of four-party complete digraphs over
@@ -121,6 +129,26 @@ func allocsPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps 
 		float64(after.TotalAlloc-before.TotalAlloc) / float64(wantSwaps)
 }
 
+// retainedPerSwap returns the heap objects a fresh engine still holds per
+// finished swap once it has drained and the collector has run: what a
+// settled swap leaves behind for every later cycle to mark. Two cycles
+// each time, so that nothing a sync.Pool's victim cache still holds is
+// counted.
+func retainedPerSwap(t *testing.T, kind core.Kind, offers []core.Offer, wantSwaps int) float64 {
+	t.Helper()
+	e := startBooking(t, kind)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bookAndDrain(t, e, offers)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	return (float64(after.HeapObjects) - float64(before.HeapObjects)) / float64(wantSwaps)
+}
+
 // TestAllocationBudget pins the heap objects one conforming swap costs,
 // end to end through clearing, conc, sched, chain and hashkey.
 func TestAllocationBudget(t *testing.T) {
@@ -140,12 +168,13 @@ func TestAllocationBudget(t *testing.T) {
 		kind    core.Kind
 		offers  []core.Offer
 		ceiling float64
-		// bytes is the byte ceiling, pinned for the ring and the clique.
-		bytes float64
+		// bytes and retained are the byte and retained-object ceilings,
+		// pinned for the ring and the clique.
+		bytes, retained float64
 	}{
-		{"ring-3", 0, rings, ring3AllocCeiling, ring3ByteCeiling},
-		{"ring-3-general", core.KindGeneral, rings, ring3GeneralAllocCeiling, 0},
-		{"clique-4", 0, cliques, clique4AllocCeiling, clique4ByteCeiling},
+		{"ring-3", 0, rings, ring3AllocCeiling, ring3ByteCeiling, ring3RetainedCeiling},
+		{"ring-3-general", core.KindGeneral, rings, ring3GeneralAllocCeiling, 0, 0},
+		{"clique-4", 0, cliques, clique4AllocCeiling, clique4ByteCeiling, clique4RetainedCeiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocsPerSwap(t, tc.kind, tc.offers, swaps) // warm the runtime's own pools
@@ -153,6 +182,20 @@ func TestAllocationBudget(t *testing.T) {
 			t.Logf("%.0f allocs/swap (ceiling %.0f)", got, tc.ceiling)
 			if got > tc.ceiling {
 				t.Errorf("%.0f allocs/swap exceeds the pinned ceiling %.0f", got, tc.ceiling)
+			}
+			if tc.retained > 0 {
+				// What the runtime keeps of its own — a goroutine or a
+				// processor's cache first used mid-run — only ever adds, as
+				// for bytes below: the least of three runs is the swaps'
+				// own, and the ring's line is the same at any GOMAXPROCS.
+				retained := retainedPerSwap(t, tc.kind, tc.offers, swaps)
+				for range 2 {
+					retained = min(retained, retainedPerSwap(t, tc.kind, tc.offers, swaps))
+				}
+				t.Logf("%.1f retained objects/swap (ceiling %.2f)", retained, tc.retained)
+				if retained > tc.retained {
+					t.Errorf("%.3f retained objects/swap exceeds the pinned ceiling %.2f", retained, tc.retained)
+				}
 			}
 			if tc.bytes > 0 {
 				// Bytes also count what the runtime allocates for itself

@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
@@ -627,14 +630,109 @@ func BenchmarkClearRoundDepth(b *testing.B) {
 	}
 }
 
-// TestSwapTagMatchesSprintf pins swapTag to the fmt form it replaced.
+// TestOrderChunkConcurrentSubmit posts orders from several goroutines at
+// once while the running clock books and settles them, across a dozen of
+// the unit's order chunks: every order stays its own record whichever
+// chunk it was cut from and whoever cut the one beside it, and under
+// -race the unit mutex covers each cut.
+func TestOrderChunkConcurrentSubmit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Parallel = true
+	e := New(cfg)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	e.Scheduler().Hold()() // intake racing a running clock is the test
+	const submitters = 4
+	ringsEach := orderChunkLen
+	offers := make([]map[OrderID]core.Offer, submitters)
+	var intake sync.WaitGroup
+	for g := range submitters {
+		offers[g] = make(map[OrderID]core.Offer)
+		intake.Add(1)
+		go func() {
+			defer intake.Done()
+			for r := g * ringsEach; r < (g+1)*ringsEach; r++ {
+				for i := 0; i < 3; i++ {
+					o := LoadOffer(r, i, 3, r)
+					id, err := e.Submit(o)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					offers[g][id] = o
+				}
+			}
+		}()
+	}
+	intake.Wait()
+	drainAndStop(t, e)
+	u := e.units[0]
+	n := 0
+	for _, byID := range offers {
+		for id, want := range byID {
+			n++
+			o := u.orders[id]
+			if o == nil || o.id != id || o.status != StatusSettled || !reflect.DeepEqual(o.offer, want) {
+				t.Fatalf("order %d reads %+v, want settled %+v", id, o, want)
+			}
+		}
+	}
+	if want := submitters * ringsEach * 3; n != want || len(u.orders) != want {
+		t.Fatalf("%d orders submitted, %d held, want %d", n, len(u.orders), want)
+	}
+}
+
+// TestOrderChunkFillsItsSizeClass: a unit cuts its orders from chunks of
+// one allocation each, and a chunk fills the 10 240-byte size class it is
+// sized for, with less than one order's room to spare.
+func TestOrderChunkFillsItsSizeClass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on the paths being counted")
+	}
+	const chunks = 100
+	u := &unit{}
+	keep := make([]*order, 0, chunks*orderChunkLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range chunks * orderChunkLen {
+		keep = append(keep, u.newOrder())
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if n := after.Mallocs - before.Mallocs; n != chunks {
+		t.Errorf("%d orders took %d allocations, want %d", chunks*orderChunkLen, n, chunks)
+	}
+	size := int(unsafe.Sizeof(order{}))
+	if per := int(after.TotalAlloc-before.TotalAlloc) / chunks; per != 10240 || per-8-orderChunkLen*size >= size {
+		t.Errorf("a chunk of %d orders of %d bytes takes %d bytes of heap, want 10240 with under an order spare",
+			orderChunkLen, size, per)
+	}
+}
+
+// TestSwapTagMatchesSprintf pins swapTag to the fmt form it replaced, and
+// checks that tags cut from a chunk keep their bytes once later tags have
+// filled it and moved on to the next.
 func TestSwapTagMatchesSprintf(t *testing.T) {
+	var tags strings.Builder
 	for _, seq := range []uint64{
 		0, 1, 9, 10, 99, 100, 12345, 99999, 100000, 999999,
 		1000000, 1234567, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1<<64 - 1,
 	} {
-		if got, want := swapTag(seq), fmt.Sprintf("swap-%06d", seq); got != want {
+		if got, want := swapTag(&tags, seq), fmt.Sprintf("swap-%06d", seq); got != want {
 			t.Errorf("swapTag(%d) = %q, want %q", seq, got, want)
 		}
+	}
+	kept := make([]string, 3*tagChunk/len("swap-000000"))
+	for i := range kept {
+		kept[i] = swapTag(&tags, uint64(i))
+	}
+	for i, got := range kept {
+		if want := fmt.Sprintf("swap-%06d", i); got != want {
+			t.Fatalf("tag %d reads %q once the chunks moved on, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { swapTag(&tags, 1234567) }); n != 0 {
+		t.Errorf("swapTag allocates %.0f objects a tag, want 0", n)
 	}
 }

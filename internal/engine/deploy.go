@@ -113,7 +113,8 @@ type host struct {
 	// Tracer is the shared trace flight recorder.
 	Tracer *trace.Log
 
-	// fan is the registry's delivery probe; every unit joins it.
+	// fan is the registry's delivery probe under AdaptiveDelta; every unit
+	// joins it.
 	fan *probeFan
 	// intake holds the orders posted to every unit until its one event
 	// admits them.
@@ -155,14 +156,21 @@ func newHost(cfg Config) host {
 	// machine's parallelism, where extra fan-out is pure overhead. Sized
 	// once from the whole budget: N shards never stack N pools.
 	h.Cache.SetBatchWorkers(min(cfg.Workers, runtime.GOMAXPROCS(0)))
-	h.Registry.SetDeliveryProbe(h.fan)
+	// Only the adaptive-Δ controller reads delivery lag, so only an
+	// adaptive deployment installs the probes: on a fixed Δ a delivery
+	// feeds none.
+	if cfg.AdaptiveDelta {
+		h.Registry.SetDeliveryProbe(h.fan)
+	}
 	if cfg.Commitment.Enabled() {
 		// One model set for the whole deployment, installed before any chain
 		// exists — which is also why this cannot fail.
 		if err := h.Registry.SetCommitmentModels(cfg.Commitment.Model); err != nil {
 			panic(err)
 		}
-		h.Registry.SetChainProbeFactory(h.fan.chainProbe)
+		if cfg.AdaptiveDelta {
+			h.Registry.SetChainProbeFactory(h.fan.chainProbe)
+		}
 	}
 	if st := cfg.Store; st != nil {
 		// A store that can batch its writes seals once per tick on the

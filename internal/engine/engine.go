@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -374,6 +375,9 @@ type unit struct {
 
 	mu     sync.Mutex
 	orders map[OrderID]*order
+	// orderChunk is what is left of the chunk new orders are cut from
+	// (newOrder).
+	orderChunk []order
 	// book holds exactly the StatusPending orders: an order is added when
 	// it is booked and removed the moment it is dispatched, rejected or
 	// escalated. Its per-party counts are the fair-shedding surface
@@ -406,6 +410,8 @@ type unit struct {
 		group       []core.Offer
 		partitioner core.Partitioner
 		contended   bool
+		// tags is the chunk swap tags are spelled into (swapTag).
+		tags strings.Builder
 	}
 	// roundTicks records the tick of every active clearing round: one that
 	// had live work and kept the loop armed — a dispatch, live runs, a
@@ -614,8 +620,10 @@ func validateOffer(offer core.Offer) error {
 // post records a validated offer as pending order id and appends it to the
 // host's intake, whose one event books it (admit).
 func (e *unit) post(id OrderID, offer core.Offer) {
-	o := &order{id: id, offer: offer, status: StatusPending, submittedAt: time.Now(), e: e}
+	now := time.Now()
 	e.mu.Lock()
+	o := e.newOrder()
+	*o = order{id: id, offer: offer, status: StatusPending, submittedAt: now, e: e}
 	e.nextOrder = id
 	e.orders[id] = o
 	e.posted++
@@ -948,10 +956,15 @@ func (e *unit) clearWindow(limit, capSwaps int) (dispatched int, whole bool) {
 
 // swapTag names the swap with sequence number seq exactly as fmt's
 // "swap-%06d" would: zero-padded to six digits, longer past them. The
-// digits are written back to front into a stack buffer, so the string is
-// the one allocation.
-func swapTag(seq uint64) string {
-	var buf [len("swap-") + 20]byte
+// digits are written back to front into a stack buffer and appended to
+// tags, the round's tag chunk, so a tag costs no allocation of its own. A
+// builder only ever appends, so a tag cut from it stays valid whatever is
+// written after; a spent chunk is left to the tags that still hold it and
+// a fresh one begun. Only a reservation and a prepare record keep this
+// string: core spells the tag again as the prefix of the swap's
+// contract-ID string, which is the copy the job and the orders keep.
+func swapTag(tags *strings.Builder, seq uint64) string {
+	var buf [maxSwapTag]byte
 	at := len(buf)
 	for digits := 0; digits < 6 || seq > 0; digits++ {
 		at--
@@ -960,8 +973,22 @@ func swapTag(seq uint64) string {
 	}
 	at -= len("swap-")
 	copy(buf[at:], "swap-")
-	return string(buf[at:])
+	if tags.Cap()-tags.Len() < len(buf)-at {
+		*tags = strings.Builder{}
+		tags.Grow(tagChunk)
+	}
+	start := tags.Len()
+	tags.Write(buf[at:])
+	return tags.String()[start:]
 }
+
+// maxSwapTag is the longest swap tag, "swap-" and the 20 digits of the
+// largest sequence number; tagChunk is the bytes of one tag chunk, a size
+// class of its own, which holds 93 tags of 11 bytes.
+const (
+	maxSwapTag = len("swap-") + 20
+	tagChunk   = 1024
+)
 
 // clearGroup reserves a matched group's assets, clears it into a swap
 // setup, and starts its run, which settles itself at its horizon (settle).
@@ -996,7 +1023,7 @@ func (e *unit) clearGroup(members []int) bool {
 		gives += len(o.offer.Give)
 	}
 	e.round.group = g
-	swapID := swapTag(seq)
+	swapID := swapTag(&e.round.tags, seq)
 	seed := e.cfg.Seed + int64(seq)
 	j.swapID, j.orders = swapID, group
 
@@ -1085,6 +1112,10 @@ func (e *unit) clearGroup(members []int) bool {
 		rejectGroup("clearing: " + err.Error())
 		return false
 	}
+	// From here on the swap is named by the spec's tag, the one spelling
+	// that lives as long as its contracts.
+	swapID = setup.Spec.Tag
+	j.swapID = swapID
 
 	// Swap setup happens inside the clearing tick, on the scheduler's
 	// dispatcher (or this shard's stripe): the protocol start is pinned

@@ -698,6 +698,28 @@ func TestHostFansChainEvidence(t *testing.T) {
 	}
 }
 
+// TestFixedDeltaFeedsNoProbe: only the adaptive-Δ controller reads delivery
+// lag, so a fixed-Δ engine, plain or sharded and with or without a
+// commitment model, installs no probe for deliveries to feed.
+func TestFixedDeltaFeedsNoProbe(t *testing.T) {
+	for _, cfg := range []Config{
+		{Deterministic: true},
+		{Deterministic: true, Shards: 4},
+		{Deterministic: true, Commitment: CommitmentConfig{ConfirmDepth: 2}},
+	} {
+		e := New(cfg)
+		reg := e.Registry()
+		reg.Chain("btc")
+		if p := reg.DeliveryProbe(); p != nil {
+			t.Errorf("%+v: a fixed-Δ engine installed delivery probe %T", cfg, p)
+		}
+		if p := reg.ChainDeliveryProbe("btc"); p != nil {
+			t.Errorf("%+v: a fixed-Δ engine installed chain probe %T", cfg, p)
+		}
+		drainAndStop(t, e)
+	}
+}
+
 // TestEngineAdversarialConcurrentSubmit exercises the clearing path's
 // adversary selection (the goroutine-confined rng draw) while many
 // goroutines hammer Submit: under -race this is the regression test for

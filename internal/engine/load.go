@@ -23,20 +23,21 @@ func LoadOffer(ring, i, size, group int) core.Offer {
 // controlled variable), everything else about the workload stays
 // byte-identical to the classic shape.
 func LoadOfferOn(ring, i, size, group int, chainName string) core.Offer {
-	return LoadOfferInto(make([]core.ProposedTransfer, 1), ring, i,
+	return LoadOfferInto(make([]core.ProposedTransfer, 1), ring, LoadAsset(ring, i),
 		LoadParty(group, i), LoadParty(group, (i+1)%size), chainName)
 }
 
 // LoadOfferInto is the shape LoadOffer, LoadOfferOn and FloodOffer share,
-// built on storage the caller owns: party gives ring `ring`'s asset i to
-// `to` on chainName, and the offer's one-element Give is give[:1], filled
-// here. A generator that formats each party name once and cuts every Give
-// from one slab builds the same offers without allocating either.
-func LoadOfferInto(give []core.ProposedTransfer, ring, i int, party, to chain.PartyID, chainName string) core.Offer {
+// built on storage the caller owns: party gives asset, ring `ring`'s
+// LoadAsset for its position, to `to` on chainName, and the offer's
+// one-element Give is give[:1], filled here. A generator that formats each
+// party name once, cuts every Give from one slab and every asset ID from
+// one string builds the same offers without allocating any of them.
+func LoadOfferInto(give []core.ProposedTransfer, ring int, asset chain.AssetID, party, to chain.PartyID, chainName string) core.Offer {
 	give[0] = core.ProposedTransfer{
 		To:     to,
 		Chain:  chainName,
-		Asset:  LoadAsset(ring, i),
+		Asset:  asset,
 		Amount: uint64(1 + ring%89),
 	}
 	return core.Offer{Party: party, Give: give[:1:1]}
@@ -61,15 +62,18 @@ func partyName(prefix string, group, i int) chain.PartyID {
 	return chain.PartyID(b)
 }
 
-// LoadAsset is the asset offer i of ring `ring` gives: "asset-<R>-<I>",
-// the one string a generated offer allocates.
+// LoadAsset is the asset offer i of ring `ring` gives: "asset-<R>-<I>".
 func LoadAsset(ring, i int) chain.AssetID {
 	var buf [48]byte
-	b := append(buf[:0], "asset-"...)
+	return chain.AssetID(AppendLoadAsset(buf[:0], ring, i))
+}
+
+// AppendLoadAsset appends LoadAsset(ring, i) to b.
+func AppendLoadAsset(b []byte, ring, i int) []byte {
+	b = append(b, "asset-"...)
 	b = strconv.AppendInt(b, int64(ring), 10)
 	b = append(b, '-')
-	b = strconv.AppendInt(b, int64(i), 10)
-	return chain.AssetID(b)
+	return strconv.AppendInt(b, int64(i), 10)
 }
 
 // FloodPartyPrefix marks offers generated for a flooding coalition: the
@@ -84,6 +88,6 @@ const FloodPartyPrefix = "flood"
 // pending offers at once — the saturation pattern per-party fair shedding
 // exists to contain.
 func FloodOffer(ring, i, size, group int) core.Offer {
-	return LoadOfferInto(make([]core.ProposedTransfer, 1), ring, i,
+	return LoadOfferInto(make([]core.ProposedTransfer, 1), ring, LoadAsset(ring, i),
 		FloodParty(group, i), FloodParty(group, (i+1)%size), LoadChain(ring, i))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -382,6 +383,11 @@ type stream struct {
 	partyOf []int32
 	// gives is the slab every offer's one-element Give is cut from.
 	gives []core.ProposedTransfer
+	// assets is the one buffer every offer's asset ID is spelled into and
+	// cut from. A builder only appends, so an ID cut from it keeps its
+	// bytes; it is a pointer because a stream is returned by value, and a
+	// strings.Builder must not be copied.
+	assets *strings.Builder
 	roster
 }
 
@@ -415,9 +421,13 @@ func (r *roster) party(flood bool, group, i int) int32 {
 // engine.LoadOfferOn and engine.FloodOffer build.
 func (s *stream) add(ring, i, size, group int, flood bool, chainName string) {
 	p, to := s.party(flood, group, i), s.party(flood, group, (i+1)%size)
+	start := s.assets.Len()
+	var buf [48]byte
+	s.assets.Write(engine.AppendLoadAsset(buf[:0], ring, i))
+	asset := chain.AssetID(s.assets.String()[start:])
 	s.gives = append(s.gives, core.ProposedTransfer{})
 	give := s.gives[len(s.gives)-1:]
-	s.offers = append(s.offers, engine.LoadOfferInto(give, ring, i, s.names[p], s.names[to], chainName))
+	s.offers = append(s.offers, engine.LoadOfferInto(give, ring, asset, s.names[p], s.names[to], chainName))
 	s.ringOf = append(s.ringOf, int32(ring))
 	s.partyOf = append(s.partyOf, p)
 }
@@ -436,8 +446,13 @@ func buildOffers(cfg Config) stream {
 		ringOf:  make([]int32, 0, n),
 		partyOf: make([]int32, 0, n),
 		gives:   make([]core.ProposedTransfer, 0, n),
+		assets:  new(strings.Builder),
 		roster:  roster{width: cfg.RingMax},
 	}
+	// Ring numbers stay below rings*(1+FloodFactor) and positions below
+	// RingMax, so no asset ID is longer than this one.
+	var longest [48]byte
+	s.assets.Grow(n * len(engine.AppendLoadAsset(longest[:0], rings*(1+cfg.FloodFactor), cfg.RingMax-1)))
 	// Sharded placement: ring r homes to shard r mod Shards and draws
 	// chains from that shard's pool; a CrossRatio draw instead alternates
 	// the home pool with the next shard's, splitting the ring's members

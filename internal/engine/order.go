@@ -2,6 +2,7 @@ package engine
 
 import (
 	"time"
+	"unsafe"
 
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/outcome"
@@ -78,6 +79,23 @@ type order struct {
 	// e is the unit the order was posted to: the host's intake event
 	// admits it there (see Engine.Submit).
 	e *unit
+}
+
+// orderChunkLen is how many orders one chunk holds: as many as fit the
+// 10 240-byte size class, past the runtime's 8-byte header (a 232-byte
+// order fits 44, 24 bytes spare). An order is kept for the unit's life, so
+// its chunk never frees and never moves.
+const orderChunkLen = (10240 - 8) / int(unsafe.Sizeof(order{}))
+
+// newOrder cuts a zeroed order from the unit's chunk, allocating the next
+// chunk when this one is spent. The caller holds e.mu.
+func (e *unit) newOrder() *order {
+	if len(e.orderChunk) == 0 {
+		e.orderChunk = make([]order, orderChunkLen)
+	}
+	o := &e.orderChunk[0]
+	e.orderChunk = e.orderChunk[1:]
+	return o
 }
 
 // OrderSnapshot is the caller-visible copy of an order's state.

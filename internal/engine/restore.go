@@ -62,8 +62,11 @@ type RecoveredOrder struct {
 // with shed on top.
 func (e *unit) restore(orders []RecoveredOrder, next OrderID, shed int) {
 	now := time.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, ro := range orders {
-		o := &order{
+		o := e.newOrder()
+		*o = order{
 			id:            ro.ID,
 			offer:         ro.Offer,
 			status:        ro.Status,

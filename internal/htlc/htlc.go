@@ -77,11 +77,23 @@ var (
 )
 
 // NewHTLC constructs a classic HTLC.
-func NewHTLC(p HTLCParams) (*HTLC, error) {
+func NewHTLC(p HTLCParams) (*HTLC, error) { return NewHTLCIn(p, nil) }
+
+// NewHTLCIn is NewHTLC building the contract in slot, storage its swap's
+// run owns, so a swap's contracts share one allocation. A slot is used
+// once: when it already holds a contract, or is
+// nil, the contract takes storage of its own, so one a chain may still
+// hold or re-apply after a revert is never written again. Calls on one
+// slot must be serialized.
+func NewHTLCIn(p HTLCParams, slot *HTLC) (*HTLC, error) {
 	if p.Timeout <= 0 {
 		return nil, errors.New("htlc: non-positive timeout")
 	}
-	return &HTLC{p: p}, nil
+	if slot == nil || slot.p.Timeout != 0 {
+		return &HTLC{p: p}, nil
+	}
+	*slot = HTLC{p: p}
+	return slot, nil
 }
 
 // ContractID implements chain.Contract.

@@ -38,6 +38,32 @@ func TestNewHTLCValidation(t *testing.T) {
 	}
 }
 
+// TestNewHTLCInUsesASlotOnce: a contract is built in the slot it is given
+// only while the slot is empty; a second build for it, a nil slot or a
+// refused build leaves the slot as it was.
+func TestNewHTLCInUsesASlotOnce(t *testing.T) {
+	h, _ := newHTLC(t)
+	p := h.Params()
+	slots := make([]HTLC, 2)
+	if _, err := NewHTLCIn(HTLCParams{Timeout: 0}, &slots[0]); err == nil || slots[0] != (HTLC{}) {
+		t.Fatalf("a zero timeout was built into the slot (err %v)", err)
+	}
+	first, err := NewHTLCIn(p, &slots[0])
+	if err != nil || first != &slots[0] {
+		t.Fatalf("NewHTLCIn = %p, %v; want the slot %p", first, err, &slots[0])
+	}
+	q := p
+	q.ID = "h1-again"
+	again, err := NewHTLCIn(q, &slots[0])
+	if err != nil || again == &slots[0] || again.Params() != q || first.Params() != p {
+		t.Fatalf("a second build on a used slot: %p %+v, slot %+v; want fresh storage and the slot kept",
+			again, again.Params(), first.Params())
+	}
+	if own, err := NewHTLCIn(p, nil); err != nil || own == nil || own.Params() != p {
+		t.Fatalf("NewHTLCIn with no slot = %v, %v", own, err)
+	}
+}
+
 func TestRedeemHappyPath(t *testing.T) {
 	h, secret := newHTLC(t)
 	res, err := h.Invoke(call(MethodRedeem, "alice", 150, RedeemArgs{Secret: secret}))
