@@ -15,8 +15,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/digraph"
-	"github.com/go-atomicswap/atomicswap/internal/engine"
-	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
 	"github.com/go-atomicswap/atomicswap/internal/graphgen"
 	"github.com/go-atomicswap/atomicswap/internal/hashkey"
 	"github.com/go-atomicswap/atomicswap/internal/pebble"
@@ -144,60 +142,6 @@ func BenchmarkRecurrent(b *testing.B) {
 		if _, err := conc.RunRecurrent(d, 5, true, rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAdaptiveDelta is the one engine measurement the virtual-time
-// harness under benchmark/ cannot make: what a conservatively wide fixed Δ
-// costs in wall-clock settle latency, and how much of it the observed-
-// latency controller gives back. Both sides run the same open-loop Poisson
-// load on the wall-paced scheduler from a wide production Δ (100 ticks),
-// with at most a worker's worth of swaps live; the adaptive engine
-// shrinks Δ toward the delivery latency it actually observes, the fixed one
-// pays the full width on every swap. Wall-clock numbers: run with
-// -benchtime=1x or a small count.
-func BenchmarkAdaptiveDelta(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		name := "fixedwide"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var swaps, p50, p95 float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := loadgen.RunOpenLoad(engine.Config{
-					Workers:       8,
-					Tick:          time.Millisecond,
-					Delta:         100,
-					ClearInterval: time.Millisecond,
-					MaxBatch:      4096,
-					Seed:          7,
-					MaxLive:       8,
-					AdaptiveDelta: adaptive,
-					MinDelta:      8,
-				}, loadgen.Config{
-					Offers:    120,
-					Rate:      600,
-					Process:   loadgen.Poisson{},
-					PartyPool: 8,
-					Seed:      13,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Load.Shed != 0 || rep.Load.Submitted != rep.Load.Offered {
-					b.Fatalf("open-loop load degraded: %+v / %+v", rep.Throughput, rep.Load)
-				}
-				swaps += rep.SwapsPerSec
-				p50 += rep.P50LatencyMs
-				p95 += rep.P95LatencyMs
-			}
-			b.ReportMetric(swaps/float64(b.N), "swaps/sec")
-			b.ReportMetric(p50/float64(b.N), "p50-ms")
-			b.ReportMetric(p95/float64(b.N), "p95-ms")
-		})
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	swapd [-offers 3000] [-workers 64] [-adversary 0.1] [-conflicts 0.05]
-//	      [-tick 2ms] [-delta 30] [-vtime] [-adaptive-delta]
+//	      [-tick 2ms] [-delta 30] [-vtime]
 //	      [-seed 1] [-json]
 //	swapd -arrival-rate 2000 [-profile poisson] [-party-pool 64]
 //	      [-max-pending 4096] ...
@@ -43,10 +43,9 @@
 // -arrival-rate offers instead stream in open-loop from the -profile
 // arrival process (constant, poisson, burst[:n], ramp[:from:to]) at the
 // given average offers/sec on the engine's scheduler; the report then
-// carries submit-to-settle latency percentiles and, under
-// -adaptive-delta, the Δ trajectory. With -json the report is a single
-// JSON object; otherwise a human-readable summary. One point of a shard ×
-// cross-ratio or offered-rate ladder is one run:
+// carries submit-to-settle latency percentiles. With -json the report is
+// a single JSON object; otherwise a human-readable summary. One point of a
+// shard × cross-ratio or offered-rate ladder is one run:
 // swapd -vtime -shards N -cross-ratio R -arrival-rate X -json.
 package main
 
@@ -57,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -78,6 +78,49 @@ const ringMin, ringMax = 2, 5
 // snapshotEvery is how many WAL events a -data-dir run logs between
 // snapshots (each one truncates the log).
 const snapshotEvery = 4096
+
+// flagValues are the parsed flags checkFlags judges.
+type flagValues struct {
+	adversary, conflicts, arrivalRate, crossRatio, reorgRate float64
+	fairShed                                                 bool
+	floodFactor, shards, confirmDepth                        int
+}
+
+// checkFlags refuses flag values swapd cannot run as asked. A fraction
+// must lie in [0, 1] and -arrival-rate must be finite and not negative;
+// each range check is written so that NaN, which fails every comparison,
+// fails it too instead of switching the feature off.
+func checkFlags(f flagValues) error {
+	for _, fr := range []struct {
+		name string
+		v    float64
+	}{
+		{"-adversary", f.adversary},
+		{"-conflicts", f.conflicts},
+		{"-cross-ratio", f.crossRatio},
+		{"-reorg-rate", f.reorgRate},
+	} {
+		if !(fr.v >= 0 && fr.v <= 1) {
+			return fmt.Errorf("%s must be in [0, 1], got %v", fr.name, fr.v)
+		}
+	}
+	if !(f.arrivalRate >= 0) || math.IsInf(f.arrivalRate, 1) {
+		return fmt.Errorf("-arrival-rate must be finite and not negative, got %v", f.arrivalRate)
+	}
+	if f.arrivalRate > 0 && f.conflicts > 0 {
+		return errors.New("-conflicts is a closed-loop feature; drop it or -arrival-rate")
+	}
+	if (f.fairShed || f.floodFactor > 0) && f.arrivalRate == 0 {
+		return errors.New("-fair-shed and -flood-factor are open-loop features; add -arrival-rate")
+	}
+	if f.crossRatio > 0 && (f.shards <= 1 || f.arrivalRate == 0) {
+		return errors.New("-cross-ratio needs -shards > 1 and -arrival-rate")
+	}
+	if f.reorgRate > 0 && f.confirmDepth < 2 {
+		return errors.New("-reorg-rate needs -confirm-depth >= 2 (a revert must land before finality)")
+	}
+	return nil
+}
 
 // runOpenLoop streams an open-loop load into the started engine and
 // reports, mirroring the closed-loop tail of main.
@@ -152,7 +195,6 @@ func main() {
 		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
 		delta     = flag.Int("delta", 30, "per-swap delta in ticks")
 		vtimeMode = flag.Bool("vtime", false, "run on a free clock, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable) instead of one paced by the wall at -tick")
-		adaptive  = flag.Bool("adaptive-delta", false, "adapt delta each clearing round from observed delivery latency")
 		seed      = flag.Int64("seed", 1, "load-generation seed")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "drain deadline")
@@ -173,17 +215,18 @@ func main() {
 		reorgRate    = flag.Float64("reorg-rate", 0, "with -confirm-depth >= 2: seeded per-record probability that an applied record reverts before finalizing")
 	)
 	flag.Parse()
-	if *arrivalRate > 0 && *conflicts > 0 {
-		log.Fatal("-conflicts is a closed-loop feature; drop it or -arrival-rate")
-	}
-	if (*fairShed || *floodFactor > 0) && *arrivalRate <= 0 {
-		log.Fatal("-fair-shed and -flood-factor are open-loop features; add -arrival-rate")
-	}
-	if *reorgRate < 0 || *reorgRate > 1 {
-		log.Fatal("-reorg-rate must be in [0, 1]")
-	}
-	if *reorgRate > 0 && *confirmDepth < 2 {
-		log.Fatal("-reorg-rate needs -confirm-depth >= 2 (a revert must land before finality)")
+	if err := checkFlags(flagValues{
+		adversary:    *adversary,
+		conflicts:    *conflicts,
+		arrivalRate:  *arrivalRate,
+		fairShed:     *fairShed,
+		floodFactor:  *floodFactor,
+		shards:       *shards,
+		crossRatio:   *crossRatio,
+		confirmDepth: *confirmDepth,
+		reorgRate:    *reorgRate,
+	}); err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := engine.Config{
@@ -194,16 +237,12 @@ func main() {
 		AdversaryRate: *adversary,
 		Seed:          *seed,
 		Parallel:      *vtimeMode,
-		AdaptiveDelta: *adaptive,
 		Commitment: engine.CommitmentConfig{
 			ConfirmDepth: vtime.Duration(*confirmDepth),
 			ReorgRate:    *reorgRate,
 			Seed:         *seed,
 		},
 		Shards: *shards,
-	}
-	if *crossRatio > 0 && (*shards <= 1 || *arrivalRate <= 0) {
-		log.Fatal("-cross-ratio needs -shards > 1 and -arrival-rate")
 	}
 	var eng *engine.Engine
 	if *dataDir == "" {

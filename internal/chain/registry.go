@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
@@ -36,32 +35,12 @@ type Registry struct {
 		res   map[resKey]string
 	}
 
-	// probe, when set, receives observed event→party delivery latencies
-	// from the runtimes sharing this registry (see DeliveryProbe).
-	probe atomic.Value // of DeliveryProbe
-
-	// chainProbeMu guards the per-chain probe table and its factory;
-	// per-chain probes let adaptive Δ see heterogeneous lag instead of
-	// one blended stream.
-	chainProbeMu sync.RWMutex
-	chainProbes  map[string]DeliveryProbe
-	chainProbeFn func(name string) DeliveryProbe
-
 	// modelMu guards the commitment-model factory, the modeled-chain
 	// list the settlement pump drains, and the pump's per-tick dedupe.
 	modelMu sync.Mutex
 	modelFn func(name string) CommitmentModel
 	modeled []*Chain
 	pumpAt  map[vtime.Ticks]struct{}
-}
-
-// DeliveryProbe receives observed notification latencies: how many ticks
-// past its scheduled delivery target an event actually reached a party.
-// The registry is the rendezvous — the clearing engine installs one probe
-// and every runtime executing over the shared chains feeds it — so the
-// engine can adapt Δ to the latencies the hardware actually exhibits.
-type DeliveryProbe interface {
-	Observe(lag vtime.Duration)
 }
 
 // Reservation errors.
@@ -81,25 +60,6 @@ func NewRegistry(clock vtime.Clock) *Registry {
 		r.shards[i].res = make(map[resKey]string)
 	}
 	return r
-}
-
-// probeBox wraps the interface so atomic.Value always stores one concrete
-// type — successive probes of different implementations would otherwise
-// panic Store's consistency check.
-type probeBox struct{ p DeliveryProbe }
-
-// SetDeliveryProbe installs the latency probe runtimes feed. A nil probe
-// is ignored (use a fresh registry to detach).
-func (r *Registry) SetDeliveryProbe(p DeliveryProbe) {
-	if p != nil {
-		r.probe.Store(probeBox{p})
-	}
-}
-
-// DeliveryProbe returns the installed probe, or nil.
-func (r *Registry) DeliveryProbe() DeliveryProbe {
-	b, _ := r.probe.Load().(probeBox)
-	return b.p
 }
 
 // shardOf is inline FNV-1a: Registry.Chain runs on every contract call,
@@ -126,7 +86,7 @@ func (r *Registry) Chain(name string) *Chain {
 	c, ok = s.chains[name]
 	if !ok {
 		c = New(name, r.clock)
-		r.applyCreationHooks(c, name)
+		r.applyCommitmentModel(c, name)
 		s.chains[name] = c
 	}
 	s.mu.Unlock()

@@ -7,10 +7,9 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// This file is the registry's commitment-model and per-chain-probe
-// surface: a factory that assigns each chain its model at creation, one
-// shared settlement pump that drains every modeled chain in canonical
-// order, and chain-keyed delivery probes for heterogeneous-Δ adaptation.
+// This file is the registry's commitment-model surface: a factory that
+// assigns each chain its model at creation, and one shared settlement pump
+// that drains every modeled chain in canonical order.
 
 // SetCommitmentModels installs a factory deciding each chain's
 // commitment model: it is called once per chain at creation, and a nil
@@ -39,11 +38,10 @@ func (r *Registry) SetCommitmentModels(f func(name string) CommitmentModel) erro
 	return nil
 }
 
-// applyCreationHooks runs the model factory and the per-chain probe
-// factory for a chain being created. Called with the chain's registry
-// shard locked, before the chain is visible; neither hook path takes a
-// shard lock, so the ordering is clean.
-func (r *Registry) applyCreationHooks(c *Chain, name string) {
+// applyCommitmentModel runs the model factory for a chain being created.
+// Called with the chain's registry shard locked, before the chain is
+// visible; it takes no shard lock, so the ordering is clean.
+func (r *Registry) applyCommitmentModel(c *Chain, name string) {
 	r.modelMu.Lock()
 	modelFn := r.modelFn
 	r.modelMu.Unlock()
@@ -68,16 +66,6 @@ func (r *Registry) applyCreationHooks(c *Chain, name string) {
 			}
 		}
 	}
-	r.chainProbeMu.Lock()
-	if r.chainProbeFn != nil {
-		if p := r.chainProbeFn(name); p != nil {
-			if r.chainProbes == nil {
-				r.chainProbes = make(map[string]DeliveryProbe)
-			}
-			r.chainProbes[name] = p
-		}
-	}
-	r.chainProbeMu.Unlock()
 }
 
 // scheduleDue arms one settlement pass at tick t. All modeled chains
@@ -142,38 +130,4 @@ func (r *Registry) ModeledChains() []string {
 	}
 	r.modelMu.Unlock()
 	return names
-}
-
-// SetChainProbeFactory installs a factory building one delivery probe
-// per chain. It applies to chains created later and (immediately) to
-// chains that already exist; a nil return skips that chain.
-func (r *Registry) SetChainProbeFactory(f func(name string) DeliveryProbe) {
-	r.chainProbeMu.Lock()
-	r.chainProbeFn = f
-	r.chainProbeMu.Unlock()
-	if f == nil {
-		return
-	}
-	for _, c := range r.all() {
-		name := c.Name()
-		r.chainProbeMu.Lock()
-		if _, exists := r.chainProbes[name]; !exists {
-			if p := f(name); p != nil {
-				if r.chainProbes == nil {
-					r.chainProbes = make(map[string]DeliveryProbe)
-				}
-				r.chainProbes[name] = p
-			}
-		}
-		r.chainProbeMu.Unlock()
-	}
-}
-
-// ChainDeliveryProbe returns the named chain's probe, or nil. Feeding a
-// per-chain probe is in addition to — never instead of — the global one.
-func (r *Registry) ChainDeliveryProbe(name string) DeliveryProbe {
-	r.chainProbeMu.RLock()
-	p := r.chainProbes[name]
-	r.chainProbeMu.RUnlock()
-	return p
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
 func TestReserveLifecycle(t *testing.T) {
@@ -158,40 +156,6 @@ func TestReserveShardedAcrossChains(t *testing.T) {
 	}
 	if r.Reservations() != 0 {
 		t.Fatalf("reservations leaked: %d", r.Reservations())
-	}
-}
-
-type countingProbe struct {
-	mu   sync.Mutex
-	lags []int64
-}
-
-func (p *countingProbe) Observe(lag vtime.Duration) {
-	p.mu.Lock()
-	p.lags = append(p.lags, int64(lag))
-	p.mu.Unlock()
-}
-
-func TestDeliveryProbeInstallAndFeed(t *testing.T) {
-	r := NewRegistry(fixedClock(0))
-	if r.DeliveryProbe() != nil {
-		t.Fatal("fresh registry has a probe")
-	}
-	r.SetDeliveryProbe(nil) // ignored
-	if r.DeliveryProbe() != nil {
-		t.Fatal("nil probe installed")
-	}
-	p := &countingProbe{}
-	r.SetDeliveryProbe(p)
-	got := r.DeliveryProbe()
-	if got == nil {
-		t.Fatal("probe not installed")
-	}
-	got.Observe(3)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.lags) != 1 || p.lags[0] != 3 {
-		t.Fatalf("probe fed %v", p.lags)
 	}
 }
 

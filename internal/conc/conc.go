@@ -320,9 +320,8 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 	} else {
 		r.reg = chain.NewRegistry(r.sched)
 	}
-	r.probe = r.reg.DeliveryProbe()
 	// Per arc: resolve the chain once, verify or register the asset, and
-	// cache the chain's delivery margin and probe. The margin comes from
+	// cache the chain's delivery margin. The margin comes from
 	// the chain's commitment-model timing; an Instant chain (zero Timing)
 	// reproduces the historical spec.Delta margin bit-for-bit.
 	base := vtime.Duration(spec.Delta)
@@ -337,7 +336,6 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 		if worstCase {
 			a.delay = spec.DeltaFor(aa.Chain)
 		}
-		a.probe = r.reg.ChainDeliveryProbe(aa.Chain)
 		if ch.CommitmentModelName() != "instant" {
 			r.reorgAware = true
 		}
@@ -406,7 +404,6 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 		if worstCase {
 			r.bcastDelay = spec.DeltaFor(core.BroadcastChain)
 		}
-		r.bcastProbe = r.reg.ChainDeliveryProbe(core.BroadcastChain)
 		r.bcastKey = fmt.Sprintf("conc-run-%d", atomic.AddUint64(&runSeq, 1))
 		r.bcast.Subscribe(r.bcastKey, r.onBroadcast)
 	}
@@ -476,7 +473,6 @@ type runner struct {
 	ownSched bool
 	stripe   uint64
 	reg      *chain.Registry
-	probe    chain.DeliveryProbe
 	log      *trace.Log
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
 	// some arc never resolves. The horizon delivery (finish) builds res,
@@ -490,10 +486,9 @@ type runner struct {
 	earlyExit   bool
 
 	// bcast is the broadcast chain of a spec.Broadcast run (nil otherwise),
-	// with its delivery margin, probe and this run's subscription key.
+	// with its delivery margin and this run's subscription key.
 	bcast      *chain.Chain
 	bcastDelay vtime.Duration
-	bcastProbe chain.DeliveryProbe
 	bcastKey   string
 
 	// reorgAware is set when any involved chain can revert or delay
@@ -603,10 +598,8 @@ type arcRun struct {
 	id int
 	ch *chain.Chain
 	// delay is the chain's delivery margin, derived from its commitment-
-	// model timing; probe is the chain's own delivery probe (nil without a
-	// commitment model), fed alongside the global one.
+	// model timing.
 	delay vtime.Duration
-	probe chain.DeliveryProbe
 
 	published, resolved, claimed bool
 	pubTick, resTick             vtime.Ticks
@@ -785,7 +778,6 @@ func (r *runner) fire(d *delivery) {
 	case deliverAlarm:
 		// Alarms bypass the abandon gate: refund alarms keep running for
 		// abandoned parties.
-		r.observeLag(d)
 		al := r.alarms[d.slot]
 		al.a.Ring(al.arg)
 	case deliverInit, deliverBroadcast:
@@ -804,7 +796,6 @@ func (r *runner) run(d *delivery, p *party) {
 	if p.abandoned {
 		return
 	}
-	r.observeLag(d)
 	arc := int(d.arc)
 	switch d.kind {
 	case deliverInit:
@@ -820,36 +811,6 @@ func (r *runner) run(d *delivery, p *party) {
 	case deliverBroadcast:
 		p.behavior.OnBroadcast(p.env(), int(d.lock), r.keys[d.slot])
 	}
-}
-
-// observeLag feeds one delivery's observed lag past its scheduled tick
-// to the global probe and, when the delivery was sourced from a chain
-// event, to that chain's probe — so adaptive Δ can see per-chain lag
-// instead of one blended stream.
-func (r *runner) observeLag(d *delivery) {
-	lag := r.sched.Now().Sub(d.at)
-	if lag < 0 {
-		lag = 0
-	}
-	if r.probe != nil {
-		r.probe.Observe(lag)
-	}
-	if p := r.sourceProbe(d); p != nil {
-		p.Observe(lag)
-	}
-}
-
-// sourceProbe is the probe of the chain d was sourced from: the broadcast
-// chain's, or its arc's (a contract's notes are routed to its own arc);
-// nil for alarms, inits and the horizon, which no chain sourced.
-func (r *runner) sourceProbe(d *delivery) chain.DeliveryProbe {
-	switch d.kind {
-	case deliverAlarm, deliverInit, deliverHorizon:
-		return nil
-	case deliverBroadcast:
-		return r.bcastProbe
-	}
-	return r.arcs[d.arc].probe
 }
 
 // notePublished records an arc's first contract-publication tick — the
@@ -928,11 +889,9 @@ func (r *runner) dupEvent(key eventKey) bool {
 // target, so targets sit a quarter-Δ inside the bound (detection strictly
 // within Δ, as the paper's model allows): the protocol's deadline margins
 // then scale with Δ instead of being a fixed tick count, which is what lets
-// a loaded box widen Δ to buy robustness — and, with the delivery probe
-// watching actual lag, lets the engine shrink Δ back when the hardware is
-// keeping up. The margin is per-chain: each chain's commitment-model timing
-// decides it, and an Instant chain reproduces the historical spec.Delta
-// margin exactly.
+// a loaded box widen Δ to buy robustness. The margin is per-chain: each
+// chain's commitment-model timing decides it, and an Instant chain
+// reproduces the historical spec.Delta margin exactly.
 //
 // On chains with delayed finality, parties still act on applied
 // (provisional) events optimistically — that is what keeps the swap

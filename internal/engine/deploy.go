@@ -113,9 +113,6 @@ type host struct {
 	// Tracer is the shared trace flight recorder.
 	Tracer *trace.Log
 
-	// fan is the registry's delivery probe under AdaptiveDelta; every unit
-	// joins it.
-	fan *probeFan
 	// intake holds the orders posted to every unit until its one event
 	// admits them.
 	intake *intake
@@ -149,27 +146,17 @@ func newHost(cfg Config) host {
 		Keyring:   core.NewKeyring(&root),
 		Cache:     hashkey.NewVerifyCache(0),
 		Tracer:    trace.NewLog(trace.DefaultCap),
-		fan:       new(probeFan),
 		intake:    &intake{v: sc},
 	}
 	// Cold chain walks may fan links across the pool — capped at the
 	// machine's parallelism, where extra fan-out is pure overhead. Sized
 	// once from the whole budget: N shards never stack N pools.
 	h.Cache.SetBatchWorkers(min(cfg.Workers, runtime.GOMAXPROCS(0)))
-	// Only the adaptive-Δ controller reads delivery lag, so only an
-	// adaptive deployment installs the probes: on a fixed Δ a delivery
-	// feeds none.
-	if cfg.AdaptiveDelta {
-		h.Registry.SetDeliveryProbe(h.fan)
-	}
 	if cfg.Commitment.Enabled() {
 		// One model set for the whole deployment, installed before any chain
 		// exists — which is also why this cannot fail.
 		if err := h.Registry.SetCommitmentModels(cfg.Commitment.Model); err != nil {
 			panic(err)
-		}
-		if cfg.AdaptiveDelta {
-			h.Registry.SetChainProbeFactory(h.fan.chainProbe)
 		}
 	}
 	if st := cfg.Store; st != nil {
@@ -336,12 +323,6 @@ func (e *Engine) Keyring() *core.Keyring { return e.host.Keyring }
 
 // VerifyCacheStats snapshots the hashkey verification cache counters.
 func (e *Engine) VerifyCacheStats() hashkey.CacheStats { return e.host.Cache.Stats() }
-
-// CurrentDelta reports the Δ newly cleared swaps will be built with:
-// cfg.Delta, or the adaptive controller's current value — the
-// coordinator's on a sharded engine (every unit adapts from the same
-// fanned-out evidence).
-func (e *Engine) CurrentDelta() vtime.Duration { return e.units[len(e.units)-1].currentDelta() }
 
 // Recovered reports whether this engine was rebuilt from a durable log
 // (NewRecovered) rather than started fresh.
@@ -620,12 +601,11 @@ func (e *Engine) Report() metrics.Throughput {
 	}
 	agg.SetSigns(e.host.Keyring.Signs())
 	if e.cfg.Commitment.Enabled() {
-		// Surface each probed chain's effective Δ (chain Δ + confirmation
+		// Surface each modeled chain's effective Δ (chain Δ + confirmation
 		// depth) so heterogeneous-finality runs show their real ladder.
-		base := e.CurrentDelta()
 		deltas := make(map[string]int)
 		for _, name := range e.host.Registry.ModeledChains() {
-			deltas[name] = int(e.host.Registry.Chain(name).Timing().EffectiveDelta(base))
+			deltas[name] = int(e.host.Registry.Chain(name).Timing().EffectiveDelta(e.cfg.Delta))
 		}
 		if len(deltas) > 0 {
 			agg.SetChainDeltas(deltas)
@@ -713,35 +693,4 @@ func verifyMinted(reg *chain.Registry, minted []Minted, strandCheck bool) error 
 		}
 	}
 	return nil
-}
-
-// probeFan hands each delivery observation on a host's registry to every
-// unit, so each adaptive-Δ window consumes its own copy of the evidence.
-// Units join as they are built, before the host runs anything.
-type probeFan struct{ units []*unit }
-
-func (f *probeFan) Observe(lag vtime.Duration) {
-	for _, u := range f.units {
-		u.probe.Observe(lag)
-	}
-}
-
-// chainProbe is the registry's per-chain probe factory: the same fan, into
-// each unit's probe for the chain, so every unit's Δ respects the slowest
-// chain.
-func (f *probeFan) chainProbe(name string) chain.DeliveryProbe {
-	ps := make(latencyFan, len(f.units))
-	for i, u := range f.units {
-		ps[i] = u.newChainProbe(name)
-	}
-	return ps
-}
-
-// latencyFan broadcasts one observation to several probes.
-type latencyFan []*sched.LatencyProbe
-
-func (f latencyFan) Observe(lag vtime.Duration) {
-	for _, p := range f {
-		p.Observe(lag)
-	}
 }

@@ -571,3 +571,64 @@ func TestOneShardBuildsNoCoordinator(t *testing.T) {
 		t.Fatalf("4 shards: %d bookings, %d prepare records: the stream escalated nothing", booked, prepared)
 	}
 }
+
+// noteSheds runs NoteShed(3) and NoteShedFrom("mallory", 2) in one
+// scheduler callback, as the load generator does, and waits for it.
+func noteSheds(t *testing.T, e *Engine) {
+	t.Helper()
+	s := e.Scheduler()
+	done := make(chan struct{})
+	release := s.Hold()
+	s.At(s.Now()+3, func() {
+		e.NoteShed(3)
+		e.NoteShedFrom("mallory", 2)
+		close(done)
+	})
+	release()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("shed callback never ran")
+	}
+}
+
+// TestNoteShedCounted: arrivals shed before intake reach the report's
+// OffersShed, attributed or not, on one engine and on a sharded one.
+func TestNoteShedCounted(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e := New(detConfig(shards, 1))
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		noteSheds(t, e)
+		drainAndStop(t, e)
+		if got := e.Report().OffersShed; got != 5 {
+			t.Errorf("shards %d: OffersShed %d, want 5", shards, got)
+		}
+	}
+}
+
+// TestNoteShedFromLogsParty: each shed call appends one EvShed at the
+// callback's tick with its count, and NoteShedFrom's party rides along so
+// a recovered log can tell whose traffic was turned away.
+func TestNoteShedFromLogsParty(t *testing.T) {
+	rec := new(recorder)
+	cfg := detConfig(1, 1)
+	cfg.Store = rec
+	e := New(cfg)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	noteSheds(t, e)
+	drainAndStop(t, e)
+	var got []string
+	for _, ev := range rec.events() {
+		if ev.Kind == EvShed {
+			got = append(got, fmt.Sprintf("%s@%d count=%d party=%q", ev.Kind, ev.Tick, ev.Count, ev.Party))
+		}
+	}
+	want := []string{`shed@3 count=3 party=""`, `shed@3 count=2 party="mallory"`}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("shed events:\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}

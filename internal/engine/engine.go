@@ -64,8 +64,7 @@ type Config struct {
 	// Tick is the wall duration of one tick of a paced engine's clock. On a
 	// free clock it only converts rates and ClearInterval to ticks.
 	Tick time.Duration
-	// Delta is the per-swap Δ in ticks (the fixed value, and the adaptive
-	// mode's starting point).
+	// Delta is the per-swap Δ in ticks: the paper's fixed synchrony bound.
 	Delta vtime.Duration
 	// Kind forces one protocol variant on every swap. The zero value picks
 	// per cleared component from its leader set: one leader runs the
@@ -87,18 +86,6 @@ type Config struct {
 	// each swap's start stagger, from Seed plus its minimum order ID.
 	Seed int64
 
-	// AdaptiveDelta lets the engine retune Δ each clearing round from the
-	// latencies the delivery probe actually observes, within
-	// [MinDelta, MaxDelta]. Already-cleared swaps keep the Δ they were
-	// built with; only new rounds see the updated value. Pointless (but
-	// harmless) on a free clock, where observed lag is ~0.
-	AdaptiveDelta bool
-	// MinDelta floors the adaptive Δ (default 4 ticks — the smallest Δ
-	// whose quarter-Δ jitter margin is still a whole tick).
-	MinDelta vtime.Duration
-	// MaxDelta caps the adaptive Δ (default 4×Delta), bounding how far a
-	// loaded box backs off.
-	MaxDelta vtime.Duration
 	// Deterministic runs the engine on a free clock — a one-worker
 	// sched.NewVirtual, whose dispatcher runs every stripe itself with no
 	// helper, and whose ticks advance as fast as callbacks drain, so
@@ -109,7 +96,7 @@ type Config struct {
 	// events run in schedule order, swap setup is pinned inside the
 	// clearing tick, and deliveries execute inside their scheduler events,
 	// so the same seed and the same offer stream produce the identical run
-	// — intake ticks, clearing rounds, Δ trajectory, and settle order.
+	// — intake ticks, clearing rounds, and settle order.
 	// Submit is safe from any goroutine, and an order books at the tick of
 	// the intake event that takes it, in posting order: the stream is the
 	// same whenever its posting order is (scheduler callbacks, one
@@ -138,12 +125,10 @@ type Config struct {
 	// The default is read off the clock: 16×Workers on a free one (the
 	// empirical throughput knee — see DESIGN.md §10), Workers on a paced
 	// one, which swapd's wall-clock load is tuned to. The gate keeps a
-	// deep book from being cleared all at once — which bounds the shared
-	// chains' observer fanout, and matters under
-	// AdaptiveDelta, where a swap's Δ is fixed at clear time and clearing
-	// the whole book up front would pin every swap to the not-yet-adapted
-	// value. Tests that need a clear-everything burst (e.g. "crash with ≥N
-	// swaps mid-air") set it at least as high as the burst.
+	// deep book from being cleared all at once, which bounds the shared
+	// chains' observer fanout. Tests that need a clear-everything burst
+	// (e.g. "crash with ≥N swaps mid-air") set it at least as high as the
+	// burst.
 	MaxLive int
 	// Commitment selects the chains' commitment model: zero value keeps
 	// every chain Instant (a record is final the tick it lands — the
@@ -312,19 +297,6 @@ type unit struct {
 	// Whether its clock is free or paced (Tick() > 0) decides two things
 	// only: the MaxLive default and EarlyExit (see runConfig).
 	sched *sched.Virtual
-	// probe collects observed delivery lag from every run over the shared
-	// registry; adaptive Δ is computed from it.
-	probe *sched.LatencyProbe
-	// chainProbes holds per-chain delivery-lag probes (commitment-model
-	// runs only): conc feeds each observation to the global probe AND the
-	// source chain's probe, so adaptive Δ can respect the slowest chain.
-	// Keyed by chain name; guarded by chainProbeMu (chain creation may race
-	// intake).
-	chainProbeMu sync.Mutex
-	chainProbes  map[string]*sched.LatencyProbe
-	// delta is the Δ handed to newly cleared swaps — cfg.Delta, or the
-	// adaptive controller's current value.
-	delta atomic.Int64
 	agg   *metrics.Aggregate
 
 	// keyring holds every party's persistent signing identity, derived
@@ -353,15 +325,6 @@ type unit struct {
 	// unaffected — but a free clock stops running, instead of burning CPU
 	// on empty rounds until Drain notices at wall speed.
 	clearing *sched.Loop
-
-	// shedPulse accumulates arrivals shed since the adaptive-Δ
-	// controller last looked: sustained shedding means intake is
-	// outrunning clearing, and the controller responds by widening Δ
-	// (buying per-swap robustness while the book drains) instead of
-	// tightening into the overload. Incremented from NoteShed (arrival
-	// callbacks), consumed by adaptDelta (clearing tick) — both
-	// schedule-pure under virtual time.
-	shedPulse atomic.Int64
 
 	// liveRuns counts live swap runs: incremented when a swap is
 	// dispatched, before its orders leave the book, and decremented at the
@@ -397,12 +360,10 @@ type unit struct {
 	// the recovery subsystem's input, not Drain's.
 	killed bool
 
-	// clearRounds is confined to the clearing tick (clearTick →
-	// clearRound → clearGroup, sequential by construction): never touch it
-	// from Submit, a run's deliveries, or any other goroutine.
-	clearRounds int
 	// round is clearRound's working memory, kept from one round to the
-	// next and confined to the clearing tick too. contended says a
+	// next and confined to the clearing tick (clearTick → clearRound →
+	// clearGroup, sequential by construction): never touch it from Submit,
+	// a run's deliveries, or any other goroutine. contended says a
 	// group of this round found an asset reserved by a swap in flight.
 	round struct {
 		batch       []*order
@@ -415,14 +376,14 @@ type unit struct {
 	}
 	// roundTicks records the tick of every active clearing round: one that
 	// had live work and kept the loop armed — a dispatch, live runs, a
-	// reservation conflict, or a book it emptied. Unlike clearRounds it
-	// leaves out the round that parks, whether it found the unit idle or its
-	// book stuck — a stuck order's last look lands wherever the unit holding
-	// it goes quiet, which on a sharded engine is not where the plain one
-	// goes quiet. Engine.ClearRounds merges the units' tick sets, a pure
+	// reservation conflict, or a book it emptied. It leaves out the round
+	// that parks, whether it found the unit idle or its book stuck — a
+	// stuck order's last look lands wherever the unit holding it goes
+	// quiet, which on a sharded engine is not where the plain one goes
+	// quiet. Engine.ClearRounds merges the units' tick sets, a pure
 	// function of the schedule on a free clock, so digests and budget
-	// assertions are built from it. Confined to the clearing goroutine like
-	// clearRounds; read after Stop.
+	// assertions are built from it. Confined to the clearing tick like
+	// round; read after Stop.
 	roundTicks []vtime.Ticks
 }
 
@@ -454,21 +415,11 @@ func (cfg Config) withDefaults() Config {
 			cfg.ClearEvery = 1
 		}
 	}
-	if cfg.MinDelta <= 0 {
-		cfg.MinDelta = 4
-	}
-	if cfg.MaxDelta <= 0 {
-		cfg.MaxDelta = 4 * cfg.Delta
-	}
-	if cfg.MaxDelta < cfg.MinDelta {
-		cfg.MaxDelta = cfg.MinDelta
-	}
 	return cfg
 }
 
-// newUnit builds a unit of e over its host, clearing on stripe, and wires
-// it into the host's probe fan. shardOf is the coordinator's: set, the unit
-// clears at tail level 3 instead of 1.
+// newUnit builds a unit of e over its host, clearing on stripe. shardOf is
+// the coordinator's: set, the unit clears at tail level 3 instead of 1.
 func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *unit {
 	h := &e.host
 	u := &unit{
@@ -481,7 +432,6 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 		keyring:  h.Keyring,
 		vcache:   h.Cache,
 		tracer:   h.Tracer,
-		probe:    sched.NewLatencyProbe(),
 		agg:      metrics.NewAggregate(),
 		shapes:   new(core.ShapeCache),
 		orders:   make(map[OrderID]*order),
@@ -489,7 +439,6 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 		postedOf: make(map[chain.PartyID]int),
 		drainCh:  make(chan struct{}, 1),
 	}
-	h.fan.units = append(h.fan.units, u)
 	level := int8(1)
 	if shardOf != nil {
 		level = 3
@@ -509,88 +458,8 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 	// of its tick has fully drained, which gives serialized and
 	// striped-parallel dispatch the identical pre-clearing state.
 	u.clearing = sched.NewLoop(u.sched, cfg.ClearEvery, level, stripe, u.clearTick)
-	u.delta.Store(int64(cfg.Delta))
 	return u
 }
-
-// currentDelta reports the Δ newly cleared swaps will be built with:
-// cfg.Delta, or the adaptive controller's current value.
-func (e *unit) currentDelta() vtime.Duration { return vtime.Duration(e.delta.Load()) }
-
-// newChainProbe builds (and remembers) the delivery-lag probe for one
-// chain, through the host's chain-probe factory when a commitment model is
-// configured: per-chain lag evidence keeps adaptive Δ honest across
-// heterogeneous chains.
-func (e *unit) newChainProbe(name string) *sched.LatencyProbe {
-	p := sched.NewLatencyProbe()
-	e.chainProbeMu.Lock()
-	if e.chainProbes == nil {
-		e.chainProbes = make(map[string]*sched.LatencyProbe)
-	}
-	e.chainProbes[name] = p
-	e.chainProbeMu.Unlock()
-	return p
-}
-
-// adaptDelta retunes Δ from observed delivery lag. Deliveries aim a
-// quarter-Δ inside the detection bound (see conc), so safety requires the
-// jitter beyond target to stay under Δ/4: Δ must be at least 4× the
-// observed worst lag, and we double the lag for headroom before a +1 tick
-// floor. The result is clamped to [MinDelta, MaxDelta] — Δ never drops
-// below what the hardware has actually been seen to need, plus margin.
-func (e *unit) adaptDelta() {
-	// Let the window keep accumulating across clearing rounds until it
-	// holds enough evidence; only then consume and act on it.
-	if e.probe.Snapshot().WindowSamples < adaptMinSamples {
-		return
-	}
-	s := e.probe.TakeWindow()
-	est := s.EstimateTicks()
-	// Per-chain probes (commitment-model runs): Δ must respect the
-	// slowest chain's evidence, not just the global blend — a fast chain
-	// dominating the sample count would otherwise drag Δ below what the
-	// slow chain needs. The global window gates (above) and is consumed
-	// first, so the trajectory is unchanged when no chain probe exists.
-	e.chainProbeMu.Lock()
-	for _, p := range e.chainProbes {
-		if p.Snapshot().WindowSamples == 0 {
-			continue
-		}
-		if ce := p.TakeWindow().EstimateTicks(); ce > est {
-			est = ce
-		}
-	}
-	e.chainProbeMu.Unlock()
-	target := 4 * (2*est + 1)
-	// Shed feedback: arrivals dropped since the last decision mean intake
-	// is outrunning clearing. Tightening Δ into an overload is the unsafe
-	// direction — deliveries queue behind the backlog — so a shedding
-	// window doubles the lag-derived target (still clamped below). The
-	// pulse is consumed only when the controller acts, so sheds during
-	// under-sampled windows still count toward the next decision.
-	if e.shedPulse.Swap(0) > 0 {
-		target *= 2
-	}
-	if target < e.cfg.MinDelta {
-		target = e.cfg.MinDelta
-	}
-	if target > e.cfg.MaxDelta {
-		target = e.cfg.MaxDelta
-	}
-	e.delta.Store(int64(target))
-	e.agg.AddDeltaPoint(metrics.DeltaPoint{
-		Round:          e.clearRounds,
-		DeltaTicks:     int(target),
-		WindowEWMA:     s.EWMA,
-		WindowMaxTicks: int(s.WindowMax),
-		WindowSamples:  int(s.WindowSamples),
-	})
-}
-
-// adaptMinSamples is how many delivery observations a window needs before
-// the controller trusts it: a near-empty window says nothing about tail
-// jitter, and shrinking Δ on no evidence is exactly the unsafe direction.
-const adaptMinSamples = 32
 
 // validateOffer is Submit's static (state-free) intake check.
 func validateOffer(offer core.Offer) error {
@@ -810,7 +679,6 @@ func (e *unit) snapshots() []OrderSnapshot {
 // (see Engine.NoteShed).
 func (e *unit) noteShed(party chain.PartyID, n int) {
 	e.agg.AddShed(n)
-	e.shedPulse.Add(int64(n))
 	e.logEvent(Event{Kind: EvShed, Tick: e.sched.Now(), Count: n, Party: string(party)})
 }
 
@@ -841,24 +709,20 @@ func (e *unit) pendingParties() int {
 // keep the loop armed: a unit with nothing to do parks instead (a
 // booking wakes it; see clearing).
 func (e *unit) clearTick() bool {
-	e.clearRounds++
 	// Liveness: the book is non-empty, or swaps this unit dispatched are
 	// still live (liveRuns is decremented when a run settles in its horizon
 	// delivery, at level 0 of its tick — before any clearing tick of the
 	// same tick reads the count, so the gate is a pure function of the
-	// schedule). Once both are zero the unit's own run is
-	// over — so anything that must replay identically (Δ adaptations, the
-	// active-round count) is gated on it, and the loop parks rather than
-	// spin empty rounds on a free clock until Drain notices at wall speed.
+	// schedule). Once both are zero the unit's own run is over — so
+	// anything that must replay identically (the active-round count) is
+	// gated on it, and the loop parks rather than spin empty rounds on a
+	// free clock until Drain notices at wall speed.
 	// The unit's OWN liveness, not the global queue: on a shared sharded
 	// scheduler the queue holds every other shard's events, and a per-shard
 	// gate must not read cross-shard state (it would also be racy across
 	// concurrently-running shard stripes).
 	live := int(e.liveRuns.Load())
 	if e.booked() > 0 || live > 0 {
-		if e.cfg.AdaptiveDelta {
-			e.adaptDelta()
-		}
 		if e.clearRound(e.maxLive-live) || e.round.contended || live > 0 || e.booked() == 0 {
 			e.roundTicks = append(e.roundTicks, e.sched.Now())
 			return true
@@ -1074,7 +938,7 @@ func (e *unit) clearGroup(members []int) bool {
 		e.rejectOrders(group, reason)
 	}
 
-	delta := e.currentDelta()
+	delta := e.cfg.Delta
 	// Under a commitment model each chain's effective Δ includes its
 	// confirmation depth: the timelock ladder must wait out finality,
 	// not just delivery. Only chains whose effective Δ differs from the

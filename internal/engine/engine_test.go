@@ -588,135 +588,60 @@ func TestEngineDrainRaceVirtualTime(t *testing.T) {
 	}
 }
 
-// TestEngineAdaptiveDelta drives the Δ controller directly through the
-// public probe: enough zero-lag observations must shrink Δ to the floor,
-// and swaps cleared at the adapted Δ must still all Deal.
-func TestEngineAdaptiveDelta(t *testing.T) {
-	cfg := testConfig()
-	cfg.AdaptiveDelta = true
-	cfg.Delta = 30
-	cfg.MinDelta = 8
-	cfg.MaxDelta = 120
+// TestReportChainDeltas: under a commitment model, Report shows each
+// modeled chain's effective Δ — the configured Δ plus the confirmation
+// depth — and every cleared swap, on either shard or the coordinator, is
+// built on the configured Δ with that ladder per chain.
+func TestReportChainDeltas(t *testing.T) {
+	var mu sync.Mutex
+	var specs []*core.Spec
+	cfg := Config{
+		Delta: 15, Deterministic: true, Seed: 42,
+		Commitment: CommitmentConfig{ConfirmDepth: 2}, Shards: 2,
+		Behaviors: func(setup *core.Setup, _ int64) SwapBehaviors {
+			mu.Lock()
+			specs = append(specs, setup.Spec)
+			mu.Unlock()
+			return SwapBehaviors{}
+		},
+	}
 	e := New(cfg)
-	if got := e.CurrentDelta(); got != 30 {
-		t.Fatalf("initial delta %d, want 30", got)
-	}
-	// Feed a healthy window and run the controller directly, before Start
-	// launches the clearing goroutine (so nothing races the confined
-	// state): zero observed lag → Δ = 4·(2·0+1) = 4, clamped up to
-	// MinDelta. Driving adaptDelta synchronously replaces the old
-	// wall-clock poll loop, which flaked when CI stalled past its
-	// 10-second deadline.
-	probe := e.Registry().DeliveryProbe()
-	for i := 0; i < 64; i++ {
-		probe.Observe(0)
-	}
-	e.units[0].adaptDelta()
-	if got := e.CurrentDelta(); got != cfg.MinDelta {
-		t.Fatalf("delta %d after a zero-lag window, want floor %d (probe %+v)",
-			got, cfg.MinDelta, e.units[0].probe.Snapshot())
-	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The running clearing loop must dispatch adaptations on its own too:
-	// feed a second full window, give the loop work — an idle one is
-	// parked — and wait for a trajectory point recorded by the loop (Round
-	// ≥ 1 — the manual decision above was Round 0). The wait is
-	// condition-based with a wide safety bound, not a tuned wall-clock
-	// budget: the loop ticks every ClearInterval (1ms). The swap cleared
-	// at the shrunken Δ must still complete correctly; its own deliveries
-	// keep feeding the probe, and Δ stays within bounds.
-	for i := 0; i < 64; i++ {
-		probe.Observe(0)
+	const rings = 4
+	var offers []core.Offer
+	for r := 0; r < rings; r++ {
+		offers = append(offers, ringOffers(fmt.Sprintf("cd%d", r), "a", "b", "c")...)
 	}
-	for _, o := range ringOffers("ad", "a", "b", "c") {
-		if _, err := e.Submit(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	loopAdapted := func() bool {
-		traj := e.Report().DeltaTrajectory
-		return len(traj) > 0 && traj[len(traj)-1].Round >= 1
-	}
-	for deadline := time.Now().Add(60 * time.Second); !loopAdapted(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("the clearing loop never dispatched an adaptation: trajectory %+v (probe %+v)",
-				e.Report().DeltaTrajectory, e.units[0].probe.Snapshot())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	drainAndStop(t, e)
-	if d := e.CurrentDelta(); d < cfg.MinDelta || d > cfg.MaxDelta {
-		t.Fatalf("delta %d outside [%d, %d]", d, cfg.MinDelta, cfg.MaxDelta)
-	}
+	bookAndDrain(t, e, offers)
+
 	rep := e.Report()
-	if rep.SwapsFinished != 1 || rep.SwapsFailed != 0 {
-		t.Fatalf("report: %+v", rep)
+	modeled := e.Registry().ModeledChains()
+	if len(modeled) != 3*rings || len(rep.ChainDeltas) != len(modeled) {
+		t.Fatalf("%d modeled chains, %d reported, want %d", len(modeled), len(rep.ChainDeltas), 3*rings)
 	}
-	if rep.Outcomes["Deal"] != 3 {
-		t.Fatalf("outcomes: %v", rep.Outcomes)
-	}
-	// The controller's decisions surface as telemetry: at least the
-	// zero-lag adaptation above must be on the trajectory, with its
-	// window evidence attached.
-	if len(rep.DeltaTrajectory) == 0 {
-		t.Fatal("adaptive run recorded no delta trajectory")
-	}
-	first := rep.DeltaTrajectory[0]
-	if first.DeltaTicks != int(cfg.MinDelta) || first.WindowSamples < adaptMinSamples {
-		t.Fatalf("first trajectory point %+v, want Δ=%d from ≥%d samples",
-			first, cfg.MinDelta, adaptMinSamples)
-	}
-	if err := e.VerifyConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHostFansChainEvidence: every unit of a sharded engine reads the host
-// registry's per-chain delivery evidence, so each applies the slowest-chain
-// rule — a window whose overall lag is zero but whose one chain lags 3 ticks
-// sets Δ from the 3. A sharded deployment used to install per-chain probes
-// that nothing read.
-func TestHostFansChainEvidence(t *testing.T) {
-	e := New(Config{
-		Delta: 15, MaxDelta: 100, AdaptiveDelta: true, Deterministic: true,
-		Commitment: CommitmentConfig{ConfirmDepth: 2}, Shards: 2,
-	})
-	defer drainAndStop(t, e)
-	reg := e.Registry()
-	reg.Chain("slow")
-	for i := 0; i < adaptMinSamples; i++ {
-		reg.DeliveryProbe().Observe(0)
-	}
-	reg.ChainDeliveryProbe("slow").Observe(3)
-	for i, u := range e.units {
-		u.adaptDelta()
-		if got, want := u.currentDelta(), vtime.Duration(4*(2*3+1)); got != want {
-			t.Errorf("unit %d: Δ %d after a window whose slowest chain lagged 3 ticks, want %d", i, got, want)
+	for _, name := range modeled {
+		want := e.Registry().Chain(name).Timing().EffectiveDelta(cfg.Delta)
+		if want != cfg.Delta+2 || rep.ChainDeltas[name] != int(want) {
+			t.Errorf("chain %s: reported Δ %d, effective %d, want %d", name, rep.ChainDeltas[name], want, cfg.Delta+2)
 		}
 	}
-}
-
-// TestFixedDeltaFeedsNoProbe: only the adaptive-Δ controller reads delivery
-// lag, so a fixed-Δ engine, plain or sharded and with or without a
-// commitment model, installs no probe for deliveries to feed.
-func TestFixedDeltaFeedsNoProbe(t *testing.T) {
-	for _, cfg := range []Config{
-		{Deterministic: true},
-		{Deterministic: true, Shards: 4},
-		{Deterministic: true, Commitment: CommitmentConfig{ConfirmDepth: 2}},
-	} {
-		e := New(cfg)
-		reg := e.Registry()
-		reg.Chain("btc")
-		if p := reg.DeliveryProbe(); p != nil {
-			t.Errorf("%+v: a fixed-Δ engine installed delivery probe %T", cfg, p)
+	if len(specs) != rings {
+		t.Fatalf("%d swaps cleared, want %d", len(specs), rings)
+	}
+	for _, spec := range specs {
+		if spec.Delta != cfg.Delta {
+			t.Errorf("swap %s cleared on Δ %d, want %d", spec.Tag, spec.Delta, cfg.Delta)
 		}
-		if p := reg.ChainDeliveryProbe("btc"); p != nil {
-			t.Errorf("%+v: a fixed-Δ engine installed chain probe %T", cfg, p)
+		for _, aa := range spec.Assets {
+			if got := spec.DeltaFor(aa.Chain); int(got) != rep.ChainDeltas[aa.Chain] {
+				t.Errorf("swap %s: chain %s Δ %d, report says %d", spec.Tag, aa.Chain, got, rep.ChainDeltas[aa.Chain])
+			}
 		}
-		drainAndStop(t, e)
+	}
+	if rep.SwapsFinished != rings || rep.Outcomes["Deal"] != 3*rings {
+		t.Fatalf("report: %d finished, outcomes %v", rep.SwapsFinished, rep.Outcomes)
 	}
 }
 

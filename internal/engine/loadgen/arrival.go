@@ -166,7 +166,7 @@ func ParseProfile(s string) (Process, error) {
 		if len(parts) == 3 {
 			from, err1 := strconv.ParseFloat(parts[1], 64)
 			to, err2 := strconv.ParseFloat(parts[2], 64)
-			if err1 != nil || err2 != nil || from <= 0 || to <= 0 {
+			if err1 != nil || err2 != nil || !finitePositive(from) || !finitePositive(to) {
 				return nil, fmt.Errorf("loadgen: bad ramp bounds %q", s)
 			}
 			r.From, r.To = from, to
@@ -178,6 +178,11 @@ func ParseProfile(s string) (Process, error) {
 		return nil, fmt.Errorf("loadgen: unknown profile %q (want constant, poisson, burst[:n], ramp[:from:to])", s)
 	}
 }
+
+// finitePositive reports whether x is a usable rate or rate multiplier:
+// positive and finite. NaN and ±Inf parse without error and would put
+// every arrival at one tick.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Schedule materializes the arrival tick of each of n offers at the
 // given average rate (offers per second, converted to ticks via the

@@ -174,8 +174,8 @@ type Stats struct {
 // by one handler.
 func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Rate <= 0 {
-		return Stats{}, errors.New("loadgen: Rate must be positive")
+	if !finitePositive(cfg.Rate) {
+		return Stats{}, errors.New("loadgen: Rate must be positive and finite")
 	}
 	if cfg.Offers <= 0 {
 		return Stats{}, errors.New("loadgen: Offers must be positive")
@@ -511,8 +511,8 @@ func buildOffers(cfg Config) stream {
 }
 
 // Report is an open-loop run's full result: the engine's service-level
-// throughput (with latency percentiles and, under AdaptiveDelta, the Δ
-// trajectory) plus the generator's own accounting.
+// throughput (with latency percentiles) plus the generator's own
+// accounting.
 type Report struct {
 	metrics.Throughput
 	// Load is the generator's intake accounting.
@@ -562,8 +562,8 @@ func Drive(ctx context.Context, e DriveTarget, lcfg Config) (Report, error) {
 }
 
 // RunOpenLoad creates a fresh engine, streams one open-loop load through
-// it via Drive, and returns the combined report: the harness behind
-// BenchmarkAdaptiveDelta, the open-loop tests and the examples.
+// it via Drive, and returns the combined report: the harness behind the
+// open-loop tests and the examples.
 func RunOpenLoad(ecfg engine.Config, lcfg Config) (Report, error) {
 	e := engine.New(ecfg)
 	if err := e.Start(); err != nil {

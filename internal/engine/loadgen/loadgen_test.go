@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -177,7 +178,7 @@ func TestParseProfile(t *testing.T) {
 	}
 	for _, in := range []string{
 		"uniform", "burst:0", "burst:x", "burst:4:5", "ramp:1", "ramp:0:2",
-		"poisson:42", "constant:1",
+		"poisson:42", "constant:1", "ramp:nan:2", "ramp:inf:1", "ramp:1:+Inf",
 	} {
 		if _, err := ParseProfile(in); err == nil {
 			t.Errorf("ParseProfile(%q): want error", in)
@@ -355,7 +356,7 @@ func TestZeroRateRejected(t *testing.T) {
 		defer cancel()
 		e.Stop(ctx)
 	}()
-	for _, rate := range []float64{0, -100} {
+	for _, rate := range []float64{0, -100, math.Inf(1), math.NaN()} {
 		if _, err := Run(context.Background(), e, Config{Offers: 3, Rate: rate, Seed: 1}); err == nil {
 			t.Errorf("rate %v accepted", rate)
 		}

@@ -247,8 +247,8 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{"engine.Config", exportedFields(engine.Config{}), []string{
 			"Workers", "ClearInterval", "ClearEvery", "MaxBatch", "Tick", "Delta", "Kind",
-			"AdversaryRate", "Behaviors", "Seed", "AdaptiveDelta", "MinDelta", "MaxDelta",
-			"Deterministic", "Parallel", "Store", "MaxLive", "Commitment", "Shards",
+			"AdversaryRate", "Behaviors", "Seed", "Deterministic", "Parallel", "Store",
+			"MaxLive", "Commitment", "Shards",
 		}},
 		{"shard.Config", exportedFields(shard.Config{}), []string{"Shards", "Engine"}},
 	} {

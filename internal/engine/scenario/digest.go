@@ -68,10 +68,6 @@ type Digest struct {
 	// Crash summarizes the kill-and-recover step of a CrashTick run.
 	Crash *CrashDigest `json:"crash,omitempty"`
 
-	// DeltaTrajectory is the adaptive-Δ controller's decision series in
-	// tick units (wall timestamps stripped).
-	DeltaTrajectory []DeltaStep `json:"delta_trajectory,omitempty"`
-
 	// SettleOrder lists swap tags in settle order — by settle tick, tag
 	// breaking ties among same-tick settles.
 	SettleOrder []string `json:"settle_order"`
@@ -97,15 +93,6 @@ type CrashDigest struct {
 	// Reverts is the pre-crash reorg revert count folded from the WAL
 	// (absent on Instant runs).
 	Reverts int `json:"reverts,omitempty"`
-}
-
-// DeltaStep is one adaptive-Δ decision, tick-domain fields only.
-type DeltaStep struct {
-	Round          int     `json:"round"`
-	DeltaTicks     int     `json:"delta_ticks"`
-	WindowEWMA     float64 `json:"ewma_ticks"`
-	WindowMaxTicks int     `json:"window_max_ticks"`
-	WindowSamples  int     `json:"window_samples"`
 }
 
 // OrderDigest is one order's replay-stable trace entry.
@@ -174,15 +161,6 @@ func buildDigest(sc Scenario, load loadgen.Stats, rep metrics.Throughput,
 				d.ShedConforming += ps.Shed
 			}
 		}
-	}
-	for _, p := range rep.DeltaTrajectory {
-		d.DeltaTrajectory = append(d.DeltaTrajectory, DeltaStep{
-			Round:          p.Round,
-			DeltaTicks:     p.DeltaTicks,
-			WindowEWMA:     p.WindowEWMA,
-			WindowMaxTicks: p.WindowMaxTicks,
-			WindowSamples:  p.WindowSamples,
-		})
 	}
 	if len(violations) > 0 {
 		d.Safety = violations[0].Detail

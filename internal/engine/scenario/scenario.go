@@ -95,9 +95,6 @@ type Scenario struct {
 	Delta vtime.Duration `json:"delta,omitempty"`
 	// ClearEvery is the clearing cadence in ticks (default 2).
 	ClearEvery vtime.Duration `json:"clear_every,omitempty"`
-	// AdaptiveDelta enables the observed-latency Δ controller; its
-	// decision trajectory becomes part of the digest.
-	AdaptiveDelta bool `json:"adaptive_delta,omitempty"`
 
 	// Deviations is the adversarial mix injected into the stream.
 	Deviations []Deviation `json:"deviations,omitempty"`
@@ -414,7 +411,6 @@ func (sc Scenario) engineConfig() engine.Config {
 		Tick:          time.Millisecond,
 		Delta:         sc.Delta,
 		ClearEvery:    sc.ClearEvery,
-		AdaptiveDelta: sc.AdaptiveDelta,
 		Seed:          sc.Seed,
 		Deterministic: true,
 		Parallel:      sc.Parallel,

@@ -65,17 +65,16 @@ func Suite(seedOffset int64) []Scenario {
 			MaxSettleTick:  220, // measured 144
 		},
 		{
-			// Everything at once on a climbing ramp with adaptive Δ: six
-			// strategies, shed pressure, and the Δ controller all in one
-			// replayable trace.
-			Name:          "kitchen-sink-ramp",
-			Seed:          404 + seedOffset,
-			Offers:        60,
-			Rate:          2500,
-			Profile:       "ramp:0.5:2",
-			RingMin:       3,
-			RingMax:       4,
-			AdaptiveDelta: true,
+			// Everything at once on a climbing ramp at a tight Δ: six
+			// strategies and shed pressure in one replayable trace.
+			Name:    "kitchen-sink-ramp",
+			Seed:    404 + seedOffset,
+			Offers:  60,
+			Rate:    2500,
+			Profile: "ramp:0.5:2",
+			RingMin: 3,
+			RingMax: 4,
+			Delta:   4,
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.08},
 				{Strategy: "withhold-publish", Rate: 0.06},
@@ -84,8 +83,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "corrupt-publish", Rate: 0.06},
 				{Strategy: "eager-publish", Rate: 0.06},
 			},
-			MaxClearRounds: 130, // measured 86
-			MaxSettleTick:  260, // measured 173
+			MaxClearRounds: 62,  // measured 41
+			MaxSettleTick:  140, // measured 91
 		},
 		{
 			// Kill the engine mid-clearing and recover from the WAL: the

@@ -59,13 +59,6 @@ type Aggregate struct {
 	// econ accumulates per-swap capital-lock integrals and bribery
 	// extremes (see economics.go).
 	econ EconomicsTotals
-
-	// Adaptive-Δ telemetry: one point per controller decision, thinned to
-	// every deltaStride-th decision so a long run's trajectory stays
-	// bounded without losing its shape.
-	deltaTraj   []DeltaPoint
-	deltaSeen   int
-	deltaStride int
 }
 
 // NewAggregate starts an aggregate; elapsed time (and therefore the /sec
@@ -284,7 +277,6 @@ func (a *Aggregate) Merge(other *Aggregate) {
 		cp := *other.recovery
 		a.recovery = &cp
 	}
-	a.deltaTraj = append(a.deltaTraj, other.deltaTraj...)
 	for k, v := range other.reverts {
 		if a.reverts == nil {
 			a.reverts = make(map[string]int)
@@ -337,53 +329,6 @@ func (a *Aggregate) Restore(rc RestoredCounts) {
 	}
 }
 
-// DeltaPoint is one adaptive-Δ controller decision: the Δ chosen for the
-// next clearing rounds and the probe window it was computed from.
-type DeltaPoint struct {
-	// ElapsedSec is when the decision was taken, relative to the
-	// aggregate's start.
-	ElapsedSec float64 `json:"elapsed_sec"`
-	// Round is the clearing round the decision belongs to.
-	Round int `json:"round"`
-	// DeltaTicks is the Δ handed to swaps cleared from here on.
-	DeltaTicks int `json:"delta_ticks"`
-	// WindowEWMA and WindowMaxTicks summarize the consumed probe window.
-	WindowEWMA     float64 `json:"ewma_ticks"`
-	WindowMaxTicks int     `json:"window_max_ticks"`
-	// WindowSamples is how many delivery observations backed the decision.
-	WindowSamples int `json:"window_samples"`
-}
-
-// deltaTrajCap bounds the retained trajectory; when full, the series is
-// thinned 2:1 and the stride doubles, so memory stays O(cap) while the
-// recorded points still span the whole run.
-const deltaTrajCap = 1024
-
-// AddDeltaPoint records one adaptive-Δ controller decision. The elapsed
-// timestamp is filled in here so callers only report protocol-level
-// fields.
-func (a *Aggregate) AddDeltaPoint(p DeltaPoint) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.deltaStride == 0 {
-		a.deltaStride = 1
-	}
-	a.deltaSeen++
-	if (a.deltaSeen-1)%a.deltaStride != 0 {
-		return
-	}
-	p.ElapsedSec = time.Since(a.startedAt).Seconds()
-	a.deltaTraj = append(a.deltaTraj, p)
-	if len(a.deltaTraj) >= deltaTrajCap {
-		kept := a.deltaTraj[:0]
-		for i := 0; i < len(a.deltaTraj); i += 2 {
-			kept = append(kept, a.deltaTraj[i])
-		}
-		a.deltaTraj = kept
-		a.deltaStride *= 2
-	}
-}
-
 // Throughput is a point-in-time summary of an Aggregate, JSON-ready for
 // the benchmark trajectory.
 type Throughput struct {
@@ -429,16 +374,13 @@ type Throughput struct {
 	SwapsPerSec           float64 `json:"swaps_per_sec"`
 	// Latency fields are float milliseconds: sub-millisecond settles
 	// (routine under virtual time) must not truncate to zero.
-	AvgLatencyMs float64 `json:"avg_latency_ms"`
-	P50LatencyMs float64 `json:"p50_latency_ms"`
-	P95LatencyMs float64 `json:"p95_latency_ms"`
-	P99LatencyMs float64 `json:"p99_latency_ms"`
-	MaxLatencyMs float64 `json:"max_latency_ms"`
-	// DeltaTrajectory is the adaptive-Δ controller's decision series
-	// (empty unless the engine runs with AdaptiveDelta).
-	DeltaTrajectory []DeltaPoint   `json:"delta_trajectory,omitempty"`
-	Outcomes        map[string]int `json:"outcomes"`
-	ResvConflicts   int            `json:"reservation_conflicts"`
+	AvgLatencyMs  float64        `json:"avg_latency_ms"`
+	P50LatencyMs  float64        `json:"p50_latency_ms"`
+	P95LatencyMs  float64        `json:"p95_latency_ms"`
+	P99LatencyMs  float64        `json:"p99_latency_ms"`
+	MaxLatencyMs  float64        `json:"max_latency_ms"`
+	Outcomes      map[string]int `json:"outcomes"`
+	ResvConflicts int            `json:"reservation_conflicts"`
 	// Signs is the total ed25519 signatures produced under keyring
 	// identities; SignsPerSwap normalizes by finished swaps — ALL of them,
 	// so it averages over both protocols: a single-leader swap signs
@@ -520,9 +462,6 @@ func (a *Aggregate) Snapshot() Throughput {
 		t.P95LatencyMs = a.latencyHist.Quantile(0.95).Seconds() * 1000
 		t.P99LatencyMs = a.latencyHist.Quantile(0.99).Seconds() * 1000
 	}
-	if len(a.deltaTraj) > 0 {
-		t.DeltaTrajectory = append([]DeltaPoint(nil), a.deltaTraj...)
-	}
 	if len(a.reverts) > 0 {
 		t.RevertsByChain = make(map[string]int, len(a.reverts))
 		for k, v := range a.reverts {
@@ -580,11 +519,6 @@ func (t Throughput) String() string {
 	}
 	if e := t.Economics; e != nil {
 		fmt.Fprintf(&b, "%s\n", e)
-	}
-	if n := len(t.DeltaTrajectory); n > 0 {
-		last := t.DeltaTrajectory[n-1]
-		fmt.Fprintf(&b, "delta:  %d adaptations recorded, final Δ=%d ticks (window ewma %.2f, max %d, %d samples)\n",
-			n, last.DeltaTicks, last.WindowEWMA, last.WindowMaxTicks, last.WindowSamples)
 	}
 	keys := make([]string, 0, len(t.Outcomes))
 	for k := range t.Outcomes {

@@ -146,44 +146,6 @@ func TestThroughputRateSplit(t *testing.T) {
 	}
 }
 
-func TestDeltaTrajectoryRecorded(t *testing.T) {
-	a := NewAggregate()
-	for i := 0; i < 5; i++ {
-		a.AddDeltaPoint(DeltaPoint{Round: i, DeltaTicks: 10 + i, WindowSamples: 32})
-	}
-	s := a.Snapshot()
-	if len(s.DeltaTrajectory) != 5 {
-		t.Fatalf("trajectory has %d points, want 5", len(s.DeltaTrajectory))
-	}
-	if s.DeltaTrajectory[4].DeltaTicks != 14 || s.DeltaTrajectory[4].Round != 4 {
-		t.Errorf("last point = %+v", s.DeltaTrajectory[4])
-	}
-	if s.DeltaTrajectory[0].ElapsedSec < 0 {
-		t.Error("elapsed timestamp not stamped")
-	}
-}
-
-// TestDeltaTrajectoryThinning drives the trajectory past its cap and
-// checks it stays bounded while still spanning the whole decision series.
-func TestDeltaTrajectoryThinning(t *testing.T) {
-	a := NewAggregate()
-	const n = 5 * deltaTrajCap
-	for i := 0; i < n; i++ {
-		a.AddDeltaPoint(DeltaPoint{Round: i, DeltaTicks: i})
-	}
-	s := a.Snapshot()
-	if len(s.DeltaTrajectory) == 0 || len(s.DeltaTrajectory) >= deltaTrajCap {
-		t.Fatalf("trajectory has %d points, want (0, %d)", len(s.DeltaTrajectory), deltaTrajCap)
-	}
-	if first := s.DeltaTrajectory[0].Round; first != 0 {
-		t.Errorf("first retained round = %d, want 0", first)
-	}
-	last := s.DeltaTrajectory[len(s.DeltaTrajectory)-1].Round
-	if last < n/2 {
-		t.Errorf("last retained round = %d: thinning dropped the tail of %d decisions", last, n)
-	}
-}
-
 // TestProtocolSplit pins the per-protocol swap counts: they partition
 // SwapsFinished, survive a shard merge, reach the JSON report and the
 // one-line summary, and SignsPerSwap stays the average over both.

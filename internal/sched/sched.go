@@ -21,8 +21,8 @@
 //     held: it does not move until whoever set the run up lets go.
 //   - Paced (NewPaced): a tick is a configured wall duration, Now is read
 //     off the wall, and no event runs before its wall due time. An event
-//     that runs late — a loaded box — sees Now past its tick, which is the
-//     lag the LatencyProbe measures. The production shape.
+//     that runs late — a loaded box — sees Now past its tick. The
+//     production shape.
 //
 // The Hold mechanism is what makes Virtual safe to drive from outside the
 // loop: work in flight on another goroutine (a runtime mid-setup, a load
@@ -779,104 +779,4 @@ func (v *Virtual) releaseN(n int) {
 		v.cond.Signal()
 	}
 	v.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// LatencyProbe: observed notification-latency estimator for adaptive Δ.
-
-// LatencyProbe aggregates observed delivery lag — how far past its
-// scheduled tick a notification actually reached a party — as an EWMA plus
-// a per-window maximum. The clearing engine reads it to adapt Δ: the spec
-// Δ may shrink toward the hardware's real detection latency, but never
-// below the observed lag plus a safety margin (see DESIGN.md §6).
-//
-// It implements chain.DeliveryProbe, so a registry can carry one and every
-// runtime sharing the registry feeds it without extra plumbing.
-type LatencyProbe struct {
-	ewma      atomic.Uint64 // float64 bits
-	samples   atomic.Uint64
-	windowN   atomic.Uint64
-	windowMax atomic.Int64
-}
-
-// ewmaAlpha weights new observations; ~1/16 smooths per-delivery noise
-// while tracking load shifts within a few clearing intervals.
-const ewmaAlpha = 1.0 / 16
-
-// NewLatencyProbe returns an empty probe.
-func NewLatencyProbe() *LatencyProbe { return &LatencyProbe{} }
-
-// Observe records one delivery lag, in ticks. Negative lags (deliveries
-// that ran early relative to target, possible only under virtual time)
-// count as zero. It takes no lock: every stripe's deliveries land here, and
-// on a sharded engine in one probe per shard.
-func (p *LatencyProbe) Observe(lag vtime.Duration) {
-	if lag < 0 {
-		lag = 0
-	}
-	first := p.samples.Add(1) == 1
-	for {
-		old := p.ewma.Load()
-		next := float64(lag)
-		if !first {
-			prev := math.Float64frombits(old)
-			next = prev + ewmaAlpha*(float64(lag)-prev)
-		}
-		if p.ewma.CompareAndSwap(old, math.Float64bits(next)) {
-			break
-		}
-	}
-	p.windowN.Add(1)
-	for {
-		cur := p.windowMax.Load()
-		if int64(lag) <= cur || p.windowMax.CompareAndSwap(cur, int64(lag)) {
-			break
-		}
-	}
-}
-
-// LatencySnapshot is a point-in-time view of the probe.
-type LatencySnapshot struct {
-	// EWMA is the smoothed delivery lag in ticks.
-	EWMA float64
-	// WindowMax is the worst lag since the last TakeWindow.
-	WindowMax vtime.Duration
-	// WindowSamples counts observations since the last TakeWindow —
-	// controllers gate on it so an empty window cannot retrigger a
-	// decision on stale data.
-	WindowSamples uint64
-	// Samples counts observations since creation.
-	Samples uint64
-}
-
-// Snapshot returns the current estimate without resetting the window.
-func (p *LatencyProbe) Snapshot() LatencySnapshot {
-	return LatencySnapshot{
-		EWMA:          math.Float64frombits(p.ewma.Load()),
-		WindowMax:     vtime.Duration(p.windowMax.Load()),
-		WindowSamples: p.windowN.Load(),
-		Samples:       p.samples.Load(),
-	}
-}
-
-// TakeWindow returns the current snapshot and resets the window (max and
-// sample count), so stale worst cases decay instead of pinning Δ high
-// forever.
-func (p *LatencyProbe) TakeWindow() LatencySnapshot {
-	return LatencySnapshot{
-		EWMA:          math.Float64frombits(p.ewma.Load()),
-		WindowMax:     vtime.Duration(p.windowMax.Swap(0)),
-		WindowSamples: p.windowN.Swap(0),
-		Samples:       p.samples.Load(),
-	}
-}
-
-// EstimateTicks returns a conservative whole-tick latency estimate: the
-// ceiling of the EWMA or the window max, whichever is larger.
-func (s LatencySnapshot) EstimateTicks() vtime.Duration {
-	est := vtime.Duration(math.Ceil(s.EWMA))
-	if s.WindowMax > est {
-		est = s.WindowMax
-	}
-	return est
 }

@@ -593,35 +593,6 @@ func TestVirtualAdvance(t *testing.T) {
 	}
 }
 
-func TestLatencyProbe(t *testing.T) {
-	p := NewLatencyProbe()
-	if s := p.Snapshot(); s.Samples != 0 || s.EstimateTicks() != 0 {
-		t.Fatalf("fresh probe: %+v", s)
-	}
-	p.Observe(-5) // clamps to 0
-	p.Observe(2)
-	p.Observe(2)
-	p.Observe(10)
-	s := p.TakeWindow()
-	if s.Samples != 4 {
-		t.Fatalf("samples %d", s.Samples)
-	}
-	if s.WindowMax != 10 {
-		t.Fatalf("window max %d", s.WindowMax)
-	}
-	if est := s.EstimateTicks(); est != 10 {
-		t.Fatalf("estimate %d, want window max 10", est)
-	}
-	// Window max resets; EWMA persists.
-	s2 := p.Snapshot()
-	if s2.WindowMax != 0 {
-		t.Fatalf("window max after TakeWindow: %d", s2.WindowMax)
-	}
-	if s2.EWMA <= 0 {
-		t.Fatalf("ewma lost: %f", s2.EWMA)
-	}
-}
-
 // ownedEvent is what a runtime that owns its records looks like to the
 // scheduler: the record embeds the Event and is its own Handler.
 type ownedEvent struct {
