@@ -254,21 +254,6 @@ func Settle(spec *Spec, faults []Fault, bond uint64) *Settlement {
 	return audit.Settle(spec, faults, bond)
 }
 
-// The same runtime on a scheduler and chains the caller may share: by
-// default a scheduler of its own with Δ mapped to wall-clock time.
-type (
-	// ConcConfig parameterizes a concurrent run.
-	ConcConfig = conc.Config
-	// ConcResult reports a concurrent run.
-	ConcResult = conc.Result
-)
-
-// RunConcurrent executes the setup on cfg's scheduler and chains, many
-// runs at once if they are shared. Behaviors defaults to conforming; entries override per vertex.
-func RunConcurrent(setup *Setup, behaviors map[Vertex]Behavior, cfg ConcConfig) (*ConcResult, error) {
-	return conc.Run(setup, behaviors, cfg)
-}
-
 // Clearing engine: the long-running swap service. Submit offers from any
 // goroutine; a clearing loop matches them into concurrent swaps over
 // shared chains; Report() gives service-level throughput.

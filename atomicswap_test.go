@@ -112,20 +112,6 @@ func TestFacadeBondSettlement(t *testing.T) {
 	}
 }
 
-func TestFacadeConcurrentRuntime(t *testing.T) {
-	setup, err := atomicswap.NewSetup(atomicswap.ThreeWay(), atomicswap.Config{Rand: rand.New(rand.NewSource(5))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := atomicswap.RunConcurrent(setup, nil, atomicswap.ConcConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Report.AllDeal() {
-		t.Error("concurrent quickstart should end AllDeal")
-	}
-}
-
 func TestFacadePebble(t *testing.T) {
 	d := atomicswap.ThreeWay()
 	if res := atomicswap.LazyPebble(d, []atomicswap.Vertex{0}); !res.Complete {

@@ -1,6 +1,6 @@
-// Command swapsim runs one atomic cross-chain swap scenario — under the
-// deterministic simulator, or with -concurrent on a clock paced by the
-// wall — and prints the event trace and per-party outcomes.
+// Command swapsim runs one atomic cross-chain swap scenario under the
+// paper's model (conc.Runner: every notification exactly Δ after its chain
+// event) and prints the event trace, per-party outcomes and call counters.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	-delta     Δ in ticks
 //	-broadcast enable the Section 4.5 broadcast optimization
 //	-audit     run ledger fault attribution after the swap
-//	-concurrent Δ on the wall clock instead of the simulator
 package main
 
 import (
@@ -33,23 +32,22 @@ import (
 
 func main() {
 	var (
-		scenario   = flag.String("scenario", "threeway", "swap digraph scenario")
-		kindName   = flag.String("kind", "general", "protocol variant")
-		adv        = flag.String("adversary", "none", "deviation to inject")
-		seed       = flag.Int64("seed", 1, "key-generation seed")
-		delta      = flag.Int64("delta", 10, "Δ in ticks")
-		broadcast  = flag.Bool("broadcast", false, "enable the broadcast optimization")
-		doAudit    = flag.Bool("audit", false, "run ledger fault attribution after the swap")
-		concurrent = flag.Bool("concurrent", false, "run with Δ on the wall clock instead of the simulator")
+		scenario  = flag.String("scenario", "threeway", "swap digraph scenario")
+		kindName  = flag.String("kind", "general", "protocol variant")
+		adv       = flag.String("adversary", "none", "deviation to inject")
+		seed      = flag.Int64("seed", 1, "key-generation seed")
+		delta     = flag.Int64("delta", 10, "Δ in ticks")
+		broadcast = flag.Bool("broadcast", false, "enable the broadcast optimization")
+		doAudit   = flag.Bool("audit", false, "run ledger fault attribution after the swap")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *scenario, *kindName, *adv, *seed, *delta, *broadcast, *doAudit, *concurrent); err != nil {
+	if err := run(os.Stdout, *scenario, *kindName, *adv, *seed, *delta, *broadcast, *doAudit); err != nil {
 		fmt.Fprintln(os.Stderr, "swapsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadcast, doAudit, concurrent bool) error {
+func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadcast, doAudit bool) error {
 	d, err := buildScenario(scenario)
 	if err != nil {
 		return err
@@ -72,46 +70,24 @@ func run(w io.Writer, scenario, kindName, adv string, seed, delta int64, broadca
 	if err != nil {
 		return err
 	}
-	// One runtime either way; the flag picks its scheduler. The Runner is
-	// the paper's model — a private one-worker scheduler, every notification
-	// exactly Δ after its chain event — and the only one that tallies call
-	// counters; -concurrent paces the same run by the wall clock, with the
-	// delivery margins a shared scheduler needs.
-	var res *atomicswap.Result
-	on := ""
-	if concurrent {
-		on = "  (Δ on the wall clock)"
-		cr, err := atomicswap.RunConcurrent(setup, behaviors, atomicswap.ConcConfig{})
-		if err != nil {
-			return err
-		}
-		res = &atomicswap.Result{
-			Spec: setup.Spec, Triggered: cr.Triggered, Report: cr.Report, Log: cr.Log,
-			StorageBytes: cr.Registry.TotalStorageBytes(), Registry: cr.Registry,
-		}
-	} else {
-		r := atomicswap.NewRunner(setup)
-		for v, b := range behaviors {
-			r.SetBehavior(v, b)
-		}
-		if res, err = r.Run(); err != nil {
-			return err
-		}
+	r := atomicswap.NewRunner(setup)
+	for v, b := range behaviors {
+		r.SetBehavior(v, b)
+	}
+	res, err := r.Run()
+	if err != nil {
+		return err
 	}
 
-	fmt.Fprintf(w, "scenario %s  kind=%s  Δ=%d  start=%d  leaders=%v  diam≤%d%s\n\n",
+	fmt.Fprintf(w, "scenario %s  kind=%s  Δ=%d  start=%d  leaders=%v  diam≤%d\n\n",
 		scenario, setup.Spec.Kind, setup.Spec.Delta, setup.Spec.Start,
-		setup.Spec.Leaders, setup.Spec.DiamBound, on)
+		setup.Spec.Leaders, setup.Spec.DiamBound)
 	fmt.Fprint(w, res.Log.Render())
 	fmt.Fprintln(w)
 	for _, v := range setup.Spec.D.Vertices() {
 		fmt.Fprintf(w, "%-10s %v\n", setup.Spec.PartyOf(v), res.Report.Of(v))
 	}
-	fmt.Fprintf(w, "\nall Deal: %v   storage: %d bytes", res.Report.AllDeal(), res.StorageBytes)
-	if !concurrent {
-		fmt.Fprintf(w, "   %s", res.Counters.String())
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "\nall Deal: %v   storage: %d bytes   %s\n", res.Report.AllDeal(), res.StorageBytes, res.Counters.String())
 	if doAudit {
 		faults := atomicswap.Audit(setup.Spec, res)
 		if len(faults) == 0 {

@@ -1,10 +1,10 @@
 // Package conc is the one place a swap is executed: it drives
 // core.Behaviors over thread-safe mock chains with virtual ticks from a
 // pluggable sched.Scheduler. Two entry points share it. Prepare/Wait (and
-// Run) put a swap on a scheduler and a registry the caller may share — many
-// runs at once over one set of chains, which is what the clearing engine
-// needs — and time each chain notification a quarter-Δ inside the bound,
-// from the chain's commitment-model Timing. Runner (runner.go) is the
+// Run) put a swap on the caller's scheduler and a registry it may share —
+// many runs at once over one set of chains, which is what the clearing
+// engine needs — and time each chain notification a quarter-Δ inside the
+// bound, from the chain's commitment-model Timing. Runner (runner.go) is the
 // paper's model of one swap alone: a private one-worker scheduler, a
 // private registry, and every notification landing exactly Δ after its
 // chain event.
@@ -16,17 +16,16 @@
 // single-threaded because the run's events share a stripe. The run ends the
 // same way: its horizon delivery tears it down, builds the Result and hands
 // it to Config.OnDone, at the tick the outcome became final. On a free clock a
-// run is then a pure function of what was scheduled. On a paced one
-// (sched.NewPaced, what a run builds for itself from Config.Tick) ticks are
-// wall time and an event can run late, so tests assert outcomes rather than
-// traces: pick a tick duration comfortably above scheduler noise.
+// run is then a pure function of what was scheduled. The scheduler is always
+// the caller's (Config.Scheduler) or the Runner's: a run never builds one.
+// Only the engine paces one by the wall (sched.NewPaced), where an event can
+// run late and outcomes, not traces, are what hold.
 package conc
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
 	"github.com/go-atomicswap/atomicswap/internal/core"
@@ -39,27 +38,20 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// DefaultTick is the default wall duration of one virtual tick.
-const DefaultTick = sched.DefaultTick
-
 // Config parameterizes a concurrent run.
 type Config struct {
-	// Tick is the wall duration of one tick (DefaultTick if 0) of the paced
-	// scheduler a run builds for itself, and closes in Wait, when Scheduler
-	// is nil. Ignored when Scheduler is set.
-	Tick time.Duration
 	// Registry, when set, is a shared chain registry: assets already
 	// registered on it are reused (their ownership is verified). A run
 	// hears about its own contracts only (one route per contract), so many
 	// runs may execute concurrently over the same chains — the clearing
 	// engine's mode. Nil gives the run a private registry.
 	Registry *chain.Registry
-	// Scheduler, when set, is a shared time source so concurrent runs
-	// agree on virtual time: sched.NewPaced for wall-clock execution (what
-	// a standalone run builds by default from Tick), sched.NewVirtual for
-	// event-driven time that advances as fast as callbacks drain. The
-	// caller closes it. The spec's Start must be in the scheduler's future
-	// (or use StartOffset).
+	// Scheduler is required: the time source every delivery of the run is
+	// an event on, shared so concurrent runs agree on virtual time —
+	// sched.NewVirtual for event-driven time that advances as fast as
+	// callbacks drain, sched.NewPaced for the engine's wall-clock
+	// execution. The caller closes it. The spec's Start must be in the
+	// scheduler's future (or use StartOffset).
 	Scheduler *sched.Virtual
 	// StartOffset, when positive, pins spec.Start to the scheduler's
 	// current tick plus the offset, atomically with run setup. Under
@@ -265,9 +257,9 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 		spec.Cache = cfg.Cache
 	}
 
-	scheduler, own := cfg.Scheduler, false
+	scheduler := cfg.Scheduler
 	if scheduler == nil {
-		scheduler, own = sched.NewPaced(1, cfg.Tick), true
+		return nil, fmt.Errorf("conc: Config.Scheduler is required")
 	}
 	log := cfg.Log
 	if log == nil {
@@ -285,15 +277,12 @@ func prepare(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg 
 	// Field by field, not a runner literal: the record is already on the
 	// heap, and a literal would be built beside it and copied in.
 	r.setup, r.spec, r.log = setup, spec, log
-	r.sched, r.ownSched, r.stripe = scheduler, own, cfg.StripeKey
+	r.sched, r.stripe = scheduler, cfg.StripeKey
 	r.onPhase, r.onRevert, r.onDone, r.earlyExit = cfg.OnPhase, cfg.OnRevert, cfg.OnDone, cfg.EarlyExit
 	// Setup runs under a hold: under virtual time the clock must not jump
 	// past the start while assets are registered and inits scheduled.
 	scheduler.Acquire()
 	err := r.start(behaviors, cfg.StartOffset, cfg.Registry, worstCase)
-	if err != nil && own {
-		scheduler.Close()
-	}
 	scheduler.Release()
 	if err != nil {
 		return nil, err
@@ -439,10 +428,9 @@ func eventBudget(spec *core.Spec) int {
 	return n
 }
 
-// Wait blocks until the run's horizon delivery has built its result,
-// closes a scheduler the run built for itself, and returns the result.
-// Call it at most once. The channel it waits on exists only for it: a run
-// nobody waits for (the engine's) never makes one.
+// Wait blocks until the run's horizon delivery has built its result and
+// returns it. Call it at most once. The channel it waits on exists only for
+// it: a run nobody waits for (the engine's) never makes one.
 func (rn *Running) Wait() *Result {
 	r := &rn.r
 	r.mu.Lock()
@@ -454,9 +442,6 @@ func (rn *Running) Wait() *Result {
 	} else {
 		r.mu.Unlock()
 	}
-	if r.ownSched {
-		r.sched.Close()
-	}
 	return &r.res
 }
 
@@ -467,13 +452,11 @@ type runner struct {
 	setup *core.Setup
 	spec  *core.Spec
 	// sched runs every delivery inside its scheduler event, all of them on
-	// stripe; ownSched marks a scheduler the run built for itself (from
-	// Config.Tick), which Wait closes.
-	sched    *sched.Virtual
-	ownSched bool
-	stripe   uint64
-	reg      *chain.Registry
-	log      *trace.Log
+	// stripe.
+	sched  *sched.Virtual
+	stripe uint64
+	reg    *chain.Registry
+	log    *trace.Log
 	// horizonTick is the run's scheduled end, for Result.SettleTick when
 	// some arc never resolves. The horizon delivery (finish) builds res,
 	// hands it to onDone (Config.OnDone), and sets done — under mu, closing

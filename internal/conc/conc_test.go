@@ -18,9 +18,17 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// tick is generous relative to goroutine scheduling noise so Δ ordering
-// holds even on loaded CI machines.
+// tick is the paced side of TestPacedFreeEquivalence: generous relative to
+// goroutine scheduling noise so Δ ordering holds even on loaded CI machines.
 const tick = 5 * time.Millisecond
+
+// freeClock is a one-worker free scheduler, closed when the test ends: the
+// engine's kind of clock, so a run on it follows the quarter-Δ delivery rule.
+func freeClock(t *testing.T) *sched.Virtual {
+	v := sched.NewVirtual(1)
+	t.Cleanup(v.Close)
+	return v
+}
 
 func concSetup(t *testing.T, d *digraph.Digraph, cfg core.Config) *core.Setup {
 	t.Helper()
@@ -36,7 +44,7 @@ func concSetup(t *testing.T, d *digraph.Digraph, cfg core.Config) *core.Setup {
 
 func TestConcurrentThreeWayAllDeal(t *testing.T) {
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
-	res, err := Run(setup, nil, Config{Tick: tick})
+	res, err := Run(setup, nil, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +59,7 @@ func TestConcurrentThreeWayAllDeal(t *testing.T) {
 
 func TestConcurrentTwoLeaderAllDeal(t *testing.T) {
 	setup := concSetup(t, graphgen.TwoLeaderTriangle(), core.Config{})
-	res, err := Run(setup, nil, Config{Tick: tick})
+	res, err := Run(setup, nil, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +71,7 @@ func TestConcurrentTwoLeaderAllDeal(t *testing.T) {
 
 func TestConcurrentSingleLeaderVariant(t *testing.T) {
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{Kind: core.KindSingleLeader})
-	res, err := Run(setup, nil, Config{Tick: tick})
+	res, err := Run(setup, nil, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +83,20 @@ func TestConcurrentSingleLeaderVariant(t *testing.T) {
 
 func TestConcurrentBroadcast(t *testing.T) {
 	setup := concSetup(t, graphgen.Cycle(5), core.Config{Broadcast: true})
-	res, err := Run(setup, nil, Config{Tick: tick})
+	res, err := Run(setup, nil, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Report.AllDeal() {
 		t.Log("\n" + res.Log.Render())
 		t.Fatal("concurrent broadcast swap should end AllDeal")
+	}
+}
+
+// TestRunNeedsAScheduler: a run never builds a clock of its own.
+func TestRunNeedsAScheduler(t *testing.T) {
+	if _, err := Run(concSetup(t, graphgen.ThreeWay(), core.Config{}), nil, Config{}); err == nil {
+		t.Fatal("Run without a scheduler: want an error")
 	}
 }
 
@@ -103,9 +118,10 @@ func traceKinds(l *trace.Log) map[trace.Kind]int {
 }
 
 // TestPacedFreeEquivalence runs the same 3-party swap on a clock paced by
-// the wall and on a free one: outcomes must be identical per vertex and the
-// runs must produce the same kinds of trace events (counts included — every
-// publish/unlock/claim happens in both worlds). The delivery shape is the
+// the wall (sched.NewPaced, as a paced engine builds) and on a free one:
+// outcomes must be identical per vertex and the runs must produce the same
+// kinds of trace events (counts included — every publish/unlock/claim
+// happens in both worlds). The delivery shape is the
 // same too: neither run starts a goroutine of its own — deliveries execute
 // inside scheduler events — and neither leaves one behind.
 func TestPacedFreeEquivalence(t *testing.T) {
@@ -120,10 +136,10 @@ func TestPacedFreeEquivalence(t *testing.T) {
 		}
 		return rn
 	}
-	v := sched.NewVirtual(1)
-	defer v.Close()
-	free := prepare(Config{Scheduler: v}).Wait()
-	paced := prepare(Config{Tick: tick}).Wait()
+	wall := sched.NewPaced(1, tick)
+	defer wall.Close()
+	free := prepare(Config{Scheduler: freeClock(t)}).Wait()
+	paced := prepare(Config{Scheduler: wall}).Wait()
 	if n := partyGoroutines(); n != 0 {
 		t.Errorf("the runs left %d party goroutines behind, want 0", n)
 	}
@@ -282,7 +298,7 @@ func TestConcurrentHaltedPartySafe(t *testing.T) {
 	behaviors := map[digraph.Vertex]core.Behavior{
 		1: adversary.HaltAt(core.NewConforming(), 0),
 	}
-	res, err := Run(setup, behaviors, Config{Tick: tick})
+	res, err := Run(setup, behaviors, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // swap.
 func TestEscrowSpansConformingSwap(t *testing.T) {
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
-	res, err := Run(setup, nil, Config{Tick: tick})
+	res, err := Run(setup, nil, Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEscrowSpansWithheldPublication(t *testing.T) {
 	}
 	res, err := Run(setup,
 		map[digraph.Vertex]core.Behavior{withheld: adversary.WithholdPublications()},
-		Config{Tick: tick})
+		Config{Scheduler: freeClock(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

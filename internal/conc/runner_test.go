@@ -219,21 +219,6 @@ func TestRunnerStopsItsScheduler(t *testing.T) {
 	if n := dispatchers(); n != 0 {
 		t.Fatalf("a failed run left %d dispatcher goroutines behind", n)
 	}
-
-	// A run handed no scheduler builds a paced one from Config.Tick, and
-	// owns it the same way: Wait closes it, and so does a failed Prepare.
-	if _, err := Run(concSetup(t, graphgen.ThreeWay(), core.Config{}), nil, Config{Tick: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if n := dispatchers(); n != 0 {
-		t.Fatalf("a finished run on its own scheduler left %d dispatcher goroutines behind", n)
-	}
-	if _, err := Run(setup, nil, Config{Tick: time.Millisecond, Registry: r.Registry()}); err == nil {
-		t.Fatal("Run over an asset someone else owns: want an error")
-	}
-	if n := dispatchers(); n != 0 {
-		t.Fatalf("a failed run on its own scheduler left %d dispatcher goroutines behind", n)
-	}
 }
 
 func TestSingleLeaderKindConforming(t *testing.T) {

@@ -169,25 +169,33 @@ func TestEngineKeyringAndCacheReuse(t *testing.T) {
 	}
 }
 
+// TestEngineManyConcurrentSwaps: many swaps live at once all end Deal with
+// assets conserved. It runs on a free striped clock, with every offer booked
+// under one hold, so no wall-clock jitter decides a timelock.
 func TestEngineManyConcurrentSwaps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-swap load test")
 	}
-	e := New(testConfig())
+	cfg := testConfig()
+	cfg.Parallel = true
+	e := New(cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	const rings = 40
 	var ids []OrderID
+	release := e.Scheduler().Hold()
 	for i := 0; i < rings; i++ {
 		for _, o := range ringOffers(fmt.Sprintf("g%d", i), "a", "b", "c") {
 			id, err := e.Submit(o)
 			if err != nil {
+				release()
 				t.Fatal(err)
 			}
 			ids = append(ids, id)
 		}
 	}
+	release()
 	drainAndStop(t, e)
 
 	for _, id := range ids {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/go-atomicswap/atomicswap/internal/chain"
+	"github.com/go-atomicswap/atomicswap/internal/conc"
 	"github.com/go-atomicswap/atomicswap/internal/core"
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
@@ -237,9 +238,9 @@ func exportedFields(v any) []string {
 }
 
 // TestConfigSurface pins the option surface: every exported field of
-// engine.Config and of shard.Config is a setting each caller, test and
-// benchmark configuration multiplies by, so adding one is a deliberate act
-// that edits this list.
+// engine.Config, of shard.Config and of the swap runtime's conc.Config is a
+// setting each caller, test and benchmark configuration multiplies by, so
+// adding one is a deliberate act that edits this list.
 func TestConfigSurface(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -251,6 +252,10 @@ func TestConfigSurface(t *testing.T) {
 			"MaxLive", "Commitment", "Shards",
 		}},
 		{"shard.Config", exportedFields(shard.Config{}), []string{"Shards", "Engine"}},
+		{"conc.Config", exportedFields(conc.Config{}), []string{
+			"Registry", "Scheduler", "StartOffset", "EarlyExit", "Cache", "StripeKey",
+			"Log", "OnPhase", "OnDone", "OnRevert",
+		}},
 	} {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s exported fields changed:\n got %v\nwant %v", tc.name, tc.got, tc.want)

@@ -77,9 +77,6 @@ type Scheduler interface {
 	Hold() func()
 }
 
-// DefaultTick is the default wall duration of one tick of a paced clock.
-const DefaultTick = 2 * time.Millisecond
-
 // ---------------------------------------------------------------------------
 // Virtual: event-driven scheduler.
 
@@ -305,14 +302,11 @@ func NewVirtual(workers int) *Virtual {
 }
 
 // NewPaced returns a running scheduler whose clock is the wall's: tick 0 is
-// now and each tick lasts `tick` of wall time (DefaultTick if tick <= 0).
+// now and each tick lasts `tick` of wall time, which must be positive.
 // Dispatch is NewVirtual's, helpers and all, except that no event runs
 // before the wall reaches its tick. A paced clock moves whether or not
 // anything is scheduled, so it is not born held.
 func NewPaced(workers int, tick time.Duration) *Virtual {
-	if tick <= 0 {
-		tick = DefaultTick
-	}
 	return newVirtual(spareCores(workers), tick)
 }
 
