@@ -61,9 +61,12 @@ type Config struct {
 	StartOffset vtime.Duration
 	// EarlyExit ends the run at the tick its last arc resolves instead of
 	// at the worst-case horizon: that resolution schedules the horizon
-	// delivery at the current tick. Outcomes are unaffected (a settled arc
-	// is final); only trailing trace events — the OnSettled fanout of the
-	// last transfers — may be trimmed.
+	// delivery at the current tick, and the slab budgets that one delivery
+	// more. Outcomes are unaffected (an arc resolves only once its closing
+	// transfer is final); only trailing trace events — the OnSettled
+	// fanout of the last transfers — may be trimmed. The engine sets it on
+	// every run, so a finished swap frees its live-run slot at once; the
+	// Runner and the conc goldens never do, and play to the horizon.
 	EarlyExit bool
 	// Cache, when set, replaces the spec's hashkey verification cache so
 	// many concurrent runs share one (the clearing engine's mode: a
@@ -356,7 +359,7 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 	if spec.Kind == core.KindGeneral {
 		r.general = cut(r.general, len(r.parties))
 	}
-	r.slab = make([]delivery, 0, eventBudget(spec))
+	r.slab = make([]delivery, 0, eventBudget(spec, r.earlyExit))
 	r.alarms = cut(r.alarmBuf[:], spec.RefundAlarms())[:0]
 	if spec.Kind == core.KindGeneral {
 		keys := spec.D.NumArcs() * len(spec.Leaders)
@@ -414,9 +417,10 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 // makes, which sizes the run's delivery slab: the
 // start and the horizon, every refund alarm, and per arc its publication,
 // its reveals (one redeem, or one unlock per hashlock) and its settlement —
-// plus one per leader broadcast. Deviations and reorg re-deliveries can
+// plus one per leader broadcast, and with early exit the horizon delivery
+// the last resolution schedules. Deviations and reorg re-deliveries can
 // exceed it; those deliveries come from the heap.
-func eventBudget(spec *core.Spec) int {
+func eventBudget(spec *core.Spec, earlyExit bool) int {
 	reveals := 1
 	if spec.Kind == core.KindGeneral {
 		reveals = len(spec.Leaders)
@@ -424,6 +428,9 @@ func eventBudget(spec *core.Spec) int {
 	n := 2 + spec.RefundAlarms() + spec.D.NumArcs()*(2+reveals)
 	if spec.Broadcast {
 		n += len(spec.Leaders)
+	}
+	if earlyExit {
+		n++
 	}
 	return n
 }

@@ -15,25 +15,32 @@ import (
 // holds exactly the scheduler events a conforming run of its shape makes —
 // 14 for a three-party ring where one event per party and delivery made 25
 // — so such a run never touches the heap for a delivery and wastes no slot.
+// An early-exit run (the engine's) budgets one more: the horizon delivery
+// its last resolution schedules.
 func TestEventBudgetIsExactForConformingRuns(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		d    *digraph.Digraph
-		cfg  core.Config
-		want int
+		name  string
+		d     *digraph.Digraph
+		cfg   core.Config
+		early bool
+		want  int
 	}{
-		{"ring-3", graphgen.Cycle(3), core.Config{Kind: core.KindByLeaders}, 14},
-		{"ring-3-general", graphgen.Cycle(3), core.Config{}, 14},
-		{"ring-5", graphgen.Cycle(5), core.Config{Kind: core.KindByLeaders}, 22},
-		{"flower", graphgen.Flower(2, 3), core.Config{Kind: core.KindByLeaders}, 0},
-		{"two-leader", graphgen.TwoLeaderTriangle(), core.Config{}, 0},
-		{"clique-4", graphgen.Clique(4), core.Config{}, 0},
-		{"ring-3-broadcast", graphgen.Cycle(3), core.Config{Broadcast: true}, 15},
+		{"ring-3", graphgen.Cycle(3), core.Config{Kind: core.KindByLeaders}, false, 14},
+		{"ring-3-general", graphgen.Cycle(3), core.Config{}, false, 14},
+		{"ring-5", graphgen.Cycle(5), core.Config{Kind: core.KindByLeaders}, false, 22},
+		{"flower", graphgen.Flower(2, 3), core.Config{Kind: core.KindByLeaders}, false, 0},
+		{"two-leader", graphgen.TwoLeaderTriangle(), core.Config{}, false, 0},
+		{"clique-4", graphgen.Clique(4), core.Config{}, false, 0},
+		{"ring-3-broadcast", graphgen.Cycle(3), core.Config{Broadcast: true}, false, 15},
+		{"ring-3-early", graphgen.Cycle(3), core.Config{Kind: core.KindByLeaders}, true, 15},
+		{"ring-3-general-early", graphgen.Cycle(3), core.Config{}, true, 15},
+		{"ring-5-early", graphgen.Cycle(5), core.Config{Kind: core.KindByLeaders}, true, 23},
+		{"ring-3-broadcast-early", graphgen.Cycle(3), core.Config{Broadcast: true}, true, 16},
 	} {
 		setup := concSetup(t, tc.d, tc.cfg)
 		sc := sched.NewVirtual(1)
 		release := sc.Hold() // the run cuts its slab as it goes: read the budget first
-		rn, err := Prepare(setup, nil, Config{Scheduler: sc, StartOffset: 25})
+		rn, err := Prepare(setup, nil, Config{Scheduler: sc, StartOffset: 25, EarlyExit: tc.early})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,6 +56,15 @@ func TestEventBudgetIsExactForConformingRuns(t *testing.T) {
 		}
 		if used := len(rn.r.slab); used != budget {
 			t.Errorf("%s: run made %d scheduler events, its slab was sized for %d", tc.name, used, budget)
+		}
+		// The slab fills in schedule order and only then spills to the
+		// heap, so if the last delivery an early-exit run schedules — the
+		// horizon its last resolution moves up — sits in the slab, no
+		// delivery of the run came from the heap.
+		if last := &rn.r.slab[len(rn.r.slab)-1]; tc.early &&
+			(last.kind != deliverHorizon || last.at != res.SettleTick) {
+			t.Errorf("%s: the slab's last delivery is kind %d at tick %d, want the early horizon at %d",
+				tc.name, last.kind, last.at, res.SettleTick)
 		}
 		// The payload tables are sized the same way: every refund alarm,
 		// and on Swap contracts every unlock and broadcast key, fills

@@ -294,8 +294,8 @@ type unit struct {
 	reg     *chain.Registry
 	// sched is the one scheduler everything runs on: grid-aligned clearing
 	// rounds, swap setup inside the clearing tick, live-run gating, parking.
-	// Whether its clock is free or paced (Tick() > 0) decides two things
-	// only: the MaxLive default and EarlyExit (see runConfig).
+	// Whether its clock is free or paced (Tick() > 0) decides one thing
+	// only: the MaxLive default.
 	sched *sched.Virtual
 	agg   *metrics.Aggregate
 
@@ -1070,11 +1070,10 @@ func (e *unit) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Config
 		Scheduler:   e.sched,
 		StartOffset: vtime.Scale(2, spec.Delta) + stagger,
 		Registry:    e.reg,
-		// Early exit trims the horizon wait, which on a paced clock is
-		// wall latency. Runs on a free clock play to the horizon instead:
-		// the tick a run ends at gates the live-run count, and the
-		// scenario digests pin that schedule.
-		EarlyExit: e.sched.Tick() > 0,
+		// A run ends the tick its last arc resolves, not at its padded
+		// worst-case horizon: its settle frees the live-run slot, so a
+		// gated book clears behind finished swaps, not behind horizons.
+		EarlyExit: true,
 		Cache:     e.vcache,
 		// Per-swap stripes let a striped scheduler run this swap
 		// serialized against itself but concurrent with the others; the

@@ -835,6 +835,120 @@ func TestWALOrderReplays(t *testing.T) {
 	}
 }
 
+// stampStore records every WAL event with the scheduler tick it was
+// appended at: a swap's settled event is appended inside the delivery that
+// ends its run, so its stamp is the tick the run ended.
+type stampStore struct {
+	mu  sync.Mutex
+	now func() vtime.Ticks
+	evs []Event
+	at  []vtime.Ticks
+}
+
+func (s *stampStore) Append(ev Event) {
+	s.mu.Lock()
+	s.evs = append(s.evs, ev)
+	s.at = append(s.at, s.now())
+	s.mu.Unlock()
+}
+
+// TestLiveSlotFreedAtResolve: a finished swap frees its live-run slot at the
+// tick its last arc resolves, not at its padded worst-case horizon. With
+// MaxLive 1, rings on distinct parties booked together run one at a time,
+// so consecutive settle ticks are spaced by the later run's resolution time
+// (clearing to settle) plus at most one clearing period; a slot held to the
+// horizon adds the run's idle tail, 2Δ and more, to every gap. Under a
+// confirmation depth the run still ends only once its last transfer is
+// final.
+func TestLiveSlotFreedAtResolve(t *testing.T) {
+	const (
+		rings      = 4
+		delta      = 10
+		clearEvery = 2
+	)
+	for _, tc := range []struct {
+		name  string
+		depth vtime.Duration
+	}{{"instant", 0}, {"depth", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := new(stampStore)
+			e := New(Config{
+				Deterministic: true,
+				Workers:       1,
+				MaxLive:       1,
+				ClearEvery:    clearEvery,
+				Delta:         delta,
+				Seed:          7,
+				Store:         st,
+				Commitment:    CommitmentConfig{ConfirmDepth: tc.depth},
+			})
+			st.now = e.Scheduler().Now
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var offers []core.Offer
+			for i := 0; i < rings; i++ {
+				offers = append(offers, ringOffers(fmt.Sprintf("slot%d", i), "a", "b", "c")...)
+			}
+			bookAndDrain(t, e, offers)
+
+			type run struct{ cleared, settled, ended vtime.Ticks }
+			runs := map[string]*run{}
+			var order []*run
+			for i, ev := range st.evs {
+				switch ev.Kind {
+				case EvCleared:
+					runs[ev.Swap] = &run{cleared: ev.Tick}
+					order = append(order, runs[ev.Swap])
+				case EvSettled:
+					runs[ev.Swap].settled, runs[ev.Swap].ended = ev.Tick, st.at[i]
+				}
+			}
+			if len(order) != rings {
+				t.Fatalf("cleared %d swaps, want %d", len(order), rings)
+			}
+			for _, o := range e.Orders() {
+				if o.Status != StatusSettled || o.Class != outcome.Deal {
+					t.Fatalf("order %d (%s): %s/%s, want settled/Deal", o.ID, o.Party, o.Status, o.Class)
+				}
+				if r := runs[o.Swap]; o.SettledTick != r.settled || r.ended != r.settled {
+					t.Fatalf("order %d: settled at %d; its run resolved at %d and ended at %d",
+						o.ID, o.SettledTick, r.settled, r.ended)
+				}
+			}
+			for k := 1; k < len(order); k++ {
+				prev, cur := order[k-1], order[k]
+				gap, resolve := cur.settled.Sub(prev.settled), cur.settled.Sub(cur.cleared)
+				if cur.cleared < prev.ended || gap > resolve+clearEvery {
+					t.Errorf("swap %d cleared at %d and resolved %d ticks later, %d after swap %d's (which ended at %d): "+
+						"the live-run slot was not freed at resolve", k, cur.cleared, resolve, gap, k-1, prev.ended)
+				}
+			}
+			if tc.depth == 0 {
+				return
+			}
+			// Every claim is a transfer record, final depth ticks after it
+			// landed; each party's asset sits on its own chain.
+			transfers := 0
+			for _, o := range e.Orders() {
+				for _, rec := range e.Registry().Chain("chain-" + o.Party).Records() {
+					if rec.Kind != chain.NoteTransfer {
+						continue
+					}
+					transfers++
+					if final := rec.At.Add(tc.depth); runs[o.Swap].ended < final {
+						t.Errorf("swap %s ended at %d, before its transfer at %d was final at %d",
+							o.Swap, runs[o.Swap].ended, rec.At, final)
+					}
+				}
+			}
+			if transfers != 3*rings {
+				t.Fatalf("found %d transfers, want one claim per order (%d)", transfers, 3*rings)
+			}
+		})
+	}
+}
+
 // TestEngineBehaviorFactory exercises the deviation-injection hook: a
 // factory that marks one vertex per swap as a silent leader must tag the
 // victim order as deviant, count the swap's orders as sabotaged, and

@@ -28,8 +28,8 @@ func Suite(seedOffset int64) []Scenario {
 			Offers:         48,
 			Rate:           2000,
 			Profile:        "poisson",
-			MaxClearRounds: 115, // measured 75
-			MaxSettleTick:  125, // measured 81
+			MaxClearRounds: 59,  // measured 39
+			MaxSettleTick:  125, // measured 82
 		},
 		{
 			// The paper's griefing attack at scale: a quarter of parties
@@ -44,8 +44,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "silent-leader", Rate: 0.15},
 				{Strategy: "stall-past-timelock", Rate: 0.10},
 			},
-			MaxClearRounds: 120, // measured 78
-			MaxSettleTick:  150, // measured 99
+			MaxClearRounds: 59,  // measured 39
+			MaxSettleTick:  150, // measured 82
 		},
 		{
 			// Crash/abort interleavings under bursty load — the AC3-style
@@ -61,8 +61,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "crash", Rate: 0.10},
 				{Strategy: "no-claim", Rate: 0.05},
 			},
-			MaxClearRounds: 110, // measured 72
-			MaxSettleTick:  220, // measured 144
+			MaxClearRounds: 102, // measured 68
+			MaxSettleTick:  220, // measured 139
 		},
 		{
 			// Everything at once on a climbing ramp at a tight Δ: six
@@ -83,8 +83,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "corrupt-publish", Rate: 0.06},
 				{Strategy: "eager-publish", Rate: 0.06},
 			},
-			MaxClearRounds: 62,  // measured 41
-			MaxSettleTick:  140, // measured 91
+			MaxClearRounds: 60,  // measured 40
+			MaxSettleTick:  140, // measured 83
 		},
 		{
 			// Kill the engine mid-clearing and recover from the WAL: the
@@ -101,8 +101,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.1},
 			},
-			MaxClearRounds: 135, // measured 89, both lives
-			MaxSettleTick:  175, // measured 115
+			MaxClearRounds: 83,  // measured 55, both lives
+			MaxSettleTick:  175, // measured 112
 		},
 		{
 			// Sharded clearing, zero cross-shard traffic: every ring lives
@@ -116,7 +116,7 @@ func Suite(seedOffset int64) []Scenario {
 			Rate:           2000,
 			Profile:        "poisson",
 			Shards:         4,
-			MaxClearRounds: 110, // measured 74
+			MaxClearRounds: 59,  // measured 39
 			MaxSettleTick:  120, // measured 79
 		},
 		{
@@ -131,8 +131,8 @@ func Suite(seedOffset int64) []Scenario {
 			Profile:        "poisson",
 			Shards:         4,
 			CrossRatio:     0.5,
-			MaxClearRounds: 120, // measured 78
-			MaxSettleTick:  135, // measured 88
+			MaxClearRounds: 68,  // measured 45
+			MaxSettleTick:  135, // measured 92
 		},
 		{
 			// Overload: arrivals far beyond capacity against a tiny shed
@@ -146,8 +146,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.2},
 			},
-			MaxClearRounds: 100, // measured 65
-			MaxSettleTick:  95,  // measured 61
+			MaxClearRounds: 44, // measured 29
+			MaxSettleTick:  95, // measured 59
 		},
 		{
 			// Chain realism: every chain needs 4 ticks of confirmation
@@ -163,8 +163,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "reorg@4", Rate: 0.15},
 			},
-			MaxClearRounds: 140, // measured 93
-			MaxSettleTick:  140, // measured 93
+			MaxClearRounds: 65,  // measured 43
+			MaxSettleTick:  140, // measured 86
 		},
 		{
 			// Chain realism under sharded clearing: the reorg-depth knobs
@@ -183,8 +183,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "reorg@4", Rate: 0.15},
 			},
-			MaxClearRounds: 140, // measured 94
-			MaxSettleTick:  140, // measured 94
+			MaxClearRounds: 71,  // measured 47
+			MaxSettleTick:  140, // measured 97
 		},
 		{
 			// The secret-sharing cartel as a correlated group: about a
@@ -204,8 +204,8 @@ func Suite(seedOffset int64) []Scenario {
 			Coalitions: []Coalition{
 				{Strategy: "cartel", Rate: 0.35, Drop: 0.25, Halt: 0.2},
 			},
-			MaxClearRounds: 145, // measured 95
-			MaxSettleTick:  290, // measured 192
+			MaxClearRounds: 117, // measured 78
+			MaxSettleTick:  290, // measured 158
 		},
 		{
 			// Lemma 4.11's punishment cartel: in ~30% of swaps a coalition
@@ -223,8 +223,8 @@ func Suite(seedOffset int64) []Scenario {
 			Coalitions: []Coalition{
 				{Strategy: "punishment", Rate: 0.30},
 			},
-			MaxClearRounds: 135, // measured 88
-			MaxSettleTick:  245, // measured 161
+			MaxClearRounds: 126, // measured 84
+			MaxSettleTick:  245, // measured 170
 		},
 		{
 			// Intake flooding under per-party fair shedding: 3 flood offers
@@ -244,8 +244,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "flood", Rate: 0.75, Size: 2},
 				{Strategy: "punishment", Rate: 0.30},
 			},
-			MaxClearRounds: 115, // measured 76
-			MaxSettleTick:  215, // measured 142
+			MaxClearRounds: 105, // measured 70
+			MaxSettleTick:  215, // measured 141
 		},
 	}
 }
