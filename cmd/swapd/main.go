@@ -189,7 +189,7 @@ func durableEngine(cfg engine.Config, dir string) (*engine.Engine, error) {
 func main() {
 	var (
 		offers    = flag.Int("offers", 3000, "approximate number of offers to submit")
-		workers   = flag.Int("workers", 64, "dispatch helpers, and live swaps on the paced clock (engine Workers)")
+		workers   = flag.Int("workers", 64, "dispatch helpers, and the live-swap gate at 16 per worker on either clock (engine Workers)")
 		adversary = flag.Float64("adversary", 0, "fraction of swaps given a silent leader")
 		conflicts = flag.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
 		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")

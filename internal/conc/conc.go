@@ -18,8 +18,8 @@
 // it to Config.OnDone, at the tick the outcome became final. On a free clock a
 // run is then a pure function of what was scheduled. The scheduler is always
 // the caller's (Config.Scheduler) or the Runner's: a run never builds one.
-// Only the engine paces one by the wall (sched.NewPaced), where an event can
-// run late and outcomes, not traces, are what hold.
+// Only the engine paces one by the wall (sched.NewPaced): an event can run
+// late there, but it sees its own tick, so the run is that same function.
 package conc
 
 import (
@@ -49,8 +49,8 @@ type Config struct {
 	// Scheduler is required: the time source every delivery of the run is
 	// an event on, shared so concurrent runs agree on virtual time —
 	// sched.NewVirtual for event-driven time that advances as fast as
-	// callbacks drain, sched.NewPaced for the engine's wall-clock
-	// execution. The caller closes it. The spec's Start must be in the
+	// callbacks drain, sched.NewPaced for the same time held to the wall
+	// (the engine's default). The caller closes it. The spec's Start must be in the
 	// scheduler's future (or use StartOffset).
 	Scheduler *sched.Virtual
 	// StartOffset, when positive, pins spec.Start to the scheduler's

@@ -275,9 +275,7 @@ func (e *Engine) restore(st *RecoveredState) error {
 		}
 		e.recMinted = append(e.recMinted, a.Minted)
 	}
-	// Pre-crash submit ticks stay in the past, where they belong. A paced
-	// clock is the wall's and restarts at zero — tick continuity is a
-	// property of a free one (see Advance).
+	// Pre-crash submit ticks stay in the past, where they belong.
 	h.Scheduler.Advance(st.Tick)
 
 	parts := make(map[*unit][]RecoveredOrder, len(e.units))

@@ -122,13 +122,11 @@ type Config struct {
 	Store Store
 	// MaxLive overrides the live-run gate: how many swaps may be in flight
 	// on the scheduler at once, after which rounds leave the book alone.
-	// The default is read off the clock: 16×Workers on a free one (the
-	// empirical throughput knee — see DESIGN.md §10), Workers on a paced
-	// one, which swapd's wall-clock load is tuned to. The gate keeps a
-	// deep book from being cleared all at once, which bounds the shared
-	// chains' observer fanout. Tests that need a clear-everything burst
-	// (e.g. "crash with ≥N swaps mid-air") set it at least as high as the
-	// burst.
+	// The default is 16×Workers on either clock (the empirical throughput
+	// knee — see DESIGN.md §10). The gate keeps a deep book from being
+	// cleared all at once, which bounds the shared chains' observer fanout.
+	// Tests that need a clear-everything burst (e.g. "crash with ≥N swaps
+	// mid-air") set it at least as high as the burst.
 	MaxLive int
 	// Commitment selects the chains' commitment model: zero value keeps
 	// every chain Instant (a record is final the tick it lands — the
@@ -294,8 +292,8 @@ type unit struct {
 	reg     *chain.Registry
 	// sched is the one scheduler everything runs on: grid-aligned clearing
 	// rounds, swap setup inside the clearing tick, live-run gating, parking.
-	// Whether its clock is free or paced (Tick() > 0) decides one thing
-	// only: the MaxLive default.
+	// The unit reads nothing off it but Now, which is the tick a callback
+	// was dispatched at on either clock.
 	sched *sched.Virtual
 	agg   *metrics.Aggregate
 
@@ -445,11 +443,6 @@ func newUnit(e *Engine, cfg Config, stripe uint64, shardOf func(string) int) *un
 	}
 	if u.maxLive = cfg.MaxLive; u.maxLive <= 0 {
 		u.maxLive = 16 * cfg.Workers
-		if u.sched.Tick() > 0 {
-			// On the wall, more live swaps mean more deliveries per tick
-			// that can run late; swapd's Δ and tick are tuned to Workers.
-			u.maxLive = cfg.Workers
-		}
 	}
 	// The clearing loop ticks on the shared scheduler, not on a wall-clock
 	// ticker: clearing rounds land at fixed ticks, interleaved with

@@ -17,18 +17,14 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// testConfig gives each swap generous wall-clock slack per Δ: the timeout
-// arithmetic assumes chain events are observed within Δ, and on a loaded
-// single-core CI box scheduler jitter must stay well inside that bound.
+// testConfig is a paced engine at a 2 ms tick. A callback sees the tick it
+// was dispatched at however late it runs, so a loaded box or the race
+// detector slows the run down but does not change its outcomes.
 func testConfig() Config {
-	tick := 2 * time.Millisecond
-	if raceEnabled {
-		tick = 10 * time.Millisecond
-	}
 	return Config{
 		Workers:       16,
 		ClearInterval: time.Millisecond,
-		Tick:          tick,
+		Tick:          2 * time.Millisecond,
 		Delta:         15,
 		Seed:          42,
 	}
@@ -1020,5 +1016,115 @@ func TestEngineDoubleStartFails(t *testing.T) {
 	// Stop is idempotent.
 	if err := e.Stop(context.Background()); err != nil {
 		t.Fatalf("second Stop: %v", err)
+	}
+}
+
+// TestPacedEngineMatchesFree: a paced clock sets when an event runs, never
+// which tick it sees, so a paced engine plays out what a free one does.
+// The same rings, booked from a callback at a tick on the clearing grid and
+// in the wall's future, settle into the same orders — status, class, swap,
+// deviant, and submit and settle ticks relative to that tick — over the
+// same number of clearing rounds, a silent leader in some swaps and the
+// live-run gate binding included. (Arrivals installed after the wall has
+// passed them are stamped at the wall, by design, hence the callback.)
+func TestPacedEngineMatchesFree(t *testing.T) {
+	const rings, ahead = 120, 50
+	run := func(cfg Config) ([]OrderSnapshot, int) {
+		e := New(cfg)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		booked := make(chan struct{})
+		var base vtime.Ticks
+		release := e.Scheduler().Hold()
+		every := vtime.Ticks(e.cfg.ClearEvery)
+		base = (e.Scheduler().Now() + ahead + every - 1) / every * every
+		e.Scheduler().At(base, func() {
+			for r := 0; r < rings; r++ {
+				for _, o := range ringOffers(fmt.Sprintf("pf%d", r), "a", "b", "c") {
+					if _, err := e.Submit(o); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			close(booked)
+		})
+		release()
+		<-booked
+		drainAndStop(t, e)
+		if err := e.VerifyConservation(); err != nil {
+			t.Fatal(err)
+		}
+		orders := e.Orders()
+		for i := range orders {
+			orders[i].Latency = 0
+			orders[i].SubmittedTick -= base
+			orders[i].SettledTick -= base
+		}
+		return orders, e.ClearRounds()
+	}
+	cfg := Config{
+		Workers: 2, Tick: 100 * time.Microsecond, ClearEvery: 4,
+		Delta: 15, Seed: 42, AdversaryRate: 0.2,
+	}
+	paced, pacedRounds := run(cfg)
+	cfg.Deterministic = true
+	free, freeRounds := run(cfg)
+	if len(paced) != 3*rings || len(free) != 3*rings {
+		t.Fatalf("%d paced and %d free orders, want %d", len(paced), len(free), 3*rings)
+	}
+	for i := range free {
+		if paced[i] != free[i] {
+			t.Errorf("order %d: paced %+v, free %+v", i, paced[i], free[i])
+		}
+	}
+	if pacedRounds != freeRounds {
+		t.Errorf("%d clear rounds paced, %d free", pacedRounds, freeRounds)
+	}
+}
+
+// TestPacedRecoveryResumesItsTick: a paced engine recovered at tick T
+// resumes that tick line, as a free one does: once started its clock reads
+// at least T, and a ring still pending at the crash settles Deal after T
+// without waiting for the wall to reach T — on one shard and on two, where
+// escalation reads the booking ticks.
+func TestPacedRecoveryResumesItsTick(t *testing.T) {
+	const at = 2000
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			st := RecoveredState{Tick: at, NextOrder: 4}
+			for i, o := range ringOffers("rec", "alice", "bob", "carol") {
+				g := o.Give[0]
+				st.Assets = append(st.Assets, RecoveredAsset{
+					Minted: Minted{Chain: g.Chain, Asset: g.Asset, Amount: g.Amount},
+					Owner:  string(o.Party),
+				})
+				st.Orders = append(st.Orders, RecoveredOrder{
+					ID: OrderID(i + 1), Offer: o, Status: StatusPending, SubmittedTick: at - 10,
+				})
+			}
+			cfg := testConfig()
+			cfg.Shards = shards
+			e, err := NewRecovered(cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			begin := time.Now()
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if now := e.Scheduler().Now(); now < at {
+				t.Errorf("clock at tick %d after a recovery at tick %d", now, at)
+			}
+			drainAndStop(t, e)
+			if took, wall := time.Since(begin), at*cfg.Tick/2; took > wall {
+				t.Errorf("the recovered ring took %v to drain: the clock waited for the wall to reach tick %d", took, at)
+			}
+			for _, o := range e.Orders() {
+				if o.Status != StatusSettled || o.Class != outcome.Deal || o.SettledTick < at {
+					t.Errorf("order %d: %v/%v settled at tick %d; want Deal after tick %d", o.ID, o.Status, o.Class, o.SettledTick, at)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,6 @@
 
 package engine
 
-// raceEnabled widens virtual ticks in tests: the race detector slows every
-// operation by 5–20×, and wall-clock jitter must stay inside the Δ bound.
+// raceEnabled marks a build under the race detector, which allocates on the
+// paths the allocation tests count and slows every operation by 5–20×.
 const raceEnabled = true

@@ -28,7 +28,7 @@ type RecoveredState struct {
 	// NextOrder resumes the order ID sequence past everything logged.
 	// Swap tags need no sequence: a swap is named by its minimum order ID.
 	NextOrder uint64
-	// Tick is the virtual tick the engine resumes at; a free clock is
+	// Tick is the virtual tick the engine resumes at; the clock is
 	// advanced to it before Start.
 	Tick vtime.Ticks
 	// Shed restores the pre-crash shed counter.

@@ -107,16 +107,22 @@ func (l *Loop) Stop(wait bool) {
 }
 
 // arm schedules the next round (see the type comment for the tick it picks).
-// Called with l.mu held.
+// It reads the clock and queues the round in one critical section of the
+// scheduler, so an idle paced clock catching up in between cannot push the
+// round off the grid. Called with l.mu held.
 func (l *Loop) arm() {
-	every, now := int64(l.every), l.v.Now()
-	next := vtime.Ticks(max((int64(now)+every-1)/every, int64(l.armed)/every+1) * every)
-	if next == now && l.v.passed(now, l.level) {
-		next = now.Add(l.every)
+	v := l.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.catchUp()
+	every, now := int64(l.every), v.now.Load()
+	next := vtime.Ticks(max((now+every-1)/every, int64(l.armed)/every+1) * every)
+	if int64(next) == now && v.ran >= l.level {
+		next = next.Add(l.every)
 	}
 	l.armed = next
 	l.cur ^= 1
-	l.v.schedule(&l.rounds[l.cur], next, l.level, l.key, l)
+	v.enqueue(&l.rounds[l.cur], next, l.level, l.key, l)
 }
 
 // Fire runs one round; it is the scheduler's entry point (Handler), not

@@ -19,10 +19,13 @@
 //     callbacks drain, so a run is CPU-bound instead of wall-clock-bound
 //     and a pure function of what was scheduled. A free clock is born
 //     held: it does not move until whoever set the run up lets go.
-//   - Paced (NewPaced): a tick is a configured wall duration, Now is read
-//     off the wall, and no event runs before its wall due time. An event
-//     that runs late — a loaded box — sees Now past its tick. The
-//     production shape.
+//   - Paced (NewPaced): the free clock held to the wall. A tick is a
+//     configured wall duration and no event runs before its wall due time;
+//     that is all the wall decides. An event that runs late — a loaded box
+//     — still sees its own tick, so a paced run is the free run of what
+//     was scheduled, and lateness shows only in Stats. While nothing runs,
+//     the clock follows the wall, so work booked from outside after an
+//     idle stretch lands on the wall's tick. The production shape.
 //
 // The Hold mechanism is what makes Virtual safe to drive from outside the
 // loop: work in flight on another goroutine (a runtime mid-setup, a load
@@ -206,13 +209,17 @@ type Virtual struct {
 	holds  int
 	born   bool // the birth hold of a free clock is not yet adopted
 	closed bool
-	// tick > 0 paces the clock: one tick per this much wall time since
-	// start (on any clock, the zero of the time the dispatcher reads to
-	// decide on help). alarm ends the dispatcher's sleep until the head
-	// event is due.
+	// tick > 0 paces the clock: tick t is due at wall + t×tick, and no
+	// event runs before it is due (Advance moves wall, under mu). start is
+	// the zero of the time the dispatcher reads to decide on help, on any
+	// clock. alarm ends the dispatcher's sleep until the head event is due;
+	// lag is how many whole ticks past its due time the batch about to be
+	// dispatched is.
 	tick  time.Duration
+	wall  time.Time
 	start time.Time
 	alarm *time.Timer
+	lag   int64
 	// waiting marks the dispatcher inside cond.Wait. It is cond's one
 	// waiter, so a wake-up is a Signal, and skipped while it is running.
 	waiting bool
@@ -257,6 +264,10 @@ type Stats struct {
 	// SoloBatches ran entirely on the dispatcher; Wakes counts helpers
 	// roused and HelpedStripes the stripes they ran.
 	SoloBatches, Wakes, HelpedStripes int64
+	// Late counts the batches a paced clock dispatched a tick or more after
+	// their wall time, and MaxLag is the latest of them, in whole ticks.
+	// Both stay zero on a free clock.
+	Late, MaxLag int64
 }
 
 // Stats returns the dispatcher's counters so far.
@@ -267,8 +278,8 @@ func (v *Virtual) Stats() Stats {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("dispatch: %d batches, %d events, %d stripes; %d batches on the dispatcher alone, %d helper wake-ups, %d stripes run by helpers",
-		s.Batches, s.Events, s.Stripes, s.SoloBatches, s.Wakes, s.HelpedStripes)
+	return fmt.Sprintf("dispatch: %d batches, %d events, %d stripes; %d batches on the dispatcher alone, %d helper wake-ups, %d stripes run by helpers; %d batches late, at most %d ticks",
+		s.Batches, s.Events, s.Stripes, s.SoloBatches, s.Wakes, s.HelpedStripes, s.Late, s.MaxLag)
 }
 
 // NewVirtual returns a running free scheduler at tick 0: its clock jumps
@@ -301,11 +312,12 @@ func NewVirtual(workers int) *Virtual {
 	return newVirtual(spareCores(workers), 0)
 }
 
-// NewPaced returns a running scheduler whose clock is the wall's: tick 0 is
-// now and each tick lasts `tick` of wall time, which must be positive.
-// Dispatch is NewVirtual's, helpers and all, except that no event runs
-// before the wall reaches its tick. A paced clock moves whether or not
-// anything is scheduled, so it is not born held.
+// NewPaced returns a running scheduler held to the wall: tick 0 is now and
+// each tick lasts `tick` of wall time, which must be positive. Dispatch is
+// NewVirtual's, helpers and all, except that no event runs before the wall
+// reaches its tick; a callback sees the tick it was dispatched at however
+// late it runs. While the dispatcher is idle the clock follows the wall
+// (see catchUp), so a paced clock is not born held.
 func NewPaced(workers int, tick time.Duration) *Virtual {
 	return newVirtual(spareCores(workers), tick)
 }
@@ -321,7 +333,8 @@ func spareCores(workers int) int {
 // the dispatcher runs every stripe itself); free and born held for tick 0,
 // else paced.
 func newVirtual(helpers int, tick time.Duration) *Virtual {
-	v := &Virtual{done: make(chan struct{}), tick: tick, start: time.Now(), ran: -1}
+	now := time.Now()
+	v := &Virtual{done: make(chan struct{}), tick: tick, wall: now, start: now, ran: -1}
 	v.cond = sync.NewCond(&v.mu)
 	if tick == 0 {
 		v.holds, v.born = 1, true
@@ -338,33 +351,47 @@ func newVirtual(helpers int, tick time.Duration) *Virtual {
 	return v
 }
 
-// Now implements vtime.Clock: the tick of the latest dispatched event or,
-// on a paced clock, the wall's tick when that is later — an event running
-// late sees how late. Neither goes backwards, so Now does not.
-func (v *Virtual) Now() vtime.Ticks {
-	now := v.now.Load()
-	if v.tick > 0 {
-		if wall := int64(time.Since(v.start) / v.tick); wall > now {
-			now = wall
-		}
-	}
-	return vtime.Ticks(now)
-}
+// Now implements vtime.Clock: the tick of the latest dispatched event, on
+// either clock — a callback sees its own tick, however late it runs. On a
+// paced clock an idle stretch moves it up to the wall's tick too (see
+// catchUp). It never goes backwards.
+func (v *Virtual) Now() vtime.Ticks { return vtime.Ticks(v.now.Load()) }
 
-// Tick returns the wall duration of one tick of a paced clock; zero means
-// the clock is free.
-func (v *Virtual) Tick() time.Duration { return v.tick }
-
-// Advance moves a free clock forward to t, for a run that resumes an
-// earlier one's tick line; events already queued keep their ticks. A paced
-// clock is the wall's and restarts at zero: Advance leaves it alone.
+// Advance moves the clock forward to t, for a run that resumes an earlier
+// one's tick line; events already queued keep their ticks. On a paced clock
+// it also moves the wall origin so that tick t is due now. It never moves
+// the clock back.
 func (v *Virtual) Advance(t vtime.Ticks) {
 	v.mu.Lock()
-	if v.tick == 0 && int64(t) > v.now.Load() {
+	if int64(t) > v.now.Load() {
 		v.now.Store(int64(t))
 		v.ran = -1
+		if v.tick > 0 {
+			v.wall = time.Now().Add(-time.Duration(t) * v.tick)
+		}
 	}
 	v.mu.Unlock()
+}
+
+// catchUp moves an idle paced clock up to the wall's tick, never past its
+// head event: what an outside caller books after an idle stretch lands on
+// the wall's tick, not on the last one dispatched, while a callback still
+// sees the tick it was dispatched at. Idle means the dispatcher is asleep
+// and no stripe is in flight — a helper may still run one after the
+// dispatcher went back to sleep. Called with v.mu held, from schedule and
+// Acquire, the two ways in from outside.
+func (v *Virtual) catchUp() {
+	if v.tick == 0 || !v.waiting || v.left.Load() != 0 {
+		return
+	}
+	t := int64(time.Since(v.wall) / v.tick)
+	if len(v.queue) > 0 {
+		t = min(t, int64(v.queue[0].at))
+	}
+	if t > v.now.Load() {
+		v.now.Store(t)
+		v.ran = -1
+	}
 }
 
 // reach moves the clock to an event of tick t and level prio about to run.
@@ -376,14 +403,6 @@ func (v *Virtual) reach(t vtime.Ticks, prio int8) {
 	} else {
 		v.ran = max(v.ran, prio)
 	}
-}
-
-// passed reports whether dispatch at tick t has reached level: an event of
-// that level or above has run at t.
-func (v *Virtual) passed(t vtime.Ticks, level int8) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return int64(t) == v.now.Load() && v.ran >= level
 }
 
 // At implements Scheduler. After Close the callback is silently dropped.
@@ -457,6 +476,13 @@ func (v *Virtual) timer(t vtime.Ticks, prio int8, key uint64, fn func()) Timer {
 func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.catchUp()
+	return v.enqueue(e, t, prio, key, h)
+}
+
+// enqueue is schedule once the clock has caught up, for a caller that read
+// the clock to pick t in the same critical section. Called with v.mu held.
+func (v *Virtual) enqueue(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) bool {
 	e.v = v
 	if v.closed {
 		e.state = evStopped
@@ -504,6 +530,7 @@ func (v *Virtual) Hold() func() {
 // function (a swap's setup) pays nothing for the guard Hold builds.
 func (v *Virtual) Acquire() {
 	v.mu.Lock()
+	v.catchUp()
 	if v.born {
 		v.born = false
 	} else {
@@ -578,13 +605,16 @@ func (v *Virtual) loop() {
 
 // early reports whether a paced clock has yet to reach the head event's
 // tick, and if so sets the alarm for when it does; an earlier event, a hold
-// or Close wakes the dispatcher sooner. Called with v.mu held, queue non-empty.
+// or Close wakes the dispatcher sooner. Otherwise it notes in lag how late
+// the head is. This is the only place the wall gates dispatch. Called with
+// v.mu held, queue non-empty.
 func (v *Virtual) early() bool {
 	if v.tick == 0 {
 		return false
 	}
-	d := time.Until(v.start.Add(time.Duration(v.queue[0].at) * v.tick))
+	d := time.Until(v.wall.Add(time.Duration(v.queue[0].at) * v.tick))
 	if d <= 0 {
+		v.lag = int64(-d / v.tick)
 		return false
 	}
 	v.alarm.Reset(d)
@@ -621,6 +651,10 @@ func (v *Virtual) dispatch() {
 	}
 	v.reach(t, p)
 	v.holds++
+	if v.lag > 0 {
+		v.stats.Late++
+		v.stats.MaxLag = max(v.stats.MaxLag, v.lag)
+	}
 	v.mu.Unlock()
 
 	stripes, mine, wakes := 1, 1, 0

@@ -364,16 +364,13 @@ func TestVirtualRunUntil(t *testing.T) {
 }
 
 // TestPacedNoEventBeforeItsWallTime: on a paced clock an event runs no
-// earlier than the wall time of its tick, sees Now at or past its tick, and
-// a tick in the past means now. Tick reports the pace.
+// earlier than the wall time of its tick, sees Now equal to its tick, and a
+// tick in the past means now.
 func TestPacedNoEventBeforeItsWallTime(t *testing.T) {
 	const tick = 2 * time.Millisecond
 	begin := time.Now()
 	v := NewPaced(1, tick)
 	defer v.Close()
-	if v.Tick() != tick {
-		t.Fatalf("Tick() = %v, want %v", v.Tick(), tick)
-	}
 	type firing struct {
 		at, now vtime.Ticks
 		wall    time.Duration
@@ -388,7 +385,7 @@ func TestPacedNoEventBeforeItsWallTime(t *testing.T) {
 			if f.at != want {
 				t.Fatalf("event for tick %d ran, want tick %d's first", f.at, want)
 			}
-			if f.now < f.at {
+			if f.now != f.at {
 				t.Errorf("event for tick %d saw Now() = %d", f.at, f.now)
 			}
 			if due := time.Duration(f.at) * tick; f.wall < due {
@@ -443,8 +440,9 @@ func TestPacedSleepIsPreemptible(t *testing.T) {
 	await(t, closed, "Close during the dispatcher's sleep")
 }
 
-// TestPacedNowNeverGoesBackwards: Now is the later of the dispatched tick
-// and the wall's, read here from inside events and from outside at once.
+// TestPacedNowNeverGoesBackwards: Now, read here from inside events and from
+// outside at once, never goes back. An event sees its own tick, or the
+// wall's where it was booked from outside after its wall time had passed.
 func TestPacedNowNeverGoesBackwards(t *testing.T) {
 	v := NewPaced(4, 50*time.Microsecond)
 	defer v.Close()
@@ -569,9 +567,10 @@ func TestVirtualBornHeld(t *testing.T) {
 	}
 }
 
-// TestVirtualAdvance: Advance moves a held free clock forward — never back,
-// and a paced clock not at all — and what is scheduled in the past of the
-// new tick means now.
+// TestVirtualAdvance: Advance moves a held free clock forward — never back —
+// and what is scheduled in the past of the new tick means now. On a paced
+// clock it moves the wall origin too: tick 40 is due at once, and an event
+// at 41 runs about one tick of wall later, seeing 41.
 func TestVirtualAdvance(t *testing.T) {
 	v := NewVirtual(1)
 	v.Advance(40)
@@ -585,11 +584,87 @@ func TestVirtualAdvance(t *testing.T) {
 	if at != 40 {
 		t.Fatalf("event scheduled in the past ran at %d, want 40", at)
 	}
-	p := NewPaced(1, time.Hour)
+	const tick = 20 * time.Millisecond
+	p := NewPaced(1, tick)
 	defer p.Close()
+	begin := time.Now()
 	p.Advance(40)
-	if now := p.Now(); now != 0 {
-		t.Fatalf("Advance moved a paced clock to %d", now)
+	if now := p.Now(); now != 40 {
+		t.Fatalf("paced clock at %d after Advance(40)", now)
+	}
+	type firing struct {
+		now  vtime.Ticks
+		wall time.Duration
+	}
+	fired := make(chan firing, 1)
+	p.At(41, func() { fired <- firing{p.Now(), time.Since(begin)} })
+	select {
+	case f := <-fired:
+		if f.now != 41 {
+			t.Errorf("event for tick 41 saw Now() = %d", f.now)
+		}
+		if f.wall > 10*tick {
+			t.Errorf("event for tick 41 ran %v after Advance(40): the wall origin did not move", f.wall)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("event for tick 41 never ran")
+	}
+}
+
+// TestPacedIdleCatchUp: an idle paced clock follows the wall for what is
+// booked from outside — an At after an idle stretch runs at or after the
+// wall's tick at scheduling time, not at the last tick dispatched — while a
+// callback that runs late still sees its own tick, and what it books at
+// Now()+k runs at exactly that tick.
+func TestPacedIdleCatchUp(t *testing.T) {
+	const tick = time.Millisecond
+	v := NewPaced(1, tick)
+	defer v.Close()
+	begin := time.Now() // the clock's wall origin is no later
+	time.Sleep(30 * tick)
+	floor := vtime.Ticks(time.Since(begin) / tick)
+	type firing struct{ own, booked, late vtime.Ticks }
+	fired := make(chan firing, 1)
+	v.At(0, func() {
+		own := v.Now()
+		time.Sleep(5 * tick)
+		v.At(v.Now().Add(3), func() { fired <- firing{own, own.Add(3), v.Now()} })
+	})
+	select {
+	case f := <-fired:
+		if f.own < floor {
+			t.Errorf("an outside At after %d idle ticks ran at tick %d", floor, f.own)
+		}
+		if f.late != f.booked {
+			t.Errorf("an event booked for tick %d by a late callback saw Now() = %d", f.booked, f.late)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the events never ran")
+	}
+}
+
+// TestPacedLatenessCounted: a callback that sleeps five ticks makes the next
+// batch late, and Stats counts it with its lag; on a free clock the same
+// run counts nothing.
+func TestPacedLatenessCounted(t *testing.T) {
+	const tick = 2 * time.Millisecond
+	run := func(v *Virtual) Stats {
+		done := make(chan struct{})
+		release := v.Hold()
+		v.At(2, func() {
+			time.Sleep(5 * tick)
+			v.At(v.Now().Add(1), func() { close(done) })
+		})
+		release()
+		await(t, done, "the batch after the sleeping one")
+		v.Close() // the dispatcher counts a batch once it is over
+		return v.Stats()
+	}
+	if s := run(NewPaced(1, tick)); s.Late < 1 || s.MaxLag < 4 {
+		t.Errorf("paced: %d late batches, max lag %d ticks; want the batch after a five-tick sleep counted, at least 4 ticks late", s.Late, s.MaxLag)
+	}
+	if s := run(NewVirtual(1)); s.Late != 0 || s.MaxLag != 0 {
+		t.Errorf("free: %d late batches, max lag %d ticks; want none", s.Late, s.MaxLag)
 	}
 }
 
