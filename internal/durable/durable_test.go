@@ -36,9 +36,10 @@ func TestKillRecoverInFlight(t *testing.T) {
 
 	// A free clock with a tiny worker pool. The whole book goes in under a
 	// hold, so the first clearing round dispatches all 120 swaps, and the
-	// crash is an event of the same schedule, three Δ in — phase one under
-	// way everywhere, no horizon near: the run up to the kill is a function
-	// of the seed, not of how far two workers got.
+	// crash is an event of the same schedule, two Δ in — a run starts Δ
+	// after its round, so phase one is under way everywhere, no horizon
+	// near: the run up to the kill is a function of the seed, not of how
+	// far two workers got.
 	const rings, ringSize = 120, 3
 	cfgA := engine.Config{
 		Workers:       2,
@@ -66,7 +67,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 	// whatever the dying swaps append afterwards never reaches disk.
 	inflight := 0
 	killed := make(chan struct{})
-	a.Scheduler().At(vtime.Ticks(3*core.DefaultDelta), func() {
+	a.Scheduler().At(vtime.Ticks(2*core.DefaultDelta), func() {
 		inflight = a.InFlight()
 		a.Kill()
 		store.Close()
@@ -158,7 +159,7 @@ func TestKillRecoverInFlight(t *testing.T) {
 // it, and the log holds that tag's progress from both lives. Three lives
 // over one attached store: the first is killed with every ring in flight,
 // the second re-clears the resumed rings — under their first-life tags —
-// and is killed before any of them publishes, and the third's fold must
+// and is killed before any of them starts, and the third's fold must
 // judge each order by the swap it was last cleared into. Those swaps have
 // their whole timelock budget ahead of them, so every one resumes (judged
 // by the first life's deadlines, most would refund), and the third life
@@ -207,11 +208,11 @@ func TestSecondCrashJudgesReusedTags(t *testing.T) {
 		return executing
 	}
 
-	// Life 1: the whole book clears at the first round; three Δ in, every
+	// Life 1: the whole book clears at the first round; two Δ in, every
 	// ring is in phase one.
 	cfgA := cfg
 	cfgA.Store = store
-	life1 := crash(engine.New(cfgA), store, vtime.Ticks(3*core.DefaultDelta), func(e *engine.Engine) {
+	life1 := crash(engine.New(cfgA), store, vtime.Ticks(2*core.DefaultDelta), func(e *engine.Engine) {
 		for r := 0; r < rings; r++ {
 			for i := 0; i < ringSize; i++ {
 				if _, err := e.Submit(engine.LoadOffer(r, i, ringSize, r)); err != nil {
@@ -223,8 +224,8 @@ func TestSecondCrashJudgesReusedTags(t *testing.T) {
 
 	// Life 2: attached, so the resolved state is the store's new snapshot.
 	// The resumed rings re-clear at its first round and are killed just
-	// before the first of them can publish: a run starts 2Δ after its
-	// round, plus a sub-Δ stagger.
+	// before the first of them starts: a run starts Δ after its round, plus
+	// a sub-Δ stagger, so only their leaders' contracts are out.
 	b, rec2, err := Recover(cfg, RecoverOptions{Dir: dir, Attach: true})
 	if err != nil {
 		t.Fatalf("Recover (life 2): %v", err)
@@ -232,7 +233,7 @@ func TestSecondCrashJudgesReusedTags(t *testing.T) {
 	if rec2.Resumed == 0 {
 		t.Fatalf("the first crash resumed nothing: %+v", rec2)
 	}
-	life2 := crash(b, rec2.Store, rec2.Tick.Add(2*core.DefaultDelta-1), func(*engine.Engine) {})
+	life2 := crash(b, rec2.Store, rec2.Tick.Add(core.DefaultDelta-1), func(*engine.Engine) {})
 	reused := 0
 	for id, tag := range life2 {
 		if life1[id] == tag {

@@ -67,9 +67,10 @@ func TestRecoveredKeysSign(t *testing.T) {
 			}
 		}
 	}
-	// The crash lands one Δ into phase one: every swap is in flight.
+	// The crash lands one Δ into phase one, a run starting Δ after its
+	// round: every swap is in flight.
 	killed := make(chan struct{})
-	a.Scheduler().At(vtime.Ticks(3*core.DefaultDelta), func() {
+	a.Scheduler().At(vtime.Ticks(2*core.DefaultDelta), func() {
 		a.Kill()
 		store.Close()
 		close(killed)
