@@ -18,7 +18,8 @@ import (
 // ringBench is what a clearing engine shares across swaps: one free
 // clock, one registry, one trace ring and warm caches — the keyring, the
 // shape cache and the verification cache. kind is the protocol its rings
-// clear on.
+// clear on. early makes each run end the tick its last arc resolves, and
+// holds the clock there once it has: what is still queued then stays so.
 type ringBench struct {
 	sc      *sched.Virtual
 	reg     *chain.Registry
@@ -27,6 +28,7 @@ type ringBench struct {
 	shapes  *core.ShapeCache
 	cache   *hashkey.VerifyCache
 	kind    core.Kind
+	early   bool
 	swaps   int
 }
 
@@ -72,6 +74,9 @@ func (b *ringBench) run(t *testing.T) (*Running, ringCost) {
 	done := make(chan struct{}, 1)
 	settled := settleFunc(func(*Result) {
 		runtime.ReadMemStats(&settledAt)
+		if b.early {
+			b.sc.Acquire()
+		}
 		done <- struct{}{}
 	})
 
@@ -85,7 +90,7 @@ func (b *ringBench) run(t *testing.T) (*Running, ringCost) {
 	horizon := setup.Spec.Horizon().Add(vtime.Scale(horizonPad, setup.Spec.Delta))
 	b.sc.At(horizon, func() { runtime.ReadMemStats(&probe) })
 	runtime.ReadMemStats(&prepping)
-	rn, err := Prepare(setup, nil, Config{Scheduler: b.sc, Registry: b.reg, Log: b.log, OnDone: settled})
+	rn, err := Prepare(setup, nil, Config{Scheduler: b.sc, Registry: b.reg, Log: b.log, OnDone: settled, EarlyExit: b.early})
 	runtime.ReadMemStats(&prepared)
 	b.sc.Release()
 	if err != nil {
@@ -140,6 +145,33 @@ func TestSettledRunRecordIsCollected(t *testing.T) {
 			runtime.GC()
 			if record.Value() != nil {
 				t.Error("a settled swap's run record is still reachable after a collection")
+			}
+			runtime.KeepAlive(b)
+		})
+	}
+}
+
+// TestResolvedRunLeavesNoEventQueued: a run that ends the tick its last
+// arc resolves stops the timers it no longer needs — its padded-horizon
+// delivery, the refund alarms of arcs that claimed — and they leave the
+// scheduler's queue then, not when the clock reaches their ticks. So a
+// clock stopped right after the swap resolved holds nothing of the run,
+// and its record is garbage although those ticks never came.
+func TestResolvedRunLeavesNoEventQueued(t *testing.T) {
+	for _, kind := range []core.Kind{core.KindByLeaders, core.KindGeneral} {
+		t.Run(kind.String(), func(t *testing.T) {
+			b := newRingBench(kind)
+			b.early = true
+			rn, _ := b.run(t)
+			b.sc.Close() // at the resolve tick, which the bench holds
+			if got := b.sc.Pending(); got != 1 {
+				t.Errorf("%d events queued after the run resolved, want only the bench's horizon probe", got)
+			}
+			record := weak.Make(rn)
+			rn = nil
+			runtime.GC()
+			if record.Value() != nil {
+				t.Error("a resolved run's record is still reachable from the scheduler's queue")
 			}
 			runtime.KeepAlive(b)
 		})

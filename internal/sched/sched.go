@@ -102,7 +102,7 @@ type funcHandler func()
 func (f funcHandler) Fire() { f() }
 
 // Event is one queued callback and, at the same time, the Timer for it:
-// Stop flips the event's own state under its scheduler's lock. At and its
+// Stop takes it out of its scheduler's queue under the scheduler's lock. At and its
 // siblings allocate one per call; a runtime that already owns a record per
 // scheduled thing embeds an Event in it and hands it to Schedule, so the
 // record is the queue entry and nothing else is allocated. The scheduler
@@ -120,9 +120,12 @@ type Event struct {
 	// whole-tick-drained queue in serialized and parallel modes.
 	prio  int8
 	state uint8
-	seq   int64
-	key   uint64
-	h     Handler
+	// idx is the event's place in the queue while it is pending, so Stop
+	// takes it out at once; it fills padding and grows nothing.
+	idx int32
+	seq int64
+	key uint64
+	h   Handler
 }
 
 // before reports whether e runs ahead of o: by tick, then level, then
@@ -138,52 +141,53 @@ func (e *Event) before(o *Event) bool {
 }
 
 // eventHeap is a binary min-heap of events in (tick, level, scheduling
-// order).
+// order). Each event keeps its index, so one can leave from anywhere.
 type eventHeap []*Event
 
 func (h *eventHeap) push(e *Event) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = e
-	*h = q
+	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
 
-func (h *eventHeap) pop() *Event {
+// remove takes the event at index i out of the heap: the last event fills
+// the hole and moves up or down to its place.
+func (h *eventHeap) remove(i int) {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
 	e := q[n]
 	q[n] = nil
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
+	*h = q[:n]
+	if i < n && h.up(i, e) == i {
+		h.down(i, e)
 	}
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
+}
+
+// up places e at hole i or above it, and returns where.
+func (h eventHeap) up(i int, e *Event) int {
+	for ; i > 0 && e.before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h.set(i, h[(i-1)/2])
+	}
+	h.set(i, e)
+	return i
+}
+
+// down places e at hole i or below it.
+func (h eventHeap) down(i int, e *Event) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(q[child]) {
-			child = r
-		}
-		if !q[child].before(e) {
-			break
-		}
-		q[i] = q[child]
-		i = child
+		h.set(i, h[c])
 	}
-	q[i] = e
-	return top
+	h.set(i, e)
+}
+
+func (h eventHeap) set(i int, e *Event) {
+	h[i] = e
+	e.idx = int32(i)
 }
 
 // Virtual is a thread-safe discrete-event scheduler: a dispatcher goroutine
@@ -192,7 +196,7 @@ func (h *eventHeap) pop() *Event {
 // moves the clock to it, and runs it (itself counted as a hold, so cascades
 // triggered by its callbacks all land before time moves again). Events are
 // ordered by (tick, level, scheduling order); scheduling in the past means
-// now; a stopped event is discarded when popped, without advancing time.
+// now; a stopped event leaves the queue when it is stopped.
 // Close (or RunUntil) stops the dispatcher.
 type Virtual struct {
 	mu   sync.Mutex
@@ -500,7 +504,8 @@ func (v *Virtual) enqueue(e *Event, t vtime.Ticks, prio int8, key uint64, h Hand
 	return true
 }
 
-// Stop implements Timer: it cancels an event still queued. An idle event
+// Stop implements Timer: it takes an event still queued out of the queue,
+// so nothing it points to stays reachable from the scheduler. An idle event
 // (never scheduled) and one whose batch has been popped report false.
 func (e *Event) Stop() bool {
 	if e.v == nil {
@@ -512,6 +517,7 @@ func (e *Event) Stop() bool {
 		return false
 	}
 	e.state = evStopped
+	e.v.queue.remove(int(e.idx))
 	return true
 }
 
@@ -542,17 +548,11 @@ func (v *Virtual) Acquire() {
 // Release lets go of one Acquire. Each Acquire takes exactly one Release.
 func (v *Virtual) Release() { v.releaseN(1) }
 
-// Pending reports the number of queued (non-cancelled) events.
+// Pending reports the number of queued events.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
-	for _, e := range v.queue {
-		if e.state == evPending {
-			n++
-		}
-	}
-	return n
+	return len(v.queue)
 }
 
 // RunUntil runs every event due at or before tick t — cascades onto t
@@ -634,10 +634,8 @@ func (v *Virtual) dispatch() {
 	t, p := v.queue[0].at, v.queue[0].prio
 	batch, oneStripe := v.batch[:0], true
 	for len(v.queue) > 0 && v.queue[0].at == t && v.queue[0].prio == p {
-		e := v.queue.pop()
-		if e.state != evPending {
-			continue
-		}
+		e := v.queue[0]
+		v.queue.remove(0)
 		e.state = evFired
 		if len(batch) > 0 && e.key != batch[0].key {
 			oneStripe = false
@@ -645,10 +643,6 @@ func (v *Virtual) dispatch() {
 		batch = append(batch, e)
 	}
 	v.batch = batch
-	if len(batch) == 0 {
-		v.mu.Unlock()
-		return
-	}
 	v.reach(t, p)
 	v.holds++
 	if v.lag > 0 {

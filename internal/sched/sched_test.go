@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +169,67 @@ func TestVirtualTimerIsItsEvent(t *testing.T) {
 	if got := v.Pending(); got != 0 {
 		t.Fatalf("Pending at rest = %d, want 0", got)
 	}
+}
+
+// TestStopLeavesQueue pins that a stopped event leaves the queue at once,
+// from anywhere in the heap, so nothing it points to stays reachable from
+// the scheduler; and that the events left still run in (tick, level,
+// scheduling order).
+func TestStopLeavesQueue(t *testing.T) {
+	v := NewVirtual(1)
+	rng := rand.New(rand.NewSource(1))
+	type queued struct {
+		at   vtime.Ticks
+		tail bool
+		tm   Timer
+	}
+	var ran []int
+	evs := make([]queued, 300)
+	for i := range evs {
+		fn := func() { ran = append(ran, i) }
+		q := &evs[i]
+		q.at, q.tail = vtime.Ticks(rng.Intn(40)), rng.Intn(4) == 0
+		if q.tail {
+			q.tm = v.AtTail(q.at, fn)
+		} else {
+			q.tm = v.At(q.at, fn)
+		}
+	}
+	var want []int
+	for i := range evs {
+		if rng.Intn(2) == 0 {
+			if !evs[i].tm.Stop() {
+				t.Fatalf("event %d: Stop before firing must report true", i)
+			}
+			continue
+		}
+		want = append(want, i)
+	}
+	if len(v.queue) != len(want) {
+		t.Fatalf("%d events queued after the stops, want %d", len(v.queue), len(want))
+	}
+	for i, e := range v.queue {
+		if int(e.idx) != i || i > 0 && e.before(v.queue[(i-1)/2]) {
+			t.Fatalf("heap broken at %d (index %d)", i, e.idx)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b int) int {
+		if c := cmp.Compare(evs[a].at, evs[b].at); c != 0 {
+			return c
+		}
+		return cmp.Compare(b2i(evs[a].tail), b2i(evs[b].tail))
+	})
+	v.RunUntil(40)
+	if !slices.Equal(ran, want) {
+		t.Fatalf("ran %v,\nwant %v", ran, want)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestVirtualHoldPinsTime: while a hold is out, due events do not run.
