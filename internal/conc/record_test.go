@@ -121,7 +121,14 @@ func TestRingSwapBookkeepingObjects(t *testing.T) {
 	b := newRingBench(core.KindByLeaders)
 	defer b.sc.Close()
 	b.run(t) // warm the keyring, the shape cache and the chains' route maps
+	// The counts are the process's: an allocation by another goroutine
+	// meanwhile only ever adds, so the least of three swaps, phase by
+	// phase, is the bookkeeping's own.
 	_, got := b.run(t)
+	for range 2 {
+		_, again := b.run(t)
+		got = ringCost{min(got.clear, again.clear), min(got.prepare, again.prepare), min(got.settle, again.settle)}
+	}
 	if want := (ringCost{clear: 2, prepare: 2, settle: 0}); got != want {
 		t.Errorf("ring swap bookkeeping: clear %d, prepare %d, settle %d objects; want %d, %d, %d",
 			got.clear, got.prepare, got.settle, want.clear, want.prepare, want.settle)

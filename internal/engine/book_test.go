@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -691,20 +692,28 @@ func TestOrderChunkFillsItsSizeClass(t *testing.T) {
 		t.Skip("the race detector allocates on the paths being counted")
 	}
 	const chunks = 100
-	u := &unit{}
-	keep := make([]*order, 0, chunks*orderChunkLen)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range chunks * orderChunkLen {
-		keep = append(keep, u.newOrder())
+	// The counts are the process's: an allocation by another goroutine
+	// meanwhile (the runtime's, the test framework's) only ever adds, so
+	// the least of three attempts is the chunks' own.
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		u := &unit{}
+		keep := make([]*order, 0, chunks*orderChunkLen)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range chunks * orderChunkLen {
+			keep = append(keep, u.newOrder())
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(keep)
-	if n := after.Mallocs - before.Mallocs; n != chunks {
-		t.Errorf("%d orders took %d allocations, want %d", chunks*orderChunkLen, n, chunks)
+	if objects != chunks {
+		t.Errorf("%d orders took %d allocations, want %d", chunks*orderChunkLen, objects, chunks)
 	}
 	size := int(unsafe.Sizeof(order{}))
-	if per := int(after.TotalAlloc-before.TotalAlloc) / chunks; per != 10240 || per-8-orderChunkLen*size >= size {
+	if per := int(bytes) / chunks; per != 10240 || per-8-orderChunkLen*size >= size {
 		t.Errorf("a chunk of %d orders of %d bytes takes %d bytes of heap, want 10240 with under an order spare",
 			orderChunkLen, size, per)
 	}

@@ -3,6 +3,7 @@ package htlc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -910,14 +911,22 @@ func TestSwapStaysInItsSizeClass(t *testing.T) {
 		t.Fatalf("NewSwap allocates %.1f objects, want 1", allocs)
 	}
 	const n = 1000
-	keep := make([]*Swap, n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range keep {
-		keep[i], _ = NewSwap(p)
+	// TotalAlloc is the process's: what another goroutine allocates
+	// meanwhile only ever adds, so the least of three attempts is the
+	// contracts' own.
+	per := uint64(math.MaxUint64)
+	for range 3 {
+		keep := make([]*Swap, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i], _ = NewSwap(p)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(keep)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/n)
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 768 {
+	if per != 768 {
 		t.Errorf("a Swap of %d bytes takes %d bytes of heap, want 768", unsafe.Sizeof(Swap{}), per)
 	}
 }
