@@ -57,7 +57,7 @@ type Config struct {
 	// current tick plus the offset, atomically with run setup. Under
 	// virtual time this is the only safe way to pin a start (the clock
 	// may advance between a caller's Now and Run); the engine uses it for
-	// its Δ-plus-stagger start, the paper's "at least Δ in the future".
+	// its start Δ after clearing, the paper's "at least Δ in the future".
 	StartOffset vtime.Duration
 	// EarlyExit ends the run at the tick its last arc resolves instead of
 	// at the worst-case horizon: that resolution schedules the horizon

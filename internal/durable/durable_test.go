@@ -224,8 +224,8 @@ func TestSecondCrashJudgesReusedTags(t *testing.T) {
 
 	// Life 2: attached, so the resolved state is the store's new snapshot.
 	// The resumed rings re-clear at its first round and are killed just
-	// before the first of them starts: a run starts Δ after its round, plus
-	// a sub-Δ stagger, so only their leaders' contracts are out.
+	// before the first of them starts: a run starts Δ after its round, so
+	// only their leaders' contracts, published at the round, are out.
 	b, rec2, err := Recover(cfg, RecoverOptions{Dir: dir, Attach: true})
 	if err != nil {
 		t.Fatalf("Recover (life 2): %v", err)

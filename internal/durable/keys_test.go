@@ -67,10 +67,10 @@ func TestRecoveredKeysSign(t *testing.T) {
 			}
 		}
 	}
-	// The crash lands one Δ into phase one, a run starting Δ after its
-	// round: every swap is in flight.
+	// The crash lands one Δ into phase one, whose leaders publish at the
+	// clearing round: every swap is in flight with its budget ahead.
 	killed := make(chan struct{})
-	a.Scheduler().At(vtime.Ticks(2*core.DefaultDelta), func() {
+	a.Scheduler().At(vtime.Ticks(core.DefaultDelta), func() {
 		a.Kill()
 		store.Close()
 		close(killed)

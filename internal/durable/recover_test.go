@@ -14,7 +14,10 @@ import (
 // TestRecoverDetachedMatchesAttached pins that a recovery which closes
 // its store (no Attach, no cut), and so resolves the store's own fold
 // rather than a clone, rebuilds what an attached recovery of the same
-// directory rebuilds: the same counts and the same orders.
+// directory rebuilds: the same counts and the same orders. The rings are
+// booked in two waves Δ apart, so the kill finds swaps on both sides of
+// the resume rule: the first wave past its reveal, refunded, and the
+// second still in phase one, resumed.
 func TestRecoverDetachedMatchesAttached(t *testing.T) {
 	dir := t.TempDir()
 	store, err := Open(Options{Dir: dir})
@@ -26,14 +29,18 @@ func TestRecoverDetachedMatchesAttached(t *testing.T) {
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
-	release := a.Scheduler().Hold()
-	for r := 0; r < rings; r++ {
-		for i := 0; i < 3; i++ {
-			if _, err := a.Submit(engine.LoadOffer(r, i, 3, r)); err != nil {
-				t.Fatal(err)
+	submit := func(from, to int) {
+		for r := from; r < to; r++ {
+			for i := 0; i < 3; i++ {
+				if _, err := a.Submit(engine.LoadOffer(r, i, 3, r)); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	}
+	release := a.Scheduler().Hold()
+	submit(0, rings/2)
+	a.Scheduler().At(vtime.Ticks(core.DefaultDelta), func() { submit(rings/2, rings) })
 	killed := make(chan struct{})
 	a.Scheduler().At(vtime.Ticks(3*core.DefaultDelta), func() {
 		a.Kill()
@@ -62,8 +69,8 @@ func TestRecoverDetachedMatchesAttached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer want.Store.Close()
-	if got.Resumed+got.Refunded == 0 {
-		t.Fatal("the kill left nothing in flight to resolve")
+	if got.Resumed == 0 || got.Refunded == 0 {
+		t.Fatalf("the kill resolved %d resumed and %d refunded orders, want some of each", got.Resumed, got.Refunded)
 	}
 	got.WallMs, want.WallMs, want.Store = 0, 0, nil
 	if *got != *want {

@@ -82,8 +82,7 @@ type Config struct {
 	// randomness from the seed, never from shared state.
 	Behaviors BehaviorFactory
 	// Seed roots every seeded draw: party keys, and each swap's secrets
-	// and adversary draw, derived from (Seed, name) by core.Derive; and
-	// each swap's start stagger, from Seed plus its minimum order ID.
+	// and adversary draw, derived from (Seed, name) by core.Derive.
 	Seed int64
 
 	// Deterministic runs the engine on a free clock — a one-worker
@@ -986,7 +985,7 @@ func (e *unit) clearGroup(members []int) bool {
 	}
 	sb := e.buildBehaviors(setup, seed, adversarial)
 	j.setup, j.deviants = setup, sb.Deviants
-	rcfg := e.runConfig(setup.Spec, seed, seq)
+	rcfg := e.runConfig(setup.Spec, seq)
 	rcfg.OnDone = j
 	if _, err := conc.Prepare(setup, sb.Behaviors, rcfg); err != nil {
 		rejectGroup("execution: " + err.Error())
@@ -1049,28 +1048,18 @@ func (e *unit) buildBehaviors(setup *core.Setup, seed int64, adversarial bool) S
 	return sb
 }
 
-// startStagger is a swap's deterministic start offset inside one Δ, which
-// spreads the event bursts of swaps dispatched in the same wave. The seeds
-// of swaps cleared together step by their group size (a swap is named by
-// its minimum order ID), and seed mod Δ would use only the offsets that
-// step reaches — half of them for 4-party groups at Δ = 10. A golden-ratio
-// multiple spreads any step evenly over [0, Δ).
-func startStagger(seed int64, delta vtime.Duration) vtime.Duration {
-	return vtime.Duration((uint64(seed) * 0x9e3779b97f4a7c15 >> 32) * uint64(delta) >> 32)
-}
-
 // runConfig is the conc configuration every engine swap runs with. Its
-// start T is Δ plus the swap's stagger after the clearing tick, so its
-// leaders publish at T−Δ, the clearing tick plus the stagger. Δ is the
-// paper's floor: any nearer and the leaders' contracts land after T−Δ,
-// where the deadline arithmetic, exactly tight by design, refunds
-// conforming swaps. No more headroom is needed: a callback sees its own
-// tick on a paced clock as on a free one, so nothing between clearing and
-// the first publication eats a deadline.
-func (e *unit) runConfig(spec *core.Spec, seed int64, stripe uint64) conc.Config {
+// start T is Δ after the clearing tick, so its leaders publish at T−Δ, the
+// clearing tick itself, as the paper's clearing sets a start "at least Δ
+// in the future". Δ is the floor: any nearer and the leaders' contracts
+// land after T−Δ, where the deadline arithmetic, exactly tight by design,
+// refunds conforming swaps. No more headroom is needed: a callback sees
+// its own tick on a paced clock as on a free one, so nothing between
+// clearing and the first publication eats a deadline.
+func (e *unit) runConfig(spec *core.Spec, stripe uint64) conc.Config {
 	cfg := conc.Config{
 		Scheduler:   e.sched,
-		StartOffset: spec.Delta + startStagger(seed, spec.Delta),
+		StartOffset: spec.Delta,
 		Registry:    e.reg,
 		// A run ends the tick its last arc resolves, not at its padded
 		// worst-case horizon: its settle frees the live-run slot, so a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -946,20 +945,15 @@ func TestLiveSlotFreedAtResolve(t *testing.T) {
 	}
 }
 
-// TestSwapStartsDeltaAfterClearing: a cleared swap starts Δ plus its
-// stagger after its clearing tick, as the paper's clearing sets a start "at
-// least Δ in the future": its leaders publish at T−Δ, so its first
-// contract lands at the clearing tick plus the stagger, and every
-// conforming swap deals. A swap whose stagger is 0 has its init booked
-// from inside the clearing callback for the clearing tick itself.
+// TestSwapStartsDeltaAfterClearing: a cleared swap starts Δ after its
+// clearing tick, as the paper's clearing sets a start "at least Δ in the
+// future": its leaders publish at T−Δ, so its first contract lands at the
+// clearing tick itself — its init booked from inside the clearing
+// callback — and every conforming swap deals.
 func TestSwapStartsDeltaAfterClearing(t *testing.T) {
-	const (
-		delta = 10
-		rings = 24
-		seed  = 3
-	)
+	const rings = 24
 	rec := new(recorder)
-	e := New(Config{Deterministic: true, Workers: 2, Delta: delta, Seed: seed, MaxLive: rings + 1, Store: rec})
+	e := New(Config{Deterministic: true, Workers: 2, Delta: 10, Seed: 3, MaxLive: rings + 1, Store: rec})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -976,15 +970,14 @@ func TestSwapStartsDeltaAfterClearing(t *testing.T) {
 		}
 	}
 	type swap struct {
-		stagger            vtime.Duration
 		cleared, published vtime.Ticks
 		seen               bool
 	}
 	// A run logs its start phase when it is prepared, inside the clearing
-	// tick, before the swap's cleared event.
+	// tick.
 	swaps := map[string]*swap{}
 	for _, ev := range rec.events() {
-		if ev.Kind != EvCleared && ev.Kind != EvPhase {
+		if ev.Kind != EvPhase {
 			continue
 		}
 		s := swaps[ev.Swap]
@@ -992,36 +985,24 @@ func TestSwapStartsDeltaAfterClearing(t *testing.T) {
 			s = new(swap)
 			swaps[ev.Swap] = s
 		}
-		switch {
-		case ev.Kind == EvCleared:
-			s.stagger = startStagger(seed+int64(slices.Min(ev.Orders)), delta)
-		case ev.Phase == "start":
+		switch ev.Phase {
+		case "start":
 			s.cleared = ev.Tick
-		case ev.Phase == "escrow":
+		case "escrow":
 			s.published, s.seen = ev.Tick, true
 		}
 	}
 	if len(swaps) != rings+1 {
 		t.Fatalf("cleared %d swaps, want %d", len(swaps), rings+1)
 	}
-	sameTick := 0
 	for tag, s := range swaps {
-		if s.stagger < 0 || s.stagger >= delta {
-			t.Fatalf("%s: stagger %d outside [0, Δ=%d)", tag, s.stagger, delta)
-		}
 		if !s.seen {
 			t.Fatalf("%s published no contract", tag)
 		}
-		if want := s.cleared.Add(s.stagger); s.published != want {
-			t.Errorf("%s cleared at %d with stagger %d: first contract at %d, want %d (T−Δ)",
-				tag, s.cleared, s.stagger, s.published, want)
+		if s.published != s.cleared {
+			t.Errorf("%s cleared at %d: first contract at %d, want the clearing tick (T−Δ)",
+				tag, s.cleared, s.published)
 		}
-		if s.stagger == 0 {
-			sameTick++
-		}
-	}
-	if sameTick == 0 {
-		t.Fatal("no swap has stagger 0: the init booked at its own clearing tick is not covered")
 	}
 }
 

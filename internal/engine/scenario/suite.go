@@ -31,8 +31,8 @@ func Suite(seedOffset int64) []Scenario {
 			Offers:         48,
 			Rate:           2000,
 			Profile:        "poisson",
-			MaxClearRounds: 59,  // measured 34
-			MaxSettleTick:  108, // measured 72
+			MaxClearRounds: 59, // measured 30
+			MaxSettleTick:  96, // measured 64
 		},
 		{
 			// The paper's griefing attack at scale: a quarter of parties
@@ -47,8 +47,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "silent-leader", Rate: 0.15},
 				{Strategy: "stall-past-timelock", Rate: 0.10},
 			},
-			MaxClearRounds: 59,  // measured 34
-			MaxSettleTick:  108, // measured 72
+			MaxClearRounds: 59,  // measured 33
+			MaxSettleTick:  105, // measured 70
 		},
 		{
 			// Crash/abort interleavings under bursty load — the AC3-style
@@ -64,8 +64,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "crash", Rate: 0.10},
 				{Strategy: "no-claim", Rate: 0.05},
 			},
-			MaxClearRounds: 102, // measured 63
-			MaxSettleTick:  194, // measured 129
+			MaxClearRounds: 102, // measured 59
+			MaxSettleTick:  183, // measured 122
 		},
 		{
 			// Everything at once on a climbing ramp at a tight Δ: six
@@ -86,8 +86,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "corrupt-publish", Rate: 0.06},
 				{Strategy: "eager-publish", Rate: 0.06},
 			},
-			MaxClearRounds: 60,  // measured 38
-			MaxSettleTick:  119, // measured 79
+			MaxClearRounds: 60,  // measured 36
+			MaxSettleTick:  114, // measured 76
 		},
 		{
 			// Kill the engine mid-clearing and recover from the WAL: the
@@ -100,12 +100,12 @@ func Suite(seedOffset int64) []Scenario {
 			Offers:    48,
 			Rate:      2500,
 			Profile:   "poisson",
-			CrashTick: 50, // mid-execution: 6 orders resume, 39 refund
+			CrashTick: 50, // mid-execution: 3 orders resume, 30 refund
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.1},
 			},
 			MaxClearRounds: 83,  // measured 50, both lives
-			MaxSettleTick:  153, // measured 102
+			MaxSettleTick:  152, // measured 101
 		},
 		{
 			// Sharded clearing, zero cross-shard traffic: every ring lives
@@ -119,8 +119,8 @@ func Suite(seedOffset int64) []Scenario {
 			Rate:           2000,
 			Profile:        "poisson",
 			Shards:         4,
-			MaxClearRounds: 59,  // measured 34
-			MaxSettleTick:  104, // measured 69
+			MaxClearRounds: 59, // measured 32
+			MaxSettleTick:  99, // measured 66
 		},
 		{
 			// Sharded clearing with half the rings spanning two shard
@@ -134,8 +134,8 @@ func Suite(seedOffset int64) []Scenario {
 			Profile:        "poisson",
 			Shards:         4,
 			CrossRatio:     0.5,
-			MaxClearRounds: 68,  // measured 40
-			MaxSettleTick:  123, // measured 82
+			MaxClearRounds: 68,  // measured 36
+			MaxSettleTick:  111, // measured 74
 		},
 		{
 			// Overload: arrivals far beyond capacity against a tiny shed
@@ -149,8 +149,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.2},
 			},
-			MaxClearRounds: 44, // measured 24
-			MaxSettleTick:  74, // measured 49
+			MaxClearRounds: 44, // measured 20
+			MaxSettleTick:  63, // measured 42
 		},
 		{
 			// Chain realism: every chain needs 4 ticks of confirmation
@@ -166,8 +166,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "reorg@4", Rate: 0.15},
 			},
-			MaxClearRounds: 65,  // measured 38
-			MaxSettleTick:  114, // measured 76
+			MaxClearRounds: 65,  // measured 37
+			MaxSettleTick:  111, // measured 74
 		},
 		{
 			// Chain realism under sharded clearing: the reorg-depth knobs
@@ -186,8 +186,8 @@ func Suite(seedOffset int64) []Scenario {
 			Deviations: []Deviation{
 				{Strategy: "reorg@4", Rate: 0.15},
 			},
-			MaxClearRounds: 71,  // measured 42
-			MaxSettleTick:  131, // measured 87
+			MaxClearRounds: 71,  // measured 39
+			MaxSettleTick:  120, // measured 80
 		},
 		{
 			// The secret-sharing cartel as a correlated group: about a
@@ -247,8 +247,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "flood", Rate: 0.75, Size: 2},
 				{Strategy: "punishment", Rate: 0.30},
 			},
-			MaxClearRounds: 105, // measured 65
-			MaxSettleTick:  197, // measured 131
+			MaxClearRounds: 105, // measured 60
+			MaxSettleTick:  183, // measured 122
 		},
 	}
 }
