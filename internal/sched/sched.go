@@ -102,13 +102,14 @@ type funcHandler func()
 func (f funcHandler) Fire() { f() }
 
 // Event is one queued callback and, at the same time, the Timer for it:
-// Stop takes it out of its scheduler's queue under the scheduler's lock. At and its
-// siblings allocate one per call; a runtime that already owns a record per
-// scheduled thing embeds an Event in it and hands it to Schedule, so the
-// record is the queue entry and nothing else is allocated. The scheduler
-// never reuses an event that has left the queue, so a handle kept past
-// firing can only ever see its own fired event; an owner may hand one of its
-// own back to Schedule once it has fired (a Loop alternates between two).
+// Stop takes it out of its scheduler's queue under the scheduler's lock.
+// At and its siblings allocate one per call; a runtime that already owns a
+// record per scheduled thing embeds an Event in it and hands it to
+// Schedule, so the record is the queue entry and nothing else is
+// allocated. The scheduler never reuses an event that has left the queue,
+// so a handle kept past firing can only ever see its own fired event; an
+// owner may hand one of its own back to Schedule once it has fired (a Loop
+// alternates between two).
 // The zero value is an idle event; an Event must not be copied once
 // scheduled.
 type Event struct {
