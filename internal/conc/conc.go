@@ -64,8 +64,14 @@ type Config struct {
 	// delivery at the current tick, and the slab budgets that one delivery
 	// more. Outcomes are unaffected (an arc resolves only once its closing
 	// transfer is final); only trailing trace events — the OnSettled
-	// fanout of the last transfers — may be trimmed. The engine sets it on
-	// every run, so a finished swap frees its live-run slot at once; the
+	// fanout of the last transfers — may be trimmed. A run with an arc that
+	// never resolves (a deviant withheld or abandoned its contract) ends
+	// instead when it goes quiet: after a delivery that leaves nothing of
+	// the run scheduled but its horizon, no party can act again, so the
+	// horizon is moved to that tick the same way. A run over a chain that
+	// can revert or delay finality never goes quiet early: such a chain's
+	// events reach it outside its own deliveries. The engine sets EarlyExit
+	// on every run, so a finished swap frees its live-run slot at once; the
 	// Runner and the conc goldens never do, and play to the horizon.
 	EarlyExit bool
 	// Cache, when set, replaces the spec's hashkey verification cache so
@@ -153,8 +159,9 @@ type EscrowSpan struct {
 	ArcID int
 	// From is the tick the arc's contract published (escrow locked).
 	From vtime.Ticks
-	// To is the tick the arc resolved; the run's horizon tick when it
-	// never did (a stranded escrow stays locked to the bitter end).
+	// To is the tick the arc resolved; the run's planned horizon tick when
+	// it never did (a stranded escrow stays locked to the bitter end, even
+	// when the run itself ends sooner, having gone quiet).
 	To vtime.Ticks
 	// Resolved distinguishes a settled arc from a stranded one.
 	Resolved bool
@@ -173,10 +180,12 @@ type Result struct {
 	Escrows []EscrowSpan
 	// SettleTick is the virtual tick at which the last arc resolved
 	// (claim or refund recorded on chain). For runs where some arc never
-	// resolved — a crashed party abandoning its own contract — it is the
-	// run's horizon tick instead, the point at which the outcome became
-	// final. Unlike wall-clock latencies, it is identical across replays
-	// of a deterministic run.
+	// resolved — a crashed party abandoning its own contract, a withheld
+	// publication — it is the tick the run ended instead, the point at
+	// which the outcome became final: the tick it went quiet under
+	// EarlyExit (see Config.EarlyExit), its horizon otherwise. Unlike
+	// wall-clock latencies, it is identical across replays of a
+	// deterministic run.
 	SettleTick vtime.Ticks
 }
 
@@ -231,7 +240,11 @@ func Run(setup *core.Setup, behaviors map[digraph.Vertex]core.Behavior, cfg Conf
 }
 
 // horizonPad is how far, in Δ, a run's end sits beyond spec.Horizon(): room
-// for scheduling jitter on top of the worst-case protocol length.
+// for scheduling jitter on top of the worst-case protocol length. An
+// EarlyExit run ends when its last arc resolves or when it goes quiet, so
+// the pad bounds only the runs that do neither — those without EarlyExit
+// and those over a reorg-aware chain — and is where a stranded escrow span
+// ends (EscrowSpan.To). The Runner's worst-case runs are not padded.
 const horizonPad = 2
 
 // Prepare sets a concurrent run up — registers or verifies assets,
@@ -418,7 +431,7 @@ func (r *runner) start(behaviors map[digraph.Vertex]core.Behavior, startOffset v
 // start and the horizon, every refund alarm, and per arc its publication,
 // its reveals (one redeem, or one unlock per hashlock) and its settlement —
 // plus one per leader broadcast, and with early exit the horizon delivery
-// the last resolution schedules. Deviations and reorg re-deliveries can
+// the last resolution, or the run going quiet, schedules (never both). Deviations and reorg re-deliveries can
 // exceed it; those deliveries come from the heap.
 func eventBudget(spec *core.Spec, earlyExit bool) int {
 	reveals := 1
@@ -464,10 +477,11 @@ type runner struct {
 	stripe uint64
 	reg    *chain.Registry
 	log    *trace.Log
-	// horizonTick is the run's scheduled end, for Result.SettleTick when
-	// some arc never resolves. The horizon delivery (finish) builds res,
-	// hands it to onDone (Config.OnDone), and sets done — under mu, closing
-	// horizonCh if Wait made one. earlyExit is Config.EarlyExit.
+	// horizonTick is the run's planned end and where a stranded escrow
+	// span ends, even when the run ends sooner. The horizon delivery
+	// (finish) builds res, hands it to onDone (Config.OnDone), and sets
+	// done — under mu, closing horizonCh if Wait made one. earlyExit is
+	// Config.EarlyExit.
 	horizonTick vtime.Ticks
 	horizonCh   chan struct{}
 	done        bool
@@ -713,11 +727,11 @@ func (r *runner) stopTimers() {
 	}
 }
 
-// finish is the horizon delivery: the run is over. It stops the run's
-// timers, drops its contract and broadcast routes, builds the result and
-// hands it to Config.OnDone, then releases Wait. Every other delivery of
-// the run shares its stripe, so none is in flight meanwhile.
-func (r *runner) finish() {
+// finish is the horizon delivery, at tick end: the run is over. It stops
+// the run's timers, drops its contract and broadcast routes, builds the
+// result and hands it to Config.OnDone, then releases Wait. Every other
+// delivery of the run shares its stripe, so none is in flight meanwhile.
+func (r *runner) finish(end vtime.Ticks) {
 	r.stopTimers()
 	for id := range r.arcs {
 		r.arcs[id].ch.UnsubscribeContract(r.spec.ContractID(id), &r.arcs[id])
@@ -725,7 +739,7 @@ func (r *runner) finish() {
 	if r.bcast != nil {
 		r.bcast.Unsubscribe(r.bcastKey)
 	}
-	r.buildResult()
+	r.buildResult(end)
 	if r.onDone != nil {
 		r.onDone.Settle(&r.res)
 	}
@@ -764,7 +778,8 @@ func (r *runner) fire(d *delivery) {
 
 	switch d.kind {
 	case deliverHorizon:
-		r.finish()
+		r.finish(d.at)
+		return
 	case deliverAlarm:
 		// Alarms bypass the abandon gate: refund alarms keep running for
 		// abandoned parties.
@@ -778,6 +793,27 @@ func (r *runner) fire(d *delivery) {
 		arc := r.spec.D.Arc(int(d.arc))
 		r.run(d, &r.parties[arc.Head])
 		r.run(d, &r.parties[arc.Tail])
+	}
+	if r.earlyExit && !r.reorgAware {
+		r.exitIfQuiet()
+	}
+}
+
+// exitIfQuiet ends a run that has gone quiet: when its live list holds
+// nothing but the horizon delivery, not yet due, no party acts again —
+// every action a party takes happens inside one of the run's own
+// deliveries or alarms, and on instant chains every note it causes is
+// heard before that delivery returns — so the horizon is scheduled now, as
+// setResolved does for the last resolution. A reorg-aware run keeps
+// playing: finality and revert events reach it outside its live list.
+func (r *runner) exitIfQuiet() {
+	now := r.sched.Now()
+	r.timersMu.Lock()
+	d := r.live
+	quiet := d != nil && d.next == nil && d.kind == deliverHorizon && d.at > now
+	r.timersMu.Unlock()
+	if quiet {
+		r.schedule(delivery{at: now, kind: deliverHorizon})
 	}
 }
 
@@ -986,8 +1022,9 @@ func (r *runner) onBroadcast(n chain.Notification) {
 	})
 }
 
-// buildResult fills res, in the run record.
-func (r *runner) buildResult() {
+// buildResult fills res, in the run record, for a run that ended at tick
+// end.
+func (r *runner) buildResult(end vtime.Ticks) {
 	spec := r.spec
 	triggered := cut(r.triggeredBuf[:], len(r.arcs))
 	for id := range triggered {
@@ -1023,7 +1060,7 @@ func (r *runner) buildResult() {
 	}
 	r.mu.Unlock()
 	if !allResolved {
-		settleTick = r.horizonTick
+		settleTick = end
 	}
 	report := outcome.Report(cut(r.classBuf[:], len(r.parties)))
 	report.Fill(spec.D, triggered)

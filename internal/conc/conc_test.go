@@ -284,6 +284,92 @@ func TestOnDoneFiresOnce(t *testing.T) {
 	}
 }
 
+// TestQuietRunEndsBeforeHorizon: an arc whose party withholds its
+// contract never resolves, so an EarlyExit run cannot end at its last
+// resolution. Once the conforming parties have refunded and their last
+// delivery has fired, no party acts again: the run ends at that quiet tick,
+// below spec.Horizon(), with the report, triggers and escrow spans of the
+// same run played to its padded horizon, and leaves no event queued. Over
+// a chain with a confirmation depth, finality and revert events reach the
+// run outside its own deliveries, so it still plays to its horizon.
+func TestQuietRunEndsBeforeHorizon(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    func() *digraph.Digraph
+		kind core.Kind
+	}{{"ring-3", ring3, core.KindByLeaders}, {"clique-4", clique4, core.KindGeneral}} {
+		t.Run(tc.name, func(t *testing.T) {
+			type ended struct {
+				res      *Result
+				spec     *core.Spec
+				doneTick vtime.Ticks
+				queued   int
+			}
+			run := func(earlyExit bool, depth vtime.Duration) ended {
+				v := sched.NewVirtual(1)
+				defer v.Close()
+				setup := concSetup(t, tc.d(), core.Config{Kind: tc.kind})
+				var e ended
+				cfg := Config{Scheduler: v, EarlyExit: earlyExit, OnDone: settleFunc(func(*Result) { e.doneTick = v.Now() })}
+				if depth > 0 {
+					cfg.Registry = chain.NewRegistry(v)
+					if err := cfg.Registry.SetCommitmentModels(func(string) chain.CommitmentModel {
+						return chain.Depth{K: depth}
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := Run(setup, map[digraph.Vertex]core.Behavior{1: adversary.WithholdPublications()}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.res, e.spec, e.queued = res, setup.Spec, v.Pending()
+				return e
+			}
+			full, quiet := run(false, 0), run(true, 0)
+			padded := full.spec.Horizon().Add(vtime.Scale(horizonPad, full.spec.Delta))
+			if full.res.SettleTick != padded {
+				t.Fatalf("played to its horizon, the run settled at %d, want the padded horizon %d", full.res.SettleTick, padded)
+			}
+			if !slices.Equal(quiet.res.Report, full.res.Report) || !slices.Equal(quiet.res.Triggered, full.res.Triggered) ||
+				!slices.Equal(quiet.res.Escrows, full.res.Escrows) {
+				t.Fatalf("quiet exit changed the result:\n report %v triggered %v escrows %v\nagainst\n report %v triggered %v escrows %v",
+					quiet.res.Report, quiet.res.Triggered, quiet.res.Escrows, full.res.Report, full.res.Triggered, full.res.Escrows)
+			}
+			if len(quiet.res.Escrows) == 0 {
+				t.Fatal("no conforming party escrowed anything")
+			}
+			for _, v := range []digraph.Vertex{0, 2} {
+				if c := quiet.res.Report.Of(v); c != outcome.NoDeal {
+					t.Fatalf("conforming party %d ended %s, want NoDeal", v, c)
+				}
+			}
+			var lastRecord vtime.Ticks
+			for _, name := range quiet.res.Registry.Names() {
+				for _, rec := range quiet.res.Registry.Chain(name).Records() {
+					lastRecord = max(lastRecord, rec.At)
+				}
+			}
+			settle := quiet.res.SettleTick
+			if settle != quiet.doneTick || settle <= lastRecord || settle > lastRecord.Add(vtime.Duration(quiet.spec.Delta)) ||
+				settle >= quiet.spec.Horizon() {
+				t.Fatalf("quiet run settled at %d and ended at %d; its last record is at %d, Δ %d, horizon %d",
+					settle, quiet.doneTick, lastRecord, quiet.spec.Delta, quiet.spec.Horizon())
+			}
+			if quiet.queued != 0 {
+				t.Fatalf("the quiet run left %d events queued", quiet.queued)
+			}
+
+			deep := run(true, 2)
+			padded = deep.spec.Horizon().Add(vtime.Scale(horizonPad, deep.spec.Delta))
+			if deep.res.SettleTick != padded || deep.doneTick != padded {
+				t.Fatalf("over a confirmation depth the run settled at %d and ended at %d, want its padded horizon %d",
+					deep.res.SettleTick, deep.doneTick, padded)
+			}
+		})
+	}
+}
+
 func TestConcurrentHaltedPartySafe(t *testing.T) {
 	setup := concSetup(t, graphgen.ThreeWay(), core.Config{})
 	behaviors := map[digraph.Vertex]core.Behavior{

@@ -945,6 +945,110 @@ func TestLiveSlotFreedAtResolve(t *testing.T) {
 	}
 }
 
+// TestLiveSlotFreedWhenQuiet: a swap whose middle party withholds its
+// contract leaves an arc that never resolves, yet its run ends, freeing
+// the live-run slot and the swap's reservations, once its conforming
+// parties have refunded and the run has gone quiet — not at the worst-case
+// horizon. With MaxLive 1, rings on distinct parties booked together run
+// one at a time: each is cleared within one clearing period of the
+// previous run's end, and each run ends before its spec.Horizon().
+func TestLiveSlotFreedWhenQuiet(t *testing.T) {
+	const (
+		rings      = 4
+		delta      = 10
+		clearEvery = 2
+	)
+	var (
+		mu    sync.Mutex
+		specs = map[string]*core.Spec{}
+	)
+	st := new(stampStore)
+	e := New(Config{
+		Deterministic: true,
+		Workers:       1,
+		MaxLive:       1,
+		ClearEvery:    clearEvery,
+		Delta:         delta,
+		Seed:          7,
+		Store:         st,
+		Behaviors: func(setup *core.Setup, _ int64) SwapBehaviors {
+			spec := setup.Spec
+			mu.Lock()
+			specs[spec.Tag] = spec
+			mu.Unlock()
+			for v := range spec.Parties {
+				if strings.HasSuffix(string(spec.Parties[v]), "-b") {
+					vx := digraph.Vertex(v)
+					return SwapBehaviors{
+						Behaviors: map[digraph.Vertex]core.Behavior{vx: adversary.WithholdPublications()},
+						Deviants:  map[digraph.Vertex]string{vx: "withhold-publish"},
+					}
+				}
+			}
+			return SwapBehaviors{}
+		},
+	})
+	st.now = e.Scheduler().Now
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var offers []core.Offer
+	for i := 0; i < rings; i++ {
+		offers = append(offers, ringOffers(fmt.Sprintf("quiet%d", i), "a", "b", "c")...)
+	}
+	bookAndDrain(t, e, offers)
+
+	type run struct {
+		cleared, ended vtime.Ticks
+		released       int
+	}
+	runs := map[string]*run{}
+	var order []string
+	for i, ev := range st.evs {
+		switch ev.Kind {
+		case EvCleared:
+			runs[ev.Swap] = &run{cleared: ev.Tick}
+			order = append(order, ev.Swap)
+		case EvReleased, EvSettled:
+			// Both are logged inside the delivery that ends the run, at
+			// its settle tick.
+			r := runs[ev.Swap]
+			if st.at[i] != ev.Tick || r.ended != 0 && r.ended != ev.Tick {
+				t.Fatalf("swap %s logged %v for tick %d at tick %d; its run ended at %d", ev.Swap, ev.Kind, ev.Tick, st.at[i], r.ended)
+			}
+			r.ended = ev.Tick
+			if ev.Kind == EvReleased {
+				r.released++
+			}
+		}
+	}
+	if len(order) != rings {
+		t.Fatalf("cleared %d swaps, want %d", len(order), rings)
+	}
+	for _, o := range e.Orders() {
+		if o.Status != StatusSettled || o.Class != outcome.NoDeal {
+			t.Fatalf("order %d (%s): %s/%s, want settled/NoDeal", o.ID, o.Party, o.Status, o.Class)
+		}
+	}
+	for k, swap := range order {
+		r, spec := runs[swap], specs[swap]
+		if r.released != 3 {
+			t.Fatalf("swap %s released %d reservations, want 3", swap, r.released)
+		}
+		if r.ended >= spec.Horizon() {
+			t.Errorf("swap %s ended at %d, at or past its horizon %d: the run did not end when it went quiet",
+				swap, r.ended, spec.Horizon())
+		}
+		if k == 0 {
+			continue
+		}
+		if prev := runs[order[k-1]]; r.cleared < prev.ended || r.cleared > prev.ended+clearEvery {
+			t.Errorf("swap %s cleared at %d; the previous run ended at %d: the live-run slot was not freed when it went quiet",
+				swap, r.cleared, prev.ended)
+		}
+	}
+}
+
 // TestSwapStartsDeltaAfterClearing: a cleared swap starts Δ after its
 // clearing tick, as the paper's clearing sets a start "at least Δ in the
 // future": its leaders publish at T−Δ, so its first contract lands at the

@@ -18,8 +18,11 @@ import (
 // scheduling regression that slows clearing or stretches settles fails
 // the suite even while all safety properties still hold. MaxSettleTick
 // is ⌈1.5×⌉ its offset-0 measure and at least the entry's largest last
-// settle over offsets 0–7 on one and on four shards; MaxClearRounds is
-// looser, pinned when a swap still started 2Δ after its round. Re-measure
+// settle over offsets 0–7 on one and on four shards. MaxClearRounds is
+// pinned the same way on the entries whose aborted swaps settle when their
+// run goes quiet (crash-swarm, kitchen-sink-ramp and the three coalition
+// entries), and looser on the rest, pinned when a swap still started 2Δ
+// after its round. Re-measure
 // (run the suite, read Digest.ClearRounds / LastSettleTick) and re-pin
 // when a change intentionally moves the schedule.
 func Suite(seedOffset int64) []Scenario {
@@ -64,8 +67,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "crash", Rate: 0.10},
 				{Strategy: "no-claim", Rate: 0.05},
 			},
-			MaxClearRounds: 102, // measured 59
-			MaxSettleTick:  183, // measured 122
+			MaxClearRounds: 51,  // measured 34
+			MaxSettleTick:  107, // measured 71
 		},
 		{
 			// Everything at once on a climbing ramp at a tight Δ: six
@@ -86,8 +89,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "corrupt-publish", Rate: 0.06},
 				{Strategy: "eager-publish", Rate: 0.06},
 			},
-			MaxClearRounds: 60,  // measured 36
-			MaxSettleTick:  114, // measured 76
+			MaxClearRounds: 39, // measured 26
+			MaxSettleTick:  84, // measured 56
 		},
 		{
 			// Kill the engine mid-clearing and recover from the WAL: the
@@ -207,8 +210,8 @@ func Suite(seedOffset int64) []Scenario {
 			Coalitions: []Coalition{
 				{Strategy: "cartel", Rate: 0.35, Drop: 0.25, Halt: 0.2},
 			},
-			MaxClearRounds: 117, // measured 73
-			MaxSettleTick:  222, // measured 148
+			MaxClearRounds: 74,  // measured 49
+			MaxSettleTick:  150, // measured 100
 		},
 		{
 			// Lemma 4.11's punishment cartel: in ~30% of swaps a coalition
@@ -226,8 +229,8 @@ func Suite(seedOffset int64) []Scenario {
 			Coalitions: []Coalition{
 				{Strategy: "punishment", Rate: 0.30},
 			},
-			MaxClearRounds: 126, // measured 79
-			MaxSettleTick:  240, // measured 160
+			MaxClearRounds: 75,  // measured 50
+			MaxSettleTick:  152, // measured 101
 		},
 		{
 			// Intake flooding under per-party fair shedding: 3 flood offers
@@ -247,8 +250,8 @@ func Suite(seedOffset int64) []Scenario {
 				{Strategy: "flood", Rate: 0.75, Size: 2},
 				{Strategy: "punishment", Rate: 0.30},
 			},
-			MaxClearRounds: 105, // measured 60
-			MaxSettleTick:  183, // measured 122
+			MaxClearRounds: 50,  // measured 33
+			MaxSettleTick:  101, // measured 67
 		},
 	}
 }
