@@ -20,6 +20,8 @@ type Meter struct {
 	presigned atomic.Uint64 // Sign calls answered by a slot filled ahead
 	filled    atomic.Uint64 // slots computed by a presign goroutine
 	used      atomic.Uint64 // of those, slots taken at least once
+	waited    atomic.Uint64 // Sign calls that waited for a filler (awaitFiller)
+	waitNanos atomic.Int64  // their total wait
 }
 
 // SignStats is a Meter's reading. Signs = Presigned + Inline: each Sign
@@ -37,6 +39,12 @@ type SignStats struct {
 	// signatures of swaps that aborted before needing them, or of swaps
 	// still in flight.
 	Wasted uint64
+	// Waited counts Sign calls that found their slot claimed by a filler
+	// still computing it and waited for it, each for at most
+	// fillerPatience (past that, it signed inline); WaitTime is their
+	// total wait in wall time. Both depend on timing, not on the swap.
+	Waited   uint64
+	WaitTime time.Duration
 }
 
 // Stats reads the meter.
@@ -45,12 +53,13 @@ func (m *Meter) Stats() SignStats {
 	st := SignStats{Signs: m.signs.Load(), Presigned: m.presigned.Load()}
 	st.Inline = st.Signs - st.Presigned
 	st.Wasted = m.filled.Load() - used
+	st.Waited, st.WaitTime = m.waited.Load(), time.Duration(m.waitNanos.Load())
 	return st
 }
 
 func (s SignStats) String() string {
-	return fmt.Sprintf("signing: %d signs, %d presigned, %d inline; %d filled ahead and never taken",
-		s.Signs, s.Presigned, s.Inline, s.Wasted)
+	return fmt.Sprintf("signing: %d signs, %d presigned, %d inline; %d filled ahead and never taken; %d waited for a filler, %v in all",
+		s.Signs, s.Presigned, s.Inline, s.Wasted, s.Waited, s.WaitTime)
 }
 
 // Slot states. A slot moves free → claimed → ready exactly once: whoever
@@ -239,14 +248,30 @@ func (t *presigned) claim(sl *slot, v digraph.Vertex, msg []byte, ahead bool) bo
 var fillerPatience = 200 * time.Microsecond
 
 // awaitFiller waits for the filler to finish sl, for at most
-// fillerPatience, and reports whether it did.
-func awaitFiller(sl *slot) bool {
-	for start := time.Now(); sl.state.Load() != slotReady; runtime.Gosched() {
+// fillerPatience, and reports whether it did. A wait is metered with its
+// length; the clock is read only when the slot is not ready yet.
+func (t *presigned) awaitFiller(sl *slot) bool {
+	if sl.state.Load() == slotReady {
+		return true
+	}
+	start := time.Now()
+	for sl.state.Load() != slotReady {
 		if time.Since(start) > fillerPatience {
+			t.noteWait(start)
 			return false
 		}
+		runtime.Gosched()
 	}
+	t.noteWait(start)
 	return true
+}
+
+// noteWait meters one wait for a filler, begun at start.
+func (t *presigned) noteWait(start time.Time) {
+	if t.meter != nil {
+		t.meter.waited.Add(1)
+		t.meter.waitNanos.Add(int64(time.Since(start)))
+	}
 }
 
 // take answers v's Sign(msg) from the table, copying the signature into
@@ -273,7 +298,7 @@ func (t *presigned) take(dst *[SigSize]byte, v digraph.Vertex, msg []byte) bool 
 		if !bytes.Equal(msg, want) {
 			continue
 		}
-		if !t.claim(sl, v, want, false) && !awaitFiller(sl) {
+		if !t.claim(sl, v, want, false) && !t.awaitFiller(sl) {
 			return false // the filler is off its core: sign inline
 		}
 		if sl.ahead && t.meter != nil {

@@ -54,6 +54,13 @@ func signAll(signers []*Signer, secrets []Secret) [][][]byte {
 	return out
 }
 
+// counts is a reading's four sign counts, without the waits for a filler,
+// which depend on timing.
+func counts(st SignStats) SignStats {
+	st.Waited, st.WaitTime = 0, 0
+	return st
+}
+
 func TestPresignedBytesEqualSign(t *testing.T) {
 	tab, signers, secrets, m := cliqueTable(t)
 	tab.fill()
@@ -69,7 +76,7 @@ func TestPresignedBytesEqualSign(t *testing.T) {
 			}
 		}
 	}
-	if st := m.Stats(); st != (SignStats{Signs: 12, Presigned: 12}) {
+	if st := counts(m.Stats()); st != (SignStats{Signs: 12, Presigned: 12}) {
 		t.Fatalf("stats %+v, want 12 signs all presigned", st)
 	}
 }
@@ -90,7 +97,7 @@ func TestPresignMismatchSignsInline(t *testing.T) {
 			t.Fatalf("vertex %d: inline signature is not ed25519.Sign's", tc.v)
 		}
 	}
-	if st := m.Stats(); st != (SignStats{Signs: 3, Inline: 3, Wasted: 12}) {
+	if st := counts(m.Stats()); st != (SignStats{Signs: 3, Inline: 3, Wasted: 12}) {
 		t.Fatalf("stats %+v, want 3 inline signs and 12 slots never taken", st)
 	}
 }
@@ -116,7 +123,7 @@ func TestPresignMeterCountsOncePerSign(t *testing.T) {
 	tab, signers, secrets, m := cliqueTable(t)
 	check := func(path string, want SignStats) {
 		t.Helper()
-		if st := m.Stats(); st != want {
+		if st := counts(m.Stats()); st != want {
 			t.Fatalf("%s: stats %+v, want %+v", path, st, want)
 		}
 	}
@@ -171,8 +178,12 @@ func TestPresignClaimRace(t *testing.T) {
 		if _, ok := claims.Load(false); ok {
 			t.Fatal("the taker computed a slot the filler had claimed")
 		}
-		if st := m.Stats(); st != (SignStats{Signs: 1, Presigned: 1, Wasted: 11}) {
+		st := m.Stats()
+		if counts(st) != (SignStats{Signs: 1, Presigned: 1, Wasted: 11}) {
 			t.Fatalf("stats %+v, want one presigned take of twelve filled slots", st)
+		}
+		if st.Waited < 1 || st.WaitTime <= 0 {
+			t.Fatalf("stats %+v, want the take's wait for the filler metered", st)
 		}
 	})
 	t.Run("filler stalled", func(t *testing.T) {
@@ -204,8 +215,12 @@ func TestPresignClaimRace(t *testing.T) {
 		if !bytes.Equal(tab.slots[0].sig[:], sig) {
 			t.Fatal("the filler's slot holds a different signature")
 		}
-		if st := m.Stats(); st != (SignStats{Signs: 1, Inline: 1, Wasted: 12}) {
+		st := m.Stats()
+		if counts(st) != (SignStats{Signs: 1, Inline: 1, Wasted: 12}) {
 			t.Fatalf("stats %+v, want one inline sign beside twelve filled slots", st)
+		}
+		if st.Waited != 1 || st.WaitTime < fillerPatience {
+			t.Fatalf("stats %+v, want one wait of at least %v before signing inline", st, fillerPatience)
 		}
 	})
 	t.Run("taker first", func(t *testing.T) {
@@ -236,7 +251,7 @@ func TestPresignClaimRace(t *testing.T) {
 			t.Fatalf("filler computed %d slots, want the 11 the taker did not claim", fillerClaims)
 		}
 		if st := m.Stats(); st != (SignStats{Signs: 1, Inline: 1, Wasted: 11}) {
-			t.Fatalf("stats %+v, want one inline sign and 11 filled slots", st)
+			t.Fatalf("stats %+v, want one inline sign, 11 filled slots and no wait", st)
 		}
 	})
 }
@@ -260,7 +275,7 @@ func TestPresignLeavesUnshownSlotsEmpty(t *testing.T) {
 	if err := key.VerifyCrypto(secret.Lock(), 0, dir); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st != (SignStats{Signs: 3, Presigned: 2, Inline: 1}) {
+	if st := counts(m.Stats()); st != (SignStats{Signs: 3, Presigned: 2, Inline: 1}) {
 		t.Fatalf("stats %+v, want two presigned signs and vertex 1's inline", st)
 	}
 }
