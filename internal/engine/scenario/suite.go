@@ -103,12 +103,12 @@ func Suite(seedOffset int64) []Scenario {
 			Offers:    48,
 			Rate:      2500,
 			Profile:   "poisson",
-			CrashTick: 50, // mid-execution: 3 orders resume, 30 refund
+			CrashTick: 35, // mid-execution: 30 orders resume, 18 refund
 			Deviations: []Deviation{
 				{Strategy: "silent-leader", Rate: 0.1},
 			},
-			MaxClearRounds: 83,  // measured 50, both lives
-			MaxSettleTick:  152, // measured 101
+			MaxClearRounds: 83,  // measured 43, both lives
+			MaxSettleTick:  131, // measured 87
 		},
 		{
 			// Sharded clearing, zero cross-shard traffic: every ring lives
