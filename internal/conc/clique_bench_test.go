@@ -37,4 +37,6 @@ func BenchmarkCliqueSwap(b *testing.B) {
 	}
 	st := k.SignStats()
 	b.ReportMetric(float64(st.Presigned)/float64(b.N), "presigned/op")
+	b.ReportMetric(float64(st.Waited)/float64(b.N), "filler-waits/op")
+	b.ReportMetric(float64(st.WaitTime.Nanoseconds())/float64(b.N), "filler-wait-ns/op")
 }
