@@ -179,16 +179,16 @@ func TestVirtualTimeIsCPUBound(t *testing.T) {
 	}
 }
 
-// TestEarlyExitSkipsGrace: once every arc has settled, the teardown is
-// immediate — the run no longer pays the full-Δ grace sleep it used to.
-// The run's own scheduler tells us when it exited; the ledger tells us
-// when the last transfer landed; the gap must be far under one Δ. OnDone
-// receives the result Wait returns.
 // settleFunc adapts a function to a Settler.
 type settleFunc func(*Result)
 
 func (f settleFunc) Settle(r *Result) { f(r) }
 
+// TestEarlyExitSkipsGrace: once every arc has settled, the teardown is
+// immediate — the run no longer pays the full-Δ grace sleep it used to.
+// The run's own scheduler tells us when it exited; the ledger tells us
+// when the last transfer landed; the gap must be far under one Δ. OnDone
+// receives the result Wait returns.
 func TestEarlyExitSkipsGrace(t *testing.T) {
 	const (
 		delta    = 40
