@@ -485,6 +485,83 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestSnapshotSkipsCoveredSegments is a kill after a snapshot's rename,
+// before the unlinks of the segments it covers: the directory holds the
+// new snapshot and those segments, and it must open to the fold of every
+// event once, counters included, not with the covered segments folded a
+// second time. Events logged after the snapshot, in the segments it does
+// not cover, are folded as ever, by Open, by a cut replay and by Recover,
+// and a second Open of the directory agrees.
+func TestSnapshotSkipsCoveredSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, SegmentBytes: 2048})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	want := NewState()
+	appendSwaps := func(from, to int) {
+		for n := from; n < to; n++ {
+			for _, ev := range swapEvents(n) {
+				s.Append(ev)
+				want.Apply(ev)
+			}
+		}
+	}
+	appendSwaps(0, 7) // two aborted swaps among them: Shed and Reverts count
+	covered := make(map[string][]byte)
+	for name, data := range dirFiles(t, dir) {
+		if _, ok := segmentIndex(name); ok {
+			covered[name] = data
+		}
+	}
+	if len(covered) < 2 {
+		t.Fatalf("the events before the snapshot span %d segments, want 2 or more", len(covered))
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	appendSwaps(7, fixtureSwaps)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for name, data := range covered {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatalf("restore %s: %v", name, err)
+		}
+	}
+	if want.Shed == 0 || want.Reverts == 0 {
+		t.Fatalf("the stream folds Shed %d and Reverts %d, want both counted", want.Shed, want.Reverts)
+	}
+
+	for round := 1; round <= 2; round++ {
+		r, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open #%d: %v", round, err)
+		}
+		for _, cut := range []vtime.Ticks{0, want.MaxTick} {
+			got, err := r.ResolvedState(cut)
+			if err != nil {
+				t.Fatalf("Open #%d: ResolvedState(%d): %v", round, cut, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Open #%d: ResolvedState(%d) folds %d events, Shed %d, Reverts %d; want %d, %d, %d",
+					round, cut, got.Events, got.Shed, got.Reverts, want.Events, want.Shed, want.Reverts)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", round, err)
+		}
+	}
+	e, rec, err := Recover(engine.Config{Workers: 2, Deterministic: true}, RecoverOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer e.Stop(context.Background())
+	if rec.Events != want.Events || rec.Reverts != want.Reverts {
+		t.Errorf("Recover replayed %d events and %d reverts, want %d and %d", rec.Events, rec.Reverts, want.Events, want.Reverts)
+	}
+}
+
 // TestCutTickFiltersRacedAppends: events stamped after the cut — appends
 // that raced past the crash instant — are invisible to a cut replay.
 func TestCutTickFiltersRacedAppends(t *testing.T) {

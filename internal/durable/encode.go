@@ -149,14 +149,16 @@ type keyScratch struct {
 // type it holds goes in here too — the differential test fails by the
 // field's name until it does.
 func appendSnapshot(buf []byte, st *State, ks *keyScratch) []byte {
-	return encodeSnapshot(buf, st, ks, nil)
+	return encodeSnapshot(buf, st, 0, ks, nil)
 }
 
-// encodeSnapshot is appendSnapshot with a spill: when spill is not nil,
-// the buffer is handed to it between two map entries whenever it holds
-// snapChunk bytes or more, and the encoding goes on in the buffer spill
-// returns. What the last spill leaves in the buffer is returned.
-func encodeSnapshot(buf []byte, st *State, ks *keyScratch, spill func([]byte) []byte) []byte {
+// encodeSnapshot is appendSnapshot with a cover and a spill. A positive
+// cover is the envelope's cover field, which json.Marshal writes after
+// the state. When spill is not nil, the buffer is handed to it between two
+// map entries whenever it holds snapChunk bytes or more, and the encoding
+// goes on in the buffer spill returns. What the last spill leaves in the
+// buffer is returned.
+func encodeSnapshot(buf []byte, st *State, cover int, ks *keyScratch, spill func([]byte) []byte) []byte {
 	buf = append(buf, `{"version":`...)
 	buf = strconv.AppendInt(buf, snapshotVersion, 10)
 	buf = append(buf, `,"state":`...)
@@ -213,7 +215,12 @@ func encodeSnapshot(buf []byte, st *State, ks *keyScratch, spill func([]byte) []
 	buf = strconv.AppendInt(buf, int64(st.MaxTick), 10)
 	buf = append(buf, `,"events":`...)
 	buf = strconv.AppendInt(buf, int64(st.Events), 10)
-	return append(buf, `}}`...)
+	buf = append(buf, '}')
+	if cover > 0 {
+		buf = append(buf, `,"cover":`...)
+		buf = strconv.AppendInt(buf, int64(cover), 10)
+	}
+	return append(buf, '}')
 }
 
 // spillFull hands buf to spill if there is one and buf holds a chunk.

@@ -239,15 +239,16 @@ func TestParentWrittenDirOpens(t *testing.T) {
 
 // TestWritesParentBytes is the other direction: the same event stream
 // through this code leaves byte-identical files, so the parent commit
-// reads what this one writes. The one difference is the snapshot's
-// "identities" field, which the fold no longer keeps: this code's
-// snapshot is the parent's with that field cut out, every other byte
-// equal.
+// reads what this one writes. The differences are two snapshot fields.
+// The state's "identities", which the fold no longer keeps, is cut out,
+// and the envelope's "cover", which the parent ignores, names the first
+// segment the snapshot does not cover (4, the one opened after it):
+// every other byte equal.
 func TestWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir)
 	got, want := dirFiles(t, dir), dirFiles(t, parentFixture)
-	want[snapshotFile] = withoutIdentities(t, want[snapshotFile])
+	want[snapshotFile] = withCover(t, withoutIdentities(t, want[snapshotFile]), 4)
 	for name, w := range want {
 		g, ok := got[name]
 		if !ok {
@@ -286,4 +287,16 @@ func withoutIdentities(t *testing.T, file []byte) []byte {
 		t.Fatalf("parent snapshot holds its identities field %d times", bytes.Count(frames[0], field))
 	}
 	return appendFrame(nil, bytes.Replace(frames[0], field, nil, 1))
+}
+
+// withCover returns a snapshot file re-framed with the envelope's cover
+// field appended after its state.
+func withCover(t *testing.T, file []byte, cover int) []byte {
+	t.Helper()
+	frames, err := parseFrames(file)
+	if err != nil || len(frames) != 1 || !bytes.HasSuffix(frames[0], []byte("}}")) {
+		t.Fatalf("snapshot: %d frames, err %v; want one envelope", len(frames), err)
+	}
+	payload := frames[0][:len(frames[0])-1]
+	return appendFrame(nil, fmt.Appendf(bytes.Clone(payload), `,"cover":%d}`, cover))
 }

@@ -21,29 +21,38 @@ const snapshotVersion = 1
 const snapshotFile = "snapshot.json"
 
 // snapshot is the envelope persisted as the snapshot file's single
-// frame: the folded state plus the schema version that folded it.
-// appendSnapshot writes it; readers decode it with encoding/json.
+// frame: the folded state plus the schema version that folded it, and the
+// index of the first segment the state does not cover. Segments below
+// Cover are folded into State already: a crash between the snapshot's
+// rename and their unlinks leaves them on disk, and readers skip them. A
+// snapshot without the field (older builds, which unlink every segment
+// first and ignore it on read) covers none. appendSnapshot writes it;
+// readers decode it with encoding/json.
 type snapshot struct {
 	Version int    `json:"version"`
 	State   *State `json:"state"`
+	Cover   int    `json:"cover,omitempty"`
 }
 
 // writeSnapshot atomically and durably replaces the snapshot file with
-// the framed envelope of st, byte for byte sealFrame(appendSnapshot(...)),
-// streamed through w (see snapStream.writeFrame): it goes to a temp file,
-// is fsynced, and renamed into place, and then the directory is fsynced so
-// the rename itself is on disk — the caller deletes the log this snapshot
-// covers next, and a power cut must not keep those unlinks while losing
-// the rename. A crash anywhere in between leaves either the old snapshot
-// or the new one, never a half-written hybrid — and the frame checksum
-// catches the rename-raced remainder case.
-func writeSnapshot(dir string, st *State, w *snapStream) error {
+// the framed envelope of st covering the segments below cover, byte for
+// byte sealFrame(encodeSnapshot(...)), streamed through w (see
+// snapStream.writeFrame): it goes to a temp file, is fsynced, and renamed
+// into place, and then the directory is fsynced so the rename itself is on
+// disk — the caller deletes the log this snapshot covers next, and a power
+// cut must not keep those unlinks while losing the rename. A crash
+// anywhere in between leaves either the old snapshot or the new one, never
+// a half-written hybrid — and the frame checksum catches the rename-raced
+// remainder case. A crash after the rename, before the unlinks, leaves
+// covered segments beside the new snapshot, which readers skip by its
+// cover.
+func writeSnapshot(dir string, st *State, cover int, w *snapStream) error {
 	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := w.writeFrame(f, st); err != nil {
+	if err := w.writeFrame(f, st, cover); err != nil {
 		f.Close()
 		return err
 	}
@@ -83,10 +92,11 @@ type snapStream struct {
 	err error
 }
 
-// writeFrame writes st's snapshot frame to f, which is empty: a header
+// writeFrame writes the frame of st's snapshot covering the segments
+// below cover to f, which is empty: a header
 // placeholder, the payload a chunk at a time, each chunk folded into the
 // checksum as it goes out, and then the header itself at offset 0.
-func (w *snapStream) writeFrame(f *os.File, st *State) error {
+func (w *snapStream) writeFrame(f *os.File, st *State, cover int) error {
 	if w.buf == nil {
 		w.buf = make([]byte, 0, snapChunk+snapRoom)
 	}
@@ -95,7 +105,7 @@ func (w *snapStream) writeFrame(f *os.File, st *State) error {
 		return err
 	}
 	w.f, w.sum, w.n, w.err = f, 0, 0, nil
-	buf := encodeSnapshot(w.buf[:0], st, &w.keys, w.spill)
+	buf := encodeSnapshot(w.buf[:0], st, cover, &w.keys, w.spill)
 	w.buf = w.spill(buf)
 	w.f = nil
 	if w.err != nil {
@@ -130,31 +140,35 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// readSnapshot loads the snapshot file if present. A missing file means
-// "no snapshot yet" (nil, nil); a present-but-damaged or version-skewed
-// file is an error — the snapshot is the fold's foundation, and unlike a
-// log tail there is no safe prefix to salvage.
-func readSnapshot(dir string) (*State, error) {
+// readSnapshot loads the snapshot file if present, with the index of the
+// first segment it does not cover. A missing file means "no snapshot yet"
+// (nil, 0, nil); a present-but-damaged or version-skewed file is an error
+// — the snapshot is the fold's foundation, and unlike a log tail there is
+// no safe prefix to salvage.
+func readSnapshot(dir string) (*State, int, error) {
 	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	frames, err := parseFrames(data)
 	if err != nil || len(frames) != 1 {
-		return nil, fmt.Errorf("%w: snapshot: bad frame", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: snapshot: bad frame", ErrCorrupt)
 	}
 	var snap snapshot
 	if err := json.Unmarshal(frames[0], &snap); err != nil {
-		return nil, fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: snapshot: %v", ErrCorrupt, err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("durable: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
+		return nil, 0, fmt.Errorf("durable: snapshot version %d, this build reads %d", snap.Version, snapshotVersion)
 	}
 	if snap.State == nil {
-		return nil, fmt.Errorf("%w: snapshot: empty state", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: snapshot: empty state", ErrCorrupt)
+	}
+	if snap.Cover < 0 {
+		return nil, 0, fmt.Errorf("%w: snapshot: cover %d", ErrCorrupt, snap.Cover)
 	}
 	// Maps inside a decoded State may be nil when empty; normalize so
 	// Apply can fold into them directly.
@@ -167,5 +181,5 @@ func readSnapshot(dir string) (*State, error) {
 	if snap.State.Swaps == nil {
 		snap.State.Swaps = make(map[string]SwapState)
 	}
-	return snap.State, nil
+	return snap.State, snap.Cover, nil
 }

@@ -45,7 +45,7 @@ func logFiles(t *testing.T, dir string) map[string][]byte {
 
 // TestSnapshotStreams: a snapshot is written through a buffer of fixed
 // size, not built whole in memory. The file it writes is the one frame
-// appendSnapshot specifies, byte for byte, across many chunks; a snapshot
+// encodeSnapshot specifies (with its cover), byte for byte, across many chunks; a snapshot
 // that fails leaves the log it would have replaced, latched and whole;
 // and snapshotting a fold of a megabyte or more allocates a fraction of
 // it.
@@ -64,7 +64,7 @@ func TestSnapshotStreams(t *testing.T) {
 			t.Fatalf("Snapshot: %v", err)
 		}
 		var ks keyScratch
-		want := appendSnapshot(make([]byte, frameHeader), s.live, &ks)
+		want := encodeSnapshot(make([]byte, frameHeader), s.live, s.segIdx, &ks, nil)
 		sealFrame(want)
 		got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 		if err != nil {

@@ -101,8 +101,9 @@ func (se *sealEvent) Fire() {
 }
 
 // Open opens (or initializes) a store directory: the snapshot is loaded
-// if present, every segment is parsed — torn tail tolerated only at the
-// very end, and truncated away there — and the fold is rebuilt. The
+// if present, every segment it does not cover is parsed — torn tail
+// tolerated only at the very end, and truncated away there — and the fold
+// is rebuilt. The
 // returned store is ready to be handed to an engine as Config.Store, or
 // resolved for recovery.
 func Open(opts Options) (*Store, error) {
@@ -114,7 +115,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{opts: opts}
 
-	live, err := readSnapshot(opts.Dir)
+	live, cover, err := readSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -125,10 +126,13 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.live = live
 
-	names, err := segmentNames(opts.Dir)
+	all, err := segmentNames(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
+	// Segments the snapshot covers are in live already: a crash after its
+	// rename left them unlinked or not.
+	names := uncovered(all, cover)
 	for i, name := range names {
 		path := filepath.Join(opts.Dir, name)
 		data, err := os.ReadFile(path)
@@ -178,8 +182,9 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
-	// Resume appending to a fresh segment after the existing ones.
-	next := 0
+	// Resume appending to a fresh segment after the existing ones, and
+	// never below the cover, where the next Open would skip it.
+	next := cover
 	if n := len(names); n > 0 {
 		last, _ := segmentIndex(names[n-1])
 		next = last + 1
@@ -355,28 +360,39 @@ func (s *Store) Snapshot() error {
 	return s.err
 }
 
-// snapshotLocked persists the live fold as the new snapshot, deletes
-// every segment, drops the pending frames (the snapshot covers them) and
-// starts a fresh segment. writeSnapshot returns only once the new file is
-// durable under its final name, so the log it replaces is never unlinked
-// ahead of it. Caller holds s.mu.
+// snapshotLocked persists the live fold as the new snapshot, covering
+// every segment up to the active one, deletes them, drops the pending
+// frames (the snapshot covers them) and starts a fresh segment.
+// writeSnapshot returns only once the new file is durable under its final
+// name, so the log it replaces is never unlinked ahead of it. Caller holds
+// s.mu.
 func (s *Store) snapshotLocked() error {
-	if err := writeSnapshot(s.opts.Dir, s.live, &s.snap); err != nil {
+	cover := s.segIdx + 1
+	if err := writeSnapshot(s.opts.Dir, s.live, cover, &s.snap); err != nil {
 		// The log keeps the frames the snapshot failed to cover.
 		return errors.Join(err, s.sealLocked())
 	}
 	s.pending = s.pending[:0]
 	s.sinceSnap = 0
-	names, err := segmentNames(s.opts.Dir)
+	if err := dropCovered(s.opts.Dir, cover); err != nil {
+		return err
+	}
+	return s.openSegment(cover)
+}
+
+// dropCovered unlinks the segments of dir below cover, which a durable
+// snapshot covers.
+func dropCovered(dir string, cover int) error {
+	names, err := segmentNames(dir)
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		if err := os.Remove(filepath.Join(s.opts.Dir, name)); err != nil {
+	for _, name := range names[:len(names)-len(uncovered(names, cover))] {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			return err
 		}
 	}
-	return s.openSegment(s.segIdx + 1)
+	return nil
 }
 
 // closedState returns a closed store's fold itself, not a clone: the
@@ -392,8 +408,8 @@ func (s *Store) closedState() *State {
 
 // ResolvedState returns an independent fold of the log, filtered to
 // events stamped at or before cut when cut > 0. With a cut, the fold is
-// read back from the directory — the snapshot file, then every segment,
-// then the frames not yet sealed — since the store keeps no in-memory copy
+// read back from the directory — the snapshot file, then every segment it
+// does not cover, then the frames not yet sealed — since the store keeps no in-memory copy
 // of any of it. It must find snapshot-free history (the crash-scenario
 // mode — see Options.SnapshotEvery); a snapshot may already bake in
 // post-cut events, which is unrecoverable, so that combination errors.
@@ -408,7 +424,7 @@ func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 		// live fold may no longer agree with.
 		return nil, s.err
 	}
-	st, err := readSnapshot(s.opts.Dir)
+	st, cover, err := readSnapshot(s.opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -434,6 +450,7 @@ func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	names = uncovered(names, cover)
 	for i, name := range names {
 		data, err := os.ReadFile(filepath.Join(s.opts.Dir, name))
 		if err != nil {
@@ -539,6 +556,18 @@ func segmentNames(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// uncovered returns the names, in index order, from the first whose index
+// is cover or more: the segments a snapshot covering those below cover
+// leaves to fold.
+func uncovered(names []string, cover int) []string {
+	for i, name := range names {
+		if idx, _ := segmentIndex(name); idx >= cover {
+			return names[i:]
+		}
+	}
+	return nil
 }
 
 // segmentIndex parses wal-%08d.seg names; ok is false for other files.
