@@ -124,7 +124,7 @@ func checkFlags(f flagValues) error {
 
 // runOpenLoop streams an open-loop load into the started engine and
 // reports, mirroring the closed-loop tail of main.
-func runOpenLoop(eng *engine.Engine, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
+func runOpenLoop(eng *engine.Engine, wal *durable.Store, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	rep, err := loadgen.Drive(ctx, eng, lcfg)
@@ -143,20 +143,25 @@ func runOpenLoop(eng *engine.Engine, lcfg loadgen.Config, timeout time.Duration,
 		fmt.Printf("intake: %d offered, %d submitted, %d shed, %d refused, conservation verified\n\n",
 			rep.Load.Offered, rep.Load.Submitted, rep.Load.Shed, rep.Load.Refused)
 		fmt.Println(rep.Throughput)
-		printDispatch(eng)
+		printDispatch(eng, wal)
 	}
 }
 
 // printDispatch closes the report with where the work ran: what a striped
 // scheduler did with its batches (how many it ran alone, how often it sent
-// for help), and how many signatures were presigned on a spare core.
-// Each line is printed only when there is something to report.
-func printDispatch(eng *engine.Engine) {
+// for help), how many signatures were presigned on a spare core, and what
+// the WAL's worker folded and snapshotted off the dispatcher (with
+// -data-dir). Each line is printed only when there is something to
+// report.
+func printDispatch(eng *engine.Engine, wal *durable.Store) {
 	if st := eng.Scheduler().(*sched.Virtual).Stats(); st.Batches > 0 {
 		fmt.Println(st)
 	}
 	if st := eng.Keyring().SignStats(); st.Signs > 0 {
 		fmt.Println(st)
+	}
+	if wal != nil {
+		fmt.Println(wal.Stats())
 	}
 }
 
@@ -165,25 +170,25 @@ func printDispatch(eng *engine.Engine) {
 // into it. Either way the engine keeps appending, so the next
 // kill-and-restart recovers again. Every shard logs into the one WAL, and
 // recovery re-partitions the folded state onto the (possibly different)
-// shard count of this run.
-func durableEngine(cfg engine.Config, dir string) (*engine.Engine, error) {
+// shard count of this run. The store it logs into is returned beside it.
+func durableEngine(cfg engine.Config, dir string) (*engine.Engine, *durable.Store, error) {
 	opts := durable.RecoverOptions{Dir: dir, Attach: true, SnapshotEvery: snapshotEvery}
 	eng, rec, err := durable.Recover(cfg, opts)
 	if err == nil {
 		fmt.Fprintf(os.Stderr,
 			"recovered %s: %d events replayed, %d orders resumed, %d refunded, resuming at tick %d (%.1fms)\n",
 			dir, rec.Events, rec.Resumed, rec.Refunded, rec.Tick, rec.WallMs)
-		return eng, nil
+		return eng, rec.Store, nil
 	}
 	if !errors.Is(err, durable.ErrNoState) {
-		return nil, err
+		return nil, nil, err
 	}
 	store, err := durable.Open(durable.Options{Dir: dir, SnapshotEvery: snapshotEvery})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.Store = store
-	return engine.New(cfg), nil
+	return engine.New(cfg), store, nil
 }
 
 func main() {
@@ -245,11 +250,12 @@ func main() {
 		Shards: *shards,
 	}
 	var eng *engine.Engine
+	var wal *durable.Store
 	if *dataDir == "" {
 		eng = engine.New(cfg)
 	} else {
 		var err error
-		if eng, err = durableEngine(cfg, *dataDir); err != nil {
+		if eng, wal, err = durableEngine(cfg, *dataDir); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -262,7 +268,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runOpenLoop(eng, loadgen.Config{
+		runOpenLoop(eng, wal, loadgen.Config{
 			Offers:      *offers,
 			RingMin:     ringMin,
 			RingMax:     ringMax,
@@ -340,7 +346,7 @@ func main() {
 	fmt.Printf("load: %d offers submitted (%d refused at intake), %s verified\n\n",
 		submitted, rejected, auditName)
 	fmt.Println(rep)
-	printDispatch(eng)
+	printDispatch(eng, wal)
 	if rep.SwapsFailed > 0 {
 		os.Exit(1)
 	}

@@ -16,8 +16,11 @@ import (
 // has grown, encoding events, framing them into it and sealing them to
 // the segment in one write allocates nothing, whatever the kind. What
 // Append allocates beyond that is the fold's, measured here on a fresh key
-// per run: a new asset's "chain/asset" key, and nothing else. An order or
-// a swap is stored by value in its map, and an asset's record is cut from
+// per run, each Append followed by a drain so that the worker's fold of
+// the event is counted with it: a new asset's "chain/asset" key, and
+// nothing else. The chunk the event is copied into and the hand-off to the
+// worker allocate nothing once the first chunk is made. An order or a
+// swap is stored by value in its map, and an asset's record is cut from
 // the store's slab, so only the maps' and the slab's growth allocate, and
 // that is far below one object a run.
 func TestAppendAllocs(t *testing.T) {
@@ -54,8 +57,9 @@ func TestAppendAllocs(t *testing.T) {
 		t.Errorf("measured %d event kinds, want all 13", len(seen))
 	}
 
-	// The whole Append, every run a key the fold has not seen: the
-	// entry the fold inserts, plus what it copies out of the event.
+	// The whole Append and its fold, every run a key the fold has not
+	// seen: the entry the fold inserts, plus what it copies out of the
+	// event.
 	for _, tc := range []struct {
 		name string
 		ev   func(n int) engine.Event
@@ -83,6 +87,7 @@ func TestAppendAllocs(t *testing.T) {
 		n := 0 // AllocsPerRun calls once to warm up, then runs times
 		got := testing.AllocsPerRun(len(swapTags)-1, func() {
 			s.Append(tc.ev(n))
+			drain(s)
 			n++
 		})
 		if got != tc.want {

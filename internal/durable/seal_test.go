@@ -16,6 +16,15 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
+// drain waits until s's worker has folded every event appended to s so
+// far, and written every snapshot handed to it: from then until the next
+// append, the test may read s.live.
+func drain(s *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drainLocked()
+}
+
 // segmentBytes is the size of the store's active segment file on disk.
 func segmentBytes(t *testing.T, s *Store) int64 {
 	t.Helper()
@@ -288,6 +297,7 @@ func TestRotationLatchesSyncFailure(t *testing.T) {
 		t.Fatal("a rotation whose fsync failed latched no error")
 	}
 	s.Append(events[1])
+	drain(s)
 	if s.segIdx != idx || s.live.Events != 1 {
 		t.Errorf("after the latched failure: segment %d (was %d), %d events folded; want no rotation and 1 event", s.segIdx, idx, s.live.Events)
 	}
@@ -327,6 +337,7 @@ func TestTickSealLatchesWriteFailure(t *testing.T) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if s.live.Events != 2 || len(s.pending) != 0 {
 		t.Errorf("after the failed seal: %d events folded, %d bytes pending; want 2 and 0", s.live.Events, len(s.pending))
 	}

@@ -45,8 +45,9 @@ type snapshot struct {
 // a half-written hybrid — and the frame checksum catches the rename-raced
 // remainder case. A crash after the rename, before the unlinks, leaves
 // covered segments beside the new snapshot, which readers skip by its
-// cover.
-func writeSnapshot(dir string, st *State, cover int, w *snapStream) error {
+// cover. step is called after the fsync, the rename and the directory
+// fsync, each a point where a crash leaves a different directory.
+func writeSnapshot(dir string, st *State, cover int, w *snapStream, step func(point string)) error {
 	tmp := filepath.Join(dir, snapshotFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -63,10 +64,16 @@ func writeSnapshot(dir string, st *State, cover int, w *snapStream) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
+	step("fsync")
 	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	step("rename")
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	step("dirsync")
+	return nil
 }
 
 // snapChunk is the streamed snapshot's write size: the encoder hands its

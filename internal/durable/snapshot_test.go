@@ -21,6 +21,7 @@ func bigFold(t *testing.T, s *Store, swaps int) int {
 	if err := s.Err(); err != nil {
 		t.Fatalf("store latched %v", err)
 	}
+	drain(s)
 	var ks keyScratch
 	return frameHeader + len(appendSnapshot(nil, s.live, &ks))
 }

@@ -23,10 +23,13 @@ type Options struct {
 	// size (default 1 MiB).
 	SegmentBytes int
 	// SnapshotEvery, when positive, writes a snapshot and truncates the
-	// log every that-many appended events. 0 disables automatic
-	// snapshots — the crash-scenario configuration, where a cut-tick
-	// replay needs the raw event stream (a snapshot bakes in every event
-	// it covers, including ones stamped after the cut).
+	// log every that-many appended events. The Append that reaches the
+	// count rotates the segment (sealing and fsyncing it) and hands the
+	// snapshot to the store's worker, which writes it and unlinks the
+	// segments it covers while appends go on into the next segment. 0
+	// disables automatic snapshots — the crash-scenario configuration,
+	// where a cut-tick replay needs the raw event stream (a snapshot bakes
+	// in every event it covers, including ones stamped after the cut).
 	SnapshotEvery int
 }
 
@@ -42,9 +45,17 @@ type Options struct {
 // same bytes either way, and a crash cuts the log at a seal: a tick's end,
 // or a rotation or snapshot inside one.
 //
+// The fold and the automatic snapshots are the store's worker's: Append
+// also copies the event into a chunk, and hands each full chunk, and the
+// chunk a snapshot ends, to a goroutine the store starts, which folds them
+// in order and writes the snapshots. Every reader of the fold —
+// ResolvedState, AttachResolved, Snapshot, Close and SealOn(nil) — first
+// waits for the worker to fold all that was appended.
+//
 // Append never returns an error (the engine has no useful response to a
 // failed append mid-flight); the first write failure latches, later
-// appends become no-ops, and Err/Close surface it.
+// appends become no-ops, and Err/Close surface it. A snapshot the worker
+// fails to write latches too, at the next hand-off or wait.
 type Store struct {
 	mu   sync.Mutex
 	opts Options
@@ -53,13 +64,20 @@ type Store struct {
 	segIdx  int      // its index (wal-%08d.seg)
 	segSize int      // bytes framed into it, sealed or pending
 
-	// live is the fold of everything appended so far: the snapshot file
-	// folded with the segments and the pending frames. It is the one copy
-	// kept in memory; the one reader that needs the fold of less than all
-	// of it (ResolvedState with a cut) reads the directory back.
+	// live is the fold of everything handed to the worker: the snapshot
+	// file folded with the segments and the pending frames, once the
+	// worker has drained. It is the one copy kept in memory; the one
+	// reader that needs the fold of less than all of it (ResolvedState
+	// with a cut) reads the directory back. live, slab and snap are the
+	// worker's, and a caller's only while holding mu after drainLocked.
 	live    *State
 	slab    assetSlab // the records of live's new assets
 	hasData bool
+
+	// cur is the chunk Append copies events into until it hands it over;
+	// w is the worker that folds them.
+	cur *chunk
+	w   worker
 
 	// pending is every frame appended since the last seal, each a header
 	// followed by the payload appendEvent encodes in place; its backing
@@ -305,8 +323,11 @@ func (s *Store) latch(err error) {
 // frame pending, and the first append of a tick queues one seal at
 // sched.TopLevel of that tick, after every other level. A nil v unbinds,
 // and every append seals at once again. Frames already pending are sealed
-// now, so none waits on a scheduler the store no longer watches.
-// engine.New binds the store it is configured with.
+// now, so none waits on a scheduler the store no longer watches, and an
+// unbinding also waits for the worker to fold every event and finish
+// every snapshot: the directory is then all the store will make of what
+// was appended. engine.New binds the store it is configured with, and
+// Engine.Stop unbinds it.
 func (s *Store) SealOn(v *sched.Virtual) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,14 +335,21 @@ func (s *Store) SealOn(v *sched.Virtual) {
 	s.seal, s.queued = nil, false
 	if v != nil {
 		s.seal = &sealEvent{s: s, v: v}
+	} else {
+		s.drainLocked()
 	}
 }
 
 // Append implements engine.Store: frame the event into the pending buffer,
-// fold it into the live state, rotate the segment if full or snapshot if
-// due, and see the frame sealed (see commitLocked). After Close (the crash
+// copy it into the worker's next chunk, rotate the segment if full, and
+// see the frame sealed (see commitLocked). A full chunk goes to the
+// worker; when a snapshot is due, the segment rotates (sealed and fsynced,
+// so that nothing reaches the next segment before this one is durable)
+// and the chunk goes to the worker to be folded and written as a snapshot
+// covering every segment before the new one. After Close (the crash
 // model's "power is off") or a latched error it is a no-op. The fold keeps
-// ev's slices (see State.Apply): the caller does not change them after.
+// ev's slices and its offer (see State.Apply), later, on the worker: the
+// caller does not change them after.
 func (s *Store) Append(ev engine.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,7 +357,10 @@ func (s *Store) Append(ev engine.Event) {
 		return
 	}
 	s.frameEvent(&ev)
-	s.live.apply(&ev, &s.slab)
+	if s.cur == nil {
+		s.cur = s.nextChunk()
+	}
+	s.cur.events = append(s.cur.events, ev)
 	s.hasData = true
 	s.sinceSnap++
 
@@ -339,21 +370,31 @@ func (s *Store) Append(ev engine.Event) {
 		}
 	}
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-		if s.err = s.snapshotLocked(); s.err != nil {
-			return
+		// A size rotation may just have left the active segment empty:
+		// the snapshot covers the segments before it, then.
+		if s.segSize > len(walMagic) {
+			if s.err = s.rotate(); s.err != nil {
+				return
+			}
 		}
+		s.sinceSnap = 0
+		s.handOffLocked(s.segIdx, false)
+	} else if len(s.cur.events) == chunkEvents {
+		s.handOffLocked(0, false)
 	}
-	s.err = s.commitLocked()
+	s.latch(s.commitLocked())
 }
 
-// Snapshot forces a snapshot + log truncation now. A failure latches,
-// as it does when an Append snapshots.
+// Snapshot forces a snapshot + log truncation now, on the caller's
+// goroutine once the worker has drained. A failure latches, as it does
+// when the worker snapshots.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: store closed")
 	}
+	s.drainLocked()
 	if s.err == nil {
 		s.err = s.snapshotLocked()
 	}
@@ -365,34 +406,19 @@ func (s *Store) Snapshot() error {
 // frames (the snapshot covers them) and starts a fresh segment.
 // writeSnapshot returns only once the new file is durable under its final
 // name, so the log it replaces is never unlinked ahead of it. Caller holds
-// s.mu.
+// s.mu and has drained the worker.
 func (s *Store) snapshotLocked() error {
 	cover := s.segIdx + 1
-	if err := writeSnapshot(s.opts.Dir, s.live, cover, &s.snap); err != nil {
+	if err := s.writeSnapshot(cover); err != nil {
 		// The log keeps the frames the snapshot failed to cover.
 		return errors.Join(err, s.sealLocked())
 	}
 	s.pending = s.pending[:0]
 	s.sinceSnap = 0
-	if err := dropCovered(s.opts.Dir, cover); err != nil {
+	if err := s.dropCovered(cover); err != nil {
 		return err
 	}
 	return s.openSegment(cover)
-}
-
-// dropCovered unlinks the segments of dir below cover, which a durable
-// snapshot covers.
-func dropCovered(dir string, cover int) error {
-	names, err := segmentNames(dir)
-	if err != nil {
-		return err
-	}
-	for _, name := range names[:len(names)-len(uncovered(names, cover))] {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // closedState returns a closed store's fold itself, not a clone: the
@@ -416,6 +442,7 @@ func (s *Store) closedState() *State {
 func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if cut <= 0 {
 		return s.live.Clone(), nil
 	}
@@ -486,6 +513,7 @@ func (s *Store) AttachResolved(st *State) error {
 	if s.closed {
 		return fmt.Errorf("durable: store closed")
 	}
+	s.drainLocked()
 	if s.err != nil {
 		return s.err
 	}
@@ -494,23 +522,28 @@ func (s *Store) AttachResolved(st *State) error {
 	return s.err
 }
 
-// Err reports the latched append error, if any.
+// Err reports the latched append error, if any, or the worker's, without
+// waiting for it.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.latch(s.w.failed())
 	return s.err
 }
 
-// Close seals, syncs and closes the active segment and latches the store
-// shut: every later Append is silently dropped, which is exactly the
-// crash model (a killed process's unflushed appends never happened).
-// Returns the first append error if one was latched.
+// Close waits for the worker to fold what was appended and finish its
+// snapshots, and stops it; then it seals, syncs and closes the active
+// segment and latches the store shut: every later Append is silently
+// dropped, which is exactly the crash model (a killed process's unflushed
+// appends never happened). Returns the first append error if one was
+// latched.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return s.err
 	}
+	s.stopLocked()
 	s.closed = true
 	if s.seg != nil {
 		s.latch(s.sealLocked())

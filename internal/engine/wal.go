@@ -112,7 +112,10 @@ type Event struct {
 // trails the engine by up to one tick: Order, Orders and Drain read the
 // engine off the timeline and can report a status whose frame is not yet
 // written, which a kill -9 before the seal takes back. Stop closes the
-// scheduler and then unbinds the store, which writes what is pending.
+// scheduler and then unbinds the store (SealOn(nil)), which writes what is
+// pending; durable.Store's unbinding also waits for its worker to fold
+// every event and finish every snapshot, so Stop returns with the store's
+// directory holding everything appended.
 type Store interface {
 	Append(ev Event)
 }
