@@ -121,9 +121,8 @@ func (se *sealEvent) Fire() {
 // Open opens (or initializes) a store directory: the snapshot is loaded
 // if present, every segment it does not cover is parsed — torn tail
 // tolerated only at the very end, and truncated away there — and the fold
-// is rebuilt. The
-// returned store is ready to be handed to an engine as Config.Store, or
-// resolved for recovery.
+// is rebuilt. The returned store is ready to be handed to an engine as
+// Config.Store, or resolved for recovery.
 func Open(opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
@@ -144,13 +143,13 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.live = live
 
-	all, err := segmentNames(opts.Dir)
+	names, err := segmentNames(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	// Segments the snapshot covers are in live already: a crash after its
 	// rename left them unlinked or not.
-	names := uncovered(all, cover)
+	names = uncovered(names, cover)
 	for i, name := range names {
 		path := filepath.Join(opts.Dir, name)
 		data, err := os.ReadFile(path)
@@ -433,12 +432,14 @@ func (s *Store) closedState() *State {
 }
 
 // ResolvedState returns an independent fold of the log, filtered to
-// events stamped at or before cut when cut > 0. With a cut, the fold is
-// read back from the directory — the snapshot file, then every segment it
-// does not cover, then the frames not yet sealed — since the store keeps no in-memory copy
-// of any of it. It must find snapshot-free history (the crash-scenario
-// mode — see Options.SnapshotEvery); a snapshot may already bake in
-// post-cut events, which is unrecoverable, so that combination errors.
+// events stamped at or before cut when cut > 0, once the worker has
+// folded everything appended. With a cut, the fold is read back from the
+// directory — the snapshot file, then every segment it does not cover,
+// then the frames not yet sealed — since the store keeps no in-memory
+// copy of any of it. It must find snapshot-free history (the
+// crash-scenario mode — see Options.SnapshotEvery); a snapshot may
+// already bake in post-cut events, which is unrecoverable, so that
+// combination errors.
 func (s *Store) ResolvedState(cut vtime.Ticks) (*State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

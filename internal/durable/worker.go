@@ -109,7 +109,9 @@ func (s *Store) Stats() Stats {
 
 // nextChunk returns an empty chunk for Append to fill: a folded one, a
 // new one while the store owns fewer than its quota, or else the next one
-// the worker folds, waited for. Caller holds s.mu.
+// the worker folds, waited for. Caller holds s.mu, and waits holding it:
+// the worker never takes it, and later appends must queue behind this one
+// to keep their order.
 func (s *Store) nextChunk() *chunk {
 	w := &s.w
 	select {
@@ -144,7 +146,7 @@ func (s *Store) handOffLocked(cover int, sync bool) {
 		w.queue = make(chan *chunk, queueChunks+2)
 		w.free = make(chan *chunk, queueChunks+2)
 		w.synced = make(chan struct{})
-		go s.work(w.queue)
+		go s.work(w.queue, w.free, w.synced)
 	}
 	w.queue <- c
 	s.latch(w.failed())
@@ -153,8 +155,9 @@ func (s *Store) handOffLocked(cover int, sync bool) {
 // drainLocked waits until the worker has folded every event appended so
 // far and written every snapshot handed to it. From then until the next
 // hand-off, live, its slab and the snapshot stream are the caller's, who
-// holds s.mu. A store whose worker never started and that holds no event
-// for it, or a closed one, has nothing to wait for.
+// holds s.mu, who waits holding it, as nextChunk does. A store whose
+// worker never started and that holds no event for it, or a closed one,
+// has nothing to wait for.
 func (s *Store) drainLocked() {
 	if s.w.queue == nil && (s.cur == nil || len(s.cur.events) == 0) {
 		return
@@ -164,13 +167,14 @@ func (s *Store) drainLocked() {
 	s.latch(s.w.failed())
 }
 
-// stopLocked drains the worker and lets its goroutine end. Caller holds
-// s.mu.
+// stopLocked drains the worker, waits for its goroutine to end and drops
+// the chunks, which a closed store never fills again. Caller holds s.mu.
 func (s *Store) stopLocked() {
 	s.drainLocked()
 	if s.w.queue != nil {
 		close(s.w.queue)
-		s.w.queue = nil
+		<-s.w.synced // closed as the worker returns
+		s.w.queue, s.w.free, s.w.synced, s.w.made = nil, nil, nil, 0
 	}
 }
 
@@ -182,10 +186,12 @@ func (w *worker) failed() error {
 }
 
 // work is the worker goroutine: fold each chunk into live, in hand-off
-// order, and write the snapshot a chunk ends in. A failed snapshot
-// latches, leaving the log it would have replaced whole, and the fold
-// goes on.
-func (s *Store) work(queue <-chan *chunk) {
+// order, and write the snapshot a chunk ends in; hand each chunk back on
+// free, and signal synced after a sync chunk and, closing it, on return.
+// A failed snapshot latches, leaving the log it would have replaced whole,
+// and the fold goes on.
+func (s *Store) work(queue <-chan *chunk, free chan<- *chunk, synced chan<- struct{}) {
+	defer close(synced)
 	w := &s.w
 	for c := range queue {
 		begin := time.Now()
@@ -213,9 +219,9 @@ func (s *Store) work(queue <-chan *chunk) {
 		}
 		w.mu.Unlock()
 		sync := c.sync
-		w.free <- c
+		free <- c
 		if sync {
-			w.synced <- struct{}{}
+			synced <- struct{}{}
 		}
 	}
 }
@@ -242,7 +248,10 @@ func (s *Store) dropCovered(cover int) error {
 	if err != nil {
 		return err
 	}
-	for _, name := range names[:len(names)-len(uncovered(names, cover))] {
+	for _, name := range names {
+		if idx, _ := segmentIndex(name); idx >= cover {
+			break
+		}
 		if err := os.Remove(filepath.Join(s.opts.Dir, name)); err != nil {
 			return err
 		}

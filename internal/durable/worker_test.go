@@ -147,7 +147,7 @@ func TestStoreStats(t *testing.T) {
 	if got.Snapshots != want.Snapshots || got.SnapshotBytes != want.SnapshotBytes || got.Chunks != want.Chunks {
 		t.Errorf("Stats = %v; want %d snapshots, %d bytes, %d chunks", got, want.Snapshots, want.SnapshotBytes, want.Chunks)
 	}
-	if got.Busy <= 0 || got.Waited > uint64(len(events)) || (got.Waited == 0) != (got.WaitTime == 0) {
+	if got.Busy <= 0 || (got.Waited == 0) != (got.WaitTime == 0) {
 		t.Errorf("Stats = %v: want busy time, and a wait time only with waits", got)
 	}
 
@@ -184,6 +184,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	}
 	var inAppend, slowest time.Duration
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(Options{Dir: b.TempDir(), SnapshotEvery: 4096})
 		if err != nil {
