@@ -26,8 +26,8 @@ const queueChunks = 4
 // order. A positive cover makes it a snapshot chunk: it ends where the
 // dispatcher rotated to segment cover, and once it is folded the worker
 // writes the fold as a snapshot covering the segments below cover. A sync
-// chunk is a drain: the worker reports on Store.synced once it has folded
-// it, and everything before it.
+// chunk is a drain: the worker reports on worker.synced once it has
+// folded it, and everything before it.
 type chunk struct {
 	events []engine.Event
 	cover  int
@@ -39,7 +39,7 @@ type chunk struct {
 type worker struct {
 	queue  chan *chunk   // nil until the first hand-off starts the goroutine
 	free   chan *chunk   // folded chunks, for Append to fill again
-	synced chan struct{} // one receive per sync chunk
+	synced chan struct{} // one send per sync chunk; closed as the goroutine returns
 	made   int           // chunks allocated (by Append, under Store.mu)
 
 	// Append's waits for a free chunk (under Store.mu).
