@@ -163,8 +163,19 @@ func encodeSnapshot(buf []byte, st *State, cover int, ks *keyScratch, spill func
 	buf = strconv.AppendInt(buf, snapshotVersion, 10)
 	buf = append(buf, `,"state":`...)
 	if st == nil {
-		return append(buf, `null}`...)
+		buf = append(buf, `null`...)
+	} else {
+		buf = encodeState(buf, st, ks, spill)
 	}
+	if cover > 0 {
+		buf = append(buf, `,"cover":`...)
+		buf = strconv.AppendInt(buf, int64(cover), 10)
+	}
+	return append(buf, '}')
+}
+
+// encodeState appends st, as encodeSnapshot does inside the envelope.
+func encodeState(buf []byte, st *State, ks *keyScratch, spill func([]byte) []byte) []byte {
 	sep := byte('{')
 	if len(st.Assets) > 0 {
 		buf = appendField(buf, &sep, `"assets":`)
@@ -215,11 +226,6 @@ func encodeSnapshot(buf []byte, st *State, cover int, ks *keyScratch, spill func
 	buf = strconv.AppendInt(buf, int64(st.MaxTick), 10)
 	buf = append(buf, `,"events":`...)
 	buf = strconv.AppendInt(buf, int64(st.Events), 10)
-	buf = append(buf, '}')
-	if cover > 0 {
-		buf = append(buf, `,"cover":`...)
-		buf = strconv.AppendInt(buf, int64(cover), 10)
-	}
 	return append(buf, '}')
 }
 

@@ -411,3 +411,22 @@ func TestAppendSnapshotMatchesJSON(t *testing.T) {
 	check("all fields set", all.Interface().(*State))
 	check("fixture fold", fixtureFold())
 }
+
+// TestSnapshotCoverMatchesJSON extends the snapshot encoder's
+// differential test to the envelope's cover field: json.Marshal of the
+// envelope with a cover, on an empty, a nil and a real fold, is what
+// encodeSnapshot writes, and a zero cover is no field at all.
+func TestSnapshotCoverMatchesJSON(t *testing.T) {
+	var ks keyScratch
+	for _, st := range []*State{nil, NewState(), fixtureFold()} {
+		for _, cover := range []int{0, 1, 4, 10, math.MaxInt32} {
+			want, err := json.Marshal(snapshot{Version: snapshotVersion, State: st, Cover: cover})
+			if err != nil {
+				t.Fatalf("json.Marshal: %v", err)
+			}
+			if got := encodeSnapshot(nil, st, cover, &ks, nil); !bytes.Equal(got, want) {
+				t.Errorf("cover %d: encodeSnapshot and json.Marshal disagree\n got %s\nwant %s", cover, got, want)
+			}
+		}
+	}
+}
