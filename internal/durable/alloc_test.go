@@ -108,10 +108,12 @@ var swapTags = func() []string {
 	return tags
 }()
 
-// durableRing3AllocCeiling is the 30 heap objects (identical run to run,
-// and at GOMAXPROCS 1, 2 and 4) one ring-3 swap costs end to end over a
-// real Store — a single-leader component, so classic HTLCs; 19 appends
-// sealed once a tick, a snapshot every 512; go1.24 linux/amd64,
+// durableRing3AllocCeiling is the 30 heap objects (29.7–29.95 run to run,
+// and at GOMAXPROCS 1, 2 and 4: the store's worker makes its chunks and
+// channels as it needs them, and how far it lags varies) one ring-3 swap
+// costs end to end over a real Store — a single-leader component, so
+// classic HTLCs; 19 appends sealed once a tick, a snapshot every 512,
+// folded and written on the store's worker; go1.24 linux/amd64,
 // deterministic scheduler — plus 5 %: internal/engine's
 // TestAllocationBudget ring-3 row with the WAL in the path. (With every
 // order, HTLC and swap tag a heap object of its own, the same ring

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/go-atomicswap/atomicswap/internal/engine"
@@ -604,14 +606,22 @@ func uncovered(names []string, cover int) []string {
 	return nil
 }
 
-// segmentIndex parses wal-%08d.seg names; ok is false for other files.
+// segmentIndex parses wal-%08d.seg names, as openSegment spells them,
+// without allocating: at least eight digits, a leading zero only as
+// padding. ok is false for other files.
 func segmentIndex(name string) (int, bool) {
-	var idx int
-	if _, err := fmt.Sscanf(name, "wal-%08d.seg", &idx); err != nil {
+	digits, ok := strings.CutPrefix(name, "wal-")
+	if !ok {
 		return 0, false
 	}
-	if fmt.Sprintf("wal-%08d.seg", idx) != name {
+	if digits, ok = strings.CutSuffix(digits, ".seg"); !ok || len(digits) < 8 || (len(digits) > 8 && digits[0] == '0') {
 		return 0, false
 	}
-	return idx, true
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	idx, err := strconv.Atoi(digits)
+	return idx, err == nil
 }

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -45,4 +46,31 @@ func FuzzParseFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSegmentIndex: segment names parse back to the index openSegment
+// spelled them from, and nothing else parses: the reference is
+// fmt.Sprintf("wal-%08d.seg", idx).
+func TestSegmentIndex(t *testing.T) {
+	for _, idx := range []int{0, 1, 7, 42, 99999999, 100000000, 1234567890} {
+		name := fmt.Sprintf("wal-%08d.seg", idx)
+		if got, ok := segmentIndex(name); !ok || got != idx {
+			t.Errorf("segmentIndex(%q) = %d, %v; want %d, true", name, got, ok, idx)
+		}
+	}
+	for _, name := range []string{
+		"", "wal-.seg", "wal-0000001.seg", "wal-000000001.seg", "wal-+0000001.seg",
+		"wal--0000001.seg", "wal-0000000a.seg", "wal-00000001.seg.tmp", "wal-00000001",
+		"WAL-00000001.seg", "snapshot.json", "wal-99999999999999999999999.seg",
+	} {
+		if idx, ok := segmentIndex(name); ok {
+			t.Errorf("segmentIndex(%q) = %d, true; want not a segment", name, idx)
+		}
+	}
+	if raceEnabled {
+		return // the race detector allocates on the path being counted
+	}
+	if n := testing.AllocsPerRun(100, func() { segmentIndex("wal-00000042.seg") }); n != 0 {
+		t.Errorf("segmentIndex allocates %.0f objects, want 0", n)
+	}
 }
