@@ -15,12 +15,18 @@ import (
 // engine.Events are ≈ 120 KB), enough that a hand-off is rare.
 const chunkEvents = 512
 
-// queueChunks is how many full chunks may wait for the worker. The store
-// owns that many chunks plus the one Append fills and the one the worker
-// folds; an Append that needs a fresh chunk while all are taken waits for
-// the worker to free one. That is the back-pressure bounding both the
-// fold's lag and the chunks' memory.
+// queueChunks is how many full chunks may wait for the worker: 2 048
+// events, about what the durable workload appends while the worker writes
+// one snapshot, so the dispatcher seldom waits (with half that room it
+// waited enough to lose throughput). An Append that needs a fresh chunk
+// while all of a store's are taken waits for the worker to free one. That
+// is the back-pressure bounding both the fold's lag and the chunks'
+// memory.
 const queueChunks = 4
+
+// ownedChunks is how many chunks a store makes at most: the queue's, the
+// one Append fills and the one the worker folds.
+const ownedChunks = queueChunks + 2
 
 // chunk is a run of appended events on its way to the worker, in append
 // order. A positive cover makes it a snapshot chunk: it ends where the
@@ -119,7 +125,7 @@ func (s *Store) nextChunk() *chunk {
 		return c
 	default:
 	}
-	if w.made < queueChunks+2 {
+	if w.made < ownedChunks {
 		w.made++
 		return &chunk{events: make([]engine.Event, 0, chunkEvents)}
 	}
@@ -143,8 +149,8 @@ func (s *Store) handOffLocked(cover int, sync bool) {
 	c.cover, c.sync = cover, sync
 	if w.queue == nil {
 		// Room for every chunk the store owns: a send never blocks.
-		w.queue = make(chan *chunk, queueChunks+2)
-		w.free = make(chan *chunk, queueChunks+2)
+		w.queue = make(chan *chunk, ownedChunks)
+		w.free = make(chan *chunk, ownedChunks)
 		w.synced = make(chan struct{})
 		go s.work(w.queue, w.free, w.synced)
 	}
@@ -155,7 +161,7 @@ func (s *Store) handOffLocked(cover int, sync bool) {
 // drainLocked waits until the worker has folded every event appended so
 // far and written every snapshot handed to it. From then until the next
 // hand-off, live, its slab and the snapshot stream are the caller's, who
-// holds s.mu, who waits holding it, as nextChunk does. A store whose
+// holds s.mu (and waits holding it, as nextChunk does). A store whose
 // worker never started and that holds no event for it, or a closed one,
 // has nothing to wait for.
 func (s *Store) drainLocked() {
