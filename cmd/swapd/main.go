@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -66,7 +67,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
-	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -123,28 +123,29 @@ func checkFlags(f flagValues) error {
 }
 
 // runOpenLoop streams an open-loop load into the started engine and
-// reports, mirroring the closed-loop tail of main.
-func runOpenLoop(eng *engine.Engine, wal *durable.Store, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) {
+// reports, mirroring the closed-loop tail of run.
+func runOpenLoop(stdout io.Writer, eng *engine.Engine, wal *durable.Store, lcfg loadgen.Config, timeout time.Duration, jsonOut bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	rep, err := loadgen.Drive(ctx, eng, lcfg)
 	if err != nil {
-		log.Fatalf("open-loop run: %v", err)
+		return fmt.Errorf("open-loop run: %w", err)
 	}
 	if jsonOut {
 		b, err := json.Marshal(rep)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println(string(b))
-	} else {
-		fmt.Printf("open-loop load: %s arrivals at %.0f offers/sec over ticks [%d, %d]\n",
-			rep.Profile, rep.OfferedRate, rep.Load.FirstTick, rep.Load.LastTick)
-		fmt.Printf("intake: %d offered, %d submitted, %d shed, %d refused, conservation verified\n\n",
-			rep.Load.Offered, rep.Load.Submitted, rep.Load.Shed, rep.Load.Refused)
-		fmt.Println(rep.Throughput)
-		printDispatch(eng, wal)
+		fmt.Fprintln(stdout, string(b))
+		return nil
 	}
+	fmt.Fprintf(stdout, "open-loop load: %s arrivals at %.0f offers/sec over ticks [%d, %d]\n",
+		rep.Profile, rep.OfferedRate, rep.Load.FirstTick, rep.Load.LastTick)
+	fmt.Fprintf(stdout, "intake: %d offered, %d submitted, %d shed, %d refused, conservation verified\n\n",
+		rep.Load.Offered, rep.Load.Submitted, rep.Load.Shed, rep.Load.Refused)
+	fmt.Fprintln(stdout, rep.Throughput)
+	printDispatch(stdout, eng, wal)
+	return nil
 }
 
 // printDispatch closes the report with where the work ran: what a striped
@@ -153,15 +154,15 @@ func runOpenLoop(eng *engine.Engine, wal *durable.Store, lcfg loadgen.Config, ti
 // the WAL's worker folded and snapshotted off the dispatcher (with
 // -data-dir). Each line is printed only when there is something to
 // report.
-func printDispatch(eng *engine.Engine, wal *durable.Store) {
-	if st := eng.Scheduler().(*sched.Virtual).Stats(); st.Batches > 0 {
-		fmt.Println(st)
+func printDispatch(stdout io.Writer, eng *engine.Engine, wal *durable.Store) {
+	if st := eng.Scheduler().Stats(); st.Batches > 0 {
+		fmt.Fprintln(stdout, st)
 	}
 	if st := eng.Keyring().SignStats(); st.Signs > 0 {
-		fmt.Println(st)
+		fmt.Fprintln(stdout, st)
 	}
 	if wal != nil {
-		fmt.Println(wal.Stats())
+		fmt.Fprintln(stdout, wal.Stats())
 	}
 }
 
@@ -171,11 +172,11 @@ func printDispatch(eng *engine.Engine, wal *durable.Store) {
 // kill-and-restart recovers again. Every shard logs into the one WAL, and
 // recovery re-partitions the folded state onto the (possibly different)
 // shard count of this run. The store it logs into is returned beside it.
-func durableEngine(cfg engine.Config, dir string) (*engine.Engine, *durable.Store, error) {
+func durableEngine(stderr io.Writer, cfg engine.Config, dir string) (*engine.Engine, *durable.Store, error) {
 	opts := durable.RecoverOptions{Dir: dir, Attach: true, SnapshotEvery: snapshotEvery}
 	eng, rec, err := durable.Recover(cfg, opts)
 	if err == nil {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"recovered %s: %d events replayed, %d orders resumed, %d refunded, resuming at tick %d (%.1fms)\n",
 			dir, rec.Events, rec.Resumed, rec.Refunded, rec.Tick, rec.WallMs)
 		return eng, rec.Store, nil
@@ -192,34 +193,51 @@ func durableEngine(cfg engine.Config, dir string) (*engine.Engine, *durable.Stor
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is swapd on the given arguments and streams: it returns the exit
+// status, 0 for a clean run, 2 for flags that do not parse and 1 for any
+// other failure. Every error path returns rather than exits, so a
+// -data-dir store is closed on each once the engine has stopped, and a
+// failure to close it fails the run.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("swapd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	logger := log.New(stderr, "", log.LstdFlags)
 	var (
-		offers    = flag.Int("offers", 3000, "approximate number of offers to submit")
-		workers   = flag.Int("workers", 64, "dispatch helpers, and the live-swap gate at 16 per worker on either clock (engine Workers)")
-		adversary = flag.Float64("adversary", 0, "fraction of swaps given a silent leader")
-		conflicts = flag.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
-		tick      = flag.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
-		delta     = flag.Int("delta", 30, "per-swap delta in ticks")
-		vtimeMode = flag.Bool("vtime", false, "run on a free clock, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable) instead of one paced by the wall at -tick")
-		seed      = flag.Int64("seed", 1, "load-generation seed")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
-		timeout   = flag.Duration("timeout", 10*time.Minute, "drain deadline")
+		offers    = fs.Int("offers", 3000, "approximate number of offers to submit")
+		workers   = fs.Int("workers", 64, "dispatch helpers, and the live-swap gate at 16 per worker on either clock (engine Workers)")
+		adversary = fs.Float64("adversary", 0, "fraction of swaps given a silent leader")
+		conflicts = fs.Float64("conflicts", 0, "fraction of rings that re-spend an earlier asset")
+		tick      = fs.Duration("tick", 2*time.Millisecond, "wall duration of one virtual tick")
+		delta     = fs.Int("delta", 30, "per-swap delta in ticks")
+		vtimeMode = fs.Bool("vtime", false, "run on a free clock, striped over -workers (ticks advance as callbacks drain: CPU-bound and replayable) instead of one paced by the wall at -tick")
+		seed      = fs.Int64("seed", 1, "load-generation seed")
+		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
+		timeout   = fs.Duration("timeout", 10*time.Minute, "drain deadline")
 
-		arrivalRate = flag.Float64("arrival-rate", 0, "open-loop intake: average offered load in offers/sec (0 = closed-loop, book pre-loaded)")
-		profile     = flag.String("profile", "poisson", "arrival process for -arrival-rate: constant, poisson, burst[:n], ramp[:from:to]")
-		partyPool   = flag.Int("party-pool", 0, "open-loop: reuse this many ring-group identities (0 = fresh parties per ring)")
-		maxPending  = flag.Int("max-pending", 0, "open-loop shed threshold on the pending book (0 = default, negative = never shed)")
-		fairShed    = flag.Bool("fair-shed", false, "open-loop: per-party fair shedding — at the -max-pending threshold only parties at or past their share of the book shed (a flooding coalition starves itself, not its victims)")
-		floodFactor = flag.Int("flood-factor", 0, "open-loop: ride this many coalition flood rings (from a small reused identity pool) on every organic ring")
+		arrivalRate = fs.Float64("arrival-rate", 0, "open-loop intake: average offered load in offers/sec (0 = closed-loop, book pre-loaded)")
+		profile     = fs.String("profile", "poisson", "arrival process for -arrival-rate: constant, poisson, burst[:n], ramp[:from:to]")
+		partyPool   = fs.Int("party-pool", 0, "open-loop: reuse this many ring-group identities (0 = fresh parties per ring)")
+		maxPending  = fs.Int("max-pending", 0, "open-loop shed threshold on the pending book (0 = default, negative = never shed)")
+		fairShed    = fs.Bool("fair-shed", false, "open-loop: per-party fair shedding — at the -max-pending threshold only parties at or past their share of the book shed (a flooding coalition starves itself, not its victims)")
+		floodFactor = fs.Int("flood-factor", 0, "open-loop: ride this many coalition flood rings (from a small reused identity pool) on every organic ring")
 
-		shards     = flag.Int("shards", 0, "partition clearing across N asset shards plus a cross-shard coordinator (0 or 1 = one engine, no coordinator)")
-		crossRatio = flag.Float64("cross-ratio", 0, "with -shards and -arrival-rate: fraction of generated rings that span two shards (cross-shard escalation load)")
+		shards     = fs.Int("shards", 0, "partition clearing across N asset shards plus a cross-shard coordinator (0 or 1 = one engine, no coordinator)")
+		crossRatio = fs.Float64("cross-ratio", 0, "with -shards and -arrival-rate: fraction of generated rings that span two shards (cross-shard escalation load)")
 
-		dataDir = flag.String("data-dir", "", "durable state directory: log engine events to a WAL (snapshotted and truncated as it grows) and recover from it on restart")
+		dataDir = fs.String("data-dir", "", "durable state directory: log engine events to a WAL (snapshotted and truncated as it grows) and recover from it on restart")
 
-		confirmDepth = flag.Int("confirm-depth", 0, "chain realism: a record is final only this many ticks after it lands (0 = instant finality); the timelock ladder stretches to match")
-		reorgRate    = flag.Float64("reorg-rate", 0, "with -confirm-depth >= 2: seeded per-record probability that an applied record reverts before finalizing")
+		confirmDepth = fs.Int("confirm-depth", 0, "chain realism: a record is final only this many ticks after it lands (0 = instant finality); the timelock ladder stretches to match")
+		reorgRate    = fs.Float64("reorg-rate", 0, "with -confirm-depth >= 2: seeded per-record probability that an applied record reverts before finalizing")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if err := checkFlags(flagValues{
 		adversary:    *adversary,
 		conflicts:    *conflicts,
@@ -231,7 +249,16 @@ func main() {
 		confirmDepth: *confirmDepth,
 		reorgRate:    *reorgRate,
 	}); err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
+	}
+	var proc loadgen.Process
+	if *arrivalRate > 0 {
+		var err error
+		if proc, err = loadgen.ParseProfile(*profile); err != nil {
+			logger.Print(err)
+			return 1
+		}
 	}
 
 	cfg := engine.Config{
@@ -255,20 +282,26 @@ func main() {
 		eng = engine.New(cfg)
 	} else {
 		var err error
-		if eng, wal, err = durableEngine(cfg, *dataDir); err != nil {
-			log.Fatal(err)
+		if eng, wal, err = durableEngine(stderr, cfg, *dataDir); err != nil {
+			logger.Print(err)
+			return 1
 		}
+		// Runs last, after every return below has stopped the engine (or
+		// never started it). Close returns any error the store latched.
+		defer func() {
+			if err := wal.Close(); err != nil {
+				logger.Printf("wal: %v", err)
+				code = 1
+			}
+		}()
 	}
 	if err := eng.Start(); err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 
 	if *arrivalRate > 0 {
-		proc, err := loadgen.ParseProfile(*profile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runOpenLoop(eng, wal, loadgen.Config{
+		err := runOpenLoop(stdout, eng, wal, loadgen.Config{
 			Offers:      *offers,
 			RingMin:     ringMin,
 			RingMax:     ringMax,
@@ -282,7 +315,11 @@ func main() {
 			FairShed:    *fairShed,
 			FloodFactor: *floodFactor,
 		}, *timeout, *jsonOut)
-		return
+		if err != nil {
+			logger.Print(err)
+			return 1
+		}
+		return 0
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -325,7 +362,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	if err := eng.Stop(ctx); err != nil {
-		log.Fatalf("drain: %v", err)
+		logger.Printf("drain: %v", err)
+		return 1
 	}
 	// A recovered engine is held to ledger integrity, not strict
 	// conservation: a hard kill mid-settlement can orphan an escrowed
@@ -335,19 +373,21 @@ func main() {
 		audit, auditName = eng.VerifyLedgerIntegrity, "ledger integrity"
 	}
 	if err := audit(); err != nil {
-		log.Fatalf("CONSERVATION VIOLATED: %v", err)
+		logger.Printf("CONSERVATION VIOLATED: %v", err)
+		return 1
 	}
 
 	rep := eng.Report()
 	if *jsonOut {
-		fmt.Println(rep.JSON())
-		return
+		fmt.Fprintln(stdout, rep.JSON())
+		return 0
 	}
-	fmt.Printf("load: %d offers submitted (%d refused at intake), %s verified\n\n",
+	fmt.Fprintf(stdout, "load: %d offers submitted (%d refused at intake), %s verified\n\n",
 		submitted, rejected, auditName)
-	fmt.Println(rep)
-	printDispatch(eng, wal)
+	fmt.Fprintln(stdout, rep)
+	printDispatch(stdout, eng, wal)
 	if rep.SwapsFailed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCheckFlagsAcceptsRunnableRuns: the defaults and the documented
@@ -73,6 +76,36 @@ func TestCheckFlagsFeatureGates(t *testing.T) {
 	} {
 		if err := checkFlags(f); err == nil {
 			t.Errorf("%+v accepted", f)
+		}
+	}
+}
+
+// TestRunClosesItsStore: two -data-dir runs on one directory both exit 0,
+// the first starting fresh and the second recovering it with no order
+// resumed or refunded, and each leaves no goroutine behind — the store's
+// worker among them, which only Close stops.
+func TestRunClosesItsStore(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-vtime", "-offers", "60", "-data-dir", dir}
+	for i, want := range []string{"", "0 orders resumed, 0 refunded"} {
+		before := runtime.NumGoroutine()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run %d exited %d:\n%s%s", i+1, code, &stdout, &stderr)
+		}
+		recovered := strings.Contains(stderr.String(), "recovered ")
+		if recovered != (want != "") || !strings.Contains(stderr.String(), want) {
+			t.Errorf("run %d: stderr %q, want a recovery line with %q", i+1, &stderr, want)
+		}
+		if !strings.Contains(stdout.String(), "wal: ") {
+			t.Errorf("run %d: no wal line in\n%s", i+1, &stdout)
+		}
+		left := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); left > before && time.Now().Before(deadline); left = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if left > before {
+			t.Errorf("run %d left %d goroutines behind", i+1, left-before)
 		}
 	}
 }

@@ -271,7 +271,7 @@ type Chain struct {
 	// Commitment-model state (nil/empty on Instant chains — the default
 	// — so the ideal-chain hot path pays one nil check per append).
 	// model draws each record's fate; timing caches model.Timing();
-	// onDue asks the owner (registry pump or self-scheduler) to call
+	// onDue asks the owner (the registry's pump) to call
 	// SettleCommitments at a tick. commits holds each contract's
 	// non-final record suffix, fated counts per-contract fate indices,
 	// revertible caches which contracts can be rolled back, replays is
@@ -286,8 +286,6 @@ type Chain struct {
 	revertible map[ContractID]bool
 	replays    []replayOp
 	dueQueue   []vtime.Ticks
-	selfPumpMu sync.Mutex
-	selfPumpAt map[vtime.Ticks]struct{}
 }
 
 // assetEntry is an asset as a chain stores it: the asset and its owner.

@@ -371,3 +371,19 @@ func TestUndoLogOwnsReusedArgs(t *testing.T) {
 		t.Errorf("bump count %d after revert and re-apply, want 1", rc.count)
 	}
 }
+
+// TestSetCommitmentModelNeedsOnDue: a model that settles later is refused
+// without a hook to book its settlement passes, and leaves the chain
+// instant; Instant needs none.
+func TestSetCommitmentModelNeedsOnDue(t *testing.T) {
+	c := New("btc", &movClock{})
+	if err := c.SetCommitmentModel(Depth{K: 2}, nil); err == nil {
+		t.Fatal("Depth accepted without an onDue hook")
+	}
+	if got := c.CommitmentModelName(); got != (Instant{}).Name() || c.Timing() != (Timing{}) {
+		t.Errorf("refused model still installed: %s, timing %+v", got, c.Timing())
+	}
+	if err := c.SetCommitmentModel(Instant{}, nil); err != nil {
+		t.Errorf("Instant refused without an onDue hook: %v", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -36,10 +37,13 @@ type Registry struct {
 	}
 
 	// modelMu guards the commitment-model factory, the modeled-chain
-	// list the settlement pump drains, and the pump's per-tick dedupe.
+	// list the settlement pump drains, the scheduler it books on (the
+	// clock, once SetCommitmentModels has checked it is one) and the
+	// pump's per-tick dedupe.
 	modelMu sync.Mutex
 	modelFn func(name string) CommitmentModel
 	modeled []*Chain
+	pump    *sched.Virtual
 	pumpAt  map[vtime.Ticks]struct{}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -15,23 +16,22 @@ import (
 // commitment model: it is called once per chain at creation, and a nil
 // return leaves that chain Instant. It must be called before any chain
 // is created (models must be installed before a chain's first record),
-// and the registry's clock must be a scheduler so settlement passes can
-// be pumped at finalize/revert ticks.
+// and the registry's clock must be a *sched.Virtual, on which the
+// settlement pump books its passes at finalize/revert ticks.
 func (r *Registry) SetCommitmentModels(f func(name string) CommitmentModel) error {
 	if f == nil {
 		return nil
 	}
-	if _, ok := r.clock.(tailScheduler); !ok {
-		if _, ok := r.clock.(timerScheduler); !ok {
-			return fmt.Errorf("chain: commitment models need a scheduling clock")
-		}
+	v, ok := r.clock.(*sched.Virtual)
+	if !ok {
+		return fmt.Errorf("chain: commitment models need a *sched.Virtual clock")
 	}
 	if n := len(r.all()); n > 0 {
 		return fmt.Errorf("chain: commitment models must be installed before any chain is created (%d exist)", n)
 	}
 	r.modelMu.Lock()
 	defer r.modelMu.Unlock()
-	r.modelFn = f
+	r.modelFn, r.pump = f, v
 	if r.pumpAt == nil {
 		r.pumpAt = make(map[vtime.Ticks]struct{})
 	}
@@ -77,16 +77,14 @@ func (r *Registry) applyCommitmentModel(c *Chain, name string) {
 // regardless of how the tick's appends interleaved across stripes.
 func (r *Registry) scheduleDue(t vtime.Ticks) {
 	r.modelMu.Lock()
-	if r.pumpAt == nil {
-		r.pumpAt = make(map[vtime.Ticks]struct{})
-	}
 	if _, dup := r.pumpAt[t]; dup {
 		r.modelMu.Unlock()
 		return
 	}
 	r.pumpAt[t] = struct{}{}
+	pump := r.pump
 	r.modelMu.Unlock()
-	run := func() {
+	pump.AtLevel(t, commitLevel, 0, func() {
 		r.modelMu.Lock()
 		delete(r.pumpAt, t)
 		chains := append([]*Chain(nil), r.modeled...)
@@ -98,26 +96,7 @@ func (r *Registry) scheduleDue(t vtime.Ticks) {
 		for _, c := range chains {
 			c.SettleCommitments(now)
 		}
-	}
-	if ts, ok := r.clock.(tailScheduler); ok {
-		ts.AtTailN(t, commitLevel, 0, run)
-		return
-	}
-	if s, ok := r.clock.(timerScheduler); ok {
-		s.At(t, run)
-	}
-}
-
-// SettleAll forces a settlement pass over every modeled chain at the
-// clock's current tick (tests and shutdown sweeps).
-func (r *Registry) SettleAll() {
-	r.modelMu.Lock()
-	chains := append([]*Chain(nil), r.modeled...)
-	r.modelMu.Unlock()
-	now := r.clock.Now()
-	for _, c := range chains {
-		c.SettleCommitments(now)
-	}
+	})
 }
 
 // ModeledChains returns the names of chains carrying a non-Instant

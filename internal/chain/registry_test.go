@@ -1,10 +1,12 @@
 package chain
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/go-atomicswap/atomicswap/internal/sched"
+	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
 func TestRegistryCreatesOnDemand(t *testing.T) {
@@ -131,5 +133,81 @@ func TestSetCommitmentModelsBeforeFirstChain(t *testing.T) {
 	r.Chain("late")
 	if got := r.ModeledChains(); len(got) != 0 {
 		t.Errorf("ModeledChains = %v after a refused factory", got)
+	}
+}
+
+// TestCommitmentPumpInTick pins the settlement pump's place in a tick on a
+// sched.Virtual: the pass for tick t runs after a level-3 event of t (the
+// coordinator's clearing) and before a sched.TopLevel one (the WAL's seal),
+// and it is booked once per tick however many chains and records fall due
+// then. Records land on three chains at tick 0 and on two at tick 1, so
+// they fall due at ticks depth and depth+1.
+func TestCommitmentPumpInTick(t *testing.T) {
+	v := sched.NewVirtual(1)
+	r := NewRegistry(v)
+	const depth = 3
+	if err := r.SetCommitmentModels(func(string) CommitmentModel { return Depth{K: depth} }); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"c", "a", "b"}
+	publish := func(chains []string, tag string) {
+		for _, name := range chains {
+			c := r.Chain(name)
+			for i := 0; i < 4; i++ {
+				owner := PartyID(fmt.Sprintf("%s-p%d", tag, i))
+				asset := AssetID(fmt.Sprintf("%s-coin%d", tag, i))
+				if err := c.RegisterAsset(Asset{ID: asset, Amount: 1}, owner); err != nil {
+					t.Fatal(err)
+				}
+				rc := &revContract{fakeContract: fakeContract{
+					id: ContractID(fmt.Sprintf("%s-rc%d", tag, i)), party: owner, asset: asset, size: 32,
+				}}
+				if err := c.PublishContract(owner, rc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	pending := func() (n int) {
+		for _, name := range names {
+			n += r.Chain(name).PendingCommitments()
+		}
+		return n
+	}
+	booked := func() int {
+		r.modelMu.Lock()
+		defer r.modelMu.Unlock()
+		return len(r.pumpAt)
+	}
+
+	release := v.Hold()
+	publish(names, "t0")
+	if got, want := v.Pending(), 1; got != want {
+		t.Fatalf("12 records due at tick %d queued %d events, want %d", depth, got, want)
+	}
+	seen := map[string]int{}
+	v.At(1, func() {
+		publish(names[:2], "t1")
+		seen["ticks booked at tick 1"] = booked()
+	})
+	for _, at := range []vtime.Ticks{depth, depth + 1} {
+		v.AtLevel(at, 3, 0, func() { seen[fmt.Sprintf("level 3 of %d", at)] = pending() })
+		v.AtLevel(at, sched.TopLevel, 0, func() { seen[fmt.Sprintf("top of %d", at)] = pending() })
+	}
+	release()
+	v.RunUntil(depth + 1)
+
+	want := map[string]int{
+		"ticks booked at tick 1": 2,
+		"level 3 of 3":           20,
+		"top of 3":               8,
+		"level 3 of 4":           8,
+		"top of 4":               0,
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("pending records %v, want %v", seen, want)
+	}
+	if got := booked(); got != 0 {
+		t.Errorf("%d settlement ticks still booked after the run", got)
 	}
 }

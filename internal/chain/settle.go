@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -13,34 +12,20 @@ import (
 // re-apply queue. See commitment.go for the model semantics and the
 // determinism contract.
 
-// timerScheduler is the slice of sched.Scheduler the commitment pump
-// needs; every scheduler implementation satisfies it.
-type timerScheduler interface {
-	At(t vtime.Ticks, fn func()) sched.Timer
-}
-
-// tailScheduler is satisfied by sched.Virtual: commitment events run at
-// a tail level above the whole clearing ladder (protocol 0, shard
-// clearing 1, escalation sweep 2, coordinator 3), so every finalize and
-// revert of a tick sees that tick's fully-cleared state — and they run
-// on a single stripe, so the order of downstream event insertions is
-// deterministic under striped-parallel dispatch.
-type tailScheduler interface {
-	AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) sched.Timer
-}
-
-// commitLevel is the dispatch-ladder level commitment events run at.
+// commitLevel is the dispatch-ladder level commitment events run at: above
+// the whole clearing ladder (protocol 0, shard clearing 1, escalation sweep
+// 2, coordinator 3), so every finalize and revert of a tick sees that
+// tick's fully-cleared state, and below sched.TopLevel, where the WAL seals
+// the tick.
 const commitLevel = 4
 
 // revertRecordBytes is the modeled ledger cost of one revert record.
 const revertRecordBytes = 8
 
 // SetCommitmentModel installs the chain's commitment model. It must be
-// called before the first record is appended. onDue, when non-nil, is
-// invoked (outside the chain lock) with every tick at which
-// SettleCommitments must run — the registry passes its shared pump
-// here. With a nil onDue the chain schedules its own settlement
-// callbacks, which requires the chain's clock to be a scheduler.
+// called before the first record is appended. onDue is invoked (outside
+// the chain lock) with every tick at which SettleCommitments must run —
+// the registry passes its shared pump here — and is required.
 // Installing Instant (or nil) is a no-op beyond caching the timing:
 // the append path keeps its one-nil-check ideal-chain shape.
 func (c *Chain) SetCommitmentModel(m CommitmentModel, onDue func(vtime.Ticks)) error {
@@ -52,44 +37,19 @@ func (c *Chain) SetCommitmentModel(m CommitmentModel, onDue func(vtime.Ticks)) e
 	if m == nil {
 		return nil
 	}
+	_, instant := m.(Instant)
+	if !instant && onDue == nil {
+		return fmt.Errorf("chain %s: commitment model %s needs an onDue hook", c.name, m.Name())
+	}
 	c.timing = m.Timing()
-	if _, ok := m.(Instant); ok {
+	if instant {
 		return nil
 	}
 	c.model = m
 	c.commits = make(map[ContractID][]commitEntry)
 	c.fated = make(map[ContractID]int)
 	c.revertible = make(map[ContractID]bool)
-	if onDue != nil {
-		c.onDue = onDue
-		return nil
-	}
-	s, ok := c.clock.(timerScheduler)
-	if !ok {
-		c.model = nil
-		return fmt.Errorf("chain %s: commitment model %s needs a scheduling clock or an onDue hook",
-			c.name, m.Name())
-	}
-	c.selfPumpAt = make(map[vtime.Ticks]struct{})
-	c.onDue = func(t vtime.Ticks) {
-		c.selfPumpMu.Lock()
-		if _, dup := c.selfPumpAt[t]; dup {
-			c.selfPumpMu.Unlock()
-			return
-		}
-		c.selfPumpAt[t] = struct{}{}
-		c.selfPumpMu.Unlock()
-		s.At(t, func() {
-			c.selfPumpMu.Lock()
-			delete(c.selfPumpAt, t)
-			c.selfPumpMu.Unlock()
-			now := c.clock.Now()
-			if now < t {
-				now = t
-			}
-			c.SettleCommitments(now)
-		})
-	}
+	c.onDue = onDue
 	return nil
 }
 
@@ -164,9 +124,6 @@ func (c *Chain) flushDue() {
 	c.dueQueue = nil
 	onDue := c.onDue
 	c.mu.Unlock()
-	if onDue == nil {
-		return
-	}
 	for _, t := range due {
 		onDue(t)
 	}

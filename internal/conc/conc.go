@@ -1,6 +1,6 @@
 // Package conc is the one place a swap is executed: it drives
 // core.Behaviors over thread-safe mock chains with virtual ticks from a
-// pluggable sched.Scheduler. Two entry points share it. Prepare/Wait (and
+// sched.Virtual, free or paced. Two entry points share it. Prepare/Wait (and
 // Run) put a swap on the caller's scheduler and a registry it may share —
 // many runs at once over one set of chains, which is what the clearing
 // engine needs — and time each chain notification a quarter-Δ inside the
@@ -707,7 +707,7 @@ func (r *runner) schedule(d delivery) {
 	}
 	*slot = d
 	slot.r = r
-	r.sched.Schedule(&slot.ev, slot.at, r.stripe, slot)
+	r.sched.Schedule(&slot.ev, slot.at, 0, r.stripe, slot)
 	slot.next = r.live
 	if r.live != nil {
 		r.live.prev = slot

@@ -66,13 +66,13 @@ func TestSealOncePerTick(t *testing.T) {
 			s.Append(ev)
 		}
 	})
-	v.AtTailN(3, sched.TopLevel-1, 0, func() {
+	v.AtLevel(3, sched.TopLevel-1, 0, func() {
 		if got := segmentBytes(t, s); got != unbound {
 			t.Errorf("below the seal's level the segment holds %d bytes, want %d: appends written before the seal", got, unbound)
 		}
 	})
 	sealed := unbound + frames
-	v.AtTailN(3, math.MaxInt8, 0, func() {
+	v.AtLevel(3, math.MaxInt8, 0, func() {
 		if got := segmentBytes(t, s); got != sealed {
 			t.Errorf("after the seal the segment holds %d bytes, want %d", got, sealed)
 		}
@@ -100,7 +100,7 @@ func TestSealOncePerTick(t *testing.T) {
 	}
 	rebound := segmentBytes(t, s)
 	next.At(1, func() { s.Append(events[6]) })
-	next.AtTailN(1, math.MaxInt8, 0, func() {
+	next.AtLevel(1, math.MaxInt8, 0, func() {
 		if got := segmentBytes(t, s); got <= rebound {
 			t.Errorf("the rebound store's tick was not sealed (%d bytes, was %d)", got, rebound)
 		}
@@ -141,7 +141,7 @@ func (w *sealWatcher) Append(ev engine.Event) {
 	}
 	if now := w.v.Now(); now != w.last {
 		w.last = now
-		w.v.AtTailN(now, math.MaxInt8, 0, w.observe)
+		w.v.AtLevel(now, math.MaxInt8, 0, w.observe)
 	}
 }
 
@@ -327,7 +327,7 @@ func TestTickSealLatchesWriteFailure(t *testing.T) {
 			t.Errorf("appends before the seal latched %v", err)
 		}
 	})
-	v.AtTailN(1, math.MaxInt8, 0, func() {
+	v.AtLevel(1, math.MaxInt8, 0, func() {
 		if s.Err() == nil {
 			t.Error("a tick whose seal failed to write latched no error")
 		}

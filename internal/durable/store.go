@@ -306,7 +306,7 @@ func (s *Store) commitLocked() error {
 		return nil
 	}
 	// Tick 0 is never ahead: the seal lands on the current tick.
-	if se := s.seal; se != nil && se.v.ScheduleTail(&se.ev, 0, sched.TopLevel, 0, se) {
+	if se := s.seal; se != nil && se.v.Schedule(&se.ev, 0, sched.TopLevel, 0, se) {
 		s.queued = true
 		return nil
 	}

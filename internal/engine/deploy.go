@@ -310,7 +310,7 @@ func (e *Engine) Registry() *chain.Registry { return e.host.Registry }
 // Scheduler exposes the engine's time scheduler, so load generators can
 // drive arrival processes on the same clock the swaps run against (free or
 // paced).
-func (e *Engine) Scheduler() sched.Scheduler { return e.host.Scheduler }
+func (e *Engine) Scheduler() *sched.Virtual { return e.host.Scheduler }
 
 // Tick reports the configured wall duration of one virtual tick (the
 // rate-to-ticks conversion factor for schedules driven through Scheduler).

@@ -308,7 +308,7 @@ func TestHeldClockTakesNoIntake(t *testing.T) {
 		Pending() int
 		Orders() []OrderSnapshot
 		Registry() *chain.Registry
-		Scheduler() sched.Scheduler
+		Scheduler() *sched.Virtual
 		Stop(context.Context) error
 	}
 	for _, tc := range []struct {

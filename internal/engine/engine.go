@@ -515,7 +515,7 @@ type intake struct {
 func (in *intake) post(o *order) {
 	in.mu.Lock()
 	if in.posted = append(in.posted, o); len(in.posted) == 1 {
-		in.v.Schedule(&in.ev, 0, 0, in) // tick 0 is never ahead: the current tick
+		in.v.Schedule(&in.ev, 0, 0, 0, in) // tick 0 is never ahead: the current tick
 	}
 	in.mu.Unlock()
 }
@@ -1237,7 +1237,7 @@ func (e *unit) drain(ctx context.Context) error {
 			// tick — and the digest — stays a pure function of the seed.
 			if !posted && !e.clearing.Armed() {
 				done := make(chan struct{})
-				e.sched.AtKeyed(0, e.stripe, func() {
+				e.sched.AtLevel(0, 0, e.stripe, func() {
 					if !e.clearing.Armed() {
 						e.mu.Lock()
 						stuck := e.book.all()

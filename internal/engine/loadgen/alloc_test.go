@@ -35,10 +35,10 @@ func (c *countingTarget) Submit(core.Offer) (engine.OrderID, error) {
 	c.submitted.Add(1)
 	return 0, nil
 }
-func (c *countingTarget) Pending() int               { return 0 }
-func (c *countingTarget) NoteShed(int)               {}
-func (c *countingTarget) Scheduler() sched.Scheduler { return c.v }
-func (c *countingTarget) Tick() time.Duration        { return time.Millisecond }
+func (c *countingTarget) Pending() int              { return 0 }
+func (c *countingTarget) NoteShed(int)              {}
+func (c *countingTarget) Scheduler() *sched.Virtual { return c.v }
+func (c *countingTarget) Tick() time.Duration       { return time.Millisecond }
 
 // runAllocs returns the heap objects and bytes one Run allocates per
 // offer, booking and firing included.

@@ -25,7 +25,7 @@ type Target interface {
 	Submit(offer core.Offer) (engine.OrderID, error)
 	Pending() int
 	NoteShed(n int)
-	Scheduler() sched.Scheduler
+	Scheduler() *sched.Virtual
 	Tick() time.Duration
 }
 
@@ -37,17 +37,6 @@ type PartyAccounting interface {
 	PendingOf(party chain.PartyID) int
 	PendingParties() int
 	NoteShedFrom(party chain.PartyID, n int)
-}
-
-// DriveTarget extends Target with the lifecycle Drive owns: stop/drain,
-// the conservation audit, and the final report.
-type DriveTarget interface {
-	Target
-	Stop(ctx context.Context) error
-	Recovered() bool
-	VerifyConservation() error
-	VerifyLedgerIntegrity() error
-	Report() metrics.Throughput
 }
 
 // DefaultMaxPending is the bounded-intake backstop: once the engine's
@@ -213,7 +202,7 @@ func Run(ctx context.Context, e Target, cfg Config) (Stats, error) {
 	for i := range in.arrivals {
 		a := &in.arrivals[i]
 		a.in, a.i = in, int32(i)
-		sc.Schedule(&a.ev, ticks[i], 0, a)
+		sc.Schedule(&a.ev, ticks[i], 0, 0, a)
 	}
 	release()
 
@@ -528,7 +517,7 @@ type Report struct {
 // This is the shared tail behind RunOpenLoad and swapd's -arrival-rate
 // mode, so tests and the CLI can never diverge on the drain/verify/report
 // contract.
-func Drive(ctx context.Context, e DriveTarget, lcfg Config) (Report, error) {
+func Drive(ctx context.Context, e *engine.Engine, lcfg Config) (Report, error) {
 	lcfg = lcfg.withDefaults()
 	stats, err := Run(ctx, e, lcfg)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/durable"
 	"github.com/go-atomicswap/atomicswap/internal/engine"
 	"github.com/go-atomicswap/atomicswap/internal/engine/loadgen"
-	"github.com/go-atomicswap/atomicswap/internal/sched"
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
@@ -97,7 +96,7 @@ func runCrash(sc Scenario, cfg engine.Config, process loadgen.Process) (*Result,
 		Report:     b.Report(),
 		Load:       stats,
 		Violations: checkSafety(orders),
-		Dispatch:   b.Scheduler().(*sched.Virtual).Stats(),
+		Dispatch:   b.Scheduler().Stats(),
 		Signing:    b.Keyring().SignStats(),
 		Recovery:   rec,
 	}

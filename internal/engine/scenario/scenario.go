@@ -514,7 +514,7 @@ func run(sc Scenario, kind core.Kind) (*Result, error) {
 		Report:     e.Report(),
 		Load:       stats,
 		Violations: checkSafety(orders),
-		Dispatch:   e.Scheduler().(*sched.Virtual).Stats(),
+		Dispatch:   e.Scheduler().Stats(),
 		Signing:    e.Keyring().SignStats(),
 	}
 

@@ -28,7 +28,7 @@ func (s *spinner) Fire() {
 		s.sum = sha256.Sum256(s.sum[:])
 	}
 	if next := s.v.Now() + 1; next <= s.horizon {
-		s.v.Schedule(&s.ev, next, s.key, s)
+		s.v.Schedule(&s.ev, next, 0, s.key, s)
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkDispatch(b *testing.B) {
 					for i := range spinners {
 						s := &spinners[i]
 						*s = spinner{v: v, key: uint64(i + 1), horizon: vtime.Ticks(b.N), hashes: cb.hashes}
-						v.Schedule(&s.ev, 1, s.key, s)
+						v.Schedule(&s.ev, 1, 0, s.key, s)
 					}
 					var before, after runtime.MemStats
 					runtime.ReadMemStats(&before)

@@ -22,7 +22,7 @@ const (
 // time.
 //
 // Rounds land on the cadence grid at a tail level with a stripe key (see
-// AtTailN): a loop re-armed mid-phase after parking does not drift off the
+// AtLevel): a loop re-armed mid-phase after parking does not drift off the
 // grid, so every loop of a cadence — across any number of engines — ticks
 // at the same instants. A round lands on the first grid tick after the
 // loop's previous round (tick 0 before the first) that is not behind the

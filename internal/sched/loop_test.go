@@ -117,7 +117,7 @@ func TestLoopWakeBelowItsLevelRunsThisTick(t *testing.T) {
 			if w.from == 0 {
 				v.At(w.at, l.Wake)
 			} else {
-				v.AtTailN(w.at, w.from, 0, l.Wake)
+				v.AtLevel(w.at, w.from, 0, l.Wake)
 			}
 		}
 		release()

@@ -2,12 +2,13 @@
 //
 // The paper's protocol is specified entirely in Δ-scaled virtual time: one
 // parameter, every deadline an integer multiple of it. This package is the
-// one realization of that tick: a Scheduler tells the current virtual tick
-// and runs callbacks at future ticks, with cancellable timers and no
+// one realization of that tick: a Virtual tells the current virtual tick
+// and runs callbacks at future ticks, with cancellable events and no
 // sleeping. Everything that runs — the swap runtime in conc, on its own for
-// a Runner or shared by the clearing engine — is written against it.
+// a Runner or shared by the clearing engine — is written against it, by its
+// concrete type.
 //
-// One implementation exists, with one dispatch path. Virtual is an event
+// One type exists, with one dispatch path. Virtual is an event
 // loop: it pops each (tick, level) batch whole, groups it into stripes by
 // caller-supplied key and runs each stripe's events one at a time in
 // scheduling order — the dispatcher running stripes itself and sending for
@@ -47,39 +48,6 @@ import (
 	"github.com/go-atomicswap/atomicswap/internal/vtime"
 )
 
-// Timer is a scheduled callback that can be cancelled before it runs.
-type Timer interface {
-	// Stop cancels the timer. It reports whether the cancellation
-	// prevented the callback from running (false if it already ran or was
-	// already stopped).
-	Stop() bool
-}
-
-// Scheduler is the time source and timer service as the layers that only
-// book work on it see it (load generators, the benchmark harness). Virtual
-// is its one implementation, safe for concurrent use.
-type Scheduler interface {
-	vtime.Clock
-
-	// At schedules fn to run at virtual tick t. Scheduling at or before
-	// the current tick runs fn as soon as possible; time never moves
-	// backwards. fn runs on an implementation-chosen goroutine and must
-	// not block indefinitely; in particular it must not wait for another
-	// stripe of its own (tick, level) batch, which may be queued behind
-	// it on the same goroutine.
-	At(t vtime.Ticks, fn func()) Timer
-
-	// Schedule is At on storage the caller owns, on stripe key: e (idle,
-	// typically a field of the record h points at) becomes the queue
-	// entry for h.Fire, so booking allocates nothing. e is its own Timer.
-	Schedule(e *Event, t vtime.Ticks, key uint64, h Handler)
-
-	// Hold pins the dispatcher: while any hold is outstanding no event
-	// runs, so a free clock does not advance. The returned release
-	// function must be called exactly once; it is idempotent.
-	Hold() func()
-}
-
 // ---------------------------------------------------------------------------
 // Virtual: event-driven scheduler.
 
@@ -101,12 +69,12 @@ type funcHandler func()
 
 func (f funcHandler) Fire() { f() }
 
-// Event is one queued callback and, at the same time, the Timer for it:
-// Stop takes it out of its scheduler's queue under the scheduler's lock.
-// At and its siblings allocate one per call; a runtime that already owns a
-// record per scheduled thing embeds an Event in it and hands it to
-// Schedule, so the record is the queue entry and nothing else is
-// allocated. The scheduler never reuses an event that has left the queue,
+// Event is one queued callback and, at the same time, the handle that
+// cancels it: Stop takes it out of its scheduler's queue under the
+// scheduler's lock. At and AtLevel allocate one per call; a runtime that
+// already owns a record per scheduled thing embeds an Event in it and
+// hands it to Schedule, so the record is the queue entry and nothing else
+// is allocated. The scheduler never reuses an event that has left the queue,
 // so a handle kept past firing can only ever see its own fired event; an
 // owner may hand one of its own back to Schedule once it has fired (a Loop
 // alternates between two).
@@ -115,9 +83,9 @@ func (f funcHandler) Fire() { f() }
 type Event struct {
 	v  *Virtual
 	at vtime.Ticks
-	// prio orders events within a tick: all prio-0 events of a tick run
-	// before any prio-1 (tail) event. The clearing engine schedules its
-	// clearing pass at tail priority so it observes the same
+	// prio is the event's level: all events of one level of a tick run
+	// before any of the next (see AtLevel). The clearing engine schedules
+	// its clearing pass above level 0 so it observes the same
 	// whole-tick-drained queue in serialized and parallel modes.
 	prio  int8
 	state uint8
@@ -291,7 +259,7 @@ func (s Stats) String() string {
 // from event to event as fast as callbacks drain.
 //
 // The dispatcher pops a whole (tick, level) batch, groups it by stripe key
-// (see AtKeyed) and runs the stripes itself, one claim at a time. It keeps
+// (see AtLevel) and runs the stripes itself, one claim at a time. It keeps
 // min(workers, GOMAXPROCS) − 1 parked helpers — none for workers <= 1. Once
 // the batch has run for longer than help takes to arrive — a time the
 // scheduler measures — and stripes are still unclaimed, it rouses one,
@@ -383,7 +351,7 @@ func (v *Virtual) Advance(t vtime.Ticks) {
 // the wall's tick, not on the last one dispatched, while a callback still
 // sees the tick it was dispatched at. Idle means the dispatcher is asleep
 // and no stripe is in flight — a helper may still run one after the
-// dispatcher went back to sleep. Called with v.mu held, from schedule and
+// dispatcher went back to sleep. Called with v.mu held, from Schedule and
 // Acquire, the two ways in from outside.
 func (v *Virtual) catchUp() {
 	if v.tick == 0 || !v.waiting || v.left.Load() != 0 {
@@ -410,82 +378,51 @@ func (v *Virtual) reach(t vtime.Ticks, prio int8) {
 	}
 }
 
-// At implements Scheduler. After Close the callback is silently dropped.
-func (v *Virtual) At(t vtime.Ticks, fn func()) Timer {
-	return v.timer(t, 0, 0, fn)
+// At schedules fn to run at virtual tick t, at level 0 on the shared
+// unkeyed stripe: AtLevel(t, 0, 0, fn). Scheduling at or before the
+// current tick runs fn as soon as possible; time never moves backwards.
+// The returned event cancels it (Stop). After Close fn is silently
+// dropped.
+func (v *Virtual) At(t vtime.Ticks, fn func()) *Event {
+	return v.AtLevel(t, 0, 0, fn)
 }
 
-// AtKeyed is At with a stripe key: fn joins the stripe identified by key
-// at tick t. Same-stripe events are serialized in scheduling order;
-// distinct stripes may run concurrently on helpers, or one after another on
-// the dispatcher, in no particular order — so fn must not wait for another
-// stripe of its batch. Key 0 (what At uses) is the shared unkeyed stripe.
-func (v *Virtual) AtKeyed(t vtime.Ticks, key uint64, fn func()) Timer {
-	return v.timer(t, 0, key, fn)
+// AtLevel schedules fn at level `level` of tick t on the stripe identified
+// by key, on a fresh event it returns. Levels are a ladder: all events of
+// level k at tick t run (and fully drain, cascades included) before any
+// event of level k+1. The engine uses the ladder to order one tick's
+// phases — protocol events and intake (level 0), per-shard clearing
+// (level 1, keyed by shard), the cross-shard escalation sweep (level 2),
+// coordinator clearing (level 3), chain commitment passes (level 4) — with
+// a determinism barrier between each; TopLevel is the last one open.
+// Within one level, same-stripe events are serialized in scheduling order,
+// while distinct stripes may run concurrently on helpers, or one after
+// another on the dispatcher, in no particular order — so fn must not wait
+// for another stripe of its batch. Key 0 is the shared unkeyed stripe.
+func (v *Virtual) AtLevel(t vtime.Ticks, level int8, key uint64, fn func()) *Event {
+	e := new(Event)
+	v.Schedule(e, t, level, key, funcHandler(fn))
+	return e
 }
 
-// Schedule implements Scheduler: AtKeyed on storage the caller owns. e —
-// idle, and typically a field of the record h points at — becomes the
-// queue entry for h.Fire at tick t on stripe key, so scheduling allocates
-// nothing. e is its own Timer (e.Stop). After Close the event is dropped,
-// stopped.
-func (v *Virtual) Schedule(e *Event, t vtime.Ticks, key uint64, h Handler) {
-	v.schedule(e, t, 0, key, h)
-}
-
-// AtTail schedules fn at tail priority: it runs only after every normal
-// event of tick t (including cascades scheduled for t while the tick is
-// draining) has run. The clearing engine uses it so its per-tick clearing
-// pass observes the same fully-drained queue however many helpers ran the
-// tick.
-func (v *Virtual) AtTail(t vtime.Ticks, fn func()) Timer {
-	return v.timer(t, 1, 0, fn)
-}
-
-// AtTailN schedules fn at tail level `level` (≥ 1) with a stripe key.
-// Levels extend AtTail into a ladder: all events of level k at tick t run
-// (and fully drain, cascades included) before any event of level k+1, and
-// within one level distinct stripe keys may run concurrently on helpers.
-// The sharded engine uses the ladder to order one tick's phases — protocol
-// events (level 0, via At/AtKeyed), per-shard clearing (level 1, keyed by
-// shard), the cross-shard escalation sweep (level 2), and coordinator
-// clearing (level 3) — with a determinism barrier between each phase.
-// Chain commitment events run at level 4; TopLevel is the last one open.
-func (v *Virtual) AtTailN(t vtime.Ticks, level int8, key uint64, fn func()) Timer {
-	return v.timer(t, max(level, 1), key, fn)
-}
-
-// TopLevel is the highest tail level open to callers: its events run after
+// TopLevel is the highest level open to callers: its events run after
 // every other level of their tick and before RunUntil's stop, the one event
 // at math.MaxInt8. The WAL seals each tick's appends there.
 const TopLevel int8 = math.MaxInt8 - 1
 
-// ScheduleTail is AtTailN on storage the caller owns, as Schedule is
-// AtKeyed: e becomes the queue entry for h.Fire at tail level `level` (≥ 1)
-// of tick t on stripe key, and scheduling allocates nothing. It reports
-// whether e was queued; after Close (or RunUntil's stop) it is dropped,
-// stopped.
-func (v *Virtual) ScheduleTail(e *Event, t vtime.Ticks, level int8, key uint64, h Handler) bool {
-	return v.schedule(e, t, max(level, 1), key, h)
-}
-
-// timer schedules fn on a fresh event and returns the event as its Timer.
-func (v *Virtual) timer(t vtime.Ticks, prio int8, key uint64, fn func()) Timer {
-	e := new(Event)
-	v.schedule(e, t, prio, key, funcHandler(fn))
-	return e
-}
-
-// schedule queues e and reports whether it did: a closed scheduler drops
-// it, stopped.
-func (v *Virtual) schedule(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) bool {
+// Schedule is AtLevel on storage the caller owns: e — idle, and typically
+// a field of the record h points at — becomes the queue entry for h.Fire
+// at level `level` of tick t on stripe key, so scheduling allocates
+// nothing. e cancels itself (e.Stop). It reports whether e was queued;
+// after Close (or RunUntil's stop) it is dropped, stopped.
+func (v *Virtual) Schedule(e *Event, t vtime.Ticks, level int8, key uint64, h Handler) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.catchUp()
-	return v.enqueue(e, t, prio, key, h)
+	return v.enqueue(e, t, level, key, h)
 }
 
-// enqueue is schedule once the clock has caught up, for a caller that read
+// enqueue is Schedule once the clock has caught up, for a caller that read
 // the clock to pick t in the same critical section. Called with v.mu held.
 func (v *Virtual) enqueue(e *Event, t vtime.Ticks, prio int8, key uint64, h Handler) bool {
 	e.v = v
@@ -505,9 +442,10 @@ func (v *Virtual) enqueue(e *Event, t vtime.Ticks, prio int8, key uint64, h Hand
 	return true
 }
 
-// Stop implements Timer: it takes an event still queued out of the queue,
-// so nothing it points to stays reachable from the scheduler. An idle event
-// (never scheduled) and one whose batch has been popped report false.
+// Stop cancels a queued event: it takes it out of the queue, so nothing it
+// points to stays reachable from the scheduler, and reports true. An idle
+// event (never scheduled), a stopped one and one whose batch has been
+// popped report false.
 func (e *Event) Stop() bool {
 	if e.v == nil {
 		return false
@@ -522,10 +460,11 @@ func (e *Event) Stop() bool {
 	return true
 }
 
-// Hold implements Scheduler: no event runs until the returned release is
-// called. Safe to call from callbacks and from external goroutines. The
-// first Hold on a free clock adopts its birth hold (see NewVirtual).
-// Calling the release more than once lets go once.
+// Hold pins the dispatcher: no event runs, so a free clock does not
+// advance, until the returned release is called. Safe to call from
+// callbacks and from external goroutines. The first Hold on a free clock
+// adopts its birth hold (see NewVirtual). Calling the release more than
+// once lets go once.
 func (v *Virtual) Hold() func() {
 	v.Acquire()
 	var once sync.Once
@@ -563,7 +502,7 @@ func (v *Virtual) Pending() int {
 // to the caller. This is how a single-threaded simulation is driven: set
 // up, RunUntil(horizon). A birth hold nobody adopted is let go here.
 func (v *Virtual) RunUntil(t vtime.Ticks) {
-	v.schedule(new(Event), t, math.MaxInt8, 0, funcHandler(func() {
+	v.Schedule(new(Event), t, math.MaxInt8, 0, funcHandler(func() {
 		v.mu.Lock()
 		v.closed = true
 		v.mu.Unlock()

@@ -123,9 +123,9 @@ func TestVirtualTimerIsItsEvent(t *testing.T) {
 
 	release := v.Hold()
 	stopped := v.At(5, c.mark(1))
-	kept := v.AtKeyed(5, 7, c.mark(2))
-	v.AtTail(5, c.mark(3))
-	var self Timer
+	kept := v.AtLevel(5, 0, 7, c.mark(2))
+	v.AtLevel(5, 1, 0, c.mark(3))
+	var self *Event
 	inside := make(chan bool, 1)
 	self = v.At(6, func() {
 		inside <- self.Stop()
@@ -156,7 +156,7 @@ func TestVirtualTimerIsItsEvent(t *testing.T) {
 	}
 	// A stale handle is inert: later events, same tick and key included,
 	// are none of its business.
-	later := v.AtKeyed(5, 7, c.mark(5))
+	later := v.AtLevel(5, 0, 7, c.mark(5))
 	if kept.Stop() || stopped.Stop() {
 		t.Fatal("a stale handle must not report a cancellation")
 	}
@@ -181,7 +181,7 @@ func TestStopLeavesQueue(t *testing.T) {
 	type queued struct {
 		at   vtime.Ticks
 		tail bool
-		tm   Timer
+		tm   *Event
 	}
 	var ran []int
 	evs := make([]queued, 300)
@@ -190,7 +190,7 @@ func TestStopLeavesQueue(t *testing.T) {
 		q := &evs[i]
 		q.at, q.tail = vtime.Ticks(rng.Intn(40)), rng.Intn(4) == 0
 		if q.tail {
-			q.tm = v.AtTail(q.at, fn)
+			q.tm = v.AtLevel(q.at, 1, 0, fn)
 		} else {
 			q.tm = v.At(q.at, fn)
 		}
@@ -569,7 +569,7 @@ func TestPacedStripeOrder(t *testing.T) {
 		for k := uint64(1); k <= stripes; k++ {
 			// Three to a tick, and every tick already past for the later
 			// ones by the time the hold lets go.
-			v.AtKeyed(vtime.Ticks(i/3), k, func() {
+			v.AtLevel(vtime.Ticks(i/3), 0, k, func() {
 				mu.Lock()
 				got[k] = append(got[k], i)
 				mu.Unlock()
@@ -756,8 +756,8 @@ func TestOwnedEventStop(t *testing.T) {
 	release := v.Hold()
 	stopped := &ownedEvent{fire: c.mark(1)}
 	fired := &ownedEvent{fire: c.mark(2)}
-	v.Schedule(&stopped.ev, 5, 0, stopped)
-	v.Schedule(&fired.ev, 5, 0, fired)
+	v.Schedule(&stopped.ev, 5, 0, 0, stopped)
+	v.Schedule(&fired.ev, 5, 0, 0, fired)
 	if got := v.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
@@ -781,7 +781,7 @@ func TestOwnedEventStop(t *testing.T) {
 
 	v.Close()
 	late := &ownedEvent{fire: c.mark(3)}
-	v.Schedule(&late.ev, 9, 0, late)
+	v.Schedule(&late.ev, 9, 0, 0, late)
 	if late.ev.Stop() {
 		t.Error("an event scheduled after Close is already dropped: Stop must report false")
 	}
@@ -800,8 +800,8 @@ func TestOwnedEventStoppedSkipsWithoutAdvancing(t *testing.T) {
 		release := v.Hold()
 		far := &ownedEvent{fire: c.mark(1)}
 		near := &ownedEvent{fire: c.mark(2)}
-		v.Schedule(&far.ev, 50, 3, far)
-		v.Schedule(&near.ev, 10, 3, near)
+		v.Schedule(&far.ev, 50, 0, 3, far)
+		v.Schedule(&near.ev, 10, 0, 3, near)
 		far.ev.Stop()
 		release()
 		if got := c.waitN(t, 1); got[0] != 2 {
@@ -848,9 +848,9 @@ func TestOwnedEventsStripedBatches(t *testing.T) {
 			if i%2 == 0 {
 				owned = append(owned, ownedEvent{fire: note(key, i)})
 				o := &owned[len(owned)-1]
-				v.Schedule(&o.ev, 7, key, o)
+				v.Schedule(&o.ev, 7, 0, key, o)
 			} else {
-				v.AtKeyed(7, key, note(key, i))
+				v.AtLevel(7, 0, key, note(key, i))
 			}
 		}
 	}
@@ -858,8 +858,8 @@ func TestOwnedEventsStripedBatches(t *testing.T) {
 	cascade := &ownedEvent{}
 	wg.Add(2)
 	cascade.fire = note(1, perStripe+1)
-	v.AtKeyed(7, 1, func() {
-		v.Schedule(&cascade.ev, 7, 1, cascade)
+	v.AtLevel(7, 0, 1, func() {
+		v.Schedule(&cascade.ev, 7, 0, 1, cascade)
 		note(1, perStripe)()
 	})
 	release()

@@ -154,22 +154,18 @@ func runSchedule(roots []root, v *Virtual) scheduleRun {
 	)
 	// book stamps fn and schedules it, both under mu, so booking order is
 	// the scheduler's scheduling order.
-	book := func(at vtime.Ticks, level int8, key uint64, owned bool, fn func(stamp)) Timer {
+	book := func(at vtime.Ticks, level int8, key uint64, owned bool, fn func(stamp)) *Event {
 		mu.Lock()
 		defer mu.Unlock()
 		index++
 		s := stamp{at, level, index}
 		run := func() { fn(s) }
-		switch {
-		case owned:
+		if owned {
 			o := &ownedEvent{fire: run}
-			v.schedule(&o.ev, at, level, key, o)
+			v.Schedule(&o.ev, at, level, key, o)
 			return &o.ev
-		case level > 0:
-			return v.AtTailN(at, level, key, run)
-		default:
-			return v.AtKeyed(at, key, run)
 		}
+		return v.AtLevel(at, level, key, run)
 	}
 	// enter checks an event against the barrier, the clock and its stripe's
 	// stamp order; the caller leaves the barrier.
@@ -218,7 +214,7 @@ func runSchedule(roots []root, v *Virtual) scheduleRun {
 	}
 
 	release := v.Hold()
-	timers := make([]Timer, len(roots))
+	timers := make([]*Event, len(roots))
 	var horizon vtime.Ticks
 	for i, r := range roots {
 		horizon = max(horizon, r.at)
@@ -319,7 +315,7 @@ func TestStripedBarrierUnderChurn(t *testing.T) {
 		for i := range pacers {
 			p := &pacers[i]
 			*p = pacerEvent{v: v, key: uint64(i + 1), horizon: ticks, inside: &inside, early: &early, fired: &fired[i]}
-			v.Schedule(&p.ev, 1, p.key, p)
+			v.Schedule(&p.ev, 1, 0, p.key, p)
 		}
 		v.RunUntil(ticks)
 		if n := early.Load(); n != 0 {
@@ -357,7 +353,7 @@ func (p *pacerEvent) Fire() {
 	}
 	*p.fired++ // one stripe's events never overlap: the detector agrees or says so
 	if at < p.horizon {
-		p.v.Schedule(&p.ev, at+1, p.key, p)
+		p.v.Schedule(&p.ev, at+1, 0, p.key, p)
 	}
 	p.inside[at%2].Add(-1)
 }
@@ -387,7 +383,7 @@ func TestStripedLateHelper(t *testing.T) {
 		release := v.Hold()
 		for at := vtime.Ticks(1); at <= ticks; at++ {
 			for key := uint64(1); key <= stripes; key++ {
-				v.AtKeyed(at, key, func() {
+				v.AtLevel(at, 0, key, func() {
 					bar.enter(int64(at)*2, "event")
 					defer bar.leave()
 					mu.Lock()
@@ -402,7 +398,7 @@ func TestStripedLateHelper(t *testing.T) {
 				// Tick 1 is over: the helper was sent for after its first
 				// stripe (nothing is known yet of how long help takes), is
 				// parked on the hook, and ran none of it.
-				v.AtTail(1, func() {
+				v.AtLevel(1, 1, 0, func() {
 					bar.enter(3, "tail")
 					defer bar.leave()
 					if s := v.Stats(); s.Wakes != 1 || s.HelpedStripes != 0 || s.SoloBatches != 1 {
@@ -443,7 +439,7 @@ func TestStripedBatchAllocatesNothing(t *testing.T) {
 	for i := range spinners {
 		s := &spinners[i]
 		*s = spinner{v: v, key: uint64(i + 1), horizon: 1 << 40}
-		v.Schedule(&s.ev, 1, s.key, s)
+		v.Schedule(&s.ev, 1, 0, s.key, s)
 	}
 	// The tail event of each tick hands the clock to the test: one step is
 	// one multi-stripe batch and the tail behind it.
@@ -454,10 +450,10 @@ func TestStripedBatchAllocatesNothing(t *testing.T) {
 		done <- struct{}{}
 		<-step
 		if !quit.Load() {
-			v.schedule(&tail.ev, v.Now()+1, 1, 0, tail)
+			v.Schedule(&tail.ev, v.Now()+1, 1, 0, tail)
 		}
 	}
-	v.schedule(&tail.ev, 1, 1, 0, tail)
+	v.Schedule(&tail.ev, 1, 1, 0, tail)
 	v.Hold()()
 	<-done
 	allocs := testing.AllocsPerRun(200, func() {
@@ -522,7 +518,7 @@ func TestStripedStopWithHelpers(t *testing.T) {
 			}
 			var ran atomic.Int32
 			for key := uint64(1); key <= 3; key++ {
-				v.AtKeyed(1, key, func() { ran.Add(1) })
+				v.AtLevel(1, 0, key, func() { ran.Add(1) })
 			}
 			stopped := stop(v, func() { await(t, atHook, "the helper") })
 			stays(t, name, stopped)
@@ -536,9 +532,9 @@ func TestStripedStopWithHelpers(t *testing.T) {
 			v := stripedWith(1)
 			gate := make(chan struct{})
 			var inside, ran atomic.Int32
-			v.AtKeyed(1, 1, func() { ran.Add(1) }) // the dispatcher's first: it then sends for help
+			v.AtLevel(1, 0, 1, func() { ran.Add(1) }) // the dispatcher's first: it then sends for help
 			for key := uint64(2); key <= 3; key++ {
-				v.AtKeyed(1, key, func() {
+				v.AtLevel(1, 0, key, func() {
 					inside.Add(1)
 					<-gate
 					ran.Add(1)
@@ -573,7 +569,7 @@ func TestPacedStripesNotBeforeWallTime(t *testing.T) {
 	release := v.Hold()
 	for at := vtime.Ticks(1); at <= ticks; at++ {
 		for key := uint64(1); key <= stripes; key++ {
-			v.AtKeyed(at, key, func() {
+			v.AtLevel(at, 0, key, func() {
 				defer wg.Done()
 				if ran, due := time.Since(begin), time.Duration(at)*tick; ran < due || v.Now() < at {
 					t.Errorf("stripe %d of tick %d ran %v after the clock started, due at %v (Now %d)", key, at, ran, due, v.Now())
